@@ -1,139 +1,75 @@
-//! The **overlapped fetch executor**: the fetch plane's answer to
-//! thread-per-source.
+//! The **fetch executor**: the one driver of the fetch plane.
 //!
-//! The scoped-thread plane ([`crate::federation::FetchMode::ScopedThreads`])
-//! parks one OS thread inside every stalled wrapper call — fine for a
-//! handful of sources, but fan-out scales thread count, not throughput.
-//! This module runs the *same* fetch jobs as resumable machines
-//! ([`crate::federation::JobMachine`]) on a **small fixed worker pool**:
+//! Fetch jobs are resumable machines ([`crate::federation::JobMachine`])
+//! run on a **small fixed worker pool**, so fan-out scales parked timers,
+//! not OS threads:
 //!
 //! * a worker drives a job until its next wrapper contact;
 //! * a **stall-aware** wrapper ([`Wrapper::submit`] returning
 //!   [`Submission::Parked`]) does not block — the job is parked on a
-//!   hashed **timer wheel** with a wake deadline, and the worker moves on
-//!   to another ready job;
+//!   deadline heap, and the worker moves on to another ready job;
 //! * when the deadline passes, any worker collects the parked job,
 //!   completes the submission ([`Wrapper::complete`]), and resumes the
-//!   machine;
-//! * an `in_flight` admission limit bounds how many jobs are past their
-//!   submit at once, in job registration order.
+//!   machine.
 //!
 //! Wrappers that are *not* stall-aware answer inline from `submit`'s
 //! default (which blocks in [`Wrapper::query`]) — correct, just without
-//! overlap, exactly like the scoped plane.
+//! overlap.
+//!
+//! A pool of one worker runs on the **calling thread**: no spawn, jobs in
+//! job order, stalls still overlapped. That is the serial reference the
+//! determinism suites compare every other worker count against.
 //!
 //! **Determinism.** The executor changes scheduling only: each job's
 //! machine runs the identical policy body ([`crate::federation`]'s
 //! `FetchMachine`), each source's requests stay serial inside its job,
 //! and the merge consumes results by job index. Batches, reports,
-//! statistics, and breaker transitions are bit-identical to the
-//! scoped-thread plane at every worker count and in-flight limit.
+//! statistics, and breaker transitions are bit-identical at every worker
+//! count.
+//!
+//! [`Wrapper::submit`]: crate::wrapper::Wrapper::submit
+//! [`Wrapper::complete`]: crate::wrapper::Wrapper::complete
+//! [`Wrapper::query`]: crate::wrapper::Wrapper::query
 
 use crate::fault::Clock;
 use crate::federation::{
-    FetchJob, FetchJobDone, JobMachine, JobStep, RegisteredSource, SourceReply, ThreadGauge,
+    FetchJobDone, JobMachine, JobStep, RegisteredSource, SourceReply, ThreadGauge,
 };
 use crate::wrapper::Submission;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Timer-wheel tick granularity. Stalls are declared in milliseconds,
-/// so 1ms ticks lose nothing.
-const TICK_MS: u64 = 1;
-
-/// Timer-wheel slot count. One lap covers 256ms of stalls; longer
-/// timers simply survive extra laps (they are filtered by deadline, not
-/// by slot position).
-const WHEEL_SLOTS: usize = 256;
-
 /// How long an idle worker sleeps when it has neither ready jobs nor
-/// armed timers to wait for (all in-flight jobs are on other workers).
+/// armed timers to wait for (all unfinished jobs are on other workers).
 /// A notification arrives well before this in practice; the timeout only
 /// guards against lost wakeups.
 const IDLE_WAIT: Duration = Duration::from_millis(10);
 
-/// One armed timer: wake `token` once `deadline_ms` has passed.
-#[derive(Debug, Clone, Copy)]
-struct Timer {
-    deadline_ms: u64,
-    token: usize,
-}
+/// Parked jobs by wake deadline, earliest first. Deadlines are
+/// [`Instant`]s, so a job is never handed back before its declared stall
+/// has fully elapsed.
+#[derive(Default)]
+struct Timers(BinaryHeap<Reverse<(Instant, usize)>>);
 
-/// A hashed timer wheel: `WHEEL_SLOTS` buckets of `TICK_MS` granularity.
-/// Scheduling is O(1); advancing visits only the slots the elapsed ticks
-/// hash into (at most one full lap), keeping timers whose deadline lies
-/// a lap or more ahead.
-#[derive(Debug)]
-pub(crate) struct TimerWheel {
-    slots: Vec<Vec<Timer>>,
-    /// The tick up to (and including) which expired timers have been
-    /// collected.
-    cursor: u64,
-    /// Armed timers across all slots.
-    armed: usize,
-}
-
-impl TimerWheel {
-    pub(crate) fn new(now_ms: u64) -> Self {
-        TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            cursor: now_ms / TICK_MS,
-            armed: 0,
-        }
-    }
-
-    /// Arms a wake for `token` at `deadline_ms`. Deadlines at or before
-    /// the cursor are clamped to the next tick so they are collected by
-    /// the very next [`Self::advance`].
-    pub(crate) fn schedule(&mut self, deadline_ms: u64, token: usize) {
-        let tick = (deadline_ms / TICK_MS).max(self.cursor + 1);
-        let slot = (tick % WHEEL_SLOTS as u64) as usize;
-        self.slots[slot].push(Timer { deadline_ms, token });
-        self.armed += 1;
-    }
-
-    /// Collects every timer whose deadline has passed by `now_ms` into
-    /// `expired`, in slot-visit order.
-    pub(crate) fn advance(&mut self, now_ms: u64, expired: &mut Vec<usize>) {
-        if self.armed == 0 {
-            self.cursor = self.cursor.max(now_ms / TICK_MS);
-            return;
-        }
-        let now_tick = now_ms / TICK_MS;
-        if now_tick <= self.cursor {
-            return;
-        }
-        // Visit at most one full lap: a lap touches every slot, and the
-        // per-timer deadline filter below makes extra laps redundant.
-        let steps = (now_tick - self.cursor).min(WHEEL_SLOTS as u64);
-        for t in 1..=steps {
-            let slot = ((self.cursor + t) % WHEEL_SLOTS as u64) as usize;
-            let bucket = &mut self.slots[slot];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].deadline_ms <= now_ms {
-                    expired.push(bucket.swap_remove(i).token);
-                    self.armed -= 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.cursor = now_tick;
+impl Timers {
+    fn schedule(&mut self, deadline: Instant, job: usize) {
+        self.0.push(Reverse((deadline, job)));
     }
 
     /// The earliest armed deadline, if any (the idle-wait bound).
-    pub(crate) fn next_deadline(&self) -> Option<u64> {
-        if self.armed == 0 {
-            return None;
-        }
-        self.slots.iter().flatten().map(|t| t.deadline_ms).min()
+    fn next_deadline(&self) -> Option<Instant> {
+        self.0.peek().map(|Reverse((deadline, _))| *deadline)
     }
 
-    #[cfg(test)]
-    fn armed(&self) -> usize {
-        self.armed
+    /// Removes and returns the job with the earliest deadline, if that
+    /// deadline has passed by `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<usize> {
+        if self.next_deadline()? > now {
+            return None;
+        }
+        self.0.pop().map(|Reverse((_, job))| job)
     }
 }
 
@@ -146,8 +82,8 @@ struct Seat {
 
 /// What driving a job until its next suspension produced.
 enum Drive {
-    /// The job parked a submission; wake it after `stall`.
-    Parked { stall: Duration },
+    /// The job parked a submission; resume it at `wake_at`.
+    Parked { wake_at: Instant },
     /// The job ran out of requests.
     Done(FetchJobDone),
 }
@@ -155,66 +91,56 @@ enum Drive {
 /// Shared scheduler state, guarded by one mutex (contended only at
 /// suspension points, never during wrapper work).
 struct Sched {
-    /// Jobs ready to run. A `Some` seat is waiting here or on the wheel;
-    /// `None` means the job is being driven by a worker or finished.
+    /// A `Some` seat is waiting in `ready` or in `timers`; `None` means
+    /// the job is being driven by a worker or has finished.
     seats: Vec<Option<Seat>>,
     ready: VecDeque<usize>,
-    wheel: TimerWheel,
-    /// Next job awaiting admission (admission is in job order).
-    next_admit: usize,
-    /// Jobs admitted and not yet finished.
-    active: usize,
+    timers: Timers,
     finished: usize,
     results: Vec<Option<FetchJobDone>>,
 }
 
-/// Runs `jobs` to completion on `workers` pooled threads, overlapping
-/// parked stalls, and returns the per-job results in job order — the
-/// overlapped counterpart of the scoped-thread block in
-/// [`crate::Federation::fetch_parallel`].
-pub(crate) fn run_overlapped(
+/// Runs `jobs` to completion on `workers` workers, overlapping parked
+/// stalls, and returns the per-job results in job order. One worker runs
+/// on the calling thread; more are scoped threads.
+pub(crate) fn run_jobs(
     sources: &[RegisteredSource],
     clock: &Arc<dyn Clock>,
-    jobs: Vec<FetchJob>,
+    jobs: Vec<JobMachine>,
     workers: usize,
-    in_flight: usize,
     gauge: &ThreadGauge,
 ) -> Vec<FetchJobDone> {
     let total = jobs.len();
-    let limit = if in_flight == 0 {
-        usize::MAX
-    } else {
-        in_flight.max(1)
-    };
-    let workers = workers.max(1);
-    let epoch = Instant::now();
     let state = Mutex::new(Sched {
         seats: jobs
             .into_iter()
-            .map(|job| {
+            .map(|machine| {
                 Some(Seat {
-                    machine: JobMachine::new(sources, job),
+                    machine,
                     parked_ticket: None,
                 })
             })
             .collect(),
-        ready: VecDeque::new(),
-        wheel: TimerWheel::new(0),
-        next_admit: 0,
-        active: 0,
+        ready: (0..total).collect(),
+        timers: Timers::default(),
         finished: 0,
         results: (0..total).map(|_| None).collect(),
     });
     let wake = Condvar::new();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                gauge.enter();
-                worker_loop(sources, clock, &state, &wake, &epoch, limit, total);
-                gauge.exit();
-            });
-        }
-    });
+    let work = || {
+        gauge.enter();
+        worker_loop(sources, clock, &state, &wake);
+        gauge.exit();
+    };
+    if workers <= 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
     state
         .into_inner()
         .expect("executor state poisoned")
@@ -224,33 +150,16 @@ pub(crate) fn run_overlapped(
         .collect()
 }
 
-fn now_ms(epoch: &Instant) -> u64 {
-    epoch.elapsed().as_millis() as u64
-}
-
 fn worker_loop(
     sources: &[RegisteredSource],
     clock: &Arc<dyn Clock>,
     state: &Mutex<Sched>,
     wake: &Condvar,
-    epoch: &Instant,
-    limit: usize,
-    total: usize,
 ) {
-    let mut expired: Vec<usize> = Vec::new();
     let mut guard = state.lock().expect("executor state poisoned");
     loop {
-        // Collect due timers and admit jobs up to the in-flight limit.
-        let now = now_ms(epoch);
-        guard.wheel.advance(now, &mut expired);
-        for token in expired.drain(..) {
-            guard.ready.push_back(token);
-        }
-        while guard.active < limit && guard.next_admit < total {
-            let idx = guard.next_admit;
-            guard.next_admit += 1;
-            guard.active += 1;
-            guard.ready.push_back(idx);
+        while let Some(job) = guard.timers.pop_due(Instant::now()) {
+            guard.ready.push_back(job);
         }
         if let Some(idx) = guard.ready.pop_front() {
             let mut seat = guard.seats[idx].take().expect("ready job has a seat");
@@ -258,14 +167,8 @@ fn worker_loop(
             let outcome = drive(&mut seat, sources, clock);
             guard = state.lock().expect("executor state poisoned");
             match outcome {
-                Drive::Parked { stall } => {
-                    let stall_ms = stall.as_millis() as u64;
-                    let now = now_ms(epoch);
-                    if stall_ms == 0 {
-                        guard.ready.push_back(idx);
-                    } else {
-                        guard.wheel.schedule(now + stall_ms, idx);
-                    }
+                Drive::Parked { wake_at } => {
+                    guard.timers.schedule(wake_at, idx);
                     guard.seats[idx] = Some(seat);
                     // A sleeping sibling may be waiting on a later (or
                     // no) deadline: let one re-evaluate its wait.
@@ -274,28 +177,21 @@ fn worker_loop(
                 Drive::Done(done) => {
                     guard.results[idx] = Some(done);
                     guard.finished += 1;
-                    guard.active -= 1;
-                    if guard.finished == total {
+                    if guard.finished == guard.results.len() {
                         wake.notify_all();
-                    } else {
-                        // An admission slot opened up.
-                        wake.notify_one();
                     }
                 }
             }
             continue;
         }
-        if guard.finished == total {
+        if guard.finished == guard.results.len() {
             return;
         }
         // Nothing ready: sleep until the next timer fires, or until a
-        // sibling parks/finishes something.
-        let now = now_ms(epoch);
-        let timeout = match guard.wheel.next_deadline() {
-            Some(d) if d <= now => continue,
-            Some(d) => Duration::from_millis(d - now),
-            None => IDLE_WAIT,
-        };
+        // sibling parks or finishes something.
+        let timeout = guard.timers.next_deadline().map_or(IDLE_WAIT, |deadline| {
+            deadline.saturating_duration_since(Instant::now())
+        });
         guard = wake
             .wait_timeout(guard, timeout)
             .expect("executor state poisoned")
@@ -307,24 +203,23 @@ fn worker_loop(
 /// scheduler lock: everything here is the job's own state plus the
 /// shared-but-thread-safe wrapper and clock.
 fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<dyn Clock>) -> Drive {
-    let mut reply: Option<SourceReply> = None;
+    let wrapper = &sources[seat.machine.src_pos()].wrapper;
     // Waking from a park: collect the stalled submission first.
-    if let Some(ticket) = seat.parked_ticket.take() {
-        let src = &sources[seat.machine.src_pos()];
-        reply = Some(src.wrapper.complete(ticket, seat.machine.current_query()));
-    }
+    let mut reply: Option<SourceReply> = seat
+        .parked_ticket
+        .take()
+        .map(|ticket| wrapper.complete(ticket, seat.machine.current_query()));
     loop {
         match seat.machine.step(sources, clock, reply.take()) {
-            JobStep::Contact => {
-                let src = &sources[seat.machine.src_pos()];
-                match src.wrapper.submit(seat.machine.current_query()) {
-                    Submission::Ready(r) => reply = Some(r),
-                    Submission::Parked { stall, ticket } => {
-                        seat.parked_ticket = Some(ticket);
-                        return Drive::Parked { stall };
-                    }
+            JobStep::Contact => match wrapper.submit(seat.machine.current_query()) {
+                Submission::Ready(r) => reply = Some(r),
+                Submission::Parked { stall, ticket } => {
+                    seat.parked_ticket = Some(ticket);
+                    return Drive::Parked {
+                        wake_at: Instant::now() + stall,
+                    };
                 }
-            }
+            },
             JobStep::Done(done) => return Drive::Done(done),
         }
     }
@@ -335,62 +230,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wheel_collects_in_deadline_windows() {
-        let mut w = TimerWheel::new(0);
-        let mut out = Vec::new();
-        w.schedule(5, 1);
-        w.schedule(12, 2);
-        w.schedule(5, 3);
-        assert_eq!(w.armed(), 3);
-        w.advance(4, &mut out);
-        assert!(out.is_empty());
-        w.advance(7, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 3]);
-        out.clear();
-        w.advance(30, &mut out);
-        assert_eq!(out, vec![2]);
-        assert_eq!(w.armed(), 0);
-        assert_eq!(w.next_deadline(), None);
-    }
-
-    #[test]
-    fn wheel_keeps_timers_more_than_a_lap_ahead() {
-        let mut w = TimerWheel::new(0);
-        let mut out = Vec::new();
-        // Same slot (10 and 10 + 256·TICK_MS hash identically), a lap apart.
-        w.schedule(10, 1);
-        w.schedule(10 + (WHEEL_SLOTS as u64) * TICK_MS, 2);
-        w.advance(10, &mut out);
-        assert_eq!(out, vec![1]);
-        assert_eq!(w.armed(), 1);
-        out.clear();
-        // A huge jump still visits every slot exactly once.
-        w.advance(10_000, &mut out);
-        assert_eq!(out, vec![2]);
-    }
-
-    #[test]
-    fn wheel_clamps_past_deadlines_to_the_next_tick() {
-        let mut w = TimerWheel::new(100);
-        let mut out = Vec::new();
-        // Deadline already in the past when armed: collected on the
-        // next advance rather than lost behind the cursor.
-        w.schedule(50, 7);
-        w.advance(101, &mut out);
-        assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn wheel_next_deadline_is_the_minimum() {
-        let mut w = TimerWheel::new(0);
-        w.schedule(40, 1);
-        w.schedule(9, 2);
-        w.schedule(700, 3);
-        assert_eq!(w.next_deadline(), Some(9));
-        let mut out = Vec::new();
-        w.advance(9, &mut out);
-        assert_eq!(out, vec![2]);
-        assert_eq!(w.next_deadline(), Some(40));
+    fn timers_pop_in_deadline_order_and_never_early() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut timers = Timers::default();
+        timers.schedule(at(40), 1);
+        timers.schedule(at(9), 2);
+        timers.schedule(at(700), 3);
+        timers.schedule(at(9), 4);
+        assert_eq!(timers.next_deadline(), Some(at(9)));
+        // One nanosecond short of the earliest deadline: nothing is due.
+        assert_eq!(timers.pop_due(at(9) - Duration::from_nanos(1)), None);
+        // Equal deadlines pop in job order, then by deadline.
+        assert_eq!(timers.pop_due(at(9)), Some(2));
+        assert_eq!(timers.pop_due(at(9)), Some(4));
+        assert_eq!(timers.pop_due(at(9)), None);
+        assert_eq!(timers.next_deadline(), Some(at(40)));
+        // A late collector still gets them earliest first.
+        assert_eq!(timers.pop_due(at(10_000)), Some(1));
+        assert_eq!(timers.pop_due(at(10_000)), Some(3));
+        assert_eq!(timers.pop_due(at(10_000)), None);
+        assert_eq!(timers.next_deadline(), None);
     }
 }

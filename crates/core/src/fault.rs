@@ -788,12 +788,6 @@ impl Wrapper for FaultInjector {
         self.post_faults(call, rows)
     }
 
-    fn stall_hint(&self) -> Option<std::time::Duration> {
-        // Injected delays are virtual (they advance the clock, not the
-        // wall); only the inner wrapper's declared wall stall counts.
-        self.inner.stall_hint()
-    }
-
     fn submit(&self, q: &SourceQuery) -> crate::wrapper::Submission {
         use crate::wrapper::Submission;
         if !self.armed.load(Ordering::SeqCst) {

@@ -9,10 +9,12 @@
 //! [`crate::Mediator`] composes the two with the eval/cache pipeline.
 //!
 //! All retry/breaker/quarantine semantics live in **one** place — the
-//! private `execute_fetch` body shared by the serial path
-//! ([`Federation::fetch`]) and every worker of the parallel fetch plane
-//! ([`Federation::fetch_parallel`]) — so the degradable entry points
-//! ([`crate::Mediator::fetch`], [`crate::Mediator::fetch_degraded`],
+//! private `FetchMachine` — and it has **one** driver, the executor in
+//! [`crate::executor`]. The strict single-source entry
+//! ([`Federation::fetch`]) and the batch entry
+//! ([`Federation::fetch_parallel`]) both build jobs and hand them to it,
+//! so the degradable entry points ([`crate::Mediator::fetch`],
+//! [`crate::Mediator::fetch_degraded`],
 //! [`crate::Mediator::materialize_all`], [`crate::Mediator::answer`], the
 //! §5 plan) cannot drift apart.
 //!
@@ -21,15 +23,15 @@
 //! [`Federation::fetch_parallel`] is the entry point of the **fetch
 //! phase** of the two-phase pipeline (see DESIGN.md): a caller describes
 //! everything a plan needs from sources as a list of [`FetchRequest`]s,
-//! the federation executes them with one worker job per source on a
-//! scoped thread pool (`std::thread::scope`, no extra deps), and the
-//! results come back as a [`FetchSet`] whose batches are in request
-//! order regardless of completion order. Determinism comes from the
-//! **merge order**, not from serial fetching: each source's requests run
-//! serially inside its own job (so per-source breaker/retry/fault
-//! schedules are identical to a serial run), and rows, statistics, and
-//! report entries are folded job-by-job in first-appearance (i.e.
-//! registration) order after every worker has joined.
+//! the federation runs them as one resumable job per source on the
+//! executor's worker pool, and the results come back as a [`FetchSet`]
+//! whose batches are in request order regardless of completion order.
+//! Determinism comes from the **merge order**, not from serial fetching:
+//! each source's requests run serially inside its own job (so per-source
+//! breaker/retry/fault schedules are identical at every worker count),
+//! and rows, statistics, and report entries are folded job-by-job in
+//! first-appearance (i.e. registration) order after every worker has
+//! finished.
 
 use crate::error::{MediatorError, Result};
 use crate::fault::{
@@ -41,7 +43,7 @@ use kind_datalog::CancelToken;
 use kind_dm::SourceId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Bookkeeping for one registered source.
 pub struct RegisteredSource {
@@ -300,8 +302,8 @@ impl JobBudget {
 
 /// The full outcome of one guarded fetch against one source, before any
 /// report folding: surviving rows, quarantine diagnostics, and the
-/// outcome classification. Produced by [`execute_fetch`] and folded into
-/// the report by the serial path or by the parallel merge.
+/// outcome classification. Produced by [`FetchMachine`] and folded into
+/// the report by [`record_completion`].
 pub(crate) struct FetchCompletion {
     /// Validated, residual-filtered rows (empty on failure/skip).
     rows: Vec<ObjectRow>,
@@ -323,12 +325,11 @@ pub(crate) struct FetchCompletion {
 /// for it.
 pub(crate) type SourceReply = std::result::Result<Vec<ObjectRow>, SourceError>;
 
-/// What a [`FetchMachine`] (or [`JobMachine`]) needs next.
+/// What a [`FetchMachine`] needs next.
 pub(crate) enum MachineStep {
-    /// Contact the source with the current query — run
-    /// [`Wrapper::query`] (blocking plane) or the split
-    /// [`Wrapper::submit`]/[`Wrapper::complete`] pair (overlapped plane)
-    /// — and call `step` again with the reply.
+    /// Contact the source with the current query —
+    /// [`Wrapper::submit`], then [`Wrapper::complete`] if it parked — and
+    /// call `step` again with the reply.
     Contact,
     /// The guarded fetch finished.
     Done(FetchCompletion),
@@ -367,12 +368,9 @@ enum FetchState {
 /// residual selection filters — as a **resumable state machine** whose
 /// only suspension points are wrapper contacts.
 ///
-/// This is the **single** guarded-fetch body: the serial path
-/// ([`Federation::fetch`]), every worker of the scoped-thread fetch
-/// plane, and the overlapped executor ([`crate::executor`]) all drive
-/// exactly this machine — the planes differ only in *how* a suspended
-/// contact waits (a blocked thread vs. a parked timer), so
-/// retry/breaker/quarantine/hedge semantics cannot drift between them.
+/// This is the **single** guarded-fetch body, and [`crate::executor`] is
+/// its single driver: a suspended contact either answers inline or parks
+/// on a timer, and the machine cannot tell which.
 struct FetchMachine {
     attempts: u32,
     hedged: usize,
@@ -650,30 +648,6 @@ impl FetchMachine {
     }
 }
 
-/// Runs one guarded fetch to completion on the calling thread — the
-/// blocking driver of [`FetchMachine`], used by the serial path and the
-/// scoped-thread plane. Every contact is a plain [`Wrapper::query`]
-/// call, exactly as before the machine refactor.
-#[allow(clippy::too_many_arguments)]
-fn execute_fetch(
-    src: &RegisteredSource,
-    policy: &SourcePolicy,
-    breaker: &mut CircuitBreaker,
-    clock: &Arc<dyn Clock>,
-    stats: &mut MediatorStats,
-    q: &SourceQuery,
-    budget: &mut JobBudget,
-) -> FetchCompletion {
-    let mut machine = FetchMachine::new();
-    let mut reply: Option<SourceReply> = None;
-    loop {
-        match machine.step(src, policy, breaker, clock, stats, q, budget, reply.take()) {
-            MachineStep::Contact => reply = Some(src.wrapper.query(q)),
-            MachineStep::Done(completion) => return completion,
-        }
-    }
-}
-
 /// Maps a terminal [`GuardedFetch`] to its [`FetchCompletion`]:
 /// quarantine-validate and residual-filter surviving rows, classify the
 /// outcome, surface the terminal error.
@@ -783,23 +757,7 @@ fn classify_fetch(
     }
 }
 
-/// One worker job of the parallel fetch plane: everything needed to run
-/// one source's requests without touching the federation — the source's
-/// breaker is *moved* in (taken out of the federation's map) so its
-/// requests run serially under exactly the serial-path semantics, and
-/// moved back at merge time.
-pub(crate) struct FetchJob {
-    /// Index into the federation's source roster.
-    src_pos: usize,
-    policy: SourcePolicy,
-    breaker: CircuitBreaker,
-    /// The job's deadline context (slice of the query budget + token).
-    budget: JobBudget,
-    /// `(request index, query)` in submission order.
-    requests: Vec<(usize, SourceQuery)>,
-}
-
-/// What one [`FetchJob`] produced, ready for the deterministic merge.
+/// What one [`JobMachine`] produced, ready for the deterministic merge.
 pub(crate) struct FetchJobDone {
     source: String,
     breaker: CircuitBreaker,
@@ -810,58 +768,22 @@ pub(crate) struct FetchJobDone {
     results: Vec<(usize, FetchCompletion)>,
 }
 
-/// Runs one job's requests serially against its source.
-fn run_fetch_job(
-    sources: &[RegisteredSource],
-    clock: &Arc<dyn Clock>,
-    job: FetchJob,
-) -> FetchJobDone {
-    let src = &sources[job.src_pos];
-    let FetchJob {
-        policy,
-        mut breaker,
-        mut budget,
-        requests,
-        ..
-    } = job;
-    let mut stats = MediatorStats::default();
-    let mut results = Vec::with_capacity(requests.len());
-    for (idx, q) in requests {
-        let completion = execute_fetch(
-            src,
-            &policy,
-            &mut breaker,
-            clock,
-            &mut stats,
-            &q,
-            &mut budget,
-        );
-        if !completion.quarantined.is_empty() {
-            budget.tainted = true;
-        }
-        results.push((idx, completion));
-    }
-    FetchJobDone {
-        source: src.name.clone(),
-        breaker,
-        stats,
-        spent_ms: budget.spent_ms,
-        results,
-    }
-}
-
-/// One fetch job as a **resumable machine**: sequences the job's
-/// requests through a [`FetchMachine`] each, suspending at every wrapper
-/// contact. The overlapped executor ([`crate::executor`]) drives these
-/// on a fixed worker pool — a parked contact releases its worker instead
-/// of blocking it — while producing byte-for-byte the [`FetchJobDone`]
-/// that [`run_fetch_job`] produces on a dedicated thread.
+/// One fetch job as a **resumable machine**: everything needed to run
+/// one source's requests without touching the federation. The source's
+/// breaker is *moved* in (taken out of the federation's map) so its
+/// requests run serially under one breaker/retry/fault schedule, and
+/// moved back at merge time. The job sequences its requests through a
+/// [`FetchMachine`] each, suspending at every wrapper contact; the
+/// executor ([`crate::executor`]) drives it — a parked contact releases
+/// its worker instead of blocking it.
 pub(crate) struct JobMachine {
+    /// Index into the federation's source roster.
     src_pos: usize,
-    source_name: String,
     policy: SourcePolicy,
     breaker: CircuitBreaker,
+    /// The job's deadline context (slice of the query budget + token).
     budget: JobBudget,
+    /// `(request index, query)` in submission order.
     requests: Vec<(usize, SourceQuery)>,
     stats: MediatorStats,
     results: Vec<(usize, FetchCompletion)>,
@@ -870,44 +792,27 @@ pub(crate) struct JobMachine {
 }
 
 impl JobMachine {
-    pub(crate) fn new(sources: &[RegisteredSource], job: FetchJob) -> Self {
-        let source_name = sources[job.src_pos].name.clone();
-        let results = Vec::with_capacity(job.requests.len());
-        JobMachine {
-            src_pos: job.src_pos,
-            source_name,
-            policy: job.policy,
-            breaker: job.breaker,
-            budget: job.budget,
-            requests: job.requests,
-            stats: MediatorStats::default(),
-            results,
-            cursor: 0,
-            fetch: FetchMachine::new(),
-        }
-    }
-
     /// The roster position of the job's source.
     pub(crate) fn src_pos(&self) -> usize {
         self.src_pos
     }
 
-    /// The query the pending [`MachineStep::Contact`] is for. Only valid
+    /// The query the pending [`JobStep::Contact`] is for. Only valid
     /// between a `Contact` step and its reply.
     pub(crate) fn current_query(&self) -> &SourceQuery {
         &self.requests[self.cursor].1
     }
 
     /// Advances the job. `reply` carries the contact outcome iff the
-    /// previous step returned [`MachineStep::Contact`].
+    /// previous step returned [`JobStep::Contact`].
     pub(crate) fn step(
         &mut self,
         sources: &[RegisteredSource],
         clock: &Arc<dyn Clock>,
         mut reply: Option<SourceReply>,
     ) -> JobStep {
+        let src = &sources[self.src_pos];
         while self.cursor < self.requests.len() {
-            let src = &sources[self.src_pos];
             let q = &self.requests[self.cursor].1;
             match self.fetch.step(
                 src,
@@ -932,7 +837,7 @@ impl JobMachine {
             }
         }
         JobStep::Done(FetchJobDone {
-            source: std::mem::take(&mut self.source_name),
+            source: src.name.clone(),
             breaker: self.breaker.clone(),
             stats: self.stats,
             spent_ms: self.budget.spent_ms,
@@ -950,30 +855,30 @@ pub(crate) enum JobStep {
     Done(FetchJobDone),
 }
 
-/// How [`Federation::fetch_parallel`] maps fetch jobs onto OS threads.
-/// Either way the results — batches, reports, statistics, breaker
-/// transitions — are **bit-identical**; the modes differ only in how a
-/// stalled wrapper contact waits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FetchMode {
-    /// One scoped thread per worker job (the default): a stalled contact
-    /// blocks its thread for the duration. Simple and fast for small
-    /// fan-out, but the thread count scales with the number of slow
-    /// sources in flight.
-    #[default]
-    ScopedThreads,
-    /// The overlapped executor ([`crate::executor`]): jobs are resumable
-    /// state machines on a fixed worker pool plus a timer wheel. A
-    /// stall-aware wrapper contact *parks* — releases its worker and
-    /// schedules a wake at its deadline — so hundreds of slow sources
-    /// overlap on `fetch_threads` workers, admission-limited by
-    /// [`Federation::set_in_flight_limit`].
-    Overlapped,
+/// Folds one completion into `report` under `source` and hands back its
+/// surviving rows and terminal error (the latter for strict callers —
+/// [`Federation::fetch`]).
+fn record_completion(
+    report: &mut AnswerReport,
+    source: &str,
+    completion: FetchCompletion,
+) -> (Vec<ObjectRow>, Option<SourceError>) {
+    for qr in completion.quarantined {
+        report.record_quarantine(qr);
+    }
+    report.record_fetch(
+        source,
+        completion.attempts,
+        completion.rows.len(),
+        completion.hedged,
+        completion.cancelled,
+        completion.outcome,
+    );
+    (completion.rows, completion.error)
 }
 
 /// Tracks how many fetch-plane worker threads are live, and the
-/// high-water mark — the observable the overlapped executor exists to
-/// flatten (peak ≈ worker-pool size instead of ≈ sources in flight).
+/// high-water mark (peak ≈ worker-pool size, not ≈ sources in flight).
 #[derive(Debug, Default)]
 pub(crate) struct ThreadGauge {
     current: AtomicUsize,
@@ -1013,13 +918,6 @@ pub struct Federation {
     /// Worker threads for the parallel fetch plane (0 = auto: one per
     /// involved source, capped by available parallelism).
     fetch_threads: usize,
-    /// How fetch jobs map onto threads (scoped thread-per-job vs the
-    /// overlapped executor).
-    fetch_mode: FetchMode,
-    /// Admission limit for the overlapped executor: at most this many
-    /// jobs in flight at once (0 = admit everything immediately). Also
-    /// caps the stall-aware adaptive sizing of the scoped plane.
-    in_flight_limit: usize,
     /// Live/peak fetch worker threads (for the bench and the example).
     thread_gauge: ThreadGauge,
     /// End-to-end budget armed for every degradable operation (0 = no
@@ -1056,8 +954,6 @@ impl Federation {
             breakers: HashMap::new(),
             report: AnswerReport::default(),
             fetch_threads: 0,
-            fetch_mode: FetchMode::default(),
-            in_flight_limit: 0,
             thread_gauge: ThreadGauge::default(),
             query_budget_ms: 0,
             budget: None,
@@ -1113,8 +1009,8 @@ impl Federation {
 
     /// Sets the worker-thread count for [`Self::fetch_parallel`]: `0`
     /// (the default) means auto — one worker per involved source, capped
-    /// by available parallelism; `1` forces serial execution (useful as
-    /// the determinism baseline); larger values cap the pool. Results
+    /// by available parallelism; `1` runs every job on the calling thread
+    /// (the determinism baseline); larger values cap the pool. Results
     /// are bit-identical for every setting — only wall-clock changes.
     pub fn set_fetch_threads(&mut self, threads: usize) {
         self.fetch_threads = threads;
@@ -1125,38 +1021,10 @@ impl Federation {
         self.fetch_threads
     }
 
-    /// Selects how [`Self::fetch_parallel`] maps jobs onto threads.
-    /// Results are bit-identical in both modes at every worker count —
-    /// only the wall-clock/thread-count profile changes — so switching
-    /// is always safe. [`FetchMode::ScopedThreads`] is the default.
-    pub fn set_fetch_mode(&mut self, mode: FetchMode) {
-        self.fetch_mode = mode;
-    }
-
-    /// The configured fetch transport.
-    pub fn fetch_mode(&self) -> FetchMode {
-        self.fetch_mode
-    }
-
-    /// Caps how many fetch jobs the overlapped executor admits at once
-    /// (0 = no cap, the default). Admission is in job registration
-    /// order, so the knob changes wall clock and memory pressure, never
-    /// results. The same cap bounds the stall-aware adaptive sizing of
-    /// the scoped-thread plane.
-    pub fn set_in_flight_limit(&mut self, n: usize) {
-        self.in_flight_limit = n;
-    }
-
-    /// The configured in-flight admission limit (0 = unlimited).
-    pub fn in_flight_limit(&self) -> usize {
-        self.in_flight_limit
-    }
-
     /// The highest number of fetch-plane worker threads that were ever
-    /// live at once since the last [`Self::reset_peak_fetch_threads`] —
-    /// the knob the overlapped executor flattens (a scoped-thread fetch
-    /// of 64 stalled sources peaks at 64; the overlapped plane peaks at
-    /// its worker-pool size).
+    /// live at once since the last [`Self::reset_peak_fetch_threads`]:
+    /// the worker-pool size, however many sources were stalled at once
+    /// (a one-worker fetch counts the calling thread).
     pub fn peak_fetch_threads(&self) -> usize {
         self.thread_gauge.peak()
     }
@@ -1297,13 +1165,51 @@ impl Federation {
         Ok(pos)
     }
 
-    /// Takes a source's breaker out of the map (creating a fresh one
-    /// under its policy on first contact) so it can run detached — in a
-    /// worker job or a serial split-borrow — and be put back afterwards.
-    fn take_breaker(&mut self, name: &str, policy: &SourcePolicy) -> CircuitBreaker {
-        self.breakers
+    /// A fresh job for the source at `src_pos` with no requests yet: the
+    /// source's breaker is moved out of the map (created under its policy
+    /// on first contact) and comes back in the job's [`FetchJobDone`].
+    fn new_job(&mut self, src_pos: usize) -> JobMachine {
+        let name = &self.sources[src_pos].name;
+        let policy = self.policy_for(name).clone();
+        let breaker = self
+            .breakers
             .remove(name)
-            .unwrap_or_else(|| CircuitBreaker::new(policy.breaker.clone()))
+            .unwrap_or_else(|| CircuitBreaker::new(policy.breaker.clone()));
+        JobMachine {
+            src_pos,
+            policy,
+            breaker,
+            budget: JobBudget {
+                slice_ms: self.budget.as_ref().map(QueryBudget::remaining_ms),
+                spent_ms: 0,
+                cancel: Some(self.cancel.clone()),
+                cancel_on_exhaust: self.cancel_on_exhaust,
+                tainted: false,
+            },
+            requests: Vec::new(),
+            stats: MediatorStats::default(),
+            results: Vec::new(),
+            cursor: 0,
+            fetch: FetchMachine::new(),
+        }
+    }
+
+    /// Runs `jobs` on the executor and puts their breakers back. The
+    /// results are in job order.
+    fn run_jobs(&mut self, jobs: Vec<JobMachine>) -> Vec<FetchJobDone> {
+        let workers = self.effective_fetch_threads(jobs.len());
+        let finished = crate::executor::run_jobs(
+            &self.sources,
+            &self.clock,
+            jobs,
+            workers,
+            &self.thread_gauge,
+        );
+        for done in &finished {
+            self.breakers
+                .insert(done.source.clone(), done.breaker.clone());
+        }
+        finished
     }
 
     /// Capability-aware, fault-tolerant fetch: pushes the pushable
@@ -1312,85 +1218,45 @@ impl Federation {
     /// rows that violate the source's exported CM, and applies the
     /// remaining selections as a residual filter mediator-side.
     ///
-    /// Runs the same guarded-fetch body as the parallel fetch plane
-    /// ([`Self::fetch_parallel`]), so retry/breaker/quarantine semantics
-    /// cannot drift between entry points.
+    /// Runs as a one-request job on the same executor as
+    /// [`Self::fetch_parallel`] (one job means one worker, which is the
+    /// calling thread), so retry/breaker/quarantine semantics cannot
+    /// drift between entry points.
     ///
     /// A source that exhausts its retry budget — or whose breaker is
     /// open — is a typed [`MediatorError::Source`] error; the outcome is
     /// also folded into the current [`Self::report`].
     pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Vec<ObjectRow>> {
         let pos = self.validate_request(source_name, q)?;
-        let policy = self.policy_for(source_name).clone();
-        let mut breaker = self.take_breaker(source_name, &policy);
-        let mut job_budget = self.job_budget();
-        let completion = {
-            let Federation {
-                sources,
-                clock,
-                stats,
-                ..
-            } = self;
-            execute_fetch(
-                &sources[pos],
-                &policy,
-                &mut breaker,
-                clock,
-                stats,
-                q,
-                &mut job_budget,
-            )
-        };
-        self.breakers.insert(source_name.to_string(), breaker);
+        let mut job = self.new_job(pos);
+        job.requests.push((0, q.clone()));
+        let done = self
+            .run_jobs(vec![job])
+            .pop()
+            .expect("one job in, one result out");
+        self.stats.merge(&done.stats);
         if let Some(b) = &mut self.budget {
-            b.charge(job_budget.spent_ms);
+            b.charge(done.spent_ms);
         }
-        self.report.elapsed_ms = self.report.elapsed_ms.saturating_add(job_budget.spent_ms);
-        let FetchCompletion {
-            rows,
-            quarantined,
-            attempts,
-            hedged,
-            cancelled,
-            outcome,
-            error,
-        } = completion;
-        for qr in quarantined {
-            self.report.record_quarantine(qr);
-        }
-        self.report.record_fetch(
-            source_name,
-            attempts,
-            rows.len(),
-            hedged,
-            cancelled,
-            outcome,
-        );
-        match error {
-            None => Ok(rows),
-            Some(error) => Err(MediatorError::Source {
+        self.report.elapsed_ms = self.report.elapsed_ms.saturating_add(done.spent_ms);
+        let (_, completion) = done
+            .results
+            .into_iter()
+            .next()
+            .expect("one request in, one completion out");
+        match record_completion(&mut self.report, source_name, completion) {
+            (rows, None) => Ok(rows),
+            (_, Some(error)) => Err(MediatorError::Source {
                 name: source_name.to_string(),
                 error,
             }),
         }
     }
 
-    /// A fresh per-job deadline context: the remaining budget (when one
-    /// is armed) plus the query-wide cancellation token.
-    fn job_budget(&self) -> JobBudget {
-        JobBudget {
-            slice_ms: self.budget.as_ref().map(QueryBudget::remaining_ms),
-            spent_ms: 0,
-            cancel: Some(self.cancel.clone()),
-            cancel_on_exhaust: self.cancel_on_exhaust,
-            tainted: false,
-        }
-    }
-
     /// The **fetch phase** of the two-phase pipeline: executes a batch of
-    /// [`FetchRequest`]s with one worker job per distinct source on a
-    /// scoped thread pool, and returns a [`FetchSet`] whose batches are
-    /// in request order. Source-level failures degrade to empty batches
+    /// [`FetchRequest`]s as one job per distinct source on the executor's
+    /// worker pool, and returns a [`FetchSet`] whose batches are in
+    /// request order. Source-level failures degrade to empty batches
     /// (visible in the set's report), exactly like
     /// [`Self::fetch_degraded`]; unknown sources/classes are typed errors
     /// detected up front, before anything is contacted.
@@ -1400,117 +1266,36 @@ impl Federation {
     /// * each source's requests run serially inside that source's job, so
     ///   its breaker transitions, retry schedule, and any
     ///   [`crate::FaultInjector`] call counters see exactly the sequence
-    ///   a serial run would produce;
+    ///   a one-worker run would produce;
     /// * rows are returned per-batch in request order, so downstream
     ///   interning order does not depend on completion order;
     /// * statistics and report entries are folded job-by-job in the
     ///   sources' first-appearance order (registration order, for plans
-    ///   built from the roster) after every worker has joined.
+    ///   built from the roster) after every worker has finished.
     ///
     /// The one shared mutable resource is the federation [`Clock`]:
     /// concurrent backoff/delay advances interleave, so *timestamps* (not
-    /// row contents) can differ from a serial run when a virtual clock is
-    /// shared across faulty sources.
+    /// row contents) can differ from a one-worker run when a virtual
+    /// clock is shared across faulty sources.
     pub fn fetch_parallel(&mut self, requests: &[FetchRequest]) -> Result<FetchSet> {
-        for r in requests {
-            self.validate_request(&r.source, &r.query)?;
-        }
+        let positions = requests
+            .iter()
+            .map(|r| self.validate_request(&r.source, &r.query))
+            .collect::<Result<Vec<usize>>>()?;
         // Group requests into one job per source, in first-appearance
-        // order; move each involved source's breaker into its job.
-        let mut jobs: Vec<FetchJob> = Vec::new();
-        let mut job_of: HashMap<String, usize> = HashMap::new();
-        for (idx, r) in requests.iter().enumerate() {
-            let job_idx = match job_of.get(&r.source) {
-                Some(&j) => j,
+        // order.
+        let mut jobs: Vec<JobMachine> = Vec::new();
+        for (idx, (r, &pos)) in requests.iter().zip(&positions).enumerate() {
+            let job_idx = match jobs.iter().position(|j| j.src_pos == pos) {
+                Some(j) => j,
                 None => {
-                    let policy = self.policy_for(&r.source).clone();
-                    let breaker = self.take_breaker(&r.source, &policy);
-                    let src_pos = self
-                        .sources
-                        .iter()
-                        .position(|s| s.name == r.source)
-                        .expect("validated above");
-                    jobs.push(FetchJob {
-                        src_pos,
-                        policy,
-                        breaker,
-                        budget: self.job_budget(),
-                        requests: Vec::new(),
-                    });
-                    job_of.insert(r.source.clone(), jobs.len() - 1);
+                    jobs.push(self.new_job(pos));
                     jobs.len() - 1
                 }
             };
             jobs[job_idx].requests.push((idx, r.query.clone()));
         }
-        let workers = self.effective_fetch_threads(jobs.len());
-        let mode = self.fetch_mode;
-        let in_flight = self.in_flight_limit;
-        let finished: Vec<FetchJobDone> = {
-            let Federation {
-                sources,
-                clock,
-                thread_gauge,
-                ..
-            } = &*self;
-            match mode {
-                FetchMode::Overlapped if !jobs.is_empty() => crate::executor::run_overlapped(
-                    sources,
-                    clock,
-                    jobs,
-                    workers,
-                    in_flight,
-                    thread_gauge,
-                ),
-                _ if workers <= 1 => {
-                    // Serial baseline: same job code, no thread overhead.
-                    // The caller's thread is the one fetch worker.
-                    thread_gauge.enter();
-                    let finished = jobs
-                        .into_iter()
-                        .map(|job| run_fetch_job(sources, clock, job))
-                        .collect();
-                    thread_gauge.exit();
-                    finished
-                }
-                _ => {
-                    let slots: Vec<Mutex<Option<FetchJobDone>>> =
-                        jobs.iter().map(|_| Mutex::new(None)).collect();
-                    let queue: Vec<Mutex<Option<FetchJob>>> =
-                        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-                    let next = AtomicUsize::new(0);
-                    std::thread::scope(|scope| {
-                        for _ in 0..workers {
-                            scope.spawn(|| {
-                                thread_gauge.enter();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= queue.len() {
-                                        break;
-                                    }
-                                    let job = queue[i]
-                                        .lock()
-                                        .expect("job queue poisoned")
-                                        .take()
-                                        .expect("each job taken exactly once");
-                                    let done = run_fetch_job(sources, clock, job);
-                                    *slots[i].lock().expect("result slot poisoned") = Some(done);
-                                }
-                                thread_gauge.exit();
-                            });
-                        }
-                    });
-                    slots
-                        .into_iter()
-                        .map(|slot| {
-                            slot.into_inner()
-                                .expect("result slot poisoned")
-                                .expect("every job produced a result")
-                        })
-                        .collect()
-                }
-            }
-        };
+        let finished = self.run_jobs(jobs);
         // Deterministic merge: jobs in first-appearance order, requests
         // within a job in submission order — regardless of which worker
         // finished when.
@@ -1528,24 +1313,13 @@ impl Federation {
         // The round's elapsed time is its critical path: concurrent jobs
         // overlap, so the slowest job — by its own self-charged spend —
         // bounds the round. A max over jobs is commutative, so the value
-        // is identical for every worker count and join order.
+        // is identical for every worker count and completion order.
         let round_elapsed = finished.iter().map(|d| d.spent_ms).max().unwrap_or(0);
         for done in finished {
-            self.breakers.insert(done.source.clone(), done.breaker);
             set.stats.merge(&done.stats);
             for (idx, completion) in done.results {
-                for qr in completion.quarantined {
-                    set.report.record_quarantine(qr);
-                }
-                set.report.record_fetch(
-                    &done.source,
-                    completion.attempts,
-                    completion.rows.len(),
-                    completion.hedged,
-                    completion.cancelled,
-                    completion.outcome,
-                );
-                set.batches[idx].rows = completion.rows;
+                set.batches[idx].rows =
+                    record_completion(&mut set.report, &done.source, completion).0;
             }
         }
         set.report.elapsed_ms = round_elapsed;
@@ -1558,35 +1332,20 @@ impl Federation {
         Ok(set)
     }
 
-    /// The worker count [`Self::fetch_parallel`] will actually use for a
-    /// given number of jobs: the explicit knob when set, otherwise one
-    /// worker per core, always capped by the number of plan sources
-    /// (adaptive sizing — both planes share [`kind_datalog::pool_size`]).
-    ///
-    /// With one exception: on the scoped-thread plane, a plan touching
-    /// any **stall-aware** source ([`Wrapper::stall_hint`]) is
-    /// latency-bound, not compute-bound — its workers spend their time
-    /// blocked in wrapper I/O, not on a core — so capping the pool at
-    /// core count would serialize it (on a 1-core host, 8 × 5ms sources
-    /// would fetch in 40ms instead of ~5ms). Such plans size by overlap
-    /// instead: one worker per job, capped only by the in-flight limit.
+    /// The worker count the executor will actually use for a given
+    /// number of jobs: the explicit knob when set, otherwise one worker
+    /// per core, always capped by the number of plan sources (adaptive
+    /// sizing, shared with the evaluate plane:
+    /// [`kind_datalog::pool_size`]). Stalled sources need no extra
+    /// workers: a declared stall parks on a timer, not on a thread.
     pub(crate) fn effective_fetch_threads(&self, jobs: usize) -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if self.fetch_mode == FetchMode::ScopedThreads
-            && self.fetch_threads == 0
-            && jobs > 0
-            && self
-                .sources
-                .iter()
-                .any(|s| s.wrapper.stall_hint().is_some())
-        {
-            let cap = if self.in_flight_limit == 0 {
-                jobs
-            } else {
-                self.in_flight_limit
-            };
-            return jobs.min(cap).max(1);
+        if jobs <= 1 {
+            // `available_parallelism` reads cgroup files (~14µs a call):
+            // too much for every single-source `fetch`, which needs no
+            // answer from it.
+            return 1;
         }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         kind_datalog::pool_size(self.fetch_threads, jobs, cores)
     }
 
@@ -1639,6 +1398,7 @@ mod tests {
     use crate::wrapper::{Anchor, MemoryWrapper, StallAware};
     use kind_dm::{figures, ExecMode};
     use kind_gcm::GcmValue;
+    use std::sync::Mutex;
 
     fn wrapper(name: &str, class: &str, concept: &str, n: usize) -> Arc<MemoryWrapper> {
         let mut w = MemoryWrapper::new(name);
@@ -1800,35 +1560,12 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_is_bit_identical_to_scoped() {
-        let mut baseline = three_source_mediator();
-        baseline.federation_mut().set_fetch_threads(1);
-        let requests = all_scans(&baseline);
-        let serial = baseline.federation_mut().fetch_parallel(&requests).unwrap();
-        for (workers, in_flight) in [(1usize, 0usize), (1, 1), (8, 0), (8, 2)] {
-            let mut m = three_source_mediator();
-            m.set_fetch_mode(FetchMode::Overlapped);
-            m.federation_mut().set_fetch_threads(workers);
-            m.set_in_flight_limit(in_flight);
-            let over = m.federation_mut().fetch_parallel(&requests).unwrap();
-            assert_eq!(
-                format!("{:?}", serial.batches),
-                format!("{:?}", over.batches),
-                "batches diverge at {workers} workers / in-flight {in_flight}"
-            );
-            assert_eq!(serial.report, over.report);
-            assert_eq!(serial.stats, over.stats);
-        }
-    }
-
-    #[test]
-    fn overlapped_matches_scoped_under_faults_hedges_and_deadlines() {
+    fn one_worker_matches_eight_under_faults_hedges_and_deadlines() {
         // A seeded fault schedule exercising retries (FailFirst), the
         // hedge path (SlowTail + hedge_after_ms), and deadline charging
-        // (query budget), run through both transports.
-        let build = |mode: FetchMode, workers: usize| {
+        // (query budget), run inline on the caller and on a pool.
+        let build = |workers: usize| {
             let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-            m.set_fetch_mode(mode);
             m.federation_mut().set_fetch_threads(workers);
             m.set_default_policy(SourcePolicy::with_hedge_after_ms(10));
             m.set_query_budget_ms(500);
@@ -1847,25 +1584,18 @@ mod tests {
             m.register(wrapper("C", "cc", "Neuron", 4)).unwrap();
             m
         };
-        let mut baseline = build(FetchMode::ScopedThreads, 1);
+        let mut baseline = build(1);
         let requests = all_scans(&baseline);
         let serial = baseline.federation_mut().fetch_parallel(&requests).unwrap();
-        for workers in [1usize, 8] {
-            let mut m = build(FetchMode::Overlapped, workers);
-            let over = m.federation_mut().fetch_parallel(&requests).unwrap();
-            assert_eq!(
-                format!("{:?}", serial.batches),
-                format!("{:?}", over.batches),
-                "batches diverge at {workers} workers"
-            );
-            assert_eq!(serial.report, over.report, "reports diverge at {workers}");
-            assert_eq!(serial.stats, over.stats, "stats diverge at {workers}");
-            assert_eq!(
-                baseline.breaker_state("SHAKY"),
-                m.breaker_state("SHAKY"),
-                "breaker state diverges at {workers}"
-            );
-        }
+        let mut m = build(8);
+        let pooled = m.federation_mut().fetch_parallel(&requests).unwrap();
+        assert_eq!(
+            format!("{:?}", serial.batches),
+            format!("{:?}", pooled.batches)
+        );
+        assert_eq!(serial.report, pooled.report);
+        assert_eq!(serial.stats, pooled.stats);
+        assert_eq!(baseline.breaker_state("SHAKY"), m.breaker_state("SHAKY"));
         // The schedule actually exercised the machinery: a retry
         // happened and at least one hedge fired.
         let shaky = serial.report.source("SHAKY").unwrap();
@@ -1873,48 +1603,16 @@ mod tests {
     }
 
     #[test]
-    fn stall_aware_plans_size_by_overlap_not_cores() {
-        // Satellite: a 1-core host federating 8 stall-bound sources must
-        // not serialize them. With a stall hint registered and the knob
-        // on auto, the scoped plane sizes one worker per job.
-        let mut m = three_source_mediator();
-        let slow = StallAware::new(
-            wrapper("SLOW", "cd", "Dendrite", 1),
-            std::time::Duration::from_millis(1),
-        );
-        m.register(slow).unwrap();
-        assert_eq!(m.federation().effective_fetch_threads(8), 8);
-        assert_eq!(m.federation().effective_fetch_threads(1), 1);
-        // The in-flight limit still caps the pool.
-        m.set_in_flight_limit(3);
-        assert_eq!(m.federation().effective_fetch_threads(8), 3);
-        m.set_in_flight_limit(0);
-        // An explicit knob wins over the stall-aware sizing.
-        m.federation_mut().set_fetch_threads(2);
-        assert_eq!(m.federation().effective_fetch_threads(8), 2);
-        // On the overlapped plane parking makes over-provisioning moot,
-        // so the pool sizes by cores as usual.
-        m.federation_mut().set_fetch_threads(0);
-        m.set_fetch_mode(FetchMode::Overlapped);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(
-            m.federation().effective_fetch_threads(8),
-            kind_datalog::pool_size(0, 8, cores)
-        );
-    }
-
-    #[test]
     fn overlapped_parks_stalls_instead_of_holding_threads() {
         // 8 stall-aware sources × 25ms on 2 workers: thread-per-source
-        // needs 8 threads (or 4 × 25ms rounds); parking overlaps all 8
-        // stalls on the wheel and finishes in ~1 round.
+        // would need 8 threads (or 4 × 25ms rounds); parking overlaps all
+        // 8 stalls and finishes in ~1 round.
         let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
         for s in 0..8 {
             let w = wrapper(&format!("S{s}"), &format!("c{s}"), "Spine", 2);
             m.register(StallAware::new(w, std::time::Duration::from_millis(25)))
                 .unwrap();
         }
-        m.set_fetch_mode(FetchMode::Overlapped);
         m.federation_mut().set_fetch_threads(2);
         let requests = all_scans(&m);
         m.federation_mut().reset_peak_fetch_threads();
@@ -1929,32 +1627,90 @@ mod tests {
             "peak {} > workers",
             m.federation().peak_fetch_threads()
         );
-        // Serial would be 8 × 25ms = 200ms; 2 blocking workers 100ms.
-        // Overlapped parks all stalls concurrently: ~25ms + scheduling.
+        // No submission is completed before its declared stall...
+        assert!(
+            elapsed >= std::time::Duration::from_millis(25),
+            "a parked submission was collected early: {elapsed:?}"
+        );
+        // ...and all of them overlap: one at a time would be 8 × 25ms =
+        // 200ms, two blocking workers 100ms; parked, ~25ms + scheduling.
         assert!(
             elapsed < std::time::Duration::from_millis(150),
             "stalls did not overlap: {elapsed:?}"
         );
     }
 
+    /// A stall-aware source that checks the executor's side of the
+    /// split-phase contract: it counts the `complete` calls that arrived
+    /// sooner than `stall` after their `submit`.
+    struct Punctual {
+        inner: Arc<MemoryWrapper>,
+        stall: std::time::Duration,
+        submitted: Mutex<Option<std::time::Instant>>,
+        early: AtomicUsize,
+    }
+
+    impl Wrapper for Punctual {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn formalism(&self) -> &str {
+            self.inner.formalism()
+        }
+        fn export_cm(&self) -> kind_xml::Element {
+            self.inner.export_cm()
+        }
+        fn capabilities(&self) -> Vec<Capability> {
+            self.inner.capabilities()
+        }
+        fn anchors(&self) -> Vec<Anchor> {
+            self.inner.anchors()
+        }
+        fn query(&self, q: &SourceQuery) -> SourceReply {
+            self.inner.query(q)
+        }
+        fn submit(&self, _q: &SourceQuery) -> crate::wrapper::Submission {
+            *self.submitted.lock().unwrap() = Some(std::time::Instant::now());
+            crate::wrapper::Submission::Parked {
+                stall: self.stall,
+                ticket: 0,
+            }
+        }
+        fn complete(&self, _ticket: u64, q: &SourceQuery) -> SourceReply {
+            let submitted = self.submitted.lock().unwrap().take().unwrap();
+            if submitted.elapsed() < self.stall {
+                self.early.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.query(q)
+        }
+    }
+
     #[test]
-    fn overlapped_respects_in_flight_admission() {
-        // With in_flight = 1 jobs are admitted one at a time, in job
-        // order — results still land bit-identical to serial.
-        let mut baseline = three_source_mediator();
-        baseline.federation_mut().set_fetch_threads(1);
-        let requests = all_scans(&baseline);
-        let serial = baseline.federation_mut().fetch_parallel(&requests).unwrap();
-        let mut m = three_source_mediator();
-        m.set_fetch_mode(FetchMode::Overlapped);
-        m.federation_mut().set_fetch_threads(4);
-        m.set_in_flight_limit(1);
-        let over = m.federation_mut().fetch_parallel(&requests).unwrap();
-        assert_eq!(
-            format!("{:?}", serial.batches),
-            format!("{:?}", over.batches)
-        );
-        assert_eq!(serial.report, over.report);
-        assert_eq!(serial.stats, over.stats);
+    fn a_parked_submission_is_never_collected_before_its_stall() {
+        // Six sources with stalls of 3..=8ms, six back-to-back requests
+        // each, on two workers: submissions land at every fraction of a
+        // millisecond, and workers look at the timers at every other —
+        // the mix in which a deadline kept in whole milliseconds hands a
+        // submission back up to 1ms short.
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.federation_mut().set_fetch_threads(2);
+        let mut sources = Vec::new();
+        let mut requests = Vec::new();
+        for s in 0..6u64 {
+            let (name, class) = (format!("P{s}"), format!("c{s}"));
+            let source = Arc::new(Punctual {
+                inner: wrapper(&name, &class, "Spine", 1),
+                stall: std::time::Duration::from_millis(3 + s),
+                submitted: Mutex::default(),
+                early: AtomicUsize::new(0),
+            });
+            m.register(Arc::clone(&source) as Arc<dyn Wrapper>).unwrap();
+            sources.push(source);
+            requests.extend(vec![FetchRequest::scan(name, class); 6]);
+        }
+        let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+        assert_eq!(set.total_rows(), 36);
+        let early: usize = sources.iter().map(|s| s.early.load(Ordering::SeqCst)).sum();
+        assert_eq!(early, 0, "{early} of 36 submissions were collected early");
     }
 }

@@ -69,7 +69,7 @@ pub use fault::{
     SourceReport, VirtualClock,
 };
 pub use federation::{
-    Federation, FetchBatch, FetchMode, FetchRequest, FetchSet, MediatorStats, RegisteredSource,
+    Federation, FetchBatch, FetchRequest, FetchSet, MediatorStats, RegisteredSource,
 };
 pub use hub::{PinnedSnapshot, SnapshotHub};
 pub use knowledge::{DomainView, Knowledge};

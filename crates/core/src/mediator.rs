@@ -585,33 +585,6 @@ impl Mediator {
         self.eval_options.eval_threads
     }
 
-    /// Selects the fetch-plane transport (see [`kind_core::FetchMode`]
-    /// via the crate root): scoped thread-per-job, or the overlapped
-    /// executor that parks stalled attempts on a timer wheel. Both
-    /// transports produce bit-identical `FetchSet`s, so switching
-    /// neither dirties the base nor invalidates a cached model; it only
-    /// affects wall clock and thread footprint.
-    pub fn set_fetch_mode(&mut self, mode: crate::FetchMode) {
-        self.federation.set_fetch_mode(mode);
-    }
-
-    /// The configured fetch-plane transport.
-    pub fn fetch_mode(&self) -> crate::FetchMode {
-        self.federation.fetch_mode()
-    }
-
-    /// Caps how many fetch jobs may be in flight at once on the
-    /// overlapped transport (0 = unlimited). Admission order is job
-    /// order, so the knob is cache-neutral like the other fetch knobs.
-    pub fn set_in_flight_limit(&mut self, n: usize) {
-        self.federation.set_in_flight_limit(n);
-    }
-
-    /// The configured overlapped-transport admission cap.
-    pub fn in_flight_limit(&self) -> usize {
-        self.federation.in_flight_limit()
-    }
-
     /// Toggles the magic-sets demand transformation for goal-directed
     /// queries ([`Self::answer`] and snapshot answers). The rewrite is
     /// answer-preserving and only ever applied on the query path — full
@@ -1552,13 +1525,16 @@ mod tests {
         m.define_view("big(X) :- X : spines, X[value -> V], V >= 1.")
             .unwrap();
         m.materialize_all().unwrap();
-        assert_eq!(m.query_fl("big(X)").unwrap().len(), 2); // o1, o2
-        let before = Arc::as_ptr(m.cached_model().unwrap());
+        // o1, o2
+        assert_eq!(m.query_fl("big(X)").unwrap().len(), 2);
+        // Held across the publish: comparing against a freed `Arc`'s
+        // address would race the allocator reusing it.
+        let before = Arc::clone(m.cached_model().unwrap());
         m.retract_row("S1", "spines", &existing_row(2)).unwrap();
         m.publish().unwrap();
         // The publish was incremental (a new model was derived from the
         // cached one, not recomputed after an invalidation)...
-        assert_ne!(Arc::as_ptr(m.cached_model().unwrap()), before);
+        assert!(!Arc::ptr_eq(m.cached_model().unwrap(), &before));
         // ...and the retracted row's own facts *and* its derived view
         // member are gone.
         assert_eq!(m.query_fl("X : spines").unwrap().len(), 2);
@@ -1576,14 +1552,14 @@ mod tests {
             .unwrap();
         m.materialize_all().unwrap();
         m.publish().unwrap();
-        let ptr = Arc::as_ptr(m.cached_model().unwrap());
+        let before = Arc::clone(m.cached_model().unwrap());
         m.publish().unwrap();
-        assert_eq!(Arc::as_ptr(m.cached_model().unwrap()), ptr);
+        assert!(Arc::ptr_eq(m.cached_model().unwrap(), &before));
         // `invalidate` is the escape hatch: the next publish recomputes.
         m.invalidate();
         assert!(m.publish_pending());
         m.publish().unwrap();
-        assert_ne!(Arc::as_ptr(m.cached_model().unwrap()), ptr);
+        assert!(!Arc::ptr_eq(m.cached_model().unwrap(), &before));
     }
 
     #[test]

@@ -162,12 +162,11 @@ pub enum Anchor {
 /// itself (compute-bound wrappers answer inline) or a parked request the
 /// caller must [`Wrapper::complete`] after roughly `stall` of wall time.
 ///
-/// This is how a wrapper opts into the overlapped fetch plane
-/// ([`crate::federation::FetchMode::Overlapped`]): instead of blocking an
-/// OS thread inside [`Wrapper::query`] for the duration of a network
-/// round-trip, it *declares* the stall, the executor parks the fetch job
-/// on a timer wheel, and a worker thread comes back for the rows when
-/// the stall has elapsed.
+/// This is how a wrapper overlaps its I/O with other sources': instead
+/// of blocking an OS thread inside [`Wrapper::query`] for the duration of
+/// a network round-trip, it *declares* the stall, the executor
+/// ([`crate::executor`]) parks the fetch job on a timer, and a worker
+/// thread comes back for the rows when the stall has elapsed.
 #[derive(Debug)]
 pub enum Submission {
     /// The wrapper answered inline; no parking needed.
@@ -243,20 +242,6 @@ pub trait Wrapper: Send + Sync {
         0
     }
 
-    /// The wall-clock stall one query against this source is expected to
-    /// spend waiting on I/O, if the wrapper is **stall-aware** (implements
-    /// the split [`Self::submit`]/[`Self::complete`] protocol). `None` —
-    /// the default — means compute-bound: queries return as fast as the
-    /// CPU allows and there is nothing for the fetch plane to overlap.
-    ///
-    /// The adaptive fetch sizing uses this declaration: a plan touching
-    /// any stall-aware source is latency-bound, so the scoped-thread
-    /// plane sizes its pool by overlap (jobs, capped by the in-flight
-    /// limit) instead of by core count.
-    fn stall_hint(&self) -> Option<std::time::Duration> {
-        None
-    }
-
     /// Split-phase query, phase one: start the request. Stall-aware
     /// wrappers return [`Submission::Parked`] immediately — no blocking —
     /// and deliver the rows from [`Self::complete`]; everything else
@@ -275,8 +260,7 @@ pub trait Wrapper: Send + Sync {
     /// Called once per [`Submission::Parked`], no earlier than its
     /// declared stall. The default pairs with the default [`Self::submit`]
     /// (which never parks) and simply answers the query, so a wrapper
-    /// overriding neither method still behaves correctly in every fetch
-    /// mode.
+    /// overriding neither method still behaves correctly.
     fn complete(
         &self,
         _ticket: u64,
@@ -287,12 +271,12 @@ pub trait Wrapper: Send + Sync {
 }
 
 /// Decorates any wrapper with a declared wall-clock `stall` per query —
-/// the generic opt-in adapter for the overlapped fetch plane.
+/// the generic stall-aware adapter.
 ///
-/// On the blocking path ([`Wrapper::query`], used by
-/// [`crate::federation::FetchMode::ScopedThreads`]) the adapter really
-/// sleeps `stall` of wall time, modelling a network round-trip that
-/// pins its thread. On the split-phase path it parks instead: `submit`
+/// On the blocking path ([`Wrapper::query`], reached through a decorator
+/// that does not forward `submit`) the adapter really sleeps `stall` of
+/// wall time, modelling a network round-trip that pins its thread. On
+/// the split-phase path the fetch plane uses it parks instead: `submit`
 /// returns [`Submission::Parked`] without blocking, and `complete`
 /// answers from the inner wrapper — so hundreds of stalled sources
 /// overlap on a handful of executor workers.
@@ -350,10 +334,6 @@ impl Wrapper for StallAware {
     ) -> std::result::Result<Vec<ObjectRow>, crate::fault::SourceError> {
         std::thread::sleep(self.stall);
         self.inner.query(q)
-    }
-
-    fn stall_hint(&self) -> Option<std::time::Duration> {
-        Some(self.stall)
     }
 
     fn submit(&self, _q: &SourceQuery) -> Submission {

@@ -10,21 +10,52 @@ kind-server — the deployed KIND mediator (see DESIGN.md, server plane)
 USAGE:
   kind-server [--addr HOST:PORT] [--workers N] [--queue-depth N]
               [--budget-ms N] [--scenario small|default]
-              [--fetch-mode scoped|overlapped] [--fetch-workers N]
-              [--in-flight N]
+              [--fetch-workers N]
   kind-server --client [--addr HOST:PORT] [--threads N] [--requests N]
               [--budget-ms N] [--quiet]
 
-`--fetch-mode overlapped` routes cold fetches through the stall-aware
-executor: `--fetch-workers` sizes its fixed pool (0 = auto) and
-`--in-flight` caps concurrent fetch jobs (0 = unlimited). Answers are
-bit-identical across modes; only wall clock and threads change.
+`--fetch-workers` sizes the fetch executor's fixed pool (0 = auto, one
+per core; 1 = the calling thread). Answers are bit-identical at every
+size; only wall clock and threads change. An unknown flag, or a flag
+without its value, is an error (exit code 2).
 
 Server mode starts the scenario mediator, publishes the first snapshot
 into the hub, and serves the JSON-per-line protocol until SIGTERM/ctrl-c
 or a `shutdown` op. Client mode connects and issues a mixed workload,
 printing one summary line per response.
 ";
+
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--queue-depth",
+    "--budget-ms",
+    "--scenario",
+    "--fetch-workers",
+    "--threads",
+    "--requests",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &["--client", "--quiet"];
+
+/// Rejects anything the lookups below would silently skip: an argument
+/// that is not a known flag, or a value flag with nothing after it.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            match it.next() {
+                Some(value) if !value.starts_with("--") => {}
+                _ => return Err(format!("{arg} needs a value")),
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(())
+}
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -47,6 +78,10 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{HELP}");
         return;
+    }
+    if let Err(e) = check_args(&args) {
+        eprintln!("kind-server: {e} (see --help)");
+        std::process::exit(2);
     }
     if args.iter().any(|a| a == "--client") {
         let config = ClientConfig {
@@ -89,17 +124,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    scenario.fetch_mode = match parse_flag(&args, "--fetch-mode").as_deref() {
-        Some("scoped") | None => kind_core::FetchMode::ScopedThreads,
-        Some("overlapped") => kind_core::FetchMode::Overlapped,
-        Some(other) => {
-            eprintln!("unknown fetch mode {other:?} (want scoped|overlapped)");
-            std::process::exit(2);
-        }
-    };
     scenario.fetch_threads =
         parse_num(&args, "--fetch-workers", scenario.fetch_threads as u64) as usize;
-    scenario.in_flight = parse_num(&args, "--in-flight", scenario.in_flight as u64) as usize;
     let config = ServerConfig {
         addr: parse_flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4901".into()),
         workers: parse_num(&args, "--workers", 2) as usize,

@@ -53,14 +53,6 @@ pub struct ScenarioParams {
     /// demand transformation. Answer-preserving either way; full
     /// materialization never applies it.
     pub magic_sets: bool,
-    /// Fetch-plane transport: scoped thread-per-job (default), or the
-    /// overlapped executor that parks stalled attempts on a timer wheel.
-    /// Bit-identical results either way; only wall clock and thread
-    /// footprint change.
-    pub fetch_mode: kind_core::FetchMode,
-    /// Overlapped-transport admission cap: how many fetch jobs may be in
-    /// flight at once (0 = unlimited).
-    pub in_flight: usize,
 }
 
 impl Default for ScenarioParams {
@@ -78,8 +70,6 @@ impl Default for ScenarioParams {
             query_budget_ms: 0,
             hedge_after_ms: 0,
             magic_sets: true,
-            fetch_mode: kind_core::FetchMode::default(),
-            in_flight: 0,
         }
     }
 }
@@ -163,8 +153,6 @@ pub fn ncmir_update_rows(seed: u64, batch: usize, rows: usize) -> Vec<kind_core:
 pub fn build_scenario(params: &ScenarioParams) -> Mediator {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
     m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_fetch_mode(params.fetch_mode);
-    m.set_in_flight_limit(params.in_flight);
     m.set_eval_threads(params.eval_threads);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);
@@ -205,8 +193,6 @@ pub fn build_scenario_with_faults(
 ) -> (Mediator, Arc<FaultInjector>) {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
     m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_fetch_mode(params.fetch_mode);
-    m.set_in_flight_limit(params.in_flight);
     m.set_eval_threads(params.eval_threads);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);

@@ -12,9 +12,8 @@
 //! ```
 
 use kind::core::{
-    run_section5, Anchor, BreakerConfig, Capability, Fault, FaultInjector, FetchMode, FetchRequest,
-    Mediator, MemoryWrapper, NeuroSchema, RetryPolicy, Section5Query, SourcePolicy, StallAware,
-    Wrapper,
+    run_section5, Anchor, BreakerConfig, Capability, Fault, FaultInjector, FetchRequest, Mediator,
+    MemoryWrapper, NeuroSchema, RetryPolicy, Section5Query, SourcePolicy, StallAware, Wrapper,
 };
 use kind::dm::{figures, ExecMode};
 use kind::gcm::GcmValue;
@@ -185,10 +184,10 @@ fn slow_tail_federation(hedge: bool, stall: Duration) -> Mediator {
     m
 }
 
-/// The PR 10 demo: hedging collapses the *virtual-time* p99 (the seeded
-/// tail is re-rolled by the backup attempt), while the overlapped
-/// executor collapses the *thread* footprint — all 32 wall stalls park on
-/// one timer wheel instead of each pinning a worker.
+/// Hedging collapses the *virtual-time* p99 (the seeded tail is
+/// re-rolled by the backup attempt), while the fetch executor collapses
+/// the *thread* footprint — all 32 wall stalls park on timers instead of
+/// each pinning a worker.
 fn overlapped_slow_tail_demo() {
     let requests: Vec<FetchRequest> = (0..32)
         .map(|s| FetchRequest::scan(format!("S{s}"), format!("c{s}")))
@@ -203,7 +202,6 @@ fn overlapped_slow_tail_demo() {
     // the backup to answer.
     for hedge in [false, true] {
         let mut m = slow_tail_federation(hedge, Duration::from_millis(1));
-        m.set_fetch_mode(FetchMode::Overlapped);
         m.federation_mut().set_fetch_threads(4);
         let mut samples: Vec<u64> = Vec::new();
         for _ in 0..8 {
@@ -225,16 +223,11 @@ fn overlapped_slow_tail_demo() {
         );
     }
 
-    // Wall time and thread footprint, scoped vs. overlapped. The scoped
-    // plane sees the stall hints and sizes thread-per-source (32 workers
-    // on any host); the overlapped executor parks the same 32 stalls on
-    // 4 workers.
-    for (label, mode, workers) in [
-        ("scoped    ", FetchMode::ScopedThreads, 0usize),
-        ("overlapped", FetchMode::Overlapped, 4),
-    ] {
+    // Wall time and thread footprint: 32 × 5ms stalls, one at a time,
+    // would be 160ms. Parked, they overlap — on the calling thread alone
+    // or on 4 workers.
+    for (label, workers) in [("1 worker ", 1usize), ("4 workers", 4)] {
         let mut m = slow_tail_federation(false, Duration::from_millis(5));
-        m.set_fetch_mode(mode);
         m.federation_mut().set_fetch_threads(workers);
         m.federation_mut().reset_peak_fetch_threads();
         let start = Instant::now();

@@ -4,16 +4,17 @@
 //! For every seed we derive a deterministic configuration — which faults
 //! hit SENSELAB, whether a query budget is armed, whether hedging is on —
 //! and run the full plan at every `{fetch,eval}_threads` combination in
-//! `{1, N}²` (N from `KIND_EVAL_THREADS`, default 8), crossed with both
-//! fetch transports (scoped threads and the overlapped executor). The
-//! invariants:
+//! `{1, N}²` (N from `KIND_EVAL_THREADS`, default 8; one fetch worker is
+//! the calling thread, the reference). The invariants:
 //!
 //! * nothing panics — every configuration degrades, it never aborts;
 //! * the [`kind::core::AnswerReport`] (outcomes, attempts, hedges,
 //!   cancellations, elapsed time) is **bit-identical** across all thread
 //!   combinations and across repeat runs of the same configuration;
 //! * whenever the report says `is_complete()`, the answer itself is
-//!   bit-identical to the fault-free baseline.
+//!   bit-identical to the fault-free baseline;
+//! * the default seeds reproduce the report, answer and breaker states
+//!   recorded in [`GOLDEN`].
 //!
 //! Faults are injected into SENSELAB only: the determinism guarantee
 //! rests on per-source fault schedules being consumed serially inside
@@ -25,7 +26,7 @@
 //! the sweep with e.g. `KIND_CHAOS_SEEDS="1,2,3,4,5" cargo test --test
 //! chaos_soak`.
 
-use kind::core::{run_section5, Fault, FetchMode, NeuroSchema, PlanTrace, Section5Query};
+use kind::core::{run_section5, Fault, Mediator, NeuroSchema, PlanTrace, Section5Query};
 use kind::sources::{build_scenario, build_scenario_with_faults, ScenarioParams};
 
 /// splitmix64 — the same deterministic scrambler the fault injector uses
@@ -126,16 +127,11 @@ fn fingerprint(trace: &PlanTrace) -> (String, String) {
     (report, answer)
 }
 
-fn run_once(
-    cfg: &ChaosConfig,
-    fetch_threads: usize,
-    eval_threads: usize,
-    fetch_mode: FetchMode,
-) -> (String, String) {
+/// Runs the §5 plan under `cfg` at the given thread counts (0 = auto).
+fn run_plan(cfg: &ChaosConfig, fetch_threads: usize, eval_threads: usize) -> (Mediator, PlanTrace) {
     let params = ScenarioParams {
         fetch_threads,
         eval_threads,
-        fetch_mode,
         query_budget_ms: cfg.query_budget_ms,
         hedge_after_ms: cfg.hedge_after_ms,
         ..ScenarioParams::default()
@@ -143,7 +139,11 @@ fn run_once(
     let (mut m, _injector) = build_scenario_with_faults(&params, cfg.faults.clone());
     let trace = run_section5(&mut m, &NeuroSchema::default(), &s5_query(), true)
         .expect("chaos degrades the answer, it never aborts the plan");
-    fingerprint(&trace)
+    (m, trace)
+}
+
+fn run_once(cfg: &ChaosConfig, fetch_threads: usize, eval_threads: usize) -> (String, String) {
+    fingerprint(&run_plan(cfg, fetch_threads, eval_threads).1)
 }
 
 #[test]
@@ -158,45 +158,26 @@ fn chaos_soak_is_deterministic_and_degrades_gracefully() {
     };
     for seed in seeds_from_env() {
         let cfg = derive_config(seed);
-        // Thread combinations crossed with both fetch transports: the
-        // overlapped executor must reproduce the scoped plane's reports
-        // and answers bit for bit under every chaos schedule.
-        let mut combos = Vec::new();
-        for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-            for (f, e) in [(1, 1), (1, hi), (hi, 1), (hi, hi)] {
-                combos.push((f, e, mode));
-            }
-        }
-        let runs: Vec<(String, String)> = combos
-            .iter()
-            .map(|&(f, e, mode)| run_once(&cfg, f, e, mode))
-            .collect();
+        let combos = [(1, 1), (1, hi), (hi, 1), (hi, hi)];
+        let runs: Vec<(String, String)> =
+            combos.iter().map(|&(f, e)| run_once(&cfg, f, e)).collect();
         // Bit-identical reports and answers at every combination.
         for (combo, run) in combos.iter().zip(&runs).skip(1) {
             assert_eq!(
                 run, &runs[0],
-                "seed {seed}: {combo:?} diverged from (1,1,scoped) under {cfg:?}"
+                "seed {seed}: {combo:?} diverged from (1,1) under {cfg:?}"
             );
         }
-        // Repeat-run determinism at the high-thread setting, both modes.
-        for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-            let again = run_once(&cfg, hi, hi, mode);
-            assert_eq!(
-                again, runs[0],
-                "seed {seed}: repeat {mode:?} run diverged under {cfg:?}"
-            );
-        }
+        // Repeat-run determinism at the high-thread setting.
+        assert_eq!(
+            run_once(&cfg, hi, hi),
+            runs[0],
+            "seed {seed}: repeat run diverged under {cfg:?}"
+        );
         // A report that claims completeness must back it up: the answer
         // equals the fault-free baseline bit for bit.
         let (_report, answer) = &runs[0];
-        let params = ScenarioParams {
-            query_budget_ms: cfg.query_budget_ms,
-            hedge_after_ms: cfg.hedge_after_ms,
-            ..ScenarioParams::default()
-        };
-        let (mut m, _inj) = build_scenario_with_faults(&params, cfg.faults.clone());
-        let trace =
-            run_section5(&mut m, &NeuroSchema::default(), &s5_query(), true).expect("plan runs");
+        let (_, trace) = run_plan(&cfg, 0, 0);
         if trace.report.is_complete() {
             assert_eq!(
                 answer, &baseline_answer,
@@ -223,26 +204,13 @@ fn slow_tail_with_deadline_and_hedge_is_reproducible() {
         query_budget_ms: 2_000,
         hedge_after_ms: 50,
     };
-    let baseline = run_once(&cfg, 1, 1, FetchMode::ScopedThreads);
-    for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-        for &(f, e) in &[(1, hi), (hi, 1), (hi, hi)] {
-            assert_eq!(
-                run_once(&cfg, f, e, mode),
-                baseline,
-                "threads ({f},{e}) mode {mode:?}"
-            );
-        }
+    let baseline = run_once(&cfg, 1, 1);
+    for &(f, e) in &[(1, hi), (hi, 1), (hi, hi)] {
+        assert_eq!(run_once(&cfg, f, e), baseline, "threads ({f},{e})");
     }
     // The report must show the deadline plane actually engaged: either a
     // hedge rescued the tail (answer complete) or the deadline cut it off.
-    let params = ScenarioParams {
-        query_budget_ms: cfg.query_budget_ms,
-        hedge_after_ms: cfg.hedge_after_ms,
-        ..ScenarioParams::default()
-    };
-    let (mut m, _inj) = build_scenario_with_faults(&params, cfg.faults.clone());
-    let trace =
-        run_section5(&mut m, &NeuroSchema::default(), &s5_query(), true).expect("plan runs");
+    let (_, trace) = run_plan(&cfg, 0, 0);
     let senselab = trace.report.source("SENSELAB").expect("contacted");
     assert!(
         trace.report.is_complete() && senselab.hedged > 0 || trace.report.deadline_exceeded(),
@@ -250,4 +218,66 @@ fn slow_tail_with_deadline_and_hedge_is_reproducible() {
         trace.report.summary_line()
     );
     assert!(trace.report.elapsed_ms <= trace.report.budget_ms || trace.report.deadline_exceeded());
+}
+
+/// What the default CI seeds produce at `fetch_threads = 1`:
+/// `(seed, report summary, sorted answer, per-source breakers)`. The
+/// equivalence checks above compare the fetch plane with itself; these
+/// pin it to a value, so a change to the fetch driver that shifts every
+/// run the same way still fails.
+const GOLDEN: &[(u64, &str, &str, &str)] = &[
+    (
+        2001,
+        "DEADLINE EXCEEDED (1 of 1 sources) · 1 sources, 0 rows, 2 attempts, 1 hedged, \
+         2 cancelled, 539ms of 194ms budget",
+        "",
+        "ANATOM=None;SENSELAB=Some(Closed { consecutive_failures: 0 });NCMIR=None;\
+         SYNAPSE=None;NOISE0=None;NOISE1=None;NOISE2=None;NOISE3=None",
+    ),
+    (
+        7,
+        "complete · 2 sources, 34 rows, 3 attempts, 0ms of 8965ms budget",
+        GOLDEN_FULL_ANSWER,
+        GOLDEN_TWO_CLOSED,
+    ),
+    (
+        42,
+        "complete · 2 sources, 34 rows, 4 attempts, 1 hedged, 1 cancelled, 61ms",
+        GOLDEN_FULL_ANSWER,
+        GOLDEN_TWO_CLOSED,
+    ),
+];
+
+const GOLDEN_FULL_ANSWER: &str = "Calbindin@Purkinje_Cell=134;Calbindin@Purkinje_Dendrite=52;\
+     IP3_Receptor@Purkinje_Cell=280;IP3_Receptor@Purkinje_Dendrite=237;\
+     Parvalbumin@Purkinje_Cell=413;Parvalbumin@Purkinje_Dendrite=116;\
+     Ryanodine_Receptor@Purkinje_Cell=557;Ryanodine_Receptor@Purkinje_Dendrite=121";
+
+const GOLDEN_TWO_CLOSED: &str = "ANATOM=None;SENSELAB=Some(Closed { consecutive_failures: 0 });\
+     NCMIR=Some(Closed { consecutive_failures: 0 });SYNAPSE=None;NOISE0=None;NOISE1=None;\
+     NOISE2=None;NOISE3=None";
+
+#[test]
+fn ci_seeds_reproduce_the_recorded_reports_answers_and_breakers() {
+    for &(seed, summary, answer, breakers) in GOLDEN {
+        let cfg = derive_config(seed);
+        for fetch_threads in [1, high_threads_from_env()] {
+            let (m, trace) = run_plan(&cfg, fetch_threads, 0);
+            let mut rows: Vec<String> = trace
+                .distribution
+                .iter()
+                .map(|r| format!("{}@{}={}", r.protein, r.concept, r.total))
+                .collect();
+            rows.sort();
+            let states: Vec<String> = m
+                .sources()
+                .iter()
+                .map(|s| format!("{}={:?}", s.name, m.breaker_state(&s.name)))
+                .collect();
+            let at = format!("seed {seed}, {fetch_threads} fetch worker(s)");
+            assert_eq!(trace.report.summary_line(), summary, "{at}");
+            assert_eq!(rows.join(";"), answer, "{at}");
+            assert_eq!(states.join(";"), breakers, "{at}");
+        }
+    }
 }

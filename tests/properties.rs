@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use kind::core::{run_section5, Fault, FetchMode, NeuroSchema, Section5Query};
+use kind::core::{run_section5, Fault, NeuroSchema, Section5Query};
 use kind::datalog::{Engine, EvalOptions, EvalStats, FactStore, Model};
 use kind::dm::{DomainMap, Resolved};
 use kind::sources::{
@@ -380,7 +380,8 @@ proptest! {
     /// The tentpole invariant of the two-phase pipeline: a fully parallel
     /// `materialize_all` (8 fetch-plane workers) produces a
     /// **byte-identical** evaluated model — same facts, same interner
-    /// ordering — as the serial run, along with an identical degradation
+    /// ordering — as the one-worker run (every job on the calling
+    /// thread), along with an identical degradation
     /// report and identical statistics. Holds under seeded fault
     /// schedules too: retries, quarantined rows, and (when `kill_source`
     /// is set) a source that fails outright and degrades to zero rows.
@@ -403,7 +404,7 @@ proptest! {
                 corrupt_per_mille,
             },
         ];
-        let run = |threads: usize, mode: FetchMode| {
+        let run = |threads: usize| {
             let params = ScenarioParams {
                 seed,
                 senselab_rows: 10,
@@ -412,7 +413,6 @@ proptest! {
                 noise_sources: 1,
                 noise_rows: 5,
                 fetch_threads: threads,
-                fetch_mode: mode,
                 ..Default::default()
             };
             let (mut m, _inj) = build_scenario_with_faults(&params, faults());
@@ -432,36 +432,27 @@ proptest! {
             facts.sort();
             (facts, m.report().clone(), m.stats())
         };
-        let (serial_model, serial_report, serial_stats) = run(1, FetchMode::ScopedThreads);
-        for (threads, mode) in [
-            (8, FetchMode::ScopedThreads),
-            (1, FetchMode::Overlapped),
-            (8, FetchMode::Overlapped),
-        ] {
-            let (par_model, par_report, par_stats) = run(threads, mode);
-            prop_assert_eq!(&serial_model, &par_model,
-                "model diverges: threads={} mode={:?}", threads, mode);
-            prop_assert_eq!(&serial_report, &par_report,
-                "report diverges: threads={} mode={:?}", threads, mode);
-            prop_assert_eq!(&serial_stats, &par_stats,
-                "stats diverge: threads={} mode={:?}", threads, mode);
-        }
+        let (serial_model, serial_report, serial_stats) = run(1);
+        let (par_model, par_report, par_stats) = run(8);
+        prop_assert_eq!(&serial_model, &par_model, "model diverges");
+        prop_assert_eq!(&serial_report, &par_report, "report diverges");
+        prop_assert_eq!(&serial_stats, &par_stats, "stats diverge");
     }
 }
 
-// ---------- Fetch transport: scoped == overlapped, byte for byte --------
+// ---------- Fetch transport: scheduling never shows through ------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// PR 10's tentpole invariant: with *virtual-clock* fault schedules
-    /// in play — a seeded latency tail driving the hedge path, flaky
-    /// failures driving retries and the circuit breaker, all under an
-    /// end-to-end deadline — the full §5 answer, its degradation report
-    /// (including quarantine counters), and the breaker's final state
-    /// are exactly equal across `fetch_mode × worker count`. The
-    /// overlapped executor may interleave parked attempts arbitrarily;
-    /// none of it may show through to any observable.
+    /// With *virtual-clock* fault schedules in play — a seeded latency
+    /// tail driving the hedge path, flaky failures driving retries and
+    /// the circuit breaker, all under an end-to-end deadline — the full
+    /// §5 answer, its degradation report (including quarantine
+    /// counters), and the breaker's final state are exactly equal at one
+    /// worker (the calling thread) and at eight. The executor may
+    /// interleave jobs arbitrarily; none of it may show through to any
+    /// observable.
     #[test]
     fn fetch_transport_is_invisible_under_faults_hedges_and_deadlines(
         seed in 0u64..u64::MAX,
@@ -474,7 +465,7 @@ proptest! {
             Fault::SlowTail { seed, delay_ms: 30, slow_per_mille },
             Fault::Flaky { seed: seed.rotate_left(11), fail_per_mille },
         ];
-        let run = |threads: usize, mode: FetchMode| {
+        let run = |threads: usize| {
             let params = ScenarioParams {
                 senselab_rows: 10,
                 ncmir_rows: 15,
@@ -482,7 +473,6 @@ proptest! {
                 noise_sources: 1,
                 noise_rows: 5,
                 fetch_threads: threads,
-                fetch_mode: mode,
                 query_budget_ms: budget,
                 hedge_after_ms: 10,
                 ..Default::default()
@@ -497,16 +487,7 @@ proptest! {
             let trace = run_section5(&mut m, &schema, &q, true).unwrap();
             (trace, m.breaker_state("SENSELAB"), m.report().clone())
         };
-        let baseline = run(1, FetchMode::ScopedThreads);
-        for (threads, mode) in [
-            (8, FetchMode::ScopedThreads),
-            (1, FetchMode::Overlapped),
-            (8, FetchMode::Overlapped),
-        ] {
-            let got = run(threads, mode);
-            prop_assert_eq!(&got, &baseline,
-                "observables diverge: threads={} mode={:?}", threads, mode);
-        }
+        prop_assert_eq!(run(8), run(1), "observables diverge between 8 workers and 1");
     }
 }
 
