@@ -786,9 +786,10 @@ fn magic_flogic_fixture(subtrees: usize, depth: usize, per_class: usize) -> FLog
 /// covers only that subtree's instance cone; the *wide* query anchors at
 /// the forest root, whose cone is the whole closure — the honest no-win
 /// case. The last row is the warm mediator `answer()` on the full
-/// scenario: its skolem guards need the well-founded evaluator, so the
-/// rewrite declines (`magic_fired` false) and the numbers show the
-/// fallback costs nothing.
+/// scenario: its skolem guards negate through `inst`, which every class
+/// literal of the query reads, so the goal sits in the rewrite's
+/// evaluate-in-full fragment, the rewrite does not apply (`magic_fired`
+/// false) and the numbers show the attempt costs nothing.
 fn magic_sets_bench(fast: bool, params: &ScenarioParams) -> Vec<MagicRow> {
     use kind_datalog::{Atom, Term, Var};
     let iters = if fast { 3 } else { 10 };
@@ -811,9 +812,9 @@ fn magic_sets_bench(fast: bool, params: &ScenarioParams) -> Vec<MagicRow> {
                 ..Default::default()
             };
             let wall = min_ns(iters, || {
-                black_box(fl.run_for_query(&goal, &opts).unwrap().stats.derived);
+                black_box(fl.run_for_query(&goal, None, &opts).unwrap().stats.derived);
             });
-            let m = fl.run_for_query(&goal, &opts).unwrap();
+            let m = fl.run_for_query(&goal, None, &opts).unwrap();
             (
                 wall,
                 m.stats.derived,
@@ -833,9 +834,10 @@ fn magic_sets_bench(fast: bool, params: &ScenarioParams) -> Vec<MagicRow> {
             magic_declined,
         });
     }
-    // Mediator answer on the WFS scenario: the rewrite must decline and
-    // cost nothing. Both sides get one untimed priming call, so the
-    // numbers are second-and-later (base-cache warm) query cost.
+    // Mediator answer on the scenario with a negation-cyclic stratum: the
+    // rewrite must not apply and cost nothing. Both sides get one untimed
+    // priming call, so the numbers are second-and-later (base-cache warm)
+    // query cost.
     let aq = r#"calcium_at_spine(P, A) :- X : protein_amount, X[protein_name -> P],
         X[amount -> A], X[ion_bound -> "calcium"], X[location -> "Purkinje_Spine"]."#;
     let run = |magic: bool| {
@@ -857,8 +859,8 @@ fn magic_sets_bench(fast: bool, params: &ScenarioParams) -> Vec<MagicRow> {
         off_derived,
         on_derived,
         magic_fired,
-        // The WFS path refuses the rewrite structurally (skolem guards
-        // need the well-founded evaluator), not via the cost model.
+        // The rewrite is refused structurally (the goal reads a negated
+        // predicate), not via the cost model.
         magic_declined: false,
     });
     out

@@ -1020,7 +1020,7 @@ impl AnswerReport {
     }
 
     /// Folds a whole (delta) report into this one: per-source counters
-    /// are summed, outcomes merged by the [`SourceOutcome::merged`] rule,
+    /// are summed, outcomes merged by the `SourceOutcome::merged` rule,
     /// and quarantined-row diagnostics appended in `other`'s order. The
     /// parallel fetch plane builds one delta report per operation and
     /// absorbs it into the federation's cumulative report.

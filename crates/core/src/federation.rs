@@ -10,7 +10,7 @@
 //!
 //! All retry/breaker/quarantine semantics live in **one** place — the
 //! private `FetchMachine` — and it has **one** driver, the executor in
-//! [`crate::executor`]. The strict single-source entry
+//! `crate::executor`. The strict single-source entry
 //! ([`Federation::fetch`]) and the batch entry
 //! ([`Federation::fetch_parallel`]) both build jobs and hand them to it,
 //! so the degradable entry points ([`crate::Mediator::fetch`],

@@ -634,7 +634,7 @@ impl Mediator {
     /// Defines an integrated view (an IVD): FL rule text over source
     /// classes and the domain map (Example 4). When the base is current,
     /// the view's rules are loaded into the live engine immediately (and
-    /// their span recorded for [`Self::pop_view`]); the staged write plane
+    /// their span recorded for `Mediator::pop_view`); the staged write plane
     /// picks the change up at the next [`Self::publish`].
     pub fn define_view(&mut self, fl_text: &str) -> Result<()> {
         if !self.needs_rebuild {
@@ -840,7 +840,7 @@ impl Mediator {
     }
 
     /// Evaluates the base (rebuilding first if needed) and caches the
-    /// model across queries; the cache key is [`Self::base_fingerprint`].
+    /// model across queries; the cache key is `Mediator::base_fingerprint`.
     ///
     /// This is the **publish point** of the staged write plane: mutations
     /// since the last run (loaded rows, retracted rows, incremental CM
@@ -1038,9 +1038,10 @@ impl Mediator {
     /// The warm [`Mediator::answer`] path (see `query.rs`): evaluates a
     /// one-off view on a scratch clone of the base, seeded with the
     /// cached base-layer model so only query-relevant strata are
-    /// recomputed (`run_for_seeded`). Returns `None` when seeding would
-    /// be unsound — the head predicate already has facts in the base
-    /// model — so the caller falls back to the cold path.
+    /// recomputed (the `base` of `Engine::run_for_query`). Returns `None`
+    /// when seeding would be unsound — the head predicate already has
+    /// facts in the base model — so the caller falls back to the cold
+    /// path.
     pub(crate) fn answer_via_base_cache(
         &mut self,
         rule_text: &str,
@@ -1118,9 +1119,9 @@ impl Mediator {
         // Goal-directed evaluation: seeded from the cached base model,
         // with the magic-sets rewrite specializing the delta to the
         // goal's bindings when `EvalOptions::magic_sets` is on.
-        let model =
-            work.flogic_mut()
-                .run_for_query_seeded(&goal, base_model, &self.eval_options)?;
+        let model = work
+            .flogic_mut()
+            .run_for_query(&goal, Some(base_model), &self.eval_options)?;
         let rows = model.query(&goal);
         let stats = model.stats;
         let magic_fired = model.profile.magic_fired;

@@ -15,8 +15,8 @@
 //! 2. finds the sources exporting them (and only those) and fetches their
 //!    rows — the mediator never contacts an unrelated source;
 //! 3. installs the rule as a temporary view and evaluates **only the rule
-//!    subprogram relevant to the answer predicate** (relevance-filtered
-//!    evaluation, `kind_datalog::Engine::run_for`);
+//!    subprogram relevant to the answer predicate** (goal-directed
+//!    evaluation, `kind_datalog::Engine::run_for_query`);
 //! 4. returns the answer tuples and uninstalls the view.
 
 use crate::error::{MediatorError, Result};
@@ -86,7 +86,7 @@ impl Mediator {
         // model and evaluate only this query's delta — the temporary view
         // plus freshly fetched rows — on a scratch clone of the base.
         // Strata untouched by the delta are seeded from the cache instead
-        // of recomputed (see `kind_datalog::Engine::run_for_seeded`).
+        // of recomputed (the `base` of `kind_datalog::Engine::run_for_query`).
         if self.eval_options().base_cache {
             if let Some((rows, sources, stats, magic_fired)) =
                 self.answer_via_base_cache(rule_text, &head_pred, &head.args, &exported, &scratch)?
@@ -149,7 +149,7 @@ impl Mediator {
         let model = self
             .base_mut()
             .flogic_mut()
-            .run_for_query(&goal, &opts)
+            .run_for_query(&goal, None, &opts)
             .map_err(MediatorError::from)?;
         let rows = model.query(&goal);
         // Uninstall the temporary view.

@@ -228,8 +228,8 @@ impl QuerySnapshot {
         let mut work = (*self.base).clone();
         work.flogic_mut().load(rule_text)?;
         // Seeding from the cached model is unsound if the head predicate
-        // already has base facts (the seed would double as input); fall
-        // back to a full evaluation on the clone in that case.
+        // already has base facts (the seed would double as input);
+        // evaluate the clone without a base in that case.
         let collides = self
             .base
             .flogic()
@@ -251,15 +251,11 @@ impl QuerySnapshot {
                 .expect("head predicate interned by rule load"),
             goal_args,
         );
-        let model = if collides {
-            work.flogic_mut()
-                .run_for_query(&goal, opts)
-                .map_err(MediatorError::from)?
-        } else {
-            work.flogic_mut()
-                .run_for_query_seeded(&goal, &self.model, opts)
-                .map_err(MediatorError::from)?
-        };
+        let base = (!collides).then_some(&*self.model);
+        let model = work
+            .flogic_mut()
+            .run_for_query(&goal, base, opts)
+            .map_err(MediatorError::from)?;
         let mut rows: Vec<Vec<String>> = model
             .query(&goal)
             .iter()

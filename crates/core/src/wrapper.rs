@@ -165,7 +165,7 @@ pub enum Anchor {
 /// This is how a wrapper overlaps its I/O with other sources': instead
 /// of blocking an OS thread inside [`Wrapper::query`] for the duration of
 /// a network round-trip, it *declares* the stall, the executor
-/// ([`crate::executor`]) parks the fetch job on a timer, and a worker
+/// (`crate::executor`) parks the fetch job on a timer, and a worker
 /// thread comes back for the rows when the stall has elapsed.
 #[derive(Debug)]
 pub enum Submission {

@@ -1,11 +1,17 @@
-//! Bottom-up evaluation: naive and semi-naive fixpoint over stratified
-//! programs.
+//! Bottom-up evaluation: the one stratum walker every rule set goes
+//! through.
 //!
 //! Each stratum (an SCC of the predicate dependency graph, see
-//! [`crate::program`]) is evaluated in order. Non-recursive strata get a
-//! single pass; recursive strata run the semi-naive delta iteration (or the
-//! naive full re-derivation when [`EvalOptions::semi_naive`] is off — kept
-//! as an ablation baseline, see DESIGN.md).
+//! [`crate::program`]) is evaluated in order over the completed strata
+//! below it, in one of four modes: **skipped** (its predicates are already
+//! at fixpoint in a seeded base model), a **single pass** (non-recursive),
+//! the **semi-naive** delta iteration (recursive; the naive full
+//! re-derivation when [`EvalOptions::semi_naive`] is off — kept as an
+//! ablation baseline, see DESIGN.md), or — when the stratum's cycle goes
+//! through negation — a stratum-local **alternating fixpoint** (the
+//! well-founded semantics, `wfs` module). Only a stratum whose local
+//! fixpoint leaves atoms undefined ends the walk: it and everything above
+//! it are then evaluated together, three-valued.
 //!
 //! Three further performance layers sit on top, each with its own
 //! [`EvalOptions`] knob so the ablation benches can decompose the speedup:
@@ -18,9 +24,10 @@
 //!   argument probe a lazily-built hash index on exactly the bound column
 //!   set ([`crate::fact::Relation::iter_bound`]); build/hit/miss counts
 //!   land in [`EvalStats`];
-//! * **cross-query caching** ([`EvalOptions::base_cache`], driven by
-//!   [`crate::Engine::run_for_seeded`]): strata whose predicates are
-//!   already at fixpoint in a seeded base model are skipped outright.
+//! * **cross-query caching** ([`EvalOptions::base_cache`], driven by the
+//!   `base` argument of [`crate::Engine::run_for_query`]): strata whose
+//!   predicates are already at fixpoint in a seeded base model are skipped
+//!   outright.
 //!
 //! Function terms (skolem placeholders from domain-map assertions, paper
 //! §4) can generate unboundedly deep terms; derivations whose head exceeds
@@ -31,7 +38,7 @@ use crate::atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp};
 use crate::error::{DatalogError, Result};
 use crate::fact::{FactStore, Relation, Tuple};
 use crate::interner::Sym;
-use crate::program::Stratification;
+use crate::program::{Stratification, Stratum};
 use crate::rule::Rule;
 use crate::term::{Subst, Term};
 use std::cell::Cell;
@@ -100,8 +107,9 @@ pub struct EvalOptions {
     /// Maximum nesting depth of function terms in derived facts; deeper
     /// derivations are dropped (and counted). Bounds skolem chains.
     pub max_term_depth: usize,
-    /// Hard cap on fixpoint rounds (per stratum, and on alternating
-    /// fixpoint sweeps); exceeding it is an error.
+    /// Hard cap on the rounds of any one fixpoint (a stratum's, or one
+    /// reduct's inside an alternating fixpoint) and on alternating
+    /// fixpoint sweeps; exceeding it is an error.
     pub max_iterations: usize,
     /// Use hash indexes for joins with bound arguments (any column set,
     /// built on first probe). Turning this off forces full scans
@@ -111,14 +119,13 @@ pub struct EvalOptions {
     /// and relation cardinality before evaluating. Turning this off keeps
     /// the compiled source order (ablation baseline).
     pub join_reorder: bool,
-    /// Allow evaluation on top of a cached base model
-    /// ([`crate::Engine::run_for_seeded`]): strata untouched by the delta
-    /// are seeded from the cache and skipped. Turning this off re-derives
-    /// everything from the EDB (ablation baseline).
+    /// Allow evaluation on top of a cached base model (the `base`
+    /// argument of [`crate::Engine::run_for_query`]): strata untouched by
+    /// the delta are seeded from the cache and skipped. Turning this off
+    /// re-derives everything from the EDB (ablation baseline).
     pub base_cache: bool,
     /// Apply the magic-sets demand rewrite on the goal-directed query
-    /// paths ([`crate::Engine::run_for_query`] and
-    /// [`crate::Engine::run_for_query_seeded`]): adorn the relevant rules
+    /// path ([`crate::Engine::run_for_query`]): adorn the relevant rules
     /// from the goal's bound/free pattern, guard them with magic (demand)
     /// predicates seeded from the query constants, and evaluate only what
     /// some demand reaches. Answers are identical with the rewrite on or
@@ -174,6 +181,20 @@ pub(crate) fn check_cancelled(opts: &EvalOptions, stats: &EvalStats) -> Result<(
         }),
         _ => Ok(()),
     }
+}
+
+/// Opens one more round of the fixpoint that started when
+/// `stats.iterations` read `since`: the cancellation check, the round
+/// counter, and the per-fixpoint [`EvalOptions::max_iterations`] cap.
+pub(crate) fn begin_round(opts: &EvalOptions, stats: &mut EvalStats, since: usize) -> Result<()> {
+    check_cancelled(opts, stats)?;
+    stats.iterations += 1;
+    if stats.iterations - since > opts.max_iterations {
+        return Err(DatalogError::IterationLimit {
+            limit: opts.max_iterations,
+        });
+    }
+    Ok(())
 }
 
 /// The worker count a partitioned plane actually uses: `knob` (`0` = auto,
@@ -272,6 +293,11 @@ pub struct StratumProfile {
     /// Stratum skipped because every predicate was already at fixpoint in
     /// the seeded base model (cross-query cache).
     pub skipped: bool,
+    /// The stratum's cycle goes through negation: it ran the alternating
+    /// fixpoint (well-founded semantics). Also set on the single entry
+    /// that stands for a three-valued tail — the first stratum whose
+    /// fixpoint left atoms undefined and every stratum above it.
+    pub well_founded: bool,
     /// Fixpoint rounds spent on this stratum.
     pub iterations: usize,
     /// Facts derived in this stratum.
@@ -305,8 +331,8 @@ pub struct StratumProfile {
 pub struct EvalProfile {
     /// Strata in evaluation order.
     pub strata: Vec<StratumProfile>,
-    /// Evaluation went through the alternating fixpoint (well-founded
-    /// semantics); strata then hold a single summary entry.
+    /// Some stratum ran the alternating fixpoint (well-founded
+    /// semantics); [`StratumProfile::well_founded`] says which.
     pub well_founded: bool,
     /// Facts seeded from a cached base model before evaluation.
     pub seeded: usize,
@@ -346,7 +372,8 @@ pub struct EvalProfile {
     /// grow/shrink inputs) during [`crate::Engine::apply_delta`].
     pub delta_rebuilt_strata: usize,
     /// [`crate::Engine::apply_delta`] fell back to a full cold evaluation
-    /// (well-founded program or three-valued base model).
+    /// (a three-valued base model, or a rebuilt stratum whose alternating
+    /// fixpoint left atoms undefined).
     pub delta_fallback: bool,
 }
 
@@ -1118,24 +1145,177 @@ fn merge_results(
     merged
 }
 
-/// Evaluates a stratified program over `edb`, producing a two-valued model.
-///
-/// `rules` is the full rule list; `strat` the stratification computed by
-/// [`crate::program::stratify`]. The caller guarantees `!strat.needs_wfs`.
-pub(crate) fn eval_stratified(
+/// Join plans for the rules `ids` of one evaluation unit (a stratum, or a
+/// three-valued tail), with every predicate of the unit costed as
+/// unbounded: those relations grow while the unit runs.
+pub(crate) fn plan_rules(
     rules: &[Rule],
-    strat: &Stratification,
-    edb: &FactStore,
+    ids: &[usize],
+    preds: &[Sym],
+    total: &FactStore,
     opts: &EvalOptions,
-) -> Result<Model> {
-    eval_stratified_skipping(rules, strat, edb, opts, None)
+) -> Vec<(Rule, RulePlan)> {
+    let preds: HashSet<Sym> = preds.iter().copied().collect();
+    ids.iter()
+        .map(|&ri| plan_rule(&rules[ri], total, &preds, opts))
+        .collect()
 }
 
-/// Like [`eval_stratified`], but skips any stratum whose predicates are
-/// all in `stable` (they are already at fixpoint in `edb`, having been
-/// seeded from a cached base model — see
-/// [`crate::Engine::run_for_seeded`]).
-pub(crate) fn eval_stratified_skipping(
+/// The counters one stratum's evaluation runs against; closing the scope
+/// turns them into the stratum's profile entry and folds the index
+/// counters into the run totals.
+pub(crate) struct StratumScope {
+    pub(crate) counters: IndexCounters,
+    pub(crate) par: ParMeta,
+    before: EvalStats,
+}
+
+impl StratumScope {
+    pub(crate) fn open(stats: &EvalStats) -> Self {
+        StratumScope {
+            counters: IndexCounters::default(),
+            par: ParMeta::new(),
+            before: *stats,
+        }
+    }
+
+    /// Completes `sp` (which names the stratum and how it ran) with what
+    /// the scope measured.
+    pub(crate) fn close(
+        self,
+        stats: &mut EvalStats,
+        prepared: &[(Rule, RulePlan)],
+        sp: StratumProfile,
+    ) -> StratumProfile {
+        self.counters.fold_into(stats);
+        StratumProfile {
+            iterations: stats.iterations - self.before.iterations,
+            derived: stats.derived - self.before.derived,
+            index_builds: self.counters.builds.get(),
+            index_hits: self.counters.hits.get(),
+            index_misses: self.counters.misses.get(),
+            threads_used: self.par.threads_used,
+            partitions: self.par.partitions,
+            plans: prepared.iter().map(|(_, p)| p.clone()).collect(),
+            ..sp
+        }
+    }
+}
+
+/// Evaluates one stratum over the completed lower layers in `total`, in
+/// the one mode its shape calls for: a single pass (non-recursive), the
+/// semi-naive or naive fixpoint (recursive), or — when its cycle goes
+/// through negation — the alternating fixpoint over *its own rules only*
+/// (the well-founded model restricted to an SCC equals that SCC's
+/// well-founded model relative to the two-valued strata below it). `memo`
+/// supplies join plans made earlier (the incremental path memoizes them
+/// per rule-set revision); without it the stratum is planned here.
+///
+/// Returns the stratum's profile, or `None` when the local alternating
+/// fixpoint left atoms undefined: `total` is then untouched, and the
+/// caller has to evaluate this stratum and everything above it
+/// three-valued.
+pub(crate) fn eval_stratum(
+    rules: &[Rule],
+    stratum: &Stratum,
+    memo: Option<&[(Rule, RulePlan)]>,
+    total: &mut FactStore,
+    stats: &mut EvalStats,
+    opts: &EvalOptions,
+    cap: usize,
+) -> Result<Option<StratumProfile>> {
+    let planned;
+    let prepared = match memo {
+        Some(plans) => plans,
+        None => {
+            planned = plan_rules(rules, &stratum.rules, &stratum.preds, total, opts);
+            &planned
+        }
+    };
+    let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
+    let mut scope = StratumScope::open(stats);
+    let mut two_valued = true;
+    if stratum.wfs {
+        let (facts, undefined) = crate::wfs::eval_well_founded(
+            &stratum_rules,
+            total,
+            stats,
+            &scope.counters,
+            opts,
+            cap,
+            &mut scope.par,
+        )?;
+        two_valued = undefined.is_empty();
+        if two_valued {
+            for &p in &stratum.preds {
+                if let Some(rel) = facts.relation_arc(p) {
+                    total.set_relation(p, rel);
+                }
+            }
+        }
+    } else if !stratum.recursive {
+        let units: Vec<(&Rule, Option<usize>)> = stratum_rules.iter().map(|&r| (r, None)).collect();
+        let out = execute_round(
+            &units,
+            total,
+            None,
+            NegView::Closed,
+            opts,
+            cap,
+            &scope.counters,
+            stats,
+            &mut scope.par,
+        );
+        stats.derived += total.absorb(&out);
+        stats.iterations += 1;
+    } else if opts.semi_naive {
+        let stratum_preds: HashSet<Sym> = stratum.preds.iter().copied().collect();
+        seminaive_stratum(
+            &stratum_rules,
+            &stratum_preds,
+            total,
+            stats,
+            &scope.counters,
+            opts,
+            cap,
+            &mut scope.par,
+        )?;
+    } else {
+        naive_stratum(
+            &stratum_rules,
+            total,
+            stats,
+            &scope.counters,
+            opts,
+            cap,
+            &mut scope.par,
+        )?;
+    }
+    let sp = scope.close(
+        stats,
+        prepared,
+        StratumProfile {
+            preds: stratum.preds.clone(),
+            recursive: stratum.recursive,
+            well_founded: stratum.wfs,
+            ..Default::default()
+        },
+    );
+    Ok(two_valued.then_some(sp))
+}
+
+/// Evaluates `rules` over `edb` stratum by stratum — the only way a rule
+/// set is evaluated cold. `strat` is its stratification
+/// ([`crate::program::stratify`]); a stratum whose predicates are all in
+/// `stable` is skipped (they are already at fixpoint in `edb`, having
+/// been seeded from a cached base model).
+///
+/// The model is two-valued unless some stratum's alternating fixpoint
+/// leaves atoms undefined. That stratum and every later one are then
+/// evaluated *together* under the alternating fixpoint over the two-valued
+/// store built so far, and nothing above it is skipped: closed-world
+/// strata cannot read three-valued inputs.
+pub(crate) fn eval_strata(
     rules: &[Rule],
     strat: &Stratification,
     edb: &FactStore,
@@ -1146,86 +1326,60 @@ pub(crate) fn eval_stratified_skipping(
     // with a previous model's relations, or the index counters — part of
     // the bit-identical stats contract — would depend on run history.
     let mut total = edb.detached_clone();
+    let mut undefined = FactStore::new();
     let mut stats = EvalStats::default();
-    let mut profile = EvalProfile::default();
     let cap = resolve_threads(opts.eval_threads);
-    profile.eval_threads = cap;
-    for stratum in &strat.strata {
-        let mut sp = StratumProfile {
-            preds: stratum.preds.clone(),
-            recursive: stratum.recursive,
-            ..Default::default()
-        };
-        if let Some(stable) = stable {
-            if !stratum.preds.is_empty() && stratum.preds.iter().all(|p| stable.contains(p)) {
-                sp.skipped = true;
-                profile.strata.push(sp);
-                continue;
-            }
+    let mut profile = EvalProfile {
+        eval_threads: cap,
+        ..Default::default()
+    };
+    for (i, stratum) in strat.strata.iter().enumerate() {
+        if stable.is_some_and(|stable| stratum.preds.iter().all(|p| stable.contains(p))) {
+            profile.strata.push(StratumProfile {
+                preds: stratum.preds.clone(),
+                recursive: stratum.recursive,
+                skipped: true,
+                ..Default::default()
+            });
+            continue;
         }
-        let stratum_preds: HashSet<Sym> = stratum.preds.iter().copied().collect();
-        let prepared: Vec<(Rule, RulePlan)> = stratum
-            .rules
-            .iter()
-            .map(|&ri| plan_rule(&rules[ri], &total, &stratum_preds, opts))
-            .collect();
-        let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
-        sp.plans = prepared.iter().map(|(_, p)| p.clone()).collect();
-        let counters = IndexCounters::default();
-        let mut par = ParMeta::new();
-        let before = stats;
-        if !stratum.recursive {
-            // Single pass suffices.
-            let units: Vec<(&Rule, Option<usize>)> =
-                stratum_rules.iter().map(|&r| (r, None)).collect();
-            let out = execute_round(
-                &units,
-                &total,
-                None,
-                NegView::Closed,
-                opts,
-                cap,
-                &counters,
-                &mut stats,
-                &mut par,
-            );
-            stats.derived += total.absorb(&out);
-            stats.iterations += 1;
-        } else if opts.semi_naive {
-            seminaive_stratum(
-                &stratum_rules,
-                &stratum_preds,
-                &mut total,
-                &mut stats,
-                &counters,
-                opts,
-                cap,
-                &mut par,
-            )?;
-        } else {
-            naive_stratum(
-                &stratum_rules,
-                &mut total,
-                &mut stats,
-                &counters,
-                opts,
-                cap,
-                &mut par,
-            )?;
+        if let Some(sp) = eval_stratum(rules, stratum, None, &mut total, &mut stats, opts, cap)? {
+            profile.strata.push(sp);
+            continue;
         }
-        sp.iterations = stats.iterations - before.iterations;
-        sp.derived = stats.derived - before.derived;
-        sp.index_builds = counters.builds.get();
-        sp.index_hits = counters.hits.get();
-        sp.index_misses = counters.misses.get();
-        sp.threads_used = par.threads_used;
-        sp.partitions = par.partitions;
-        counters.fold_into(&mut stats);
-        profile.strata.push(sp);
+        // The three-valued tail, in rule order.
+        let tail = &strat.strata[i..];
+        let preds: Vec<Sym> = tail.iter().flat_map(|s| s.preds.iter().copied()).collect();
+        let mut ids: Vec<usize> = tail.iter().flat_map(|s| s.rules.iter().copied()).collect();
+        ids.sort_unstable();
+        let prepared = plan_rules(rules, &ids, &preds, &total, opts);
+        let tail_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
+        let mut scope = StratumScope::open(&stats);
+        (total, undefined) = crate::wfs::eval_well_founded(
+            &tail_rules,
+            &total,
+            &mut stats,
+            &scope.counters,
+            opts,
+            cap,
+            &mut scope.par,
+        )?;
+        profile.strata.push(scope.close(
+            &mut stats,
+            &prepared,
+            StratumProfile {
+                preds,
+                recursive: true,
+                well_founded: true,
+                ..Default::default()
+            },
+        ));
+        break;
     }
+    profile.well_founded = profile.strata.iter().any(|s| s.well_founded);
     Ok(Model {
         facts: total,
-        undefined: FactStore::new(),
+        undefined,
         stats,
         profile,
     })
@@ -1242,14 +1396,9 @@ pub(crate) fn naive_stratum(
     par: &mut ParMeta,
 ) -> Result<()> {
     let units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
+    let since = stats.iterations;
     loop {
-        check_cancelled(opts, stats)?;
-        stats.iterations += 1;
-        if stats.iterations > opts.max_iterations {
-            return Err(DatalogError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
+        begin_round(opts, stats, since)?;
         let out = execute_round(
             &units,
             total,
@@ -1281,9 +1430,9 @@ pub(crate) fn seminaive_stratum(
     par: &mut ParMeta,
 ) -> Result<()> {
     // Round 0: naive pass to seed the delta.
-    check_cancelled(opts, stats)?;
+    let since = stats.iterations;
+    begin_round(opts, stats, since)?;
     let seed_units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
-    stats.iterations += 1;
     let mut delta = execute_round(
         &seed_units,
         total,
@@ -1311,13 +1460,7 @@ pub(crate) fn seminaive_stratum(
         }
     }
     while !delta.is_empty() {
-        check_cancelled(opts, stats)?;
-        stats.iterations += 1;
-        if stats.iterations > opts.max_iterations {
-            return Err(DatalogError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
+        begin_round(opts, stats, since)?;
         let next = execute_round(
             &delta_units,
             total,
@@ -1340,7 +1483,7 @@ pub(crate) fn seminaive_stratum(
 /// alternating fixpoint (well-founded semantics).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gamma(
-    rules: &[Rule],
+    rules: &[&Rule],
     edb: &FactStore,
     j: &FactStore,
     stats: &mut EvalStats,
@@ -1349,8 +1492,8 @@ pub(crate) fn gamma(
     cap: usize,
     par: &mut ParMeta,
 ) -> Result<FactStore> {
-    // Detached for the same reason as `eval_stratified_skipping`: index
-    // counters must not depend on shared-relation index state.
+    // Detached for the same reason as `eval_strata`: index counters must
+    // not depend on shared-relation index state.
     let mut total = edb.detached_clone();
     // With negation frozen the program is positive: a single global
     // fixpoint loop is sound. Semi-naive deltas would need per-predicate
@@ -1359,15 +1502,10 @@ pub(crate) fn gamma(
     // times). Each round goes through the same partitioned executor as
     // the stratified engine, so the alternating fixpoint parallelizes
     // identically.
-    let units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|r| (r, None)).collect();
+    let units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
+    let since = stats.iterations;
     loop {
-        check_cancelled(opts, stats)?;
-        stats.iterations += 1;
-        if stats.iterations > opts.max_iterations {
-            return Err(DatalogError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
+        begin_round(opts, stats, since)?;
         let out = execute_round(
             &units,
             &total,
@@ -1418,7 +1556,14 @@ mod tests {
         fn run(&self) -> Model {
             let strat = stratify(&self.rules, |s| format!("{s}")).unwrap();
             assert!(!strat.needs_wfs);
-            eval_stratified(&self.rules, &strat, &self.edb, &EvalOptions::default()).unwrap()
+            eval_strata(
+                &self.rules,
+                &strat,
+                &self.edb,
+                &EvalOptions::default(),
+                None,
+            )
+            .unwrap()
         }
     }
 
@@ -1498,8 +1643,8 @@ mod tests {
             .unwrap(),
         );
         let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let semi = eval_stratified(&f.rules, &strat, &f.edb, &EvalOptions::default()).unwrap();
-        let naive = eval_stratified(
+        let semi = eval_strata(&f.rules, &strat, &f.edb, &EvalOptions::default(), None).unwrap();
+        let naive = eval_strata(
             &f.rules,
             &strat,
             &f.edb,
@@ -1507,6 +1652,7 @@ mod tests {
                 semi_naive: false,
                 ..Default::default()
             },
+            None,
         )
         .unwrap();
         assert_eq!(semi.tuples(tc).len(), naive.tuples(tc).len());
@@ -1666,7 +1812,7 @@ mod tests {
             max_term_depth: 4,
             ..Default::default()
         };
-        let m = eval_stratified(&f.rules, &strat, &f.edb, &opts).unwrap();
+        let m = eval_strata(&f.rules, &strat, &f.edb, &opts, None).unwrap();
         // a, f(a), f(f(a)), f3(a), f4(a): 5 facts.
         assert_eq!(m.tuples(p).len(), 5);
         assert!(m.stats.depth_clipped > 0);
@@ -1744,7 +1890,7 @@ mod tests {
         assert_eq!(m.stats.index_hits, sp.index_hits);
         // With indexing off the same program reports only misses.
         let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let noidx = eval_stratified(
+        let noidx = eval_strata(
             &f.rules,
             &strat,
             &f.edb,
@@ -1752,6 +1898,7 @@ mod tests {
                 use_index: false,
                 ..Default::default()
             },
+            None,
         )
         .unwrap();
         assert_eq!(noidx.stats.index_hits, 0);
@@ -1879,10 +2026,10 @@ mod tests {
     fn parallel_eval_is_bit_identical_to_serial() {
         let (f, tc) = parallel_fixture();
         let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let serial = eval_stratified(&f.rules, &strat, &f.edb, &EvalOptions::default()).unwrap();
+        let serial = eval_strata(&f.rules, &strat, &f.edb, &EvalOptions::default(), None).unwrap();
         assert!(!serial.tuples(tc).is_empty());
         for threads in [2usize, 4, 8] {
-            let par = eval_stratified(
+            let par = eval_strata(
                 &f.rules,
                 &strat,
                 &f.edb,
@@ -1890,6 +2037,7 @@ mod tests {
                     eval_threads: threads,
                     ..Default::default()
                 },
+                None,
             )
             .unwrap();
             // Facts, stats, and compiled join plans are all bit-identical:
@@ -1917,8 +2065,8 @@ mod tests {
             semi_naive: false,
             ..Default::default()
         };
-        let serial = eval_stratified(&f.rules, &strat, &f.edb, &opts).unwrap();
-        let par = eval_stratified(
+        let serial = eval_strata(&f.rules, &strat, &f.edb, &opts, None).unwrap();
+        let par = eval_strata(
             &f.rules,
             &strat,
             &f.edb,
@@ -1927,6 +2075,7 @@ mod tests {
                 eval_threads: 4,
                 ..Default::default()
             },
+            None,
         )
         .unwrap();
         assert_eq!(canonical_facts(&par), canonical_facts(&serial));
@@ -1937,7 +2086,7 @@ mod tests {
     fn eval_threads_one_keeps_serial_profile_shape() {
         let (f, _) = parallel_fixture();
         let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let m = eval_stratified(
+        let m = eval_strata(
             &f.rules,
             &strat,
             &f.edb,
@@ -1945,6 +2094,7 @@ mod tests {
                 eval_threads: 1,
                 ..Default::default()
             },
+            None,
         )
         .unwrap();
         assert_eq!(m.profile.eval_threads, 1);

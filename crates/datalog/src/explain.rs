@@ -181,22 +181,19 @@ impl crate::Engine {
         }
     }
 
-    /// Renders a model's evaluation profile — per-stratum predicates,
-    /// iteration and index counters, and the compiled join order of every
-    /// rule — as a diagnostic dump. The join order lists compiled body
-    /// positions; a `*` marks rules the greedy planner actually reordered.
+    /// Renders a model's evaluation profile as a diagnostic dump: one
+    /// line per stratum naming the mode it ran in (skipped, single pass,
+    /// fixpoint, alternating fixpoint) and its predicates, then its
+    /// iteration and index counters and the compiled join order of every
+    /// rule. The join order lists compiled body positions; a `*` marks
+    /// rules the greedy planner actually reordered.
     pub fn render_profile(&self, model: &Model) -> String {
         let prof = &model.profile;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "evaluation profile: {} strata{}{}{}",
+            "evaluation profile: {} strata{}{}",
             prof.strata.len(),
-            if prof.well_founded {
-                " (well-founded)"
-            } else {
-                ""
-            },
             if prof.seeded > 0 {
                 format!(", {} facts seeded from base cache", prof.seeded)
             } else {
@@ -213,10 +210,11 @@ impl crate::Engine {
         );
         for (i, sp) in prof.strata.iter().enumerate() {
             let preds: Vec<&str> = sp.preds.iter().map(|&p| self.name(p)).collect();
-            let kind = match (sp.skipped, sp.recursive) {
-                (true, _) => "skipped (cached)",
-                (false, true) => "recursive",
-                (false, false) => "single-pass",
+            let kind = match (sp.skipped, sp.well_founded, sp.recursive) {
+                (true, ..) => "skipped (cached)",
+                (_, true, _) => "alternating fixpoint",
+                (_, _, true) => "fixpoint",
+                _ => "single pass",
             };
             let _ = writeln!(out, "stratum {i} [{kind}]: {}", preds.join(", "));
             if !sp.skipped {
@@ -397,7 +395,7 @@ mod tests {
         assert!(dump.contains("tc"), "{dump}");
         assert!(dump.contains("join order ["), "{dump}");
         assert!(dump.contains("index: builds="), "{dump}");
-        assert!(dump.contains("recursive"), "{dump}");
+        assert!(dump.contains("[fixpoint]: tc"), "{dump}");
     }
 
     #[test]
@@ -413,7 +411,9 @@ mod tests {
         let tc = e.sym("tc");
         let a = e.constant("a");
         let goal = Atom::new(tc, vec![a, T::Var(Var(0))]);
-        let m = e.run_for_query(&goal, &EvalOptions::default()).unwrap();
+        let m = e
+            .run_for_query(&goal, None, &EvalOptions::default())
+            .unwrap();
         let dump = e.render_profile(&m);
         assert!(dump.contains("magic-sets rewrite fired"), "{dump}");
         assert!(dump.contains("magic: adorned_rules="), "{dump}");

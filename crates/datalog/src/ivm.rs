@@ -21,17 +21,16 @@
 //!   the work is proportional to the overdeletion set;
 //! * **rebuild** — non-monotone residue (changed rules, or a stratum
 //!   reached both by additions and retractions, or through
-//!   negation/aggregation): the stratum alone is re-evaluated cold and
-//!   diffed against the base to keep the novel/vanished frontiers exact
-//!   for downstream strata.
+//!   negation/aggregation): the stratum alone is re-evaluated cold — by
+//!   the cold walker's own `eval_stratum`, so in whichever of its modes
+//!   the stratum's shape calls for — and diffed against the base to keep
+//!   the novel/vanished frontiers exact for downstream strata.
 //!
-//! A stratum whose cycle goes through negation keeps its locality: when
-//! touched, it re-runs the alternating fixpoint over *its own rules only*,
-//! against the already-maintained lower layers (the well-founded model
-//! restricted to an SCC equals that SCC's well-founded model relative to
-//! the two-valued strata below it). Only genuinely three-valued states —
-//! a base model with undefined atoms, or a local fixpoint that leaves
-//! atoms undefined — fall back to a full cold evaluation with
+//! A stratum whose cycle goes through negation is always rebuilt when
+//! touched: the alternating fixpoint over *its own rules only*, against
+//! the already-maintained lower layers. Only genuinely three-valued
+//! states — a base model with undefined atoms, or a local fixpoint that
+//! leaves atoms undefined — fall back to a full cold evaluation with
 //! [`crate::EvalProfile::delta_fallback`] set, because the closed-world
 //! maintenance modes cannot represent three-valued inputs downstream.
 //!
@@ -48,11 +47,11 @@
 //! settings for identical mutation histories (the same contract as the
 //! cold evaluator), but intentionally smaller than a cold rebuild's.
 
-use crate::error::{DatalogError, Result};
+use crate::error::Result;
 use crate::eval::{
-    check_cancelled, execute_round, naive_stratum, plan_rule, resolve_threads, seminaive_stratum,
-    solve, EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model, NegView, ParMeta,
-    RulePlan, StratumProfile,
+    begin_round, check_cancelled, eval_stratum, execute_round, plan_rules, resolve_threads, solve,
+    EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model, NegView, ParMeta,
+    RulePlan, StratumProfile, StratumScope,
 };
 use crate::fact::{FactStore, Tuple};
 use crate::interner::Sym;
@@ -175,23 +174,11 @@ fn classify(deps: &[(Sym, Sym, bool)], delta: &EngineDelta) -> (HashSet<Sym>, Ha
 }
 
 /// Full cold re-evaluation, flagged as a delta fallback in the profile.
-fn cold_fallback(engine: &Engine, rules: &[Rule], opts: &EvalOptions) -> Result<Model> {
-    let mut model = engine.run_rules(rules, opts)?;
+fn cold_fallback(engine: &Engine, opts: &EvalOptions) -> Result<Model> {
+    let mut model = engine.run(opts)?;
     model.profile.delta_applied = true;
     model.profile.delta_fallback = true;
     Ok(model)
-}
-
-/// Folds a sub-evaluation's counters (a stratum-local well-founded run)
-/// into the delta run's totals.
-fn merge_stats(into: &mut EvalStats, sub: &EvalStats) {
-    into.iterations += sub.iterations;
-    into.derived += sub.derived;
-    into.depth_clipped += sub.depth_clipped;
-    into.applications += sub.applications;
-    into.index_builds += sub.index_builds;
-    into.index_hits += sub.index_hits;
-    into.index_misses += sub.index_misses;
 }
 
 /// Applies `delta` to `base` (a full model of the engine's *pre-delta*
@@ -210,7 +197,7 @@ pub(crate) fn apply_delta(
         // A three-valued base gives the maintenance modes nothing sound to
         // seed from (an undefined atom is neither in nor out of the old
         // extension); re-evaluate cold and say so in the profile.
-        return cold_fallback(engine, rules, opts);
+        return cold_fallback(engine, opts);
     }
     let (grow, shrink) = classify(&shape.deps, delta);
     let mut stratum_of: HashMap<Sym, usize> = HashMap::new();
@@ -305,112 +292,39 @@ pub(crate) fn apply_delta(
     }
 
     for (i, stratum) in strat.strata.iter().enumerate() {
-        let mut sp = StratumProfile {
+        let named = || StratumProfile {
             preds: stratum.preds.clone(),
             recursive: stratum.recursive,
             ..Default::default()
         };
-        if modes[i] == Mode::Reuse {
-            for &p in &stratum.preds {
-                if let Some(arc) = base.facts.relation_arc(p) {
-                    total.set_relation(p, arc);
+        let sp = match modes[i] {
+            Mode::Reuse => {
+                for &p in &stratum.preds {
+                    if let Some(arc) = base.facts.relation_arc(p) {
+                        total.set_relation(p, arc);
+                    }
                 }
-            }
-            sp.skipped = true;
-            profile.delta_reused_strata += 1;
-            profile.strata.push(sp);
-            continue;
-        }
-        let stratum_preds: HashSet<Sym> = stratum.preds.iter().copied().collect();
-        if modes[i] != Mode::Rebuild {
-            // Additions/retractions start from the previous extension.
-            for &p in &stratum.preds {
-                if let Some(arc) = base.facts.relation_arc(p) {
-                    total.set_relation(p, arc);
+                profile.delta_reused_strata += 1;
+                StratumProfile {
+                    skipped: true,
+                    ..named()
                 }
-            }
-        }
-        // A WFS stratum re-plans inside the alternating fixpoint (every
-        // IDB predicate costed as unbounded there); planning here would be
-        // thrown away.
-        let wfs_rebuild = stratum.wfs && modes[i] == Mode::Rebuild;
-        let prepared: Vec<(Rule, RulePlan)> = if wfs_rebuild {
-            Vec::new()
-        } else {
-            stratum
-                .rules
-                .iter()
-                .map(|&ri| plan_rule(&rules[ri], &total, &stratum_preds, opts))
-                .collect()
-        };
-        sp.plans = prepared.iter().map(|(_, p)| p.clone()).collect();
-        let counters = IndexCounters::default();
-        let mut par = ParMeta::new();
-        let before = stats;
-        match modes[i] {
-            Mode::Reuse => unreachable!("handled above"),
-            Mode::Additions => {
-                maintain_additions(
-                    stratum, &prepared, delta, &mut total, &mut novel, &mut stats, &counters, opts,
-                    cap, &mut par,
-                )?;
-                profile.delta_incremental_strata += 1;
-            }
-            Mode::Retractions => {
-                maintain_retractions(
-                    stratum, &prepared, delta, base, &mut total, &mut gone, &mut stats, &counters,
-                    opts,
-                )?;
-                profile.delta_incremental_strata += 1;
             }
             Mode::Rebuild => {
-                if stratum.wfs {
-                    // Stratum-local alternating fixpoint over the already-
-                    // maintained lower layers: the global well-founded
-                    // model restricted to one SCC equals that SCC's
-                    // well-founded model relative to the (two-valued)
-                    // strata below it, so locality survives negation
-                    // cycles as long as the local model stays two-valued.
-                    let planned = engine.wfs_stratum_plan(
-                        i,
-                        || stratum.rules.iter().map(|&ri| rules[ri].clone()).collect(),
-                        &total,
-                        opts,
-                    );
-                    let sub = crate::wfs::eval_well_founded_planned(&planned, &total, opts)?;
-                    if !sub.undefined.is_empty() {
-                        // Three-valued residue: downstream strata would
-                        // need three-valued inputs the closed-world
-                        // maintenance modes cannot represent.
-                        return cold_fallback(engine, rules, opts);
-                    }
-                    for &p in &stratum.preds {
-                        if let Some(arc) = sub.facts.relation_arc(p) {
-                            total.set_relation(p, arc);
-                        }
-                    }
-                    merge_stats(&mut stats, &sub.stats);
-                    profile.well_founded = true;
-                    // Surface the inner run's plans and parallelism in
-                    // this stratum's profile slot.
-                    if let Some(s0) = sub.profile.strata.into_iter().next() {
-                        sp.plans = s0.plans;
-                        par.threads_used = s0.threads_used;
-                        par.partitions = s0.partitions;
-                    }
-                } else {
-                    rebuild_stratum(
-                        stratum,
-                        &prepared,
-                        &stratum_preds,
-                        &mut total,
-                        &mut stats,
-                        &counters,
-                        opts,
-                        cap,
-                        &mut par,
-                    )?;
-                }
+                let memo = stratum.wfs.then(|| {
+                    engine.wfs_stratum_plan(i, || {
+                        plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts)
+                    })
+                });
+                let memo = memo.as_ref().map(|plans| plans.as_slice());
+                let Some(sp) =
+                    eval_stratum(rules, stratum, memo, &mut total, &mut stats, opts, cap)?
+                else {
+                    // Three-valued residue: downstream strata would need
+                    // three-valued inputs the closed-world maintenance
+                    // modes cannot represent.
+                    return cold_fallback(engine, opts);
+                };
                 // Exact diff against the base keeps downstream frontiers
                 // tight.
                 for &p in &stratum.preds {
@@ -432,13 +346,49 @@ pub(crate) fn apply_delta(
                     }
                 }
                 profile.delta_rebuilt_strata += 1;
+                sp
             }
-        }
-        sp.iterations = stats.iterations - before.iterations;
-        sp.derived = stats.derived - before.derived;
-        counters.fold_into(&mut stats);
-        sp.threads_used = par.threads_used;
-        sp.partitions = par.partitions;
+            Mode::Additions | Mode::Retractions => {
+                // Both start from the previous extension.
+                for &p in &stratum.preds {
+                    if let Some(arc) = base.facts.relation_arc(p) {
+                        total.set_relation(p, arc);
+                    }
+                }
+                let prepared = plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
+                let mut scope = StratumScope::open(&stats);
+                if modes[i] == Mode::Additions {
+                    maintain_additions(
+                        stratum,
+                        &prepared,
+                        delta,
+                        &mut total,
+                        &mut novel,
+                        &mut stats,
+                        &scope.counters,
+                        opts,
+                        cap,
+                        &mut scope.par,
+                    )?;
+                } else {
+                    maintain_retractions(
+                        stratum,
+                        &prepared,
+                        delta,
+                        base,
+                        &engine.edb,
+                        &mut total,
+                        &mut gone,
+                        &mut stats,
+                        &scope.counters,
+                        opts,
+                    )?;
+                }
+                profile.delta_incremental_strata += 1;
+                scope.close(&mut stats, &prepared, named())
+            }
+        };
+        profile.well_founded |= sp.well_founded;
         profile.strata.push(sp);
     }
     Ok(Model {
@@ -484,14 +434,9 @@ fn maintain_additions(
     }
     let mut frontier = novel.clone();
     let mut stratum_new = FactStore::new();
+    let since = stats.iterations;
     loop {
-        check_cancelled(opts, stats)?;
-        stats.iterations += 1;
-        if stats.iterations > opts.max_iterations {
-            return Err(DatalogError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
+        begin_round(opts, stats, since)?;
         let out = execute_round(
             &units,
             total,
@@ -525,6 +470,7 @@ fn maintain_retractions(
     prepared: &[(Rule, RulePlan)],
     delta: &EngineDelta,
     base: &Model,
+    edb: &FactStore,
     total: &mut FactStore,
     gone: &mut FactStore,
     stats: &mut EvalStats,
@@ -549,14 +495,9 @@ fn maintain_retractions(
     // shrank, so the old state over-approximates every derivation that
     // could have existed.
     let mut frontier = gone.clone();
+    let since = stats.iterations;
     loop {
-        check_cancelled(opts, stats)?;
-        stats.iterations += 1;
-        if stats.iterations > opts.max_iterations {
-            return Err(DatalogError::IterationLimit {
-                limit: opts.max_iterations,
-            });
-        }
+        begin_round(opts, stats, since)?;
         let mut next = FactStore::new();
         for (r, _) in prepared {
             for di in r.positive_atom_indices() {
@@ -571,7 +512,12 @@ fn maintain_retractions(
                 let mut subst = Subst::with_capacity(r.nvars as usize);
                 solve(&r.body, 0, &mut subst, &ctx, &mut |s: &Subst| {
                     let args: Vec<Term> = head.args.iter().map(|t| t.apply(s)).collect();
-                    if total.contains(head.pred, &args) && !od_total.contains(head.pred, &args) {
+                    // A fact still stored in the EDB holds whatever happened
+                    // to its derivations: never overdelete it.
+                    if total.contains(head.pred, &args)
+                        && !od_total.contains(head.pred, &args)
+                        && !edb.contains(head.pred, &args)
+                    {
                         next.insert(head.pred, args.into());
                     }
                 });
@@ -656,54 +602,6 @@ fn maintain_retractions(
         }
     }
     Ok(())
-}
-
-/// Cold re-evaluation of a single stratum over the already-maintained
-/// lower layers in `total` — the same three execution paths as the cold
-/// stratified evaluator.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_stratum(
-    stratum: &Stratum,
-    prepared: &[(Rule, RulePlan)],
-    stratum_preds: &HashSet<Sym>,
-    total: &mut FactStore,
-    stats: &mut EvalStats,
-    counters: &IndexCounters,
-    opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
-) -> Result<()> {
-    let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
-    if !stratum.recursive {
-        let units: Vec<(&Rule, Option<usize>)> = stratum_rules.iter().map(|&r| (r, None)).collect();
-        let out = execute_round(
-            &units,
-            total,
-            None,
-            NegView::Closed,
-            opts,
-            cap,
-            counters,
-            stats,
-            par,
-        );
-        stats.derived += total.absorb(&out);
-        stats.iterations += 1;
-        Ok(())
-    } else if opts.semi_naive {
-        seminaive_stratum(
-            &stratum_rules,
-            stratum_preds,
-            total,
-            stats,
-            counters,
-            opts,
-            cap,
-            par,
-        )
-    } else {
-        naive_stratum(&stratum_rules, total, stats, counters, opts, cap, par)
-    }
 }
 
 #[cfg(test)]
@@ -1108,6 +1006,28 @@ mod tests {
         assert!(!inc.facts.shares_relation(q, &base.facts));
         let cold = e.run(&opts).unwrap();
         assert_models_agree(&inc, &cold, &e);
+    }
+
+    #[test]
+    fn stored_fact_survives_losing_its_derivation() {
+        let mut e = Engine::new();
+        // p(b) is both stored and derived; retracting the derivation's
+        // support must not take the stored fact (or what hangs off it)
+        // along. Found by the reference oracle.
+        e.load("p(b). q(b). p(X) :- q(X). r(X) :- p(X).").unwrap();
+        let opts = EvalOptions::default();
+        let base = e.run(&opts).unwrap();
+        e.begin_delta();
+        let q = e.lookup("q").unwrap();
+        let b = e.constant("b");
+        assert!(e.remove_fact(q, std::slice::from_ref(&b)));
+        let delta = e.take_delta().unwrap();
+        let inc = e.apply_delta(&base, &delta, &opts).unwrap();
+        let cold = e.run(&opts).unwrap();
+        assert_models_agree(&inc, &cold, &e);
+        assert!(inc.holds(e.lookup("p").unwrap(), std::slice::from_ref(&b)));
+        assert!(inc.holds(e.lookup("r").unwrap(), &[b]));
+        assert!(inc.profile.delta_incremental_strata >= 1);
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub use term::{Subst, Term, Var};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
+/// One stratum's planned rules, shared between republishes.
+type StratumPlans = Arc<Vec<(Rule, RulePlan)>>;
+
 /// Derived program structure, memoized per rule-set revision: the
 /// stratification plus the monotonicity-annotated dependency edges the
 /// incremental-maintenance planner propagates change through. Publishing
@@ -101,11 +104,13 @@ pub struct Engine {
     rules_rev: u64,
     /// Lazily computed [`ProgramShape`] for `rules` as of `rules_rev`.
     shape: Mutex<Option<(u64, Arc<ProgramShape>)>>,
-    /// Per-stratum WFS join plans, memoized at a `rules_rev` (any rule
-    /// change empties the map). Plans are heuristics keyed off relation
-    /// sizes at first use; reusing them across fact deltas keeps the
-    /// republish path from re-planning an unchanged rule set every time.
-    wfs_plans: Mutex<(u64, HashMap<usize, Arc<wfs::PlannedWfs>>)>,
+    /// Join plans of the negation-cyclic strata of the *full* rule set,
+    /// keyed by stratum index and memoized at a `rules_rev` (any rule
+    /// change empties the map) for [`Engine::apply_delta`]. Plans are
+    /// heuristics keyed off relation sizes at first use; reusing them
+    /// across fact deltas keeps the republish path from re-planning an
+    /// unchanged rule set every time.
+    wfs_plans: Mutex<(u64, HashMap<usize, StratumPlans>)>,
 }
 
 impl Clone for Engine {
@@ -327,34 +332,21 @@ impl Engine {
         ivm::apply_delta(self, base, delta, opts)
     }
 
-    /// Evaluates the program: stratified semi-naive when possible,
-    /// alternating-fixpoint well-founded semantics when negation is
-    /// recursive.
+    /// Evaluates the whole program, stratum by stratum: a single pass or
+    /// the semi-naive fixpoint per stratum, and the alternating fixpoint
+    /// (well-founded semantics) for a stratum whose recursion goes through
+    /// negation.
     pub fn run(&self, opts: &EvalOptions) -> Result<Model> {
-        self.run_rules(&self.rules, opts)
-    }
-
-    /// Evaluates only the rules **relevant to the goal predicates**: the
-    /// rule set is pruned to predicates reachable from `goals` through
-    /// body dependencies, so dead subprograms are never touched. This is
-    /// *predicate-level* relevance only — within the reachable
-    /// subprogram every predicate is still materialized in full. For
-    /// binding-specific specialization (deriving only the facts a goal's
-    /// constants can reach), use [`Engine::run_for_query`], which runs
-    /// the magic-sets rewrite *on top of* this prune: prune first, adorn
-    /// second. The resulting model is complete for the goal predicates
-    /// and anything they depend on; unrelated predicates are absent.
-    pub fn run_for(&self, goals: &[Sym], opts: &EvalOptions) -> Result<Model> {
-        let relevant = self.relevant_rules(goals);
-        self.run_rules(&relevant, opts)
+        eval::eval_strata(&self.rules, &self.shape()?.strat, &self.edb, opts, None)
     }
 
     /// Evaluates towards a single **goal atom** — the demand-driven
     /// query path. The rule set is first pruned to the goal's reachable
-    /// subprogram (exactly [`Engine::run_for`]'s relevance filter), then,
-    /// when [`EvalOptions::magic_sets`] is on, rewritten by the
-    /// magic-sets transformation (see the `magic` module): rules are
-    /// adorned from the goal's bound/free argument pattern along a
+    /// subprogram ([`Engine::relevant_rules`]: *predicate-level*
+    /// relevance, dead subprograms are never touched), then, when
+    /// [`EvalOptions::magic_sets`] is on, rewritten by the magic-sets
+    /// transformation (see the `magic` module): rules are adorned from
+    /// the goal's bound/free argument pattern along a
     /// sideways-information-passing order, guarded by magic (demand)
     /// predicates seeded from the goal's constants — constants in *rule
     /// bodies* propagate demand too — and evaluated bottom-up so only
@@ -363,83 +355,62 @@ impl Engine {
     /// Falls back to the plain pruned evaluation whenever the rewrite
     /// does not apply: extensional goals, goals entangled with negation
     /// or aggregation (their derivation cone must be materialized in
-    /// full), programs needing the well-founded evaluator, or a
+    /// full), a rewritten program with recursion through negation, or a
     /// non-stratifiable rewritten residue. Answers for the goal pattern
-    /// are identical either way: `model.query(goal)` returns exactly
-    /// what it would on [`Engine::run_for`]'s model; other predicates
-    /// may be only partially materialized.
+    /// are identical either way; predicates outside the goal's reachable
+    /// subprogram are absent from the model, and under the rewrite the
+    /// others may be only partially materialized.
+    ///
+    /// # Evaluating on top of a cached `base` model
+    /// With `base` given (and [`EvalOptions::base_cache`] on), predicates
+    /// whose inputs did not change since `base` was computed are *seeded*
+    /// from it and their strata skipped outright; only query-relevant
+    /// strata that can differ are re-evaluated (see `Engine::seed_plan`
+    /// for the analysis). The *stable* predicates are also handed to the
+    /// magic rewrite as frozen — their rules are dropped and their
+    /// absorbed base facts stand in for their extension — so the rewrite
+    /// composes with the cache instead of re-deriving what it holds.
+    ///
+    /// `base` must be a model of a subprogram of this engine's rules over
+    /// a **subset** of this engine's EDB (facts and rules may have been
+    /// added since, never removed or changed), and rules present here but
+    /// absent from the base program may only define predicates that have
+    /// no facts in `base`. Under that contract the result equals the
+    /// `base: None` evaluation. A three-valued `base` is ignored: an
+    /// undefined atom is neither in nor out of a seeded extension.
     ///
     /// Takes `&mut self` because adorned predicate names (`pred@adn`,
     /// `m@pred@adn`) are interned into the engine's symbol table so
     /// profile dumps resolve them.
-    pub fn run_for_query(&mut self, goal: &Atom, opts: &EvalOptions) -> Result<Model> {
-        let relevant = self.relevant_rules(&[goal.pred]);
-        let mut declined = None;
-        if opts.magic_sets {
-            if let Some(rw) = magic::rewrite(&relevant, &self.edb, goal, None, &mut self.syms) {
-                if rw.demand_ratio.is_some_and(|r| r >= magic::DECLINE_RATIO) {
-                    declined = rw.demand_ratio;
-                } else if let Some(mut model) =
-                    self.eval_rewritten(&rw, self.edb.clone(), opts, 0)?
-                {
-                    model.profile.magic_demand_ratio = rw.demand_ratio;
-                    return Ok(model);
-                }
-            }
-        }
-        let mut model = self.run_rules(&relevant, opts)?;
-        if declined.is_some() {
-            model.profile.magic_declined = true;
-            model.profile.magic_demand_ratio = declined;
-        }
-        Ok(model)
-    }
-
-    /// Like [`Engine::run_for_query`], but evaluated on top of a cached
-    /// `base` model (see [`Engine::run_for_seeded`] for the seeding
-    /// contract). The seeding analysis runs first; its *stable*
-    /// predicates are handed to the magic rewrite as frozen — their
-    /// rules are dropped outright and their absorbed base facts stand in
-    /// for their extension — so the rewrite composes with the
-    /// cross-query cache instead of re-deriving what the cache already
-    /// holds.
-    pub fn run_for_query_seeded(
+    pub fn run_for_query(
         &mut self,
         goal: &Atom,
-        base: &Model,
+        base: Option<&Model>,
         opts: &EvalOptions,
     ) -> Result<Model> {
-        if !opts.base_cache {
-            return self.run_for_query(goal, opts);
-        }
         let relevant = self.relevant_rules(&[goal.pred]);
         let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
-        if strat.needs_wfs || !base.undefined.is_empty() {
-            return self.run_rules(&relevant, opts);
-        }
-        let plan = self.seed_plan(&relevant, &[goal.pred], base);
+        let plan = base
+            .filter(|b| opts.base_cache && b.undefined.is_empty())
+            .map(|b| self.seed_plan(&relevant, &[goal.pred], b));
+        let (edb, stable, seeded) = match &plan {
+            Some(p) => (&p.edb, Some(&p.stable), p.seeded),
+            None => (&self.edb, None, 0),
+        };
         let mut declined = None;
         if opts.magic_sets {
-            if let Some(rw) = magic::rewrite(
-                &relevant,
-                &plan.edb,
-                goal,
-                Some(&plan.stable),
-                &mut self.syms,
-            ) {
+            if let Some(rw) = magic::rewrite(&relevant, edb, goal, stable, &mut self.syms) {
                 if rw.demand_ratio.is_some_and(|r| r >= magic::DECLINE_RATIO) {
                     declined = rw.demand_ratio;
-                } else if let Some(mut model) =
-                    self.eval_rewritten(&rw, plan.edb.clone(), opts, plan.seeded)?
-                {
+                } else if let Some(mut model) = self.eval_rewritten(&rw, edb.clone(), opts)? {
+                    model.profile.seeded = seeded;
                     model.profile.magic_demand_ratio = rw.demand_ratio;
                     return Ok(model);
                 }
             }
         }
-        let mut model =
-            eval::eval_stratified_skipping(&relevant, &strat, &plan.edb, opts, Some(&plan.stable))?;
-        model.profile.seeded = plan.seeded;
+        let mut model = eval::eval_strata(&relevant, &strat, edb, opts, stable)?;
+        model.profile.seeded = seeded;
         if declined.is_some() {
             model.profile.magic_declined = true;
             model.profile.magic_demand_ratio = declined;
@@ -456,7 +427,6 @@ impl Engine {
         rw: &magic::MagicRewrite,
         mut edb: FactStore,
         opts: &EvalOptions,
-        seeded: usize,
     ) -> Result<Option<Model>> {
         let Ok(strat) = program::stratify(&rw.rules, |s| self.syms.resolve(s).to_string()) else {
             return Ok(None);
@@ -467,8 +437,7 @@ impl Engine {
         for (p, args) in &rw.seeds {
             edb.insert(*p, args.clone().into());
         }
-        let mut model = eval::eval_stratified(&rw.rules, &strat, &edb, opts)?;
-        model.profile.seeded = seeded;
+        let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, None)?;
         model.profile.magic_fired = true;
         model.profile.adorned_rules = rw.adorned_rules;
         model.profile.magic_preds = rw.magic_preds.len();
@@ -489,52 +458,10 @@ impl Engine {
         Ok(Some(model))
     }
 
-    /// Like [`Engine::run_for`], but evaluates on top of a cached `base`
-    /// model (the cross-query cache layer): predicates whose inputs did
-    /// not change since `base` was computed are *seeded* from it and their
-    /// strata skipped outright; only query-relevant strata that can differ
-    /// are re-evaluated.
-    ///
-    /// # Contract
-    /// `base` must be a model of a subprogram of this engine's rules over
-    /// a **subset** of this engine's EDB (facts and rules may have been
-    /// added since, never removed or changed), and rules present here but
-    /// absent from the base program may only define predicates that have
-    /// no facts in `base`. Under that contract the result equals
-    /// [`Engine::run_for`] from scratch.
-    ///
-    /// Soundness of the predicate analysis: starting from predicates whose
-    /// EDB grew (or whose defining rules are new), a *positive* edge from
-    /// a grown predicate can only add facts to its head (grown, monotone);
-    /// any edge from an unstable predicate, or a negation/aggregate edge
-    /// from a grown one, makes the head *unstable* (facts may appear or
-    /// vanish). Stable predicates keep their base extension exactly, so
-    /// seeding them is exact and their strata need no evaluation.
-    ///
-    /// Falls back to a plain [`Engine::run_for`] when `base_cache` is off,
-    /// the relevant subprogram needs the well-founded evaluator, or the
-    /// base model has undefined atoms.
-    pub fn run_for_seeded(&self, goals: &[Sym], base: &Model, opts: &EvalOptions) -> Result<Model> {
-        if !opts.base_cache {
-            return self.run_for(goals, opts);
-        }
-        let relevant = self.relevant_rules(goals);
-        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
-        if strat.needs_wfs || !base.undefined.is_empty() {
-            return self.run_rules(&relevant, opts);
-        }
-        let plan = self.seed_plan(&relevant, goals, base);
-        let mut model =
-            eval::eval_stratified_skipping(&relevant, &strat, &plan.edb, opts, Some(&plan.stable))?;
-        model.profile.seeded = plan.seeded;
-        Ok(model)
-    }
-
-    /// The cross-query seeding analysis shared by
-    /// [`Engine::run_for_seeded`] and [`Engine::run_for_query_seeded`]:
-    /// classifies the relevant predicates against a cached base model and
-    /// returns the working EDB with every safely-absorbable base fact
-    /// already merged in.
+    /// The cross-query seeding analysis behind [`Engine::run_for_query`]'s
+    /// `base` argument: classifies the relevant predicates against a
+    /// cached base model and returns the working EDB with every
+    /// safely-absorbable base fact already merged in.
     ///
     /// Seed set Δ: predicates whose EDB holds facts absent from the base
     /// model, plus heads with no base extension (covers new rules). The
@@ -628,44 +555,18 @@ impl Engine {
         Ok(shape)
     }
 
-    /// The memoized WFS plan for stratum `stratum` of the current rule
-    /// set, computing (and caching) it from `rules()` on first use.
+    /// The memoized join plans for negation-cyclic stratum `stratum` of
+    /// the full rule set, made by `plan` on first use.
     pub(crate) fn wfs_stratum_plan(
         &self,
         stratum: usize,
-        rules: impl FnOnce() -> Vec<Rule>,
-        edb: &FactStore,
-        opts: &EvalOptions,
-    ) -> Arc<wfs::PlannedWfs> {
+        plan: impl FnOnce() -> Vec<(Rule, RulePlan)>,
+    ) -> StratumPlans {
         let mut guard = self.wfs_plans.lock().expect("wfs plan lock");
         if guard.0 != self.rules_rev {
             *guard = (self.rules_rev, HashMap::new());
         }
-        if let Some(p) = guard.1.get(&stratum) {
-            return Arc::clone(p);
-        }
-        let planned = Arc::new(wfs::plan_wfs(&rules(), edb, opts));
-        guard.1.insert(stratum, Arc::clone(&planned));
-        planned
-    }
-
-    fn run_rules(&self, rules: &[Rule], opts: &EvalOptions) -> Result<Model> {
-        // The full program's stratification is memoized on the engine;
-        // pruned rule subsets (goal-directed paths) are analysed ad hoc.
-        if std::ptr::eq(rules.as_ptr(), self.rules.as_ptr()) && rules.len() == self.rules.len() {
-            let shape = self.shape()?;
-            return if shape.strat.needs_wfs {
-                wfs::eval_well_founded(rules, &self.edb, opts)
-            } else {
-                eval::eval_stratified(rules, &shape.strat, &self.edb, opts)
-            };
-        }
-        let strat = program::stratify(rules, |s| self.syms.resolve(s).to_string())?;
-        if strat.needs_wfs {
-            wfs::eval_well_founded(rules, &self.edb, opts)
-        } else {
-            eval::eval_stratified(rules, &strat, &self.edb, opts)
-        }
+        Arc::clone(guard.1.entry(stratum).or_insert_with(|| Arc::new(plan())))
     }
 
     /// The subset of rules reachable from `goals` through (transitive)
@@ -750,8 +651,20 @@ fn collect_body_preds(items: &[BodyItem], out: &mut std::collections::HashSet<Sy
 mod tests {
     use super::*;
 
+    /// The reference side of the goal-directed tests: `pred`'s relevant
+    /// subprogram evaluated plainly — all-free goal, rewrite off, no base.
+    fn pruned(e: &mut Engine, pred: Sym) -> Model {
+        let args = (0..e.arities[&pred]).map(|i| Term::Var(Var(i as u32)));
+        let goal = Atom::new(pred, args.collect());
+        let opts = EvalOptions {
+            magic_sets: false,
+            ..Default::default()
+        };
+        e.run_for_query(&goal, None, &opts).unwrap()
+    }
+
     #[test]
-    fn run_for_prunes_unrelated_subprograms() {
+    fn run_for_query_prunes_unrelated_subprograms() {
         let mut e = Engine::new();
         e.load(
             "e(a,b). e(b,c). other(x).
@@ -763,7 +676,7 @@ mod tests {
         )
         .unwrap();
         let tc = e.lookup("tc").unwrap();
-        let m = e.run_for(&[tc], &EvalOptions::default()).unwrap();
+        let m = pruned(&mut e, tc);
         assert_eq!(m.tuples(tc).len(), 3);
         // The pruned model never computed `bigger`.
         assert!(m.tuples(e.lookup("bigger").unwrap()).is_empty());
@@ -775,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn run_for_follows_negation_and_aggregates() {
+    fn run_for_query_follows_negation_and_aggregates() {
         let mut e = Engine::new();
         e.load(
             "n(a). n(b). m(a).
@@ -784,12 +697,12 @@ mod tests {
         )
         .unwrap();
         let cnt = e.lookup("cnt").unwrap();
-        let m = e.run_for(&[cnt], &EvalOptions::default()).unwrap();
+        let m = pruned(&mut e, cnt);
         assert!(m.holds(cnt, &[Term::Int(1)]));
     }
 
     #[test]
-    fn run_for_seeded_matches_scratch_and_skips_stable_strata() {
+    fn seeded_goal_matches_scratch_and_skips_stable_strata() {
         use std::collections::HashSet;
         let mut e = Engine::new();
         e.load(
@@ -805,8 +718,9 @@ mod tests {
         e.load("m(c). view(X) :- tc(a,X), not m(X).").unwrap();
         let view = e.lookup("view").unwrap();
         let tc = e.lookup("tc").unwrap();
-        let warm = e.run_for_seeded(&[view], &base, &opts).unwrap();
-        let cold = e.run_for(&[view], &opts).unwrap();
+        let goal = Atom::new(view, vec![Term::Var(Var(0))]);
+        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let cold = pruned(&mut e, view);
         let wset: HashSet<Tuple> = warm.tuples(view).into_iter().collect();
         let cset: HashSet<Tuple> = cold.tuples(view).into_iter().collect();
         assert_eq!(wset, cset);
@@ -821,24 +735,25 @@ mod tests {
         let a = e.constant("a");
         let d = e.constant("d");
         assert!(warm.holds(tc, &[a, d]));
-        // Ablation: with the cache layer off, the same call degenerates to
-        // run_for and still agrees.
+        // Ablation: with the cache layer off, the same call ignores the
+        // base and still agrees.
         let nocache = e
-            .run_for_seeded(
-                &[view],
-                &base,
+            .run_for_query(
+                &goal,
+                Some(&base),
                 &EvalOptions {
                     base_cache: false,
                     ..Default::default()
                 },
             )
             .unwrap();
+        assert_eq!(nocache.profile.seeded, 0);
         let nset: HashSet<Tuple> = nocache.tuples(view).into_iter().collect();
         assert_eq!(nset, cset);
     }
 
     #[test]
-    fn run_for_seeded_invalidates_through_negation() {
+    fn seeded_goal_invalidates_through_negation() {
         let mut e = Engine::new();
         e.load(
             "n(a). n(b).
@@ -852,7 +767,8 @@ mod tests {
         // bad(a) arrives after the base model was computed: good(a) from
         // the base must NOT survive seeding.
         e.load("bad(a).").unwrap();
-        let warm = e.run_for_seeded(&[good], &base, &opts).unwrap();
+        let goal = Atom::new(good, vec![Term::Var(Var(0))]);
+        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
         let b = e.constant("b");
         let a = e.constant("a");
         assert!(warm.holds(good, &[b]));
@@ -879,8 +795,8 @@ mod tests {
         let x = Term::Var(Var(0));
         let goal = Atom::new(tc, vec![n0.clone(), x]);
         let opts = EvalOptions::default();
-        let full = e.run_for(&[tc], &opts).unwrap();
-        let magic = e.run_for_query(&goal, &opts).unwrap();
+        let full = pruned(&mut e, tc);
+        let magic = e.run_for_query(&goal, None, &opts).unwrap();
         // Identical answers for the goal pattern...
         let mut f = full.query(&goal);
         let mut m = magic.query(&goal);
@@ -899,10 +815,11 @@ mod tests {
             magic.stats.derived,
             full.stats.derived
         );
-        // The rewrite-off path is bit-identical to plain run_for.
+        // With the rewrite off a bound goal does the all-free goal's work.
         let off = e
             .run_for_query(
                 &goal,
+                None,
                 &EvalOptions {
                     magic_sets: false,
                     ..Default::default()
@@ -925,8 +842,8 @@ mod tests {
         let sees = e.lookup("sees").unwrap();
         let goal = Atom::new(sees, vec![Term::Var(Var(0))]);
         let opts = EvalOptions::default();
-        let full = e.run_for(&[sees], &opts).unwrap();
-        let magic = e.run_for_query(&goal, &opts).unwrap();
+        let full = pruned(&mut e, sees);
+        let magic = e.run_for_query(&goal, None, &opts).unwrap();
         let mut f = full.query(&goal);
         let mut m = magic.query(&goal);
         f.sort();
@@ -954,15 +871,15 @@ mod tests {
         // the copy rule must route the stored fact into the adorned
         // world.
         let ga = Atom::new(p, vec![a.clone()]);
-        let ma = e.run_for_query(&ga, &opts).unwrap();
+        let ma = e.run_for_query(&ga, None, &opts).unwrap();
         assert!(ma.profile.magic_fired);
         assert_eq!(ma.query(&ga).len(), 1);
         let gb = Atom::new(p, vec![b.clone()]);
-        let mb = e.run_for_query(&gb, &opts).unwrap();
+        let mb = e.run_for_query(&gb, None, &opts).unwrap();
         assert_eq!(mb.query(&gb).len(), 1);
         let c = e.constant("nope");
         let gc = Atom::new(p, vec![c]);
-        let mc = e.run_for_query(&gc, &opts).unwrap();
+        let mc = e.run_for_query(&gc, None, &opts).unwrap();
         assert!(mc.query(&gc).is_empty());
     }
 
@@ -979,8 +896,8 @@ mod tests {
         let b = e.constant("b");
         let opts = EvalOptions::default();
         let goal = Atom::new(un, vec![b]);
-        let magic = e.run_for_query(&goal, &opts).unwrap();
-        let full = e.run_for(&[un], &opts).unwrap();
+        let magic = e.run_for_query(&goal, None, &opts).unwrap();
+        let full = pruned(&mut e, un);
         assert_eq!(magic.query(&goal), full.query(&goal));
         assert_eq!(magic.query(&goal).len(), 1);
     }
@@ -997,15 +914,15 @@ mod tests {
         let p0 = e.constant("p0");
         let goal = Atom::new(win, vec![p0]);
         let opts = EvalOptions::default();
-        let magic = e.run_for_query(&goal, &opts).unwrap();
-        let full = e.run_for(&[win], &opts).unwrap();
+        let magic = e.run_for_query(&goal, None, &opts).unwrap();
+        let full = pruned(&mut e, win);
         assert!(!magic.profile.magic_fired);
         assert!(magic.profile.well_founded);
         assert_eq!(magic.query(&goal), full.query(&goal));
     }
 
     #[test]
-    fn run_for_query_seeded_matches_scratch() {
+    fn seeded_goal_declines_the_rewrite_when_the_closure_is_stable() {
         use std::collections::HashSet;
         let mut e = Engine::new();
         e.load(
@@ -1019,8 +936,8 @@ mod tests {
         e.load("m(c). view(X) :- tc(a,X), not m(X).").unwrap();
         let view = e.lookup("view").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query_seeded(&goal, &base, &opts).unwrap();
-        let cold = e.run_for(&[view], &opts).unwrap();
+        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let cold = pruned(&mut e, view);
         let wset: HashSet<Vec<Term>> = warm.query(&goal).into_iter().collect();
         let cset: HashSet<Vec<Term>> = cold.query(&goal).into_iter().collect();
         assert_eq!(wset, cset);
@@ -1034,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn run_for_query_seeded_fires_when_delta_feeds_recursion() {
+    fn seeded_goal_fires_the_rewrite_when_delta_feeds_recursion() {
         use std::collections::HashSet;
         let mut e = Engine::new();
         e.load(
@@ -1052,8 +969,8 @@ mod tests {
         e.load("e(d,d2). view(X) :- tc(a,X).").unwrap();
         let view = e.lookup("view").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query_seeded(&goal, &base, &opts).unwrap();
-        let cold = e.run_for(&[view], &opts).unwrap();
+        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let cold = pruned(&mut e, view);
         let wset: HashSet<Vec<Term>> = warm.query(&goal).into_iter().collect();
         let cset: HashSet<Vec<Term>> = cold.query(&goal).into_iter().collect();
         assert_eq!(wset, cset);
@@ -1128,6 +1045,32 @@ mod tests {
         assert!(matches!(
             e.run(&opts),
             Err(DatalogError::IterationLimit { .. })
+        ));
+    }
+
+    #[test]
+    fn iteration_limit_counts_rounds_per_stratum() {
+        // Twelve single-pass strata, then a closure that takes three
+        // rounds: no stratum runs more than three, however many ran before.
+        let mut text = String::from("p0(a). e(a,b). e(b,c).\n");
+        for i in 0..12 {
+            text.push_str(&format!("p{}(X) :- p{i}(X).\n", i + 1));
+        }
+        text.push_str("tc(X,Y) :- p12(X), e(X,Y).\ntc(X,Y) :- tc(X,Z), e(Z,Y).\n");
+        let mut e = Engine::new();
+        e.load(&text).unwrap();
+        let run = |max_iterations| {
+            e.run(&EvalOptions {
+                max_iterations,
+                ..Default::default()
+            })
+        };
+        let m = run(3).unwrap();
+        assert_eq!(m.stats.iterations, 15);
+        assert_eq!(m.tuples(e.lookup("tc").unwrap()).len(), 2);
+        assert!(matches!(
+            run(2),
+            Err(DatalogError::IterationLimit { limit: 2 })
         ));
     }
 

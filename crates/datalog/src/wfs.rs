@@ -14,103 +14,57 @@
 //! *undefined* ones.
 
 use crate::error::{DatalogError, Result};
-use crate::eval::{gamma, plan_rule, EvalOptions, EvalProfile, EvalStats, Model, StratumProfile};
+use crate::eval::{check_cancelled, gamma, EvalOptions, EvalStats, IndexCounters, ParMeta};
 use crate::fact::FactStore;
 use crate::rule::Rule;
-use std::collections::HashSet;
 
-/// A rule set planned for the alternating fixpoint: bodies reordered by
-/// the join planner, with the plans kept for profiling. Planning costs a
-/// pass over the EDB, so staged-delta republishes memoize this per
-/// stratum on the engine ([`crate::Engine`]) instead of re-planning on
-/// every publish.
-#[derive(Debug)]
-pub(crate) struct PlannedWfs {
-    pub(crate) rules: Vec<Rule>,
-    pub(crate) plans: Vec<crate::eval::RulePlan>,
-    preds: Vec<crate::interner::Sym>,
-}
-
-/// Plans `rules` for [`eval_well_founded_planned`]. Join planning happens
-/// once against the EDB: the reduct is re-evaluated many times, with
-/// every IDB predicate costed as unbounded (its extension varies across
-/// sweeps).
-pub(crate) fn plan_wfs(rules: &[Rule], edb: &FactStore, opts: &EvalOptions) -> PlannedWfs {
-    let idb: HashSet<crate::interner::Sym> = rules.iter().map(|r| r.head.pred).collect();
-    let planned: Vec<(Rule, crate::eval::RulePlan)> = rules
-        .iter()
-        .map(|r| plan_rule(r, edb, &idb, opts))
-        .collect();
-    let (rules, plans): (Vec<Rule>, Vec<crate::eval::RulePlan>) = planned.into_iter().unzip();
-    PlannedWfs {
-        rules,
-        plans,
-        preds: idb.into_iter().collect(),
-    }
-}
-
-/// Evaluates `rules` over `edb` under the well-founded semantics.
+/// Evaluates `rules` (already join-planned) over `edb` under the
+/// well-founded semantics, returning `(true facts, undefined atoms)`; the
+/// true facts include `edb`. The stratum walker calls this for one
+/// negation-cyclic stratum over the completed strata below it, and for a
+/// three-valued tail; counters land in the caller's stratum scope.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_well_founded(
-    rules: &[Rule],
+    rules: &[&Rule],
     edb: &FactStore,
+    stats: &mut EvalStats,
+    counters: &IndexCounters,
     opts: &EvalOptions,
-) -> Result<Model> {
-    eval_well_founded_planned(&plan_wfs(rules, edb, opts), edb, opts)
-}
-
-/// [`eval_well_founded`] over an already-planned rule set.
-pub(crate) fn eval_well_founded_planned(
-    planned: &PlannedWfs,
-    edb: &FactStore,
-    opts: &EvalOptions,
-) -> Result<Model> {
-    let mut stats = EvalStats::default();
-    let rules = &planned.rules;
-    let mut summary = StratumProfile {
-        preds: planned.preds.clone(),
-        recursive: true,
-        plans: planned.plans.clone(),
-        ..Default::default()
-    };
-    let counters = crate::eval::IndexCounters::default();
+    cap: usize,
+    par: &mut ParMeta,
+) -> Result<(FactStore, FactStore)> {
     // Both phases of every sweep reuse the stratified engine's partitioned
     // round executor; `cap`/`par` carry the thread budget and telemetry
     // across the whole alternating fixpoint.
-    let cap = crate::eval::resolve_threads(opts.eval_threads);
-    let mut par = crate::eval::ParMeta::new();
     let mut lower = edb.clone();
     let mut sweeps = 0usize;
-    let (facts, undefined) = loop {
+    loop {
         // Sweep boundary: the same cooperative cancellation check the
         // stratified loops run at round boundaries (each `gamma` below
         // also checks per round).
-        crate::eval::check_cancelled(opts, &stats)?;
+        check_cancelled(opts, stats)?;
         sweeps += 1;
         if sweeps > opts.max_iterations {
             return Err(DatalogError::IterationLimit {
                 limit: opts.max_iterations,
             });
         }
-        let upper = gamma(
-            rules, edb, &lower, &mut stats, &counters, opts, cap, &mut par,
-        )?;
+        let upper = gamma(rules, edb, &lower, stats, counters, opts, cap, par)?;
         // The lower sequence stays below every upper (both monotone toward
         // the fixpoint), so size equality implies set equality throughout.
         // `Γ(lower) == lower` means the fixpoint is *total* — the
         // two-valued well-founded model, nothing undefined — and the
         // second gamma of this sweep would only reconfirm it.
         if upper.len() == lower.len() {
-            break (upper, FactStore::new());
+            return Ok((upper, FactStore::new()));
         }
-        let new_lower = gamma(
-            rules, edb, &upper, &mut stats, &counters, opts, cap, &mut par,
-        )?;
+        let new_lower = gamma(rules, edb, &upper, stats, counters, opts, cap, par)?;
         // `Lᵢ₊₁ = Γ(Uᵢ) ⊆ Γ(Lᵢ) = Uᵢ` (Γ antitone, `Lᵢ ⊆ Uᵢ`), so size
         // equality here means `Lᵢ₊₁ = Uᵢ` — making `Lᵢ₊₁` a fixpoint of Γ
         // (`Γ(Lᵢ₊₁) = Γ(Uᵢ) = Lᵢ₊₁`): the total two-valued model. The next
         // sweep's first gamma would only reconfirm it.
         if new_lower.len() == upper.len() {
-            break (new_lower, FactStore::new());
+            return Ok((new_lower, FactStore::new()));
         }
         if new_lower.len() == lower.len() {
             let mut undefined = FactStore::new();
@@ -119,41 +73,47 @@ pub(crate) fn eval_well_founded_planned(
                     undefined.insert(p, t.clone());
                 }
             }
-            break (new_lower, undefined);
+            return Ok((new_lower, undefined));
         }
         lower = new_lower;
-    };
-    counters.fold_into(&mut stats);
-    summary.iterations = stats.iterations;
-    summary.derived = stats.derived;
-    summary.index_builds = stats.index_builds;
-    summary.index_hits = stats.index_hits;
-    summary.index_misses = stats.index_misses;
-    summary.threads_used = par.threads_used;
-    summary.partitions = par.partitions;
-    Ok(Model {
-        facts,
-        undefined,
-        stats,
-        profile: EvalProfile {
-            strata: vec![summary],
-            well_founded: true,
-            eval_threads: cap,
-            ..Default::default()
-        },
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atom::{Atom, BodyItem};
-    use crate::fact::FactStore;
+    use crate::eval::Model;
     use crate::interner::Interner;
     use crate::term::{Term, Var};
 
     fn v(i: u32) -> Term {
         Term::Var(Var(i))
+    }
+
+    /// The alternating fixpoint over `rules` as written (no join
+    /// planning), wrapped into a model.
+    fn well_founded(rules: &[Rule], edb: &FactStore, opts: &EvalOptions) -> Model {
+        let rules: Vec<&Rule> = rules.iter().collect();
+        let mut stats = EvalStats::default();
+        let counters = IndexCounters::default();
+        let (facts, undefined) = eval_well_founded(
+            &rules,
+            edb,
+            &mut stats,
+            &counters,
+            opts,
+            crate::eval::resolve_threads(opts.eval_threads),
+            &mut ParMeta::new(),
+        )
+        .unwrap();
+        counters.fold_into(&mut stats);
+        Model {
+            facts,
+            undefined,
+            stats,
+            profile: Default::default(),
+        }
     }
 
     /// The classic "win" example: a position is winning iff some move
@@ -182,7 +142,7 @@ mod tests {
             vec!["X".into(), "Y".into()],
         )
         .unwrap()];
-        let m = eval_well_founded(&rules, &edb, &EvalOptions::default()).unwrap();
+        let m = well_founded(&rules, &edb, &EvalOptions::default());
         // p2 has no moves: lost => p1 wins => p0 loses.
         assert!(m.holds(win, &[n[1].clone()]));
         assert!(!m.holds(win, &[n[0].clone()]));
@@ -216,7 +176,7 @@ mod tests {
             vec!["X".into()],
         )
         .unwrap()];
-        let m = eval_well_founded(&rules, &edb, &EvalOptions::default()).unwrap();
+        let m = well_founded(&rules, &edb, &EvalOptions::default());
         assert!(m.holds(un, &[b]));
         assert!(!m.holds(un, &[a]));
         assert!(m.undefined.is_empty());
@@ -254,7 +214,7 @@ mod tests {
             )
             .unwrap(),
         ];
-        let m = eval_well_founded(&rules, &edb, &EvalOptions::default()).unwrap();
+        let m = well_founded(&rules, &edb, &EvalOptions::default());
         assert!(m.is_undefined(p, std::slice::from_ref(&a)));
         assert!(m.is_undefined(q, std::slice::from_ref(&a)));
         assert!(!m.holds(p, std::slice::from_ref(&a)));
@@ -296,18 +256,17 @@ mod tests {
             vec!["X".into(), "Y".into()],
         )
         .unwrap()];
-        let serial = eval_well_founded(&rules, &edb, &EvalOptions::default()).unwrap();
+        let serial = well_founded(&rules, &edb, &EvalOptions::default());
         for threads in [2usize, 4] {
-            let par = eval_well_founded(
+            let par = well_founded(
                 &rules,
                 &edb,
                 &EvalOptions {
                     eval_threads: threads,
                     ..Default::default()
                 },
-            )
-            .unwrap();
-            let canon = |m: &crate::eval::Model| {
+            );
+            let canon = |m: &Model| {
                 let mut facts: Vec<String> = m
                     .facts
                     .iter()

@@ -239,52 +239,20 @@ impl FLogic {
         self.engine.run(opts)
     }
 
-    /// Evaluates only the rules relevant to the named goal predicates
-    /// (see `kind_datalog::Engine::run_for`). Unknown names are ignored
-    /// (they have no rules to prune towards).
-    pub fn run_for(&self, goals: &[&str], opts: &EvalOptions) -> Result<Model, DatalogError> {
-        let syms: Vec<_> = goals.iter().filter_map(|g| self.engine.lookup(g)).collect();
-        self.engine.run_for(&syms, opts)
-    }
-
-    /// Like [`FLogic::run_for`], but evaluated as a delta on top of a
-    /// cached `base` model (see `kind_datalog::Engine::run_for_seeded` for
-    /// the contract): strata untouched since `base` was computed are
-    /// seeded from it and skipped.
-    pub fn run_for_seeded(
-        &self,
-        goals: &[&str],
-        base: &Model,
-        opts: &EvalOptions,
-    ) -> Result<Model, DatalogError> {
-        let syms: Vec<_> = goals.iter().filter_map(|g| self.engine.lookup(g)).collect();
-        self.engine.run_for_seeded(&syms, base, opts)
-    }
-
     /// Evaluates a single goal atom demand-driven (see
-    /// `kind_datalog::Engine::run_for_query`): on top of the
-    /// predicate-level prune of [`FLogic::run_for`], the magic-sets
-    /// rewrite specializes the rules to the goal's constant bindings.
-    /// Takes `&mut self` because the rewrite interns adorned predicate
-    /// names.
+    /// `kind_datalog::Engine::run_for_query`): the rule set is pruned to
+    /// the goal's reachable subprogram, the magic-sets rewrite specializes
+    /// it to the goal's constant bindings, and with a cached `base` model
+    /// the strata untouched since it was computed are seeded from it and
+    /// skipped. Takes `&mut self` because the rewrite interns adorned
+    /// predicate names.
     pub fn run_for_query(
         &mut self,
         goal: &Atom,
+        base: Option<&Model>,
         opts: &EvalOptions,
     ) -> Result<Model, DatalogError> {
-        self.engine.run_for_query(goal, opts)
-    }
-
-    /// Like [`FLogic::run_for_query`], but evaluated as a delta on top of
-    /// a cached `base` model (see
-    /// `kind_datalog::Engine::run_for_query_seeded`).
-    pub fn run_for_query_seeded(
-        &mut self,
-        goal: &Atom,
-        base: &Model,
-        opts: &EvalOptions,
-    ) -> Result<Model, DatalogError> {
-        self.engine.run_for_query_seeded(goal, base, opts)
+        self.engine.run_for_query(goal, base, opts)
     }
 
     /// Names of all instances of `class` in the model.

@@ -172,13 +172,13 @@ fn main() {
     //    anchored at one class only *demands* that class's instance
     //    cone, so the engine skips the rest of the closure. The
     //    mediator's own `answer()` programs carry skolem guards that
-    //    need the well-founded evaluator, where the rewrite declines
-    //    and falls back to full bottom-up (`magic_fired` stays false) —
-    //    so the demand win is shown on the stratified FL fragment,
-    //    where `answer()`-style goal queries actually run it.
+    //    negate through `inst`, which every class literal reads, so
+    //    their goals must be evaluated in full and the rewrite does not
+    //    apply (`magic_fired` stays false) — the demand win is shown on
+    //    the stratified FL fragment, where goal queries actually run it.
     println!("\n== demand-driven evaluation (magic sets) ==");
     println!(
-        "mediator answer() above: {} facts derived, magic_fired={} (WFS fallback)",
+        "mediator answer() above: {} facts derived, magic_fired={} (goal reads negated inst)",
         ans.stats.derived, ans.magic_fired
     );
     // A class forest: 6 subtrees of 4 classes under `thing`, 3 measured
@@ -215,7 +215,7 @@ fn main() {
             magic_sets: magic,
             ..Default::default()
         };
-        let model = fl.run_for_query(&goal, &opts).expect("query runs");
+        let model = fl.run_for_query(&goal, None, &opts).expect("query runs");
         println!(
             "  magic_sets={magic}: {} rows, {} facts derived (magic_fired={})",
             model.query(&goal).len(),
