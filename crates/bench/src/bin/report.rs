@@ -616,7 +616,7 @@ fn server_qps_bench(fast: bool) -> ServerQpsGroup {
 
 /// Sustained write-while-read throughput: one writer loading rows and
 /// republishing snapshots while reader threads drain queries from the
-/// latest published snapshot, lock-free on the query hot path.
+/// latest published snapshot, with no exclusive lock on the query hot path.
 struct SustainedStats {
     readers: usize,
     publishes: usize,
@@ -1166,7 +1166,7 @@ fn overlapped_fetch_bench(fast: bool) -> OverlappedGroup {
 /// queries split across `workers` threads, drained two ways — every
 /// thread serializing through a `Mutex<Mediator>` (the design a
 /// non-`Send + Sync` stack forces), and every thread reading one shared
-/// [`kind_core::QuerySnapshot`] lock-free.
+/// [`kind_core::QuerySnapshot`] through `&self`.
 struct ConcRow {
     workers: usize,
     total_queries: usize,
@@ -1186,7 +1186,7 @@ fn cores() -> usize {
 /// size is constant across worker counts, so `wall(1) / wall(w)` is the
 /// scaling factor (bounded by [`cores`]); the mutex-guarded mediator
 /// serving the identical workload is the contended baseline, so the
-/// lock-free hot path's advantage is visible even on a single core.
+/// shared-read hot path's advantage is visible even on a single core.
 fn snapshot_concurrency_bench(fast: bool, params: &ScenarioParams) -> Vec<ConcRow> {
     let mut m = build_scenario(params);
     m.materialize_all().expect("scenario materializes");

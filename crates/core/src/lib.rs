@@ -20,7 +20,8 @@
 //!   pipeline: registration, integrated views, model evaluation, source
 //!   selection, lub computation;
 //! * [`snapshot`] — immutable `Send + Sync` [`QuerySnapshot`]s for
-//!   serving reads from many threads with no locks on the hot path;
+//!   serving reads from many threads with no exclusive lock on the hot
+//!   path;
 //! * [`hub`] — the publication plane: an epoch-counted
 //!   [`SnapshotHub`] slot that [`Mediator::publish`] installs into and
 //!   readers load wait-free, pinning each request to one epoch;

@@ -971,7 +971,7 @@ impl Mediator {
     /// the resolved domain-map view, all behind `Arc`s. Call after
     /// [`Self::materialize_all`]/[`Self::rebuild`]; the snapshot then
     /// serves [`QuerySnapshot::query_fl`]/[`QuerySnapshot::answer`] from
-    /// any number of threads with no locks on the hot path, while the
+    /// any number of threads with no exclusive lock on the hot path, while the
     /// mediator remains free to keep evolving.
     /// Snapshots are **structurally shared**: the model `Arc` comes from
     /// the publish cache (and after an incremental publish, relations of
@@ -1039,9 +1039,9 @@ impl Mediator {
     /// one-off view on a scratch clone of the base, seeded with the
     /// cached base-layer model so only query-relevant strata are
     /// recomputed (the `base` of `Engine::run_for_query`). Returns `None`
-    /// when seeding would be unsound — the head predicate already has
-    /// facts in the base model — so the caller falls back to the cold
-    /// path.
+    /// when the base program already defines the head predicate — by a
+    /// rule or a stored fact, whether or not it derived anything — so the
+    /// caller falls back to the cold path.
     pub(crate) fn answer_via_base_cache(
         &mut self,
         rule_text: &str,
@@ -1052,13 +1052,7 @@ impl Mediator {
     ) -> Result<Option<RowsAndSources>> {
         self.run()?;
         let base_model = Arc::clone(self.model.as_ref().expect("run() caches the model"));
-        let collides = self
-            .base
-            .flogic()
-            .engine()
-            .lookup(head_pred)
-            .is_some_and(|p| base_model.facts.relation(p).is_some_and(|r| !r.is_empty()));
-        if collides {
+        if self.base.flogic().engine().defines(head_pred) {
             return Ok(None);
         }
         // The base itself is not touched below: the cached model stays

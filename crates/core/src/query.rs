@@ -306,6 +306,44 @@ mod tests {
         assert_eq!(ans.rows.len(), 2);
     }
 
+    /// A head the base program already defines is never answered from the
+    /// seeded path — also when it derived nothing (a view over a class no
+    /// source exports) or holds only stored facts: the cold path runs, and
+    /// the rows are those of a mediator with the base cache off.
+    #[test]
+    fn answer_head_defined_by_base_falls_back_even_when_empty() {
+        let build = |base_cache: bool| {
+            let mut m = mediator_with_two_sources();
+            m.define_view("tagged(X) :- X : no_such_class.").unwrap();
+            let mut o = m.eval_options().clone();
+            o.base_cache = base_cache;
+            m.set_eval_options(o);
+            m.publish().unwrap();
+            assert!(m.query_fl("tagged(X)").unwrap().is_empty());
+            m
+        };
+        let (mut warm, mut cold) = (build(true), build(false));
+        for (q, rows) in [
+            // `tagged` has a rule and an empty extension.
+            ("tagged(X) :- X : spines.", 4),
+            // `anchored` has stored facts and no rule; one matches the goal.
+            (r#"anchored(X, "Spine") :- X : spines."#, 5),
+        ] {
+            assert!(!warm.publish_pending());
+            let w = warm.answer(q).unwrap();
+            // The cold path loads the fetched rows into the base itself.
+            assert!(warm.publish_pending(), "{q} was answered warm");
+            let c = cold.answer(q).unwrap();
+            assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows), "{q}");
+            assert_eq!(w.rows.len(), rows, "{q}");
+            assert_eq!(w.stats, c.stats, "{q}");
+            warm.publish().unwrap();
+        }
+        // The control: a fresh head stays on the warm path.
+        warm.answer("fresh(X) :- X : spines.").unwrap();
+        assert!(!warm.publish_pending());
+    }
+
     /// The knob-setter audit (write-plane invariant): latency,
     /// parallelism, and query-planning knobs tune *how* an answer is
     /// computed, never *what* the base model is — so toggling every one

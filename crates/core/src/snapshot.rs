@@ -4,21 +4,29 @@
 //! threads": [`crate::Mediator::snapshot`] freezes the evaluated state —
 //! the GCM base (rules + interner), the evaluated [`Model`], and the
 //! resolved domain-map view — behind `Arc`s, and the snapshot then
-//! answers queries with **no locks on the hot path**:
+//! answers queries through `&self`, with **no exclusive lock on the hot
+//! path**:
 //!
 //! * [`QuerySnapshot::query_fl`] parses the pattern into a private
 //!   scratch symbol table and *remaps* it into the frozen interner
-//!   (`FLogic::query_frozen`), so it never mutates shared state — `&self`
-//!   all the way down. A constant the snapshot has never seen simply
-//!   matches nothing.
-//! * [`QuerySnapshot::answer`] evaluates a one-off rule on a per-call
-//!   **clone** of the frozen base (per-thread scratch space), seeded from
-//!   the shared model so only the rule's own stratum is computed.
+//!   (`FLogic::query_frozen`), so it never mutates shared state. A
+//!   constant the snapshot has never seen simply matches nothing.
+//! * [`QuerySnapshot::answer`] loads a one-off rule into a per-call
+//!   **clone** of the frozen base (rules and interner: per-thread scratch
+//!   space) and evaluates it over the shared model **in place**: the
+//!   model's relations are borrowed, not copied, only the rule's own
+//!   stratum is computed, and what it derives goes to a store the call
+//!   throws away.
 //!
-//! The only shared mutable state anywhere below a snapshot is the
-//! `RwLock`-backed closure memo tables inside [`Resolved`] — concurrent
-//! readers warm those cooperatively, and a lost race merely recomputes a
-//! deterministic value.
+//! What is shared and mutable below a snapshot sits behind `RwLock`s and
+//! only ever gains entries that are functions of the frozen data: the
+//! closure memo tables inside [`Resolved`], and the lazily built column
+//! indexes of the model's relations. A bound probe (a pattern with a
+//! constant, a join on a bound variable) takes a relation's index lock
+//! for reading, uncontended once the index exists; the first probe of a
+//! column set in an epoch builds the index under the write lock, once,
+//! and every later reader of that epoch — and of the next, for relations
+//! a publish left untouched — finds it there.
 //!
 //! Snapshots are decoupled from the mediator that produced them: the
 //! mediator may keep registering sources, loading rows, and rebuilding
@@ -153,10 +161,13 @@ impl QuerySnapshot {
     }
 
     /// Runs an FL query pattern (e.g. `"X : Neuron"`) against the frozen
-    /// model. Lock-free and allocation-light: the pattern is parsed into
-    /// a scratch symbol table and remapped into the frozen interner, so
-    /// `&self` suffices and threads never contend. Patterns mentioning
-    /// symbols the snapshot has never seen yield no rows.
+    /// model. Allocation-light and free of exclusive locks once warm: the
+    /// pattern is parsed into a scratch symbol table and remapped into the
+    /// frozen interner, so `&self` suffices; a pattern with a constant
+    /// reads the relation's index under its `RwLock` read guard, and only
+    /// the first such probe of a column set in an epoch takes the write
+    /// lock, to build the index. Patterns mentioning symbols the snapshot
+    /// has never seen yield no rows.
     pub fn query_fl(&self, pattern: &str) -> Result<Vec<Vec<Term>>> {
         self.base
             .flogic()
@@ -187,11 +198,12 @@ impl QuerySnapshot {
     /// snapshot's materialized data** — no sources are contacted; rows
     /// fetched before the snapshot was taken are what there is to query.
     ///
-    /// Each call clones the frozen base into private scratch space, loads
-    /// the rule there, and evaluates it seeded from the shared model, so
-    /// strata the rule does not touch are never recomputed and concurrent
-    /// callers share nothing mutable. Returns rendered rows (sorted), in
-    /// head-variable order.
+    /// Each call clones the frozen base (rules and interner) into private
+    /// scratch space, loads the rule there, and evaluates it over the
+    /// shared model in place, so strata the rule does not touch are never
+    /// recomputed, no relation is copied, and concurrent callers share
+    /// only the model's read-mostly indexes. Returns rendered rows
+    /// (sorted), in head-variable order.
     pub fn answer(&self, rule_text: &str) -> Result<Vec<Vec<String>>> {
         self.answer_with(rule_text, &self.eval_options)
             .map(|a| a.rows)
@@ -227,15 +239,10 @@ impl QuerySnapshot {
         // interns new symbols *there*, never in the shared snapshot.
         let mut work = (*self.base).clone();
         work.flogic_mut().load(rule_text)?;
-        // Seeding from the cached model is unsound if the head predicate
-        // already has base facts (the seed would double as input);
-        // evaluate the clone without a base in that case.
-        let collides = self
-            .base
-            .flogic()
-            .engine()
-            .lookup(&head_pred)
-            .is_some_and(|p| self.model.facts.relation(p).is_some_and(|r| !r.is_empty()));
+        // A head the base program already defines — by a rule or a stored
+        // fact, whether or not it derived anything — is not a one-off
+        // view over the model: evaluate the clone without a base.
+        let collides = self.base.flogic().engine().defines(&head_pred);
         // The goal's constant arguments live in the scratch interner; map
         // them into the work clone so the pattern (and the magic-sets
         // demand seeds derived from it) bind correctly.
@@ -346,6 +353,36 @@ mod tests {
         // state it captured.
         assert_eq!(s1.query_fl("X : spines").unwrap().len(), 3);
         assert_eq!(s2.query_fl("X : spines").unwrap().len(), 4);
+    }
+
+    /// A head the base program already defines is answered cold — also when
+    /// it derived nothing, or holds only stored facts: same rows and same
+    /// work as with the base cache off. A fresh head is seeded and derives
+    /// its own rows only.
+    #[test]
+    fn answer_head_defined_by_base_is_answered_cold() {
+        let mut m = mediator();
+        m.define_view("tagged(X) :- X : no_such_class.").unwrap();
+        let snap = m.snapshot().unwrap();
+        assert!(snap.query_fl("tagged(X)").unwrap().is_empty());
+        let warm = snap.eval_options().clone();
+        let cold = kind_datalog::EvalOptions {
+            base_cache: false,
+            ..warm.clone()
+        };
+        for (rule, rows) in [
+            ("tagged(X) :- X : spines.", 3),
+            (r#"anchored(X, "Spine") :- X : spines."#, 4),
+        ] {
+            let w = snap.answer_with(rule, &warm).unwrap();
+            let c = snap.answer_with(rule, &cold).unwrap();
+            assert_eq!(w.rows, c.rows, "{rule}");
+            assert_eq!(w.rows.len(), rows, "{rule}");
+            assert_eq!(w.stats, c.stats, "{rule} was seeded");
+        }
+        let fresh = snap.answer_with("fresh(X) :- X : spines.", &warm).unwrap();
+        assert_eq!(fresh.rows.len(), 3);
+        assert_eq!(fresh.stats.derived, 3);
     }
 
     /// Registration rebuilds the semantic index (new anchors) but reuses

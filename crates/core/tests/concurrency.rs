@@ -67,7 +67,7 @@ fn snapshot_fixture() -> QuerySnapshot {
     m.snapshot().unwrap()
 }
 
-/// The mixed workload: FL patterns served lock-free off the frozen
+/// The mixed workload: FL patterns served through `&self` off the frozen
 /// model, and one-off rules evaluated on per-call scratch clones.
 const PATTERNS: &[&str] = &[
     "X : spines",
@@ -121,6 +121,39 @@ fn eight_threads_match_single_threaded_results() {
             h.join().unwrap();
         }
     });
+}
+
+/// A warm answer probes the snapshot's own relations, so eight threads
+/// that start together race to build the indexes a fresh model lacks.
+/// Whoever wins, every thread reports the counters a lone caller of an
+/// untouched snapshot reports, and the model is left as it was.
+#[test]
+fn eight_threads_racing_on_a_fresh_model_report_one_set_of_stats() {
+    let answers = |snap: &QuerySnapshot| -> Vec<_> {
+        RULES
+            .iter()
+            .map(|rule| {
+                let a = snap.answer_with(rule, snap.eval_options()).unwrap();
+                (a.rows, a.stats, a.magic_fired)
+            })
+            .collect()
+    };
+    let expected = answers(&snapshot_fixture());
+    assert!(expected.iter().any(|(rows, ..)| !rows.is_empty()));
+    let snap = snapshot_fixture();
+    let facts = snap.model().facts.len();
+    let start = std::sync::Barrier::new(8);
+    thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..4 {
+                    assert_eq!(answers(&snap), expected);
+                }
+            });
+        }
+    });
+    assert_eq!(snap.model().facts.len(), facts);
 }
 
 #[test]

@@ -22,12 +22,12 @@
 //!   recorded in the model's [`EvalProfile`] for `explain`-style dumps;
 //! * **indexing** ([`EvalOptions::use_index`]): joins with any bound
 //!   argument probe a lazily-built hash index on exactly the bound column
-//!   set ([`crate::fact::Relation::iter_bound`]); build/hit/miss counts
+//!   set ([`crate::fact::Relation::probe`]); build/hit/miss counts
 //!   land in [`EvalStats`];
 //! * **cross-query caching** ([`EvalOptions::base_cache`], driven by the
-//!   `base` argument of [`crate::Engine::run_for_query`]): strata whose
-//!   predicates are already at fixpoint in a seeded base model are skipped
-//!   outright.
+//!   `base` argument of [`crate::Engine::run_for_query`]): the base
+//!   model's relations are read in place, and strata whose predicates are
+//!   already at fixpoint in it are skipped outright.
 //!
 //! Function terms (skolem placeholders from domain-map assertions, paper
 //! §4) can generate unboundedly deep terms; derivations whose head exceeds
@@ -228,7 +228,14 @@ pub struct EvalStats {
     pub depth_clipped: usize,
     /// Rule applications (body solutions found).
     pub applications: usize,
-    /// Column-set indexes built on first probe.
+    /// Column-set indexes built, on first probe, over relations the
+    /// evaluation **owns**: its derived heads, its deltas, its
+    /// copy-on-write clones — and, on a cold run, everything, since a cold
+    /// run reads a detached copy of the stored facts. A probe of a relation
+    /// *borrowed* from a base model ([`crate::Engine::run_for_query`]) is a
+    /// hit and never a build, whether this call, an earlier one or another
+    /// thread physically built the index — so the count is a function of
+    /// program, facts and options, never of who warmed a shared relation.
     pub index_builds: usize,
     /// Join probes answered through an index (including fully-ground
     /// membership tests).
@@ -240,15 +247,33 @@ pub struct EvalStats {
 /// Index probe counters, threaded through matching by shared reference
 /// (matching only ever holds `&self`).
 #[derive(Debug, Default)]
-pub(crate) struct IndexCounters {
+pub(crate) struct IndexCounters<'a> {
     builds: Cell<usize>,
     hits: Cell<usize>,
     misses: Cell<usize>,
+    /// The seeded working store of an evaluation that reads a base model's
+    /// relations in place. A relation still shared with it is borrowed: an
+    /// index built there is not this evaluation's (see
+    /// [`EvalStats::index_builds`]). `None` on the cold paths, which own
+    /// every relation.
+    borrowed: Option<&'a FactStore>,
 }
 
-impl IndexCounters {
-    fn build(&self) {
-        self.builds.set(self.builds.get() + 1);
+impl<'a> IndexCounters<'a> {
+    pub(crate) fn new(borrowed: Option<&'a FactStore>) -> Self {
+        IndexCounters {
+            borrowed,
+            ..Default::default()
+        }
+    }
+    /// An index over `pred`'s relation in `store` was just built.
+    fn build(&self, store: &FactStore, pred: Sym) {
+        if !self
+            .borrowed
+            .is_some_and(|b| store.shares_relation(pred, b))
+        {
+            self.builds.set(self.builds.get() + 1);
+        }
     }
     fn hit(&self) {
         self.hits.set(self.hits.get() + 1);
@@ -334,7 +359,8 @@ pub struct EvalProfile {
     /// Some stratum ran the alternating fixpoint (well-founded
     /// semantics); [`StratumProfile::well_founded`] says which.
     pub well_founded: bool,
-    /// Facts seeded from a cached base model before evaluation.
+    /// Facts of a cached base model the evaluation reused beyond the
+    /// stored ones (shared with the model by handle, not copied).
     pub seeded: usize,
     /// The resolved evaluate-plane worker cap ([`EvalOptions::eval_threads`]
     /// with `0` resolved to available parallelism). Purely informational:
@@ -389,6 +415,18 @@ pub struct Model {
     pub stats: EvalStats,
     /// How the model was computed (join plans, per-stratum counters).
     pub profile: EvalProfile,
+    /// Handles of the relations the evaluation started from — the
+    /// engine's stored facts, or a seeded run's working store; `facts`
+    /// holds every tuple of each. A later seeded evaluation
+    /// ([`crate::Engine::run_for_query`]) compares them with the engine's
+    /// by identity: while this model holds a handle nobody can have
+    /// changed that relation, so an identical handle has no stored fact
+    /// the model lacks.
+    pub(crate) edb: FactStore,
+    /// How many rules defined each head predicate of the evaluated
+    /// program: a head with a different count today has rules this model
+    /// never ran.
+    pub(crate) rules_of: HashMap<Sym, usize>,
 }
 
 impl Model {
@@ -479,7 +517,7 @@ pub(crate) struct MatchCtx<'a> {
     /// Whether index lookups are enabled.
     pub use_index: bool,
     /// Index build/hit/miss counters for this evaluation scope.
-    pub counters: &'a IndexCounters,
+    pub counters: &'a IndexCounters<'a>,
 }
 
 impl MatchCtx<'_> {
@@ -534,13 +572,12 @@ pub(crate) fn solve(
                     .filter(|(_, t)| t.is_ground())
                     .collect();
                 if !bound.is_empty() {
-                    let mut cols: Vec<usize> = bound.iter().map(|&(c, _)| c).collect();
-                    cols.sort_unstable();
-                    if rel.ensure_index(&cols) {
-                        ctx.counters.build();
+                    let (built, tuples) = rel.probe(&bound);
+                    if built {
+                        ctx.counters.build(store, atom.pred);
                     }
                     ctx.counters.hit();
-                    for tuple in rel.iter_bound(&bound) {
+                    for tuple in tuples {
                         if tuple.len() != atom.args.len() {
                             continue;
                         }
@@ -829,10 +866,10 @@ impl ParMeta {
 }
 
 /// What one worker produced for one unit (or one range partition).
-struct UnitResult {
+struct UnitResult<'a> {
     out: FactStore,
     stats: EvalStats,
-    counters: IndexCounters,
+    counters: IndexCounters<'a>,
 }
 
 /// Enumerates the candidate tuples of `atom` at executed position 0 under
@@ -863,13 +900,12 @@ fn first_pos_candidates(
             .filter(|(_, t)| t.is_ground())
             .collect();
         if !bound.is_empty() {
-            let mut cols: Vec<usize> = bound.iter().map(|&(c, _)| c).collect();
-            cols.sort_unstable();
-            if rel.ensure_index(&cols) {
-                counters.build();
+            let (built, tuples) = rel.probe(&bound);
+            if built {
+                counters.build(store, atom.pred);
             }
             counters.hit();
-            return Some(rel.iter_bound(&bound).cloned().collect());
+            return Some(tuples.cloned().collect());
         }
     }
     counters.miss();
@@ -1010,6 +1046,9 @@ pub(crate) fn execute_round(
     if cap <= 1 || units.is_empty() {
         return serial(stats);
     }
+    // `IndexCounters` is not `Sync`; workers count privately against the
+    // same borrowed store.
+    let borrowed = counters.borrowed;
     // Estimated input size per unit: the relation its delta variant (or
     // first positive atom) scans. A deterministic wall-clock heuristic —
     // the result does not depend on which path runs.
@@ -1070,7 +1109,7 @@ pub(crate) fn execute_round(
         par.threads_used = par.threads_used.max(workers);
         par.partitions = par.partitions.max(ranges.len());
         let results = run_pool(workers, ranges.len(), |i| {
-            let counters = IndexCounters::default();
+            let counters = IndexCounters::new(borrowed);
             let mut out = FactStore::new();
             let mut local = EvalStats::default();
             let ctx = MatchCtx {
@@ -1106,7 +1145,7 @@ pub(crate) fn execute_round(
     par.partitions = par.partitions.max(units.len());
     let results = run_pool(workers, units.len(), |i| {
         let (rule, di) = units[i];
-        let counters = IndexCounters::default();
+        let counters = IndexCounters::new(borrowed);
         let mut out = FactStore::new();
         let mut local = EvalStats::default();
         let ctx = MatchCtx {
@@ -1164,16 +1203,18 @@ pub(crate) fn plan_rules(
 /// The counters one stratum's evaluation runs against; closing the scope
 /// turns them into the stratum's profile entry and folds the index
 /// counters into the run totals.
-pub(crate) struct StratumScope {
-    pub(crate) counters: IndexCounters,
+pub(crate) struct StratumScope<'a> {
+    pub(crate) counters: IndexCounters<'a>,
     pub(crate) par: ParMeta,
     before: EvalStats,
 }
 
-impl StratumScope {
-    pub(crate) fn open(stats: &EvalStats) -> Self {
+impl<'a> StratumScope<'a> {
+    /// `borrowed` is the seeded working store whose relations the
+    /// evaluation reads in place, if any (see [`IndexCounters`]).
+    pub(crate) fn open(stats: &EvalStats, borrowed: Option<&'a FactStore>) -> Self {
         StratumScope {
-            counters: IndexCounters::default(),
+            counters: IndexCounters::new(borrowed),
             par: ParMeta::new(),
             before: *stats,
         }
@@ -1210,16 +1251,20 @@ impl StratumScope {
 /// well-founded model relative to the two-valued strata below it). `memo`
 /// supplies join plans made earlier (the incremental path memoizes them
 /// per rule-set revision); without it the stratum is planned here.
+/// `borrowed` is the seeded store `total` started as a share of, when the
+/// walk reads a base model in place.
 ///
 /// Returns the stratum's profile, or `None` when the local alternating
 /// fixpoint left atoms undefined: `total` is then untouched, and the
 /// caller has to evaluate this stratum and everything above it
 /// three-valued.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_stratum(
     rules: &[Rule],
     stratum: &Stratum,
     memo: Option<&[(Rule, RulePlan)]>,
     total: &mut FactStore,
+    borrowed: Option<&FactStore>,
     stats: &mut EvalStats,
     opts: &EvalOptions,
     cap: usize,
@@ -1233,7 +1278,7 @@ pub(crate) fn eval_stratum(
         }
     };
     let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
-    let mut scope = StratumScope::open(stats);
+    let mut scope = StratumScope::open(stats, borrowed);
     let mut two_valued = true;
     if stratum.wfs {
         let (facts, undefined) = crate::wfs::eval_well_founded(
@@ -1305,10 +1350,16 @@ pub(crate) fn eval_stratum(
 }
 
 /// Evaluates `rules` over `edb` stratum by stratum — the only way a rule
-/// set is evaluated cold. `strat` is its stratification
-/// ([`crate::program::stratify`]); a stratum whose predicates are all in
-/// `stable` is skipped (they are already at fixpoint in `edb`, having
-/// been seeded from a cached base model).
+/// set is evaluated. `strat` is its stratification
+/// ([`crate::program::stratify`]).
+///
+/// Without `stable` the run is **cold**: it works on a detached copy of
+/// `edb` and owns every relation it reads. With `stable` it is **seeded**:
+/// `edb` is a working store that `Engine::seed_plan` filled from a cached
+/// base model, its relations are borrowed as they are — the base's own
+/// allocations, read in place with the indexes they already carry, copied
+/// only where a stratum writes — and a stratum whose predicates are all in
+/// `stable` is skipped, being at fixpoint in `edb` already.
 ///
 /// The model is two-valued unless some stratum's alternating fixpoint
 /// leaves atoms undefined. That stratum and every later one are then
@@ -1322,10 +1373,11 @@ pub(crate) fn eval_strata(
     opts: &EvalOptions,
     stable: Option<&HashSet<Sym>>,
 ) -> Result<Model> {
-    // Detached: evaluation must not observe (or warm) index state shared
-    // with a previous model's relations, or the index counters — part of
-    // the bit-identical stats contract — would depend on run history.
-    let mut total = edb.detached_clone();
+    let borrowed = stable.map(|_| edb);
+    let mut total = match borrowed {
+        Some(seeded) => seeded.clone(),
+        None => edb.detached_clone(),
+    };
     let mut undefined = FactStore::new();
     let mut stats = EvalStats::default();
     let cap = resolve_threads(opts.eval_threads);
@@ -1343,7 +1395,9 @@ pub(crate) fn eval_strata(
             });
             continue;
         }
-        if let Some(sp) = eval_stratum(rules, stratum, None, &mut total, &mut stats, opts, cap)? {
+        if let Some(sp) = eval_stratum(
+            rules, stratum, None, &mut total, borrowed, &mut stats, opts, cap,
+        )? {
             profile.strata.push(sp);
             continue;
         }
@@ -1354,7 +1408,7 @@ pub(crate) fn eval_strata(
         ids.sort_unstable();
         let prepared = plan_rules(rules, &ids, &preds, &total, opts);
         let tail_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
-        let mut scope = StratumScope::open(&stats);
+        let mut scope = StratumScope::open(&stats, borrowed);
         (total, undefined) = crate::wfs::eval_well_founded(
             &tail_rules,
             &total,
@@ -1382,7 +1436,18 @@ pub(crate) fn eval_strata(
         undefined,
         stats,
         profile,
+        edb: edb.clone(),
+        rules_of: rules_per_head(rules),
     })
+}
+
+/// How many of `rules` define each head predicate.
+pub(crate) fn rules_per_head(rules: &[Rule]) -> HashMap<Sym, usize> {
+    let mut count = HashMap::new();
+    for r in rules {
+        *count.entry(r.head.pred).or_default() += 1;
+    }
+    count
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1492,8 +1557,8 @@ pub(crate) fn gamma(
     cap: usize,
     par: &mut ParMeta,
 ) -> Result<FactStore> {
-    // Detached for the same reason as `eval_strata`: index counters must
-    // not depend on shared-relation index state.
+    // Detached, on a seeded walk too: each reduct starts over from the
+    // layers below and owns (and counts the indexes of) all it reads.
     let mut total = edb.detached_clone();
     // With negation frozen the program is positive: a single global
     // fixpoint loop is sound. Semi-naive deltas would need per-predicate

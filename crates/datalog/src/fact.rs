@@ -7,7 +7,7 @@
 //! across threads behind an immutable snapshot.
 //!
 //! Indexes are built **on first probe** for whatever column set a join
-//! actually binds (see [`Relation::iter_bound`]) and maintained
+//! actually binds (see [`Relation::probe`]) and maintained
 //! incrementally on every subsequent insert. A relation that is only ever
 //! scanned never pays for an index; a relation probed on columns `{0, 2}`
 //! gets exactly that index and no other.
@@ -43,10 +43,10 @@ pub struct Relation {
 
 impl Clone for Relation {
     /// Clones the tuples but **not** the built indexes: a clone rebuilds
-    /// lazily the (usually few) column sets it actually probes. Scratch
-    /// clones on the warm query path (per-call `answer` evaluation,
-    /// base-cache seeding) typically touch a handful of relations, so
-    /// deep-copying every index map was pure allocation overhead — and a
+    /// lazily the (usually few) column sets it actually probes. Clones are
+    /// made where a relation is about to change (copy-on-write) or where an
+    /// evaluation must own what it reads (`detached_clone`); deep-copying
+    /// every index map there would be allocation overhead — and a
     /// read-lock hold on the shared original that concurrent snapshot
     /// readers had to contend with.
     fn clone(&self) -> Self {
@@ -147,26 +147,35 @@ impl Relation {
     }
 
     /// Tuples matching the given `(column, value)` bindings, via a hash
-    /// index on exactly that column set (built on first use). Columns may
-    /// be given in any order; duplicates must agree by construction.
-    pub fn iter_bound(&self, bound: &[(usize, &Term)]) -> impl Iterator<Item = &Tuple> {
+    /// index on exactly that column set, and whether this call had to
+    /// build that index. Columns may be given in any order; duplicates
+    /// must agree by construction. Once the index exists a probe is one
+    /// acquisition of the read lock.
+    pub fn probe(&self, bound: &[(usize, &Term)]) -> (bool, impl Iterator<Item = &Tuple>) {
         let mut pairs: Vec<(usize, &Term)> = bound.to_vec();
         pairs.sort_by_key(|&(c, _)| c);
         pairs.dedup_by_key(|&mut (c, _)| c);
         let cols: Vec<usize> = pairs.iter().map(|&(c, _)| c).collect();
         let key: Vec<Term> = pairs.iter().map(|&(_, t)| t.clone()).collect();
-        self.ensure_index(&cols);
         // Clone the (small) position list so the iterator does not hold
         // the read lock while the caller walks the tuples.
-        let positions: Vec<u32> = self
-            .indexes
-            .read()
-            .expect("index lock")
-            .get(&cols)
-            .and_then(|ix| ix.get(&key))
-            .cloned()
-            .unwrap_or_default();
-        positions.into_iter().map(move |i| &self.tuples[i as usize])
+        let lookup = || -> Option<Vec<u32>> {
+            let indexes = self.indexes.read().expect("index lock");
+            let index = indexes.get(&cols)?;
+            Some(index.get(&key).cloned().unwrap_or_default())
+        };
+        let mut built = false;
+        let positions = lookup().unwrap_or_else(|| {
+            built = self.ensure_index(&cols);
+            lookup().expect("index just ensured")
+        });
+        let tuples = positions.into_iter().map(move |i| &self.tuples[i as usize]);
+        (built, tuples)
+    }
+
+    /// [`Self::probe`] for callers that do not count index builds.
+    pub fn iter_bound(&self, bound: &[(usize, &Term)]) -> impl Iterator<Item = &Tuple> {
+        self.probe(bound).1
     }
 
     /// Tuples whose first column equals `key` (fast path for joins with a
@@ -208,12 +217,13 @@ impl Relation {
 /// Relations sit behind `Arc`s, so a `clone` of the store is O(relations)
 /// pointer bumps and the clone *shares* every relation — including any
 /// indexes its tuples have already earned — until one side mutates it
-/// (copy-on-write via [`Arc::make_mut`]). This is what makes snapshot
-/// republish cost proportional to the delta: strata untouched by a change
-/// keep the previous model's relations by reference. Evaluation entry
-/// points that must not observe shared index state (index-probe counters
-/// are part of the bit-identical stats contract) start from
-/// [`FactStore::detached_clone`] instead.
+/// (copy-on-write via [`Arc::make_mut`]; the copy starts with no indexes).
+/// This is what makes snapshot republish cost proportional to the delta —
+/// strata untouched by a change keep the previous model's relations by
+/// reference — and a warm answer cost proportional to its rule: an
+/// evaluation seeded from a base model *borrows* the model's relations and
+/// probes the indexes they already have. The cold entry points start from
+/// [`FactStore::detached_clone`] instead and own every relation they read.
 #[derive(Debug, Clone, Default)]
 pub struct FactStore {
     rels: HashMap<Sym, Arc<Relation>>,
@@ -254,7 +264,11 @@ impl FactStore {
     }
 
     /// Whether `pred`'s relation is the very same allocation as in
-    /// `other` (diagnostics for the structural-sharing contract).
+    /// `other`. While both stores hold the handle neither can have changed
+    /// it ([`Arc::make_mut`] copies first), so identity implies equal
+    /// content: the seeding analysis uses it to skip a per-tuple
+    /// comparison, the index counters to tell a borrowed relation from an
+    /// owned one, and tests to pin the structural-sharing contract.
     pub fn shares_relation(&self, pred: Sym, other: &FactStore) -> bool {
         match (self.rels.get(&pred), other.rels.get(&pred)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -263,10 +277,9 @@ impl FactStore {
     }
 
     /// A deep clone with per-relation index state dropped: every relation
-    /// is freshly allocated with no built indexes. Evaluation starts from
-    /// this so index-build/hit/miss counters depend only on the program
-    /// and facts, never on which earlier run happened to warm a shared
-    /// relation's indexes.
+    /// is freshly allocated with no built indexes. A cold evaluation starts
+    /// from this, so it builds — and counts — every index it probes,
+    /// whatever an earlier run left on the relations it was handed.
     pub fn detached_clone(&self) -> FactStore {
         FactStore {
             rels: self
@@ -306,60 +319,27 @@ impl FactStore {
 
     /// Merges every fact of `other` into `self`, relation by relation
     /// (one predicate lookup per relation, with capacity reserved up
-    /// front); returns how many facts were new.
+    /// front); returns how many facts were new. A relation new to `self`
+    /// is deep-copied, not shared: it starts with no index state and is
+    /// never mutated out from under another holder. Explicit sharing goes
+    /// through [`Self::set_relation`].
     pub fn absorb(&mut self, other: &FactStore) -> usize {
         let mut added = 0;
         for (&p, rel) in &other.rels {
             if rel.is_empty() {
                 continue;
             }
-            added += self.absorb_rel(p, rel);
-        }
-        added
-    }
-
-    /// Merges only `pred`'s relation from `other`; returns how many facts
-    /// were new.
-    pub fn absorb_pred(&mut self, pred: Sym, other: &FactStore) -> usize {
-        match other.rels.get(&pred) {
-            Some(rel) if !rel.is_empty() => self.absorb_rel(pred, rel),
-            _ => 0,
-        }
-    }
-
-    /// Deep-merge of one relation. A vacant slot still deep-copies (not
-    /// `Arc`-shares) so absorbed relations start with no index state and
-    /// are never retroactively mutated out from under a concurrent holder
-    /// mid-fixpoint; explicit sharing goes through [`Self::share_pred`] /
-    /// [`Self::set_relation`].
-    fn absorb_rel(&mut self, pred: Sym, rel: &Arc<Relation>) -> usize {
-        match self.rels.entry(pred) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Arc::new((**rel).clone()));
-                rel.len()
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                Arc::make_mut(o.get_mut()).extend_from(rel)
-            }
-        }
-    }
-
-    /// Like [`Self::absorb_pred`], but a vacant slot **shares** `other`'s
-    /// relation handle instead of copying it; an occupied slot falls back
-    /// to a deep merge. Returns how many facts were new.
-    pub fn share_pred(&mut self, pred: Sym, other: &FactStore) -> usize {
-        match other.rels.get(&pred) {
-            Some(rel) if !rel.is_empty() => match self.rels.entry(pred) {
+            added += match self.rels.entry(p) {
                 std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(Arc::clone(rel));
+                    v.insert(Arc::new((**rel).clone()));
                     rel.len()
                 }
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     Arc::make_mut(o.get_mut()).extend_from(rel)
                 }
-            },
-            _ => 0,
+            };
         }
+        added
     }
 }
 

@@ -49,9 +49,9 @@
 
 use crate::error::Result;
 use crate::eval::{
-    begin_round, check_cancelled, eval_stratum, execute_round, plan_rules, resolve_threads, solve,
-    EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model, NegView, ParMeta,
-    RulePlan, StratumProfile, StratumScope,
+    begin_round, check_cancelled, eval_stratum, execute_round, plan_rules, resolve_threads,
+    rules_per_head, solve, EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model,
+    NegView, ParMeta, RulePlan, StratumProfile, StratumScope,
 };
 use crate::fact::{FactStore, Tuple};
 use crate::interner::Sym;
@@ -317,8 +317,9 @@ pub(crate) fn apply_delta(
                     })
                 });
                 let memo = memo.as_ref().map(|plans| plans.as_slice());
-                let Some(sp) =
-                    eval_stratum(rules, stratum, memo, &mut total, &mut stats, opts, cap)?
+                let Some(sp) = eval_stratum(
+                    rules, stratum, memo, &mut total, None, &mut stats, opts, cap,
+                )?
                 else {
                     // Three-valued residue: downstream strata would need
                     // three-valued inputs the closed-world maintenance
@@ -356,7 +357,7 @@ pub(crate) fn apply_delta(
                     }
                 }
                 let prepared = plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
-                let mut scope = StratumScope::open(&stats);
+                let mut scope = StratumScope::open(&stats, None);
                 if modes[i] == Mode::Additions {
                     maintain_additions(
                         stratum,
@@ -396,6 +397,8 @@ pub(crate) fn apply_delta(
         undefined: FactStore::new(),
         stats,
         profile,
+        edb: engine.edb.clone(),
+        rules_of: rules_per_head(rules),
     })
 }
 

@@ -176,6 +176,15 @@ impl Engine {
         &self.rules
     }
 
+    /// Whether the program says anything about the predicate named
+    /// `pred`: a rule with that head, or a stored fact.
+    pub fn defines(&self, pred: &str) -> bool {
+        self.lookup(pred).is_some_and(|p| {
+            self.rules.iter().any(|r| r.head.pred == p)
+                || self.edb.relation(p).is_some_and(|r| !r.is_empty())
+        })
+    }
+
     fn check_arity(&mut self, pred: Sym, arity: usize) -> Result<()> {
         match self.arities.get(&pred) {
             Some(&a) if a != arity => Err(DatalogError::ArityMismatch {
@@ -362,20 +371,23 @@ impl Engine {
     /// others may be only partially materialized.
     ///
     /// # Evaluating on top of a cached `base` model
-    /// With `base` given (and [`EvalOptions::base_cache`] on), predicates
-    /// whose inputs did not change since `base` was computed are *seeded*
-    /// from it and their strata skipped outright; only query-relevant
-    /// strata that can differ are re-evaluated (see `Engine::seed_plan`
-    /// for the analysis). The *stable* predicates are also handed to the
-    /// magic rewrite as frozen — their rules are dropped and their
-    /// absorbed base facts stand in for their extension — so the rewrite
-    /// composes with the cache instead of re-deriving what it holds.
+    /// With `base` given (and [`EvalOptions::base_cache`] on), the working
+    /// store **shares** the base model's relations instead of copying
+    /// them: predicates whose inputs did not change since `base` was
+    /// computed are read in place, with whatever indexes earlier calls
+    /// left on them, and their strata are skipped outright; only
+    /// query-relevant strata that can differ are re-evaluated (see
+    /// `Engine::seed_plan` for the analysis), writing to copies. The
+    /// *stable* predicates are also handed to the magic rewrite as frozen
+    /// — their rules are dropped and the base's extension stands in for
+    /// them — so the rewrite composes with the cache instead of
+    /// re-deriving what it holds. `base` itself is never written to.
     ///
     /// `base` must be a model of a subprogram of this engine's rules over
-    /// a **subset** of this engine's EDB (facts and rules may have been
-    /// added since, never removed or changed), and rules present here but
-    /// absent from the base program may only define predicates that have
-    /// no facts in `base`. Under that contract the result equals the
+    /// a **subset** of this engine's EDB: facts and rules may have been
+    /// added since, never removed or changed. A rule added since may
+    /// define any predicate, also one the base program already had rules
+    /// or facts for. Under that contract the result equals the
     /// `base: None` evaluation. A three-valued `base` is ignored: an
     /// undefined atom is neither in nor out of a seeded extension.
     ///
@@ -402,7 +414,9 @@ impl Engine {
             if let Some(rw) = magic::rewrite(&relevant, edb, goal, stable, &mut self.syms) {
                 if rw.demand_ratio.is_some_and(|r| r >= magic::DECLINE_RATIO) {
                     declined = rw.demand_ratio;
-                } else if let Some(mut model) = self.eval_rewritten(&rw, edb.clone(), opts)? {
+                } else if let Some(mut model) =
+                    self.eval_rewritten(&rw, edb.clone(), opts, stable)?
+                {
                     model.profile.seeded = seeded;
                     model.profile.magic_demand_ratio = rw.demand_ratio;
                     return Ok(model);
@@ -420,13 +434,17 @@ impl Engine {
 
     /// Stratifies and evaluates a magic-rewritten program (demand seeds
     /// inserted into `edb` first), annotating the profile with rewrite
-    /// counters. `Ok(None)` when the rewritten program cannot take the
-    /// stratified path — the caller falls back to plain evaluation.
+    /// counters. `stable` is the seed plan's frozen set when `edb` is its
+    /// working store: the rewrite dropped those predicates' rules, and the
+    /// store is borrowed, not copied. `Ok(None)` when the rewritten program
+    /// cannot take the stratified path — the caller falls back to plain
+    /// evaluation.
     fn eval_rewritten(
         &self,
         rw: &magic::MagicRewrite,
         mut edb: FactStore,
         opts: &EvalOptions,
+        stable: Option<&HashSet<Sym>>,
     ) -> Result<Option<Model>> {
         let Ok(strat) = program::stratify(&rw.rules, |s| self.syms.resolve(s).to_string()) else {
             return Ok(None);
@@ -437,7 +455,7 @@ impl Engine {
         for (p, args) in &rw.seeds {
             edb.insert(*p, args.clone().into());
         }
-        let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, None)?;
+        let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, stable)?;
         model.profile.magic_fired = true;
         model.profile.adorned_rules = rw.adorned_rules;
         model.profile.magic_preds = rw.magic_preds.len();
@@ -460,44 +478,57 @@ impl Engine {
 
     /// The cross-query seeding analysis behind [`Engine::run_for_query`]'s
     /// `base` argument: classifies the relevant predicates against a
-    /// cached base model and returns the working EDB with every
-    /// safely-absorbable base fact already merged in.
+    /// cached base model and returns the working store, which shares the
+    /// base model's relation wherever its facts are safe to reuse.
     ///
-    /// Seed set Δ: predicates whose EDB holds facts absent from the base
-    /// model, plus heads with no base extension (covers new rules). The
-    /// classification then propagates along dependency edges to a
-    /// fixpoint: a *positive* edge from a grown predicate can only add
-    /// facts to its head (grown, monotone); any edge from an unstable
+    /// Seed set Δ: predicates with stored facts the base model lacks, plus
+    /// heads whose rules the base program did not have (as many rules now
+    /// as then means the same rules; a head the base evaluated to an empty
+    /// extension is *not* in Δ). A stored relation that is the very
+    /// allocation the base was evaluated from has nothing new, by
+    /// identity; only a relation whose handle differs is compared tuple by
+    /// tuple. The classification then propagates along dependency edges
+    /// to a fixpoint: a *positive* edge from a grown predicate can only
+    /// add facts to its head (grown, monotone); any edge from an unstable
     /// predicate, or a negation/aggregate edge from a grown one, makes
-    /// the head *unstable* (facts may appear or vanish). Base facts of
-    /// everything except unstable predicates are absorbed into the
-    /// returned EDB; *stable* predicates (neither grown nor unstable)
-    /// keep their base extension exactly, so their strata can be skipped
-    /// (or, on the magic path, their rules dropped).
+    /// the head *unstable* (facts may appear or vanish). Every predicate
+    /// that is not unstable reads the base model's relation — the handle
+    /// itself, plus a copy-on-write insert per new stored fact; *stable*
+    /// predicates (neither grown nor unstable) keep the base extension
+    /// exactly, so their strata can be skipped (or, on the magic path,
+    /// their rules dropped).
     fn seed_plan(&self, relevant: &[Rule], goals: &[Sym], base: &Model) -> SeedPlan {
-        let mut grown: HashSet<Sym> = HashSet::new();
-        let mut unstable: HashSet<Sym> = HashSet::new();
-        for p in self.edb.predicates() {
+        let mut touched: HashSet<Sym> = goals.iter().copied().collect();
+        let mut deps: Vec<(Sym, Sym, bool)> = Vec::new();
+        for r in relevant {
+            touched.insert(r.head.pred);
+            collect_body_preds(&r.body, &mut touched);
+            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
+        }
+        let mut novel: HashMap<Sym, Vec<Tuple>> = HashMap::new();
+        for &p in &touched {
+            if self.edb.shares_relation(p, &base.edb) {
+                continue;
+            }
             let Some(rel) = self.edb.relation(p) else {
                 continue;
             };
-            let novel = match base.facts.relation(p) {
-                Some(b) => rel.iter().any(|t| !b.contains(t)),
-                None => !rel.is_empty(),
-            };
-            if novel {
-                grown.insert(p);
+            let new: Vec<Tuple> = rel
+                .iter()
+                .filter(|t| !base.facts.contains(p, t))
+                .cloned()
+                .collect();
+            if !new.is_empty() {
+                novel.insert(p, new);
             }
         }
-        for r in relevant {
-            if base.facts.relation(r.head.pred).is_none() {
-                grown.insert(r.head.pred);
+        let mut grown: HashSet<Sym> = novel.keys().copied().collect();
+        for (h, n) in eval::rules_per_head(relevant) {
+            if base.rules_of.get(&h) != Some(&n) {
+                grown.insert(h);
             }
         }
-        let mut deps: Vec<(Sym, Sym, bool)> = Vec::new();
-        for r in relevant {
-            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
-        }
+        let mut unstable: HashSet<Sym> = HashSet::new();
         loop {
             let mut changed = false;
             for &(h, b, nonmono) in &deps {
@@ -512,21 +543,18 @@ impl Engine {
                 break;
             }
         }
-        let mut touched: HashSet<Sym> = goals.iter().copied().collect();
-        for r in relevant {
-            touched.insert(r.head.pred);
-            collect_body_preds(&r.body, &mut touched);
-        }
         let mut edb = self.edb.clone();
-        let mut seeded = 0usize;
-        for &p in &touched {
-            if !unstable.contains(&p) {
-                seeded += edb.absorb_pred(p, &base.facts);
+        for &p in touched.iter().filter(|p| !unstable.contains(p)) {
+            if let Some(rel) = base.facts.relation_arc(p) {
+                edb.set_relation(p, rel);
+                for t in novel.remove(&p).unwrap_or_default() {
+                    edb.insert(p, t);
+                }
             }
         }
+        let seeded = edb.len() - self.edb.len();
         let stable: HashSet<Sym> = touched
-            .iter()
-            .copied()
+            .into_iter()
             .filter(|p| !grown.contains(p) && !unstable.contains(p))
             .collect();
         SeedPlan {
@@ -607,9 +635,10 @@ impl Engine {
     }
 }
 
-/// The result of [`Engine::seed_plan`]: the working EDB with absorbed
-/// base facts, the exactly-stable predicate set, and how many facts were
-/// seeded.
+/// The result of [`Engine::seed_plan`]: the working store (stored facts,
+/// with the base model's relations shared in), the exactly-stable
+/// predicate set, and how many base facts the store reuses beyond the
+/// stored ones.
 struct SeedPlan {
     edb: FactStore,
     stable: HashSet<Sym>,
@@ -750,6 +779,51 @@ mod tests {
         assert_eq!(nocache.profile.seeded, 0);
         let nset: HashSet<Tuple> = nocache.tuples(view).into_iter().collect();
         assert_eq!(nset, cset);
+    }
+
+    #[test]
+    fn seeded_goal_reads_the_base_in_place_and_counts_only_its_own_indexes() {
+        let mut e = Engine::new();
+        e.load(
+            "e(a,b). e(b,c). e(c,d). n(a). n(b).
+             tc(X,Y) :- e(X,Y).
+             tc(X,Y) :- tc(X,Z), e(Z,Y).
+             none(X) :- n(X), nil(X).
+             free(X) :- n(X), not none(X).",
+        )
+        .unwrap();
+        let opts = EvalOptions {
+            magic_sets: false,
+            ..Default::default()
+        };
+        let base = e.run(&opts).unwrap();
+        e.load("view(Y) :- free(X), tc(X,Y).").unwrap();
+        let [view, tc, free, edge] = ["view", "tc", "free", "e"].map(|p| e.lookup(p).unwrap());
+        let goal = Atom::new(view, vec![Term::Var(Var(0))]);
+        let first = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        // The join probed `tc` on its first column: the index now sits on
+        // the base's relation, which the answer shares, and is nobody's
+        // build — on this call or the next.
+        assert_eq!(base.facts.relation(tc).unwrap().index_count(), 1);
+        let second = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        for m in [&first, &second] {
+            assert_eq!(m.tuples(view).len(), 3);
+            assert_eq!(m.stats.derived, 3);
+            assert_eq!(m.stats.index_builds, 0);
+            assert_eq!(m.stats, first.stats);
+            for p in [tc, free, edge] {
+                assert!(m.facts.shares_relation(p, &base.facts));
+            }
+            // `none` was evaluated to nothing in the base: stable, so the
+            // negation above it is skipped with everything else.
+            for s in &m.profile.strata {
+                assert_eq!(s.skipped, !s.preds.contains(&view), "{:?}", s.preds);
+            }
+        }
+        // Cold, the same call owns — and counts — the index it builds.
+        let cold = e.run_for_query(&goal, None, &opts).unwrap();
+        assert!(cold.stats.index_builds > 0);
+        assert!(!cold.facts.shares_relation(tc, &base.facts));
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub(crate) struct MagicRewrite {
     /// The cost model's estimate of the demanded fraction of the
     /// reachable EDB (see [`estimate_demand_ratio`]); `None` when the
     /// reachable EDB is below the estimation floor (tiny programs always
-    /// accept the rewrite).
+    /// accept the rewrite), and when only the goal itself was adorned (no
+    /// demand is passed on, so there is nothing to estimate).
     pub demand_ratio: Option<f64>,
 }
 
@@ -482,7 +483,14 @@ pub(crate) fn rewrite(
             .collect();
         seeds.push((m_sym, args));
     }
-    let demand_ratio = estimate_demand_ratio(rules, edb, &seeds, &out, &magic_preds);
+    // With only the goal adorned nothing is passed sideways: the rewrite
+    // is the goal's own rules behind the goal's constants, there is no
+    // cone to weigh, and the scan below would cost more than the answer.
+    let demand_ratio = if order.len() == 1 {
+        None
+    } else {
+        estimate_demand_ratio(rules, edb, &seeds, &out, &magic_preds)
+    };
     Some(MagicRewrite {
         rules: out,
         seeds,

@@ -113,6 +113,8 @@ mod tests {
             undefined,
             stats,
             profile: Default::default(),
+            edb: edb.clone(),
+            rules_of: Default::default(),
         }
     }
 

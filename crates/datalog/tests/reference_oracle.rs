@@ -10,7 +10,10 @@
 //! x base none/some) and `Engine::apply_delta` must each reproduce its
 //! true and undefined sets on generated programs mixing positive
 //! recursion, stratified negation, `!=`, and negation cycles — two-valued
-//! and three-valued alike.
+//! and three-valued alike. A second family of programs has rule heads that
+//! derive nothing and feed a negation cycle; one rule is added on top of
+//! their evaluated base and the seeded `run_for_query` held to the oracle,
+//! and the base model to what it was before it was borrowed.
 
 use kind_datalog::{stratify, Atom, Engine, EvalOptions, FactStore, Model, Term, Var};
 use proptest::prelude::*;
@@ -18,8 +21,8 @@ use std::collections::BTreeSet;
 
 const CONSTS: u8 = 6;
 /// Predicate names and arities; `v` is only ever defined by the view rule
-/// a [`Change`] adds.
-const PREDS: [(&str, usize); 8] = [
+/// a [`Change`] adds. The last four belong to [`scaffold`].
+const PREDS: [(&str, usize); 12] = [
     ("e", 2),
     ("n", 1),
     ("p", 1),
@@ -28,8 +31,20 @@ const PREDS: [(&str, usize); 8] = [
     ("s", 1),
     ("t", 2),
     ("v", 1),
+    ("z", 1),
+    ("w", 1),
+    ("g", 1),
+    ("m", 2),
 ];
 const VIEW: usize = 7;
+/// A head whose only base rule reads `w`, which has neither facts nor
+/// rules: evaluated, and empty.
+const EMPTY: usize = 8;
+const NOTHING: usize = 9;
+/// The game over the acyclic `m`, so two-valued; every position also
+/// negates the empty head.
+const CYCLE: usize = 10;
+const MOVE: usize = 11;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Arg {
@@ -295,7 +310,7 @@ fn change() -> impl Strategy<Value = Change> {
     (
         facts(),
         prop::collection::vec(lit_gene(), 1..3),
-        (2u8..PREDS.len() as u8, 0u8..5, 0u8..5),
+        (2u8..VIEW as u8 + 1, 0u8..5, 0u8..5),
         prop::collection::vec(0usize..16, 0..3),
     )
         .prop_map(|(mut add, body, (gp, ga, gb), retract)| {
@@ -316,8 +331,87 @@ fn change() -> impl Strategy<Value = Change> {
         })
 }
 
+/// `z(X) :- n(X), w(X).` and `g(X) :- m(X,Y), not g(Y), not z(X).`
+fn scaffold() -> [PRule; 2] {
+    let rule = |head, pos, neg| PRule {
+        head,
+        pos,
+        neg,
+        ne: None,
+    };
+    [
+        rule(
+            lit(EMPTY, 0, 0),
+            vec![lit(1, 0, 0), lit(NOTHING, 0, 0)],
+            vec![],
+        ),
+        rule(
+            lit(CYCLE, 0, 0),
+            vec![lit(MOVE, 0, 1)],
+            vec![lit(CYCLE, 1, 1), lit(EMPTY, 0, 0)],
+        ),
+    ]
+}
+
+/// A generated program plus the [`scaffold`] and moves `m(ci, cj)`, i < j.
+fn program_over_empty_heads() -> impl Strategy<Value = Program> {
+    let moves = prop::collection::vec((0u8..CONSTS, 0u8..CONSTS), 2..8);
+    (program(), moves).prop_map(|(mut prog, moves)| {
+        prog.rules.extend(scaffold());
+        for (a, b) in moves {
+            if a != b {
+                prog.facts.insert((MOVE, vec![a.min(b), a.max(b)]));
+            }
+        }
+        prog
+    })
+}
+
+/// One rule added after the base was evaluated, with or without stored
+/// facts beside it, and a goal to ask besides the rule's own head.
+#[derive(Debug)]
+struct Addition {
+    add: Vec<Ground>,
+    rule: PRule,
+    goal: Lit,
+}
+
+fn addition() -> impl Strategy<Value = Addition> {
+    (change(), 0u8..3, 0u8..2).prop_map(|(change, kind, bare)| {
+        let mut rule = change.view;
+        match kind {
+            // A fresh head, as generated.
+            0 => {}
+            // A second rule for the head the base evaluated to nothing.
+            1 => rule.head.pred = EMPTY,
+            // A fresh head over a body that reads the empty head.
+            _ => rule.neg.push(Lit {
+                pred: EMPTY,
+                args: rule.head.args.clone(),
+            }),
+        }
+        Addition {
+            add: if bare == 0 { Vec::new() } else { change.add },
+            rule,
+            goal: change.goal,
+        }
+    })
+}
+
 // ---------------------------------------------------------------------
 // Engine side.
+
+/// Default options at the evaluate-plane thread budget CI asks for
+/// (`KIND_EVAL_THREADS=1` and `=8`; models are bit-identical across it).
+fn options() -> EvalOptions {
+    EvalOptions {
+        eval_threads: std::env::var("KIND_EVAL_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0),
+        ..Default::default()
+    }
+}
 
 fn grounds(e: &Engine, store: &FactStore) -> BTreeSet<Ground> {
     store
@@ -366,7 +460,7 @@ fn assert_goal(e: &mut Engine, goal: &Lit, base: &Model, prog: &Program) {
         for base in [None, Some(base)] {
             let opts = EvalOptions {
                 magic_sets,
-                ..Default::default()
+                ..options()
             };
             let m = e.run_for_query(&atom, base, &opts).unwrap();
             let what = format!(
@@ -397,7 +491,7 @@ fn assert_goal(e: &mut Engine, goal: &Lit, base: &Model, prog: &Program) {
 
 /// Runs one generated history through every evaluation entry point.
 fn check(prog: &Program, change: &Change) {
-    let opts = EvalOptions::default();
+    let opts = options();
     let mut e = Engine::new();
     e.load(&prog.text()).unwrap();
     let base = e.run(&opts).unwrap();
@@ -435,6 +529,46 @@ fn check(prog: &Program, change: &Change) {
     assert_model(&e, &dec, &shrunk, "apply_delta after retraction");
 }
 
+/// Every tuple of every relation, in stored order.
+fn frozen(m: &Model) -> Vec<(usize, Vec<kind_datalog::Tuple>)> {
+    let mut preds: Vec<_> = m.facts.predicates().collect();
+    preds.sort_by_key(|p| p.index());
+    preds
+        .into_iter()
+        .map(|p| (p.index(), m.tuples(p)))
+        .collect()
+}
+
+/// Evaluates the base, adds one rule (and maybe facts), and asks the
+/// seeded path for the rule's head, the cycle, the empty head and one
+/// more goal.
+fn check_addition(prog: &Program, addition: &Addition) {
+    let mut e = Engine::new();
+    e.load(&prog.text()).unwrap();
+    let base = e.run(&options()).unwrap();
+    assert_model(&e, &base, prog, "run");
+    assert!(base.tuples(e.sym("z")).is_empty());
+    let before = frozen(&base);
+    let growth = Program {
+        facts: addition.add.iter().cloned().collect(),
+        rules: vec![addition.rule.clone()],
+    };
+    e.load(&growth.text()).unwrap();
+    let mut grown = prog.clone();
+    grown.facts.extend(growth.facts);
+    grown.rules.extend(growth.rules);
+    for goal in [
+        &lit(addition.rule.head.pred, 0, 0),
+        &lit(CYCLE, 0, 0),
+        &lit(EMPTY, 0, 0),
+        &addition.goal,
+    ] {
+        assert_goal(&mut e, goal, &base, &grown);
+    }
+    // Nothing was written through a relation the answers borrowed.
+    assert_eq!(frozen(&base), before, "base model of\n{}", prog.text());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -442,6 +576,27 @@ proptest! {
     fn engine_matches_the_naive_oracle(prog in program(), change in change()) {
         check(&prog, &change);
     }
+
+    #[test]
+    fn seeded_answers_over_empty_heads_match_the_naive_oracle(
+        prog in program_over_empty_heads(),
+        addition in addition(),
+    ) {
+        check_addition(&prog, &addition);
+    }
+}
+
+/// Seeding only happens over a two-valued base: enough of the second
+/// family must be.
+#[test]
+fn programs_over_empty_heads_are_mostly_two_valued() {
+    let two_valued = (0..256)
+        .filter(|&case| {
+            let prog = program_over_empty_heads().generate(&mut TestRng::for_case(case));
+            well_founded(&prog).1.is_empty()
+        })
+        .count();
+    assert!(two_valued >= 128, "{two_valued} of 256");
 }
 
 /// The generator must actually reach the cases the oracle is there for:

@@ -82,18 +82,22 @@ impl Json {
     }
 
     /// Parses a JSON value from text (the whole input must be consumed,
-    /// modulo whitespace).
+    /// modulo whitespace). Linear in the input; arrays and objects nested
+    /// deeper than [`MAX_DEPTH`] are an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
     }
 }
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// protocol's own shapes stop at three (`rows` → row → cell).
+pub const MAX_DEPTH: usize = 64;
 
 /// An object builder for response construction:
 /// `obj([("ok", Json::Bool(true)), ...])`.
@@ -107,8 +111,12 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!("nested deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -121,7 +129,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(text, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -130,7 +138,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -152,7 +160,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -164,7 +172,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') if b[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(Json::Bool(true))
@@ -185,62 +193,56 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             {
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
+            let digits = &text[start..*pos];
+            digits
+                .parse::<f64>()
                 .map(Json::Num)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
+                .map_err(|e| format!("bad number {digits:?}: {e}"))
         }
         Some(c) => Err(format!("unexpected byte {c:?} at {pos}")),
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        // Surrogate pairs are not needed by this protocol;
-                        // lone surrogates map to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unmodified).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+        // Everything up to the next quote or backslash is copied in one
+        // piece. Both are ASCII, so neither can sit inside a multi-byte
+        // sequence and the run ends on a character boundary.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run + 1;
+        if b[*pos - 1] == b'"' {
+            return Ok(out);
         }
+        match b.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = text
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or("truncated \\u escape".to_string())?;
+                let code = u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
+                // Surrogate pairs are not needed by this protocol;
+                // lone surrogates map to the replacement char.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        }
+        *pos += 1;
     }
 }
 
@@ -339,6 +341,62 @@ mod tests {
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    /// A reply of `rows` string cells mixing plain ASCII, multi-byte
+    /// UTF-8 and every character the printer escapes.
+    fn string_heavy_reply(rows: usize) -> Json {
+        let cells = [
+            "NCMIR.pa17",
+            "Purkinje_Spine",
+            "naïve café — 神経 🧠",
+            "quote \" backslash \\ slash / newline \n tab \t return \r",
+            "bell \u{7} backspace \u{8} formfeed \u{c} nul \u{0}",
+        ];
+        let rows = (0..rows)
+            .map(|i| {
+                Json::Arr(
+                    cells
+                        .iter()
+                        .map(|c| Json::str(format!("{c} {i}")))
+                        .collect(),
+                )
+            })
+            .collect();
+        obj([("ok", Json::Bool(true)), ("rows", Json::Arr(rows))])
+    }
+
+    #[test]
+    fn parse_inverts_print_on_large_string_heavy_replies() {
+        // About 64 kB and about 1 MB on the wire.
+        for rows in [350, 5_600] {
+            let v = string_heavy_reply(rows);
+            let text = v.to_string();
+            assert!(text.len() > rows * 180, "{} bytes", text.len());
+            assert_eq!(Json::parse(&text).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn every_escape_and_multibyte_text_parse() {
+        let text = r#""\" \\ \/ \n \t \r \b \f \u00e9 \u795e é神🧠 \ud800""#;
+        assert_eq!(
+            Json::parse(text).unwrap(),
+            Json::str("\" \\ / \n \t \r \u{8} \u{c} é 神 é神🧠 \u{fffd}")
+        );
+        for bad in [r#""\x""#, r#""\u12""#, r#""\u12é4""#, r#""\"#, r#""open"#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_overflowed() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        // Unclosed and a hundred thousand deep: an error, not a dead worker.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(100_000)).is_err());
     }
 
     #[test]
