@@ -6,18 +6,14 @@
 //! cargo run -p kind-bench --bin report
 //! ```
 
-use kind_bench::{closure_map, corrupted_order, latency_mediator};
+use kind_bench::{closure_map, corrupted_order};
 use kind_core::{
-    protein_distribution, run_section5, Fault, FetchRequest, Mediator, NeuroSchema, Section5Query,
-    SourcePolicy,
+    protein_distribution, run_section5, Fault, Mediator, NeuroSchema, Section5Query, SourcePolicy,
 };
 use kind_datalog::EvalOptions;
 use kind_dm::{figures, Resolved};
 use kind_flogic::FLogic;
 use kind_gcm::{GcmDecl, GcmValue};
-use kind_server::client::{workload_request, Conn};
-use kind_server::server::{spawn_server, ServerConfig};
-use kind_server::wire::{obj, Json};
 use kind_sources::{build_scenario, build_scenario_with_faults, ncmir_update_rows, ScenarioParams};
 use std::hint::black_box;
 use std::time::Instant;
@@ -79,19 +75,17 @@ fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
         .expect("at least one iteration")
 }
 
-/// PR benchmark report: the PR 2 evaluation-pipeline benches (each entry
-/// pairs a baseline with the optimized path, minimum wall time of both),
-/// the PR 3 concurrent-snapshot throughput group, the PR 4 parallel
-/// fetch-plane group, the PR 5 parallel evaluate-plane group, the PR 6
-/// tail-latency (hedged fetch) group, the PR 7 magic-sets ablation
-/// group, the PR 8 incremental-publish (write plane) group, the PR 9
-/// sustained-QPS group driving a live `kind-server` over TCP, the PR 10
-/// overlapped-fetch group (the stall-parking executor on a wide fan of
-/// slow sources), and `EvalStats` counters
-/// from a representative warm model. Results go to stdout and
-/// `BENCH_PR10.json`.
+/// The bench ledger for what the frozen `benchmark/` does not measure:
+/// the evaluation-pipeline benches (each entry pairs a baseline with the
+/// optimized path, minimum wall time of both), the concurrent-snapshot
+/// throughput group, the magic-sets ablation, the incremental-publish
+/// (write plane) group, the tail-latency (hedged fetch) group in virtual
+/// time, and `EvalStats` counters from a representative warm model.
+/// Serving, fetch overlap and cold materialization are the benchmark's
+/// (`served_*`, `stalled_fetch`, `cold_federation`). Results go to stdout
+/// and `BENCH_PR10.json`.
 fn bench_pr10_report(fast: bool, inc: IncGroup) {
-    header("PR 10 — overlapped fetch executor + serving/write planes");
+    header("Bench ledger — evaluation pipeline, snapshots, write plane");
     let iters = if fast { 5 } else { 25 };
     let (depth, fanout) = if fast { (4usize, 3usize) } else { (5, 3) };
     let mut rows: Vec<(&str, u128, u128)> = Vec::new();
@@ -217,82 +211,6 @@ fn bench_pr10_report(fast: bool, inc: IncGroup) {
         );
     }
 
-    let par = parallel_materialize_bench(fast);
-    println!(
-        "\n  parallel materialization ({} sources, {}ms simulated source latency, {} core(s)):",
-        par.sources,
-        par.delay_ms,
-        cores()
-    );
-    println!(
-        "  {:>14} | {:>13} | {:>8}",
-        "fetch threads", "wall ns", "speedup"
-    );
-    let serial_ns = par.serial_wall_ns;
-    println!("  {:>14} | {:>13} | {:>7.2}x", "serial", serial_ns, 1.0);
-    for r in &par.rows {
-        println!(
-            "  {:>14} | {:>13} | {:>7.2}x",
-            r.threads,
-            r.wall_ns,
-            serial_ns as f64 / r.wall_ns.max(1) as f64
-        );
-    }
-
-    let over = overlapped_fetch_bench(fast);
-    println!(
-        "\n  overlapped fetch ({} sources × {}ms real stall each, {} core(s)):",
-        over.sources,
-        over.delay_ms,
-        cores()
-    );
-    println!(
-        "  {:>14} | {:>7} | {:>13} | {:>13} | {:>12} | {:>8}",
-        "row", "workers", "p50 wall ns", "p99 wall ns", "peak threads", "overlap"
-    );
-    for r in &over.rows {
-        println!(
-            "  {:>14} | {:>7} | {:>13} | {:>13} | {:>12} | {:>7.2}x",
-            r.name,
-            if r.workers == 0 {
-                "auto".to_string()
-            } else {
-                r.workers.to_string()
-            },
-            r.p50_ns,
-            r.p99_ns,
-            r.peak_threads,
-            over.overlap(r)
-        );
-    }
-
-    let pe = parallel_eval_bench(fast, &params);
-    println!(
-        "\n  parallel evaluation (warm §5 answer, {} core(s){}):",
-        cores(),
-        if cores() == 1 {
-            ", 1-core host: flat scaling expected"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "  {:>12} | {:>13} | {:>8}",
-        "eval threads", "wall ns", "speedup"
-    );
-    println!(
-        "  {:>12} | {:>13} | {:>7.2}x",
-        "serial", pe.serial_wall_ns, 1.0
-    );
-    for r in &pe.rows {
-        println!(
-            "  {:>12} | {:>13} | {:>7.2}x",
-            r.threads,
-            r.wall_ns,
-            pe.serial_wall_ns as f64 / r.wall_ns.max(1) as f64
-        );
-    }
-
     let magic = magic_sets_bench(fast, &params);
     println!("\n  magic-sets ablation (warm answer, rewrite off vs. on):");
     println!(
@@ -358,260 +276,9 @@ fn bench_pr10_report(fast: bool, inc: IncGroup) {
         );
     }
 
-    let sq = server_qps_bench(fast);
-    println!(
-        "\n  server_qps (live kind-server over TCP, mixed workload, {} core(s){}):",
-        cores(),
-        if cores() == 1 {
-            "; 1-core host: worker scaling is overlap only"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "  {:>12} | {:>7} | {:>5} | {:>7} | {:>7} | {:>4} | {:>8} | {:>8} | {:>8} | {:>9} | {:>9}",
-        "row",
-        "workers",
-        "queue",
-        "clients",
-        "ok",
-        "shed",
-        "qps",
-        "p50 µs",
-        "p99 µs",
-        "pre p99",
-        "post p99"
-    );
-    for r in &sq.rows {
-        println!(
-            "  {:>12} | {:>7} | {:>5} | {:>7} | {:>7} | {:>4} | {:>8.0} | {:>8} | {:>8} | {:>9} | {:>9}",
-            r.name,
-            r.workers,
-            r.queue_depth,
-            r.clients,
-            r.ok,
-            r.shed,
-            r.qps(),
-            r.p50_us,
-            r.p99_us,
-            r.pre_publish_p99_us,
-            r.post_publish_p99_us
-        );
-    }
-    if let Some(ratio) = sq.overload_p99_ratio() {
-        println!(
-            "  overload: bounded queue kept admitted p99 at {:.2}x the uncontended p99",
-            ratio
-        );
-    }
-
-    let json = render_bench_json(
-        fast,
-        iters,
-        &rows,
-        &conc,
-        &par,
-        &over,
-        &pe,
-        &tail,
-        &magic,
-        &inc,
-        &sq,
-        &mut m_warm,
-    );
+    let json = render_bench_json(fast, iters, &rows, &conc, &tail, &magic, &inc, &mut m_warm);
     std::fs::write("BENCH_PR10.json", &json).expect("write BENCH_PR10.json");
     println!("\nwrote BENCH_PR10.json");
-}
-
-/// One `server_qps` measurement: a freshly spawned `kind-server` (its
-/// own scenario mediator, worker pool, and admission queue) driven over
-/// real TCP by `clients` threads issuing the mixed client workload.
-struct QpsRow {
-    name: &'static str,
-    workers: usize,
-    queue_depth: usize,
-    clients: usize,
-    ok: u64,
-    shed: u64,
-    deadline: u64,
-    publishes: u64,
-    wall_ns: u128,
-    p50_us: u128,
-    p99_us: u128,
-    /// p99 of requests served from the startup epoch (0 when the row
-    /// runs without mid-run publishes).
-    pre_publish_p99_us: u128,
-    /// p99 of requests served from a republished epoch — the
-    /// republish-while-serving evidence (0 when no publishes ran).
-    post_publish_p99_us: u128,
-}
-
-impl QpsRow {
-    fn qps(&self) -> f64 {
-        self.ok as f64 / (self.wall_ns as f64 / 1e9)
-    }
-}
-
-/// The PR 9 `server_qps` group: sustained rows at two worker counts
-/// (each with a mid-run republish), an uncontended reference row, and a
-/// deliberately overloaded row with a queue depth of 1.
-struct ServerQpsGroup {
-    rows: Vec<QpsRow>,
-}
-
-impl ServerQpsGroup {
-    /// Admitted-p99 under overload over the uncontended p99 — the
-    /// bounded-queue claim is that shedding keeps this small (≤ 2x).
-    fn overload_p99_ratio(&self) -> Option<f64> {
-        let base = self.rows.iter().find(|r| r.name == "uncontended")?;
-        let over = self.rows.iter().find(|r| r.name == "overload")?;
-        Some(over.p99_us as f64 / base.p99_us.max(1) as f64)
-    }
-}
-
-/// Drives one spawned server with `clients` threads × `per_client`
-/// requests of the mixed workload; when `publishes > 0`, a publisher
-/// connection republishes that many single-row batches once half the
-/// requests have completed, and latency samples are split by the epoch
-/// each response reports.
-fn server_qps_run(
-    name: &'static str,
-    scenario: &ScenarioParams,
-    workers: usize,
-    queue_depth: usize,
-    clients: usize,
-    per_client: usize,
-    publishes: u64,
-) -> QpsRow {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let handle = spawn_server(ServerConfig {
-        workers,
-        queue_depth,
-        scenario: scenario.clone(),
-        ..ServerConfig::default()
-    })
-    .expect("server spawns");
-    let addr = handle.addr().to_string();
-
-    let completed = AtomicU64::new(0);
-    let shed = AtomicU64::new(0);
-    let deadline = AtomicU64::new(0);
-    let total = (clients * per_client) as u64;
-    // (latency µs, epoch) per successful response, merged across threads.
-    let samples: std::sync::Mutex<Vec<(u128, u64)>> = std::sync::Mutex::new(Vec::new());
-
-    let wall = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..clients {
-            let (addr, completed, shed, deadline, samples) =
-                (&addr, &completed, &shed, &deadline, &samples);
-            s.spawn(move || {
-                let mut conn = Conn::connect(addr).expect("client connects");
-                let mut local: Vec<(u128, u64)> = Vec::with_capacity(per_client);
-                for i in 0..per_client {
-                    let req = workload_request(t * 7 + i, 0);
-                    let t0 = Instant::now();
-                    let resp = conn.request(req).expect("request round-trips");
-                    let lat_us = t0.elapsed().as_micros();
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-                        let epoch = resp.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-                        local.push((lat_us, epoch));
-                    } else {
-                        match resp.get("error").and_then(Json::as_str) {
-                            Some("overloaded") => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                                // Honor the backpressure signal briefly so
-                                // the row measures shedding, not a retry
-                                // storm.
-                                std::thread::sleep(std::time::Duration::from_micros(500));
-                            }
-                            _ => {
-                                deadline.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                samples.lock().unwrap().append(&mut local);
-            });
-        }
-        if publishes > 0 {
-            let (addr, completed) = (&addr, &completed);
-            s.spawn(move || {
-                // Republish while serving: wait for the run to be half
-                // done, then push fresh NCMIR rows through the writer
-                // thread, bumping the hub epoch under live traffic.
-                while completed.load(Ordering::Relaxed) < total / 2 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                let mut conn = Conn::connect(addr).expect("publisher connects");
-                for _ in 0..publishes {
-                    let resp = conn
-                        .request(obj([("op", Json::str("publish")), ("rows", Json::int(1))]))
-                        .expect("publish round-trips");
-                    assert_eq!(
-                        resp.get("ok").and_then(Json::as_bool),
-                        Some(true),
-                        "mid-run publish failed"
-                    );
-                }
-            });
-        }
-    });
-    let wall_ns = wall.elapsed().as_nanos();
-    handle.shutdown();
-
-    let mut samples = samples.into_inner().unwrap();
-    samples.sort_unstable_by_key(|&(lat, _)| lat);
-    let ok = samples.len() as u64;
-    let lats: Vec<u128> = samples.iter().map(|&(lat, _)| lat).collect();
-    let base_epoch = samples.iter().map(|&(_, e)| e).min().unwrap_or(0);
-    let pre: Vec<u128> = samples
-        .iter()
-        .filter(|&&(_, e)| e == base_epoch)
-        .map(|&(lat, _)| lat)
-        .collect();
-    let post: Vec<u128> = samples
-        .iter()
-        .filter(|&&(_, e)| e > base_epoch)
-        .map(|&(lat, _)| lat)
-        .collect();
-    let pct = |v: &[u128], p: usize| if v.is_empty() { 0 } else { percentile(v, p) };
-    QpsRow {
-        name,
-        workers,
-        queue_depth,
-        clients,
-        ok,
-        shed: shed.load(Ordering::Relaxed),
-        deadline: deadline.load(Ordering::Relaxed),
-        publishes,
-        wall_ns,
-        p50_us: pct(&lats, 50),
-        p99_us: pct(&lats, 99),
-        pre_publish_p99_us: if publishes > 0 { pct(&pre, 99) } else { 0 },
-        post_publish_p99_us: pct(&post, 99),
-    }
-}
-
-/// The PR 9 tentpole measurement: sustained QPS against a live
-/// `kind-server` binary plane (in-process spawn, real TCP loopback).
-/// Two worker counts each absorb a mid-run republish — the epoch-split
-/// p99 columns show serving continued across the swap with no cliff —
-/// and the `overload` row sheds on a queue depth of 1, showing bounded
-/// admission keeps the p99 of *admitted* requests near the uncontended
-/// baseline while excess load gets a typed `overloaded` response.
-fn server_qps_bench(fast: bool) -> ServerQpsGroup {
-    let scenario = bench_params(fast);
-    let per_client = if fast { 25 } else { 100 };
-    let rows = vec![
-        server_qps_run("uncontended", &scenario, 1, 64, 1, per_client, 0),
-        server_qps_run("1_worker", &scenario, 1, 64, 2, per_client, 2),
-        server_qps_run("2_workers", &scenario, 2, 64, 4, per_client, 2),
-        server_qps_run("overload", &scenario, 1, 1, 4, per_client, 0),
-    ];
-    ServerQpsGroup { rows }
 }
 
 /// Sustained write-while-read throughput: one writer loading rows and
@@ -939,229 +606,6 @@ fn tail_latency_bench(fast: bool) -> TailGroup {
     }
 }
 
-/// The evaluate-plane group's results: the §5 warm `answer()` workload —
-/// ISSUE 5's hot path, the time spent entirely inside the semi-naive
-/// fixpoint once fetching and the base cache are warm — measured with
-/// the serial engine and again at 1/2/4/8 evaluate-plane threads.
-struct ParEvalGroup {
-    serial_wall_ns: u128,
-    rows: Vec<ParRow>,
-}
-
-/// The `parallel_eval` group: one primed mediator per thread budget (so
-/// every measurement is a warm second-and-later query), identical row
-/// counts asserted across budgets (the bit-identity contract's cheap
-/// observable — the property suite checks full equality). Speedups are
-/// bounded by [`cores`], which the JSON records: on a single-core host
-/// the expected shape is flat (graceful no-regression), on a multi-core
-/// host the fixpoint's partitioned rounds scale.
-fn parallel_eval_bench(fast: bool, params: &ScenarioParams) -> ParEvalGroup {
-    let iters = if fast { 3 } else { 10 };
-    let aq = r#"calcium_sites(P, L) :- X : protein_amount, X[protein_name -> P],
-                X[location -> L], X[ion_bound -> "calcium"]."#;
-    let measure = |threads: usize| -> (u128, usize) {
-        let mut m = build_scenario(params);
-        m.set_eval_threads(threads);
-        let expected = m.answer(aq).expect("priming answer").rows.len();
-        let wall = min_ns(iters, || {
-            black_box(m.answer(aq).expect("warm answer").rows.len());
-        });
-        (wall, expected)
-    };
-    let (serial_wall_ns, serial_rows) = measure(1);
-    let rows = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&threads| {
-            let (wall_ns, n) = measure(threads);
-            assert_eq!(n, serial_rows, "row count diverged at {threads} threads");
-            ParRow { threads, wall_ns }
-        })
-        .collect();
-    ParEvalGroup {
-        serial_wall_ns,
-        rows,
-    }
-}
-
-/// One row of the fetch-plane group: full materialization wall time with
-/// the given worker-thread budget.
-struct ParRow {
-    threads: usize,
-    wall_ns: u128,
-}
-
-/// The fetch-plane group's results: the serial per-request loop (the
-/// pre-fetch-plane code path, one `Federation::fetch` per request) plus
-/// `fetch_parallel` at 1/2/4/8 worker threads.
-struct ParGroup {
-    sources: usize,
-    delay_ms: u64,
-    serial_wall_ns: u128,
-    rows: Vec<ParRow>,
-}
-
-/// The `parallel_materialize` group: every source sits behind a
-/// [`kind_core::StallAware`] adapter declaring real wall time per query, so
-/// concurrent fetching shows up as wall-clock speedup while the results
-/// stay bit-identical (asserted here on every configuration's loaded-row
-/// count). The serial baseline drives one guarded `Federation::fetch`
-/// per request — exactly what `materialize_all` did before the fetch
-/// plane existed.
-fn parallel_materialize_bench(fast: bool) -> ParGroup {
-    let sources = 8usize;
-    let (rows, delay_ms, iters) = if fast {
-        (4usize, 2u64, 2usize)
-    } else {
-        (12, 5, 3)
-    };
-    let delay = std::time::Duration::from_millis(delay_ms);
-    let requests = |m: &Mediator| -> Vec<FetchRequest> {
-        m.sources()
-            .iter()
-            .flat_map(|s| {
-                s.classes
-                    .iter()
-                    .map(|c| FetchRequest::scan(s.name.as_str(), c.as_str()))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-    let expected = sources * rows;
-    // Serial baseline: the per-request loop, one guarded fetch at a time.
-    let serial_wall_ns = (0..iters)
-        .map(|_| {
-            let mut m = latency_mediator(sources, rows, delay);
-            let reqs = requests(&m);
-            let t = Instant::now();
-            let mut total = 0usize;
-            for r in &reqs {
-                total += m
-                    .federation_mut()
-                    .fetch(&r.source, &r.query)
-                    .expect("serial fetch")
-                    .len();
-            }
-            let dt = t.elapsed().as_nanos();
-            assert_eq!(total, expected);
-            dt
-        })
-        .min()
-        .expect("at least one iteration");
-    let rows_out = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&threads| {
-            let wall_ns = (0..iters)
-                .map(|_| {
-                    let mut m = latency_mediator(sources, rows, delay);
-                    m.federation_mut().set_fetch_threads(threads);
-                    let reqs = requests(&m);
-                    let t = Instant::now();
-                    let set = m
-                        .federation_mut()
-                        .fetch_parallel(&reqs)
-                        .expect("parallel fetch");
-                    let dt = t.elapsed().as_nanos();
-                    assert_eq!(set.total_rows(), expected);
-                    assert!(set.is_complete());
-                    dt
-                })
-                .min()
-                .expect("at least one iteration");
-            ParRow { threads, wall_ns }
-        })
-        .collect();
-    ParGroup {
-        sources,
-        delay_ms,
-        serial_wall_ns,
-        rows: rows_out,
-    }
-}
-
-/// One row of the overlapped-fetch group: p50/p99 wall time over the
-/// iterations plus the peak number of live fetch worker threads.
-struct OverRow {
-    name: &'static str,
-    workers: usize,
-    p50_ns: u128,
-    p99_ns: u128,
-    peak_threads: usize,
-}
-
-/// A wide fan of stall-bound sources fetched through the executor.
-struct OverlappedGroup {
-    sources: usize,
-    delay_ms: u64,
-    rows_per_source: usize,
-    rows: Vec<OverRow>,
-}
-
-impl OverlappedGroup {
-    /// How many stalls a row overlapped on average: the sum of the
-    /// declared stalls over the p50 wall — the headline number.
-    fn overlap(&self, row: &OverRow) -> f64 {
-        self.sources as f64 * self.delay_ms as f64 * 1e6 / row.p50_ns.max(1) as f64
-    }
-}
-
-/// The `overlapped_fetch` group: 64 sources × 20ms of real stall each
-/// (16 × 5ms in fast mode), all latency-bound. The executor parks every
-/// stall on a timer, so the wall is about one stall whatever the pool
-/// size, and peak threads is the pool size, not the source count.
-fn overlapped_fetch_bench(fast: bool) -> OverlappedGroup {
-    let (sources, delay_ms, iters) = if fast {
-        (16usize, 5u64, 3usize)
-    } else {
-        (64, 20, 5)
-    };
-    let delay = std::time::Duration::from_millis(delay_ms);
-    let rows_per_source = 2usize;
-    let expected = sources * rows_per_source;
-    let measure = |name: &'static str, workers: usize| -> OverRow {
-        let mut m = latency_mediator(sources, rows_per_source, delay);
-        m.federation_mut().set_fetch_threads(workers);
-        let reqs: Vec<FetchRequest> = m
-            .sources()
-            .iter()
-            .flat_map(|s| {
-                s.classes
-                    .iter()
-                    .map(|c| FetchRequest::scan(s.name.as_str(), c.as_str()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut walls: Vec<u128> = Vec::with_capacity(iters);
-        let mut peak = 0usize;
-        for _ in 0..iters {
-            m.federation_mut().reset_peak_fetch_threads();
-            let t = Instant::now();
-            let set = m
-                .federation_mut()
-                .fetch_parallel(&reqs)
-                .expect("overlapped-group fetch");
-            walls.push(t.elapsed().as_nanos());
-            assert_eq!(set.total_rows(), expected);
-            assert!(set.is_complete());
-            peak = peak.max(m.federation().peak_fetch_threads());
-        }
-        walls.sort_unstable();
-        OverRow {
-            name,
-            workers,
-            p50_ns: percentile(&walls, 50),
-            p99_ns: percentile(&walls, 99),
-            peak_threads: peak,
-        }
-    };
-    let rows = vec![measure("workers_8", 8), measure("workers_auto", 0)];
-    OverlappedGroup {
-        sources,
-        delay_ms,
-        rows_per_source,
-        rows,
-    }
-}
-
 /// One row of the concurrent-throughput group: a fixed batch of mixed FL
 /// queries split across `workers` threads, drained two ways — every
 /// thread serializing through a `Mutex<Mediator>` (the design a
@@ -1254,23 +698,19 @@ fn snapshot_concurrency_bench(fast: bool, params: &ScenarioParams) -> Vec<ConcRo
 }
 
 /// Hand-rolled JSON (no serde in the image): per-bench baseline/optimized
-/// nanoseconds, the concurrent-throughput group, the fetch-plane group,
-/// the evaluate-plane group, the tail-latency (hedged fetch) group, the
-/// incremental-publish (write plane) group, plus the `EvalStats` and
-/// stratum counters of the warm mediator's cached base model.
+/// nanoseconds, the concurrent-throughput group, the tail-latency (hedged
+/// fetch) group, the magic-sets ablation, the incremental-publish (write
+/// plane) group, plus the `EvalStats` and stratum counters of the warm
+/// mediator's cached base model.
 #[allow(clippy::too_many_arguments)]
 fn render_bench_json(
     fast: bool,
     iters: usize,
     rows: &[(&str, u128, u128)],
     conc: &[ConcRow],
-    par: &ParGroup,
-    over: &OverlappedGroup,
-    pe: &ParEvalGroup,
     tail: &TailGroup,
     magic: &[MagicRow],
     inc: &IncGroup,
-    sq: &ServerQpsGroup,
     warm: &mut Mediator,
 ) -> String {
     let model = warm.run().expect("warm base model evaluates");
@@ -1278,19 +718,10 @@ fn render_bench_json(
     let strata = model.profile.strata.len();
     let skipped = model.profile.strata.iter().filter(|p| p.skipped).count();
     let mut out = String::from("{\n");
-    // Host parallelism and the serving-plane settings up top: QPS and
-    // latency rows below are only comparable across runs that match on
-    // these.
-    let mut worker_counts: Vec<usize> = sq.rows.iter().map(|r| r.workers).collect();
-    worker_counts.sort_unstable();
-    worker_counts.dedup();
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"samples\": {iters},\n  \"available_parallelism\": {},\n  \"server_settings\": {{\"worker_counts\": {:?}, \"queue_depth\": {}, \"overload_queue_depth\": {}, \"default_budget_ms\": 0}},\n  \"benches\": [\n",
+        "  \"mode\": \"{}\",\n  \"samples\": {iters},\n  \"available_parallelism\": {},\n  \"benches\": [\n",
         if fast { "fast" } else { "full" },
-        cores(),
-        worker_counts,
-        sq.rows.iter().map(|r| r.queue_depth).max().unwrap_or(64),
-        sq.rows.iter().map(|r| r.queue_depth).min().unwrap_or(1)
+        cores()
     ));
     for (i, (name, b, o)) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
@@ -1315,61 +746,6 @@ fn render_bench_json(
             c.locked_wall_ns as f64 / c.snapshot_wall_ns.max(1) as f64,
             c.total_queries as f64 / (c.snapshot_wall_ns as f64 / 1e9),
             one_worker_ns as f64 / c.snapshot_wall_ns.max(1) as f64
-        ));
-    }
-    out.push_str(&format!(
-        "    ]\n  }},\n  \"parallel_materialize\": {{\n    \"cores\": {},\n    \"sources\": {},\n    \"source_latency_ms\": {},\n    \"serial_wall_ns\": {},\n    \"rows\": [\n",
-        cores(),
-        par.sources,
-        par.delay_ms,
-        par.serial_wall_ns
-    ));
-    for (i, r) in par.rows.iter().enumerate() {
-        let sep = if i + 1 < par.rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"fetch_threads\": {}, \"wall_ns\": {}, \"speedup_vs_serial\": {:.2}}}{sep}\n",
-            r.threads,
-            r.wall_ns,
-            par.serial_wall_ns as f64 / r.wall_ns.max(1) as f64
-        ));
-    }
-    out.push_str(&format!(
-        "    ]\n  }},\n  \"overlapped_fetch\": {{\n    \"cores\": {},\n    \"sources\": {},\n    \"stall_ms\": {},\n    \"rows_per_source\": {},\n    \"rows\": [\n",
-        cores(),
-        over.sources,
-        over.delay_ms,
-        over.rows_per_source
-    ));
-    for (i, r) in over.rows.iter().enumerate() {
-        let sep = if i + 1 < over.rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"workers\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"peak_threads\": {}, \"overlap\": {:.2}}}{sep}\n",
-            r.name,
-            r.workers,
-            r.p50_ns,
-            r.p99_ns,
-            r.peak_threads,
-            over.overlap(r)
-        ));
-    }
-    out.push_str("    ]\n  },\n");
-    let one_core_note = if cores() == 1 {
-        ",\n    \"note\": \"1-core host: thread scaling is latency overlap only, not CPU parallelism\""
-    } else {
-        ""
-    };
-    out.push_str(&format!(
-        "  \"parallel_eval\": {{\n    \"cores\": {}{one_core_note},\n    \"serial_wall_ns\": {},\n    \"rows\": [\n",
-        cores(),
-        pe.serial_wall_ns
-    ));
-    for (i, r) in pe.rows.iter().enumerate() {
-        let sep = if i + 1 < pe.rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"eval_threads\": {}, \"wall_ns\": {}, \"speedup_vs_serial\": {:.2}}}{sep}\n",
-            r.threads,
-            r.wall_ns,
-            pe.serial_wall_ns as f64 / r.wall_ns.max(1) as f64
         ));
     }
     out.push_str(&format!(
@@ -1416,34 +792,6 @@ fn render_bench_json(
         inc.sustained.wall_ns,
         inc.sustained.publishes as f64 / (inc.sustained.wall_ns as f64 / 1e9),
         inc.sustained.reads as f64 / (inc.sustained.wall_ns as f64 / 1e9)
-    ));
-    out.push_str(&format!(
-        "  \"server_qps\": {{\n    \"cores\": {}{one_core_note},\n    \"rows\": [\n",
-        cores()
-    ));
-    for (i, r) in sq.rows.iter().enumerate() {
-        let sep = if i + 1 < sq.rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"workers\": {}, \"queue_depth\": {}, \"clients\": {}, \"ok\": {}, \"shed\": {}, \"deadline\": {}, \"publishes\": {}, \"wall_ns\": {}, \"qps\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, \"pre_publish_p99_us\": {}, \"post_publish_p99_us\": {}}}{sep}\n",
-            r.name,
-            r.workers,
-            r.queue_depth,
-            r.clients,
-            r.ok,
-            r.shed,
-            r.deadline,
-            r.publishes,
-            r.wall_ns,
-            r.qps(),
-            r.p50_us,
-            r.p99_us,
-            r.pre_publish_p99_us,
-            r.post_publish_p99_us
-        ));
-    }
-    out.push_str(&format!(
-        "    ],\n    \"overload_admitted_p99_vs_uncontended\": {:.2}\n  }},\n",
-        sq.overload_p99_ratio().unwrap_or(0.0)
     ));
     out.push_str("  \"eval_stats\": {\n");
     out.push_str(&format!(

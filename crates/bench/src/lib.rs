@@ -2,7 +2,7 @@
 //! DESIGN.md, "Experiment index") and the `report` binary that prints the
 //! paper-style outputs.
 
-use kind_core::{Anchor, Capability, Mediator, MemoryWrapper, StallAware, Wrapper};
+use kind_core::{Anchor, Capability, Mediator, MemoryWrapper, Wrapper};
 use kind_datalog::Engine;
 use kind_dm::{figures, DomainMap, ExecMode};
 use kind_flogic::FLogic;
@@ -149,42 +149,6 @@ pub fn measurement_wrapper(
 /// A domain map used by the closure benches: generated anatomy.
 pub fn closure_map(depth: usize, fanout: usize) -> DomainMap {
     figures::anatomy_generated(depth, fanout, 2)
-}
-
-/// A mediator federating `sources` independent object sources, each
-/// behind a [`StallAware`] adapter declaring `delay` of real wall time
-/// per query — the `parallel_materialize` workload's stand-in for a
-/// network round-trip (`MemoryWrapper` answers instantly and the
-/// mediator's virtual clock burns no wall time, so without it the fetch
-/// plane would have nothing to overlap). Every source exports its
-/// own class (`c0`, `c1`, …) with `rows` rows anchored at Figure 1
-/// concepts, so a full materialization issues exactly `sources` wrapper
-/// queries; fetched one at a time they would take ~`sources × delay`.
-pub fn latency_mediator(sources: usize, rows: usize, delay: std::time::Duration) -> Mediator {
-    let anchors = ["Spine", "Shaft", "Neuron", "Dendrite"];
-    let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-    for s in 0..sources {
-        let class = format!("c{s}");
-        let mut w = MemoryWrapper::new(format!("S{s}"));
-        w.caps.push(Capability {
-            class: class.clone(),
-            pushable: vec![],
-        });
-        w.anchor_decls.push(Anchor::Fixed {
-            class: class.clone(),
-            concept: anchors[s % anchors.len()].into(),
-        });
-        for i in 0..rows {
-            w.add_row(
-                &class,
-                &format!("s{s}o{i}"),
-                vec![("value", GcmValue::Int((s * rows + i) as i64))],
-            );
-        }
-        m.register(StallAware::new(Arc::new(w), delay))
-            .expect("latency source registers");
-    }
-    m
 }
 
 #[cfg(test)]

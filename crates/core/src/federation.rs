@@ -877,6 +877,14 @@ fn record_completion(
     (completion.rows, completion.error)
 }
 
+/// The worker count the fetch plane actually uses: `knob` (`0` = auto,
+/// i.e. all of `cores`) capped by the number of per-source jobs, never
+/// less than one.
+fn pool_size(knob: usize, units: usize, cores: usize) -> usize {
+    let cap = if knob == 0 { cores } else { knob };
+    cap.min(units).max(1)
+}
+
 /// Tracks how many fetch-plane worker threads are live, and the
 /// high-water mark (peak ≈ worker-pool size, not ≈ sources in flight).
 #[derive(Debug, Default)]
@@ -1334,10 +1342,9 @@ impl Federation {
 
     /// The worker count the executor will actually use for a given
     /// number of jobs: the explicit knob when set, otherwise one worker
-    /// per core, always capped by the number of plan sources (adaptive
-    /// sizing, shared with the evaluate plane:
-    /// [`kind_datalog::pool_size`]). Stalled sources need no extra
-    /// workers: a declared stall parks on a timer, not on a thread.
+    /// per core, always capped by the number of plan sources
+    /// ([`pool_size`]). Stalled sources need no extra workers: a declared
+    /// stall parks on a timer, not on a thread.
     pub(crate) fn effective_fetch_threads(&self, jobs: usize) -> usize {
         if jobs <= 1 {
             // `available_parallelism` reads cgroup files (~14µs a call):
@@ -1346,7 +1353,7 @@ impl Federation {
             return 1;
         }
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        kind_datalog::pool_size(self.fetch_threads, jobs, cores)
+        pool_size(self.fetch_threads, jobs, cores)
     }
 
     /// Like [`Self::fetch`], but a source-level failure degrades to an
@@ -1683,6 +1690,19 @@ mod tests {
             }
             self.inner.query(q)
         }
+    }
+
+    #[test]
+    fn pool_size_clamps_and_defaults() {
+        // Explicit knob wins, capped by the unit count.
+        assert_eq!(pool_size(4, 100, 1), 4);
+        assert_eq!(pool_size(4, 2, 16), 2);
+        // knob = 0 defers to the core count, again capped by units.
+        assert_eq!(pool_size(0, 100, 8), 8);
+        assert_eq!(pool_size(0, 3, 8), 3);
+        // Never below one worker, even with no work.
+        assert_eq!(pool_size(0, 0, 8), 1);
+        assert_eq!(pool_size(7, 0, 1), 1);
     }
 
     #[test]

@@ -572,19 +572,6 @@ impl Mediator {
         &self.eval_options
     }
 
-    /// Sets the evaluate-plane thread budget (0 = one worker per core).
-    /// Parallel evaluation is bit-identical to serial — same `Model`,
-    /// `EvalStats`, and join plans — so changing it neither dirties the
-    /// base nor invalidates a cached model; it only affects wall clock.
-    pub fn set_eval_threads(&mut self, threads: usize) {
-        self.eval_options.eval_threads = threads;
-    }
-
-    /// The configured evaluate-plane thread budget.
-    pub fn eval_threads(&self) -> usize {
-        self.eval_options.eval_threads
-    }
-
     /// Toggles the magic-sets demand transformation for goal-directed
     /// queries ([`Self::answer`] and snapshot answers). The rewrite is
     /// answer-preserving and only ever applied on the query path — full
@@ -816,11 +803,7 @@ impl Mediator {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         format!("{:?}", self.knowledge.dm).hash(&mut h);
         format!("{:?}", self.knowledge.mode).hash(&mut h);
-        // The thread budget is normalized out: parallel evaluation is
-        // bit-identical to serial, so a cached model stays valid across
-        // `set_eval_threads` calls.
         let mut opts = self.eval_options.clone();
-        opts.eval_threads = 0;
         // The cancellation token is identity, not semantics: it never
         // changes what a completed evaluation computes, so it must not
         // invalidate a cached model either.

@@ -6,8 +6,9 @@
 //! A warm answer reads the snapshot's model in place. These tests hold it
 //! to the cold evaluation of the same rule (rows), to its own rule's work
 //! (every stratum of the base program skipped, `derived` = the rule's
-//! derivations), and to one set of counters whatever ran before it, on
-//! however many threads.
+//! derivations), and to one set of counters whatever ran before it
+//! (`concurrency.rs` races eight callers on one fresh model for the same
+//! counters).
 
 use kind_core::QuerySnapshot;
 use kind_datalog::{Atom, EvalOptions, Model, Term, Var};
@@ -27,14 +28,6 @@ const RULES: &[&str] = &[
     "untagged(X) :- X : protein_amount, not tagged(X).",
 ];
 
-/// CI runs this suite at `KIND_EVAL_THREADS=1` and `=8`.
-fn eval_threads_from_env() -> usize {
-    std::env::var("KIND_EVAL_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 fn snapshot() -> QuerySnapshot {
     let mut m = build_scenario(&ScenarioParams {
         seed: 1,
@@ -43,20 +36,12 @@ fn snapshot() -> QuerySnapshot {
         synapse_rows: 40,
         noise_sources: 4,
         noise_rows: 30,
-        eval_threads: eval_threads_from_env(),
         ..Default::default()
     });
     // A head the base program defines and that derives nothing.
     m.define_view("tagged(X) :- X : no_such_class.").unwrap();
     m.materialize_all().unwrap();
     m.snapshot().unwrap()
-}
-
-fn with_threads(snap: &QuerySnapshot, eval_threads: usize) -> EvalOptions {
-    EvalOptions {
-        eval_threads,
-        ..snap.eval_options().clone()
-    }
 }
 
 #[test]
@@ -147,11 +132,10 @@ fn warm_stats_do_not_depend_on_history_or_threads() {
     // A second snapshot of the same state whose model nobody has probed.
     let fresh = snapshot();
     for rule in RULES {
-        let first = snap.answer_with(rule, &with_threads(&snap, 1)).unwrap();
-        let second = snap.answer_with(rule, &with_threads(&snap, 1)).unwrap();
-        let wide = snap.answer_with(rule, &with_threads(&snap, 8)).unwrap();
-        let unprobed = fresh.answer_with(rule, &with_threads(&fresh, 8)).unwrap();
-        for other in [&second, &wide, &unprobed] {
+        let first = snap.answer_with(rule, snap.eval_options()).unwrap();
+        let second = snap.answer_with(rule, snap.eval_options()).unwrap();
+        let unprobed = fresh.answer_with(rule, fresh.eval_options()).unwrap();
+        for other in [&second, &unprobed] {
             assert_eq!(first.stats, other.stats, "{rule}");
             assert_eq!(first.rows, other.rows, "{rule}");
             assert_eq!(first.magic_fired, other.magic_fired, "{rule}");

@@ -36,15 +36,15 @@
 
 use crate::atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp};
 use crate::error::{DatalogError, Result};
-use crate::fact::{FactStore, Relation, Tuple};
+use crate::fact::{FactStore, Tuple};
 use crate::interner::Sym;
 use crate::program::{Stratification, Stratum};
 use crate::rule::Rule;
 use crate::term::{Subst, Term};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A shared, clonable cancellation flag for cooperative interruption of
 /// long-running fixpoints (and, in `kind-core`, of in-flight fetch
@@ -134,17 +134,6 @@ pub struct EvalOptions {
     /// `materialize_all`) never applies the rewrite regardless of this
     /// knob — there is no goal to demand from.
     pub magic_sets: bool,
-    /// Worker-thread cap for the parallel fixpoint: within each stratum
-    /// round, rule applications (and, for a round with a single fat rule,
-    /// the range of its first join input) are partitioned across a scoped
-    /// thread pool and merged in fixed (rule-index, partition-index)
-    /// order. `0` (the default) means auto — capped by available
-    /// parallelism; `1` forces the serial engine (determinism baseline);
-    /// larger values cap the pool. The resulting [`Model`], [`EvalStats`],
-    /// and [`RulePlan`]s are bit-identical for every setting — only
-    /// wall-clock changes (the same contract as the fetch plane's
-    /// `fetch_threads`).
-    pub eval_threads: usize,
     /// Cooperative cancellation: when set, every fixpoint loop
     /// (stratified, semi-naive, and the alternating fixpoint) checks the
     /// token at round boundaries and returns
@@ -165,7 +154,6 @@ impl Default for EvalOptions {
             join_reorder: true,
             base_cache: true,
             magic_sets: true,
-            eval_threads: 0,
             cancel: None,
         }
     }
@@ -195,26 +183,6 @@ pub(crate) fn begin_round(opts: &EvalOptions, stats: &mut EvalStats, since: usiz
         });
     }
     Ok(())
-}
-
-/// The worker count a partitioned plane actually uses: `knob` (`0` = auto,
-/// i.e. all of `cores`) capped by the number of independent work units,
-/// never less than one. Shared by the evaluate plane (`eval_threads` over
-/// round partitions) and the fetch plane (`fetch_threads` over per-source
-/// jobs).
-pub fn pool_size(knob: usize, units: usize, cores: usize) -> usize {
-    let cap = if knob == 0 { cores } else { knob };
-    cap.min(units).max(1)
-}
-
-/// Resolves an `eval_threads`/`fetch_threads` knob to a concrete cap:
-/// `0` becomes the host's available parallelism.
-pub(crate) fn resolve_threads(knob: usize) -> usize {
-    if knob == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        knob
-    }
 }
 
 /// Counters reported by an evaluation.
@@ -286,14 +254,6 @@ impl<'a> IndexCounters<'a> {
         stats.index_hits += self.hits.get();
         stats.index_misses += self.misses.get();
     }
-    /// Adds this worker-private counter set into `dst` (the stratum
-    /// counters). Sums are partition-order-invariant, but the parallel
-    /// merge still folds in fixed partition order for uniformity.
-    fn add_to(&self, dst: &IndexCounters) {
-        dst.builds.set(dst.builds.get() + self.builds.get());
-        dst.hits.set(dst.hits.get() + self.hits.get());
-        dst.misses.set(dst.misses.get() + self.misses.get());
-    }
 }
 
 /// The join order chosen for one rule within one stratum evaluation.
@@ -333,13 +293,6 @@ pub struct StratumProfile {
     pub index_hits: usize,
     /// Full-scan join probes in this stratum.
     pub index_misses: usize,
-    /// Worker threads used by the widest parallel round of this stratum
-    /// (`1` when every round ran on the coordinating thread).
-    pub threads_used: usize,
-    /// Work partitions in the widest parallel round (rule applications,
-    /// delta variants, or fat-rule range splits); `0` when every round
-    /// ran serially.
-    pub partitions: usize,
     /// Adorned (binding-specialized) rules evaluated in this stratum;
     /// `0` unless the magic-sets rewrite fired.
     pub adorned_rules: usize,
@@ -362,10 +315,6 @@ pub struct EvalProfile {
     /// Facts of a cached base model the evaluation reused beyond the
     /// stored ones (shared with the model by handle, not copied).
     pub seeded: usize,
-    /// The resolved evaluate-plane worker cap ([`EvalOptions::eval_threads`]
-    /// with `0` resolved to available parallelism). Purely informational:
-    /// the model is bit-identical for every value.
-    pub eval_threads: usize,
     /// Whether the magic-sets demand rewrite produced the evaluated
     /// program (goal-directed query paths only; see
     /// [`EvalOptions::magic_sets`]).
@@ -815,373 +764,30 @@ pub(crate) fn plan_rule(
     )
 }
 
-// ---------------------------------------------------------------------
-// Parallel round execution.
-//
-// One fixpoint round = a fixed list of *work units* in (rule-index,
-// delta-variant-index) order; each unit is one rule application
-// (optionally against one delta variant). Units derive into private
-// `FactStore`s with private counters and are merged in unit order, which
-// reproduces the serial shared-out pass bit for bit:
-//
-// * the merged new-fact set equals the serial `out` (every unit dedups
-//   against the same frozen pre-round `total`; cross-unit duplicates
-//   collapse at merge in first-derivation order, exactly as the serial
-//   shared `out.insert` would have);
-// * `applications`/`depth_clipped` count body solutions, which partition
-//   exactly across units (each solution involves one rule and, in the
-//   delta case, one variant);
-// * index probe counters are per-probe-event and probe events do not
-//   move across units; shared-relation index builds are exactly-once
-//   (`Relation::ensure_index` is build-once under its `RwLock`), so the
-//   summed build count matches serial.
-//
-// A round with a *single* unit (one fat recursive rule) is instead split
-// by range: the coordinator enumerates the candidates of the first
-// executed body position once — bumping the position's probe counters
-// exactly as the serial `solve` would — and workers each solve the rest
-// of the body for a contiguous candidate range. When the delta variant
-// sits at position 0 this is literally a partition of the delta-fact
-// range; concatenating range results in order reproduces the serial
-// solution order because position 0 is the outermost join loop.
-
-/// Minimum estimated input tuples before a round is worth spawning
-/// threads for (purely a wall-clock heuristic: results are identical
-/// either way).
-const PAR_MIN_WORK: usize = 64;
-
-/// Per-stratum parallel-execution telemetry (maxima over rounds).
-pub(crate) struct ParMeta {
-    pub threads_used: usize,
-    pub partitions: usize,
-}
-
-impl ParMeta {
-    pub(crate) fn new() -> Self {
-        ParMeta {
-            threads_used: 1,
-            partitions: 0,
-        }
-    }
-}
-
-/// What one worker produced for one unit (or one range partition).
-struct UnitResult<'a> {
-    out: FactStore,
-    stats: EvalStats,
-    counters: IndexCounters<'a>,
-}
-
-/// Enumerates the candidate tuples of `atom` at executed position 0 under
-/// the empty substitution, replicating `solve`'s Pos branch — including
-/// its counter bumps, which therefore happen exactly once per round no
-/// matter how many ranges the candidates are split into. Returns `None`
-/// when the relation does not exist (`solve` bails out before touching
-/// any counter in that case).
-fn first_pos_candidates(
-    atom: &crate::atom::Atom,
-    store: &FactStore,
-    opts: &EvalOptions,
-    counters: &IndexCounters,
-) -> Option<Vec<Tuple>> {
-    let rel = store.relation(atom.pred)?;
-    if opts.use_index {
-        let applied: Vec<Term> = atom.args.clone();
-        if !applied.is_empty() && applied.iter().all(Term::is_ground) {
-            counters.hit();
-            if rel.contains(&applied) {
-                return Some(vec![applied.into()]);
-            }
-            return Some(Vec::new());
-        }
-        let bound: Vec<(usize, &Term)> = applied
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_ground())
-            .collect();
-        if !bound.is_empty() {
-            let (built, tuples) = rel.probe(&bound);
-            if built {
-                counters.build(store, atom.pred);
-            }
-            counters.hit();
-            return Some(tuples.cloned().collect());
-        }
-    }
-    counters.miss();
-    Some(rel.iter().cloned().collect())
-}
-
-/// Applies `rule` seeded with `tuples` as the candidates of its first body
-/// atom: for each candidate the first atom is matched, then the remaining
-/// body is solved under `ctx` (whose delta, if any, must point past
-/// position 0). Derivations land in `out`; `applications`/`depth_clipped`
-/// in `stats`.
-fn apply_rule_range(
-    rule: &Rule,
-    first: &crate::atom::Atom,
-    tuples: &[Tuple],
-    ctx: &MatchCtx<'_>,
-    out: &mut FactStore,
-    stats: &mut EvalStats,
-    opts: &EvalOptions,
-) {
-    let mut subst = Subst::with_capacity(rule.nvars as usize);
-    let head = &rule.head;
-    let total = ctx.total;
-    let max_depth = opts.max_term_depth;
-    let mut clipped = 0usize;
-    let mut apps = 0usize;
-    for tuple in tuples {
-        if tuple.len() != first.args.len() {
-            continue;
-        }
-        let m = subst.mark();
-        if first
-            .args
-            .iter()
-            .zip(tuple.iter())
-            .all(|(p, v)| subst.match_term(p, v))
-        {
-            solve(&rule.body, 1, &mut subst, ctx, &mut |s: &Subst| {
-                apps += 1;
-                let args: Vec<Term> = head.args.iter().map(|t| t.apply(s)).collect();
-                debug_assert!(args.iter().all(Term::is_ground), "non-ground head");
-                if args.iter().any(|t| t.depth() > max_depth) {
-                    clipped += 1;
-                    return;
-                }
-                if !total.contains(head.pred, &args) {
-                    out.insert(head.pred, args.into());
-                }
-            });
-        }
-        subst.undo_to(m);
-    }
-    stats.applications += apps;
-    stats.depth_clipped += clipped;
-}
-
-/// Splits `0..len` into `parts` contiguous ranges whose sizes differ by
-/// at most one, in order.
-fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.min(len).max(1);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let size = base + usize::from(p < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
-/// Runs `thunks` on up to `workers` scoped threads (the fetch plane's
-/// slot/queue idiom) and returns the results in thunk order. The
-/// coordinator thread drains the queue alongside `workers - 1` spawned
-/// threads, so a round costs one spawn fewer than its worker budget.
-fn run_pool<T: Send>(workers: usize, count: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let drain = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= count {
-            break;
-        }
-        let done = run(i);
-        *slots[i].lock().expect("result slot poisoned") = Some(done);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(drain);
-        }
-        drain();
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every unit produced a result")
-        })
-        .collect()
-}
-
 /// Executes one full application pass (one fixpoint round): every
-/// `(rule, delta-variant)` unit once, returning the merged store of new
-/// facts. With `cap <= 1` — or too little estimated work — this is the
-/// serial shared-out loop; otherwise units (or, for a single-unit round,
-/// ranges of the first join input) run on a scoped thread pool and merge
-/// in fixed (rule-index, partition-index) order. Results are
-/// bit-identical either way.
-#[allow(clippy::too_many_arguments)]
+/// `(rule, delta-variant)` unit once, in (rule-index, variant-index)
+/// order, into one shared store of new facts.
 pub(crate) fn execute_round(
     units: &[(&Rule, Option<usize>)],
     total: &FactStore,
     delta: Option<&FactStore>,
     neg: NegView<'_>,
     opts: &EvalOptions,
-    cap: usize,
     counters: &IndexCounters,
     stats: &mut EvalStats,
-    par: &mut ParMeta,
 ) -> FactStore {
-    let ctx_delta = |di: Option<usize>| di.map(|d| (delta.expect("delta store"), d));
-    let serial = |stats: &mut EvalStats| {
-        let mut out = FactStore::new();
-        for &(rule, di) in units {
-            let ctx = MatchCtx {
-                total,
-                delta: ctx_delta(di),
-                neg,
-                use_index: opts.use_index,
-                counters,
-            };
-            apply_rule(rule, &ctx, &mut out, stats, opts);
-        }
-        out
-    };
-    if cap <= 1 || units.is_empty() {
-        return serial(stats);
-    }
-    // `IndexCounters` is not `Sync`; workers count privately against the
-    // same borrowed store.
-    let borrowed = counters.borrowed;
-    // Estimated input size per unit: the relation its delta variant (or
-    // first positive atom) scans. A deterministic wall-clock heuristic —
-    // the result does not depend on which path runs.
-    let unit_input = |&(rule, di): &(&Rule, Option<usize>)| -> usize {
-        let (store, pos) = match di {
-            Some(d) => (delta.expect("delta store"), Some(d)),
-            None => (total, rule.positive_atom_indices().first().copied()),
-        };
-        let Some(pos) = pos else { return 0 };
-        let BodyItem::Pos(atom) = &rule.body[pos] else {
-            return 0;
-        };
-        store.relation(atom.pred).map_or(0, Relation::len)
-    };
-    if units.len() == 1 {
-        // Single fat rule: split the first join input's candidate range.
-        let (rule, di) = units[0];
-        // A delta variant past position 0 keeps its meaning for the
-        // workers; at position 0 it is consumed by the enumeration — so
-        // any variant position is splittable as long as the first
-        // executed body item is a positive atom.
-        let splittable = matches!(rule.body.first(), Some(BodyItem::Pos(_)))
-            && unit_input(&units[0]) >= PAR_MIN_WORK;
-        if !splittable {
-            return serial(stats);
-        }
-        let BodyItem::Pos(first) = &rule.body[0] else {
-            unreachable!("checked above")
-        };
-        let use_delta = di == Some(0);
-        let store = if use_delta {
-            delta.expect("delta store")
-        } else {
-            total
-        };
-        let Some(cands) = first_pos_candidates(first, store, opts, counters) else {
-            // Relation absent: the serial pass would find no solutions
-            // and touch no counters.
-            return FactStore::new();
-        };
-        let rest_delta = if use_delta { None } else { ctx_delta(di) };
-        if cands.len() < PAR_MIN_WORK {
-            // Not worth spawning; finish on this thread (the position-0
-            // counters are already bumped, so go through the range path).
-            let mut out = FactStore::new();
-            let ctx = MatchCtx {
-                total,
-                delta: rest_delta,
-                neg,
-                use_index: opts.use_index,
-                counters,
-            };
-            apply_rule_range(rule, first, &cands, &ctx, &mut out, stats, opts);
-            return out;
-        }
-        let ranges = split_ranges(cands.len(), cap);
-        let workers = ranges.len();
-        par.threads_used = par.threads_used.max(workers);
-        par.partitions = par.partitions.max(ranges.len());
-        let results = run_pool(workers, ranges.len(), |i| {
-            let counters = IndexCounters::new(borrowed);
-            let mut out = FactStore::new();
-            let mut local = EvalStats::default();
-            let ctx = MatchCtx {
-                total,
-                delta: rest_delta,
-                neg,
-                use_index: opts.use_index,
-                counters: &counters,
-            };
-            apply_rule_range(
-                rule,
-                first,
-                &cands[ranges[i].clone()],
-                &ctx,
-                &mut out,
-                &mut local,
-                opts,
-            );
-            UnitResult {
-                out,
-                stats: local,
-                counters,
-            }
-        });
-        return merge_results(results, counters, stats);
-    }
-    // Multi-unit round: one partition per (rule, delta-variant) unit.
-    if units.iter().map(unit_input).sum::<usize>() < PAR_MIN_WORK {
-        return serial(stats);
-    }
-    let workers = cap.min(units.len());
-    par.threads_used = par.threads_used.max(workers);
-    par.partitions = par.partitions.max(units.len());
-    let results = run_pool(workers, units.len(), |i| {
-        let (rule, di) = units[i];
-        let counters = IndexCounters::new(borrowed);
-        let mut out = FactStore::new();
-        let mut local = EvalStats::default();
+    let mut out = FactStore::new();
+    for &(rule, di) in units {
         let ctx = MatchCtx {
             total,
-            delta: ctx_delta(di),
+            delta: di.map(|d| (delta.expect("delta store"), d)),
             neg,
             use_index: opts.use_index,
-            counters: &counters,
-        };
-        apply_rule(rule, &ctx, &mut out, &mut local, opts);
-        UnitResult {
-            out,
-            stats: local,
             counters,
-        }
-    });
-    merge_results(results, counters, stats)
-}
-
-/// Folds worker results in fixed partition order: private stores merge
-/// into one round store (first-derivation order, cross-partition dups
-/// collapsing exactly as a serial shared out would) and private counters
-/// sum into the stratum counters.
-fn merge_results(
-    results: Vec<UnitResult>,
-    counters: &IndexCounters,
-    stats: &mut EvalStats,
-) -> FactStore {
-    let mut merged = FactStore::new();
-    for r in results {
-        stats.applications += r.stats.applications;
-        stats.depth_clipped += r.stats.depth_clipped;
-        r.counters.add_to(counters);
-        merged.absorb(&r.out);
+        };
+        apply_rule(rule, &ctx, &mut out, stats, opts);
     }
-    merged
+    out
 }
 
 /// Join plans for the rules `ids` of one evaluation unit (a stratum, or a
@@ -1205,7 +811,6 @@ pub(crate) fn plan_rules(
 /// counters into the run totals.
 pub(crate) struct StratumScope<'a> {
     pub(crate) counters: IndexCounters<'a>,
-    pub(crate) par: ParMeta,
     before: EvalStats,
 }
 
@@ -1215,7 +820,6 @@ impl<'a> StratumScope<'a> {
     pub(crate) fn open(stats: &EvalStats, borrowed: Option<&'a FactStore>) -> Self {
         StratumScope {
             counters: IndexCounters::new(borrowed),
-            par: ParMeta::new(),
             before: *stats,
         }
     }
@@ -1235,8 +839,6 @@ impl<'a> StratumScope<'a> {
             index_builds: self.counters.builds.get(),
             index_hits: self.counters.hits.get(),
             index_misses: self.counters.misses.get(),
-            threads_used: self.par.threads_used,
-            partitions: self.par.partitions,
             plans: prepared.iter().map(|(_, p)| p.clone()).collect(),
             ..sp
         }
@@ -1258,7 +860,6 @@ impl<'a> StratumScope<'a> {
 /// fixpoint left atoms undefined: `total` is then untouched, and the
 /// caller has to evaluate this stratum and everything above it
 /// three-valued.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_stratum(
     rules: &[Rule],
     stratum: &Stratum,
@@ -1267,7 +868,6 @@ pub(crate) fn eval_stratum(
     borrowed: Option<&FactStore>,
     stats: &mut EvalStats,
     opts: &EvalOptions,
-    cap: usize,
 ) -> Result<Option<StratumProfile>> {
     let planned;
     let prepared = match memo {
@@ -1278,18 +878,11 @@ pub(crate) fn eval_stratum(
         }
     };
     let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
-    let mut scope = StratumScope::open(stats, borrowed);
+    let scope = StratumScope::open(stats, borrowed);
     let mut two_valued = true;
     if stratum.wfs {
-        let (facts, undefined) = crate::wfs::eval_well_founded(
-            &stratum_rules,
-            total,
-            stats,
-            &scope.counters,
-            opts,
-            cap,
-            &mut scope.par,
-        )?;
+        let (facts, undefined) =
+            crate::wfs::eval_well_founded(&stratum_rules, total, stats, &scope.counters, opts)?;
         two_valued = undefined.is_empty();
         if two_valued {
             for &p in &stratum.preds {
@@ -1306,10 +899,8 @@ pub(crate) fn eval_stratum(
             None,
             NegView::Closed,
             opts,
-            cap,
             &scope.counters,
             stats,
-            &mut scope.par,
         );
         stats.derived += total.absorb(&out);
         stats.iterations += 1;
@@ -1322,19 +913,9 @@ pub(crate) fn eval_stratum(
             stats,
             &scope.counters,
             opts,
-            cap,
-            &mut scope.par,
         )?;
     } else {
-        naive_stratum(
-            &stratum_rules,
-            total,
-            stats,
-            &scope.counters,
-            opts,
-            cap,
-            &mut scope.par,
-        )?;
+        naive_stratum(&stratum_rules, total, stats, &scope.counters, opts)?;
     }
     let sp = scope.close(
         stats,
@@ -1380,11 +961,7 @@ pub(crate) fn eval_strata(
     };
     let mut undefined = FactStore::new();
     let mut stats = EvalStats::default();
-    let cap = resolve_threads(opts.eval_threads);
-    let mut profile = EvalProfile {
-        eval_threads: cap,
-        ..Default::default()
-    };
+    let mut profile = EvalProfile::default();
     for (i, stratum) in strat.strata.iter().enumerate() {
         if stable.is_some_and(|stable| stratum.preds.iter().all(|p| stable.contains(p))) {
             profile.strata.push(StratumProfile {
@@ -1395,9 +972,9 @@ pub(crate) fn eval_strata(
             });
             continue;
         }
-        if let Some(sp) = eval_stratum(
-            rules, stratum, None, &mut total, borrowed, &mut stats, opts, cap,
-        )? {
+        if let Some(sp) =
+            eval_stratum(rules, stratum, None, &mut total, borrowed, &mut stats, opts)?
+        {
             profile.strata.push(sp);
             continue;
         }
@@ -1408,16 +985,9 @@ pub(crate) fn eval_strata(
         ids.sort_unstable();
         let prepared = plan_rules(rules, &ids, &preds, &total, opts);
         let tail_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
-        let mut scope = StratumScope::open(&stats, borrowed);
-        (total, undefined) = crate::wfs::eval_well_founded(
-            &tail_rules,
-            &total,
-            &mut stats,
-            &scope.counters,
-            opts,
-            cap,
-            &mut scope.par,
-        )?;
+        let scope = StratumScope::open(&stats, borrowed);
+        (total, undefined) =
+            crate::wfs::eval_well_founded(&tail_rules, &total, &mut stats, &scope.counters, opts)?;
         profile.strata.push(scope.close(
             &mut stats,
             &prepared,
@@ -1450,31 +1020,18 @@ pub(crate) fn rules_per_head(rules: &[Rule]) -> HashMap<Sym, usize> {
     count
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn naive_stratum(
     rules: &[&Rule],
     total: &mut FactStore,
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
 ) -> Result<()> {
     let units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
     let since = stats.iterations;
     loop {
         begin_round(opts, stats, since)?;
-        let out = execute_round(
-            &units,
-            total,
-            None,
-            NegView::Closed,
-            opts,
-            cap,
-            counters,
-            stats,
-            par,
-        );
+        let out = execute_round(&units, total, None, NegView::Closed, opts, counters, stats);
         let added = total.absorb(&out);
         stats.derived += added;
         if added == 0 {
@@ -1483,7 +1040,6 @@ pub(crate) fn naive_stratum(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn seminaive_stratum(
     rules: &[&Rule],
     stratum_preds: &HashSet<crate::interner::Sym>,
@@ -1491,8 +1047,6 @@ pub(crate) fn seminaive_stratum(
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
 ) -> Result<()> {
     // Round 0: naive pass to seed the delta.
     let since = stats.iterations;
@@ -1504,10 +1058,8 @@ pub(crate) fn seminaive_stratum(
         None,
         NegView::Closed,
         opts,
-        cap,
         counters,
         stats,
-        par,
     );
     stats.derived += total.absorb(&delta);
     // One delta-variant unit per positive body atom over a stratum
@@ -1532,10 +1084,8 @@ pub(crate) fn seminaive_stratum(
             Some(&delta),
             NegView::Closed,
             opts,
-            cap,
             counters,
             stats,
-            par,
         );
         stats.derived += total.absorb(&next);
         delta = next;
@@ -1546,7 +1096,6 @@ pub(crate) fn seminaive_stratum(
 /// Computes the least model of the *positive reduct* of `rules` wrt the
 /// frozen interpretation `j`: `not p(t)` holds iff `p(t) ∉ j`. Used by the
 /// alternating fixpoint (well-founded semantics).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gamma(
     rules: &[&Rule],
     edb: &FactStore,
@@ -1554,8 +1103,6 @@ pub(crate) fn gamma(
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
 ) -> Result<FactStore> {
     // Detached, on a seeded walk too: each reduct starts over from the
     // layers below and owns (and counts the indexes of) all it reads.
@@ -1564,9 +1111,7 @@ pub(crate) fn gamma(
     // fixpoint loop is sound. Semi-naive deltas would need per-predicate
     // bookkeeping across the whole program; for clarity we run rounds of
     // full rule application here (the reduct is evaluated only a handful of
-    // times). Each round goes through the same partitioned executor as
-    // the stratified engine, so the alternating fixpoint parallelizes
-    // identically.
+    // times).
     let units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
     let since = stats.iterations;
     loop {
@@ -1577,10 +1122,8 @@ pub(crate) fn gamma(
             None,
             NegView::Frozen(j),
             opts,
-            cap,
             counters,
             stats,
-            par,
         );
         let added = total.absorb(&out);
         stats.derived += added;
@@ -1997,173 +1540,5 @@ mod tests {
         assert_eq!(sols.len(), 3);
         let rel = m.facts.relation(e).unwrap();
         assert!(rel.index_count() >= 2);
-    }
-
-    #[test]
-    fn pool_size_clamps_and_defaults() {
-        // Explicit knob wins, capped by the unit count.
-        assert_eq!(pool_size(4, 100, 1), 4);
-        assert_eq!(pool_size(4, 2, 16), 2);
-        // knob = 0 defers to the core count, again capped by units.
-        assert_eq!(pool_size(0, 100, 8), 8);
-        assert_eq!(pool_size(0, 3, 8), 3);
-        // Never below one worker, even with no work.
-        assert_eq!(pool_size(0, 0, 8), 1);
-        assert_eq!(pool_size(7, 0, 1), 1);
-    }
-
-    #[test]
-    fn split_ranges_are_contiguous_and_balanced() {
-        for (len, parts) in [(10usize, 3usize), (7, 7), (5, 8), (64, 4), (1, 1)] {
-            let ranges = split_ranges(len, parts);
-            assert!(!ranges.is_empty());
-            // Contiguous cover of 0..len in order.
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, len);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            // Balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-            let min = sizes.iter().min().unwrap();
-            let max = sizes.iter().max().unwrap();
-            assert!(max - min <= 1);
-        }
-    }
-
-    /// A seeded random-graph TC fixture fat enough to cross the
-    /// `PAR_MIN_WORK` gate, so the partitioned round path really runs.
-    fn parallel_fixture() -> (Fixture, crate::interner::Sym) {
-        let mut f = Fixture::new();
-        let nodes: Vec<Term> = (0..40).map(|i| f.c(&format!("n{i}"))).collect();
-        // Deterministic LCG so the edge set is reproducible.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        for _ in 0..160 {
-            let a = rng() % nodes.len();
-            let b = rng() % nodes.len();
-            let (ta, tb) = (nodes[a].clone(), nodes[b].clone());
-            f.fact("e", &[ta, tb]);
-        }
-        let e = f.syms.intern("e");
-        let tc = f.syms.intern("tc");
-        f.rules.push(
-            Rule::compile(
-                Atom::new(tc, vec![v(0), v(1)]),
-                vec![BodyItem::Pos(Atom::new(e, vec![v(0), v(1)]))],
-                2,
-                vec!["X".into(), "Y".into()],
-            )
-            .unwrap(),
-        );
-        f.rules.push(
-            Rule::compile(
-                Atom::new(tc, vec![v(0), v(1)]),
-                vec![
-                    BodyItem::Pos(Atom::new(tc, vec![v(0), v(2)])),
-                    BodyItem::Pos(Atom::new(e, vec![v(2), v(1)])),
-                ],
-                3,
-                vec!["X".into(), "Y".into(), "Z".into()],
-            )
-            .unwrap(),
-        );
-        (f, tc)
-    }
-
-    fn canonical_facts(m: &Model) -> Vec<String> {
-        let mut out: Vec<String> = m
-            .facts
-            .iter()
-            .map(|(p, t)| format!("{p:?}|{t:?}"))
-            .collect();
-        out.extend(m.undefined.iter().map(|(p, t)| format!("u{p:?}|{t:?}")));
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn parallel_eval_is_bit_identical_to_serial() {
-        let (f, tc) = parallel_fixture();
-        let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let serial = eval_strata(&f.rules, &strat, &f.edb, &EvalOptions::default(), None).unwrap();
-        assert!(!serial.tuples(tc).is_empty());
-        for threads in [2usize, 4, 8] {
-            let par = eval_strata(
-                &f.rules,
-                &strat,
-                &f.edb,
-                &EvalOptions {
-                    eval_threads: threads,
-                    ..Default::default()
-                },
-                None,
-            )
-            .unwrap();
-            // Facts, stats, and compiled join plans are all bit-identical:
-            // the parallel engine is an implementation detail, not a model.
-            assert_eq!(canonical_facts(&par), canonical_facts(&serial));
-            assert_eq!(par.stats, serial.stats, "threads={threads}");
-            assert_eq!(par.profile.strata.len(), serial.profile.strata.len());
-            for (ps, ss) in par.profile.strata.iter().zip(&serial.profile.strata) {
-                assert_eq!(ps.plans, ss.plans);
-            }
-            // The parallel plan was actually exercised and recorded.
-            assert_eq!(par.profile.eval_threads, threads);
-            assert!(
-                par.profile.strata.iter().any(|s| s.threads_used > 1),
-                "threads={threads}: expected a partitioned round"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_naive_eval_matches_serial_naive() {
-        let (f, _) = parallel_fixture();
-        let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let opts = EvalOptions {
-            semi_naive: false,
-            ..Default::default()
-        };
-        let serial = eval_strata(&f.rules, &strat, &f.edb, &opts, None).unwrap();
-        let par = eval_strata(
-            &f.rules,
-            &strat,
-            &f.edb,
-            &EvalOptions {
-                semi_naive: false,
-                eval_threads: 4,
-                ..Default::default()
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(canonical_facts(&par), canonical_facts(&serial));
-        assert_eq!(par.stats, serial.stats);
-    }
-
-    #[test]
-    fn eval_threads_one_keeps_serial_profile_shape() {
-        let (f, _) = parallel_fixture();
-        let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let m = eval_strata(
-            &f.rules,
-            &strat,
-            &f.edb,
-            &EvalOptions {
-                eval_threads: 1,
-                ..Default::default()
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(m.profile.eval_threads, 1);
-        assert!(m.profile.strata.iter().all(|s| s.threads_used == 1));
-        assert!(m.profile.strata.iter().all(|s| s.partitions == 0));
     }
 }

@@ -223,13 +223,6 @@ impl crate::Engine {
                     "  iterations={} derived={} index: builds={} hits={} misses={}",
                     sp.iterations, sp.derived, sp.index_builds, sp.index_hits, sp.index_misses
                 );
-                if sp.threads_used > 1 {
-                    let _ = writeln!(
-                        out,
-                        "  parallel: threads={} partitions={}",
-                        sp.threads_used, sp.partitions
-                    );
-                }
                 if sp.adorned_rules > 0 || sp.magic_preds > 0 {
                     let _ = writeln!(
                         out,

@@ -43,15 +43,14 @@
 //! rule over unchanged inputs would never fire at all.
 //!
 //! Statistics produced by `apply_delta` measure the *delta work*, not a
-//! cold evaluation's: they are bit-identical across `eval_threads`
-//! settings for identical mutation histories (the same contract as the
-//! cold evaluator), but intentionally smaller than a cold rebuild's.
+//! cold evaluation's: they are a function of the mutation history alone,
+//! and intentionally smaller than a cold rebuild's.
 
 use crate::error::Result;
 use crate::eval::{
-    begin_round, check_cancelled, eval_stratum, execute_round, plan_rules, resolve_threads,
-    rules_per_head, solve, EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model,
-    NegView, ParMeta, RulePlan, StratumProfile, StratumScope,
+    begin_round, check_cancelled, eval_stratum, execute_round, plan_rules, rules_per_head, solve,
+    EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model, NegView, RulePlan,
+    StratumProfile, StratumScope,
 };
 use crate::fact::{FactStore, Tuple};
 use crate::interner::Sym;
@@ -258,8 +257,6 @@ pub(crate) fn apply_delta(
         delta_applied: true,
         ..Default::default()
     };
-    let cap = resolve_threads(opts.eval_threads);
-    profile.eval_threads = cap;
 
     // Seed the extensional layer. Predicates owned by a stratum that
     // seeds itself from the base (reuse/additions/retractions) are left
@@ -317,9 +314,8 @@ pub(crate) fn apply_delta(
                     })
                 });
                 let memo = memo.as_ref().map(|plans| plans.as_slice());
-                let Some(sp) = eval_stratum(
-                    rules, stratum, memo, &mut total, None, &mut stats, opts, cap,
-                )?
+                let Some(sp) =
+                    eval_stratum(rules, stratum, memo, &mut total, None, &mut stats, opts)?
                 else {
                     // Three-valued residue: downstream strata would need
                     // three-valued inputs the closed-world maintenance
@@ -357,7 +353,7 @@ pub(crate) fn apply_delta(
                     }
                 }
                 let prepared = plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
-                let mut scope = StratumScope::open(&stats, None);
+                let scope = StratumScope::open(&stats, None);
                 if modes[i] == Mode::Additions {
                     maintain_additions(
                         stratum,
@@ -368,8 +364,6 @@ pub(crate) fn apply_delta(
                         &mut stats,
                         &scope.counters,
                         opts,
-                        cap,
-                        &mut scope.par,
                     )?;
                 } else {
                     maintain_retractions(
@@ -417,8 +411,6 @@ fn maintain_additions(
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
 ) -> Result<()> {
     // Asserted base facts of this stratum's own predicates join the
     // extension directly (they are already in the novel frontier).
@@ -446,10 +438,8 @@ fn maintain_additions(
             Some(&frontier),
             NegView::Closed,
             opts,
-            cap,
             counters,
             stats,
-            par,
         );
         let added = total.absorb(&out);
         stats.derived += added;
@@ -939,57 +929,6 @@ mod tests {
         assert!(inc.facts.shares_relation(tc, &base.facts));
         assert!(inc.facts.shares_relation(ep, &base.facts));
         assert_eq!(inc.stats.derived, 0);
-    }
-
-    #[test]
-    fn delta_stats_are_thread_count_invariant() {
-        let mut engines: Vec<Engine> = Vec::new();
-        for _ in 0..2 {
-            let mut e = Engine::new();
-            let mut text = String::new();
-            for i in 0..40 {
-                text.push_str(&format!("e(n{i},n{}).\n", i + 1));
-            }
-            text.push_str("tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), e(Z,Y).\n");
-            e.load(&text).unwrap();
-            engines.push(e);
-        }
-        let mk_opts = |threads: usize| EvalOptions {
-            eval_threads: threads,
-            ..Default::default()
-        };
-        let mut models: Vec<Model> = Vec::new();
-        for (e, threads) in engines.iter_mut().zip([1usize, 8]) {
-            let opts = mk_opts(threads);
-            let base = e.run(&opts).unwrap();
-            e.begin_delta();
-            e.add_fact_strs("e", &["n41", "n42"]).unwrap();
-            e.add_fact_strs("e", &["n40", "n41"]).unwrap();
-            let delta = e.take_delta().unwrap();
-            models.push(e.apply_delta(&base, &delta, &opts).unwrap());
-        }
-        assert_eq!(models[0].stats, models[1].stats);
-        assert_eq!(
-            models[0].profile.delta_incremental_strata,
-            models[1].profile.delta_incremental_strata
-        );
-        let e = &engines[0];
-        let tc = e.lookup("tc").unwrap();
-        let a: Set<Tuple> = models[0]
-            .facts
-            .relation(tc)
-            .unwrap()
-            .iter()
-            .cloned()
-            .collect();
-        let b: Set<Tuple> = models[1]
-            .facts
-            .relation(tc)
-            .unwrap()
-            .iter()
-            .cloned()
-            .collect();
-        assert_eq!(a, b);
     }
 
     #[test]

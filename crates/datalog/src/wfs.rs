@@ -14,7 +14,7 @@
 //! *undefined* ones.
 
 use crate::error::{DatalogError, Result};
-use crate::eval::{check_cancelled, gamma, EvalOptions, EvalStats, IndexCounters, ParMeta};
+use crate::eval::{check_cancelled, gamma, EvalOptions, EvalStats, IndexCounters};
 use crate::fact::FactStore;
 use crate::rule::Rule;
 
@@ -23,19 +23,13 @@ use crate::rule::Rule;
 /// true facts include `edb`. The stratum walker calls this for one
 /// negation-cyclic stratum over the completed strata below it, and for a
 /// three-valued tail; counters land in the caller's stratum scope.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_well_founded(
     rules: &[&Rule],
     edb: &FactStore,
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
 ) -> Result<(FactStore, FactStore)> {
-    // Both phases of every sweep reuse the stratified engine's partitioned
-    // round executor; `cap`/`par` carry the thread budget and telemetry
-    // across the whole alternating fixpoint.
     let mut lower = edb.clone();
     let mut sweeps = 0usize;
     loop {
@@ -49,7 +43,7 @@ pub(crate) fn eval_well_founded(
                 limit: opts.max_iterations,
             });
         }
-        let upper = gamma(rules, edb, &lower, stats, counters, opts, cap, par)?;
+        let upper = gamma(rules, edb, &lower, stats, counters, opts)?;
         // The lower sequence stays below every upper (both monotone toward
         // the fixpoint), so size equality implies set equality throughout.
         // `Γ(lower) == lower` means the fixpoint is *total* — the
@@ -58,7 +52,7 @@ pub(crate) fn eval_well_founded(
         if upper.len() == lower.len() {
             return Ok((upper, FactStore::new()));
         }
-        let new_lower = gamma(rules, edb, &upper, stats, counters, opts, cap, par)?;
+        let new_lower = gamma(rules, edb, &upper, stats, counters, opts)?;
         // `Lᵢ₊₁ = Γ(Uᵢ) ⊆ Γ(Lᵢ) = Uᵢ` (Γ antitone, `Lᵢ ⊆ Uᵢ`), so size
         // equality here means `Lᵢ₊₁ = Uᵢ` — making `Lᵢ₊₁` a fixpoint of Γ
         // (`Γ(Lᵢ₊₁) = Γ(Uᵢ) = Lᵢ₊₁`): the total two-valued model. The next
@@ -97,16 +91,8 @@ mod tests {
         let rules: Vec<&Rule> = rules.iter().collect();
         let mut stats = EvalStats::default();
         let counters = IndexCounters::default();
-        let (facts, undefined) = eval_well_founded(
-            &rules,
-            edb,
-            &mut stats,
-            &counters,
-            opts,
-            crate::eval::resolve_threads(opts.eval_threads),
-            &mut ParMeta::new(),
-        )
-        .unwrap();
+        let (facts, undefined) =
+            eval_well_founded(&rules, edb, &mut stats, &counters, opts).unwrap();
         counters.fold_into(&mut stats);
         Model {
             facts,
@@ -221,65 +207,5 @@ mod tests {
         assert!(m.is_undefined(q, std::slice::from_ref(&a)));
         assert!(!m.holds(p, std::slice::from_ref(&a)));
         assert!(!m.holds(q, &[a]));
-    }
-
-    /// The alternating fixpoint runs both phases through the partitioned
-    /// round executor; a fat seeded game graph must come out bit-identical
-    /// between serial and multi-threaded evaluation.
-    #[test]
-    fn wfs_parallel_matches_serial() {
-        let mut syms = Interner::new();
-        let mv = syms.intern("move");
-        let win = syms.intern("win");
-        let mut edb = FactStore::new();
-        let n: Vec<Term> = (0..30)
-            .map(|i| Term::Const(syms.intern(&format!("p{i}"))))
-            .collect();
-        // Deterministic LCG: enough moves to cross the parallel work gate.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        for _ in 0..120 {
-            let a = rng() % n.len();
-            let b = rng() % n.len();
-            edb.insert(mv, vec![n[a].clone(), n[b].clone()].into());
-        }
-        let rules = vec![Rule::compile(
-            Atom::new(win, vec![v(0)]),
-            vec![
-                BodyItem::Pos(Atom::new(mv, vec![v(0), v(1)])),
-                BodyItem::Neg(Atom::new(win, vec![v(1)])),
-            ],
-            2,
-            vec!["X".into(), "Y".into()],
-        )
-        .unwrap()];
-        let serial = well_founded(&rules, &edb, &EvalOptions::default());
-        for threads in [2usize, 4] {
-            let par = well_founded(
-                &rules,
-                &edb,
-                &EvalOptions {
-                    eval_threads: threads,
-                    ..Default::default()
-                },
-            );
-            let canon = |m: &Model| {
-                let mut facts: Vec<String> = m
-                    .facts
-                    .iter()
-                    .map(|(p, t)| format!("{p:?}|{t:?}"))
-                    .collect();
-                facts.extend(m.undefined.iter().map(|(p, t)| format!("u{p:?}|{t:?}")));
-                facts.sort();
-                facts
-            };
-            assert_eq!(canon(&par), canon(&serial), "threads={threads}");
-            assert_eq!(par.stats, serial.stats, "threads={threads}");
-        }
     }
 }

@@ -401,18 +401,6 @@ fn addition() -> impl Strategy<Value = Addition> {
 // ---------------------------------------------------------------------
 // Engine side.
 
-/// Default options at the evaluate-plane thread budget CI asks for
-/// (`KIND_EVAL_THREADS=1` and `=8`; models are bit-identical across it).
-fn options() -> EvalOptions {
-    EvalOptions {
-        eval_threads: std::env::var("KIND_EVAL_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        ..Default::default()
-    }
-}
-
 fn grounds(e: &Engine, store: &FactStore) -> BTreeSet<Ground> {
     store
         .iter()
@@ -460,7 +448,7 @@ fn assert_goal(e: &mut Engine, goal: &Lit, base: &Model, prog: &Program) {
         for base in [None, Some(base)] {
             let opts = EvalOptions {
                 magic_sets,
-                ..options()
+                ..Default::default()
             };
             let m = e.run_for_query(&atom, base, &opts).unwrap();
             let what = format!(
@@ -491,7 +479,7 @@ fn assert_goal(e: &mut Engine, goal: &Lit, base: &Model, prog: &Program) {
 
 /// Runs one generated history through every evaluation entry point.
 fn check(prog: &Program, change: &Change) {
-    let opts = options();
+    let opts = EvalOptions::default();
     let mut e = Engine::new();
     e.load(&prog.text()).unwrap();
     let base = e.run(&opts).unwrap();
@@ -545,7 +533,7 @@ fn frozen(m: &Model) -> Vec<(usize, Vec<kind_datalog::Tuple>)> {
 fn check_addition(prog: &Program, addition: &Addition) {
     let mut e = Engine::new();
     e.load(&prog.text()).unwrap();
-    let base = e.run(&options()).unwrap();
+    let base = e.run(&EvalOptions::default()).unwrap();
     assert_model(&e, &base, prog, "run");
     assert!(base.tuples(e.sym("z")).is_empty());
     let before = frozen(&base);

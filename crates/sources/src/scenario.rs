@@ -37,10 +37,6 @@ pub struct ScenarioParams {
     /// available parallelism; 1 = serial baseline). Results are
     /// bit-identical across settings; only wall-clock changes.
     pub fetch_threads: usize,
-    /// Evaluate-plane worker threads (0 = auto — one per core; 1 = serial
-    /// baseline). The parallel fixpoint is bit-identical to serial, so
-    /// this knob too only changes wall clock.
-    pub eval_threads: usize,
     /// End-to-end virtual-time budget per degradable operation (0 = no
     /// deadline). Sources that run past their slice are cut off with
     /// `DeadlineExceeded`; the answer completes from what landed in time.
@@ -66,7 +62,6 @@ impl Default for ScenarioParams {
             noise_rows: 30,
             mode: ExecMode::Assertion,
             fetch_threads: 0,
-            eval_threads: 0,
             query_budget_ms: 0,
             hedge_after_ms: 0,
             magic_sets: true,
@@ -153,7 +148,6 @@ pub fn ncmir_update_rows(seed: u64, batch: usize, rows: usize) -> Vec<kind_core:
 pub fn build_scenario(params: &ScenarioParams) -> Mediator {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
     m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_eval_threads(params.eval_threads);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);
     if params.hedge_after_ms > 0 {
@@ -193,7 +187,6 @@ pub fn build_scenario_with_faults(
 ) -> (Mediator, Arc<FaultInjector>) {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
     m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_eval_threads(params.eval_threads);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);
     if params.hedge_after_ms > 0 {
