@@ -1,4 +1,5 @@
-//! The snapshot **publication plane**: one writer, many wait-free readers.
+//! The snapshot **publication plane**: one writer, many readers that wait
+//! on it for a pointer swap at most.
 //!
 //! [`SnapshotHub`] is an epoch-counted, atomically-swappable slot holding
 //! the *current* [`QuerySnapshot`]. It is the piece that turns the
@@ -9,11 +10,11 @@
 //!   [`crate::Mediator::publish`] installs the freshly published snapshot
 //!   into the hub and bumps the epoch;
 //! * readers call [`SnapshotHub::load`] and get a [`PinnedSnapshot`]: the
-//!   snapshot plus the epoch it was published under. A load never blocks
-//!   on the writer beyond the swap itself — the slot is a hand-rolled
-//!   `ArcSwap` (an `RwLock` around an `Arc`, the offline-compat stand-in
-//!   for the `arc-swap` crate) whose write-side critical section is a
-//!   single pointer store;
+//!   snapshot plus the epoch it was published under. The slot is an
+//!   `RwLock` around an `Arc` (the offline stand-in for the `arc-swap`
+//!   crate): readers share the read lock, and the writer holds the write
+//!   lock for a pointer swap and the epoch store only — the new snapshot
+//!   is allocated before it, the previous one dropped after it;
 //! * a request **pins** the snapshot it started on: however many
 //!   publishes happen mid-request, the pinned epoch keeps serving exactly
 //!   the state it captured, and the old snapshot's memory is reclaimed
@@ -87,29 +88,36 @@ impl SnapshotHub {
     /// (freshly bumped) epoch. Single-writer by convention — the mediator
     /// owns installation — but safe from any thread.
     pub fn install(&self, snapshot: QuerySnapshot) -> u64 {
-        let mut slot = self.slot.write().expect("hub slot poisoned");
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        *slot = Some(PinnedSnapshot {
-            epoch,
-            snapshot: Arc::new(snapshot),
-        });
-        // Published *after* the slot holds the snapshot, while the write
-        // lock still excludes racing installs: a reader that observes
-        // epoch N is guaranteed a subsequent `load` returns epoch >= N.
-        self.epoch.store(epoch, Ordering::Release);
+        // Allocated before the write lock and dropped after it: when the
+        // hub held the last reference, dropping the previous publication
+        // tears a whole snapshot down, and readers do not wait for that.
+        let snapshot = Arc::new(snapshot);
+        let (epoch, previous) = {
+            let mut slot = self.slot.write().expect("hub slot poisoned");
+            let epoch = self.epoch.load(Ordering::Relaxed) + 1;
+            let previous = std::mem::replace(&mut *slot, Some(PinnedSnapshot { epoch, snapshot }));
+            // Published *after* the slot holds the snapshot, while the
+            // write lock still excludes racing installs: a reader that
+            // observes epoch N is guaranteed a subsequent `load` returns
+            // epoch >= N.
+            self.epoch.store(epoch, Ordering::Release);
+            (epoch, previous)
+        };
+        drop(previous);
         epoch
     }
 
     /// Loads the current publication, pinned to its epoch. `None` until
     /// the first install. The read-side critical section is one clone of
-    /// an `(u64, Arc)` pair — readers never wait on each other, and wait
-    /// on the writer only for the duration of its pointer store.
+    /// an `(u64, Arc)` pair under the shared read lock — readers never
+    /// wait on each other, and wait on the writer only for the duration
+    /// of its pointer swap.
     pub fn load(&self) -> Option<PinnedSnapshot> {
         self.slot.read().expect("hub slot poisoned").clone()
     }
 
     /// The current epoch without loading the snapshot: `0` before the
-    /// first install. Lock-free.
+    /// first install. One atomic load; the slot lock is not touched.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }

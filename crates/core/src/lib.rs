@@ -24,7 +24,8 @@
 //!   path;
 //! * [`hub`] — the publication plane: an epoch-counted
 //!   [`SnapshotHub`] slot that [`Mediator::publish`] installs into and
-//!   readers load wait-free, pinning each request to one epoch;
+//!   readers load under a shared read lock, pinning each request to one
+//!   epoch;
 //! * [`plan`] — the §5 four-step query plan with a full execution trace,
 //!   and the Example 4 `protein_distribution` view.
 //!

@@ -70,7 +70,8 @@ pub struct Mediator {
     /// one base clone instead of deep-copying per call.
     shared_base: Option<Arc<GcmBase>>,
     /// The snapshot publication hub: the epoch-counted current-snapshot
-    /// slot that readers load wait-free. The mediator is its single
+    /// slot that readers load under a shared read lock (they wait on a
+    /// publish for a pointer swap only). The mediator is its single
     /// writer — [`Self::publish`] installs into it whenever anyone else
     /// holds a reference (see [`Self::hub`]), and
     /// [`Self::publish_snapshot`] installs unconditionally.
@@ -898,7 +899,7 @@ impl Mediator {
 
     /// The snapshot publication hub. Cloning the returned `Arc` counts
     /// as *subscribing*: from then on every [`Self::publish`] installs
-    /// the fresh snapshot into the hub for wait-free loads. Readers that
+    /// the fresh snapshot into the hub for readers to load. Readers that
     /// only ever want the current state should hold the hub and
     /// [`SnapshotHub::load`] per request rather than calling
     /// [`Self::snapshot`] through a lock on the mediator.

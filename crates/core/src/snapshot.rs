@@ -286,6 +286,7 @@ impl QuerySnapshot {
 mod tests {
     use crate::mediator::Mediator;
     use crate::wrapper::{Anchor, Capability, MemoryWrapper, ObjectRow};
+    use crate::MediatorError;
     use kind_dm::{figures, ExecMode};
     use kind_gcm::GcmValue;
     use std::sync::Arc;
@@ -383,6 +384,29 @@ mod tests {
         let fresh = snap.answer_with("fresh(X) :- X : spines.", &warm).unwrap();
         assert_eq!(fresh.rows.len(), 3);
         assert_eq!(fresh.stats.derived, 3);
+    }
+
+    /// The serving plane hands `answer_with` rule text straight off the
+    /// wire: a nesting bomb is a typed error, not a dead process.
+    #[test]
+    fn answer_with_refuses_a_nesting_bomb() {
+        let snap = mediator().snapshot().unwrap();
+        let bomb = format!(
+            "q(X) :- X : {}a{}.",
+            "f(".repeat(200_000),
+            ")".repeat(200_000)
+        );
+        let err = snap.answer_with(&bomb, snap.eval_options()).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                MediatorError::Datalog(kind_datalog::DatalogError::Parse { message, .. })
+                    if message.contains("nesting")
+            ),
+            "{err:?}"
+        );
+        // The snapshot is as it was.
+        assert_eq!(snap.query_fl("X : spines").unwrap().len(), 3);
     }
 
     /// Registration rebuilds the semantic index (new anchors) but reuses

@@ -26,6 +26,16 @@ use crate::rule::Rule;
 use crate::term::{Term, Var};
 use std::collections::HashMap;
 
+/// How deep a clause may nest — function terms, parenthesised
+/// sub-expressions and aggregate bodies together — and how many arithmetic
+/// operators it may hold, in this parser and in the F-logic one. Everything
+/// downstream of a parser (matching, printing, dropping) recurses over
+/// what it built, and program text reaches the parsers straight off the
+/// wire, so the text must not choose the recursion depth.
+/// [`crate::EvalOptions::max_term_depth`] defaults to 8: no term an
+/// evaluation can derive is refused here.
+pub const MAX_NESTING: usize = 64;
+
 /// A parsed clause: either a ground fact or a rule.
 #[derive(Debug, Clone)]
 pub enum Clause {
@@ -68,6 +78,10 @@ struct Parser<'a> {
     syms: &'a mut Interner,
     vars: HashMap<String, Var>,
     var_names: Vec<String>,
+    /// Open nesting levels at `pos`, and arithmetic operators seen in the
+    /// current clause (both capped by [`MAX_NESTING`]).
+    depth: usize,
+    ops: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -78,7 +92,32 @@ impl<'a> Parser<'a> {
             syms,
             vars: HashMap::new(),
             var_names: Vec::new(),
+            depth: 0,
+            ops: 0,
         }
+    }
+
+    /// Parses one nesting level down, refusing level [`MAX_NESTING`] + 1.
+    fn nested<T>(&mut self, inner: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Counts one arithmetic operator (each deepens the expression tree
+    /// by a level), refusing operator [`MAX_NESTING`] + 1 of a clause.
+    fn operator(&mut self) -> Result<()> {
+        if self.ops == MAX_NESTING {
+            return Err(self.err(&format!(
+                "more than {MAX_NESTING} arithmetic operators in one clause"
+            )));
+        }
+        self.ops += 1;
+        Ok(())
     }
 
     fn nvars(&self) -> u32 {
@@ -233,10 +272,13 @@ impl<'a> Parser<'a> {
             return Ok(Term::Var(self.var(name)));
         }
         if self.eat("(") {
-            let mut args = vec![self.term()?];
-            while self.eat(",") {
-                args.push(self.term()?);
-            }
+            let args = self.nested(|p| {
+                let mut args = vec![p.term()?];
+                while p.eat(",") {
+                    args.push(p.term()?);
+                }
+                Ok(args)
+            })?;
             self.expect(")")?;
             Ok(Term::func(self.syms.intern(&name), args))
         } else {
@@ -271,12 +313,12 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.eat("+") {
+                self.operator()?;
                 lhs = Expr::Add(Box::new(lhs), Box::new(self.expr_mul()?));
-            } else if self.peek() == b'-' && !self.peek2().is_ascii_digit() {
-                self.pos += 1;
-                lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
-            } else if self.peek() == b'-' && self.peek2().is_ascii_digit() {
-                // `X - 3`: subtraction, not a negative literal argument.
+            } else if self.peek() == b'-' {
+                // Also before a digit: `X - 3` is a subtraction, not a
+                // negative literal argument.
+                self.operator()?;
                 self.pos += 1;
                 lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
             } else {
@@ -291,8 +333,10 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.eat("*") {
+                self.operator()?;
                 lhs = Expr::Mul(Box::new(lhs), Box::new(self.expr_prim()?));
             } else if self.peek() == b'/' && self.peek2() != b'/' {
+                self.operator()?;
                 self.pos += 1;
                 lhs = Expr::Div(Box::new(lhs), Box::new(self.expr_prim()?));
             } else {
@@ -304,7 +348,7 @@ impl<'a> Parser<'a> {
     fn expr_prim(&mut self) -> Result<Expr> {
         self.skip_ws();
         if self.eat("(") {
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect(")")?;
             return Ok(e);
         }
@@ -366,10 +410,13 @@ impl<'a> Parser<'a> {
         if !self.eat(":") && !self.eat(";") {
             return Err(self.err("expected `:` or `;` in aggregate"));
         }
-        let mut body = vec![self.body_item()?];
-        while self.eat(",") {
-            body.push(self.body_item()?);
-        }
+        let body = self.nested(|p| {
+            let mut body = vec![p.body_item()?];
+            while p.eat(",") {
+                body.push(p.body_item()?);
+            }
+            Ok(body)
+        })?;
         self.expect("}")?;
         Ok(BodyItem::Agg(Aggregate {
             func,
@@ -428,6 +475,7 @@ impl<'a> Parser<'a> {
     fn clause(&mut self) -> Result<Clause> {
         self.vars.clear();
         self.var_names.clear();
+        self.ops = 0;
         let head = self.atom()?;
         self.skip_ws();
         if self.eat(".") {

@@ -1,5 +1,6 @@
 //! Edge-case integration tests for the deductive engine.
 
+use kind_datalog::parser::MAX_NESTING;
 use kind_datalog::{DatalogError, Engine, EvalOptions, Term};
 
 fn run(src: &str) -> (Engine, kind_datalog::Model) {
@@ -238,4 +239,99 @@ fn index_off_computes_the_same_model() {
         e1.query_model(&m1, "tc(X,Y)").unwrap().len(),
         e2.query_model(&m2, "tc(X,Y)").unwrap().len()
     );
+}
+
+// ---------- Hostile program text: the parser bounds its own recursion ---
+
+/// `f(f(…a…))`, `depth` levels.
+fn nested_term(depth: usize) -> String {
+    format!("{}a{}", "f(".repeat(depth), ")".repeat(depth))
+}
+
+/// `((…1…))`, `depth` levels.
+fn nested_parens(depth: usize) -> String {
+    format!("{}1{}", "(".repeat(depth), ")".repeat(depth))
+}
+
+/// The load fails with a parse error that names `what`, and says where.
+fn refused(src: &str, what: &str) -> usize {
+    match Engine::new().load(src) {
+        Err(DatalogError::Parse {
+            offset, message, ..
+        }) => {
+            assert!(message.contains(what), "{message}");
+            offset
+        }
+        other => panic!("expected a parse error about {what}, got {other:?}"),
+    }
+}
+
+/// Before the cap each of these ended the process with `fatal runtime
+/// error: stack overflow` (SIGABRT, which no `catch_unwind` contains).
+#[test]
+fn nesting_bombs_are_parse_errors_not_stack_overflows() {
+    let at = refused(&format!("p({}).", nested_term(200_000)), "nesting");
+    // Just past the `(` of level 65, behind `p(`.
+    assert_eq!(at, 2 + 2 * (MAX_NESTING + 1));
+    refused(
+        &format!("p(Y) :- q(X), Y = X + {}.", nested_parens(200_000)),
+        "nesting",
+    );
+    refused(
+        &format!("p(N) :- {}q(X)", "N = count{ X : ".repeat(10_000)),
+        "nesting",
+    );
+}
+
+#[test]
+fn nesting_is_capped_at_max_nesting_exactly() {
+    let (mut e, m) = run(&format!("p({}).", nested_term(MAX_NESTING)));
+    assert_eq!(e.query_model(&m, "p(X)").unwrap().len(), 1);
+    refused(&format!("p({}).", nested_term(MAX_NESTING + 1)), "nesting");
+    // Terms and parentheses draw on the one budget.
+    let (mut e, m) = run(&format!(
+        "q(2). p(Y) :- q(X), Y = X + {}.",
+        nested_parens(MAX_NESTING)
+    ));
+    assert_eq!(e.query_model(&m, "p(3)").unwrap().len(), 1);
+    refused(
+        &format!("p(Y) :- q(X), Y = X + {}.", nested_parens(MAX_NESTING + 1)),
+        "nesting",
+    );
+    refused(
+        &format!(
+            "p(Y) :- q(X), Y = X + {}g({}){}.",
+            "(".repeat(MAX_NESTING),
+            nested_term(1),
+            ")".repeat(MAX_NESTING)
+        ),
+        "nesting",
+    );
+}
+
+/// Width is not depth. A 10 000-argument fact is a flat vector: it loads,
+/// evaluates and drops. A 10 000-operand sum would be a 10 000-deep
+/// left-nested expression tree, so operator chains are **refused by a
+/// stated cap** — [`MAX_NESTING`] arithmetic operators per clause — and a
+/// chain of exactly that many evaluates.
+#[test]
+fn wide_clauses_evaluate_and_long_operator_chains_are_capped() {
+    let args: Vec<String> = (0..10_000).map(|i| format!("c{i}")).collect();
+    let (_, m) = run(&format!("wide({}).", args.join(",")));
+    assert_eq!(m.facts.len(), 1);
+    let sum = |operands: usize| format!("q(0). p(Y) :- q(X), Y = X{}.", " + 1".repeat(operands));
+    let (mut e, m) = run(&sum(MAX_NESTING));
+    assert_eq!(
+        e.query_model(&m, &format!("p({MAX_NESTING})"))
+            .unwrap()
+            .len(),
+        1
+    );
+    refused(&sum(MAX_NESTING + 1), "operators");
+    refused(&sum(10_000), "operators");
+    // The budget is per clause: the next clause starts at zero.
+    let half = " + 1".repeat(MAX_NESTING / 2 + 1);
+    run(&format!(
+        "q(0). p(Y) :- q(X), Y = X{half}. r(Y) :- q(X), Y = X{half}."
+    ));
 }

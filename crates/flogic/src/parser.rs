@@ -17,6 +17,7 @@
 //! `IsA` syntax and needs no special casing.
 
 use crate::ast::{ArrowKind, MethodSpec, Molecule};
+use kind_datalog::parser::MAX_NESTING;
 use kind_datalog::{AggFunc, Atom, DatalogError, Interner, Term, Var};
 use std::collections::HashMap;
 
@@ -95,6 +96,10 @@ struct FlParser<'a> {
     syms: &'a mut Interner,
     vars: HashMap<String, Var>,
     var_names: Vec<String>,
+    /// Open nesting levels at `pos`, and arithmetic operators seen in the
+    /// current clause (both capped by [`MAX_NESTING`]).
+    depth: usize,
+    ops: usize,
 }
 
 impl<'a> FlParser<'a> {
@@ -105,7 +110,35 @@ impl<'a> FlParser<'a> {
             syms,
             vars: HashMap::new(),
             var_names: Vec::new(),
+            depth: 0,
+            ops: 0,
         }
+    }
+
+    /// Parses one nesting level down, refusing level [`MAX_NESTING`] + 1.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, DatalogError>,
+    ) -> Result<T, DatalogError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Counts one arithmetic operator (each deepens the expression tree
+    /// by a level), refusing operator [`MAX_NESTING`] + 1 of a clause.
+    fn operator(&mut self) -> Result<(), DatalogError> {
+        if self.ops == MAX_NESTING {
+            return Err(self.err(&format!(
+                "more than {MAX_NESTING} arithmetic operators in one clause"
+            )));
+        }
+        self.ops += 1;
+        Ok(())
     }
 
     fn err(&self, msg: &str) -> DatalogError {
@@ -260,10 +293,13 @@ impl<'a> FlParser<'a> {
             return Ok(Term::Var(self.var(name)));
         }
         if self.eat("(") {
-            let mut args = vec![self.term()?];
-            while self.eat(",") {
-                args.push(self.term()?);
-            }
+            let args = self.nested(|p| {
+                let mut args = vec![p.term()?];
+                while p.eat(",") {
+                    args.push(p.term()?);
+                }
+                Ok(args)
+            })?;
             self.expect(")")?;
             Ok(Term::func(self.syms.intern(&name), args))
         } else {
@@ -367,8 +403,10 @@ impl<'a> FlParser<'a> {
         loop {
             self.skip_ws();
             if self.eat("+") {
+                self.operator()?;
                 lhs = Expr::Add(Box::new(lhs), Box::new(self.expr_mul()?));
             } else if self.peek() == b'-' {
+                self.operator()?;
                 self.pos += 1;
                 lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
             } else {
@@ -383,8 +421,10 @@ impl<'a> FlParser<'a> {
         loop {
             self.skip_ws();
             if self.eat("*") {
+                self.operator()?;
                 lhs = Expr::Mul(Box::new(lhs), Box::new(self.expr_prim()?));
             } else if self.peek() == b'/' && self.peek_at(1) != b'/' {
+                self.operator()?;
                 self.pos += 1;
                 lhs = Expr::Div(Box::new(lhs), Box::new(self.expr_prim()?));
             } else {
@@ -397,7 +437,7 @@ impl<'a> FlParser<'a> {
         use kind_datalog::Expr;
         self.skip_ws();
         if self.eat("(") {
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect(")")?;
             return Ok(e);
         }
@@ -483,10 +523,13 @@ impl<'a> FlParser<'a> {
         if !self.eat(":") && !self.eat(";") {
             return Err(self.err("expected `:` or `;` in aggregate"));
         }
-        let mut body = vec![self.body_item()?];
-        while self.eat(",") {
-            body.push(self.body_item()?);
-        }
+        let body = self.nested(|p| {
+            let mut body = vec![p.body_item()?];
+            while p.eat(",") {
+                body.push(p.body_item()?);
+            }
+            Ok(body)
+        })?;
         self.expect("}")?;
         Ok(FlBodyItem::Agg {
             func,
@@ -500,6 +543,7 @@ impl<'a> FlParser<'a> {
     fn clause(&mut self) -> Result<FlClause, DatalogError> {
         self.vars.clear();
         self.var_names.clear();
+        self.ops = 0;
         let head = self.molecule()?;
         self.skip_ws();
         if self.eat(".") {

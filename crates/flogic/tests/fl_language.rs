@@ -2,6 +2,7 @@
 //! interaction of inheritance with the well-founded semantics, and the
 //! display round trip.
 
+use kind_datalog::parser::MAX_NESTING;
 use kind_datalog::DatalogError;
 use kind_flogic::{parse_fl_molecule, parse_fl_program, FLogic, Molecule};
 
@@ -153,4 +154,52 @@ fn plain_atoms_pass_through_untouched() {
     let (m, _) = parse_fl_molecule("edge(a, b)", &mut syms).unwrap();
     let Molecule::Plain(atom) = m else { panic!() };
     assert_eq!(atom.args.len(), 2);
+}
+
+/// The F-logic parser shares the Datalog parser's nesting cap: a term or
+/// parenthesis bomb in any position is a positioned parse error. Before
+/// the cap each ended the process with a stack overflow.
+#[test]
+fn nesting_bombs_are_parse_errors_not_stack_overflows() {
+    let term = |depth: usize| format!("{}a{}", "f(".repeat(depth), ")".repeat(depth));
+    let parens = |depth: usize| format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let load = |src: &str| FLogic::new().load(src);
+    let bomb = term(200_000);
+    for src in [
+        format!("q(X) :- X : {bomb}."),
+        format!("{bomb} :: c."),
+        format!("o[m -> {bomb}]."),
+        format!("q(X) :- p(X), X > {}.", parens(200_000)),
+        format!("q(X) :- p(X), X + {} > 2.", parens(200_000)),
+        format!("q(N) :- {}p(X)", "N = count{ X : ".repeat(10_000)),
+        format!("q(Y) :- p(X), Y = X{}.", " + 1".repeat(10_000)),
+    ] {
+        match load(&src) {
+            Err(DatalogError::Parse {
+                offset, message, ..
+            }) => {
+                assert!(
+                    message.contains("nesting") || message.contains("operators"),
+                    "{message}"
+                );
+                assert!(offset > 0 && offset < src.len());
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+    // Exactly at the cap parses; one past it does not.
+    load(&format!("o : {}.", term(MAX_NESTING))).unwrap();
+    assert!(load(&format!("o : {}.", term(MAX_NESTING + 1))).is_err());
+    load(&format!("q(X) :- p(X), X > {}.", parens(MAX_NESTING))).unwrap();
+    assert!(load(&format!("q(X) :- p(X), X > {}.", parens(MAX_NESTING + 1))).is_err());
+    load(&format!(
+        "q(Y) :- p(X), Y = X{}.",
+        " + 1".repeat(MAX_NESTING)
+    ))
+    .unwrap();
+    assert!(load(&format!(
+        "q(Y) :- p(X), Y = X{}.",
+        " + 1".repeat(MAX_NESTING + 1)
+    ))
+    .is_err());
 }

@@ -84,8 +84,9 @@ fn main() {
 
     // 6. Concurrent serving through the publication hub: subscribe to
     //    the mediator's `SnapshotHub`, publish, and any number of
-    //    threads load the current epoch-pinned snapshot wait-free while
-    //    the mediator (the single writer) stays free to keep evolving.
+    //    threads load the current epoch-pinned snapshot (a shared read
+    //    lock; a publish holds them up for a pointer swap only) while the
+    //    mediator (the single writer) stays free to keep evolving.
     //    Warm §5 plans replay on snapshots the same way — see the
     //    `on_demand_queries` example; `kind-server` is this pattern as a
     //    standing binary.
