@@ -95,7 +95,7 @@ impl SnapshotHub {
         let (epoch, previous) = {
             let mut slot = self.slot.write().expect("hub slot poisoned");
             let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-            let previous = std::mem::replace(&mut *slot, Some(PinnedSnapshot { epoch, snapshot }));
+            let previous = slot.replace(PinnedSnapshot { epoch, snapshot });
             // Published *after* the slot holds the snapshot, while the
             // write lock still excludes racing installs: a reader that
             // observes epoch N is guaranteed a subsequent `load` returns
