@@ -92,17 +92,14 @@ impl SnapshotHub {
         // hub held the last reference, dropping the previous publication
         // tears a whole snapshot down, and readers do not wait for that.
         let snapshot = Arc::new(snapshot);
-        let (epoch, previous) = {
-            let mut slot = self.slot.write().expect("hub slot poisoned");
-            let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-            let previous = slot.replace(PinnedSnapshot { epoch, snapshot });
-            // Published *after* the slot holds the snapshot, while the
-            // write lock still excludes racing installs: a reader that
-            // observes epoch N is guaranteed a subsequent `load` returns
-            // epoch >= N.
-            self.epoch.store(epoch, Ordering::Release);
-            (epoch, previous)
-        };
+        let mut slot = self.slot.write().expect("hub slot poisoned");
+        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
+        let previous = slot.replace(PinnedSnapshot { epoch, snapshot });
+        // Published *after* the slot holds the snapshot, while the write
+        // lock still excludes racing installs: a reader that observes
+        // epoch N is guaranteed a subsequent `load` returns epoch >= N.
+        self.epoch.store(epoch, Ordering::Release);
+        drop(slot);
         drop(previous);
         epoch
     }

@@ -318,8 +318,8 @@ impl<'a> Parser<'a> {
             } else if self.peek() == b'-' {
                 // Also before a digit: `X - 3` is a subtraction, not a
                 // negative literal argument.
-                self.operator()?;
                 self.pos += 1;
+                self.operator()?;
                 lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
             } else {
                 return Ok(lhs);
@@ -336,8 +336,8 @@ impl<'a> Parser<'a> {
                 self.operator()?;
                 lhs = Expr::Mul(Box::new(lhs), Box::new(self.expr_prim()?));
             } else if self.peek() == b'/' && self.peek2() != b'/' {
-                self.operator()?;
                 self.pos += 1;
+                self.operator()?;
                 lhs = Expr::Div(Box::new(lhs), Box::new(self.expr_prim()?));
             } else {
                 return Ok(lhs);

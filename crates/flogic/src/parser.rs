@@ -406,8 +406,8 @@ impl<'a> FlParser<'a> {
                 self.operator()?;
                 lhs = Expr::Add(Box::new(lhs), Box::new(self.expr_mul()?));
             } else if self.peek() == b'-' {
-                self.operator()?;
                 self.pos += 1;
+                self.operator()?;
                 lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
             } else {
                 return Ok(lhs);
@@ -424,8 +424,8 @@ impl<'a> FlParser<'a> {
                 self.operator()?;
                 lhs = Expr::Mul(Box::new(lhs), Box::new(self.expr_prim()?));
             } else if self.peek() == b'/' && self.peek_at(1) != b'/' {
-                self.operator()?;
                 self.pos += 1;
+                self.operator()?;
                 lhs = Expr::Div(Box::new(lhs), Box::new(self.expr_prim()?));
             } else {
                 return Ok(lhs);
