@@ -4,13 +4,19 @@
 //! 1. semi-naive vs. naive fixpoint on transitive-closure workloads;
 //! 2. a stratified program with and without a negation-cyclic stratum
 //!    (the alternating fixpoint) bolted on;
-//! 3. domain-map edge execution: constraint vs. assertion mode.
+//! 3. domain-map edge execution: constraint vs. assertion mode;
+//! 4. the first-column join index on vs. off;
+//! 5. SIP join reordering on vs. off, and
+//! 6. the base-model cache on vs. off, both under a repeated
+//!    `Mediator::answer` on the §5 scenario (`report`'s
+//!    `sec5_warm_answer` row ablates them only together with the index).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kind_bench::tc_workload;
 use kind_datalog::{Engine, EvalOptions};
 use kind_dm::{figures, rules, ExecMode, DM_OPS_RULES};
 use kind_flogic::FLogic;
+use kind_sources::{build_scenario, ScenarioParams};
 use std::hint::black_box;
 
 fn bench_seminaive_vs_naive(c: &mut Criterion) {
@@ -134,11 +140,60 @@ fn bench_index(c: &mut Criterion) {
     g.finish();
 }
 
+/// One `EvalOptions` toggle on and off under a repeated
+/// `Mediator::answer` on the §5 scenario: each iteration fetches the
+/// rule's class and evaluates the rule on a scratch clone of the base.
+/// Two states, because they differ: `on_demand` (nothing loaded — the
+/// fetched rows are new to `inst`, so the strata above it run again) and
+/// `materialized` (the rows are in the published model already). One
+/// untimed priming call each, so a cached model is warm where one is used;
+/// its `EvalStats` are printed beside the timing.
+fn bench_answer_toggle(c: &mut Criterion, group: &str, set: fn(&mut EvalOptions, bool)) {
+    let rule = r#"calcium_sites(P, L) :- X : protein_amount, X[protein_name -> P],
+                  X[location -> L], X[ion_bound -> "calcium"]."#;
+    let mut g = c.benchmark_group(group);
+    g.sample_size(10);
+    for materialized in [false, true] {
+        for on in [true, false] {
+            let mut m = build_scenario(&ScenarioParams::default());
+            let mut opts = m.eval_options().clone();
+            set(&mut opts, on);
+            m.set_eval_options(opts);
+            if materialized {
+                m.materialize_all().unwrap();
+            }
+            let state = if materialized {
+                "materialized"
+            } else {
+                "on_demand"
+            };
+            let id = BenchmarkId::new(state, if on { "on" } else { "off" });
+            // The priming call's counters: the same every run, where the
+            // wall clock of a 2-3 ms call on a shared host is not.
+            println!("stats {group}/{id}: {:?}", m.answer(rule).unwrap().stats);
+            g.bench_function(id, |b| {
+                b.iter(|| black_box(m.answer(rule).unwrap().rows.len()))
+            });
+        }
+    }
+    g.finish();
+}
+
+fn bench_join_reorder(c: &mut Criterion) {
+    bench_answer_toggle(c, "ablation_join_reorder", |o, on| o.join_reorder = on);
+}
+
+fn bench_base_cache(c: &mut Criterion) {
+    bench_answer_toggle(c, "ablation_base_cache", |o, on| o.base_cache = on);
+}
+
 criterion_group!(
     benches,
     bench_seminaive_vs_naive,
     bench_stratified_vs_wfs,
     bench_exec_modes,
-    bench_index
+    bench_index,
+    bench_join_reorder,
+    bench_base_cache
 );
 criterion_main!(benches);

@@ -26,7 +26,7 @@ fn header(s: &str) {
 
 fn main() {
     // `KIND_BENCH_FAST=1` is the CI smoke mode: skip the narrative
-    // figure/table reports and emit only BENCH_PR10.json with reduced
+    // figure/table reports and emit only BENCH.json with reduced
     // iteration counts and workload sizes.
     let fast = std::env::var("KIND_BENCH_FAST").is_ok();
     // The incremental-publish group compares a sub-millisecond republish
@@ -42,7 +42,7 @@ fn main() {
         figure3_report();
         section5_report();
     }
-    bench_pr10_report(fast, inc);
+    bench_ledger_report(fast, inc);
 }
 
 /// Scenario sizing shared by the benchmark groups (reduced in CI smoke
@@ -83,8 +83,8 @@ fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
 /// time, and `EvalStats` counters from a representative warm model.
 /// Serving, fetch overlap and cold materialization are the benchmark's
 /// (`served_*`, `stalled_fetch`, `cold_federation`). Results go to stdout
-/// and `BENCH_PR10.json`.
-fn bench_pr10_report(fast: bool, inc: IncGroup) {
+/// and `BENCH.json`.
+fn bench_ledger_report(fast: bool, inc: IncGroup) {
     header("Bench ledger — evaluation pipeline, snapshots, write plane");
     let iters = if fast { 5 } else { 25 };
     let (depth, fanout) = if fast { (4usize, 3usize) } else { (5, 3) };
@@ -277,8 +277,8 @@ fn bench_pr10_report(fast: bool, inc: IncGroup) {
     }
 
     let json = render_bench_json(fast, iters, &rows, &conc, &tail, &magic, &inc, &mut m_warm);
-    std::fs::write("BENCH_PR10.json", &json).expect("write BENCH_PR10.json");
-    println!("\nwrote BENCH_PR10.json");
+    std::fs::write("BENCH.json", &json).expect("write BENCH.json");
+    println!("\nwrote BENCH.json");
 }
 
 /// Sustained write-while-read throughput: one writer loading rows and
@@ -508,8 +508,10 @@ fn magic_sets_bench(fast: bool, params: &ScenarioParams) -> Vec<MagicRow> {
     let aq = r#"calcium_at_spine(P, A) :- X : protein_amount, X[protein_name -> P],
         X[amount -> A], X[ion_bound -> "calcium"], X[location -> "Purkinje_Spine"]."#;
     let run = |magic: bool| {
-        let mut m = build_scenario(params);
-        m.set_magic_sets(magic);
+        let mut m = build_scenario(&ScenarioParams {
+            magic_sets: magic,
+            ..params.clone()
+        });
         m.answer(aq).unwrap();
         let wall = min_ns(iters, || {
             black_box(m.answer(aq).unwrap().rows.len());

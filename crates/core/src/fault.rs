@@ -195,17 +195,14 @@ impl Clock for VirtualClock {
 /// The embedded [`CancelToken`] is shared with the evaluate plane
 /// ([`kind_datalog::EvalOptions::cancel`]) and checked by fetch jobs
 /// between attempts: cancelling it winds down both planes cooperatively.
-/// With [`Self::set_cancel_on_exhaust`] the first job to exhaust its
-/// slice also cancels the token, reining in in-flight siblings — at the
-/// cost of the strict any-thread-count report identity (which siblings
-/// see the flag first is a scheduling race), so it is off by default.
+/// Exhausting the budget never fires it — which siblings saw the flag
+/// first would be a scheduling race — so each job runs to its own slice.
 #[derive(Debug, Clone)]
 pub struct QueryBudget {
     budget_ms: u64,
     started_ms: u64,
     consumed_ms: u64,
     cancel: CancelToken,
-    cancel_on_exhaust: bool,
 }
 
 impl QueryBudget {
@@ -217,7 +214,6 @@ impl QueryBudget {
             started_ms: clock.now_ms(),
             consumed_ms: 0,
             cancel: CancelToken::new(),
-            cancel_on_exhaust: false,
         }
     }
 
@@ -255,29 +251,14 @@ impl QueryBudget {
     }
 
     /// Charges `ms` of consumed virtual time (a fetch round's critical
-    /// path). Cancels the token if configured and now exhausted.
+    /// path).
     pub fn charge(&mut self, ms: u64) {
         self.consumed_ms = self.consumed_ms.saturating_add(ms);
-        if self.cancel_on_exhaust && self.is_exhausted() {
-            self.cancel.cancel();
-        }
     }
 
     /// A clone of the budget's cancellation token.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
-    }
-
-    /// Whether exhausting the budget should cancel the shared token (and
-    /// with it any in-flight sibling work). Off by default; see the type
-    /// docs for the determinism trade-off.
-    pub fn set_cancel_on_exhaust(&mut self, yes: bool) {
-        self.cancel_on_exhaust = yes;
-    }
-
-    /// The [`Self::set_cancel_on_exhaust`] setting.
-    pub fn cancels_on_exhaust(&self) -> bool {
-        self.cancel_on_exhaust
     }
 }
 

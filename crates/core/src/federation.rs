@@ -267,9 +267,6 @@ struct JobBudget {
     spent_ms: u64,
     /// The query-wide cancellation token, checked before every attempt.
     cancel: Option<CancelToken>,
-    /// Whether exhausting this slice fires the query-wide token (the
-    /// opt-in sibling-cancellation mode).
-    cancel_on_exhaust: bool,
     /// Set once the job has quarantined rows from its source: a source
     /// that ships garbage is never hedged (a backup attempt would ship
     /// more garbage, not better data).
@@ -277,16 +274,6 @@ struct JobBudget {
 }
 
 impl JobBudget {
-    /// Fires the query-wide token if this job's exhaustion should cancel
-    /// its siblings.
-    fn note_exhausted(&self) {
-        if self.cancel_on_exhaust {
-            if let Some(t) = &self.cancel {
-                t.cancel();
-            }
-        }
-    }
-
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
     }
@@ -427,7 +414,6 @@ impl FetchMachine {
                     if budget.exhausted() {
                         stats.failures += 1;
                         self.cancelled += 1;
-                        budget.note_exhausted();
                         return self.finish(
                             GuardedFetch::DeadlineExceeded {
                                 attempts: self.attempts,
@@ -606,7 +592,6 @@ impl FetchMachine {
             // query gave up.
             stats.failures += 1;
             self.cancelled += 1;
-            budget.note_exhausted();
             return self.finish(
                 GuardedFetch::DeadlineExceeded {
                     attempts: self.attempts,
@@ -936,10 +921,6 @@ pub struct Federation {
     /// The query-wide cooperative cancellation token, shared with every
     /// fetch job (and, via the mediator, with the Datalog fixpoint).
     cancel: CancelToken,
-    /// Whether budget exhaustion fires [`Self::cancel`] (aggressive
-    /// sibling cancellation; off by default — see
-    /// [`Self::set_deadline_cancels_siblings`]).
-    cancel_on_exhaust: bool,
     /// Query-processing statistics.
     pub stats: MediatorStats,
 }
@@ -966,7 +947,6 @@ impl Federation {
             query_budget_ms: 0,
             budget: None,
             cancel: CancelToken::new(),
-            cancel_on_exhaust: false,
             stats: MediatorStats::default(),
         }
     }
@@ -998,21 +978,6 @@ impl Federation {
     /// operation starts with the token reset.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
-    }
-
-    /// When `true`, the first fetch job to exhaust its budget slice fires
-    /// the query-wide cancellation token, so sibling jobs abandon their
-    /// remaining work immediately instead of each running to its own
-    /// deadline. Off by default: cross-job cancellation makes *which*
-    /// sibling fetches complete depend on scheduling, trading the
-    /// bit-identical-reports guarantee for lower tail latency.
-    pub fn set_deadline_cancels_siblings(&mut self, yes: bool) {
-        self.cancel_on_exhaust = yes;
-    }
-
-    /// The [`Self::set_deadline_cancels_siblings`] setting.
-    pub fn deadline_cancels_siblings(&self) -> bool {
-        self.cancel_on_exhaust
     }
 
     /// Sets the worker-thread count for [`Self::fetch_parallel`]: `0`
@@ -1079,11 +1044,6 @@ impl Federation {
         Arc::clone(&self.clock)
     }
 
-    /// Replaces the clock (e.g. with a pre-advanced [`VirtualClock`]).
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
-    }
-
     /// Sets the policy used for sources without a per-source override.
     pub fn set_default_policy(&mut self, policy: SourcePolicy) {
         self.default_policy = policy;
@@ -1127,10 +1087,10 @@ impl Federation {
         self.report.budget_ms = self.query_budget_ms;
         self.cancel.reset();
         self.budget = if self.query_budget_ms > 0 {
-            let mut b = QueryBudget::start(&self.clock, self.query_budget_ms)
-                .with_cancel(self.cancel.clone());
-            b.set_cancel_on_exhaust(self.cancel_on_exhaust);
-            Some(b)
+            Some(
+                QueryBudget::start(&self.clock, self.query_budget_ms)
+                    .with_cancel(self.cancel.clone()),
+            )
         } else {
             None
         };
@@ -1191,7 +1151,6 @@ impl Federation {
                 slice_ms: self.budget.as_ref().map(QueryBudget::remaining_ms),
                 spent_ms: 0,
                 cancel: Some(self.cancel.clone()),
-                cancel_on_exhaust: self.cancel_on_exhaust,
                 tainted: false,
             },
             requests: Vec::new(),

@@ -25,17 +25,14 @@ use crate::federation::{Federation, FetchRequest};
 pub use crate::federation::{MediatorStats, RegisteredSource};
 use crate::hub::{PinnedSnapshot, SnapshotHub};
 use crate::knowledge::Knowledge;
+use crate::query::{evaluate, AnswerSet, OneOffRule};
 use crate::snapshot::QuerySnapshot;
 use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
-use kind_datalog::{EvalOptions, EvalStats, Interner, Model, Term};
+use kind_datalog::{EvalOptions, Interner, Model, Term};
 use kind_dm::{axiom, rules, DomainMap, ExecMode, Resolved, SemanticIndex, SourceId, DM_OPS_RULES};
 use kind_gcm::{GcmBase, GcmDecl};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-
-/// Answer rows, the names of the sources contacted to produce them, the
-/// evaluation statistics, and whether the magic-sets rewrite fired.
-pub(crate) type RowsAndSources = (Vec<Vec<Term>>, Vec<String>, EvalStats, bool);
 
 /// The model-based mediator: a facade composing the [`Federation`] and
 /// [`Knowledge`] layers with the eval/cache pipeline (see module docs).
@@ -53,17 +50,11 @@ pub struct Mediator {
     /// Whether the base program must be rebuilt from scratch before the
     /// next evaluation. Raised only by changes the staged write plane
     /// cannot express as a delta: domain-map refinements (their compiled
-    /// rules permeate the whole program) and evaluation-option changes.
-    /// Everything else — loaded rows, retracted rows, incremental CM
-    /// applications, view pushes/pops — stays out of this flag and flows
-    /// through the engine's changelog instead, so [`Self::publish`] can
-    /// maintain the cached model incrementally.
+    /// rules permeate the whole program). Everything else — loaded rows,
+    /// retracted rows, incremental CM applications, new views — stays out
+    /// of this flag and flows through the engine's changelog instead, so
+    /// [`Self::publish`] can maintain the cached model incrementally.
     needs_rebuild: bool,
-    /// Engine rule ranges of each installed view, aligned with
-    /// `knowledge.views` — valid whenever `needs_rebuild` is false, so
-    /// [`Self::pop_view`] can surgically remove exactly the view's rules
-    /// instead of invalidating the world. Recomputed by [`Self::rebuild`].
-    view_spans: Vec<(usize, usize)>,
     /// The `Arc` of the base handed to the most recent snapshot, reused
     /// verbatim by the next [`Self::snapshot`] when no base mutation
     /// happened in between — repeated snapshots of a quiet mediator share
@@ -98,7 +89,6 @@ impl Mediator {
             model: None,
             model_fp: None,
             needs_rebuild: true,
-            view_spans: Vec::new(),
             shared_base: None,
             hub: Arc::new(SnapshotHub::new()),
             eval_options,
@@ -222,12 +212,6 @@ impl Mediator {
         self.federation.clock()
     }
 
-    /// Replaces the clock (e.g. with a pre-advanced
-    /// [`crate::VirtualClock`]).
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.federation.set_clock(clock);
-    }
-
     /// Sets the policy used for sources without a per-source override.
     pub fn set_default_policy(&mut self, policy: SourcePolicy) {
         self.federation.set_default_policy(policy);
@@ -270,15 +254,6 @@ impl Mediator {
     /// reset.
     pub fn cancel_token(&self) -> kind_datalog::CancelToken {
         self.federation.cancel_token()
-    }
-
-    /// When `true`, the first fetch job to exhaust its budget slice
-    /// cancels its in-flight siblings instead of letting each run to its
-    /// own deadline. Off by default: sibling cancellation trades the
-    /// bit-identical-reports guarantee for lower tail latency (see
-    /// [`Federation::set_deadline_cancels_siblings`]).
-    pub fn set_deadline_cancels_siblings(&mut self, yes: bool) {
-        self.federation.set_deadline_cancels_siblings(yes);
     }
 
     /// The breaker state for a source, once it has been fetched from at
@@ -559,13 +534,16 @@ impl Mediator {
 
     /// Overrides the evaluation options (depth limits etc.). The
     /// mediator's pipeline-wide cancellation token is re-attached unless
-    /// the caller supplied their own (see [`Self::cancel_token`]).
+    /// the caller supplied their own (see [`Self::cancel_token`]). The
+    /// base program does not depend on any option, so nothing is staged;
+    /// the cached model is keyed by the options that can change it (see
+    /// `Mediator::base_fingerprint`) and the next [`Self::run`] drops it
+    /// if one of those moved — `magic_sets` and `cancel` never do.
     pub fn set_eval_options(&mut self, opts: EvalOptions) {
         self.eval_options = opts;
         if self.eval_options.cancel.is_none() {
             self.eval_options.cancel = Some(self.federation.cancel_token());
         }
-        self.needs_rebuild = true;
     }
 
     /// The current evaluation options.
@@ -573,67 +551,23 @@ impl Mediator {
         &self.eval_options
     }
 
-    /// Toggles the magic-sets demand transformation for goal-directed
-    /// queries ([`Self::answer`] and snapshot answers). The rewrite is
-    /// answer-preserving and only ever applied on the query path — full
-    /// materialization ([`Self::run`]) ignores it — so flipping it
-    /// neither dirties the base nor invalidates a cached model.
-    pub fn set_magic_sets(&mut self, on: bool) {
-        self.eval_options.magic_sets = on;
-    }
-
-    /// Whether goal-directed queries apply the magic-sets rewrite.
-    pub fn magic_sets(&self) -> bool {
-        self.eval_options.magic_sets
-    }
-
     /// Read access to the GCM base (the built engine).
     pub fn base(&self) -> &GcmBase {
         &self.base
     }
 
-    /// Mutable access to the GCM base, for the goal-directed query path
-    /// (the magic-sets rewrite interns adorned predicate names).
-    pub(crate) fn base_mut(&mut self) -> &mut GcmBase {
-        &mut self.base
-    }
-
-    /// Removes the most recently defined view (used for one-off queries).
-    /// When the base is current, exactly the view's own rules are removed
-    /// from the live engine — a staged retraction the next
-    /// [`Self::publish`] maintains incrementally — instead of invalidating
-    /// the whole program.
-    pub(crate) fn pop_view(&mut self) {
-        self.knowledge.views.pop();
-        if self.needs_rebuild {
-            // Spans are only valid for a current base; the pending
-            // rebuild reloads the (now shorter) view list anyway.
-            return;
-        }
-        match self.view_spans.pop() {
-            Some((start, end)) => {
-                self.base.flogic_mut().engine_mut().remove_rules(start, end);
-                self.shared_base = None;
-            }
-            None => self.needs_rebuild = true,
-        }
-    }
-
     /// Defines an integrated view (an IVD): FL rule text over source
     /// classes and the domain map (Example 4). When the base is current,
-    /// the view's rules are loaded into the live engine immediately (and
-    /// their span recorded for `Mediator::pop_view`); the staged write plane
-    /// picks the change up at the next [`Self::publish`].
+    /// the view's rules are loaded into the live engine immediately; the
+    /// staged write plane picks the change up at the next
+    /// [`Self::publish`].
     pub fn define_view(&mut self, fl_text: &str) -> Result<()> {
         if !self.needs_rebuild {
-            let start = self.base.flogic().engine().rules().len();
             if let Err(e) = self.base.flogic_mut().load(fl_text) {
                 // Partial loads leave stray rules; resync via rebuild.
                 self.needs_rebuild = true;
                 return Err(e.into());
             }
-            let end = self.base.flogic().engine().rules().len();
-            self.view_spans.push((start, end));
             self.shared_base = None;
         }
         self.knowledge.views.push(fl_text.to_string());
@@ -661,17 +595,13 @@ impl Mediator {
                 }
             }
         }
-        let mut spans = Vec::with_capacity(self.knowledge.views.len());
         for v in &self.knowledge.views {
-            let start = base.flogic().engine().rules().len();
             base.flogic_mut().load(v)?;
-            spans.push((start, base.flogic().engine().rules().len()));
         }
         // From here every mutation is recorded: the staged write plane
         // starts at the freshly built program.
         base.flogic_mut().engine_mut().begin_delta();
         self.base = base;
-        self.view_spans = spans;
         self.model = None;
         self.shared_base = None;
         self.needs_rebuild = false;
@@ -811,13 +741,13 @@ impl Mediator {
         opts.cancel = None;
         // The magic-sets toggle only affects goal-directed query plans;
         // full materialization (`run`) never applies the rewrite, so the
-        // cached base model is always the full one and stays valid across
-        // `set_magic_sets` calls.
+        // cached base model is always the full one and stays valid when
+        // it flips.
         opts.magic_sets = true;
         format!("{opts:?}").hash(&mut h);
         // CMs and views are deliberately *not* hashed: their lifecycle
         // flows through the staged write plane (the engine changelog plus
-        // `needs_rebuild`), so a view push/pop or an incremental CM
+        // `needs_rebuild`), so a new view or an incremental CM
         // application updates the cached model by delta instead of
         // invalidating it wholesale.
         h.finish()
@@ -828,7 +758,7 @@ impl Mediator {
     ///
     /// This is the **publish point** of the staged write plane: mutations
     /// since the last run (loaded rows, retracted rows, incremental CM
-    /// applications, view pushes/pops) have been accumulating in the
+    /// applications, new views) have been accumulating in the
     /// engine's changelog, and when a cached model exists they are
     /// applied to it *incrementally* ([`kind_datalog::Engine::apply_delta`]
     /// — monotone additions ride delta rounds, retractions
@@ -865,16 +795,6 @@ impl Mediator {
         }
         self.model_fp = Some(fp);
         Ok(self.model.as_ref().expect("just set"))
-    }
-
-    /// Ensures the base *program* is current — rebuilding only when a
-    /// non-delta change demands it — without forcing an evaluation (the
-    /// cold query path evaluates goal-directed on the engine itself).
-    pub(crate) fn ensure_base_current(&mut self) -> Result<()> {
-        if self.needs_rebuild {
-            self.rebuild()?;
-        }
-        Ok(())
     }
 
     /// Publishes the staged writes: the write-plane name for
@@ -1019,108 +939,74 @@ impl Mediator {
         Ok(self.base.witnesses(&model))
     }
 
-    /// The warm [`Mediator::answer`] path (see `query.rs`): evaluates a
-    /// one-off view on a scratch clone of the base, seeded with the
-    /// cached base-layer model so only query-relevant strata are
-    /// recomputed (the `base` of `Engine::run_for_query`). Returns `None`
-    /// when the base program already defines the head predicate — by a
-    /// rule or a stored fact, whether or not it derived anything — so the
-    /// caller falls back to the cold path.
-    pub(crate) fn answer_via_base_cache(
-        &mut self,
-        rule_text: &str,
-        head_pred: &str,
-        head_args: &[Term],
-        exported: &[String],
-        scratch: &Interner,
-    ) -> Result<Option<RowsAndSources>> {
-        self.run()?;
-        let base_model = Arc::clone(self.model.as_ref().expect("run() caches the model"));
-        if self.base.flogic().engine().defines(head_pred) {
-            return Ok(None);
-        }
-        // The base itself is not touched below: the cached model stays
-        // valid, and the shared `Arc` means no take/put juggling.
-        self.answer_on_clone(
-            rule_text,
-            head_pred,
-            head_args,
-            exported,
-            scratch,
-            &base_model,
-        )
-        .map(Some)
-    }
-
-    fn answer_on_clone(
-        &mut self,
-        rule_text: &str,
-        head_pred: &str,
-        head_args: &[Term],
-        exported: &[String],
-        scratch: &Interner,
-        base_model: &Model,
-    ) -> Result<RowsAndSources> {
-        let mut work = self.base.clone();
-        work.flogic_mut().load(rule_text)?;
-        // Fetch phase: scan every source exporting a mentioned class,
-        // concurrently, then apply batches in the deterministic request
-        // order.
+    /// Answers a one-off conjunctive query given as a single FL rule (see
+    /// the [`crate::query`] module docs). The rule's head predicate names
+    /// the answer relation.
+    ///
+    /// Two phases, like [`Self::materialize_all`]: the **fetch phase**
+    /// scans every source exporting a class the rule mentions,
+    /// concurrently; the **evaluate phase** loads the rule and the fetched
+    /// rows into a scratch clone of the base and evaluates towards the
+    /// head there. Nothing is staged: the base, its rules and the cached
+    /// model are what they were, and the fetched rows are gone with the
+    /// clone. With [`EvalOptions::base_cache`] on the evaluation is seeded
+    /// with the published model (staged writes are published first, as any
+    /// query does); with it off no model is computed or consulted.
+    pub fn answer(&mut self, rule_text: &str) -> Result<AnswerSet> {
+        self.begin_report();
+        let rule = OneOffRule::parse(rule_text)?;
+        // Fetch phase: one scan per (exporting source, mentioned class).
+        let mut classes = Vec::new();
         let mut contacted: BTreeSet<String> = BTreeSet::new();
         let mut requests: Vec<FetchRequest> = Vec::new();
-        for class in exported {
-            for src in self.sources_exporting(class) {
-                contacted.insert(src.clone());
-                requests.push(FetchRequest::scan(src, class.as_str()));
+        for class in &rule.classes {
+            let exporting = self.sources_exporting(class);
+            if exporting.is_empty() {
+                continue;
+            }
+            classes.push(class.clone());
+            for src in exporting {
+                requests.push(FetchRequest::scan(src.as_str(), class.as_str()));
+                contacted.insert(src);
             }
         }
         let fetched = self.federation.fetch_parallel(&requests)?;
-        for batch in &fetched.batches {
-            for row in &batch.rows {
-                apply_row_to(&mut work, &batch.source, &batch.query.class, row)?;
+        // Evaluate phase, against the current program and — with the base
+        // cache on — its published model.
+        let seed = if self.eval_options.base_cache {
+            self.run()?;
+            self.model.as_deref()
+        } else {
+            if self.needs_rebuild {
+                self.rebuild()?;
             }
-        }
-        // The goal's constant arguments were interned by the caller's
-        // scratch parse; map them into the work clone so the pattern (and
-        // the magic-sets demand seeds derived from it) bind correctly.
-        let goal_args: Vec<Term> = head_args
-            .iter()
-            .map(|t| reintern_term(scratch, work.flogic_mut().engine_mut(), t))
-            .collect();
-        let goal = kind_datalog::Atom::new(
-            work.flogic()
-                .engine()
-                .lookup(head_pred)
-                .expect("head predicate interned by view load"),
-            goal_args,
-        );
-        // Goal-directed evaluation: seeded from the cached base model,
-        // with the magic-sets rewrite specializing the delta to the
-        // goal's bindings when `EvalOptions::magic_sets` is on.
-        let model = work
-            .flogic_mut()
-            .run_for_query(&goal, Some(base_model), &self.eval_options)?;
-        let rows = model.query(&goal);
-        let stats = model.stats;
-        let magic_fired = model.profile.magic_fired;
+            None
+        };
+        let done = evaluate(
+            &rule,
+            &self.base,
+            seed,
+            &fetched.batches,
+            &self.eval_options,
+        )?;
         // Answer terms may reference symbols interned only in the scratch
         // clone (object ids fetched this query); re-intern them into the
-        // mediator's own engine so `show` resolves them.
-        let rows = rows
-            .into_iter()
-            .map(|r| {
-                r.iter()
-                    .map(|t| {
-                        reintern_term(
-                            work.flogic().engine().symbols(),
-                            self.base.flogic_mut().engine_mut(),
-                            t,
-                        )
-                    })
-                    .collect()
-            })
+        // mediator's own symbol table so `show` resolves them.
+        let from = done.work.flogic().engine().symbols();
+        let to = self.base.flogic_mut().engine_mut();
+        let rows = done
+            .rows
+            .iter()
+            .map(|r| r.iter().map(|t| reintern_term(from, to, t)).collect())
             .collect();
-        Ok((rows, contacted.into_iter().collect(), stats, magic_fired))
+        Ok(AnswerSet {
+            rows,
+            classes,
+            sources: contacted.into_iter().collect(),
+            report: self.report().clone(),
+            stats: done.model.stats,
+            magic_fired: done.model.profile.magic_fired,
+        })
     }
 }
 

@@ -2,30 +2,35 @@
 //! generalized from the hand-planned protein query to arbitrary one-off
 //! conjunctive queries over source classes and the domain map.
 //!
-//! [`Mediator::answer`] takes a single FL rule text like
+//! A one-off query is a single FL rule like
 //!
 //! ```text
 //! ans(P, L) :- X : protein_amount, X[protein_name -> P],
 //!              X[location -> L], L : relevant_location.
 //! ```
 //!
-//! and:
+//! whose head predicate names the answer relation. Every route answers it
+//! in the same two phases:
 //!
-//! 1. extracts the *source classes* mentioned in `X : class` literals;
-//! 2. finds the sources exporting them (and only those) and fetches their
-//!    rows — the mediator never contacts an unrelated source;
-//! 3. installs the rule as a temporary view and evaluates **only the rule
-//!    subprogram relevant to the answer predicate** (goal-directed
-//!    evaluation, `kind_datalog::Engine::run_for_query`);
-//! 4. returns the answer tuples and uninstalls the view.
+//! 1. **fetch** — [`crate::Mediator::answer`] scans the sources exporting
+//!    the classes the rule mentions as `X : class` (and only those: the
+//!    mediator never contacts an unrelated source);
+//!    [`crate::QuerySnapshot::answer_with`] fetches nothing — rows loaded
+//!    before the snapshot was taken are what there is to query;
+//! 2. **evaluate** — one crate-private function, `evaluate`: the rule and
+//!    the fetched rows go into a scratch clone of the frozen base, and
+//!    **only the rule subprogram relevant to the answer predicate** is
+//!    evaluated there, on top of the published model where that is sound.
+//!    The clone is thrown away: a read leaves the base, its rules and the
+//!    published model as they were.
 
 use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
-use crate::federation::FetchRequest;
-use crate::mediator::Mediator;
-use crate::wrapper::SourceQuery;
-use kind_datalog::{EvalStats, Term};
+use crate::federation::FetchBatch;
+use crate::mediator::{apply_row_to, reintern_term};
+use kind_datalog::{Atom, DatalogError, EvalOptions, EvalStats, Interner, Model, Term};
 use kind_flogic::{parse_fl_program, FlBodyItem, Molecule};
+use kind_gcm::GcmBase;
 use std::collections::BTreeSet;
 
 /// The outcome of an on-demand query.
@@ -50,126 +55,116 @@ pub struct AnswerSet {
     pub magic_fired: bool,
 }
 
-impl Mediator {
-    /// Answers a one-off conjunctive query given as a single FL rule (see
-    /// module docs). The rule's head predicate names the answer relation.
-    pub fn answer(&mut self, rule_text: &str) -> Result<AnswerSet> {
-        self.begin_report();
-        // Parse with a scratch interner so we can inspect the clause
-        // before committing anything to the base.
-        let mut scratch = kind_datalog::Interner::new();
-        let clauses = parse_fl_program(rule_text, &mut scratch).map_err(MediatorError::from)?;
-        let [clause] = clauses.as_slice() else {
-            return Err(MediatorError::Datalog(kind_datalog::DatalogError::Parse {
+/// A validated one-off rule: exactly one clause with a plain-predicate
+/// head, parsed into a scratch symbol table so nothing is committed to
+/// any base before the rule's shape is known.
+pub(crate) struct OneOffRule<'a> {
+    text: &'a str,
+    /// The symbol table `head_args` live in.
+    syms: Interner,
+    head_pred: String,
+    head_args: Vec<Term>,
+    /// The classes the body mentions as `X : class`.
+    pub(crate) classes: BTreeSet<String>,
+}
+
+impl<'a> OneOffRule<'a> {
+    pub(crate) fn parse(text: &'a str) -> Result<Self> {
+        let shape_error = |message: String| {
+            MediatorError::Datalog(DatalogError::Parse {
                 offset: 0,
                 line: 0,
-                message: format!("answer() takes exactly one rule, got {}", clauses.len()),
-            }));
+                message,
+            })
+        };
+        let mut syms = Interner::new();
+        let clauses = parse_fl_program(text, &mut syms).map_err(MediatorError::from)?;
+        let [clause] = clauses.as_slice() else {
+            return Err(shape_error(format!(
+                "answer() takes exactly one rule, got {}",
+                clauses.len()
+            )));
         };
         let Molecule::Plain(head) = &clause.head else {
-            return Err(MediatorError::Datalog(kind_datalog::DatalogError::Parse {
-                offset: 0,
-                line: 0,
-                message: "answer() rule head must be a plain predicate".to_string(),
-            }));
+            return Err(shape_error(
+                "answer() rule head must be a plain predicate".to_string(),
+            ));
         };
-        let head_pred = scratch.resolve(head.pred).to_string();
-        // Collect the source classes referenced as `X : class`.
-        let mut classes: BTreeSet<String> = BTreeSet::new();
-        collect_classes(&clause.body, &scratch, &mut classes);
-        let exported: Vec<String> = classes
-            .iter()
-            .filter(|c| !self.sources_exporting(c).is_empty())
-            .cloned()
-            .collect();
-        // Warm path (cross-query caching): reuse the cached base-layer
-        // model and evaluate only this query's delta — the temporary view
-        // plus freshly fetched rows — on a scratch clone of the base.
-        // Strata untouched by the delta are seeded from the cache instead
-        // of recomputed (the `base` of `kind_datalog::Engine::run_for_query`).
-        if self.eval_options().base_cache {
-            if let Some((rows, sources, stats, magic_fired)) =
-                self.answer_via_base_cache(rule_text, &head_pred, &head.args, &exported, &scratch)?
-            {
-                return Ok(AnswerSet {
-                    rows,
-                    classes: exported,
-                    sources,
-                    report: self.report().clone(),
-                    stats,
-                    magic_fired,
-                });
-            }
-        }
-        // Cold path: install the view (a staged rule addition on a
-        // current base; a full rebuild only when one was already owed),
-        // fetch only what the query needs — concurrently, then apply in
-        // deterministic request order.
-        self.define_view(rule_text)?;
-        self.ensure_base_current()?;
-        let mut contacted: BTreeSet<String> = BTreeSet::new();
-        let mut requests: Vec<FetchRequest> = Vec::new();
-        for class in &exported {
-            for src in self.sources_exporting(class) {
-                contacted.insert(src.clone());
-                requests.push(FetchRequest::new(src, SourceQuery::scan(class.as_str())));
-            }
-        }
-        let fetched = self.federation_mut().fetch_parallel(&requests)?;
-        for batch in &fetched.batches {
-            for row in &batch.rows {
-                self.apply_row(&batch.source, &batch.query.class, row)?;
-            }
-        }
-        // Goal-directed evaluation towards the answer predicate: the
-        // relevance prune plus (when enabled) the magic-sets rewrite
-        // specializing the plan to the goal's constant bindings. The
-        // goal's arguments were interned by the scratch parse; map them
-        // into the base engine so constants bind correctly.
-        let opts = self.eval_options().clone();
-        let goal_args: Vec<Term> = head
-            .args
-            .iter()
-            .map(|t| {
-                crate::mediator::reintern_term(
-                    &scratch,
-                    self.base_mut().flogic_mut().engine_mut(),
-                    t,
-                )
-            })
-            .collect();
-        let goal = kind_datalog::Atom::new(
-            self.base()
-                .flogic()
-                .engine()
-                .lookup(&head_pred)
-                .expect("head predicate interned by rebuild"),
-            goal_args,
-        );
-        let model = self
-            .base_mut()
-            .flogic_mut()
-            .run_for_query(&goal, None, &opts)
-            .map_err(MediatorError::from)?;
-        let rows = model.query(&goal);
-        // Uninstall the temporary view.
-        self.pop_view();
-        Ok(AnswerSet {
-            rows,
-            classes: exported,
-            sources: contacted.into_iter().collect(),
-            report: self.report().clone(),
-            stats: model.stats,
-            magic_fired: model.profile.magic_fired,
+        let mut classes = BTreeSet::new();
+        collect_classes(&clause.body, &syms, &mut classes);
+        Ok(OneOffRule {
+            text,
+            head_pred: syms.resolve(head.pred).to_string(),
+            head_args: head.args.clone(),
+            classes,
+            syms,
         })
     }
 }
 
-fn collect_classes(
-    items: &[FlBodyItem],
-    syms: &kind_datalog::Interner,
-    out: &mut BTreeSet<String>,
-) {
+/// What [`evaluate`] produced.
+pub(crate) struct Evaluated {
+    /// The scratch clone: its symbol table is the one `rows` resolve in
+    /// (fetched object ids and the rule's own constants exist only there).
+    pub(crate) work: GcmBase,
+    /// The goal's answer tuples.
+    pub(crate) rows: Vec<Vec<Term>>,
+    /// The per-call model: statistics and profile of the answering run.
+    pub(crate) model: Model,
+}
+
+/// The **evaluate phase** of every one-off query: loads `rule` and the
+/// `fetched` rows into a scratch clone of `base` and evaluates towards
+/// the rule's head there — goal-directed (`Engine::run_for_query`: the
+/// relevance prune plus, when enabled, the magic-sets rewrite), seeded
+/// with `model` so strata the rule and the rows do not touch are read in
+/// place instead of recomputed. `base` and `model` are never written to.
+///
+/// `model` is the published model of `base`, or `None` to evaluate from
+/// the stored facts alone (a mediator with [`EvalOptions::base_cache`]
+/// off keeps none current).
+pub(crate) fn evaluate(
+    rule: &OneOffRule,
+    base: &GcmBase,
+    model: Option<&Model>,
+    fetched: &[FetchBatch],
+    opts: &EvalOptions,
+) -> Result<Evaluated> {
+    let mut work = base.clone();
+    work.flogic_mut().load(rule.text)?;
+    for batch in fetched {
+        for row in &batch.rows {
+            apply_row_to(&mut work, &batch.source, &batch.query.class, row)?;
+        }
+    }
+    // The goal's constant arguments were interned by the scratch parse;
+    // map them into the clone so the pattern (and the magic-sets demand
+    // seeds derived from it) bind correctly.
+    let goal_args = rule
+        .head_args
+        .iter()
+        .map(|t| reintern_term(&rule.syms, work.flogic_mut().engine_mut(), t))
+        .collect();
+    let goal = Atom::new(
+        work.flogic()
+            .engine()
+            .lookup(&rule.head_pred)
+            .expect("head predicate interned by rule load"),
+        goal_args,
+    );
+    // A head the base program already defines — by a rule or a stored
+    // fact, whether or not it derived anything — is not a one-off view
+    // over the model: evaluate the clone from its stored facts.
+    let seed = model.filter(|_| !base.flogic().engine().defines(&rule.head_pred));
+    let model = work.flogic_mut().run_for_query(&goal, seed, opts)?;
+    Ok(Evaluated {
+        rows: model.query(&goal),
+        work,
+        model,
+    })
+}
+
+fn collect_classes(items: &[FlBodyItem], syms: &Interner, out: &mut BTreeSet<String>) {
     for item in items {
         match item {
             FlBodyItem::Pos(Molecule::IsA {
@@ -249,7 +244,7 @@ mod tests {
     fn answer_view_is_temporary() {
         let mut m = mediator_with_two_sources();
         m.answer("q(X) :- X : spines.").unwrap();
-        // After answering, the view is gone: a fresh materialized query
+        // The view never reached the base: a fresh materialized query
         // does not know `q`.
         m.materialize_all().unwrap();
         let rows = m.query_fl("q(X)").unwrap();
@@ -300,16 +295,17 @@ mod tests {
     #[test]
     fn answer_head_colliding_with_base_falls_back() {
         let mut m = mediator_with_two_sources();
-        // `anchored` already has facts in the base model, so the seeded
-        // path refuses it and the cold path must produce the answer.
+        // `anchored` already has facts in the base model, so the
+        // evaluation refuses the seed and derives from the stored facts.
         let ans = m.answer("anchored(S, C) :- anchored(S, C).").unwrap();
         assert_eq!(ans.rows.len(), 2);
     }
 
-    /// A head the base program already defines is never answered from the
-    /// seeded path — also when it derived nothing (a view over a class no
-    /// source exports) or holds only stored facts: the cold path runs, and
-    /// the rows are those of a mediator with the base cache off.
+    /// A head the base program already defines is never evaluated on top
+    /// of the published model — also when it derived nothing (a view over
+    /// a class no source exports) or holds only stored facts: rows and
+    /// work are those of a mediator with the base cache off, and, like
+    /// every answer, it stages nothing.
     #[test]
     fn answer_head_defined_by_base_falls_back_even_when_empty() {
         let build = |base_cache: bool| {
@@ -329,40 +325,85 @@ mod tests {
             // `anchored` has stored facts and no rule; one matches the goal.
             (r#"anchored(X, "Spine") :- X : spines."#, 5),
         ] {
-            assert!(!warm.publish_pending());
             let w = warm.answer(q).unwrap();
-            // The cold path loads the fetched rows into the base itself.
-            assert!(warm.publish_pending(), "{q} was answered warm");
+            assert!(!warm.publish_pending(), "{q} wrote to the base");
             let c = cold.answer(q).unwrap();
             assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows), "{q}");
             assert_eq!(w.rows.len(), rows, "{q}");
-            assert_eq!(w.stats, c.stats, "{q}");
-            warm.publish().unwrap();
+            assert_eq!(w.stats, c.stats, "{q} was seeded");
         }
-        // The control: a fresh head stays on the warm path.
-        warm.answer("fresh(X) :- X : spines.").unwrap();
-        assert!(!warm.publish_pending());
+        // The control: a fresh head is seeded, and does less for it.
+        let q = "fresh(X) :- X : spines.";
+        let (w, c) = (warm.answer(q).unwrap(), cold.answer(q).unwrap());
+        assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows));
+        assert!(w.stats.derived < c.stats.derived, "{q} was not seeded");
+    }
+
+    /// Reads do not write: whatever the optimization toggles and whatever
+    /// the base program says about the head, an answer leaves no staged
+    /// write, no rule, and the published model where it was.
+    #[test]
+    fn answer_never_writes() {
+        let queries = [
+            "fresh(X) :- X : spines.",
+            // A head with a base rule (and an empty extension)...
+            "tagged(X) :- X : spines.",
+            // ...and one with stored facts and no rule.
+            r#"anchored(X, "Spine") :- X : spines."#,
+        ];
+        for bits in 0..16u32 {
+            let mut m = mediator_with_two_sources();
+            m.define_view("tagged(X) :- X : no_such_class.").unwrap();
+            m.set_eval_options(kind_datalog::EvalOptions {
+                semi_naive: bits & 1 != 0,
+                join_reorder: bits & 2 != 0,
+                base_cache: bits & 4 != 0,
+                magic_sets: bits & 8 != 0,
+                ..m.eval_options().clone()
+            });
+            m.publish().unwrap();
+            let model = Arc::clone(m.cached_model().expect("publish caches the model"));
+            let rules = m.base().flogic().engine().rules().len();
+            for q in queries {
+                let ans = m.answer(q).unwrap();
+                assert!(!ans.rows.is_empty(), "{q} ({bits:04b})");
+                assert!(!m.publish_pending(), "{q} ({bits:04b}) staged a write");
+                assert_eq!(m.base().flogic().engine().rules().len(), rules, "{q}");
+                assert!(Arc::ptr_eq(m.cached_model().unwrap(), &model), "{q}");
+                m.publish().unwrap();
+                assert!(
+                    Arc::ptr_eq(m.cached_model().unwrap(), &model),
+                    "{q} ({bits:04b}): the publish after it was not quiet"
+                );
+            }
+        }
     }
 
     /// The knob-setter audit (write-plane invariant): latency,
     /// parallelism, and query-planning knobs tune *how* an answer is
     /// computed, never *what* the base model is — so toggling every one
     /// of them must leave the published model untouched (same `Arc`, no
-    /// pending publish) and keep `answer()` on the warm seeded path.
+    /// pending publish) and keep `answer()` seeded from it. An option the
+    /// model does depend on drops the model, and only the model.
     #[test]
     fn knob_toggles_keep_warm_answer_warm() {
         use crate::fault::SourcePolicy;
+        use kind_datalog::{CancelToken, EvalOptions};
         let mut m = mediator_with_two_sources();
         let q = "long_spines(X, L) :- X : spines, X[len -> L], L >= 20.";
         let first = m.answer(q).unwrap();
-        m.publish().unwrap();
+        let before = m.snapshot().unwrap();
         let warm_ptr = Arc::as_ptr(m.cached_model().expect("publish caches the model"));
         m.set_query_budget_ms(250);
         m.federation_mut().set_fetch_threads(2);
         m.set_default_policy(SourcePolicy::with_hedge_after_ms(50));
-        m.set_deadline_cancels_siblings(true);
-        m.set_magic_sets(false);
-        m.set_magic_sets(true);
+        for magic_sets in [false, true] {
+            m.set_eval_options(EvalOptions {
+                magic_sets,
+                cancel: Some(CancelToken::new()),
+                ..m.eval_options().clone()
+            });
+        }
         assert!(
             !m.publish_pending(),
             "knob setters must not stage writes or force a rebuild"
@@ -375,6 +416,18 @@ mod tests {
         );
         assert_eq!(rendered(&m, &first.rows), rendered(&m, &again.rows));
         assert_eq!(again.rows.len(), 2);
+        // The model is a function of `max_term_depth`; the program is not.
+        m.set_eval_options(EvalOptions {
+            max_term_depth: m.eval_options().max_term_depth + 1,
+            ..m.eval_options().clone()
+        });
+        assert!(!m.publish_pending());
+        let after = m.snapshot().unwrap();
+        assert!(!std::ptr::eq(before.model(), after.model()));
+        assert!(
+            std::ptr::eq(before.base(), after.base()),
+            "an option change rebuilt the program"
+        );
     }
 
     /// The hub side of the audit: subscribing to the hub and publishing

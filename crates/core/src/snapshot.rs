@@ -37,9 +37,9 @@
 use crate::error::{MediatorError, Result};
 use crate::knowledge::DomainView;
 use crate::plan::{DistributionFetch, NeuroSchema, PlanTrace, Section5Fetch};
+use crate::query::{evaluate, OneOffRule};
 use kind_datalog::{EvalOptions, EvalStats, Model, Term};
 use kind_dm::{DomainMap, Resolved, SemanticIndex};
-use kind_flogic::{parse_fl_program, Molecule};
 use kind_gcm::GcmBase;
 use std::sync::Arc;
 
@@ -216,68 +216,23 @@ impl QuerySnapshot {
     /// everything else from the snapshot's frozen options, and reports
     /// the [`EvalStats`] and magic-sets outcome with the response.
     pub fn answer_with(&self, rule_text: &str, opts: &EvalOptions) -> Result<SnapshotAnswer> {
-        // Validate the rule's shape with a scratch interner first, like
-        // `Mediator::answer` does.
-        let mut scratch = kind_datalog::Interner::new();
-        let clauses = parse_fl_program(rule_text, &mut scratch).map_err(MediatorError::from)?;
-        let [clause] = clauses.as_slice() else {
-            return Err(MediatorError::Datalog(kind_datalog::DatalogError::Parse {
-                offset: 0,
-                line: 0,
-                message: format!("answer() takes exactly one rule, got {}", clauses.len()),
-            }));
-        };
-        let Molecule::Plain(head) = &clause.head else {
-            return Err(MediatorError::Datalog(kind_datalog::DatalogError::Parse {
-                offset: 0,
-                line: 0,
-                message: "answer() rule head must be a plain predicate".to_string(),
-            }));
-        };
-        let head_pred = scratch.resolve(head.pred).to_string();
-        // Per-call scratch clone of the frozen base: loading the rule
-        // interns new symbols *there*, never in the shared snapshot.
-        let mut work = (*self.base).clone();
-        work.flogic_mut().load(rule_text)?;
-        // A head the base program already defines — by a rule or a stored
-        // fact, whether or not it derived anything — is not a one-off
-        // view over the model: evaluate the clone without a base.
-        let collides = self.base.flogic().engine().defines(&head_pred);
-        // The goal's constant arguments live in the scratch interner; map
-        // them into the work clone so the pattern (and the magic-sets
-        // demand seeds derived from it) bind correctly.
-        let goal_args: Vec<kind_datalog::Term> = head
-            .args
+        let rule = OneOffRule::parse(rule_text)?;
+        // The same evaluate phase as `Mediator::answer`, with nothing
+        // fetched: the scratch clone of the frozen base takes the rule
+        // (and every symbol it interns), never the shared snapshot.
+        let done = evaluate(&rule, &self.base, Some(&self.model), &[], opts)?;
+        let engine = done.work.flogic().engine();
+        let mut rows: Vec<Vec<String>> = done
+            .rows
             .iter()
-            .map(|t| crate::mediator::reintern_term(&scratch, work.flogic_mut().engine_mut(), t))
-            .collect();
-        let goal = kind_datalog::Atom::new(
-            work.flogic()
-                .engine()
-                .lookup(&head_pred)
-                .expect("head predicate interned by rule load"),
-            goal_args,
-        );
-        let base = (!collides).then_some(&*self.model);
-        let model = work
-            .flogic_mut()
-            .run_for_query(&goal, base, opts)
-            .map_err(MediatorError::from)?;
-        let mut rows: Vec<Vec<String>> = model
-            .query(&goal)
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .map(|t| work.flogic().engine().show(t))
-                    .collect::<Vec<String>>()
-            })
+            .map(|r| r.iter().map(|t| engine.show(t)).collect())
             .collect();
         rows.sort();
         Ok(SnapshotAnswer {
             rows,
-            stats: model.stats,
-            magic_fired: model.profile.magic_fired,
-            magic_declined: model.profile.magic_declined,
+            stats: done.model.stats,
+            magic_fired: done.model.profile.magic_fired,
+            magic_declined: done.model.profile.magic_declined,
         })
     }
 }

@@ -320,7 +320,10 @@ fn magic_sets_toggle_preserves_answers_for_concurrent_callers() {
     };
     let build = |magic: bool| {
         let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-        m.set_magic_sets(magic);
+        m.set_eval_options(kind_datalog::EvalOptions {
+            magic_sets: magic,
+            ..m.eval_options().clone()
+        });
         m.register(spine_wrapper("A", "Spine", 6)).unwrap();
         m.register(spine_wrapper("B", "Shaft", 4)).unwrap();
         m.materialize_all().unwrap();

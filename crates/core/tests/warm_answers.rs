@@ -10,7 +10,7 @@
 //! (`concurrency.rs` races eight callers on one fresh model for the same
 //! counters).
 
-use kind_core::QuerySnapshot;
+use kind_core::{Mediator, QuerySnapshot};
 use kind_datalog::{Atom, EvalOptions, Model, Term, Var};
 use kind_sources::{build_scenario, ScenarioParams};
 
@@ -28,7 +28,7 @@ const RULES: &[&str] = &[
     "untagged(X) :- X : protein_amount, not tagged(X).",
 ];
 
-fn snapshot() -> QuerySnapshot {
+fn mediator() -> Mediator {
     let mut m = build_scenario(&ScenarioParams {
         seed: 1,
         senselab_rows: 40,
@@ -41,7 +41,11 @@ fn snapshot() -> QuerySnapshot {
     // A head the base program defines and that derives nothing.
     m.define_view("tagged(X) :- X : no_such_class.").unwrap();
     m.materialize_all().unwrap();
-    m.snapshot().unwrap()
+    m
+}
+
+fn snapshot() -> QuerySnapshot {
+    mediator().snapshot().unwrap()
 }
 
 #[test]
@@ -60,6 +64,36 @@ fn warm_rows_equal_cold_rows() {
         );
         // Every shape but the empty-view one has something to say.
         assert!(!warm.rows.is_empty(), "{rule}");
+    }
+}
+
+/// One answer path: the mediator (which fetches the rule's classes again
+/// and evaluates on a scratch clone of its base) and a snapshot of it
+/// (which fetches nothing) return the same rows, rewrite on and off.
+#[test]
+fn mediator_answers_equal_snapshot_answers() {
+    let mut m = mediator();
+    let snap = m.snapshot().unwrap();
+    for magic_sets in [true, false] {
+        let opts = EvalOptions {
+            magic_sets,
+            ..m.eval_options().clone()
+        };
+        m.set_eval_options(opts.clone());
+        for rule in RULES {
+            let ans = m.answer(rule).unwrap();
+            let mut rows: Vec<Vec<String>> = ans
+                .rows
+                .iter()
+                .map(|r| r.iter().map(|t| m.show(t)).collect())
+                .collect();
+            rows.sort();
+            assert_eq!(
+                rows,
+                snap.answer_with(rule, &opts).unwrap().rows,
+                "{rule} (magic {magic_sets})"
+            );
+        }
     }
 }
 

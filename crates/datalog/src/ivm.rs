@@ -38,9 +38,9 @@
 //! extended to shrinkage: a positive edge propagates grow→grow and
 //! shrink→shrink; any non-monotone edge (negation, aggregation) from a
 //! changed predicate marks the head as both, forcing the rebuild mode.
-//! New or removed rules can never ride the additions mode: a delta round
-//! only fires rule instantiations that touch a novel *fact*, so a new
-//! rule over unchanged inputs would never fire at all.
+//! A new rule can never ride the additions mode: a delta round only fires
+//! rule instantiations that touch a novel *fact*, so a new rule over
+//! unchanged inputs would never fire at all.
 //!
 //! Statistics produced by `apply_delta` measure the *delta work*, not a
 //! cold evaluation's: they are a function of the mutation history alone,
@@ -62,7 +62,7 @@ use std::collections::{HashMap, HashSet};
 
 /// A typed changelog of engine mutations since the last model was
 /// published: asserted facts, retracted facts, and predicates whose
-/// defining rules changed (rules added or removed).
+/// defining rules changed (a rule was added; rules are never removed).
 ///
 /// Produced by [`Engine::take_delta`] once recording has been switched on
 /// with [`Engine::begin_delta`]; consumed by [`Engine::apply_delta`].
@@ -74,7 +74,7 @@ pub struct EngineDelta {
     pub(crate) added: FactStore,
     /// Facts retracted since the last publish (net of cancellations).
     pub(crate) removed: FactStore,
-    /// Head predicates of rules added or removed since the last publish.
+    /// Head predicates of rules added since the last publish.
     pub(crate) changed_rule_preds: HashSet<Sym>,
 }
 
@@ -115,7 +115,7 @@ impl EngineDelta {
         }
     }
 
-    /// Records a rule-set change for `pred` (rule added or removed).
+    /// Records a rule-set change for `pred` (a rule was added).
     pub(crate) fn log_rule(&mut self, pred: Sym) {
         self.changed_rule_preds.insert(pred);
     }
@@ -235,22 +235,6 @@ pub(crate) fn apply_delta(
     // that are new relative to the base model, and facts that vanished.
     let mut novel = delta.added.clone();
     let mut gone = delta.removed.clone();
-    // A predicate whose every rule was removed is in no stratum: its
-    // extension collapses to its stored facts, and everything else it
-    // used to hold is gone for downstream consumers.
-    for &p in &delta.changed_rule_preds {
-        if stratum_of.contains_key(&p) {
-            continue;
-        }
-        if let Some(brel) = base.facts.relation(p) {
-            let erel = engine.edb.relation(p);
-            for t in brel.iter() {
-                if !erel.is_some_and(|r| r.contains(t)) {
-                    gone.insert(p, t.clone());
-                }
-            }
-        }
-    }
 
     let mut stats = EvalStats::default();
     let mut profile = EvalProfile {
@@ -734,29 +718,6 @@ mod tests {
         assert_models_agree(&inc, &cold, &e);
         assert_eq!(facts_of(&inc, &e, "tc").len(), 3);
         assert!(inc.profile.delta_rebuilt_strata >= 1);
-    }
-
-    #[test]
-    fn removed_rules_retract_their_derivations_downstream() {
-        let mut e = Engine::new();
-        e.load(
-            "n(a). n(b).
-             view(X) :- n(X).
-             uses(X) :- view(X).",
-        )
-        .unwrap();
-        let opts = EvalOptions::default();
-        let base = e.run(&opts).unwrap();
-        let nrules = e.rules().len();
-        e.begin_delta();
-        // Remove the `view` rule (simulating a popped temporary view).
-        e.remove_rules(nrules - 2, nrules - 1);
-        let delta = e.take_delta().unwrap();
-        let inc = e.apply_delta(&base, &delta, &opts).unwrap();
-        let cold = e.run(&opts).unwrap();
-        assert_models_agree(&inc, &cold, &e);
-        assert!(facts_of(&inc, &e, "view").is_empty());
-        assert!(facts_of(&inc, &e, "uses").is_empty());
     }
 
     #[test]

@@ -257,24 +257,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Removes the rules at indices `start..end` (see [`Engine::rules`]
-    /// for the current order), recording their head predicates as
-    /// rule-changed in the active changelog. Used to uninstall temporary
-    /// views by span. Returns how many rules were removed.
-    pub fn remove_rules(&mut self, start: usize, end: usize) -> usize {
-        let end = end.min(self.rules.len());
-        if start >= end {
-            return 0;
-        }
-        for rule in self.rules.drain(start..end) {
-            if let Some(log) = &mut self.changelog {
-                log.log_rule(rule.head.pred);
-            }
-        }
-        self.rules_rev += 1;
-        end - start
-    }
-
     /// Parses and loads a program text (facts and rules).
     pub fn load(&mut self, src: &str) -> Result<()> {
         for clause in parser::parse_program(src, &mut self.syms)? {
@@ -295,7 +277,7 @@ impl Engine {
     }
 
     /// Switches mutation recording on: from now on every asserted or
-    /// retracted fact and every added or removed rule is remembered in a
+    /// retracted fact and every added rule is remembered in a
     /// changelog that [`Engine::take_delta`] drains. Idempotent — calling
     /// it again keeps the log already being recorded.
     pub fn begin_delta(&mut self) {
@@ -1118,6 +1100,30 @@ mod tests {
             e.run(&opts),
             Err(DatalogError::IterationLimit { .. })
         ));
+    }
+
+    /// `EvalOptions::cancel`: a fired token stops an evaluation at its
+    /// next round boundary with a typed error; a live one changes nothing.
+    #[test]
+    fn cancelled_token_interrupts_at_a_round_boundary() {
+        let mut e = Engine::new();
+        e.load("e(a,b). e(b,c). tc(X,Y) :- e(X,Y). tc(X,Y) :- tc(X,Z), e(Z,Y).")
+            .unwrap();
+        let token = CancelToken::new();
+        let opts = EvalOptions {
+            cancel: Some(token.clone()),
+            ..Default::default()
+        };
+        let live = e.run(&opts).unwrap();
+        assert_eq!(live.stats, e.run(&EvalOptions::default()).unwrap().stats);
+        token.cancel();
+        let goal = Atom::new(e.lookup("tc").unwrap(), vec![Term::Var(crate::Var(0)); 2]);
+        for result in [e.run(&opts), e.run_for_query(&goal, None, &opts)] {
+            assert!(
+                matches!(result, Err(DatalogError::Interrupted { .. })),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

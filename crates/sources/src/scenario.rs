@@ -144,15 +144,24 @@ pub fn ncmir_update_rows(seed: u64, batch: usize, rows: usize) -> Vec<kind_core:
         .collect()
 }
 
-/// Builds the fully registered mediator for the scenario.
-pub fn build_scenario(params: &ScenarioParams) -> Mediator {
+/// An empty mediator over the scenario's domain map with the knobs of
+/// `params` applied.
+fn configured_mediator(params: &ScenarioParams) -> Mediator {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
     m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_magic_sets(params.magic_sets);
+    let mut opts = m.eval_options().clone();
+    opts.magic_sets = params.magic_sets;
+    m.set_eval_options(opts);
     m.set_query_budget_ms(params.query_budget_ms);
     if params.hedge_after_ms > 0 {
         m.set_default_policy(SourcePolicy::with_hedge_after_ms(params.hedge_after_ms));
     }
+    m
+}
+
+/// Builds the fully registered mediator for the scenario.
+pub fn build_scenario(params: &ScenarioParams) -> Mediator {
+    let mut m = configured_mediator(params);
     // ANATOM first: it may refine the map other anchors depend on.
     m.register(anatom_wrapper("")).expect("ANATOM registers");
     m.register(senselab_wrapper(params.seed, params.senselab_rows))
@@ -185,13 +194,7 @@ pub fn build_scenario_with_faults(
     params: &ScenarioParams,
     senselab_faults: Vec<Fault>,
 ) -> (Mediator, Arc<FaultInjector>) {
-    let mut m = Mediator::new(scenario_domain_map(), params.mode);
-    m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_magic_sets(params.magic_sets);
-    m.set_query_budget_ms(params.query_budget_ms);
-    if params.hedge_after_ms > 0 {
-        m.set_default_policy(SourcePolicy::with_hedge_after_ms(params.hedge_after_ms));
-    }
+    let mut m = configured_mediator(params);
     let mut injector = FaultInjector::new(
         senselab_wrapper(params.seed, params.senselab_rows),
         m.clock(),
