@@ -31,7 +31,7 @@
 //! [`Wrapper::complete`]: crate::wrapper::Wrapper::complete
 //! [`Wrapper::query`]: crate::wrapper::Wrapper::query
 
-use crate::fault::Clock;
+use crate::fault::VirtualClock;
 use crate::federation::{
     FetchJobDone, JobMachine, JobStep, RegisteredSource, SourceReply, ThreadGauge,
 };
@@ -105,7 +105,7 @@ struct Sched {
 /// on the calling thread; more are scoped threads.
 pub(crate) fn run_jobs(
     sources: &[RegisteredSource],
-    clock: &Arc<dyn Clock>,
+    clock: &Arc<VirtualClock>,
     jobs: Vec<JobMachine>,
     workers: usize,
     gauge: &ThreadGauge,
@@ -152,7 +152,7 @@ pub(crate) fn run_jobs(
 
 fn worker_loop(
     sources: &[RegisteredSource],
-    clock: &Arc<dyn Clock>,
+    clock: &Arc<VirtualClock>,
     state: &Mutex<Sched>,
     wake: &Condvar,
 ) {
@@ -202,7 +202,7 @@ fn worker_loop(
 /// Drives one job until it parks or finishes. Runs outside the
 /// scheduler lock: everything here is the job's own state plus the
 /// shared-but-thread-safe wrapper and clock.
-fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<dyn Clock>) -> Drive {
+fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<VirtualClock>) -> Drive {
     let wrapper = &sources[seat.machine.src_pos()].wrapper;
     // Waking from a park: collect the stalled submission first.
     let mut reply: Option<SourceReply> = seat

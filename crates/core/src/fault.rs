@@ -8,7 +8,7 @@
 //!
 //! * [`SourceError`] — the typed failure taxonomy every
 //!   [`Wrapper::query`] call can raise;
-//! * [`Clock`] / [`VirtualClock`] — a virtual time source, so timeouts,
+//! * [`VirtualClock`] — a virtual time source, so timeouts,
 //!   backoff, and breaker cooldowns are fully deterministic (no
 //!   wall-clock anywhere in the query path);
 //! * [`QueryBudget`] — the **deadline plane**: a per-operation
@@ -122,19 +122,9 @@ impl From<kind_gcm::GcmError> for SourceError {
 // Virtual time.
 // ---------------------------------------------------------------------
 
-/// A time source for timeouts, backoff, and breaker cooldowns.
-///
-/// Production code could plug a wall-clock in; everything in this
-/// repository uses [`VirtualClock`] so that every fault-tolerance test is
-/// deterministic and instant.
-pub trait Clock: fmt::Debug + Send + Sync {
-    /// Current time in milliseconds.
-    fn now_ms(&self) -> u64;
-    /// Advances time (backoff "sleeps" by calling this).
-    fn advance_ms(&self, ms: u64);
-}
-
-/// A deterministic, manually advanced clock.
+/// The time source for timeouts, backoff, and breaker cooldowns: a
+/// deterministic, manually advanced clock, so every fault-tolerance test
+/// is reproducible and instant.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     now: AtomicU64,
@@ -152,14 +142,14 @@ impl VirtualClock {
             now: AtomicU64::new(ms),
         }
     }
-}
 
-impl Clock for VirtualClock {
-    fn now_ms(&self) -> u64 {
+    /// Current time in milliseconds.
+    pub fn now_ms(&self) -> u64 {
         self.now.load(Ordering::SeqCst)
     }
 
-    fn advance_ms(&self, ms: u64) {
+    /// Advances time (backoff "sleeps" by calling this).
+    pub fn advance_ms(&self, ms: u64) {
         self.now
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |t| {
                 Some(t.saturating_add(ms))
@@ -174,7 +164,7 @@ impl Clock for VirtualClock {
 
 /// A per-operation virtual-time allowance — the **deadline plane**.
 ///
-/// A budget is started against the federation [`Clock`] when a
+/// A budget is started against the federation [`VirtualClock`] when a
 /// degradable operation begins and is *charged* at deterministic points:
 /// after each parallel fetch round, with that round's **critical path**
 /// (the maximum over concurrent source jobs of their self-inflicted
@@ -208,7 +198,7 @@ pub struct QueryBudget {
 impl QueryBudget {
     /// Starts a budget of `budget_ms` virtual milliseconds at the
     /// clock's current time, with a fresh cancellation token.
-    pub fn start(clock: &Arc<dyn Clock>, budget_ms: u64) -> Self {
+    pub fn start(clock: &Arc<VirtualClock>, budget_ms: u64) -> Self {
         QueryBudget {
             budget_ms,
             started_ms: clock.now_ms(),
@@ -561,7 +551,7 @@ fn mix(mut z: u64) -> u64 {
 /// than the registration handshake.
 pub struct FaultInjector {
     inner: Arc<dyn Wrapper>,
-    clock: Arc<dyn Clock>,
+    clock: Arc<VirtualClock>,
     faults: Vec<Fault>,
     armed: AtomicBool,
     calls: AtomicU64,
@@ -595,7 +585,7 @@ impl fmt::Debug for FaultInjector {
 impl FaultInjector {
     /// Wraps `inner`, sharing `clock` with the mediator (see
     /// [`crate::Mediator::clock`]).
-    pub fn new(inner: Arc<dyn Wrapper>, clock: Arc<dyn Clock>) -> Self {
+    pub fn new(inner: Arc<dyn Wrapper>, clock: Arc<VirtualClock>) -> Self {
         FaultInjector {
             inner,
             clock,
@@ -1262,7 +1252,7 @@ mod tests {
     #[test]
     fn slow_fault_advances_the_virtual_clock() {
         let clock: Arc<VirtualClock> = Arc::new(VirtualClock::new());
-        let inj = FaultInjector::new(lab(1), Arc::clone(&clock) as Arc<dyn Clock>)
+        let inj = FaultInjector::new(lab(1), Arc::clone(&clock))
             .with_fault(Fault::Slow { delay_ms: 250 });
         inj.query(&SourceQuery::scan("m")).unwrap();
         assert_eq!(clock.now_ms(), 250);

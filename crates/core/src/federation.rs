@@ -35,7 +35,7 @@
 
 use crate::error::{MediatorError, Result};
 use crate::fault::{
-    AnswerReport, BreakerState, CircuitBreaker, Clock, QuarantinedRow, QueryBudget, SourceError,
+    AnswerReport, BreakerState, CircuitBreaker, QuarantinedRow, QueryBudget, SourceError,
     SourceOutcome, SourcePolicy, VirtualClock,
 };
 use crate::wrapper::{Capability, ObjectRow, SourceQuery, Wrapper};
@@ -385,7 +385,7 @@ impl FetchMachine {
         src: &RegisteredSource,
         policy: &SourcePolicy,
         breaker: &mut CircuitBreaker,
-        clock: &Arc<dyn Clock>,
+        clock: &Arc<VirtualClock>,
         stats: &mut MediatorStats,
         q: &SourceQuery,
         budget: &mut JobBudget,
@@ -793,7 +793,7 @@ impl JobMachine {
     pub(crate) fn step(
         &mut self,
         sources: &[RegisteredSource],
-        clock: &Arc<dyn Clock>,
+        clock: &Arc<VirtualClock>,
         mut reply: Option<SourceReply>,
     ) -> JobStep {
         let src = &sources[self.src_pos];
@@ -903,7 +903,7 @@ impl ThreadGauge {
 #[derive(Debug)]
 pub struct Federation {
     sources: Vec<RegisteredSource>,
-    clock: Arc<dyn Clock>,
+    clock: Arc<VirtualClock>,
     default_policy: SourcePolicy,
     policies: HashMap<String, SourcePolicy>,
     breakers: HashMap<String, CircuitBreaker>,
@@ -1040,7 +1040,7 @@ impl Federation {
 
     /// The federation's clock (share it with [`crate::FaultInjector`]s so
     /// injected delays are visible to timeout checks).
-    pub fn clock(&self) -> Arc<dyn Clock> {
+    pub fn clock(&self) -> Arc<VirtualClock> {
         Arc::clone(&self.clock)
     }
 
@@ -1240,7 +1240,7 @@ impl Federation {
     ///   sources' first-appearance order (registration order, for plans
     ///   built from the roster) after every worker has finished.
     ///
-    /// The one shared mutable resource is the federation [`Clock`]:
+    /// The one shared mutable resource is the federation [`VirtualClock`]:
     /// concurrent backoff/delay advances interleave, so *timestamps* (not
     /// row contents) can differ from a one-worker run when a virtual
     /// clock is shared across faulty sources.

@@ -66,7 +66,7 @@ pub mod wrapper;
 
 pub use error::{MediatorError, Result};
 pub use fault::{
-    AnswerReport, BreakerConfig, BreakerState, CircuitBreaker, Clock, Fault, FaultInjector,
+    AnswerReport, BreakerConfig, BreakerState, CircuitBreaker, Fault, FaultInjector,
     QuarantinedRow, QueryBudget, RetryPolicy, SourceError, SourceOutcome, SourcePolicy,
     SourceReport, VirtualClock,
 };

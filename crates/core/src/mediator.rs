@@ -20,7 +20,7 @@
 //! threads can query concurrently.
 
 use crate::error::{MediatorError, Result};
-use crate::fault::{AnswerReport, BreakerState, Clock, SourceError, SourcePolicy};
+use crate::fault::{AnswerReport, BreakerState, SourceError, SourcePolicy, VirtualClock};
 use crate::federation::{Federation, FetchRequest};
 pub use crate::federation::{MediatorStats, RegisteredSource};
 use crate::hub::{PinnedSnapshot, SnapshotHub};
@@ -208,7 +208,7 @@ impl Mediator {
 
     /// The mediator's clock (share it with [`crate::FaultInjector`]s so
     /// injected delays are visible to timeout checks).
-    pub fn clock(&self) -> Arc<dyn Clock> {
+    pub fn clock(&self) -> Arc<VirtualClock> {
         self.federation.clock()
     }
 

@@ -116,13 +116,15 @@ pub(crate) struct Evaluated {
 /// The **evaluate phase** of every one-off query: loads `rule` and the
 /// `fetched` rows into a scratch clone of `base` and evaluates towards
 /// the rule's head there — goal-directed (`Engine::run_for_query`: the
-/// relevance prune plus, when enabled, the magic-sets rewrite), seeded
-/// with `model` so strata the rule and the rows do not touch are read in
-/// place instead of recomputed. `base` and `model` are never written to.
+/// relevance prune plus, when enabled, the magic-sets rewrite), as the
+/// delta those loads recorded, walked over `model`: strata the rule and
+/// the rows do not touch are read in place instead of recomputed. `base`
+/// and `model` are never written to.
 ///
-/// `model` is the published model of `base`, or `None` to evaluate from
-/// the stored facts alone (a mediator with [`EvalOptions::base_cache`]
-/// off keeps none current).
+/// `model` is the published model of `base` — every mutation of `base`
+/// is in it, so the clone's changelog starts empty — or `None` to
+/// evaluate from the stored facts alone (a mediator with
+/// [`EvalOptions::base_cache`] off keeps none current).
 pub(crate) fn evaluate(
     rule: &OneOffRule,
     base: &GcmBase,
@@ -131,6 +133,7 @@ pub(crate) fn evaluate(
     opts: &EvalOptions,
 ) -> Result<Evaluated> {
     let mut work = base.clone();
+    work.flogic_mut().engine_mut().begin_delta();
     work.flogic_mut().load(rule.text)?;
     for batch in fetched {
         for row in &batch.rows {
@@ -155,8 +158,11 @@ pub(crate) fn evaluate(
     // A head the base program already defines — by a rule or a stored
     // fact, whether or not it derived anything — is not a one-off view
     // over the model: evaluate the clone from its stored facts.
-    let seed = model.filter(|_| !base.flogic().engine().defines(&rule.head_pred));
-    let model = work.flogic_mut().run_for_query(&goal, seed, opts)?;
+    let delta = work.flogic_mut().engine_mut().take_delta();
+    let since = model
+        .filter(|_| !base.flogic().engine().defines(&rule.head_pred))
+        .zip(delta.as_ref());
+    let model = work.flogic_mut().run_for_query(&goal, since, opts)?;
     Ok(Evaluated {
         rows: model.query(&goal),
         work,
@@ -337,6 +343,44 @@ mod tests {
         let (w, c) = (warm.answer(q).unwrap(), cold.answer(q).unwrap());
         assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows));
         assert!(w.stats.derived < c.stats.derived, "{q} was not seeded");
+    }
+
+    /// A warm answer walks the delta of its own loads over the published
+    /// model, so whatever was staged before it has to be in that model:
+    /// `answer` publishes first, the scratch clone's changelog then holds
+    /// the rule and the fetch and nothing older, and the rows are those of
+    /// a mediator that keeps no model at all.
+    #[test]
+    fn answer_sees_rows_staged_and_not_yet_published() {
+        let build = |base_cache: bool| {
+            let mut m = mediator_with_two_sources();
+            let mut o = m.eval_options().clone();
+            o.base_cache = base_cache;
+            m.set_eval_options(o);
+            m.publish().unwrap();
+            // Not in source A: only the staged write knows this row.
+            let row = crate::ObjectRow {
+                id: "staged".into(),
+                attrs: vec![("len".into(), GcmValue::Int(50))],
+            };
+            m.load_row("A", "spines", &row).unwrap();
+            assert!(m.publish_pending());
+            m
+        };
+        let (mut warm, mut cold) = (build(true), build(false));
+        let q = "long_spines(X, L) :- X : spines, X[len -> L], L >= 20.";
+        let (w, c) = (warm.answer(q).unwrap(), cold.answer(q).unwrap());
+        assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows));
+        assert_eq!(
+            rendered(&warm, &w.rows),
+            ["A.s2,20", "A.s3,30", "A.staged,50"]
+        );
+        assert!(
+            w.stats.derived < c.stats.derived,
+            "the answer was not seeded"
+        );
+        // The staged row went out with the publish `answer` began with.
+        assert!(!warm.publish_pending() && cold.publish_pending());
     }
 
     /// Reads do not write: whatever the optimization toggles and whatever

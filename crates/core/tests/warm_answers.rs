@@ -104,7 +104,9 @@ fn mediator_answers_equal_snapshot_answers() {
 fn walked(snap: &QuerySnapshot, rule: &str) -> (Model, kind_datalog::Sym) {
     let mut work = snap.base().clone();
     let before = work.flogic().engine().rules().len();
+    work.flogic_mut().engine_mut().begin_delta();
     work.flogic_mut().load(rule).unwrap();
+    let delta = work.flogic_mut().engine_mut().take_delta().unwrap();
     let head = work.flogic().engine().rules()[before].head.clone();
     let goal = Atom::new(
         head.pred,
@@ -118,7 +120,7 @@ fn walked(snap: &QuerySnapshot, rule: &str) -> (Model, kind_datalog::Sym) {
     };
     let model = work
         .flogic_mut()
-        .run_for_query(&goal, Some(snap.model()), &opts)
+        .run_for_query(&goal, Some((snap.model(), &delta)), &opts)
         .unwrap();
     (model, head.pred)
 }

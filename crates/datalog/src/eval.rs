@@ -3,8 +3,7 @@
 //!
 //! Each stratum (an SCC of the predicate dependency graph, see
 //! [`crate::program`]) is evaluated in order over the completed strata
-//! below it, in one of four modes: **skipped** (its predicates are already
-//! at fixpoint in a seeded base model), a **single pass** (non-recursive),
+//! below it, in one of three modes: a **single pass** (non-recursive),
 //! the **semi-naive** delta iteration (recursive; the naive full
 //! re-derivation when [`EvalOptions::semi_naive`] is off — kept as an
 //! ablation baseline, see DESIGN.md), or — when the stratum's cycle goes
@@ -25,9 +24,10 @@
 //!   set ([`crate::fact::Relation::probe`]); build/hit/miss counts
 //!   land in [`EvalStats`];
 //! * **cross-query caching** ([`EvalOptions::base_cache`], driven by the
-//!   `base` argument of [`crate::Engine::run_for_query`]): the base
-//!   model's relations are read in place, and strata whose predicates are
-//!   already at fixpoint in it are skipped outright.
+//!   `since` argument of [`crate::Engine::run_for_query`]): a warm answer
+//!   is the delta walk of [`crate::Engine::apply_delta`] restricted to the
+//!   goal's subprogram — the base model's relations are read in place and
+//!   strata the delta cannot reach are reused, not run.
 //!
 //! Function terms (skolem placeholders from domain-map assertions, paper
 //! §4) can generate unboundedly deep terms; derivations whose head exceeds
@@ -119,10 +119,10 @@ pub struct EvalOptions {
     /// and relation cardinality before evaluating. Turning this off keeps
     /// the compiled source order (ablation baseline).
     pub join_reorder: bool,
-    /// Allow evaluation on top of a cached base model (the `base`
+    /// Allow evaluation on top of a cached base model (the `since`
     /// argument of [`crate::Engine::run_for_query`]): strata untouched by
-    /// the delta are seeded from the cache and skipped. Turning this off
-    /// re-derives everything from the EDB (ablation baseline).
+    /// the delta are reused from the cache. Turning this off re-derives
+    /// everything from the EDB (ablation baseline).
     pub base_cache: bool,
     /// Apply the magic-sets demand rewrite on the goal-directed query
     /// path ([`crate::Engine::run_for_query`]): adorn the relevant rules
@@ -219,7 +219,7 @@ pub(crate) struct IndexCounters<'a> {
     builds: Cell<usize>,
     hits: Cell<usize>,
     misses: Cell<usize>,
-    /// The seeded working store of an evaluation that reads a base model's
+    /// The working store of a delta walk, which reads a base model's
     /// relations in place. A relation still shared with it is borrowed: an
     /// index built there is not this evaluation's (see
     /// [`EvalStats::index_builds`]). `None` on the cold paths, which own
@@ -275,8 +275,8 @@ pub struct StratumProfile {
     pub preds: Vec<Sym>,
     /// Whether the stratum required fixpoint iteration.
     pub recursive: bool,
-    /// Stratum skipped because every predicate was already at fixpoint in
-    /// the seeded base model (cross-query cache).
+    /// Stratum not run: a delta walk found nothing beneath it changed and
+    /// reused the base model's relations (a publish, or a warm answer).
     pub skipped: bool,
     /// The stratum's cycle goes through negation: it ran the alternating
     /// fixpoint (well-founded semantics). Also set on the single entry
@@ -334,20 +334,22 @@ pub struct EvalProfile {
     /// (`None` when no estimate was made — rewrite off, declined for
     /// structural reasons, or below the size floor).
     pub magic_demand_ratio: Option<f64>,
-    /// The model was produced by [`crate::Engine::apply_delta`]
-    /// (incremental maintenance) rather than a cold evaluation.
+    /// The model was produced by walking a recorded delta over a base
+    /// model — [`crate::Engine::apply_delta`], or
+    /// [`crate::Engine::run_for_query`] given one — rather than by a cold
+    /// evaluation.
     pub delta_applied: bool,
-    /// Strata whose relations were reused wholesale from the previous
-    /// model (untouched by the delta) during [`crate::Engine::apply_delta`].
+    /// Strata whose relations the delta walk reused wholesale from the
+    /// base model (untouched by the delta).
     pub delta_reused_strata: usize,
-    /// Strata re-evaluated incrementally (seeded semi-naive additions or
-    /// DRed overdelete/rederive) during [`crate::Engine::apply_delta`].
+    /// Strata the delta walk re-evaluated incrementally (semi-naive
+    /// additions on the previous extension, or DRed overdelete/rederive).
     pub delta_incremental_strata: usize,
-    /// Strata rebuilt cold (non-monotone residues: changed rules, mixed
-    /// grow/shrink inputs) during [`crate::Engine::apply_delta`].
+    /// Strata the delta walk rebuilt cold (non-monotone residues: changed
+    /// rules, mixed grow/shrink inputs).
     pub delta_rebuilt_strata: usize,
-    /// [`crate::Engine::apply_delta`] fell back to a full cold evaluation
-    /// (a three-valued base model, or a rebuilt stratum whose alternating
+    /// The delta walk fell back to a cold evaluation of its rule set (a
+    /// three-valued base model, or a rebuilt stratum whose alternating
     /// fixpoint left atoms undefined).
     pub delta_fallback: bool,
 }
@@ -364,18 +366,6 @@ pub struct Model {
     pub stats: EvalStats,
     /// How the model was computed (join plans, per-stratum counters).
     pub profile: EvalProfile,
-    /// Handles of the relations the evaluation started from — the
-    /// engine's stored facts, or a seeded run's working store; `facts`
-    /// holds every tuple of each. A later seeded evaluation
-    /// ([`crate::Engine::run_for_query`]) compares them with the engine's
-    /// by identity: while this model holds a handle nobody can have
-    /// changed that relation, so an identical handle has no stored fact
-    /// the model lacks.
-    pub(crate) edb: FactStore,
-    /// How many rules defined each head predicate of the evaluated
-    /// program: a head with a different count today has rules this model
-    /// never ran.
-    pub(crate) rules_of: HashMap<Sym, usize>,
 }
 
 impl Model {
@@ -815,7 +805,7 @@ pub(crate) struct StratumScope<'a> {
 }
 
 impl<'a> StratumScope<'a> {
-    /// `borrowed` is the seeded working store whose relations the
+    /// `borrowed` is the delta walk's working store whose relations the
     /// evaluation reads in place, if any (see [`IndexCounters`]).
     pub(crate) fn open(stats: &EvalStats, borrowed: Option<&'a FactStore>) -> Self {
         StratumScope {
@@ -853,8 +843,8 @@ impl<'a> StratumScope<'a> {
 /// well-founded model relative to the two-valued strata below it). `memo`
 /// supplies join plans made earlier (the incremental path memoizes them
 /// per rule-set revision); without it the stratum is planned here.
-/// `borrowed` is the seeded store `total` started as a share of, when the
-/// walk reads a base model in place.
+/// `borrowed` is the working store `total` started as a share of, when
+/// the walk reads a base model in place.
 ///
 /// Returns the stratum's profile, or `None` when the local alternating
 /// fixpoint left atoms undefined: `total` is then untouched, and the
@@ -930,48 +920,37 @@ pub(crate) fn eval_stratum(
     Ok(two_valued.then_some(sp))
 }
 
-/// Evaluates `rules` over `edb` stratum by stratum — the only way a rule
-/// set is evaluated. `strat` is its stratification
-/// ([`crate::program::stratify`]).
+/// Evaluates `rules` over `edb` stratum by stratum, from nothing — the
+/// cold walk (`ivm` walks a recorded delta over a base model instead).
+/// `strat` is the rule set's stratification ([`crate::program::stratify`]).
 ///
-/// Without `stable` the run is **cold**: it works on a detached copy of
-/// `edb` and owns every relation it reads. With `stable` it is **seeded**:
-/// `edb` is a working store that `Engine::seed_plan` filled from a cached
-/// base model, its relations are borrowed as they are — the base's own
-/// allocations, read in place with the indexes they already carry, copied
-/// only where a stratum writes — and a stratum whose predicates are all in
-/// `stable` is skipped, being at fixpoint in `edb` already.
+/// The run works on a detached copy of `edb` and owns every relation it
+/// reads, unless `borrow` is set: `edb` is then a delta walk's working
+/// store under a magic-rewritten program, and its relations — the base
+/// model's own allocations — are read in place with the indexes they
+/// already carry, copied only where a stratum writes.
 ///
 /// The model is two-valued unless some stratum's alternating fixpoint
 /// leaves atoms undefined. That stratum and every later one are then
 /// evaluated *together* under the alternating fixpoint over the two-valued
-/// store built so far, and nothing above it is skipped: closed-world
-/// strata cannot read three-valued inputs.
+/// store built so far: closed-world strata cannot read three-valued inputs.
 pub(crate) fn eval_strata(
     rules: &[Rule],
     strat: &Stratification,
     edb: &FactStore,
     opts: &EvalOptions,
-    stable: Option<&HashSet<Sym>>,
+    borrow: bool,
 ) -> Result<Model> {
-    let borrowed = stable.map(|_| edb);
-    let mut total = match borrowed {
-        Some(seeded) => seeded.clone(),
-        None => edb.detached_clone(),
+    let borrowed = borrow.then_some(edb);
+    let mut total = if borrow {
+        edb.clone()
+    } else {
+        edb.detached_clone()
     };
     let mut undefined = FactStore::new();
     let mut stats = EvalStats::default();
     let mut profile = EvalProfile::default();
     for (i, stratum) in strat.strata.iter().enumerate() {
-        if stable.is_some_and(|stable| stratum.preds.iter().all(|p| stable.contains(p))) {
-            profile.strata.push(StratumProfile {
-                preds: stratum.preds.clone(),
-                recursive: stratum.recursive,
-                skipped: true,
-                ..Default::default()
-            });
-            continue;
-        }
         if let Some(sp) =
             eval_stratum(rules, stratum, None, &mut total, borrowed, &mut stats, opts)?
         {
@@ -1006,18 +985,7 @@ pub(crate) fn eval_strata(
         undefined,
         stats,
         profile,
-        edb: edb.clone(),
-        rules_of: rules_per_head(rules),
     })
-}
-
-/// How many of `rules` define each head predicate.
-pub(crate) fn rules_per_head(rules: &[Rule]) -> HashMap<Sym, usize> {
-    let mut count = HashMap::new();
-    for r in rules {
-        *count.entry(r.head.pred).or_default() += 1;
-    }
-    count
 }
 
 pub(crate) fn naive_stratum(
@@ -1104,7 +1072,7 @@ pub(crate) fn gamma(
     counters: &IndexCounters,
     opts: &EvalOptions,
 ) -> Result<FactStore> {
-    // Detached, on a seeded walk too: each reduct starts over from the
+    // Detached, on a delta walk too: each reduct starts over from the
     // layers below and owns (and counts the indexes of) all it reads.
     let mut total = edb.detached_clone();
     // With negation frozen the program is positive: a single global
@@ -1169,7 +1137,7 @@ mod tests {
                 &strat,
                 &self.edb,
                 &EvalOptions::default(),
-                None,
+                false,
             )
             .unwrap()
         }
@@ -1251,7 +1219,7 @@ mod tests {
             .unwrap(),
         );
         let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let semi = eval_strata(&f.rules, &strat, &f.edb, &EvalOptions::default(), None).unwrap();
+        let semi = eval_strata(&f.rules, &strat, &f.edb, &EvalOptions::default(), false).unwrap();
         let naive = eval_strata(
             &f.rules,
             &strat,
@@ -1260,7 +1228,7 @@ mod tests {
                 semi_naive: false,
                 ..Default::default()
             },
-            None,
+            false,
         )
         .unwrap();
         assert_eq!(semi.tuples(tc).len(), naive.tuples(tc).len());
@@ -1420,7 +1388,7 @@ mod tests {
             max_term_depth: 4,
             ..Default::default()
         };
-        let m = eval_strata(&f.rules, &strat, &f.edb, &opts, None).unwrap();
+        let m = eval_strata(&f.rules, &strat, &f.edb, &opts, false).unwrap();
         // a, f(a), f(f(a)), f3(a), f4(a): 5 facts.
         assert_eq!(m.tuples(p).len(), 5);
         assert!(m.stats.depth_clipped > 0);
@@ -1506,7 +1474,7 @@ mod tests {
                 use_index: false,
                 ..Default::default()
             },
-            None,
+            false,
         )
         .unwrap();
         assert_eq!(noidx.stats.index_hits, 0);

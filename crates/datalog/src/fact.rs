@@ -266,9 +266,8 @@ impl FactStore {
     /// Whether `pred`'s relation is the very same allocation as in
     /// `other`. While both stores hold the handle neither can have changed
     /// it ([`Arc::make_mut`] copies first), so identity implies equal
-    /// content: the seeding analysis uses it to skip a per-tuple
-    /// comparison, the index counters to tell a borrowed relation from an
-    /// owned one, and tests to pin the structural-sharing contract.
+    /// content: the index counters use it to tell a borrowed relation from
+    /// an owned one, and tests to pin the structural-sharing contract.
     pub fn shares_relation(&self, pred: Sym, other: &FactStore) -> bool {
         match (self.rels.get(&pred), other.rels.get(&pred)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),

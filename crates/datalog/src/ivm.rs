@@ -1,9 +1,12 @@
-//! Incremental view maintenance: applying a staged [`EngineDelta`] to a
+//! Incremental view maintenance: applying a recorded [`EngineDelta`] to a
 //! cached model instead of re-deriving it from scratch.
 //!
-//! [`crate::Engine::apply_delta`] walks the stratification of the
-//! *current* rule set and picks, per stratum, the cheapest maintenance
-//! mode that is sound for what actually changed beneath it:
+//! One walk serves both callers: [`crate::Engine::apply_delta`] (a
+//! publish) runs it over the engine's whole rule set,
+//! [`crate::Engine::run_for_query`] (a warm answer) over the goal's
+//! subprogram. It follows the stratification of the *current* rules and
+//! picks, per stratum, the cheapest maintenance mode that is sound for
+//! what actually changed beneath it:
 //!
 //! * **reuse** — no predicate in the stratum grew, shrank, or changed
 //!   rules: the previous model's relations are `Arc`-shared wholesale
@@ -30,25 +33,28 @@
 //! touched: the alternating fixpoint over *its own rules only*, against
 //! the already-maintained lower layers. Only genuinely three-valued
 //! states — a base model with undefined atoms, or a local fixpoint that
-//! leaves atoms undefined — fall back to a full cold evaluation with
-//! [`crate::EvalProfile::delta_fallback`] set, because the closed-world
-//! maintenance modes cannot represent three-valued inputs downstream.
+//! leaves atoms undefined — fall back to a cold evaluation of the same
+//! rule set with [`crate::EvalProfile::delta_fallback`] set, because the
+//! closed-world maintenance modes cannot represent three-valued inputs
+//! downstream.
 //!
-//! The classification mirrors `Engine::seed_plan`'s soundness argument,
-//! extended to shrinkage: a positive edge propagates grow→grow and
-//! shrink→shrink; any non-monotone edge (negation, aggregation) from a
-//! changed predicate marks the head as both, forcing the rebuild mode.
+//! What a change invalidates is decided in one place, `classify`: the
+//! delta's predicates seed a *grown* and a *shrunk* set (a predicate with
+//! a new rule is in both), a positive edge propagates grow→grow and
+//! shrink→shrink, and any non-monotone edge (negation, aggregation) from
+//! a changed predicate marks the head as both, forcing the rebuild mode.
 //! A new rule can never ride the additions mode: a delta round only fires
 //! rule instantiations that touch a novel *fact*, so a new rule over
-//! unchanged inputs would never fire at all.
+//! unchanged inputs would never fire at all. A predicate in neither set
+//! keeps its base extension exactly — the magic rewrite drops its rules.
 //!
-//! Statistics produced by `apply_delta` measure the *delta work*, not a
-//! cold evaluation's: they are a function of the mutation history alone,
-//! and intentionally smaller than a cold rebuild's.
+//! Statistics measure the *delta work*, not a cold evaluation's: they are
+//! a function of the mutation history alone, and intentionally smaller
+//! than a cold rebuild's.
 
 use crate::error::Result;
 use crate::eval::{
-    begin_round, check_cancelled, eval_stratum, execute_round, plan_rules, rules_per_head, solve,
+    begin_round, check_cancelled, eval_strata, eval_stratum, execute_round, plan_rules, solve,
     EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model, NegView, RulePlan,
     StratumProfile, StratumScope,
 };
@@ -57,7 +63,7 @@ use crate::interner::Sym;
 use crate::program::Stratum;
 use crate::rule::Rule;
 use crate::term::{Subst, Term};
-use crate::Engine;
+use crate::{Engine, ProgramShape};
 use std::collections::{HashMap, HashSet};
 
 /// A typed changelog of engine mutations since the last model was
@@ -134,277 +140,309 @@ fn has_facts(store: &FactStore, pred: Sym) -> bool {
     store.relation(pred).is_some_and(|r| !r.is_empty())
 }
 
-/// Classifies every predicate as grown and/or shrunk by propagating the
-/// delta's seed sets through the dependency edges to a fixpoint.
-fn classify(deps: &[(Sym, Sym, bool)], delta: &EngineDelta) -> (HashSet<Sym>, HashSet<Sym>) {
-    let mut grow: HashSet<Sym> = delta
+/// Which way a predicate's extension may have moved since the base model.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Moved {
+    grown: bool,
+    shrunk: bool,
+}
+
+impl Moved {
+    const BOTH: Moved = Moved {
+        grown: true,
+        shrunk: true,
+    };
+
+    fn or(self, other: Moved) -> Moved {
+        Moved {
+            grown: self.grown || other.grown,
+            shrunk: self.shrunk || other.shrunk,
+        }
+    }
+}
+
+/// Classifies the predicates a delta reaches as grown and/or shrunk by
+/// propagating its seed sets through the dependency edges to a fixpoint.
+/// A predicate not in the result has not moved.
+fn classify(deps: &[(Sym, Sym, bool)], delta: &EngineDelta) -> HashMap<Sym, Moved> {
+    let mut moved: HashMap<Sym, Moved> = HashMap::new();
+    for p in delta
         .added
         .predicates()
         .filter(|&p| has_facts(&delta.added, p))
-        .collect();
-    let mut shrink: HashSet<Sym> = delta
+    {
+        moved.entry(p).or_default().grown = true;
+    }
+    for p in delta
         .removed
         .predicates()
         .filter(|&p| has_facts(&delta.removed, p))
-        .collect();
+    {
+        moved.entry(p).or_default().shrunk = true;
+    }
     // A changed rule set can both add and remove derived facts.
-    grow.extend(delta.changed_rule_preds.iter().copied());
-    shrink.extend(delta.changed_rule_preds.iter().copied());
+    for &p in &delta.changed_rule_preds {
+        moved.insert(p, Moved::BOTH);
+    }
     loop {
         let mut changed = false;
         for &(h, b, nonmono) in deps {
-            if nonmono && (grow.contains(&b) || shrink.contains(&b)) {
-                changed |= grow.insert(h);
-                changed |= shrink.insert(h);
-            } else {
-                if grow.contains(&b) {
-                    changed |= grow.insert(h);
-                }
-                if shrink.contains(&b) {
-                    changed |= shrink.insert(h);
-                }
-            }
+            let Some(&body) = moved.get(&b) else {
+                continue;
+            };
+            let head = moved.entry(h).or_default();
+            let next = head.or(if nonmono { Moved::BOTH } else { body });
+            changed |= next != *head;
+            *head = next;
         }
         if !changed {
             break;
         }
     }
-    (grow, shrink)
+    moved
 }
 
-/// Full cold re-evaluation, flagged as a delta fallback in the profile.
-fn cold_fallback(engine: &Engine, opts: &EvalOptions) -> Result<Model> {
-    let mut model = engine.run(opts)?;
-    model.profile.delta_applied = true;
-    model.profile.delta_fallback = true;
-    Ok(model)
+/// A base model and the delta recorded since it, classified over one
+/// program — the engine's whole rule set for [`Engine::apply_delta`], a
+/// goal's subprogram for [`Engine::run_for_query`] — with the working
+/// store both evaluate over.
+pub(crate) struct Since<'a> {
+    rules: &'a [Rule],
+    shape: &'a ProgramShape,
+    /// The engine's stored facts, delta applied.
+    edb: &'a FactStore,
+    base: &'a Model,
+    delta: &'a EngineDelta,
+    moved: HashMap<Sym, Moved>,
+    /// `edb`, with the base model's relation shared in for every predicate
+    /// in scope whose old extension still holds: all that did not shrink.
+    /// One that grew through its rules also takes its asserted facts
+    /// (copy-on-write); one that only has stored facts keeps the engine's
+    /// relation, which is the base's plus those already.
+    pub(crate) store: FactStore,
 }
 
-/// Applies `delta` to `base` (a full model of the engine's *pre-delta*
-/// state), producing the model the current engine state evaluates to —
-/// see [`Engine::apply_delta`] for the contract.
-pub(crate) fn apply_delta(
-    engine: &Engine,
-    base: &Model,
-    delta: &EngineDelta,
-    opts: &EvalOptions,
-) -> Result<Model> {
-    let rules = &engine.rules;
-    let shape = engine.shape()?;
-    let strat = &shape.strat;
-    if !base.undefined.is_empty() {
-        // A three-valued base gives the maintenance modes nothing sound to
-        // seed from (an undefined atom is neither in nor out of the old
-        // extension); re-evaluate cold and say so in the profile.
-        return cold_fallback(engine, opts);
-    }
-    let (grow, shrink) = classify(&shape.deps, delta);
-    let mut stratum_of: HashMap<Sym, usize> = HashMap::new();
-    for (i, s) in strat.strata.iter().enumerate() {
-        for &p in &s.preds {
-            stratum_of.insert(p, i);
-        }
-    }
-    let modes: Vec<Mode> = strat
-        .strata
-        .iter()
-        .map(|s| {
-            let rule_changed = s.preds.iter().any(|p| delta.changed_rule_preds.contains(p));
-            let g = s.preds.iter().any(|p| grow.contains(p));
-            let sh = s.preds.iter().any(|p| shrink.contains(p));
-            let mode = match (rule_changed, g, sh) {
-                (true, _, _) | (false, true, true) => Mode::Rebuild,
-                (false, false, false) => Mode::Reuse,
-                (false, true, false) => Mode::Additions,
-                (false, false, true) => Mode::Retractions,
-            };
-            // Semi-naive/DRed rounds are unsound through a negation cycle;
-            // a touched WFS stratum always re-runs its alternating
-            // fixpoint. (Unreachable in practice: `classify` marks every
-            // predicate of a touched WFS component as both grown and
-            // shrunk, but keep the guard explicit.)
-            if s.wfs && mode != Mode::Reuse {
-                Mode::Rebuild
-            } else {
-                mode
+impl<'a> Since<'a> {
+    /// `scope` limits the predicates read from `base` (a subprogram's);
+    /// `None` takes them all.
+    pub(crate) fn new(
+        rules: &'a [Rule],
+        shape: &'a ProgramShape,
+        scope: Option<&HashSet<Sym>>,
+        edb: &'a FactStore,
+        base: &'a Model,
+        delta: &'a EngineDelta,
+    ) -> Self {
+        let moved = classify(&shape.deps, delta);
+        let has_rules = |p| shape.strat.strata.iter().any(|s| s.preds.contains(&p));
+        let mut store = edb.clone();
+        for p in base.facts.predicates() {
+            let m = moved.get(&p).copied().unwrap_or_default();
+            if scope.is_some_and(|s| !s.contains(&p)) || m.shrunk || (m.grown && !has_rules(p)) {
+                continue;
             }
-        })
-        .collect();
-
-    // Frontiers threaded through the strata in evaluation order: facts
-    // that are new relative to the base model, and facts that vanished.
-    let mut novel = delta.added.clone();
-    let mut gone = delta.removed.clone();
-
-    let mut stats = EvalStats::default();
-    let mut profile = EvalProfile {
-        delta_applied: true,
-        ..Default::default()
-    };
-
-    // Seed the extensional layer. Predicates owned by a stratum that
-    // seeds itself from the base (reuse/additions/retractions) are left
-    // to their stratum step; rebuild strata and pure-EDB predicates take
-    // the engine's current relations. Unchanged pure-EDB relations share
-    // the *base* handle so successive snapshots stay pointer-equal.
-    let mut total = FactStore::new();
-    for p in engine.edb.predicates() {
-        match stratum_of.get(&p) {
-            None => {
-                let unchanged = !has_facts(&delta.added, p) && !has_facts(&delta.removed, p);
-                if unchanged {
-                    if let Some(arc) = base.facts.relation_arc(p) {
-                        total.set_relation(p, arc);
-                        continue;
-                    }
-                }
-                if let Some(arc) = engine.edb.relation_arc(p) {
-                    total.set_relation(p, arc);
-                }
+            if let Some(old) = base.facts.relation_arc(p) {
+                store.set_relation(p, old);
             }
-            Some(&i) => {
-                if modes[i] == Mode::Rebuild {
-                    if let Some(arc) = engine.edb.relation_arc(p) {
-                        total.set_relation(p, arc);
-                    }
+            if let Some(added) = delta.added.relation(p).filter(|_| m.grown) {
+                for t in added.iter() {
+                    store.insert(p, t.clone());
                 }
             }
         }
+        Since {
+            rules,
+            shape,
+            edb,
+            base,
+            delta,
+            moved,
+            store,
+        }
     }
 
-    for (i, stratum) in strat.strata.iter().enumerate() {
-        let named = || StratumProfile {
-            preds: stratum.preds.clone(),
-            recursive: stratum.recursive,
+    /// Whether `pred` has exactly its base extension: neither grown nor
+    /// shrunk.
+    pub(crate) fn frozen(&self, pred: Sym) -> bool {
+        !self.moved.contains_key(&pred)
+    }
+
+    /// Full cold evaluation of the same rule set, flagged as a delta
+    /// fallback in the profile.
+    fn cold_fallback(&self, opts: &EvalOptions) -> Result<Model> {
+        let mut model = eval_strata(self.rules, &self.shape.strat, self.edb, opts, false)?;
+        model.profile.delta_applied = true;
+        model.profile.delta_fallback = true;
+        Ok(model)
+    }
+
+    /// Walks the program's strata over the working store, each in the
+    /// mode its classification allows (module docs), and returns the model
+    /// of the current state. `memo` is the engine whose memoized join plans
+    /// a negation-cyclic stratum of its *whole* program reuses.
+    pub(crate) fn walk(self, opts: &EvalOptions, memo: Option<&Engine>) -> Result<Model> {
+        let (rules, base, delta) = (self.rules, self.base, self.delta);
+        if !base.undefined.is_empty() {
+            // A three-valued base gives the maintenance modes nothing sound
+            // to seed from (an undefined atom is neither in nor out of the
+            // old extension); re-evaluate cold and say so in the profile.
+            return self.cold_fallback(opts);
+        }
+        let mut total = self.store.clone();
+        // Relations still shared with the working store are read in place:
+        // an index built there is not this walk's.
+        let borrowed = &self.store;
+        // Frontiers threaded through the strata in evaluation order: facts
+        // that are new relative to the base model, and facts that vanished.
+        let mut novel = delta.added.clone();
+        let mut gone = delta.removed.clone();
+        let mut stats = EvalStats::default();
+        let mut profile = EvalProfile {
+            delta_applied: true,
             ..Default::default()
         };
-        let sp = match modes[i] {
-            Mode::Reuse => {
-                for &p in &stratum.preds {
-                    if let Some(arc) = base.facts.relation_arc(p) {
-                        total.set_relation(p, arc);
+        for (i, stratum) in self.shape.strat.strata.iter().enumerate() {
+            let moved = stratum
+                .preds
+                .iter()
+                .filter_map(|p| self.moved.get(p))
+                .fold(Moved::default(), |all, &m| all.or(m));
+            // A changed rule, and every predicate of a touched negation
+            // cycle, is marked both ways by `classify`: rebuilt.
+            let mode = match (moved.grown, moved.shrunk) {
+                (true, true) => Mode::Rebuild,
+                (false, false) => Mode::Reuse,
+                (true, false) => Mode::Additions,
+                (false, true) => Mode::Retractions,
+            };
+            let named = || StratumProfile {
+                preds: stratum.preds.clone(),
+                recursive: stratum.recursive,
+                ..Default::default()
+            };
+            let sp = match mode {
+                Mode::Reuse => {
+                    profile.delta_reused_strata += 1;
+                    StratumProfile {
+                        skipped: true,
+                        ..named()
                     }
                 }
-                profile.delta_reused_strata += 1;
-                StratumProfile {
-                    skipped: true,
-                    ..named()
-                }
-            }
-            Mode::Rebuild => {
-                let memo = stratum.wfs.then(|| {
-                    engine.wfs_stratum_plan(i, || {
-                        plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts)
-                    })
-                });
-                let memo = memo.as_ref().map(|plans| plans.as_slice());
-                let Some(sp) =
-                    eval_stratum(rules, stratum, memo, &mut total, None, &mut stats, opts)?
-                else {
-                    // Three-valued residue: downstream strata would need
-                    // three-valued inputs the closed-world maintenance
-                    // modes cannot represent.
-                    return cold_fallback(engine, opts);
-                };
-                // Exact diff against the base keeps downstream frontiers
-                // tight.
-                for &p in &stratum.preds {
-                    let new_rel = total.relation(p);
-                    let old_rel = base.facts.relation(p);
-                    if let Some(nr) = new_rel {
-                        for t in nr.iter() {
-                            if !old_rel.is_some_and(|o| o.contains(t)) {
-                                novel.insert(p, t.clone());
-                            }
-                        }
-                    }
-                    if let Some(or) = old_rel {
-                        for t in or.iter() {
-                            if !new_rel.is_some_and(|n| n.contains(t)) {
-                                gone.insert(p, t.clone());
-                            }
-                        }
-                    }
-                }
-                profile.delta_rebuilt_strata += 1;
-                sp
-            }
-            Mode::Additions | Mode::Retractions => {
-                // Both start from the previous extension.
-                for &p in &stratum.preds {
-                    if let Some(arc) = base.facts.relation_arc(p) {
-                        total.set_relation(p, arc);
-                    }
-                }
-                let prepared = plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
-                let scope = StratumScope::open(&stats, None);
-                if modes[i] == Mode::Additions {
-                    maintain_additions(
+                Mode::Rebuild => {
+                    let plan = || plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
+                    let memo = match memo {
+                        Some(engine) if stratum.wfs => Some(engine.wfs_stratum_plan(i, plan)),
+                        _ => None,
+                    };
+                    let memo = memo.as_ref().map(|plans| plans.as_slice());
+                    let Some(sp) = eval_stratum(
+                        rules,
                         stratum,
-                        &prepared,
-                        delta,
+                        memo,
                         &mut total,
-                        &mut novel,
+                        Some(borrowed),
                         &mut stats,
-                        &scope.counters,
                         opts,
-                    )?;
-                } else {
-                    maintain_retractions(
-                        stratum,
-                        &prepared,
-                        delta,
-                        base,
-                        &engine.edb,
-                        &mut total,
-                        &mut gone,
-                        &mut stats,
-                        &scope.counters,
-                        opts,
-                    )?;
+                    )?
+                    else {
+                        // Three-valued residue: downstream strata would need
+                        // three-valued inputs the closed-world maintenance
+                        // modes cannot represent.
+                        return self.cold_fallback(opts);
+                    };
+                    // The last stratum (a warm answer's own) has nothing
+                    // downstream to keep frontiers for.
+                    if i + 1 < self.shape.strat.strata.len() {
+                        diff_against_base(stratum, &total, base, &mut novel, &mut gone);
+                    }
+                    profile.delta_rebuilt_strata += 1;
+                    sp
                 }
-                profile.delta_incremental_strata += 1;
-                scope.close(&mut stats, &prepared, named())
-            }
-        };
-        profile.well_founded |= sp.well_founded;
-        profile.strata.push(sp);
+                Mode::Additions | Mode::Retractions => {
+                    let prepared = plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
+                    let scope = StratumScope::open(&stats, Some(borrowed));
+                    if mode == Mode::Additions {
+                        maintain_additions(
+                            &prepared,
+                            &mut total,
+                            &mut novel,
+                            &mut stats,
+                            &scope.counters,
+                            opts,
+                        )?;
+                    } else {
+                        maintain_retractions(
+                            stratum,
+                            &prepared,
+                            delta,
+                            base,
+                            self.edb,
+                            &mut total,
+                            &mut gone,
+                            &mut stats,
+                            &scope.counters,
+                            opts,
+                        )?;
+                    }
+                    profile.delta_incremental_strata += 1;
+                    scope.close(&mut stats, &prepared, named())
+                }
+            };
+            profile.well_founded |= sp.well_founded;
+            profile.strata.push(sp);
+        }
+        Ok(Model {
+            facts: total,
+            undefined: FactStore::new(),
+            stats,
+            profile,
+        })
     }
-    Ok(Model {
-        facts: total,
-        undefined: FactStore::new(),
-        stats,
-        profile,
-        edb: engine.edb.clone(),
-        rules_of: rules_per_head(rules),
-    })
+}
+
+/// The exact diff of a rebuilt stratum against the base model, into the
+/// frontiers: it keeps what downstream strata see as changed tight.
+fn diff_against_base(
+    stratum: &Stratum,
+    total: &FactStore,
+    base: &Model,
+    novel: &mut FactStore,
+    gone: &mut FactStore,
+) {
+    for &p in &stratum.preds {
+        let new_rel = total.relation(p);
+        let old_rel = base.facts.relation(p);
+        if let Some(nr) = new_rel {
+            for t in nr.iter() {
+                if !old_rel.is_some_and(|o| o.contains(t)) {
+                    novel.insert(p, t.clone());
+                }
+            }
+        }
+        if let Some(or) = old_rel {
+            for t in or.iter() {
+                if !new_rel.is_some_and(|n| n.contains(t)) {
+                    gone.insert(p, t.clone());
+                }
+            }
+        }
+    }
 }
 
 /// Monotone maintenance: novel facts ride semi-naive delta rounds on top
-/// of the seeded previous extension. The delta is matched at every
+/// of the previous extension and the stratum's own asserted facts, both in
+/// the working store already. The delta is matched at every
 /// positive body position; duplicate firings (an instantiation touching
 /// two novel facts) collapse on the `total`-membership check exactly as
 /// in the cold semi-naive engine.
-#[allow(clippy::too_many_arguments)]
 fn maintain_additions(
-    stratum: &Stratum,
     prepared: &[(Rule, RulePlan)],
-    delta: &EngineDelta,
     total: &mut FactStore,
     novel: &mut FactStore,
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
 ) -> Result<()> {
-    // Asserted base facts of this stratum's own predicates join the
-    // extension directly (they are already in the novel frontier).
-    for &p in &stratum.preds {
-        if let Some(rel) = delta.added.relation(p) {
-            for t in rel.iter() {
-                total.insert(p, t.clone());
-            }
-        }
-    }
     let mut units: Vec<(&Rule, Option<usize>)> = Vec::new();
     for (r, _) in prepared {
         for di in r.positive_atom_indices() {
@@ -458,6 +496,11 @@ fn maintain_retractions(
     // set: a retracted stored fact survives if a rule still derives it.
     let mut od_total = FactStore::new();
     for &p in &stratum.preds {
+        // The working store holds a shrunk predicate's stored facts; this
+        // mode starts from its previous extension.
+        if let Some(arc) = base.facts.relation_arc(p) {
+            total.set_relation(p, arc);
+        }
         if let Some(rel) = delta.removed.relation(p) {
             let tuples: Vec<Tuple> = rel.iter().cloned().collect();
             for t in tuples {

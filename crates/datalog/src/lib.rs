@@ -85,6 +85,17 @@ pub(crate) struct ProgramShape {
     pub(crate) deps: Vec<(Sym, Sym, bool)>,
 }
 
+impl ProgramShape {
+    fn of(rules: &[Rule], syms: &Interner) -> Result<Self> {
+        let strat = program::stratify(rules, |s| syms.resolve(s).to_string())?;
+        let mut deps = Vec::new();
+        for r in rules {
+            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
+        }
+        Ok(ProgramShape { strat, deps })
+    }
+}
+
 /// The deductive engine: a symbol table, an extensional database, and a
 /// rule set, with evaluation producing an immutable [`Model`].
 #[derive(Debug, Default)]
@@ -318,7 +329,8 @@ impl Engine {
         delta: &EngineDelta,
         opts: &EvalOptions,
     ) -> Result<Model> {
-        ivm::apply_delta(self, base, delta, opts)
+        let shape = self.shape()?;
+        ivm::Since::new(&self.rules, &shape, None, &self.edb, base, delta).walk(opts, Some(self))
     }
 
     /// Evaluates the whole program, stratum by stratum: a single pass or
@@ -326,7 +338,7 @@ impl Engine {
     /// (well-founded semantics) for a stratum whose recursion goes through
     /// negation.
     pub fn run(&self, opts: &EvalOptions) -> Result<Model> {
-        eval::eval_strata(&self.rules, &self.shape()?.strat, &self.edb, opts, None)
+        eval::eval_strata(&self.rules, &self.shape()?.strat, &self.edb, opts, false)
     }
 
     /// Evaluates towards a single **goal atom** — the demand-driven
@@ -350,26 +362,23 @@ impl Engine {
     /// subprogram are absent from the model, and under the rewrite the
     /// others may be only partially materialized.
     ///
-    /// # Evaluating on top of a cached `base` model
-    /// With `base` given (and [`EvalOptions::base_cache`] on), the working
-    /// store **shares** the base model's relations instead of copying
-    /// them: predicates whose inputs did not change since `base` was
-    /// computed are read in place, with whatever indexes earlier calls
-    /// left on them, and their strata are skipped outright; only
-    /// query-relevant strata that can differ are re-evaluated (see
-    /// `Engine::seed_plan` for the analysis), writing to copies. The
-    /// *stable* predicates are also handed to the magic rewrite as frozen
-    /// — their rules are dropped and the base's extension stands in for
-    /// them — so the rewrite composes with the cache instead of
-    /// re-deriving what it holds. `base` itself is never written to.
-    ///
-    /// `base` must be a model of a subprogram of this engine's rules over
-    /// a **subset** of this engine's EDB: facts and rules may have been
-    /// added since, never removed or changed. A rule added since may
-    /// define any predicate, also one the base program already had rules
-    /// or facts for. Under that contract the result equals the
-    /// `base: None` evaluation. A three-valued `base` is ignored: an
-    /// undefined atom is neither in nor out of a seeded extension.
+    /// # Evaluating on top of a cached base model
+    /// `since` is a model of this engine's state at some earlier point and
+    /// the [`EngineDelta`] recorded from then to now ([`Engine::begin_delta`]
+    /// / [`Engine::take_delta`]) — [`Engine::apply_delta`]'s contract. With
+    /// it (and [`EvalOptions::base_cache`] on) the answer is that delta
+    /// walked over the goal's subprogram: the change is classified once,
+    /// the working store **shares** the base model's relation for every
+    /// predicate that did not shrink — read in place, with whatever
+    /// indexes earlier calls left on them — and each stratum runs in the
+    /// mode `apply_delta` would pick (reused, additions, retractions,
+    /// rebuilt). Predicates the delta cannot have changed are handed to
+    /// the magic rewrite as frozen — their rules are dropped and the
+    /// base's extension stands in for them — so the rewrite composes with
+    /// the cache instead of re-deriving what it holds. The base is never
+    /// written to, and the result equals the `since: None` evaluation. A
+    /// three-valued base is ignored: an undefined atom is neither in nor
+    /// out of a seeded extension.
     ///
     /// Takes `&mut self` because adorned predicate names (`pred@adn`,
     /// `m@pred@adn`) are interned into the engine's symbol table so
@@ -377,25 +386,26 @@ impl Engine {
     pub fn run_for_query(
         &mut self,
         goal: &Atom,
-        base: Option<&Model>,
+        since: Option<(&Model, &EngineDelta)>,
         opts: &EvalOptions,
     ) -> Result<Model> {
-        let relevant = self.relevant_rules(&[goal.pred]);
-        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
-        let plan = base
-            .filter(|b| opts.base_cache && b.undefined.is_empty())
-            .map(|b| self.seed_plan(&relevant, &[goal.pred], b));
-        let (edb, stable, seeded) = match &plan {
-            Some(p) => (&p.edb, Some(&p.stable), p.seeded),
-            None => (&self.edb, None, 0),
-        };
+        let (scope, relevant) = self.relevant(&[goal.pred]);
+        let shape = ProgramShape::of(&relevant, &self.syms)?;
+        let since = since
+            .filter(|(base, _)| opts.base_cache && base.undefined.is_empty())
+            .map(|(base, delta)| {
+                ivm::Since::new(&relevant, &shape, Some(&scope), &self.edb, base, delta)
+            });
+        let store = since.as_ref().map_or(&self.edb, |s| &s.store);
+        let seeded = since.as_ref().map_or(0, |s| s.store.len() - self.edb.len());
         let mut declined = None;
         if opts.magic_sets {
-            if let Some(rw) = magic::rewrite(&relevant, edb, goal, stable, &mut self.syms) {
+            let frozen = |p| since.as_ref().is_some_and(|s| s.frozen(p));
+            if let Some(rw) = magic::rewrite(&relevant, store, goal, frozen, &mut self.syms) {
                 if rw.demand_ratio.is_some_and(|r| r >= magic::DECLINE_RATIO) {
                     declined = rw.demand_ratio;
                 } else if let Some(mut model) =
-                    self.eval_rewritten(&rw, edb.clone(), opts, stable)?
+                    self.eval_rewritten(&rw, store, since.is_some(), opts)?
                 {
                     model.profile.seeded = seeded;
                     model.profile.magic_demand_ratio = rw.demand_ratio;
@@ -403,7 +413,10 @@ impl Engine {
                 }
             }
         }
-        let mut model = eval::eval_strata(&relevant, &strat, edb, opts, stable)?;
+        let mut model = match since {
+            Some(since) => since.walk(opts, None)?,
+            None => eval::eval_strata(&relevant, &shape.strat, &self.edb, opts, false)?,
+        };
         model.profile.seeded = seeded;
         if declined.is_some() {
             model.profile.magic_declined = true;
@@ -412,19 +425,18 @@ impl Engine {
         Ok(model)
     }
 
-    /// Stratifies and evaluates a magic-rewritten program (demand seeds
-    /// inserted into `edb` first), annotating the profile with rewrite
-    /// counters. `stable` is the seed plan's frozen set when `edb` is its
-    /// working store: the rewrite dropped those predicates' rules, and the
-    /// store is borrowed, not copied. `Ok(None)` when the rewritten program
-    /// cannot take the stratified path — the caller falls back to plain
-    /// evaluation.
+    /// Stratifies and evaluates a magic-rewritten program over `store`
+    /// plus its demand seeds, annotating the profile with rewrite
+    /// counters. `borrow` says `store` is a delta walk's working store,
+    /// to be read in place rather than copied. `Ok(None)` when the
+    /// rewritten program cannot take the stratified path — the caller
+    /// falls back to plain evaluation.
     fn eval_rewritten(
         &self,
         rw: &magic::MagicRewrite,
-        mut edb: FactStore,
+        store: &FactStore,
+        borrow: bool,
         opts: &EvalOptions,
-        stable: Option<&HashSet<Sym>>,
     ) -> Result<Option<Model>> {
         let Ok(strat) = program::stratify(&rw.rules, |s| self.syms.resolve(s).to_string()) else {
             return Ok(None);
@@ -432,10 +444,11 @@ impl Engine {
         if strat.needs_wfs {
             return Ok(None);
         }
+        let mut edb = store.clone();
         for (p, args) in &rw.seeds {
             edb.insert(*p, args.clone().into());
         }
-        let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, stable)?;
+        let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, borrow)?;
         model.profile.magic_fired = true;
         model.profile.adorned_rules = rw.adorned_rules;
         model.profile.magic_preds = rw.magic_preds.len();
@@ -456,94 +469,6 @@ impl Engine {
         Ok(Some(model))
     }
 
-    /// The cross-query seeding analysis behind [`Engine::run_for_query`]'s
-    /// `base` argument: classifies the relevant predicates against a
-    /// cached base model and returns the working store, which shares the
-    /// base model's relation wherever its facts are safe to reuse.
-    ///
-    /// Seed set Δ: predicates with stored facts the base model lacks, plus
-    /// heads whose rules the base program did not have (as many rules now
-    /// as then means the same rules; a head the base evaluated to an empty
-    /// extension is *not* in Δ). A stored relation that is the very
-    /// allocation the base was evaluated from has nothing new, by
-    /// identity; only a relation whose handle differs is compared tuple by
-    /// tuple. The classification then propagates along dependency edges
-    /// to a fixpoint: a *positive* edge from a grown predicate can only
-    /// add facts to its head (grown, monotone); any edge from an unstable
-    /// predicate, or a negation/aggregate edge from a grown one, makes
-    /// the head *unstable* (facts may appear or vanish). Every predicate
-    /// that is not unstable reads the base model's relation — the handle
-    /// itself, plus a copy-on-write insert per new stored fact; *stable*
-    /// predicates (neither grown nor unstable) keep the base extension
-    /// exactly, so their strata can be skipped (or, on the magic path,
-    /// their rules dropped).
-    fn seed_plan(&self, relevant: &[Rule], goals: &[Sym], base: &Model) -> SeedPlan {
-        let mut touched: HashSet<Sym> = goals.iter().copied().collect();
-        let mut deps: Vec<(Sym, Sym, bool)> = Vec::new();
-        for r in relevant {
-            touched.insert(r.head.pred);
-            collect_body_preds(&r.body, &mut touched);
-            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
-        }
-        let mut novel: HashMap<Sym, Vec<Tuple>> = HashMap::new();
-        for &p in &touched {
-            if self.edb.shares_relation(p, &base.edb) {
-                continue;
-            }
-            let Some(rel) = self.edb.relation(p) else {
-                continue;
-            };
-            let new: Vec<Tuple> = rel
-                .iter()
-                .filter(|t| !base.facts.contains(p, t))
-                .cloned()
-                .collect();
-            if !new.is_empty() {
-                novel.insert(p, new);
-            }
-        }
-        let mut grown: HashSet<Sym> = novel.keys().copied().collect();
-        for (h, n) in eval::rules_per_head(relevant) {
-            if base.rules_of.get(&h) != Some(&n) {
-                grown.insert(h);
-            }
-        }
-        let mut unstable: HashSet<Sym> = HashSet::new();
-        loop {
-            let mut changed = false;
-            for &(h, b, nonmono) in &deps {
-                if unstable.contains(&b) || (nonmono && grown.contains(&b)) {
-                    changed |= unstable.insert(h);
-                    changed |= grown.insert(h);
-                } else if grown.contains(&b) {
-                    changed |= grown.insert(h);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let mut edb = self.edb.clone();
-        for &p in touched.iter().filter(|p| !unstable.contains(p)) {
-            if let Some(rel) = base.facts.relation_arc(p) {
-                edb.set_relation(p, rel);
-                for t in novel.remove(&p).unwrap_or_default() {
-                    edb.insert(p, t);
-                }
-            }
-        }
-        let seeded = edb.len() - self.edb.len();
-        let stable: HashSet<Sym> = touched
-            .into_iter()
-            .filter(|p| !grown.contains(p) && !unstable.contains(p))
-            .collect();
-        SeedPlan {
-            edb,
-            stable,
-            seeded,
-        }
-    }
-
     /// The memoized [`ProgramShape`] for the *full* rule set, recomputed
     /// only when a rule has been added or removed since the last call.
     pub(crate) fn shape(&self) -> Result<Arc<ProgramShape>> {
@@ -553,12 +478,7 @@ impl Engine {
                 return Ok(Arc::clone(shape));
             }
         }
-        let strat = program::stratify(&self.rules, |s| self.syms.resolve(s).to_string())?;
-        let mut deps = Vec::new();
-        for r in &self.rules {
-            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
-        }
-        let shape = Arc::new(ProgramShape { strat, deps });
+        let shape = Arc::new(ProgramShape::of(&self.rules, &self.syms)?);
         *guard = Some((self.rules_rev, Arc::clone(&shape)));
         Ok(shape)
     }
@@ -580,7 +500,12 @@ impl Engine {
     /// The subset of rules reachable from `goals` through (transitive)
     /// body dependencies, preserving rule order.
     pub fn relevant_rules(&self, goals: &[Sym]) -> Vec<Rule> {
-        use std::collections::HashSet;
+        self.relevant(goals).1
+    }
+
+    /// [`Engine::relevant_rules`], with the predicates those rules define
+    /// or read (and the goals themselves).
+    fn relevant(&self, goals: &[Sym]) -> (HashSet<Sym>, Vec<Rule>) {
         let mut wanted: HashSet<Sym> = goals.iter().copied().collect();
         // Fixpoint: a rule is relevant if its head predicate is wanted;
         // its body predicates then become wanted too.
@@ -595,11 +520,13 @@ impl Engine {
                 break;
             }
         }
-        self.rules
+        let rules = self
+            .rules
             .iter()
             .filter(|r| wanted.contains(&r.head.pred))
             .cloned()
-            .collect()
+            .collect();
+        (wanted, rules)
     }
 
     /// Parses `pattern` (e.g. `"tc(a, X)"`) and matches it against a
@@ -613,16 +540,6 @@ impl Engine {
     pub fn show(&self, t: &Term) -> String {
         t.display(&self.syms).to_string()
     }
-}
-
-/// The result of [`Engine::seed_plan`]: the working store (stored facts,
-/// with the base model's relations shared in), the exactly-stable
-/// predicate set, and how many base facts the store reuses beyond the
-/// stored ones.
-struct SeedPlan {
-    edb: FactStore,
-    stable: HashSet<Sym>,
-    seeded: usize,
 }
 
 /// Records `(head, body-pred, non-monotone?)` dependency edges. Negated
@@ -670,6 +587,14 @@ mod tests {
             ..Default::default()
         };
         e.run_for_query(&goal, None, &opts).unwrap()
+    }
+
+    /// Loads `src` on top of an evaluated base the way a warm answer does:
+    /// with the changelog recording.
+    fn load_since(e: &mut Engine, src: &str) -> EngineDelta {
+        e.begin_delta();
+        e.load(src).unwrap();
+        e.take_delta().unwrap()
     }
 
     #[test]
@@ -724,11 +649,13 @@ mod tests {
         let base = e.run(&opts).unwrap();
         // Query time: a new fact for the negated predicate and a new view
         // rule, but nothing feeding `tc`.
-        e.load("m(c). view(X) :- tc(a,X), not m(X).").unwrap();
+        let delta = load_since(&mut e, "m(c). view(X) :- tc(a,X), not m(X).");
         let view = e.lookup("view").unwrap();
         let tc = e.lookup("tc").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let warm = e
+            .run_for_query(&goal, Some((&base, &delta)), &opts)
+            .unwrap();
         let cold = pruned(&mut e, view);
         let wset: HashSet<Tuple> = warm.tuples(view).into_iter().collect();
         let cset: HashSet<Tuple> = cold.tuples(view).into_iter().collect();
@@ -749,7 +676,7 @@ mod tests {
         let nocache = e
             .run_for_query(
                 &goal,
-                Some(&base),
+                Some((&base, &delta)),
                 &EvalOptions {
                     base_cache: false,
                     ..Default::default()
@@ -777,15 +704,19 @@ mod tests {
             ..Default::default()
         };
         let base = e.run(&opts).unwrap();
-        e.load("view(Y) :- free(X), tc(X,Y).").unwrap();
+        let delta = load_since(&mut e, "view(Y) :- free(X), tc(X,Y).");
         let [view, tc, free, edge] = ["view", "tc", "free", "e"].map(|p| e.lookup(p).unwrap());
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let first = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let first = e
+            .run_for_query(&goal, Some((&base, &delta)), &opts)
+            .unwrap();
         // The join probed `tc` on its first column: the index now sits on
         // the base's relation, which the answer shares, and is nobody's
         // build — on this call or the next.
         assert_eq!(base.facts.relation(tc).unwrap().index_count(), 1);
-        let second = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let second = e
+            .run_for_query(&goal, Some((&base, &delta)), &opts)
+            .unwrap();
         for m in [&first, &second] {
             assert_eq!(m.tuples(view).len(), 3);
             assert_eq!(m.stats.derived, 3);
@@ -820,9 +751,11 @@ mod tests {
         assert_eq!(base.tuples(good).len(), 2);
         // bad(a) arrives after the base model was computed: good(a) from
         // the base must NOT survive seeding.
-        e.load("bad(a).").unwrap();
+        let delta = load_since(&mut e, "bad(a).");
         let goal = Atom::new(good, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let warm = e
+            .run_for_query(&goal, Some((&base, &delta)), &opts)
+            .unwrap();
         let b = e.constant("b");
         let a = e.constant("a");
         assert!(warm.holds(good, &[b]));
@@ -987,10 +920,12 @@ mod tests {
         .unwrap();
         let opts = EvalOptions::default();
         let base = e.run(&opts).unwrap();
-        e.load("m(c). view(X) :- tc(a,X), not m(X).").unwrap();
+        let delta = load_since(&mut e, "m(c). view(X) :- tc(a,X), not m(X).");
         let view = e.lookup("view").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let warm = e
+            .run_for_query(&goal, Some((&base, &delta)), &opts)
+            .unwrap();
         let cold = pruned(&mut e, view);
         let wset: HashSet<Vec<Term>> = warm.query(&goal).into_iter().collect();
         let cset: HashSet<Vec<Term>> = cold.query(&goal).into_iter().collect();
@@ -1020,10 +955,12 @@ mod tests {
         // stable): the rewrite adorns it, the copy rule routes the
         // absorbed cached closure in, and only demanded bindings are
         // re-derived.
-        e.load("e(d,d2). view(X) :- tc(a,X).").unwrap();
+        let delta = load_since(&mut e, "e(d,d2). view(X) :- tc(a,X).");
         let view = e.lookup("view").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query(&goal, Some(&base), &opts).unwrap();
+        let warm = e
+            .run_for_query(&goal, Some((&base, &delta)), &opts)
+            .unwrap();
         let cold = pruned(&mut e, view);
         let wset: HashSet<Vec<Term>> = warm.query(&goal).into_iter().collect();
         let cset: HashSet<Vec<Term>> = cold.query(&goal).into_iter().collect();

@@ -229,10 +229,10 @@ fn term_bound(t: &Term, bound: &HashSet<Var>) -> bool {
 }
 
 /// Rewrites the (already relevance-pruned) program `rules` for the ground
-/// or partially-ground `goal`. `frozen` predicates are treated as purely
-/// extensional: their rules are dropped and their stored facts stand in
-/// for their extension (the seeded base-cache path passes its *stable*
-/// set here). Returns `None` when the rewrite does not apply — the goal
+/// or partially-ground `goal`. Predicates `is_frozen` holds for are
+/// treated as purely extensional: their rules are dropped and their facts
+/// in `edb` stand in for their extension (a warm answer freezes what its
+/// delta cannot have changed). Returns `None` when the rewrite does not apply — the goal
 /// predicate is extensional, sits in the needs-full fragment, generated
 /// rules fail to compile, or no demand constraint was produced at all (a
 /// pure rename would only add overhead) — and the caller falls back to
@@ -241,10 +241,9 @@ pub(crate) fn rewrite(
     rules: &[Rule],
     edb: &FactStore,
     goal: &Atom,
-    frozen: Option<&HashSet<Sym>>,
+    is_frozen: impl Fn(Sym) -> bool,
     syms: &mut Interner,
 ) -> Option<MagicRewrite> {
-    let is_frozen = |p: Sym| frozen.is_some_and(|f| f.contains(&p));
     // The intensional predicates the rewrite may touch: rule heads that
     // are not frozen.
     let mut idb: HashSet<Sym> = HashSet::new();

@@ -72,7 +72,13 @@ pub fn parse_atom(src: &str, syms: &mut Interner) -> Result<(Atom, u32)> {
     Ok((atom, p.nvars()))
 }
 
-struct Parser<'a> {
+/// The lexer and the term / expression layer shared by this grammar and
+/// the F-logic one (`kind-flogic` builds its molecules, frames and bodies
+/// on these methods): whitespace and comments, tokens, identifiers,
+/// per-clause variable numbering, string and integer literals, terms,
+/// arithmetic expressions, comparison operators, and the [`MAX_NESTING`]
+/// caps. Errors carry the byte offset and line of the current position.
+pub struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
     syms: &'a mut Interner,
@@ -84,8 +90,22 @@ struct Parser<'a> {
     ops: usize,
 }
 
+/// Identifiers starting uppercase or with `_` are variables.
+fn is_var_name(name: &str) -> bool {
+    name.starts_with(|c: char| c.is_ascii_uppercase() || c == '_')
+}
+
+/// A point to come back to ([`Parser::reset`]) when an attempted reading
+/// of the input does not work out.
+#[derive(Debug, Clone, Copy)]
+pub struct Mark {
+    pos: usize,
+    nvars: usize,
+}
+
 impl<'a> Parser<'a> {
-    fn new(src: &'a str, syms: &'a mut Interner) -> Self {
+    /// A parser at the start of `src`, interning into `syms`.
+    pub fn new(src: &'a str, syms: &'a mut Interner) -> Self {
         Parser {
             src: src.as_bytes(),
             pos: 0,
@@ -97,8 +117,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Starts a clause: variables are numbered, and arithmetic operators
+    /// counted, per clause.
+    pub fn begin_clause(&mut self) {
+        self.vars.clear();
+        self.var_names.clear();
+        self.ops = 0;
+    }
+
+    /// The current clause's variable names by id, leaving none behind.
+    pub fn take_var_names(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.var_names)
+    }
+
     /// Parses one nesting level down, refusing level [`MAX_NESTING`] + 1.
-    fn nested<T>(&mut self, inner: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+    pub fn nested<T>(&mut self, inner: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         if self.depth == MAX_NESTING {
             return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
         }
@@ -120,11 +153,28 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn nvars(&self) -> u32 {
+    /// Distinct variables seen in the current clause.
+    pub fn nvars(&self) -> u32 {
         self.var_names.len() as u32
     }
 
-    fn err(&self, msg: &str) -> DatalogError {
+    /// The current position and variable count.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            pos: self.pos,
+            nvars: self.var_names.len(),
+        }
+    }
+
+    /// Back to `mark`, forgetting the variables first seen since.
+    pub fn reset(&mut self, mark: Mark) {
+        self.pos = mark.pos;
+        self.var_names.truncate(mark.nvars);
+        self.vars.retain(|_, v| v.index() < mark.nvars);
+    }
+
+    /// A parse error at the current position.
+    pub fn err(&self, msg: &str) -> DatalogError {
         let line = 1 + self.src[..self.pos.min(self.src.len())]
             .iter()
             .filter(|&&b| b == b'\n')
@@ -136,16 +186,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn at_end(&self) -> bool {
+    /// Whether all input is consumed.
+    pub fn at_end(&self) -> bool {
         self.pos >= self.src.len()
     }
 
-    fn peek(&self) -> u8 {
-        self.src.get(self.pos).copied().unwrap_or(0)
+    /// The byte at the current position (`0` at the end).
+    pub fn peek(&self) -> u8 {
+        self.peek_at(0)
     }
 
-    fn peek2(&self) -> u8 {
-        self.src.get(self.pos + 1).copied().unwrap_or(0)
+    /// The byte `off` past the current position (`0` beyond the end).
+    pub fn peek_at(&self, off: usize) -> u8 {
+        self.src.get(self.pos + off).copied().unwrap_or(0)
     }
 
     fn bump(&mut self) -> u8 {
@@ -154,12 +207,13 @@ impl<'a> Parser<'a> {
         b
     }
 
-    fn skip_ws(&mut self) {
+    /// Skips whitespace and `%` / `//` line comments.
+    pub fn skip_ws(&mut self) {
         loop {
             while !self.at_end() && self.peek().is_ascii_whitespace() {
                 self.pos += 1;
             }
-            if self.peek() == b'%' || (self.peek() == b'/' && self.peek2() == b'/') {
+            if self.peek() == b'%' || (self.peek() == b'/' && self.peek_at(1) == b'/') {
                 while !self.at_end() && self.peek() != b'\n' {
                     self.pos += 1;
                 }
@@ -169,7 +223,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat(&mut self, s: &str) -> bool {
+    /// Consumes the token `s` if it is next (after whitespace).
+    pub fn eat(&mut self, s: &str) -> bool {
         self.skip_ws();
         if self.src[self.pos..].starts_with(s.as_bytes()) {
             self.pos += s.len();
@@ -179,7 +234,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, s: &str) -> Result<()> {
+    /// Consumes the token `s` or fails.
+    pub fn expect(&mut self, s: &str) -> Result<()> {
         if self.eat(s) {
             Ok(())
         } else {
@@ -187,7 +243,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Option<String> {
+    /// An identifier (`[A-Za-z_][A-Za-z0-9_]*`), if one is next.
+    pub fn ident(&mut self) -> Option<String> {
         self.skip_ws();
         let start = self.pos;
         if !(self.peek().is_ascii_alphabetic() || self.peek() == b'_') {
@@ -199,7 +256,9 @@ impl<'a> Parser<'a> {
         Some(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
     }
 
-    fn var(&mut self, name: String) -> Var {
+    /// The variable called `name` in the current clause (`_` is fresh
+    /// every time).
+    pub fn var(&mut self, name: String) -> Var {
         if name == "_" {
             let v = Var(self.nvars());
             self.var_names.push(format!("_{}", v.0));
@@ -215,35 +274,32 @@ impl<'a> Parser<'a> {
     }
 
     fn string_lit(&mut self) -> Result<String> {
-        // Caller consumed the opening quote.
-        let mut s = String::new();
+        // Caller consumed the opening quote. The source is a `str` and the
+        // bytes between quotes are cut at ASCII only, so they decode.
+        let mut s = Vec::new();
         loop {
             if self.at_end() {
                 return Err(self.err("unterminated string literal"));
             }
             match self.bump() {
-                b'"' => return Ok(s),
+                b'"' => break,
                 b'\\' => match self.bump() {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
+                    b'"' => s.push(b'"'),
+                    b'\\' => s.push(b'\\'),
+                    b'n' => s.push(b'\n'),
+                    b't' => s.push(b'\t'),
                     c => return Err(self.err(&format!("bad escape \\{}", c as char))),
                 },
-                c => s.push(c as char),
+                c => s.push(c),
             }
         }
+        String::from_utf8(s).map_err(|_| self.err("string literal is not UTF-8"))
     }
 
     fn integer(&mut self) -> Result<i64> {
-        self.skip_ws();
         let start = self.pos;
         if self.peek() == b'-' {
             self.pos += 1;
-        }
-        if !self.peek().is_ascii_digit() {
-            self.pos = start;
-            return Err(self.err("expected integer"));
         }
         while self.peek().is_ascii_digit() {
             self.pos += 1;
@@ -255,20 +311,21 @@ impl<'a> Parser<'a> {
     }
 
     /// term := VAR | INT | STRING | ident [ '(' term, .. ')' ]
-    fn term(&mut self) -> Result<Term> {
+    pub fn term(&mut self) -> Result<Term> {
         self.skip_ws();
         if self.peek() == b'"' {
             self.pos += 1;
             let s = self.string_lit()?;
             return Ok(Term::Const(self.syms.intern(&s)));
         }
-        if self.peek().is_ascii_digit() || (self.peek() == b'-' && self.peek2().is_ascii_digit()) {
+        if self.peek().is_ascii_digit() || (self.peek() == b'-' && self.peek_at(1).is_ascii_digit())
+        {
             return self.integer().map(Term::Int);
         }
         let Some(name) = self.ident() else {
             return Err(self.err("expected term"));
         };
-        if name.starts_with(|c: char| c.is_ascii_uppercase()) || name.starts_with('_') {
+        if is_var_name(&name) {
             return Ok(Term::Var(self.var(name)));
         }
         if self.eat("(") {
@@ -286,29 +343,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// atom := ident [ '(' term, .. ')' ]
-    fn atom(&mut self) -> Result<Atom> {
-        self.skip_ws();
-        let Some(name) = self.ident() else {
-            return Err(self.err("expected predicate name"));
-        };
-        if name.starts_with(|c: char| c.is_ascii_uppercase()) || name.starts_with('_') {
-            return Err(self.err("predicate names must start lowercase"));
-        }
-        let pred = self.syms.intern(&name);
-        let mut args = Vec::new();
-        if self.eat("(") {
-            args.push(self.term()?);
-            while self.eat(",") {
-                args.push(self.term()?);
-            }
-            self.expect(")")?;
-        }
-        Ok(Atom::new(pred, args))
-    }
-
     /// expr := mul (('+'|'-') mul)*
-    fn expr(&mut self) -> Result<Expr> {
+    pub fn expr(&mut self) -> Result<Expr> {
         let mut lhs = self.expr_mul()?;
         loop {
             self.skip_ws();
@@ -335,7 +371,7 @@ impl<'a> Parser<'a> {
             if self.eat("*") {
                 self.operator()?;
                 lhs = Expr::Mul(Box::new(lhs), Box::new(self.expr_prim()?));
-            } else if self.peek() == b'/' && self.peek2() != b'/' {
+            } else if self.peek() == b'/' && self.peek_at(1) != b'/' {
                 self.pos += 1;
                 self.operator()?;
                 lhs = Expr::Div(Box::new(lhs), Box::new(self.expr_prim()?));
@@ -355,7 +391,9 @@ impl<'a> Parser<'a> {
         self.term().map(Expr::Term)
     }
 
-    fn cmp_op(&mut self) -> Option<CmpOp> {
+    /// A comparison operator, if one is next. `=` is taken whatever
+    /// follows it.
+    pub fn cmp_op(&mut self) -> Option<CmpOp> {
         self.skip_ws();
         for (tok, op) in [
             ("!=", CmpOp::Ne),
@@ -365,18 +403,16 @@ impl<'a> Parser<'a> {
             (">", CmpOp::Gt),
             ("=", CmpOp::Eq),
         ] {
-            let bytes = tok.as_bytes();
-            if self.src[self.pos..].starts_with(bytes) {
-                // Don't confuse `=` with `:-`-like constructs; `=` alone
-                // is fine here because `:-` is consumed before bodies.
-                self.pos += bytes.len();
+            if self.src[self.pos..].starts_with(tok.as_bytes()) {
+                self.pos += tok.len();
                 return Some(op);
             }
         }
         None
     }
 
-    fn agg_func(name: &str) -> Option<AggFunc> {
+    /// The aggregate function called `name`.
+    pub fn agg_func(name: &str) -> Option<AggFunc> {
         match name {
             "count" => Some(AggFunc::Count),
             "sum" => Some(AggFunc::Sum),
@@ -384,6 +420,27 @@ impl<'a> Parser<'a> {
             "max" => Some(AggFunc::Max),
             _ => None,
         }
+    }
+
+    /// atom := ident [ '(' term, .. ')' ]
+    fn atom(&mut self) -> Result<Atom> {
+        self.skip_ws();
+        let Some(name) = self.ident() else {
+            return Err(self.err("expected predicate name"));
+        };
+        if is_var_name(&name) {
+            return Err(self.err("predicate names must start lowercase"));
+        }
+        let pred = self.syms.intern(&name);
+        let mut args = Vec::new();
+        if self.eat("(") {
+            args.push(self.term()?);
+            while self.eat(",") {
+                args.push(self.term()?);
+            }
+            self.expect(")")?;
+        }
+        Ok(Atom::new(pred, args))
     }
 
     /// aggregate := func '{' term [ '[' var,.. ']' ] (':'|';') body '}'
@@ -396,7 +453,7 @@ impl<'a> Parser<'a> {
                 let Some(name) = self.ident() else {
                     return Err(self.err("expected grouping variable"));
                 };
-                if !(name.starts_with(|c: char| c.is_ascii_uppercase()) || name.starts_with('_')) {
+                if !is_var_name(&name) {
                     return Err(self.err("grouping names must be variables"));
                 }
                 group_by.push(self.var(name));
@@ -431,12 +488,10 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         // `not atom`
         let save = self.pos;
-        if let Some(word) = self.ident() {
-            if word == "not" {
-                return Ok(BodyItem::Neg(self.atom()?));
-            }
-            self.pos = save;
+        if self.ident().as_deref() == Some("not") {
+            return Ok(BodyItem::Neg(self.atom()?));
         }
+        self.pos = save;
         let lhs = self.expr()?;
         if let Some(op) = self.cmp_op() {
             // `V = agg{...}`?
@@ -473,9 +528,7 @@ impl<'a> Parser<'a> {
     }
 
     fn clause(&mut self) -> Result<Clause> {
-        self.vars.clear();
-        self.var_names.clear();
-        self.ops = 0;
+        self.begin_clause();
         let head = self.atom()?;
         self.skip_ws();
         if self.eat(".") {
@@ -490,13 +543,7 @@ impl<'a> Parser<'a> {
             body.push(self.body_item()?);
         }
         self.expect(".")?;
-        let rule = Rule::compile_named(
-            head,
-            body,
-            self.nvars(),
-            std::mem::take(&mut self.var_names),
-            self.syms,
-        )?;
+        let rule = Rule::compile_named(head, body, self.nvars(), self.take_var_names(), self.syms)?;
         Ok(Clause::Rule(rule))
     }
 }

@@ -99,8 +99,6 @@ mod tests {
             undefined,
             stats,
             profile: Default::default(),
-            edb: edb.clone(),
-            rules_of: Default::default(),
         }
     }
 

@@ -7,15 +7,16 @@
 //! brute force, computes least models by naive iteration and the
 //! well-founded model by the textbook alternating fixpoint. No indexes, no
 //! planner, no strata. `Engine::run`, `Engine::run_for_query` (magic on/off
-//! x base none/some) and `Engine::apply_delta` must each reproduce its
-//! true and undefined sets on generated programs mixing positive
-//! recursion, stratified negation, `!=`, and negation cycles — two-valued
-//! and three-valued alike. A second family of programs has rule heads that
-//! derive nothing and feed a negation cycle; one rule is added on top of
-//! their evaluated base and the seeded `run_for_query` held to the oracle,
-//! and the base model to what it was before it was borrowed.
+//! x `since` none/some, after growth and again after retraction) and
+//! `Engine::apply_delta` must each reproduce its true and undefined sets
+//! on generated programs mixing positive recursion, stratified negation,
+//! `!=`, and negation cycles — two-valued and three-valued alike. A second
+//! family of programs has rule heads that derive nothing and feed a
+//! negation cycle; one rule is added on top of their evaluated base and
+//! the warm `run_for_query` held to the oracle, and the base model to what
+//! it was before it was borrowed.
 
-use kind_datalog::{stratify, Atom, Engine, EvalOptions, FactStore, Model, Term, Var};
+use kind_datalog::{stratify, Atom, Engine, EngineDelta, EvalOptions, FactStore, Model, Term, Var};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -295,9 +296,9 @@ fn program() -> impl Strategy<Value = Program> {
 }
 
 /// What happens to a program after its base model was computed: facts
-/// asserted and a view rule over a fresh predicate installed (growth —
-/// the seeding contract of `run_for_query`'s `base`), a goal to ask, and
-/// then stored facts retracted.
+/// asserted and a view rule over a fresh predicate installed (growth),
+/// then stored facts retracted — each step recorded as a delta — and a
+/// goal to ask after either.
 #[derive(Debug)]
 struct Change {
     add: Vec<Ground>,
@@ -430,9 +431,10 @@ fn assert_model(e: &Engine, m: &Model, prog: &Program, what: &str) {
     );
 }
 
-/// Asks `goal` with the rewrite on and off, with and without `base`, and
-/// compares the goal's true and undefined instances with the oracle's.
-fn assert_goal(e: &mut Engine, goal: &Lit, base: &Model, prog: &Program) {
+/// Asks `goal` with the rewrite on and off, with and without `since` (a
+/// base model and the delta recorded from it to `prog`), and compares the
+/// goal's true and undefined instances with the oracle's.
+fn assert_goal(e: &mut Engine, goal: &Lit, since: (&Model, &EngineDelta), prog: &Program) {
     let (truths, undefined) = well_founded(prog);
     let pred = e.sym(PREDS[goal.pred].0);
     let args = goal
@@ -445,7 +447,7 @@ fn assert_goal(e: &mut Engine, goal: &Lit, base: &Model, prog: &Program) {
         .collect();
     let atom = Atom::new(pred, args);
     for magic_sets in [true, false] {
-        for base in [None, Some(base)] {
+        for base in [None, Some(since)] {
             let opts = EvalOptions {
                 magic_sets,
                 ..Default::default()
@@ -498,8 +500,8 @@ fn check(prog: &Program, change: &Change) {
     let delta = e.take_delta().unwrap();
     let inc = e.apply_delta(&base, &delta, &opts).unwrap();
     assert_model(&e, &inc, &grown, "apply_delta after growth");
-    assert_goal(&mut e, &change.goal, &base, &grown);
-    assert_goal(&mut e, &lit(VIEW, 0, 0), &base, &grown);
+    assert_goal(&mut e, &change.goal, (&base, &delta), &grown);
+    assert_goal(&mut e, &lit(VIEW, 0, 0), (&base, &delta), &grown);
 
     // Retraction of stored facts, maintained from the grown model.
     let mut shrunk = grown.clone();
@@ -515,6 +517,8 @@ fn check(prog: &Program, change: &Change) {
     let delta = e.take_delta().unwrap();
     let dec = e.apply_delta(&inc, &delta, &opts).unwrap();
     assert_model(&e, &dec, &shrunk, "apply_delta after retraction");
+    assert_goal(&mut e, &change.goal, (&inc, &delta), &shrunk);
+    assert_goal(&mut e, &lit(VIEW, 0, 0), (&inc, &delta), &shrunk);
 }
 
 /// Every tuple of every relation, in stored order.
@@ -528,7 +532,7 @@ fn frozen(m: &Model) -> Vec<(usize, Vec<kind_datalog::Tuple>)> {
 }
 
 /// Evaluates the base, adds one rule (and maybe facts), and asks the
-/// seeded path for the rule's head, the cycle, the empty head and one
+/// warm path for the rule's head, the cycle, the empty head and one
 /// more goal.
 fn check_addition(prog: &Program, addition: &Addition) {
     let mut e = Engine::new();
@@ -541,7 +545,9 @@ fn check_addition(prog: &Program, addition: &Addition) {
         facts: addition.add.iter().cloned().collect(),
         rules: vec![addition.rule.clone()],
     };
+    e.begin_delta();
     e.load(&growth.text()).unwrap();
+    let delta = e.take_delta().unwrap();
     let mut grown = prog.clone();
     grown.facts.extend(growth.facts);
     grown.rules.extend(growth.rules);
@@ -551,7 +557,7 @@ fn check_addition(prog: &Program, addition: &Addition) {
         &lit(EMPTY, 0, 0),
         &addition.goal,
     ] {
-        assert_goal(&mut e, goal, &base, &grown);
+        assert_goal(&mut e, goal, (&base, &delta), &grown);
     }
     // Nothing was written through a relation the answers borrowed.
     assert_eq!(frozen(&base), before, "base model of\n{}", prog.text());

@@ -155,8 +155,10 @@ fn seeded_goal_skips_an_untouched_negation_cycle() {
     let base = e.run(&opts).unwrap();
     // A view over the cycle's result and one new fact that feeds only the
     // stratified `from_win` stratum above it.
+    e.begin_delta();
     e.load("step(f,g). far(Y) :- win(X), from_win(X,Y), not win(Y).")
         .unwrap();
+    let delta = e.take_delta().unwrap();
     let far = goal(&mut e, "far");
     let rows = |m: &Model| {
         let mut rows = m.query(&far);
@@ -167,7 +169,9 @@ fn seeded_goal_skips_an_untouched_negation_cycle() {
         magic_sets: false,
         ..Default::default()
     };
-    let warm = e.run_for_query(&far, Some(&base), &plain).unwrap();
+    let warm = e
+        .run_for_query(&far, Some((&base, &delta)), &plain)
+        .unwrap();
     let cold = e.run_for_query(&far, None, &plain).unwrap();
     assert_eq!(rows(&warm), rows(&cold));
     assert_eq!(rows(&warm).len(), 5); // b, d, e, f, g
@@ -185,7 +189,7 @@ fn seeded_goal_skips_an_untouched_negation_cycle() {
 
     // With the rewrite on, the frozen cycle no longer makes it decline:
     // demand reaches only the grown `from_win` closure.
-    let magic = e.run_for_query(&far, Some(&base), &opts).unwrap();
+    let magic = e.run_for_query(&far, Some((&base, &delta)), &opts).unwrap();
     assert!(magic.profile.magic_fired && magic.profile.seeded > 0);
     assert_eq!(rows(&magic), rows(&cold));
     let unseeded = e.run_for_query(&far, None, &opts).unwrap();
@@ -197,7 +201,7 @@ fn seeded_goal_skips_an_untouched_negation_cycle() {
         base_cache: false,
         ..Default::default()
     };
-    let nocache = e.run_for_query(&far, Some(&base), &off).unwrap();
+    let nocache = e.run_for_query(&far, Some((&base, &delta)), &off).unwrap();
     assert_eq!(nocache.profile.seeded, 0);
     assert_eq!(rows(&nocache), rows(&cold));
 }
@@ -209,9 +213,13 @@ fn three_valued_base_is_ignored() {
     let opts = EvalOptions::default();
     let base = e.run(&opts).unwrap();
     assert!(!base.undefined.is_empty());
+    e.begin_delta();
     e.load("safe(X) :- pos(X), not win(X).").unwrap();
+    let delta = e.take_delta().unwrap();
     let safe = goal(&mut e, "safe");
-    let m = e.run_for_query(&safe, Some(&base), &opts).unwrap();
+    let m = e
+        .run_for_query(&safe, Some((&base, &delta)), &opts)
+        .unwrap();
     assert_eq!(m.profile.seeded, 0);
     assert_eq!(rendered(&e, &m.facts, &["safe"]), ["safe(d)"]);
     assert_eq!(

@@ -47,7 +47,7 @@ pub use ast::{ArrowKind, MethodSpec, Molecule};
 pub use parser::{parse_fl_molecule, parse_fl_program, FlBodyItem, FlClause};
 pub use translate::{implied_classes, lower_clause, lower_clause_named, molecule_atoms, Preds};
 
-use kind_datalog::{Atom, DatalogError, Engine, EvalOptions, Interner, Model, Term};
+use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Interner, Model, Term};
 
 /// Core FL axioms of Table 1 (right column), in Datalog syntax over the
 /// reserved predicates.
@@ -242,17 +242,17 @@ impl FLogic {
     /// Evaluates a single goal atom demand-driven (see
     /// `kind_datalog::Engine::run_for_query`): the rule set is pruned to
     /// the goal's reachable subprogram, the magic-sets rewrite specializes
-    /// it to the goal's constant bindings, and with a cached `base` model
-    /// the strata untouched since it was computed are seeded from it and
-    /// skipped. Takes `&mut self` because the rewrite interns adorned
-    /// predicate names.
+    /// it to the goal's constant bindings, and with `since` — a cached
+    /// model and the delta the engine recorded from it to now — only the
+    /// strata that delta reaches are evaluated. Takes `&mut self` because
+    /// the rewrite interns adorned predicate names.
     pub fn run_for_query(
         &mut self,
         goal: &Atom,
-        base: Option<&Model>,
+        since: Option<(&Model, &EngineDelta)>,
         opts: &EvalOptions,
     ) -> Result<Model, DatalogError> {
-        self.engine.run_for_query(goal, base, opts)
+        self.engine.run_for_query(goal, since, opts)
     }
 
     /// Names of all instances of `class` in the model.

@@ -467,12 +467,13 @@ fn handle_request(req: Json, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) {
             ]));
         }
         "shutdown" => {
+            // Flag first: a client that has read the reply must find it set.
+            shared.request_shutdown();
             writer.send(&obj([
                 ("id", id),
                 ("ok", Json::Bool(true)),
                 ("op", Json::str("shutdown")),
             ]));
-            shared.request_shutdown();
         }
         "publish" => {
             let rows = req.get("rows").and_then(Json::as_u64).unwrap_or(1) as usize;

@@ -549,7 +549,9 @@ proptest! {
         // The seeded arm's extra rule probes `tc` and `edge` on columns
         // the cold run never indexed, from a source that has an edge.
         let mut extended = e.clone();
+        extended.begin_delta();
         extended.load("back(X,Y) :- tc(X,Z), edge(Y,Z).").unwrap();
+        let delta = extended.take_delta().unwrap();
         let goal = Atom::new(
             extended.sym("back"),
             vec![extended.constant(&format!("n{}", edges[0].0)), Term::Var(Var(0))],
@@ -570,7 +572,7 @@ proptest! {
                     let seeded = |base: &Model| {
                         let m = extended
                             .clone()
-                            .run_for_query(&goal, Some(base), &opts)
+                            .run_for_query(&goal, Some((base, &delta)), &opts)
                             .unwrap();
                         (observe(&m), m.profile.seeded)
                     };
