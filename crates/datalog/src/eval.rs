@@ -45,17 +45,23 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A shared, clonable cancellation flag for cooperative interruption of
 /// long-running fixpoints (and, in `kind-core`, of in-flight fetch
 /// plans). Every clone observes the same flag; setting it is sticky
-/// until [`CancelToken::reset`].
+/// until [`CancelToken::reset`]. A token made by [`CancelToken::until`]
+/// also carries a wall-clock deadline and reads as cancelled from that
+/// instant on, so a per-request budget needs no thread to fire it.
 ///
 /// The evaluators check the token **at round boundaries** (never inside
 /// a join), so a cancelled evaluation stops after the current round and
 /// returns [`DatalogError::Interrupted`] instead of a half-built model.
 #[derive(Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
     /// A fresh, un-cancelled token.
@@ -63,33 +69,45 @@ impl CancelToken {
         CancelToken::default()
     }
 
+    /// A fresh token that cancels itself at `deadline`: from then on
+    /// [`Self::is_cancelled`] is true on every clone, whether or not
+    /// anybody called [`Self::cancel`]. [`Self::reset`] clears the flag,
+    /// not the deadline.
+    pub fn until(deadline: Instant) -> Self {
+        CancelToken {
+            flag: Arc::default(),
+            deadline: Some(deadline),
+        }
+    }
+
     /// Requests cancellation; every holder of a clone observes it at its
     /// next check point.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Clears the flag so the token can be reused for the next
     /// operation.
     pub fn reset(&self) {
-        self.0.store(false, Ordering::SeqCst);
+        self.flag.store(false, Ordering::SeqCst);
     }
 }
 
 impl std::fmt::Debug for CancelToken {
-    /// Renders only the flag's value, never the allocation identity, so
-    /// two structurally equal option sets format identically (the
-    /// mediator's base-model fingerprint hashes a `Debug` rendering).
+    /// Renders only the flag's value — never the allocation identity or
+    /// the deadline — so two structurally equal option sets format
+    /// identically (the mediator's base-model fingerprint hashes a
+    /// `Debug` rendering) and formatting never reads the clock.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "CancelToken({})",
-            if self.is_cancelled() {
+            if self.flag.load(Ordering::SeqCst) {
                 "cancelled"
             } else {
                 "live"

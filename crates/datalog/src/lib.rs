@@ -1063,6 +1063,43 @@ mod tests {
         }
     }
 
+    /// `CancelToken::until`: nobody fires it. Before the deadline it
+    /// changes nothing; from the deadline on every clone reads cancelled
+    /// and the next round boundary stops with the same typed error.
+    #[test]
+    fn deadline_token_interrupts_once_its_instant_has_passed() {
+        use std::time::{Duration, Instant};
+        let mut e = Engine::new();
+        e.load("e(a,b). e(b,c). tc(X,Y) :- e(X,Y). tc(X,Y) :- tc(X,Z), e(Z,Y).")
+            .unwrap();
+        let with = |token: &CancelToken| EvalOptions {
+            cancel: Some(token.clone()),
+            ..Default::default()
+        };
+        let far = CancelToken::until(Instant::now() + Duration::from_secs(3600));
+        assert!(!far.is_cancelled());
+        let live = e.run(&with(&far)).unwrap();
+        assert_eq!(live.stats, e.run(&EvalOptions::default()).unwrap().stats);
+        far.cancel();
+        assert!(far.clone().is_cancelled(), "the flag still works");
+        far.reset();
+        assert!(!far.is_cancelled());
+
+        let past = CancelToken::until(Instant::now());
+        assert!(past.is_cancelled() && past.clone().is_cancelled());
+        assert!(matches!(
+            e.run(&with(&past)),
+            Err(DatalogError::Interrupted { .. })
+        ));
+        past.reset();
+        assert!(
+            past.is_cancelled(),
+            "reset clears the flag, not the deadline"
+        );
+        // The fingerprint's rendering shows the flag only.
+        assert_eq!(format!("{past:?}"), "CancelToken(live)");
+    }
+
     #[test]
     fn iteration_limit_counts_rounds_per_stratum() {
         // Twelve single-pass strata, then a closure that takes three

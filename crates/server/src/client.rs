@@ -12,11 +12,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// A blocking request/response connection to a running server. Requests
-/// are issued one at a time per connection; the response for an `id` is
-/// awaited by reading lines until it arrives (sheds are written
-/// immediately by the server's reader thread, so ids may interleave when
-/// a connection pipelines).
+/// A blocking request/response connection to a running server. The
+/// server answers a connection's requests in the order it sent them, so
+/// after pipelined [`Conn::send`]s the replies are read back with
+/// [`Conn::recv`] in that order.
 pub struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -55,33 +54,21 @@ impl Conn {
         let mut line = String::new();
         loop {
             line.clear();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ))
-                }
-                Ok(_) => {
-                    let text = line.trim();
-                    if text.is_empty() {
-                        continue;
-                    }
-                    return Json::parse(text).map_err(std::io::Error::other);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(e) => return Err(e),
+            if self.reader.read_line(&mut line)? == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                ));
+            }
+            let text = line.trim();
+            if !text.is_empty() {
+                return Json::parse(text).map_err(std::io::Error::other);
             }
         }
     }
 
-    /// Sends `fields` and waits for the response with the matching id,
-    /// discarding any interleaved responses to other ids.
+    /// Sends `fields` and waits for its response, reading past the
+    /// responses to any earlier [`Conn::send`]s still outstanding.
     pub fn request(&mut self, fields: Json) -> std::io::Result<Json> {
         let id = self.send(fields)?;
         loop {

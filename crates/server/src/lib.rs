@@ -4,13 +4,14 @@
 //! wrappers connect to, not a library embedded per process. This crate
 //! is that deployment shape: a long-lived binary that owns one
 //! [`kind_core::Mediator`] (the single writer), publishes through the
-//! [`kind_core::SnapshotHub`], and serves queries from N worker threads
-//! over a line-based JSON protocol with **admission control** (a bounded
-//! queue) and **backpressure** (typed `overloaded` sheds instead of
-//! unbounded queuing).
+//! [`kind_core::SnapshotHub`], and serves a line-based JSON protocol run
+//! to completion — the thread that reads a request answers it and writes
+//! the reply — with **admission control** (a counting gate) and
+//! **backpressure** (typed `overloaded` sheds instead of unbounded
+//! waiting).
 //!
-//! * [`server`] — the serving plane: protocol, admission queue, workers,
-//!   writer thread, watchdog;
+//! * [`server`] — the serving plane: protocol, admission gate,
+//!   connection threads, writer thread, limits;
 //! * [`client`] — the workload driver behind `kind-server --client`:
 //!   issues a mixed query workload and pretty-prints per-response
 //!   summaries (doubles as the CI smoke test);
@@ -43,11 +44,11 @@ pub fn signalled() -> bool {
 }
 
 /// Installs SIGTERM/SIGINT handlers that flip the [`signalled`] flag so
-/// [`server::run_server`] unwinds cleanly (drains workers, joins
-/// threads) instead of dying mid-response. No `libc` crate in the
-/// offline environment, so the raw `signal(2)` symbol is declared
-/// directly; the handler only stores to an atomic, which is
-/// async-signal-safe.
+/// [`server::run_server`] unwinds cleanly (connections finish the
+/// request they are on, threads are joined) instead of dying
+/// mid-response. No `libc` crate in the offline environment, so the raw
+/// `signal(2)` symbol is declared directly; the handler only stores to
+/// an atomic, which is async-signal-safe.
 #[cfg(unix)]
 pub fn install_signal_handlers() {
     extern "C" fn on_signal(_signum: i32) {

@@ -284,20 +284,47 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\t' => write!(f, "\\t")?,
-            '\r' => write!(f, "\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Writes `s` as a JSON string literal through `put`: the runs between
+/// escapes go out whole. Everything escaped is ASCII, so a run never ends
+/// inside a multi-byte sequence.
+fn escaped<E>(s: &str, mut put: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    put("\"")?;
+    let mut from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let control;
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => {
+                control = format!("\\u{b:04x}");
+                &control
+            }
+            _ => continue,
+        };
+        put(&s[from..i])?;
+        put(escape)?;
+        from = i + 1;
     }
-    write!(f, "\"")
+    put(&s[from..])?;
+    put("\"")
+}
+
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    escaped(s, |part| f.write_str(part))
+}
+
+/// Appends `s` to `out` as a JSON string literal, byte for byte what
+/// [`Json::Str`] prints — the server renders replies with it straight
+/// into a connection's output buffer.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    let done: Result<(), std::convert::Infallible> = escaped(s, |part| {
+        out.extend_from_slice(part.as_bytes());
+        Ok(())
+    });
+    let Ok(()) = done;
 }
 
 #[cfg(test)]
@@ -397,6 +424,22 @@ mod tests {
         // Unclosed and a hundred thousand deep: an error, not a dead worker.
         assert!(Json::parse(&"[".repeat(100_000)).is_err());
         assert!(Json::parse(&r#"{"a":"#.repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn write_str_prints_what_display_prints() {
+        for s in [
+            "",
+            "plain",
+            "NCMIR.pa17",
+            "quote \" backslash \\ slash / newline \n tab \t return \r",
+            "bell \u{7} nul \u{0} unit \u{1f} del \u{7f}",
+            "naïve café — 神経 🧠\"",
+        ] {
+            let mut out = Vec::new();
+            write_str(&mut out, s);
+            assert_eq!(String::from_utf8(out).unwrap(), Json::str(s).to_string());
+        }
     }
 
     #[test]
