@@ -33,7 +33,7 @@
 
 use crate::fault::VirtualClock;
 use crate::federation::{
-    FetchJobDone, JobMachine, JobStep, RegisteredSource, SourceReply, ThreadGauge,
+    FetchJobDone, JobMachine, RegisteredSource, SourceReply, Step, ThreadGauge,
 };
 use crate::wrapper::Submission;
 use std::cmp::Reverse;
@@ -211,7 +211,7 @@ fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<VirtualClock
         .map(|ticket| wrapper.complete(ticket, seat.machine.current_query()));
     loop {
         match seat.machine.step(sources, clock, reply.take()) {
-            JobStep::Contact => match wrapper.submit(seat.machine.current_query()) {
+            Step::Contact => match wrapper.submit(seat.machine.current_query()) {
                 Submission::Ready(r) => reply = Some(r),
                 Submission::Parked { stall, ticket } => {
                     seat.parked_ticket = Some(ticket);
@@ -220,7 +220,7 @@ fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<VirtualClock
                     };
                 }
             },
-            JobStep::Done(done) => return Drive::Done(done),
+            Step::Done(done) => return Drive::Done(done),
         }
     }
 }

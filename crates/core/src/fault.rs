@@ -11,10 +11,6 @@
 //! * [`VirtualClock`] — a virtual time source, so timeouts,
 //!   backoff, and breaker cooldowns are fully deterministic (no
 //!   wall-clock anywhere in the query path);
-//! * [`QueryBudget`] — the **deadline plane**: a per-operation
-//!   virtual-time allowance sliced across the fetch plane, with a shared
-//!   [`CancelToken`] for cooperative cancellation of in-flight fetch
-//!   jobs and Datalog fixpoints;
 //! * [`RetryPolicy`] — bounded attempts with deterministic exponential
 //!   backoff;
 //! * [`CircuitBreaker`] — the classic closed → open → half-open state
@@ -32,7 +28,6 @@
 //! degradation semantics").
 
 use crate::wrapper::{Anchor, Capability, ObjectRow, QueryTemplate, SourceQuery, Wrapper};
-use kind_datalog::CancelToken;
 use kind_gcm::GcmValue;
 use kind_xml::Element;
 use std::collections::BTreeMap;
@@ -155,100 +150,6 @@ impl VirtualClock {
                 Some(t.saturating_add(ms))
             })
             .expect("fetch_update never fails");
-    }
-}
-
-// ---------------------------------------------------------------------
-// The deadline plane: query budgets.
-// ---------------------------------------------------------------------
-
-/// A per-operation virtual-time allowance — the **deadline plane**.
-///
-/// A budget is started against the federation [`VirtualClock`] when a
-/// degradable operation begins and is *charged* at deterministic points:
-/// after each parallel fetch round, with that round's **critical path**
-/// (the maximum over concurrent source jobs of their self-inflicted
-/// virtual time — injected delays plus retry backoff). Each fetch round
-/// hands every source job a *slice* equal to the budget's remaining
-/// allowance; a job that exhausts its slice stops contacting its source
-/// and reports [`SourceOutcome::DeadlineExceeded`], degrading the answer
-/// instead of aborting it.
-///
-/// **Determinism.** Budget decisions are never made from racy global
-/// clock reads: a job charges itself only for time *it* caused
-/// ([`Wrapper::virtual_cost_ms`] deltas around its own calls, plus its
-/// own backoff sleeps), so outcomes are bit-identical for every
-/// `fetch_threads` setting even though concurrent clock advances
-/// interleave. The clock anchors [`Self::started_ms`] for diagnostics
-/// only.
-///
-/// The embedded [`CancelToken`] is shared with the evaluate plane
-/// ([`kind_datalog::EvalOptions::cancel`]) and checked by fetch jobs
-/// between attempts: cancelling it winds down both planes cooperatively.
-/// Exhausting the budget never fires it — which siblings saw the flag
-/// first would be a scheduling race — so each job runs to its own slice.
-#[derive(Debug, Clone)]
-pub struct QueryBudget {
-    budget_ms: u64,
-    started_ms: u64,
-    consumed_ms: u64,
-    cancel: CancelToken,
-}
-
-impl QueryBudget {
-    /// Starts a budget of `budget_ms` virtual milliseconds at the
-    /// clock's current time, with a fresh cancellation token.
-    pub fn start(clock: &Arc<VirtualClock>, budget_ms: u64) -> Self {
-        QueryBudget {
-            budget_ms,
-            started_ms: clock.now_ms(),
-            consumed_ms: 0,
-            cancel: CancelToken::new(),
-        }
-    }
-
-    /// Shares an externally owned token (builder-style), so a caller can
-    /// cancel the whole operation from another thread.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// The total allowance in virtual milliseconds.
-    pub fn budget_ms(&self) -> u64 {
-        self.budget_ms
-    }
-
-    /// The clock reading when the budget started (diagnostics only; see
-    /// the type docs for why decisions never read the clock).
-    pub fn started_ms(&self) -> u64 {
-        self.started_ms
-    }
-
-    /// Deterministically accounted virtual time consumed so far.
-    pub fn consumed_ms(&self) -> u64 {
-        self.consumed_ms
-    }
-
-    /// The remaining allowance (saturating at zero).
-    pub fn remaining_ms(&self) -> u64 {
-        self.budget_ms.saturating_sub(self.consumed_ms)
-    }
-
-    /// Whether the allowance is used up.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining_ms() == 0
-    }
-
-    /// Charges `ms` of consumed virtual time (a fetch round's critical
-    /// path).
-    pub fn charge(&mut self, ms: u64) {
-        self.consumed_ms = self.consumed_ms.saturating_add(ms);
-    }
-
-    /// A clone of the budget's cancellation token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 }
 
@@ -433,7 +334,9 @@ impl CircuitBreaker {
 pub struct SourcePolicy {
     /// Retry/backoff settings.
     pub retry: RetryPolicy,
-    /// Per-attempt budget in virtual milliseconds; 0 disables the check.
+    /// Per-attempt budget in virtual milliseconds, judged by the
+    /// attempt's own cost (its [`Wrapper::virtual_cost_ms`] delta, never
+    /// a clock read a sibling's delay moves); 0 disables the check.
     pub timeout_ms: u64,
     /// Breaker settings.
     pub breaker: BreakerConfig,
@@ -527,7 +430,7 @@ pub enum Fault {
 
 /// SplitMix64 finalizer: the deterministic hash behind `Flaky` and
 /// `CorruptRows`.
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -820,9 +723,9 @@ pub enum SourceOutcome {
     },
     /// At least one fetch was skipped because the breaker was open.
     SkippedByBreaker,
-    /// At least one fetch was abandoned because the query's
-    /// [`crate::fault::QueryBudget`] cancellation token fired. The source
-    /// was not necessarily at fault; its rows are simply missing.
+    /// At least one fetch was abandoned because the query's cancellation
+    /// token ([`crate::Federation::cancel_token`]) fired. The source was
+    /// not necessarily at fault; its rows are simply missing.
     Cancelled,
     /// At least one fetch was cut off by the query deadline: the job's
     /// budget slice ran out before (or while) this source answered.
@@ -933,6 +836,9 @@ pub struct AnswerReport {
     /// equal seeds produce equal values at every thread count.
     pub elapsed_ms: u64,
     /// The query budget in force when the operation started (0 = none).
+    /// On the federation's own report the pair *is* the operation's
+    /// deadline: each fetch round's jobs work against a slice of
+    /// `budget_ms - elapsed_ms`.
     pub budget_ms: u64,
 }
 

@@ -10,13 +10,11 @@
 //!
 //! All retry/breaker/quarantine semantics live in **one** place — the
 //! private `FetchMachine` — and it has **one** driver, the executor in
-//! `crate::executor`. The strict single-source entry
-//! ([`Federation::fetch`]) and the batch entry
-//! ([`Federation::fetch_parallel`]) both build jobs and hand them to it,
-//! so the degradable entry points ([`crate::Mediator::fetch`],
-//! [`crate::Mediator::fetch_degraded`],
-//! [`crate::Mediator::materialize_all`], [`crate::Mediator::answer`], the
-//! §5 plan) cannot drift apart.
+//! `crate::executor`. The batch entry ([`Federation::fetch_parallel`])
+//! builds one job per source and hands them to it; the strict
+//! single-source entry ([`Federation::fetch`]) is a batch of one, so it
+//! and the degradable entry points ([`crate::Mediator::materialize_all`],
+//! [`crate::Mediator::answer`], the §5 plan) cannot drift apart.
 //!
 //! ## The fetch plane
 //!
@@ -35,8 +33,8 @@
 
 use crate::error::{MediatorError, Result};
 use crate::fault::{
-    AnswerReport, BreakerState, CircuitBreaker, QuarantinedRow, QueryBudget, SourceError,
-    SourceOutcome, SourcePolicy, VirtualClock,
+    AnswerReport, BreakerState, CircuitBreaker, QuarantinedRow, SourceError, SourceOutcome,
+    SourcePolicy, VirtualClock,
 };
 use crate::wrapper::{Capability, ObjectRow, SourceQuery, Wrapper};
 use kind_datalog::CancelToken;
@@ -220,38 +218,6 @@ impl FetchSet {
     }
 }
 
-/// The outcome of one guarded (retry/breaker-aware) wrapper query.
-enum GuardedFetch {
-    /// Rows arrived, possibly after retries.
-    Rows {
-        /// The shipped rows.
-        rows: Vec<ObjectRow>,
-        /// Physical attempts made (1 = no retry).
-        attempts: u32,
-    },
-    /// The retry budget was exhausted (or the breaker opened mid-retry).
-    Failed {
-        /// Physical attempts made.
-        attempts: u32,
-        /// The final error.
-        error: SourceError,
-    },
-    /// The breaker was open: the source was never contacted.
-    Skipped,
-    /// The query's cancellation token fired before (or between) attempts.
-    Cancelled {
-        /// Physical attempts made before the cancellation was seen.
-        attempts: u32,
-    },
-    /// The job's budget slice ran out: either before this fetch started
-    /// (no contact at all) or while the source was answering (rows
-    /// dropped — they arrived past the deadline).
-    DeadlineExceeded {
-        /// Physical attempts made.
-        attempts: u32,
-    },
-}
-
 /// The per-job deadline context of one fetch job: the job's slice of the
 /// query budget, the job's own self-charged spend, and the query-wide
 /// cancellation token. Every job owns exactly one — never shared — so
@@ -266,7 +232,9 @@ struct JobBudget {
     /// backoffs — never raw clock reads, which siblings pollute.
     spent_ms: u64,
     /// The query-wide cancellation token, checked before every attempt.
-    cancel: Option<CancelToken>,
+    /// Exhausting a slice never fires it — which siblings saw the flag
+    /// first would be a scheduling race — so each job runs to its own.
+    cancel: CancelToken,
     /// Set once the job has quarantined rows from its source: a source
     /// that ships garbage is never hedged (a backup attempt would ship
     /// more garbage, not better data).
@@ -274,16 +242,20 @@ struct JobBudget {
 }
 
 impl JobBudget {
-    fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-    }
-
     fn exhausted(&self) -> bool {
         self.slice_ms.is_some_and(|s| self.spent_ms >= s)
     }
 
     fn charge(&mut self, ms: u64) {
         self.spent_ms = self.spent_ms.saturating_add(ms);
+    }
+
+    /// The outcome of a fetch cut off by this job's slice.
+    fn deadline_exceeded(&self) -> SourceOutcome {
+        SourceOutcome::DeadlineExceeded {
+            spent_ms: self.spent_ms,
+            budget_ms: self.slice_ms.unwrap_or(0),
+        }
     }
 }
 
@@ -304,22 +276,22 @@ pub(crate) struct FetchCompletion {
     cancelled: usize,
     /// The report-level classification.
     outcome: SourceOutcome,
-    /// The terminal error, for strict callers ([`Federation::fetch`]).
-    error: Option<SourceError>,
 }
 
 /// A wrapper contact's outcome, fed back into the machine that asked
 /// for it.
 pub(crate) type SourceReply = std::result::Result<Vec<ObjectRow>, SourceError>;
 
-/// What a [`FetchMachine`] needs next.
-pub(crate) enum MachineStep {
-    /// Contact the source with the current query —
-    /// [`Wrapper::submit`], then [`Wrapper::complete`] if it parked — and
-    /// call `step` again with the reply.
+/// What a resumable machine ([`FetchMachine`], [`JobMachine`]) needs
+/// next.
+pub(crate) enum Step<T> {
+    /// Contact the source with the current query
+    /// ([`JobMachine::current_query`]) — [`Wrapper::submit`], then
+    /// [`Wrapper::complete`] if it parked — and call `step` again with
+    /// the reply.
     Contact,
-    /// The guarded fetch finished.
-    Done(FetchCompletion),
+    /// The machine finished with this result.
+    Done(T),
 }
 
 /// Where a [`FetchMachine`] is between contacts.
@@ -332,9 +304,6 @@ enum FetchState {
         /// Whether the breaker was fully closed when the attempt left
         /// (hedging is only for sources in good standing).
         breaker_closed: bool,
-        /// Clock reading when the attempt left, for the per-attempt
-        /// timeout check.
-        started: u64,
         /// The wrapper's self-charged cost before the attempt.
         cost_before: u64,
     },
@@ -378,7 +347,7 @@ impl FetchMachine {
     }
 
     /// Advances the machine. `reply` carries the contact outcome iff the
-    /// previous step returned [`MachineStep::Contact`].
+    /// previous step returned [`Step::Contact`].
     #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
@@ -390,7 +359,7 @@ impl FetchMachine {
         q: &SourceQuery,
         budget: &mut JobBudget,
         mut reply: Option<SourceReply>,
-    ) -> MachineStep {
+    ) -> Step<FetchCompletion> {
         loop {
             match std::mem::replace(&mut self.state, FetchState::Gate) {
                 FetchState::Gate => {
@@ -398,45 +367,22 @@ impl FetchMachine {
                     // cancellation token or an exhausted slice abandons
                     // the fetch without touching the source or its
                     // breaker.
-                    if budget.cancelled() {
-                        stats.failures += 1;
+                    if budget.cancel.is_cancelled() {
                         self.cancelled += 1;
-                        return self.finish(
-                            GuardedFetch::Cancelled {
-                                attempts: self.attempts,
-                            },
-                            src,
-                            stats,
-                            q,
-                            budget,
-                        );
+                        return self.fail(stats, SourceOutcome::Cancelled);
                     }
                     if budget.exhausted() {
-                        stats.failures += 1;
                         self.cancelled += 1;
-                        return self.finish(
-                            GuardedFetch::DeadlineExceeded {
-                                attempts: self.attempts,
-                            },
-                            src,
-                            stats,
-                            q,
-                            budget,
-                        );
+                        return self.fail(stats, budget.deadline_exceeded());
                     }
-                    let now = clock.now_ms();
-                    if !breaker.allows(now) {
-                        stats.failures += 1;
-                        let guarded = match self.last_error.take() {
+                    if !breaker.allows(clock.now_ms()) {
+                        let outcome = match self.last_error.take() {
                             // The breaker opened between retry attempts:
                             // report the failure that opened it.
-                            Some(error) => GuardedFetch::Failed {
-                                attempts: self.attempts,
-                                error,
-                            },
-                            None => GuardedFetch::Skipped,
+                            Some(error) => SourceOutcome::Failed { error },
+                            None => SourceOutcome::SkippedByBreaker,
                         };
-                        return self.finish(guarded, src, stats, q, budget);
+                        return self.fail(stats, outcome);
                     }
                     // Hedging is only for sources in good standing: a
                     // HalfOpen trial already is the recovery probe,
@@ -446,34 +392,32 @@ impl FetchMachine {
                     stats.source_queries += 1;
                     self.state = FetchState::Primary {
                         breaker_closed,
-                        started: clock.now_ms(),
                         cost_before: src.wrapper.virtual_cost_ms(),
                     };
-                    return MachineStep::Contact;
+                    return Step::Contact;
                 }
                 FetchState::Primary {
                     breaker_closed,
-                    started,
                     cost_before,
                 } => {
+                    // The attempt's own cost: the wrapper's self-reported
+                    // stall delta, immune to concurrent siblings
+                    // advancing the shared clock. The per-attempt timeout
+                    // is judged by it too.
+                    let attempt_cost = src.wrapper.virtual_cost_ms().saturating_sub(cost_before);
                     let result = reply
                         .take()
                         .expect("contact reply fed back after Primary")
                         .and_then(|rows| {
-                            let elapsed = clock.now_ms().saturating_sub(started);
-                            if policy.timeout_ms > 0 && elapsed > policy.timeout_ms {
+                            if policy.timeout_ms > 0 && attempt_cost > policy.timeout_ms {
                                 Err(SourceError::Timeout {
-                                    elapsed_ms: elapsed,
+                                    elapsed_ms: attempt_cost,
                                     budget_ms: policy.timeout_ms,
                                 })
                             } else {
                                 Ok(rows)
                             }
                         });
-                    // The attempt's own cost: the wrapper's self-reported
-                    // stall delta, immune to concurrent siblings
-                    // advancing the shared clock.
-                    let attempt_cost = src.wrapper.virtual_cost_ms().saturating_sub(cost_before);
                     match result {
                         Ok(rows) => {
                             breaker.record_success();
@@ -503,7 +447,7 @@ impl FetchMachine {
                                     attempt_cost,
                                     backup_before: src.wrapper.virtual_cost_ms(),
                                 };
-                                return MachineStep::Contact;
+                                return Step::Contact;
                             }
                             return self.land(rows, attempt_cost, src, stats, q, budget);
                         }
@@ -512,17 +456,7 @@ impl FetchMachine {
                             breaker.record_failure(clock.now_ms());
                             if self.attempts >= policy.retry.max_attempts {
                                 stats.retries += (self.attempts - 1) as usize;
-                                stats.failures += 1;
-                                return self.finish(
-                                    GuardedFetch::Failed {
-                                        attempts: self.attempts,
-                                        error,
-                                    },
-                                    src,
-                                    stats,
-                                    q,
-                                    budget,
-                                );
+                                return self.fail(stats, SourceOutcome::Failed { error });
                             }
                             self.last_error = Some(error);
                             let backoff = policy.retry.backoff_ms(self.attempts);
@@ -573,9 +507,23 @@ impl FetchMachine {
         }
     }
 
+    /// The terminal step of a fetch that delivers no rows — abandoned,
+    /// skipped by the breaker, or out of attempts.
+    fn fail(&self, stats: &mut MediatorStats, outcome: SourceOutcome) -> Step<FetchCompletion> {
+        stats.failures += 1;
+        Step::Done(FetchCompletion {
+            rows: Vec::new(),
+            quarantined: Vec::new(),
+            attempts: self.attempts as usize,
+            hedged: self.hedged,
+            cancelled: self.cancelled,
+            outcome,
+        })
+    }
+
     /// The success epilogue shared by the hedged and unhedged paths:
     /// charge the winner's cost, then either drop the rows at the
-    /// deadline or classify them.
+    /// deadline or quarantine-validate and residual-filter them.
     fn land(
         &mut self,
         rows: Vec<ObjectRow>,
@@ -584,161 +532,47 @@ impl FetchMachine {
         stats: &mut MediatorStats,
         q: &SourceQuery,
         budget: &mut JobBudget,
-    ) -> MachineStep {
+    ) -> Step<FetchCompletion> {
         budget.charge(charge);
         if budget.exhausted() {
             // The rows landed, but past the deadline: they are dropped,
             // exactly as if the transfer were still in flight when the
             // query gave up.
-            stats.failures += 1;
             self.cancelled += 1;
-            return self.finish(
-                GuardedFetch::DeadlineExceeded {
-                    attempts: self.attempts,
-                },
-                src,
-                stats,
-                q,
-                budget,
-            );
+            return self.fail(stats, budget.deadline_exceeded());
         }
-        self.finish(
-            GuardedFetch::Rows {
-                rows,
-                attempts: self.attempts,
-            },
-            src,
-            stats,
-            q,
-            budget,
-        )
-    }
-
-    /// Classifies a terminal [`GuardedFetch`] into the
-    /// [`FetchCompletion`] the merge consumes (CM quarantine, residual
-    /// filters, outcome/error mapping).
-    fn finish(
-        &mut self,
-        guarded: GuardedFetch,
-        src: &RegisteredSource,
-        stats: &mut MediatorStats,
-        q: &SourceQuery,
-        budget: &mut JobBudget,
-    ) -> MachineStep {
-        let hedged = self.hedged;
-        let cancelled = self.cancelled;
-        MachineStep::Done(classify_fetch(
-            guarded, hedged, cancelled, src, stats, q, budget,
-        ))
-    }
-}
-
-/// Maps a terminal [`GuardedFetch`] to its [`FetchCompletion`]:
-/// quarantine-validate and residual-filter surviving rows, classify the
-/// outcome, surface the terminal error.
-#[allow(clippy::too_many_arguments)]
-fn classify_fetch(
-    guarded: GuardedFetch,
-    hedged: usize,
-    cancelled: usize,
-    src: &RegisteredSource,
-    stats: &mut MediatorStats,
-    q: &SourceQuery,
-    budget: &mut JobBudget,
-) -> FetchCompletion {
-    match guarded {
-        GuardedFetch::Rows { rows, attempts } => {
-            // CM validation: quarantine, don't abort.
-            let mut kept = Vec::with_capacity(rows.len());
-            let mut quarantined = Vec::new();
-            for row in rows {
-                match src.validate_row(&q.class, &row) {
-                    Ok(()) => kept.push(row),
-                    Err(reason) => quarantined.push(QuarantinedRow {
-                        source: src.name.clone(),
-                        class: q.class.clone(),
-                        row_id: row.id.clone(),
-                        reason,
-                    }),
-                }
-            }
-            let kept: Vec<ObjectRow> = kept
-                .into_iter()
-                .filter(|r| {
-                    q.selections
-                        .iter()
-                        .all(|s| r.get(&s.attr) == Some(&s.value))
-                })
-                .collect();
-            stats.rows_kept += kept.len();
-            let outcome = if attempts > 1 {
-                SourceOutcome::Retried {
-                    retries: attempts - 1,
-                }
-            } else {
-                SourceOutcome::Ok
-            };
-            FetchCompletion {
-                rows: kept,
-                quarantined,
-                attempts: attempts as usize,
-                hedged,
-                cancelled,
-                outcome,
-                error: None,
-            }
-        }
-        GuardedFetch::Failed { attempts, error } => FetchCompletion {
-            rows: Vec::new(),
-            quarantined: Vec::new(),
-            attempts: attempts as usize,
-            hedged,
-            cancelled,
-            outcome: SourceOutcome::Failed {
-                error: error.clone(),
-            },
-            error: Some(error),
-        },
-        GuardedFetch::Skipped => FetchCompletion {
-            rows: Vec::new(),
-            quarantined: Vec::new(),
-            attempts: 0,
-            hedged,
-            cancelled,
-            outcome: SourceOutcome::SkippedByBreaker,
-            error: Some(SourceError::Unavailable {
-                reason: "circuit breaker open; source not contacted".into(),
-            }),
-        },
-        GuardedFetch::Cancelled { attempts } => FetchCompletion {
-            rows: Vec::new(),
-            quarantined: Vec::new(),
-            attempts: attempts as usize,
-            hedged,
-            cancelled,
-            outcome: SourceOutcome::Cancelled,
-            error: Some(SourceError::Unavailable {
-                reason: "query cancelled; fetch abandoned".into(),
-            }),
-        },
-        GuardedFetch::DeadlineExceeded { attempts } => {
-            let slice = budget.slice_ms.unwrap_or(0);
-            FetchCompletion {
-                rows: Vec::new(),
-                quarantined: Vec::new(),
-                attempts: attempts as usize,
-                hedged,
-                cancelled,
-                outcome: SourceOutcome::DeadlineExceeded {
-                    spent_ms: budget.spent_ms,
-                    budget_ms: slice,
-                },
-                error: Some(SourceError::Timeout {
-                    elapsed_ms: budget.spent_ms,
-                    budget_ms: slice,
+        // CM validation: quarantine, don't abort.
+        let mut kept = Vec::with_capacity(rows.len());
+        let mut quarantined = Vec::new();
+        for row in rows {
+            match src.validate_row(&q.class, &row) {
+                Ok(()) => kept.push(row),
+                Err(reason) => quarantined.push(QuarantinedRow {
+                    source: src.name.clone(),
+                    class: q.class.clone(),
+                    row_id: row.id.clone(),
+                    reason,
                 }),
             }
         }
+        kept.retain(|r| {
+            q.selections
+                .iter()
+                .all(|s| r.get(&s.attr) == Some(&s.value))
+        });
+        stats.rows_kept += kept.len();
+        let outcome = match self.attempts - 1 {
+            0 => SourceOutcome::Ok,
+            retries => SourceOutcome::Retried { retries },
+        };
+        Step::Done(FetchCompletion {
+            rows: kept,
+            quarantined,
+            attempts: self.attempts as usize,
+            hedged: self.hedged,
+            cancelled: self.cancelled,
+            outcome,
+        })
     }
 }
 
@@ -782,20 +616,20 @@ impl JobMachine {
         self.src_pos
     }
 
-    /// The query the pending [`JobStep::Contact`] is for. Only valid
+    /// The query the pending [`Step::Contact`] is for. Only valid
     /// between a `Contact` step and its reply.
     pub(crate) fn current_query(&self) -> &SourceQuery {
         &self.requests[self.cursor].1
     }
 
     /// Advances the job. `reply` carries the contact outcome iff the
-    /// previous step returned [`JobStep::Contact`].
+    /// previous step returned [`Step::Contact`].
     pub(crate) fn step(
         &mut self,
         sources: &[RegisteredSource],
         clock: &Arc<VirtualClock>,
         mut reply: Option<SourceReply>,
-    ) -> JobStep {
+    ) -> Step<FetchJobDone> {
         let src = &sources[self.src_pos];
         while self.cursor < self.requests.len() {
             let q = &self.requests[self.cursor].1;
@@ -809,8 +643,8 @@ impl JobMachine {
                 &mut self.budget,
                 reply.take(),
             ) {
-                MachineStep::Contact => return JobStep::Contact,
-                MachineStep::Done(completion) => {
+                Step::Contact => return Step::Contact,
+                Step::Done(completion) => {
                     if !completion.quarantined.is_empty() {
                         self.budget.tainted = true;
                     }
@@ -821,7 +655,7 @@ impl JobMachine {
                 }
             }
         }
-        JobStep::Done(FetchJobDone {
+        Step::Done(FetchJobDone {
             source: src.name.clone(),
             breaker: self.breaker.clone(),
             stats: self.stats,
@@ -831,23 +665,13 @@ impl JobMachine {
     }
 }
 
-/// What a [`JobMachine`] needs next.
-pub(crate) enum JobStep {
-    /// Contact the job's source with [`JobMachine::current_query`] and
-    /// step again with the reply.
-    Contact,
-    /// The job finished; merge its result.
-    Done(FetchJobDone),
-}
-
 /// Folds one completion into `report` under `source` and hands back its
-/// surviving rows and terminal error (the latter for strict callers —
-/// [`Federation::fetch`]).
+/// surviving rows.
 fn record_completion(
     report: &mut AnswerReport,
     source: &str,
     completion: FetchCompletion,
-) -> (Vec<ObjectRow>, Option<SourceError>) {
+) -> Vec<ObjectRow> {
     for qr in completion.quarantined {
         report.record_quarantine(qr);
     }
@@ -859,7 +683,30 @@ fn record_completion(
         completion.cancelled,
         completion.outcome,
     );
-    (completion.rows, completion.error)
+    completion.rows
+}
+
+/// The typed error a strict caller ([`Federation::fetch`]) gets for a
+/// degraded outcome; `None` when the rows arrived.
+fn strict_error(outcome: &SourceOutcome) -> Option<SourceError> {
+    let unavailable = |reason: &str| SourceError::Unavailable {
+        reason: reason.into(),
+    };
+    match outcome {
+        SourceOutcome::Ok | SourceOutcome::Retried { .. } => None,
+        SourceOutcome::Failed { error } => Some(error.clone()),
+        SourceOutcome::SkippedByBreaker => {
+            Some(unavailable("circuit breaker open; source not contacted"))
+        }
+        SourceOutcome::Cancelled => Some(unavailable("query cancelled; fetch abandoned")),
+        SourceOutcome::DeadlineExceeded {
+            spent_ms,
+            budget_ms,
+        } => Some(SourceError::Timeout {
+            elapsed_ms: *spent_ms,
+            budget_ms: *budget_ms,
+        }),
+    }
 }
 
 /// The worker count the fetch plane actually uses: `knob` (`0` = auto,
@@ -914,10 +761,9 @@ pub struct Federation {
     /// Live/peak fetch worker threads (for the bench and the example).
     thread_gauge: ThreadGauge,
     /// End-to-end budget armed for every degradable operation (0 = no
-    /// deadline).
+    /// deadline). The operation in flight carries its own copy and its
+    /// spend on `report` (`budget_ms`, `elapsed_ms`).
     query_budget_ms: u64,
-    /// The budget of the operation in flight, if one is armed.
-    budget: Option<QueryBudget>,
     /// The query-wide cooperative cancellation token, shared with every
     /// fetch job (and, via the mediator, with the Datalog fixpoint).
     cancel: CancelToken,
@@ -945,31 +791,21 @@ impl Federation {
             fetch_threads: 0,
             thread_gauge: ThreadGauge::default(),
             query_budget_ms: 0,
-            budget: None,
             cancel: CancelToken::new(),
             stats: MediatorStats::default(),
         }
     }
 
     /// Arms an end-to-end virtual-time budget for every subsequent
-    /// degradable operation: each operation starts a fresh
-    /// [`QueryBudget`] of this many milliseconds, every fetch job works
-    /// against the remaining slice, and sources that run past it are cut
-    /// off with [`SourceOutcome::DeadlineExceeded`] — the answer
-    /// completes from whatever landed in time. `0` (the default)
+    /// degradable operation: each operation starts with this many
+    /// milliseconds ([`AnswerReport::budget_ms`]), every fetch round is
+    /// charged its critical path ([`AnswerReport::elapsed_ms`]), every
+    /// fetch job works against the remaining slice, and sources that run
+    /// past it are cut off with [`SourceOutcome::DeadlineExceeded`] — the
+    /// answer completes from whatever landed in time. `0` (the default)
     /// disables the deadline.
     pub fn set_query_budget_ms(&mut self, ms: u64) {
         self.query_budget_ms = ms;
-    }
-
-    /// The configured per-operation budget (0 = no deadline).
-    pub fn query_budget_ms(&self) -> u64 {
-        self.query_budget_ms
-    }
-
-    /// The budget of the operation in flight (or the most recent one).
-    pub fn budget(&self) -> Option<&QueryBudget> {
-        self.budget.as_ref()
     }
 
     /// The query-wide cancellation token. Cancel it (from any thread) to
@@ -1039,7 +875,7 @@ impl Federation {
     }
 
     /// The federation's clock (share it with [`crate::FaultInjector`]s so
-    /// injected delays are visible to timeout checks).
+    /// injected delays, backoff and breaker cooldowns share one timeline).
     pub fn clock(&self) -> Arc<VirtualClock> {
         Arc::clone(&self.clock)
     }
@@ -1069,31 +905,21 @@ impl Federation {
         self.breakers.get(name).map(|b| b.state())
     }
 
-    /// Force-closes a source's breaker (operator override).
-    pub fn reset_breaker(&mut self, name: &str) {
-        self.breakers.remove(name);
-    }
-
     /// The degradation report of the most recent degradable operation.
     pub fn report(&self) -> &AnswerReport {
         &self.report
     }
 
-    /// Starts a fresh report (each degradable operation calls this), and
-    /// arms a fresh [`QueryBudget`] when a deadline is configured. The
-    /// cancellation token is reset: every operation starts live.
+    /// Starts a fresh report (each degradable operation calls this),
+    /// which arms the configured deadline: fetches before the first call
+    /// run unbudgeted. The cancellation token is reset: every operation
+    /// starts live.
     pub(crate) fn begin_report(&mut self) {
-        self.report = AnswerReport::default();
-        self.report.budget_ms = self.query_budget_ms;
-        self.cancel.reset();
-        self.budget = if self.query_budget_ms > 0 {
-            Some(
-                QueryBudget::start(&self.clock, self.query_budget_ms)
-                    .with_cancel(self.cancel.clone()),
-            )
-        } else {
-            None
+        self.report = AnswerReport {
+            budget_ms: self.query_budget_ms,
+            ..AnswerReport::default()
         };
+        self.cancel.reset();
     }
 
     /// The names of sources that export `class` (by declared capability).
@@ -1143,14 +969,16 @@ impl Federation {
             .breakers
             .remove(name)
             .unwrap_or_else(|| CircuitBreaker::new(policy.breaker.clone()));
+        let report = &self.report;
         JobMachine {
             src_pos,
             policy,
             breaker,
             budget: JobBudget {
-                slice_ms: self.budget.as_ref().map(QueryBudget::remaining_ms),
+                slice_ms: (report.budget_ms > 0)
+                    .then(|| report.budget_ms.saturating_sub(report.elapsed_ms)),
                 spent_ms: 0,
-                cancel: Some(self.cancel.clone()),
+                cancel: self.cancel.clone(),
                 tainted: false,
             },
             requests: Vec::new(),
@@ -1161,59 +989,23 @@ impl Federation {
         }
     }
 
-    /// Runs `jobs` on the executor and puts their breakers back. The
-    /// results are in job order.
-    fn run_jobs(&mut self, jobs: Vec<JobMachine>) -> Vec<FetchJobDone> {
-        let workers = self.effective_fetch_threads(jobs.len());
-        let finished = crate::executor::run_jobs(
-            &self.sources,
-            &self.clock,
-            jobs,
-            workers,
-            &self.thread_gauge,
-        );
-        for done in &finished {
-            self.breakers
-                .insert(done.source.clone(), done.breaker.clone());
-        }
-        finished
-    }
-
     /// Capability-aware, fault-tolerant fetch: pushes the pushable
     /// selections to the wrapper (with retries, timeout budget, and
     /// circuit breaker per the source's [`SourcePolicy`]), quarantines
     /// rows that violate the source's exported CM, and applies the
     /// remaining selections as a residual filter mediator-side.
     ///
-    /// Runs as a one-request job on the same executor as
-    /// [`Self::fetch_parallel`] (one job means one worker, which is the
-    /// calling thread), so retry/breaker/quarantine semantics cannot
-    /// drift between entry points.
-    ///
-    /// A source that exhausts its retry budget — or whose breaker is
-    /// open — is a typed [`MediatorError::Source`] error; the outcome is
-    /// also folded into the current [`Self::report`].
+    /// This is [`Self::fetch_parallel`] of one request (one job means one
+    /// worker, which is the calling thread), read strictly: a source that
+    /// exhausts its retry budget — or whose breaker is open, or that the
+    /// deadline cut off — is a typed [`MediatorError::Source`] error; the
+    /// outcome is also folded into the current [`Self::report`].
     pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Vec<ObjectRow>> {
-        let pos = self.validate_request(source_name, q)?;
-        let mut job = self.new_job(pos);
-        job.requests.push((0, q.clone()));
-        let done = self
-            .run_jobs(vec![job])
-            .pop()
-            .expect("one job in, one result out");
-        self.stats.merge(&done.stats);
-        if let Some(b) = &mut self.budget {
-            b.charge(done.spent_ms);
-        }
-        self.report.elapsed_ms = self.report.elapsed_ms.saturating_add(done.spent_ms);
-        let (_, completion) = done
-            .results
-            .into_iter()
-            .next()
-            .expect("one request in, one completion out");
-        match record_completion(&mut self.report, source_name, completion) {
-            (rows, None) => Ok(rows),
-            (_, Some(error)) => Err(MediatorError::Source {
+        let mut set = self.fetch_parallel(&[FetchRequest::new(source_name, q.clone())])?;
+        let outcome = &set.report.sources[source_name].outcome;
+        match strict_error(outcome) {
+            None => Ok(std::mem::take(&mut set.batches[0].rows)),
+            Some(error) => Err(MediatorError::Source {
                 name: source_name.to_string(),
                 error,
             }),
@@ -1224,9 +1016,9 @@ impl Federation {
     /// [`FetchRequest`]s as one job per distinct source on the executor's
     /// worker pool, and returns a [`FetchSet`] whose batches are in
     /// request order. Source-level failures degrade to empty batches
-    /// (visible in the set's report), exactly like
-    /// [`Self::fetch_degraded`]; unknown sources/classes are typed errors
-    /// detected up front, before anything is contacted.
+    /// (visible in the set's report) — [`Self::fetch`] is the strict
+    /// reading of the same outcome; unknown sources/classes are typed
+    /// errors detected up front, before anything is contacted.
     ///
     /// **Determinism.** Results are bit-identical for any worker count:
     ///
@@ -1241,9 +1033,10 @@ impl Federation {
     ///   built from the roster) after every worker has finished.
     ///
     /// The one shared mutable resource is the federation [`VirtualClock`]:
-    /// concurrent backoff/delay advances interleave, so *timestamps* (not
-    /// row contents) can differ from a one-worker run when a virtual
-    /// clock is shared across faulty sources.
+    /// concurrent backoff/delay advances interleave, so *timestamps* (a
+    /// breaker's `opened_at_ms`) can differ from a one-worker run when
+    /// several faulty sources share the clock. No deadline, timeout or
+    /// hedge decision reads it.
     pub fn fetch_parallel(&mut self, requests: &[FetchRequest]) -> Result<FetchSet> {
         let positions = requests
             .iter()
@@ -1262,7 +1055,14 @@ impl Federation {
             };
             jobs[job_idx].requests.push((idx, r.query.clone()));
         }
-        let finished = self.run_jobs(jobs);
+        let workers = self.effective_fetch_threads(jobs.len());
+        let finished = crate::executor::run_jobs(
+            &self.sources,
+            &self.clock,
+            jobs,
+            workers,
+            &self.thread_gauge,
+        );
         // Deterministic merge: jobs in first-appearance order, requests
         // within a job in submission order — regardless of which worker
         // finished when.
@@ -1283,18 +1083,18 @@ impl Federation {
         // is identical for every worker count and completion order.
         let round_elapsed = finished.iter().map(|d| d.spent_ms).max().unwrap_or(0);
         for done in finished {
+            self.breakers.insert(done.source.clone(), done.breaker);
             set.stats.merge(&done.stats);
             for (idx, completion) in done.results {
                 set.batches[idx].rows =
-                    record_completion(&mut set.report, &done.source, completion).0;
+                    record_completion(&mut set.report, &done.source, completion);
             }
         }
         set.report.elapsed_ms = round_elapsed;
-        set.report.budget_ms = self.query_budget_ms;
-        if let Some(b) = &mut self.budget {
-            b.charge(round_elapsed);
-        }
+        set.report.budget_ms = self.report.budget_ms;
         self.stats.merge(&set.stats);
+        // Absorbing the round's `elapsed_ms` is the charge to the
+        // operation's deadline.
         self.report.absorb(&set.report);
         Ok(set)
     }
@@ -1313,18 +1113,6 @@ impl Federation {
         }
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         pool_size(self.fetch_threads, jobs, cores)
-    }
-
-    /// Like [`Self::fetch`], but a source-level failure degrades to an
-    /// empty row set instead of an error (the failure stays visible in
-    /// [`Self::report`]). Mediator-level errors (unknown source/class)
-    /// still propagate.
-    pub fn fetch_degraded(&mut self, source_name: &str, q: &SourceQuery) -> Result<Vec<ObjectRow>> {
-        match self.fetch(source_name, q) {
-            Ok(rows) => Ok(rows),
-            Err(MediatorError::Source { .. }) => Ok(Vec::new()),
-            Err(other) => Err(other),
-        }
     }
 
     /// Calls a declared query template on a source (§2's "query
@@ -1364,6 +1152,7 @@ mod tests {
     use crate::wrapper::{Anchor, MemoryWrapper, StallAware};
     use kind_dm::{figures, ExecMode};
     use kind_gcm::GcmValue;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Mutex;
 
     fn wrapper(name: &str, class: &str, concept: &str, n: usize) -> Arc<MemoryWrapper> {
@@ -1566,6 +1355,269 @@ mod tests {
         // happened and at least one hedge fired.
         let shaky = serial.report.source("SHAKY").unwrap();
         assert!(shaky.attempts > 1 || shaky.hedged > 0);
+    }
+
+    /// The handshake of the timeout test below: B's attempt is in flight
+    /// before A injects its delay, and stays in flight until A has.
+    /// `armed` is off during registration, and for the one-worker run —
+    /// there the jobs run one after the other and would wait for ever.
+    #[derive(Default)]
+    struct Handshake {
+        armed: AtomicBool,
+        b_in_flight: AtomicBool,
+        a_injected: AtomicBool,
+    }
+
+    fn wait_for(flag: &AtomicBool) {
+        while !flag.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// One side of the [`Handshake`] around any wrapper.
+    struct Staged {
+        inner: Arc<dyn Wrapper>,
+        injects: bool,
+        hs: Arc<Handshake>,
+    }
+
+    impl Wrapper for Staged {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn formalism(&self) -> &str {
+            self.inner.formalism()
+        }
+        fn export_cm(&self) -> kind_xml::Element {
+            self.inner.export_cm()
+        }
+        fn capabilities(&self) -> Vec<Capability> {
+            self.inner.capabilities()
+        }
+        fn anchors(&self) -> Vec<Anchor> {
+            self.inner.anchors()
+        }
+        fn virtual_cost_ms(&self) -> u64 {
+            self.inner.virtual_cost_ms()
+        }
+        fn query(&self, q: &SourceQuery) -> SourceReply {
+            if !self.hs.armed.load(Ordering::SeqCst) {
+                return self.inner.query(q);
+            }
+            if self.injects {
+                wait_for(&self.hs.b_in_flight);
+                let reply = self.inner.query(q);
+                self.hs.a_injected.store(true, Ordering::SeqCst);
+                reply
+            } else {
+                self.hs.b_in_flight.store(true, Ordering::SeqCst);
+                wait_for(&self.hs.a_injected);
+                self.inner.query(q)
+            }
+        }
+    }
+
+    #[test]
+    fn a_siblings_injected_delay_does_not_time_out_a_healthy_source() {
+        // A injects 100 virtual ms per call; B is healthy under a 50 ms
+        // per-attempt timeout. On two workers the handshake makes A's
+        // delay land on the shared clock while B's attempt is in flight:
+        // B's own cost is still 0, so B must read `Ok` after one attempt,
+        // exactly as when the jobs run one after the other.
+        let run = |workers: usize| {
+            let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+            m.federation_mut().set_fetch_threads(workers);
+            m.set_source_policy("B", SourcePolicy::with_timeout_ms(50));
+            let hs = Arc::new(Handshake::default());
+            let slow = Arc::new(
+                FaultInjector::new(wrapper("A", "ca", "Spine", 3), m.clock())
+                    .with_fault(Fault::Slow { delay_ms: 100 }),
+            );
+            slow.disarm();
+            m.register(Arc::new(Staged {
+                inner: Arc::clone(&slow) as Arc<dyn Wrapper>,
+                injects: true,
+                hs: Arc::clone(&hs),
+            }))
+            .unwrap();
+            slow.arm();
+            m.register(Arc::new(Staged {
+                inner: wrapper("B", "cb", "Shaft", 2),
+                injects: false,
+                hs: Arc::clone(&hs),
+            }))
+            .unwrap();
+            hs.armed.store(workers > 1, Ordering::SeqCst);
+            let requests = all_scans(&m);
+            let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+            (format!("{:?}", set.batches), set.report, set.stats)
+        };
+        let serial = run(1);
+        let b = serial.1.source("B").unwrap();
+        assert_eq!((&b.outcome, b.attempts), (&SourceOutcome::Ok, 1));
+        assert_eq!(serial.1.elapsed_ms, 100);
+        assert_eq!(run(2), serial);
+    }
+
+    /// The knob configures a budget; `begin_report` arms it. A fetch that
+    /// no degradable operation began runs unbudgeted, and says so.
+    #[test]
+    fn a_query_budget_is_armed_by_begin_report_only() {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.set_query_budget_ms(10);
+        let slow = Arc::new(
+            FaultInjector::new(wrapper("SLOW", "cs", "Spine", 2), m.clock())
+                .with_fault(Fault::Slow { delay_ms: 50 }),
+        );
+        slow.disarm();
+        m.register(Arc::clone(&slow) as Arc<dyn Wrapper>).unwrap();
+        slow.arm();
+        let requests = all_scans(&m);
+        for _ in 0..2 {
+            let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+            assert!(set.is_complete(), "{}", set.report.summary());
+            assert_eq!((set.report.elapsed_ms, set.report.budget_ms), (50, 0));
+        }
+        m.federation_mut().begin_report();
+        let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+        assert!(set.report.deadline_exceeded());
+        assert_eq!((set.report.elapsed_ms, set.report.budget_ms), (50, 10));
+        // The operation's budget is spent: the next round has no slice.
+        let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+        assert_eq!(
+            set.report.source("SLOW").unwrap().outcome,
+            SourceOutcome::DeadlineExceeded {
+                spent_ms: 0,
+                budget_ms: 0
+            }
+        );
+        assert_eq!(m.report().elapsed_ms, 50);
+    }
+
+    /// `fetch` is `fetch_parallel` of one request, read strictly: over
+    /// seeded schedules mixing every fault kind with retries, hedging, a
+    /// per-attempt timeout, a query budget and a breaker that opens and
+    /// cools down, twin mediators driven one through each entry agree on
+    /// rows, report, statistics, breaker state and clock after every
+    /// step — and `fetch` is a typed source error exactly when the
+    /// report's outcome is degraded.
+    #[test]
+    fn fetch_is_fetch_parallel_of_one() {
+        use crate::fault::{mix, BreakerConfig, RetryPolicy};
+        // The schedule generator: one hashed draw per parameter.
+        fn draw(state: &mut u64, below: u64) -> u64 {
+            *state = mix(*state);
+            *state % below
+        }
+        let build = |seed: u64| {
+            let mut g = seed;
+            let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+            m.set_query_budget_ms([0, 60, 500][draw(&mut g, 3) as usize]);
+            m.set_default_policy(SourcePolicy {
+                retry: RetryPolicy {
+                    base_backoff_ms: 20,
+                    ..RetryPolicy::attempts(1 + draw(&mut g, 3) as u32)
+                },
+                timeout_ms: [0, 30][draw(&mut g, 2) as usize],
+                breaker: BreakerConfig {
+                    failure_threshold: 1 + draw(&mut g, 3) as u32,
+                    cooldown_ms: 150,
+                },
+                hedge_after_ms: [0, 10][draw(&mut g, 2) as usize],
+            });
+            let shaky = FaultInjector::new(wrapper("S", "cs", "Spine", 6), m.clock())
+                .with_fault(Fault::FailFirst(draw(&mut g, 3) as u32))
+                .with_fault(Fault::Flaky {
+                    seed,
+                    fail_per_mille: draw(&mut g, 500) as u16,
+                })
+                .with_fault(Fault::SlowTail {
+                    seed: !seed,
+                    delay_ms: 40,
+                    slow_per_mille: draw(&mut g, 800) as u16,
+                })
+                .with_fault(Fault::CorruptRows {
+                    seed,
+                    corrupt_per_mille: draw(&mut g, 300) as u16,
+                });
+            let shaky = Arc::new(shaky);
+            shaky.disarm();
+            m.register(Arc::clone(&shaky) as Arc<dyn Wrapper>).unwrap();
+            shaky.arm();
+            m
+        };
+        let observe = |m: &Mediator| {
+            (
+                m.report().clone(),
+                m.stats(),
+                m.breaker_state("S"),
+                m.clock().now_ms(),
+            )
+        };
+        let mut seen = BTreeSet::new();
+        for seed in 0..96u64 {
+            let (mut strict, mut batch) = (build(seed), build(seed));
+            for step in 0..8 {
+                // A new operation every other step, so budgets carry over
+                // a fetch and run out between two.
+                if step % 2 == 0 {
+                    strict.federation_mut().begin_report();
+                    batch.federation_mut().begin_report();
+                }
+                let q = if step % 3 == 2 {
+                    SourceQuery::scan("cs").with("value", GcmValue::Int(1))
+                } else {
+                    SourceQuery::scan("cs")
+                };
+                let got = strict.federation_mut().fetch("S", &q);
+                let set = batch
+                    .federation_mut()
+                    .fetch_parallel(&[FetchRequest::new("S", q)])
+                    .unwrap();
+                assert_eq!(
+                    observe(&strict),
+                    observe(&batch),
+                    "seed {seed}, step {step}"
+                );
+                let s = set.report.source("S").unwrap();
+                match got {
+                    Ok(rows) => {
+                        assert!(!s.outcome.is_degraded(), "seed {seed}, step {step}");
+                        assert_eq!(rows, set.batches[0].rows);
+                    }
+                    Err(MediatorError::Source { name, .. }) => {
+                        assert!(s.outcome.is_degraded(), "seed {seed}, step {step}");
+                        assert!(name == "S" && set.batches[0].rows.is_empty());
+                    }
+                    Err(other) => panic!("seed {seed}, step {step}: {other}"),
+                }
+                seen.insert(match s.outcome {
+                    SourceOutcome::Ok => "ok",
+                    SourceOutcome::Retried { .. } => "retried",
+                    SourceOutcome::SkippedByBreaker => "skipped",
+                    SourceOutcome::Cancelled => "cancelled",
+                    SourceOutcome::DeadlineExceeded { .. } => "deadline",
+                    SourceOutcome::Failed { .. } => "failed",
+                });
+                if s.hedged > 0 {
+                    seen.insert("hedged");
+                }
+                if s.quarantined > 0 {
+                    seen.insert("quarantined");
+                }
+            }
+        }
+        // Nothing here fires the token, so everything but `cancelled`.
+        let all = [
+            "deadline",
+            "failed",
+            "hedged",
+            "ok",
+            "quarantined",
+            "retried",
+            "skipped",
+        ];
+        assert!(seen.iter().eq(all.iter()), "the schedules reach {seen:?}");
     }
 
     #[test]

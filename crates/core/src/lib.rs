@@ -67,8 +67,8 @@ pub mod wrapper;
 pub use error::{MediatorError, Result};
 pub use fault::{
     AnswerReport, BreakerConfig, BreakerState, CircuitBreaker, Fault, FaultInjector,
-    QuarantinedRow, QueryBudget, RetryPolicy, SourceError, SourceOutcome, SourcePolicy,
-    SourceReport, VirtualClock,
+    QuarantinedRow, RetryPolicy, SourceError, SourceOutcome, SourcePolicy, SourceReport,
+    VirtualClock,
 };
 pub use federation::{
     Federation, FetchBatch, FetchRequest, FetchSet, MediatorStats, RegisteredSource,

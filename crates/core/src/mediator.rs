@@ -7,8 +7,8 @@
 //! * [`crate::Knowledge`] — the semantic layer: the domain map and its
 //!   resolved closure view, retained DL axioms, the CM plug-in registry,
 //!   the semantic index, applied CMs, and view definitions;
-//! * the eval/cache pipeline owned here: the GCM base, the
-//!   fingerprint-keyed cached model, and the evaluation options.
+//! * the eval/cache pipeline owned here: the GCM base, the cached model
+//!   of it, and the evaluation options.
 //!
 //! The mediator composes the three: sources join at runtime by
 //! [`Mediator::register`]-ing (their CM export translated through the
@@ -44,9 +44,6 @@ pub struct Mediator {
     /// than an owned `Model` so [`Mediator::snapshot`] publishes it
     /// without a deep copy and query paths need no take/put juggling.
     model: Option<Arc<Model>>,
-    /// Fingerprint of the program the cached [`Self::model`] was computed
-    /// from (see [`Self::base_fingerprint`]).
-    model_fp: Option<u64>,
     /// Whether the base program must be rebuilt from scratch before the
     /// next evaluation. Raised only by changes the staged write plane
     /// cannot express as a delta: domain-map refinements (their compiled
@@ -58,7 +55,9 @@ pub struct Mediator {
     /// The `Arc` of the base handed to the most recent snapshot, reused
     /// verbatim by the next [`Self::snapshot`] when no base mutation
     /// happened in between — repeated snapshots of a quiet mediator share
-    /// one base clone instead of deep-copying per call.
+    /// one base clone instead of deep-copying per call. Every base
+    /// mutation reaches [`Self::run`] as a non-empty changelog or a
+    /// rebuild, so those two places drop it.
     shared_base: Option<Arc<GcmBase>>,
     /// The snapshot publication hub: the epoch-counted current-snapshot
     /// slot that readers load under a shared read lock (they wait on a
@@ -87,7 +86,6 @@ impl Mediator {
             knowledge: Knowledge::new(dm, mode),
             base: GcmBase::new(),
             model: None,
-            model_fp: None,
             needs_rebuild: true,
             shared_base: None,
             hub: Arc::new(SnapshotHub::new()),
@@ -128,11 +126,6 @@ impl Mediator {
     /// index, CMs, views.
     pub fn knowledge(&self) -> &Knowledge {
         &self.knowledge
-    }
-
-    /// Mutable access to the knowledge layer.
-    pub fn knowledge_mut(&mut self) -> &mut Knowledge {
-        &mut self.knowledge
     }
 
     /// The two planes of the execution pipeline, split-borrowed: the
@@ -207,7 +200,7 @@ impl Mediator {
     }
 
     /// The mediator's clock (share it with [`crate::FaultInjector`]s so
-    /// injected delays are visible to timeout checks).
+    /// injected delays, backoff and breaker cooldowns share one timeline).
     pub fn clock(&self) -> Arc<VirtualClock> {
         self.federation.clock()
     }
@@ -224,26 +217,15 @@ impl Mediator {
         self.federation.set_source_policy(name, policy);
     }
 
-    /// The policy governing `name` (per-source override or default).
-    pub fn policy_for(&self, name: &str) -> &SourcePolicy {
-        self.federation.policy_for(name)
-    }
-
     /// Arms an end-to-end virtual-time budget for every degradable
     /// operation ([`Self::materialize_all`], [`Self::answer`], the §5
-    /// plans): each operation starts a fresh [`crate::QueryBudget`],
-    /// fetch jobs work against the remaining slice, and sources that run
-    /// past it are cut off with
-    /// [`crate::SourceOutcome::DeadlineExceeded`] — the answer completes
-    /// from whatever landed in time, and the report says what is
-    /// missing. `0` (the default) disables the deadline.
+    /// plans): each operation starts with the whole allowance, fetch
+    /// jobs work against what is left of it, and sources that run past
+    /// it are cut off with [`crate::SourceOutcome::DeadlineExceeded`] —
+    /// the answer completes from whatever landed in time, and the report
+    /// says what is missing. `0` (the default) disables the deadline.
     pub fn set_query_budget_ms(&mut self, ms: u64) {
         self.federation.set_query_budget_ms(ms);
-    }
-
-    /// The configured per-operation budget (0 = no deadline).
-    pub fn query_budget_ms(&self) -> u64 {
-        self.federation.query_budget_ms()
     }
 
     /// The pipeline-wide cooperative cancellation token: cancel it (from
@@ -262,20 +244,10 @@ impl Mediator {
         self.federation.breaker_state(name)
     }
 
-    /// Force-closes a source's breaker (operator override).
-    pub fn reset_breaker(&mut self, name: &str) {
-        self.federation.reset_breaker(name);
-    }
-
     /// The degradation report of the most recent degradable operation
     /// ([`Self::materialize_all`], [`Self::answer`], or a plan run).
     pub fn report(&self) -> &AnswerReport {
         self.federation.report()
-    }
-
-    /// Starts a fresh report (each degradable operation calls this).
-    pub(crate) fn begin_report(&mut self) {
-        self.federation.begin_report();
     }
 
     /// Capability-aware, fault-tolerant fetch — delegates to the
@@ -284,14 +256,6 @@ impl Mediator {
     /// entry point.
     pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Vec<ObjectRow>> {
         self.federation.fetch(source_name, q)
-    }
-
-    /// Like [`Self::fetch`], but a source-level failure degrades to an
-    /// empty row set instead of an error (the failure stays visible in
-    /// [`Self::report`]). Mediator-level errors (unknown source/class)
-    /// still propagate.
-    pub fn fetch_degraded(&mut self, source_name: &str, q: &SourceQuery) -> Result<Vec<ObjectRow>> {
-        self.federation.fetch_degraded(source_name, q)
     }
 
     /// Calls a declared query template on a source (§2's "query
@@ -315,22 +279,12 @@ impl Mediator {
     // Source selection: knowledge-layer ids mapped to federation names.
     // ------------------------------------------------------------------
 
-    /// Maps knowledge-layer source ids to names, preserving registration
-    /// order.
-    fn names_of(&self, ids: &[SourceId]) -> Vec<String> {
-        self.federation
-            .sources()
-            .iter()
-            .filter(|s| ids.contains(&s.id))
-            .map(|s| s.name.clone())
-            .collect()
-    }
-
     /// **Source selection** via the semantic index (§5 step 2): the names
     /// of sources with data anchored at (or below) *all* the given
     /// concepts.
     pub fn select_sources(&self, concepts: &[&str]) -> Result<Vec<String>> {
-        Ok(self.names_of(&self.knowledge.select_sources(concepts)?))
+        let ids = self.knowledge.select_sources(concepts)?;
+        Ok(self.federation.names_of(&ids))
     }
 
     /// Sources with data anchored anywhere in the **anatomical region**
@@ -339,7 +293,8 @@ impl Mediator {
     /// finds a lab anchored at `Purkinje_Cell` (a *part*, not a
     /// subconcept, of the cerebellum).
     pub fn sources_in_region(&self, role: &str, root: &str) -> Result<Vec<String>> {
-        Ok(self.names_of(&self.knowledge.sources_in_region(role, root)?))
+        let ids = self.knowledge.sources_in_region(role, root)?;
+        Ok(self.federation.names_of(&ids))
     }
 
     /// **Logic-level source selection**: the sources whose anchored
@@ -350,12 +305,14 @@ impl Mediator {
     /// (sound, incomplete; see `kind_dm::subsume`).
     pub fn select_sources_by_expression(&self, expr_text: &str) -> Result<Vec<String>> {
         let all: Vec<SourceId> = self.federation.sources().iter().map(|s| s.id).collect();
-        Ok(self.names_of(&self.knowledge.sources_subsumed_by(expr_text, &all)?))
+        let ids = self.knowledge.sources_subsumed_by(expr_text, &all)?;
+        Ok(self.federation.names_of(&ids))
     }
 
     /// Sources relevant to any one concept's cone.
     pub fn sources_below(&self, concept: &str) -> Result<Vec<String>> {
-        Ok(self.names_of(&self.knowledge.sources_below(concept)?))
+        let ids = self.knowledge.sources_below(concept)?;
+        Ok(self.federation.names_of(&ids))
     }
 
     // ------------------------------------------------------------------
@@ -503,7 +460,6 @@ impl Mediator {
                 self.needs_rebuild = true;
                 return Err(e);
             }
-            self.shared_base = None;
         } else {
             self.needs_rebuild = true;
         }
@@ -536,10 +492,21 @@ impl Mediator {
     /// mediator's pipeline-wide cancellation token is re-attached unless
     /// the caller supplied their own (see [`Self::cancel_token`]). The
     /// base program does not depend on any option, so nothing is staged;
-    /// the cached model is keyed by the options that can change it (see
-    /// `Mediator::base_fingerprint`) and the next [`Self::run`] drops it
-    /// if one of those moved — `magic_sets` and `cancel` never do.
+    /// the cached model is dropped when an option that can change it
+    /// moved — `cancel` (identity, not semantics) and `magic_sets`
+    /// (goal-directed plans only; [`Self::run`] never rewrites) cannot.
     pub fn set_eval_options(&mut self, opts: EvalOptions) {
+        let keyed = |o: &EvalOptions| {
+            let full = EvalOptions {
+                cancel: None,
+                magic_sets: true,
+                ..o.clone()
+            };
+            format!("{full:?}")
+        };
+        if keyed(&opts) != keyed(&self.eval_options) {
+            self.model = None;
+        }
         self.eval_options = opts;
         if self.eval_options.cancel.is_none() {
             self.eval_options.cancel = Some(self.federation.cancel_token());
@@ -568,7 +535,6 @@ impl Mediator {
                 self.needs_rebuild = true;
                 return Err(e.into());
             }
-            self.shared_base = None;
         }
         self.knowledge.views.push(fl_text.to_string());
         Ok(())
@@ -626,7 +592,7 @@ impl Mediator {
     /// than loaded. Inspect [`Self::report`] afterwards for per-source
     /// outcomes and the completeness flag.
     pub fn materialize_all(&mut self) -> Result<usize> {
-        self.begin_report();
+        self.federation.begin_report();
         if self.needs_rebuild {
             self.rebuild()?;
         }
@@ -647,7 +613,7 @@ impl Mediator {
         let mut loaded = 0usize;
         for batch in &fetched.batches {
             for row in &batch.rows {
-                self.apply_row(&batch.source, &batch.query.class, row)?;
+                apply_row_to(&mut self.base, &batch.source, &batch.query.class, row)?;
                 loaded += 1;
             }
         }
@@ -674,18 +640,7 @@ impl Mediator {
                 },
             });
         }
-        self.apply_row(source, class, row)
-    }
-
-    /// The unchecked load path, for rows already validated by
-    /// [`Self::fetch`]. The row's facts are **staged**: they land in the
-    /// live engine and its changelog, and the cached model stays valid
-    /// as the pre-delta base until [`Self::publish`] applies the
-    /// accumulated delta incrementally.
-    pub(crate) fn apply_row(&mut self, source: &str, class: &str, row: &ObjectRow) -> Result<()> {
-        apply_row_to(&mut self.base, source, class, row)?;
-        self.shared_base = None;
-        Ok(())
+        apply_row_to(&mut self.base, source, class, row)
     }
 
     /// Retracts a previously loaded row — the delete plane's mirror of
@@ -715,46 +670,16 @@ impl Mediator {
                 removed += 1;
             }
         }
-        if removed > 0 {
-            self.shared_base = None;
-        }
         Ok(removed)
     }
 
-    /// A fingerprint of everything the base *program* is built from — the
-    /// domain map, execution mode, applied CMs, views, and evaluation
-    /// options. The cached model is keyed by it: [`Self::run`] discards a
-    /// cached model whose fingerprint no longer matches, even if no dirty
-    /// flag was raised (belt-and-braces for the cross-query base cache).
-    /// Instance facts are deliberately excluded: fact loads and
-    /// retractions flow through the engine changelog, which [`Self::run`]
-    /// drains into the cached model incrementally.
-    fn base_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{:?}", self.knowledge.dm).hash(&mut h);
-        format!("{:?}", self.knowledge.mode).hash(&mut h);
-        let mut opts = self.eval_options.clone();
-        // The cancellation token is identity, not semantics: it never
-        // changes what a completed evaluation computes, so it must not
-        // invalidate a cached model either.
-        opts.cancel = None;
-        // The magic-sets toggle only affects goal-directed query plans;
-        // full materialization (`run`) never applies the rewrite, so the
-        // cached base model is always the full one and stays valid when
-        // it flips.
-        opts.magic_sets = true;
-        format!("{opts:?}").hash(&mut h);
-        // CMs and views are deliberately *not* hashed: their lifecycle
-        // flows through the staged write plane (the engine changelog plus
-        // `needs_rebuild`), so a new view or an incremental CM
-        // application updates the cached model by delta instead of
-        // invalidating it wholesale.
-        h.finish()
-    }
-
     /// Evaluates the base (rebuilding first if needed) and caches the
-    /// model across queries; the cache key is `Mediator::base_fingerprint`.
+    /// model across queries. The cached model goes stale in three ways,
+    /// each with one owner: the program changed wholesale
+    /// (`needs_rebuild`, raised by a domain-map refinement or
+    /// [`Self::invalidate`]), facts or rules moved (the engine
+    /// changelog), or an option that shapes the model did
+    /// ([`Self::set_eval_options`]).
     ///
     /// This is the **publish point** of the staged write plane: mutations
     /// since the last run (loaded rows, retracted rows, incremental CM
@@ -766,10 +691,6 @@ impl Mediator {
     /// strata). Only when no model is cached — first run, rebuild, or a
     /// prior publish failure — does the evaluation start cold.
     pub fn run(&mut self) -> Result<&Model> {
-        let fp = self.base_fingerprint();
-        if self.model.is_some() && self.model_fp != Some(fp) {
-            self.model = None;
-        }
         if self.needs_rebuild {
             self.rebuild()?;
         }
@@ -777,6 +698,8 @@ impl Mediator {
         // the model produced reflects the engine's *current* state.
         let delta = self.base.flogic_mut().engine_mut().take_delta();
         if let Some(d) = delta.filter(|d| !d.is_empty()) {
+            // The base moved on from the clone snapshots share.
+            self.shared_base = None;
             if let Some(prev) = self.model.take() {
                 // On error the model stays `None` (the delta is already
                 // consumed), so the next run evaluates cold — never a
@@ -793,7 +716,6 @@ impl Mediator {
             let m = self.base.run_with(&self.eval_options)?;
             self.model = Some(Arc::new(m));
         }
-        self.model_fp = Some(fp);
         Ok(self.model.as_ref().expect("just set"))
     }
 
@@ -857,9 +779,7 @@ impl Mediator {
     /// cache ever be suspected.
     pub fn invalidate(&mut self) {
         self.model = None;
-        self.model_fp = None;
         self.needs_rebuild = true;
-        self.shared_base = None;
     }
 
     /// The cached model, if a publish has happened and nothing discarded
@@ -953,7 +873,7 @@ impl Mediator {
     /// with the published model (staged writes are published first, as any
     /// query does); with it off no model is computed or consulted.
     pub fn answer(&mut self, rule_text: &str) -> Result<AnswerSet> {
-        self.begin_report();
+        self.federation.begin_report();
         let rule = OneOffRule::parse(rule_text)?;
         // Fetch phase: one scan per (exporting source, mentioned class).
         let mut classes = Vec::new();
@@ -1010,8 +930,12 @@ impl Mediator {
     }
 }
 
-/// Loads one row's GCM declarations into `base` — the shared load path
-/// for the mediator's own base and for per-query scratch clones.
+/// Loads one row's GCM declarations into `base`, unchecked (the fetch
+/// plane validated the row) — the shared load path for the mediator's
+/// own base and for per-query scratch clones. On the mediator's base the
+/// facts are **staged**: they land in the live engine and its changelog,
+/// and the cached model stays valid as the pre-delta base until
+/// [`Mediator::publish`] applies the accumulated delta incrementally.
 pub(crate) fn apply_row_to(
     base: &mut GcmBase,
     source: &str,

@@ -381,7 +381,7 @@ pub fn run_section5(
     q: &Section5Query,
     use_semantic_index: bool,
 ) -> Result<PlanTrace> {
-    m.begin_report();
+    m.federation_mut().begin_report();
     let (federation, knowledge) = m.fetch_eval_planes();
     let fetched = section5_fetch(federation, knowledge, schema, q, use_semantic_index)?;
     section5_eval(&knowledge.domain_view(), schema, &fetched)
@@ -491,7 +491,7 @@ pub fn protein_distribution(
     protein: &str,
     root: &str,
 ) -> Result<Vec<(String, i64)>> {
-    m.begin_report();
+    m.federation_mut().begin_report();
     let (federation, knowledge) = m.fetch_eval_planes();
     let fetched = distribution_fetch(federation, knowledge, schema, protein, root)?;
     distribution_eval(&knowledge.domain_view(), schema, &fetched)

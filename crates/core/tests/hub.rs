@@ -3,7 +3,10 @@
 //! any number of publishes, and old epochs live exactly as long as
 //! their last reader.
 
-use kind_core::{Anchor, Capability, Mediator, MemoryWrapper, ObjectRow, SnapshotHub};
+use kind_core::{
+    Anchor, Capability, Mediator, MemoryWrapper, ObjectRow, QuerySnapshot, SnapshotHub,
+};
+use kind_datalog::EvalOptions;
 use kind_dm::{figures, ExecMode};
 use kind_gcm::GcmValue;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -197,6 +200,63 @@ fn server_shaped_usage_pins_each_request_to_one_epoch() {
             assert!(w.join().unwrap() > 0);
         }
     });
+}
+
+/// Consecutive snapshots share one base clone for as long as the base
+/// stands still — reads and knob flips included — and every write, once
+/// a publish has consumed it, shows up as a new base that holds it.
+#[test]
+fn snapshots_share_one_base_until_a_publish_consumes_a_write() {
+    let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+    m.register(spine_wrapper("A", 3)).unwrap();
+    m.materialize_all().unwrap();
+    let quiet = m.snapshot().unwrap();
+    assert!(std::ptr::eq(quiet.base(), m.snapshot().unwrap().base()));
+    m.answer("long(X) :- X : spines, X[len -> L], L >= 1.")
+        .unwrap();
+    m.query_fl("X : spines").unwrap();
+    m.set_eval_options(EvalOptions {
+        magic_sets: false,
+        ..m.eval_options().clone()
+    });
+    assert!(
+        std::ptr::eq(quiet.base(), m.snapshot().unwrap().base()),
+        "a read or a knob flip cost a base clone"
+    );
+
+    // (stored facts, rules) of a snapshot's base.
+    let size = |s: &QuerySnapshot| {
+        let e = s.base().flogic().engine();
+        (e.edb().len(), e.rules().len())
+    };
+    // `last` stays alive across the comparison, so a new base cannot
+    // reuse its address.
+    let mut last = quiet;
+    let mut written = |m: &mut Mediator, what: &str| {
+        m.publish().unwrap();
+        let next = m.snapshot().unwrap();
+        assert!(
+            !std::ptr::eq(last.base(), next.base()),
+            "{what}: stale base"
+        );
+        let sizes = (size(&next), size(&last));
+        last = next;
+        sizes
+    };
+    m.load_row("A", "spines", &row("extra")).unwrap();
+    let (after, before) = written(&mut m, "load_row");
+    assert_eq!(after, (before.0 + 2, before.1), "inst + one mi");
+    assert_eq!(m.retract_row("A", "spines", &row("extra")).unwrap(), 2);
+    let (after, before) = written(&mut m, "retract_row");
+    assert_eq!(after, (before.0 - 2, before.1));
+    m.define_view("long(X) :- X : spines, X[len -> L], L >= 1.")
+        .unwrap();
+    let (after, before) = written(&mut m, "define_view");
+    assert_eq!(after, (before.0, before.1 + 1));
+    // The domain map is untouched and the base current: the fast path.
+    m.register(spine_wrapper("B", 1)).unwrap();
+    let (after, before) = written(&mut m, "register");
+    assert!(after.0 > before.0, "no `anchored` fact for B");
 }
 
 /// A standalone hub (no mediator) is just an epoch-counted slot: install

@@ -202,8 +202,8 @@ impl GcmBase {
     pub fn apply_decl(&mut self, decl: &GcmDecl) -> Result<()> {
         match decl {
             GcmDecl::Instance { obj, class } => {
+                // `assert_instance` registers the class too.
                 self.fl.assert_instance(obj, class)?;
-                self.fl.declare_class(class)?;
             }
             GcmDecl::Subclass { sub, sup } => {
                 self.fl.declare_subclass(sub, sup)?;
