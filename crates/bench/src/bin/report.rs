@@ -10,7 +10,7 @@ use kind_bench::{closure_map, corrupted_order};
 use kind_core::{
     protein_distribution, run_section5, Fault, Mediator, NeuroSchema, Section5Query, SourcePolicy,
 };
-use kind_datalog::EvalOptions;
+use kind_datalog::{EvalOptions, EvalStats};
 use kind_dm::{figures, Resolved};
 use kind_flogic::FLogic;
 use kind_gcm::{GcmDecl, GcmValue};
@@ -62,6 +62,15 @@ fn bench_params(fast: bool) -> ScenarioParams {
     }
 }
 
+/// The paper's §5 query.
+fn section5_query() -> Section5Query {
+    Section5Query {
+        organism: "rat".into(),
+        transmitting_compartment: "Parallel_Fiber".into(),
+        ion: "calcium".into(),
+    }
+}
+
 /// Minimum wall time of `f` over `iters` runs, in nanoseconds — the
 /// noise-robust point estimate for micro-measurements.
 fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
@@ -80,10 +89,10 @@ fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
 /// optimized path, minimum wall time of both), the concurrent-snapshot
 /// throughput group, the magic-sets ablation, the incremental-publish
 /// (write plane) group, the tail-latency (hedged fetch) group in virtual
-/// time, and `EvalStats` counters from a representative warm model.
-/// Serving, fetch overlap and cold materialization are the benchmark's
-/// (`served_*`, `stalled_fetch`, `cold_federation`). Results go to stdout
-/// and `BENCH.json`.
+/// time, the cold path phase by phase, and `EvalStats` counters from a
+/// representative warm model. Serving, fetch overlap and the cold path end
+/// to end are the benchmark's (`served_*`, `stalled_fetch`,
+/// `cold_federation`). Results go to stdout and `BENCH.json`.
 fn bench_ledger_report(fast: bool, inc: IncGroup) {
     header("Bench ledger — evaluation pipeline, snapshots, write plane");
     let iters = if fast { 5 } else { 25 };
@@ -121,11 +130,7 @@ fn bench_ledger_report(fast: bool, inc: IncGroup) {
     // layers ablated. Optimized is a repeat call on a warm mediator
     // whose memo tables are primed, with the default options.
     let schema = NeuroSchema::default();
-    let q = Section5Query {
-        organism: "rat".into(),
-        transmitting_compartment: "Parallel_Fiber".into(),
-        ion: "calcium".into(),
-    };
+    let q = section5_query();
     let params = bench_params(fast);
     let plan_iters = iters.min(10);
     let ablated_opts = EvalOptions {
@@ -276,9 +281,65 @@ fn bench_ledger_report(fast: bool, inc: IncGroup) {
         );
     }
 
-    let json = render_bench_json(fast, iters, &rows, &conc, &tail, &magic, &inc, &mut m_warm);
+    let cold = cold_path_bench(fast);
+    println!("\n  cold path, per op on 16 sources (minimum of its runs):\n  {cold}");
+    let json = render_bench_json(
+        fast,
+        iters,
+        &rows,
+        &conc,
+        &tail,
+        &magic,
+        &inc,
+        &cold,
+        &mut m_warm,
+    );
     std::fs::write("BENCH.json", &json).expect("write BENCH.json");
     println!("\nwrote BENCH.json");
+}
+
+/// The `cold_path` group: one `cold_federation` op of the frozen benchmark
+/// (its 16 sources and, in full mode, its row counts) phase by phase —
+/// `invalidate` + `materialize_all`, the cold `run`, the §5 plan — with the
+/// cold run's counters, as the body of a JSON object.
+fn cold_path_bench(fast: bool) -> String {
+    let sized = ScenarioParams {
+        senselab_rows: 400,
+        ncmir_rows: 600,
+        synapse_rows: 400,
+        noise_rows: 300,
+        ..Default::default()
+    };
+    let params = ScenarioParams {
+        noise_sources: 12,
+        ..if fast { bench_params(true) } else { sized }
+    };
+    let mut m = build_scenario(&params);
+    let (schema, q) = (NeuroSchema::default(), section5_query());
+    let (mut rows, mut stats, mut min_us) = (0, EvalStats::default(), [u128::MAX; 3]);
+    for _ in 0..if fast { 3 } else { 20 } {
+        let mut lap = Instant::now();
+        let mut phase = |i: usize| {
+            min_us[i] = min_us[i].min(lap.elapsed().as_micros());
+            lap = Instant::now();
+        };
+        m.invalidate();
+        rows = m.materialize_all().expect("scenario materializes");
+        phase(0);
+        stats = m.run().expect("cold run").stats;
+        phase(1);
+        black_box(
+            run_section5(&mut m, &schema, &q, true)
+                .expect("plan")
+                .step3_rows,
+        );
+        phase(2);
+    }
+    format!(
+        "\"sources\": 16, \"rows\": {rows}, \"materialize_us\": {}, \"run_us\": {}, \"section5_us\": {}, \"derived\": {}, \"applications\": {}, \"iterations\": {}, \"index_builds\": {}, \"index_hits\": {}, \"index_misses\": {}",
+        min_us[0], min_us[1], min_us[2], stats.derived, stats.applications, stats.iterations,
+        stats.index_builds, stats.index_hits, stats.index_misses
+    )
 }
 
 /// Sustained write-while-read throughput: one writer loading rows and
@@ -713,6 +774,7 @@ fn render_bench_json(
     tail: &TailGroup,
     magic: &[MagicRow],
     inc: &IncGroup,
+    cold: &str,
     warm: &mut Mediator,
 ) -> String {
     let model = warm.run().expect("warm base model evaluates");
@@ -795,6 +857,7 @@ fn render_bench_json(
         inc.sustained.publishes as f64 / (inc.sustained.wall_ns as f64 / 1e9),
         inc.sustained.reads as f64 / (inc.sustained.wall_ns as f64 / 1e9)
     ));
+    out.push_str(&format!("  \"cold_path\": {{{cold}}},\n"));
     out.push_str("  \"eval_stats\": {\n");
     out.push_str(&format!(
         "    \"iterations\": {},\n    \"derived\": {},\n    \"applications\": {},\n    \"index_builds\": {},\n    \"index_hits\": {},\n    \"index_misses\": {},\n    \"strata\": {strata},\n    \"strata_skipped\": {skipped}\n",
@@ -1023,11 +1086,7 @@ fn figure3_report() {
 fn section5_report() {
     header("§5 — the KIND query plan");
     let schema = NeuroSchema::default();
-    let q = Section5Query {
-        organism: "rat".into(),
-        transmitting_compartment: "Parallel_Fiber".into(),
-        ion: "calcium".into(),
-    };
+    let q = section5_query();
     println!("query: distribution of calcium-binding proteins in neurons");
     println!("       receiving parallel-fiber signals, in rat brains\n");
     let mut m = build_scenario(&ScenarioParams::default());

@@ -52,12 +52,17 @@ pub struct Mediator {
     /// of this flag and flows through the engine's changelog instead, so
     /// [`Self::publish`] can maintain the cached model incrementally.
     needs_rebuild: bool,
+    /// Stored facts and rules of the program as [`Self::rebuild`] left it.
+    /// Until the first model of a rebuilt base nothing is recorded, and
+    /// [`Self::publish_pending`] tells a load from no load by this.
+    built: (usize, usize),
     /// The `Arc` of the base handed to the most recent snapshot, reused
     /// verbatim by the next [`Self::snapshot`] when no base mutation
     /// happened in between — repeated snapshots of a quiet mediator share
-    /// one base clone instead of deep-copying per call. Every base
-    /// mutation reaches [`Self::run`] as a non-empty changelog or a
-    /// rebuild, so those two places drop it.
+    /// one base clone instead of deep-copying per call. A snapshot exists
+    /// only after a run, from which on every base mutation reaches
+    /// [`Self::run`] as a non-empty changelog or a rebuild, so those two
+    /// places drop it.
     shared_base: Option<Arc<GcmBase>>,
     /// The snapshot publication hub: the epoch-counted current-snapshot
     /// slot that readers load under a shared read lock (they wait on a
@@ -87,6 +92,7 @@ impl Mediator {
             base: GcmBase::new(),
             model: None,
             needs_rebuild: true,
+            built: (0, 0),
             shared_base: None,
             hub: Arc::new(SnapshotHub::new()),
             eval_options,
@@ -564,9 +570,7 @@ impl Mediator {
         for v in &self.knowledge.views {
             base.flogic_mut().load(v)?;
         }
-        // From here every mutation is recorded: the staged write plane
-        // starts at the freshly built program.
-        base.flogic_mut().engine_mut().begin_delta();
+        self.built = program_size(&base);
         self.base = base;
         self.model = None;
         self.shared_base = None;
@@ -653,22 +657,13 @@ impl Mediator {
     /// class declaration itself stays: other rows may still use it.
     pub fn retract_row(&mut self, source: &str, class: &str, row: &ObjectRow) -> Result<usize> {
         self.federation.source(source)?;
-        let obj = format!("{source}.{}", row.id);
-        let mut removed = 0usize;
-        if self.base.retract_decl(&GcmDecl::Instance {
-            obj: obj.clone(),
-            class: class.to_string(),
-        }) {
-            removed += 1;
-        }
+        let (obj, was_instance) = self
+            .base
+            .flogic_mut()
+            .retract_instance(&format!("{source}.{}", row.id), class);
+        let mut removed = usize::from(was_instance);
         for (attr, value) in &row.attrs {
-            if self.base.retract_decl(&GcmDecl::MethodInst {
-                obj: obj.clone(),
-                method: attr.clone(),
-                value: value.clone(),
-            }) {
-                removed += 1;
-            }
+            removed += usize::from(self.base.retract_value(obj.clone(), attr, value));
         }
         Ok(removed)
     }
@@ -715,6 +710,9 @@ impl Mediator {
         if self.model.is_none() {
             let m = self.base.run_with(&self.eval_options)?;
             self.model = Some(Arc::new(m));
+            // A changelog exists only against a model: the staged write
+            // plane starts here, and whatever was loaded before is in `m`.
+            self.base.flogic_mut().engine_mut().begin_delta();
         }
         Ok(self.model.as_ref().expect("just set"))
     }
@@ -760,17 +758,17 @@ impl Mediator {
         Ok(self.hub.load().expect("just installed"))
     }
 
-    /// Whether mutations are staged and waiting for the next
-    /// [`Self::publish`] (a pending rebuild counts: the whole program is
-    /// the delta).
+    /// Whether the next [`Self::publish`] would change what readers see:
+    /// a rebuild is owed (the whole program is the delta), mutations are
+    /// staged against the cached model, or — before the first model of a
+    /// rebuilt base, when nothing is recorded yet — anything was loaded on
+    /// top of the built program.
     pub fn publish_pending(&self) -> bool {
         self.needs_rebuild
-            || self
-                .base
-                .flogic()
-                .engine()
-                .pending_delta()
-                .is_some_and(|d| !d.is_empty())
+            || match self.base.flogic().engine().pending_delta() {
+                Some(delta) => !delta.is_empty(),
+                None => program_size(&self.base) != self.built,
+            }
     }
 
     /// Drops the cached model and forces the next evaluation to rebuild
@@ -930,31 +928,32 @@ impl Mediator {
     }
 }
 
-/// Loads one row's GCM declarations into `base`, unchecked (the fetch
-/// plane validated the row) — the shared load path for the mediator's
-/// own base and for per-query scratch clones. On the mediator's base the
-/// facts are **staged**: they land in the live engine and its changelog,
-/// and the cached model stays valid as the pre-delta base until
-/// [`Mediator::publish`] applies the accumulated delta incrementally.
+/// Loads one row into `base` as its `obj : class` and `obj[attr -> value]`
+/// facts, unchecked (the fetch plane validated the row) — the shared load
+/// path for the mediator's own base and for per-query scratch clones. On
+/// the mediator's base, once a model is cached, the facts are **staged**:
+/// they land in the live engine and its changelog, and the cached model
+/// stays valid as the pre-delta base until [`Mediator::publish`] applies
+/// the accumulated delta incrementally.
 pub(crate) fn apply_row_to(
     base: &mut GcmBase,
     source: &str,
     class: &str,
     row: &ObjectRow,
 ) -> Result<()> {
-    let obj = format!("{source}.{}", row.id);
-    base.apply_decl(&GcmDecl::Instance {
-        obj: obj.clone(),
-        class: class.to_string(),
-    })?;
+    let obj = base
+        .flogic_mut()
+        .assert_instance(&format!("{source}.{}", row.id), class)?;
     for (attr, value) in &row.attrs {
-        base.apply_decl(&GcmDecl::MethodInst {
-            obj: obj.clone(),
-            method: attr.clone(),
-            value: value.clone(),
-        })?;
+        base.assert_value(obj.clone(), attr, value)?;
     }
     Ok(())
+}
+
+/// `(stored facts, rules)` of `base`'s program.
+fn program_size(base: &GcmBase) -> (usize, usize) {
+    let engine = base.flogic().engine();
+    (engine.edb().len(), engine.rules().len())
 }
 
 /// Recursively re-interns a ground term from one symbol table into
@@ -1349,6 +1348,34 @@ mod tests {
         assert!(m.publish_pending());
         m.publish().unwrap();
         assert!(!Arc::ptr_eq(m.cached_model().unwrap(), &before));
+    }
+
+    /// Nothing is recorded until a model exists to apply it to, so rows
+    /// loaded into a rebuilt base show as pending by what the base holds,
+    /// not by a changelog — on the first build and after every
+    /// `invalidate`.
+    #[test]
+    fn rows_loaded_before_the_first_run_are_pending() {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        assert!(!m.publish_pending(), "a freshly built program owes nothing");
+        m.register(simple_wrapper("S1", "spines", "Spine", 3))
+            .unwrap();
+        for round in 0..2 {
+            assert_eq!(m.materialize_all().unwrap(), 3);
+            let engine = m.base().flogic().engine();
+            assert!(engine.pending_delta().is_none(), "logged without a model");
+            assert!(m.publish_pending(), "round {round}: loaded rows are owed");
+            m.publish().unwrap();
+            assert!(!m.publish_pending());
+            assert_eq!(m.query_fl("X : spines").unwrap().len(), 3);
+            // From the model on, a load is a recorded delta.
+            m.load_row("S1", "spines", &extra_row()).unwrap();
+            assert!(m.publish_pending());
+            m.publish().unwrap();
+            assert!(m.base().flogic().engine().pending_delta().is_some());
+            assert_eq!(m.query_fl("X : spines").unwrap().len(), 4);
+            m.invalidate();
+        }
     }
 
     #[test]

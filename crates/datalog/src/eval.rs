@@ -918,12 +918,20 @@ pub(crate) fn eval_stratum(
             &stratum_rules,
             &stratum_preds,
             total,
+            NegView::Closed,
             stats,
             &scope.counters,
             opts,
         )?;
     } else {
-        naive_stratum(&stratum_rules, total, stats, &scope.counters, opts)?;
+        naive_stratum(
+            &stratum_rules,
+            total,
+            NegView::Closed,
+            stats,
+            &scope.counters,
+            opts,
+        )?;
     }
     let sp = scope.close(
         stats,
@@ -1006,9 +1014,11 @@ pub(crate) fn eval_strata(
     })
 }
 
+/// Rounds of full rule application over `total` until nothing is new.
 pub(crate) fn naive_stratum(
     rules: &[&Rule],
     total: &mut FactStore,
+    neg: NegView<'_>,
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
@@ -1017,7 +1027,7 @@ pub(crate) fn naive_stratum(
     let since = stats.iterations;
     loop {
         begin_round(opts, stats, since)?;
-        let out = execute_round(&units, total, None, NegView::Closed, opts, counters, stats);
+        let out = execute_round(&units, total, None, neg, opts, counters, stats);
         let added = total.absorb(&out);
         stats.derived += added;
         if added == 0 {
@@ -1026,10 +1036,14 @@ pub(crate) fn naive_stratum(
     }
 }
 
+/// One full pass, then delta rounds: a rule fires again only through a
+/// body atom over `stratum_preds` matched in the previous round's new
+/// facts.
 pub(crate) fn seminaive_stratum(
     rules: &[&Rule],
     stratum_preds: &HashSet<crate::interner::Sym>,
     total: &mut FactStore,
+    neg: NegView<'_>,
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
@@ -1038,15 +1052,7 @@ pub(crate) fn seminaive_stratum(
     let since = stats.iterations;
     begin_round(opts, stats, since)?;
     let seed_units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
-    let mut delta = execute_round(
-        &seed_units,
-        total,
-        None,
-        NegView::Closed,
-        opts,
-        counters,
-        stats,
-    );
+    let mut delta = execute_round(&seed_units, total, None, neg, opts, counters, stats);
     stats.derived += total.absorb(&delta);
     // One delta-variant unit per positive body atom over a stratum
     // predicate, in fixed (rule-index, variant-index) order; the delta
@@ -1068,7 +1074,7 @@ pub(crate) fn seminaive_stratum(
             &delta_units,
             total,
             Some(&delta),
-            NegView::Closed,
+            neg,
             opts,
             counters,
             stats,
@@ -1082,6 +1088,11 @@ pub(crate) fn seminaive_stratum(
 /// Computes the least model of the *positive reduct* of `rules` wrt the
 /// frozen interpretation `j`: `not p(t)` holds iff `p(t) ∉ j`. Used by the
 /// alternating fixpoint (well-founded semantics).
+///
+/// The layers below are read in place: the result starts as a share of
+/// `edb`'s relation handles and copies one only where a head grows, so an
+/// index a reduct builds on a lower relation serves the next reduct too
+/// (and is nobody's build where a delta walk borrowed the relation).
 pub(crate) fn gamma(
     rules: &[&Rule],
     edb: &FactStore,
@@ -1090,33 +1101,20 @@ pub(crate) fn gamma(
     counters: &IndexCounters,
     opts: &EvalOptions,
 ) -> Result<FactStore> {
-    // Detached, on a delta walk too: each reduct starts over from the
-    // layers below and owns (and counts the indexes of) all it reads.
-    let mut total = edb.detached_clone();
-    // With negation frozen the program is positive: a single global
-    // fixpoint loop is sound. Semi-naive deltas would need per-predicate
-    // bookkeeping across the whole program; for clarity we run rounds of
-    // full rule application here (the reduct is evaluated only a handful of
-    // times).
-    let units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
-    let since = stats.iterations;
-    loop {
-        begin_round(opts, stats, since)?;
-        let out = execute_round(
-            &units,
-            &total,
-            None,
-            NegView::Frozen(j),
-            opts,
-            counters,
-            stats,
-        );
-        let added = total.absorb(&out);
-        stats.derived += added;
-        if added == 0 {
-            return Ok(total);
-        }
+    let mut total = edb.clone();
+    // With negation frozen the program is positive, so one fixpoint over
+    // all its rules is sound, and so are delta rounds — unless a rule
+    // aggregates: an aggregate reads the whole of a relation that is still
+    // growing, which only full re-application re-reads.
+    let aggregates = |r: &&Rule| r.body.iter().any(|b| matches!(b, BodyItem::Agg(_)));
+    let neg = NegView::Frozen(j);
+    if opts.semi_naive && !rules.iter().any(aggregates) {
+        let heads: HashSet<Sym> = rules.iter().map(|r| r.head.pred).collect();
+        seminaive_stratum(rules, &heads, &mut total, neg, stats, counters, opts)?;
+    } else {
+        naive_stratum(rules, &mut total, neg, stats, counters, opts)?;
     }
+    Ok(total)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! scanned never pays for an index; a relation probed on columns `{0, 2}`
 //! gets exactly that index and no other.
 
+use crate::hash::WordState;
 use crate::interner::Sym;
 use crate::term::Term;
 use std::collections::{HashMap, HashSet};
@@ -22,7 +23,7 @@ pub type Tuple = Arc<[Term]>;
 
 /// An index over one column set: key values (in ascending column order) →
 /// positions into the tuple vector.
-type ColumnIndex = HashMap<Vec<Term>, Vec<u32>>;
+type ColumnIndex = HashMap<Vec<Term>, Vec<u32>, WordState>;
 
 /// A single relation: a deduplicated, insertion-ordered set of ground
 /// tuples, with hash indexes on arbitrary column sets built lazily on
@@ -30,7 +31,7 @@ type ColumnIndex = HashMap<Vec<Term>, Vec<u32>>;
 #[derive(Debug, Default)]
 pub struct Relation {
     tuples: Vec<Tuple>,
-    set: HashSet<Tuple>,
+    set: HashSet<Tuple, WordState>,
     /// Lazily-built indexes: sorted column set → key → positions. Interior
     /// mutability lets a probe during evaluation (`&Relation`) build the
     /// index it needs; `insert` maintains every existing index. An
@@ -38,7 +39,7 @@ pub struct Relation {
     /// relations can be probed concurrently from many query threads; the
     /// hot path only ever takes the uncontended read lock once an index
     /// exists.
-    indexes: RwLock<HashMap<Vec<usize>, ColumnIndex>>,
+    indexes: RwLock<HashMap<Vec<usize>, ColumnIndex, WordState>>,
 }
 
 impl Clone for Relation {
@@ -53,7 +54,7 @@ impl Clone for Relation {
         Relation {
             tuples: self.tuples.clone(),
             set: self.set.clone(),
-            indexes: RwLock::new(HashMap::new()),
+            indexes: RwLock::default(),
         }
     }
 }
@@ -136,7 +137,7 @@ impl Relation {
             // build.
             return false;
         }
-        let mut index = ColumnIndex::new();
+        let mut index = ColumnIndex::default();
         for (pos, tuple) in self.tuples.iter().enumerate() {
             if let Some(key) = index_key(tuple, cols) {
                 index.entry(key).or_default().push(pos as u32);
@@ -226,7 +227,7 @@ impl Relation {
 /// [`FactStore::detached_clone`] instead and own every relation they read.
 #[derive(Debug, Clone, Default)]
 pub struct FactStore {
-    rels: HashMap<Sym, Arc<Relation>>,
+    rels: HashMap<Sym, Arc<Relation>, WordState>,
 }
 
 impl FactStore {

@@ -38,6 +38,11 @@ pub struct Interner {
     names: Vec<Box<str>>,
 }
 
+// Names are bytes a client chose: this map stays on std's keyed SipHash,
+// whatever the tuple tables hash with (`crate::hash`).
+const _: fn(&Interner) -> &HashMap<Box<str>, Sym, std::collections::hash_map::RandomState> =
+    |i| &i.map;
+
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {

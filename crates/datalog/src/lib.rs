@@ -45,6 +45,7 @@ pub mod error;
 pub mod eval;
 pub mod explain;
 pub mod fact;
+mod hash;
 pub mod interner;
 mod ivm;
 mod magic;
@@ -735,6 +736,37 @@ mod tests {
         let cold = e.run_for_query(&goal, None, &opts).unwrap();
         assert!(cold.stats.index_builds > 0);
         assert!(!cold.facts.shares_relation(tc, &base.facts));
+    }
+
+    /// A cold run works on a detached copy of the stored facts, and every
+    /// reduct of a negation cycle shares that copy's relations: what it
+    /// counts depends on the program and the facts, not on how often the
+    /// engine ran or on indexes other readers left on its relations.
+    #[test]
+    fn cold_run_counts_the_same_whatever_the_stored_relations_carry() {
+        let mut e = Engine::new();
+        e.load(
+            "move(a,b). move(b,c). move(c,d). move(d,e). pos(a). pos(b). pos(c). pos(d).
+             reach(X,Y) :- move(X,Y).
+             reach(X,Y) :- reach(X,Z), move(Z,Y).
+             win(X) :- pos(X), move(X,Y), not win(Y).
+             safe(X) :- pos(X), not win(X).",
+        )
+        .unwrap();
+        let opts = EvalOptions::default();
+        let first = e.run(&opts).unwrap();
+        assert!(first.profile.well_founded && first.undefined.is_empty());
+        assert!(first.stats.index_builds > 0);
+        let second = e.run(&opts).unwrap();
+        // A clone shares the engine's relations; probing one through the
+        // clone leaves an index on the allocation both hold.
+        let warmed = e.clone();
+        let (mv, a) = (e.lookup("move").unwrap(), e.constant("a"));
+        assert_eq!(warmed.edb().relation(mv).unwrap().iter_first(&a).count(), 1);
+        assert_eq!(e.edb().relation(mv).unwrap().index_count(), 1);
+        let third = warmed.run(&opts).unwrap();
+        assert_eq!(first.stats, second.stats);
+        assert_eq!(first.stats, third.stats);
     }
 
     #[test]

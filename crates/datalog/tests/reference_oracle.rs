@@ -486,6 +486,12 @@ fn check(prog: &Program, change: &Change) {
     e.load(&prog.text()).unwrap();
     let base = e.run(&opts).unwrap();
     assert_model(&e, &base, prog, "run");
+    // A reduct runs delta rounds or, with them off, full re-application.
+    let naive = EvalOptions {
+        semi_naive: false,
+        ..Default::default()
+    };
+    assert_model(&e, &e.run(&naive).unwrap(), prog, "run, semi_naive off");
 
     // Growth: new facts and the view rule, recorded as a delta.
     let growth = Program {
@@ -500,6 +506,8 @@ fn check(prog: &Program, change: &Change) {
     let delta = e.take_delta().unwrap();
     let inc = e.apply_delta(&base, &delta, &opts).unwrap();
     assert_model(&e, &inc, &grown, "apply_delta after growth");
+    let inc_naive = e.apply_delta(&base, &delta, &naive).unwrap();
+    assert_model(&e, &inc_naive, &grown, "apply_delta, semi_naive off");
     assert_goal(&mut e, &change.goal, (&base, &delta), &grown);
     assert_goal(&mut e, &lit(VIEW, 0, 0), (&base, &delta), &grown);
 

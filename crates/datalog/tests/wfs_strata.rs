@@ -27,13 +27,27 @@ fn rendered(e: &Engine, store: &FactStore, preds: &[&str]) -> Vec<String> {
     out
 }
 
-/// Runs `src` and compares the true and undefined atoms of `preds`.
+/// Runs `src` and compares the true and undefined atoms of `preds` — with
+/// delta rounds and with full re-application: a reduct runs either, and
+/// the recorded atoms are the same. Returns the default run.
 fn assert_run(src: &str, preds: &[&str], facts: &[&str], undefined: &[&str]) -> (Engine, Model) {
     let mut e = Engine::new();
     e.load(src).unwrap();
-    let m = e.run(&EvalOptions::default()).unwrap();
-    assert_eq!(rendered(&e, &m.facts, preds), facts, "true atoms");
-    assert_eq!(rendered(&e, &m.undefined, preds), undefined, "undefined");
+    let [m, _] = [true, false].map(|semi_naive| {
+        let opts = EvalOptions {
+            semi_naive,
+            ..Default::default()
+        };
+        let m = e.run(&opts).unwrap();
+        let what = format!("semi_naive={semi_naive}");
+        assert_eq!(rendered(&e, &m.facts, preds), facts, "true atoms, {what}");
+        assert_eq!(
+            rendered(&e, &m.undefined, preds),
+            undefined,
+            "undefined, {what}"
+        );
+        m
+    });
     (e, m)
 }
 

@@ -191,14 +191,15 @@ impl FLogic {
         self.engine.add_fact(self.preds.sub, vec![s, p]).map(|_| ())
     }
 
-    /// Asserts `obj : class` (the class registers as a class).
-    pub fn assert_instance(&mut self, obj: &str, class: &str) -> Result<(), DatalogError> {
+    /// Asserts `obj : class` (the class registers as a class) and returns
+    /// the object's term, so a caller with method values to assert for it
+    /// interns the id once.
+    pub fn assert_instance(&mut self, obj: &str, class: &str) -> Result<Term, DatalogError> {
         let o = self.engine.constant(obj);
         let c = self.engine.constant(class);
         self.engine.add_fact(self.preds.class, vec![c.clone()])?;
-        self.engine
-            .add_fact(self.preds.inst, vec![o, c])
-            .map(|_| ())
+        self.engine.add_fact(self.preds.inst, vec![o.clone(), c])?;
+        Ok(o)
     }
 
     /// Asserts a ground method value `obj[m -> v]`.
@@ -214,12 +215,14 @@ impl FLogic {
             .map(|_| ())
     }
 
-    /// Retracts `obj : class`, returning whether the fact was present.
-    /// The class's own declaration stays — other instances may use it.
-    pub fn retract_instance(&mut self, obj: &str, class: &str) -> bool {
+    /// Retracts `obj : class`, returning the object's term and whether
+    /// the fact was present. The class's own declaration stays — other
+    /// instances may use it.
+    pub fn retract_instance(&mut self, obj: &str, class: &str) -> (Term, bool) {
         let o = self.engine.constant(obj);
         let c = self.engine.constant(class);
-        self.engine.remove_fact(self.preds.inst, &[o, c])
+        let removed = self.engine.remove_fact(self.preds.inst, &[o.clone(), c]);
+        (o, removed)
     }
 
     /// Retracts a ground method value `obj[m -> v]`, returning whether

@@ -180,6 +180,21 @@ impl GcmBase {
         }
     }
 
+    /// Asserts the method value `obj[method -> value]` for an object term
+    /// the caller holds ([`FLogic::assert_instance`] returns it): a row is
+    /// one object and its values, and its id is interned once.
+    pub fn assert_value(&mut self, obj: Term, method: &str, value: &GcmValue) -> Result<()> {
+        let v = self.value_term(value);
+        Ok(self.fl.assert_method(obj, method, v)?)
+    }
+
+    /// Retracts `obj[method -> value]` — the delete plane's mirror of
+    /// [`Self::assert_value`]; returns whether the fact was present.
+    pub fn retract_value(&mut self, obj: Term, method: &str, value: &GcmValue) -> bool {
+        let v = self.value_term(value);
+        self.fl.retract_method(obj, method, v)
+    }
+
     /// Retracts one **instance-level** declaration — the delete plane's
     /// mirror of [`Self::apply_decl`]: `Instance` removes the `inst`
     /// fact, `MethodInst` the `mi` fact; returns whether the fact was
@@ -188,11 +203,10 @@ impl GcmBase {
     /// `false` untouched, like a fact that was never there.
     pub fn retract_decl(&mut self, decl: &GcmDecl) -> bool {
         match decl {
-            GcmDecl::Instance { obj, class } => self.fl.retract_instance(obj, class),
+            GcmDecl::Instance { obj, class } => self.fl.retract_instance(obj, class).1,
             GcmDecl::MethodInst { obj, method, value } => {
                 let o = self.fl.engine_mut().constant(obj);
-                let v = self.value_term(value);
-                self.fl.retract_method(o, method, v)
+                self.retract_value(o, method, value)
             }
             _ => false,
         }
@@ -226,8 +240,7 @@ impl GcmBase {
             }
             GcmDecl::MethodInst { obj, method, value } => {
                 let o = self.fl.engine_mut().constant(obj);
-                let v = self.value_term(value);
-                self.fl.assert_method(o, method, v)?;
+                self.assert_value(o, method, value)?;
             }
             GcmDecl::Relation { name, roles } => {
                 self.relations.insert(name.clone(), roles.clone());

@@ -1,8 +1,9 @@
 //! Property-based tests over the core data structures and invariants.
 
-use kind::core::{run_section5, Fault, NeuroSchema, Section5Query};
+use kind::core::{run_section5, Fault, NeuroSchema, ObjectRow, Section5Query, SourceQuery};
 use kind::datalog::{Atom, Engine, EvalOptions, EvalStats, FactStore, Model, RulePlan, Term, Var};
 use kind::dm::{DomainMap, Resolved};
+use kind::gcm::{GcmBase, GcmDecl};
 use kind::sources::{
     build_scenario, build_scenario_with_faults, ncmir_update_rows, ScenarioParams,
 };
@@ -721,5 +722,133 @@ proptest! {
         for (i, (got, want)) in incremental.iter().zip(&cold).enumerate() {
             prop_assert_eq!(got, want, "publish point {} diverges from cold", i);
         }
+    }
+}
+
+// ---------- Load path: one way a row becomes facts ----------------------
+
+/// The benchmark's served scenario (`benchmark/src/oracle.rs`).
+fn served_params(seed: u64) -> ScenarioParams {
+    ScenarioParams {
+        seed,
+        senselab_rows: 400,
+        ncmir_rows: 600,
+        synapse_rows: 400,
+        noise_sources: 4,
+        noise_rows: 300,
+        ..Default::default()
+    }
+}
+
+/// Every stored fact of `base`, raw symbol ids beside the names they
+/// resolve to, sorted: equal lines mean equal facts *and* equal numbering
+/// of every symbol a fact mentions.
+fn stored_facts(base: &GcmBase) -> Vec<String> {
+    let e = base.flogic().engine();
+    let mut lines: Vec<String> = e
+        .edb()
+        .iter()
+        .map(|(p, t)| {
+            let args: Vec<String> = t.iter().map(|a| e.show(a)).collect();
+            format!("{p:?}{t:?} {}({})", e.name(p), args.join(","))
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// `(symbols interned, stored facts, FNV-1a of the fact lines)`.
+fn base_fingerprint(base: &GcmBase) -> (usize, usize, u64) {
+    let lines = stored_facts(base);
+    let hash = lines
+        .iter()
+        .flat_map(|l| l.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+    let symbols = base.flogic().engine().symbols().len();
+    (symbols, lines.len(), hash)
+}
+
+/// What `materialize_all` left in the base of the served scenario when a
+/// row was still loaded as one `GcmDecl::Instance` and one
+/// `GcmDecl::MethodInst` per attribute (recorded at commit 201ddc6).
+const LOADED_BASE_GOLDEN: &[(u64, (usize, usize, u64))] = &[
+    (1, (2762, 16147, 11219994060212489163)),
+    (2, (2762, 16147, 1273790142713811165)),
+    (3, (2762, 16147, 5183826812890846714)),
+];
+
+/// One row, three routes into a base — the bulk load, `load_row`, and the
+/// declaration-at-a-time route conceptual models take — must intern the
+/// same names in the same order and store the same facts; and a row loaded
+/// and then retracted leaves the stored facts as they were.
+#[test]
+fn direct_row_load_matches_the_recorded_base_and_the_declaration_route() {
+    for &(seed, golden) in LOADED_BASE_GOLDEN {
+        let mut bulk = build_scenario(&served_params(seed));
+        let loaded = bulk.materialize_all().unwrap();
+        assert_eq!(base_fingerprint(bulk.base()), golden, "seed {seed}");
+
+        let mut m = build_scenario(&served_params(seed));
+        m.rebuild().unwrap();
+        let mut by_decl = m.base().clone();
+        let scans: Vec<(String, String)> = m
+            .sources()
+            .iter()
+            .flat_map(|s| s.classes.iter().map(|c| (s.name.clone(), c.clone())))
+            .collect();
+        let mut rows = Vec::new();
+        for (source, class) in &scans {
+            for row in m.fetch(source, &SourceQuery::scan(class)).unwrap() {
+                let obj = format!("{source}.{}", row.id);
+                by_decl
+                    .apply_decl(&GcmDecl::Instance {
+                        obj: obj.clone(),
+                        class: class.clone(),
+                    })
+                    .unwrap();
+                for (method, value) in &row.attrs {
+                    by_decl
+                        .apply_decl(&GcmDecl::MethodInst {
+                            obj: obj.clone(),
+                            method: method.clone(),
+                            value: value.clone(),
+                        })
+                        .unwrap();
+                }
+                m.load_row(source, class, &row).unwrap();
+                rows.push((source, class, row));
+            }
+        }
+        assert_eq!(rows.len(), loaded);
+        assert_eq!(
+            base_fingerprint(&by_decl),
+            golden,
+            "seed {seed}: by declaration"
+        );
+        assert_eq!(base_fingerprint(m.base()), golden, "seed {seed}: load_row");
+
+        // Every 16th row again under a fresh id, loaded and retracted.
+        let before = stored_facts(m.base());
+        for (source, class, row) in rows.iter().step_by(16) {
+            let again = ObjectRow {
+                id: format!("{}-again", row.id),
+                attrs: row.attrs.clone(),
+            };
+            m.load_row(source, class, &again).unwrap();
+            let removed = m.retract_row(source, class, &again).unwrap();
+            assert_eq!(
+                removed,
+                1 + again.attrs.len(),
+                "seed {seed}, row {}",
+                row.id
+            );
+        }
+        assert_eq!(
+            stored_facts(m.base()),
+            before,
+            "seed {seed}: after retraction"
+        );
     }
 }
