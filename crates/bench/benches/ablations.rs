@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kind_bench::tc_workload;
 use kind_datalog::{Engine, EvalOptions};
-use kind_dm::{figures, rules, ExecMode, DM_OPS_RULES};
+use kind_dm::{figures, rules, ExecMode, Resolved, DM_OPS_RULES};
 use kind_flogic::FLogic;
 use kind_sources::{build_scenario, ScenarioParams};
 use std::hint::black_box;
@@ -103,7 +103,7 @@ fn bench_exec_modes(c: &mut Criterion) {
         ("constraint", ExecMode::Constraint),
         ("assertion", ExecMode::Assertion),
     ] {
-        let prog = rules::compile(&dm, mode);
+        let prog = rules::compile(&dm, &Resolved::new(&dm), mode);
         let mut fl = FLogic::new();
         fl.load_datalog(DM_OPS_RULES).unwrap();
         fl.load(&prog.text).unwrap();

@@ -106,7 +106,6 @@ fn bench_ledger_report(fast: bool, inc: IncGroup) {
     let root = dm.lookup("Nervous_System").unwrap();
     let warm = Resolved::new(&dm);
     warm.downward_closure("has_a", root);
-    warm.dc_pairs("has_a");
     let base = min_ns(iters, || {
         let r = Resolved::new(&dm);
         black_box(r.downward_closure("has_a", root).len());
@@ -115,14 +114,6 @@ fn bench_ledger_report(fast: bool, inc: IncGroup) {
         black_box(warm.downward_closure("has_a", root).len());
     });
     rows.push(("fig1_downward_closure_warm", base, opt));
-    let base = min_ns(iters, || {
-        let r = Resolved::new(&dm);
-        black_box(r.dc_pairs("has_a").len());
-    });
-    let opt = min_ns(iters, || {
-        black_box(warm.dc_pairs("has_a").len());
-    });
-    rows.push(("fig1_dc_pairs_warm", base, opt));
 
     // Layer: the full §5 plan. Baseline is the pre-PR configuration —
     // closures recomputed on every call (a fresh mediator per iteration,
@@ -1075,7 +1066,7 @@ fn figure3_report() {
     fl.load_datalog("default(msn, proj, pallidal_target).")
         .unwrap();
     let model = fl.run().unwrap();
-    let mut e = fl.engine().clone();
+    let e = fl.engine();
     let v1 = e.query_model(&model, "val(m1, proj, V)").unwrap();
     let v2 = e.query_model(&model, "val(m2, proj, V)").unwrap();
     println!("\nnonmonotonic inheritance (defaults with override):");

@@ -149,22 +149,13 @@ impl Knowledge {
 
     /// Resolves a concept name, as a typed error on failure.
     pub(crate) fn lookup(&self, concept: &str) -> Result<NodeId> {
-        self.dm
-            .lookup(concept)
-            .ok_or_else(|| MediatorError::UnknownConcept {
-                name: concept.to_string(),
-            })
-    }
-
-    /// [`Self::lookup`] over a slice.
-    pub(crate) fn lookup_all(&self, concepts: &[&str]) -> Result<Vec<NodeId>> {
-        concepts.iter().map(|c| self.lookup(c)).collect()
+        self.domain_view().lookup(concept)
     }
 
     /// **Source selection** via the semantic index (§5 step 2): ids of
     /// sources with data anchored at (or below) *all* the given concepts.
     pub fn select_sources(&self, concepts: &[&str]) -> Result<Vec<SourceId>> {
-        let nodes = self.lookup_all(concepts)?;
+        let nodes = self.domain_view().lookup_all(concepts)?;
         Ok(self
             .index
             .sources_for_all(&self.resolved, &nodes)
@@ -223,18 +214,16 @@ impl Knowledge {
 
     /// The least upper bound of the named concepts in the isa lattice.
     pub fn lub(&self, concepts: &[&str]) -> Result<Option<String>> {
-        let nodes = self.lookup_all(concepts)?;
-        Ok(self
-            .resolved
-            .lub(&nodes)
-            .and_then(|n| self.dm.name(n).map(str::to_owned)))
+        let lub = self.domain_view().lub(concepts)?;
+        Ok(lub.and_then(|n| self.dm.name(n).map(str::to_owned)))
     }
 
     /// The least upper bound in the **partonomy order** along `role` —
     /// the "region of correspondence" of §5 step 4: the smallest concept
     /// whose downward closure contains all the given locations.
     pub fn partonomy_lub(&self, role: &str, concepts: &[&str]) -> Result<Option<String>> {
-        self.domain_view().partonomy_lub(role, concepts)
+        let lub = self.domain_view().partonomy_lub(role, concepts)?;
+        Ok(lub.and_then(|n| self.dm.name(n).map(str::to_owned)))
     }
 }
 
@@ -280,16 +269,21 @@ impl<'a> DomainView<'a> {
             })
     }
 
+    /// [`Self::lookup`] over a slice.
+    pub fn lookup_all(&self, concepts: &[&str]) -> Result<Vec<NodeId>> {
+        concepts.iter().map(|c| self.lookup(c)).collect()
+    }
+
+    /// The least upper bound of the named concepts in the isa lattice.
+    pub fn lub(&self, concepts: &[&str]) -> Result<Option<NodeId>> {
+        Ok(self.resolved.lub(&self.lookup_all(concepts)?))
+    }
+
     /// The least upper bound in the **partonomy order** along `role`
     /// (§5 step 4's "region of correspondence").
-    pub fn partonomy_lub(&self, role: &str, concepts: &[&str]) -> Result<Option<String>> {
-        let nodes: Vec<NodeId> = concepts
-            .iter()
-            .map(|c| self.lookup(c))
-            .collect::<Result<_>>()?;
+    pub fn partonomy_lub(&self, role: &str, concepts: &[&str]) -> Result<Option<NodeId>> {
         Ok(self
             .resolved
-            .partonomy_lub(role, &nodes)
-            .and_then(|n| self.dm.name(n).map(str::to_owned)))
+            .partonomy_lub(role, &self.lookup_all(concepts)?))
     }
 }

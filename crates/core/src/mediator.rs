@@ -29,7 +29,9 @@ use crate::query::{evaluate, AnswerSet, OneOffRule};
 use crate::snapshot::QuerySnapshot;
 use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
 use kind_datalog::{EvalOptions, Interner, Model, Term};
-use kind_dm::{axiom, rules, DomainMap, ExecMode, Resolved, SemanticIndex, SourceId, DM_OPS_RULES};
+use kind_dm::{
+    axiom, rules, DomainMap, ExecMode, NodeId, Resolved, SemanticIndex, SourceId, DM_OPS_RULES,
+};
 use kind_gcm::{GcmBase, GcmDecl};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -337,7 +339,7 @@ impl Mediator {
         // (1) DM contribution — a source may refine the mediator's map
         // (Figure 3) *before* anchoring against it.
         let contribution = wrapper.dm_contribution();
-        let map_changed = self.knowledge.merge_contribution(&contribution)?;
+        self.needs_rebuild |= self.knowledge.merge_contribution(&contribution)?;
         // (2) Conceptual model through the plug-in.
         let doc = wrapper.export_cm();
         let cm = self
@@ -354,140 +356,94 @@ impl Mediator {
                     .insert(method.clone());
             }
         }
-        self.knowledge.cms.push(cm);
-        // Registration contacts the source directly (no retry/breaker: a
-        // source that cannot answer its own registration scan has no
-        // business joining the federation).
-        let strict = |r: std::result::Result<Vec<ObjectRow>, SourceError>| {
-            r.map_err(|error| MediatorError::Source {
-                name: name.clone(),
-                error,
-            })
+        // (3) What the source anchors where, read off its data. Nothing
+        // is recorded until every fallible step is through, so a
+        // registration either completes or leaves the roster, the index
+        // and the CM list as they were. Registration contacts the source
+        // directly (no retry/breaker: a source that cannot answer its own
+        // registration scan has no business joining the federation).
+        let scan = |class: &str| {
+            wrapper
+                .query(&SourceQuery::scan(class))
+                .map_err(|error| MediatorError::Source {
+                    name: name.clone(),
+                    error,
+                })
         };
-        // (3) Semantic index: anchor the source's data.
+        let mut per_concept: HashMap<String, usize> = HashMap::new();
         let mut anchor_attrs: HashMap<String, Vec<String>> = HashMap::new();
         for anchor in wrapper.anchors() {
             match anchor {
                 Anchor::Fixed { class, concept } => {
-                    let node = self.knowledge.lookup(&concept)?;
-                    let count = strict(wrapper.query(&SourceQuery::scan(&class)))?
-                        .len()
-                        .max(1);
-                    self.knowledge.index_mut().anchor_many(id, node, count);
+                    *per_concept.entry(concept).or_insert(0) += scan(&class)?.len().max(1);
                 }
                 Anchor::ByAttr { class, attr } => {
-                    anchor_attrs
-                        .entry(class.clone())
-                        .or_default()
-                        .push(attr.clone());
-                    let rows = strict(wrapper.query(&SourceQuery::scan(&class)))?;
-                    let mut per_concept: HashMap<String, usize> = HashMap::new();
-                    for row in &rows {
+                    for row in &scan(&class)? {
                         if let Some(c) = row.get_str(&attr) {
                             *per_concept.entry(c).or_insert(0) += 1;
                         }
                     }
-                    for (concept, count) in per_concept {
-                        let node = self.knowledge.lookup(&concept)?;
-                        self.knowledge.index_mut().anchor_many(id, node, count);
-                    }
+                    anchor_attrs.entry(class).or_default().push(attr);
                 }
                 Anchor::Derived { class, rule } => {
-                    // Evaluate the derived-anchor rule in a scratch
-                    // knowledge base over this class's rows only.
-                    let mut scratch = kind_flogic::FLogic::new();
-                    scratch.load(&rule)?;
-                    let rows = strict(wrapper.query(&SourceQuery::scan(&class)))?;
-                    for row in &rows {
-                        let obj = scratch.engine_mut().constant(&row.id);
-                        let cls = scratch.engine_mut().constant(&class);
-                        let preds = *scratch.preds();
-                        scratch
-                            .engine_mut()
-                            .add_fact(preds.class, vec![cls.clone()])?;
-                        scratch
-                            .engine_mut()
-                            .add_fact(preds.inst, vec![obj.clone(), cls])?;
-                        for (attr, value) in &row.attrs {
-                            let a = scratch.engine_mut().constant(attr);
-                            let v = match value {
-                                kind_gcm::GcmValue::Int(i) => Term::Int(*i),
-                                other => {
-                                    let s = other.to_string();
-                                    scratch.engine_mut().constant(&s)
-                                }
-                            };
-                            scratch
-                                .engine_mut()
-                                .add_fact(preds.mi, vec![obj.clone(), a, v])?;
-                        }
+                    // Evaluate the derived-anchor rule in a scratch base
+                    // over this class's rows only.
+                    let mut scratch = GcmBase::new();
+                    scratch.flogic_mut().load(&rule)?;
+                    for row in &scan(&class)? {
+                        apply_row_to(&mut scratch, &name, &class, row)?;
                     }
                     let model = scratch.run_with(&self.eval_options)?;
-                    let mut per_concept: HashMap<String, usize> = HashMap::new();
-                    for sol in scratch
-                        .engine_mut()
-                        .clone()
-                        .query_model(&model, "anchor_at(X, C)")?
-                    {
-                        per_concept
-                            .entry(scratch.engine().show(&sol[1]))
-                            .and_modify(|c| *c += 1)
-                            .or_insert(1);
-                    }
-                    for (concept, count) in per_concept {
-                        let node = self.knowledge.lookup(&concept)?;
-                        self.knowledge.index_mut().anchor_many(id, node, count);
+                    let engine = scratch.flogic().engine();
+                    for sol in engine.query_model(&model, "anchor_at(X, C)")? {
+                        *per_concept.entry(engine.show(&sol[1])).or_insert(0) += 1;
                     }
                 }
             }
         }
+        let mut anchors = Vec::with_capacity(per_concept.len());
+        for (concept, count) in per_concept {
+            anchors.push((self.knowledge.lookup(&concept)?, count));
+        }
+        anchors.sort();
+        // Fast path: when the registration did not touch the domain map
+        // and the base is current, apply the new CM and anchor facts
+        // incrementally instead of rebuilding everything (anchoring
+        // "without changing the latter", §4). The mutations land in the
+        // engine's changelog, so the next [`Self::publish`] maintains the
+        // cached model incrementally rather than discarding it. A CM that
+        // fails half-way leaves stray facts in the base; the rebuild it
+        // then owes clears them.
+        if !self.needs_rebuild {
+            let concepts: Vec<NodeId> = anchors.iter().map(|a| a.0).collect();
+            let applied = self
+                .base
+                .apply(&cm)
+                .map_err(MediatorError::from)
+                .and_then(|()| {
+                    assert_anchors(&mut self.base, &self.knowledge.dm, &name, &concepts)
+                });
+            if let Err(e) = applied {
+                self.needs_rebuild = true;
+                return Err(e);
+            }
+        }
+        for (node, count) in anchors {
+            self.knowledge.index_mut().anchor_many(id, node, count);
+        }
+        self.knowledge.cms.push(cm);
         let caps = wrapper.capabilities();
         let classes = caps.iter().map(|c| c.class.clone()).collect();
         self.federation.add_source(RegisteredSource {
             id,
-            name: name.clone(),
+            name,
             caps,
             wrapper,
             classes,
             declared_attrs,
             anchor_attrs,
         });
-        // Fast path: when the registration did not touch the domain map
-        // and the base is current, apply the new CM and anchor facts
-        // incrementally instead of rebuilding everything (anchoring
-        // "without changing the latter", §4). The mutations land in the
-        // engine's changelog, so the next [`Self::publish`] maintains the
-        // cached model incrementally rather than discarding it.
-        if !map_changed && !self.needs_rebuild {
-            let cm = self.knowledge.cms.last().expect("just pushed").clone();
-            if let Err(e) = self.apply_cm_and_anchors(&cm, id, &name) {
-                // A half-applied CM leaves the engine out of sync with
-                // the knowledge layer; fall back to a full rebuild.
-                self.needs_rebuild = true;
-                return Err(e);
-            }
-        } else {
-            self.needs_rebuild = true;
-        }
         Ok(id)
-    }
-
-    /// The incremental half of [`Self::register`]: applies the CM and the
-    /// source's `anchored` facts to the live base.
-    fn apply_cm_and_anchors(
-        &mut self,
-        cm: &kind_gcm::ConceptualModel,
-        id: SourceId,
-        name: &str,
-    ) -> Result<()> {
-        self.base.apply(cm)?;
-        for concept in self.knowledge.index.concepts_of(id) {
-            if let Some(cname) = self.knowledge.dm.name(concept) {
-                let text = format!("anchored({:?}, {:?}).", name, cname);
-                self.base.flogic_mut().load(&text)?;
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -552,7 +508,11 @@ impl Mediator {
     pub fn rebuild(&mut self) -> Result<()> {
         let mut base = GcmBase::new();
         base.flogic_mut().load_datalog(DM_OPS_RULES)?;
-        let prog = rules::compile(&self.knowledge.dm, self.knowledge.mode);
+        let prog = rules::compile(
+            &self.knowledge.dm,
+            &self.knowledge.resolved,
+            self.knowledge.mode,
+        );
         base.flogic_mut().load(&prog.text)?;
         for cm in &self.knowledge.cms {
             base.apply(cm)?;
@@ -560,12 +520,8 @@ impl Mediator {
         // Anchor facts: anchored(source, concept) for source selection at
         // the logic level too.
         for src in self.federation.sources() {
-            for concept in self.knowledge.index.concepts_of(src.id) {
-                if let Some(cname) = self.knowledge.dm.name(concept) {
-                    let text = format!("anchored({:?}, {:?}).", src.name, cname);
-                    base.flogic_mut().load(&text)?;
-                }
-            }
+            let concepts = self.knowledge.index.concepts_of(src.id);
+            assert_anchors(&mut base, &self.knowledge.dm, &src.name, &concepts)?;
         }
         for v in &self.knowledge.views {
             base.flogic_mut().load(v)?;
@@ -826,10 +782,10 @@ impl Mediator {
     /// `"protein_distribution(P, C, A)"`) against the evaluated model.
     pub fn query_fl(&mut self, pattern: &str) -> Result<Vec<Vec<Term>>> {
         self.run()?;
-        let model = Arc::clone(self.model.as_ref().expect("model cached"));
+        let model = self.model.as_ref().expect("run() caches the model");
         self.base
-            .flogic_mut()
-            .query(&model, pattern)
+            .flogic()
+            .query(model, pattern)
             .map_err(MediatorError::from)
     }
 
@@ -838,10 +794,10 @@ impl Mediator {
     /// rendered derivation tree. `None` when the fact does not hold.
     pub fn explain_fl(&mut self, fact: &str) -> Result<Option<String>> {
         self.run()?;
-        let model = Arc::clone(self.model.as_ref().expect("model cached"));
+        let model = self.model.as_ref().expect("run() caches the model");
         self.base
-            .flogic_mut()
-            .explain(&model, fact, 16)
+            .flogic()
+            .explain(model, fact, 16)
             .map_err(MediatorError::from)
     }
 
@@ -950,6 +906,27 @@ pub(crate) fn apply_row_to(
     Ok(())
 }
 
+/// Asserts `anchored(source, concept)` for each of the concepts a source
+/// anchors at (by node id) — as facts, not as rule text: a source's name
+/// is data, and the rule lexer reads only the escapes it knows. Symbols
+/// are interned in the order the parser interned them when this was FL
+/// text (source, concept, then the predicate), which the recorded base
+/// fingerprint in `tests/properties.rs` holds still.
+fn assert_anchors(
+    base: &mut GcmBase,
+    dm: &DomainMap,
+    source: &str,
+    concepts: &[NodeId],
+) -> Result<()> {
+    let engine = base.flogic_mut().engine_mut();
+    for cname in concepts.iter().filter_map(|&c| dm.name(c)) {
+        let args = vec![engine.constant(source), engine.constant(cname)];
+        let pred = engine.sym("anchored");
+        engine.add_fact(pred, args)?;
+    }
+    Ok(())
+}
+
 /// `(stored facts, rules)` of `base`'s program.
 fn program_size(base: &GcmBase) -> (usize, usize) {
     let engine = base.flogic().engine();
@@ -1033,6 +1010,39 @@ mod tests {
             m.register(simple_wrapper("A", "c", "NoSuchConcept", 1)),
             Err(MediatorError::UnknownConcept { .. })
         ));
+        // A refused registration leaves nothing behind: no roster entry,
+        // no CM for the next rebuild to apply, no anchors under the id
+        // the next source will get.
+        assert!(m.sources().is_empty());
+        assert!(m.knowledge().cms().is_empty());
+        assert_eq!(m.index().total_anchors(), 0);
+        m.run().unwrap();
+    }
+
+    /// A source's name is data. Written into rule text with `{:?}` it
+    /// came out as `"lab\r1"`, an escape the rule lexer does not read:
+    /// `register` failed *after* the source was on the roster, and from
+    /// then on every rebuild failed with the same parse error.
+    #[test]
+    fn a_source_name_the_rule_lexer_cannot_read_registers_and_runs() {
+        let names = ["lab\r1", "nul\0", "zero\u{200b}width", "Zürich \"lab\"\\"];
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        for name in names {
+            m.register(simple_wrapper(name, "spines", "Spine", 2))
+                .unwrap();
+        }
+        assert_eq!(m.materialize_all().unwrap(), 2 * names.len());
+        let anchored = |m: &mut Mediator| -> BTreeSet<String> {
+            let rows = m.query_fl("anchored(S, C)").unwrap();
+            rows.iter().map(|r| m.show(&r[0])).collect()
+        };
+        let expect: BTreeSet<String> = names.iter().map(|n| n.to_string()).collect();
+        assert_eq!(anchored(&mut m), expect);
+        // The rebuild route asserts the same facts.
+        m.invalidate();
+        m.materialize_all().unwrap();
+        assert_eq!(anchored(&mut m), expect);
+        assert_eq!(m.sources_below("Spine").unwrap().len(), names.len());
     }
 
     #[test]

@@ -305,9 +305,8 @@ pub fn section5_eval(
         ..Default::default()
     };
 
-    // Per protein, per concept: summed raw amounts.
-    let mut amounts: HashMap<String, HashMap<String, i64>> = HashMap::new();
-    let mut proteins: HashSet<String> = HashSet::new();
+    // Per protein, per location: summed raw amounts.
+    let mut amounts: BTreeMap<String, HashMap<String, i64>> = BTreeMap::new();
     for batch in &fetched.protein_batches {
         for row in &batch.rows {
             let (Some(p), Some(a), Some(l)) = (
@@ -318,59 +317,50 @@ pub fn section5_eval(
                 continue;
             };
             trace.step3_rows += 1;
-            proteins.insert(p.clone());
             *amounts.entry(p).or_default().entry(l).or_insert(0) += a;
         }
     }
-    let mut protein_list: Vec<String> = proteins.into_iter().collect();
-    protein_list.sort();
-    trace.proteins = protein_list.clone();
+    trace.proteins = amounts.keys().cloned().collect();
 
     // ---- Step 4: lub root + downward-closure aggregation. -------------
     let locations = step3_locations(&fetched.pairs);
     let loc_refs: Vec<&str> = locations.iter().map(String::as_str).collect();
-    let root = if loc_refs.is_empty() {
-        None
-    } else {
-        view.partonomy_lub(&schema.partonomy_role, &loc_refs)?
+    let Some(root) = view.partonomy_lub(&schema.partonomy_role, &loc_refs)? else {
+        return Ok(trace);
     };
-    trace.root = root.clone();
-    if let Some(root_name) = &root {
-        let root_node = view
-            .dm()
-            .lookup(root_name)
-            .expect("lub returns known concepts");
-        for protein in &protein_list {
-            let values: HashMap<kind_dm::NodeId, i64> = amounts
-                .get(protein)
-                .map(|per_loc| {
-                    per_loc
-                        .iter()
-                        .filter_map(|(loc, v)| view.dm().lookup(loc).map(|n| (n, *v)))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let totals = view
-                .resolved()
-                .rollup_sum(&schema.partonomy_role, root_node, &values);
-            let mut rows: BTreeMap<String, i64> = BTreeMap::new();
-            for (node, total) in totals {
-                if total != 0 {
-                    if let Some(name) = view.dm().name(node) {
-                        rows.insert(name.to_string(), total);
-                    }
-                }
-            }
-            for (concept, total) in rows {
-                trace.distribution.push(DistributionRow {
-                    protein: protein.clone(),
-                    concept,
-                    total,
-                });
-            }
+    trace.root = view.dm().name(root).map(str::to_owned);
+    for (protein, per_loc) in &amounts {
+        for (concept, total) in rollup(view, &schema.partonomy_role, root, per_loc) {
+            trace.distribution.push(DistributionRow {
+                protein: protein.clone(),
+                concept,
+                total,
+            });
         }
     }
     Ok(trace)
+}
+
+/// The recursive roll-up both evaluate phases end in: amounts per
+/// location name, summed over each concept's subtree in the region under
+/// `root` ([`kind_dm::Resolved::rollup_sum`]) — the non-zero totals, by
+/// concept name. A location the map does not know contributes nothing.
+fn rollup(
+    view: &DomainView<'_>,
+    role: &str,
+    root: kind_dm::NodeId,
+    per_loc: &HashMap<String, i64>,
+) -> BTreeMap<String, i64> {
+    let values: HashMap<kind_dm::NodeId, i64> = per_loc
+        .iter()
+        .filter_map(|(loc, v)| view.dm().lookup(loc).map(|n| (n, *v)))
+        .collect();
+    view.resolved()
+        .rollup_sum(role, root, &values)
+        .into_iter()
+        .filter(|(_, total)| *total != 0)
+        .filter_map(|(n, total)| view.dm().name(n).map(|name| (name.to_string(), total)))
+        .collect()
 }
 
 /// Executes the §5 plan: the fetch phase ([`section5_fetch`]) followed by
@@ -465,20 +455,9 @@ pub fn distribution_eval(
             }
         }
     }
-    let values: HashMap<kind_dm::NodeId, i64> = per_loc
-        .iter()
-        .filter_map(|(loc, v)| view.dm().lookup(loc).map(|n| (n, *v)))
-        .collect();
-    let totals = view
-        .resolved()
-        .rollup_sum(&schema.partonomy_role, root_node, &values);
-    let mut out: Vec<(String, i64)> = totals
+    Ok(rollup(view, &schema.partonomy_role, root_node, &per_loc)
         .into_iter()
-        .filter(|(_, v)| *v != 0)
-        .filter_map(|(n, v)| view.dm().name(n).map(|s| (s.to_string(), v)))
-        .collect();
-    out.sort();
-    Ok(out)
+        .collect())
 }
 
 /// The Example 4 integrated view, as a standalone operation: the

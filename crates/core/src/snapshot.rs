@@ -9,7 +9,7 @@
 //!
 //! * [`QuerySnapshot::query_fl`] parses the pattern into a private
 //!   scratch symbol table and *remaps* it into the frozen interner
-//!   (`FLogic::query_frozen`), so it never mutates shared state. A
+//!   (`FLogic::query`), so it never mutates shared state. A
 //!   constant the snapshot has never seen simply matches nothing.
 //! * [`QuerySnapshot::answer`] loads a one-off rule into a per-call
 //!   **clone** of the frozen base (rules and interner: per-thread scratch
@@ -171,7 +171,7 @@ impl QuerySnapshot {
     pub fn query_fl(&self, pattern: &str) -> Result<Vec<Vec<Term>>> {
         self.base
             .flogic()
-            .query_frozen(&self.model, pattern)
+            .query(&self.model, pattern)
             .map_err(MediatorError::from)
     }
 

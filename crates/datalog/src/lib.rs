@@ -62,7 +62,7 @@ pub use explain::{Derivation, DerivationStep};
 pub use fact::{FactStore, Relation, Tuple};
 pub use interner::{Interner, Sym};
 pub use ivm::EngineDelta;
-pub use parser::Clause;
+pub use parser::{quoted, Clause};
 pub use program::{stratify, Stratification, Stratum};
 pub use rule::Rule;
 pub use term::{Subst, Term, Var};
@@ -531,10 +531,15 @@ impl Engine {
     }
 
     /// Parses `pattern` (e.g. `"tc(a, X)"`) and matches it against a
-    /// previously computed model.
-    pub fn query_model(&mut self, model: &Model, pattern: &str) -> Result<Vec<Vec<Term>>> {
-        let (atom, _) = parser::parse_atom(pattern, &mut self.syms)?;
-        Ok(model.query(&atom))
+    /// previously computed model. Asking interns nothing: the pattern is
+    /// parsed into a scratch table and remapped ([`parser::remap_atom`]),
+    /// and a symbol this engine has never seen matches nothing.
+    pub fn query_model(&self, model: &Model, pattern: &str) -> Result<Vec<Vec<Term>>> {
+        let mut scratch = Interner::new();
+        let (atom, _) = parser::parse_atom(pattern, &mut scratch)?;
+        Ok(parser::remap_atom(&atom, &scratch, &self.syms)
+            .map(|a| model.query(&a))
+            .unwrap_or_default())
     }
 
     /// Renders a ground term for display.

@@ -72,6 +72,51 @@ pub fn parse_atom(src: &str, syms: &mut Interner) -> Result<(Atom, u32)> {
     Ok((atom, p.nvars()))
 }
 
+/// Maps a term's symbols from one interner into another without
+/// interning; `None` when a symbol is unknown to `to`. This is how a
+/// question is asked of a knowledge base behind `&self`: the pattern is
+/// parsed into a scratch table and remapped, and a symbol the base has
+/// never seen can match nothing.
+pub fn remap_term(t: &Term, from: &Interner, to: &Interner) -> Option<Term> {
+    match t {
+        Term::Const(s) => to.get(from.resolve(*s)).map(Term::Const),
+        Term::Func(f, args) => {
+            let f = to.get(from.resolve(*f))?;
+            let args: Option<Vec<Term>> = args.iter().map(|a| remap_term(a, from, to)).collect();
+            Some(Term::func(f, args?))
+        }
+        other => Some(other.clone()),
+    }
+}
+
+/// [`remap_term`] lifted over an atom (its predicate included).
+pub fn remap_atom(a: &Atom, from: &Interner, to: &Interner) -> Option<Atom> {
+    let pred = to.get(from.resolve(a.pred))?;
+    let args: Option<Vec<Term>> = a.args.iter().map(|t| remap_term(t, from, to)).collect();
+    Some(Atom::new(pred, args?))
+}
+
+/// Prints `s` as a string literal: the inverse of the lexer's
+/// `string_lit`, which reads the escapes `\"`, `\\`, `\n` and `\t` and
+/// takes every other byte as it stands. Rule text that carries a name —
+/// a concept, a source, a value — is written with this, never with
+/// `{:?}`, whose `\r`, `\0` and `\u{…}` the lexer rejects.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// The lexer and the term / expression layer shared by this grammar and
 /// the F-logic one (`kind-flogic` builds its molecules, frames and bodies
 /// on these methods): whitespace and comments, tokens, identifiers,

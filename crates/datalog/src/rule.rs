@@ -413,7 +413,7 @@ fn term_str(t: &Term, syms: &Interner, names: &[String]) -> String {
             if ident_ok {
                 raw.to_string()
             } else {
-                format!("{raw:?}")
+                crate::parser::quoted(raw)
             }
         }
         Term::Int(i) => i.to_string(),

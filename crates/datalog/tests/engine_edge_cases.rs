@@ -19,30 +19,30 @@ fn empty_program_empty_model() {
 
 #[test]
 fn facts_only_no_iterations_needed() {
-    let (mut e, m) = run("p(a). p(b). q(a, b).");
+    let (e, m) = run("p(a). p(b). q(a, b).");
     assert_eq!(m.facts.len(), 3);
     assert_eq!(e.query_model(&m, "p(X)").unwrap().len(), 2);
 }
 
 #[test]
 fn rule_with_unknown_body_predicate_derives_nothing() {
-    let (mut e, m) = run("p(X) :- never_asserted(X).");
+    let (e, m) = run("p(X) :- never_asserted(X).");
     assert!(e.query_model(&m, "p(X)").unwrap().is_empty());
 }
 
 #[test]
 fn self_join_same_predicate_twice() {
-    let (mut e, m) = run("e(a,b). e(b,c). e(a,c).
+    let (e, m) = run("e(a,b). e(b,c). e(a,c).
          triangle(X,Y,Z) :- e(X,Y), e(Y,Z), e(X,Z).");
     assert_eq!(e.query_model(&m, "triangle(X,Y,Z)").unwrap().len(), 1);
 }
 
 #[test]
 fn negation_of_zero_ary_atom() {
-    let (mut e, m) = run("item(a).
+    let (e, m) = run("item(a).
          selected(X) :- item(X), not disabled.");
     assert_eq!(e.query_model(&m, "selected(X)").unwrap().len(), 1);
-    let (mut e2, m2) = {
+    let (e2, m2) = {
         let mut e = Engine::new();
         e.load("item(a). disabled. selected(X) :- item(X), not disabled.")
             .unwrap();
@@ -54,7 +54,7 @@ fn negation_of_zero_ary_atom() {
 
 #[test]
 fn double_negation_through_helper() {
-    let (mut e, m) = run("node(a). node(b). edge(a, b).
+    let (e, m) = run("node(a). node(b). edge(a, b).
          has_out(X) :- edge(X, _).
          sink(X) :- node(X), not has_out(X).
          nonsink(X) :- node(X), not sink(X).");
@@ -64,7 +64,7 @@ fn double_negation_through_helper() {
 
 #[test]
 fn mutual_positive_recursion() {
-    let (mut e, m) = run("base(0).
+    let (e, m) = run("base(0).
          even(X) :- base(X).
          odd(Y) :- even(X), Y = X + 1, Y < 10.
          even(Y) :- odd(X), Y = X + 1, Y < 10.");
@@ -117,7 +117,7 @@ fn sum_with_negative_numbers() {
 
 #[test]
 fn division_by_zero_fails_the_binding_not_the_program() {
-    let (mut e, m) = run("n(0). n(2).
+    let (e, m) = run("n(0). n(2).
          inv(X, Y) :- n(X), Y = 10 / X.");
     // Only the X=2 row binds.
     assert_eq!(e.query_model(&m, "inv(X, Y)").unwrap().len(), 1);
@@ -127,7 +127,7 @@ fn division_by_zero_fails_the_binding_not_the_program() {
 fn comparisons_across_types_are_total() {
     // Constants and ints compare via the structural term order: no panic,
     // deterministic result.
-    let (mut e, m) = run("x(a). x(1).
+    let (e, m) = run("x(a). x(1).
          cmp(X, Y) :- x(X), x(Y), X < Y.");
     let n = e.query_model(&m, "cmp(X, Y)").unwrap().len();
     assert_eq!(n, 1);
@@ -137,7 +137,7 @@ fn comparisons_across_types_are_total() {
 fn wfs_three_rounds_of_alternation() {
     // A chain of dependencies through negation that needs several
     // alternating sweeps to settle.
-    let (mut e, m) = run("n(1). n(2). n(3). n(4).
+    let (e, m) = run("n(1). n(2). n(3). n(4).
          succ(1,2). succ(2,3). succ(3,4).
          w(X) :- succ(X, Y), not w(Y).");
     // w(3) (since w(4) false), not w(2), w(1).
@@ -160,7 +160,7 @@ fn wfs_undefined_does_not_leak_into_true() {
 
 #[test]
 fn function_terms_as_first_class_values() {
-    let (mut e, m) = run("obj(o1).
+    let (e, m) = run("obj(o1).
          boxed(pair(X, X)) :- obj(X).
          unboxed(Y) :- boxed(pair(Y, _)).");
     assert_eq!(e.query_model(&m, "unboxed(o1)").unwrap().len(), 1);
@@ -191,14 +191,14 @@ fn stats_report_applications_and_iterations() {
 
 #[test]
 fn query_with_repeated_variables() {
-    let (mut e, m) = run("e(a,a). e(a,b).");
+    let (e, m) = run("e(a,a). e(a,b).");
     // e(X,X) must only match the reflexive tuple.
     assert_eq!(e.query_model(&m, "e(X, X)").unwrap().len(), 1);
 }
 
 #[test]
 fn strings_with_spaces_and_escapes() {
-    let (mut e, m) = run(r#"loc(c1, "Pyramidal Cell\ndendrite")."#);
+    let (e, m) = run(r#"loc(c1, "Pyramidal Cell\ndendrite")."#);
     let sols = e
         .query_model(&m, r#"loc(X, "Pyramidal Cell\ndendrite")"#)
         .unwrap();
@@ -207,10 +207,10 @@ fn strings_with_spaces_and_escapes() {
 
 #[test]
 fn rule_order_does_not_change_model() {
-    let (mut e1, m1) = run("tc(X,Y) :- tc(X,Z), e(Z,Y).
+    let (e1, m1) = run("tc(X,Y) :- tc(X,Z), e(Z,Y).
          tc(X,Y) :- e(X,Y).
          e(a,b). e(b,c).");
-    let (mut e2, m2) = run("e(a,b). e(b,c).
+    let (e2, m2) = run("e(a,b). e(b,c).
          tc(X,Y) :- e(X,Y).
          tc(X,Y) :- tc(X,Z), e(Z,Y).");
     assert_eq!(
@@ -285,11 +285,11 @@ fn nesting_bombs_are_parse_errors_not_stack_overflows() {
 
 #[test]
 fn nesting_is_capped_at_max_nesting_exactly() {
-    let (mut e, m) = run(&format!("p({}).", nested_term(MAX_NESTING)));
+    let (e, m) = run(&format!("p({}).", nested_term(MAX_NESTING)));
     assert_eq!(e.query_model(&m, "p(X)").unwrap().len(), 1);
     refused(&format!("p({}).", nested_term(MAX_NESTING + 1)), "nesting");
     // Terms and parentheses draw on the one budget.
-    let (mut e, m) = run(&format!(
+    let (e, m) = run(&format!(
         "q(2). p(Y) :- q(X), Y = X + {}.",
         nested_parens(MAX_NESTING)
     ));
@@ -320,7 +320,7 @@ fn wide_clauses_evaluate_and_long_operator_chains_are_capped() {
     let (_, m) = run(&format!("wide({}).", args.join(",")));
     assert_eq!(m.facts.len(), 1);
     let sum = |operands: usize| format!("q(0). p(Y) :- q(X), Y = X{}.", " + 1".repeat(operands));
-    let (mut e, m) = run(&sum(MAX_NESTING));
+    let (e, m) = run(&sum(MAX_NESTING));
     assert_eq!(
         e.query_model(&m, &format!("p({MAX_NESTING})"))
             .unwrap()

@@ -10,57 +10,107 @@
 
 use crate::graph::{DomainMap, EdgeKind, NodeId, NodeKind};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::Hash;
 use std::sync::{Arc, RwLock};
 
 /// A write-once memo table with a read API on `&self`. An `RwLock`
-/// (rather than `RefCell`) keeps the tables `Sync`, so one shared
+/// (rather than `RefCell`) keeps the table `Sync`, so one shared
 /// [`Resolved`] can be probed concurrently from many query threads;
-/// racing writers at worst recompute the same deterministic value.
-type Memo<K, V> = RwLock<HashMap<K, V>>;
+/// racing writers at worst recompute the same deterministic value. A
+/// [`Resolved`] view is immutable once built — any change to the domain
+/// map rebuilds it from scratch ([`Resolved::new`]), which is the
+/// cache-invalidation rule — so every entry is write-once and shared
+/// results are handed out as `Arc`s.
+#[derive(Debug)]
+struct Memo<K, V>(RwLock<HashMap<K, V>>);
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    fn new() -> Self {
+        Memo(RwLock::new(HashMap::new()))
+    }
+
+    /// The value under `key`, computed from it (with no lock held:
+    /// `compute` may consult other tables, or this one) and recorded on
+    /// first use.
+    fn get_or(&self, key: K, compute: impl FnOnce(&K) -> V) -> V {
+        if let Some(hit) = self.0.read().expect("memo lock").get(&key) {
+            return hit.clone();
+        }
+        let value = compute(&key);
+        self.0
+            .write()
+            .expect("memo lock")
+            .insert(key, value.clone());
+        value
+    }
+}
+
 /// Memo key for a per-role, per-node closure.
 type RoleNode = (String, NodeId);
 /// A shared node-set result (ancestor/descendant cones).
 type NodeSet = Arc<HashSet<NodeId>>;
 
-/// Memo tables for the closure operations. A [`Resolved`] view is
-/// immutable once built — any change to the domain map rebuilds it from
-/// scratch ([`Resolved::new`]), which is the cache-invalidation rule — so
-/// every entry is write-once and shared results can be handed out as
-/// `Arc`s. Interior mutability keeps the read API on `&self`.
-#[derive(Debug, Default)]
-struct Caches {
-    ancestors: Memo<NodeId, NodeSet>,
-    descendants: Memo<NodeId, NodeSet>,
-    lub: Memo<Vec<NodeId>, Option<NodeId>>,
-    glb: Memo<Vec<NodeId>, Option<NodeId>>,
-    plub: Memo<(String, Vec<NodeId>), Option<NodeId>>,
-    pan: Memo<RoleNode, NodeSet>,
-    dc_pairs: Memo<String, Arc<Vec<(NodeId, NodeId)>>>,
-    dc_children: Memo<RoleNode, Arc<Vec<NodeId>>>,
-    down: Memo<RoleNode, Arc<Vec<NodeId>>>,
-}
-
-impl Clone for Caches {
-    fn clone(&self) -> Self {
-        fn copy<K: Clone + Eq + std::hash::Hash, V: Clone>(m: &Memo<K, V>) -> Memo<K, V> {
-            RwLock::new(m.read().expect("memo lock").clone())
-        }
-        Caches {
-            ancestors: copy(&self.ancestors),
-            descendants: copy(&self.descendants),
-            lub: copy(&self.lub),
-            glb: copy(&self.glb),
-            plub: copy(&self.plub),
-            pan: copy(&self.pan),
-            dc_pairs: copy(&self.dc_pairs),
-            dc_children: copy(&self.dc_children),
-            down: copy(&self.down),
-        }
+/// Breadth-first walk: `start` and every node reachable from it, each
+/// once — in visit order, and as a set (a cone wants the one, a region
+/// the other). `successors(x, visit)` calls `visit` on each direct
+/// successor of `x`.
+fn reach(
+    start: NodeId,
+    successors: impl Fn(NodeId, &mut dyn FnMut(NodeId)),
+) -> (Vec<NodeId>, HashSet<NodeId>) {
+    let mut seen = HashSet::from([start]);
+    let mut order = Vec::new();
+    let mut queue = VecDeque::from([start]);
+    while let Some(x) = queue.pop_front() {
+        order.push(x);
+        successors(x, &mut |y| {
+            if seen.insert(y) {
+                queue.push_back(y);
+            }
+        });
     }
+    (order, seen)
 }
 
-/// A flattened, named-concept-only view of a domain map.
-#[derive(Debug, Clone)]
+/// The one cone intersection behind [`Resolved::lub`], [`Resolved::glb`]
+/// and [`Resolved::partonomy_lub`]: of the nodes common to every given
+/// node's cone, a *least* one — no other common node strictly below it,
+/// where `o` lies below `m` when `m` is in `o`'s cone (mutually-below
+/// nodes, an `eqv` cycle, do not disqualify each other). Ties go to the
+/// smallest node id, so the result is deterministic. `None` for no nodes
+/// or no common node.
+fn least_common(nodes: &[NodeId], cone_of: impl Fn(NodeId) -> NodeSet) -> Option<NodeId> {
+    let (&first, rest) = nodes.split_first()?;
+    let mut common: HashSet<NodeId> = (*cone_of(first)).clone();
+    for &n in rest {
+        let cone = cone_of(n);
+        common.retain(|x| cone.contains(x));
+    }
+    let cones: HashMap<NodeId, NodeSet> = common.iter().map(|&m| (m, cone_of(m))).collect();
+    common
+        .iter()
+        .copied()
+        .filter(|m| {
+            !common
+                .iter()
+                .any(|o| o != m && cones[o].contains(m) && !cones[m].contains(o))
+        })
+        .min()
+}
+
+/// A bound is order- and multiplicity-insensitive in its arguments, so
+/// the sorted, deduplicated list is a sound memo key.
+fn bound_key(nodes: &[NodeId]) -> Vec<NodeId> {
+    let mut key = nodes.to_vec();
+    key.sort();
+    key.dedup();
+    key
+}
+
+/// A flattened, named-concept-only view of a domain map. The memo
+/// tables are the ones a production path reads again after filling them
+/// (DESIGN.md, "§4 operations: who computes what"); each names that path.
+#[derive(Debug)]
 pub struct Resolved {
     /// Direct isa successors per node (named concepts only).
     isa_up: Vec<Vec<NodeId>>,
@@ -73,8 +123,26 @@ pub struct Resolved {
     /// Role name → target node → sources (reverse adjacency).
     role_in: HashMap<String, HashMap<NodeId, Vec<NodeId>>>,
     node_count: usize,
-    /// Closure memo tables (see [`Caches`]).
-    caches: Caches,
+    /// Upward isa cones: `Mediator::lub`, and under `dc_children` every
+    /// step of `section5_eval`'s region walks.
+    ancestors: Memo<NodeId, NodeSet>,
+    /// Downward isa cones: `SemanticIndex::sources_below`, i.e. every
+    /// `select_sources` of §5 step 2.
+    descendants: Memo<NodeId, NodeSet>,
+    /// `Mediator::lub` (the mediator shell's `lub`, the benchmark's
+    /// `dm.lub_us`).
+    lub: Memo<Vec<NodeId>, Option<NodeId>>,
+    /// The distribution root of `section5_eval` (§5 step 4): the server's
+    /// `plan` op and every `cold_federation` op ask for the same one.
+    plub: Memo<(String, Vec<NodeId>), Option<NodeId>>,
+    /// Partonomy cones under `plub`: `section5_eval`.
+    pan: Memo<RoleNode, NodeSet>,
+    /// Inherited role targets per node: each step of `section5_eval`'s
+    /// region and roll-up walks, and of `Knowledge::sources_in_region`.
+    dc_children: Memo<RoleNode, Arc<Vec<NodeId>>>,
+    /// Regions: the roll-up root of `section5_eval` / `distribution_eval`
+    /// and `Knowledge::sources_in_region`.
+    down: Memo<RoleNode, Arc<Vec<NodeId>>>,
 }
 
 impl Resolved {
@@ -151,7 +219,13 @@ impl Resolved {
             role_out,
             role_in,
             node_count: n,
-            caches: Caches::default(),
+            ancestors: Memo::new(),
+            descendants: Memo::new(),
+            lub: Memo::new(),
+            plub: Memo::new(),
+            pan: Memo::new(),
+            dc_children: Memo::new(),
+            down: Memo::new(),
         }
     }
 
@@ -182,49 +256,22 @@ impl Resolved {
     /// All ancestors of `n` (reflexive: includes `n`). Memoized: repeat
     /// calls share one allocation.
     pub fn ancestors(&self, n: NodeId) -> Arc<HashSet<NodeId>> {
-        if let Some(hit) = self.caches.ancestors.read().expect("memo lock").get(&n) {
-            return Arc::clone(hit);
-        }
-        let set = Arc::new(self.reach(n, |x| &self.isa_up[x.index()]));
-        self.caches
-            .ancestors
-            .write()
-            .expect("memo lock")
-            .insert(n, Arc::clone(&set));
-        set
+        self.ancestors.get_or(n, |_| {
+            let (_, up) = reach(n, |x, visit| {
+                self.parents(x).iter().copied().for_each(visit)
+            });
+            Arc::new(up)
+        })
     }
 
     /// All descendants of `n` (reflexive: includes `n`). Memoized.
     pub fn descendants(&self, n: NodeId) -> Arc<HashSet<NodeId>> {
-        if let Some(hit) = self.caches.descendants.read().expect("memo lock").get(&n) {
-            return Arc::clone(hit);
-        }
-        let set = Arc::new(self.reach(n, |x| &self.isa_down[x.index()]));
-        self.caches
-            .descendants
-            .write()
-            .expect("memo lock")
-            .insert(n, Arc::clone(&set));
-        set
-    }
-
-    fn reach<'a>(
-        &'a self,
-        start: NodeId,
-        next: impl Fn(NodeId) -> &'a [NodeId],
-    ) -> HashSet<NodeId> {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(start);
-        queue.push_back(start);
-        while let Some(x) = queue.pop_front() {
-            for &y in next(x) {
-                if seen.insert(y) {
-                    queue.push_back(y);
-                }
-            }
-        }
-        seen
+        self.descendants.get_or(n, |_| {
+            let (_, down) = reach(n, |x, visit| {
+                self.children(x).iter().copied().for_each(visit)
+            });
+            Arc::new(down)
+        })
     }
 
     /// Whether `sub` is (transitively, reflexively) a subconcept of `sup`.
@@ -241,88 +288,16 @@ impl Resolved {
     /// so the result is deterministic. `None` for an empty input or when
     /// no common ancestor exists.
     pub fn lub(&self, nodes: &[NodeId]) -> Option<NodeId> {
-        // Order- and multiplicity-insensitive, so a sorted deduped key is
-        // a sound cache key.
-        let mut key = nodes.to_vec();
-        key.sort();
-        key.dedup();
-        if let Some(&hit) = self.caches.lub.read().expect("memo lock").get(&key) {
-            return hit;
-        }
-        let result = self.lub_uncached(&key);
-        self.caches
-            .lub
-            .write()
-            .expect("memo lock")
-            .insert(key, result);
-        result
+        self.lub.get_or(bound_key(nodes), |key| {
+            least_common(key, |n| self.ancestors(n))
+        })
     }
 
-    fn lub_uncached(&self, nodes: &[NodeId]) -> Option<NodeId> {
-        let mut iter = nodes.iter();
-        let first = *iter.next()?;
-        let mut common = (*self.ancestors(first)).clone();
-        for &n in iter {
-            let a = self.ancestors(n);
-            common.retain(|x| a.contains(x));
-            if common.is_empty() {
-                return None;
-            }
-        }
-        // Minimal elements: no other common ancestor *strictly* below
-        // (mutually-equivalent concepts do not disqualify each other).
-        let mut minimal: Vec<NodeId> = common
-            .iter()
-            .copied()
-            .filter(|&m| {
-                !common
-                    .iter()
-                    .any(|&o| o != m && self.is_subconcept(o, m) && !self.is_subconcept(m, o))
-            })
-            .collect();
-        minimal.sort();
-        minimal.first().copied()
-    }
-
-    /// The greatest lower bound (dual of [`Self::lub`]).
+    /// The greatest lower bound (dual of [`Self::lub`]: the same
+    /// intersection over descendant cones). No production path asks for
+    /// it, so it is not memoized.
     pub fn glb(&self, nodes: &[NodeId]) -> Option<NodeId> {
-        let mut key = nodes.to_vec();
-        key.sort();
-        key.dedup();
-        if let Some(&hit) = self.caches.glb.read().expect("memo lock").get(&key) {
-            return hit;
-        }
-        let result = self.glb_uncached(&key);
-        self.caches
-            .glb
-            .write()
-            .expect("memo lock")
-            .insert(key, result);
-        result
-    }
-
-    fn glb_uncached(&self, nodes: &[NodeId]) -> Option<NodeId> {
-        let mut iter = nodes.iter();
-        let first = *iter.next()?;
-        let mut common = (*self.descendants(first)).clone();
-        for &n in iter {
-            let d = self.descendants(n);
-            common.retain(|x| d.contains(x));
-            if common.is_empty() {
-                return None;
-            }
-        }
-        let mut maximal: Vec<NodeId> = common
-            .iter()
-            .copied()
-            .filter(|&m| {
-                !common
-                    .iter()
-                    .any(|&o| o != m && self.is_subconcept(m, o) && !self.is_subconcept(o, m))
-            })
-            .collect();
-        maximal.sort();
-        maximal.first().copied()
+        least_common(&bound_key(nodes), |n| self.descendants(n))
     }
 
     /// Direct role links (the base relation `R`).
@@ -339,115 +314,75 @@ impl Resolved {
     /// closure of isa (the paper's rules: "R links are propagated up and
     /// down the isa chains"), including the base links. The result is the
     /// set of all inferable *direct* links — the paper's `has_a_star`
-    /// when `role = "has_a"`.
+    /// when `role = "has_a"` — sorted. Views get this relation from the
+    /// rules (`DM_OPS_RULES`); this twin serves tests, benches and
+    /// [`Self::tc_of_dc`], and is computed on every call.
     pub fn dc_pairs(&self, role: &str) -> Vec<(NodeId, NodeId)> {
-        if let Some(hit) = self.caches.dc_pairs.read().expect("memo lock").get(role) {
-            return (**hit).clone();
-        }
-        let base = self.role_pairs(role).to_vec();
         let mut out: HashSet<(NodeId, NodeId)> = HashSet::new();
-        for &(x, y) in &base {
+        for &(x, y) in self.role_pairs(role) {
             // dc(R)(X,Y) :- tc(isa)(X,Z), R(Z,Y): X any descendant of x.
             // dc(R)(X,Y) :- R(X,Z), tc(isa)(Z,Y): Y any ancestor of y.
             // Base included; both propagations composed.
             let anc = self.ancestors(y);
             for &x2 in self.descendants(x).iter() {
-                for &y2 in anc.iter() {
-                    out.insert((x2, y2));
-                }
+                out.extend(anc.iter().map(|&y2| (x2, y2)));
             }
         }
         let mut v: Vec<_> = out.into_iter().collect();
         v.sort();
-        self.caches
-            .dc_pairs
-            .write()
-            .expect("memo lock")
-            .insert(role.to_string(), Arc::new(v.clone()));
         v
     }
 
-    /// The children of `n` under `dc(role)` — the "direct inferable
-    /// links" used for recursive traversal instead of materializing
-    /// `tc(has_a_star)` (which the paper calls wasteful).
+    /// The role targets `n` has or inherits: links whose source is `n` or
+    /// an ancestor of `n` — `dc`'s "down the isa chain" rule, the "direct
+    /// inferable links" used for recursive traversal instead of
+    /// materializing `tc(has_a_star)` (which the paper calls wasteful).
+    /// Targets are *not* lifted to their superconcepts here (`dc`'s other
+    /// rule): see [`Self::downward_closure`].
     pub fn dc_children(&self, role: &str, n: NodeId) -> Vec<NodeId> {
         (*self.dc_children_rc(role, n)).clone()
     }
 
     fn dc_children_rc(&self, role: &str, n: NodeId) -> Arc<Vec<NodeId>> {
-        if let Some(hit) = self
-            .caches
-            .dc_children
-            .read()
-            .expect("memo lock")
-            .get(&(role.to_string(), n))
-        {
-            return Arc::clone(hit);
-        }
-        // Links whose source is n or any ancestor of n are inherited
-        // down to n; collect their targets via the forward index.
-        let mut out = HashSet::new();
-        if let Some(adj) = self.role_out.get(role) {
-            for &a in self.ancestors(n).iter() {
-                if let Some(ts) = adj.get(&a) {
-                    out.extend(ts.iter().copied());
+        self.dc_children.get_or((role.to_string(), n), |_| {
+            let mut out = HashSet::new();
+            if let Some(adj) = self.role_out.get(role) {
+                for a in self.ancestors(n).iter() {
+                    out.extend(adj.get(a).into_iter().flatten().copied());
                 }
             }
-        }
-        let mut v: Vec<_> = out.into_iter().collect();
-        v.sort();
-        let rc = Arc::new(v);
-        self.caches
-            .dc_children
-            .write()
-            .expect("memo lock")
-            .insert((role.to_string(), n), Arc::clone(&rc));
-        rc
+            let mut v: Vec<_> = out.into_iter().collect();
+            v.sort();
+            Arc::new(v)
+        })
+    }
+
+    /// One downward step in the partonomy along `role`: the inherited
+    /// role targets of `x` (by node id), then its isa-children — the
+    /// subconcepts of `x` are part of the region below `x` too.
+    fn region_step(&self, role: &str, x: NodeId, visit: &mut dyn FnMut(NodeId)) {
+        self.dc_children_rc(role, x)
+            .iter()
+            .copied()
+            .for_each(&mut *visit);
+        self.children(x).iter().copied().for_each(visit);
     }
 
     /// The **downward closure** along `dc(role)` from `root`: every
     /// concept reachable by recursively following inferable direct links
-    /// (the "region of correspondence" computation of §5 step 4).
+    /// (the "region of correspondence" computation of §5 step 4), in
+    /// breadth-first order. A region follows the links a concept
+    /// *inherits*, not the ones `dc` lifts to a target's superconcepts: a
+    /// walk that stepped up to a superconcept and then took its
+    /// isa-children would take in every sibling of every part.
     pub fn downward_closure(&self, role: &str, root: NodeId) -> Vec<NodeId> {
         (*self.downward_closure_rc(role, root)).clone()
     }
 
     fn downward_closure_rc(&self, role: &str, root: NodeId) -> Arc<Vec<NodeId>> {
-        if let Some(hit) = self
-            .caches
-            .down
-            .read()
-            .expect("memo lock")
-            .get(&(role.to_string(), root))
-        {
-            return Arc::clone(hit);
-        }
-        let mut seen = HashSet::new();
-        let mut order = Vec::new();
-        let mut queue = VecDeque::new();
-        seen.insert(root);
-        queue.push_back(root);
-        while let Some(x) = queue.pop_front() {
-            order.push(x);
-            for &y in self.dc_children_rc(role, x).iter() {
-                if seen.insert(y) {
-                    queue.push_back(y);
-                }
-            }
-            // Subconcepts of x are also part of the region below x.
-            for &y in self.children(x) {
-                if seen.insert(y) {
-                    queue.push_back(y);
-                }
-            }
-        }
-        let rc = Arc::new(order);
-        self.caches
-            .down
-            .write()
-            .expect("memo lock")
-            .insert((role.to_string(), root), Arc::clone(&rc));
-        rc
+        self.down.get_or((role.to_string(), root), |_| {
+            Arc::new(reach(root, |x, visit| self.region_step(role, x, visit)).0)
+        })
     }
 
     /// The partonomy-ancestors of `n` under `role` (reflexive): every
@@ -456,42 +391,16 @@ impl Resolved {
     /// `(s, n)` up to `s` and all its isa-descendants (they inherit the
     /// link), or step to an isa-parent.
     pub fn partonomy_ancestors(&self, role: &str, n: NodeId) -> Arc<HashSet<NodeId>> {
-        if let Some(hit) = self
-            .caches
-            .pan
-            .read()
-            .expect("memo lock")
-            .get(&(role.to_string(), n))
-        {
-            return Arc::clone(hit);
-        }
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(n);
-        queue.push_back(n);
-        while let Some(x) = queue.pop_front() {
-            if let Some(srcs) = self.role_in.get(role).and_then(|m| m.get(&x)) {
-                for s in srcs {
-                    for &d in self.descendants(*s).iter() {
-                        if seen.insert(d) {
-                            queue.push_back(d);
-                        }
-                    }
+        self.pan.get_or((role.to_string(), n), |_| {
+            let sources = self.role_in.get(role);
+            let (_, up) = reach(n, |x, visit| {
+                for &s in sources.and_then(|m| m.get(&x)).into_iter().flatten() {
+                    self.descendants(s).iter().copied().for_each(&mut *visit);
                 }
-            }
-            for &p in self.parents(x) {
-                if seen.insert(p) {
-                    queue.push_back(p);
-                }
-            }
-        }
-        let rc = Arc::new(seen);
-        self.caches
-            .pan
-            .write()
-            .expect("memo lock")
-            .insert((role.to_string(), n), Arc::clone(&rc));
-        rc
+                self.parents(x).iter().copied().for_each(visit);
+            });
+            Arc::new(up)
+        })
     }
 
     /// The **least upper bound in the partonomy order** (§5 step 4): the
@@ -499,50 +408,10 @@ impl Resolved {
     /// `role` contains every given concept. Deterministic tie-break by
     /// node id.
     pub fn partonomy_lub(&self, role: &str, nodes: &[NodeId]) -> Option<NodeId> {
-        let mut key = nodes.to_vec();
-        key.sort();
-        key.dedup();
-        let full_key = (role.to_string(), key);
-        if let Some(&hit) = self.caches.plub.read().expect("memo lock").get(&full_key) {
-            return hit;
-        }
-        let result = self.partonomy_lub_uncached(role, &full_key.1);
-        self.caches
-            .plub
-            .write()
-            .expect("memo lock")
-            .insert(full_key, result);
-        result
-    }
-
-    fn partonomy_lub_uncached(&self, role: &str, nodes: &[NodeId]) -> Option<NodeId> {
-        let mut iter = nodes.iter();
-        let first = *iter.next()?;
-        let mut common = (*self.partonomy_ancestors(role, first)).clone();
-        for &n in iter {
-            let a = self.partonomy_ancestors(role, n);
-            common.retain(|x| a.contains(x));
-            if common.is_empty() {
-                return None;
-            }
-        }
-        // Minimal wrt the partonomy order: m is not minimal if another
-        // common ancestor lies strictly below it.
-        let below: HashMap<NodeId, HashSet<NodeId>> = common
-            .iter()
-            .map(|&m| (m, self.downward_closure(role, m).into_iter().collect()))
-            .collect();
-        let mut minimal: Vec<NodeId> = common
-            .iter()
-            .copied()
-            .filter(|&m| {
-                !common
-                    .iter()
-                    .any(|&o| o != m && below[&m].contains(&o) && !below[&o].contains(&m))
+        self.plub
+            .get_or((role.to_string(), bound_key(nodes)), |(_, key)| {
+                least_common(key, |n| self.partonomy_ancestors(role, n))
             })
-            .collect();
-        minimal.sort();
-        minimal.first().copied()
     }
 
     /// Materializes the full transitive closure of `dc(role)` — the
@@ -550,29 +419,22 @@ impl Resolved {
     /// recursive traversal of direct links suffices. Kept as the ablation
     /// baseline (see DESIGN.md).
     pub fn tc_of_dc(&self, role: &str) -> Vec<(NodeId, NodeId)> {
-        let dc = self.dc_pairs(role);
         let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); self.node_count];
-        for &(x, y) in &dc {
+        for (x, y) in self.dc_pairs(role) {
             adj[x.index()].push(y);
         }
-        let mut out: HashSet<(NodeId, NodeId)> = HashSet::new();
-        for start in 0..self.node_count {
-            let s = NodeId(start as u32);
-            let mut seen = HashSet::new();
-            let mut q = VecDeque::new();
-            q.push_back(s);
-            while let Some(x) = q.pop_front() {
-                for &y in &adj[x.index()] {
-                    if seen.insert(y) {
-                        out.insert((s, y));
-                        q.push_back(y);
-                    }
-                }
+        let mut out = Vec::new();
+        for s in (0..self.node_count as u32).map(NodeId) {
+            let (reached, _) = reach(s, |x, visit| adj[x.index()].iter().copied().for_each(visit));
+            // `s` reaches itself only round a cycle: some reached node
+            // links back to it.
+            if reached.iter().any(|y| adj[y.index()].contains(&s)) {
+                out.push((s, s));
             }
+            out.extend(reached[1..].iter().map(|&y| (s, y)));
         }
-        let mut v: Vec<_> = out.into_iter().collect();
-        v.sort();
-        v
+        out.sort();
+        out
     }
 
     /// Recursive aggregation (the `aggregate` function of Example 4):
@@ -586,32 +448,16 @@ impl Resolved {
         root: NodeId,
         values: &HashMap<NodeId, i64>,
     ) -> HashMap<NodeId, i64> {
-        let region = self.downward_closure(role, root);
-        let region_set: HashSet<NodeId> = region.iter().copied().collect();
-        let mut totals = HashMap::new();
-        for &n in &region {
-            // Subtree of n within the region.
-            let mut seen = HashSet::new();
-            let mut q = VecDeque::new();
-            seen.insert(n);
-            q.push_back(n);
-            let mut total = 0i64;
-            while let Some(x) = q.pop_front() {
-                total += values.get(&x).copied().unwrap_or(0);
-                for &y in self.dc_children_rc(role, x).iter() {
-                    if region_set.contains(&y) && seen.insert(y) {
-                        q.push_back(y);
-                    }
-                }
-                for &y in self.children(x) {
-                    if region_set.contains(&y) && seen.insert(y) {
-                        q.push_back(y);
-                    }
-                }
-            }
-            totals.insert(n, total);
-        }
-        totals
+        // The region is closed under the step that built it, so the
+        // subtree of one of its concepts never leaves it.
+        self.downward_closure_rc(role, root)
+            .iter()
+            .map(|&n| {
+                let (subtree, _) = reach(n, |x, visit| self.region_step(role, x, visit));
+                let total = subtree.iter().filter_map(|x| values.get(x)).sum();
+                (n, total)
+            })
+            .collect()
     }
 }
 
@@ -817,9 +663,6 @@ mod tests {
         // lub cache key is order-insensitive.
         let py = dm.lookup("Pyramidal_Cell").unwrap();
         assert_eq!(r.lub(&[pc, py]), r.lub(&[py, pc]));
-        // A clone shares the already-warm caches without interference.
-        let r2 = r.clone();
-        assert_eq!(*r2.ancestors(pc), *r.ancestors(pc));
     }
 
     #[test]

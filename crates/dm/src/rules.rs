@@ -17,6 +17,8 @@
 //! (`tc`, `dc`, `has_a_star`) are installed as the paper writes them.
 
 use crate::graph::{DomainMap, EdgeKind, NodeId, NodeKind};
+use crate::ops::Resolved;
+use kind_datalog::quoted as q;
 use std::fmt::Write;
 
 /// How edges of a domain map are executed (§4).
@@ -62,19 +64,14 @@ pub struct DmProgram {
     pub edges_compiled: usize,
 }
 
-fn q(s: &str) -> String {
-    format!("{s:?}")
-}
-
 /// Compiles a domain map into rule text for a `kind_flogic::FLogic` (or
 /// plain `kind_datalog::Engine`) knowledge base. Callers should also load
-/// [`DM_OPS_RULES`] once per engine.
-pub fn compile(dm: &DomainMap, mode: ExecMode) -> DmProgram {
+/// [`DM_OPS_RULES`] once per engine. `resolved` is the caller's view of
+/// `dm`: the concept-level export goes through it, so AND inlining
+/// matches the pure-graph operations.
+pub fn compile(dm: &DomainMap, resolved: &Resolved, mode: ExecMode) -> DmProgram {
     let mut text = String::new();
     let mut compiled = 0usize;
-    // Concept-level export (via the resolved view so AND inlining matches
-    // the pure-graph operations).
-    let resolved = crate::ops::Resolved::new(dm);
     for (c, name) in dm.concepts() {
         let _ = writeln!(text, "dm_concept({}).", q(name));
         for &p in resolved.parents(c) {
@@ -83,7 +80,9 @@ pub fn compile(dm: &DomainMap, mode: ExecMode) -> DmProgram {
             }
         }
     }
-    for role in resolved_roles(&resolved) {
+    let mut roles = resolved.role_names();
+    roles.sort();
+    for role in roles {
         for &(x, y) in resolved.role_pairs(&role) {
             if let (Some(xn), Some(yn)) = (dm.name(x), dm.name(y)) {
                 let _ = writeln!(text, "dm_role({}, {}, {}).", q(&role), q(xn), q(yn));
@@ -103,12 +102,6 @@ pub fn compile(dm: &DomainMap, mode: ExecMode) -> DmProgram {
         text,
         edges_compiled: compiled,
     }
-}
-
-fn resolved_roles(r: &crate::ops::Resolved) -> Vec<String> {
-    let mut v = r.role_names();
-    v.sort();
-    v
 }
 
 /// Emits a membership predicate `t_<i>(Y)` for the target node of edge
@@ -369,7 +362,7 @@ mod tests {
     fn engine_with(dm: &DomainMap, mode: ExecMode, data: &str) -> FLogic {
         let mut fl = FLogic::new();
         fl.load_datalog(DM_OPS_RULES).unwrap();
-        let prog = compile(dm, mode);
+        let prog = compile(dm, &Resolved::new(dm), mode);
         fl.load(&prog.text).unwrap();
         fl.load(data).unwrap();
         fl
@@ -419,7 +412,7 @@ mod tests {
         let m = fl.run().unwrap();
         assert!(fl.inconsistency_witnesses(&m).is_empty());
         // n2 got a placeholder filler, typed Compartment.
-        let mut e = fl.engine().clone();
+        let e = fl.engine();
         let sk = e.query_model(&m, "relinst_sk(R, n2, Y)").unwrap();
         assert_eq!(sk.len(), 1);
         let comps = fl.instances_of(&m, "Compartment");
@@ -514,14 +507,19 @@ mod tests {
         .unwrap();
         let fl = engine_with(&dm, ExecMode::Assertion, "");
         let m = fl.run().unwrap();
-        let mut e = fl.engine().clone();
+        let e = fl.engine();
         // dc propagates Neuron's has_a to... and dendrite link lifts: the
         // paper's has_a_star.
-        let star = e.query_model(&m, "has_a_star(X, Y)").unwrap();
-        assert!(star.contains(&vec![e.constant("Neuron"), e.constant("Compartment")]));
+        let star: Vec<(String, String)> = e
+            .query_model(&m, "has_a_star(X, Y)")
+            .unwrap()
+            .iter()
+            .map(|row| (e.show(&row[0]), e.show(&row[1])))
+            .collect();
+        assert!(star.contains(&("Neuron".into(), "Compartment".into())));
         // Dendrite (a Compartment) inherits nothing downward here, but
         // its own link is present:
-        assert!(star.contains(&vec![e.constant("Dendrite"), e.constant("Branch")]));
+        assert!(star.contains(&("Dendrite".into(), "Branch".into())));
     }
 
     #[test]

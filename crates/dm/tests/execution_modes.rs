@@ -2,13 +2,14 @@
 //! paper's real maps, skolem behaviour, and the concept-level closures.
 
 use kind_datalog::EvalOptions;
-use kind_dm::{figures, load_axioms, rules, DomainMap, ExecMode, DM_OPS_RULES};
+use kind_dm::{figures, load_axioms, rules, DomainMap, ExecMode, Resolved, DM_OPS_RULES};
 use kind_flogic::FLogic;
 
 fn engine(dm: &DomainMap, mode: ExecMode, data: &str) -> FLogic {
     let mut fl = FLogic::new();
     fl.load_datalog(DM_OPS_RULES).unwrap();
-    fl.load(&rules::compile(dm, mode).text).unwrap();
+    fl.load(&rules::compile(dm, &Resolved::new(dm), mode).text)
+        .unwrap();
     fl.load(data).unwrap();
     fl
 }
@@ -99,7 +100,7 @@ fn figure3_all_edge_types_fillers_after_registration() {
 #[test]
 fn compiled_edge_count_matches_graph() {
     let dm = figures::figure1();
-    let prog = rules::compile(&dm, ExecMode::Assertion);
+    let prog = rules::compile(&dm, &Resolved::new(&dm), ExecMode::Assertion);
     // Every non-member edge with a named source compiles.
     let compilable = dm
         .edges()
@@ -123,17 +124,14 @@ fn has_a_star_matches_resolved_dc() {
     .unwrap();
     let fl = engine(&dm, ExecMode::Assertion, "");
     let m = fl.run().unwrap();
-    let mut e = fl.engine().clone();
+    let e = fl.engine();
     let datalog_star: std::collections::HashSet<(String, String)> = e
         .query_model(&m, "has_a_star(X, Y)")
         .unwrap()
         .into_iter()
-        .map(|row| {
-            let e2 = fl.engine();
-            (e2.show(&row[0]), e2.show(&row[1]))
-        })
+        .map(|row| (e.show(&row[0]), e.show(&row[1])))
         .collect();
-    let r = kind_dm::Resolved::new(&dm);
+    let r = Resolved::new(&dm);
     let graph_star: std::collections::HashSet<(String, String)> = r
         .dc_pairs("has_a")
         .into_iter()

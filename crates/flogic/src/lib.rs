@@ -47,6 +47,7 @@ pub use ast::{ArrowKind, MethodSpec, Molecule};
 pub use parser::{parse_fl_molecule, parse_fl_program, FlBodyItem, FlClause};
 pub use translate::{implied_classes, lower_clause, lower_clause_named, molecule_atoms, Preds};
 
+use kind_datalog::parser::{remap_atom, remap_term};
 use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Interner, Model, Term};
 
 /// Core FL axioms of Table 1 (right column), in Datalog syntax over the
@@ -321,88 +322,55 @@ impl FLogic {
         out
     }
 
+    /// Parses an FL molecule for asking: into a scratch symbol table,
+    /// then remapped onto this knowledge base's own without interning
+    /// (`kind_datalog::parser::remap_term`). `None` when it mentions a
+    /// constant or predicate this base has never seen — such a molecule
+    /// can match nothing. It must translate to a single atom.
+    fn ask(&self, molecule: &str) -> Result<Option<Atom>, DatalogError> {
+        let mut scratch = Interner::new();
+        let (mol, _) = parser::parse_fl_molecule(molecule, &mut scratch)?;
+        let Some(mol) = remap_molecule(&mol, &scratch, self.engine.symbols()) else {
+            return Ok(None);
+        };
+        let mut atoms = translate::molecule_atoms(&mol, &self.preds);
+        if atoms.len() != 1 {
+            return Err(DatalogError::Parse {
+                offset: 0,
+                line: 0,
+                message: "a molecule to ask about must translate to a single atom".to_string(),
+            });
+        }
+        Ok(atoms.pop())
+    }
+
     /// Explains why an FL molecule fact holds in a model: returns the
     /// rendered derivation tree, or `None` when it does not hold. The
     /// molecule must be ground and translate to a single atom.
     pub fn explain(
-        &mut self,
+        &self,
         model: &Model,
         fact: &str,
         max_depth: usize,
     ) -> Result<Option<String>, DatalogError> {
-        let (mol, _) = parser::parse_fl_molecule(fact, self.engine.symbols_mut())?;
-        let atoms = translate::molecule_atoms(&mol, &self.preds);
-        let [atom] = atoms.as_slice() else {
-            return Err(DatalogError::Parse {
-                offset: 0,
-                line: 0,
-                message: "explain() takes a single-atom molecule".to_string(),
-            });
-        };
-        Ok(self
-            .engine
-            .explain(model, atom.pred, &atom.args, max_depth)
-            .map(|d| self.engine.render_derivation(&d)))
+        Ok(self.ask(fact)?.and_then(|atom| {
+            self.engine
+                .explain(model, atom.pred, &atom.args, max_depth)
+                .map(|d| self.engine.render_derivation(&d))
+        }))
     }
 
     /// Runs an FL molecule query (e.g. `"X : neuron"`) against a model,
-    /// returning one binding vector per solution (variables in first-seen
-    /// order).
-    pub fn query(&mut self, model: &Model, pattern: &str) -> Result<Vec<Vec<Term>>, DatalogError> {
-        let (mol, _) = parser::parse_fl_molecule(pattern, self.engine.symbols_mut())?;
-        let atoms = translate::molecule_atoms(&mol, &self.preds);
-        if atoms.len() != 1 {
-            return Err(DatalogError::Parse {
-                offset: 0,
-                line: 0,
-                message: "query molecule must translate to a single atom".to_string(),
-            });
-        }
-        Ok(model.query(&atoms[0]))
-    }
-
-    /// Read-only variant of [`FLogic::query`]: parses the pattern into a
-    /// scratch symbol table and *remaps* its symbols into this knowledge
-    /// base's (frozen) one, instead of interning new symbols into it. A
-    /// constant or predicate this engine has never seen cannot match
-    /// anything, so such patterns simply yield no rows.
-    ///
-    /// Because it takes `&self`, many threads can run queries against one
-    /// shared `FLogic` + [`Model`] concurrently — this is the hot path of
+    /// returning one substituted argument vector per solution. Asking
+    /// never interns: a constant or predicate this base has never seen
+    /// yields no rows. Because it takes `&self`, many threads can query
+    /// one shared `FLogic` + [`Model`] concurrently — the hot path of
     /// `kind-core`'s `QuerySnapshot`.
-    pub fn query_frozen(
-        &self,
-        model: &Model,
-        pattern: &str,
-    ) -> Result<Vec<Vec<Term>>, DatalogError> {
-        let mut scratch = Interner::new();
-        let (mol, _) = parser::parse_fl_molecule(pattern, &mut scratch)?;
-        let Some(mol) = remap_molecule(&mol, &scratch, self.engine.symbols()) else {
-            return Ok(Vec::new());
-        };
-        let atoms = translate::molecule_atoms(&mol, &self.preds);
-        if atoms.len() != 1 {
-            return Err(DatalogError::Parse {
-                offset: 0,
-                line: 0,
-                message: "query molecule must translate to a single atom".to_string(),
-            });
-        }
-        Ok(model.query(&atoms[0]))
-    }
-}
-
-/// Maps a term's symbols from one interner into another without
-/// interning; `None` when a symbol is unknown to `to`.
-fn remap_term(t: &Term, from: &Interner, to: &Interner) -> Option<Term> {
-    match t {
-        Term::Const(s) => to.get(from.resolve(*s)).map(Term::Const),
-        Term::Func(f, args) => {
-            let f = to.get(from.resolve(*f))?;
-            let args: Option<Vec<Term>> = args.iter().map(|a| remap_term(a, from, to)).collect();
-            Some(Term::func(f, args?))
-        }
-        other => Some(other.clone()),
+    pub fn query(&self, model: &Model, pattern: &str) -> Result<Vec<Vec<Term>>, DatalogError> {
+        Ok(self
+            .ask(pattern)?
+            .map(|atom| model.query(&atom))
+            .unwrap_or_default())
     }
 }
 
@@ -431,15 +399,7 @@ fn remap_molecule(mol: &Molecule, from: &Interner, to: &Interner) -> Option<Mole
                 .collect::<Option<Vec<_>>>()?;
             Some(Molecule::Frame { obj, specs })
         }
-        Molecule::Plain(a) => {
-            let pred = to.get(from.resolve(a.pred))?;
-            let args = a
-                .args
-                .iter()
-                .map(|t| remap_term(t, from, to))
-                .collect::<Option<Vec<_>>>()?;
-            Some(Molecule::Plain(kind_datalog::Atom::new(pred, args)))
-        }
+        Molecule::Plain(a) => remap_atom(a, from, to).map(Molecule::Plain),
     }
 }
 
@@ -489,7 +449,7 @@ mod tests {
         )
         .unwrap();
         let m = fl.run().unwrap();
-        let mut e = fl.engine().clone();
+        let e = fl.engine();
         let sols = e
             .query_model(&m, "meth(spiny_neuron, has, compartment)")
             .unwrap();
@@ -543,17 +503,11 @@ mod tests {
         )
         .unwrap();
         let m = fl.run().unwrap();
-        let mut e = fl.engine().clone();
+        let e = fl.engine();
         // m1: most specific default wins (50 shadows 10).
         let v1 = e.query_model(&m, "val(m1, spine_density, V)").unwrap();
-        assert_eq!(
-            v1,
-            vec![vec![
-                e.constant("m1"),
-                e.constant("spine_density"),
-                Term::Int(50)
-            ]]
-        );
+        assert_eq!(v1.len(), 1);
+        assert_eq!(v1[0][2], Term::Int(50));
         // m2: explicit value wins over any default.
         let v2 = e.query_model(&m, "val(m2, spine_density, V)").unwrap();
         assert_eq!(v2.len(), 1);
@@ -561,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn query_frozen_matches_query_and_handles_unknowns() {
+    fn asking_interns_nothing_and_unknown_symbols_match_nothing() {
         let mut fl = FLogic::new();
         fl.load(
             "n1 : neuron. n2 : neuron.
@@ -569,15 +523,14 @@ mod tests {
         )
         .unwrap();
         let m = fl.run().unwrap();
-        let frozen = fl.query_frozen(&m, "X : neuron").unwrap();
-        let mutable = fl.clone().query(&m, "X : neuron").unwrap();
-        assert_eq!(frozen, mutable);
-        assert_eq!(fl.query_frozen(&m, "X[size -> V]").unwrap().len(), 1);
-        // Symbols the engine has never seen yield no rows (and intern
-        // nothing).
         let before = fl.engine().symbols().len();
-        assert!(fl.query_frozen(&m, "X : no_such_class").unwrap().is_empty());
-        assert!(fl.query_frozen(&m, "no_such_pred(X)").unwrap().is_empty());
+        assert_eq!(fl.query(&m, "X : neuron").unwrap().len(), 2);
+        assert_eq!(fl.query(&m, "X[size -> V]").unwrap().len(), 1);
+        assert!(fl.query(&m, "X : no_such_class").unwrap().is_empty());
+        assert!(fl.query(&m, "no_such_pred(X)").unwrap().is_empty());
+        assert!(fl.explain(&m, "n1 : neuron", 4).unwrap().is_some());
+        assert!(fl.explain(&m, "n1 : no_such_class", 4).unwrap().is_none());
+        assert!(fl.engine().query_model(&m, "nope(X)").unwrap().is_empty());
         assert_eq!(fl.engine().symbols().len(), before);
     }
 

@@ -57,7 +57,7 @@ fn deep_hierarchy_instance_count() {
     let m = fl.run().unwrap();
     assert!(fl.is_instance(&m, "x", "k100"));
     // x is an instance of all 101 classes.
-    let mut e = fl.engine().clone();
+    let e = fl.engine();
     let sols = e.query_model(&m, "inst(x, C)").unwrap();
     assert_eq!(sols.len(), 101);
 }
@@ -78,7 +78,7 @@ fn diamond_inheritance_multiple_superclasses() {
     let m = fl.run().unwrap();
     assert!(fl.is_instance(&m, "o", "top"));
     // Signatures from both parents are inherited.
-    let mut e = fl.engine().clone();
+    let e = fl.engine();
     assert_eq!(e.query_model(&m, "meth(bottom, m, R)").unwrap().len(), 2);
 }
 
@@ -95,7 +95,7 @@ fn default_inheritance_diamond_conflict_yields_both() {
     )
     .unwrap();
     let m = fl.run().unwrap();
-    let mut e = fl.engine().clone();
+    let e = fl.engine();
     let vals = e.query_model(&m, "val(o, color, V)").unwrap();
     assert_eq!(vals.len(), 2);
 }
@@ -113,7 +113,7 @@ fn inheritance_with_recursive_negation_uses_wfs() {
     .unwrap();
     fl.load_datalog("default(plain_neuron, rank, 1).").unwrap();
     let m = fl.run().unwrap();
-    let mut e = fl.engine().clone();
+    let e = fl.engine();
     assert_eq!(e.query_model(&m, "val(o1, rank, 1)").unwrap().len(), 1);
     assert!(e.query_model(&m, "val(o2, rank, 1)").unwrap().is_empty());
 }

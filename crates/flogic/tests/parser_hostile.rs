@@ -5,8 +5,8 @@
 //! one lexer (`kind_datalog::parser::Parser`), so both see every input.
 //! Seeded: case `i` always draws the same bytes.
 
-use kind_datalog::parser::parse_program;
-use kind_datalog::{Engine, EvalOptions, Interner};
+use kind_datalog::parser::{parse_atom, parse_program};
+use kind_datalog::{quoted, Engine, EvalOptions, Interner, Term};
 use kind_flogic::{parse_fl_program, FLogic};
 use proptest::prelude::*;
 
@@ -30,6 +30,15 @@ const TEXTS: &[&str] = &[
     "root(X) :- node(X), not haspred(X), X != sentinel. // comment
      succ(X, Y) :- node(X), Y = X - 1.
      card(B, N) :- N = count{ A [B] : r(A, f(B, _)) }.",
+];
+
+/// What a name that reaches rule text may be made of: the four characters
+/// the lexer escapes, ones `{:?}` escapes and the lexer does not (`\r`,
+/// NUL, U+200B), two-byte letters, and characters that mean something
+/// outside a literal.
+const NAME_CHARS: &[char] = &[
+    '"', '\\', '\n', '\t', '\r', '\0', '\u{200b}', 'ü', 'è', 'Z', 'a', ' ', '%', '/', '\'', '.',
+    ')', ',',
 ];
 
 /// Neither entry point may panic; what they return is not our business.
@@ -61,6 +70,23 @@ proptest! {
         parse_both(&String::from_utf8_lossy(&bytes));
         // And the text cut off there.
         parse_both(&String::from_utf8_lossy(&bytes[..at]));
+    }
+
+    /// `quoted` is the inverse of the lexer's string literal, in both
+    /// grammars: whatever the name, the literal reads back as the name.
+    #[test]
+    fn a_quoted_name_reads_back_as_itself(
+        picks in prop::collection::vec(0usize..NAME_CHARS.len(), 0..24),
+    ) {
+        let name: String = picks.iter().map(|&i| NAME_CHARS[i]).collect();
+        let mut syms = Interner::new();
+        let (atom, _) = parse_atom(&format!("p({}, 1)", quoted(&name)), &mut syms).unwrap();
+        let Term::Const(read) = atom.args[0] else { panic!("{atom:?}") };
+        prop_assert_eq!(syms.resolve(read), name.as_str());
+        let mut fl = FLogic::new();
+        fl.load(&format!("o[m -> {}].", quoted(&name))).unwrap();
+        let model = fl.run().unwrap();
+        prop_assert_eq!(fl.method_values(&model, "o"), vec![("m".to_string(), name)]);
     }
 }
 

@@ -26,7 +26,7 @@ impl GcmValue {
         match self {
             GcmValue::Id(s) => s.clone(),
             GcmValue::Int(i) => i.to_string(),
-            GcmValue::Str(s) => format!("{s:?}"),
+            GcmValue::Str(s) => kind_datalog::quoted(s),
         }
     }
 }

@@ -214,7 +214,7 @@ mod tests {
         base.apply(&cm).unwrap();
         let m = base.run().unwrap();
         assert!(base.flogic().is_instance(&m, "s1", "compartment"));
-        let mut e = base.flogic().engine().clone();
+        let e = base.flogic().engine();
         assert_eq!(e.query_model(&m, "has(d1, s1)").unwrap().len(), 1);
     }
 
@@ -243,7 +243,7 @@ mod tests {
         let m = base.run().unwrap();
         assert!(base.flogic().is_instance(&m, "p1", "neuron"));
         // Signature inherited down to purkinje_cell.
-        let mut e = base.flogic().engine().clone();
+        let e = base.flogic().engine();
         assert_eq!(
             e.query_model(&m, "meth(purkinje_cell, soma_size, float)")
                 .unwrap()

@@ -13,10 +13,13 @@
 //!   domain map;
 //! * [`scenario`] — one-call construction of the fully registered
 //!   mediator, with configurable noise sources for the source-selection
-//!   ablation.
+//!   ablation;
+//! * [`dm_gen`] — seeded random domain maps for the §4 differential
+//!   oracle.
 #![warn(missing_docs)]
 
 pub mod anatomy;
+pub mod dm_gen;
 pub mod ncmir;
 pub mod scenario;
 pub mod senselab;

@@ -156,7 +156,7 @@ fn figure3_nonmonotonic_projection_override() {
     fl.load_datalog("default(medium_spiny_neuron, proj, some_pallidal_target).")
         .unwrap();
     let m = fl.run().unwrap();
-    let mut e = fl.engine().clone();
+    let e = fl.engine();
     // m2 inherits the default; m1's explicit value overrides it.
     let v2 = e.query_model(&m, "val(m2, proj, V)").unwrap();
     assert_eq!(v2.len(), 1);

@@ -54,8 +54,7 @@ fn tc_engine(edges: &[(usize, usize)], semi_naive: bool) -> HashSet<(usize, usiz
             ..Default::default()
         })
         .unwrap();
-    let mut e2 = e.clone();
-    e2.query_model(&m, "tc(X, Y)")
+    e.query_model(&m, "tc(X, Y)")
         .unwrap()
         .into_iter()
         .map(|row| {
