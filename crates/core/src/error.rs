@@ -25,6 +25,13 @@ pub enum MediatorError {
         /// The offending name.
         name: String,
     },
+    /// A source name contains `.`, the separator of the object ids
+    /// `source.id`: `A.B`'s row `c` and `A`'s row `B.c` would be one
+    /// object.
+    DottedSourceName {
+        /// The offending name.
+        name: String,
+    },
     /// No source with that id/name.
     UnknownSource {
         /// The requested source.
@@ -54,6 +61,10 @@ impl fmt::Display for MediatorError {
             MediatorError::DuplicateSource { name } => {
                 write!(f, "source `{name}` already registered")
             }
+            MediatorError::DottedSourceName { name } => write!(
+                f,
+                "source name `{name}` contains `.`, which separates a source from its object ids"
+            ),
             MediatorError::UnknownSource { name } => write!(f, "unknown source `{name}`"),
             MediatorError::UnknownClass { class } => write!(f, "no source exports class `{class}`"),
             MediatorError::UnknownConcept { name } => {
@@ -72,6 +83,7 @@ impl std::error::Error for MediatorError {
             MediatorError::Source { error, .. } => Some(error),
             // Leaf variants: the message carries everything there is.
             MediatorError::DuplicateSource { .. }
+            | MediatorError::DottedSourceName { .. }
             | MediatorError::UnknownSource { .. }
             | MediatorError::UnknownClass { .. }
             | MediatorError::UnknownConcept { .. } => None,

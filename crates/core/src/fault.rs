@@ -27,7 +27,7 @@
 //! Degradation semantics are described in DESIGN.md ("Fault model &
 //! degradation semantics").
 
-use crate::wrapper::{Anchor, Capability, ObjectRow, QueryTemplate, SourceQuery, Wrapper};
+use crate::wrapper::{Anchor, Capability, ObjectRow, QueryTemplate, Rows, SourceQuery, Wrapper};
 use kind_gcm::GcmValue;
 use kind_xml::Element;
 use std::collections::BTreeMap;
@@ -588,12 +588,9 @@ impl FaultInjector {
     }
 
     /// The faults applied *to* the inner wrapper's answer, for the same
-    /// call number the pre-faults were drawn with.
-    fn post_faults(
-        &self,
-        call: u64,
-        mut rows: Vec<ObjectRow>,
-    ) -> std::result::Result<Vec<ObjectRow>, SourceError> {
+    /// call number the pre-faults were drawn with. The inner rows may be
+    /// the wrapper's own: a corrupted row is written into a copy.
+    fn post_faults(&self, call: u64, mut rows: Rows) -> std::result::Result<Rows, SourceError> {
         for fault in &self.faults {
             match *fault {
                 Fault::TruncateAfter(n) if rows.len() > n => {
@@ -603,10 +600,10 @@ impl FaultInjector {
                     seed,
                     corrupt_per_mille,
                 } => {
-                    for (i, row) in rows.iter_mut().enumerate() {
+                    for i in 0..rows.len() {
                         let h = mix(seed ^ mix(call) ^ (i as u64).wrapping_mul(0x5851));
                         if h % 1000 < u64::from(corrupt_per_mille) {
-                            Self::corrupt(row, h);
+                            Self::corrupt(&mut Arc::make_mut(&mut rows)[i], h);
                         }
                     }
                 }
@@ -652,7 +649,7 @@ impl Wrapper for FaultInjector {
             .saturating_add(self.inner.virtual_cost_ms())
     }
 
-    fn query(&self, q: &SourceQuery) -> std::result::Result<Vec<ObjectRow>, SourceError> {
+    fn query(&self, q: &SourceQuery) -> std::result::Result<Rows, SourceError> {
         if !self.armed.load(Ordering::SeqCst) {
             return self.inner.query(q);
         }
@@ -690,11 +687,7 @@ impl Wrapper for FaultInjector {
         }
     }
 
-    fn complete(
-        &self,
-        ticket: u64,
-        q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, SourceError> {
+    fn complete(&self, ticket: u64, q: &SourceQuery) -> std::result::Result<Rows, SourceError> {
         let r = self.inner.complete(ticket, q);
         // Apply the parked call's post-faults — captured at submit time,
         // so an arm/disarm flip mid-flight cannot desynchronise the
@@ -1190,8 +1183,44 @@ mod tests {
         let a = run();
         assert_eq!(a, run(), "same seed, same corruption");
         let clean = lab(40).query(&q).unwrap();
-        let corrupted = a.iter().zip(&clean).filter(|(x, y)| x != y).count();
+        let corrupted = a.iter().zip(clean.iter()).filter(|(x, y)| x != y).count();
         assert!(corrupted > 0 && corrupted < 40, "got {corrupted}");
+    }
+
+    /// A scan shares the inner wrapper's rows: a fault that rewrites them
+    /// writes a copy, one that refuses them touches nothing, and a
+    /// disarmed scan afterwards ships the rows as built — still the inner
+    /// wrapper's own allocation.
+    #[test]
+    fn faults_leave_the_inner_rows_as_built() {
+        let q = SourceQuery::scan("m");
+        let built = lab(40).query(&q).unwrap();
+        for fault in [
+            Fault::CorruptRows {
+                seed: 3,
+                corrupt_per_mille: 1000,
+            },
+            Fault::TruncateAfter(3),
+        ] {
+            let inner = lab(40);
+            let clock = Arc::new(VirtualClock::new());
+            let inj = FaultInjector::new(Arc::clone(&inner) as Arc<dyn Wrapper>, clock)
+                .with_fault(fault.clone());
+            for _ in 0..3 {
+                match inj.query(&q) {
+                    Ok(rows) => assert!(rows.iter().zip(built.iter()).all(|(r, b)| r != b)),
+                    Err(e) => assert_eq!(e, SourceError::Truncated { shipped: 3 }),
+                }
+            }
+            let crate::wrapper::Submission::Ready(submitted) = inj.submit(&q) else {
+                panic!("a memory wrapper answers inline");
+            };
+            assert_ne!(submitted.ok().as_ref(), Some(&built), "{fault:?} fired");
+            inj.disarm();
+            let after = inj.query(&q).unwrap();
+            assert_eq!(after, built, "{fault:?}");
+            assert!(Arc::ptr_eq(&after, &inner.rows["m"]), "{fault:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::fault::{
     AnswerReport, BreakerState, CircuitBreaker, QuarantinedRow, SourceError, SourceOutcome,
     SourcePolicy, VirtualClock,
 };
-use crate::wrapper::{Capability, ObjectRow, SourceQuery, Wrapper};
+use crate::wrapper::{Capability, ObjectRow, Rows, SourceQuery, Wrapper};
 use kind_datalog::CancelToken;
 use kind_dm::SourceId;
 use std::collections::{BTreeSet, HashMap};
@@ -176,8 +176,9 @@ pub struct FetchBatch {
     /// The query that was run.
     pub query: SourceQuery,
     /// The surviving rows (validated, residual-filtered), in wrapper
-    /// ship order.
-    pub rows: Vec<ObjectRow>,
+    /// ship order — the wrapper's own allocation when every shipped row
+    /// survived.
+    pub rows: Rows,
 }
 
 /// Everything a fetch phase produced: one [`FetchBatch`] per request (in
@@ -265,7 +266,7 @@ impl JobBudget {
 /// the report by [`record_completion`].
 pub(crate) struct FetchCompletion {
     /// Validated, residual-filtered rows (empty on failure/skip).
-    rows: Vec<ObjectRow>,
+    rows: Rows,
     /// Rows rejected by CM validation.
     quarantined: Vec<QuarantinedRow>,
     /// Physical wrapper attempts (0 when the breaker skipped).
@@ -280,7 +281,7 @@ pub(crate) struct FetchCompletion {
 
 /// A wrapper contact's outcome, fed back into the machine that asked
 /// for it.
-pub(crate) type SourceReply = std::result::Result<Vec<ObjectRow>, SourceError>;
+pub(crate) type SourceReply = std::result::Result<Rows, SourceError>;
 
 /// What a resumable machine ([`FetchMachine`], [`JobMachine`]) needs
 /// next.
@@ -311,7 +312,7 @@ enum FetchState {
     /// in case the backup loses the race.
     Backup {
         /// The primary's rows.
-        rows: Vec<ObjectRow>,
+        rows: Rows,
         /// The primary's self-charged cost (the time to beat).
         attempt_cost: u64,
         /// The wrapper's self-charged cost before the backup.
@@ -512,7 +513,7 @@ impl FetchMachine {
     fn fail(&self, stats: &mut MediatorStats, outcome: SourceOutcome) -> Step<FetchCompletion> {
         stats.failures += 1;
         Step::Done(FetchCompletion {
-            rows: Vec::new(),
+            rows: Rows::default(),
             quarantined: Vec::new(),
             attempts: self.attempts as usize,
             hedged: self.hedged,
@@ -523,10 +524,12 @@ impl FetchMachine {
 
     /// The success epilogue shared by the hedged and unhedged paths:
     /// charge the winner's cost, then either drop the rows at the
-    /// deadline or quarantine-validate and residual-filter them.
+    /// deadline or quarantine-validate and residual-filter them. Both read
+    /// the rows in place; the survivors are copied out only when some row
+    /// did not survive.
     fn land(
         &mut self,
-        rows: Vec<ObjectRow>,
+        rows: Rows,
         charge: u64,
         src: &RegisteredSource,
         stats: &mut MediatorStats,
@@ -541,25 +544,33 @@ impl FetchMachine {
             self.cancelled += 1;
             return self.fail(stats, budget.deadline_exceeded());
         }
-        // CM validation: quarantine, don't abort.
-        let mut kept = Vec::with_capacity(rows.len());
+        // CM validation quarantines, it does not abort; then the residual
+        // selections.
         let mut quarantined = Vec::new();
-        for row in rows {
-            match src.validate_row(&q.class, &row) {
-                Ok(()) => kept.push(row),
-                Err(reason) => quarantined.push(QuarantinedRow {
-                    source: src.name.clone(),
-                    class: q.class.clone(),
-                    row_id: row.id.clone(),
-                    reason,
-                }),
-            }
-        }
-        kept.retain(|r| {
-            q.selections
-                .iter()
-                .all(|s| r.get(&s.attr) == Some(&s.value))
-        });
+        let keep: Vec<bool> = rows
+            .iter()
+            .map(|row| match src.validate_row(&q.class, row) {
+                Ok(()) => q
+                    .selections
+                    .iter()
+                    .all(|s| row.get(&s.attr) == Some(&s.value)),
+                Err(reason) => {
+                    quarantined.push(QuarantinedRow {
+                        source: src.name.clone(),
+                        class: q.class.clone(),
+                        row_id: row.id.clone(),
+                        reason,
+                    });
+                    false
+                }
+            })
+            .collect();
+        let kept = if keep.iter().all(|&k| k) {
+            rows
+        } else {
+            let survivors = rows.iter().zip(&keep).filter(|&(_, &k)| k);
+            Arc::new(survivors.map(|(row, _)| row.clone()).collect())
+        };
         stats.rows_kept += kept.len();
         let outcome = match self.attempts - 1 {
             0 => SourceOutcome::Ok,
@@ -667,11 +678,7 @@ impl JobMachine {
 
 /// Folds one completion into `report` under `source` and hands back its
 /// surviving rows.
-fn record_completion(
-    report: &mut AnswerReport,
-    source: &str,
-    completion: FetchCompletion,
-) -> Vec<ObjectRow> {
+fn record_completion(report: &mut AnswerReport, source: &str, completion: FetchCompletion) -> Rows {
     for qr in completion.quarantined {
         report.record_quarantine(qr);
     }
@@ -1000,7 +1007,7 @@ impl Federation {
     /// exhausts its retry budget — or whose breaker is open, or that the
     /// deadline cut off — is a typed [`MediatorError::Source`] error; the
     /// outcome is also folded into the current [`Self::report`].
-    pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Vec<ObjectRow>> {
+    pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Rows> {
         let mut set = self.fetch_parallel(&[FetchRequest::new(source_name, q.clone())])?;
         let outcome = &set.report.sources[source_name].outcome;
         match strict_error(outcome) {
@@ -1072,7 +1079,7 @@ impl Federation {
                 .map(|r| FetchBatch {
                     source: r.source.clone(),
                     query: r.query.clone(),
-                    rows: Vec::new(),
+                    rows: Rows::default(),
                 })
                 .collect(),
             ..FetchSet::default()
@@ -1123,7 +1130,7 @@ impl Federation {
         source_name: &str,
         template: &str,
         args: &[kind_gcm::GcmValue],
-    ) -> Result<Vec<ObjectRow>> {
+    ) -> Result<Rows> {
         let src = self.source(source_name)?;
         let t = src
             .wrapper
@@ -1252,6 +1259,27 @@ mod tests {
         assert_eq!(set.batches[3].rows.len(), 2);
         assert_eq!(set.total_rows(), 10);
         assert!(set.is_complete());
+    }
+
+    /// Validation and the residual filter read the shipped rows in place:
+    /// when every row survives, the batch is the wrapper's own allocation;
+    /// when a filter drops some, the survivors are a copy and the
+    /// wrapper's rows stay whole.
+    #[test]
+    fn rows_that_all_survive_arrive_as_the_wrappers_own() {
+        let w = wrapper("A", "ca", "Spine", 3);
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.register(Arc::clone(&w) as Arc<dyn Wrapper>).unwrap();
+        let requests = [
+            FetchRequest::scan("A", "ca"),
+            FetchRequest::new("A", SourceQuery::scan("ca").with("value", GcmValue::Int(1))),
+        ];
+        let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+        assert!(Arc::ptr_eq(&set.batches[0].rows, &w.rows["ca"]));
+        assert_eq!(set.batches[1].rows.len(), 1);
+        assert_eq!(w.rows["ca"].len(), 3);
+        let fetched = m.fetch("A", &SourceQuery::scan("ca")).unwrap();
+        assert!(Arc::ptr_eq(&fetched, &w.rows["ca"]));
     }
 
     #[test]

@@ -84,6 +84,6 @@ pub use plan::{
 pub use query::AnswerSet;
 pub use snapshot::{QuerySnapshot, SnapshotAnswer};
 pub use wrapper::{
-    Anchor, Capability, MemoryWrapper, ObjectRow, QueryTemplate, Selection, SourceQuery,
+    Anchor, Capability, MemoryWrapper, ObjectRow, QueryTemplate, Rows, Selection, SourceQuery,
     StallAware, Submission, Wrapper,
 };

@@ -27,7 +27,7 @@ use crate::hub::{PinnedSnapshot, SnapshotHub};
 use crate::knowledge::Knowledge;
 use crate::query::{evaluate, AnswerSet, OneOffRule};
 use crate::snapshot::QuerySnapshot;
-use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
+use crate::wrapper::{Anchor, ObjectRow, Rows, SourceQuery, Wrapper};
 use kind_datalog::{EvalOptions, Interner, Model, Term};
 use kind_dm::{
     axiom, rules, DomainMap, ExecMode, NodeId, Resolved, SemanticIndex, SourceId, DM_OPS_RULES,
@@ -262,7 +262,7 @@ impl Mediator {
     /// federation layer's single guarded path ([`Federation::fetch`]), so
     /// retry/breaker/quarantine semantics are identical across every
     /// entry point.
-    pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Vec<ObjectRow>> {
+    pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Rows> {
         self.federation.fetch(source_name, q)
     }
 
@@ -274,7 +274,7 @@ impl Mediator {
         source_name: &str,
         template: &str,
         args: &[kind_gcm::GcmValue],
-    ) -> Result<Vec<ObjectRow>> {
+    ) -> Result<Rows> {
         self.federation.call_template(source_name, template, args)
     }
 
@@ -329,11 +329,16 @@ impl Mediator {
 
     /// Registers a wrapped source: translates its CM through the plug-in
     /// for its formalism, applies it, merges its DM contribution, and
-    /// builds its semantic index. Returns the assigned source id.
+    /// builds its semantic index. Returns the assigned source id. A name
+    /// already registered, or one containing `.` (the separator of the
+    /// object ids `source.id`), is refused before anything is recorded.
     pub fn register(&mut self, wrapper: Arc<dyn Wrapper>) -> Result<SourceId> {
         let name = wrapper.name().to_string();
         if self.federation.has_source(&name) {
             return Err(MediatorError::DuplicateSource { name });
+        }
+        if name.contains('.') {
+            return Err(MediatorError::DottedSourceName { name });
         }
         let id = self.federation.next_id();
         // (1) DM contribution — a source may refine the mediator's map
@@ -378,7 +383,7 @@ impl Mediator {
                     *per_concept.entry(concept).or_insert(0) += scan(&class)?.len().max(1);
                 }
                 Anchor::ByAttr { class, attr } => {
-                    for row in &scan(&class)? {
+                    for row in scan(&class)?.iter() {
                         if let Some(c) = row.get_str(&attr) {
                             *per_concept.entry(c).or_insert(0) += 1;
                         }
@@ -390,9 +395,7 @@ impl Mediator {
                     // over this class's rows only.
                     let mut scratch = GcmBase::new();
                     scratch.flogic_mut().load(&rule)?;
-                    for row in &scan(&class)? {
-                        apply_row_to(&mut scratch, &name, &class, row)?;
-                    }
+                    load_batch(&mut scratch, &name, &class, &scan(&class)?)?;
                     let model = scratch.run_with(&self.eval_options)?;
                     let engine = scratch.flogic().engine();
                     for sol in engine.query_model(&model, "anchor_at(X, C)")? {
@@ -572,10 +575,13 @@ impl Mediator {
         // Evaluate phase: apply batches in request (= registration) order.
         let mut loaded = 0usize;
         for batch in &fetched.batches {
-            for row in &batch.rows {
-                apply_row_to(&mut self.base, &batch.source, &batch.query.class, row)?;
-                loaded += 1;
-            }
+            load_batch(
+                &mut self.base,
+                &batch.source,
+                &batch.query.class,
+                &batch.rows,
+            )?;
+            loaded += batch.rows.len();
         }
         Ok(loaded)
     }
@@ -600,7 +606,7 @@ impl Mediator {
                 },
             });
         }
-        apply_row_to(&mut self.base, source, class, row)
+        load_batch(&mut self.base, source, class, std::slice::from_ref(row))
     }
 
     /// Retracts a previously loaded row — the delete plane's mirror of
@@ -884,24 +890,64 @@ impl Mediator {
     }
 }
 
-/// Loads one row into `base` as its `obj : class` and `obj[attr -> value]`
-/// facts, unchecked (the fetch plane validated the row) — the shared load
-/// path for the mediator's own base and for per-query scratch clones. On
-/// the mediator's base, once a model is cached, the facts are **staged**:
-/// they land in the live engine and its changelog, and the cached model
-/// stays valid as the pre-delta base until [`Mediator::publish`] applies
-/// the accumulated delta incrementally.
-pub(crate) fn apply_row_to(
+/// Method names [`load_batch`] keeps at hand; a class has a handful.
+const METHODS_PER_BATCH: usize = 16;
+
+/// Loads rows of one `class` from one `source` into `base` as their
+/// `obj : class` and `obj[attr -> value]` facts, unchecked (the fetch plane
+/// validated them) — the one load path, for the mediator's own base, the
+/// derived-anchor scratch base and per-query scratch clones alike. The
+/// object id `source.id` is built in one reused buffer, `class(c)` is
+/// asserted once, and each method name is interned once, on first use;
+/// symbols are interned in the order the declaration route interns them —
+/// object, class, then per attribute the value and the method. On the
+/// mediator's base, once a model is cached, the facts are **staged**: they
+/// land in the live engine and its changelog, and the cached model stays
+/// valid as the pre-delta base until [`Mediator::publish`] applies the
+/// accumulated delta incrementally.
+pub(crate) fn load_batch(
     base: &mut GcmBase,
     source: &str,
     class: &str,
-    row: &ObjectRow,
+    rows: &[ObjectRow],
 ) -> Result<()> {
-    let obj = base
-        .flogic_mut()
-        .assert_instance(&format!("{source}.{}", row.id), class)?;
-    for (attr, value) in &row.attrs {
-        base.assert_value(obj.clone(), attr, value)?;
+    let fl = base.flogic_mut();
+    let preds = *fl.preds();
+    let engine = fl.engine_mut();
+    let mut obj_id = String::new();
+    let mut class_term: Option<Term> = None;
+    let mut methods: Vec<(&str, Term)> = Vec::new();
+    for row in rows {
+        obj_id.clear();
+        obj_id.push_str(source);
+        obj_id.push('.');
+        obj_id.push_str(&row.id);
+        let obj = engine.constant(&obj_id);
+        let class = match &class_term {
+            Some(c) => c.clone(),
+            None => {
+                let c = engine.constant(class);
+                engine.add_fact(preds.class, [c.clone()])?;
+                class_term.insert(c).clone()
+            }
+        };
+        engine.add_fact(preds.inst, [obj.clone(), class])?;
+        for (attr, value) in &row.attrs {
+            let value = value.term(engine);
+            let method = match methods.iter().find(|(m, _)| m == attr) {
+                Some((_, m)) => m.clone(),
+                None => {
+                    let m = engine.constant(attr);
+                    // Bounded: a row of a thousand distinct attributes
+                    // interns the rest, it does not scan a long list.
+                    if methods.len() < METHODS_PER_BATCH {
+                        methods.push((attr, m.clone()));
+                    }
+                    m
+                }
+            };
+            engine.add_fact(preds.mi, [obj.clone(), method, value])?;
+        }
     }
     Ok(())
 }
@@ -1001,6 +1047,41 @@ mod tests {
             m.register(simple_wrapper("A", "c", "Spine", 1)),
             Err(MediatorError::DuplicateSource { .. })
         ));
+    }
+
+    /// Object ids are `source.id`: a row `c` of source `A.B` and a row
+    /// `B.c` of source `A` were one object `A.B.c` with both rows'
+    /// values. A dotted source name is refused before anything is
+    /// recorded, so the two can never meet.
+    #[test]
+    fn a_dotted_source_name_is_refused_before_anything_is_recorded() {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        let mut a = MemoryWrapper::new("A");
+        let mut ab = MemoryWrapper::new("A.B");
+        for (w, id, len) in [(&mut a, "B.c", 1), (&mut ab, "c", 2)] {
+            w.caps.push(Capability {
+                class: "spines".into(),
+                pushable: vec![],
+            });
+            w.anchor_decls.push(Anchor::Fixed {
+                class: "spines".into(),
+                concept: "Spine".into(),
+            });
+            w.add_row("spines", id, vec![("len", GcmValue::Int(len))]);
+        }
+        m.register(Arc::new(a)).unwrap();
+        m.run().unwrap();
+        assert!(matches!(
+            m.register(Arc::new(ab)),
+            Err(MediatorError::DottedSourceName { name }) if name == "A.B"
+        ));
+        assert_eq!(m.sources().len(), 1);
+        assert_eq!(m.knowledge().cms().len(), 1);
+        assert_eq!(m.index().total_anchors(), 1);
+        assert!(!m.publish_pending(), "nothing staged");
+        assert_eq!(m.materialize_all().unwrap(), 1);
+        assert_eq!(m.query_fl("X : spines").unwrap().len(), 1);
+        assert_eq!(m.query_fl(r#""A.B.c"[len -> L]"#).unwrap().len(), 1);
     }
 
     #[test]

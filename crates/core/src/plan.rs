@@ -205,7 +205,7 @@ pub fn section5_fetch(
     let step1 = federation.fetch_parallel(&nt_requests)?;
     let mut pairs: Vec<(String, String)> = Vec::new();
     for batch in &step1.batches {
-        for row in &batch.rows {
+        for row in batch.rows.iter() {
             if let (Some(n), Some(c)) = (
                 row.get_str(&schema.nt_receiving_neuron),
                 row.get_str(&schema.nt_receiving_compartment),
@@ -308,7 +308,7 @@ pub fn section5_eval(
     // Per protein, per location: summed raw amounts.
     let mut amounts: BTreeMap<String, HashMap<String, i64>> = BTreeMap::new();
     for batch in &fetched.protein_batches {
-        for row in &batch.rows {
+        for row in batch.rows.iter() {
             let (Some(p), Some(a), Some(l)) = (
                 row.get_str(&schema.pa_protein),
                 row.get_int(&schema.pa_amount),
@@ -446,7 +446,7 @@ pub fn distribution_eval(
     let root_node = view.lookup(&fetched.root)?;
     let mut per_loc: HashMap<String, i64> = HashMap::new();
     for batch in &fetched.batches {
-        for row in &batch.rows {
+        for row in batch.rows.iter() {
             if let (Some(l), Some(a)) = (
                 row.get_str(&schema.pa_location),
                 row.get_int(&schema.pa_amount),

@@ -27,7 +27,7 @@
 use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
 use crate::federation::FetchBatch;
-use crate::mediator::{apply_row_to, reintern_term};
+use crate::mediator::{load_batch, reintern_term};
 use kind_datalog::{Atom, DatalogError, EvalOptions, EvalStats, Interner, Model, Term};
 use kind_flogic::{parse_fl_program, FlBodyItem, Molecule};
 use kind_gcm::GcmBase;
@@ -136,9 +136,7 @@ pub(crate) fn evaluate(
     work.flogic_mut().engine_mut().begin_delta();
     work.flogic_mut().load(rule.text)?;
     for batch in fetched {
-        for row in &batch.rows {
-            apply_row_to(&mut work, &batch.source, &batch.query.class, row)?;
-        }
+        load_batch(&mut work, &batch.source, &batch.query.class, &batch.rows)?;
     }
     // The goal's constant arguments were interned by the scratch parse;
     // map them into the clone so the pattern (and the magic-sets demand

@@ -11,6 +11,7 @@
 
 use kind_gcm::GcmValue;
 use kind_xml::Element;
+use std::sync::Arc;
 
 /// A selection `attr = value` pushed to (or applied on behalf of) a
 /// source.
@@ -124,6 +125,12 @@ impl ObjectRow {
     }
 }
 
+/// The rows of one wrapper answer, shared by reference: a wrapper that
+/// keeps its rows hands out its own allocation, and the fetch plane copies
+/// them only where something changes them (a filter drops rows, a fault
+/// corrupts them). The mediator reads them in place.
+pub type Rows = Arc<Vec<ObjectRow>>;
+
 /// An anchor declaration: instances of `class` are tagged with DM
 /// `concept` — either fixedly, or through a `via` attribute whose value
 /// *is* the concept name (the paper's anchor/context attributes).
@@ -170,7 +177,7 @@ pub enum Anchor {
 #[derive(Debug)]
 pub enum Submission {
     /// The wrapper answered inline; no parking needed.
-    Ready(std::result::Result<Vec<ObjectRow>, crate::fault::SourceError>),
+    Ready(std::result::Result<Rows, crate::fault::SourceError>),
     /// The request was started. Call [`Wrapper::complete`] with `ticket`
     /// no earlier than `stall` from now to collect the rows.
     Parked {
@@ -225,10 +232,7 @@ pub trait Wrapper: Send + Sync {
     /// truncate, or ship garbage — see [`crate::fault::SourceError`] for
     /// the taxonomy and [`crate::Mediator::fetch`] for how failures are
     /// retried, circuit-broken, and reported.
-    fn query(
-        &self,
-        q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, crate::fault::SourceError>;
+    fn query(&self, q: &SourceQuery) -> std::result::Result<Rows, crate::fault::SourceError>;
 
     /// Cumulative virtual milliseconds this wrapper has *itself* spent
     /// serving queries (e.g. the injected delays of a
@@ -265,7 +269,7 @@ pub trait Wrapper: Send + Sync {
         &self,
         _ticket: u64,
         q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, crate::fault::SourceError> {
+    ) -> std::result::Result<Rows, crate::fault::SourceError> {
         self.query(q)
     }
 }
@@ -281,17 +285,14 @@ pub trait Wrapper: Send + Sync {
 /// answers from the inner wrapper — so hundreds of stalled sources
 /// overlap on a handful of executor workers.
 pub struct StallAware {
-    inner: std::sync::Arc<dyn Wrapper>,
+    inner: Arc<dyn Wrapper>,
     stall: std::time::Duration,
 }
 
 impl StallAware {
     /// Wraps `inner`, declaring `stall` of wall time per query.
-    pub fn new(
-        inner: std::sync::Arc<dyn Wrapper>,
-        stall: std::time::Duration,
-    ) -> std::sync::Arc<Self> {
-        std::sync::Arc::new(StallAware { inner, stall })
+    pub fn new(inner: Arc<dyn Wrapper>, stall: std::time::Duration) -> Arc<Self> {
+        Arc::new(StallAware { inner, stall })
     }
 }
 
@@ -328,10 +329,7 @@ impl Wrapper for StallAware {
         self.inner.virtual_cost_ms()
     }
 
-    fn query(
-        &self,
-        q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, crate::fault::SourceError> {
+    fn query(&self, q: &SourceQuery) -> std::result::Result<Rows, crate::fault::SourceError> {
         std::thread::sleep(self.stall);
         self.inner.query(q)
     }
@@ -347,7 +345,7 @@ impl Wrapper for StallAware {
         &self,
         _ticket: u64,
         q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, crate::fault::SourceError> {
+    ) -> std::result::Result<Rows, crate::fault::SourceError> {
         self.inner.query(q)
     }
 }
@@ -363,8 +361,9 @@ pub struct MemoryWrapper {
     pub formalism: String,
     /// The CM export document.
     pub cm: Option<Element>,
-    /// Class → rows.
-    pub rows: std::collections::HashMap<String, Vec<ObjectRow>>,
+    /// Class → rows. A scan with no pushable selection ships the class's
+    /// `Arc` itself.
+    pub rows: std::collections::HashMap<String, Rows>,
     /// Declared capabilities.
     pub caps: Vec<Capability>,
     /// Declared query templates.
@@ -539,9 +538,7 @@ impl MemoryWrapper {
                             };
                             attrs.push((name, value));
                         }
-                        w.rows
-                            .entry(class.clone())
-                            .or_default()
+                        Arc::make_mut(w.rows.entry(class.clone()).or_default())
                             .push(ObjectRow { id, attrs });
                     }
                 }
@@ -553,13 +550,10 @@ impl MemoryWrapper {
 
     /// Adds a row to a class.
     pub fn add_row(&mut self, class: &str, id: &str, attrs: Vec<(&str, GcmValue)>) {
-        self.rows
-            .entry(class.to_string())
-            .or_default()
-            .push(ObjectRow {
-                id: id.to_string(),
-                attrs: attrs.into_iter().map(|(a, v)| (a.to_string(), v)).collect(),
-            });
+        Arc::make_mut(self.rows.entry(class.to_string()).or_default()).push(ObjectRow {
+            id: id.to_string(),
+            attrs: attrs.into_iter().map(|(a, v)| (a.to_string(), v)).collect(),
+        });
     }
 }
 
@@ -594,33 +588,28 @@ impl Wrapper for MemoryWrapper {
         self.dm_axioms.clone()
     }
 
-    fn query(
-        &self,
-        q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, crate::fault::SourceError> {
+    fn query(&self, q: &SourceQuery) -> std::result::Result<Rows, crate::fault::SourceError> {
         self.queries_served
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let pushable: Vec<&str> = self
-            .caps
+        let pushed: Vec<&Selection> = q
+            .selections
             .iter()
-            .filter(|c| c.class == q.class)
-            .flat_map(|c| c.pushable.iter().map(String::as_str))
-            .collect();
-        let out: Vec<ObjectRow> = self
-            .rows
-            .get(&q.class)
-            .map(|rows| {
-                rows.iter()
-                    .filter(|r| {
-                        q.selections
-                            .iter()
-                            .filter(|s| pushable.contains(&s.attr.as_str()))
-                            .all(|s| r.get(&s.attr) == Some(&s.value))
-                    })
-                    .cloned()
-                    .collect()
+            .filter(|s| {
+                self.caps
+                    .iter()
+                    .any(|c| c.class == q.class && c.pushable.contains(&s.attr))
             })
-            .unwrap_or_default();
+            .collect();
+        let out = match self.rows.get(&q.class) {
+            None => Rows::default(),
+            Some(rows) if pushed.is_empty() => Arc::clone(rows),
+            Some(rows) => Arc::new(
+                rows.iter()
+                    .filter(|r| pushed.iter().all(|s| r.get(&s.attr) == Some(&s.value)))
+                    .cloned()
+                    .collect(),
+            ),
+        };
         self.rows_shipped
             .fetch_add(out.len(), std::sync::atomic::Ordering::SeqCst);
         Ok(out)
@@ -682,6 +671,21 @@ mod tests {
         assert_eq!(rows[0].get_int("amount"), Some(4));
         assert_eq!(rows[0].get_str("loc"), Some("spine".into()));
         assert!(rows[0].get("missing").is_none());
+    }
+
+    /// A scan the wrapper does not filter ships the class's own `Arc`; a
+    /// pushed selection filters into a fresh one and leaves it whole.
+    #[test]
+    fn a_plain_scan_ships_the_wrappers_own_rows() {
+        let w = wrapper();
+        let own = &w.rows["m"];
+        assert!(Arc::ptr_eq(&w.query(&SourceQuery::scan("m")).unwrap(), own));
+        let residual = SourceQuery::scan("m").with("amount", GcmValue::Int(4));
+        assert!(Arc::ptr_eq(&w.query(&residual).unwrap(), own));
+        let pushed = SourceQuery::scan("m").with("loc", GcmValue::Id("spine".into()));
+        let rows = w.query(&pushed).unwrap();
+        assert!(!Arc::ptr_eq(&rows, own));
+        assert_eq!((rows.len(), own.len()), (1, 2));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use kind_datalog::EvalOptions;
 use kind_dm::{figures, ExecMode};
 use kind_gcm::GcmValue;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Barrier, Weak};
 use std::thread;
 
 fn spine_wrapper(name: &str, n: usize) -> Arc<MemoryWrapper> {
@@ -44,7 +44,9 @@ fn row(id: &str) -> ObjectRow {
 /// every loaded snapshot must be internally consistent — the row count
 /// it serves equals the row count its epoch was published with — and
 /// epochs observed per reader are monotone (no stale-after-load: once a
-/// reader saw epoch N, it never loads < N).
+/// reader saw epoch N, it never loads < N). Every reader loads once before
+/// the writer starts: a reader first scheduled after the last publish
+/// would otherwise see `done` and never load at all.
 #[test]
 fn concurrent_readers_never_observe_torn_or_stale_snapshots() {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
@@ -54,15 +56,17 @@ fn concurrent_readers_never_observe_torn_or_stale_snapshots() {
     m.publish_snapshot().unwrap();
 
     const PUBLISHES: usize = 12;
+    const READERS: usize = 4;
     let done = AtomicBool::new(false);
+    let started = Barrier::new(READERS + 1);
     thread::scope(|s| {
-        let readers: Vec<_> = (0..4)
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
-                let (hub, done) = (&hub, &done);
+                let (hub, done, started) = (&hub, &done, &started);
                 s.spawn(move || {
                     let mut last_epoch = 0;
                     let mut loads = 0_usize;
-                    while !done.load(Ordering::Relaxed) {
+                    loop {
                         let pinned = hub.load().expect("seeded before spawn");
                         let epoch = pinned.epoch();
                         assert!(
@@ -79,11 +83,18 @@ fn concurrent_readers_never_observe_torn_or_stale_snapshots() {
                             "epoch {epoch} serving a foreign row count"
                         );
                         loads += 1;
+                        if loads == 1 {
+                            started.wait();
+                        }
+                        if done.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     loads
                 })
             })
             .collect();
+        started.wait();
         for i in 0..PUBLISHES {
             m.load_row("A", "spines", &row(&format!("w{i}"))).unwrap();
             m.publish().unwrap();

@@ -5,8 +5,12 @@
 //! hashing, and tuple storage cheap: the hot paths of the evaluator
 //! (unification, joins, dedup) only ever touch integers.
 
+use crate::hash::WordState;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 /// An interned symbol. `Sym`s are only meaningful relative to the
 /// [`Interner`] (and thus the [`crate::Engine`]) that produced them.
@@ -32,16 +36,38 @@ impl fmt::Display for Sym {
 }
 
 /// A two-way map between strings and [`Sym`] handles.
+///
+/// Every name is stored once, back to back in one `String`, in
+/// first-intern order: symbol `n` is the span ending at `ends[n]`. A name
+/// is found through its keyed SipHash (`by_hash`); a name whose 64-bit hash
+/// an earlier name already holds lives in `collided` instead. Cloning or
+/// dropping an interner is a few buffers, not an allocation per symbol.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    map: HashMap<Box<str>, Sym>,
-    names: Vec<Box<str>>,
+    arena: String,
+    ends: Vec<usize>,
+    by_hash: HashMap<u64, Sym, WordState>,
+    collided: HashMap<Box<str>, Sym>,
 }
 
-// Names are bytes a client chose: this map stays on std's keyed SipHash,
-// whatever the tuple tables hash with (`crate::hash`).
-const _: fn(&Interner) -> &HashMap<Box<str>, Sym, std::collections::hash_map::RandomState> =
-    |i| &i.map;
+/// The process's key for hashing names, drawn once so that interners
+/// cloned on one thread and read on another hash alike.
+fn name_key() -> &'static RandomState {
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    KEY.get_or_init(RandomState::new)
+}
+
+// Names are bytes a client chose: they are hashed with std's keyed
+// SipHash, whatever the tuple tables hash with (`crate::hash`).
+const _: fn() -> &'static RandomState = name_key;
+
+fn hash_name(name: &str) -> u64 {
+    #[cfg(test)]
+    if let Some(forced) = tests::FORCED_HASH.with(std::cell::Cell::get) {
+        return forced;
+    }
+    name_key().hash_one(name)
+}
 
 impl Interner {
     /// Creates an empty interner.
@@ -51,19 +77,36 @@ impl Interner {
 
     /// Interns `name`, returning its symbol. Idempotent.
     pub fn intern(&mut self, name: &str) -> Sym {
-        if let Some(&s) = self.map.get(name) {
-            return s;
+        let hash = hash_name(name);
+        if let Some(sym) = self.find(hash, name) {
+            return sym;
         }
-        let sym = Sym(u32::try_from(self.names.len()).expect("too many symbols"));
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.map.insert(boxed, sym);
+        let sym = Sym(u32::try_from(self.ends.len()).expect("too many symbols"));
+        self.arena.push_str(name);
+        self.ends.push(self.arena.len());
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(sym);
+            }
+            Entry::Occupied(_) => {
+                self.collided.insert(name.into(), sym);
+            }
+        }
         sym
+    }
+
+    fn find(&self, hash: u64, name: &str) -> Option<Sym> {
+        let sym = *self.by_hash.get(&hash)?;
+        if self.resolve(sym) == name {
+            Some(sym)
+        } else {
+            self.collided.get(name).copied()
+        }
     }
 
     /// Looks up an already-interned name without inserting.
     pub fn get(&self, name: &str) -> Option<Sym> {
-        self.map.get(name).copied()
+        self.find(hash_name(name), name)
     }
 
     /// Resolves a symbol back to its name.
@@ -71,7 +114,7 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.names[sym.index()]
+        self.name_of(sym).expect("symbol from another interner")
     }
 
     /// Non-panicking [`Self::resolve`]: `None` when `sym` did not come
@@ -79,23 +122,33 @@ impl Interner {
     /// falling back to the opaque `#{n}` rendering only when the symbol
     /// is foreign.
     pub fn name_of(&self, sym: Sym) -> Option<&str> {
-        self.names.get(sym.index()).map(|b| &**b)
+        let i = sym.index();
+        let end = *self.ends.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.arena[start..end])
     }
 
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Whether no symbols have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// When set, every name on this thread hashes to this value — the
+        /// only way to reach the collision path on purpose.
+        pub(super) static FORCED_HASH: Cell<Option<u64>> = const { Cell::new(None) };
+    }
 
     #[test]
     fn intern_is_idempotent() {
@@ -131,5 +184,120 @@ mod tests {
         assert!(i.is_empty());
         i.intern("x");
         assert!(!i.is_empty());
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Names a client could send: empty, NUL, non-ASCII, zero-width,
+    /// 64 KiB, prefixes of one another, and seeded mixes of all of them.
+    fn hostile_names(seed: u64, n: usize) -> Vec<String> {
+        let pieces = [
+            "", "\0", "ü", "\u{200b}", "a", "a.b", "\"", "\\", " ", "Zürich",
+        ];
+        let mut names: Vec<String> = pieces.iter().map(|p| p.to_string()).collect();
+        names.push("x".repeat(64 * 1024));
+        names.push(format!("{}y", "x".repeat(64 * 1024 - 1)));
+        let mut state = seed;
+        while names.len() < n {
+            let len = (splitmix(&mut state) % 6) as usize;
+            let name: String = (0..len)
+                .map(|_| pieces[(splitmix(&mut state) % pieces.len() as u64) as usize])
+                .collect();
+            names.push(name);
+        }
+        names
+    }
+
+    /// The reference an interner is held to: first-intern order.
+    #[derive(Clone, Default)]
+    struct Model {
+        order: Vec<String>,
+    }
+
+    impl Model {
+        fn intern(&mut self, name: &str) -> usize {
+            match self.order.iter().position(|n| n == name) {
+                Some(i) => i,
+                None => {
+                    self.order.push(name.to_string());
+                    self.order.len() - 1
+                }
+            }
+        }
+    }
+
+    /// Interns a seeded draw from `names` into both, checking every
+    /// answer the interner gives against the model.
+    fn drive(i: &mut Interner, model: &mut Model, names: &[String], state: &mut u64, steps: usize) {
+        for _ in 0..steps {
+            let name = &names[(splitmix(state) % names.len() as u64) as usize];
+            let known = model.order.iter().position(|n| n == name);
+            assert_eq!(i.get(name).map(Sym::index), known, "get {name:?} before");
+            let sym = i.intern(name);
+            assert_eq!(sym.index(), model.intern(name), "numbering of {name:?}");
+            assert_eq!(i.get(name), Some(sym));
+            assert_eq!(i.resolve(sym), name);
+            assert_eq!(i.name_of(sym), Some(name.as_str()));
+        }
+        assert_eq!(i.len(), model.order.len());
+        assert_eq!(i.name_of(Sym(i.len() as u32)), None);
+        for (n, name) in model.order.iter().enumerate() {
+            assert_eq!(i.resolve(Sym(n as u32)), name);
+            assert_eq!(i.get(name), Some(Sym(n as u32)));
+        }
+    }
+
+    #[test]
+    fn hostile_names_round_trip_in_first_intern_order() {
+        for seed in 0..8 {
+            let names = hostile_names(seed, 64);
+            let (mut i, mut model, mut state) = (Interner::new(), Model::default(), seed);
+            drive(&mut i, &mut model, &names, &mut state, 400);
+            assert!(i.get("never interned").is_none());
+        }
+    }
+
+    #[test]
+    fn a_clone_and_its_original_diverge_consistently() {
+        for seed in 0..8 {
+            let names = hostile_names(seed, 96);
+            let (mut a, mut model_a, mut state) = (Interner::new(), Model::default(), seed);
+            drive(&mut a, &mut model_a, &names[..48], &mut state, 100);
+            let (mut b, mut model_b) = (a.clone(), model_a.clone());
+            drive(&mut a, &mut model_a, &names[48..], &mut state, 100);
+            drive(&mut b, &mut model_b, &names[24..72], &mut state, 100);
+            // Each side still reads exactly its own history.
+            drive(&mut a, &mut model_a, &names, &mut state, 0);
+            drive(&mut b, &mut model_b, &names, &mut state, 0);
+        }
+    }
+
+    #[test]
+    fn a_forced_collision_keeps_every_name_apart() {
+        FORCED_HASH.with(|h| h.set(Some(7)));
+        let names = hostile_names(3, 32);
+        let (mut i, mut model, mut state) = (Interner::new(), Model::default(), 3);
+        drive(&mut i, &mut model, &names, &mut state, 200);
+        assert_eq!(i.by_hash.len(), 1, "every name shares one hash");
+        assert_eq!(i.collided.len(), i.len() - 1);
+        let mut copy = i.clone();
+        drive(&mut copy, &mut model, &names, &mut state, 50);
+        FORCED_HASH.with(|h| h.set(None));
+    }
+
+    /// Interners move between threads inside engines and snapshots: a
+    /// name interned on one thread must be found on any other.
+    #[test]
+    fn every_thread_hashes_names_alike() {
+        let mut i = Interner::new();
+        let sym = i.intern("Purkinje_Cell");
+        let there = std::thread::spawn(move || i.get("Purkinje_Cell"));
+        assert_eq!(there.join().expect("lookup thread"), Some(sym));
     }
 }

@@ -104,7 +104,7 @@ pub struct Engine {
     syms: Interner,
     edb: FactStore,
     rules: Vec<Rule>,
-    arities: HashMap<Sym, usize>,
+    arities: HashMap<Sym, usize, hash::WordState>,
     /// When `Some`, every mutation (fact asserted/retracted, rule
     /// added/removed) is recorded for incremental maintenance — see
     /// [`Engine::begin_delta`]. Mutations themselves stay eager; the log
@@ -223,18 +223,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Adds a ground fact.
-    pub fn add_fact(&mut self, pred: Sym, args: Vec<Term>) -> Result<bool> {
-        self.check_arity(pred, args.len())?;
-        debug_assert!(args.iter().all(Term::is_ground), "facts must be ground");
+    /// Adds a ground fact. A `[Term; N]` array becomes the stored tuple in
+    /// one allocation.
+    pub fn add_fact(&mut self, pred: Sym, args: impl Into<Tuple>) -> Result<bool> {
         let tuple: Tuple = args.into();
-        let inserted = self.edb.insert(pred, tuple.clone());
-        if inserted {
-            if let Some(log) = &mut self.changelog {
-                log.log_add(pred, tuple);
+        self.check_arity(pred, tuple.len())?;
+        debug_assert!(tuple.iter().all(Term::is_ground), "facts must be ground");
+        Ok(match &mut self.changelog {
+            None => self.edb.insert(pred, tuple),
+            Some(log) => {
+                let inserted = self.edb.insert(pred, tuple.clone());
+                if inserted {
+                    log.log_add(pred, tuple);
+                }
+                inserted
             }
-        }
-        Ok(inserted)
+        })
     }
 
     /// Removes a ground fact from the extensional database; returns
@@ -254,7 +258,7 @@ impl Engine {
     /// Convenience: adds `pred(args...)` with all-constant arguments.
     pub fn add_fact_strs(&mut self, pred: &str, args: &[&str]) -> Result<bool> {
         let p = self.sym(pred);
-        let terms = args.iter().map(|a| self.constant(a)).collect();
+        let terms: Vec<Term> = args.iter().map(|a| self.constant(a)).collect();
         self.add_fact(p, terms)
     }
 

@@ -165,7 +165,7 @@ impl FLogic {
         // register; a variable class position contributes nothing here.
         for c in translate::implied_classes(&clause.head) {
             if c.is_ground() {
-                self.engine.add_fact(self.preds.class, vec![c])?;
+                self.engine.add_fact(self.preds.class, [c])?;
             }
         }
         Ok(())
@@ -180,16 +180,16 @@ impl FLogic {
     /// Declares a class.
     pub fn declare_class(&mut self, name: &str) -> Result<(), DatalogError> {
         let c = self.engine.constant(name);
-        self.engine.add_fact(self.preds.class, vec![c]).map(|_| ())
+        self.engine.add_fact(self.preds.class, [c]).map(|_| ())
     }
 
     /// Declares `sub :: sup` (both sides register as classes).
     pub fn declare_subclass(&mut self, sub: &str, sup: &str) -> Result<(), DatalogError> {
         let s = self.engine.constant(sub);
         let p = self.engine.constant(sup);
-        self.engine.add_fact(self.preds.class, vec![s.clone()])?;
-        self.engine.add_fact(self.preds.class, vec![p.clone()])?;
-        self.engine.add_fact(self.preds.sub, vec![s, p]).map(|_| ())
+        self.engine.add_fact(self.preds.class, [s.clone()])?;
+        self.engine.add_fact(self.preds.class, [p.clone()])?;
+        self.engine.add_fact(self.preds.sub, [s, p]).map(|_| ())
     }
 
     /// Asserts `obj : class` (the class registers as a class) and returns
@@ -198,8 +198,8 @@ impl FLogic {
     pub fn assert_instance(&mut self, obj: &str, class: &str) -> Result<Term, DatalogError> {
         let o = self.engine.constant(obj);
         let c = self.engine.constant(class);
-        self.engine.add_fact(self.preds.class, vec![c.clone()])?;
-        self.engine.add_fact(self.preds.inst, vec![o.clone(), c])?;
+        self.engine.add_fact(self.preds.class, [c.clone()])?;
+        self.engine.add_fact(self.preds.inst, [o.clone(), c])?;
         Ok(o)
     }
 
@@ -212,7 +212,7 @@ impl FLogic {
     ) -> Result<(), DatalogError> {
         let m = self.engine.constant(method);
         self.engine
-            .add_fact(self.preds.mi, vec![obj, m, value])
+            .add_fact(self.preds.mi, [obj, m, value])
             .map(|_| ())
     }
 

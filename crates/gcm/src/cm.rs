@@ -173,25 +173,10 @@ impl GcmBase {
         self.relations.get(relation).map(Vec::as_slice)
     }
 
-    fn value_term(&mut self, v: &GcmValue) -> Term {
-        match v {
-            GcmValue::Id(s) | GcmValue::Str(s) => self.fl.engine_mut().constant(s),
-            GcmValue::Int(i) => Term::Int(*i),
-        }
-    }
-
-    /// Asserts the method value `obj[method -> value]` for an object term
-    /// the caller holds ([`FLogic::assert_instance`] returns it): a row is
-    /// one object and its values, and its id is interned once.
-    pub fn assert_value(&mut self, obj: Term, method: &str, value: &GcmValue) -> Result<()> {
-        let v = self.value_term(value);
-        Ok(self.fl.assert_method(obj, method, v)?)
-    }
-
-    /// Retracts `obj[method -> value]` — the delete plane's mirror of
-    /// [`Self::assert_value`]; returns whether the fact was present.
+    /// Retracts `obj[method -> value]` — the delete plane's mirror of a
+    /// `MethodInst` declaration; returns whether the fact was present.
     pub fn retract_value(&mut self, obj: Term, method: &str, value: &GcmValue) -> bool {
-        let v = self.value_term(value);
+        let v = value.term(self.fl.engine_mut());
         self.fl.retract_method(obj, method, v)
     }
 
@@ -234,13 +219,14 @@ impl GcmBase {
                     let e = self.fl.engine_mut();
                     (e.constant(class), e.constant(method), e.constant(result))
                 };
-                self.fl.engine_mut().add_fact(preds.meth, vec![c, m, r])?;
+                self.fl.engine_mut().add_fact(preds.meth, [c, m, r])?;
                 self.fl.declare_class(class)?;
                 self.fl.declare_class(result)?;
             }
             GcmDecl::MethodInst { obj, method, value } => {
                 let o = self.fl.engine_mut().constant(obj);
-                self.assert_value(o, method, value)?;
+                let v = value.term(self.fl.engine_mut());
+                self.fl.assert_method(o, method, v)?;
             }
             GcmDecl::Relation { name, roles } => {
                 self.relations.insert(name.clone(), roles.clone());
@@ -250,11 +236,11 @@ impl GcmBase {
                 let rel = e.sym("rel");
                 let n = e.constant(name);
                 let arity = roles.len() as i64;
-                e.add_fact(rel, vec![n.clone(), Term::Int(arity)])?;
+                e.add_fact(rel, [n.clone(), Term::Int(arity)])?;
                 for (i, (role, class)) in roles.iter().enumerate() {
                     let r = e.constant(role);
                     let c = e.constant(class);
-                    e.add_fact(relsch, vec![n.clone(), Term::Int(i as i64), r, c])?;
+                    e.add_fact(relsch, [n.clone(), Term::Int(i as i64), r, c])?;
                 }
                 for (_, class) in roles {
                     self.fl.declare_class(class)?;
@@ -280,7 +266,7 @@ impl GcmBase {
                             role: role.clone(),
                         }
                     })?;
-                    let t = self.value_term(v);
+                    let t = v.term(self.fl.engine_mut());
                     positional[pos] = Some(t);
                 }
                 let args: Vec<Term> = positional
@@ -295,7 +281,7 @@ impl GcmBase {
                 if args.len() == 2 {
                     let relinst = e.sym("relinst");
                     let n = e.constant(name);
-                    e.add_fact(relinst, vec![n, args[0].clone(), args[1].clone()])?;
+                    e.add_fact(relinst, [n, args[0].clone(), args[1].clone()])?;
                 }
             }
             GcmDecl::Rule { text } => {

@@ -29,6 +29,15 @@ impl GcmValue {
             GcmValue::Str(s) => kind_datalog::quoted(s),
         }
     }
+
+    /// The value as a ground term of `engine`: identifiers and strings
+    /// intern into the one constant namespace, integers stay integers.
+    pub fn term(&self, engine: &mut kind_datalog::Engine) -> kind_datalog::Term {
+        match self {
+            GcmValue::Id(s) | GcmValue::Str(s) => engine.constant(s),
+            GcmValue::Int(i) => kind_datalog::Term::Int(*i),
+        }
+    }
 }
 
 impl fmt::Display for GcmValue {

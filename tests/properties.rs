@@ -799,7 +799,7 @@ fn direct_row_load_matches_the_recorded_base_and_the_declaration_route() {
             .collect();
         let mut rows = Vec::new();
         for (source, class) in &scans {
-            for row in m.fetch(source, &SourceQuery::scan(class)).unwrap() {
+            for row in m.fetch(source, &SourceQuery::scan(class)).unwrap().iter() {
                 let obj = format!("{source}.{}", row.id);
                 by_decl
                     .apply_decl(&GcmDecl::Instance {
@@ -816,8 +816,8 @@ fn direct_row_load_matches_the_recorded_base_and_the_declaration_route() {
                         })
                         .unwrap();
                 }
-                m.load_row(source, class, &row).unwrap();
-                rows.push((source, class, row));
+                m.load_row(source, class, row).unwrap();
+                rows.push((source, class, row.clone()));
             }
         }
         assert_eq!(rows.len(), loaded);
