@@ -1,52 +1,120 @@
-//! Regenerates, in one run, the qualitative outputs of every figure /
-//! table / example in the paper, as plain-text tables. The output of this
-//! binary is what EXPERIMENTS.md records as "measured".
+//! Regenerates, in one run, every figure / table / example of the paper
+//! and the ledger groups the frozen `benchmark/` does not measure. Each
+//! group prints its table and returns its counters as one JSON value;
+//! `BENCH.json` is one object keyed by group name.
 //!
 //! ```sh
-//! cargo run -p kind-bench --bin report
+//! cargo run --release -p kind-bench --bin report
+//! KIND_BENCH_FAST=1 cargo run --release -p kind-bench --bin report  # smaller sizes
 //! ```
 
-use kind_bench::{closure_map, corrupted_order};
+use kind_bench::{class_tree_flogic, corrupted_order, tc_workload};
 use kind_core::{
-    protein_distribution, run_section5, Fault, Mediator, NeuroSchema, Section5Query, SourcePolicy,
+    protein_distribution, run_section5, Fault, NeuroSchema, Section5Query, SourcePolicy,
 };
-use kind_datalog::{EvalOptions, EvalStats};
-use kind_dm::{figures, Resolved};
+use kind_datalog::{Engine, EvalOptions, EvalStats};
+use kind_dm::{figures, rules, ExecMode, Resolved, DM_OPS_RULES};
 use kind_flogic::FLogic;
 use kind_gcm::{GcmDecl, GcmValue};
 use kind_sources::{build_scenario, build_scenario_with_faults, ncmir_update_rows, ScenarioParams};
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
 
-fn header(s: &str) {
-    println!("\n==================================================================");
-    println!("{s}");
-    println!("==================================================================");
-}
+/// A group: given the fast flag, prints its table and returns its
+/// `BENCH.json` value.
+type Group = fn(bool) -> String;
+
+/// Every group, in the order they run. `incremental_publish` goes first:
+/// it compares a sub-millisecond republish with a multi-millisecond
+/// rebuild, and heap state the other groups leave behind inflates the small
+/// side more than the large one.
+const GROUPS: &[(&str, Group)] = &[
+    ("incremental_publish", incremental_publish),
+    ("figure1", figure1),
+    ("table1", table1),
+    ("figure2", figure2),
+    ("example2", example2),
+    ("figure3", figure3),
+    ("sec5", sec5),
+    ("pipeline", pipeline),
+    ("ablations", ablations),
+    ("magic_sets", magic_sets),
+    ("tail_latency", tail_latency),
+    ("cold_path", cold_path),
+    ("eval_stats", eval_stats),
+];
 
 fn main() {
-    // `KIND_BENCH_FAST=1` is the CI smoke mode: skip the narrative
-    // figure/table reports and emit only BENCH.json with reduced
-    // iteration counts and workload sizes.
+    // `KIND_BENCH_FAST=1` (CI's smoke mode) runs every group at smaller
+    // sizes and fewer iterations.
     let fast = std::env::var("KIND_BENCH_FAST").is_ok();
-    // The incremental-publish group compares a sub-millisecond republish
-    // against a multi-millisecond rebuild; measure it first, in a clean
-    // process, so heap state left behind by the narrative reports (which
-    // inflates the small side disproportionately) cannot skew the ratio.
-    let inc = incremental_publish_bench(fast, &bench_params(fast));
-    if !fast {
-        figure1_report();
-        table1_report();
-        figure2_report();
-        example2_report();
-        figure3_report();
-        section5_report();
+    let mut json = format!(
+        "{{\n  \"mode\": \"{}\",\n  \"available_parallelism\": {}",
+        if fast { "fast" } else { "full" },
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    for (name, group) in GROUPS {
+        println!("\n==================================================================");
+        println!("{name}");
+        println!("==================================================================");
+        json.push_str(&format!(",\n  \"{name}\": {}", group(fast)));
     }
-    bench_ledger_report(fast, inc);
+    json.push_str("\n}\n");
+    std::fs::write("BENCH.json", json).expect("write BENCH.json");
+    println!("\nwrote BENCH.json");
 }
 
-/// Scenario sizing shared by the benchmark groups (reduced in CI smoke
-/// mode).
+/// A JSON object of already-rendered values, keys in the order given.
+fn obj(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// Rendered items, one per line, between `open` and `close`.
+fn lines(open: char, items: Vec<String>, close: char) -> String {
+    format!("{open}\n    {}\n  {close}", items.join(",\n    "))
+}
+
+/// A JSON array of already-rendered values, one per line.
+fn arr(items: impl IntoIterator<Item = String>) -> String {
+    lines('[', items.into_iter().collect(), ']')
+}
+
+/// [`obj`], one field per line.
+fn block(fields: &[(&str, String)]) -> String {
+    let fields = fields.iter().map(|(k, v)| format!("\"{k}\": {v}"));
+    lines('{', fields.collect(), '}')
+}
+
+/// A JSON string; every name this binary renders is plain ASCII.
+fn q(s: &str) -> String {
+    format!("\"{s}\"")
+}
+
+/// `a / b` to two decimals, as a JSON number.
+fn ratio(a: f64, b: f64) -> String {
+    format!("{:.2}", a / b.max(1.0))
+}
+
+/// The `EvalStats` counters, as object fields.
+fn counters(s: &EvalStats) -> Vec<(&'static str, String)> {
+    [
+        ("derived", s.derived),
+        ("applications", s.applications),
+        ("iterations", s.iterations),
+        ("index_builds", s.index_builds),
+        ("index_hits", s.index_hits),
+        ("index_misses", s.index_misses),
+    ]
+    .map(|(k, v)| (k, v.to_string()))
+    .to_vec()
+}
+
+/// Scenario sizing for the groups that run the §5 scenario repeatedly.
 fn bench_params(fast: bool) -> ScenarioParams {
     if fast {
         ScenarioParams {
@@ -71,6 +139,10 @@ fn section5_query() -> Section5Query {
     }
 }
 
+/// The one-off rule the answer-path groups repeat.
+const CALCIUM_SITES: &str = r#"calcium_sites(P, L) :- X : protein_amount, X[protein_name -> P],
+    X[location -> L], X[ion_bound -> "calcium"]."#;
+
 /// Minimum wall time of `f` over `iters` runs, in nanoseconds — the
 /// noise-robust point estimate for micro-measurements.
 fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
@@ -84,309 +156,36 @@ fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
         .expect("at least one iteration")
 }
 
-/// The bench ledger for what the frozen `benchmark/` does not measure:
-/// the evaluation-pipeline benches (each entry pairs a baseline with the
-/// optimized path, minimum wall time of both), the concurrent-snapshot
-/// throughput group, the magic-sets ablation, the incremental-publish
-/// (write plane) group, the tail-latency (hedged fetch) group in virtual
-/// time, the cold path phase by phase, and `EvalStats` counters from a
-/// representative warm model. Serving, fetch overlap and the cold path end
-/// to end are the benchmark's (`served_*`, `stalled_fetch`,
-/// `cold_federation`). Results go to stdout and `BENCH.json`.
-fn bench_ledger_report(fast: bool, inc: IncGroup) {
-    header("Bench ledger — evaluation pipeline, snapshots, write plane");
-    let iters = if fast { 5 } else { 25 };
-    let (depth, fanout) = if fast { (4usize, 3usize) } else { (5, 3) };
-    let mut rows: Vec<(&str, u128, u128)> = Vec::new();
-
-    // Layer: domain-map closure memoization (fig1 scenarios). Baseline
-    // recomputes closures from a fresh `Resolved`; optimized reuses the
-    // warm memo tables every mediator query hits after the first.
-    let dm = closure_map(depth, fanout);
-    let root = dm.lookup("Nervous_System").unwrap();
-    let warm = Resolved::new(&dm);
-    warm.downward_closure("has_a", root);
-    let base = min_ns(iters, || {
-        let r = Resolved::new(&dm);
-        black_box(r.downward_closure("has_a", root).len());
-    });
-    let opt = min_ns(iters, || {
-        black_box(warm.downward_closure("has_a", root).len());
-    });
-    rows.push(("fig1_downward_closure_warm", base, opt));
-
-    // Layer: the full §5 plan. Baseline is the pre-PR configuration —
-    // closures recomputed on every call (a fresh mediator per iteration,
-    // construction excluded from the timed region) and the evaluation
-    // layers ablated. Optimized is a repeat call on a warm mediator
-    // whose memo tables are primed, with the default options.
-    let schema = NeuroSchema::default();
-    let q = section5_query();
-    let params = bench_params(fast);
-    let plan_iters = iters.min(10);
-    let ablated_opts = EvalOptions {
-        join_reorder: false,
-        use_index: false,
-        base_cache: false,
-        ..Default::default()
-    };
-    let base = (0..plan_iters)
-        .map(|_| {
-            let mut m = build_scenario(&params);
-            m.set_eval_options(ablated_opts.clone());
-            let t = Instant::now();
-            black_box(run_section5(&mut m, &schema, &q, true).unwrap().step3_rows);
-            t.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one iteration");
-    let mut m_on = build_scenario(&params);
-    run_section5(&mut m_on, &schema, &q, true).unwrap();
-    let opt = min_ns(plan_iters, || {
-        black_box(
-            run_section5(&mut m_on, &schema, &q, true)
-                .unwrap()
-                .step3_rows,
-        );
-    });
-    rows.push(("sec5_query_plan_warm", base, opt));
-
-    // Layer: the whole pipeline on repeated `answer()` — the defaults
-    // (reorder + index + base cache) vs. all three ablated, i.e. the
-    // evaluator this PR replaced. Both sides get one untimed priming
-    // call, so the numbers are second-and-later query cost.
-    let aq = r#"calcium_sites(P, L) :- X : protein_amount, X[protein_name -> P],
-                X[location -> L], X[ion_bound -> "calcium"]."#;
-    let mut m_ablated = build_scenario(&params);
-    m_ablated.set_eval_options(ablated_opts);
-    m_ablated.answer(aq).unwrap();
-    let base = min_ns(plan_iters, || {
-        black_box(m_ablated.answer(aq).unwrap().rows.len());
-    });
-    let mut m_warm = build_scenario(&params);
-    m_warm.answer(aq).unwrap();
-    let opt = min_ns(plan_iters, || {
-        black_box(m_warm.answer(aq).unwrap().rows.len());
-    });
-    rows.push(("sec5_warm_answer", base, opt));
-
-    println!(
-        "\n  {:<28} | {:>14} | {:>14} | {:>8}",
-        "bench", "baseline ns", "optimized ns", "speedup"
-    );
-    for (name, b, o) in &rows {
-        println!(
-            "  {:<28} | {:>14} | {:>14} | {:>7.2}x",
-            name,
-            b,
-            o,
-            *b as f64 / (*o).max(1) as f64
-        );
-    }
-
-    let conc = snapshot_concurrency_bench(fast, &params);
-    let one_worker_ns = conc.first().map(|c| c.snapshot_wall_ns).unwrap_or(1);
-    println!(
-        "\n  concurrent snapshot query throughput ({} core(s) available):",
-        cores()
-    );
-    println!(
-        "  {:>7} | {:>9} | {:>13} | {:>13} | {:>9} | {:>12} | {:>8}",
-        "workers", "queries", "locked ns", "snapshot ns", "vs locked", "queries/s", "scaling"
-    );
-    for c in &conc {
-        println!(
-            "  {:>7} | {:>9} | {:>13} | {:>13} | {:>8.2}x | {:>12.0} | {:>7.2}x",
-            c.workers,
-            c.total_queries,
-            c.locked_wall_ns,
-            c.snapshot_wall_ns,
-            c.locked_wall_ns as f64 / c.snapshot_wall_ns.max(1) as f64,
-            c.total_queries as f64 / (c.snapshot_wall_ns as f64 / 1e9),
-            one_worker_ns as f64 / c.snapshot_wall_ns.max(1) as f64
-        );
-    }
-
-    let magic = magic_sets_bench(fast, &params);
-    println!("\n  magic-sets ablation (warm answer, rewrite off vs. on):");
-    println!(
-        "  {:>24} | {:>12} | {:>12} | {:>8} | {:>11} | {:>11} | {:>9} | {:>8}",
-        "query", "off ns", "on ns", "speedup", "off derived", "on derived", "reduction", "declined"
-    );
-    for r in &magic {
-        println!(
-            "  {:>24} | {:>12} | {:>12} | {:>7.2}x | {:>11} | {:>11} | {:>8.2}x | {:>8}",
-            r.name,
-            r.off_ns,
-            r.on_ns,
-            r.off_ns as f64 / r.on_ns.max(1) as f64,
-            r.off_derived,
-            r.on_derived,
-            r.off_derived as f64 / r.on_derived.max(1) as f64,
-            r.magic_declined
-        );
-    }
-
-    println!(
-        "\n  incremental publish (one fresh row per iteration, {} iterations, measured process-clean before all other groups):",
-        inc.iters
-    );
-    println!(
-        "  {:>12} | {:>13} | {:>13} | {:>8}",
-        "publish path", "p50 ns", "p99 ns", "speedup"
-    );
-    println!(
-        "  {:>12} | {:>13} | {:>13} | {:>8}",
-        "cold", inc.cold_p50_ns, inc.cold_p99_ns, ""
-    );
-    println!(
-        "  {:>12} | {:>13} | {:>13} | {:>7.2}x",
-        "incremental",
-        inc.inc_p50_ns,
-        inc.inc_p99_ns,
-        inc.cold_p50_ns as f64 / inc.inc_p50_ns.max(1) as f64
-    );
-    println!(
-        "  sustained update-while-reading: {} publishes + {} snapshot reads across {} readers in {:.1} ms ({:.0} publishes/s, {:.0} reads/s)",
-        inc.sustained.publishes,
-        inc.sustained.reads,
-        inc.sustained.readers,
-        inc.sustained.wall_ns as f64 / 1e6,
-        inc.sustained.publishes as f64 / (inc.sustained.wall_ns as f64 / 1e9),
-        inc.sustained.reads as f64 / (inc.sustained.wall_ns as f64 / 1e9)
-    );
-
-    let tail = tail_latency_bench(fast);
-    println!(
-        "\n  tail latency ({} runs, SlowTail {}ms at {}‰, hedge after {}ms, virtual time):",
-        tail.runs, tail.delay_ms, tail.slow_per_mille, tail.hedge_after_ms
-    );
-    println!(
-        "  {:>9} | {:>7} | {:>7} | {:>7} | {:>7}",
-        "policy", "p50 ms", "p99 ms", "max ms", "hedged"
-    );
-    for (name, st) in [("no hedge", &tail.no_hedge), ("hedge", &tail.hedge)] {
-        println!(
-            "  {:>9} | {:>7} | {:>7} | {:>7} | {:>7}",
-            name, st.p50_ms, st.p99_ms, st.max_ms, st.hedged
-        );
-    }
-
-    let cold = cold_path_bench(fast);
-    println!("\n  cold path, per op on 16 sources (minimum of its runs):\n  {cold}");
-    let json = render_bench_json(
-        fast,
-        iters,
-        &rows,
-        &conc,
-        &tail,
-        &magic,
-        &inc,
-        &cold,
-        &mut m_warm,
-    );
-    std::fs::write("BENCH.json", &json).expect("write BENCH.json");
-    println!("\nwrote BENCH.json");
-}
-
-/// The `cold_path` group: one `cold_federation` op of the frozen benchmark
-/// (its 16 sources and, in full mode, its row counts) phase by phase —
-/// `invalidate` + `materialize_all`, the cold `run`, the §5 plan — with the
-/// cold run's counters, as the body of a JSON object.
-fn cold_path_bench(fast: bool) -> String {
-    let sized = ScenarioParams {
-        senselab_rows: 400,
-        ncmir_rows: 600,
-        synapse_rows: 400,
-        noise_rows: 300,
-        ..Default::default()
-    };
-    let params = ScenarioParams {
-        noise_sources: 12,
-        ..if fast { bench_params(true) } else { sized }
-    };
-    let mut m = build_scenario(&params);
-    let (schema, q) = (NeuroSchema::default(), section5_query());
-    let (mut rows, mut stats, mut min_us) = (0, EvalStats::default(), [u128::MAX; 3]);
-    for _ in 0..if fast { 3 } else { 20 } {
-        let mut lap = Instant::now();
-        let mut phase = |i: usize| {
-            min_us[i] = min_us[i].min(lap.elapsed().as_micros());
-            lap = Instant::now();
-        };
-        m.invalidate();
-        rows = m.materialize_all().expect("scenario materializes");
-        phase(0);
-        stats = m.run().expect("cold run").stats;
-        phase(1);
-        black_box(
-            run_section5(&mut m, &schema, &q, true)
-                .expect("plan")
-                .step3_rows,
-        );
-        phase(2);
-    }
-    format!(
-        "\"sources\": 16, \"rows\": {rows}, \"materialize_us\": {}, \"run_us\": {}, \"section5_us\": {}, \"derived\": {}, \"applications\": {}, \"iterations\": {}, \"index_builds\": {}, \"index_hits\": {}, \"index_misses\": {}",
-        min_us[0], min_us[1], min_us[2], stats.derived, stats.applications, stats.iterations,
-        stats.index_builds, stats.index_hits, stats.index_misses
-    )
-}
-
-/// Sustained write-while-read throughput: one writer loading rows and
-/// republishing snapshots while reader threads drain queries from the
-/// latest published snapshot, with no exclusive lock on the query hot path.
-struct SustainedStats {
-    readers: usize,
-    publishes: usize,
-    reads: usize,
-    wall_ns: u128,
-}
-
-/// The `incremental_publish` group's results: per-iteration republish
-/// latency percentiles for the staged delta plane vs. the cold
-/// invalidate-and-rebuild baseline, plus the sustained mixed workload.
-struct IncGroup {
-    iters: usize,
-    inc_p50_ns: u128,
-    inc_p99_ns: u128,
-    cold_p50_ns: u128,
-    cold_p99_ns: u128,
-    sustained: SustainedStats,
-}
-
 fn percentile(sorted: &[u128], p: usize) -> u128 {
     sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
 }
 
-/// The PR 8 tentpole measurement. Incremental side: a warm, fully
-/// materialized §5 scenario absorbs one fresh NCMIR row per iteration
-/// and republishes — `publish()` folds the staged delta into the cached
-/// model via seeded delta rounds, so the timed region is proportional to
-/// the delta's cone, not the knowledge base. Cold side: the
-/// pre-write-plane behavior for the same event — every mutation
-/// invalidates, so each republish rebuilds the program, refetches every
-/// source, and reevaluates from scratch.
-fn incremental_publish_bench(fast: bool, params: &ScenarioParams) -> IncGroup {
+/// Republish latency of the staged delta plane against the cold
+/// invalidate-and-rebuild it replaced. Incremental side: a warm, fully
+/// materialized §5 scenario absorbs one fresh NCMIR row per iteration and
+/// republishes — `publish()` folds the staged delta into the cached model,
+/// so the timed region is proportional to the delta's cone. Cold side: the
+/// same event when every mutation invalidates — rebuild the program,
+/// refetch every source, reevaluate from scratch.
+fn incremental_publish(fast: bool) -> String {
+    let params = bench_params(fast);
     let iters = if fast { 8 } else { 30 };
-    let mut m = build_scenario(params);
+    let mut m = build_scenario(&params);
     m.materialize_all().expect("scenario materializes");
     m.publish().expect("initial publish");
-    let pool = ncmir_update_rows(params.seed, 1, iters);
     let mut inc_ns: Vec<u128> = Vec::with_capacity(iters);
-    for row in &pool {
+    for row in &ncmir_update_rows(params.seed, 1, iters) {
         m.load_row("NCMIR", "protein_amount", row).expect("loads");
         let t = Instant::now();
         black_box(m.publish().expect("incremental publish").facts.len());
         inc_ns.push(t.elapsed().as_nanos());
     }
-    let mut c = build_scenario(params);
+    let mut c = build_scenario(&params);
     c.materialize_all().expect("scenario materializes");
     c.publish().expect("initial publish");
     let cold_iters = if fast { 3 } else { 10 };
-    let cold_pool = ncmir_update_rows(params.seed, 2, cold_iters);
     let mut cold_ns: Vec<u128> = Vec::with_capacity(cold_iters);
-    for row in &cold_pool {
+    for row in &ncmir_update_rows(params.seed, 2, cold_iters) {
         c.load_row("NCMIR", "protein_amount", row).expect("loads");
         let t = Instant::now();
         c.invalidate();
@@ -396,479 +195,39 @@ fn incremental_publish_bench(fast: bool, params: &ScenarioParams) -> IncGroup {
     }
     inc_ns.sort_unstable();
     cold_ns.sort_unstable();
-    IncGroup {
-        iters,
-        inc_p50_ns: percentile(&inc_ns, 50),
-        inc_p99_ns: percentile(&inc_ns, 99),
-        cold_p50_ns: percentile(&cold_ns, 50),
-        cold_p99_ns: percentile(&cold_ns, 99),
-        sustained: sustained_update_read_bench(fast, params),
-    }
+    let (inc_p50, inc_p99) = (percentile(&inc_ns, 50), percentile(&inc_ns, 99));
+    let (cold_p50, cold_p99) = (percentile(&cold_ns, 50), percentile(&cold_ns, 99));
+    println!("one fresh row per iteration, {iters} iterations");
+    println!(
+        "  {:>12} | {:>13} | {:>13}",
+        "publish path", "p50 ns", "p99 ns"
+    );
+    println!("  {:>12} | {cold_p50:>13} | {cold_p99:>13}", "cold");
+    println!("  {:>12} | {inc_p50:>13} | {inc_p99:>13}", "incremental");
+    obj(&[
+        ("iters", iters.to_string()),
+        ("inc_p50_ns", inc_p50.to_string()),
+        ("inc_p99_ns", inc_p99.to_string()),
+        ("cold_p50_ns", cold_p50.to_string()),
+        ("cold_p99_ns", cold_p99.to_string()),
+        ("speedup_p50", ratio(cold_p50 as f64, inc_p50 as f64)),
+    ])
 }
 
-/// Readers drain FL queries from the most recently published snapshot,
-/// loaded epoch-pinned from the mediator's `SnapshotHub` (the same slot
-/// `kind-server` serves from), while the writer keeps loading rows and
-/// republishing through the hub — the structurally-shared snapshot
-/// republish makes each install cheap, and superseded epochs keep
-/// serving their frozen state until the last reader drops them.
-fn sustained_update_read_bench(fast: bool, params: &ScenarioParams) -> SustainedStats {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    let readers = 4usize;
-    let publishes = if fast { 10 } else { 40 };
-    let mut m = build_scenario(params);
-    m.materialize_all().expect("scenario materializes");
-    let hub = m.hub();
-    m.publish_snapshot().expect("initial publish");
-    let done = AtomicBool::new(false);
-    let reads = AtomicUsize::new(0);
-    let pool = ncmir_update_rows(params.seed, 3, publishes);
-    let patterns = ["X : protein_amount", "anchored(S, C)"];
-    let t = Instant::now();
-    std::thread::scope(|s| {
-        for w in 0..readers {
-            let (hub, done, reads) = (&hub, &done, &reads);
-            s.spawn(move || {
-                let mut i = 0usize;
-                while !done.load(Ordering::Relaxed) {
-                    let snap = hub.load().expect("hub seeded");
-                    black_box(
-                        snap.query_fl(patterns[(w + i) % patterns.len()])
-                            .expect("snapshot query")
-                            .len(),
-                    );
-                    reads.fetch_add(1, Ordering::Relaxed);
-                    i += 1;
-                }
-            });
-        }
-        for row in &pool {
-            m.load_row("NCMIR", "protein_amount", row).expect("loads");
-            m.publish().expect("republish through the hub");
-        }
-        done.store(true, Ordering::Relaxed);
-    });
-    SustainedStats {
-        readers,
-        publishes: pool.len(),
-        reads: reads.into_inner(),
-        wall_ns: t.elapsed().as_nanos(),
-    }
-}
-
-/// One magic-sets ablation row: the same goal-directed query with the
-/// demand transformation off vs. on — wall clock and derived-fact counts.
-struct MagicRow {
-    name: &'static str,
-    off_ns: u128,
-    on_ns: u128,
-    off_derived: usize,
-    on_derived: usize,
-    magic_fired: bool,
-    /// Whether the cost model declined the rewrite (demand-cone estimate
-    /// at or above the decline ratio), falling back to the plain plan.
-    magic_declined: bool,
-}
-
-/// A §5-style FL knowledge base shaped like Figure 1's taxonomy: a
-/// forest of `subtrees` class chains of `depth` levels under one root,
-/// with `per_class` measured objects at every class — the stratified
-/// fragment (CORE axioms only) where the magic rewrite applies. Full
-/// materialization derives every object's upward instance cone across
-/// all subtrees; a query anchored at one subtree's root only needs that
-/// subtree's cone.
-fn magic_flogic_fixture(subtrees: usize, depth: usize, per_class: usize) -> FLogic {
-    let mut fl = FLogic::new();
-    let mut text = String::new();
-    for s in 0..subtrees {
-        text.push_str(&format!("t{s}_0 :: thing.\n"));
-        for l in 1..depth {
-            text.push_str(&format!("t{s}_{l} :: t{s}_{}.\n", l - 1));
-        }
-        for l in 0..depth {
-            for j in 0..per_class {
-                text.push_str(&format!("o_{s}_{l}_{j} : t{s}_{l}.\n"));
-                text.push_str(&format!(
-                    "o_{s}_{l}_{j}[amount -> {}].\n",
-                    (s * 13 + l * 29 + j * 17) % 100
-                ));
-            }
-        }
-    }
-    fl.load(&text).expect("fixture loads");
-    fl
-}
-
-/// Magic-sets ablation. The first two rows run on the stratified FL
-/// fixture through `run_for_query` (the engine path `answer()` takes):
-/// the *selective* query anchors at one subtree's root class, so demand
-/// covers only that subtree's instance cone; the *wide* query anchors at
-/// the forest root, whose cone is the whole closure — the honest no-win
-/// case. The last row is the warm mediator `answer()` on the full
-/// scenario: its skolem guards negate through `inst`, which every class
-/// literal of the query reads, so the goal sits in the rewrite's
-/// evaluate-in-full fragment, the rewrite does not apply (`magic_fired`
-/// false) and the numbers show the attempt costs nothing.
-fn magic_sets_bench(fast: bool, params: &ScenarioParams) -> Vec<MagicRow> {
-    use kind_datalog::{Atom, Term, Var};
-    let iters = if fast { 3 } else { 10 };
-    let (subtrees, depth, per_class) = if fast { (6, 4, 3) } else { (12, 6, 6) };
-    let mut out = Vec::new();
-    for (name, class) in [
-        ("magic_selective_anchor", "t0_0".to_string()),
-        ("magic_wide_closure", "thing".to_string()),
-    ] {
-        let view = format!("hot(X, A) :- X : {class}, X[amount -> A], A >= 50.");
-        let run = |magic: bool| {
-            let mut fl = magic_flogic_fixture(subtrees, depth, per_class);
-            fl.load(&view).expect("view loads");
-            let goal = Atom::new(
-                fl.engine().lookup("hot").expect("view head interned"),
-                vec![Term::Var(Var(0)), Term::Var(Var(1))],
-            );
-            let opts = EvalOptions {
-                magic_sets: magic,
-                ..Default::default()
-            };
-            let wall = min_ns(iters, || {
-                black_box(fl.run_for_query(&goal, None, &opts).unwrap().stats.derived);
-            });
-            let m = fl.run_for_query(&goal, None, &opts).unwrap();
-            (
-                wall,
-                m.stats.derived,
-                m.profile.magic_fired,
-                m.profile.magic_declined,
-            )
-        };
-        let (off_ns, off_derived, _, _) = run(false);
-        let (on_ns, on_derived, magic_fired, magic_declined) = run(true);
-        out.push(MagicRow {
-            name,
-            off_ns,
-            on_ns,
-            off_derived,
-            on_derived,
-            magic_fired,
-            magic_declined,
-        });
-    }
-    // Mediator answer on the scenario with a negation-cyclic stratum: the
-    // rewrite must not apply and cost nothing. Both sides get one untimed
-    // priming call, so the numbers are second-and-later (base-cache warm)
-    // query cost.
-    let aq = r#"calcium_at_spine(P, A) :- X : protein_amount, X[protein_name -> P],
-        X[amount -> A], X[ion_bound -> "calcium"], X[location -> "Purkinje_Spine"]."#;
-    let run = |magic: bool| {
-        let mut m = build_scenario(&ScenarioParams {
-            magic_sets: magic,
-            ..params.clone()
-        });
-        m.answer(aq).unwrap();
-        let wall = min_ns(iters, || {
-            black_box(m.answer(aq).unwrap().rows.len());
-        });
-        let ans = m.answer(aq).unwrap();
-        (wall, ans.stats.derived, ans.magic_fired)
-    };
-    let (off_ns, off_derived, _) = run(false);
-    let (on_ns, on_derived, magic_fired) = run(true);
-    out.push(MagicRow {
-        name: "magic_answer_wfs_fallback",
-        off_ns,
-        on_ns,
-        off_derived,
-        on_derived,
-        magic_fired,
-        // The rewrite is refused structurally (the goal reads a negated
-        // predicate), not via the cost model.
-        magic_declined: false,
-    });
-    out
-}
-
-/// Percentiles of the per-query critical path (virtual ms) for one
-/// deadline-plane policy in [`tail_latency_bench`].
-struct TailStats {
-    p50_ms: u64,
-    p99_ms: u64,
-    max_ms: u64,
-    hedged: usize,
-}
-
-/// The `tail_latency` group: the same seeded `SlowTail` schedule replayed
-/// against SENSELAB with hedging off and on.
-struct TailGroup {
-    runs: usize,
-    delay_ms: u64,
-    slow_per_mille: u16,
-    hedge_after_ms: u64,
-    no_hedge: TailStats,
-    hedge: TailStats,
-}
-
-/// Repeated `answer()` calls against a source with a seeded slow tail
-/// (most fetches are instant, a small fraction stall for `delay_ms`),
-/// measured in **virtual** milliseconds via `AnswerReport::elapsed_ms` —
-/// so the percentiles are deterministic and machine-independent. The
-/// hedged side races one backup attempt after `hedge_after_ms`; because
-/// the backup re-rolls the seeded tail, a stalled primary is almost
-/// always rescued and the p99 collapses toward the hedge threshold.
-fn tail_latency_bench(fast: bool) -> TailGroup {
-    let runs = if fast { 60 } else { 200 };
-    let delay_ms = 500u64;
-    let slow_per_mille = 50u16;
-    let hedge_after_ms = 50u64;
-    let tq = r#"nt_used(N) :- X : neurotransmission, X[neurotransmitter -> N]."#;
-    let measure = |hedge: bool| -> TailStats {
-        let (mut m, _inj) = build_scenario_with_faults(
-            &ScenarioParams::default(),
-            vec![Fault::SlowTail {
-                seed: 2001,
-                delay_ms,
-                slow_per_mille,
-            }],
-        );
-        if hedge {
-            m.set_source_policy(
-                "SENSELAB",
-                SourcePolicy::with_hedge_after_ms(hedge_after_ms),
-            );
-        }
-        let mut elapsed: Vec<u64> = Vec::with_capacity(runs);
-        let mut hedged = 0usize;
-        for _ in 0..runs {
-            let ans = m.answer(tq).expect("tail query runs");
-            elapsed.push(ans.report.elapsed_ms);
-            hedged += ans.report.source("SENSELAB").map_or(0, |s| s.hedged);
-        }
-        elapsed.sort_unstable();
-        TailStats {
-            p50_ms: elapsed[runs / 2],
-            p99_ms: elapsed[runs * 99 / 100],
-            max_ms: *elapsed.last().expect("at least one run"),
-            hedged,
-        }
-    };
-    TailGroup {
-        runs,
-        delay_ms,
-        slow_per_mille,
-        hedge_after_ms,
-        no_hedge: measure(false),
-        hedge: measure(true),
-    }
-}
-
-/// One row of the concurrent-throughput group: a fixed batch of mixed FL
-/// queries split across `workers` threads, drained two ways — every
-/// thread serializing through a `Mutex<Mediator>` (the design a
-/// non-`Send + Sync` stack forces), and every thread reading one shared
-/// [`kind_core::QuerySnapshot`] through `&self`.
-struct ConcRow {
-    workers: usize,
-    total_queries: usize,
-    /// Minimum wall time through the mutex-guarded mediator, in ns.
-    locked_wall_ns: u128,
-    /// Minimum wall time through the shared snapshot, in ns.
-    snapshot_wall_ns: u128,
-}
-
-/// The cores this process may actually run on (what scaling is bounded
-/// by — recorded in the JSON so the numbers are interpretable).
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Multi-threaded snapshot query throughput (1/2/4/8 workers). The batch
-/// size is constant across worker counts, so `wall(1) / wall(w)` is the
-/// scaling factor (bounded by [`cores`]); the mutex-guarded mediator
-/// serving the identical workload is the contended baseline, so the
-/// shared-read hot path's advantage is visible even on a single core.
-fn snapshot_concurrency_bench(fast: bool, params: &ScenarioParams) -> Vec<ConcRow> {
-    let mut m = build_scenario(params);
-    m.materialize_all().expect("scenario materializes");
-    let hub = m.hub();
-    m.publish_snapshot().expect("snapshot publishes");
-    // Without snapshots, concurrent callers would share the mediator
-    // itself behind a lock; its warm query path (cached model) is the
-    // honest comparison point.
-    let locked = std::sync::Mutex::new(m);
-    // A read mix over the materialized scenario: instance scans, a
-    // derived-view probe, and domain-map reachability.
-    let patterns = [
-        "X : protein_amount",
-        "X : neurotransmission",
-        "anchored(S, C)",
-        r#"isa_star(C, "Neuron_Compartment")"#,
-    ];
-    let (total, repeats) = if fast { (240usize, 2usize) } else { (2400, 5) };
-    let run_batch = |workers: usize, per: usize, use_snapshot: bool| -> u128 {
-        (0..repeats)
-            .map(|_| {
-                let t = Instant::now();
-                std::thread::scope(|s| {
-                    for w in 0..workers {
-                        let hub = &hub;
-                        let locked = &locked;
-                        s.spawn(move || {
-                            // The serving pattern: each worker pins the
-                            // current hub epoch once per batch.
-                            let snap = hub.load().expect("hub seeded");
-                            for i in 0..per {
-                                let p = patterns[(w + i) % patterns.len()];
-                                let n = if use_snapshot {
-                                    snap.query_fl(p).expect("query runs").len()
-                                } else {
-                                    locked
-                                        .lock()
-                                        .expect("mediator lock")
-                                        .query_fl(p)
-                                        .expect("query runs")
-                                        .len()
-                                };
-                                black_box(n);
-                            }
-                        });
-                    }
-                });
-                t.elapsed().as_nanos()
-            })
-            .min()
-            .expect("at least one repeat")
-    };
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&workers| {
-            let per = total / workers;
-            ConcRow {
-                workers,
-                total_queries: per * workers,
-                locked_wall_ns: run_batch(workers, per, false),
-                snapshot_wall_ns: run_batch(workers, per, true),
-            }
-        })
-        .collect()
-}
-
-/// Hand-rolled JSON (no serde in the image): per-bench baseline/optimized
-/// nanoseconds, the concurrent-throughput group, the tail-latency (hedged
-/// fetch) group, the magic-sets ablation, the incremental-publish (write
-/// plane) group, plus the `EvalStats` and stratum counters of the warm
-/// mediator's cached base model.
-#[allow(clippy::too_many_arguments)]
-fn render_bench_json(
-    fast: bool,
-    iters: usize,
-    rows: &[(&str, u128, u128)],
-    conc: &[ConcRow],
-    tail: &TailGroup,
-    magic: &[MagicRow],
-    inc: &IncGroup,
-    cold: &str,
-    warm: &mut Mediator,
-) -> String {
-    let model = warm.run().expect("warm base model evaluates");
-    let s = &model.stats;
-    let strata = model.profile.strata.len();
-    let skipped = model.profile.strata.iter().filter(|p| p.skipped).count();
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"samples\": {iters},\n  \"available_parallelism\": {},\n  \"benches\": [\n",
-        if fast { "fast" } else { "full" },
-        cores()
-    ));
-    for (i, (name, b, o)) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"baseline_ns\": {b}, \"optimized_ns\": {o}, \"speedup\": {:.2}}}{sep}\n",
-            *b as f64 / (*o).max(1) as f64
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"snapshot_concurrency\": {{\n    \"cores\": {},\n    \"rows\": [\n",
-        cores()
-    ));
-    let one_worker_ns = conc.first().map(|c| c.snapshot_wall_ns).unwrap_or(1);
-    for (i, c) in conc.iter().enumerate() {
-        let sep = if i + 1 < conc.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"workers\": {}, \"queries\": {}, \"locked_wall_ns\": {}, \"snapshot_wall_ns\": {}, \"speedup_vs_locked\": {:.2}, \"queries_per_sec\": {:.0}, \"scaling_vs_1_worker\": {:.2}}}{sep}\n",
-            c.workers,
-            c.total_queries,
-            c.locked_wall_ns,
-            c.snapshot_wall_ns,
-            c.locked_wall_ns as f64 / c.snapshot_wall_ns.max(1) as f64,
-            c.total_queries as f64 / (c.snapshot_wall_ns as f64 / 1e9),
-            one_worker_ns as f64 / c.snapshot_wall_ns.max(1) as f64
-        ));
-    }
-    out.push_str(&format!(
-        "    ]\n  }},\n  \"tail_latency\": {{\n    \"runs\": {},\n    \"delay_ms\": {},\n    \"slow_per_mille\": {},\n    \"hedge_after_ms\": {},\n",
-        tail.runs, tail.delay_ms, tail.slow_per_mille, tail.hedge_after_ms
-    ));
-    for (i, (name, st)) in [("no_hedge", &tail.no_hedge), ("hedge", &tail.hedge)]
-        .iter()
-        .enumerate()
-    {
-        let sep = if i == 0 { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{name}\": {{\"p50_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \"hedged\": {}}}{sep}\n",
-            st.p50_ms, st.p99_ms, st.max_ms, st.hedged
-        ));
-    }
-    out.push_str("  },\n  \"magic_sets\": {\n    \"rows\": [\n");
-    for (i, r) in magic.iter().enumerate() {
-        let sep = if i + 1 < magic.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"off_ns\": {}, \"on_ns\": {}, \"wall_speedup\": {:.2}, \"off_derived\": {}, \"on_derived\": {}, \"derived_reduction\": {:.2}, \"magic_fired\": {}, \"magic_declined\": {}}}{sep}\n",
-            r.name,
-            r.off_ns,
-            r.on_ns,
-            r.off_ns as f64 / r.on_ns.max(1) as f64,
-            r.off_derived,
-            r.on_derived,
-            r.off_derived as f64 / r.on_derived.max(1) as f64,
-            r.magic_fired,
-            r.magic_declined
-        ));
-    }
-    out.push_str(&format!(
-        "    ]\n  }},\n  \"incremental_publish\": {{\n    \"iters\": {},\n    \"inc_p50_ns\": {},\n    \"inc_p99_ns\": {},\n    \"cold_p50_ns\": {},\n    \"cold_p99_ns\": {},\n    \"speedup_p50\": {:.2},\n    \"sustained\": {{\"readers\": {}, \"publishes\": {}, \"reads\": {}, \"wall_ns\": {}, \"publishes_per_sec\": {:.0}, \"reads_per_sec\": {:.0}}}\n  }},\n",
-        inc.iters,
-        inc.inc_p50_ns,
-        inc.inc_p99_ns,
-        inc.cold_p50_ns,
-        inc.cold_p99_ns,
-        inc.cold_p50_ns as f64 / inc.inc_p50_ns.max(1) as f64,
-        inc.sustained.readers,
-        inc.sustained.publishes,
-        inc.sustained.reads,
-        inc.sustained.wall_ns,
-        inc.sustained.publishes as f64 / (inc.sustained.wall_ns as f64 / 1e9),
-        inc.sustained.reads as f64 / (inc.sustained.wall_ns as f64 / 1e9)
-    ));
-    out.push_str(&format!("  \"cold_path\": {{{cold}}},\n"));
-    out.push_str("  \"eval_stats\": {\n");
-    out.push_str(&format!(
-        "    \"iterations\": {},\n    \"derived\": {},\n    \"applications\": {},\n    \"index_builds\": {},\n    \"index_hits\": {},\n    \"index_misses\": {},\n    \"strata\": {strata},\n    \"strata_skipped\": {skipped}\n",
-        s.iterations, s.derived, s.applications, s.index_builds, s.index_hits, s.index_misses
-    ));
-    out.push_str("  }\n}\n");
-    out
-}
-
-fn figure1_report() {
-    header("Figure 1 — domain map for SYNAPSE and NCMIR");
+/// Figure 1: the map built from the §1 axioms, its knowledge chain, and
+/// `dc(has_a)` against materializing `tc(has_a_star)` on generated
+/// anatomies (the §4 "wasteful" claim).
+fn figure1(_fast: bool) -> String {
+    println!("Figure 1 — domain map for SYNAPSE and NCMIR");
     let dm = figures::figure1();
     let r = Resolved::new(&dm);
+    let (concepts, edges) = (dm.concepts().count(), dm.edge_count());
     println!(
-        "concepts: {}   edges: {}   roles: {:?}",
-        dm.concepts().count(),
-        dm.edge_count(),
+        "concepts: {concepts}   edges: {edges}   roles: {:?}",
         dm.roles()
     );
     println!("\nderived knowledge chain (the 'multiple worlds' bridge):");
+    let mut inferable = 0;
     for (a, role, b) in [
         ("Purkinje_Cell", "has", "Spine"),
         ("Pyramidal_Cell", "has", "Spine"),
@@ -879,6 +238,7 @@ fn figure1_report() {
         let na = dm.lookup(a).unwrap();
         let nb = dm.lookup(b).unwrap();
         let holds = r.dc_pairs(role).contains(&(na, nb));
+        inferable += usize::from(holds);
         println!(
             "  {a:<22} --{role:>14}--> {b:<24} {}",
             if holds { "inferable" } else { "MISSING" }
@@ -887,25 +247,40 @@ fn figure1_report() {
     let dc = r.dc_pairs("has").len();
     let tc = r.tc_of_dc("has").len();
     println!("\ndc(has) = {dc} direct inferable links; materialized tc = {tc} links");
-    // Scaling the 'wasteful' claim:
     println!("\n  anatomy size |  dc pairs | tc(dc) pairs | ratio");
-    for (d, f) in [(3usize, 3usize), (4, 3), (5, 3)] {
+    let anatomies = [(3usize, 3usize), (4, 3), (5, 3)].map(|(d, f)| {
         let big = figures::anatomy_generated(d, f, 2);
         let rr = Resolved::new(&big);
-        let dcn = rr.dc_pairs("has_a").len();
-        let tcn = rr.tc_of_dc("has_a").len();
-        println!(
-            "  {:>12} | {:>9} | {:>12} | {:>5.1}x",
+        let (nodes, dcn, tcn) = (
             big.node_count(),
-            dcn,
-            tcn,
+            rr.dc_pairs("has_a").len(),
+            rr.tc_of_dc("has_a").len(),
+        );
+        println!(
+            "  {nodes:>12} | {dcn:>9} | {tcn:>12} | {:>5.1}x",
             tcn as f64 / dcn.max(1) as f64
         );
-    }
+        obj(&[
+            ("nodes", nodes.to_string()),
+            ("dc_pairs", dcn.to_string()),
+            ("tc_pairs", tcn.to_string()),
+            ("ratio", ratio(tcn as f64, dcn as f64)),
+        ])
+    });
+    obj(&[
+        ("concepts", concepts.to_string()),
+        ("edges", edges.to_string()),
+        ("chain_inferable", inferable.to_string()),
+        ("dc_has", dc.to_string()),
+        ("tc_has", tc.to_string()),
+        ("anatomies", arr(anatomies)),
+    ])
 }
 
-fn table1_report() {
-    header("Table 1 — GCM expressions in F-logic, with the closure axioms");
+/// Table 1: the six GCM core forms in FL syntax, and the closure axioms'
+/// derived facts on growing class trees.
+fn table1(_fast: bool) -> String {
+    println!("Table 1 — GCM expressions in F-logic, with the closure axioms");
     let decls = [
         GcmDecl::Instance {
             obj: "x".into(),
@@ -971,28 +346,30 @@ fn table1_report() {
         };
         println!("{gcm:<34} | {}", d.to_fl());
     }
-    // Closure axiom timing on a growing hierarchy.
-    println!("\n  classes | closure-eval facts | time");
-    for depth in [4usize, 6, 8] {
-        let fl = kind_bench::class_tree_flogic(depth, 2);
-        let t = Instant::now();
-        let m = fl.run().expect("runs");
-        println!(
-            "  {:>7} | {:>18} | {:?}",
-            2usize.pow(depth as u32 + 1) - 1,
-            m.facts.len(),
-            t.elapsed()
-        );
-    }
+    println!("\n  classes | closure-eval facts | min ns");
+    let trees = [4usize, 6, 8].map(|depth| {
+        let fl = class_tree_flogic(depth, 2);
+        let facts = fl.run().expect("runs").facts.len();
+        let ns = min_ns(3, || {
+            black_box(fl.run().expect("runs").facts.len());
+        });
+        let classes = 2usize.pow(depth as u32 + 1) - 1;
+        println!("  {classes:>7} | {facts:>18} | {ns}");
+        obj(&[
+            ("classes", classes.to_string()),
+            ("facts", facts.to_string()),
+            ("min_ns", ns.to_string()),
+        ])
+    });
+    obj(&[("class_trees", arr(trees))])
 }
 
-fn figure2_report() {
-    header("Figure 2 — the model-based mediator architecture at work");
-    let params = ScenarioParams::default();
-    let t = Instant::now();
-    let mut m = build_scenario(&params);
-    let reg_time = t.elapsed();
-    println!("registered {} sources in {reg_time:?}:", m.sources().len());
+/// Figure 2: the scenario's sources registered through four formalisms,
+/// materialized and evaluated.
+fn figure2(_fast: bool) -> String {
+    println!("Figure 2 — the model-based mediator architecture at work");
+    let mut m = build_scenario(&ScenarioParams::default());
+    println!("registered {} sources:", m.sources().len());
     for s in m.sources() {
         println!(
             "  {:<10} formalism={:<5} classes={:?}",
@@ -1001,65 +378,69 @@ fn figure2_report() {
             s.classes
         );
     }
-    let t = Instant::now();
-    let loaded = m.materialize_all().expect("materializes");
-    let model_size = m.run().expect("evaluates").facts.len();
-    println!(
-        "\nmaterialized {loaded} rows; evaluated model: {model_size} facts in {:?}",
-        t.elapsed()
-    );
+    let sources = m.sources().len();
+    let formalisms = (m.sources().iter())
+        .map(|s| s.wrapper.formalism())
+        .collect::<BTreeSet<_>>()
+        .len();
+    let rows = m.materialize_all().expect("materializes");
+    let facts = m.run().expect("evaluates").facts.len();
+    println!("\nmaterialized {rows} rows; evaluated model: {facts} facts");
+    obj(&[
+        ("sources", sources.to_string()),
+        ("formalisms", formalisms.to_string()),
+        ("rows", rows.to_string()),
+        ("model_facts", facts.to_string()),
+    ])
 }
 
-fn example2_report() {
-    header("Examples 2 & 3 — integrity constraints with failure witnesses");
-    let base = corrupted_order(8, 4);
-    let t = Instant::now();
-    let m = base.run().expect("runs");
-    let ws = base.witnesses(&m);
-    let (wrc, wtc, was): (Vec<_>, Vec<_>, Vec<_>) = (
-        ws.iter().filter(|w| w.starts_with("wrc(")).collect(),
-        ws.iter().filter(|w| w.starts_with("wtc(")).collect(),
-        ws.iter().filter(|w| w.starts_with("was(")).collect(),
-    );
-    println!(
-        "corrupted order (8 nodes, 4 missing transitive edges, 1 cycle), checked in {:?}:",
-        t.elapsed()
-    );
-    println!("  reflexivity witnesses (wrc): {}", wrc.len());
-    println!("  transitivity witnesses (wtc): {}", wtc.len());
-    println!("  antisymmetry witnesses (was): {}", was.len());
+/// Examples 2 & 3: the partial-order denials on a corrupted order.
+fn example2(_fast: bool) -> String {
+    println!("Examples 2 & 3 — integrity constraints with failure witnesses");
+    let (nodes, missing) = (8, 4);
+    let base = corrupted_order(nodes, missing);
+    let ws = base.witnesses(&base.run().expect("runs"));
+    let count = |kind: &str| ws.iter().filter(|w| w.starts_with(kind)).count();
+    let (wrc, wtc, was) = (count("wrc("), count("wtc("), count("was("));
+    println!("corrupted order ({nodes} nodes, {missing} missing transitive edges, 1 cycle):");
+    println!("  reflexivity witnesses (wrc): {wrc}");
+    println!("  transitivity witnesses (wtc): {wtc}");
+    println!("  antisymmetry witnesses (was): {was}");
     for w in ws.iter().take(3) {
         println!("    ic <- {w}");
     }
+    obj(&[
+        ("nodes", nodes.to_string()),
+        ("missing", missing.to_string()),
+        ("wrc", wrc.to_string()),
+        ("wtc", wtc.to_string()),
+        ("was", was.to_string()),
+    ])
 }
 
-fn figure3_report() {
-    header("Figure 3 — registering MyNeuron / MyDendrite");
+/// Figure 3: the map before and after the `MyNeuron` / `MyDendrite`
+/// registration, what follows for `MyNeuron`, and the nonmonotonic
+/// override at the instance level.
+fn figure3(_fast: bool) -> String {
+    println!("Figure 3 — registering MyNeuron / MyDendrite");
     let base = figures::figure3_base();
     let full = figures::figure3();
-    println!(
-        "base map: {} concepts, {} edges",
-        base.concepts().count(),
-        base.edge_count()
-    );
-    println!(
-        "after registration: {} concepts, {} edges",
-        full.concepts().count(),
-        full.edge_count()
-    );
+    let (base_concepts, base_edges) = (base.concepts().count(), base.edge_count());
+    let (concepts, edges) = (full.concepts().count(), full.edge_count());
+    println!("base map: {base_concepts} concepts, {base_edges} edges");
+    println!("after registration: {concepts} concepts, {edges} edges");
     let r = Resolved::new(&full);
     let mn = full.lookup("MyNeuron").unwrap();
     println!("\nderived for MyNeuron:");
+    let mut subconcepts = 0;
     for target in ["Medium_Spiny_Neuron", "Spiny_Neuron", "Neuron"] {
-        let t = full.lookup(target).unwrap();
-        println!("  MyNeuron :: {target:<22} {}", r.is_subconcept(mn, t));
+        let holds = r.is_subconcept(mn, full.lookup(target).unwrap());
+        subconcepts += usize::from(holds);
+        println!("  MyNeuron :: {target:<22} {holds}");
     }
     let gpe = full.lookup("Globus_Pallidus_External").unwrap();
-    println!(
-        "  MyNeuron --proj--> Globus_Pallidus_External (definite): {}",
-        r.dc_pairs("proj").contains(&(mn, gpe))
-    );
-    // Nonmonotonic override at the instance level.
+    let definite = r.dc_pairs("proj").contains(&(mn, gpe));
+    println!("  MyNeuron --proj--> Globus_Pallidus_External (definite): {definite}");
     let mut fl = FLogic::with_inheritance();
     fl.load("m1 : msn. m2 : msn. m1[proj -> gpe_only].")
         .unwrap();
@@ -1067,23 +448,37 @@ fn figure3_report() {
         .unwrap();
     let model = fl.run().unwrap();
     let e = fl.engine();
-    let v1 = e.query_model(&model, "val(m1, proj, V)").unwrap();
-    let v2 = e.query_model(&model, "val(m2, proj, V)").unwrap();
+    let proj = |o: &str| {
+        let v = e
+            .query_model(&model, &format!("val({o}, proj, V)"))
+            .unwrap();
+        e.show(&v[0][2])
+    };
+    let (m1, m2) = (proj("m1"), proj("m2"));
     println!("\nnonmonotonic inheritance (defaults with override):");
-    println!("  m1 (explicit) projects to: {}", e.show(&v1[0][2]));
-    println!("  m2 (default)  projects to: {}", e.show(&v2[0][2]));
+    println!("  m1 (explicit) projects to: {m1}");
+    println!("  m2 (default)  projects to: {m2}");
+    obj(&[
+        ("base_concepts", base_concepts.to_string()),
+        ("base_edges", base_edges.to_string()),
+        ("concepts", concepts.to_string()),
+        ("edges", edges.to_string()),
+        ("my_neuron_subconcepts", subconcepts.to_string()),
+        ("definite_gpe_projection", definite.to_string()),
+        ("m1_proj", q(&m1)),
+        ("m2_proj", q(&m2)),
+    ])
 }
 
-fn section5_report() {
-    header("§5 — the KIND query plan");
+/// §5: the four-step plan on the scenario, source selection with the
+/// semantic index on and off as noise sources grow, the plan against
+/// materializing everything, and Example 4's distribution.
+fn sec5(_fast: bool) -> String {
+    println!("§5 — the KIND query plan");
     let schema = NeuroSchema::default();
-    let q = section5_query();
-    println!("query: distribution of calcium-binding proteins in neurons");
-    println!("       receiving parallel-fiber signals, in rat brains\n");
+    let q5 = section5_query();
     let mut m = build_scenario(&ScenarioParams::default());
-    let t = Instant::now();
-    let trace = run_section5(&mut m, &schema, &q, true).expect("plan runs");
-    let dt = t.elapsed();
+    let trace = run_section5(&mut m, &schema, &q5, true).expect("plan runs");
     println!("step 1: receiving pairs {:?}", trace.step1_pairs);
     println!(
         "step 2: {} candidates -> {:?} (semantic index)",
@@ -1099,36 +494,586 @@ fn section5_report() {
         println!("  {:<20} {:<20} {:>7}", d.protein, d.concept, d.total);
     }
     println!(
-        "\nplan: {} wrapper queries, {} rows shipped, in {dt:?}",
+        "\nplan: {} wrapper queries, {} rows shipped",
         trace.stats.source_queries, trace.stats.rows_shipped
     );
-    // Ablation table.
+
     println!("\nsource-selection ablation (rows shipped as noise sources grow):");
     println!("  noise sources | index ON queries/rows | index OFF queries/rows");
-    for noise in [0usize, 4, 8, 16] {
+    let noise = [0usize, 4, 8, 16].map(|noise| {
         let params = ScenarioParams {
             noise_sources: noise,
             noise_rows: 100,
             ..Default::default()
         };
-        let mut a = build_scenario(&params);
-        let ta = run_section5(&mut a, &schema, &q, true).unwrap();
-        let mut b = build_scenario(&params);
-        let tb = run_section5(&mut b, &schema, &q, false).unwrap();
+        let on = run_section5(&mut build_scenario(&params), &schema, &q5, true)
+            .expect("plan runs")
+            .stats;
+        let off = run_section5(&mut build_scenario(&params), &schema, &q5, false)
+            .expect("plan runs")
+            .stats;
         println!(
-            "  {:>13} | {:>9}/{:<11} | {:>10}/{}",
-            noise,
-            ta.stats.source_queries,
-            ta.stats.rows_shipped,
-            tb.stats.source_queries,
-            tb.stats.rows_shipped
+            "  {noise:>13} | {:>9}/{:<11} | {:>10}/{}",
+            on.source_queries, on.rows_shipped, off.source_queries, off.rows_shipped
         );
-    }
-    // Example 4 demo call.
+        obj(&[
+            ("noise_sources", noise.to_string()),
+            ("on_queries", on.source_queries.to_string()),
+            ("on_rows", on.rows_shipped.to_string()),
+            ("off_queries", off.source_queries.to_string()),
+            ("off_rows", off.rows_shipped.to_string()),
+        ])
+    });
+
+    // The plan against the materialize-everything baseline: rows each
+    // side pulls from the sources, and the minimum wall time of each.
+    let params = ScenarioParams {
+        noise_sources: 8,
+        noise_rows: 200,
+        ncmir_rows: 200,
+        senselab_rows: 200,
+        synapse_rows: 200,
+        ..Default::default()
+    };
+    let mut p = build_scenario(&params);
+    let plan_rows = run_section5(&mut p, &schema, &q5, true)
+        .expect("plan runs")
+        .stats
+        .rows_shipped;
+    let plan_ns = min_ns(10, || {
+        black_box(run_section5(&mut p, &schema, &q5, true).expect("plan runs"));
+    });
+    let mut all = build_scenario(&params);
+    let mut materialized_rows = 0;
+    let materialize_ns = min_ns(5, || {
+        all.invalidate();
+        materialized_rows = all.materialize_all().expect("materializes");
+        black_box(all.run().expect("evaluates").facts.len());
+    });
+    println!(
+        "\nplan vs materialize-everything (8 noise sources, 200 rows each): {plan_rows} rows in {plan_ns} ns vs {materialized_rows} rows in {materialize_ns} ns"
+    );
+
     println!("\nExample 4: protein_distribution(Ryanodine_Receptor, Cerebellum):");
     let dist = protein_distribution(&mut m, &schema, "Ryanodine_Receptor", "Cerebellum")
         .expect("view evaluates");
     for (concept, total) in &dist {
         println!("  {concept:<22} {total:>7}");
     }
+    obj(&[
+        ("candidate_sources", trace.candidate_sources.to_string()),
+        ("selected_sources", trace.selected_sources.len().to_string()),
+        ("step3_rows", trace.step3_rows.to_string()),
+        ("source_queries", trace.stats.source_queries.to_string()),
+        ("rows_shipped", trace.stats.rows_shipped.to_string()),
+        ("distribution_rows", trace.distribution.len().to_string()),
+        ("noise", arr(noise)),
+        ("plan_rows_shipped", plan_rows.to_string()),
+        ("plan_ns", plan_ns.to_string()),
+        ("materialized_rows", materialized_rows.to_string()),
+        ("materialize_ns", materialize_ns.to_string()),
+        ("example4_concepts", dist.len().to_string()),
+    ])
+}
+
+/// The evaluation pipeline as baseline-vs-optimized pairs, minimum wall
+/// time of each: warm domain-map closure memos, the warm §5 plan, and a
+/// repeated `answer()` with join reorder, indexes and the base cache all
+/// off against the defaults.
+fn pipeline(fast: bool) -> String {
+    let iters = if fast { 5 } else { 25 };
+    let plan_iters = iters.min(10);
+    let (depth, fanout) = if fast { (4usize, 3usize) } else { (5, 3) };
+    let mut rows: Vec<(&str, u128, u128)> = Vec::new();
+
+    // Closure memoization: a fresh `Resolved` per call against the warm
+    // memo tables every mediator query hits after the first.
+    let dm = figures::anatomy_generated(depth, fanout, 2);
+    let root = dm.lookup("Nervous_System").unwrap();
+    let warm = Resolved::new(&dm);
+    warm.downward_closure("has_a", root);
+    let base = min_ns(iters, || {
+        black_box(Resolved::new(&dm).downward_closure("has_a", root).len());
+    });
+    let opt = min_ns(iters, || {
+        black_box(warm.downward_closure("has_a", root).len());
+    });
+    rows.push(("fig1_downward_closure_warm", base, opt));
+
+    // The §5 plan: a fresh mediator per call (construction untimed) with
+    // the evaluation layers ablated, against a repeat call on a warm
+    // mediator with the defaults.
+    let (schema, q5, params) = (NeuroSchema::default(), section5_query(), bench_params(fast));
+    let ablated = EvalOptions {
+        join_reorder: false,
+        use_index: false,
+        base_cache: false,
+        ..Default::default()
+    };
+    let base = (0..plan_iters)
+        .map(|_| {
+            let mut m = build_scenario(&params);
+            m.set_eval_options(ablated.clone());
+            let t = Instant::now();
+            black_box(run_section5(&mut m, &schema, &q5, true).unwrap().step3_rows);
+            t.elapsed().as_nanos()
+        })
+        .min()
+        .expect("at least one iteration");
+    let mut m_on = build_scenario(&params);
+    run_section5(&mut m_on, &schema, &q5, true).unwrap();
+    let opt = min_ns(plan_iters, || {
+        black_box(
+            run_section5(&mut m_on, &schema, &q5, true)
+                .unwrap()
+                .step3_rows,
+        );
+    });
+    rows.push(("sec5_query_plan_warm", base, opt));
+
+    // Repeated `answer()`, both sides primed by one untimed call.
+    let answer_ns = |opts: EvalOptions| {
+        let mut m = build_scenario(&params);
+        m.set_eval_options(opts);
+        m.answer(CALCIUM_SITES).unwrap();
+        min_ns(plan_iters, || {
+            black_box(m.answer(CALCIUM_SITES).unwrap().rows.len());
+        })
+    };
+    let base = answer_ns(ablated.clone());
+    let opt = answer_ns(EvalOptions::default());
+    rows.push(("sec5_warm_answer", base, opt));
+
+    println!(
+        "  {:<28} | {:>14} | {:>14} | {:>8}",
+        "pair", "baseline ns", "optimized ns", "speedup"
+    );
+    let rows = rows.into_iter().map(|(name, b, o)| {
+        println!(
+            "  {name:<28} | {b:>14} | {o:>14} | {:>7.2}x",
+            b as f64 / o.max(1) as f64
+        );
+        obj(&[
+            ("name", q(name)),
+            ("baseline_ns", b.to_string()),
+            ("optimized_ns", o.to_string()),
+            ("speedup", ratio(b as f64, o as f64)),
+        ])
+    });
+    obj(&[("samples", iters.to_string()), ("rows", arr(rows))])
+}
+
+/// One ablation, as its `BENCH.json` field: `setup(on)` prepares one side
+/// of the toggle and returns the call to measure. Each side records the
+/// `EvalStats` of its first call (the priming call where a cache is
+/// involved) and the minimum wall time of `iters` more.
+fn toggle<C: FnMut() -> EvalStats>(
+    name: &'static str,
+    iters: usize,
+    mut setup: impl FnMut(bool) -> C,
+) -> (&'static str, String) {
+    let mut side = |on: bool| {
+        let mut call = setup(on);
+        let s = call();
+        let ns = min_ns(iters, || {
+            black_box(call());
+        });
+        println!(
+            "  {name:<28} {:>3} | {:>7} | {:>12} | {:>10} | {:>6} / {:>6} / {:>6} | {ns:>10}",
+            if on { "on" } else { "off" },
+            s.derived,
+            s.applications,
+            s.iterations,
+            s.index_builds,
+            s.index_hits,
+            s.index_misses,
+        );
+        obj(&[counters(&s), vec![("min_ns", ns.to_string())]].concat())
+    };
+    let off = side(false);
+    (name, obj(&[("off", off), ("on", side(true))]))
+}
+
+/// The engine's design choices, each toggle off and on, as `EvalStats`
+/// beside the minimum wall time: the counters repeat exactly from run to
+/// run where a millisecond call's wall clock on a shared host does not.
+fn ablations(fast: bool) -> String {
+    let iters = if fast { 3 } else { 10 };
+    let params = bench_params(fast);
+    let (nodes, edges) = if fast { (60, 120) } else { (120, 240) };
+    let run = |e: &Engine, opts: &EvalOptions| e.run(opts).expect("evaluates").stats;
+    println!(
+        "  {:<28} {:>3} | {:>7} | {:>12} | {:>10} | index builds/hits/misses | {:>10}",
+        "toggle", "", "derived", "applications", "iterations", "min ns"
+    );
+    let mut rows = Vec::new();
+
+    // Semi-naive vs naive fixpoint on transitive closure.
+    let tc = &tc_workload(nodes, edges, 11);
+    let semi_naive = |on| {
+        let opts = EvalOptions {
+            semi_naive: on,
+            ..Default::default()
+        };
+        move || run(tc, &opts)
+    };
+    rows.push(toggle("semi_naive", iters, semi_naive));
+
+    // A stratified complement program, then the same with a negative
+    // 2-cycle over a one-node island: the alternating fixpoint runs for
+    // the cycle's stratum only.
+    let negative_cycle = |on| {
+        let mut e = Engine::new();
+        for i in 0..300 {
+            e.load(&format!("node(n{i}).")).expect("fact loads");
+            if i % 3 == 0 {
+                e.load(&format!("marked(n{i}).")).expect("fact loads");
+            }
+        }
+        e.load("unmarked(X) :- node(X), not marked(X).")
+            .expect("rule loads");
+        if on {
+            e.load(
+                "island(i1).
+                 p(X) :- island(X), not q(X).
+                 q(X) :- island(X), not p(X).",
+            )
+            .expect("cycle loads");
+        }
+        move || run(&e, &EvalOptions::default())
+    };
+    rows.push(toggle("negative_cycle", iters, negative_cycle));
+
+    // Figure 1's edges executed as integrity constraints (off) or as
+    // skolem assertions (on), over fifty neurons with no compartments.
+    let dm = figures::figure1();
+    let resolved = Resolved::new(&dm);
+    let assertion_mode = |on| {
+        let mode = if on {
+            ExecMode::Assertion
+        } else {
+            ExecMode::Constraint
+        };
+        let mut fl = FLogic::new();
+        fl.load_datalog(DM_OPS_RULES).expect("DM rules load");
+        fl.load(&rules::compile(&dm, &resolved, mode).text)
+            .expect("compiled map loads");
+        for i in 0..50 {
+            fl.load(&format!("n{i} : \"Neuron\".")).expect("data loads");
+        }
+        move || fl.run().expect("evaluates").stats
+    };
+    rows.push(toggle("assertion_mode", iters, assertion_mode));
+
+    // Join indexes on vs full scans, on a TC whose recursive rule joins on
+    // a bound first argument.
+    let tc = &tc_workload(80, 160, 5);
+    let use_index = |on| {
+        let opts = EvalOptions {
+            use_index: on,
+            ..Default::default()
+        };
+        move || run(tc, &opts)
+    };
+    rows.push(toggle("use_index", iters, use_index));
+
+    // Join reorder and the base-model cache under a repeated
+    // `Mediator::answer`, in two states: nothing loaded (the fetched rows
+    // are new to `inst`, so the strata above it run again) and
+    // materialized (the rows are in the cached model already).
+    let reorder: fn(&mut EvalOptions, bool) = |o, on| o.join_reorder = on;
+    let cache: fn(&mut EvalOptions, bool) = |o, on| o.base_cache = on;
+    for (name, materialized, set) in [
+        ("join_reorder_on_demand", false, reorder),
+        ("join_reorder_materialized", true, reorder),
+        ("base_cache_on_demand", false, cache),
+        ("base_cache_materialized", true, cache),
+    ] {
+        let answer = |on| {
+            let mut m = build_scenario(&params);
+            let mut opts = m.eval_options().clone();
+            set(&mut opts, on);
+            m.set_eval_options(opts);
+            if materialized {
+                m.materialize_all().expect("scenario materializes");
+            }
+            move || m.answer(CALCIUM_SITES).expect("answers").stats
+        };
+        rows.push(toggle(name, iters, answer));
+    }
+    block(&rows)
+}
+
+/// A §5-style FL knowledge base shaped like Figure 1's taxonomy: a
+/// forest of `subtrees` class chains of `depth` levels under one root,
+/// with `per_class` measured objects at every class — the stratified
+/// fragment (CORE axioms only) where the magic rewrite applies. Full
+/// materialization derives every object's upward instance cone across
+/// all subtrees; a query anchored at one subtree's root only needs that
+/// subtree's cone.
+fn magic_flogic_fixture(subtrees: usize, depth: usize, per_class: usize) -> FLogic {
+    let mut fl = FLogic::new();
+    let mut text = String::new();
+    for s in 0..subtrees {
+        text.push_str(&format!("t{s}_0 :: thing.\n"));
+        for l in 1..depth {
+            text.push_str(&format!("t{s}_{l} :: t{s}_{}.\n", l - 1));
+        }
+        for l in 0..depth {
+            for j in 0..per_class {
+                text.push_str(&format!("o_{s}_{l}_{j} : t{s}_{l}.\n"));
+                text.push_str(&format!(
+                    "o_{s}_{l}_{j}[amount -> {}].\n",
+                    (s * 13 + l * 29 + j * 17) % 100
+                ));
+            }
+        }
+    }
+    fl.load(&text).expect("fixture loads");
+    fl
+}
+
+/// Magic-sets ablation. The first two rows run on the stratified FL
+/// fixture through `run_for_query` (the engine path `answer()` takes):
+/// the *selective* query anchors at one subtree's root class, so demand
+/// covers only that subtree's instance cone; the *wide* query anchors at
+/// the forest root, whose cone is the whole closure — the honest no-win
+/// case. The last row is the warm mediator `answer()` on the full
+/// scenario: its skolem guards negate through `inst`, which every class
+/// literal of the query reads, so the goal sits in the rewrite's
+/// evaluate-in-full fragment, the rewrite does not apply (`magic_fired`
+/// false) and the numbers show the attempt costs nothing.
+fn magic_sets(fast: bool) -> String {
+    use kind_datalog::{Atom, Term, Var};
+    let params = bench_params(fast);
+    let iters = if fast { 3 } else { 10 };
+    let (subtrees, depth, per_class) = if fast { (6, 4, 3) } else { (12, 6, 6) };
+    // (name, off ns, on ns, off derived, on derived, fired, declined)
+    let mut out = Vec::new();
+    for (name, class) in [
+        ("magic_selective_anchor", "t0_0"),
+        ("magic_wide_closure", "thing"),
+    ] {
+        let view = format!("hot(X, A) :- X : {class}, X[amount -> A], A >= 50.");
+        let run = |magic: bool| {
+            let mut fl = magic_flogic_fixture(subtrees, depth, per_class);
+            fl.load(&view).expect("view loads");
+            let goal = Atom::new(
+                fl.engine().lookup("hot").expect("view head interned"),
+                vec![Term::Var(Var(0)), Term::Var(Var(1))],
+            );
+            let opts = EvalOptions {
+                magic_sets: magic,
+                ..Default::default()
+            };
+            let wall = min_ns(iters, || {
+                black_box(fl.run_for_query(&goal, None, &opts).unwrap().stats.derived);
+            });
+            let m = fl.run_for_query(&goal, None, &opts).unwrap();
+            (
+                wall,
+                m.stats.derived,
+                m.profile.magic_fired,
+                m.profile.magic_declined,
+            )
+        };
+        let (off_ns, off_derived, _, _) = run(false);
+        let (on_ns, on_derived, fired, declined) = run(true);
+        out.push((
+            name,
+            off_ns,
+            on_ns,
+            off_derived,
+            on_derived,
+            fired,
+            declined,
+        ));
+    }
+    // Mediator answer on the scenario with a negation-cyclic stratum: the
+    // rewrite must not apply and cost nothing. Both sides get one untimed
+    // priming call, so the numbers are second-and-later (base-cache warm)
+    // query cost.
+    let aq = r#"calcium_at_spine(P, A) :- X : protein_amount, X[protein_name -> P],
+        X[amount -> A], X[ion_bound -> "calcium"], X[location -> "Purkinje_Spine"]."#;
+    let run = |magic: bool| {
+        let mut m = build_scenario(&ScenarioParams {
+            magic_sets: magic,
+            ..params.clone()
+        });
+        m.answer(aq).unwrap();
+        let wall = min_ns(iters, || {
+            black_box(m.answer(aq).unwrap().rows.len());
+        });
+        let ans = m.answer(aq).unwrap();
+        (wall, ans.stats.derived, ans.magic_fired)
+    };
+    let (off_ns, off_derived, _) = run(false);
+    let (on_ns, on_derived, fired) = run(true);
+    // The rewrite is refused structurally (the goal reads a negated
+    // predicate), not by the cost model.
+    out.push((
+        "magic_answer_wfs_fallback",
+        off_ns,
+        on_ns,
+        off_derived,
+        on_derived,
+        fired,
+        false,
+    ));
+    println!(
+        "  {:>26} | {:>12} | {:>12} | {:>11} | {:>11} | {:>9} | {:>8}",
+        "query", "off ns", "on ns", "off derived", "on derived", "reduction", "declined"
+    );
+    let rows = out.into_iter().map(|(name, off_ns, on_ns, off, on, fired, declined)| {
+        println!(
+            "  {name:>26} | {off_ns:>12} | {on_ns:>12} | {off:>11} | {on:>11} | {:>8.2}x | {declined:>8}",
+            off as f64 / on.max(1) as f64
+        );
+        obj(&[
+            ("name", q(name)),
+            ("off_ns", off_ns.to_string()),
+            ("on_ns", on_ns.to_string()),
+            ("wall_speedup", ratio(off_ns as f64, on_ns as f64)),
+            ("off_derived", off.to_string()),
+            ("on_derived", on.to_string()),
+            ("derived_reduction", ratio(off as f64, on as f64)),
+            ("magic_fired", fired.to_string()),
+            ("magic_declined", declined.to_string()),
+        ])
+    });
+    obj(&[("rows", arr(rows))])
+}
+
+/// Repeated `answer()` calls against a source with a seeded slow tail
+/// (most fetches are instant, a small fraction stall for `delay_ms`),
+/// measured in **virtual** milliseconds via `AnswerReport::elapsed_ms` —
+/// so the percentiles are deterministic and machine-independent. The
+/// hedged side races one backup attempt after `hedge_after_ms`; because
+/// the backup re-rolls the seeded tail, a stalled primary is almost
+/// always rescued and the p99 collapses toward the hedge threshold.
+fn tail_latency(fast: bool) -> String {
+    let runs = if fast { 60 } else { 200 };
+    let (delay_ms, slow_per_mille, hedge_after_ms) = (500u64, 50u16, 50u64);
+    let tq = r#"nt_used(N) :- X : neurotransmission, X[neurotransmitter -> N]."#;
+    println!(
+        "{runs} runs, SlowTail {delay_ms}ms at {slow_per_mille}‰, hedge after {hedge_after_ms}ms, virtual time"
+    );
+    println!(
+        "  {:>9} | {:>7} | {:>7} | {:>7} | {:>7}",
+        "policy", "p50 ms", "p99 ms", "max ms", "hedged"
+    );
+    let measure = |name: &str, hedge: bool| {
+        let (mut m, _inj) = build_scenario_with_faults(
+            &ScenarioParams::default(),
+            vec![Fault::SlowTail {
+                seed: 2001,
+                delay_ms,
+                slow_per_mille,
+            }],
+        );
+        if hedge {
+            m.set_source_policy(
+                "SENSELAB",
+                SourcePolicy::with_hedge_after_ms(hedge_after_ms),
+            );
+        }
+        let mut elapsed: Vec<u64> = Vec::with_capacity(runs);
+        let mut hedged = 0usize;
+        for _ in 0..runs {
+            let ans = m.answer(tq).expect("tail query runs");
+            elapsed.push(ans.report.elapsed_ms);
+            hedged += ans.report.source("SENSELAB").map_or(0, |s| s.hedged);
+        }
+        elapsed.sort_unstable();
+        let (p50, p99, max) = (
+            elapsed[runs / 2],
+            elapsed[runs * 99 / 100],
+            elapsed[runs - 1],
+        );
+        println!("  {name:>9} | {p50:>7} | {p99:>7} | {max:>7} | {hedged:>7}");
+        obj(&[
+            ("p50_ms", p50.to_string()),
+            ("p99_ms", p99.to_string()),
+            ("max_ms", max.to_string()),
+            ("hedged", hedged.to_string()),
+        ])
+    };
+    obj(&[
+        ("runs", runs.to_string()),
+        ("delay_ms", delay_ms.to_string()),
+        ("slow_per_mille", slow_per_mille.to_string()),
+        ("hedge_after_ms", hedge_after_ms.to_string()),
+        ("no_hedge", measure("no hedge", false)),
+        ("hedge", measure("hedge", true)),
+    ])
+}
+
+/// One `cold_federation` op of the frozen benchmark (its 16 sources and,
+/// in full mode, its row counts) phase by phase — `invalidate` +
+/// `materialize_all`, the cold `run`, the §5 plan — with the cold run's
+/// counters.
+fn cold_path(fast: bool) -> String {
+    let sized = ScenarioParams {
+        senselab_rows: 400,
+        ncmir_rows: 600,
+        synapse_rows: 400,
+        noise_rows: 300,
+        ..Default::default()
+    };
+    let params = ScenarioParams {
+        noise_sources: 12,
+        ..if fast { bench_params(true) } else { sized }
+    };
+    let mut m = build_scenario(&params);
+    let (schema, q5) = (NeuroSchema::default(), section5_query());
+    let (mut rows, mut stats, mut min_us) = (0, EvalStats::default(), [u128::MAX; 3]);
+    for _ in 0..if fast { 3 } else { 20 } {
+        let mut lap = Instant::now();
+        let mut phase = |i: usize| {
+            min_us[i] = min_us[i].min(lap.elapsed().as_micros());
+            lap = Instant::now();
+        };
+        m.invalidate();
+        rows = m.materialize_all().expect("scenario materializes");
+        phase(0);
+        stats = m.run().expect("cold run").stats;
+        phase(1);
+        black_box(
+            run_section5(&mut m, &schema, &q5, true)
+                .expect("plan")
+                .step3_rows,
+        );
+        phase(2);
+    }
+    let json = obj(&[
+        vec![
+            ("sources", "16".to_string()),
+            ("rows", rows.to_string()),
+            ("materialize_us", min_us[0].to_string()),
+            ("run_us", min_us[1].to_string()),
+            ("section5_us", min_us[2].to_string()),
+        ],
+        counters(&stats),
+    ]
+    .concat());
+    println!("per op on 16 sources (minimum of its runs):\n  {json}");
+    json
+}
+
+/// The `EvalStats` and strata of the scenario's cold base model.
+fn eval_stats(fast: bool) -> String {
+    let mut m = build_scenario(&bench_params(fast));
+    let model = m.run().expect("base model evaluates");
+    let strata = model.profile.strata.len();
+    let skipped = model.profile.strata.iter().filter(|p| p.skipped).count();
+    let json = obj(&[
+        counters(&model.stats),
+        vec![
+            ("strata", strata.to_string()),
+            ("strata_skipped", skipped.to_string()),
+        ],
+    ]
+    .concat());
+    println!("  {json}");
+    json
 }

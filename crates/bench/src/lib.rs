@@ -1,15 +1,11 @@
-//! Shared benchmark workloads for the per-figure/table benches (see
-//! DESIGN.md, "Experiment index") and the `report` binary that prints the
-//! paper-style outputs.
+//! Generated workloads for the `report` binary's groups (see DESIGN.md,
+//! "Experiment index").
 
-use kind_core::{Anchor, Capability, Mediator, MemoryWrapper, Wrapper};
 use kind_datalog::Engine;
-use kind_dm::{figures, DomainMap, ExecMode};
 use kind_flogic::FLogic;
 use kind_gcm::{ConceptualModel, GcmBase, GcmValue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// A Datalog engine loaded with the transitive-closure program over a
 /// random graph of `n` nodes and `edges` edges (seeded).
@@ -96,61 +92,6 @@ pub fn corrupted_order(n: usize, missing: usize) -> GcmBase {
     base
 }
 
-/// A mediator over a generated anatomy of the given shape, with one
-/// protein source whose measurements anchor at the anatomy's leaves —
-/// the scaled Example 4 workload.
-pub fn scaled_anatomy_mediator(
-    depth: usize,
-    fanout: usize,
-    rows: usize,
-    seed: u64,
-) -> (Mediator, Vec<String>) {
-    let dm = figures::anatomy_generated(depth, fanout, 1);
-    let leaves = figures::anatomy_leaves(depth, fanout);
-    let mut m = Mediator::new(dm, ExecMode::Assertion);
-    m.register(measurement_wrapper("PROT", &leaves, rows, seed))
-        .expect("source registers");
-    (m, leaves)
-}
-
-/// A protein-amount wrapper anchored at the given location concepts.
-pub fn measurement_wrapper(
-    name: &str,
-    locations: &[String],
-    rows: usize,
-    seed: u64,
-) -> Arc<dyn Wrapper> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut w = MemoryWrapper::new(name);
-    w.caps.push(Capability {
-        class: "protein_amount".into(),
-        pushable: vec!["location".into(), "protein_name".into(), "ion_bound".into()],
-    });
-    w.anchor_decls.push(Anchor::ByAttr {
-        class: "protein_amount".into(),
-        attr: "location".into(),
-    });
-    for i in 0..rows {
-        let loc = &locations[rng.gen_range(0..locations.len())];
-        w.add_row(
-            "protein_amount",
-            &format!("r{i}"),
-            vec![
-                ("protein_name", GcmValue::Id("Ryanodine_Receptor".into())),
-                ("amount", GcmValue::Int(rng.gen_range(1..50))),
-                ("location", GcmValue::Id(loc.clone())),
-                ("ion_bound", GcmValue::Id("calcium".into())),
-            ],
-        );
-    }
-    Arc::new(w)
-}
-
-/// A domain map used by the closure benches: generated anatomy.
-pub fn closure_map(depth: usize, fanout: usize) -> DomainMap {
-    figures::anatomy_generated(depth, fanout, 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,12 +118,5 @@ mod tests {
         let ws = base.witnesses(&m);
         assert!(ws.iter().any(|w| w.starts_with("wtc(")));
         assert!(ws.iter().any(|w| w.starts_with("was(")));
-    }
-
-    #[test]
-    fn scaled_anatomy_builds() {
-        let (m, leaves) = scaled_anatomy_mediator(2, 2, 10, 3);
-        assert_eq!(leaves.len(), 4);
-        assert_eq!(m.sources().len(), 1);
     }
 }

@@ -194,10 +194,13 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
                 *pos += 1;
             }
             let digits = &text[start..*pos];
-            digits
-                .parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number {digits:?}: {e}"))
+            // `f64` parsing saturates: `1e400` reads as infinity, which no
+            // JSON reader accepts back.
+            match digits.parse::<f64>() {
+                Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+                Ok(_) => Err(format!("number {digits:?} out of range")),
+                Err(e) => Err(format!("bad number {digits:?}: {e}")),
+            }
         }
         Some(c) => Err(format!("unexpected byte {c:?} at {pos}")),
     }
@@ -234,7 +237,11 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                 let hex = text
                     .get(*pos + 1..*pos + 5)
                     .ok_or("truncated \\u escape".to_string())?;
-                let code = u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
+                // Four hex digits: `from_str_radix` alone also takes a sign.
+                if !hex.bytes().all(|c| c.is_ascii_hexdigit()) {
+                    return Err(format!("bad \\u escape {hex:?}"));
+                }
+                let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                 // Surrogate pairs are not needed by this protocol;
                 // lone surrogates map to the replacement char.
                 out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -368,6 +375,8 @@ mod tests {
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
+        assert!(Json::parse("1e400").is_err());
+        assert!(Json::parse(r#"{"id":-1e400}"#).is_err());
     }
 
     /// A reply of `rows` string cells mixing plain ASCII, multi-byte
@@ -411,7 +420,14 @@ mod tests {
             Json::parse(text).unwrap(),
             Json::str("\" \\ / \n \t \r \u{8} \u{c} é 神 é神🧠 \u{fffd}")
         );
-        for bad in [r#""\x""#, r#""\u12""#, r#""\u12é4""#, r#""\"#, r#""open"#] {
+        for bad in [
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\u12é4""#,
+            r#""\u+12a""#,
+            r#""\"#,
+            r#""open"#,
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
     }

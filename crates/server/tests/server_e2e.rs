@@ -383,6 +383,20 @@ fn a_client_that_never_reads_blocks_only_itself() {
     handle.shutdown();
 }
 
+/// `1e400` overflows a double; echoed back it would print as `inf`,
+/// which is not JSON.
+#[test]
+fn a_number_too_large_for_a_double_gets_a_reply_that_is_json() {
+    let (handle, addr) = small_server(1, 8);
+    let (mut stream, mut reader) = raw_conn(&addr);
+    stream
+        .write_all(b"{\"id\":1e400,\"op\":\"ping\"}\n")
+        .unwrap();
+    let resp = read_reply(&mut reader);
+    assert_eq!(error_of(&resp), Some("bad_request"), "{resp}");
+    handle.shutdown();
+}
+
 #[test]
 fn an_oversized_request_line_is_refused_and_the_connection_closed() {
     let (handle, addr) = small_server(1, 8);

@@ -1,8 +1,12 @@
 //! Direct checks of the paper's concrete claims, figure by figure.
 
-use kind::dm::{figures, parse_axioms, subsume::Subsumption, ConceptExpr, Resolved};
+use kind::core::{Anchor, Capability, Mediator, MemoryWrapper};
+use kind::dm::{
+    figures, parse_axioms, subsume::Subsumption, ConceptExpr, DomainMap, ExecMode, Resolved,
+};
 use kind::flogic::FLogic;
 use kind::gcm::{xml_codec, ConceptualModel, GcmBase, GcmDecl, GcmValue};
+use std::sync::Arc;
 
 // ---------- Table 1: GCM ↔ FL correspondence ---------------------------
 
@@ -120,7 +124,81 @@ fn figure1_both_cell_types_inherit_spines() {
     }
 }
 
+/// §4: materializing `tc(has_a_star)` "would be wasteful" — on growing
+/// generated anatomies its pair count outgrows the direct links' by a
+/// strictly rising factor.
+#[test]
+fn figure1_tc_of_dc_outgrows_dc() {
+    let ratios: Vec<f64> = [(3, 3), (4, 3), (5, 3)]
+        .iter()
+        .map(|&(depth, fanout)| {
+            let dm = figures::anatomy_generated(depth, fanout, 2);
+            let r = Resolved::new(&dm);
+            r.tc_of_dc("has_a").len() as f64 / r.dc_pairs("has_a").len() as f64
+        })
+        .collect();
+    assert!(
+        ratios.windows(2).all(|w| w[0] < w[1]),
+        "tc/dc ratios {ratios:?}"
+    );
+}
+
 // ---------- Figure 3 ----------------------------------------------------
+
+/// A source exporting `rows` objects, all anchored at one concept;
+/// `refine` adds the Figure 3 axioms as its domain-map contribution and
+/// anchors at the `MyNeuron` they introduce.
+fn mylab(rows: usize, refine: bool) -> Arc<MemoryWrapper> {
+    let mut w = MemoryWrapper::new("MYLAB");
+    if refine {
+        w.dm_axioms = figures::FIGURE3_REGISTRATION_AXIOMS.to_string();
+    }
+    w.caps.push(Capability {
+        class: "my_neurons".into(),
+        pushable: vec![],
+    });
+    let concept = if refine {
+        "MyNeuron"
+    } else {
+        "Medium_Spiny_Neuron"
+    };
+    w.anchor_decls.push(Anchor::Fixed {
+        class: "my_neurons".into(),
+        concept: concept.into(),
+    });
+    for i in 0..rows {
+        w.add_row(
+            "my_neurons",
+            &format!("m{i}"),
+            vec![("idx", GcmValue::Int(i as i64))],
+        );
+    }
+    Arc::new(w)
+}
+
+/// §4: sources anchor their data "without changing the latter" (the
+/// map). Anchoring 10, 100 or 1 000 objects leaves the map as it was and
+/// tags every object; a refinement yields Figure 3's map whatever the
+/// data volume.
+#[test]
+fn registration_anchors_rows_without_changing_the_map() {
+    let base = figures::figure3_base();
+    let size = |dm: &DomainMap| (dm.concepts().count(), dm.edge_count());
+    let mut refined = Vec::new();
+    for rows in [10, 100, 1_000] {
+        let mut m = Mediator::new(figures::figure3_base(), ExecMode::Assertion);
+        m.register(mylab(rows, false)).unwrap();
+        assert_eq!(size(m.dm()), size(&base), "{rows} rows");
+        assert_eq!(m.index().total_anchors(), rows);
+        let mut m = Mediator::new(figures::figure3_base(), ExecMode::Assertion);
+        m.register(mylab(rows, true)).unwrap();
+        refined.push(size(m.dm()));
+    }
+    assert!(
+        refined.iter().all(|s| *s == size(&figures::figure3())),
+        "{refined:?}"
+    );
+}
 
 /// §4: after registration, "it follows that MyNeuron definitely projects
 /// to Globus Pallidus External"; with nonmonotonic inheritance one can
