@@ -77,9 +77,8 @@ pub use hub::{PinnedSnapshot, SnapshotHub};
 pub use knowledge::{DomainView, Knowledge};
 pub use mediator::Mediator;
 pub use plan::{
-    distribution_eval, distribution_fetch, protein_distribution, run_section5, section5_eval,
-    section5_fetch, DistributionFetch, DistributionRow, NeuroSchema, PlanTrace, Section5Fetch,
-    Section5Query,
+    protein_distribution, run_section5, section5_eval, section5_fetch, DistributionRow,
+    NeuroSchema, PlanTrace, Section5Fetch, Section5Query,
 };
 pub use query::AnswerSet;
 pub use snapshot::{QuerySnapshot, SnapshotAnswer};

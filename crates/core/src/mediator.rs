@@ -612,8 +612,8 @@ impl Mediator {
     /// Retracts a previously loaded row — the delete plane's mirror of
     /// [`Self::load_row`]: the row's `inst` fact and each of its `mi`
     /// attribute facts are removed from the base, staged in the write
-    /// plane like any other mutation (the next [`Self::publish`]
-    /// maintains the model incrementally, DRed-style). Returns how many
+    /// plane like any other mutation (the next [`Self::publish`] rebuilds
+    /// the strata the removed facts reach). Returns how many
     /// facts were actually present and removed — `0` means the row was
     /// never loaded (or already retracted), which is not an error. The
     /// class declaration itself stays: other rows may still use it.
@@ -643,10 +643,10 @@ impl Mediator {
     /// applications, new views) have been accumulating in the
     /// engine's changelog, and when a cached model exists they are
     /// applied to it *incrementally* ([`kind_datalog::Engine::apply_delta`]
-    /// — monotone additions ride delta rounds, retractions
-    /// overdelete-and-rederive, non-monotone residues rebuild only their
-    /// strata). Only when no model is cached — first run, rebuild, or a
-    /// prior publish failure — does the evaluation start cold.
+    /// — monotone additions ride delta rounds, and retractions and
+    /// non-monotone residues rebuild only their strata). Only when no
+    /// model is cached — first run, rebuild, or a prior publish failure —
+    /// does the evaluation start cold.
     pub fn run(&mut self) -> Result<&Model> {
         if self.needs_rebuild {
             self.rebuild()?;

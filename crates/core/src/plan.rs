@@ -26,23 +26,23 @@
 //!
 //! ## The two-phase pipeline
 //!
-//! Each plan is split along the fetch-plane / evaluate-plane boundary
+//! The §5 plan is split along the fetch-plane / evaluate-plane boundary
 //! (see DESIGN.md):
 //!
-//! * the **fetch phase** — [`section5_fetch`], [`distribution_fetch`] —
-//!   takes `&mut Federation` (it contacts wrappers, concurrently, via
-//!   [`Federation::fetch_parallel`]) plus `&Knowledge` (steps 1–3 need
-//!   source selection), and returns a self-contained artifact carrying
-//!   every fetched row, the degradation report, and traffic statistics;
-//! * the **evaluate phase** — [`section5_eval`], [`distribution_eval`] —
-//!   is *pure*: it takes a [`DomainView`] and the fetch artifact and
-//!   never touches a wrapper, so it runs identically against the live
-//!   mediator or a frozen [`crate::QuerySnapshot`]
-//!   ([`crate::QuerySnapshot::run_section5`]) from any number of
-//!   threads.
+//! * the **fetch phase**, [`section5_fetch`], takes `&mut Federation` (it
+//!   contacts wrappers, concurrently, via [`Federation::fetch_parallel`])
+//!   plus `&Knowledge` (steps 1–3 need source selection), and returns a
+//!   self-contained artifact carrying every fetched row, the degradation
+//!   report, and traffic statistics;
+//! * the **evaluate phase**, [`section5_eval`], is *pure*: it takes a
+//!   [`DomainView`] and the fetch artifact and never touches a wrapper,
+//!   so it runs identically against the live mediator or a frozen
+//!   [`crate::QuerySnapshot`] ([`crate::QuerySnapshot::run_section5`])
+//!   from any number of threads.
 //!
-//! [`run_section5`] and [`protein_distribution`] remain as the one-call
-//! composition of the two phases over a `&mut Mediator`.
+//! [`run_section5`] is the one-call composition of the two phases over a
+//! `&mut Mediator`. The Example 4 view, [`protein_distribution`], is one
+//! function over the same roll-up helper: nothing replays it warm.
 
 use crate::error::Result;
 use crate::fault::AnswerReport;
@@ -341,7 +341,7 @@ pub fn section5_eval(
     Ok(trace)
 }
 
-/// The recursive roll-up both evaluate phases end in: amounts per
+/// The recursive roll-up §5 step 4 and Example 4 both end in: amounts per
 /// location name, summed over each concept's subtree in the region under
 /// `root` ([`kind_dm::Resolved::rollup_sum`]) — the non-zero totals, by
 /// concept name. A location the map does not know contributes nothing.
@@ -377,93 +377,12 @@ pub fn run_section5(
     section5_eval(&knowledge.domain_view(), schema, &fetched)
 }
 
-/// The fetch artifact of the Example 4 `protein_distribution` view —
-/// everything [`distribution_eval`] needs besides a [`DomainView`].
-#[derive(Debug, Clone)]
-pub struct DistributionFetch {
-    /// The protein the fetch selected on.
-    pub protein: String,
-    /// The distribution root the sources were selected under.
-    pub root: String,
-    /// The selected sources (in-region ∩ exporting the protein class).
-    pub sources: Vec<String>,
-    /// One batch per selected source.
-    pub batches: Vec<FetchBatch>,
-    /// Wrapper traffic of this fetch.
-    pub stats: MediatorStats,
-    /// Degradation record of this fetch.
-    pub report: AnswerReport,
-}
-
-/// The **fetch phase** of the Example 4 view: selects the sources with
-/// protein data anchored in the region under `root` and scans them
-/// (concurrently) with the protein selection pushed down.
-pub fn distribution_fetch(
-    federation: &mut Federation,
-    knowledge: &Knowledge,
-    schema: &NeuroSchema,
-    protein: &str,
-    root: &str,
-) -> Result<DistributionFetch> {
-    // Validate the root up front (a typed error, like the serial path).
-    knowledge.domain_view().lookup(root)?;
-    let in_region =
-        federation.names_of(&knowledge.sources_in_region(&schema.partonomy_role, root)?);
-    let exporting = federation.sources_exporting(&schema.protein_class);
-    let sources: Vec<String> = in_region
-        .into_iter()
-        .filter(|s| exporting.contains(s))
-        .collect();
-    let requests: Vec<FetchRequest> = sources
-        .iter()
-        .map(|src| {
-            FetchRequest::new(
-                src.clone(),
-                SourceQuery::scan(&schema.protein_class)
-                    .with(&schema.pa_protein, GcmValue::Id(protein.to_string())),
-            )
-        })
-        .collect();
-    let fetched = federation.fetch_parallel(&requests)?;
-    Ok(DistributionFetch {
-        protein: protein.to_string(),
-        root: root.to_string(),
-        sources,
-        batches: fetched.batches,
-        stats: fetched.stats,
-        report: fetched.report,
-    })
-}
-
-/// The **evaluate phase** of the Example 4 view: the recursive roll-up
-/// under the fetch's root. Pure — runs identically against the live
-/// layers or a [`crate::QuerySnapshot`].
-pub fn distribution_eval(
-    view: &DomainView<'_>,
-    schema: &NeuroSchema,
-    fetched: &DistributionFetch,
-) -> Result<Vec<(String, i64)>> {
-    let root_node = view.lookup(&fetched.root)?;
-    let mut per_loc: HashMap<String, i64> = HashMap::new();
-    for batch in &fetched.batches {
-        for row in batch.rows.iter() {
-            if let (Some(l), Some(a)) = (
-                row.get_str(&schema.pa_location),
-                row.get_int(&schema.pa_amount),
-            ) {
-                *per_loc.entry(l).or_insert(0) += a;
-            }
-        }
-    }
-    Ok(rollup(view, &schema.partonomy_role, root_node, &per_loc)
-        .into_iter()
-        .collect())
-}
-
-/// The Example 4 integrated view, as a standalone operation: the
-/// distribution of `protein` under `root` for all protein sources
-/// relevant below `root` (mediated class `protein_distribution` of the
-/// paper). Composes [`distribution_fetch`] and [`distribution_eval`].
+/// The Example 4 integrated view: the distribution of `protein` under
+/// `root` for all protein sources relevant below `root` (mediated class
+/// `protein_distribution` of the paper). Scans the sources with protein
+/// data anchored in the region under `root` (concurrently, with the
+/// protein selection pushed down) and rolls their amounts up under
+/// `root`.
 pub fn protein_distribution(
     m: &mut Mediator,
     schema: &NeuroSchema,
@@ -472,6 +391,34 @@ pub fn protein_distribution(
 ) -> Result<Vec<(String, i64)>> {
     m.federation_mut().begin_report();
     let (federation, knowledge) = m.fetch_eval_planes();
-    let fetched = distribution_fetch(federation, knowledge, schema, protein, root)?;
-    distribution_eval(&knowledge.domain_view(), schema, &fetched)
+    let view = knowledge.domain_view();
+    // Validate the root before contacting anything (a typed error).
+    let root_node = view.lookup(root)?;
+    let in_region =
+        federation.names_of(&knowledge.sources_in_region(&schema.partonomy_role, root)?);
+    let exporting = federation.sources_exporting(&schema.protein_class);
+    let requests: Vec<FetchRequest> = in_region
+        .into_iter()
+        .filter(|s| exporting.contains(s))
+        .map(|src| {
+            FetchRequest::new(
+                src,
+                SourceQuery::scan(&schema.protein_class)
+                    .with(&schema.pa_protein, GcmValue::Id(protein.to_string())),
+            )
+        })
+        .collect();
+    let fetched = federation.fetch_parallel(&requests)?;
+    let mut per_loc: HashMap<String, i64> = HashMap::new();
+    for row in fetched.batches.iter().flat_map(|b| b.rows.iter()) {
+        if let (Some(l), Some(a)) = (
+            row.get_str(&schema.pa_location),
+            row.get_int(&schema.pa_amount),
+        ) {
+            *per_loc.entry(l).or_insert(0) += a;
+        }
+    }
+    Ok(rollup(&view, &schema.partonomy_role, root_node, &per_loc)
+        .into_iter()
+        .collect())
 }

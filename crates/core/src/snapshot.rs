@@ -36,7 +36,7 @@
 
 use crate::error::{MediatorError, Result};
 use crate::knowledge::DomainView;
-use crate::plan::{DistributionFetch, NeuroSchema, PlanTrace, Section5Fetch};
+use crate::plan::{NeuroSchema, PlanTrace, Section5Fetch};
 use crate::query::{evaluate, OneOffRule};
 use kind_datalog::{EvalOptions, EvalStats, Model, Term};
 use kind_dm::{DomainMap, Resolved, SemanticIndex};
@@ -140,18 +140,6 @@ impl QuerySnapshot {
     /// ([`crate::plan::run_section5`]) produced from the same fetch.
     pub fn run_section5(&self, schema: &NeuroSchema, fetched: &Section5Fetch) -> Result<PlanTrace> {
         crate::plan::section5_eval(&self.domain_view(), schema, fetched)
-    }
-
-    /// The **evaluate phase** of the Example 4 `protein_distribution`
-    /// view against this snapshot (see [`Self::run_section5`] for the
-    /// pattern; the fetch artifact comes from
-    /// [`crate::plan::distribution_fetch`]).
-    pub fn protein_distribution(
-        &self,
-        schema: &NeuroSchema,
-        fetched: &DistributionFetch,
-    ) -> Result<Vec<(String, i64)>> {
-        crate::plan::distribution_eval(&self.domain_view(), schema, fetched)
     }
 
     /// The evaluation options captured at snapshot time (used by

@@ -361,10 +361,11 @@ pub struct EvalProfile {
     /// base model (untouched by the delta).
     pub delta_reused_strata: usize,
     /// Strata the delta walk re-evaluated incrementally (semi-naive
-    /// additions on the previous extension, or DRed overdelete/rederive).
+    /// additions on the previous extension: inputs only grew).
     pub delta_incremental_strata: usize,
-    /// Strata the delta walk rebuilt cold (non-monotone residues: changed
-    /// rules, mixed grow/shrink inputs).
+    /// Strata the delta walk rebuilt cold (inputs that shrank, changed
+    /// rules, or a change reaching the stratum through negation or
+    /// aggregation).
     pub delta_rebuilt_strata: usize,
     /// The delta walk fell back to a cold evaluation of its rule set (a
     /// three-valued base model, or a rebuilt stratum whose alternating

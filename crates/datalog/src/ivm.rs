@@ -5,8 +5,7 @@
 //! publish) runs it over the engine's whole rule set,
 //! [`crate::Engine::run_for_query`] (a warm answer) over the goal's
 //! subprogram. It follows the stratification of the *current* rules and
-//! picks, per stratum, the cheapest maintenance mode that is sound for
-//! what actually changed beneath it:
+//! picks, per stratum, one of three modes for what changed beneath it:
 //!
 //! * **reuse** — no predicate in the stratum grew, shrank, or changed
 //!   rules: the previous model's relations are `Arc`-shared wholesale
@@ -16,18 +15,17 @@
 //!   delta rounds, with the delta matched at *every* positive body
 //!   position (new facts can arrive through any input predicate, not
 //!   just same-stratum ones);
-//! * **retractions** — inputs only shrank: DRed-style maintenance.
-//!   Overdelete every fact whose old-state derivation consumed a
-//!   retracted/vanished fact (matching the rest of the body against the
-//!   *old* model), then rederive overdeleted facts that still have an
-//!   alternative derivation from the surviving facts, head-directed so
-//!   the work is proportional to the overdeletion set;
-//! * **rebuild** — non-monotone residue (changed rules, or a stratum
-//!   reached both by additions and retractions, or through
+//! * **rebuild** — anything that can take a fact away (an input shrank, a
+//!   rule changed, or a change reached the stratum through
 //!   negation/aggregation): the stratum alone is re-evaluated cold — by
 //!   the cold walker's own `eval_stratum`, so in whichever of its modes
-//!   the stratum's shape calls for — and diffed against the base to keep
-//!   the novel/vanished frontiers exact for downstream strata.
+//!   the stratum's shape calls for — from its stored facts and the
+//!   maintained strata below, and diffed against the base to keep the
+//!   novel frontier exact for downstream strata.
+//!
+//! So a model relation only ever gains facts inside a walk: a tuple
+//! leaves the model only by being absent from a rebuilt stratum, and
+//! stored facts leave only through the engine and its changelog.
 //!
 //! A stratum whose cycle goes through negation is always rebuilt when
 //! touched: the alternating fixpoint over *its own rules only*, against
@@ -35,18 +33,18 @@
 //! states — a base model with undefined atoms, or a local fixpoint that
 //! leaves atoms undefined — fall back to a cold evaluation of the same
 //! rule set with [`crate::EvalProfile::delta_fallback`] set, because the
-//! closed-world maintenance modes cannot represent three-valued inputs
-//! downstream.
+//! closed-world modes cannot represent three-valued inputs downstream.
 //!
 //! What a change invalidates is decided in one place, `classify`: the
 //! delta's predicates seed a *grown* and a *shrunk* set (a predicate with
 //! a new rule is in both), a positive edge propagates grow→grow and
 //! shrink→shrink, and any non-monotone edge (negation, aggregation) from
-//! a changed predicate marks the head as both, forcing the rebuild mode.
-//! A new rule can never ride the additions mode: a delta round only fires
-//! rule instantiations that touch a novel *fact*, so a new rule over
-//! unchanged inputs would never fire at all. A predicate in neither set
-//! keeps its base extension exactly — the magic rewrite drops its rules.
+//! a changed predicate marks the head as both. Only a stratum that grew
+//! and did not shrink rides the additions mode, so a new rule never does:
+//! a delta round only fires rule instantiations that touch a novel
+//! *fact*, and a new rule over unchanged inputs would never fire at all.
+//! A predicate in neither set keeps its base extension exactly — the
+//! magic rewrite drops its rules.
 //!
 //! Statistics measure the *delta work*, not a cold evaluation's: they are
 //! a function of the mutation history alone, and intentionally smaller
@@ -54,15 +52,14 @@
 
 use crate::error::Result;
 use crate::eval::{
-    begin_round, check_cancelled, eval_strata, eval_stratum, execute_round, plan_rules, solve,
-    EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model, NegView, RulePlan,
-    StratumProfile, StratumScope,
+    begin_round, eval_strata, eval_stratum, execute_round, plan_rules, EvalOptions, EvalProfile,
+    EvalStats, IndexCounters, Model, NegView, RulePlan, StratumProfile, StratumScope,
 };
 use crate::fact::{FactStore, Tuple};
 use crate::interner::Sym;
 use crate::program::Stratum;
 use crate::rule::Rule;
-use crate::term::{Subst, Term};
+use crate::term::Term;
 use crate::{Engine, ProgramShape};
 use std::collections::{HashMap, HashSet};
 
@@ -88,16 +85,6 @@ impl EngineDelta {
     /// Whether nothing was mutated since the last publish.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty() && self.changed_rule_preds.is_empty()
-    }
-
-    /// Number of (net) asserted facts in the log.
-    pub fn added_facts(&self) -> usize {
-        self.added.len()
-    }
-
-    /// Number of (net) retracted facts in the log.
-    pub fn removed_facts(&self) -> usize {
-        self.removed.len()
     }
 
     /// Number of predicates whose rule set changed.
@@ -128,11 +115,9 @@ impl EngineDelta {
 }
 
 /// Per-stratum maintenance mode (see module docs).
-#[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Reuse,
     Additions,
-    Retractions,
     Rebuild,
 }
 
@@ -281,21 +266,20 @@ impl<'a> Since<'a> {
     /// of the current state. `memo` is the engine whose memoized join plans
     /// a negation-cyclic stratum of its *whole* program reuses.
     pub(crate) fn walk(self, opts: &EvalOptions, memo: Option<&Engine>) -> Result<Model> {
-        let (rules, base, delta) = (self.rules, self.base, self.delta);
+        let (rules, base) = (self.rules, self.base);
         if !base.undefined.is_empty() {
-            // A three-valued base gives the maintenance modes nothing sound
-            // to seed from (an undefined atom is neither in nor out of the
-            // old extension); re-evaluate cold and say so in the profile.
+            // A three-valued base gives reuse and additions nothing sound to
+            // seed from (an undefined atom is neither in nor out of the old
+            // extension); re-evaluate cold and say so in the profile.
             return self.cold_fallback(opts);
         }
         let mut total = self.store.clone();
         // Relations still shared with the working store are read in place:
         // an index built there is not this walk's.
         let borrowed = &self.store;
-        // Frontiers threaded through the strata in evaluation order: facts
-        // that are new relative to the base model, and facts that vanished.
-        let mut novel = delta.added.clone();
-        let mut gone = delta.removed.clone();
+        // The frontier threaded through the strata in evaluation order:
+        // facts that are new relative to the base model.
+        let mut novel = self.delta.added.clone();
         let mut stats = EvalStats::default();
         let mut profile = EvalProfile {
             delta_applied: true,
@@ -308,12 +292,12 @@ impl<'a> Since<'a> {
                 .filter_map(|p| self.moved.get(p))
                 .fold(Moved::default(), |all, &m| all.or(m));
             // A changed rule, and every predicate of a touched negation
-            // cycle, is marked both ways by `classify`: rebuilt.
+            // cycle, is marked both ways by `classify`. Whatever may have
+            // lost a fact is rebuilt.
             let mode = match (moved.grown, moved.shrunk) {
-                (true, true) => Mode::Rebuild,
                 (false, false) => Mode::Reuse,
                 (true, false) => Mode::Additions,
-                (false, true) => Mode::Retractions,
+                (_, true) => Mode::Rebuild,
             };
             let named = || StratumProfile {
                 preds: stratum.preds.clone(),
@@ -346,44 +330,29 @@ impl<'a> Since<'a> {
                     )?
                     else {
                         // Three-valued residue: downstream strata would need
-                        // three-valued inputs the closed-world maintenance
-                        // modes cannot represent.
+                        // three-valued inputs the closed-world modes cannot
+                        // represent.
                         return self.cold_fallback(opts);
                     };
                     // The last stratum (a warm answer's own) has nothing
-                    // downstream to keep frontiers for.
+                    // downstream to keep a frontier for.
                     if i + 1 < self.shape.strat.strata.len() {
-                        diff_against_base(stratum, &total, base, &mut novel, &mut gone);
+                        diff_against_base(stratum, &total, base, &mut novel);
                     }
                     profile.delta_rebuilt_strata += 1;
                     sp
                 }
-                Mode::Additions | Mode::Retractions => {
+                Mode::Additions => {
                     let prepared = plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
                     let scope = StratumScope::open(&stats, Some(borrowed));
-                    if mode == Mode::Additions {
-                        maintain_additions(
-                            &prepared,
-                            &mut total,
-                            &mut novel,
-                            &mut stats,
-                            &scope.counters,
-                            opts,
-                        )?;
-                    } else {
-                        maintain_retractions(
-                            stratum,
-                            &prepared,
-                            delta,
-                            base,
-                            self.edb,
-                            &mut total,
-                            &mut gone,
-                            &mut stats,
-                            &scope.counters,
-                            opts,
-                        )?;
-                    }
+                    maintain_additions(
+                        &prepared,
+                        &mut total,
+                        &mut novel,
+                        &mut stats,
+                        &scope.counters,
+                        opts,
+                    )?;
                     profile.delta_incremental_strata += 1;
                     scope.close(&mut stats, &prepared, named())
                 }
@@ -400,30 +369,14 @@ impl<'a> Since<'a> {
     }
 }
 
-/// The exact diff of a rebuilt stratum against the base model, into the
-/// frontiers: it keeps what downstream strata see as changed tight.
-fn diff_against_base(
-    stratum: &Stratum,
-    total: &FactStore,
-    base: &Model,
-    novel: &mut FactStore,
-    gone: &mut FactStore,
-) {
+/// What a rebuilt stratum holds that the base model did not, into the
+/// frontier: it keeps what downstream strata see as new tight.
+fn diff_against_base(stratum: &Stratum, total: &FactStore, base: &Model, novel: &mut FactStore) {
     for &p in &stratum.preds {
-        let new_rel = total.relation(p);
         let old_rel = base.facts.relation(p);
-        if let Some(nr) = new_rel {
-            for t in nr.iter() {
-                if !old_rel.is_some_and(|o| o.contains(t)) {
-                    novel.insert(p, t.clone());
-                }
-            }
-        }
-        if let Some(or) = old_rel {
-            for t in or.iter() {
-                if !new_rel.is_some_and(|n| n.contains(t)) {
-                    gone.insert(p, t.clone());
-                }
+        for t in total.relation(p).into_iter().flat_map(|r| r.iter()) {
+            if !old_rel.is_some_and(|o| o.contains(t)) {
+                novel.insert(p, t.clone());
             }
         }
     }
@@ -472,155 +425,6 @@ fn maintain_additions(
         frontier = out;
     }
     novel.absorb(&stratum_new);
-    Ok(())
-}
-
-/// DRed maintenance: overdelete everything whose old-state derivation
-/// consumed a vanished fact, then rederive the overdeleted facts that
-/// still have a derivation from the survivors (head-directed, so the
-/// rederivation cost follows the overdeletion set, not the stratum).
-#[allow(clippy::too_many_arguments)]
-fn maintain_retractions(
-    stratum: &Stratum,
-    prepared: &[(Rule, RulePlan)],
-    delta: &EngineDelta,
-    base: &Model,
-    edb: &FactStore,
-    total: &mut FactStore,
-    gone: &mut FactStore,
-    stats: &mut EvalStats,
-    counters: &IndexCounters,
-    opts: &EvalOptions,
-) -> Result<()> {
-    // Direct retractions of stored facts. They join the overdeletion
-    // set: a retracted stored fact survives if a rule still derives it.
-    let mut od_total = FactStore::new();
-    for &p in &stratum.preds {
-        // The working store holds a shrunk predicate's stored facts; this
-        // mode starts from its previous extension.
-        if let Some(arc) = base.facts.relation_arc(p) {
-            total.set_relation(p, arc);
-        }
-        if let Some(rel) = delta.removed.relation(p) {
-            let tuples: Vec<Tuple> = rel.iter().cloned().collect();
-            for t in tuples {
-                if total.remove(p, &t) {
-                    od_total.insert(p, t);
-                }
-            }
-        }
-    }
-    // Phase 1 — overdeletion. Bodies match against the *old* state
-    // (`base.facts`): sound because every input of this stratum only
-    // shrank, so the old state over-approximates every derivation that
-    // could have existed.
-    let mut frontier = gone.clone();
-    let since = stats.iterations;
-    loop {
-        begin_round(opts, stats, since)?;
-        let mut next = FactStore::new();
-        for (r, _) in prepared {
-            for di in r.positive_atom_indices() {
-                let ctx = MatchCtx {
-                    total: &base.facts,
-                    delta: Some((&frontier, di)),
-                    neg: NegView::Closed,
-                    use_index: opts.use_index,
-                    counters,
-                };
-                let head = &r.head;
-                let mut subst = Subst::with_capacity(r.nvars as usize);
-                solve(&r.body, 0, &mut subst, &ctx, &mut |s: &Subst| {
-                    let args: Vec<Term> = head.args.iter().map(|t| t.apply(s)).collect();
-                    // A fact still stored in the EDB holds whatever happened
-                    // to its derivations: never overdelete it.
-                    if total.contains(head.pred, &args)
-                        && !od_total.contains(head.pred, &args)
-                        && !edb.contains(head.pred, &args)
-                    {
-                        next.insert(head.pred, args.into());
-                    }
-                });
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        od_total.absorb(&next);
-        frontier = next;
-    }
-    let od_preds: Vec<Sym> = od_total.predicates().collect();
-    for &p in &od_preds {
-        if let Some(rel) = od_total.relation(p) {
-            let tuples: Vec<Tuple> = rel.iter().cloned().collect();
-            for t in tuples {
-                total.remove(p, &t);
-            }
-        }
-    }
-    // Phase 2 — rederivation: an overdeleted fact survives iff some rule
-    // instantiation still derives it from the remaining facts. Passes
-    // repeat because a rederived fact can support another overdeleted
-    // one.
-    loop {
-        check_cancelled(opts, stats)?;
-        let mut readded = 0usize;
-        for (r, _) in prepared {
-            let head = &r.head;
-            let Some(od) = od_total.relation(head.pred) else {
-                continue;
-            };
-            let tuples: Vec<Tuple> = od.iter().cloned().collect();
-            for t in tuples {
-                if total.contains(head.pred, &t) || head.args.len() != t.len() {
-                    continue;
-                }
-                let mut subst = Subst::with_capacity(r.nvars as usize);
-                if !head
-                    .args
-                    .iter()
-                    .zip(t.iter())
-                    .all(|(p, v)| subst.match_term(p, v))
-                {
-                    continue;
-                }
-                let mut derivable = false;
-                {
-                    let ctx = MatchCtx {
-                        total,
-                        delta: None,
-                        neg: NegView::Closed,
-                        use_index: opts.use_index,
-                        counters,
-                    };
-                    solve(&r.body, 0, &mut subst, &ctx, &mut |_| {
-                        derivable = true;
-                    });
-                }
-                if derivable && total.insert(head.pred, t) {
-                    readded += 1;
-                }
-            }
-        }
-        stats.derived += readded;
-        if readded == 0 {
-            break;
-        }
-    }
-    // Facts that stayed dead are gone for downstream strata; rederived
-    // survivors are scrubbed from the frontier (a retracted stored fact
-    // a rule still derives never actually left the extension).
-    for &p in &od_preds {
-        if let Some(rel) = od_total.relation(p) {
-            for t in rel.iter() {
-                if total.contains(p, t) {
-                    gone.remove(p, t);
-                } else {
-                    gone.insert(p, t.clone());
-                }
-            }
-        }
-    }
     Ok(())
 }
 
@@ -710,10 +514,11 @@ mod tests {
         let cold = e.run(&opts).unwrap();
         assert_models_agree(&inc, &cold, &e);
         let tc = e.lookup("tc").unwrap();
-        // tc(a,d) survives through the a→c→d path; tc(a,b) is gone.
+        // tc(a,d) survives through the a→c→d path; tc(a,b) is gone. The
+        // diamond's stratum only lost inputs, so it is rebuilt.
         assert!(inc.holds(tc, &[a.clone(), d.clone()]));
         assert!(!inc.holds(tc, &[a.clone(), b.clone()]));
-        assert!(inc.profile.delta_incremental_strata >= 1);
+        assert!(inc.profile.delta_rebuilt_strata >= 1);
     }
 
     #[test]
@@ -973,7 +778,7 @@ mod tests {
         assert_models_agree(&inc, &cold, &e);
         assert!(inc.holds(e.lookup("p").unwrap(), std::slice::from_ref(&b)));
         assert!(inc.holds(e.lookup("r").unwrap(), &[b]));
-        assert!(inc.profile.delta_incremental_strata >= 1);
+        assert!(inc.profile.delta_rebuilt_strata >= 1);
     }
 
     #[test]

@@ -376,8 +376,8 @@ impl Engine {
     /// the working store **shares** the base model's relation for every
     /// predicate that did not shrink — read in place, with whatever
     /// indexes earlier calls left on them — and each stratum runs in the
-    /// mode `apply_delta` would pick (reused, additions, retractions,
-    /// rebuilt). Predicates the delta cannot have changed are handed to
+    /// mode `apply_delta` would pick (reused, additions, rebuilt).
+    /// Predicates the delta cannot have changed are handed to
     /// the magic rewrite as frozen — their rules are dropped and the
     /// base's extension stands in for them — so the rewrite composes with
     /// the cache instead of re-deriving what it holds. The base is never

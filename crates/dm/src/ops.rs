@@ -140,8 +140,8 @@ pub struct Resolved {
     /// Inherited role targets per node: each step of `section5_eval`'s
     /// region and roll-up walks, and of `Knowledge::sources_in_region`.
     dc_children: Memo<RoleNode, Arc<Vec<NodeId>>>,
-    /// Regions: the roll-up root of `section5_eval` / `distribution_eval`
-    /// and `Knowledge::sources_in_region`.
+    /// Regions: the roll-up root of `section5_eval` /
+    /// `protein_distribution` and `Knowledge::sources_in_region`.
     down: Memo<RoleNode, Arc<Vec<NodeId>>>,
 }
 

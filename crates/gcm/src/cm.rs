@@ -180,23 +180,6 @@ impl GcmBase {
         self.fl.retract_method(obj, method, v)
     }
 
-    /// Retracts one **instance-level** declaration — the delete plane's
-    /// mirror of [`Self::apply_decl`]: `Instance` removes the `inst`
-    /// fact, `MethodInst` the `mi` fact; returns whether the fact was
-    /// present. Schema-level declarations (classes, subclass edges,
-    /// method signatures, relations) are not retractable — they return
-    /// `false` untouched, like a fact that was never there.
-    pub fn retract_decl(&mut self, decl: &GcmDecl) -> bool {
-        match decl {
-            GcmDecl::Instance { obj, class } => self.fl.retract_instance(obj, class).1,
-            GcmDecl::MethodInst { obj, method, value } => {
-                let o = self.fl.engine_mut().constant(obj);
-                self.retract_value(o, method, value)
-            }
-            _ => false,
-        }
-    }
-
     /// Applies one declaration.
     pub fn apply_decl(&mut self, decl: &GcmDecl) -> Result<()> {
         match decl {

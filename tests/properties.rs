@@ -2,7 +2,7 @@
 
 use kind::core::{run_section5, Fault, NeuroSchema, ObjectRow, Section5Query, SourceQuery};
 use kind::datalog::{Atom, Engine, EvalOptions, EvalStats, FactStore, Model, RulePlan, Term, Var};
-use kind::dm::{DomainMap, Resolved};
+use kind::dm::{DomainMap, ExecMode, Resolved};
 use kind::gcm::{GcmBase, GcmDecl};
 use kind::sources::{
     build_scenario, build_scenario_with_faults, ncmir_update_rows, ScenarioParams,
@@ -609,13 +609,14 @@ fn canonical_facts(m: &Model) -> (Vec<String>, Vec<String>) {
     (render(&m.facts), render(&m.undefined))
 }
 
-fn small_write_params() -> ScenarioParams {
+fn small_write_params(mode: ExecMode) -> ScenarioParams {
     ScenarioParams {
         senselab_rows: 6,
         ncmir_rows: 8,
         synapse_rows: 6,
         noise_sources: 1,
         noise_rows: 4,
+        mode,
         ..Default::default()
     }
 }
@@ -701,13 +702,15 @@ fn drive_cold(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// PR 8's tentpole invariant: under any interleaving of row loads,
+    /// The write plane's invariant: under any interleaving of row loads,
     /// retractions, and publishes — on a scenario with a seeded fault
     /// schedule — every incremental publish yields a model
     /// **bit-identical** (canonical fact rendering, raw symbol ids) to a
-    /// cold evaluation of the same operation prefix.
+    /// cold evaluation of the same operation prefix. Both `ExecMode`s:
+    /// in `Assertion` a row reaches the negation cycle holding `inst`, so
+    /// only `Constraint` drives the additions mode.
     #[test]
     fn incremental_publish_is_bit_identical_to_cold_rebuild(
         ops in prop::collection::vec(0u8..3, 1..10),
@@ -715,12 +718,62 @@ proptest! {
         fail_per_mille in 0u16..300,
     ) {
         let faults = || vec![Fault::Flaky { seed: fault_seed, fail_per_mille }];
-        let incremental = drive_incremental(&small_write_params(), faults(), &ops);
-        let cold = drive_cold(&small_write_params(), faults(), &ops);
-        prop_assert_eq!(incremental.len(), cold.len());
-        for (i, (got, want)) in incremental.iter().zip(&cold).enumerate() {
-            prop_assert_eq!(got, want, "publish point {} diverges from cold", i);
+        for mode in [ExecMode::Assertion, ExecMode::Constraint] {
+            let params = small_write_params(mode);
+            let incremental = drive_incremental(&params, faults(), &ops);
+            let cold = drive_cold(&params, faults(), &ops);
+            prop_assert_eq!(incremental.len(), cold.len());
+            for (i, (got, want)) in incremental.iter().zip(&cold).enumerate() {
+                prop_assert_eq!(got, want, "{:?}: publish point {} diverges from cold", mode, i);
+            }
         }
+    }
+}
+
+/// Which mode a one-row publish takes depends on `ExecMode`: in
+/// `Assertion` the row's `inst` fact feeds the negation cycle, which is
+/// rebuilt, and nothing rides the additions mode; in `Constraint` it
+/// does. A retraction is rebuilt in either, with no incremental stratum,
+/// and matches a cold run.
+#[test]
+fn publish_modes_follow_the_exec_mode() {
+    for mode in [ExecMode::Assertion, ExecMode::Constraint] {
+        let params = small_write_params(mode);
+        let row = &ncmir_update_rows(params.seed, 0, 1)[0];
+        let mut m = build_scenario(&params);
+        m.materialize_all().unwrap();
+        m.publish().unwrap();
+        m.load_row("NCMIR", "protein_amount", row).unwrap();
+        let loaded = m.publish().unwrap().profile.clone();
+        assert!(loaded.delta_applied, "{mode:?}");
+        if mode == ExecMode::Assertion {
+            assert_eq!(loaded.delta_incremental_strata, 0);
+            let inst = m.base().flogic().engine().lookup("inst").unwrap();
+            assert!(
+                loaded
+                    .strata
+                    .iter()
+                    .any(|s| !s.skipped && s.preds.contains(&inst)),
+                "the stratum holding `inst` is rebuilt"
+            );
+        } else {
+            assert!(loaded.delta_incremental_strata > 0);
+        }
+        assert!(m.retract_row("NCMIR", "protein_amount", row).unwrap() > 0);
+        let retracted = m.publish().unwrap();
+        assert!(retracted.profile.delta_rebuilt_strata > 0, "{mode:?}");
+        assert_eq!(retracted.profile.delta_incremental_strata, 0, "{mode:?}");
+        let retracted = canonical_facts(retracted);
+        // The same history with one publish at the end, which is cold.
+        let mut cold = build_scenario(&params);
+        cold.materialize_all().unwrap();
+        cold.load_row("NCMIR", "protein_amount", row).unwrap();
+        cold.retract_row("NCMIR", "protein_amount", row).unwrap();
+        assert_eq!(
+            retracted,
+            canonical_facts(cold.publish().unwrap()),
+            "{mode:?}"
+        );
     }
 }
 
