@@ -152,7 +152,7 @@ impl QuerySnapshot {
     /// model. Allocation-light and free of exclusive locks once warm: the
     /// pattern is parsed into a scratch symbol table and remapped into the
     /// frozen interner, so `&self` suffices; a pattern with a constant
-    /// reads the relation's index under its `RwLock` read guard, and only
+    /// finds the relation's index under its `RwLock` read guard, and only
     /// the first such probe of a column set in an epoch takes the write
     /// lock, to build the index. Patterns mentioning symbols the snapshot
     /// has never seen yield no rows.

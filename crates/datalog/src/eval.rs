@@ -21,7 +21,7 @@
 //!   recorded in the model's [`EvalProfile`] for `explain`-style dumps;
 //! * **indexing** ([`EvalOptions::use_index`]): joins with any bound
 //!   argument probe a lazily-built hash index on exactly the bound column
-//!   set ([`crate::fact::Relation::probe`]); build/hit/miss counts
+//!   set ([`crate::fact::Relation::iter_bound`]); build/hit/miss counts
 //!   land in [`EvalStats`];
 //! * **cross-query caching** ([`EvalOptions::base_cache`], driven by the
 //!   `since` argument of [`crate::Engine::run_for_query`]): a warm answer
@@ -36,11 +36,12 @@
 
 use crate::atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp};
 use crate::error::{DatalogError, Result};
-use crate::fact::{FactStore, Tuple};
+use crate::fact::{FactStore, Rows};
 use crate::interner::Sym;
 use crate::program::{Stratification, Stratum};
 use crate::rule::Rule;
 use crate::term::{Subst, Term};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -398,12 +399,11 @@ impl Model {
         self.undefined.contains(pred, args)
     }
 
-    /// All tuples of `pred` that are true.
-    pub fn tuples(&self, pred: crate::interner::Sym) -> Vec<Tuple> {
+    /// The true rows of `pred`, in place, in insertion order.
+    pub fn tuples(&self, pred: crate::interner::Sym) -> Rows<'_> {
         self.facts
             .relation(pred)
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default()
+            .map_or_else(Rows::empty, |r| r.iter())
     }
 
     /// Matches a query atom (which may contain variables) against the true
@@ -412,41 +412,33 @@ impl Model {
     /// instead of a full scan.
     pub fn query(&self, pattern: &Atom) -> Vec<Vec<Term>> {
         let mut out = Vec::new();
-        let Some(rel) = self.facts.relation(pattern.pred) else {
+        let args = &pattern.args;
+        let Some(rel) = self
+            .facts
+            .relation(pattern.pred)
+            .filter(|r| r.arity() == args.len())
+        else {
             return out;
         };
         let mut vars = Vec::new();
         pattern.collect_vars(&mut vars);
         let nvars = vars.iter().map(|v| v.index() + 1).max().unwrap_or(0);
         let mut subst = Subst::with_capacity(nvars);
-        let bound: Vec<(usize, &Term)> = pattern
-            .args
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_ground())
-            .collect();
-        let mut scan = |tuple: &Tuple, out: &mut Vec<Vec<Term>>| {
-            if tuple.len() != pattern.args.len() {
-                return;
-            }
+        let mut scan = |row: &[Term], out: &mut Vec<Vec<Term>>| {
             let m = subst.mark();
-            if pattern
-                .args
-                .iter()
-                .zip(tuple.iter())
-                .all(|(p, v)| subst.match_term(p, v))
-            {
-                out.push(pattern.args.iter().map(|t| t.apply(&subst)).collect());
+            if args.iter().zip(row).all(|(p, v)| subst.match_term(p, v)) {
+                out.push(args.iter().map(|t| t.apply(&subst)).collect());
             }
             subst.undo_to(m);
         };
-        if bound.is_empty() {
-            for tuple in rel.iter() {
-                scan(tuple, &mut out);
+        if args.iter().any(Term::is_ground) {
+            let (_, rows) = rel.probe(|c| args[c].is_ground(), |c| Cow::Borrowed(&args[c]));
+            for row in rows {
+                scan(row, &mut out);
             }
         } else {
-            for tuple in rel.iter_bound(&bound) {
-                scan(tuple, &mut out);
+            for row in rel.iter() {
+                scan(row, &mut out);
             }
         }
         out
@@ -509,43 +501,37 @@ pub(crate) fn solve(
             } else {
                 ctx.total
             };
-            let Some(rel) = store.relation(atom.pred) else {
+            let args = &atom.args;
+            // A pattern of another arity matches no row of the relation.
+            let Some(rel) = store
+                .relation(atom.pred)
+                .filter(|r| r.arity() == args.len())
+            else {
                 return 0;
             };
             if ctx.use_index {
                 // Which argument positions are ground under the current
-                // bindings?
-                let applied: Vec<Term> = atom.args.iter().map(|t| t.apply(subst)).collect();
-                if !applied.is_empty() && applied.iter().all(Term::is_ground) {
+                // bindings? Nothing is built to find out.
+                let bound = |c: usize| args[c].is_ground_under(subst);
+                let term = |c: usize| args[c].resolve(subst);
+                let nbound = (0..args.len()).filter(|&c| bound(c)).count();
+                if nbound > 0 && nbound == args.len() {
                     // Fully ground: a membership probe replaces the scan.
                     ctx.counters.hit();
-                    if applied.len() == atom.args.len() && rel.contains(&applied) {
+                    if rel.contains_by(term) {
                         found += solve(items, idx + 1, subst, ctx, cb);
                     }
                     return found;
                 }
-                let bound: Vec<(usize, &Term)> = applied
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.is_ground())
-                    .collect();
-                if !bound.is_empty() {
-                    let (built, tuples) = rel.probe(&bound);
+                if nbound > 0 {
+                    let (built, rows) = rel.probe(bound, term);
                     if built {
                         ctx.counters.build(store, atom.pred);
                     }
                     ctx.counters.hit();
-                    for tuple in tuples {
-                        if tuple.len() != atom.args.len() {
-                            continue;
-                        }
+                    for row in rows {
                         let m = subst.mark();
-                        if atom
-                            .args
-                            .iter()
-                            .zip(tuple.iter())
-                            .all(|(p, v)| subst.match_term(p, v))
-                        {
+                        if args.iter().zip(row).all(|(p, v)| subst.match_term(p, v)) {
                             found += solve(items, idx + 1, subst, ctx, cb);
                         }
                         subst.undo_to(m);
@@ -554,17 +540,9 @@ pub(crate) fn solve(
                 }
             }
             ctx.counters.miss();
-            for tuple in rel.iter() {
-                if tuple.len() != atom.args.len() {
-                    continue;
-                }
+            for row in rel.iter() {
                 let m = subst.mark();
-                if atom
-                    .args
-                    .iter()
-                    .zip(tuple.iter())
-                    .all(|(p, v)| subst.match_term(p, v))
-                {
+                if args.iter().zip(row).all(|(p, v)| subst.match_term(p, v)) {
                     found += solve(items, idx + 1, subst, ctx, cb);
                 }
                 subst.undo_to(m);
@@ -727,7 +705,7 @@ pub(crate) fn apply_rule(
             clipped += 1;
             return;
         }
-        if !total.contains(head.pred, &args) && out.insert(head.pred, args.into()) {
+        if !total.contains(head.pred, &args) && out.insert(head.pred, &args) {
             new += 1;
         }
     });
@@ -1144,7 +1122,7 @@ mod tests {
         }
         fn fact(&mut self, pred: &str, args: &[Term]) {
             let p = self.syms.intern(pred);
-            self.edb.insert(p, args.to_vec().into());
+            self.edb.insert(p, args);
         }
         fn run(&self) -> Model {
             let strat = stratify(&self.rules, |s| format!("{s}")).unwrap();

@@ -1,187 +1,460 @@
-//! Ground fact storage: relations with lazily-built multi-column indexes.
+//! Ground fact storage: relations as flat, chunked row tables with
+//! lazily-built multi-column indexes.
 //!
 //! Bottom-up evaluation spends nearly all of its time probing relations
-//! during joins. Tuples are stored once as `Arc<[Term]>` shared between the
-//! dedup set, the insertion-ordered scan vector, and the indexes, so
-//! lookups and copies stay cheap — and whole relations can be shared
-//! across threads behind an immutable snapshot.
+//! during joins, and a cold run also builds, copies and frees every
+//! relation it reads. So a [`Relation`] has no allocation per fact: its
+//! rows are `arity`-strided [`Term`]s, back to back, in chunks of
+//! [`CHUNK_ROWS`] rows, each chunk behind an `Arc`. A row is named by its
+//! `u32` position, which is its insertion order. The dedup set and every
+//! column index hold positions only, hash a row (or the columns an index
+//! keys) with the tuple tables' hasher (`hash.rs`), and compare a
+//! candidate in place, against the chunk. A clone copies the chunk handles
+//! and shares the dedup table; a write after a share copies the table and
+//! only the chunk it writes, the last; a drop frees chunks, not facts.
+//! Whole relations are shared across threads behind an immutable snapshot.
+//!
+//! The tables are std-only open addressing over `u32` entries (`Table`),
+//! not the interner's hash-plus-collision-map pattern: std's `HashMap` has
+//! no stable way to look an entry up by a key it does not store, so that
+//! pattern keeps a second copy of every colliding key — for rows, a
+//! `Vec<Term>` per collision and a second probe per lookup — where an
+//! open-addressing slot holds 32 bits of hash and a position, and the row
+//! itself is the key.
 //!
 //! Indexes are built **on first probe** for whatever column set a join
-//! actually binds (see [`Relation::probe`]) and maintained
-//! incrementally on every subsequent insert. A relation that is only ever
-//! scanned never pays for an index; a relation probed on columns `{0, 2}`
-//! gets exactly that index and no other.
+//! actually binds (see [`Relation::iter_bound`]) and maintained incrementally
+//! on every subsequent insert. A relation that is only ever scanned never
+//! pays for an index; a relation probed on columns `{0, 2}` gets exactly
+//! that index and no other. A position is stable only while the relation
+//! is insert-only: [`Relation::remove`] rebuilds the relation and drops its
+//! indexes.
 
 use crate::hash::WordState;
 use crate::interner::Sym;
 use crate::term::Term;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
-/// A ground tuple.
-pub type Tuple = Arc<[Term]>;
+/// Rows per chunk. A power of two, so a position splits into chunk and
+/// row with a shift and a mask; large enough that a store of tens of
+/// thousands of facts is a few dozen chunks, small enough that the one
+/// chunk a write after a share copies is a few dozen KiB.
+pub const CHUNK_ROWS: usize = 1 << 10;
 
-/// An index over one column set: key values (in ascending column order) →
-/// positions into the tuple vector.
-type ColumnIndex = HashMap<Vec<Term>, Vec<u32>, WordState>;
+const CHUNK_SHIFT: u32 = CHUNK_ROWS.trailing_zeros();
 
-/// A single relation: a deduplicated, insertion-ordered set of ground
-/// tuples, with hash indexes on arbitrary column sets built lazily on
-/// first probe.
-#[derive(Debug, Default)]
+/// No entry: a free [`Table`] slot, or the end of an index group.
+const NONE: u32 = u32::MAX;
+
+/// The hash of `terms` in order — a whole row, or the columns of one that
+/// an index keys. A probe's terms hash exactly as the stored row's.
+fn hash_terms<T: Hash>(terms: impl IntoIterator<Item = T>) -> u64 {
+    #[cfg(test)]
+    if let Some(forced) = tests::FORCED_HASH.with(std::cell::Cell::get) {
+        return forced;
+    }
+    let mut h = WordState::default().build_hasher();
+    for t in terms {
+        t.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// An open-addressing hash table of `u32` entries — row positions, or
+/// index groups — found by a 64-bit hash and told apart by the caller's
+/// equality test, so it never stores the key it is looked up by. Linear
+/// probing, at most three quarters full.
+#[derive(Clone, Default)]
+struct Table {
+    /// Per slot the top 32 bits of the entry's hash and the entry, or
+    /// [`NONE`] when free. The length is 0 or a power of two ≥ 8; a hash's
+    /// home slot is its top bits, so growing re-places entries from the
+    /// stored bits without hashing a row again.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl Table {
+    fn home(&self, tag: u32) -> usize {
+        (tag >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The entry under `hash` that `eq` accepts.
+    fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let tag = (hash >> 32) as u32;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            let (t, entry) = self.slots[i];
+            if entry == NONE {
+                return None;
+            }
+            if t == tag && eq(entry) {
+                return Some(entry);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Adds `entry` under `hash`; the caller has checked it is absent.
+    fn insert(&mut self, hash: u64, entry: u32) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.reserve(self.len + 1);
+        }
+        self.place((hash >> 32) as u32, entry);
+        self.len += 1;
+    }
+
+    fn place(&mut self, tag: u32, entry: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        while self.slots[i].1 != NONE {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (tag, entry);
+    }
+
+    /// Room for `n` entries in all.
+    fn reserve(&mut self, n: usize) {
+        let want = (n * 4).div_ceil(3).next_power_of_two().max(8);
+        if want <= self.slots.len() {
+            return;
+        }
+        assert!(want.trailing_zeros() <= 32, "hash table too large");
+        let old = std::mem::replace(&mut self.slots, vec![(0, NONE); want]);
+        for (tag, entry) in old {
+            if entry != NONE {
+                self.place(tag, entry);
+            }
+        }
+    }
+}
+
+/// A relation's rows: `arity` terms each, `CHUNK_ROWS` rows to a chunk.
+#[derive(Clone)]
+struct Chunks {
+    arity: usize,
+    len: usize,
+    data: Vec<Arc<Vec<Term>>>,
+}
+
+/// The rows of no relation, for [`Rows`] over a missing one.
+static NO_ROWS: Chunks = Chunks {
+    arity: 0,
+    len: 0,
+    data: Vec::new(),
+};
+
+impl Chunks {
+    fn row(&self, pos: usize) -> &[Term] {
+        let start = (pos & (CHUNK_ROWS - 1)) * self.arity;
+        &self.data[pos >> CHUNK_SHIFT][start..start + self.arity]
+    }
+
+    fn push(&mut self, row: &[Term]) {
+        if self.len.is_multiple_of(CHUNK_ROWS) {
+            // Past its first chunk a relation is known to be large: the
+            // next chunk is taken whole.
+            let cap = if self.data.is_empty() {
+                0
+            } else {
+                CHUNK_ROWS * self.arity
+            };
+            self.data.push(Arc::new(Vec::with_capacity(cap)));
+        }
+        let last = self.data.last_mut().expect("a chunk with room");
+        // Copy-on-write: a chunk still shared with a clone is copied here,
+        // and only this one.
+        Arc::make_mut(last).extend_from_slice(row);
+        self.len += 1;
+    }
+}
+
+/// An index over one column set: the rows of each key value, as a chain
+/// of positions in insertion order.
+#[derive(Clone)]
+struct ColumnIndex {
+    /// The indexed columns, ascending.
+    cols: Box<[usize]>,
+    /// Key hash → group.
+    groups: Table,
+    /// Per group its first and last row.
+    ends: Vec<(u32, u32)>,
+    /// Per row the next row of its group, or [`NONE`].
+    next: Vec<u32>,
+}
+
+impl ColumnIndex {
+    fn build(rows: &Chunks, cols: &[usize]) -> Self {
+        let mut index = ColumnIndex {
+            cols: cols.into(),
+            groups: Table::default(),
+            ends: Vec::new(),
+            next: Vec::with_capacity(rows.len),
+        };
+        for pos in 0..rows.len {
+            index.add(rows, pos as u32, rows.row(pos));
+        }
+        index
+    }
+
+    /// Appends row `pos`, whose terms are `row`, to its key's group. Every
+    /// row before `pos` is in `rows`; `pos` itself need not be yet.
+    fn add(&mut self, rows: &Chunks, pos: u32, row: &[Term]) {
+        let cols = &self.cols;
+        let hash = hash_terms(cols.iter().map(|&c| &row[c]));
+        let ends = &self.ends;
+        let group = self.groups.find(hash, |g| {
+            let head = rows.row(ends[g as usize].0 as usize);
+            cols.iter().all(|&c| head[c] == row[c])
+        });
+        match group {
+            Some(g) => {
+                let last = &mut self.ends[g as usize].1;
+                self.next[*last as usize] = pos;
+                *last = pos;
+            }
+            None => {
+                self.groups.insert(hash, self.ends.len() as u32);
+                self.ends.push((pos, pos));
+            }
+        }
+        self.next.push(NONE);
+    }
+
+    /// The first row whose indexed columns hold `key`'s terms, or [`NONE`].
+    fn first<'k>(&self, rows: &Chunks, key: &impl Fn(usize) -> Cow<'k, Term>) -> u32 {
+        let hash = hash_terms(self.cols.iter().map(|&c| key(c)));
+        self.groups
+            .find(hash, |g| {
+                let head = rows.row(self.ends[g as usize].0 as usize);
+                self.cols.iter().all(|&c| head[c] == *key(c))
+            })
+            .map_or(NONE, |g| self.ends[g as usize].0)
+    }
+}
+
+/// A single relation: a deduplicated, insertion-ordered set of ground rows
+/// of one arity, with hash indexes on arbitrary column sets built lazily
+/// on first probe. See the module docs for the layout.
 pub struct Relation {
-    tuples: Vec<Tuple>,
-    set: HashSet<Tuple, WordState>,
-    /// Lazily-built indexes: sorted column set → key → positions. Interior
-    /// mutability lets a probe during evaluation (`&Relation`) build the
-    /// index it needs; `insert` maintains every existing index. An
-    /// `RwLock` (rather than `RefCell`) keeps `Relation: Sync`, so frozen
-    /// relations can be probed concurrently from many query threads; the
-    /// hot path only ever takes the uncontended read lock once an index
-    /// exists.
-    indexes: RwLock<HashMap<Vec<usize>, ColumnIndex, WordState>>,
+    rows: Chunks,
+    /// Whole-row hash → position; shared by clones until one writes.
+    set: Arc<Table>,
+    /// Lazily-built indexes. Interior mutability lets a probe during
+    /// evaluation (`&Relation`) build the index it needs; `insert`
+    /// maintains every existing index. An `RwLock` (rather than `RefCell`)
+    /// keeps `Relation: Sync`, so frozen relations can be probed
+    /// concurrently from many query threads; a probe holds the read lock
+    /// only to find its index and take a handle on it, never while the
+    /// caller walks the matching rows (which may probe this relation
+    /// again).
+    indexes: RwLock<Vec<Arc<ColumnIndex>>>,
 }
 
 impl Clone for Relation {
-    /// Clones the tuples but **not** the built indexes: a clone rebuilds
-    /// lazily the (usually few) column sets it actually probes. Clones are
-    /// made where a relation is about to change (copy-on-write) or where an
-    /// evaluation must own what it reads (`detached_clone`); deep-copying
-    /// every index map there would be allocation overhead — and a
+    /// Copies the chunk handles and shares the dedup table — both
+    /// copy-on-write — but does **not** take the built indexes: a clone
+    /// rebuilds lazily the (usually few) column sets it actually probes.
+    /// Clones are made where a relation is about to change (copy-on-write)
+    /// or where an evaluation must own what it reads (`detached_clone`);
+    /// copying every index there would be allocation overhead — and a
     /// read-lock hold on the shared original that concurrent snapshot
     /// readers had to contend with.
     fn clone(&self) -> Self {
         Relation {
-            tuples: self.tuples.clone(),
-            set: self.set.clone(),
+            rows: self.rows.clone(),
+            set: Arc::clone(&self.set),
             indexes: RwLock::default(),
         }
     }
 }
 
-fn index_key(tuple: &[Term], cols: &[usize]) -> Option<Vec<Term>> {
-    // Tuples too short for the column set can never match a pattern that
-    // binds those columns; they are simply absent from the index.
-    if cols.iter().any(|&c| c >= tuple.len()) {
-        return None;
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
-    Some(cols.iter().map(|&c| tuple[c].clone()).collect())
 }
 
 impl Relation {
-    /// Creates an empty relation.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty relation of rows of `arity` terms.
+    pub fn new(arity: usize) -> Self {
+        Relation {
+            rows: Chunks {
+                arity,
+                len: 0,
+                data: Vec::new(),
+            },
+            set: Arc::default(),
+            indexes: RwLock::default(),
+        }
     }
 
-    /// Inserts a tuple; returns `true` if it was new. Every existing
-    /// index is maintained incrementally.
-    pub fn insert(&mut self, tuple: Tuple) -> bool {
-        debug_assert!(tuple.iter().all(Term::is_ground));
-        if !self.set.insert(tuple.clone()) {
+    /// The number of terms in every row.
+    pub fn arity(&self) -> usize {
+        self.rows.arity
+    }
+
+    /// Inserts a row; returns `true` if it was new. A row whose length is
+    /// not the relation's arity is refused: not stored, `false`. Every
+    /// existing index is maintained incrementally.
+    pub fn insert(&mut self, row: &[Term]) -> bool {
+        if row.len() != self.arity() {
             return false;
         }
-        let pos = u32::try_from(self.tuples.len()).expect("relation too large");
-        for (cols, index) in self.indexes.get_mut().expect("index lock").iter_mut() {
-            if let Some(key) = index_key(&tuple, cols) {
-                index.entry(key).or_default().push(pos);
-            }
+        debug_assert!(row.iter().all(Term::is_ground));
+        let hash = hash_terms(row);
+        let Relation { rows, set, indexes } = self;
+        if set.find(hash, |p| rows.row(p as usize) == row).is_some() {
+            return false;
         }
-        self.tuples.push(tuple);
+        let pos = u32::try_from(rows.len)
+            .ok()
+            .filter(|&p| p != NONE)
+            .expect("relation too large");
+        Arc::make_mut(set).insert(hash, pos);
+        for index in indexes.get_mut().expect("index lock") {
+            Arc::make_mut(index).add(rows, pos, row);
+        }
+        rows.push(row);
         true
     }
 
-    /// Bulk-merges every tuple of `other`; returns how many were new.
-    /// Reserves capacity up front so repeated absorption of large deltas
-    /// does not rehash per tuple.
+    /// Bulk-merges every row of `other`; returns how many were new.
+    /// Reserves the dedup table up front so repeated absorption of large
+    /// deltas does not grow it per row.
     pub fn extend_from(&mut self, other: &Relation) -> usize {
-        self.set.reserve(other.tuples.len());
-        self.tuples.reserve(other.tuples.len());
-        let mut added = 0;
-        for t in &other.tuples {
-            if self.insert(t.clone()) {
-                added += 1;
-            }
-        }
-        added
+        let n = self.len() + other.len();
+        Arc::make_mut(&mut self.set).reserve(n);
+        other.iter().filter(|row| self.insert(row)).count()
+    }
+
+    /// The position of the row `eq` accepts among those hashing to `hash`.
+    fn find(&self, hash: u64, eq: impl Fn(&[Term]) -> bool) -> Option<u32> {
+        self.set.find(hash, |p| eq(self.rows.row(p as usize)))
     }
 
     /// Membership test.
-    pub fn contains(&self, tuple: &[Term]) -> bool {
-        self.set.contains(tuple)
+    pub fn contains(&self, row: &[Term]) -> bool {
+        row.len() == self.arity() && self.find(hash_terms(row), |r| r == row).is_some()
     }
 
-    /// All tuples in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+    /// Membership of the row whose column `c` holds `term(c)`, for a
+    /// caller that has the terms but not as a slice.
+    pub(crate) fn contains_by<'k>(&self, term: impl Fn(usize) -> Cow<'k, Term>) -> bool {
+        let hash = hash_terms((0..self.arity()).map(&term));
+        self.find(hash, |r| r.iter().enumerate().all(|(c, t)| *t == *term(c)))
+            .is_some()
     }
 
-    /// Ensures the index over `cols` (must be sorted and deduplicated)
-    /// exists, building it from the current tuples if not. Returns `true`
-    /// when the index was newly built.
+    /// All rows in insertion order.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows {
+            rows: &self.rows,
+            pos: 0,
+            end: self.rows.len,
+        }
+    }
+
+    /// The index over `cols` (sorted, deduplicated, each below the arity),
+    /// built from the current rows if missing, and whether this call built
+    /// it.
     ///
     /// Build-once and thread-safe: the hot path (index already present)
     /// takes only the shared read lock, so concurrent probes of a frozen
     /// relation never serialize on the write lock; when the index is
     /// missing, exactly one caller builds it (double-checked under the
-    /// write lock) and returns `true` — racing callers wait and reuse it.
-    pub fn ensure_index(&self, cols: &[usize]) -> bool {
+    /// write lock) and reports `true` — racing callers wait and reuse it.
+    fn ensure_index(&self, cols: &[usize]) -> (bool, Arc<ColumnIndex>) {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
-        if self.indexes.read().expect("index lock").contains_key(cols) {
-            return false;
+        debug_assert!(cols.iter().all(|&c| c < self.arity()));
+        let on_cols = |ix: &&Arc<ColumnIndex>| *ix.cols == *cols;
+        if let Some(index) = self
+            .indexes
+            .read()
+            .expect("index lock")
+            .iter()
+            .find(on_cols)
+        {
+            return (false, Arc::clone(index));
         }
         let mut indexes = self.indexes.write().expect("index lock");
-        if indexes.contains_key(cols) {
+        if let Some(index) = indexes.iter().find(on_cols) {
             // Lost the build race: another thread finished it between our
             // read and write acquisitions. Exactly one caller reports the
             // build.
-            return false;
+            return (false, Arc::clone(index));
         }
-        let mut index = ColumnIndex::default();
-        for (pos, tuple) in self.tuples.iter().enumerate() {
-            if let Some(key) = index_key(tuple, cols) {
-                index.entry(key).or_default().push(pos as u32);
-            }
-        }
-        indexes.insert(cols.to_vec(), index);
-        true
+        let index = Arc::new(ColumnIndex::build(&self.rows, cols));
+        indexes.push(Arc::clone(&index));
+        (true, index)
     }
 
-    /// Tuples matching the given `(column, value)` bindings, via a hash
-    /// index on exactly that column set, and whether this call had to
-    /// build that index. Columns may be given in any order; duplicates
-    /// must agree by construction. Once the index exists a probe is one
-    /// acquisition of the read lock.
-    pub fn probe(&self, bound: &[(usize, &Term)]) -> (bool, impl Iterator<Item = &Tuple>) {
-        let mut pairs: Vec<(usize, &Term)> = bound.to_vec();
-        pairs.sort_by_key(|&(c, _)| c);
-        pairs.dedup_by_key(|&mut (c, _)| c);
-        let cols: Vec<usize> = pairs.iter().map(|&(c, _)| c).collect();
-        let key: Vec<Term> = pairs.iter().map(|&(_, t)| t.clone()).collect();
-        // Clone the (small) position list so the iterator does not hold
-        // the read lock while the caller walks the tuples.
-        let lookup = || -> Option<Vec<u32>> {
+    /// The rows whose bound columns — those `bound` accepts — hold
+    /// `term(c)`, through the index on exactly those columns, and whether
+    /// this call had to build it (the evaluator counts builds). No key is
+    /// assembled: the index is found by its column set, the key hashed and
+    /// compared column by column. Once the index exists a probe is one
+    /// acquisition of the read lock and a handle on the index, never held
+    /// while the caller walks the rows.
+    pub(crate) fn probe<'k>(
+        &self,
+        bound: impl Fn(usize) -> bool,
+        term: impl Fn(usize) -> Cow<'k, Term>,
+    ) -> (bool, Matches<'_>) {
+        let nbound = (0..self.arity()).filter(|&c| bound(c)).count();
+        let found = {
             let indexes = self.indexes.read().expect("index lock");
-            let index = indexes.get(&cols)?;
-            Some(index.get(&key).cloned().unwrap_or_default())
+            indexes
+                .iter()
+                .find(|ix| ix.cols.len() == nbound && ix.cols.iter().all(|&c| bound(c)))
+                .cloned()
         };
-        let mut built = false;
-        let positions = lookup().unwrap_or_else(|| {
-            built = self.ensure_index(&cols);
-            lookup().expect("index just ensured")
-        });
-        let tuples = positions.into_iter().map(move |i| &self.tuples[i as usize]);
-        (built, tuples)
+        let (built, index) = match found {
+            Some(index) => (false, index),
+            None => {
+                let cols: Vec<usize> = (0..self.arity()).filter(|&c| bound(c)).collect();
+                self.ensure_index(&cols)
+            }
+        };
+        let pos = index.first(&self.rows, &term);
+        let rows = Matches {
+            rows: &self.rows,
+            index: Some(index),
+            pos,
+        };
+        (built, rows)
     }
 
-    /// [`Self::probe`] for callers that do not count index builds.
-    pub fn iter_bound(&self, bound: &[(usize, &Term)]) -> impl Iterator<Item = &Tuple> {
-        self.probe(bound).1
+    /// Rows matching the given `(column, value)` bindings, in insertion
+    /// order, via a hash index on exactly that column set (built on the
+    /// first such probe). Columns may be given in any order; duplicates
+    /// must agree by construction. A column past the arity matches no row.
+    pub fn iter_bound(&self, bound: &[(usize, &Term)]) -> Matches<'_> {
+        if bound.iter().any(|&(c, _)| c >= self.arity()) {
+            return Matches::none();
+        }
+        let term = |c: usize| {
+            let &(_, t) = bound
+                .iter()
+                .find(|&&(b, _)| b == c)
+                .expect("a bound column");
+            Cow::Borrowed(t)
+        };
+        self.probe(|c| bound.iter().any(|&(b, _)| b == c), term).1
     }
 
-    /// Tuples whose first column equals `key` (fast path for joins with a
+    /// Rows whose first column equals `key` (fast path for joins with a
     /// bound first argument).
-    pub fn iter_first<'a>(&'a self, key: &'a Term) -> impl Iterator<Item = &'a Tuple> {
+    pub fn iter_first(&self, key: &Term) -> Matches<'_> {
         self.iter_bound(&[(0, key)])
     }
 
@@ -190,26 +463,107 @@ impl Relation {
         self.indexes.read().expect("index lock").len()
     }
 
-    /// Removes a tuple; returns `true` if it was present. Tuple positions
-    /// shift, so every built index is dropped (they rebuild lazily on the
+    /// Removes a row; returns `true` if it was present. Positions after it
+    /// would shift, so the relation is rebuilt from its other rows, in
+    /// order, and every built index is dropped (they rebuild lazily on the
     /// next probe) — retraction is the cold path, probing is the hot one.
-    pub fn remove(&mut self, tuple: &[Term]) -> bool {
-        if !self.set.remove(tuple) {
+    pub fn remove(&mut self, row: &[Term]) -> bool {
+        if !self.contains(row) {
             return false;
         }
-        self.tuples.retain(|t| &**t != tuple);
-        self.indexes.get_mut().expect("index lock").clear();
+        let mut kept = Relation::new(self.arity());
+        Arc::make_mut(&mut kept.set).reserve(self.len() - 1);
+        for r in self.iter().filter(|&r| r != row) {
+            kept.insert(r);
+        }
+        *self = kept;
         true
     }
 
-    /// Number of tuples.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.len == 0
+    }
+
+    /// The chunk handles, for tests of what a clone shares.
+    #[cfg(test)]
+    pub(crate) fn chunks(&self) -> &[Arc<Vec<Term>>] {
+        &self.rows.data
+    }
+}
+
+/// The rows of a relation in insertion order ([`Relation::iter`]).
+pub struct Rows<'a> {
+    rows: &'a Chunks,
+    pos: usize,
+    end: usize,
+}
+
+impl Rows<'_> {
+    /// No rows.
+    pub fn empty() -> Self {
+        Rows {
+            rows: &NO_ROWS,
+            pos: 0,
+            end: 0,
+        }
+    }
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [Term];
+
+    fn next(&mut self) -> Option<&'a [Term]> {
+        if self.pos == self.end {
+            return None;
+        }
+        self.pos += 1;
+        Some(self.rows.row(self.pos - 1))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.end - self.pos;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+/// The rows of one index group, in insertion order
+/// ([`Relation::iter_bound`]).
+pub struct Matches<'a> {
+    rows: &'a Chunks,
+    /// Held so the chain stays readable after the read lock is gone.
+    index: Option<Arc<ColumnIndex>>,
+    pos: u32,
+}
+
+impl Matches<'_> {
+    fn none() -> Self {
+        Matches {
+            rows: &NO_ROWS,
+            index: None,
+            pos: NONE,
+        }
+    }
+}
+
+impl<'a> Iterator for Matches<'a> {
+    type Item = &'a [Term];
+
+    fn next(&mut self) -> Option<&'a [Term]> {
+        let index = self.index.as_ref()?;
+        if self.pos == NONE {
+            return None;
+        }
+        let row = self.rows.row(self.pos as usize);
+        self.pos = index.next[self.pos as usize];
+        Some(row)
     }
 }
 
@@ -217,14 +571,15 @@ impl Relation {
 ///
 /// Relations sit behind `Arc`s, so a `clone` of the store is O(relations)
 /// pointer bumps and the clone *shares* every relation — including any
-/// indexes its tuples have already earned — until one side mutates it
-/// (copy-on-write via [`Arc::make_mut`]; the copy starts with no indexes).
-/// This is what makes snapshot republish cost proportional to the delta —
-/// strata untouched by a change keep the previous model's relations by
-/// reference — and a warm answer cost proportional to its rule: an
-/// evaluation seeded from a base model *borrows* the model's relations and
-/// probes the indexes they already have. The cold entry points start from
-/// [`FactStore::detached_clone`] instead and own every relation they read.
+/// indexes its rows have already earned — until one side mutates it
+/// (copy-on-write via [`Arc::make_mut`]; the copy shares the chunks and
+/// starts with no indexes). This is what makes snapshot republish cost
+/// proportional to the delta — strata untouched by a change keep the
+/// previous model's relations by reference — and a warm answer cost
+/// proportional to its rule: an evaluation seeded from a base model
+/// *borrows* the model's relations and probes the indexes they already
+/// have. The cold entry points start from [`FactStore::detached_clone`]
+/// instead and own every relation they read.
 #[derive(Debug, Clone, Default)]
 pub struct FactStore {
     rels: HashMap<Sym, Arc<Relation>, WordState>,
@@ -236,15 +591,47 @@ impl FactStore {
         Self::default()
     }
 
-    /// Inserts a fact; returns `true` if new.
-    pub fn insert(&mut self, pred: Sym, tuple: Tuple) -> bool {
-        Arc::make_mut(self.rels.entry(pred).or_default()).insert(tuple)
+    /// Inserts a fact; returns `true` if new. The first fact of a
+    /// predicate fixes its relation's arity; a row of another length is
+    /// refused.
+    pub fn insert(&mut self, pred: Sym, row: &[Term]) -> bool {
+        self.insert_declared(pred, row, || None).unwrap_or(false)
+    }
+
+    /// [`Self::insert`] for a writer that also fixes arities elsewhere (the
+    /// engine's rules): `declared` is asked only when `pred` has no
+    /// relation yet. `Err(arity)`, nothing stored, when the row's length is
+    /// not the relation's — or the declared — arity.
+    pub(crate) fn insert_declared(
+        &mut self,
+        pred: Sym,
+        row: &[Term],
+        declared: impl FnOnce() -> Option<usize>,
+    ) -> Result<bool, usize> {
+        let rel = match self.rels.entry(pred) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => {
+                let arity = declared().unwrap_or(row.len());
+                if arity != row.len() {
+                    return Err(arity);
+                }
+                v.insert(Arc::new(Relation::new(arity)))
+            }
+        };
+        if rel.arity() != row.len() {
+            return Err(rel.arity());
+        }
+        // A shared relation is copied only for a row it lacks.
+        if Arc::get_mut(rel).is_none() && rel.contains(row) {
+            return Ok(false);
+        }
+        Ok(Arc::make_mut(rel).insert(row))
     }
 
     /// Removes a fact; returns `true` if it was present.
-    pub fn remove(&mut self, pred: Sym, tuple: &[Term]) -> bool {
+    pub fn remove(&mut self, pred: Sym, row: &[Term]) -> bool {
         match self.rels.get_mut(&pred) {
-            Some(rel) if rel.contains(tuple) => Arc::make_mut(rel).remove(tuple),
+            Some(rel) if rel.contains(row) => Arc::make_mut(rel).remove(row),
             _ => false,
         }
     }
@@ -276,10 +663,12 @@ impl FactStore {
         }
     }
 
-    /// A deep clone with per-relation index state dropped: every relation
-    /// is freshly allocated with no built indexes. A cold evaluation starts
-    /// from this, so it builds — and counts — every index it probes,
-    /// whatever an earlier run left on the relations it was handed.
+    /// A copy with per-relation index state dropped: every relation is a
+    /// fresh allocation (sharing its chunks and dedup table) with no built
+    /// indexes, so the copy allocates nothing per fact. A cold
+    /// evaluation starts from this, so it builds — and counts — every index
+    /// it probes, whatever an earlier run left on the relations it was
+    /// handed.
     pub fn detached_clone(&self) -> FactStore {
         FactStore {
             rels: self
@@ -291,12 +680,12 @@ impl FactStore {
     }
 
     /// Membership test.
-    pub fn contains(&self, pred: Sym, tuple: &[Term]) -> bool {
-        self.rels.get(&pred).is_some_and(|r| r.contains(tuple))
+    pub fn contains(&self, pred: Sym, row: &[Term]) -> bool {
+        self.rels.get(&pred).is_some_and(|r| r.contains(row))
     }
 
-    /// Iterates `(pred, tuple)` over every fact.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &Tuple)> {
+    /// Iterates `(pred, row)` over every fact.
+    pub fn iter(&self) -> impl Iterator<Item = (Sym, &[Term])> {
         self.rels
             .iter()
             .flat_map(|(&p, r)| r.iter().map(move |t| (p, t)))
@@ -318,11 +707,11 @@ impl FactStore {
     }
 
     /// Merges every fact of `other` into `self`, relation by relation
-    /// (one predicate lookup per relation, with capacity reserved up
-    /// front); returns how many facts were new. A relation new to `self`
-    /// is deep-copied, not shared: it starts with no index state and is
-    /// never mutated out from under another holder. Explicit sharing goes
-    /// through [`Self::set_relation`].
+    /// (one predicate lookup per relation, with the dedup table reserved
+    /// up front); returns how many facts were new. A relation new to
+    /// `self` is cloned (shared chunks and table, no index state), never
+    /// shared as a whole: it is not mutated out from under another holder.
+    /// Explicit sharing goes through [`Self::set_relation`].
     pub fn absorb(&mut self, other: &FactStore) -> usize {
         let mut added = 0;
         for (&p, rel) in &other.rels {
@@ -330,13 +719,11 @@ impl FactStore {
                 continue;
             }
             added += match self.rels.entry(p) {
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     v.insert(Arc::new((**rel).clone()));
                     rel.len()
                 }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    Arc::make_mut(o.get_mut()).extend_from(rel)
-                }
+                Entry::Occupied(mut o) => Arc::make_mut(o.get_mut()).extend_from(rel),
             };
         }
         added
@@ -347,18 +734,22 @@ impl FactStore {
 mod tests {
     use super::*;
     use crate::interner::Interner;
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
 
-    fn t(args: &[Term]) -> Tuple {
-        args.to_vec().into()
+    thread_local! {
+        /// When set, every row and key on this thread hashes to this value
+        /// — the only way to send every lookup down one probe run.
+        pub(super) static FORCED_HASH: Cell<Option<u64>> = const { Cell::new(None) };
     }
 
     #[test]
     fn insert_dedups() {
         let mut syms = Interner::new();
         let a = Term::Const(syms.intern("a"));
-        let mut r = Relation::new();
-        assert!(r.insert(t(std::slice::from_ref(&a))));
-        assert!(!r.insert(t(std::slice::from_ref(&a))));
+        let mut r = Relation::new(1);
+        assert!(r.insert(std::slice::from_ref(&a)));
+        assert!(!r.insert(std::slice::from_ref(&a)));
         assert_eq!(r.len(), 1);
     }
 
@@ -367,10 +758,10 @@ mod tests {
         let mut syms = Interner::new();
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
-        let mut r = Relation::new();
-        r.insert(t(&[a.clone(), b.clone()]));
-        r.insert(t(&[a.clone(), a.clone()]));
-        r.insert(t(&[b.clone(), a.clone()]));
+        let mut r = Relation::new(2);
+        r.insert(&[a.clone(), b.clone()]);
+        r.insert(&[a.clone(), a.clone()]);
+        r.insert(&[b.clone(), a.clone()]);
         assert_eq!(r.iter_first(&a).count(), 2);
         assert_eq!(r.iter_first(&b).count(), 1);
         let c = Term::Int(99);
@@ -383,23 +774,23 @@ mod tests {
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
         let c = Term::Const(syms.intern("c"));
-        let mut r = Relation::new();
-        r.insert(t(&[a.clone(), b.clone(), c.clone()]));
-        r.insert(t(&[a.clone(), c.clone(), c.clone()]));
+        let mut r = Relation::new(3);
+        r.insert(&[a.clone(), b.clone(), c.clone()]);
+        r.insert(&[a.clone(), c.clone(), c.clone()]);
         // First probe on {0,2} builds that index.
-        assert!(r.ensure_index(&[0, 2]));
-        assert!(!r.ensure_index(&[0, 2]), "second ensure is a no-op");
+        assert!(r.ensure_index(&[0, 2]).0);
+        assert!(!r.ensure_index(&[0, 2]).0, "second ensure is a no-op");
         assert_eq!(r.iter_bound(&[(0, &a), (2, &c)]).count(), 2);
         // Inserts after the build must be visible to later probes.
-        r.insert(t(&[a.clone(), a.clone(), c.clone()]));
-        r.insert(t(&[b.clone(), b.clone(), c.clone()]));
+        r.insert(&[a.clone(), a.clone(), c.clone()]);
+        r.insert(&[b.clone(), b.clone(), c.clone()]);
         assert_eq!(r.iter_bound(&[(0, &a), (2, &c)]).count(), 3);
         assert_eq!(r.iter_bound(&[(0, &b), (2, &c)]).count(), 1);
         // A different column set is an independent index; binding order
         // does not matter.
         assert_eq!(r.iter_bound(&[(1, &b)]).count(), 2);
         assert_eq!(r.iter_bound(&[(2, &c), (1, &a)]).count(), 1);
-        r.insert(t(&[c.clone(), b.clone(), a.clone()]));
+        r.insert(&[c.clone(), b.clone(), a.clone()]);
         assert_eq!(r.iter_bound(&[(1, &b)]).count(), 3);
         // Missing keys yield nothing.
         assert_eq!(r.iter_bound(&[(0, &c), (2, &c)]).count(), 0);
@@ -411,15 +802,31 @@ mod tests {
         let mut syms = Interner::new();
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
-        let mut r = Relation::new();
-        r.insert(t(std::slice::from_ref(&a)));
-        r.insert(t(&[a.clone(), b.clone()]));
-        // Index on column 1: the unary tuple is simply absent.
+        let mut r = Relation::new(2);
+        // A row of the wrong length is refused, before and after an index
+        // exists: not stored, no panic, the stride intact.
+        assert!(!r.insert(std::slice::from_ref(&a)));
+        assert!(r.insert(&[a.clone(), b.clone()]));
         assert_eq!(r.iter_bound(&[(1, &b)]).count(), 1);
-        // Maintenance also skips short tuples.
-        r.insert(t(std::slice::from_ref(&b)));
-        r.insert(t(&[b.clone(), b.clone()]));
+        assert!(!r.insert(std::slice::from_ref(&b)));
+        assert!(!r.insert(&[b.clone(), b.clone(), b.clone()]));
+        assert!(r.insert(&[b.clone(), b.clone()]));
         assert_eq!(r.iter_bound(&[(1, &b)]).count(), 2);
+        assert!(!r.contains(std::slice::from_ref(&b)));
+        assert!(!r.remove(std::slice::from_ref(&b)));
+        let rows: Vec<&[Term]> = r.iter().collect();
+        assert_eq!(
+            rows,
+            [&[a.clone(), b.clone()][..], &[b.clone(), b.clone()][..]]
+        );
+        // A probe past the arity matches nothing.
+        assert_eq!(r.iter_bound(&[(2, &b)]).count(), 0);
+        // A store refuses the same way: the first fact fixed the arity.
+        let mut s = FactStore::new();
+        let p = syms.intern("p");
+        assert!(s.insert(p, &[a.clone(), b.clone()]));
+        assert!(!s.insert(p, std::slice::from_ref(&a)));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -427,11 +834,11 @@ mod tests {
         let mut syms = Interner::new();
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
-        let mut r1 = Relation::new();
-        r1.insert(t(std::slice::from_ref(&a)));
-        let mut r2 = Relation::new();
-        r2.insert(t(std::slice::from_ref(&a)));
-        r2.insert(t(std::slice::from_ref(&b)));
+        let mut r1 = Relation::new(1);
+        r1.insert(std::slice::from_ref(&a));
+        let mut r2 = Relation::new(1);
+        r2.insert(std::slice::from_ref(&a));
+        r2.insert(std::slice::from_ref(&b));
         assert_eq!(r1.extend_from(&r2), 1);
         assert_eq!(r1.len(), 2);
     }
@@ -443,10 +850,10 @@ mod tests {
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
         let mut s1 = FactStore::new();
-        s1.insert(p, t(std::slice::from_ref(&a)));
+        s1.insert(p, std::slice::from_ref(&a));
         let mut s2 = FactStore::new();
-        s2.insert(p, t(std::slice::from_ref(&a)));
-        s2.insert(p, t(std::slice::from_ref(&b)));
+        s2.insert(p, std::slice::from_ref(&a));
+        s2.insert(p, std::slice::from_ref(&b));
         assert_eq!(s1.absorb(&s2), 1);
         assert_eq!(s1.len(), 2);
     }
@@ -458,12 +865,12 @@ mod tests {
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
         let mut s1 = FactStore::new();
-        s1.insert(p, t(&[a.clone(), a.clone()]));
+        s1.insert(p, &[a.clone(), a.clone()]);
         // Build an index, then absorb more facts into the same relation.
         assert_eq!(s1.relation(p).unwrap().iter_first(&a).count(), 1);
         let mut s2 = FactStore::new();
-        s2.insert(p, t(&[a.clone(), b.clone()]));
-        s2.insert(p, t(&[b.clone(), b.clone()]));
+        s2.insert(p, &[a.clone(), b.clone()]);
+        s2.insert(p, &[b.clone(), b.clone()]);
         assert_eq!(s1.absorb(&s2), 2);
         assert_eq!(s1.relation(p).unwrap().iter_first(&a).count(), 2);
     }
@@ -475,8 +882,215 @@ mod tests {
         let q = syms.intern("q");
         let a = Term::Const(syms.intern("a"));
         let mut s = FactStore::new();
-        s.insert(p, t(std::slice::from_ref(&a)));
+        s.insert(p, std::slice::from_ref(&a));
         assert!(s.contains(p, std::slice::from_ref(&a)));
         assert!(!s.contains(q, std::slice::from_ref(&a)));
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A value from a domain wide enough to fill a few chunks at arity 1:
+    /// symbols, the integer extremes, small integers and function terms
+    /// (which compare and hash through their argument list).
+    fn value(state: &mut u64) -> Term {
+        let r = splitmix(state);
+        match r % 8 {
+            0 => Term::Int(i64::MIN),
+            1 => Term::Int(i64::MAX),
+            2 => Term::func(Sym(3), vec![Term::Int((r >> 8) as i64 % 64)]),
+            3 | 4 => Term::Const(Sym((r >> 8) as u32 % 2048)),
+            _ => Term::Int((r >> 8) as i64 % 2048 - 1024),
+        }
+    }
+
+    /// What a relation is held to: its rows in insertion order, and as a
+    /// set.
+    #[derive(Default)]
+    struct Model {
+        order: Vec<Vec<Term>>,
+        set: BTreeSet<Vec<Term>>,
+    }
+
+    impl Model {
+        fn insert(&mut self, row: &[Term]) -> bool {
+            let new = self.set.insert(row.to_vec());
+            if new {
+                self.order.push(row.to_vec());
+            }
+            new
+        }
+        fn remove(&mut self, row: &[Term]) -> bool {
+            let gone = self.set.remove(row);
+            self.order.retain(|r| r != row);
+            gone
+        }
+    }
+
+    /// Probes `r` on the columns of `mask` with the key of `like`, and
+    /// checks the rows (and their order) against the model's.
+    fn assert_probe(r: &Relation, model: &Model, mask: usize, like: &[Term]) {
+        let bound: Vec<(usize, &Term)> = (0..like.len())
+            .filter(|c| mask & (1 << c) != 0)
+            .map(|c| (c, &like[c]))
+            .collect();
+        let got: Vec<&[Term]> = r.iter_bound(&bound).collect();
+        let want: Vec<&[Term]> = model
+            .order
+            .iter()
+            .filter(|row| bound.iter().all(|&(c, t)| row[c] == *t))
+            .map(Vec::as_slice)
+            .collect();
+        assert_eq!(got, want, "probe {bound:?}");
+    }
+
+    fn assert_same(r: &Relation, model: &Model) {
+        assert_eq!(r.len(), model.order.len());
+        assert!(r.iter().eq(model.order.iter().map(Vec::as_slice)));
+        for row in &model.order {
+            assert!(r.contains(row));
+        }
+    }
+
+    /// Inserts, removes, membership tests and probes at arity 0–4, against
+    /// the model, up to one row short of a chunk, a chunk, and one row past
+    /// it; probes run before and after the inserts they must see.
+    #[test]
+    fn seeded_operations_agree_with_a_set_model() {
+        for arity in 0..=4usize {
+            for (case, target) in [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+                .into_iter()
+                .enumerate()
+            {
+                let target = if arity == 0 { 1 } else { target };
+                let mut state = (arity * 10 + case) as u64;
+                let (mut r, mut model) = (Relation::new(arity), Model::default());
+                let row =
+                    |state: &mut u64| -> Vec<Term> { (0..arity).map(|_| value(state)).collect() };
+                let mut step = 0usize;
+                while model.order.len() < target {
+                    step += 1;
+                    let fresh = row(&mut state);
+                    assert_eq!(r.insert(&fresh), model.insert(&fresh), "insert {fresh:?}");
+                    // Again: a duplicate, now.
+                    assert!(!r.insert(&fresh));
+                    let other = row(&mut state);
+                    assert_eq!(r.contains(&other), model.set.contains(&other));
+                    if step.is_multiple_of(97) && arity > 0 {
+                        let mask = (splitmix(&mut state) as usize) % (1 << arity);
+                        let like =
+                            model.order[splitmix(&mut state) as usize % model.order.len()].clone();
+                        assert_probe(&r, &model, mask, &like);
+                        assert_probe(&r, &model, mask, &other);
+                    }
+                    if step.is_multiple_of(331) {
+                        let gone =
+                            model.order[splitmix(&mut state) as usize % model.order.len()].clone();
+                        assert_eq!(r.remove(&gone), model.remove(&gone));
+                        assert_eq!(r.index_count(), 0, "a removal drops the indexes");
+                        assert!(!r.remove(&gone));
+                    }
+                }
+                assert_same(&r, &model);
+                for mask in 0..(1usize << arity) {
+                    for like in model.order.iter().step_by(model.order.len() / 7 + 1) {
+                        assert_probe(&r, &model, mask, like);
+                    }
+                }
+                // Every index built above is maintained across the chunk
+                // boundary.
+                for _ in 0..3 {
+                    let fresh = row(&mut state);
+                    assert_eq!(r.insert(&fresh), model.insert(&fresh));
+                }
+                for mask in 0..(1usize << arity) {
+                    let like = model.order.last().expect("rows").clone();
+                    assert_probe(&r, &model, mask, &like);
+                }
+                assert_same(&r, &model);
+                assert_eq!(r.chunks().len(), model.order.len().div_ceil(CHUNK_ROWS));
+            }
+        }
+    }
+
+    #[test]
+    fn arity_zero_holds_one_row_at_most() {
+        let mut r = Relation::new(0);
+        assert!(!r.contains(&[]));
+        assert!(r.insert(&[]));
+        assert!(!r.insert(&[]));
+        assert!(r.contains(&[]));
+        assert_eq!(r.iter().collect::<Vec<_>>(), [&[] as &[Term]]);
+        assert!(r.remove(&[]));
+        assert!(r.is_empty());
+    }
+
+    /// Every row and every key hashes alike: each lookup walks one probe
+    /// run and must still tell rows and keys apart by comparing them.
+    #[test]
+    fn a_forced_collision_keeps_every_row_apart() {
+        FORCED_HASH.with(|h| h.set(Some(7)));
+        let mut state = 5u64;
+        let (mut r, mut model) = (Relation::new(3), Model::default());
+        // Probe (so build) one index before the inserts, to maintain it.
+        let some = [Term::Int(0), Term::Int(0), Term::Int(0)];
+        assert_eq!(r.iter_bound(&[(0, &some[0])]).count(), 0);
+        for _ in 0..300 {
+            let row: Vec<Term> = (0..3)
+                .map(|_| Term::Int((splitmix(&mut state) % 6) as i64))
+                .collect();
+            assert_eq!(r.insert(&row), model.insert(&row));
+        }
+        assert_eq!(r.set.len, model.order.len());
+        assert_same(&r, &model);
+        for like in model.order.iter().take(20) {
+            for mask in [0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111] {
+                assert_probe(&r, &model, mask, like);
+            }
+            assert!(r.contains_by(|c| Cow::Borrowed(&like[c])));
+        }
+        assert!(!r.contains(&[Term::Int(9), Term::Int(0), Term::Int(0)]));
+        let gone = model.order[17].clone();
+        assert!(r.remove(&gone) && model.remove(&gone));
+        assert_same(&r, &model);
+        assert_probe(&r, &model, 0b011, &model.order[3].clone());
+        FORCED_HASH.with(|h| h.set(None));
+    }
+
+    /// A clone shares every chunk; a write to it copies the last one only,
+    /// and the original reads as before.
+    #[test]
+    fn a_write_after_a_clone_copies_only_the_last_chunk() {
+        let mut r = Relation::new(2);
+        for i in 0..(2 * CHUNK_ROWS + 10) as i64 {
+            r.insert(&[Term::Int(i), Term::Int(-i)]);
+        }
+        assert_eq!(r.iter_first(&Term::Int(3)).count(), 1);
+        let before: Vec<Vec<Term>> = r.iter().map(<[Term]>::to_vec).collect();
+        let mut copy = r.clone();
+        assert!(
+            Arc::ptr_eq(&r.set, &copy.set),
+            "a clone shares the dedup table"
+        );
+        assert!(!copy.insert(&[Term::Int(3), Term::Int(-3)]));
+        assert!(Arc::ptr_eq(&r.set, &copy.set), "a duplicate writes nothing");
+        assert!(copy.insert(&[Term::Int(-1), Term::Int(1)]));
+        assert!(!Arc::ptr_eq(&r.set, &copy.set));
+        let (old, new) = (r.chunks(), copy.chunks());
+        assert_eq!(old.len(), new.len());
+        let last = old.len() - 1;
+        for (i, (a, b)) in old.iter().zip(new).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), i != last, "chunk {i}");
+        }
+        assert!(r.iter().eq(before.iter().map(Vec::as_slice)));
+        assert!(!r.contains(&[Term::Int(-1), Term::Int(1)]));
+        assert_eq!(copy.len(), r.len() + 1);
+        assert_eq!(copy.iter_first(&Term::Int(-1)).count(), 1);
+        assert_eq!(r.iter_first(&Term::Int(-1)).count(), 0);
     }
 }

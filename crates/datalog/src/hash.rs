@@ -3,12 +3,13 @@
 //! not bytes a client chose — so one multiply per word replaces SipHash.
 //! Every multiply is 64×64→128 and **folded** (high half xor low half):
 //! hashbrown takes a bucket from the low bits of a hash and a control byte
-//! from its top seven, and a plain multiply carries input bits upward
-//! only, so integers that differ in their high bits alone would share
-//! buckets. It is still keyed: the start state and the closing multiplier
-//! are drawn once per process from std's `RandomState`, so which integers
-//! collide is not knowable from outside. The string [`crate::Interner`]
-//! keeps SipHash.
+//! from its top seven, the row tables of `fact.rs` a home slot from its
+//! top bits, and a plain multiply carries input bits upward only, so
+//! integers that differ in their high bits alone would share buckets. It
+//! is still keyed: the start state and the closing multiplier are drawn
+//! once per process from std's `RandomState`, so which integers collide
+//! is not knowable from outside. The string [`crate::Interner`] keeps
+//! SipHash.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -88,8 +89,10 @@ mod tests {
     }
 
     /// What hashbrown reads of a hash — the low 16 bits (the bucket, in a
-    /// table of 65 536) and the top 7 (the control byte) — must each take
-    /// at least 60 % of the distinct values an ideal hash would.
+    /// table of 65 536) and the top 7 (the control byte) — and what the row
+    /// tables read — the top 16 (the home slot, in a table of 65 536) —
+    /// must each take at least 60 % of the distinct values an ideal hash
+    /// would.
     fn assert_spread<K: Hash>(family: &str, keys: impl Iterator<Item = K>) {
         let state = WordState::default();
         let hashes: Vec<u64> = keys.map(|k| state.hash_one(k)).collect();
@@ -97,6 +100,7 @@ mod tests {
         for (part, buckets, left, right) in [
             ("low 16 bits", 1 << 16, 48, 48),
             ("top 7 bits", 1 << 7, 0, 57),
+            ("top 16 bits", 1 << 16, 0, 48),
         ] {
             let distinct: HashSet<u64> = hashes.iter().map(|h| (h << left) >> right).collect();
             let floor = 0.6 * ideal(hashes.len(), buckets);
@@ -135,10 +139,6 @@ mod tests {
             "3-column key",
             (0..N).map(|i| vec![sym(7), sym(i), Term::Int(i << 40)]),
         );
-        // A tuple is hashed as a slice: the set and a probe must agree.
-        let tuple: crate::fact::Tuple = vec![sym(1), Term::Int(2)].into();
-        let state = WordState::default();
-        assert_eq!(state.hash_one(&tuple), state.hash_one(&tuple[..]));
     }
 
     /// Relations are built on whichever thread evaluates; all of them must

@@ -55,7 +55,7 @@ use crate::eval::{
     begin_round, eval_strata, eval_stratum, execute_round, plan_rules, EvalOptions, EvalProfile,
     EvalStats, IndexCounters, Model, NegView, RulePlan, StratumProfile, StratumScope,
 };
-use crate::fact::{FactStore, Tuple};
+use crate::fact::FactStore;
 use crate::interner::Sym;
 use crate::program::Stratum;
 use crate::rule::Rule;
@@ -94,17 +94,17 @@ impl EngineDelta {
 
     /// Records an asserted fact, cancelling a pending retraction of the
     /// same fact if one exists.
-    pub(crate) fn log_add(&mut self, pred: Sym, tuple: Tuple) {
-        if !self.removed.remove(pred, &tuple) {
-            self.added.insert(pred, tuple);
+    pub(crate) fn log_add(&mut self, pred: Sym, row: &[Term]) {
+        if !self.removed.remove(pred, row) {
+            self.added.insert(pred, row);
         }
     }
 
     /// Records a retracted fact, cancelling a pending assertion of the
     /// same fact if one exists.
-    pub(crate) fn log_remove(&mut self, pred: Sym, tuple: &[Term]) {
-        if !self.added.remove(pred, tuple) {
-            self.removed.insert(pred, tuple.to_vec().into());
+    pub(crate) fn log_remove(&mut self, pred: Sym, row: &[Term]) {
+        if !self.added.remove(pred, row) {
+            self.removed.insert(pred, row);
         }
     }
 
@@ -230,8 +230,8 @@ impl<'a> Since<'a> {
                 store.set_relation(p, old);
             }
             if let Some(added) = delta.added.relation(p).filter(|_| m.grown) {
-                for t in added.iter() {
-                    store.insert(p, t.clone());
+                for row in added.iter() {
+                    store.insert(p, row);
                 }
             }
         }
@@ -374,9 +374,9 @@ impl<'a> Since<'a> {
 fn diff_against_base(stratum: &Stratum, total: &FactStore, base: &Model, novel: &mut FactStore) {
     for &p in &stratum.preds {
         let old_rel = base.facts.relation(p);
-        for t in total.relation(p).into_iter().flat_map(|r| r.iter()) {
-            if !old_rel.is_some_and(|o| o.contains(t)) {
-                novel.insert(p, t.clone());
+        for row in total.relation(p).into_iter().flat_map(|r| r.iter()) {
+            if !old_rel.is_some_and(|o| o.contains(row)) {
+                novel.insert(p, row);
             }
         }
     }
@@ -431,12 +431,12 @@ fn maintain_additions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Tuple};
+    use crate::Engine;
     use std::collections::HashSet as Set;
 
-    fn facts_of(m: &Model, e: &Engine, pred: &str) -> Set<Tuple> {
+    fn facts_of<'m>(m: &'m Model, e: &Engine, pred: &str) -> Set<&'m [Term]> {
         e.lookup(pred)
-            .and_then(|p| m.facts.relation(p).map(|r| r.iter().cloned().collect()))
+            .map(|p| m.tuples(p).collect())
             .unwrap_or_default()
     }
 
@@ -447,16 +447,8 @@ mod tests {
             .chain(cold.facts.predicates())
             .collect();
         for p in preds {
-            let a: Set<Tuple> = inc
-                .facts
-                .relation(p)
-                .map(|r| r.iter().cloned().collect())
-                .unwrap_or_default();
-            let b: Set<Tuple> = cold
-                .facts
-                .relation(p)
-                .map(|r| r.iter().cloned().collect())
-                .unwrap_or_default();
+            let a: Set<&[Term]> = inc.tuples(p).collect();
+            let b: Set<&[Term]> = cold.tuples(p).collect();
             assert_eq!(a, b, "extension mismatch for {}", e.name(p));
         }
     }

@@ -59,7 +59,7 @@ pub use atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp, Expr};
 pub use error::{DatalogError, Result};
 pub use eval::{CancelToken, EvalOptions, EvalProfile, EvalStats, Model, RulePlan, StratumProfile};
 pub use explain::{Derivation, DerivationStep};
-pub use fact::{FactStore, Relation, Tuple};
+pub use fact::{FactStore, Relation};
 pub use interner::{Interner, Sym};
 pub use ivm::EngineDelta;
 pub use parser::{quoted, Clause};
@@ -104,6 +104,8 @@ pub struct Engine {
     syms: Interner,
     edb: FactStore,
     rules: Vec<Rule>,
+    /// Arities the rules fix, for predicates with no stored relation: a
+    /// relation carries its own.
     arities: HashMap<Sym, usize, hash::WordState>,
     /// When `Some`, every mutation (fact asserted/retracted, rule
     /// added/removed) is recorded for incremental maintenance — see
@@ -195,13 +197,26 @@ impl Engine {
         })
     }
 
+    /// The arity `pred` is fixed at: its stored relation's, or the one a
+    /// rule gave it.
+    fn arity(&self, pred: Sym) -> Option<usize> {
+        match self.edb.relation(pred) {
+            Some(rel) => Some(rel.arity()),
+            None => self.arities.get(&pred).copied(),
+        }
+    }
+
+    fn arity_mismatch(&self, pred: Sym, expected: usize, found: usize) -> DatalogError {
+        DatalogError::ArityMismatch {
+            pred: self.syms.resolve(pred).to_string(),
+            expected,
+            found,
+        }
+    }
+
     fn check_arity(&mut self, pred: Sym, arity: usize) -> Result<()> {
-        match self.arities.get(&pred) {
-            Some(&a) if a != arity => Err(DatalogError::ArityMismatch {
-                pred: self.syms.resolve(pred).to_string(),
-                expected: a,
-                found: arity,
-            }),
+        match self.arity(pred) {
+            Some(a) if a != arity => Err(self.arity_mismatch(pred, a, arity)),
             Some(_) => Ok(()),
             None => {
                 self.arities.insert(pred, arity);
@@ -223,22 +238,24 @@ impl Engine {
         Ok(())
     }
 
-    /// Adds a ground fact. A `[Term; N]` array becomes the stored tuple in
-    /// one allocation.
-    pub fn add_fact(&mut self, pred: Sym, args: impl Into<Tuple>) -> Result<bool> {
-        let tuple: Tuple = args.into();
-        self.check_arity(pred, tuple.len())?;
-        debug_assert!(tuple.iter().all(Term::is_ground), "facts must be ground");
-        Ok(match &mut self.changelog {
-            None => self.edb.insert(pred, tuple),
-            Some(log) => {
-                let inserted = self.edb.insert(pred, tuple.clone());
-                if inserted {
-                    log.log_add(pred, tuple);
-                }
-                inserted
+    /// Adds a ground fact; returns `true` if it was new. The arity is
+    /// checked against the relation the row goes into — a rule's arity
+    /// only for a predicate's first stored fact — so a fact costs one
+    /// predicate lookup.
+    pub fn add_fact(&mut self, pred: Sym, args: impl AsRef<[Term]>) -> Result<bool> {
+        let row = args.as_ref();
+        debug_assert!(row.iter().all(Term::is_ground), "facts must be ground");
+        let arities = &self.arities;
+        let inserted = self
+            .edb
+            .insert_declared(pred, row, || arities.get(&pred).copied())
+            .map_err(|expected| self.arity_mismatch(pred, expected, row.len()))?;
+        if inserted {
+            if let Some(log) = &mut self.changelog {
+                log.log_add(pred, row);
             }
-        })
+        }
+        Ok(inserted)
     }
 
     /// Removes a ground fact from the extensional database; returns
@@ -278,13 +295,7 @@ impl Engine {
         for clause in parser::parse_program(src, &mut self.syms)? {
             match clause {
                 Clause::Fact(a) => {
-                    self.check_arity(a.pred, a.arity())?;
-                    let tuple: Tuple = a.args.into();
-                    if self.edb.insert(a.pred, tuple.clone()) {
-                        if let Some(log) = &mut self.changelog {
-                            log.log_add(a.pred, tuple);
-                        }
-                    }
+                    self.add_fact(a.pred, a.args)?;
                 }
                 Clause::Rule(r) => self.add_rule(r)?,
             }
@@ -451,7 +462,7 @@ impl Engine {
         }
         let mut edb = store.clone();
         for (p, args) in &rw.seeds {
-            edb.insert(*p, args.clone().into());
+            edb.insert(*p, args);
         }
         let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, borrow)?;
         model.profile.magic_fired = true;
@@ -590,7 +601,7 @@ mod tests {
     /// The reference side of the goal-directed tests: `pred`'s relevant
     /// subprogram evaluated plainly — all-free goal, rewrite off, no base.
     fn pruned(e: &mut Engine, pred: Sym) -> Model {
-        let args = (0..e.arities[&pred]).map(|i| Term::Var(Var(i as u32)));
+        let args = (0..e.arity(pred).unwrap()).map(|i| Term::Var(Var(i as u32)));
         let goal = Atom::new(pred, args.collect());
         let opts = EvalOptions {
             magic_sets: false,
@@ -623,10 +634,10 @@ mod tests {
         let m = pruned(&mut e, tc);
         assert_eq!(m.tuples(tc).len(), 3);
         // The pruned model never computed `bigger`.
-        assert!(m.tuples(e.lookup("bigger").unwrap()).is_empty());
+        assert!(m.tuples(e.lookup("bigger").unwrap()).next().is_none());
         // But the full run does.
         let full = e.run(&EvalOptions::default()).unwrap();
-        assert!(!full.tuples(e.lookup("bigger").unwrap()).is_empty());
+        assert!(full.tuples(e.lookup("bigger").unwrap()).next().is_some());
         // And the goal predicate agrees between the two.
         assert_eq!(m.tuples(tc).len(), full.tuples(tc).len());
     }
@@ -667,8 +678,8 @@ mod tests {
             .run_for_query(&goal, Some((&base, &delta)), &opts)
             .unwrap();
         let cold = pruned(&mut e, view);
-        let wset: HashSet<Tuple> = warm.tuples(view).into_iter().collect();
-        let cset: HashSet<Tuple> = cold.tuples(view).into_iter().collect();
+        let wset: HashSet<&[Term]> = warm.tuples(view).collect();
+        let cset: HashSet<&[Term]> = cold.tuples(view).collect();
         assert_eq!(wset, cset);
         assert_eq!(wset.len(), 2); // tc(a,·) = {b,c,d}, minus m = {a,c}
                                    // tc was seeded from the base model, not re-derived.
@@ -694,7 +705,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(nocache.profile.seeded, 0);
-        let nset: HashSet<Tuple> = nocache.tuples(view).into_iter().collect();
+        let nset: HashSet<&[Term]> = nocache.tuples(view).collect();
         assert_eq!(nset, cset);
     }
 
@@ -776,6 +787,47 @@ mod tests {
         let third = warmed.run(&opts).unwrap();
         assert_eq!(first.stats, second.stats);
         assert_eq!(first.stats, third.stats);
+    }
+
+    /// A snapshot's base clone shares the engine's stored relations. The
+    /// first fact written after that — a `load_row` after a publish —
+    /// copies the last chunk of the relation it lands in, not the relation.
+    #[test]
+    fn a_write_after_a_share_copies_one_chunk() {
+        let mut e = Engine::new();
+        e.load("v(X) :- mi(X, location, Y).").unwrap();
+        let (mi, location) = (e.sym("mi"), e.constant("location"));
+        for i in 0..(2 * fact::CHUNK_ROWS + 100) as i64 {
+            let o = e.constant(&format!("o{i}"));
+            e.add_fact(mi, [o, location.clone(), Term::Int(i)]).unwrap();
+        }
+        e.begin_delta();
+        let shared = e.clone();
+        let o = e.constant("extra");
+        assert!(e.add_fact(mi, [o, location, Term::Int(-1)]).unwrap());
+        let (old, new) = (
+            shared.edb().relation(mi).unwrap(),
+            e.edb().relation(mi).unwrap(),
+        );
+        let last = old.chunks().len() - 1;
+        assert_eq!(new.chunks().len(), old.chunks().len());
+        for (i, (a, b)) in old.chunks().iter().zip(new.chunks()).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), i != last, "chunk {i}");
+        }
+        assert_eq!(new.len(), old.len() + 1);
+        let stored = e.edb().len();
+        assert_eq!(e.take_delta().unwrap().added.len(), 1);
+        // A row of the wrong length is an error, and stores nothing.
+        let bad = e.add_fact(mi, [Term::Int(0)]).unwrap_err();
+        assert!(matches!(
+            bad,
+            DatalogError::ArityMismatch {
+                expected: 3,
+                found: 1,
+                ..
+            }
+        ));
+        assert_eq!(e.edb().len(), stored);
     }
 
     #[test]

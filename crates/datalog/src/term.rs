@@ -10,6 +10,7 @@
 //! (see [`crate::eval::EvalOptions`]).
 
 use crate::interner::{Interner, Sym};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -95,6 +96,27 @@ impl Term {
             Term::Var(v) => subst.get(*v).cloned().unwrap_or_else(|| self.clone()),
             Term::Const(_) | Term::Int(_) => self.clone(),
             Term::Func(f, args) => Term::Func(*f, args.iter().map(|a| a.apply(subst)).collect()),
+        }
+    }
+
+    /// Whether [`Self::apply`] under `subst` would be ground: every
+    /// variable in the term is bound. Builds nothing.
+    pub(crate) fn is_ground_under(&self, subst: &Subst) -> bool {
+        match self {
+            Term::Var(v) => subst.get(*v).is_some(),
+            Term::Const(_) | Term::Int(_) => true,
+            Term::Func(_, args) => args.iter().all(|a| a.is_ground_under(subst)),
+        }
+    }
+
+    /// [`Self::apply`] without the copy: borrowed from the term or the
+    /// substitution, owned only where a function term with variables has
+    /// to be rebuilt.
+    pub(crate) fn resolve<'a>(&'a self, subst: &'a Subst) -> Cow<'a, Term> {
+        match self {
+            Term::Var(v) => Cow::Borrowed(subst.get(*v).unwrap_or(self)),
+            Term::Func(..) if !self.is_ground() => Cow::Owned(self.apply(subst)),
+            _ => Cow::Borrowed(self),
         }
     }
 

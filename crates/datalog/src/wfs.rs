@@ -64,7 +64,7 @@ pub(crate) fn eval_well_founded(
             let mut undefined = FactStore::new();
             for (p, t) in upper.iter() {
                 if !new_lower.contains(p, t) {
-                    undefined.insert(p, t.clone());
+                    undefined.insert(p, t);
                 }
             }
             return Ok((new_lower, undefined));
@@ -115,9 +115,9 @@ mod tests {
             .map(|i| Term::Const(syms.intern(&format!("p{i}"))))
             .collect();
         // Path: p0 -> p1 -> p2 (p2 terminal: lost). Cycle: p3 -> p3.
-        edb.insert(mv, vec![n[0].clone(), n[1].clone()].into());
-        edb.insert(mv, vec![n[1].clone(), n[2].clone()].into());
-        edb.insert(mv, vec![n[3].clone(), n[3].clone()].into());
+        edb.insert(mv, &[n[0].clone(), n[1].clone()]);
+        edb.insert(mv, &[n[1].clone(), n[2].clone()]);
+        edb.insert(mv, &[n[3].clone(), n[3].clone()]);
         let rules = vec![Rule::compile(
             Atom::new(win, vec![v(0)]),
             vec![
@@ -149,9 +149,9 @@ mod tests {
         let mut edb = FactStore::new();
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
-        edb.insert(node, vec![a.clone()].into());
-        edb.insert(node, vec![b.clone()].into());
-        edb.insert(marked, vec![a.clone()].into());
+        edb.insert(node, std::slice::from_ref(&a));
+        edb.insert(node, std::slice::from_ref(&b));
+        edb.insert(marked, std::slice::from_ref(&a));
         let rules = vec![Rule::compile(
             Atom::new(un, vec![v(0)]),
             vec![
@@ -177,7 +177,7 @@ mod tests {
         let q = syms.intern("q");
         let mut edb = FactStore::new();
         let a = Term::Const(syms.intern("a"));
-        edb.insert(item, vec![a.clone()].into());
+        edb.insert(item, std::slice::from_ref(&a));
         let rules = vec![
             Rule::compile(
                 Atom::new(p, vec![v(0)]),

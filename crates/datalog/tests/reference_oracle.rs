@@ -460,7 +460,7 @@ fn assert_goal(e: &mut Engine, goal: &Lit, since: (&Model, &EngineDelta), prog: 
             );
             let mut answers = FactStore::new();
             for row in m.query(&atom) {
-                answers.insert(pred, row.into());
+                answers.insert(pred, &row);
             }
             let want = |set: &BTreeSet<Ground>| -> BTreeSet<Ground> {
                 set.iter().filter(|f| goal.matches(f)).cloned().collect()
@@ -530,12 +530,12 @@ fn check(prog: &Program, change: &Change) {
 }
 
 /// Every tuple of every relation, in stored order.
-fn frozen(m: &Model) -> Vec<(usize, Vec<kind_datalog::Tuple>)> {
+fn frozen(m: &Model) -> Vec<(usize, Vec<Vec<Term>>)> {
     let mut preds: Vec<_> = m.facts.predicates().collect();
     preds.sort_by_key(|p| p.index());
     preds
         .into_iter()
-        .map(|p| (p.index(), m.tuples(p)))
+        .map(|p| (p.index(), m.tuples(p).map(<[Term]>::to_vec).collect()))
         .collect()
 }
 
@@ -547,7 +547,7 @@ fn check_addition(prog: &Program, addition: &Addition) {
     e.load(&prog.text()).unwrap();
     let base = e.run(&EvalOptions::default()).unwrap();
     assert_model(&e, &base, prog, "run");
-    assert!(base.tuples(e.sym("z")).is_empty());
+    assert!(base.tuples(e.sym("z")).next().is_none());
     let before = frozen(&base);
     let growth = Program {
         facts: addition.add.iter().cloned().collect(),

@@ -264,13 +264,17 @@ impl FLogic {
         let Some(c) = self.engine.lookup(class) else {
             return Vec::new();
         };
-        let c = Term::Const(c);
-        let mut out = Vec::new();
-        for tuple in model.tuples(self.preds.inst) {
-            if tuple.len() == 2 && tuple[1] == c {
-                out.push(self.engine.show(&tuple[0]));
-            }
-        }
+        let Some(inst) = model
+            .facts
+            .relation(self.preds.inst)
+            .filter(|r| r.arity() == 2)
+        else {
+            return Vec::new();
+        };
+        let mut out: Vec<String> = inst
+            .iter_bound(&[(1, &Term::Const(c))])
+            .map(|row| self.engine.show(&row[0]))
+            .collect();
         out.sort();
         out.dedup();
         out
@@ -297,13 +301,17 @@ impl FLogic {
         let Some(o) = self.engine.lookup(obj) else {
             return Vec::new();
         };
-        let o = Term::Const(o);
-        let mut out = Vec::new();
-        for tuple in model.tuples(self.preds.mi) {
-            if tuple.len() == 3 && tuple[0] == o {
-                out.push((self.engine.show(&tuple[1]), self.engine.show(&tuple[2])));
-            }
-        }
+        let Some(mi) = model
+            .facts
+            .relation(self.preds.mi)
+            .filter(|r| r.arity() == 3)
+        else {
+            return Vec::new();
+        };
+        let mut out: Vec<(String, String)> = mi
+            .iter_first(&Term::Const(o))
+            .map(|row| (self.engine.show(&row[1]), self.engine.show(&row[2])))
+            .collect();
         out.sort();
         out
     }
@@ -313,9 +321,9 @@ impl FLogic {
     /// model satisfies every denial.
     pub fn inconsistency_witnesses(&self, model: &Model) -> Vec<String> {
         let mut out = Vec::new();
-        for tuple in model.tuples(self.preds.icw) {
-            if tuple.len() == 1 {
-                out.push(self.engine.show(&tuple[0]));
+        for row in model.tuples(self.preds.icw) {
+            if row.len() == 1 {
+                out.push(self.engine.show(&row[0]));
             }
         }
         out.sort();
