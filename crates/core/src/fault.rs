@@ -547,9 +547,9 @@ impl FaultInjector {
 
     /// The faults drawn *before* the inner wrapper answers, for call
     /// number `call`: injected delays and outright failures, in schedule
-    /// order. Shared by the blocking ([`Wrapper::query`]) and split
-    /// ([`Wrapper::submit`]) paths, so a given call number draws the
-    /// identical schedule in both fetch modes.
+    /// order. Shared by [`Wrapper::query`] and the fetch plane's
+    /// [`Wrapper::submit`], so a given call number draws the identical
+    /// schedule whichever of the two is called.
     fn pre_faults(&self, call: u64) -> std::result::Result<(), SourceError> {
         for fault in &self.faults {
             match *fault {

@@ -591,12 +591,7 @@ impl Mediator {
     /// class, and malformed rows are typed errors — not silently
     /// accepted).
     pub fn load_row(&mut self, source: &str, class: &str, row: &ObjectRow) -> Result<()> {
-        let src = self.federation.source(source)?;
-        if !src.classes.iter().any(|c| c == class) {
-            return Err(MediatorError::UnknownClass {
-                class: class.to_string(),
-            });
-        }
+        let src = self.exporting_source(source, class)?;
         if let Err(reason) = src.validate_row(class, row) {
             return Err(MediatorError::Source {
                 name: source.to_string(),
@@ -616,9 +611,11 @@ impl Mediator {
     /// the strata the removed facts reach). Returns how many
     /// facts were actually present and removed — `0` means the row was
     /// never loaded (or already retracted), which is not an error. The
-    /// class declaration itself stays: other rows may still use it.
+    /// class declaration itself stays: other rows may still use it. A
+    /// class the source does not export is refused as in `load_row`,
+    /// before the base is touched.
     pub fn retract_row(&mut self, source: &str, class: &str, row: &ObjectRow) -> Result<usize> {
-        self.federation.source(source)?;
+        self.exporting_source(source, class)?;
         let (obj, was_instance) = self
             .base
             .flogic_mut()
@@ -628,6 +625,18 @@ impl Mediator {
             removed += usize::from(self.base.retract_value(obj.clone(), attr, value));
         }
         Ok(removed)
+    }
+
+    /// The registered source `source`, provided it exports `class`: an
+    /// unknown source or an unexported class is refused.
+    fn exporting_source(&self, source: &str, class: &str) -> Result<&RegisteredSource> {
+        let src = self.federation.source(source)?;
+        if !src.classes.iter().any(|c| c == class) {
+            return Err(MediatorError::UnknownClass {
+                class: class.to_string(),
+            });
+        }
+        Ok(src)
     }
 
     /// Evaluates the base (rebuilding first if needed) and caches the
@@ -643,8 +652,8 @@ impl Mediator {
     /// applications, new views) have been accumulating in the
     /// engine's changelog, and when a cached model exists they are
     /// applied to it *incrementally* ([`kind_datalog::Engine::apply_delta`]
-    /// — monotone additions ride delta rounds, and retractions and
-    /// non-monotone residues rebuild only their strata). Only when no
+    /// — strata the mutations do not reach are reused, and only the ones
+    /// they reach are rebuilt). Only when no
     /// model is cached — first run, rebuild, or a prior publish failure —
     /// does the evaluation start cold.
     pub fn run(&mut self) -> Result<&Model> {
@@ -1420,6 +1429,33 @@ mod tests {
         assert_eq!(m.query_fl("big(X)").unwrap().len(), 1);
         // Retracting a never-loaded row is a no-op, not an error.
         assert_eq!(m.retract_row("S1", "spines", &existing_row(9)).unwrap(), 0);
+    }
+
+    /// `retract_row` refuses a class its source does not export, as
+    /// `load_row` does, before it touches the base: the row's `mi` facts
+    /// stay beside its `inst` fact, and the class name is not interned.
+    #[test]
+    fn retracting_an_unexported_class_is_refused_and_changes_nothing() {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.register(simple_wrapper("S1", "spines", "Spine", 3))
+            .unwrap();
+        m.materialize_all().unwrap();
+        let sizes = |m: &Mediator| {
+            let e = m.base().flogic().engine();
+            (e.edb().len(), e.symbols().len())
+        };
+        let before = sizes(&m);
+        let err = m
+            .retract_row("S1", "no_such_class", &existing_row(1))
+            .unwrap_err();
+        assert!(
+            matches!(&err, MediatorError::UnknownClass { class } if class == "no_such_class"),
+            "{err:?}"
+        );
+        assert_eq!(sizes(&m), before);
+        m.publish().unwrap();
+        assert_eq!(m.query_fl("X : spines").unwrap().len(), 3);
+        assert_eq!(m.query_fl("X[value -> V]").unwrap().len(), 3);
     }
 
     /// A publish with nothing staged must not touch the cached model —

@@ -318,6 +318,7 @@ mod tests {
             let mut o = m.eval_options().clone();
             o.base_cache = base_cache;
             m.set_eval_options(o);
+            m.materialize_all().unwrap();
             m.publish().unwrap();
             assert!(m.query_fl("tagged(X)").unwrap().is_empty());
             m

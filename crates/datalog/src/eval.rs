@@ -10,7 +10,9 @@
 //! through negation — a stratum-local **alternating fixpoint** (the
 //! well-founded semantics, `wfs` module). Only a stratum whose local
 //! fixpoint leaves atoms undefined ends the walk: it and everything above
-//! it are then evaluated together, three-valued.
+//! it are then evaluated together, three-valued. A walk over a recorded
+//! delta (`ivm` module) goes through the same loop and reuses the strata
+//! the delta does not reach instead of running them.
 //!
 //! Three further performance layers sit on top, each with its own
 //! [`EvalOptions`] knob so the ablation benches can decompose the speedup:
@@ -359,14 +361,10 @@ pub struct EvalProfile {
     /// evaluation.
     pub delta_applied: bool,
     /// Strata whose relations the delta walk reused wholesale from the
-    /// base model (untouched by the delta).
+    /// base model (nothing the delta changed reaches them).
     pub delta_reused_strata: usize,
-    /// Strata the delta walk re-evaluated incrementally (semi-naive
-    /// additions on the previous extension: inputs only grew).
-    pub delta_incremental_strata: usize,
-    /// Strata the delta walk rebuilt cold (inputs that shrank, changed
-    /// rules, or a change reaching the stratum through negation or
-    /// aggregation).
+    /// Strata the delta walk re-evaluated from their stored facts and the
+    /// strata below (something the delta changed reaches them).
     pub delta_rebuilt_strata: usize,
     /// The delta walk fell back to a cold evaluation of its rule set (a
     /// three-valued base model, or a rebuilt stratum whose alternating
@@ -838,8 +836,8 @@ impl<'a> StratumScope<'a> {
 /// through negation — the alternating fixpoint over *its own rules only*
 /// (the well-founded model restricted to an SCC equals that SCC's
 /// well-founded model relative to the two-valued strata below it). `memo`
-/// supplies join plans made earlier (the incremental path memoizes them
-/// per rule-set revision); without it the stratum is planned here.
+/// supplies join plans made earlier (a publish memoizes them per rule-set
+/// revision); without it the stratum is planned here.
 /// `borrowed` is the working store `total` started as a share of, when
 /// the walk reads a base model in place.
 ///
@@ -925,26 +923,63 @@ pub(crate) fn eval_stratum(
     Ok(two_valued.then_some(sp))
 }
 
-/// Evaluates `rules` over `edb` stratum by stratum, from nothing — the
-/// cold walk (`ivm` walks a recorded delta over a base model instead).
-/// `strat` is the rule set's stratification ([`crate::program::stratify`]).
+/// What a delta walk (`ivm::Since::walk`) adds to [`eval_strata`]: which
+/// strata to take from the base model instead of running them, where to
+/// start over, and whose memoized join plans to use.
+pub(crate) struct Reuse<'a> {
+    /// Per stratum, whether it is the base model's as it stands: nothing
+    /// the delta reaches is in it, and its relations are shared into the
+    /// working store already.
+    pub(crate) reused: &'a [bool],
+    /// The engine's stored facts, for the cold re-run a three-valued state
+    /// forces.
+    pub(crate) stored: &'a FactStore,
+    /// The engine whose memoized join plans a rebuilt negation-cyclic
+    /// stratum of its *whole* program uses ([`crate::Engine::apply_delta`]).
+    pub(crate) plans: Option<&'a crate::Engine>,
+}
+
+impl Reuse<'_> {
+    /// Evaluates `rules` cold from the stored facts, flagged as a delta
+    /// fallback in the profile.
+    pub(crate) fn start_over(
+        &self,
+        rules: &[Rule],
+        strat: &Stratification,
+        opts: &EvalOptions,
+    ) -> Result<Model> {
+        let mut model = eval_strata(rules, strat, self.stored, opts, false, None)?;
+        model.profile.delta_applied = true;
+        model.profile.delta_fallback = true;
+        Ok(model)
+    }
+}
+
+/// Evaluates `rules` over `edb` stratum by stratum — the one walk every
+/// evaluation takes. `strat` is the rule set's stratification
+/// ([`crate::program::stratify`]).
 ///
 /// The run works on a detached copy of `edb` and owns every relation it
 /// reads, unless `borrow` is set: `edb` is then a delta walk's working
-/// store under a magic-rewritten program, and its relations — the base
-/// model's own allocations — are read in place with the indexes they
-/// already carry, copied only where a stratum writes.
+/// store, and its relations — the base model's own allocations — are read
+/// in place with the indexes they already carry, copied only where a
+/// stratum writes. With `reuse` the run *is* that delta walk: a stratum
+/// `reuse` accepts keeps the base's relations and is marked skipped, and
+/// every other one is rebuilt.
 ///
 /// The model is two-valued unless some stratum's alternating fixpoint
 /// leaves atoms undefined. That stratum and every later one are then
 /// evaluated *together* under the alternating fixpoint over the two-valued
 /// store built so far: closed-world strata cannot read three-valued inputs.
+/// A delta walk starts over cold instead, because that tail would read
+/// relations it reused.
 pub(crate) fn eval_strata(
     rules: &[Rule],
     strat: &Stratification,
     edb: &FactStore,
     opts: &EvalOptions,
     borrow: bool,
+    reuse: Option<&Reuse<'_>>,
 ) -> Result<Model> {
     let borrowed = borrow.then_some(edb);
     let mut total = if borrow {
@@ -954,13 +989,38 @@ pub(crate) fn eval_strata(
     };
     let mut undefined = FactStore::new();
     let mut stats = EvalStats::default();
-    let mut profile = EvalProfile::default();
+    let mut profile = EvalProfile {
+        delta_applied: reuse.is_some(),
+        ..Default::default()
+    };
     for (i, stratum) in strat.strata.iter().enumerate() {
+        if let Some(reuse) = reuse {
+            if reuse.reused[i] {
+                profile.delta_reused_strata += 1;
+                profile.strata.push(StratumProfile {
+                    preds: stratum.preds.clone(),
+                    recursive: stratum.recursive,
+                    skipped: true,
+                    ..Default::default()
+                });
+                continue;
+            }
+            profile.delta_rebuilt_strata += 1;
+        }
+        let plan = || plan_rules(rules, &stratum.rules, &stratum.preds, &total, opts);
+        let memo = match reuse.and_then(|r| r.plans) {
+            Some(engine) if stratum.wfs => Some(engine.wfs_stratum_plan(i, plan)),
+            _ => None,
+        };
+        let memo = memo.as_ref().map(|plans| plans.as_slice());
         if let Some(sp) =
-            eval_stratum(rules, stratum, None, &mut total, borrowed, &mut stats, opts)?
+            eval_stratum(rules, stratum, memo, &mut total, borrowed, &mut stats, opts)?
         {
             profile.strata.push(sp);
             continue;
+        }
+        if let Some(reuse) = reuse {
+            return reuse.start_over(rules, strat, opts);
         }
         // The three-valued tail, in rule order.
         let tail = &strat.strata[i..];
@@ -1133,6 +1193,7 @@ mod tests {
                 &self.edb,
                 &EvalOptions::default(),
                 false,
+                None,
             )
             .unwrap()
         }
@@ -1214,7 +1275,15 @@ mod tests {
             .unwrap(),
         );
         let strat = stratify(&f.rules, |s| format!("{s}")).unwrap();
-        let semi = eval_strata(&f.rules, &strat, &f.edb, &EvalOptions::default(), false).unwrap();
+        let semi = eval_strata(
+            &f.rules,
+            &strat,
+            &f.edb,
+            &EvalOptions::default(),
+            false,
+            None,
+        )
+        .unwrap();
         let naive = eval_strata(
             &f.rules,
             &strat,
@@ -1224,6 +1293,7 @@ mod tests {
                 ..Default::default()
             },
             false,
+            None,
         )
         .unwrap();
         assert_eq!(semi.tuples(tc).len(), naive.tuples(tc).len());
@@ -1383,7 +1453,7 @@ mod tests {
             max_term_depth: 4,
             ..Default::default()
         };
-        let m = eval_strata(&f.rules, &strat, &f.edb, &opts, false).unwrap();
+        let m = eval_strata(&f.rules, &strat, &f.edb, &opts, false, None).unwrap();
         // a, f(a), f(f(a)), f3(a), f4(a): 5 facts.
         assert_eq!(m.tuples(p).len(), 5);
         assert!(m.stats.depth_clipped > 0);
@@ -1470,6 +1540,7 @@ mod tests {
                 ..Default::default()
             },
             false,
+            None,
         )
         .unwrap();
         assert_eq!(noidx.stats.index_hits, 0);

@@ -73,30 +73,6 @@ use std::sync::{Arc, Mutex};
 /// One stratum's planned rules, shared between republishes.
 type StratumPlans = Arc<Vec<(Rule, RulePlan)>>;
 
-/// Derived program structure, memoized per rule-set revision: the
-/// stratification plus the monotonicity-annotated dependency edges the
-/// incremental-maintenance planner propagates change through. Publishing
-/// a staged delta consults this on every call, so recomputing it only
-/// when the rule set actually changed keeps republish latency
-/// proportional to the delta.
-#[derive(Debug)]
-pub(crate) struct ProgramShape {
-    pub(crate) strat: Stratification,
-    /// `(head, body-pred, non-monotone?)` edges — see `collect_dep_edges`.
-    pub(crate) deps: Vec<(Sym, Sym, bool)>,
-}
-
-impl ProgramShape {
-    fn of(rules: &[Rule], syms: &Interner) -> Result<Self> {
-        let strat = program::stratify(rules, |s| syms.resolve(s).to_string())?;
-        let mut deps = Vec::new();
-        for r in rules {
-            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
-        }
-        Ok(ProgramShape { strat, deps })
-    }
-}
-
 /// The deductive engine: a symbol table, an extensional database, and a
 /// rule set, with evaluation producing an immutable [`Model`].
 #[derive(Debug, Default)]
@@ -112,10 +88,13 @@ pub struct Engine {
     /// [`Engine::begin_delta`]. Mutations themselves stay eager; the log
     /// only remembers what changed since the last [`Engine::take_delta`].
     changelog: Option<EngineDelta>,
-    /// Bumped on every rule addition/removal; keys the `shape` memo.
+    /// Bumped on every rule addition/removal; keys the `strat` memo.
     rules_rev: u64,
-    /// Lazily computed [`ProgramShape`] for `rules` as of `rules_rev`.
-    shape: Mutex<Option<(u64, Arc<ProgramShape>)>>,
+    /// Lazily computed [`Stratification`] of `rules` as of `rules_rev`.
+    /// Publishing a staged delta consults it on every call, so recomputing
+    /// it only when the rule set changed keeps republish latency
+    /// proportional to the delta.
+    strat: Mutex<Option<(u64, Arc<Stratification>)>>,
     /// Join plans of the negation-cyclic strata of the *full* rule set,
     /// keyed by stratum index and memoized at a `rules_rev` (any rule
     /// change empties the map) for [`Engine::apply_delta`]. Plans are
@@ -135,7 +114,7 @@ impl Clone for Engine {
             changelog: self.changelog.clone(),
             rules_rev: self.rules_rev,
             // The memos are valid for the clone too: same rules, same rev.
-            shape: Mutex::new(self.shape.lock().expect("shape lock").clone()),
+            strat: Mutex::new(self.strat.lock().expect("strat lock").clone()),
             wfs_plans: Mutex::new(self.wfs_plans.lock().expect("wfs plan lock").clone()),
         }
     }
@@ -327,9 +306,9 @@ impl Engine {
     }
 
     /// Applies a staged [`EngineDelta`] to `base`, producing the model
-    /// the engine's *current* state evaluates to — incrementally where
-    /// the change structure allows it (see the `ivm` module docs for the
-    /// per-stratum mode selection), bit-identical in facts to a cold
+    /// the engine's *current* state evaluates to: each stratum the delta
+    /// does not reach is reused from `base`, every other one rebuilt (see
+    /// the `ivm` module docs), bit-identical in facts to a cold
     /// [`Engine::run`].
     ///
     /// # Contract
@@ -338,15 +317,15 @@ impl Engine {
     /// cover every mutation since (use [`Engine::begin_delta`] /
     /// [`Engine::take_delta`]). Statistics measure the delta work, not a
     /// cold evaluation's: they are a function of the mutation history
-    /// alone, and intentionally smaller than cold.
+    /// alone, and smaller than cold wherever a stratum is reused.
     pub fn apply_delta(
         &self,
         base: &Model,
         delta: &EngineDelta,
         opts: &EvalOptions,
     ) -> Result<Model> {
-        let shape = self.shape()?;
-        ivm::Since::new(&self.rules, &shape, None, &self.edb, base, delta).walk(opts, Some(self))
+        let strat = self.stratification()?;
+        ivm::Since::new(&self.rules, &strat, None, &self.edb, base, delta).walk(opts, Some(self))
     }
 
     /// Evaluates the whole program, stratum by stratum: a single pass or
@@ -354,13 +333,21 @@ impl Engine {
     /// (well-founded semantics) for a stratum whose recursion goes through
     /// negation.
     pub fn run(&self, opts: &EvalOptions) -> Result<Model> {
-        eval::eval_strata(&self.rules, &self.shape()?.strat, &self.edb, opts, false)
+        eval::eval_strata(
+            &self.rules,
+            &*self.stratification()?,
+            &self.edb,
+            opts,
+            false,
+            None,
+        )
     }
 
     /// Evaluates towards a single **goal atom** — the demand-driven
     /// query path. The rule set is first pruned to the goal's reachable
-    /// subprogram ([`Engine::relevant_rules`]: *predicate-level*
-    /// relevance, dead subprograms are never touched), then, when
+    /// subprogram (*predicate-level* relevance: the rules whose heads the
+    /// goal reads through any chain of bodies; dead subprograms are never
+    /// touched), then, when
     /// [`EvalOptions::magic_sets`] is on, rewritten by the magic-sets
     /// transformation (see the `magic` module): rules are adorned from
     /// the goal's bound/free argument pattern along a
@@ -383,12 +370,13 @@ impl Engine {
     /// the [`EngineDelta`] recorded from then to now ([`Engine::begin_delta`]
     /// / [`Engine::take_delta`]) — [`Engine::apply_delta`]'s contract. With
     /// it (and [`EvalOptions::base_cache`] on) the answer is that delta
-    /// walked over the goal's subprogram: the change is classified once,
-    /// the working store **shares** the base model's relation for every
-    /// predicate that did not shrink — read in place, with whatever
-    /// indexes earlier calls left on them — and each stratum runs in the
-    /// mode `apply_delta` would pick (reused, additions, rebuilt).
-    /// Predicates the delta cannot have changed are handed to
+    /// walked over the goal's subprogram: what the delta reaches is worked
+    /// out once, the working store **shares** the base model's relation
+    /// for every predicate it does not reach — read in place, with
+    /// whatever indexes earlier calls left on them — and each stratum is
+    /// reused or rebuilt as `apply_delta` would. The same walk evaluates
+    /// the pruned program cold, without `since`, and the magic-rewritten
+    /// one either way. Predicates the delta cannot have changed are handed to
     /// the magic rewrite as frozen — their rules are dropped and the
     /// base's extension stands in for them — so the rewrite composes with
     /// the cache instead of re-deriving what it holds. The base is never
@@ -406,11 +394,11 @@ impl Engine {
         opts: &EvalOptions,
     ) -> Result<Model> {
         let (scope, relevant) = self.relevant(&[goal.pred]);
-        let shape = ProgramShape::of(&relevant, &self.syms)?;
+        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
         let since = since
             .filter(|(base, _)| opts.base_cache && base.undefined.is_empty())
             .map(|(base, delta)| {
-                ivm::Since::new(&relevant, &shape, Some(&scope), &self.edb, base, delta)
+                ivm::Since::new(&relevant, &strat, Some(&scope), &self.edb, base, delta)
             });
         let store = since.as_ref().map_or(&self.edb, |s| &s.store);
         let seeded = since.as_ref().map_or(0, |s| s.store.len() - self.edb.len());
@@ -431,7 +419,7 @@ impl Engine {
         }
         let mut model = match since {
             Some(since) => since.walk(opts, None)?,
-            None => eval::eval_strata(&relevant, &shape.strat, &self.edb, opts, false)?,
+            None => eval::eval_strata(&relevant, &strat, &self.edb, opts, false, None)?,
         };
         model.profile.seeded = seeded;
         if declined.is_some() {
@@ -464,7 +452,7 @@ impl Engine {
         for (p, args) in &rw.seeds {
             edb.insert(*p, args);
         }
-        let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, borrow)?;
+        let mut model = eval::eval_strata(&rw.rules, &strat, &edb, opts, borrow, None)?;
         model.profile.magic_fired = true;
         model.profile.adorned_rules = rw.adorned_rules;
         model.profile.magic_preds = rw.magic_preds.len();
@@ -485,18 +473,20 @@ impl Engine {
         Ok(Some(model))
     }
 
-    /// The memoized [`ProgramShape`] for the *full* rule set, recomputed
+    /// The memoized [`Stratification`] of the *full* rule set, recomputed
     /// only when a rule has been added or removed since the last call.
-    pub(crate) fn shape(&self) -> Result<Arc<ProgramShape>> {
-        let mut guard = self.shape.lock().expect("shape lock");
-        if let Some((rev, shape)) = guard.as_ref() {
+    fn stratification(&self) -> Result<Arc<Stratification>> {
+        let mut guard = self.strat.lock().expect("strat lock");
+        if let Some((rev, strat)) = guard.as_ref() {
             if *rev == self.rules_rev {
-                return Ok(Arc::clone(shape));
+                return Ok(Arc::clone(strat));
             }
         }
-        let shape = Arc::new(ProgramShape::of(&self.rules, &self.syms)?);
-        *guard = Some((self.rules_rev, Arc::clone(&shape)));
-        Ok(shape)
+        let strat = Arc::new(program::stratify(&self.rules, |s| {
+            self.syms.resolve(s).to_string()
+        })?);
+        *guard = Some((self.rules_rev, Arc::clone(&strat)));
+        Ok(strat)
     }
 
     /// The memoized join plans for negation-cyclic stratum `stratum` of
@@ -513,13 +503,8 @@ impl Engine {
         Arc::clone(guard.1.entry(stratum).or_insert_with(|| Arc::new(plan())))
     }
 
-    /// The subset of rules reachable from `goals` through (transitive)
-    /// body dependencies, preserving rule order.
-    pub fn relevant_rules(&self, goals: &[Sym]) -> Vec<Rule> {
-        self.relevant(goals).1
-    }
-
-    /// [`Engine::relevant_rules`], with the predicates those rules define
+    /// The rules reachable from `goals` through (transitive) body
+    /// dependencies, in rule order, with the predicates those rules define
     /// or read (and the goals themselves).
     fn relevant(&self, goals: &[Sym]) -> (HashSet<Sym>, Vec<Rule>) {
         let mut wanted: HashSet<Sym> = goals.iter().copied().collect();
@@ -563,26 +548,7 @@ impl Engine {
     }
 }
 
-/// Records `(head, body-pred, non-monotone?)` dependency edges. Negated
-/// atoms and everything inside an aggregate body are non-monotone: more
-/// facts underneath can *remove* facts from the head.
-fn collect_dep_edges(
-    items: &[BodyItem],
-    head: Sym,
-    nonmono: bool,
-    out: &mut Vec<(Sym, Sym, bool)>,
-) {
-    for item in items {
-        match item {
-            BodyItem::Pos(a) => out.push((head, a.pred, nonmono)),
-            BodyItem::Neg(a) => out.push((head, a.pred, true)),
-            BodyItem::Agg(agg) => collect_dep_edges(&agg.body, head, true, out),
-            BodyItem::Cmp(..) | BodyItem::Assign(..) => {}
-        }
-    }
-}
-
-fn collect_body_preds(items: &[BodyItem], out: &mut std::collections::HashSet<Sym>) {
+fn collect_body_preds(items: &[BodyItem], out: &mut HashSet<Sym>) {
     for item in items {
         match item {
             BodyItem::Pos(a) | BodyItem::Neg(a) => {
@@ -1044,10 +1010,10 @@ mod tests {
         .unwrap();
         let opts = EvalOptions::default();
         let base = e.run(&opts).unwrap();
-        // The delta grows the closure's own input, so `tc` is grown (not
-        // stable): the rewrite adorns it, the copy rule routes the
-        // absorbed cached closure in, and only demanded bindings are
-        // re-derived.
+        // The delta grows the closure's own input, so `tc` has moved: the
+        // rewrite adorns it and derives only the demanded bindings, from
+        // the stored facts. Everything here is reached by the delta, so
+        // nothing is seeded from the base.
         let delta = load_since(&mut e, "e(d,d2). view(X) :- tc(a,X).");
         let view = e.lookup("view").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
@@ -1060,7 +1026,7 @@ mod tests {
         assert_eq!(wset, cset);
         assert_eq!(wset.len(), 4); // b, c, d, d2
         assert!(warm.profile.magic_fired);
-        assert!(warm.profile.seeded > 0);
+        assert_eq!(warm.profile.seeded, 0);
     }
 
     #[test]

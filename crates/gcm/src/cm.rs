@@ -168,11 +168,6 @@ impl GcmBase {
         &mut self.fl
     }
 
-    /// The declared roles of `relation`, if known.
-    pub fn relation_roles(&self, relation: &str) -> Option<&[(String, String)]> {
-        self.relations.get(relation).map(Vec::as_slice)
-    }
-
     /// Retracts `obj[method -> value]` — the delete plane's mirror of a
     /// `MethodInst` declaration; returns whether the fact was present.
     pub fn retract_value(&mut self, obj: Term, method: &str, value: &GcmValue) -> bool {

@@ -31,7 +31,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{run_client, ClientConfig, ClientSummary};
-pub use server::{run_server, spawn_server, ServerConfig, ServerHandle, ServerStats};
+pub use server::{spawn_server, ServerConfig, ServerHandle, ServerStats};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -43,10 +43,11 @@ pub fn signalled() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
 
-/// Installs SIGTERM/SIGINT handlers that flip the [`signalled`] flag so
-/// [`server::run_server`] unwinds cleanly (connections finish the
-/// request they are on, threads are joined) instead of dying
-/// mid-response. No `libc` crate in the offline environment, so the raw
+/// Installs SIGTERM/SIGINT handlers that flip the [`signalled`] flag.
+/// The `kind-server` binary polls it beside
+/// [`ServerHandle::shutdown_requested`] and then shuts its
+/// [`ServerHandle`] down cleanly (connections finish the request they
+/// are on, threads are joined) instead of dying mid-response. No `libc` crate in the offline environment, so the raw
 /// `signal(2)` symbol is declared directly; the handler only stores to
 /// an atomic, which is async-signal-safe.
 #[cfg(unix)]

@@ -1,7 +1,7 @@
 //! The `kind-server` binary: server mode by default, workload driver
 //! with `--client`. Run `kind-server --help` for the flags.
 
-use kind_server::{install_signal_handlers, run_client, run_server, ClientConfig, ServerConfig};
+use kind_server::{install_signal_handlers, run_client, ClientConfig, ServerConfig};
 use kind_sources::ScenarioParams;
 
 const HELP: &str = "\
@@ -154,11 +154,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-// `run_server` and `run_client` are the library entry points; keep them
-// referenced so the lib API and the binary cannot drift apart.
-#[allow(dead_code)]
-fn _api_holds(config: ServerConfig) -> std::io::Result<std::net::SocketAddr> {
-    run_server(config)
 }

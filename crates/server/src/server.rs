@@ -450,18 +450,6 @@ fn spawn_with(config: ServerConfig, limits: Limits) -> io::Result<ServerHandle> 
     })
 }
 
-/// [`spawn_server`] then block until shutdown completes — the binary's
-/// server mode.
-pub fn run_server(config: ServerConfig) -> io::Result<SocketAddr> {
-    let handle = spawn_server(config)?;
-    let addr = handle.addr();
-    while !handle.shutdown_requested() && !crate::signalled() {
-        thread::sleep(Duration::from_millis(25));
-    }
-    handle.shutdown();
-    Ok(addr)
-}
-
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     let mut next_key = 0u64;

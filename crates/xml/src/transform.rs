@@ -164,11 +164,6 @@ impl Transform {
         Ok(Transform { output, rules })
     }
 
-    /// The output root element name.
-    pub fn output_name(&self) -> &str {
-        &self.output
-    }
-
     /// Applies the transform to `input`, producing the output document
     /// root.
     pub fn apply(&self, input: &Element) -> Element {

@@ -709,8 +709,8 @@ proptest! {
     /// schedule — every incremental publish yields a model
     /// **bit-identical** (canonical fact rendering, raw symbol ids) to a
     /// cold evaluation of the same operation prefix. Both `ExecMode`s:
-    /// in `Assertion` a row reaches the negation cycle holding `inst`, so
-    /// only `Constraint` drives the additions mode.
+    /// in `Assertion` a row reaches the negation cycle holding `inst`, in
+    /// `Constraint` only stratified strata.
     #[test]
     fn incremental_publish_is_bit_identical_to_cold_rebuild(
         ops in prop::collection::vec(0u8..3, 1..10),
@@ -730,11 +730,11 @@ proptest! {
     }
 }
 
-/// Which mode a one-row publish takes depends on `ExecMode`: in
-/// `Assertion` the row's `inst` fact feeds the negation cycle, which is
-/// rebuilt, and nothing rides the additions mode; in `Constraint` it
-/// does. A retraction is rebuilt in either, with no incremental stratum,
-/// and matches a cold run.
+/// A publish reuses or rebuilds every stratum, in either `ExecMode`; what
+/// it rebuilds depends on the mode. In `Assertion` the row's `inst` fact
+/// feeds the negation cycle, so the stratum holding `inst` is the
+/// well-founded one; in `Constraint` it is a plain recursive stratum. A
+/// retraction is rebuilt in either and matches a cold run.
 #[test]
 fn publish_modes_follow_the_exec_mode() {
     for mode in [ExecMode::Assertion, ExecMode::Constraint] {
@@ -745,24 +745,29 @@ fn publish_modes_follow_the_exec_mode() {
         m.publish().unwrap();
         m.load_row("NCMIR", "protein_amount", row).unwrap();
         let loaded = m.publish().unwrap().profile.clone();
-        assert!(loaded.delta_applied, "{mode:?}");
-        if mode == ExecMode::Assertion {
-            assert_eq!(loaded.delta_incremental_strata, 0);
-            let inst = m.base().flogic().engine().lookup("inst").unwrap();
-            assert!(
-                loaded
-                    .strata
-                    .iter()
-                    .any(|s| !s.skipped && s.preds.contains(&inst)),
-                "the stratum holding `inst` is rebuilt"
-            );
-        } else {
-            assert!(loaded.delta_incremental_strata > 0);
-        }
+        assert!(loaded.delta_applied && !loaded.delta_fallback, "{mode:?}");
+        assert_eq!(
+            loaded.delta_reused_strata + loaded.delta_rebuilt_strata,
+            loaded.strata.len(),
+            "{mode:?}: every stratum is reused or rebuilt"
+        );
+        assert!(loaded.delta_reused_strata > 0, "{mode:?}");
+        let inst = m.base().flogic().engine().lookup("inst").unwrap();
+        let holding_inst: Vec<_> = loaded
+            .strata
+            .iter()
+            .filter(|s| s.preds.contains(&inst))
+            .collect();
+        assert_eq!(holding_inst.len(), 1, "{mode:?}");
+        assert!(!holding_inst[0].skipped, "{mode:?}: `inst` moved");
+        assert_eq!(
+            holding_inst[0].well_founded,
+            mode == ExecMode::Assertion,
+            "{mode:?}"
+        );
         assert!(m.retract_row("NCMIR", "protein_amount", row).unwrap() > 0);
         let retracted = m.publish().unwrap();
         assert!(retracted.profile.delta_rebuilt_strata > 0, "{mode:?}");
-        assert_eq!(retracted.profile.delta_incremental_strata, 0, "{mode:?}");
         let retracted = canonical_facts(retracted);
         // The same history with one publish at the end, which is cold.
         let mut cold = build_scenario(&params);
