@@ -1458,6 +1458,42 @@ mod tests {
         assert_eq!(m.query_fl("X[value -> V]").unwrap().len(), 3);
     }
 
+    /// A publish serves its epoch warm: the point reads of the epoch
+    /// before — an object's attribute, an object's classes — find their
+    /// indexes on the new model's `mi` and `inst` already, after a load and
+    /// after a retraction.
+    #[test]
+    fn a_publish_hands_the_readers_indexes_to_the_next_epoch() {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.register(simple_wrapper("S1", "spines", "Spine", 3))
+            .unwrap();
+        m.materialize_all().unwrap();
+        let preds = *m.base().flogic().preds();
+        let indexes = |m: &Mediator| {
+            let facts = &m.cached_model().unwrap().facts;
+            [preds.mi, preds.inst].map(|p| facts.relation(p).unwrap().index_count())
+        };
+        let read = |m: &mut Mediator| {
+            assert_eq!(m.query_fl("\"S1.o1\"[value -> V]").unwrap().len(), 1);
+            assert!(!m.query_fl("\"S1.o1\" : C").unwrap().is_empty());
+        };
+        m.publish().unwrap();
+        let cold = indexes(&m);
+        read(&mut m);
+        assert_ne!(indexes(&m), cold, "a cold model's first reads build");
+        for retract in [false, true] {
+            if retract {
+                m.retract_row("S1", "spines", &existing_row(2)).unwrap();
+            } else {
+                m.load_row("S1", "spines", &extra_row()).unwrap();
+            }
+            m.publish().unwrap();
+            let published = indexes(&m);
+            read(&mut m);
+            assert_eq!(indexes(&m), published, "retract {retract}: a read built");
+        }
+    }
+
     /// A publish with nothing staged must not touch the cached model —
     /// pointer-identical `Arc`, no re-evaluation.
     #[test]

@@ -24,9 +24,11 @@
 //! indexes of the model's relations. A bound probe (a pattern with a
 //! constant, a join on a bound variable) takes a relation's index lock
 //! for reading, uncontended once the index exists; the first probe of a
-//! column set in an epoch builds the index under the write lock, once,
-//! and every later reader of that epoch — and of the next, for relations
-//! a publish left untouched — finds it there.
+//! column set builds the index under the write lock, once, and every
+//! later reader of that epoch finds it there — and so do the next
+//! epoch's readers: a publish hands each relation's indexes on, whether
+//! it left the relation untouched, copied it on write, or rebuilt it
+//! ([`kind_datalog::Engine::apply_delta`]).
 //!
 //! Snapshots are decoupled from the mediator that produced them: the
 //! mediator may keep registering sources, loading rows, and rebuilding
@@ -153,9 +155,9 @@ impl QuerySnapshot {
     /// pattern is parsed into a scratch symbol table and remapped into the
     /// frozen interner, so `&self` suffices; a pattern with a constant
     /// finds the relation's index under its `RwLock` read guard, and only
-    /// the first such probe of a column set in an epoch takes the write
-    /// lock, to build the index. Patterns mentioning symbols the snapshot
-    /// has never seen yield no rows.
+    /// the first such probe of a column set no earlier epoch was probed on
+    /// takes the write lock, to build the index. Patterns mentioning
+    /// symbols the snapshot has never seen yield no rows.
     pub fn query_fl(&self, pattern: &str) -> Result<Vec<Vec<Term>>> {
         self.base
             .flogic()

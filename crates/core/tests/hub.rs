@@ -42,7 +42,9 @@ fn row(id: &str) -> ObjectRow {
 
 /// Readers hammering `load()` while the writer publishes a growing base:
 /// every loaded snapshot must be internally consistent — the row count
-/// it serves equals the row count its epoch was published with — and
+/// it serves equals the row count its epoch was published with, and the
+/// newest object's point read finds its one value while the writer copies
+/// the relation (and its indexes) under it — and
 /// epochs observed per reader are monotone (no stale-after-load: once a
 /// reader saw epoch N, it never loads < N). Every reader loads once before
 /// the writer starts: a reader first scheduled after the last publish
@@ -82,6 +84,14 @@ fn concurrent_readers_never_observe_torn_or_stale_snapshots() {
                             3 + (epoch - 1),
                             "epoch {epoch} serving a foreign row count"
                         );
+                        // A point read probes — and indexes — the stored
+                        // `mi` the writer's next `load_row` copies.
+                        let newest = match epoch {
+                            1 => "A.Ar0".to_string(),
+                            e => format!("A.w{}", e - 2),
+                        };
+                        let len = pinned.query_fl(&format!("\"{newest}\"[len -> L]"));
+                        assert_eq!(len.unwrap().len(), 1, "epoch {epoch}: {newest}");
                         loads += 1;
                         if loads == 1 {
                             started.wait();

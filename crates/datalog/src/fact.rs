@@ -26,9 +26,16 @@
 //! actually binds (see [`Relation::iter_bound`]) and maintained incrementally
 //! on every subsequent insert. A relation that is only ever scanned never
 //! pays for an index; a relation probed on columns `{0, 2}` gets exactly
-//! that index and no other. A position is stable only while the relation
-//! is insert-only: [`Relation::remove`] rebuilds the relation and drops its
-//! indexes.
+//! that index and no other. A built index is kept for the relation's
+//! life: a clone takes a handle on it and a write after the share copies
+//! it (one copy of its arrays, no rehash); a removal rebuilds it with the
+//! relation. So a stored relation the write plane copies, and the model
+//! published over it, answer their first probe with the index their
+//! readers built on the epoch before. An evaluation is the exception: the
+//! relations it owns start bare ([`FactStore::detached_clone`],
+//! [`FactStore::absorb`]), so what it counts is its own work. A position is
+//! stable only while the relation is insert-only: [`Relation::remove`]
+//! rebuilds the relation.
 
 use crate::hash::WordState;
 use crate::interner::Sym;
@@ -249,9 +256,10 @@ pub struct Relation {
     rows: Chunks,
     /// Whole-row hash → position; shared by clones until one writes.
     set: Arc<Table>,
-    /// Lazily-built indexes. Interior mutability lets a probe during
-    /// evaluation (`&Relation`) build the index it needs; `insert`
-    /// maintains every existing index. An `RwLock` (rather than `RefCell`)
+    /// Lazily-built indexes, shared by clones until one writes. Interior
+    /// mutability lets a probe during evaluation (`&Relation`) build the
+    /// index it needs; `insert` maintains every existing index, copying
+    /// one still shared. An `RwLock` (rather than `RefCell`)
     /// keeps `Relation: Sync`, so frozen relations can be probed
     /// concurrently from many query threads; a probe holds the read lock
     /// only to find its index and take a handle on it, never while the
@@ -261,19 +269,15 @@ pub struct Relation {
 }
 
 impl Clone for Relation {
-    /// Copies the chunk handles and shares the dedup table — both
-    /// copy-on-write — but does **not** take the built indexes: a clone
-    /// rebuilds lazily the (usually few) column sets it actually probes.
-    /// Clones are made where a relation is about to change (copy-on-write)
-    /// or where an evaluation must own what it reads (`detached_clone`);
-    /// copying every index there would be allocation overhead — and a
-    /// read-lock hold on the shared original that concurrent snapshot
-    /// readers had to contend with.
+    /// Copies the chunk handles and shares the dedup table and every built
+    /// index — all copy-on-write: a write after the share copies the
+    /// table, the last chunk and each index it maintains, and rebuilds
+    /// none. The read lock is held only while the index handles are
+    /// copied.
     fn clone(&self) -> Self {
         Relation {
-            rows: self.rows.clone(),
-            set: Arc::clone(&self.set),
-            indexes: RwLock::default(),
+            indexes: RwLock::new(self.indexes.read().expect("index lock").clone()),
+            ..self.unindexed()
         }
     }
 }
@@ -295,6 +299,31 @@ impl Relation {
             },
             set: Arc::default(),
             indexes: RwLock::default(),
+        }
+    }
+
+    /// A clone that takes none of the built indexes: the rows and the
+    /// dedup table are shared as by [`Clone`].
+    pub(crate) fn unindexed(&self) -> Self {
+        Relation {
+            rows: self.rows.clone(),
+            set: Arc::clone(&self.set),
+            indexes: RwLock::default(),
+        }
+    }
+
+    /// The column sets of the built indexes, in build order.
+    fn index_cols(&self) -> Vec<Box<[usize]>> {
+        let indexes = self.indexes.read().expect("index lock");
+        indexes.iter().map(|ix| ix.cols.clone()).collect()
+    }
+
+    /// Builds every index `other` has built that `self` lacks, so a probe
+    /// `other` would have answered from an index is answered from one here
+    /// too. Both relations hold rows of one predicate, so of one arity.
+    pub(crate) fn index_like(&self, other: &Relation) {
+        for cols in other.index_cols() {
+            self.ensure_index(&cols);
         }
     }
 
@@ -465,14 +494,14 @@ impl Relation {
 
     /// Removes a row; returns `true` if it was present. Positions after it
     /// would shift, so the relation is rebuilt from its other rows, in
-    /// order, and every built index is dropped (they rebuild lazily on the
-    /// next probe) — retraction is the cold path, probing is the hot one.
+    /// order, and every built index with it, on the same column sets.
     pub fn remove(&mut self, row: &[Term]) -> bool {
         if !self.contains(row) {
             return false;
         }
         let mut kept = Relation::new(self.arity());
         Arc::make_mut(&mut kept.set).reserve(self.len() - 1);
+        kept.index_like(self);
         for r in self.iter().filter(|&r| r != row) {
             kept.insert(r);
         }
@@ -573,13 +602,14 @@ impl<'a> Iterator for Matches<'a> {
 /// pointer bumps and the clone *shares* every relation — including any
 /// indexes its rows have already earned — until one side mutates it
 /// (copy-on-write via [`Arc::make_mut`]; the copy shares the chunks and
-/// starts with no indexes). This is what makes snapshot republish cost
-/// proportional to the delta — strata untouched by a change keep the
-/// previous model's relations by reference — and a warm answer cost
-/// proportional to its rule: an evaluation seeded from a base model
-/// *borrows* the model's relations and probes the indexes they already
-/// have. The cold entry points start from [`FactStore::detached_clone`]
-/// instead and own every relation they read.
+/// the built indexes, see [`Relation`]'s `Clone`). This is what makes
+/// snapshot republish cost proportional to the delta — strata untouched by
+/// a change keep the previous model's relations by reference — and a warm
+/// answer cost proportional to its rule: an evaluation seeded from a base
+/// model *borrows* the model's relations and probes the indexes they
+/// already have. What an evaluation writes it owns, and owns bare: the
+/// cold entry points start from [`FactStore::detached_clone`], and
+/// [`FactStore::absorb`] copies a shared relation without its indexes.
 #[derive(Debug, Clone, Default)]
 pub struct FactStore {
     rels: HashMap<Sym, Arc<Relation>, WordState>,
@@ -674,8 +704,20 @@ impl FactStore {
             rels: self
                 .rels
                 .iter()
-                .map(|(&p, r)| (p, Arc::new((**r).clone())))
+                .map(|(&p, r)| (p, Arc::new(r.unindexed())))
                 .collect(),
+        }
+    }
+
+    /// Builds on each relation of `self` that is not `old`'s own
+    /// allocation the indexes `old`'s relation of the same predicate has
+    /// built ([`Relation::index_like`]): a model published in place of
+    /// `old` answers the probes `old`'s readers made from an index.
+    pub(crate) fn index_like(&self, old: &FactStore) {
+        for (p, rel) in &self.rels {
+            if let Some(prev) = old.rels.get(p).filter(|prev| !Arc::ptr_eq(rel, prev)) {
+                rel.index_like(prev);
+            }
         }
     }
 
@@ -708,9 +750,13 @@ impl FactStore {
 
     /// Merges every fact of `other` into `self`, relation by relation
     /// (one predicate lookup per relation, with the dedup table reserved
-    /// up front); returns how many facts were new. A relation new to
-    /// `self` is cloned (shared chunks and table, no index state), never
-    /// shared as a whole: it is not mutated out from under another holder.
+    /// up front); returns how many facts were new. This is how an
+    /// evaluation writes, so what it writes starts bare: a relation new to
+    /// `self` is a clone of `other`'s without its indexes (never shared
+    /// as a whole, so never mutated out from under another holder), and a
+    /// relation `self` still shares is copied the same way before it
+    /// grows. Each index a probe then needs is the evaluation's own build,
+    /// whatever indexes others left on the relations it came from.
     /// Explicit sharing goes through [`Self::set_relation`].
     pub fn absorb(&mut self, other: &FactStore) -> usize {
         let mut added = 0;
@@ -720,10 +766,18 @@ impl FactStore {
             }
             added += match self.rels.entry(p) {
                 Entry::Vacant(v) => {
-                    v.insert(Arc::new((**rel).clone()));
+                    v.insert(Arc::new(rel.unindexed()));
                     rel.len()
                 }
-                Entry::Occupied(mut o) => Arc::make_mut(o.get_mut()).extend_from(rel),
+                Entry::Occupied(mut o) => {
+                    let mine = o.get_mut();
+                    if Arc::get_mut(mine).is_none() {
+                        *mine = Arc::new(mine.unindexed());
+                    }
+                    Arc::get_mut(mine)
+                        .expect("an unshared copy")
+                        .extend_from(rel)
+                }
             };
         }
         added
@@ -991,8 +1045,9 @@ mod tests {
                     if step.is_multiple_of(331) {
                         let gone =
                             model.order[splitmix(&mut state) as usize % model.order.len()].clone();
+                        let indexes = r.index_cols();
                         assert_eq!(r.remove(&gone), model.remove(&gone));
-                        assert_eq!(r.index_count(), 0, "a removal drops the indexes");
+                        assert_eq!(r.index_cols(), indexes, "a removal keeps the column sets");
                         assert!(!r.remove(&gone));
                     }
                 }
@@ -1060,6 +1115,59 @@ mod tests {
         assert_same(&r, &model);
         assert_probe(&r, &model, 0b011, &model.order[3].clone());
         FORCED_HASH.with(|h| h.set(None));
+    }
+
+    /// A clone takes a handle on every built index and a write after the
+    /// share copies each one — no rebuild, the original as it was. The
+    /// copies an evaluation makes (`detached_clone`, `absorb`) start bare.
+    #[test]
+    fn a_clone_keeps_the_built_indexes_and_an_evaluation_copy_does_not() {
+        let handles = |r: &Relation| r.indexes.read().expect("index lock").clone();
+        let same = |a: &Relation, b: &Relation| {
+            let (a, b) = (handles(a), handles(b));
+            a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+        let mut r = Relation::new(2);
+        for i in 0..100i64 {
+            r.insert(&[Term::Int(i % 10), Term::Int(i)]);
+        }
+        assert!(r.ensure_index(&[0]).0 && r.ensure_index(&[1]).0);
+        let mut copy = r.clone();
+        assert!(same(&r, &copy), "a clone shares the built indexes");
+        assert!(
+            !copy.ensure_index(&[0]).0,
+            "and probes them without a build"
+        );
+        assert!(copy.insert(&[Term::Int(3), Term::Int(-1)]));
+        assert_eq!(copy.index_cols(), r.index_cols());
+        let (old, new) = (handles(&r), handles(&copy));
+        assert!(old.iter().zip(&new).all(|(a, b)| !Arc::ptr_eq(a, b)));
+        assert_eq!(copy.iter_first(&Term::Int(3)).count(), 11);
+        assert_eq!(r.iter_first(&Term::Int(3)).count(), 10);
+        assert_eq!(copy.iter_bound(&[(1, &Term::Int(-1))]).count(), 1);
+        assert_eq!(r.iter_bound(&[(1, &Term::Int(-1))]).count(), 0);
+        assert!(same(&r, &r.clone()) && r.index_count() == 2);
+
+        let p = Interner::new().intern("p");
+        let mut store = FactStore::new();
+        store.set_relation(p, Arc::new(r));
+        let published = store.clone();
+        // The write plane's copy keeps them ...
+        assert!(store.insert(p, &[Term::Int(0), Term::Int(-2)]));
+        assert!(!store.shares_relation(p, &published));
+        assert_eq!(store.relation(p).unwrap().index_count(), 2);
+        // ... an evaluation's does not, and leaves the original's alone.
+        let detached = published.detached_clone();
+        assert_eq!(detached.relation(p).unwrap().index_count(), 0);
+        let mut grown = published.clone();
+        let mut more = FactStore::new();
+        more.insert(p, &[Term::Int(0), Term::Int(-3)]);
+        assert_eq!(grown.absorb(&more), 1);
+        assert_eq!(grown.relation(p).unwrap().index_count(), 0);
+        assert_eq!(published.relation(p).unwrap().index_count(), 2);
+        let mut fresh = FactStore::new();
+        fresh.absorb(&published);
+        assert_eq!(fresh.relation(p).unwrap().index_count(), 0);
     }
 
     /// A clone shares every chunk; a write to it copies the last one only,

@@ -311,6 +311,12 @@ impl Engine {
     /// the `ivm` module docs), bit-identical in facts to a cold
     /// [`Engine::run`].
     ///
+    /// The model is what the next epoch serves, so it is handed over warm:
+    /// each relation it does not share with `base` gets the indexes
+    /// `base`'s relation of that predicate had built — by the evaluation
+    /// or by readers — before anyone probes it. Those builds are the
+    /// publish's, outside the walk's [`EvalStats`].
+    ///
     /// # Contract
     /// `base` must be a full model ([`Engine::run`]) of exactly the
     /// engine state *before* the delta's mutations, and `delta` must
@@ -325,7 +331,10 @@ impl Engine {
         opts: &EvalOptions,
     ) -> Result<Model> {
         let strat = self.stratification()?;
-        ivm::Since::new(&self.rules, &strat, None, &self.edb, base, delta).walk(opts, Some(self))
+        let model = ivm::Since::new(&self.rules, &strat, None, &self.edb, base, delta)
+            .walk(opts, Some(self))?;
+        model.facts.index_like(&base.facts);
+        Ok(model)
     }
 
     /// Evaluates the whole program, stratum by stratum: a single pass or
@@ -563,6 +572,7 @@ fn collect_body_preds(items: &[BodyItem], out: &mut HashSet<Sym>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     /// The reference side of the goal-directed tests: `pred`'s relevant
     /// subprogram evaluated plainly — all-free goal, rewrite off, no base.
@@ -794,6 +804,68 @@ mod tests {
             }
         ));
         assert_eq!(e.edb().len(), stored);
+    }
+
+    /// A publish hands the next epoch over warm. A stored relation keeps
+    /// the index its readers built through the write that copies it, a
+    /// rebuilt relation is given the base's column sets before anyone
+    /// probes it, and neither moves the walk's counters.
+    #[test]
+    fn a_published_model_answers_the_last_epochs_probes_from_an_index() {
+        let mut e = Engine::new();
+        e.load(
+            "mi(o1, amount, 1). mi(o2, amount, 2). inst(o1, c). inst(o2, d).
+             sub(c, top). sub(d, top).
+             inst(X, C2) :- inst(X, C1), sub(C1, C2).",
+        )
+        .unwrap();
+        let opts = EvalOptions::default();
+        let (mut base, mut quiet) = (e.run(&opts).unwrap(), e.run(&opts).unwrap());
+        e.begin_delta();
+        let [mi, inst] = ["mi", "inst"].map(|p| e.lookup(p).unwrap());
+        let (amount, c) = (e.constant("amount"), e.constant("c"));
+        // What a point read probes: `mi` on object and method, `inst` on
+        // the object. `true` when the probe had to build its index.
+        let read = |m: &FactStore, o: &Term| {
+            let key = [o.clone(), amount.clone()];
+            let (built_mi, rows) = m
+                .relation(mi)
+                .unwrap()
+                .probe(|c| c < 2, |c| Cow::Borrowed(&key[c]));
+            assert_eq!(rows.count(), 1);
+            let (built_inst, rows) = m
+                .relation(inst)
+                .unwrap()
+                .probe(|c| c == 0, |_| Cow::Borrowed(o));
+            assert_eq!(rows.count(), 2);
+            built_mi || built_inst
+        };
+        assert!(
+            read(&base.facts, &e.constant("o1")),
+            "a cold model starts bare"
+        );
+        for i in 3..6i64 {
+            let o = e.constant(&format!("o{i}"));
+            e.add_fact(mi, [o.clone(), amount.clone(), Term::Int(i)])
+                .unwrap();
+            e.add_fact(inst, [o.clone(), c.clone()]).unwrap();
+            if i > 3 {
+                // The stored `mi` is the published model's own relation:
+                // the write copied it with the index the reads built.
+                let key = [o.clone(), amount.clone()];
+                let stored = e.edb().relation(mi).unwrap();
+                assert!(!stored.probe(|c| c < 2, |c| Cow::Borrowed(&key[c])).0);
+            }
+            let delta = e.take_delta().unwrap();
+            let (next, plain) = (
+                e.apply_delta(&base, &delta, &opts).unwrap(),
+                e.apply_delta(&quiet, &delta, &opts).unwrap(),
+            );
+            assert!(!read(&next.facts, &o), "epoch {i} was served warm");
+            assert_eq!(next.stats, plain.stats, "readers move no counter");
+            assert_eq!(next.profile.delta_rebuilt_strata, 1);
+            (base, quiet) = (next, plain);
+        }
     }
 
     #[test]
