@@ -369,8 +369,9 @@ fn table1(_fast: bool) -> String {
 fn figure2(_fast: bool) -> String {
     println!("Figure 2 — the model-based mediator architecture at work");
     let mut m = build_scenario(&ScenarioParams::default());
-    println!("registered {} sources:", m.sources().len());
-    for s in m.sources() {
+    let registered = m.federation().sources();
+    println!("registered {} sources:", registered.len());
+    for s in registered {
         println!(
             "  {:<10} formalism={:<5} classes={:?}",
             s.name,
@@ -378,8 +379,8 @@ fn figure2(_fast: bool) -> String {
             s.classes
         );
     }
-    let sources = m.sources().len();
-    let formalisms = (m.sources().iter())
+    let sources = registered.len();
+    let formalisms = (registered.iter())
         .map(|s| s.wrapper.formalism())
         .collect::<BTreeSet<_>>()
         .len();
@@ -972,7 +973,7 @@ fn tail_latency(fast: bool) -> String {
             }],
         );
         if hedge {
-            m.set_source_policy(
+            m.federation_mut().set_source_policy(
                 "SENSELAB",
                 SourcePolicy::with_hedge_after_ms(hedge_after_ms),
             );

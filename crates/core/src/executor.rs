@@ -31,13 +31,14 @@
 //! [`Wrapper::complete`]: crate::wrapper::Wrapper::complete
 //! [`Wrapper::query`]: crate::wrapper::Wrapper::query
 
-use crate::fault::VirtualClock;
+use crate::fault::{SourceError, VirtualClock};
 use crate::federation::{
     FetchJobDone, JobMachine, RegisteredSource, SourceReply, Step, ThreadGauge,
 };
 use crate::wrapper::Submission;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -90,6 +91,11 @@ enum Drive {
 
 /// Shared scheduler state, guarded by one mutex (contended only at
 /// suspension points, never during wrapper work).
+///
+/// The mutex is never poisoned, and every `"executor state poisoned"`
+/// below rests on that: it is held only over this bookkeeping, which does
+/// not panic. Wrapper code runs in [`drive`] with the lock released, and
+/// [`contact`] turns a wrapper's panic into a failed attempt.
 struct Sched {
     /// A `Some` seat is waiting in `ready` or in `timers`; `None` means
     /// the job is being driven by a worker or has finished.
@@ -141,6 +147,8 @@ pub(crate) fn run_jobs(
             }
         });
     }
+    // A worker returns only once `finished` counts every job, and a job
+    // is counted when its result is stored.
     state
         .into_inner()
         .expect("executor state poisoned")
@@ -162,6 +170,8 @@ fn worker_loop(
             guard.ready.push_back(job);
         }
         if let Some(idx) = guard.ready.pop_front() {
+            // A job enters `ready` (at the start, or from `timers`) only
+            // while its seat is stored.
             let mut seat = guard.seats[idx].take().expect("ready job has a seat");
             drop(guard);
             let outcome = drive(&mut seat, sources, clock);
@@ -205,24 +215,43 @@ fn worker_loop(
 fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<VirtualClock>) -> Drive {
     let wrapper = &sources[seat.machine.src_pos()].wrapper;
     // Waking from a park: collect the stalled submission first.
-    let mut reply: Option<SourceReply> = seat
-        .parked_ticket
-        .take()
-        .map(|ticket| wrapper.complete(ticket, seat.machine.current_query()));
+    let mut reply: Option<SourceReply> = seat.parked_ticket.take().map(|ticket| {
+        contact(|| wrapper.complete(ticket, seat.machine.current_query())).and_then(|r| r)
+    });
     loop {
         match seat.machine.step(sources, clock, reply.take()) {
-            Step::Contact => match wrapper.submit(seat.machine.current_query()) {
-                Submission::Ready(r) => reply = Some(r),
-                Submission::Parked { stall, ticket } => {
+            Step::Contact => match contact(|| wrapper.submit(seat.machine.current_query())) {
+                Ok(Submission::Ready(r)) => reply = Some(r),
+                Ok(Submission::Parked { stall, ticket }) => {
                     seat.parked_ticket = Some(ticket);
                     return Drive::Parked {
                         wake_at: Instant::now() + stall,
                     };
                 }
+                Err(error) => reply = Some(Err(error)),
             },
             Step::Done(done) => return Drive::Done(done),
         }
     }
+}
+
+/// One call into wrapper code. A panic there is that attempt's
+/// [`SourceError::Unavailable`], so retry, breaker and report treat it
+/// like any failed contact; uncaught, it would end the job without a
+/// result, and the siblings of a pooled fetch would wait for it for ever.
+/// The call reads the job only for its query, so a panic leaves nothing
+/// of the job half-updated.
+fn contact<T>(call: impl FnOnce() -> T) -> Result<T, SourceError> {
+    catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "no message".into());
+        SourceError::Unavailable {
+            reason: format!("wrapper panicked: {message}"),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -487,7 +487,7 @@ impl fmt::Debug for FaultInjector {
 
 impl FaultInjector {
     /// Wraps `inner`, sharing `clock` with the mediator (see
-    /// [`crate::Mediator::clock`]).
+    /// [`crate::Federation::clock`]).
     pub fn new(inner: Arc<dyn Wrapper>, clock: Arc<VirtualClock>) -> Self {
         FaultInjector {
             inner,

@@ -406,6 +406,8 @@ impl FetchMachine {
                     // advancing the shared clock. The per-attempt timeout
                     // is judged by it too.
                     let attempt_cost = src.wrapper.virtual_cost_ms().saturating_sub(cost_before);
+                    // The executor answers every `Step::Contact` with a
+                    // reply, a panicking wrapper's included (as an `Err`).
                     let result = reply
                         .take()
                         .expect("contact reply fed back after Primary")
@@ -475,6 +477,7 @@ impl FetchMachine {
                     attempt_cost,
                     backup_before,
                 } => {
+                    // As for `Primary`: every contact gets its reply.
                     let backup = reply.take().expect("contact reply fed back after Backup");
                     let backup_cost = src.wrapper.virtual_cost_ms().saturating_sub(backup_before);
                     let backup_finish = policy.hedge_after_ms.saturating_add(backup_cost);
@@ -775,19 +778,13 @@ pub struct Federation {
     /// fetch job (and, via the mediator, with the Datalog fixpoint).
     cancel: CancelToken,
     /// Query-processing statistics.
-    pub stats: MediatorStats,
-}
-
-impl Default for Federation {
-    fn default() -> Self {
-        Self::new()
-    }
+    pub(crate) stats: MediatorStats,
 }
 
 impl Federation {
     /// An empty federation with a fresh [`VirtualClock`] and default
     /// policies.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Federation {
             sources: Vec::new(),
             clock: Arc::new(VirtualClock::new()),
@@ -818,7 +815,11 @@ impl Federation {
     /// The query-wide cancellation token. Cancel it (from any thread) to
     /// make in-flight and subsequent fetches of the current operation
     /// abandon cooperatively with [`SourceOutcome::Cancelled`]; each new
-    /// operation starts with the token reset.
+    /// operation starts with the token reset. The mediator hands the same
+    /// token to the Datalog fixpoint ([`kind_datalog::EvalOptions::cancel`]),
+    /// so one `cancel()` winds down both planes. Nothing in this repository
+    /// cancels a running operation: this is the handle an embedding
+    /// application does it with.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -830,11 +831,6 @@ impl Federation {
     /// are bit-identical for every setting — only wall-clock changes.
     pub fn set_fetch_threads(&mut self, threads: usize) {
         self.fetch_threads = threads;
-    }
-
-    /// The configured fetch-plane worker count (0 = auto).
-    pub fn fetch_threads(&self) -> usize {
-        self.fetch_threads
     }
 
     /// The highest number of fetch-plane worker threads that were ever
@@ -856,7 +852,7 @@ impl Federation {
     }
 
     /// Looks up a registered source by name.
-    pub fn source(&self, name: &str) -> Result<&RegisteredSource> {
+    pub(crate) fn source(&self, name: &str) -> Result<&RegisteredSource> {
         self.sources
             .iter()
             .find(|s| s.name == name)
@@ -902,7 +898,7 @@ impl Federation {
     }
 
     /// The policy governing `name` (per-source override or default).
-    pub fn policy_for(&self, name: &str) -> &SourcePolicy {
+    fn policy_for(&self, name: &str) -> &SourcePolicy {
         self.policies.get(name).unwrap_or(&self.default_policy)
     }
 
@@ -913,7 +909,7 @@ impl Federation {
     }
 
     /// The degradation report of the most recent degradable operation.
-    pub fn report(&self) -> &AnswerReport {
+    pub(crate) fn report(&self) -> &AnswerReport {
         &self.report
     }
 
@@ -930,7 +926,7 @@ impl Federation {
     }
 
     /// The names of sources that export `class` (by declared capability).
-    pub fn sources_exporting(&self, class: &str) -> Vec<String> {
+    pub(crate) fn sources_exporting(&self, class: &str) -> Vec<String> {
         self.sources
             .iter()
             .filter(|s| s.classes.iter().any(|c| c == class))
@@ -940,7 +936,7 @@ impl Federation {
 
     /// Maps knowledge-layer source ids to names, preserving registration
     /// order.
-    pub fn names_of(&self, ids: &[SourceId]) -> Vec<String> {
+    pub(crate) fn names_of(&self, ids: &[SourceId]) -> Vec<String> {
         self.sources
             .iter()
             .filter(|s| ids.contains(&s.id))
@@ -1006,9 +1002,11 @@ impl Federation {
     /// worker, which is the calling thread), read strictly: a source that
     /// exhausts its retry budget — or whose breaker is open, or that the
     /// deadline cut off — is a typed [`MediatorError::Source`] error; the
-    /// outcome is also folded into the current [`Self::report`].
+    /// outcome is also folded into the current report
+    /// ([`crate::Mediator::report`]).
     pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Rows> {
         let mut set = self.fetch_parallel(&[FetchRequest::new(source_name, q.clone())])?;
+        // The merge records every request's completion under its source.
         let outcome = &set.report.sources[source_name].outcome;
         match strict_error(outcome) {
             None => Ok(std::mem::take(&mut set.batches[0].rows)),
@@ -1194,7 +1192,8 @@ mod tests {
     }
 
     fn all_scans(m: &Mediator) -> Vec<FetchRequest> {
-        m.sources()
+        m.federation()
+            .sources()
             .iter()
             .flat_map(|s| {
                 s.classes
@@ -1230,7 +1229,7 @@ mod tests {
         let mut m = three_source_mediator();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         // Knob unset: min(plan sources, cores), never below 1.
-        assert_eq!(m.federation().fetch_threads(), 0);
+        assert_eq!(m.federation().fetch_threads, 0);
         assert_eq!(m.federation().effective_fetch_threads(3), cores.clamp(1, 3));
         assert_eq!(m.federation().effective_fetch_threads(0), 1);
         // Explicit knob: still capped by the job count.
@@ -1278,7 +1277,10 @@ mod tests {
         assert!(Arc::ptr_eq(&set.batches[0].rows, &w.rows["ca"]));
         assert_eq!(set.batches[1].rows.len(), 1);
         assert_eq!(w.rows["ca"].len(), 3);
-        let fetched = m.fetch("A", &SourceQuery::scan("ca")).unwrap();
+        let fetched = m
+            .federation_mut()
+            .fetch("A", &SourceQuery::scan("ca"))
+            .unwrap();
         assert!(Arc::ptr_eq(&fetched, &w.rows["ca"]));
     }
 
@@ -1286,7 +1288,7 @@ mod tests {
     fn parallel_fetch_degrades_failing_sources() {
         let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
         m.register(wrapper("OK", "ca", "Spine", 3)).unwrap();
-        let failing = FaultInjector::new(wrapper("BAD", "cb", "Shaft", 2), m.clock())
+        let failing = FaultInjector::new(wrapper("BAD", "cb", "Shaft", 2), m.federation().clock())
             .with_fault(Fault::FailFirst(1000));
         let failing = Arc::new(failing);
         failing.disarm();
@@ -1308,7 +1310,7 @@ mod tests {
             SourceOutcome::Failed { .. }
         ));
         // The breaker advanced under the worker and was put back.
-        assert!(m.breaker_state("BAD").is_some());
+        assert!(m.federation().breaker_state("BAD").is_some());
         // The federation's cumulative report absorbed the delta.
         assert!(!m.report().is_complete());
     }
@@ -1350,16 +1352,18 @@ mod tests {
         let build = |workers: usize| {
             let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
             m.federation_mut().set_fetch_threads(workers);
-            m.set_default_policy(SourcePolicy::with_hedge_after_ms(10));
-            m.set_query_budget_ms(500);
+            m.federation_mut()
+                .set_default_policy(SourcePolicy::with_hedge_after_ms(10));
+            m.federation_mut().set_query_budget_ms(500);
             m.register(wrapper("OK", "ca", "Spine", 3)).unwrap();
-            let shaky = FaultInjector::new(wrapper("SHAKY", "cb", "Shaft", 2), m.clock())
-                .with_fault(Fault::FailFirst(1))
-                .with_fault(Fault::SlowTail {
-                    seed: 77,
-                    delay_ms: 40,
-                    slow_per_mille: 700,
-                });
+            let shaky =
+                FaultInjector::new(wrapper("SHAKY", "cb", "Shaft", 2), m.federation().clock())
+                    .with_fault(Fault::FailFirst(1))
+                    .with_fault(Fault::SlowTail {
+                        seed: 77,
+                        delay_ms: 40,
+                        slow_per_mille: 700,
+                    });
             let shaky = Arc::new(shaky);
             shaky.disarm();
             m.register(Arc::clone(&shaky) as Arc<dyn Wrapper>).unwrap();
@@ -1378,7 +1382,10 @@ mod tests {
         );
         assert_eq!(serial.report, pooled.report);
         assert_eq!(serial.stats, pooled.stats);
-        assert_eq!(baseline.breaker_state("SHAKY"), m.breaker_state("SHAKY"));
+        assert_eq!(
+            baseline.federation().breaker_state("SHAKY"),
+            m.federation().breaker_state("SHAKY")
+        );
         // The schedule actually exercised the machinery: a retry
         // happened and at least one hedge fired.
         let shaky = serial.report.source("SHAKY").unwrap();
@@ -1455,10 +1462,11 @@ mod tests {
         let run = |workers: usize| {
             let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
             m.federation_mut().set_fetch_threads(workers);
-            m.set_source_policy("B", SourcePolicy::with_timeout_ms(50));
+            m.federation_mut()
+                .set_source_policy("B", SourcePolicy::with_timeout_ms(50));
             let hs = Arc::new(Handshake::default());
             let slow = Arc::new(
-                FaultInjector::new(wrapper("A", "ca", "Spine", 3), m.clock())
+                FaultInjector::new(wrapper("A", "ca", "Spine", 3), m.federation().clock())
                     .with_fault(Fault::Slow { delay_ms: 100 }),
             );
             slow.disarm();
@@ -1492,9 +1500,9 @@ mod tests {
     #[test]
     fn a_query_budget_is_armed_by_begin_report_only() {
         let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-        m.set_query_budget_ms(10);
+        m.federation_mut().set_query_budget_ms(10);
         let slow = Arc::new(
-            FaultInjector::new(wrapper("SLOW", "cs", "Spine", 2), m.clock())
+            FaultInjector::new(wrapper("SLOW", "cs", "Spine", 2), m.federation().clock())
                 .with_fault(Fault::Slow { delay_ms: 50 }),
         );
         slow.disarm();
@@ -1540,8 +1548,9 @@ mod tests {
         let build = |seed: u64| {
             let mut g = seed;
             let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-            m.set_query_budget_ms([0, 60, 500][draw(&mut g, 3) as usize]);
-            m.set_default_policy(SourcePolicy {
+            m.federation_mut()
+                .set_query_budget_ms([0, 60, 500][draw(&mut g, 3) as usize]);
+            m.federation_mut().set_default_policy(SourcePolicy {
                 retry: RetryPolicy {
                     base_backoff_ms: 20,
                     ..RetryPolicy::attempts(1 + draw(&mut g, 3) as u32)
@@ -1553,7 +1562,7 @@ mod tests {
                 },
                 hedge_after_ms: [0, 10][draw(&mut g, 2) as usize],
             });
-            let shaky = FaultInjector::new(wrapper("S", "cs", "Spine", 6), m.clock())
+            let shaky = FaultInjector::new(wrapper("S", "cs", "Spine", 6), m.federation().clock())
                 .with_fault(Fault::FailFirst(draw(&mut g, 3) as u32))
                 .with_fault(Fault::Flaky {
                     seed,
@@ -1578,8 +1587,8 @@ mod tests {
             (
                 m.report().clone(),
                 m.stats(),
-                m.breaker_state("S"),
-                m.clock().now_ms(),
+                m.federation().breaker_state("S"),
+                m.federation().clock().now_ms(),
             )
         };
         let mut seen = BTreeSet::new();
@@ -1729,6 +1738,78 @@ mod tests {
             }
             self.inner.query(q)
         }
+    }
+
+    /// A source whose `query` panics once armed.
+    struct Panicky {
+        inner: Arc<MemoryWrapper>,
+        armed: AtomicBool,
+    }
+
+    impl Wrapper for Panicky {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn formalism(&self) -> &str {
+            self.inner.formalism()
+        }
+        fn export_cm(&self) -> kind_xml::Element {
+            self.inner.export_cm()
+        }
+        fn capabilities(&self) -> Vec<Capability> {
+            self.inner.capabilities()
+        }
+        fn anchors(&self) -> Vec<Anchor> {
+            self.inner.anchors()
+        }
+        fn query(&self, q: &SourceQuery) -> SourceReply {
+            assert!(!self.armed.load(Ordering::SeqCst), "wrapper bug");
+            self.inner.query(q)
+        }
+    }
+
+    #[test]
+    fn a_panicking_wrapper_fails_its_attempts_instead_of_hanging_the_fetch() {
+        // Before the executor caught wrapper panics, two workers waited
+        // for ever on the job that never finished, and one worker let the
+        // panic through. The fetch runs on a helper thread so a hang
+        // fails the test instead of stalling the suite.
+        let run = |workers: usize| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+                m.federation_mut().set_fetch_threads(workers);
+                m.register(wrapper("OK", "ca", "Spine", 3)).unwrap();
+                let bad = Arc::new(Panicky {
+                    inner: wrapper("BAD", "cb", "Shaft", 2),
+                    armed: AtomicBool::new(false),
+                });
+                m.register(Arc::clone(&bad) as Arc<dyn Wrapper>).unwrap();
+                bad.armed.store(true, Ordering::SeqCst);
+                let loaded = m.materialize_all().map_err(|e| e.to_string());
+                let rows = m.query_fl("X : ca").map(|r| r.len());
+                let _ = tx.send((loaded, rows.map_err(|e| e.to_string()), m.report().clone()));
+            });
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("materialize_all at {workers} workers: {e}"));
+            helper.join().expect("the helper thread returned");
+            got
+        };
+        let serial = run(1);
+        assert_eq!((&serial.0, &serial.1), (&Ok(3), &Ok(3)));
+        let bad = serial.2.source("BAD").unwrap();
+        assert!(
+            matches!(
+                &bad.outcome,
+                SourceOutcome::Failed {
+                    error: SourceError::Unavailable { reason }
+                } if reason.contains("panicked") && reason.contains("wrapper bug")
+            ),
+            "{:?}",
+            bad.outcome
+        );
+        assert_eq!(run(2), serial);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`crate::Federation`] owns the wrapper boundary below it, and
 //! [`crate::Mediator`] composes the two with the eval/cache pipeline on
 //! top. Semantic source *selection* lives here and speaks in
-//! [`SourceId`]s; the facade maps ids to source names via the
+//! [`SourceId`]s; the mediator maps ids to source names via the
 //! federation's roster.
 
 use crate::error::{MediatorError, Result};
@@ -47,7 +47,7 @@ pub struct Knowledge {
 impl Knowledge {
     /// Wraps a domain map (edges executed in `mode`), with the built-in
     /// CM plug-ins registered.
-    pub fn new(dm: DomainMap, mode: ExecMode) -> Self {
+    pub(crate) fn new(dm: DomainMap, mode: ExecMode) -> Self {
         let resolved = Arc::new(Resolved::new(&dm));
         Knowledge {
             dm: Arc::new(dm),
@@ -67,7 +67,7 @@ impl Knowledge {
     }
 
     /// The domain map as a shareable handle (for snapshots).
-    pub fn dm_arc(&self) -> Arc<DomainMap> {
+    pub(crate) fn dm_arc(&self) -> Arc<DomainMap> {
         Arc::clone(&self.dm)
     }
 
@@ -77,7 +77,7 @@ impl Knowledge {
     }
 
     /// The resolved view as a shareable handle (for snapshots).
-    pub fn resolved_arc(&self) -> Arc<Resolved> {
+    pub(crate) fn resolved_arc(&self) -> Arc<Resolved> {
         Arc::clone(&self.resolved)
     }
 
@@ -86,23 +86,13 @@ impl Knowledge {
         DomainView::new(self.dm.as_ref(), &self.resolved)
     }
 
-    /// The retained DL axioms (empty when the map was built directly).
-    pub fn axioms(&self) -> &[Axiom] {
-        &self.axioms
-    }
-
-    /// The edge-execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// The semantic index.
     pub fn index(&self) -> &SemanticIndex {
         &self.index
     }
 
     /// The semantic index as a shareable handle (for snapshots).
-    pub fn index_arc(&self) -> Arc<SemanticIndex> {
+    pub(crate) fn index_arc(&self) -> Arc<SemanticIndex> {
         Arc::clone(&self.index)
     }
 
@@ -110,21 +100,6 @@ impl Knowledge {
     /// index only if a snapshot still shares it).
     pub(crate) fn index_mut(&mut self) -> &mut SemanticIndex {
         Arc::make_mut(&mut self.index)
-    }
-
-    /// The plug-in registry (e.g. to register a new formalism).
-    pub fn registry_mut(&mut self) -> &mut PluginRegistry {
-        &mut self.registry
-    }
-
-    /// Applied conceptual models, in registration order.
-    pub fn cms(&self) -> &[ConceptualModel] {
-        &self.cms
-    }
-
-    /// Integrated view texts, in definition order.
-    pub fn views(&self) -> &[String] {
-        &self.views
     }
 
     /// Merges a source's DM contribution (Figure 3): loads the axiom
@@ -154,7 +129,7 @@ impl Knowledge {
 
     /// **Source selection** via the semantic index (§5 step 2): ids of
     /// sources with data anchored at (or below) *all* the given concepts.
-    pub fn select_sources(&self, concepts: &[&str]) -> Result<Vec<SourceId>> {
+    pub(crate) fn select_sources(&self, concepts: &[&str]) -> Result<Vec<SourceId>> {
         let nodes = self.domain_view().lookup_all(concepts)?;
         Ok(self
             .index
@@ -179,7 +154,7 @@ impl Knowledge {
     }
 
     /// Ids of sources relevant to one concept's cone.
-    pub fn sources_below(&self, concept: &str) -> Result<Vec<SourceId>> {
+    pub(crate) fn sources_below(&self, concept: &str) -> Result<Vec<SourceId>> {
         let node = self.lookup(concept)?;
         Ok(self
             .index
@@ -192,7 +167,7 @@ impl Knowledge {
     /// whose anchored concepts are subsumed by the DL concept
     /// *expression* (structural subsumption over the retained axioms;
     /// sound, incomplete — see `kind_dm::subsume`).
-    pub fn sources_subsumed_by(
+    pub(crate) fn sources_subsumed_by(
         &self,
         expr_text: &str,
         candidates: &[SourceId],
@@ -213,7 +188,7 @@ impl Knowledge {
     }
 
     /// The least upper bound of the named concepts in the isa lattice.
-    pub fn lub(&self, concepts: &[&str]) -> Result<Option<String>> {
+    pub(crate) fn lub(&self, concepts: &[&str]) -> Result<Option<String>> {
         let lub = self.domain_view().lub(concepts)?;
         Ok(lub.and_then(|n| self.dm.name(n).map(str::to_owned)))
     }

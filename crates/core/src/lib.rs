@@ -5,7 +5,7 @@
 //! than raw semistructured data, and where **domain maps** correlate
 //! sources from multiple worlds.
 //!
-//! The mediator itself is a thin facade over three layers (see
+//! The mediator composes two layers with its evaluation pipeline (see
 //! DESIGN.md):
 //!
 //! * [`wrapper`] — the source interface: CM export (in any plugged-in
@@ -16,9 +16,10 @@
 //!   single guarded-fetch path;
 //! * [`knowledge`] — the semantic layer: domain map + resolved view,
 //!   retained DL axioms, plug-in registry, semantic index, CMs, views;
-//! * [`mediator`] — the facade composing the two with the eval/cache
-//!   pipeline: registration, integrated views, model evaluation, source
-//!   selection, lub computation;
+//! * [`mediator`] — the two composed by the eval/cache pipeline:
+//!   registration, integrated views, model evaluation, source selection
+//!   by name; each layer is reached one way, through
+//!   [`Mediator::federation`] or [`Mediator::knowledge`];
 //! * [`snapshot`] — immutable `Send + Sync` [`QuerySnapshot`]s for
 //!   serving reads from many threads with no exclusive lock on the hot
 //!   path;

@@ -1,43 +1,49 @@
-//! The model-based mediator (Figure 2) — now a thin **facade** over two
-//! subsystems plus the evaluation pipeline:
+//! The model-based mediator (Figure 2): two layers and the evaluation
+//! pipeline that composes them, each reached one way.
 //!
 //! * [`crate::Federation`] — the source-facing layer: registered
 //!   wrappers, per-source policies, circuit breakers, the shared clock,
-//!   and the single guarded-fetch path;
+//!   and the single guarded-fetch path. Reached through
+//!   [`Mediator::federation`] and [`Mediator::federation_mut`].
 //! * [`crate::Knowledge`] — the semantic layer: the domain map and its
 //!   resolved closure view, retained DL axioms, the CM plug-in registry,
-//!   the semantic index, applied CMs, and view definitions;
+//!   the semantic index, applied CMs, and view definitions. Reached
+//!   through [`Mediator::knowledge`], read only: a map or index changed
+//!   behind the mediator would leave the base stale. The plug-in
+//!   registry, which the base does not read, is [`Mediator::registry_mut`].
 //! * the eval/cache pipeline owned here: the GCM base, the cached model
 //!   of it, and the evaluation options.
 //!
-//! The mediator composes the three: sources join at runtime by
-//! [`Mediator::register`]-ing (their CM export translated through the
-//! plug-in for their formalism, applied to the GCM base, their data
-//! anchored into the domain map, contributed DL axioms merged — Figure
-//! 3), and integrated views are FL rule texts evaluated over everything
+//! The mediator's own methods are the ones that need more than one
+//! layer. It forwards no layer method, except [`Mediator::lub`],
+//! [`Mediator::stats`] and [`Mediator::report`], which `benchmark/` calls
+//! on it.
+//!
+//! Sources join at runtime by [`Mediator::register`]-ing (their CM export
+//! translated through the plug-in for their formalism, applied to the GCM
+//! base, their data anchored into the domain map, contributed DL axioms
+//! merged — Figure 3), and integrated views are FL rule texts evaluated over everything
 //! together. [`Mediator::snapshot`] freezes the evaluated state into an
 //! immutable, `Send + Sync` [`crate::QuerySnapshot`] that any number of
 //! threads can query concurrently.
 
 use crate::error::{MediatorError, Result};
-use crate::fault::{AnswerReport, BreakerState, SourceError, SourcePolicy, VirtualClock};
+use crate::fault::{AnswerReport, SourceError};
 use crate::federation::{Federation, FetchRequest};
 pub use crate::federation::{MediatorStats, RegisteredSource};
 use crate::hub::{PinnedSnapshot, SnapshotHub};
 use crate::knowledge::Knowledge;
 use crate::query::{evaluate, AnswerSet, OneOffRule};
 use crate::snapshot::QuerySnapshot;
-use crate::wrapper::{Anchor, ObjectRow, Rows, SourceQuery, Wrapper};
+use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
 use kind_datalog::{EvalOptions, Interner, Model, Term};
-use kind_dm::{
-    axiom, rules, DomainMap, ExecMode, NodeId, Resolved, SemanticIndex, SourceId, DM_OPS_RULES,
-};
+use kind_dm::{axiom, rules, DomainMap, ExecMode, NodeId, SourceId, DM_OPS_RULES};
 use kind_gcm::{GcmBase, GcmDecl};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// The model-based mediator: a facade composing the [`Federation`] and
-/// [`Knowledge`] layers with the eval/cache pipeline (see module docs).
+/// The model-based mediator: the [`Federation`] and [`Knowledge`] layers
+/// composed by the eval/cache pipeline (see module docs).
 pub struct Mediator {
     federation: Federation,
     knowledge: Knowledge,
@@ -57,6 +63,7 @@ pub struct Mediator {
     /// Stored facts and rules of the program as [`Self::rebuild`] left it.
     /// Until the first model of a rebuilt base nothing is recorded, and
     /// [`Self::publish_pending`] tells a load from no load by this.
+    #[cfg(test)]
     built: (usize, usize),
     /// The `Arc` of the base handed to the most recent snapshot, reused
     /// verbatim by the next [`Self::snapshot`] when no base mutation
@@ -94,6 +101,7 @@ impl Mediator {
             base: GcmBase::new(),
             model: None,
             needs_rebuild: true,
+            #[cfg(test)]
             built: (0, 0),
             shared_base: None,
             hub: Arc::new(SnapshotHub::new()),
@@ -136,6 +144,13 @@ impl Mediator {
         &self.knowledge
     }
 
+    /// The plug-in registry (e.g. to register a new formalism): the one
+    /// mutable way into the knowledge layer, since a map or index changed
+    /// behind the mediator's back would leave the base stale.
+    pub fn registry_mut(&mut self) -> &mut kind_gcm::PluginRegistry {
+        &mut self.knowledge.registry
+    }
+
     /// The two planes of the execution pipeline, split-borrowed: the
     /// **fetch plane** (mutable federation — it advances breakers, the
     /// clock, and statistics) alongside the **evaluate plane**'s
@@ -148,139 +163,29 @@ impl Mediator {
     }
 
     // ------------------------------------------------------------------
-    // Knowledge-layer delegation.
+    // The three forwards `benchmark/` pins.
     // ------------------------------------------------------------------
 
-    /// The retained DL axioms (empty when the map was built directly).
-    pub fn axioms(&self) -> &[kind_dm::Axiom] {
-        self.knowledge.axioms()
-    }
-
-    /// The domain map.
-    pub fn dm(&self) -> &DomainMap {
-        self.knowledge.dm()
-    }
-
-    /// The resolved (flattened) domain-map view.
-    pub fn resolved(&self) -> &Resolved {
-        self.knowledge.resolved()
-    }
-
-    /// The semantic index.
-    pub fn index(&self) -> &SemanticIndex {
-        self.knowledge.index()
-    }
-
-    /// The plug-in registry (e.g. to register a new formalism).
-    pub fn registry_mut(&mut self) -> &mut kind_gcm::PluginRegistry {
-        self.knowledge.registry_mut()
-    }
-
-    /// The least upper bound of the named concepts in the isa lattice.
+    /// The least upper bound of the named concepts in the isa lattice,
+    /// computed by the knowledge layer. A forward, kept because
+    /// `benchmark/` calls it on the mediator.
     pub fn lub(&self, concepts: &[&str]) -> Result<Option<String>> {
         self.knowledge.lub(concepts)
     }
 
-    /// The least upper bound in the **partonomy order** along `role` —
-    /// the "region of correspondence" of §5 step 4: the smallest concept
-    /// whose downward closure contains all the given locations.
-    pub fn partonomy_lub(&self, role: &str, concepts: &[&str]) -> Result<Option<String>> {
-        self.knowledge.partonomy_lub(role, concepts)
-    }
-
-    // ------------------------------------------------------------------
-    // Federation-layer delegation.
-    // ------------------------------------------------------------------
-
-    /// Registered sources.
-    pub fn sources(&self) -> &[RegisteredSource] {
-        self.federation.sources()
-    }
-
-    /// Looks up a registered source by name.
-    pub fn source(&self, name: &str) -> Result<&RegisteredSource> {
-        self.federation.source(name)
-    }
-
-    /// Cumulative query-processing statistics.
+    /// Cumulative query-processing statistics, kept by the federation
+    /// layer. A forward, kept because `benchmark/` calls it on the
+    /// mediator.
     pub fn stats(&self) -> MediatorStats {
         self.federation.stats
     }
 
-    /// The mediator's clock (share it with [`crate::FaultInjector`]s so
-    /// injected delays, backoff and breaker cooldowns share one timeline).
-    pub fn clock(&self) -> Arc<VirtualClock> {
-        self.federation.clock()
-    }
-
-    /// Sets the policy used for sources without a per-source override.
-    pub fn set_default_policy(&mut self, policy: SourcePolicy) {
-        self.federation.set_default_policy(policy);
-    }
-
-    /// Sets a per-source retry/timeout/breaker policy. Any existing
-    /// breaker for the source is reset so the new configuration takes
-    /// effect immediately.
-    pub fn set_source_policy(&mut self, name: impl Into<String>, policy: SourcePolicy) {
-        self.federation.set_source_policy(name, policy);
-    }
-
-    /// Arms an end-to-end virtual-time budget for every degradable
-    /// operation ([`Self::materialize_all`], [`Self::answer`], the §5
-    /// plans): each operation starts with the whole allowance, fetch
-    /// jobs work against what is left of it, and sources that run past
-    /// it are cut off with [`crate::SourceOutcome::DeadlineExceeded`] —
-    /// the answer completes from whatever landed in time, and the report
-    /// says what is missing. `0` (the default) disables the deadline.
-    pub fn set_query_budget_ms(&mut self, ms: u64) {
-        self.federation.set_query_budget_ms(ms);
-    }
-
-    /// The pipeline-wide cooperative cancellation token: cancel it (from
-    /// any thread) and in-flight fetches abandon with
-    /// [`crate::SourceOutcome::Cancelled`] while the Datalog fixpoint
-    /// returns [`kind_datalog::DatalogError::Interrupted`] at its next
-    /// round boundary. Each degradable operation starts with the token
-    /// reset.
-    pub fn cancel_token(&self) -> kind_datalog::CancelToken {
-        self.federation.cancel_token()
-    }
-
-    /// The breaker state for a source, once it has been fetched from at
-    /// least once.
-    pub fn breaker_state(&self, name: &str) -> Option<BreakerState> {
-        self.federation.breaker_state(name)
-    }
-
     /// The degradation report of the most recent degradable operation
-    /// ([`Self::materialize_all`], [`Self::answer`], or a plan run).
+    /// ([`Self::materialize_all`], [`Self::answer`], or a plan run), kept
+    /// by the federation layer. A forward, kept because `benchmark/` calls
+    /// it on the mediator.
     pub fn report(&self) -> &AnswerReport {
         self.federation.report()
-    }
-
-    /// Capability-aware, fault-tolerant fetch — delegates to the
-    /// federation layer's single guarded path ([`Federation::fetch`]), so
-    /// retry/breaker/quarantine semantics are identical across every
-    /// entry point.
-    pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Rows> {
-        self.federation.fetch(source_name, q)
-    }
-
-    /// Calls a declared query template on a source (§2's "query
-    /// templates" capability form): expands the template with the given
-    /// arguments and fetches through the capability-aware path.
-    pub fn call_template(
-        &mut self,
-        source_name: &str,
-        template: &str,
-        args: &[kind_gcm::GcmValue],
-    ) -> Result<Rows> {
-        self.federation.call_template(source_name, template, args)
-    }
-
-    /// The sources that export `class` (by declared capability).
-    pub fn sources_exporting(&self, class: &str) -> Vec<String> {
-        self.federation.sources_exporting(class)
     }
 
     // ------------------------------------------------------------------
@@ -299,7 +204,9 @@ impl Mediator {
     /// under `root` — the downward closure along `role` (which includes
     /// isa-subconcepts). This is how "sources relevant to the cerebellum"
     /// finds a lab anchored at `Purkinje_Cell` (a *part*, not a
-    /// subconcept, of the cerebellum).
+    /// subconcept, of the cerebellum). Nothing in this repository calls it
+    /// by name (the §5 plan maps the ids itself); it stays with the other
+    /// three selectors that name sources.
     pub fn sources_in_region(&self, role: &str, root: &str) -> Result<Vec<String>> {
         let ids = self.knowledge.sources_in_region(role, root)?;
         Ok(self.federation.names_of(&ids))
@@ -455,7 +362,7 @@ impl Mediator {
 
     /// Overrides the evaluation options (depth limits etc.). The
     /// mediator's pipeline-wide cancellation token is re-attached unless
-    /// the caller supplied their own (see [`Self::cancel_token`]). The
+    /// the caller supplied their own (see [`Federation::cancel_token`]). The
     /// base program does not depend on any option, so nothing is staged;
     /// the cached model is dropped when an option that can change it
     /// moved — `cancel` (identity, not semantics) and `magic_sets`
@@ -529,7 +436,10 @@ impl Mediator {
         for v in &self.knowledge.views {
             base.flogic_mut().load(v)?;
         }
-        self.built = program_size(&base);
+        #[cfg(test)]
+        {
+            self.built = program_size(&base);
+        }
         self.base = base;
         self.model = None;
         self.shared_base = None;
@@ -733,8 +643,10 @@ impl Mediator {
     /// a rebuild is owed (the whole program is the delta), mutations are
     /// staged against the cached model, or — before the first model of a
     /// rebuilt base, when nothing is recorded yet — anything was loaded on
-    /// top of the built program.
-    pub fn publish_pending(&self) -> bool {
+    /// top of the built program (test instrumentation, like
+    /// [`Self::cached_model`]).
+    #[cfg(test)]
+    pub(crate) fn publish_pending(&self) -> bool {
         self.needs_rebuild
             || match self.base.flogic().engine().pending_delta() {
                 Some(delta) => !delta.is_empty(),
@@ -849,7 +761,7 @@ impl Mediator {
         let mut contacted: BTreeSet<String> = BTreeSet::new();
         let mut requests: Vec<FetchRequest> = Vec::new();
         for class in &rule.classes {
-            let exporting = self.sources_exporting(class);
+            let exporting = self.federation.sources_exporting(class);
             if exporting.is_empty() {
                 continue;
             }
@@ -983,6 +895,7 @@ fn assert_anchors(
 }
 
 /// `(stored facts, rules)` of `base`'s program.
+#[cfg(test)]
 fn program_size(base: &GcmBase) -> (usize, usize) {
     let engine = base.flogic().engine();
     (engine.edb().len(), engine.rules().len())
@@ -1038,8 +951,8 @@ mod tests {
         let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
         let w = simple_wrapper("SYNAPSE", "spine_data", "Spine", 5);
         let id = m.register(w).unwrap();
-        let spine = m.dm().lookup("Spine").unwrap();
-        assert_eq!(m.index().count(id, spine), 5);
+        let spine = m.knowledge().dm().lookup("Spine").unwrap();
+        assert_eq!(m.knowledge().index().count(id, spine), 5);
         // Source selection: Spine is an Ion_Regulating_Component.
         assert_eq!(
             m.sources_below("Ion_Regulating_Component").unwrap(),
@@ -1084,9 +997,9 @@ mod tests {
             m.register(Arc::new(ab)),
             Err(MediatorError::DottedSourceName { name }) if name == "A.B"
         ));
-        assert_eq!(m.sources().len(), 1);
-        assert_eq!(m.knowledge().cms().len(), 1);
-        assert_eq!(m.index().total_anchors(), 1);
+        assert_eq!(m.federation().sources().len(), 1);
+        assert_eq!(m.knowledge().cms.len(), 1);
+        assert_eq!(m.knowledge().index().total_anchors(), 1);
         assert!(!m.publish_pending(), "nothing staged");
         assert_eq!(m.materialize_all().unwrap(), 1);
         assert_eq!(m.query_fl("X : spines").unwrap().len(), 1);
@@ -1103,9 +1016,9 @@ mod tests {
         // A refused registration leaves nothing behind: no roster entry,
         // no CM for the next rebuild to apply, no anchors under the id
         // the next source will get.
-        assert!(m.sources().is_empty());
-        assert!(m.knowledge().cms().is_empty());
-        assert_eq!(m.index().total_anchors(), 0);
+        assert!(m.federation().sources().is_empty());
+        assert!(m.knowledge().cms.is_empty());
+        assert_eq!(m.knowledge().index().total_anchors(), 0);
         m.run().unwrap();
     }
 
@@ -1139,7 +1052,7 @@ mod tests {
     fn dm_contribution_extends_the_map() {
         // Figure 3 flow: registering MyNeuron/MyDendrite refines the DM.
         let mut m = Mediator::new(figures::figure3_base(), ExecMode::Assertion);
-        assert!(m.dm().lookup("MyNeuron").is_none());
+        assert!(m.knowledge().dm().lookup("MyNeuron").is_none());
         let mut w = MemoryWrapper::new("MYLAB");
         w.dm_axioms = figures::FIGURE3_REGISTRATION_AXIOMS.to_string();
         w.caps.push(Capability {
@@ -1152,7 +1065,7 @@ mod tests {
         });
         w.add_row("my_neurons", "m1", vec![]);
         m.register(Arc::new(w)).unwrap();
-        assert!(m.dm().lookup("MyNeuron").is_some());
+        assert!(m.knowledge().dm().lookup("MyNeuron").is_some());
         // Derived knowledge: MyNeuron projects to GPE, so the source is
         // found below Medium_Spiny_Neuron.
         assert_eq!(
@@ -1192,6 +1105,7 @@ mod tests {
             .unwrap();
         // `value` is not pushable: wrapper ships all 4, mediator keeps 1.
         let rows = m
+            .federation_mut()
             .fetch(
                 "S1",
                 &SourceQuery::scan("spines").with("value", GcmValue::Int(2)),
@@ -1202,6 +1116,7 @@ mod tests {
         assert_eq!(m.stats().rows_kept, 1);
         // `location` is pushable: wrapper ships only matches.
         let rows = m
+            .federation_mut()
             .fetch(
                 "S1",
                 &SourceQuery::scan("spines").with("location", GcmValue::Id("Spine".into())),
@@ -1274,13 +1189,17 @@ mod tests {
         w.add_row("m", "b", vec![("loc", GcmValue::Id("Shaft".into()))]);
         m.register(Arc::new(w)).unwrap();
         let rows = m
+            .federation_mut()
             .call_template("T", "by_loc", &[GcmValue::Id("Spine".into())])
             .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].id, "a");
         // Unknown template / wrong arity are errors.
-        assert!(m.call_template("T", "nope", &[]).is_err());
-        assert!(m.call_template("T", "by_loc", &[]).is_err());
+        assert!(m.federation_mut().call_template("T", "nope", &[]).is_err());
+        assert!(m
+            .federation_mut()
+            .call_template("T", "by_loc", &[])
+            .is_err());
     }
 
     #[test]
@@ -1304,10 +1223,10 @@ mod tests {
         w.add_row("probe", "p2", vec![("depth", GcmValue::Int(2))]);
         w.add_row("probe", "p3", vec![("depth", GcmValue::Int(7))]);
         let id = m.register(Arc::new(w)).unwrap();
-        let spine = m.dm().lookup("Spine").unwrap();
-        let shaft = m.dm().lookup("Shaft").unwrap();
-        assert_eq!(m.index().count(id, spine), 2);
-        assert_eq!(m.index().count(id, shaft), 1);
+        let spine = m.knowledge().dm().lookup("Spine").unwrap();
+        let shaft = m.knowledge().dm().lookup("Shaft").unwrap();
+        assert_eq!(m.knowledge().index().count(id, spine), 2);
+        assert_eq!(m.knowledge().index().count(id, shaft), 1);
     }
 
     #[test]

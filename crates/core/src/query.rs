@@ -437,9 +437,10 @@ mod tests {
         let first = m.answer(q).unwrap();
         let before = m.snapshot().unwrap();
         let warm_ptr = Arc::as_ptr(m.cached_model().expect("publish caches the model"));
-        m.set_query_budget_ms(250);
+        m.federation_mut().set_query_budget_ms(250);
         m.federation_mut().set_fetch_threads(2);
-        m.set_default_policy(SourcePolicy::with_hedge_after_ms(50));
+        m.federation_mut()
+            .set_default_policy(SourcePolicy::with_hedge_after_ms(50));
         for magic_sets in [false, true] {
             m.set_eval_options(EvalOptions {
                 magic_sets,

@@ -230,7 +230,7 @@ pub trait Wrapper: Send + Sync {
     ///
     /// The boundary is fallible: a wrapper may be unreachable, time out,
     /// truncate, or ship garbage — see [`crate::fault::SourceError`] for
-    /// the taxonomy and [`crate::Mediator::fetch`] for how failures are
+    /// the taxonomy and [`crate::Federation::fetch`] for how failures are
     /// retried, circuit-broken, and reported.
     fn query(&self, q: &SourceQuery) -> std::result::Result<Rows, crate::fault::SourceError>;
 

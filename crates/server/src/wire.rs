@@ -458,6 +458,80 @@ mod tests {
         }
     }
 
+    /// `Json::parse` on `text` returns, and what it accepts prints back
+    /// to the same value.
+    fn parse_is_total_on(text: &str) {
+        let parsed = std::panic::catch_unwind(|| Json::parse(text))
+            .unwrap_or_else(|_| panic!("parse panicked on {text:?}"));
+        if let Ok(v) = parsed {
+            assert_eq!(Json::parse(&v.to_string()), Ok(v), "{text:?}");
+        }
+    }
+
+    /// Every request line the client sends, framed as `Conn::send`
+    /// frames it, plus the `publish` and `stats` ops.
+    fn client_request_lines() -> Vec<String> {
+        let mut requests: Vec<Json> = (0..5)
+            .map(|i| crate::client::workload_request(i, 0))
+            .collect();
+        requests.push(crate::client::workload_request(2, 250));
+        requests.push(obj([("op", Json::str("publish")), ("rows", Json::int(5))]));
+        requests.push(obj([("op", Json::str("stats"))]));
+        requests
+            .into_iter()
+            .zip(1u64..)
+            .map(|(fields, id)| {
+                let mut pairs = vec![("id".to_string(), Json::int(id))];
+                if let Json::Obj(rest) = fields {
+                    pairs.extend(rest);
+                }
+                Json::Obj(pairs).to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parse_never_panics_on_random_or_mutated_input() {
+        // 512 seeded byte strings, half their bytes drawn from JSON's own
+        // punctuation so the parser gets past the first byte.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let tokens = b"{}[],:\"\\-+.0123456789eEtrufalsn u";
+        for _ in 0..512 {
+            let len = (next() % 48) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match next() % 2 {
+                    0 => tokens[(next() % tokens.len() as u64) as usize],
+                    _ => next() as u8,
+                })
+                .collect();
+            parse_is_total_on(&String::from_utf8_lossy(&bytes));
+        }
+        // Every one-byte substitution, deletion and truncation of the
+        // lines a client sends.
+        let lines = client_request_lines();
+        assert_eq!(lines.len(), 8);
+        for line in &lines {
+            assert!(Json::parse(line).is_ok(), "{line}");
+            let b = line.as_bytes();
+            for i in 0..b.len() {
+                parse_is_total_on(&String::from_utf8_lossy(&b[..i]));
+                let deleted = [&b[..i], &b[i + 1..]].concat();
+                parse_is_total_on(&String::from_utf8_lossy(&deleted));
+                let mut mutated = b.to_vec();
+                for byte in 0..=255u8 {
+                    mutated[i] = byte;
+                    parse_is_total_on(&String::from_utf8_lossy(&mutated));
+                }
+            }
+        }
+    }
+
     #[test]
     fn control_chars_escape() {
         let v = Json::str("a\nb\u{1}c");

@@ -148,13 +148,14 @@ pub fn ncmir_update_rows(seed: u64, batch: usize, rows: usize) -> Vec<kind_core:
 /// `params` applied.
 fn configured_mediator(params: &ScenarioParams) -> Mediator {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
-    m.federation_mut().set_fetch_threads(params.fetch_threads);
     let mut opts = m.eval_options().clone();
     opts.magic_sets = params.magic_sets;
     m.set_eval_options(opts);
-    m.set_query_budget_ms(params.query_budget_ms);
+    let fed = m.federation_mut();
+    fed.set_fetch_threads(params.fetch_threads);
+    fed.set_query_budget_ms(params.query_budget_ms);
     if params.hedge_after_ms > 0 {
-        m.set_default_policy(SourcePolicy::with_hedge_after_ms(params.hedge_after_ms));
+        fed.set_default_policy(SourcePolicy::with_hedge_after_ms(params.hedge_after_ms));
     }
     m
 }
@@ -197,7 +198,7 @@ pub fn build_scenario_with_faults(
     let mut m = configured_mediator(params);
     let mut injector = FaultInjector::new(
         senselab_wrapper(params.seed, params.senselab_rows),
-        m.clock(),
+        m.federation().clock(),
     );
     for f in senselab_faults {
         injector = injector.with_fault(f);
@@ -236,7 +237,7 @@ mod tests {
     #[test]
     fn all_sources_register() {
         let m = scenario();
-        assert_eq!(m.sources().len(), 8); // ANATOM + 3 labs + 4 noise
+        assert_eq!(m.federation().sources().len(), 8); // ANATOM + 3 labs + 4 noise
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn main() {
 
     println!("\n== circuit breaker: repeated failures stop the hammering ==");
     let (mut med, injector) = build_scenario_with_faults(&params, vec![Fault::EveryKth(1)]);
-    med.set_source_policy(
+    med.federation_mut().set_source_policy(
         "SENSELAB",
         SourcePolicy {
             retry: RetryPolicy::none(),
@@ -78,10 +78,10 @@ fn main() {
     let _ = run_section5(&mut med, &schema, &query(), true).expect("plan runs");
     println!(
         "  breaker state: {:?}; wrapper calls while open: {}",
-        med.breaker_state("SENSELAB").unwrap(),
+        med.federation().breaker_state("SENSELAB").unwrap(),
         injector.calls() - calls_tripped
     );
-    med.clock().advance_ms(1_000);
+    med.federation().clock().advance_ms(1_000);
     let _ = run_section5(&mut med, &schema, &query(), true).expect("plan runs");
     println!(
         "  after cooldown: half-open trial contacted the source ({} calls total)",
@@ -91,7 +91,7 @@ fn main() {
     println!("\n== deadline: a slow source is cut off, the answer degrades ==");
     let (mut med, _injector) =
         build_scenario_with_faults(&params, vec![Fault::Slow { delay_ms: 500 }]);
-    med.set_query_budget_ms(200);
+    med.federation_mut().set_query_budget_ms(200);
     let trace = run_section5(&mut med, &schema, &query(), true).expect("plan degrades, not aborts");
     println!("  report: {}", trace.report.summary_line());
     assert!(trace.report.deadline_exceeded());
@@ -106,7 +106,8 @@ fn main() {
             slow_per_mille: 500,
         }],
     );
-    med.set_source_policy("SENSELAB", SourcePolicy::with_hedge_after_ms(50));
+    med.federation_mut()
+        .set_source_policy("SENSELAB", SourcePolicy::with_hedge_after_ms(50));
     let mut hedged_total = 0;
     for _ in 0..6 {
         let trace = run_section5(&mut med, &schema, &query(), true).expect("plan runs");
@@ -150,7 +151,8 @@ fn main() {
 fn slow_tail_federation(hedge: bool, stall: Duration) -> Mediator {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
     if hedge {
-        m.set_default_policy(SourcePolicy::with_hedge_after_ms(50));
+        m.federation_mut()
+            .set_default_policy(SourcePolicy::with_hedge_after_ms(50));
     }
     for s in 0..32usize {
         let class = format!("c{s}");
@@ -169,13 +171,13 @@ fn slow_tail_federation(hedge: bool, stall: Duration) -> Mediator {
             vec![("value", GcmValue::Int(s as i64))],
         );
         let stalled = StallAware::new(Arc::new(w), stall);
-        let injector = Arc::new(FaultInjector::new(stalled, m.clock()).with_fault(
-            Fault::SlowTail {
+        let injector = Arc::new(
+            FaultInjector::new(stalled, m.federation().clock()).with_fault(Fault::SlowTail {
                 seed: 40 + s as u64,
                 delay_ms: 400,
                 slow_per_mille: 40,
-            },
-        ));
+            }),
+        );
         injector.disarm();
         m.register(Arc::clone(&injector) as Arc<dyn Wrapper>)
             .expect("slow-tail source registers");

@@ -66,18 +66,18 @@ impl Shell {
                 // simplicity the shell keeps a growing axiom text.
                 match kind::dm::parse_axioms(rest) {
                     Ok(_) => {
-                        let mut dm = self.med.dm().clone();
+                        let mut dm = self.med.knowledge().dm().clone();
                         match kind::dm::load_axioms(&mut dm, rest) {
                             Ok(_) => {
                                 // Mediator has no replace-map API by design
                                 // (sources anchor against it); the shell
                                 // only allows this before sources join.
-                                if self.med.sources().is_empty() {
+                                if self.med.federation().sources().is_empty() {
                                     self.med = Mediator::new(dm, ExecMode::Assertion);
                                     println!(
                                         "ok: {} concepts, {} edges",
-                                        self.med.dm().concepts().count(),
-                                        self.med.dm().edge_count()
+                                        self.med.knowledge().dm().concepts().count(),
+                                        self.med.knowledge().dm().edge_count()
                                     );
                                 } else {
                                     println!("error: load axioms before registering sources (or put them in the source bundle's <axioms>)");
@@ -95,10 +95,10 @@ impl Shell {
             },
             "inline_source" => self.register_bundle(rest),
             "sources" => {
-                if self.med.sources().is_empty() {
+                if self.med.federation().sources().is_empty() {
                     println!("(no sources registered)");
                 }
-                for s in self.med.sources() {
+                for s in self.med.federation().sources() {
                     println!(
                         "  {} [{}] classes={:?}",
                         s.name,
@@ -145,7 +145,7 @@ impl Shell {
             },
             "lub" => {
                 let concepts: Vec<&str> = rest.split_whitespace().collect();
-                match self.med.partonomy_lub("has_a", &concepts) {
+                match self.med.knowledge().partonomy_lub("has_a", &concepts) {
                     Ok(l) => println!("lub = {l:?}"),
                     Err(e) => println!("error: {e}"),
                 }
@@ -162,7 +162,7 @@ impl Shell {
                 Ok(None) => println!("(fact does not hold)"),
                 Err(e) => println!("error: {e}"),
             },
-            "dot" => print!("{}", kind::dm::dot::to_dot(self.med.dm(), &[])),
+            "dot" => print!("{}", kind::dm::dot::to_dot(self.med.knowledge().dm(), &[])),
             other => println!("unknown command `{other}` (try: axioms/source/sources/view/query/answer/lub/select/dot/quit)"),
         }
         true

@@ -16,7 +16,7 @@ fn main() {
     let params = ScenarioParams::default();
     let mut med = build_scenario(&params);
     println!("registered sources:");
-    for s in med.sources() {
+    for s in med.federation().sources() {
         println!("  {} (classes: {:?})", s.name, s.classes);
     }
 

@@ -77,6 +77,7 @@ fn main() {
     med.register(std::sync::Arc::new(limited))
         .expect("registers");
     let rows = med
+        .federation_mut()
         .call_template(
             "LIMITED",
             "protein_by_location",

@@ -254,9 +254,10 @@ fn ci_seeds_reproduce_the_recorded_reports_answers_and_breakers() {
                 .collect();
             rows.sort();
             let states: Vec<String> = m
+                .federation()
                 .sources()
                 .iter()
-                .map(|s| format!("{}={:?}", s.name, m.breaker_state(&s.name)))
+                .map(|s| format!("{}={:?}", s.name, m.federation().breaker_state(&s.name)))
                 .collect();
             let at = format!("seed {seed}, {fetch_threads} fetch worker(s)");
             assert_eq!(trace.report.summary_line(), summary, "{at}");

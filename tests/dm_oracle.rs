@@ -498,7 +498,8 @@ fn source_selection_agrees_with_asking_the_model() {
                 .collect();
             let le = |a: usize, b: usize| a == b || tc_isa.contains(&(a, b));
             let names = |ids: Vec<kind::dm::SourceId>| -> BTreeSet<String> {
-                m.sources()
+                m.federation()
+                    .sources()
                     .iter()
                     .filter(|s| ids.contains(&s.id))
                     .map(|s| s.name.clone())
@@ -513,7 +514,11 @@ fn source_selection_agrees_with_asking_the_model() {
             };
             for c in 0..n {
                 assert_eq!(
-                    names(m.index().sources_below(m.resolved(), g.concepts[c])),
+                    names(
+                        m.knowledge()
+                            .index()
+                            .sources_below(m.knowledge().resolved(), g.concepts[c])
+                    ),
                     below(c),
                     "seed {seed} {mode:?}: sources_below(c{c})"
                 );
@@ -522,10 +527,10 @@ fn source_selection_agrees_with_asking_the_model() {
                 let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 let expect: BTreeSet<String> = below(a).intersection(&below(b)).cloned().collect();
                 assert_eq!(
-                    names(
-                        m.index()
-                            .sources_for_all(m.resolved(), &[g.concepts[a], g.concepts[b]])
-                    ),
+                    names(m.knowledge().index().sources_for_all(
+                        m.knowledge().resolved(),
+                        &[g.concepts[a], g.concepts[b]]
+                    )),
                     expect,
                     "seed {seed} {mode:?}: sources_for_all(c{a}, c{b})"
                 );

@@ -21,7 +21,12 @@ fn default_query() -> Section5Query {
 #[test]
 fn scenario_registers_through_three_different_formalisms() {
     let m = build_scenario(&ScenarioParams::default());
-    let formalisms: Vec<&str> = m.sources().iter().map(|s| s.wrapper.formalism()).collect();
+    let formalisms: Vec<&str> = m
+        .federation()
+        .sources()
+        .iter()
+        .map(|s| s.wrapper.formalism())
+        .collect();
     assert!(formalisms.contains(&"er"));
     assert!(formalisms.contains(&"uxf"));
     assert!(formalisms.contains(&"rdfs"));
@@ -257,7 +262,7 @@ fn tripped_breaker_skips_source_without_querying() {
     // SENSELAB always fails; a tight policy trips the breaker fast.
     let (mut m, injector) =
         build_scenario_with_faults(&ScenarioParams::default(), vec![Fault::EveryKth(1)]);
-    m.set_source_policy(
+    m.federation_mut().set_source_policy(
         "SENSELAB",
         SourcePolicy {
             retry: RetryPolicy::none(),
@@ -270,15 +275,15 @@ fn tripped_breaker_skips_source_without_querying() {
         },
     );
     let q = SourceQuery::scan("neurotransmission");
-    assert!(m.fetch("SENSELAB", &q).is_err());
-    assert!(m.fetch("SENSELAB", &q).is_err()); // second failure trips it
+    assert!(m.federation_mut().fetch("SENSELAB", &q).is_err());
+    assert!(m.federation_mut().fetch("SENSELAB", &q).is_err()); // second failure trips it
     assert!(matches!(
-        m.breaker_state("SENSELAB"),
+        m.federation().breaker_state("SENSELAB"),
         Some(BreakerState::Open { .. })
     ));
     // While open, fetches are refused WITHOUT contacting the wrapper.
     let calls_before = injector.calls();
-    assert!(m.fetch("SENSELAB", &q).is_err());
+    assert!(m.federation_mut().fetch("SENSELAB", &q).is_err());
     assert_eq!(
         injector.calls(),
         calls_before,
@@ -295,15 +300,15 @@ fn tripped_breaker_skips_source_without_querying() {
     assert_eq!(injector.calls(), calls_before, "still no wrapper call");
     // After the cooldown (virtual time!) a half-open trial goes through —
     // it fails, so the breaker re-opens.
-    m.clock().advance_ms(1_000);
-    assert!(m.fetch("SENSELAB", &q).is_err());
+    m.federation().clock().advance_ms(1_000);
+    assert!(m.federation_mut().fetch("SENSELAB", &q).is_err());
     assert_eq!(
         injector.calls(),
         calls_before + 1,
         "half-open trial contacted it"
     );
     assert!(matches!(
-        m.breaker_state("SENSELAB"),
+        m.federation().breaker_state("SENSELAB"),
         Some(BreakerState::Open { .. })
     ));
 }
@@ -346,7 +351,7 @@ fn slow_source_times_out_on_the_virtual_clock() {
         &ScenarioParams::default(),
         vec![Fault::Slow { delay_ms: 500 }],
     );
-    m.set_source_policy(
+    m.federation_mut().set_source_policy(
         "SENSELAB",
         SourcePolicy {
             retry: RetryPolicy::none(),
@@ -356,6 +361,7 @@ fn slow_source_times_out_on_the_virtual_clock() {
         },
     );
     let err = m
+        .federation_mut()
         .fetch("SENSELAB", &SourceQuery::scan("neurotransmission"))
         .unwrap_err();
     match err {

@@ -188,11 +188,11 @@ fn registration_anchors_rows_without_changing_the_map() {
     for rows in [10, 100, 1_000] {
         let mut m = Mediator::new(figures::figure3_base(), ExecMode::Assertion);
         m.register(mylab(rows, false)).unwrap();
-        assert_eq!(size(m.dm()), size(&base), "{rows} rows");
-        assert_eq!(m.index().total_anchors(), rows);
+        assert_eq!(size(m.knowledge().dm()), size(&base), "{rows} rows");
+        assert_eq!(m.knowledge().index().total_anchors(), rows);
         let mut m = Mediator::new(figures::figure3_base(), ExecMode::Assertion);
         m.register(mylab(rows, true)).unwrap();
-        refined.push(size(m.dm()));
+        refined.push(size(m.knowledge().dm()));
     }
     assert!(
         refined.iter().all(|s| *s == size(&figures::figure3())),

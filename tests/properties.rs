@@ -485,7 +485,7 @@ proptest! {
                 ion: "calcium".into(),
             };
             let trace = run_section5(&mut m, &schema, &q, true).unwrap();
-            (trace, m.breaker_state("SENSELAB"), m.report().clone())
+            (trace, m.federation().breaker_state("SENSELAB"), m.report().clone())
         };
         prop_assert_eq!(run(8), run(1), "observables diverge between 8 workers and 1");
     }
@@ -851,13 +851,19 @@ fn direct_row_load_matches_the_recorded_base_and_the_declaration_route() {
         m.rebuild().unwrap();
         let mut by_decl = m.base().clone();
         let scans: Vec<(String, String)> = m
+            .federation()
             .sources()
             .iter()
             .flat_map(|s| s.classes.iter().map(|c| (s.name.clone(), c.clone())))
             .collect();
         let mut rows = Vec::new();
         for (source, class) in &scans {
-            for row in m.fetch(source, &SourceQuery::scan(class)).unwrap().iter() {
+            for row in m
+                .federation_mut()
+                .fetch(source, &SourceQuery::scan(class))
+                .unwrap()
+                .iter()
+            {
                 let obj = format!("{source}.{}", row.id);
                 by_decl
                     .apply_decl(&GcmDecl::Instance {

@@ -1,4 +1,5 @@
-//! Keeps the README's fault-tolerance snippet honest.
+//! Keeps the README's fault-tolerance snippet honest: the same calls, in
+//! the same order, as the README shows.
 
 use kind::core::{Capability, Fault, FaultInjector, Mediator, MemoryWrapper, SourceOutcome};
 use kind::dm::{DomainMap, ExecMode};
@@ -14,7 +15,8 @@ fn readme_fault_tolerance_snippet() {
         pushable: vec![],
     });
     lab.add_row("cells", "c1", vec![("volume", GcmValue::Int(7))]);
-    let flaky = FaultInjector::new(Arc::new(lab), med.clock()).with_fault(Fault::FailFirst(2));
+    let flaky =
+        FaultInjector::new(Arc::new(lab), med.federation().clock()).with_fault(Fault::FailFirst(2));
     med.register(Arc::new(flaky)).unwrap();
     med.materialize_all().unwrap();
     let report = med.report();
