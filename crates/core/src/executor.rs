@@ -241,7 +241,7 @@ fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<VirtualClock
 /// result, and the siblings of a pooled fetch would wait for it for ever.
 /// The call reads the job only for its query, so a panic leaves nothing
 /// of the job half-updated.
-fn contact<T>(call: impl FnOnce() -> T) -> Result<T, SourceError> {
+pub(crate) fn contact<T>(call: impl FnOnce() -> T) -> Result<T, SourceError> {
     catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
         let message = payload
             .downcast_ref::<&str>()

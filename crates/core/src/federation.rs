@@ -305,8 +305,9 @@ enum FetchState {
         /// Whether the breaker was fully closed when the attempt left
         /// (hedging is only for sources in good standing).
         breaker_closed: bool,
-        /// The wrapper's self-charged cost before the attempt.
-        cost_before: u64,
+        /// The wrapper's self-charged cost before the attempt; `None` when
+        /// reading it failed, and the attempt fails unsent.
+        cost_before: Option<u64>,
     },
     /// A hedge backup is in flight; the slow primary's rows ride along
     /// in case the backup loses the race.
@@ -315,9 +316,35 @@ enum FetchState {
         rows: Rows,
         /// The primary's self-charged cost (the time to beat).
         attempt_cost: u64,
-        /// The wrapper's self-charged cost before the backup.
-        backup_before: u64,
+        /// The wrapper's self-charged cost before the backup; `None` when
+        /// reading it failed, and the backup fails unsent.
+        backup_before: Option<u64>,
     },
+}
+
+/// The wrapper's self-charged cost so far. It is wrapper code, and the
+/// machine reads it, not a contact, so a panic in it is caught here the way
+/// [`crate::executor`] catches one in a contact: as that attempt's
+/// [`SourceError::Unavailable`]. Uncaught it would end the job without a
+/// result, and the siblings of a pooled fetch would wait for it for ever.
+fn cost_of(src: &RegisteredSource) -> std::result::Result<u64, SourceError> {
+    crate::executor::contact(|| src.wrapper.virtual_cost_ms())
+}
+
+/// One attempt's outcome from its contact's `reply` and the cost read
+/// `before` it (`None`: that read failed, and `reply` is its error): the
+/// attempt's own cost — 0 where it cannot be read — and the reply, failed
+/// too if the cost after the contact cannot be read.
+fn settle(src: &RegisteredSource, before: Option<u64>, reply: SourceReply) -> (u64, SourceReply) {
+    let cost = match before {
+        Some(before) => cost_of(src).map(|now| now.saturating_sub(before)),
+        None => Ok(0),
+    };
+    match (reply, cost) {
+        (Ok(rows), Ok(cost)) => (cost, Ok(rows)),
+        (Ok(_), Err(error)) => (0, Err(error)),
+        (Err(error), cost) => (cost.unwrap_or(0), Err(error)),
+    }
 }
 
 /// One guarded fetch — breaker check, per-attempt virtual-time budget,
@@ -391,11 +418,16 @@ impl FetchMachine {
                     let breaker_closed = matches!(breaker.state(), BreakerState::Closed { .. });
                     self.attempts += 1;
                     stats.source_queries += 1;
+                    let cost_before = cost_of(src);
                     self.state = FetchState::Primary {
                         breaker_closed,
-                        cost_before: src.wrapper.virtual_cost_ms(),
+                        cost_before: cost_before.as_ref().ok().copied(),
                     };
-                    return Step::Contact;
+                    match cost_before {
+                        Ok(_) => return Step::Contact,
+                        // The attempt fails with the panic, unsent.
+                        Err(error) => reply = Some(Err(error)),
+                    }
                 }
                 FetchState::Primary {
                     breaker_closed,
@@ -404,23 +436,25 @@ impl FetchMachine {
                     // The attempt's own cost: the wrapper's self-reported
                     // stall delta, immune to concurrent siblings
                     // advancing the shared clock. The per-attempt timeout
-                    // is judged by it too.
-                    let attempt_cost = src.wrapper.virtual_cost_ms().saturating_sub(cost_before);
-                    // The executor answers every `Step::Contact` with a
-                    // reply, a panicking wrapper's included (as an `Err`).
-                    let result = reply
-                        .take()
-                        .expect("contact reply fed back after Primary")
-                        .and_then(|rows| {
-                            if policy.timeout_ms > 0 && attempt_cost > policy.timeout_ms {
-                                Err(SourceError::Timeout {
-                                    elapsed_ms: attempt_cost,
-                                    budget_ms: policy.timeout_ms,
-                                })
-                            } else {
-                                Ok(rows)
-                            }
-                        });
+                    // is judged by it too. The executor answers every
+                    // `Step::Contact` with a reply, a panicking wrapper's
+                    // included (as an `Err`), and the gate above sets one
+                    // for an attempt it did not send.
+                    let (attempt_cost, answered) = settle(
+                        src,
+                        cost_before,
+                        reply.take().expect("contact reply fed back after Primary"),
+                    );
+                    let result = answered.and_then(|rows| {
+                        if policy.timeout_ms > 0 && attempt_cost > policy.timeout_ms {
+                            Err(SourceError::Timeout {
+                                elapsed_ms: attempt_cost,
+                                budget_ms: policy.timeout_ms,
+                            })
+                        } else {
+                            Ok(rows)
+                        }
+                    });
                     match result {
                         Ok(rows) => {
                             breaker.record_success();
@@ -445,12 +479,20 @@ impl FetchMachine {
                                 self.cancelled += 1;
                                 self.attempts += 1;
                                 stats.source_queries += 1;
+                                let backup_before = cost_of(src);
                                 self.state = FetchState::Backup {
                                     rows,
                                     attempt_cost,
-                                    backup_before: src.wrapper.virtual_cost_ms(),
+                                    backup_before: backup_before.as_ref().ok().copied(),
                                 };
-                                return Step::Contact;
+                                match backup_before {
+                                    Ok(_) => return Step::Contact,
+                                    // The backup fails with the panic, unsent.
+                                    Err(error) => {
+                                        reply = Some(Err(error));
+                                        continue;
+                                    }
+                                }
                             }
                             return self.land(rows, attempt_cost, src, stats, q, budget);
                         }
@@ -478,8 +520,11 @@ impl FetchMachine {
                     backup_before,
                 } => {
                     // As for `Primary`: every contact gets its reply.
-                    let backup = reply.take().expect("contact reply fed back after Backup");
-                    let backup_cost = src.wrapper.virtual_cost_ms().saturating_sub(backup_before);
+                    let (backup_cost, backup) = settle(
+                        src,
+                        backup_before,
+                        reply.take().expect("contact reply fed back after Backup"),
+                    );
                     let backup_finish = policy.hedge_after_ms.saturating_add(backup_cost);
                     let mut rows = rows;
                     let mut charge = attempt_cost;
@@ -1740,10 +1785,22 @@ mod tests {
         }
     }
 
-    /// A source whose `query` panics once armed.
+    /// A source that panics once armed: in `query`, or with `in_cost` in
+    /// `virtual_cost_ms`, which the fetch machine reads around each
+    /// contact.
     struct Panicky {
         inner: Arc<MemoryWrapper>,
         armed: AtomicBool,
+        in_cost: bool,
+    }
+
+    impl Panicky {
+        fn check(&self, in_cost: bool, bug: &str) {
+            assert!(
+                !(self.in_cost == in_cost && self.armed.load(Ordering::SeqCst)),
+                "{bug}"
+            );
+        }
     }
 
     impl Wrapper for Panicky {
@@ -1762,41 +1819,55 @@ mod tests {
         fn anchors(&self) -> Vec<Anchor> {
             self.inner.anchors()
         }
+        fn virtual_cost_ms(&self) -> u64 {
+            self.check(true, "cost bug");
+            self.inner.virtual_cost_ms()
+        }
         fn query(&self, q: &SourceQuery) -> SourceReply {
-            assert!(!self.armed.load(Ordering::SeqCst), "wrapper bug");
+            self.check(false, "wrapper bug");
             self.inner.query(q)
         }
     }
 
-    #[test]
-    fn a_panicking_wrapper_fails_its_attempts_instead_of_hanging_the_fetch() {
-        // Before the executor caught wrapper panics, two workers waited
-        // for ever on the job that never finished, and one worker let the
-        // panic through. The fetch runs on a helper thread so a hang
-        // fails the test instead of stalling the suite.
-        let run = |workers: usize| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let helper = std::thread::spawn(move || {
-                let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-                m.federation_mut().set_fetch_threads(workers);
-                m.register(wrapper("OK", "ca", "Spine", 3)).unwrap();
-                let bad = Arc::new(Panicky {
-                    inner: wrapper("BAD", "cb", "Shaft", 2),
-                    armed: AtomicBool::new(false),
-                });
-                m.register(Arc::clone(&bad) as Arc<dyn Wrapper>).unwrap();
-                bad.armed.store(true, Ordering::SeqCst);
-                let loaded = m.materialize_all().map_err(|e| e.to_string());
-                let rows = m.query_fl("X : ca").map(|r| r.len());
-                let _ = tx.send((loaded, rows.map_err(|e| e.to_string()), m.report().clone()));
+    /// `materialize_all` and a class query over a healthy source and a
+    /// [`Panicky`] one, on `workers` fetch workers. The fetch runs on a
+    /// helper thread so a hang fails the test instead of stalling the
+    /// suite.
+    fn fetch_beside_a_panic(
+        workers: usize,
+        in_cost: bool,
+    ) -> (
+        std::result::Result<usize, String>,
+        std::result::Result<usize, String>,
+        crate::fault::AnswerReport,
+    ) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+            m.federation_mut().set_fetch_threads(workers);
+            m.register(wrapper("OK", "ca", "Spine", 3)).unwrap();
+            let bad = Arc::new(Panicky {
+                inner: wrapper("BAD", "cb", "Shaft", 2),
+                armed: AtomicBool::new(false),
+                in_cost,
             });
-            let got = rx
-                .recv_timeout(std::time::Duration::from_secs(10))
-                .unwrap_or_else(|e| panic!("materialize_all at {workers} workers: {e}"));
-            helper.join().expect("the helper thread returned");
-            got
-        };
-        let serial = run(1);
+            m.register(Arc::clone(&bad) as Arc<dyn Wrapper>).unwrap();
+            bad.armed.store(true, Ordering::SeqCst);
+            let loaded = m.materialize_all().map_err(|e| e.to_string());
+            let rows = m.query_fl("X : ca").map(|r| r.len());
+            let _ = tx.send((loaded, rows.map_err(|e| e.to_string()), m.report().clone()));
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("materialize_all at {workers} workers: {e}"));
+        helper.join().expect("the helper thread returned");
+        got
+    }
+
+    /// The healthy source loads; the panicking one fails its attempts with
+    /// the panic's message; one worker and two agree.
+    fn assert_the_panic_fails_its_attempts(in_cost: bool, bug: &str) {
+        let serial = fetch_beside_a_panic(1, in_cost);
         assert_eq!((&serial.0, &serial.1), (&Ok(3), &Ok(3)));
         let bad = serial.2.source("BAD").unwrap();
         assert!(
@@ -1804,12 +1875,27 @@ mod tests {
                 &bad.outcome,
                 SourceOutcome::Failed {
                     error: SourceError::Unavailable { reason }
-                } if reason.contains("panicked") && reason.contains("wrapper bug")
+                } if reason.contains("panicked") && reason.contains(bug)
             ),
             "{:?}",
             bad.outcome
         );
-        assert_eq!(run(2), serial);
+        assert_eq!(fetch_beside_a_panic(2, in_cost), serial);
+    }
+
+    #[test]
+    fn a_panicking_wrapper_fails_its_attempts_instead_of_hanging_the_fetch() {
+        // Before the executor caught wrapper panics, two workers waited
+        // for ever on the job that never finished, and one worker let the
+        // panic through.
+        assert_the_panic_fails_its_attempts(false, "wrapper bug");
+    }
+
+    /// The machine reads `virtual_cost_ms` around each contact, outside the
+    /// executor's: a panic there ended the job the same way.
+    #[test]
+    fn a_panicking_cost_read_fails_its_attempts_instead_of_hanging_the_fetch() {
+        assert_the_panic_fails_its_attempts(true, "cost bug");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! (every stratum of the base program skipped, `derived` = the rule's
 //! derivations), and to one set of counters whatever ran before it
 //! (`concurrency.rs` races eight callers on one fresh model for the same
-//! counters).
+//! counters). One test builds the scenario at full size and pins every
+//! counter the served answers and a cold run report.
 
 use kind_core::{Mediator, QuerySnapshot};
 use kind_datalog::{Atom, EvalOptions, Model, Term, Var};
@@ -187,4 +188,82 @@ fn warm_stats_do_not_depend_on_history_or_threads() {
     for p in snap.model().facts.predicates() {
         assert!(!engine.name(p).contains('@'), "a rewrite predicate leaked");
     }
+}
+
+/// The scenario `served_answer` serves: the repo benchmark's
+/// `served_params` at seed 1, about 2 900 objects.
+fn served_snapshot() -> QuerySnapshot {
+    let mut m = build_scenario(&ScenarioParams {
+        seed: 1,
+        senselab_rows: 400,
+        ncmir_rows: 600,
+        synapse_rows: 400,
+        noise_sources: 4,
+        noise_rows: 300,
+        ..Default::default()
+    });
+    m.materialize_all().unwrap();
+    m.snapshot().unwrap()
+}
+
+/// An `EvalStats` as `[iterations, derived, depth_clipped, applications,
+/// index_builds, index_hits, index_misses]`.
+fn counters(s: &kind_datalog::EvalStats) -> [usize; 7] {
+    [
+        s.iterations,
+        s.derived,
+        s.depth_clipped,
+        s.applications,
+        s.index_builds,
+        s.index_hits,
+        s.index_misses,
+    ]
+}
+
+/// Per rule of the benchmark's `served_answer` cycle, then `lonely`: the
+/// warm answer's counters and the join order of its own stratum's rule
+/// (with whether the planner moved it), as recorded before evaluation
+/// probed through prepared handles. The six answers sum to the traced
+/// `served_answer` figures: 7 iterations, 1 896 derived, 3 529
+/// applications, 0 builds, 12 271 hits, 1 miss.
+const SERVED_RECORDED: [([usize; 7], &[usize], bool); 7] = [
+    ([1, 21, 0, 1600, 0, 4801, 0], &[3, 0, 1, 2], true),
+    ([1, 197, 0, 197, 0, 395, 0], &[1, 0, 2], true),
+    ([1, 6, 0, 60, 0, 3601, 0], &[0, 1, 2, 3], false),
+    ([1, 198, 0, 198, 0, 1999, 0], &[1, 0], true),
+    ([2, 2, 0, 2, 0, 2, 1], &[0], false),
+    ([1, 1472, 0, 1472, 0, 1473, 0], &[2, 1, 0], true),
+    ([1, 1800, 0, 1800, 0, 1, 0], &[0, 1], false),
+];
+
+/// A cold run of the served program, recorded likewise.
+const COLD_RECORDED: [usize; 7] = [15, 1145, 0, 7239, 18, 821, 24];
+
+/// Every work counter of the served answers and of a cold run, pinned: a
+/// change to the evaluator that moves one — a probe counted twice, an
+/// index built at planning rather than at its first probe — fails here.
+#[test]
+fn served_answer_counters_are_the_recorded_ones() {
+    let snap = served_snapshot();
+    for (rule, (stats, order, reordered)) in RULES.iter().zip(SERVED_RECORDED) {
+        let answer = snap.answer_with(rule, snap.eval_options()).unwrap();
+        assert_eq!(counters(&answer.stats), stats, "{rule}");
+        let (model, head) = walked(&snap, rule);
+        let own = model
+            .profile
+            .strata
+            .iter()
+            .find(|s| s.preds.contains(&head))
+            .unwrap();
+        let [plan] = own.plans.as_slice() else {
+            panic!("{rule}: one rule in its stratum, got {:?}", own.plans)
+        };
+        assert_eq!(
+            (plan.join_order.as_slice(), plan.reordered),
+            (order, reordered),
+            "{rule}"
+        );
+    }
+    let cold = snap.base().flogic().engine().run(snap.eval_options());
+    assert_eq!(counters(&cold.unwrap().stats), COLD_RECORDED);
 }

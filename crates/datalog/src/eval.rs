@@ -23,8 +23,12 @@
 //!   recorded in the model's [`EvalProfile`] for `explain`-style dumps;
 //! * **indexing** ([`EvalOptions::use_index`]): joins with any bound
 //!   argument probe a lazily-built hash index on exactly the bound column
-//!   set ([`crate::fact::Relation::iter_bound`]); build/hit/miss counts
-//!   land in [`EvalStats`];
+//!   set; build/hit/miss counts land in [`EvalStats`]. Which columns of an
+//!   atom are bound is fixed by the join plan, so a rule is *prepared*
+//!   once per stratum with each atom's column sets, and each
+//!   `(rule, delta-variant)` unit of a round resolves its atoms' relations
+//!   once and takes each index at that atom's first probe: a probe is a
+//!   hash and a chain walk;
 //! * **cross-query caching** ([`EvalOptions::base_cache`], driven by the
 //!   `since` argument of [`crate::Engine::run_for_query`]): a warm answer
 //!   is the delta walk of [`crate::Engine::apply_delta`] restricted to the
@@ -36,13 +40,13 @@
 //! [`EvalOptions::max_term_depth`] are clipped and counted in
 //! [`EvalStats::depth_clipped`].
 
-use crate::atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp};
+use crate::atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp, Expr};
 use crate::error::{DatalogError, Result};
-use crate::fact::{FactStore, Rows};
+use crate::fact::{FactStore, Probe, Relation, Rows};
 use crate::interner::Sym;
 use crate::program::{Stratification, Stratum};
 use crate::rule::Rule;
-use crate::term::{Subst, Term};
+use crate::term::{Subst, Term, Var};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -454,126 +458,337 @@ pub(crate) enum NegView<'a> {
     Frozen(&'a FactStore),
 }
 
-pub(crate) struct MatchCtx<'a> {
-    /// The accumulated store (EDB + everything derived so far).
-    pub total: &'a FactStore,
-    /// When `Some((store, idx))`, the positive atom at plan position `idx`
-    /// must match inside `store` (the delta) instead of `total`.
-    pub delta: Option<(&'a FactStore, usize)>,
-    /// Negation policy.
-    pub neg: NegView<'a>,
-    /// Whether index lookups are enabled.
-    pub use_index: bool,
-    /// Index build/hit/miss counters for this evaluation scope.
-    pub counters: &'a IndexCounters<'a>,
+/// How one item of a planned body reads the store. In plan order the
+/// variables bound when an item runs are exactly those the items before it
+/// bind — a positive atom all of its own, an assignment its left side, an
+/// aggregate its grouping variables and result — so which columns of an
+/// atom are ground is known before the first row is read.
+#[derive(Debug)]
+enum Path {
+    /// A positive atom: its columns ground when it runs (constants, and
+    /// variables bound before it), ascending, and the others.
+    Pos {
+        bound: Box<[usize]>,
+        free: Box<[usize]>,
+    },
+    /// An aggregate: the paths of its body start at this index.
+    Agg(usize),
+    /// A negated atom, a comparison or an assignment: nothing to fix.
+    Other,
 }
 
-impl MatchCtx<'_> {
-    fn neg_holds(&self, pred: crate::interner::Sym, args: &[Term]) -> bool {
-        match self.neg {
-            NegView::Closed => !self.total.contains(pred, args),
-            NegView::Frozen(j) => !j.contains(pred, args),
+/// Appends the paths of `items`, run with the variables of `bound` bound,
+/// to `out`: one per item, in item order, then each aggregate's body's.
+fn plan_paths(items: &[BodyItem], mut bound: Vec<Var>, out: &mut Vec<Path>) {
+    let base = out.len();
+    out.extend(items.iter().map(|_| Path::Other));
+    for (i, item) in items.iter().enumerate() {
+        let path = match item {
+            BodyItem::Pos(atom) => {
+                let (ground, free): (Vec<usize>, Vec<usize>) =
+                    (0..atom.args.len()).partition(|&c| {
+                        let mut vars = Vec::new();
+                        atom.args[c].collect_vars(&mut vars);
+                        vars.iter().all(|v| bound.contains(v))
+                    });
+                Path::Pos {
+                    bound: ground.into(),
+                    free: free.into(),
+                }
+            }
+            BodyItem::Agg(agg) => {
+                let start = out.len();
+                plan_paths(&agg.body, bound.clone(), out);
+                Path::Agg(start)
+            }
+            BodyItem::Neg(_) | BodyItem::Cmp(..) | BodyItem::Assign(..) => Path::Other,
+        };
+        out[base + i] = path;
+        for v in item.provided_vars() {
+            if !bound.contains(&v) {
+                bound.push(v);
+            }
         }
     }
 }
 
-/// Enumerates all solutions of `items[idx..]` under `subst`, invoking `cb`
-/// for each complete solution. Returns the number of solutions found.
-pub(crate) fn solve(
-    items: &[BodyItem],
+/// A rule as the rounds run it: its body in join order, the plan that
+/// ordered it, and the access path of every atom in it. Made once per
+/// stratum evaluation (once per rule-set revision for the memoized
+/// negation-cyclic strata) and read by every round.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    pub(crate) rule: Rule,
+    pub(crate) plan: RulePlan,
+    paths: Box<[Path]>,
+}
+
+impl Prepared {
+    pub(crate) fn new(rule: Rule, plan: RulePlan) -> Self {
+        let mut paths = Vec::new();
+        plan_paths(&rule.body, Vec::new(), &mut paths);
+        Prepared {
+            rule,
+            plan,
+            paths: paths.into(),
+        }
+    }
+}
+
+/// What one round reads: the store built so far, the facts the round
+/// before added (read by a delta-variant unit at its delta position), and
+/// how negation is decided.
+struct Reads<'a> {
+    total: &'a FactStore,
+    delta: Option<&'a FactStore>,
+    neg: NegView<'a>,
+    use_index: bool,
+}
+
+/// A body item's path resolved against one round's stores: the relation
+/// an atom reads, looked up once per unit. A slot lives no longer than its
+/// unit's pass — the stores are written between rounds — and neither does
+/// the index handle its probe takes.
+enum Slot<'a> {
+    /// A positive atom over no relation of its predicate and arity: it
+    /// matches nothing, and counts as no probe.
+    Nothing,
+    /// A positive atom read by a scan: none of it is bound, or indexing is
+    /// off.
+    Scan {
+        atom: &'a Atom,
+        rel: &'a Relation,
+    },
+    /// A positive atom bound in every column: one membership test.
+    Member {
+        atom: &'a Atom,
+        rel: &'a Relation,
+    },
+    /// A positive atom bound in some columns: a probe of the index on
+    /// them, then a match of the `free` ones. `store` holds `rows`'
+    /// relation, to tell an owned index build from a borrowed one.
+    Probe {
+        atom: &'a Atom,
+        rows: Probe<'a>,
+        free: &'a [usize],
+        store: &'a FactStore,
+    },
+    /// A negated atom and the relation its absence is tested in, if one of
+    /// its arity exists.
+    Absent {
+        atom: &'a Atom,
+        rel: Option<&'a Relation>,
+    },
+    Cmp(CmpOp, &'a Expr, &'a Expr),
+    Assign(&'a Term, &'a Expr),
+    /// An aggregate; the slots of its body start at `start`.
+    Agg {
+        agg: &'a Aggregate,
+        start: usize,
+    },
+}
+
+/// `atom`'s relation in `store`, if it has one of the atom's arity: a
+/// pattern of another arity matches no row.
+fn relation_of<'a>(store: &'a FactStore, atom: &Atom) -> Option<&'a Relation> {
+    store
+        .relation(atom.pred)
+        .filter(|r| r.arity() == atom.args.len())
+}
+
+/// Resolves a body's `paths` against `reads` into `slots`, one per path;
+/// the positive atom at body position `delta_at` reads the delta.
+fn resolve<'a>(
+    body: &'a [BodyItem],
+    paths: &'a [Path],
+    reads: &Reads<'a>,
+    delta_at: Option<usize>,
+    slots: &mut Vec<Slot<'a>>,
+) {
+    slots.clear();
+    slots.resize_with(paths.len(), || Slot::Nothing);
+    fill(body, 0, paths, reads, delta_at, slots);
+}
+
+/// [`resolve`] for the items whose paths start at `paths[base]`.
+fn fill<'a>(
+    items: &'a [BodyItem],
+    base: usize,
+    paths: &'a [Path],
+    reads: &Reads<'a>,
+    delta_at: Option<usize>,
+    slots: &mut [Slot<'a>],
+) {
+    for (i, item) in items.iter().enumerate() {
+        slots[base + i] = match (item, &paths[base + i]) {
+            (BodyItem::Pos(atom), Path::Pos { bound, free }) => {
+                let store = match reads.delta {
+                    Some(delta) if delta_at == Some(i) => delta,
+                    _ => reads.total,
+                };
+                match relation_of(store, atom) {
+                    None => Slot::Nothing,
+                    Some(rel) if !reads.use_index || bound.is_empty() => Slot::Scan { atom, rel },
+                    Some(rel) if free.is_empty() => Slot::Member { atom, rel },
+                    Some(rel) => Slot::Probe {
+                        atom,
+                        rows: Probe::new(rel, bound),
+                        free,
+                        store,
+                    },
+                }
+            }
+            (BodyItem::Neg(atom), _) => {
+                let decides = match reads.neg {
+                    NegView::Closed => reads.total,
+                    NegView::Frozen(j) => j,
+                };
+                Slot::Absent {
+                    atom,
+                    rel: relation_of(decides, atom),
+                }
+            }
+            (BodyItem::Cmp(op, l, r), _) => Slot::Cmp(*op, l, r),
+            (BodyItem::Assign(lhs, expr), _) => Slot::Assign(lhs, expr),
+            (BodyItem::Agg(agg), &Path::Agg(start)) => {
+                fill(&agg.body, start, paths, reads, None, slots);
+                Slot::Agg { agg, start }
+            }
+            // `plan_paths` made `paths` from these very items: a positive
+            // atom's path is `Pos`, an aggregate's `Agg`.
+            (BodyItem::Pos(_) | BodyItem::Agg(_), _) => {
+                unreachable!("paths planned from another body")
+            }
+        };
+    }
+}
+
+/// What matching reads: every slot of the unit (an aggregate's body finds
+/// its own through [`Slot::Agg`]) and the scope's index counters.
+struct MatchCtx<'a> {
+    slots: &'a [Slot<'a>],
+    counters: &'a IndexCounters<'a>,
+}
+
+/// Enumerates all solutions of the body whose slots are `body`, from
+/// position `idx` on, under `subst`, invoking `cb` for each complete
+/// solution. Returns the number of solutions found.
+fn solve(
+    body: &[Slot<'_>],
     idx: usize,
     subst: &mut Subst,
     ctx: &MatchCtx<'_>,
     cb: &mut dyn FnMut(&Subst),
 ) -> usize {
-    let Some(item) = items.get(idx) else {
+    let Some(slot) = body.get(idx) else {
         cb(subst);
         return 1;
     };
     let mut found = 0;
-    match item {
-        BodyItem::Pos(atom) => {
-            let use_delta = matches!(ctx.delta, Some((_, di)) if di == idx);
-            let store: &FactStore = if use_delta {
-                ctx.delta.expect("delta set").0
-            } else {
-                ctx.total
-            };
-            let args = &atom.args;
-            // A pattern of another arity matches no row of the relation.
-            let Some(rel) = store
-                .relation(atom.pred)
-                .filter(|r| r.arity() == args.len())
-            else {
-                return 0;
-            };
-            if ctx.use_index {
-                // Which argument positions are ground under the current
-                // bindings? Nothing is built to find out.
-                let bound = |c: usize| args[c].is_ground_under(subst);
-                let term = |c: usize| args[c].resolve(subst);
-                let nbound = (0..args.len()).filter(|&c| bound(c)).count();
-                if nbound > 0 && nbound == args.len() {
-                    // Fully ground: a membership probe replaces the scan.
-                    ctx.counters.hit();
-                    if rel.contains_by(term) {
-                        found += solve(items, idx + 1, subst, ctx, cb);
-                    }
-                    return found;
-                }
-                if nbound > 0 {
-                    let (built, rows) = rel.probe(bound, term);
-                    if built {
-                        ctx.counters.build(store, atom.pred);
-                    }
-                    ctx.counters.hit();
-                    for row in rows {
-                        let m = subst.mark();
-                        if args.iter().zip(row).all(|(p, v)| subst.match_term(p, v)) {
-                            found += solve(items, idx + 1, subst, ctx, cb);
-                        }
-                        subst.undo_to(m);
-                    }
-                    return found;
-                }
-            }
+    match slot {
+        Slot::Nothing => {}
+        Slot::Scan { atom, rel } => {
             ctx.counters.miss();
             for row in rel.iter() {
                 let m = subst.mark();
-                if args.iter().zip(row).all(|(p, v)| subst.match_term(p, v)) {
-                    found += solve(items, idx + 1, subst, ctx, cb);
+                if atom
+                    .args
+                    .iter()
+                    .zip(row)
+                    .all(|(p, v)| subst.match_term(p, v))
+                {
+                    found += solve(body, idx + 1, subst, ctx, cb);
                 }
                 subst.undo_to(m);
             }
         }
-        BodyItem::Neg(atom) => {
-            let ground = atom.apply(subst);
-            debug_assert!(ground.is_ground(), "negation not ground at runtime");
-            if ctx.neg_holds(ground.pred, &ground.args) {
-                found += solve(items, idx + 1, subst, ctx, cb);
+        Slot::Member { atom, rel } => {
+            ctx.counters.hit();
+            if rel.contains_by(|c| atom.args[c].resolve(subst)) {
+                found += solve(body, idx + 1, subst, ctx, cb);
             }
         }
-        BodyItem::Cmp(op, l, r) => {
+        Slot::Probe {
+            atom,
+            rows,
+            free,
+            store,
+        } => {
+            let args = &atom.args;
+            let group = rows.rows(
+                |c| args[c].resolve(subst),
+                || ctx.counters.build(store, atom.pred),
+            );
+            ctx.counters.hit();
+            // The index matched the bound columns: only the others bind.
+            for row in group {
+                let m = subst.mark();
+                if free.iter().all(|&c| subst.match_term(&args[c], &row[c])) {
+                    found += solve(body, idx + 1, subst, ctx, cb);
+                }
+                subst.undo_to(m);
+            }
+        }
+        Slot::Absent { atom, rel } => {
+            debug_assert!(
+                atom.args.iter().all(|t| t.is_ground_under(subst)),
+                "negation not ground at runtime"
+            );
+            if !rel.is_some_and(|r| r.contains_by(|c| atom.args[c].resolve(subst))) {
+                found += solve(body, idx + 1, subst, ctx, cb);
+            }
+        }
+        Slot::Cmp(op, l, r) => {
             if let (Some(lv), Some(rv)) = (l.eval(subst), r.eval(subst)) {
                 if cmp_holds(*op, &lv, &rv) {
-                    found += solve(items, idx + 1, subst, ctx, cb);
+                    found += solve(body, idx + 1, subst, ctx, cb);
                 }
             }
         }
-        BodyItem::Assign(lhs, expr) => {
+        Slot::Assign(lhs, expr) => {
             if let Some(val) = expr.eval(subst) {
                 let m = subst.mark();
                 if subst.match_term(lhs, &val) {
-                    found += solve(items, idx + 1, subst, ctx, cb);
+                    found += solve(body, idx + 1, subst, ctx, cb);
                 }
                 subst.undo_to(m);
             }
         }
-        BodyItem::Agg(agg) => {
-            found += solve_aggregate(items, idx, agg, subst, ctx, cb);
+        Slot::Agg { agg, start } => {
+            let inner = &ctx.slots[*start..*start + agg.body.len()];
+            found += solve_aggregate(body, idx, agg, inner, subst, ctx, cb);
         }
     }
     found
+}
+
+/// Every solution of `rule`'s body over `facts` — negation decided against
+/// `facts` too — extending `subst`, which binds the variables of `rule`'s
+/// head: how `explain` finds a rule instance behind a fact.
+pub(crate) fn body_solutions(
+    rule: &Rule,
+    facts: &FactStore,
+    subst: &mut Subst,
+    cb: &mut dyn FnMut(&Subst),
+) {
+    let mut head = Vec::new();
+    rule.head.collect_vars(&mut head);
+    let mut paths = Vec::new();
+    plan_paths(&rule.body, head, &mut paths);
+    let reads = Reads {
+        total: facts,
+        delta: None,
+        neg: NegView::Closed,
+        use_index: true,
+    };
+    let mut slots = Vec::new();
+    resolve(&rule.body, &paths, &reads, None, &mut slots);
+    let counters = IndexCounters::default();
+    let ctx = MatchCtx {
+        slots: &slots,
+        counters: &counters,
+    };
+    solve(&slots[..rule.body.len()], 0, subst, &ctx, cb);
 }
 
 fn cmp_holds(op: CmpOp, l: &Term, r: &Term) -> bool {
@@ -592,31 +807,25 @@ fn cmp_holds(op: CmpOp, l: &Term, r: &Term) -> bool {
 /// Evaluates an aggregate subgoal: runs the subquery (against the total
 /// store — aggregates are stratified), groups solutions by the group-by
 /// variables, folds the distinct collected values, and continues with each
-/// group's bindings.
+/// group's bindings. `inner` are the subquery's slots.
 fn solve_aggregate(
-    items: &[BodyItem],
+    body: &[Slot<'_>],
     idx: usize,
     agg: &Aggregate,
+    inner: &[Slot<'_>],
     subst: &mut Subst,
     ctx: &MatchCtx<'_>,
     cb: &mut dyn FnMut(&Subst),
 ) -> usize {
-    // Subquery sees the total store, never the delta, and inherits the
-    // outer bindings (correlation).
-    let sub_ctx = MatchCtx {
-        total: ctx.total,
-        delta: None,
-        neg: ctx.neg,
-        use_index: ctx.use_index,
-        counters: ctx.counters,
-    };
+    // The subquery reads the total store, never the delta (its slots were
+    // resolved so), and inherits the outer bindings (correlation).
     let mut groups: HashMap<Vec<Term>, HashSet<Term>> = HashMap::new();
     {
         let groups = &mut groups;
         let value = &agg.value;
         let group_by = &agg.group_by;
         let m = subst.mark();
-        solve(&agg.body, 0, subst, &sub_ctx, &mut |s: &Subst| {
+        solve(inner, 0, subst, ctx, &mut |s: &Subst| {
             let key: Vec<Term> = group_by.iter().map(|v| Term::Var(*v).apply(s)).collect();
             let val = value.apply(s);
             if key.iter().all(Term::is_ground) && val.is_ground() {
@@ -647,7 +856,7 @@ fn solve_aggregate(
             }
         }
         if ok && subst.match_term(&Term::Var(agg.result), &result) {
-            found += solve(items, idx + 1, subst, ctx, cb);
+            found += solve(body, idx + 1, subst, ctx, cb);
         }
         subst.undo_to(m);
     }
@@ -679,57 +888,73 @@ fn fold(func: AggFunc, values: &HashSet<Term>) -> Option<Term> {
     }
 }
 
-/// Applies `rule` under `ctx`, inserting new head facts into `out`.
-/// Returns the number of new facts.
-pub(crate) fn apply_rule(
-    rule: &Rule,
+/// A round's reusable buffers, one of each per round rather than per unit.
+#[derive(Default)]
+struct Scratch {
+    subst: Subst,
+    head: Vec<Term>,
+}
+
+/// Applies one unit — `prep`'s rule, its slots resolved in `ctx` —
+/// inserting the head facts new to `total` into `out`.
+fn apply_rule(
+    prep: &Prepared,
     ctx: &MatchCtx<'_>,
+    total: &FactStore,
     out: &mut FactStore,
+    scratch: &mut Scratch,
     stats: &mut EvalStats,
-    opts: &EvalOptions,
-) -> usize {
-    let mut subst = Subst::with_capacity(rule.nvars as usize);
-    let mut new = 0;
-    let head = &rule.head;
-    let total = ctx.total;
-    let max_depth = opts.max_term_depth;
+    max_depth: usize,
+) {
+    let head = &prep.rule.head;
+    // The head's relations, resolved once: the one it must be new to, and
+    // the one it goes into (forgotten again if nothing went in, so a delta
+    // store never holds an empty relation a later probe would count).
+    let known = total.relation(head.pred);
+    let into = out.relation_mut(head.pred, head.args.len());
+    let Scratch { subst, head: row } = scratch;
     let mut clipped = 0usize;
     let mut apps = 0usize;
-    solve(&rule.body, 0, &mut subst, ctx, &mut |s: &Subst| {
-        apps += 1;
-        let args: Vec<Term> = head.args.iter().map(|t| t.apply(s)).collect();
-        debug_assert!(args.iter().all(Term::is_ground), "non-ground head");
-        if args.iter().any(|t| t.depth() > max_depth) {
-            clipped += 1;
-            return;
-        }
-        if !total.contains(head.pred, &args) && out.insert(head.pred, &args) {
-            new += 1;
-        }
-    });
+    solve(
+        &ctx.slots[..prep.rule.body.len()],
+        0,
+        subst,
+        ctx,
+        &mut |s: &Subst| {
+            apps += 1;
+            row.clear();
+            row.extend(head.args.iter().map(|t| t.apply(s)));
+            debug_assert!(row.iter().all(Term::is_ground), "non-ground head");
+            if row.iter().any(|t| t.depth() > max_depth) {
+                clipped += 1;
+                return;
+            }
+            if !known.is_some_and(|r| r.contains(row)) {
+                into.insert(row);
+            }
+        },
+    );
+    out.drop_if_empty(head.pred);
     stats.applications += apps;
     stats.depth_clipped += clipped;
-    new
 }
 
 /// Join planning: reorders `rule` for evaluation (when enabled), recording
-/// the chosen plan. Same-stratum predicates are costed as unbounded since
-/// their relations grow during iteration.
+/// the chosen plan, and prepares it. Same-stratum predicates are costed as
+/// unbounded since their relations grow during iteration.
 pub(crate) fn plan_rule(
     rule: &Rule,
     total: &FactStore,
     stratum_preds: &HashSet<Sym>,
     opts: &EvalOptions,
-) -> (Rule, RulePlan) {
+) -> Prepared {
     if !opts.join_reorder {
-        return (
-            rule.clone(),
-            RulePlan {
-                head: rule.head.pred,
-                join_order: (0..rule.body.len()).collect(),
-                reordered: false,
-            },
-        );
+        let plan = RulePlan {
+            head: rule.head.pred,
+            join_order: (0..rule.body.len()).collect(),
+            reordered: false,
+        };
+        return Prepared::new(rule.clone(), plan);
     }
     let (planned, join_order) = rule.reorder(|p| {
         if stratum_preds.contains(&p) {
@@ -739,21 +964,21 @@ pub(crate) fn plan_rule(
         }
     });
     let reordered = join_order.iter().enumerate().any(|(i, &o)| i != o);
-    (
-        planned,
-        RulePlan {
-            head: rule.head.pred,
-            join_order,
-            reordered,
-        },
-    )
+    let plan = RulePlan {
+        head: rule.head.pred,
+        join_order,
+        reordered,
+    };
+    Prepared::new(planned, plan)
 }
 
 /// Executes one full application pass (one fixpoint round): every
 /// `(rule, delta-variant)` unit once, in (rule-index, variant-index)
-/// order, into one shared store of new facts.
+/// order, into one shared store of new facts. A unit resolves its slots
+/// once and probes through them; the slot vector, the substitution and
+/// the head row are allocated once for the round.
 pub(crate) fn execute_round(
-    units: &[(&Rule, Option<usize>)],
+    units: &[(&Prepared, Option<usize>)],
     total: &FactStore,
     delta: Option<&FactStore>,
     neg: NegView<'_>,
@@ -761,16 +986,34 @@ pub(crate) fn execute_round(
     counters: &IndexCounters,
     stats: &mut EvalStats,
 ) -> FactStore {
+    let reads = Reads {
+        total,
+        delta,
+        neg,
+        use_index: opts.use_index,
+    };
     let mut out = FactStore::new();
-    for &(rule, di) in units {
+    let mut slots = Vec::new();
+    let mut scratch = Scratch::default();
+    for &(prep, delta_at) in units {
+        debug_assert!(
+            delta_at.is_none() || delta.is_some(),
+            "a delta unit without a delta"
+        );
+        resolve(&prep.rule.body, &prep.paths, &reads, delta_at, &mut slots);
         let ctx = MatchCtx {
-            total,
-            delta: di.map(|d| (delta.expect("delta store"), d)),
-            neg,
-            use_index: opts.use_index,
+            slots: &slots,
             counters,
         };
-        apply_rule(rule, &ctx, &mut out, stats, opts);
+        apply_rule(
+            prep,
+            &ctx,
+            total,
+            &mut out,
+            &mut scratch,
+            stats,
+            opts.max_term_depth,
+        );
     }
     out
 }
@@ -784,7 +1027,7 @@ pub(crate) fn plan_rules(
     preds: &[Sym],
     total: &FactStore,
     opts: &EvalOptions,
-) -> Vec<(Rule, RulePlan)> {
+) -> Vec<Prepared> {
     let preds: HashSet<Sym> = preds.iter().copied().collect();
     ids.iter()
         .map(|&ri| plan_rule(&rules[ri], total, &preds, opts))
@@ -814,7 +1057,7 @@ impl<'a> StratumScope<'a> {
     pub(crate) fn close(
         self,
         stats: &mut EvalStats,
-        prepared: &[(Rule, RulePlan)],
+        prepared: &[Prepared],
         sp: StratumProfile,
     ) -> StratumProfile {
         self.counters.fold_into(stats);
@@ -824,7 +1067,7 @@ impl<'a> StratumScope<'a> {
             index_builds: self.counters.builds.get(),
             index_hits: self.counters.hits.get(),
             index_misses: self.counters.misses.get(),
-            plans: prepared.iter().map(|(_, p)| p.clone()).collect(),
+            plans: prepared.iter().map(|p| p.plan.clone()).collect(),
             ..sp
         }
     }
@@ -848,7 +1091,7 @@ impl<'a> StratumScope<'a> {
 pub(crate) fn eval_stratum(
     rules: &[Rule],
     stratum: &Stratum,
-    memo: Option<&[(Rule, RulePlan)]>,
+    memo: Option<&[Prepared]>,
     total: &mut FactStore,
     borrowed: Option<&FactStore>,
     stats: &mut EvalStats,
@@ -862,7 +1105,7 @@ pub(crate) fn eval_stratum(
             &planned
         }
     };
-    let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
+    let stratum_rules: Vec<&Prepared> = prepared.iter().collect();
     let scope = StratumScope::open(stats, borrowed);
     let mut two_valued = true;
     if stratum.wfs {
@@ -877,7 +1120,7 @@ pub(crate) fn eval_stratum(
             }
         }
     } else if !stratum.recursive {
-        let units: Vec<(&Rule, Option<usize>)> = stratum_rules.iter().map(|&r| (r, None)).collect();
+        let units: Vec<(&Prepared, Option<usize>)> = prepared.iter().map(|p| (p, None)).collect();
         let out = execute_round(
             &units,
             total,
@@ -1028,7 +1271,7 @@ pub(crate) fn eval_strata(
         let mut ids: Vec<usize> = tail.iter().flat_map(|s| s.rules.iter().copied()).collect();
         ids.sort_unstable();
         let prepared = plan_rules(rules, &ids, &preds, &total, opts);
-        let tail_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
+        let tail_rules: Vec<&Prepared> = prepared.iter().collect();
         let scope = StratumScope::open(&stats, borrowed);
         (total, undefined) =
             crate::wfs::eval_well_founded(&tail_rules, &total, &mut stats, &scope.counters, opts)?;
@@ -1055,14 +1298,14 @@ pub(crate) fn eval_strata(
 
 /// Rounds of full rule application over `total` until nothing is new.
 pub(crate) fn naive_stratum(
-    rules: &[&Rule],
+    rules: &[&Prepared],
     total: &mut FactStore,
     neg: NegView<'_>,
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
 ) -> Result<()> {
-    let units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
+    let units: Vec<(&Prepared, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
     let since = stats.iterations;
     loop {
         begin_round(opts, stats, since)?;
@@ -1079,7 +1322,7 @@ pub(crate) fn naive_stratum(
 /// body atom over `stratum_preds` matched in the previous round's new
 /// facts.
 pub(crate) fn seminaive_stratum(
-    rules: &[&Rule],
+    rules: &[&Prepared],
     stratum_preds: &HashSet<crate::interner::Sym>,
     total: &mut FactStore,
     neg: NegView<'_>,
@@ -1090,20 +1333,17 @@ pub(crate) fn seminaive_stratum(
     // Round 0: naive pass to seed the delta.
     let since = stats.iterations;
     begin_round(opts, stats, since)?;
-    let seed_units: Vec<(&Rule, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
+    let seed_units: Vec<(&Prepared, Option<usize>)> = rules.iter().map(|&r| (r, None)).collect();
     let mut delta = execute_round(&seed_units, total, None, neg, opts, counters, stats);
     stats.derived += total.absorb(&delta);
     // One delta-variant unit per positive body atom over a stratum
     // predicate, in fixed (rule-index, variant-index) order; the delta
     // store itself changes per round but the unit list does not.
-    let mut delta_units: Vec<(&Rule, Option<usize>)> = Vec::new();
-    for &rule in rules {
-        for di in rule.positive_atom_indices() {
-            let BodyItem::Pos(atom) = &rule.body[di] else {
-                unreachable!()
-            };
-            if stratum_preds.contains(&atom.pred) {
-                delta_units.push((rule, Some(di)));
+    let mut delta_units: Vec<(&Prepared, Option<usize>)> = Vec::new();
+    for &prep in rules {
+        for (di, item) in prep.rule.body.iter().enumerate() {
+            if matches!(item, BodyItem::Pos(atom) if stratum_preds.contains(&atom.pred)) {
+                delta_units.push((prep, Some(di)));
             }
         }
     }
@@ -1133,7 +1373,7 @@ pub(crate) fn seminaive_stratum(
 /// index a reduct builds on a lower relation serves the next reduct too
 /// (and is nobody's build where a delta walk borrowed the relation).
 pub(crate) fn gamma(
-    rules: &[&Rule],
+    rules: &[&Prepared],
     edb: &FactStore,
     j: &FactStore,
     stats: &mut EvalStats,
@@ -1145,10 +1385,10 @@ pub(crate) fn gamma(
     // all its rules is sound, and so are delta rounds — unless a rule
     // aggregates: an aggregate reads the whole of a relation that is still
     // growing, which only full re-application re-reads.
-    let aggregates = |r: &&Rule| r.body.iter().any(|b| matches!(b, BodyItem::Agg(_)));
+    let aggregates = |p: &&Prepared| p.rule.body.iter().any(|b| matches!(b, BodyItem::Agg(_)));
     let neg = NegView::Frozen(j);
     if opts.semi_naive && !rules.iter().any(aggregates) {
-        let heads: HashSet<Sym> = rules.iter().map(|r| r.head.pred).collect();
+        let heads: HashSet<Sym> = rules.iter().map(|p| p.rule.head.pred).collect();
         seminaive_stratum(rules, &heads, &mut total, neg, stats, counters, opts)?;
     } else {
         naive_stratum(rules, &mut total, neg, stats, counters, opts)?;

@@ -13,7 +13,7 @@
 //! are truncated explicitly rather than looped on.
 
 use crate::atom::BodyItem;
-use crate::eval::{solve, MatchCtx, Model, NegView};
+use crate::eval::{body_solutions, Model};
 use crate::interner::Sym;
 use crate::term::{Subst, Term};
 use std::collections::HashSet;
@@ -117,14 +117,6 @@ impl crate::Engine {
                 subst.undo_to(mark);
                 continue;
             }
-            let counters = crate::eval::IndexCounters::default();
-            let ctx = MatchCtx {
-                total: &model.facts,
-                delta: None,
-                neg: NegView::Frozen(&model.facts),
-                use_index: true,
-                counters: &counters,
-            };
             // Capture the first satisfying body instance that is not
             // *self-supporting* (a premise identical to the conclusion —
             // e.g. the FL upward-propagation axiom instantiated through
@@ -135,13 +127,13 @@ impl crate::Engine {
                 let body = &rule.body;
                 let captured = &mut captured;
                 let key_ref = &key;
-                solve(body, 0, &mut subst, &ctx, &mut |s: &Subst| {
+                body_solutions(rule, &model.facts, &mut subst, &mut |s: &Subst| {
                     if captured.is_some() {
                         return;
                     }
                     let mut pos = Vec::new();
                     let mut neg = Vec::new();
-                    for item in body {
+                    for item in body.iter() {
                         match item {
                             BodyItem::Pos(a) => {
                                 let ground = a.apply(s);

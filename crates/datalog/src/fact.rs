@@ -26,12 +26,15 @@
 //! actually binds (see [`Relation::iter_bound`]) and maintained incrementally
 //! on every subsequent insert. A relation that is only ever scanned never
 //! pays for an index; a relation probed on columns `{0, 2}` gets exactly
-//! that index and no other. A built index is kept for the relation's
-//! life: a clone takes a handle on it and a write after the share copies
-//! it (one copy of its arrays, no rehash); a removal rebuilds it with the
-//! relation. So a stored relation the write plane copies, and the model
-//! published over it, answer their first probe with the index their
-//! readers built on the epoch before. An evaluation is the exception: the
+//! that index and no other. The evaluator probes through a `Probe`: one
+//! body atom's relation and column set, whose index handle is taken at the
+//! atom's first probe and held while the relation is not written, so a
+//! probe after it is a hash and a chain walk. A built index is kept for the
+//! relation's life: a clone takes a handle on it and a write after the
+//! share copies it (one copy of its arrays, no rehash); a removal rebuilds
+//! it with the relation. So a stored relation the write plane copies, and
+//! the model published over it, answer their first probe with the index
+//! their readers built on the epoch before. An evaluation is the exception: the
 //! relations it owns start bare ([`FactStore::detached_clone`],
 //! [`FactStore::absorb`]), so what it counts is its own work. A position is
 //! stable only while the relation is insert-only: [`Relation::remove`]
@@ -41,11 +44,13 @@ use crate::hash::WordState;
 use crate::interner::Sym;
 use crate::term::Term;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::ops::Deref;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Rows per chunk. A power of two, so a position splits into chunk and
 /// row with a shift and a mask; large enough that a store of tens of
@@ -177,6 +182,8 @@ impl Chunks {
             };
             self.data.push(Arc::new(Vec::with_capacity(cap)));
         }
+        // Never `None`: a relation with no chunk has `len` 0, a multiple
+        // of `CHUNK_ROWS`, so the branch above has just pushed one.
         let last = self.data.last_mut().expect("a chunk with room");
         // Copy-on-write: a chunk still shared with a clone is copied here,
         // and only this one.
@@ -188,7 +195,7 @@ impl Chunks {
 /// An index over one column set: the rows of each key value, as a chain
 /// of positions in insertion order.
 #[derive(Clone)]
-struct ColumnIndex {
+pub(crate) struct ColumnIndex {
     /// The indexed columns, ascending.
     cols: Box<[usize]>,
     /// Key hash → group.
@@ -265,6 +272,15 @@ pub struct Relation {
     /// only to find its index and take a handle on it, never while the
     /// caller walks the matching rows (which may probe this relation
     /// again).
+    ///
+    /// The lock is never poisoned, a shared snapshot's included. A read
+    /// guard's panic poisons nothing, and the one write section
+    /// (`ensure_index`) finds, builds and pushes: `ColumnIndex::build`
+    /// hashes and compares terms, which do not panic, into a table never
+    /// larger than the dedup table `insert` already sized, and the index is
+    /// pushed only once built. So even a poisoned lock would guard a whole
+    /// list, and every access reads through the poison rather than panic
+    /// on it.
     indexes: RwLock<Vec<Arc<ColumnIndex>>>,
 }
 
@@ -276,7 +292,7 @@ impl Clone for Relation {
     /// copied.
     fn clone(&self) -> Self {
         Relation {
-            indexes: RwLock::new(self.indexes.read().expect("index lock").clone()),
+            indexes: RwLock::new(self.built().clone()),
             ..self.unindexed()
         }
     }
@@ -312,10 +328,15 @@ impl Relation {
         }
     }
 
+    /// The built indexes, under the read lock (never poisoned: see the
+    /// `indexes` field).
+    fn built(&self) -> RwLockReadGuard<'_, Vec<Arc<ColumnIndex>>> {
+        self.indexes.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The column sets of the built indexes, in build order.
     fn index_cols(&self) -> Vec<Box<[usize]>> {
-        let indexes = self.indexes.read().expect("index lock");
-        indexes.iter().map(|ix| ix.cols.clone()).collect()
+        self.built().iter().map(|ix| ix.cols.clone()).collect()
     }
 
     /// Builds every index `other` has built that `self` lacks, so a probe
@@ -345,12 +366,16 @@ impl Relation {
         if set.find(hash, |p| rows.row(p as usize) == row).is_some() {
             return false;
         }
+        // Never `None`: the dedup table stops a relation first. It holds at
+        // most 2³² slots at three quarters full (`Table::reserve`), so its
+        // insert below refuses the row after about 3.2·10⁹ rows, short of
+        // position `NONE`.
         let pos = u32::try_from(rows.len)
             .ok()
             .filter(|&p| p != NONE)
             .expect("relation too large");
         Arc::make_mut(set).insert(hash, pos);
-        for index in indexes.get_mut().expect("index lock") {
+        for index in indexes.get_mut().unwrap_or_else(PoisonError::into_inner) {
             Arc::make_mut(index).add(rows, pos, row);
         }
         rows.push(row);
@@ -406,16 +431,10 @@ impl Relation {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
         debug_assert!(cols.iter().all(|&c| c < self.arity()));
         let on_cols = |ix: &&Arc<ColumnIndex>| *ix.cols == *cols;
-        if let Some(index) = self
-            .indexes
-            .read()
-            .expect("index lock")
-            .iter()
-            .find(on_cols)
-        {
+        if let Some(index) = self.built().iter().find(on_cols) {
             return (false, Arc::clone(index));
         }
-        let mut indexes = self.indexes.write().expect("index lock");
+        let mut indexes = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(index) = indexes.iter().find(on_cols) {
             // Lost the build race: another thread finished it between our
             // read and write acquisitions. Exactly one caller reports the
@@ -429,24 +448,24 @@ impl Relation {
 
     /// The rows whose bound columns — those `bound` accepts — hold
     /// `term(c)`, through the index on exactly those columns, and whether
-    /// this call had to build it (the evaluator counts builds). No key is
-    /// assembled: the index is found by its column set, the key hashed and
-    /// compared column by column. Once the index exists a probe is one
-    /// acquisition of the read lock and a handle on the index, never held
-    /// while the caller walks the rows.
+    /// this call had to build it. No key is assembled: the index is found
+    /// by its column set, the key hashed and compared column by column.
+    /// Once the index exists a probe is one acquisition of the read lock
+    /// and a handle on the index, never held while the caller walks the
+    /// rows. This is the one-off probe behind [`Self::iter_bound`] and
+    /// `Model::query`; the evaluator, which probes one column set many
+    /// times, goes through a [`Probe`].
     pub(crate) fn probe<'k>(
         &self,
         bound: impl Fn(usize) -> bool,
         term: impl Fn(usize) -> Cow<'k, Term>,
     ) -> (bool, Matches<'_>) {
         let nbound = (0..self.arity()).filter(|&c| bound(c)).count();
-        let found = {
-            let indexes = self.indexes.read().expect("index lock");
-            indexes
-                .iter()
-                .find(|ix| ix.cols.len() == nbound && ix.cols.iter().all(|&c| bound(c)))
-                .cloned()
-        };
+        let found = self
+            .built()
+            .iter()
+            .find(|ix| ix.cols.len() == nbound && ix.cols.iter().all(|&c| bound(c)))
+            .cloned();
         let (built, index) = match found {
             Some(index) => (false, index),
             None => {
@@ -455,12 +474,12 @@ impl Relation {
             }
         };
         let pos = index.first(&self.rows, &term);
-        let rows = Matches {
+        let rows = Chain {
             rows: &self.rows,
-            index: Some(index),
+            index,
             pos,
         };
-        (built, rows)
+        (built, Matches(Some(rows)))
     }
 
     /// Rows matching the given `(column, value)` bindings, in insertion
@@ -469,8 +488,10 @@ impl Relation {
     /// must agree by construction. A column past the arity matches no row.
     pub fn iter_bound(&self, bound: &[(usize, &Term)]) -> Matches<'_> {
         if bound.iter().any(|&(c, _)| c >= self.arity()) {
-            return Matches::none();
+            return Matches(None);
         }
+        // `probe` asks only for the columns the second closure accepts,
+        // each of which `bound` lists.
         let term = |c: usize| {
             let &(_, t) = bound
                 .iter()
@@ -489,7 +510,7 @@ impl Relation {
 
     /// Number of indexes currently built (diagnostics).
     pub fn index_count(&self) -> usize {
-        self.indexes.read().expect("index lock").len()
+        self.built().len()
     }
 
     /// Removes a row; returns `true` if it was present. Positions after it
@@ -563,36 +584,83 @@ impl<'a> Iterator for Rows<'a> {
 
 impl ExactSizeIterator for Rows<'_> {}
 
-/// The rows of one index group, in insertion order
-/// ([`Relation::iter_bound`]).
-pub struct Matches<'a> {
+/// The rows of one index group, in insertion order: a walk down the
+/// index's chain from the group's first row. `I` holds the index: a borrow
+/// for a [`Probe`], which keeps its handle, and a handle for
+/// [`Relation::probe`], whose read lock is released before the walk.
+pub(crate) struct Chain<'a, I> {
     rows: &'a Chunks,
-    /// Held so the chain stays readable after the read lock is gone.
-    index: Option<Arc<ColumnIndex>>,
+    index: I,
     pos: u32,
 }
 
-impl Matches<'_> {
-    fn none() -> Self {
-        Matches {
-            rows: &NO_ROWS,
-            index: None,
-            pos: NONE,
+impl<'a, I: Deref<Target = ColumnIndex>> Iterator for Chain<'a, I> {
+    type Item = &'a [Term];
+
+    fn next(&mut self) -> Option<&'a [Term]> {
+        if self.pos == NONE {
+            return None;
         }
+        let row = self.rows.row(self.pos as usize);
+        self.pos = self.index.next[self.pos as usize];
+        Some(row)
     }
 }
+
+/// The rows of one index group, in insertion order
+/// ([`Relation::iter_bound`]); no rows for a column past the arity.
+pub struct Matches<'a>(Option<Chain<'a, Arc<ColumnIndex>>>);
 
 impl<'a> Iterator for Matches<'a> {
     type Item = &'a [Term];
 
     fn next(&mut self) -> Option<&'a [Term]> {
-        let index = self.index.as_ref()?;
-        if self.pos == NONE {
-            return None;
+        self.0.as_mut()?.next()
+    }
+}
+
+/// One relation probed on one fixed set of bound columns, for as long as
+/// the relation is not written — an evaluator's body atom for one pass of
+/// a round. The index on those columns is taken at the first probe (built
+/// then, if missing) and held, so every later probe hashes its key and
+/// walks the chain: no lock, no handle, no search of the index list.
+pub(crate) struct Probe<'a> {
+    rel: &'a Relation,
+    /// Sorted, each below the arity, and not all of them: a fully bound
+    /// atom is a membership test ([`Relation::contains_by`]).
+    cols: &'a [usize],
+    index: OnceCell<Arc<ColumnIndex>>,
+}
+
+impl<'a> Probe<'a> {
+    pub(crate) fn new(rel: &'a Relation, cols: &'a [usize]) -> Self {
+        Probe {
+            rel,
+            cols,
+            index: OnceCell::new(),
         }
-        let row = self.rows.row(self.pos as usize);
-        self.pos = index.next[self.pos as usize];
-        Some(row)
+    }
+
+    /// The rows whose bound columns hold `key(c)`, in insertion order.
+    /// `built` runs when this probe had to build the index (the evaluator
+    /// counts builds), which only the first probe can.
+    pub(crate) fn rows<'k>(
+        &self,
+        key: impl Fn(usize) -> Cow<'k, Term>,
+        built: impl FnOnce(),
+    ) -> Chain<'_, &ColumnIndex> {
+        let index = self.index.get_or_init(|| {
+            let (fresh, index) = self.rel.ensure_index(self.cols);
+            if fresh {
+                built();
+            }
+            index
+        });
+        Chain {
+            rows: &self.rel.rows,
+            index,
+            pos: index.first(&self.rel.rows, &key),
+        }
     }
 }
 
@@ -669,6 +737,25 @@ impl FactStore {
     /// The relation for `pred`, if any facts exist.
     pub fn relation(&self, pred: Sym) -> Option<&Relation> {
         self.rels.get(&pred).map(Arc::as_ref)
+    }
+
+    /// The relation `pred`'s rows go into, made empty at `arity` if
+    /// missing: for a writer that resolves it once and inserts many rows.
+    /// [`Self::drop_if_empty`] undoes the making if nothing went in.
+    pub(crate) fn relation_mut(&mut self, pred: Sym, arity: usize) -> &mut Relation {
+        Arc::make_mut(
+            self.rels
+                .entry(pred)
+                .or_insert_with(|| Arc::new(Relation::new(arity))),
+        )
+    }
+
+    /// Forgets `pred`'s relation if it holds no row, so the store reads as
+    /// though [`Self::relation_mut`] had never been asked for it.
+    pub(crate) fn drop_if_empty(&mut self, pred: Sym) {
+        if self.rels.get(&pred).is_some_and(|r| r.is_empty()) {
+            self.rels.remove(&pred);
+        }
     }
 
     /// The relation for `pred` as a shareable handle.
@@ -774,9 +861,8 @@ impl FactStore {
                     if Arc::get_mut(mine).is_none() {
                         *mine = Arc::new(mine.unindexed());
                     }
-                    Arc::get_mut(mine)
-                        .expect("an unshared copy")
-                        .extend_from(rel)
+                    // Unshared now: `make_mut` copies nothing.
+                    Arc::make_mut(mine).extend_from(rel)
                 }
             };
         }

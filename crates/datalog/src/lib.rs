@@ -68,10 +68,10 @@ pub use rule::Rule;
 pub use term::{Subst, Term, Var};
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One stratum's planned rules, shared between republishes.
-type StratumPlans = Arc<Vec<(Rule, RulePlan)>>;
+type StratumPlans = Arc<Vec<eval::Prepared>>;
 
 /// The deductive engine: a symbol table, an extensional database, and a
 /// rule set, with evaluation producing an immutable [`Model`].
@@ -114,8 +114,8 @@ impl Clone for Engine {
             changelog: self.changelog.clone(),
             rules_rev: self.rules_rev,
             // The memos are valid for the clone too: same rules, same rev.
-            strat: Mutex::new(self.strat.lock().expect("strat lock").clone()),
-            wfs_plans: Mutex::new(self.wfs_plans.lock().expect("wfs plan lock").clone()),
+            strat: Mutex::new(lock(&self.strat).clone()),
+            wfs_plans: Mutex::new(lock(&self.wfs_plans).clone()),
         }
     }
 }
@@ -485,7 +485,7 @@ impl Engine {
     /// The memoized [`Stratification`] of the *full* rule set, recomputed
     /// only when a rule has been added or removed since the last call.
     fn stratification(&self) -> Result<Arc<Stratification>> {
-        let mut guard = self.strat.lock().expect("strat lock");
+        let mut guard = lock(&self.strat);
         if let Some((rev, strat)) = guard.as_ref() {
             if *rev == self.rules_rev {
                 return Ok(Arc::clone(strat));
@@ -503,9 +503,9 @@ impl Engine {
     pub(crate) fn wfs_stratum_plan(
         &self,
         stratum: usize,
-        plan: impl FnOnce() -> Vec<(Rule, RulePlan)>,
+        plan: impl FnOnce() -> Vec<eval::Prepared>,
     ) -> StratumPlans {
-        let mut guard = self.wfs_plans.lock().expect("wfs plan lock");
+        let mut guard = lock(&self.wfs_plans);
         if guard.0 != self.rules_rev {
             *guard = (self.rules_rev, HashMap::new());
         }
@@ -555,6 +555,14 @@ impl Engine {
     pub fn show(&self, t: &Term) -> String {
         t.display(&self.syms).to_string()
     }
+}
+
+/// One of the engine's memo locks. A panic while one is held (in
+/// `stratify`, or in planning a stratum) happens before the memo is
+/// written, so a poisoned lock still guards a valid memo: it is read
+/// through, not unwrapped.
+fn lock<T>(memo: &Mutex<T>) -> MutexGuard<'_, T> {
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn collect_body_preds(items: &[BodyItem], out: &mut HashSet<Sym>) {

@@ -344,7 +344,7 @@ pub(crate) fn rewrite(
             let sip = sip_order(&rule.body, &bound);
             let mut new_body: Vec<BodyItem> = Vec::new();
             for item in sip {
-                match &item {
+                let item = match &item {
                     BodyItem::Pos(a) if demandable(a.pred) => {
                         let sub_adn: Adornment =
                             a.args.iter().map(|t| term_bound(t, &bound)).collect();
@@ -368,20 +368,19 @@ pub(crate) fn rewrite(
                                     Atom::new(m_sym, m_args),
                                     m_body,
                                     rule.nvars,
-                                    rule.var_names.clone(),
+                                    rule.var_names.to_vec(),
                                     syms,
                                 )
                                 .ok()?,
                             );
                         }
                         demand(a.pred, sub_adn, &mut queue, &mut order);
-                        new_body.push(BodyItem::Pos(Atom::new(sub_sym, a.args.clone())));
+                        BodyItem::Pos(Atom::new(sub_sym, a.args.clone()))
                     }
-                    _ => new_body.push(item.clone()),
-                }
-                for v in new_body.last().expect("just pushed").provided_vars() {
-                    bound.insert(v);
-                }
+                    _ => item.clone(),
+                };
+                bound.extend(item.provided_vars());
+                new_body.push(item);
             }
             let mut full_body: Vec<BodyItem> = head_guard.into_iter().collect();
             full_body.extend(new_body);
@@ -390,7 +389,7 @@ pub(crate) fn rewrite(
                     Atom::new(adorned_sym, rule.head.args.clone()),
                     full_body,
                     rule.nvars,
-                    rule.var_names.clone(),
+                    rule.var_names.to_vec(),
                     syms,
                 )
                 .ok()?,

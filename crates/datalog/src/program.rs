@@ -49,7 +49,7 @@ enum DepKind {
 }
 
 fn rule_dependencies(rule: &Rule, out: &mut Vec<(Sym, DepKind)>) {
-    for item in &rule.body {
+    for item in rule.body.iter() {
         collect_item_deps(item, out);
     }
 }
@@ -231,6 +231,8 @@ fn tarjan(edges: &[Vec<(usize, DepKind)>]) -> Vec<Vec<usize>> {
                 }
                 if st[v].lowlink == st[v].index {
                     let mut comp = Vec::new();
+                    // `v` is on the stack — pushed when first visited, and
+                    // popped only by its own component — so the pops reach it.
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         st[w].on_stack = false;

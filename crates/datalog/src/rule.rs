@@ -14,18 +14,21 @@ use crate::interner::Interner;
 use crate::term::{Term, Var};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
-/// A compiled rule.
+/// A compiled rule. It is immutable once compiled, so its body and names
+/// are shared: a clone — of an engine's rule set, of a goal's relevant
+/// subprogram — copies the head and two handles, never the body.
 #[derive(Debug, Clone)]
 pub struct Rule {
     /// The head atom derived when the body succeeds.
     pub head: Atom,
     /// Body items in *plan order* (see module docs).
-    pub body: Vec<BodyItem>,
+    pub body: Arc<[BodyItem]>,
     /// Number of distinct variables (variable ids are `0..nvars`).
     pub nvars: u32,
     /// Variable names, indexed by variable id (for diagnostics).
-    pub var_names: Vec<String>,
+    pub var_names: Arc<[String]>,
 }
 
 impl Rule {
@@ -90,9 +93,9 @@ impl Rule {
         }
         Ok(Rule {
             head,
-            body: planned,
+            body: planned.into(),
             nvars,
-            var_names,
+            var_names: var_names.into(),
         })
     }
 
@@ -194,25 +197,20 @@ impl Rule {
             debug_assert!(false, "compiled rule failed to reschedule");
             return (self.clone(), (0..n).collect());
         }
+        // The compiled order already: share the body.
+        if order.iter().enumerate().all(|(i, &o)| i == o) {
+            return (self.clone(), order);
+        }
         let body = order.iter().map(|&i| self.body[i].clone()).collect();
         (
             Rule {
                 head: self.head.clone(),
                 body,
                 nvars: self.nvars,
-                var_names: self.var_names.clone(),
+                var_names: Arc::clone(&self.var_names),
             },
             order,
         )
-    }
-
-    /// Indices (into `body`) of the positive atoms, in plan order.
-    pub fn positive_atom_indices(&self) -> Vec<usize> {
-        self.body
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| matches!(b, BodyItem::Pos(_)).then_some(i))
-            .collect()
     }
 
     /// Rendering adapter.

@@ -197,6 +197,7 @@ impl Subst {
     /// Undoes all bindings made after `mark`.
     pub fn undo_to(&mut self, mark: usize) {
         while self.trail.len() > mark {
+            // Longer than `mark`, so not empty.
             let v = self.trail.pop().expect("trail underflow");
             self.slots[v.index()] = None;
         }

@@ -14,9 +14,8 @@
 //! *undefined* ones.
 
 use crate::error::{DatalogError, Result};
-use crate::eval::{check_cancelled, gamma, EvalOptions, EvalStats, IndexCounters};
+use crate::eval::{check_cancelled, gamma, EvalOptions, EvalStats, IndexCounters, Prepared};
 use crate::fact::FactStore;
-use crate::rule::Rule;
 
 /// Evaluates `rules` (already join-planned) over `edb` under the
 /// well-founded semantics, returning `(true facts, undefined atoms)`; the
@@ -24,7 +23,7 @@ use crate::rule::Rule;
 /// negation-cyclic stratum over the completed strata below it, and for a
 /// three-valued tail; counters land in the caller's stratum scope.
 pub(crate) fn eval_well_founded(
-    rules: &[&Rule],
+    rules: &[&Prepared],
     edb: &FactStore,
     stats: &mut EvalStats,
     counters: &IndexCounters,
@@ -77,9 +76,11 @@ pub(crate) fn eval_well_founded(
 mod tests {
     use super::*;
     use crate::atom::{Atom, BodyItem};
-    use crate::eval::Model;
+    use crate::eval::{plan_rule, Model};
     use crate::interner::Interner;
+    use crate::rule::Rule;
     use crate::term::{Term, Var};
+    use std::collections::HashSet;
 
     fn v(i: u32) -> Term {
         Term::Var(Var(i))
@@ -88,7 +89,15 @@ mod tests {
     /// The alternating fixpoint over `rules` as written (no join
     /// planning), wrapped into a model.
     fn well_founded(rules: &[Rule], edb: &FactStore, opts: &EvalOptions) -> Model {
-        let rules: Vec<&Rule> = rules.iter().collect();
+        let as_written = EvalOptions {
+            join_reorder: false,
+            ..opts.clone()
+        };
+        let prepared: Vec<Prepared> = rules
+            .iter()
+            .map(|r| plan_rule(r, edb, &HashSet::new(), &as_written))
+            .collect();
+        let rules: Vec<&Prepared> = prepared.iter().collect();
         let mut stats = EvalStats::default();
         let counters = IndexCounters::default();
         let (facts, undefined) =
