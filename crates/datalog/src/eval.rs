@@ -19,7 +19,8 @@
 //!
 //! * **join planning** ([`EvalOptions::join_reorder`]): before a stratum
 //!   runs, each rule body is greedily reordered by bound-variable count and
-//!   current relation cardinality ([`Rule::reorder`]); the chosen order is
+//!   current relation cardinality (`Rule::reorder`, the rule module's one
+//!   scheduler with that rank); the chosen order is
 //!   recorded in the model's [`EvalProfile`] for `explain`-style dumps;
 //! * **indexing** ([`EvalOptions::use_index`]): joins with any bound
 //!   argument probe a lazily-built hash index on exactly the bound column
@@ -45,7 +46,7 @@ use crate::error::{DatalogError, Result};
 use crate::fact::{FactStore, Probe, Relation, Rows};
 use crate::interner::Sym;
 use crate::program::{Stratification, Stratum};
-use crate::rule::Rule;
+use crate::rule::{term_bound, Rule};
 use crate::term::{Subst, Term, Var};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -486,11 +487,7 @@ fn plan_paths(items: &[BodyItem], mut bound: Vec<Var>, out: &mut Vec<Path>) {
         let path = match item {
             BodyItem::Pos(atom) => {
                 let (ground, free): (Vec<usize>, Vec<usize>) =
-                    (0..atom.args.len()).partition(|&c| {
-                        let mut vars = Vec::new();
-                        atom.args[c].collect_vars(&mut vars);
-                        vars.iter().all(|v| bound.contains(v))
-                    });
+                    (0..atom.args.len()).partition(|&c| term_bound(&atom.args[c], &bound));
                 Path::Pos {
                     bound: ground.into(),
                     free: free.into(),

@@ -100,7 +100,11 @@ pub struct Engine {
     /// change empties the map) for [`Engine::apply_delta`]. Plans are
     /// heuristics keyed off relation sizes at first use; reusing them
     /// across fact deltas keeps the republish path from re-planning an
-    /// unchanged rule set every time.
+    /// unchanged rule set every time. Measured on the served scenario
+    /// (300 publishes of 5 rows, 2-vCPU host), `Mediator::publish` p50
+    /// is 1.78 ms with the memo and 1.97 ms when every publish re-plans
+    /// the 113-rule negation stratum, with equal work counters (DESIGN.md
+    /// "Every knob, and where it matters").
     wfs_plans: Mutex<(u64, HashMap<usize, StratumPlans>)>,
 }
 

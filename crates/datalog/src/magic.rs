@@ -30,6 +30,11 @@
 //! evaluator), the caller falls back to plain bottom-up — the rewrite is
 //! an optimization, never a semantics change.
 //!
+//! The SIP order comes from the rule module's one greedy scheduler, the one
+//! [`Rule::compile`] and join planning use, each with its own rank. Here
+//! the rank is the number of bound arguments, and the scheduler starts from
+//! the variables the adorned head binds.
+//!
 //! Adorned predicates are interned as `pred@adn` (e.g. `inst@bf`) and
 //! magic predicates as `m@pred@adn`; `@` cannot appear in parsed
 //! predicate names, so the generated namespace never collides with user
@@ -42,7 +47,7 @@
 use crate::atom::{Atom, BodyItem};
 use crate::fact::FactStore;
 use crate::interner::{Interner, Sym};
-use crate::rule::Rule;
+use crate::rule::{schedule, term_bound, Rule};
 use crate::term::{Term, Var};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -220,14 +225,6 @@ fn adorn_suffix(adn: &[bool]) -> String {
     adn.iter().map(|&b| if b { 'b' } else { 'f' }).collect()
 }
 
-/// Whether `t` is fully determined given `bound` variables (ground terms
-/// count as bound).
-fn term_bound(t: &Term, bound: &HashSet<Var>) -> bool {
-    let mut vars = Vec::new();
-    t.collect_vars(&mut vars);
-    vars.iter().all(|v| bound.contains(v))
-}
-
 /// Rewrites the (already relevance-pruned) program `rules` for the ground
 /// or partially-ground `goal`. Predicates `is_frozen` holds for are
 /// treated as purely extensional: their rules are dropped and their facts
@@ -319,12 +316,10 @@ pub(crate) fn rewrite(
         });
         for rule in rules_of.get(&pred).map(Vec::as_slice).unwrap_or(&[]) {
             // Variables bound by the demanded head positions.
-            let mut bound: HashSet<Var> = HashSet::new();
+            let mut bound: Vec<Var> = Vec::new();
             for (arg, &b) in rule.head.args.iter().zip(&adn) {
                 if b {
-                    let mut vs = Vec::new();
-                    arg.collect_vars(&mut vs);
-                    bound.extend(vs);
+                    arg.collect_vars(&mut bound);
                 }
             }
             let head_guard = head_magic.map(|m| {
@@ -338,13 +333,18 @@ pub(crate) fn rewrite(
                     .collect();
                 BodyItem::Pos(Atom::new(m, args))
             });
-            // SIP order the body, renaming demandable positives to their
+            // SIP order the body — the positive atom with the most bound
+            // arguments next — renaming demandable positives to their
             // adorned names and emitting one magic rule per demanded
-            // (bound) call site.
-            let sip = sip_order(&rule.body, &bound);
+            // (bound) call site. Each adornment is computed against
+            // exactly this order, so the magic guards mirror the bindings
+            // the join actually has at that point.
+            let rank =
+                |a: &Atom, bound: &[Var]| a.args.iter().filter(|t| term_bound(t, bound)).count();
+            let (sip, _) = schedule(&rule.body, bound.clone(), rank).ok()?;
             let mut new_body: Vec<BodyItem> = Vec::new();
-            for item in sip {
-                let item = match &item {
+            for item in sip.into_iter().map(|i| &rule.body[i]) {
+                let item = match item {
                     BodyItem::Pos(a) if demandable(a.pred) => {
                         let sub_adn: Adornment =
                             a.args.iter().map(|t| term_bound(t, &bound)).collect();
@@ -516,77 +516,4 @@ fn collect_nonmono_preds(items: &[BodyItem], in_agg: bool, out: &mut HashSet<Sym
             BodyItem::Cmp(..) | BodyItem::Assign(..) => {}
         }
     }
-}
-
-/// Greedy sideways-information-passing order for adornment: guards
-/// (negation, comparison, assignment) are flushed as soon as their
-/// required variables are bound; among remaining positive atoms the one
-/// with the most bound arguments goes next (ties to source order);
-/// aggregates keep their phase-2 placement like [`Rule::compile`]. The
-/// adornment each positive atom receives is computed against exactly this
-/// order, so the magic guards mirror the information actually available
-/// at that point of the join.
-fn sip_order(body: &[BodyItem], head_bound: &HashSet<Var>) -> Vec<BodyItem> {
-    let mut bound = head_bound.clone();
-    let mut remaining: Vec<usize> = (0..body.len())
-        .filter(|&i| !matches!(body[i], BodyItem::Agg(_)))
-        .collect();
-    let mut out: Vec<BodyItem> = Vec::new();
-    let flush = |remaining: &mut Vec<usize>, bound: &mut HashSet<Var>, out: &mut Vec<BodyItem>| {
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            let mut i = 0;
-            while i < remaining.len() {
-                let item = &body[remaining[i]];
-                let guard = !matches!(item, BodyItem::Pos(_));
-                if guard && item.required_vars().iter().all(|v| bound.contains(v)) {
-                    for v in item.provided_vars() {
-                        bound.insert(v);
-                    }
-                    out.push(item.clone());
-                    remaining.remove(i);
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    };
-    loop {
-        flush(&mut remaining, &mut bound, &mut out);
-        // Pick the positive atom with the most bound argument positions.
-        let mut best: Option<(usize, usize)> = None; // (remaining idx, score)
-        for (ri, &bi) in remaining.iter().enumerate() {
-            if let BodyItem::Pos(a) = &body[bi] {
-                let score = a.args.iter().filter(|t| term_bound(t, &bound)).count();
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((ri, score));
-                }
-            }
-        }
-        let Some((ri, _)) = best else { break };
-        let bi = remaining.remove(ri);
-        for v in body[bi].provided_vars() {
-            bound.insert(v);
-        }
-        out.push(body[bi].clone());
-    }
-    // Phase 2: aggregates in source order, flushing newly-enabled guards.
-    for item in body {
-        if matches!(item, BodyItem::Agg(_)) {
-            for v in item.provided_vars() {
-                bound.insert(v);
-            }
-            out.push(item.clone());
-            flush(&mut remaining, &mut bound, &mut out);
-        }
-    }
-    // Anything still unflushed (possible only for rules that would not
-    // have compiled) is appended so no body item is lost; compilation of
-    // the adorned rule will reject it exactly as the original would be.
-    for bi in remaining {
-        out.push(body[bi].clone());
-    }
-    out
 }

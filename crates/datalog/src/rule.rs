@@ -1,18 +1,29 @@
 //! Rules: safety (range restriction) checking and execution planning.
 //!
-//! A rule is compiled once into an *execution plan*: an ordering of its
-//! body items such that every negated atom, comparison, assignment, and
-//! aggregate runs only after the positive subgoals that bind its variables.
-//! The planner is a greedy scheduler; positive atoms keep their source
-//! order (which the author controls for join-order tuning), and guarded
-//! items are placed as early as their bindings allow so they prune the
-//! search space soonest.
+//! A rule body is ordered by one greedy scheduler (`schedule`), which
+//! answers, for each item, which variables are bound when it runs. It is
+//! asked three times, and each caller keeps only its rank for the next
+//! positive atom:
+//!
+//! - [`Rule::compile`] ranks nothing, so positive atoms keep their source
+//!   order (which the author controls for join-order tuning); nothing is
+//!   bound at the start. The plan it stores is the body's *plan order*.
+//! - Join planning (`Rule::reorder`, before a stratum runs) ranks by bound
+//!   arguments, then by the smaller relation.
+//! - The magic-sets rewrite ranks by bound arguments, starting from the
+//!   variables its adorned head binds: that sideways order fixes each
+//!   body atom's adornment.
+//!
+//! Ties go to source order. Negated atoms, comparisons and assignments run
+//! as soon as their variables are bound, so they prune the search soonest;
+//! aggregates run last, in source order. A variable that no order can bind
+//! makes the rule unsafe.
 
 use crate::atom::{Atom, BodyItem};
 use crate::error::{DatalogError, Result};
-use crate::interner::Interner;
+use crate::interner::{Interner, Sym};
 use crate::term::{Term, Var};
-use std::collections::HashSet;
+use std::cmp::Reverse;
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,8 +49,9 @@ impl Rule {
     /// Safety (range restriction) demands that every variable occurring in
     /// the head, in a negated atom, or in a comparison is bound by a
     /// positive atom, an assignment, or an aggregate. Aggregate bodies are
-    /// checked recursively; the collected value and the grouping variables
-    /// must be bound inside the aggregate body itself.
+    /// checked recursively, from the variables bound before the aggregate;
+    /// the collected value and the grouping variables must be bound there
+    /// or inside the aggregate body.
     pub fn compile(
         head: Atom,
         body: Vec<BodyItem>,
@@ -72,28 +84,26 @@ impl Rule {
         body: Vec<BodyItem>,
         nvars: u32,
         var_names: Vec<String>,
-        pred_name: &dyn Fn(crate::interner::Sym) -> String,
+        pred_name: &dyn Fn(Sym) -> String,
     ) -> Result<Rule> {
-        let planned = plan_items(body, &HashSet::new()).map_err(|v| DatalogError::UnsafeRule {
+        let unsafe_var = |v| DatalogError::UnsafeRule {
             rule: format!("rule with head predicate {}", pred_name(head.pred)),
             var: var_name(&var_names, v),
-        })?;
-        // After the plan runs, these variables are bound:
-        let mut bound: HashSet<Var> = HashSet::new();
-        for item in &planned {
-            bound.extend(item.provided_vars());
-        }
+        };
+        let (order, bound) = schedule(&body, Vec::new(), in_source_order).map_err(unsafe_var)?;
         let mut head_vars = Vec::new();
         head.collect_vars(&mut head_vars);
         if let Some(&v) = head_vars.iter().find(|v| !bound.contains(v)) {
-            return Err(DatalogError::UnsafeRule {
-                rule: format!("rule with head predicate {}", pred_name(head.pred)),
-                var: var_name(&var_names, v),
-            });
+            return Err(unsafe_var(v));
         }
+        let mut items: Vec<Option<BodyItem>> = body.into_iter().map(Some).collect();
+        let body = order
+            .iter()
+            .map(|&i| items[i].take().expect("a schedule lists a position once"))
+            .collect();
         Ok(Rule {
             head,
-            body: planned.into(),
+            body,
             nvars,
             var_names: var_names.into(),
         })
@@ -104,99 +114,23 @@ impl Rule {
         Rule::compile(head, Vec::new(), 0, Vec::new())
     }
 
-    /// Greedily reorders the body for evaluation — a sideways-information-
-    /// passing order: repeatedly pick the positive atom with the most
-    /// arguments fully bound by the items scheduled so far, breaking ties
-    /// toward the smaller estimated relation (`card`) and then source
-    /// order. Guards (negation, comparison, assignment) are flushed as soon
-    /// as their variables are bound; aggregates keep their phase-2
-    /// placement, exactly as in [`Rule::compile`].
+    /// Greedily reorders the body for evaluation: the positive atom with
+    /// the most arguments bound by the items before it goes next, ties to
+    /// the smaller estimated relation (`card`), then to compiled order.
+    /// Guards and aggregates are placed as [`Rule::compile`] places them.
     ///
     /// Returns the reordered rule plus, for each new body position, the
     /// index of that item in the compiled body (the *join order*, recorded
-    /// in the evaluation profile). Falls back to the compiled order if the
-    /// greedy schedule cannot place every item (it always can for rules
-    /// that passed [`Rule::compile`]).
-    pub fn reorder(
-        &self,
-        mut card: impl FnMut(crate::interner::Sym) -> usize,
-    ) -> (Rule, Vec<usize>) {
-        use std::cmp::Reverse;
-        fn term_bound(t: &Term, bound: &HashSet<Var>) -> bool {
-            let mut vars = Vec::new();
-            t.collect_vars(&mut vars);
-            vars.iter().all(|v| bound.contains(v))
-        }
-        fn flush(
-            body: &[BodyItem],
-            remaining: &mut Vec<usize>,
-            bound: &mut HashSet<Var>,
-            order: &mut Vec<usize>,
-        ) {
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                let mut i = 0;
-                while i < remaining.len() {
-                    let item = &body[remaining[i]];
-                    let ready = match item {
-                        BodyItem::Pos(_) | BodyItem::Agg(_) => false,
-                        other => other.required_vars().iter().all(|v| bound.contains(v)),
-                    };
-                    if ready {
-                        let oi = remaining.remove(i);
-                        bound.extend(body[oi].provided_vars());
-                        order.push(oi);
-                        progressed = true;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-
-        let n = self.body.len();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut bound: HashSet<Var> = HashSet::new();
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        // Phase 1: positives by bound-argument count then cardinality,
-        // guards flushed eagerly.
-        loop {
-            flush(&self.body, &mut remaining, &mut bound, &mut order);
-            let best = remaining
-                .iter()
-                .enumerate()
-                .filter_map(|(ri, &oi)| match &self.body[oi] {
-                    BodyItem::Pos(atom) => {
-                        let bound_args = atom.args.iter().filter(|a| term_bound(a, &bound)).count();
-                        Some((ri, oi, bound_args, card(atom.pred)))
-                    }
-                    _ => None,
-                })
-                .max_by_key(|&(_, oi, bound_args, size)| (bound_args, Reverse(size), Reverse(oi)));
-            match best {
-                Some((ri, oi, _, _)) => {
-                    remaining.remove(ri);
-                    bound.extend(self.body[oi].provided_vars());
-                    order.push(oi);
-                }
-                None => break,
-            }
-        }
-        // Phase 2: aggregates in source order, flushing newly-ready guards.
-        while let Some(ri) = remaining
-            .iter()
-            .position(|&oi| matches!(self.body[oi], BodyItem::Agg(_)))
-        {
-            let oi = remaining.remove(ri);
-            bound.extend(self.body[oi].provided_vars());
-            order.push(oi);
-            flush(&self.body, &mut remaining, &mut bound, &mut order);
-        }
-        if !remaining.is_empty() {
-            debug_assert!(false, "compiled rule failed to reschedule");
-            return (self.clone(), (0..n).collect());
-        }
+    /// in the evaluation profile). A rule built without [`Rule::compile`]
+    /// that cannot be scheduled keeps its order.
+    pub(crate) fn reorder(&self, mut card: impl FnMut(Sym) -> usize) -> (Rule, Vec<usize>) {
+        let rank = |atom: &Atom, bound: &[Var]| {
+            let bound_args = atom.args.iter().filter(|t| term_bound(t, bound)).count();
+            (bound_args, Reverse(card(atom.pred)))
+        };
+        let Ok((order, _)) = schedule(&self.body, Vec::new(), rank) else {
+            return (self.clone(), (0..self.body.len()).collect());
+        };
         // The compiled order already: share the body.
         if order.iter().enumerate().all(|(i, &o)| i == o) {
             return (self.clone(), order);
@@ -226,89 +160,99 @@ fn var_name(names: &[String], v: Var) -> String {
         .unwrap_or_else(|| format!("?{}", v.0))
 }
 
-/// Greedily schedules `items`, given variables already `bound` from an
-/// enclosing scope (used for aggregate bodies, which share the rule's
-/// variable space). Returns the items in execution order, or the first
-/// variable that can never be bound.
+/// Whether every variable of `t` is in `bound` (a ground term is bound).
+pub(crate) fn term_bound(t: &Term, bound: &[Var]) -> bool {
+    match t {
+        Term::Var(v) => bound.contains(v),
+        Term::Const(_) | Term::Int(_) => true,
+        Term::Func(_, args) => args.iter().all(|a| term_bound(a, bound)),
+    }
+}
+
+/// Greedily orders `body`, run with the variables of `bound` already bound
+/// (a rule's: none; an adorned head's: its bound arguments).
 ///
-/// Aggregates are always scheduled *after* every non-aggregate item, in
-/// source order: their grouping semantics depend on which correlated
-/// variables are bound, so their position must be predictable to the rule
-/// author. Guards that mention an aggregate's result run after it.
-fn plan_items(
-    items: Vec<BodyItem>,
-    outer_bound: &HashSet<Var>,
-) -> std::result::Result<Vec<BodyItem>, Var> {
-    let mut bound = outer_bound.clone();
-    let mut planned = Vec::with_capacity(items.len());
-    let (mut aggs, mut rest): (Vec<BodyItem>, Vec<BodyItem>) = {
-        let mut aggs = Vec::new();
-        let mut rest = Vec::new();
-        for it in items {
-            if matches!(it, BodyItem::Agg(_)) {
-                aggs.push(it);
-            } else {
-                rest.push(it);
-            }
-        }
-        (aggs, rest)
-    };
-    // Phase 1: positives in source order, guards flushed as soon as bound.
+/// Positive atoms go one at a time: next, the one `rank` rates highest
+/// against the variables bound so far, ties to source order. Before each,
+/// and after each, every negated atom, comparison and assignment whose
+/// variables are bound goes: scanning left to right, continuing after a
+/// move, repeating until nothing moves. Aggregates go last, in source
+/// order, each followed by the guards it readies: which correlated
+/// variables are bound decides their groups, so the author must be able to
+/// predict it. An aggregate is safe when its body schedules from the
+/// variables bound before it and binds, with those, its grouping variables
+/// and every variable of its collected value.
+///
+/// Returns the positions of `body` in schedule order and the variables
+/// bound after them, or the first variable no order can bind.
+pub(crate) fn schedule<K: Ord>(
+    body: &[BodyItem],
+    mut bound: Vec<Var>,
+    mut rank: impl FnMut(&Atom, &[Var]) -> K,
+) -> std::result::Result<(Vec<usize>, Vec<Var>), Var> {
+    let mut order = Vec::with_capacity(body.len());
+    let mut rest: Vec<usize> = (0..body.len())
+        .filter(|&i| !matches!(body[i], BodyItem::Agg(_)))
+        .collect();
     loop {
-        flush_ready(&mut rest, &mut bound, &mut planned);
-        match rest.iter().position(|b| matches!(b, BodyItem::Pos(_))) {
-            Some(pos) => {
-                let item = rest.remove(pos);
-                bound.extend(item.provided_vars());
-                planned.push(item);
+        flush(body, &mut rest, &mut bound, &mut order);
+        let mut best: Option<(usize, K)> = None;
+        for (at, &i) in rest.iter().enumerate() {
+            if let BodyItem::Pos(atom) = &body[i] {
+                let key = rank(atom, &bound);
+                if best.as_ref().is_none_or(|(_, top)| key > *top) {
+                    best = Some((at, key));
+                }
             }
-            None => break,
         }
+        let Some((at, _)) = best else { break };
+        take(body, rest.remove(at), &mut bound, &mut order);
     }
-    // Phase 2: aggregates in source order, flushing newly-ready guards.
-    while !aggs.is_empty() {
-        let item = aggs.remove(0);
-        if let BodyItem::Agg(agg) = &item {
-            let mut inner_bound = bound.clone();
-            inner_bound.extend(agg.group_by.iter().copied());
-            // The aggregate body must be plannable on its own.
-            plan_items(agg.body.clone(), &inner_bound)?;
+    for (i, item) in body.iter().enumerate() {
+        let BodyItem::Agg(agg) = item else { continue };
+        let (_, inner) = schedule(&agg.body, bound.clone(), in_source_order)?;
+        let mut needed = agg.group_by.clone();
+        agg.value.collect_vars(&mut needed);
+        if let Some(&v) = needed.iter().find(|v| !inner.contains(v)) {
+            return Err(v);
         }
-        bound.extend(item.provided_vars());
-        planned.push(item);
-        flush_ready(&mut rest, &mut bound, &mut planned);
+        take(body, i, &mut bound, &mut order);
+        flush(body, &mut rest, &mut bound, &mut order);
     }
-    // Anything left is unsatisfiable.
-    if let Some(item) = rest.first() {
-        let v = item
+    match rest.first() {
+        Some(&i) => Err(body[i]
             .required_vars()
             .into_iter()
             .find(|v| !bound.contains(v))
-            .unwrap_or(Var(0));
-        return Err(v);
+            .unwrap_or(Var(0))),
+        None => Ok((order, bound)),
     }
-    Ok(planned)
 }
 
-/// Moves every guarded item in `rest` whose required variables are all in
-/// `bound` to the end of `planned`, repeating until a fixpoint.
-fn flush_ready(rest: &mut Vec<BodyItem>, bound: &mut HashSet<Var>, planned: &mut Vec<BodyItem>) {
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        let mut i = 0;
-        while i < rest.len() {
-            let ready = match &rest[i] {
-                BodyItem::Pos(_) | BodyItem::Agg(_) => false,
-                other => other.required_vars().iter().all(|v| bound.contains(v)),
-            };
-            if ready {
-                let item = rest.remove(i);
-                bound.extend(item.provided_vars());
-                planned.push(item);
-                progressed = true;
+/// The rank that leaves positive atoms in source order.
+fn in_source_order(_: &Atom, _: &[Var]) {}
+
+/// Schedules `body[i]` next: appends it to `order` and binds what it binds.
+fn take(body: &[BodyItem], i: usize, bound: &mut Vec<Var>, order: &mut Vec<usize>) {
+    bound.extend(body[i].provided_vars());
+    order.push(i);
+}
+
+/// Schedules every guard of `rest` whose variables are bound, in the order
+/// [`schedule`] describes.
+fn flush(body: &[BodyItem], rest: &mut Vec<usize>, bound: &mut Vec<Var>, order: &mut Vec<usize>) {
+    let mut moved = true;
+    while moved {
+        moved = false;
+        let mut at = 0;
+        while at < rest.len() {
+            let item = &body[rest[at]];
+            let guard = !matches!(item, BodyItem::Pos(_));
+            if guard && item.required_vars().iter().all(|v| bound.contains(v)) {
+                take(body, rest.remove(at), bound, order);
+                moved = true;
             } else {
-                i += 1;
+                at += 1;
             }
         }
     }
@@ -325,68 +269,44 @@ impl fmt::Display for RuleDisplay<'_> {
         let names = &self.rule.var_names;
         write!(f, "{}", atom_str(&self.rule.head, self.syms, names))?;
         if !self.rule.body.is_empty() {
-            write!(f, " :- ")?;
-            for (i, b) in self.rule.body.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                match b {
-                    BodyItem::Pos(a) => write!(f, "{}", atom_str(a, self.syms, names))?,
-                    BodyItem::Neg(a) => write!(f, "not {}", atom_str(a, self.syms, names))?,
-                    BodyItem::Cmp(op, l, r) => write!(
-                        f,
-                        "{} {op} {}",
-                        expr_str(l, self.syms, names),
-                        expr_str(r, self.syms, names)
-                    )?,
-                    BodyItem::Assign(t, e) => write!(
-                        f,
-                        "{} = {}",
-                        term_str(t, self.syms, names),
-                        expr_str(e, self.syms, names)
-                    )?,
-                    BodyItem::Agg(a) => {
-                        write!(f, "{} = {}{{", var_str(a.result, names), a.func)?;
-                        write!(f, "{}", term_str(&a.value, self.syms, names))?;
-                        if !a.group_by.is_empty() {
-                            let gs: Vec<String> =
-                                a.group_by.iter().map(|v| var_str(*v, names)).collect();
-                            write!(f, " [{}]", gs.join(", "))?;
-                        }
-                        write!(f, " : ")?;
-                        for (j, inner) in a.body.iter().enumerate() {
-                            if j > 0 {
-                                write!(f, ", ")?;
-                            }
-                            match inner {
-                                BodyItem::Pos(ia) => {
-                                    write!(f, "{}", atom_str(ia, self.syms, names))?
-                                }
-                                BodyItem::Neg(ia) => {
-                                    write!(f, "not {}", atom_str(ia, self.syms, names))?
-                                }
-                                BodyItem::Cmp(op, l, r) => write!(
-                                    f,
-                                    "{} {op} {}",
-                                    expr_str(l, self.syms, names),
-                                    expr_str(r, self.syms, names)
-                                )?,
-                                BodyItem::Assign(t, e) => write!(
-                                    f,
-                                    "{} = {}",
-                                    term_str(t, self.syms, names),
-                                    expr_str(e, self.syms, names)
-                                )?,
-                                BodyItem::Agg(_) => write!(f, "<nested-agg>")?,
-                            }
-                        }
-                        write!(f, "}}")?
-                    }
-                }
-            }
+            write!(f, " :- {}", body_str(&self.rule.body, self.syms, names))?;
         }
         write!(f, ".")
     }
+}
+
+/// Body items, comma-separated, in the order given.
+fn body_str(items: &[BodyItem], syms: &Interner, names: &[String]) -> String {
+    let item = |b: &BodyItem| match b {
+        BodyItem::Pos(a) => atom_str(a, syms, names),
+        BodyItem::Neg(a) => format!("not {}", atom_str(a, syms, names)),
+        BodyItem::Cmp(op, l, r) => format!(
+            "{} {op} {}",
+            expr_str(l, syms, names),
+            expr_str(r, syms, names)
+        ),
+        BodyItem::Assign(t, e) => format!(
+            "{} = {}",
+            term_str(t, syms, names),
+            expr_str(e, syms, names)
+        ),
+        BodyItem::Agg(a) => {
+            let groups: Vec<String> = a.group_by.iter().map(|v| var_str(*v, names)).collect();
+            let groups = if groups.is_empty() {
+                String::new()
+            } else {
+                format!(" [{}]", groups.join(", "))
+            };
+            format!(
+                "{} = {}{{{}{groups} : {}}}",
+                var_str(a.result, names),
+                a.func,
+                term_str(&a.value, syms, names),
+                body_str(&a.body, syms, names)
+            )
+        }
+    };
+    items.iter().map(item).collect::<Vec<_>>().join(", ")
 }
 
 /// Variable rendering that survives re-parsing: prefer the recorded name

@@ -198,12 +198,23 @@ impl Program {
             out.push_str(&format!("{}.\n", Lit { pred: *p, args }));
         }
         for r in &self.rules {
-            let mut body: Vec<String> = r.pos.iter().map(|l| l.to_string()).collect();
-            body.extend(r.neg.iter().map(|l| format!("not {l}")));
-            body.extend(r.ne.map(|(a, b)| format!("{a} != {b}")));
-            out.push_str(&format!("{} :- {}.\n", r.head, body.join(", ")));
+            out.push_str(&r.text(false));
         }
         out
+    }
+}
+
+impl PRule {
+    /// The rule as text: positive literals, then negated ones, then the
+    /// disequality, or all of that backwards.
+    fn text(&self, backwards: bool) -> String {
+        let mut body: Vec<String> = self.pos.iter().map(|l| l.to_string()).collect();
+        body.extend(self.neg.iter().map(|l| format!("not {l}")));
+        body.extend(self.ne.map(|(a, b)| format!("{a} != {b}")));
+        if backwards {
+            body.reverse();
+        }
+        format!("{} :- {}.\n", self.head, body.join(", "))
     }
 }
 
@@ -625,6 +636,35 @@ fn generated_programs_cover_both_kinds_of_negation_cycle() {
         two_valued >= 16 && three_valued >= 16 && recursive >= 16,
         "two-valued cycles {two_valued}, three-valued {three_valued}, positive recursion {recursive}"
     );
+}
+
+/// A compiled rule prints in plan order, and the printed text compiles to
+/// the same plan: print ∘ parse ∘ print = print on every rule the two
+/// families, their view rules and their added rules generate, written as
+/// generated and backwards (guards before the atoms that bind them).
+#[test]
+fn generated_rules_print_parse_print() {
+    let print = |text: &str| {
+        let mut e = Engine::new();
+        e.load(text).unwrap_or_else(|err| panic!("{text}: {err}"));
+        let [rule] = e.rules() else {
+            panic!("{text}: not one rule")
+        };
+        rule.display(e.symbols()).to_string()
+    };
+    for case in 0..256 {
+        let mut rng = TestRng::for_case(case);
+        let mut rules = program().generate(&mut rng).rules;
+        rules.extend(program_over_empty_heads().generate(&mut rng).rules);
+        rules.push(change().generate(&mut rng).view);
+        rules.push(addition().generate(&mut rng).rule);
+        for rule in &rules {
+            for backwards in [false, true] {
+                let once = print(&rule.text(backwards));
+                assert_eq!(print(&once), once, "{}", rule.text(backwards));
+            }
+        }
+    }
 }
 
 /// The oracle itself, on the textbook game: `c0 → c1 → c2` alternates,
