@@ -745,7 +745,8 @@ impl Mediator {
     /// the answer relation.
     ///
     /// Two phases, like [`Self::materialize_all`]: the **fetch phase**
-    /// scans every source exporting a class the rule mentions,
+    /// scans every source exporting a class whose instances the body
+    /// reads (`X : class` or `inst(X, class)`, the class a constant),
     /// concurrently; the **evaluate phase** loads the rule and the fetched
     /// rows into a scratch clone of the base and evaluates towards the
     /// head there. Nothing is staged: the base, its rules and the cached

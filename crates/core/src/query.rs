@@ -13,8 +13,10 @@
 //! in the same two phases:
 //!
 //! 1. **fetch** — [`crate::Mediator::answer`] scans the sources exporting
-//!    the classes the rule mentions as `X : class` (and only those: the
-//!    mediator never contacts an unrelated source);
+//!    the classes whose instances the body reads: a constant class in an
+//!    `inst(X, class)` atom of the lowered body, written `X : class` or
+//!    `inst(X, class)` (and only those: the mediator never contacts an
+//!    unrelated source);
 //!    [`crate::QuerySnapshot::answer_with`] fetches nothing — rows loaded
 //!    before the snapshot was taken are what there is to query;
 //! 2. **evaluate** — one crate-private function, `evaluate`: the rule and
@@ -28,8 +30,10 @@ use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
 use crate::federation::FetchBatch;
 use crate::mediator::{load_batch, reintern_term};
-use kind_datalog::{Atom, DatalogError, EvalOptions, EvalStats, Interner, Model, Term};
-use kind_flogic::{parse_fl_program, FlBodyItem, Molecule};
+use kind_datalog::{
+    Atom, BodyItem, DatalogError, EvalOptions, EvalStats, Interner, Model, Sym, Term,
+};
+use kind_flogic::{parse_fl_program, Molecule, Preds};
 use kind_gcm::GcmBase;
 use std::collections::BTreeSet;
 
@@ -64,7 +68,7 @@ pub(crate) struct OneOffRule<'a> {
     syms: Interner,
     head_pred: String,
     head_args: Vec<Term>,
-    /// The classes the body mentions as `X : class`.
+    /// The constant classes of the lowered body's `inst(X, class)` atoms.
     pub(crate) classes: BTreeSet<String>,
 }
 
@@ -90,8 +94,9 @@ impl<'a> OneOffRule<'a> {
                 "answer() rule head must be a plain predicate".to_string(),
             ));
         };
+        let inst = Preds::intern(&mut syms).inst;
         let mut classes = BTreeSet::new();
-        collect_classes(&clause.body, &syms, &mut classes);
+        collect_classes(&clause.body, inst, &syms, &mut classes);
         Ok(OneOffRule {
             text,
             head_pred: syms.resolve(head.pred).to_string(),
@@ -168,20 +173,17 @@ pub(crate) fn evaluate(
     })
 }
 
-fn collect_classes(items: &[FlBodyItem], syms: &Interner, out: &mut BTreeSet<String>) {
+/// The classes of the body's `inst(X, class)` atoms (`X : class` in FL),
+/// aggregate bodies included.
+fn collect_classes(items: &[BodyItem], inst: Sym, syms: &Interner, out: &mut BTreeSet<String>) {
     for item in items {
         match item {
-            FlBodyItem::Pos(Molecule::IsA {
-                class: Term::Const(c),
-                ..
-            })
-            | FlBodyItem::Neg(Molecule::IsA {
-                class: Term::Const(c),
-                ..
-            }) => {
-                out.insert(syms.resolve(*c).to_string());
+            BodyItem::Pos(a) | BodyItem::Neg(a) if a.pred == inst => {
+                if let [_, Term::Const(c)] = a.args.as_slice() {
+                    out.insert(syms.resolve(*c).to_string());
+                }
             }
-            FlBodyItem::Agg { body, .. } => collect_classes(body, syms, out),
+            BodyItem::Agg(agg) => collect_classes(&agg.body, inst, syms, out),
             _ => {}
         }
     }
@@ -242,6 +244,19 @@ mod tests {
         assert_eq!(ans.classes, vec!["spines".to_string()]);
         // Only source A was contacted.
         assert_eq!(ans.sources, vec!["A".to_string()]);
+    }
+
+    /// `X : spines` lowers to `inst(X, spines)` (Table 1), so a rule that
+    /// writes the atom asks for the same class and fetches the same rows.
+    #[test]
+    fn answer_fetches_for_an_inst_atom_as_for_an_isa_molecule() {
+        for rule in ["p(X) :- X : spines.", "p(X) :- inst(X, spines)."] {
+            let mut m = mediator_with_two_sources();
+            let ans = m.answer(rule).unwrap();
+            assert_eq!(ans.rows.len(), 4, "{rule}");
+            assert_eq!(ans.classes, vec!["spines".to_string()], "{rule}");
+            assert_eq!(ans.sources, vec!["A".to_string()], "{rule}");
+        }
     }
 
     #[test]

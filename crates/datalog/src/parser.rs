@@ -117,12 +117,13 @@ pub fn quoted(s: &str) -> String {
     out
 }
 
-/// The lexer and the term / expression layer shared by this grammar and
-/// the F-logic one (`kind-flogic` builds its molecules, frames and bodies
-/// on these methods): whitespace and comments, tokens, identifiers,
-/// per-clause variable numbering, string and integer literals, terms,
-/// arithmetic expressions, comparison operators, and the [`MAX_NESTING`]
-/// caps. Errors carry the byte offset and line of the current position.
+/// The lexer, terms and the rule-body grammar shared by this grammar and
+/// the F-logic one (`kind-flogic` builds its molecules and frames on
+/// these methods, and reads its bodies with [`Parser::body`]): whitespace
+/// and comments, tokens, per-clause variable numbering, string and
+/// integer literals, terms, arithmetic expressions, comparisons,
+/// aggregates, and the [`MAX_NESTING`] caps. Errors carry the byte offset
+/// and line of the current position.
 pub struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
@@ -143,7 +144,7 @@ fn is_var_name(name: &str) -> bool {
 /// A point to come back to ([`Parser::reset`]) when an attempted reading
 /// of the input does not work out.
 #[derive(Debug, Clone, Copy)]
-pub struct Mark {
+struct Mark {
     pos: usize,
     nvars: usize,
 }
@@ -176,7 +177,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses one nesting level down, refusing level [`MAX_NESTING`] + 1.
-    pub fn nested<T>(&mut self, inner: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+    fn nested<T>(&mut self, inner: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         if self.depth == MAX_NESTING {
             return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
         }
@@ -204,7 +205,7 @@ impl<'a> Parser<'a> {
     }
 
     /// The current position and variable count.
-    pub fn mark(&self) -> Mark {
+    fn mark(&self) -> Mark {
         Mark {
             pos: self.pos,
             nvars: self.var_names.len(),
@@ -212,7 +213,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Back to `mark`, forgetting the variables first seen since.
-    pub fn reset(&mut self, mark: Mark) {
+    fn reset(&mut self, mark: Mark) {
         self.pos = mark.pos;
         self.var_names.truncate(mark.nvars);
         self.vars.retain(|_, v| v.index() < mark.nvars);
@@ -289,7 +290,7 @@ impl<'a> Parser<'a> {
     }
 
     /// An identifier (`[A-Za-z_][A-Za-z0-9_]*`), if one is next.
-    pub fn ident(&mut self) -> Option<String> {
+    fn ident(&mut self) -> Option<String> {
         self.skip_ws();
         let start = self.pos;
         if !(self.peek().is_ascii_alphabetic() || self.peek() == b'_') {
@@ -303,7 +304,7 @@ impl<'a> Parser<'a> {
 
     /// The variable called `name` in the current clause (`_` is fresh
     /// every time).
-    pub fn var(&mut self, name: String) -> Var {
+    fn var(&mut self, name: String) -> Var {
         if name == "_" {
             let v = Var(self.nvars());
             self.var_names.push(format!("_{}", v.0));
@@ -389,7 +390,7 @@ impl<'a> Parser<'a> {
     }
 
     /// expr := mul (('+'|'-') mul)*
-    pub fn expr(&mut self) -> Result<Expr> {
+    fn expr(&mut self) -> Result<Expr> {
         let mut lhs = self.expr_mul()?;
         loop {
             self.skip_ws();
@@ -438,7 +439,7 @@ impl<'a> Parser<'a> {
 
     /// A comparison operator, if one is next. `=` is taken whatever
     /// follows it.
-    pub fn cmp_op(&mut self) -> Option<CmpOp> {
+    fn cmp_op(&mut self) -> Option<CmpOp> {
         self.skip_ws();
         for (tok, op) in [
             ("!=", CmpOp::Ne),
@@ -457,7 +458,7 @@ impl<'a> Parser<'a> {
     }
 
     /// The aggregate function called `name`.
-    pub fn agg_func(name: &str) -> Option<AggFunc> {
+    fn agg_func(name: &str) -> Option<AggFunc> {
         match name {
             "count" => Some(AggFunc::Count),
             "sum" => Some(AggFunc::Sum),
@@ -488,8 +489,94 @@ impl<'a> Parser<'a> {
         Ok(Atom::new(pred, args))
     }
 
-    /// aggregate := func '{' term [ '[' var,.. ']' ] (':'|';') body '}'
-    fn aggregate(&mut self, func: AggFunc, result: Var) -> Result<BodyItem> {
+    /// A literal that is a plain atom: a constant (0-ary) or a
+    /// function-shaped term read as a predicate call. This is
+    /// [`Parser::body`]'s literal hook for Datalog.
+    pub fn plain_atom(&self, t: Term) -> Result<Atom> {
+        match t {
+            Term::Const(pred) => Ok(Atom::new(pred, Vec::new())),
+            Term::Func(pred, args) => Ok(Atom::new(pred, args.to_vec())),
+            _ => Err(self.err("expected atom, comparison, or assignment")),
+        }
+    }
+
+    /// The one rule-body grammar, here and in F-logic:
+    ///
+    /// ```text
+    /// body := item (',' item)*
+    /// item := expr cmp expr | term '=' expr | VAR '=' aggregate
+    ///       | 'not' literal | literal
+    /// aggregate := func '{' term [ '[' VAR,.. ']' ] (':'|';') body '}'
+    /// ```
+    ///
+    /// A literal starts with a term; `literal` reads the rest of it and
+    /// returns its atoms ([`Parser::plain_atom`] for Datalog, a molecule
+    /// lowered to its atoms for F-logic). A negated literal must be
+    /// exactly one atom.
+    pub fn body<F>(&mut self, literal: &mut F) -> Result<Vec<BodyItem>>
+    where
+        F: FnMut(&mut Self, Term) -> Result<Vec<Atom>>,
+    {
+        let mut body = Vec::new();
+        loop {
+            self.body_item(literal, &mut body)?;
+            if !self.eat(",") {
+                return Ok(body);
+            }
+        }
+    }
+
+    fn body_item<F>(&mut self, literal: &mut F, out: &mut Vec<BodyItem>) -> Result<()>
+    where
+        F: FnMut(&mut Self, Term) -> Result<Vec<Atom>>,
+    {
+        self.skip_ws();
+        let start = self.mark();
+        if self.ident().as_deref() == Some("not") {
+            let t = self.term()?;
+            let atoms = literal(self, t)?;
+            let [atom] = <[Atom; 1]>::try_from(atoms)
+                .map_err(|_| self.err("`not` takes exactly one atom"))?;
+            out.push(BodyItem::Neg(atom));
+            return Ok(());
+        }
+        self.reset(start);
+        let lhs = self.expr()?;
+        let Some(op) = self.cmp_op() else {
+            let Expr::Term(t) = lhs else {
+                return Err(self.err("expected comparison after expression"));
+            };
+            out.extend(literal(self, t)?.into_iter().map(BodyItem::Pos));
+            return Ok(());
+        };
+        // `V = agg{...}`?
+        if op == CmpOp::Eq {
+            let after_eq = self.mark();
+            if let Some(func) = self.ident().as_deref().and_then(Self::agg_func) {
+                self.skip_ws();
+                if self.peek() == b'{' {
+                    let Expr::Term(Term::Var(result)) = lhs else {
+                        return Err(self.err("aggregate result must be a single variable"));
+                    };
+                    out.push(self.aggregate(func, result, literal)?);
+                    return Ok(());
+                }
+            }
+            self.reset(after_eq);
+            // `term = expr` is an assignment when lhs is a plain term.
+            if let Expr::Term(t) = lhs {
+                out.push(BodyItem::Assign(t, self.expr()?));
+                return Ok(());
+            }
+        }
+        out.push(BodyItem::Cmp(op, lhs, self.expr()?));
+        Ok(())
+    }
+
+    fn aggregate<F>(&mut self, func: AggFunc, result: Var, literal: &mut F) -> Result<BodyItem>
+    where
+        F: FnMut(&mut Self, Term) -> Result<Vec<Atom>>,
+    {
         self.expect("{")?;
         let value = self.term()?;
         let mut group_by = Vec::new();
@@ -512,13 +599,7 @@ impl<'a> Parser<'a> {
         if !self.eat(":") && !self.eat(";") {
             return Err(self.err("expected `:` or `;` in aggregate"));
         }
-        let body = self.nested(|p| {
-            let mut body = vec![p.body_item()?];
-            while p.eat(",") {
-                body.push(p.body_item()?);
-            }
-            Ok(body)
-        })?;
+        let body = self.nested(|p| p.body(literal))?;
         self.expect("}")?;
         Ok(BodyItem::Agg(Aggregate {
             func,
@@ -527,49 +608,6 @@ impl<'a> Parser<'a> {
             body,
             result,
         }))
-    }
-
-    fn body_item(&mut self) -> Result<BodyItem> {
-        self.skip_ws();
-        // `not atom`
-        let save = self.pos;
-        if self.ident().as_deref() == Some("not") {
-            return Ok(BodyItem::Neg(self.atom()?));
-        }
-        self.pos = save;
-        let lhs = self.expr()?;
-        if let Some(op) = self.cmp_op() {
-            // `V = agg{...}`?
-            if op == CmpOp::Eq {
-                let save2 = self.pos;
-                if let Some(word) = self.ident() {
-                    if let Some(func) = Self::agg_func(&word) {
-                        self.skip_ws();
-                        if self.peek() == b'{' {
-                            let Expr::Term(Term::Var(result)) = lhs else {
-                                return Err(self.err("aggregate result must be a single variable"));
-                            };
-                            return self.aggregate(func, result);
-                        }
-                    }
-                    self.pos = save2;
-                }
-                // `term = expr` is an assignment when lhs is a plain term.
-                if let Expr::Term(t) = lhs {
-                    let rhs = self.expr()?;
-                    return Ok(BodyItem::Assign(t, rhs));
-                }
-            }
-            let rhs = self.expr()?;
-            return Ok(BodyItem::Cmp(op, lhs, rhs));
-        }
-        // Otherwise it must be a positive atom: a constant (0-ary) or a
-        // function-shaped call reinterpreted as a predicate.
-        match lhs {
-            Expr::Term(Term::Const(pred)) => Ok(BodyItem::Pos(Atom::new(pred, Vec::new()))),
-            Expr::Term(Term::Func(pred, args)) => Ok(BodyItem::Pos(Atom::new(pred, args.to_vec()))),
-            _ => Err(self.err("expected atom, comparison, or assignment")),
-        }
     }
 
     fn clause(&mut self) -> Result<Clause> {
@@ -583,10 +621,7 @@ impl<'a> Parser<'a> {
             return Ok(Clause::Fact(head));
         }
         self.expect(":-")?;
-        let mut body = vec![self.body_item()?];
-        while self.eat(",") {
-            body.push(self.body_item()?);
-        }
+        let body = self.body(&mut |p, t| Ok(vec![p.plain_atom(t)?]))?;
         self.expect(".")?;
         let rule = Rule::compile_named(head, body, self.nvars(), self.take_var_names(), self.syms)?;
         Ok(Clause::Rule(rule))

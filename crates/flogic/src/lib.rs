@@ -6,7 +6,9 @@
 //! FL fragment of **Table 1**: molecules `X : C`, `C1 :: C2`,
 //! `X[M -> Y]`, `C[M => CM]`, a parser for the FL surface syntax the paper
 //! writes its rules in, lowering to `kind-datalog`, and the core FL
-//! axioms:
+//! axioms. Heads are molecules; an FL body is a Datalog body whose
+//! literals are molecules, read by `kind-datalog`'s one rule-body grammar
+//! and lowered as it is read. The axioms:
 //!
 //! ```text
 //! C :: C            :- C : class.          (reflexivity of ::)
@@ -44,8 +46,8 @@ pub mod parser;
 pub mod translate;
 
 pub use ast::{ArrowKind, MethodSpec, Molecule};
-pub use parser::{parse_fl_molecule, parse_fl_program, FlBodyItem, FlClause};
-pub use translate::{implied_classes, lower_clause, lower_clause_named, molecule_atoms, Preds};
+pub use parser::{parse_fl_molecule, parse_fl_program, FlClause};
+pub use translate::{implied_classes, lower_clause, molecule_atoms, Preds};
 
 use kind_datalog::parser::{remap_atom, remap_term};
 use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Interner, Model, Term};
@@ -150,8 +152,7 @@ impl FLogic {
 
     /// Adds one parsed FL clause.
     pub fn add_clause(&mut self, clause: &FlClause) -> Result<(), DatalogError> {
-        let (facts, rules) =
-            translate::lower_clause_named(clause, &self.preds, self.engine.symbols())?;
+        let (facts, rules) = translate::lower_clause(clause, &self.preds, self.engine.symbols())?;
         for f in facts {
             self.engine.add_fact(f.pred, f.args)?;
         }

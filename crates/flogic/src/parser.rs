@@ -15,53 +15,36 @@
 //! The `W : ic` head form (a witness object inserted into the
 //! distinguished inconsistency class, paper §3 IC / Example 2) is ordinary
 //! `IsA` syntax and needs no special casing.
+//!
+//! An FL body is a Datalog body whose literals are molecules: it is read
+//! by the one rule-body grammar, `kind_datalog::parser::Parser::body`,
+//! and each molecule is lowered to its atoms (Table 1) as it is read. A
+//! negated molecule must lower to exactly one atom.
 
 use crate::ast::{ArrowKind, MethodSpec, Molecule};
+use crate::translate::{molecule_atoms, Preds};
 use kind_datalog::parser::Parser;
-use kind_datalog::{AggFunc, Atom, CmpOp, DatalogError, Expr, Interner, Term, Var};
-
-/// A body item at the FL level.
-#[derive(Debug, Clone)]
-pub enum FlBodyItem {
-    /// A positive molecule.
-    Pos(Molecule),
-    /// A negated molecule (must translate to a single atom).
-    Neg(Molecule),
-    /// Comparison between expressions.
-    Cmp(CmpOp, Expr, Expr),
-    /// Assignment `T = expr`.
-    Assign(Term, Expr),
-    /// Aggregate `R = func{ value [groups] : body }` with an FL body.
-    Agg {
-        /// Fold function.
-        func: AggFunc,
-        /// Collected term.
-        value: Term,
-        /// Grouping variables.
-        group_by: Vec<Var>,
-        /// FL subquery.
-        body: Vec<FlBodyItem>,
-        /// Result variable.
-        result: Var,
-    },
-}
+use kind_datalog::{BodyItem, DatalogError, Interner, Term};
 
 /// A parsed FL clause: a head molecule (frames may carry several specs and
-/// expand to several Datalog rules) and a body (empty for facts).
+/// expand to several Datalog rules) and a body, already lowered to
+/// Datalog (empty for facts).
 #[derive(Debug, Clone)]
 pub struct FlClause {
     /// Head molecule.
     pub head: Molecule,
-    /// Body items (empty = fact).
-    pub body: Vec<FlBodyItem>,
+    /// Body items over the reserved predicates (empty = fact).
+    pub body: Vec<BodyItem>,
     /// Number of variables in the clause.
     pub nvars: u32,
     /// Variable names by id.
     pub var_names: Vec<String>,
 }
 
-/// Parses an FL program.
+/// Parses an FL program. The reserved predicates ([`Preds`]) are interned
+/// into `syms`, since bodies are lowered as they are read.
 pub fn parse_fl_program(src: &str, syms: &mut Interner) -> Result<Vec<FlClause>, DatalogError> {
+    let preds = Preds::intern(syms);
     let mut p = Parser::new(src, syms);
     let mut out = Vec::new();
     loop {
@@ -69,7 +52,7 @@ pub fn parse_fl_program(src: &str, syms: &mut Interner) -> Result<Vec<FlClause>,
         if p.at_end() {
             return Ok(out);
         }
-        out.push(clause(&mut p)?);
+        out.push(clause(&mut p, &preds)?);
     }
 }
 
@@ -89,12 +72,18 @@ pub fn parse_fl_molecule(
     Ok((m, p.take_var_names()))
 }
 
-// What F-logic adds to the Datalog parser's lexer, terms and expressions
-// (`kind_datalog::parser::Parser`): molecules, frames, and bodies over them.
+// What F-logic adds to the Datalog parser (`kind_datalog::parser::Parser`:
+// lexer, terms, expressions and the rule-body grammar): molecules and
+// frames. A body is a Datalog body whose literals are molecules.
 
 /// molecule := term ( ':' term | '::' term | '[' specs ']' )?
 fn molecule(p: &mut Parser) -> Result<Molecule, DatalogError> {
     let t = p.term()?;
+    molecule_rest(p, t)
+}
+
+/// The rest of a molecule whose first term `t` has been read.
+fn molecule_rest(p: &mut Parser, t: Term) -> Result<Molecule, DatalogError> {
     p.skip_ws();
     if p.eat("::") {
         let sup = p.term()?;
@@ -114,12 +103,7 @@ fn molecule(p: &mut Parser) -> Result<Molecule, DatalogError> {
         p.expect("]")?;
         return Ok(Molecule::Frame { obj: t, specs });
     }
-    // A plain atom: constant (0-ary) or function-shaped call.
-    match t {
-        Term::Const(pred) => Ok(Molecule::Plain(Atom::new(pred, Vec::new()))),
-        Term::Func(pred, args) => Ok(Molecule::Plain(Atom::new(pred, args.to_vec()))),
-        _ => Err(p.err("expected molecule")),
-    }
+    p.plain_atom(t).map(Molecule::Plain)
 }
 
 /// spec := term ('->' | '->>' | '!!'-free '=>' ) term
@@ -144,112 +128,14 @@ fn method_spec(p: &mut Parser) -> Result<MethodSpec, DatalogError> {
     })
 }
 
-/// A comparison operator — `=>` is a signature arrow, not `=`.
-fn cmp_op(p: &mut Parser) -> Option<CmpOp> {
-    p.skip_ws();
-    if p.peek() == b'=' && p.peek_at(1) == b'>' {
-        return None;
-    }
-    p.cmp_op()
-}
-
-fn body_item(p: &mut Parser) -> Result<FlBodyItem, DatalogError> {
-    p.skip_ws();
-    let start = p.mark();
-    if p.ident().as_deref() == Some("not") {
-        return Ok(FlBodyItem::Neg(molecule(p)?));
-    }
-    p.reset(start);
-    // Try: Var = aggregate / assignment / comparison — these start
-    // with a term followed by an operator that a molecule can't have.
-    if let Ok(t) = p.term() {
-        if let Some(op) = cmp_op(p) {
-            if op == CmpOp::Eq {
-                // Aggregate?
-                let after_eq = p.mark();
-                if let Some(func) = p.ident().as_deref().and_then(Parser::agg_func) {
-                    p.skip_ws();
-                    if p.peek() == b'{' {
-                        let Term::Var(result) = t else {
-                            return Err(p.err("aggregate result must be a variable"));
-                        };
-                        return aggregate(p, func, result);
-                    }
-                }
-                p.reset(after_eq);
-                let rhs = p.expr()?;
-                return Ok(FlBodyItem::Assign(t, rhs));
-            }
-            let rhs = p.expr()?;
-            return Ok(FlBodyItem::Cmp(op, Expr::Term(t), rhs));
-        }
-        // Arithmetic comparison with compound lhs, e.g. `X + 1 < Y`?
-        p.skip_ws();
-        if matches!(p.peek(), b'+' | b'*')
-            || (p.peek() == b'-' && p.peek_at(1) != b'>')
-            || (p.peek() == b'/' && p.peek_at(1) != b'/')
-        {
-            p.reset(start);
-            let lhs = p.expr()?;
-            let Some(op) = cmp_op(p) else {
-                return Err(p.err("expected comparison after expression"));
-            };
-            let rhs = p.expr()?;
-            return Ok(FlBodyItem::Cmp(op, lhs, rhs));
-        }
-    }
-    p.reset(start);
-    Ok(FlBodyItem::Pos(molecule(p)?))
-}
-
-fn aggregate(p: &mut Parser, func: AggFunc, result: Var) -> Result<FlBodyItem, DatalogError> {
-    p.expect("{")?;
-    let value = p.term()?;
-    let mut group_by = Vec::new();
-    if p.eat("[") {
-        loop {
-            let Some(name) = p.ident() else {
-                return Err(p.err("expected grouping variable"));
-            };
-            group_by.push(p.var(name));
-            if !p.eat(",") {
-                break;
-            }
-        }
-        p.expect("]")?;
-    }
-    p.skip_ws();
-    if !p.eat(":") && !p.eat(";") {
-        return Err(p.err("expected `:` or `;` in aggregate"));
-    }
-    let body = p.nested(|p| {
-        let mut body = vec![body_item(p)?];
-        while p.eat(",") {
-            body.push(body_item(p)?);
-        }
-        Ok(body)
-    })?;
-    p.expect("}")?;
-    Ok(FlBodyItem::Agg {
-        func,
-        value,
-        group_by,
-        body,
-        result,
-    })
-}
-
-fn clause(p: &mut Parser) -> Result<FlClause, DatalogError> {
+fn clause(p: &mut Parser, preds: &Preds) -> Result<FlClause, DatalogError> {
     p.begin_clause();
     let head = molecule(p)?;
     p.skip_ws();
     let mut body = Vec::new();
     if !p.eat(".") {
         p.expect(":-")?;
-        body.push(body_item(p)?);
-        while p.eat(",") {
-            body.push(body_item(p)?);
-        }
+        body = p.body(&mut |p, t| Ok(molecule_atoms(&molecule_rest(p, t)?, preds)))?;
         p.expect(".")?;
     }
     Ok(FlClause {
@@ -268,6 +154,19 @@ mod tests {
         let mut syms = Interner::new();
         let cs = parse_fl_program(src, &mut syms).unwrap();
         (cs, syms)
+    }
+
+    /// Each lowered body item: its predicate (`not` before a negated
+    /// one), or what kind of item it is.
+    fn shapes(clause: &FlClause, syms: &Interner) -> Vec<String> {
+        let shape = |b: &BodyItem| match b {
+            BodyItem::Pos(a) => syms.resolve(a.pred).to_string(),
+            BodyItem::Neg(a) => format!("not {}", syms.resolve(a.pred)),
+            BodyItem::Cmp(..) => "cmp".to_string(),
+            BodyItem::Assign(..) => "assign".to_string(),
+            BodyItem::Agg(_) => "agg".to_string(),
+        };
+        clause.body.iter().map(shape).collect()
     }
 
     #[test]
@@ -299,68 +198,51 @@ mod tests {
 
     #[test]
     fn parses_rule_with_molecule_body() {
-        let (cs, _) = parse_ok("big(X) :- X : neuron, X[size -> S], S > 10.");
-        assert_eq!(cs[0].body.len(), 3);
-        assert!(matches!(
-            cs[0].body[0],
-            FlBodyItem::Pos(Molecule::IsA { .. })
-        ));
-        assert!(matches!(
-            cs[0].body[1],
-            FlBodyItem::Pos(Molecule::Frame { .. })
-        ));
-        assert!(matches!(cs[0].body[2], FlBodyItem::Cmp(..)));
+        let (cs, syms) = parse_ok("big(X) :- X : neuron, X[size -> S], S > 10.");
+        assert_eq!(shapes(&cs[0], &syms), ["inst", "mi", "cmp"]);
     }
 
     #[test]
     fn parses_ic_witness_head() {
         // Example 2's first denial: wrc(C,R,X) : ic :- ...
-        let (cs, _) = parse_ok("wrc(C, R, X) : ic :- X : C, not r(X, X), rel(R).");
+        let (cs, syms) = parse_ok("wrc(C, R, X) : ic :- X : C, not r(X, X), rel(R).");
         let Molecule::IsA { obj, .. } = &cs[0].head else {
             panic!("head was {:?}", cs[0].head)
         };
         assert!(matches!(obj, Term::Func(..)));
-        assert!(matches!(cs[0].body[1], FlBodyItem::Neg(_)));
+        assert_eq!(shapes(&cs[0], &syms), ["inst", "not r", "rel"]);
     }
 
     #[test]
     fn parses_paper_cardinality_rule() {
         // Example 3 (adapted): w(R,VB,N) : ic :- N = count{VA[VB]; r(VA,VB)}, N != 1.
-        let (cs, _) =
+        let (cs, syms) =
             parse_ok("w(R, VB, N) : ic :- rel(R), N = count{ VA [VB] ; r(VA, VB) }, N != 1.");
-        assert!(cs[0]
-            .body
-            .iter()
-            .any(|b| matches!(b, FlBodyItem::Agg { .. })));
+        assert_eq!(shapes(&cs[0], &syms), ["rel", "agg", "cmp"]);
     }
 
     #[test]
     fn parses_negated_molecule() {
-        let (cs, _) = parse_ok("lonely(X) :- X : neuron, not X[has -> _].");
-        assert!(matches!(
-            cs[0].body[1],
-            FlBodyItem::Neg(Molecule::Frame { .. })
-        ));
+        let (cs, syms) = parse_ok("lonely(X) :- X : neuron, not X[has -> _].");
+        assert_eq!(shapes(&cs[0], &syms), ["inst", "not mi"]);
     }
 
     #[test]
     fn parses_variable_class_positions() {
         // Schema reasoning: class and method positions may be variables
         // ("the power of schema reasoning in FL", Example 2).
-        let (cs, _) = parse_ok("r(X, C) :- X : C, C :: spiny_neuron.");
-        assert!(matches!(
-            &cs[0].body[0],
-            FlBodyItem::Pos(Molecule::IsA {
-                obj: Term::Var(_),
-                class: Term::Var(_)
-            })
-        ));
+        let (cs, syms) = parse_ok("r(X, C) :- X : C, C :: spiny_neuron.");
+        assert_eq!(shapes(&cs[0], &syms), ["inst", "sub"]);
+        let BodyItem::Pos(inst) = &cs[0].body[0] else {
+            panic!()
+        };
+        assert!(matches!(inst.args[..], [Term::Var(_), Term::Var(_)]));
     }
 
     #[test]
     fn parses_assignment_and_arith() {
-        let (cs, _) = parse_ok("p(X, Y) :- n(X), Y = X * 2 + 1.");
-        assert!(matches!(cs[0].body[1], FlBodyItem::Assign(..)));
+        let (cs, syms) = parse_ok("p(X, Y) :- n(X), Y = X * 2 + 1.");
+        assert_eq!(shapes(&cs[0], &syms), ["n", "assign"]);
     }
 
     #[test]

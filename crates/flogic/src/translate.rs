@@ -13,8 +13,8 @@
 //! | classes        | `class(C)`        |
 
 use crate::ast::{ArrowKind, Molecule};
-use crate::parser::{FlBodyItem, FlClause};
-use kind_datalog::{Aggregate, Atom, BodyItem, DatalogError, Interner, Rule, Sym, Term};
+use crate::parser::FlClause;
+use kind_datalog::{Atom, DatalogError, Interner, Rule, Sym, Term};
 
 /// The interned reserved predicate symbols.
 #[derive(Debug, Clone, Copy)]
@@ -83,96 +83,40 @@ pub fn molecule_atoms(mol: &Molecule, preds: &Preds) -> Vec<Atom> {
     }
 }
 
-fn lower_body(items: &[FlBodyItem], preds: &Preds) -> Result<Vec<BodyItem>, DatalogError> {
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            FlBodyItem::Pos(m) => {
-                out.extend(molecule_atoms(m, preds).into_iter().map(BodyItem::Pos));
-            }
-            FlBodyItem::Neg(m) => {
-                let atoms = molecule_atoms(m, preds);
-                if atoms.len() != 1 {
-                    return Err(DatalogError::Parse {
-                        offset: 0,
-                        line: 0,
-                        message: "negated frame must contain exactly one method spec".to_string(),
-                    });
-                }
-                out.push(BodyItem::Neg(atoms.into_iter().next().expect("one atom")));
-            }
-            FlBodyItem::Cmp(op, l, r) => out.push(BodyItem::Cmp(*op, l.clone(), r.clone())),
-            FlBodyItem::Assign(t, e) => out.push(BodyItem::Assign(t.clone(), e.clone())),
-            FlBodyItem::Agg {
-                func,
-                value,
-                group_by,
-                body,
-                result,
-            } => out.push(BodyItem::Agg(Aggregate {
-                func: *func,
-                value: value.clone(),
-                group_by: group_by.clone(),
-                body: lower_body(body, preds)?,
-                result: *result,
-            })),
-        }
-    }
-    Ok(out)
-}
-
-/// Lowers an FL clause to Datalog. A fact whose head frame has several
-/// specs yields several facts; a rule likewise yields one rule per head
-/// atom (same body). Returns `(facts, rules)`.
+/// Lowers an FL clause to Datalog: its body was lowered as it was read,
+/// so this expands the head. A fact whose head frame has several specs
+/// yields several facts; a rule likewise yields one rule per head atom
+/// (same body). Errors name predicates and variables through `syms`.
+/// Returns `(facts, rules)`.
 pub fn lower_clause(
-    clause: &FlClause,
-    preds: &Preds,
-) -> Result<(Vec<Atom>, Vec<Rule>), DatalogError> {
-    lower_clause_inner(clause, preds, None)
-}
-
-/// Like [`lower_clause`], but renders predicate names through `syms` in
-/// error messages (instead of opaque `#{n}` handles). Prefer this when an
-/// interner is in scope.
-pub fn lower_clause_named(
     clause: &FlClause,
     preds: &Preds,
     syms: &Interner,
 ) -> Result<(Vec<Atom>, Vec<Rule>), DatalogError> {
-    lower_clause_inner(clause, preds, Some(syms))
-}
-
-fn lower_clause_inner(
-    clause: &FlClause,
-    preds: &Preds,
-    syms: Option<&Interner>,
-) -> Result<(Vec<Atom>, Vec<Rule>), DatalogError> {
-    let name = |s: Sym| -> String {
-        syms.and_then(|i| i.name_of(s))
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("{s}"))
-    };
     let heads = molecule_atoms(&clause.head, preds);
     if clause.body.is_empty() {
-        for h in &heads {
-            if !h.is_ground() {
-                return Err(DatalogError::Parse {
-                    offset: 0,
-                    line: 0,
-                    message: format!("FL fact with variables (predicate {})", name(h.pred)),
-                });
-            }
+        if let Some(h) = heads.iter().find(|h| !h.is_ground()) {
+            let name = syms
+                .name_of(h.pred)
+                .map_or_else(|| h.pred.to_string(), str::to_string);
+            return Err(DatalogError::Parse {
+                offset: 0,
+                line: 0,
+                message: format!("FL fact with variables (predicate {name})"),
+            });
         }
         return Ok((heads, Vec::new()));
     }
-    let body = lower_body(&clause.body, preds)?;
     let rules = heads
         .into_iter()
-        .map(|h| match syms {
-            Some(i) => {
-                Rule::compile_named(h, body.clone(), clause.nvars, clause.var_names.clone(), i)
-            }
-            None => Rule::compile(h, body.clone(), clause.nvars, clause.var_names.clone()),
+        .map(|h| {
+            Rule::compile_named(
+                h,
+                clause.body.clone(),
+                clause.nvars,
+                clause.var_names.clone(),
+                syms,
+            )
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok((Vec::new(), rules))
@@ -209,7 +153,7 @@ mod tests {
         let mut syms = Interner::new();
         let preds = Preds::intern(&mut syms);
         let cs = parse_fl_program("n1 : neuron.", &mut syms).unwrap();
-        let (facts, rules) = lower_clause(&cs[0], &preds).unwrap();
+        let (facts, rules) = lower_clause(&cs[0], &preds, &syms).unwrap();
         assert_eq!(facts.len(), 1);
         assert!(rules.is_empty());
         assert_eq!(facts[0].pred, preds.inst);
@@ -220,7 +164,7 @@ mod tests {
         let mut syms = Interner::new();
         let preds = Preds::intern(&mut syms);
         let cs = parse_fl_program("n1[a -> 1; b -> 2].", &mut syms).unwrap();
-        let (facts, _) = lower_clause(&cs[0], &preds).unwrap();
+        let (facts, _) = lower_clause(&cs[0], &preds, &syms).unwrap();
         assert_eq!(facts.len(), 2);
         assert!(facts.iter().all(|f| f.pred == preds.mi));
     }
@@ -230,7 +174,7 @@ mod tests {
         let mut syms = Interner::new();
         let preds = Preds::intern(&mut syms);
         let cs = parse_fl_program("X[a -> 1; b -> 2] :- X : neuron.", &mut syms).unwrap();
-        let (_, rules) = lower_clause(&cs[0], &preds).unwrap();
+        let (_, rules) = lower_clause(&cs[0], &preds, &syms).unwrap();
         assert_eq!(rules.len(), 2);
     }
 
@@ -239,7 +183,7 @@ mod tests {
         let mut syms = Interner::new();
         let preds = Preds::intern(&mut syms);
         let cs = parse_fl_program("neuron[has => compartment].", &mut syms).unwrap();
-        let (facts, _) = lower_clause(&cs[0], &preds).unwrap();
+        let (facts, _) = lower_clause(&cs[0], &preds, &syms).unwrap();
         assert_eq!(facts[0].pred, preds.meth);
     }
 
@@ -250,16 +194,18 @@ mod tests {
         let cs = parse_fl_program("X : neuron :- q(X).", &mut syms).unwrap();
         // That's a rule, fine. A genuine non-ground fact:
         let cs2 = crate::parser::parse_fl_program("n1[a -> 1].", &mut syms).unwrap();
-        assert!(lower_clause(&cs[0], &preds).is_ok());
-        assert!(lower_clause(&cs2[0], &preds).is_ok());
+        assert!(lower_clause(&cs[0], &preds, &syms).is_ok());
+        assert!(lower_clause(&cs2[0], &preds, &syms).is_ok());
     }
 
     #[test]
     fn negated_multi_spec_frame_rejected() {
         let mut syms = Interner::new();
-        let preds = Preds::intern(&mut syms);
-        let cs = parse_fl_program("p(X) :- q(X), not X[a -> 1; b -> 2].", &mut syms).unwrap();
-        assert!(lower_clause(&cs[0], &preds).is_err());
+        let err = parse_fl_program("p(X) :- q(X), not X[a -> 1; b -> 2].", &mut syms).unwrap_err();
+        let DatalogError::Parse { offset, line, .. } = err else {
+            panic!("{err:?}")
+        };
+        assert_eq!((offset, line), (35, 1));
     }
 
     #[test]

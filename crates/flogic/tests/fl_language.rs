@@ -3,7 +3,7 @@
 //! display round trip.
 
 use kind_datalog::parser::MAX_NESTING;
-use kind_datalog::DatalogError;
+use kind_datalog::{DatalogError, Engine};
 use kind_flogic::{parse_fl_molecule, parse_fl_program, FLogic, Molecule};
 
 #[test]
@@ -139,7 +139,7 @@ fn error_message_names_the_unsafe_variable() {
     let err = parse_fl_program("p(Y) :- q(X).", &mut syms)
         .and_then(|cs| {
             let preds = kind_flogic::Preds::intern(&mut syms);
-            kind_flogic::lower_clause(&cs[0], &preds).map(|_| ())
+            kind_flogic::lower_clause(&cs[0], &preds, &syms).map(|_| ())
         })
         .unwrap_err();
     match err {
@@ -202,4 +202,49 @@ fn nesting_bombs_are_parse_errors_not_stack_overflows() {
         " + 1".repeat(MAX_NESTING + 1)
     ))
     .is_err());
+}
+
+/// Loads `r(a, 1).` and then `rule` into an F-logic base and into a
+/// Datalog engine. An F-logic body is a Datalog body whose literals are
+/// molecules, read by the one body grammar, so a rule in Datalog syntax
+/// means the same thing to both.
+fn load_both(rule: &str) -> (Result<FLogic, DatalogError>, Result<Engine, DatalogError>) {
+    let mut fl = FLogic::new();
+    fl.load("r(a, 1).").unwrap();
+    let mut engine = Engine::new();
+    engine.load("r(a, 1).").unwrap();
+    (
+        fl.load(rule).map(|()| fl),
+        engine.load(rule).map(|()| engine),
+    )
+}
+
+#[test]
+fn a_parenthesized_arithmetic_left_side_loads_in_both() {
+    let (fl, engine) = load_both("q(X) :- r(X, V), (V + 1) > 1.");
+    let (fl, engine) = (fl.unwrap(), engine.unwrap());
+    assert_eq!(fl.query(&fl.run().unwrap(), "q(X)").unwrap().len(), 1);
+    let model = engine.run(&Default::default()).unwrap();
+    assert_eq!(engine.query_model(&model, "q(X)").unwrap().len(), 1);
+}
+
+#[test]
+fn a_constant_grouping_name_is_refused_as_in_datalog() {
+    let (fl, engine) = load_both("p(N) :- N = count{X [l] ; r(X, l)}.");
+    let (fl, engine) = (fl.unwrap_err(), engine.unwrap_err());
+    assert_eq!(fl, engine);
+    let DatalogError::Parse { message, .. } = fl else {
+        panic!("{fl:?}")
+    };
+    assert_eq!(message, "grouping names must be variables");
+}
+
+#[test]
+fn a_negated_frame_of_two_specs_is_a_positioned_parse_error() {
+    let rule = "q(X) :- not X[m -> 1; k -> 2], r(X, _).";
+    let err = load_both(rule).0.unwrap_err();
+    let DatalogError::Parse { offset, line, .. } = err else {
+        panic!("{err:?}")
+    };
+    assert_eq!((offset, line), (rule.find(',').unwrap(), 1));
 }

@@ -2,12 +2,13 @@
 //! hardening (a)): program text reaches `parse_program` and
 //! `parse_fl_program` straight off the wire, so whatever the bytes, the
 //! answer is `Ok` or a positioned parse error — never a panic. Both share
-//! one lexer (`kind_datalog::parser::Parser`), so both see every input.
-//! Seeded: case `i` always draws the same bytes.
+//! one lexer and one rule-body grammar (`kind_datalog::parser::Parser`),
+//! so both see every input, and a rule in Datalog syntax reads the same
+//! through either. Seeded: case `i` always draws the same bytes.
 
 use kind_datalog::parser::{parse_atom, parse_program};
-use kind_datalog::{quoted, Engine, EvalOptions, Interner, Term};
-use kind_flogic::{parse_fl_program, FLogic};
+use kind_datalog::{quoted, DatalogError, Engine, EvalOptions, Interner, Term};
+use kind_flogic::{lower_clause, parse_fl_program, FLogic, Preds};
 use proptest::prelude::*;
 
 /// The rule texts of `fl_language.rs`, and the Datalog parser's own
@@ -128,4 +129,205 @@ fn non_ascii_string_literal_round_trips_and_joins_in_datalog() {
     let m = e.run(&EvalOptions::default()).unwrap();
     assert_eq!(e.query_model(&m, "in(X)").unwrap().len(), 2);
     assert_eq!(e.query_model(&m, r#"city(X, "Genève")"#).unwrap().len(), 1);
+}
+
+/// A rule in Datalog syntax drawn from a stream of random choices: 0-ary
+/// and function-term atoms, `not`, comparisons with parenthesized
+/// arithmetic on either side, assignments, aggregates with grouping
+/// (nested too), and strings with escapes and non-ASCII characters. Some
+/// draws are unsafe or refused; both front ends must agree on those too.
+struct RuleGen<'a> {
+    choices: std::slice::Iter<'a, u32>,
+}
+
+impl RuleGen<'_> {
+    /// A choice in `0..n` (0 once the stream runs out).
+    fn pick(&mut self, n: usize) -> usize {
+        self.choices.next().map_or(0, |&c| c as usize % n)
+    }
+
+    fn one<'s>(&mut self, of: &[&'s str]) -> &'s str {
+        of[self.pick(of.len())]
+    }
+
+    fn var(&mut self) -> &'static str {
+        self.one(&["X", "Y", "Z", "W", "_"])
+    }
+
+    fn string(&mut self) -> String {
+        let pieces = [
+            "a", "\\\"", "\\\\", "\\n", "\\t", "ü", "Zürich", " ", "%", "//", ":-",
+        ];
+        let body: String = (0..self.pick(4)).map(|_| self.one(&pieces)).collect();
+        format!("\"{body}\"")
+    }
+
+    fn term(&mut self, depth: usize) -> String {
+        match self.pick(if depth < 2 { 7 } else { 5 }) {
+            0 | 1 => self.var().to_string(),
+            2 => self.one(&["a", "b", "l"]).to_string(),
+            3 => (self.pick(20) as i64 - 5).to_string(),
+            4 => self.string(),
+            5 => format!("f({}, {})", self.term(depth + 1), self.term(depth + 1)),
+            _ => format!("g({})", self.term(depth + 1)),
+        }
+    }
+
+    fn atom(&mut self) -> String {
+        match self.pick(4) {
+            0 => format!("r({}, {})", self.term(0), self.term(0)),
+            1 => format!("s({})", self.term(0)),
+            2 => "t".to_string(),
+            _ => format!("u({})", self.term(1)),
+        }
+    }
+
+    fn expr(&mut self, depth: usize) -> String {
+        match self.pick(if depth < 2 { 5 } else { 2 }) {
+            0 => self.var().to_string(),
+            1 => (self.pick(10) as i64 - 2).to_string(),
+            2 => format!("({} + {})", self.expr(depth + 1), self.expr(depth + 1)),
+            3 => format!("{} * {}", self.expr(depth + 1), self.expr(depth + 1)),
+            _ => format!("({} - {})", self.expr(depth + 1), self.expr(depth + 1)),
+        }
+    }
+
+    fn item(&mut self, depth: usize) -> String {
+        match self.pick(if depth < 2 { 8 } else { 7 }) {
+            0..=2 => self.atom(),
+            3 => format!("not {}", self.one(&["t", "s(X)", "r(X, Y)", "X"])),
+            4 => {
+                let op = self.one(&["<", "<=", ">", ">=", "!=", "="]);
+                format!("{} {op} {}", self.expr(0), self.expr(0))
+            }
+            5 => format!("{} = {}", self.var(), self.expr(0)),
+            6 => format!("{} = {}", self.term(0), self.expr(1)),
+            _ => {
+                let func = self.one(&["count", "sum", "min", "max"]);
+                let groups = self.one(&["", " [X]", " [X, Y]", " [Y]", " [l]"]);
+                let sep = self.one(&[":", ";"]);
+                format!(
+                    "{} = {func}{{ {}{groups} {sep} {} }}",
+                    self.one(&["N", "N", "M", "l"]),
+                    self.var(),
+                    self.body(depth + 1)
+                )
+            }
+        }
+    }
+
+    fn body(&mut self, depth: usize) -> String {
+        let first = match self.pick(2) {
+            0 => "r(X, Y)".to_string(),
+            _ => self.atom(),
+        };
+        let mut items = vec![first];
+        for _ in 0..self.pick(3) {
+            items.push(self.item(depth));
+        }
+        items.join(", ")
+    }
+
+    fn rule(&mut self) -> String {
+        let args: Vec<String> = (0..self.pick(3))
+            .map(|_| match self.pick(4) {
+                0 => self.term(1),
+                _ => self.one(&["X", "Y", "N"]).to_string(),
+            })
+            .collect();
+        let head = if args.is_empty() {
+            "h".to_string()
+        } else {
+            format!("h({})", args.join(", "))
+        };
+        format!("{head} :- {}.", self.body(0))
+    }
+}
+
+/// The rules `engine` holds past the first `before`, printed, or the
+/// error the load returned.
+fn printed(
+    engine: &Engine,
+    before: usize,
+    loaded: Result<(), DatalogError>,
+) -> Result<Vec<String>, DatalogError> {
+    loaded.map(|()| {
+        engine.rules()[before..]
+            .iter()
+            .map(|r| r.display(engine.symbols()).to_string())
+            .collect()
+    })
+}
+
+/// One body grammar: a rule in Datalog syntax loads through `FLogic::load`
+/// and `Engine::load` to the same printed rules, or fails on both with
+/// the same error kind (and, for a parse error, at the same offset).
+#[test]
+fn datalog_rules_read_the_same_through_both_front_ends() {
+    let (mut loaded, mut parse_errors, mut other_errors) = (0, 0, 0);
+    for case in 0..512 {
+        let choices =
+            prop::collection::vec(0u32..u32::MAX, 64).generate(&mut TestRng::for_case(case));
+        let rule = RuleGen {
+            choices: choices.iter(),
+        }
+        .rule();
+        let mut fl = FLogic::new();
+        let before = fl.engine().rules().len();
+        let via_fl = fl.load(&rule);
+        let via_fl = printed(fl.engine(), before, via_fl);
+        let mut engine = Engine::new();
+        let via_datalog = engine.load(&rule);
+        let via_datalog = printed(&engine, 0, via_datalog);
+        match (&via_fl, &via_datalog) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "{rule}");
+                loaded += 1;
+            }
+            (
+                Err(DatalogError::Parse { offset: a, .. }),
+                Err(DatalogError::Parse { offset: b, .. }),
+            ) => {
+                assert_eq!(a, b, "{rule}\n{via_fl:?}\n{via_datalog:?}");
+                parse_errors += 1;
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(a, b, "{rule}");
+                other_errors += 1;
+            }
+            _ => panic!("{rule}\nF-logic: {via_fl:?}\nDatalog: {via_datalog:?}"),
+        }
+    }
+    assert!(
+        loaded > 128 && parse_errors > 32 && other_errors > 32,
+        "{loaded} loaded, {parse_errors} parse errors, {other_errors} other errors"
+    );
+}
+
+/// The F-logic half of the round trip: every rule the corpus lowers to
+/// prints as Datalog text that `Engine::load` reads back to the same rule.
+#[test]
+fn lowered_fl_rules_print_as_datalog_that_reads_back() {
+    let mut checked = 0;
+    for text in TEXTS {
+        let mut syms = Interner::new();
+        let clauses = parse_fl_program(text, &mut syms).unwrap();
+        let preds = Preds::intern(&mut syms);
+        for clause in &clauses {
+            let Ok((_, rules)) = lower_clause(clause, &preds, &syms) else {
+                continue;
+            };
+            for rule in rules {
+                let text = rule.display(&syms).to_string();
+                let mut engine = Engine::new();
+                engine.load(&text).unwrap();
+                let [read] = engine.rules() else {
+                    panic!("{text}")
+                };
+                assert_eq!(read.display(engine.symbols()).to_string(), text);
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 6, "{checked}");
 }
