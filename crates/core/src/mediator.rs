@@ -904,7 +904,7 @@ fn program_size(base: &GcmBase) -> (usize, usize) {
 
 /// Recursively re-interns a ground term from one symbol table into
 /// another engine's. Variables and integers pass through unchanged.
-pub(crate) fn reintern_term(from: &Interner, to: &mut kind_datalog::Engine, t: &Term) -> Term {
+fn reintern_term(from: &Interner, to: &mut kind_datalog::Engine, t: &Term) -> Term {
     match t {
         Term::Const(s) => to.constant(from.resolve(*s)),
         Term::Func(f, args) => {

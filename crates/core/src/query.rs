@@ -19,21 +19,26 @@
 //!    unrelated source);
 //!    [`crate::QuerySnapshot::answer_with`] fetches nothing — rows loaded
 //!    before the snapshot was taken are what there is to query;
-//! 2. **evaluate** — one crate-private function, `evaluate`: the rule and
-//!    the fetched rows go into a scratch clone of the frozen base, and
-//!    **only the rule subprogram relevant to the answer predicate** is
-//!    evaluated there, on top of the published model where that is sound.
-//!    The clone is thrown away: a read leaves the base, its rules and the
-//!    published model as they were.
+//! 2. **evaluate** — one crate-private function, `evaluate`: the rule,
+//!    parsed and lowered once, and the fetched rows go into a scratch clone
+//!    of the frozen base, and **only the answer predicate's dependency
+//!    cone** is evaluated there, on top of the published model where that
+//!    is sound. The rule is one entry stratum above the base program's
+//!    memoized strata, so nothing is stratified per answer, unless its
+//!    head could sit on a cycle with them (the base defines or reads the
+//!    head, or the rule reads it): then the clone's program is stratified
+//!    whole. The clone is thrown away: a read leaves the base, its rules
+//!    and the published model as they were.
 
 use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
 use crate::federation::FetchBatch;
-use crate::mediator::{load_batch, reintern_term};
+use crate::mediator::load_batch;
+use kind_datalog::parser::reintern_clause;
 use kind_datalog::{
-    Atom, BodyItem, DatalogError, EvalOptions, EvalStats, Interner, Model, Sym, Term,
+    BodyItem, Clause, DatalogError, EvalOptions, EvalStats, Interner, Model, Sym, Term,
 };
-use kind_flogic::{parse_fl_program, Molecule, Preds};
+use kind_flogic::{lower_clause, parse_fl_program, Molecule, Preds};
 use kind_gcm::GcmBase;
 use std::collections::BTreeSet;
 
@@ -60,20 +65,19 @@ pub struct AnswerSet {
 }
 
 /// A validated one-off rule: exactly one clause with a plain-predicate
-/// head, parsed into a scratch symbol table so nothing is committed to
-/// any base before the rule's shape is known.
-pub(crate) struct OneOffRule<'a> {
-    text: &'a str,
-    /// The symbol table `head_args` live in.
+/// head, parsed and lowered once into a scratch symbol table so nothing
+/// is committed to any base before the rule's shape is known.
+pub(crate) struct OneOffRule {
+    /// The symbol table `clause` lives in.
     syms: Interner,
-    head_pred: String,
-    head_args: Vec<Term>,
+    /// The lowered clause: one rule, or a fact when the body is empty.
+    clause: Clause,
     /// The constant classes of the lowered body's `inst(X, class)` atoms.
     pub(crate) classes: BTreeSet<String>,
 }
 
-impl<'a> OneOffRule<'a> {
-    pub(crate) fn parse(text: &'a str) -> Result<Self> {
+impl OneOffRule {
+    pub(crate) fn parse(text: &str) -> Result<Self> {
         let shape_error = |message: String| {
             MediatorError::Datalog(DatalogError::Parse {
                 offset: 0,
@@ -89,21 +93,33 @@ impl<'a> OneOffRule<'a> {
                 clauses.len()
             )));
         };
-        let Molecule::Plain(head) = &clause.head else {
+        if !matches!(clause.head, Molecule::Plain(_)) {
             return Err(shape_error(
                 "answer() rule head must be a plain predicate".to_string(),
             ));
-        };
-        let inst = Preds::intern(&mut syms).inst;
+        }
+        let preds = Preds::intern(&mut syms);
         let mut classes = BTreeSet::new();
-        collect_classes(&clause.body, inst, &syms, &mut classes);
+        collect_classes(&clause.body, preds.inst, &syms, &mut classes);
+        // A plain head lowers to exactly one atom: one fact or one rule.
+        let clause = match lower_clause(clause, &preds, &syms)? {
+            (mut facts, _) if !facts.is_empty() => Clause::Fact(facts.remove(0)),
+            (_, mut rules) => Clause::Rule(rules.remove(0)),
+        };
         Ok(OneOffRule {
-            text,
-            head_pred: syms.resolve(head.pred).to_string(),
-            head_args: head.args.clone(),
-            classes,
             syms,
+            clause,
+            classes,
         })
+    }
+
+    /// The head predicate's name.
+    fn head_pred(&self) -> &str {
+        let head = match &self.clause {
+            Clause::Fact(atom) => atom,
+            Clause::Rule(rule) => &rule.head,
+        };
+        self.syms.resolve(head.pred)
     }
 }
 
@@ -118,10 +134,12 @@ pub(crate) struct Evaluated {
     pub(crate) model: Model,
 }
 
-/// The **evaluate phase** of every one-off query: loads `rule` and the
-/// `fetched` rows into a scratch clone of `base` and evaluates towards
-/// the rule's head there — goal-directed (`Engine::run_for_query`: the
-/// relevance prune plus, when enabled, the magic-sets rewrite), as the
+/// The **evaluate phase** of every one-off query: adds `rule`'s lowered
+/// clause and the `fetched` rows to a scratch clone of `base` and
+/// evaluates towards the rule's head there — goal-directed
+/// (`Engine::run_for_query`: the head's dependency cone, the rule placed
+/// as one entry stratum above the base program's memoized strata where
+/// that is sound, plus, when enabled, the magic-sets rewrite), as the
 /// delta those loads recorded, walked over `model`: strata the rule and
 /// the rows do not touch are read in place instead of recomputed. `base`
 /// and `model` are never written to.
@@ -138,32 +156,30 @@ pub(crate) fn evaluate(
     opts: &EvalOptions,
 ) -> Result<Evaluated> {
     let mut work = base.clone();
-    work.flogic_mut().engine_mut().begin_delta();
-    work.flogic_mut().load(rule.text)?;
+    let engine = work.flogic_mut().engine_mut();
+    engine.begin_delta();
+    // The clause's symbols are interned into the clone in the order a
+    // parse of the rule text there would intern them.
+    let goal = match reintern_clause(&rule.clause, &rule.syms, engine.symbols_mut()) {
+        Clause::Fact(atom) => {
+            engine.add_fact(atom.pred, &atom.args)?;
+            atom
+        }
+        Clause::Rule(lowered) => {
+            let head = lowered.head.clone();
+            engine.add_rule(lowered)?;
+            head
+        }
+    };
     for batch in fetched {
         load_batch(&mut work, &batch.source, &batch.query.class, &batch.rows)?;
     }
-    // The goal's constant arguments were interned by the scratch parse;
-    // map them into the clone so the pattern (and the magic-sets demand
-    // seeds derived from it) bind correctly.
-    let goal_args = rule
-        .head_args
-        .iter()
-        .map(|t| reintern_term(&rule.syms, work.flogic_mut().engine_mut(), t))
-        .collect();
-    let goal = Atom::new(
-        work.flogic()
-            .engine()
-            .lookup(&rule.head_pred)
-            .expect("head predicate interned by rule load"),
-        goal_args,
-    );
     // A head the base program already defines — by a rule or a stored
     // fact, whether or not it derived anything — is not a one-off view
     // over the model: evaluate the clone from its stored facts.
     let delta = work.flogic_mut().engine_mut().take_delta();
     let since = model
-        .filter(|_| !base.flogic().engine().defines(&rule.head_pred))
+        .filter(|_| !base.flogic().engine().defines(rule.head_pred()))
         .zip(delta.as_ref());
     let model = work.flogic_mut().run_for_query(&goal, since, opts)?;
     Ok(Evaluated {
@@ -357,6 +373,34 @@ mod tests {
         let (w, c) = (warm.answer(q).unwrap(), cold.answer(q).unwrap());
         assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows));
         assert!(w.stats.derived < c.stats.derived, "{q} was not seeded");
+    }
+
+    /// A one-off head that a base rule reads and none defines: the rule
+    /// and that reader close a cycle through `r`, so neither route may
+    /// place the rule in a stratum of its own above the base program's
+    /// (it would read `r` = {a} from the model and answer `b` alone).
+    /// Both routes give the whole program's rows, base cache and magic
+    /// rewrite on and off (the rewritten program is stratified whole, so
+    /// only the plain walk would show the misplacement).
+    #[test]
+    fn a_head_the_base_reads_is_answered_with_its_reader() {
+        let rule = "p(Y) :- e(X, Y), r(X).";
+        for bits in 0..4 {
+            let (base_cache, magic_sets) = (bits & 1 != 0, bits & 2 != 0);
+            let mut m = mediator_with_two_sources();
+            m.define_view("start(a). e(a, b). e(b, c). r(X) :- p(X). r(X) :- start(X).")
+                .unwrap();
+            m.set_eval_options(kind_datalog::EvalOptions {
+                base_cache,
+                magic_sets,
+                ..m.eval_options().clone()
+            });
+            let snap = m.snapshot().unwrap();
+            let rows = snap.answer_with(rule, snap.eval_options()).unwrap().rows;
+            assert_eq!(rows, [["b"], ["c"]], "snapshot, options {bits:02b}");
+            let ans = m.answer(rule).unwrap();
+            assert_eq!(rendered(&m, &ans.rows), ["b", "c"], "options {bits:02b}");
+        }
     }
 
     /// A warm answer walks the delta of its own loads over the published

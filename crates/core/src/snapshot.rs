@@ -11,12 +11,17 @@
 //!   scratch symbol table and *remaps* it into the frozen interner
 //!   (`FLogic::query`), so it never mutates shared state. A
 //!   constant the snapshot has never seen simply matches nothing.
-//! * [`QuerySnapshot::answer`] loads a one-off rule into a per-call
+//! * [`QuerySnapshot::answer`] adds a one-off rule to a per-call
 //!   **clone** of the frozen base (rules and interner: per-thread scratch
-//!   space) and evaluates it over the shared model **in place**: the
+//!   space), as one entry stratum above the base program's memoized
+//!   strata, and evaluates it over the shared model **in place**: the
 //!   model's relations are borrowed, not copied, only the rule's own
 //!   stratum is computed, and what it derives goes to a store the call
 //!   throws away.
+//! * Rows leave sorted as their rendered cells sort, and are rendered
+//!   only by whoever wants strings ([`QuerySnapshot::query_fl_rendered`],
+//!   [`QuerySnapshot::answer_with`]); a server writes them from the terms
+//!   ([`QuerySnapshot::answer_terms`]).
 //!
 //! What is shared and mutable below a snapshot sits behind `RwLock`s and
 //! only ever gains entries that are functions of the frozen data: the
@@ -36,11 +41,12 @@
 //! isolation for reads). Publishing a fresher view is just
 //! `mediator.snapshot()` again.
 
-use crate::error::{MediatorError, Result};
+use crate::error::Result;
 use crate::knowledge::DomainView;
 use crate::plan::{NeuroSchema, PlanTrace, Section5Fetch};
 use crate::query::{evaluate, OneOffRule};
-use kind_datalog::{EvalOptions, EvalStats, Model, Term};
+use kind_datalog::term::sort_rendered;
+use kind_datalog::{EvalOptions, EvalStats, Interner, Model, Term};
 use kind_dm::{DomainMap, Resolved, SemanticIndex};
 use kind_gcm::GcmBase;
 use std::sync::Arc;
@@ -58,6 +64,35 @@ pub struct SnapshotAnswer {
     pub magic_fired: bool,
     /// Whether the cost model declined an otherwise applicable rewrite.
     pub magic_declined: bool,
+}
+
+/// The result of [`QuerySnapshot::answer_terms`]: [`SnapshotAnswer`]
+/// before rendering — the rows as terms, in the order their rendered
+/// cells sort ([`kind_datalog::term::sort_rendered`]), with the symbol
+/// table they resolve in (the call's scratch clone's: fetched ids and the
+/// rule's own constants exist only there). A server writes each cell
+/// straight from its term into the reply.
+#[derive(Debug, Clone)]
+pub struct TermAnswer {
+    /// Answer rows in head-variable order, sorted.
+    pub rows: Vec<Vec<Term>>,
+    /// The symbol table `rows` resolve in.
+    pub syms: Interner,
+    /// Evaluation statistics of the per-call scratch run.
+    pub stats: EvalStats,
+    /// Whether the magic-sets demand rewrite fired for this goal.
+    pub magic_fired: bool,
+    /// Whether the cost model declined an otherwise applicable rewrite.
+    pub magic_declined: bool,
+}
+
+/// Renders sorted term rows; a constant renders as its name.
+fn rendered(rows: &[Vec<Term>], syms: &Interner) -> Vec<Vec<String>> {
+    let show = |t: &Term| match t {
+        Term::Const(name) => syms.resolve(*name).to_owned(),
+        _ => t.display(syms).to_string(),
+    };
+    rows.iter().map(|r| r.iter().map(show).collect()).collect()
 }
 
 /// A frozen, `Send + Sync` view of an evaluated mediator: shared base +
@@ -157,12 +192,13 @@ impl QuerySnapshot {
     /// finds the relation's index under its `RwLock` read guard, and only
     /// the first such probe of a column set no earlier epoch was probed on
     /// takes the write lock, to build the index. Patterns mentioning
-    /// symbols the snapshot has never seen yield no rows.
+    /// symbols the snapshot has never seen yield no rows. Rows come sorted
+    /// as their rendered cells sort ([`kind_datalog::term::sort_rendered`]).
     pub fn query_fl(&self, pattern: &str) -> Result<Vec<Vec<Term>>> {
-        self.base
-            .flogic()
-            .query(&self.model, pattern)
-            .map_err(MediatorError::from)
+        let fl = self.base.flogic();
+        let mut rows = fl.query(&self.model, pattern)?;
+        sort_rendered(&mut rows, fl.engine().symbols());
+        Ok(rows)
     }
 
     /// Renders a term from a query result using the frozen symbol table.
@@ -174,13 +210,8 @@ impl QuerySnapshot {
     /// cross-thread result comparison and for callers that do not want to
     /// hold `Term`s.
     pub fn query_fl_rendered(&self, pattern: &str) -> Result<Vec<Vec<String>>> {
-        let mut rows: Vec<Vec<String>> = self
-            .query_fl(pattern)?
-            .iter()
-            .map(|r| r.iter().map(|t| self.show(t)).collect())
-            .collect();
-        rows.sort();
-        Ok(rows)
+        let rows = self.query_fl(pattern)?;
+        Ok(rendered(&rows, self.base.flogic().engine().symbols()))
     }
 
     /// Answers a one-off conjunctive query given as a single FL rule
@@ -189,37 +220,48 @@ impl QuerySnapshot {
     /// fetched before the snapshot was taken are what there is to query.
     ///
     /// Each call clones the frozen base (rules and interner) into private
-    /// scratch space, loads the rule there, and evaluates it over the
-    /// shared model in place, so strata the rule does not touch are never
-    /// recomputed, no relation is copied, and concurrent callers share
-    /// only the model's read-mostly indexes. Returns rendered rows
-    /// (sorted), in head-variable order.
+    /// scratch space, adds the rule there as one stratum above the base
+    /// program's, and evaluates it over the shared model in place, so
+    /// strata the rule does not touch are never recomputed, no relation
+    /// is copied, and concurrent callers share only the model's
+    /// read-mostly indexes. Returns rendered rows (sorted), in
+    /// head-variable order.
     pub fn answer(&self, rule_text: &str) -> Result<Vec<Vec<String>>> {
         self.answer_with(rule_text, &self.eval_options)
             .map(|a| a.rows)
     }
 
     /// [`Self::answer`] with caller-supplied evaluation options and the
-    /// per-call evaluation counters returned alongside the rows. This is
-    /// the serving-plane entry point: a server thread swaps in a
-    /// per-request [`kind_datalog::CancelToken`] / budget while keeping
-    /// everything else from the snapshot's frozen options, and reports
-    /// the [`EvalStats`] and magic-sets outcome with the response.
+    /// per-call evaluation counters returned alongside the rows. A server
+    /// thread swaps in a per-request [`kind_datalog::CancelToken`] /
+    /// budget while keeping everything else from the snapshot's frozen
+    /// options, and reports the [`EvalStats`] and magic-sets outcome with
+    /// the response. [`Self::answer_terms`], rendered.
     pub fn answer_with(&self, rule_text: &str, opts: &EvalOptions) -> Result<SnapshotAnswer> {
+        let answer = self.answer_terms(rule_text, opts)?;
+        Ok(SnapshotAnswer {
+            rows: rendered(&answer.rows, &answer.syms),
+            stats: answer.stats,
+            magic_fired: answer.magic_fired,
+            magic_declined: answer.magic_declined,
+        })
+    }
+
+    /// [`Self::answer_with`] before rendering: the serving-plane entry
+    /// point. The rows stay terms, sorted as their rendered cells sort,
+    /// beside the symbol table they resolve in, so a reply writes each
+    /// cell once, straight into its buffer.
+    pub fn answer_terms(&self, rule_text: &str, opts: &EvalOptions) -> Result<TermAnswer> {
         let rule = OneOffRule::parse(rule_text)?;
         // The same evaluate phase as `Mediator::answer`, with nothing
         // fetched: the scratch clone of the frozen base takes the rule
         // (and every symbol it interns), never the shared snapshot.
-        let done = evaluate(&rule, &self.base, Some(&self.model), &[], opts)?;
-        let engine = done.work.flogic().engine();
-        let mut rows: Vec<Vec<String>> = done
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|t| engine.show(t)).collect())
-            .collect();
-        rows.sort();
-        Ok(SnapshotAnswer {
-            rows,
+        let mut done = evaluate(&rule, &self.base, Some(&self.model), &[], opts)?;
+        let syms = std::mem::take(done.work.flogic_mut().engine_mut().symbols_mut());
+        sort_rendered(&mut done.rows, &syms);
+        Ok(TermAnswer {
+            rows: done.rows,
+            syms,
             stats: done.model.stats,
             magic_fired: done.model.profile.magic_fired,
             magic_declined: done.model.profile.magic_declined,

@@ -1,6 +1,6 @@
 //! Warm answers against cold evaluation on a model-sized fixture: the
 //! served benchmark scenario at a tenth of its row counts (same sources,
-//! same domain map, same program — 117 relevant rules under an FL class
+//! same domain map, same program — 117 rules in the cone of an FL class
 //! query, one negation-cyclic stratum among them).
 //!
 //! A warm answer reads the snapshot's model in place. These tests hold it
@@ -220,20 +220,26 @@ fn counters(s: &kind_datalog::EvalStats) -> [usize; 7] {
     ]
 }
 
+/// One served answer's record: see [`SERVED_RECORDED`].
+type Served = ([usize; 7], &'static [usize], bool, [usize; 3]);
+
 /// Per rule of the benchmark's `served_answer` cycle, then `lonely`: the
 /// warm answer's counters and the join order of its own stratum's rule
 /// (with whether the planner moved it), as recorded before evaluation
 /// probed through prepared handles. The six answers sum to the traced
 /// `served_answer` figures: 7 iterations, 1 896 derived, 3 529
-/// applications, 0 builds, 12 271 hits, 1 miss.
-const SERVED_RECORDED: [([usize; 7], &[usize], bool); 7] = [
-    ([1, 21, 0, 1600, 0, 4801, 0], &[3, 0, 1, 2], true),
-    ([1, 197, 0, 197, 0, 395, 0], &[1, 0, 2], true),
-    ([1, 6, 0, 60, 0, 3601, 0], &[0, 1, 2, 3], false),
-    ([1, 198, 0, 198, 0, 1999, 0], &[1, 0], true),
-    ([2, 2, 0, 2, 0, 2, 1], &[0], false),
-    ([1, 1472, 0, 1472, 0, 1473, 0], &[2, 1, 0], true),
-    ([1, 1800, 0, 1800, 0, 1, 0], &[0, 1], false),
+/// applications, 0 builds, 12 271 hits, 1 miss. Last, the walk's profile
+/// shape — strata reused, rebuilt and listed — recorded when the rule
+/// became one entry stratum above the base program's memoized strata:
+/// the walk lists the rule's dependency cone and rebuilds the entry alone.
+const SERVED_RECORDED: [Served; 7] = [
+    ([1, 21, 0, 1600, 0, 4801, 0], &[3, 0, 1, 2], true, [3, 1, 4]),
+    ([1, 197, 0, 197, 0, 395, 0], &[1, 0, 2], true, [3, 1, 4]),
+    ([1, 6, 0, 60, 0, 3601, 0], &[0, 1, 2, 3], false, [3, 1, 4]),
+    ([1, 198, 0, 198, 0, 1999, 0], &[1, 0], true, [3, 1, 4]),
+    ([2, 2, 0, 2, 0, 2, 1], &[0], false, [0, 1, 1]),
+    ([1, 1472, 0, 1472, 0, 1473, 0], &[2, 1, 0], true, [3, 1, 4]),
+    ([1, 1800, 0, 1800, 0, 1, 0], &[0, 1], false, [3, 1, 4]),
 ];
 
 /// A cold run of the served program, recorded likewise.
@@ -245,10 +251,21 @@ const COLD_RECORDED: [usize; 7] = [15, 1145, 0, 7239, 18, 821, 24];
 #[test]
 fn served_answer_counters_are_the_recorded_ones() {
     let snap = served_snapshot();
-    for (rule, (stats, order, reordered)) in RULES.iter().zip(SERVED_RECORDED) {
+    for (rule, (stats, order, reordered, shape)) in RULES.iter().zip(SERVED_RECORDED) {
         let answer = snap.answer_with(rule, snap.eval_options()).unwrap();
         assert_eq!(counters(&answer.stats), stats, "{rule}");
         let (model, head) = walked(&snap, rule);
+        let p = &model.profile;
+        let listed = [
+            p.delta_reused_strata,
+            p.delta_rebuilt_strata,
+            p.strata.len(),
+        ];
+        assert_eq!(listed, shape, "{rule}");
+        assert_eq!(
+            p.delta_rebuilt_strata, 1,
+            "{rule}: more than the entry stratum ran"
+        );
         let own = model
             .profile
             .strata

@@ -151,7 +151,7 @@ pub struct EvalOptions {
     /// everything from the EDB (ablation baseline).
     pub base_cache: bool,
     /// Apply the magic-sets demand rewrite on the goal-directed query
-    /// path ([`crate::Engine::run_for_query`]): adorn the relevant rules
+    /// path ([`crate::Engine::run_for_query`]): adorn the goal's cone's rules
     /// from the goal's bound/free pattern, guard them with magic (demand)
     /// predicates seeded from the query constants, and evaluate only what
     /// some demand reaches. Answers are identical with the rewrite on or

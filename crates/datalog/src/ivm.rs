@@ -5,7 +5,7 @@
 //! A delta walk serves two callers: [`crate::Engine::apply_delta`] (a
 //! publish) runs it over the engine's whole rule set,
 //! [`crate::Engine::run_for_query`] (a warm answer) over the goal's
-//! subprogram. Either way it is the one stratum walker every evaluation
+//! dependency cone. Either way it is the one stratum walker every evaluation
 //! takes, `eval::eval_strata`, told which strata to reuse. A stratum has
 //! two outcomes:
 //!
@@ -20,7 +20,7 @@
 //! predicates the delta asserted or retracted facts of, or added rules
 //! for, and everything that depends on them through any body atom —
 //! positive, negated or aggregated. A predicate outside that set keeps its
-//! base extension exactly; the magic rewrite drops its rules.
+//! base extension exactly; the magic rewrite is never handed its rules.
 //!
 //! A stratum whose cycle goes through negation is rebuilt by the
 //! alternating fixpoint over *its own rules only*, against the strata
@@ -41,7 +41,7 @@ use crate::interner::Sym;
 use crate::program::Stratification;
 use crate::rule::Rule;
 use crate::term::Term;
-use crate::{collect_body_preds, Engine};
+use crate::Engine;
 use std::collections::HashSet;
 
 /// A typed changelog of engine mutations since the last model was
@@ -101,28 +101,20 @@ impl EngineDelta {
 /// none of them. A predicate not in the set has not moved.
 ///
 /// Strata are the program's strongly connected components in dependency
-/// order, so one forward pass decides it: a stratum has moved when it
+/// order, so one forward pass over them and their memoized
+/// [`crate::Stratum::reads`] decides it: a stratum has moved when it
 /// defines a changed predicate or one of its rules reads a moved one.
-fn reached(
-    rules: &[Rule],
-    strat: &Stratification,
-    delta: &EngineDelta,
-) -> (HashSet<Sym>, Vec<bool>) {
+fn reached(strat: &Stratification, delta: &EngineDelta) -> (HashSet<Sym>, Vec<bool>) {
     let has_facts = |store: &FactStore, p| store.relation(p).is_some_and(|r| !r.is_empty());
     let mut moved: HashSet<Sym> = delta.changed_rule_preds.clone();
     for store in [&delta.added, &delta.removed] {
         moved.extend(store.predicates().filter(|&p| has_facts(store, p)));
     }
-    let mut body = HashSet::new();
     let unmoved = strat
         .strata
         .iter()
         .map(|s| {
-            for &r in &s.rules {
-                collect_body_preds(&rules[r].body, &mut body);
-            }
-            let hit = s.preds.iter().chain(&body).any(|p| moved.contains(p));
-            body.clear();
+            let hit = s.preds.iter().chain(&s.reads).any(|p| moved.contains(p));
             if hit {
                 moved.extend(&s.preds);
             }
@@ -134,7 +126,7 @@ fn reached(
 
 /// A base model and the delta recorded since it, classified over one
 /// program — the engine's whole rule set for [`Engine::apply_delta`], a
-/// goal's subprogram for [`Engine::run_for_query`] — with the working
+/// goal's cone for [`Engine::run_for_query`] — with the working
 /// store both evaluate over.
 pub(crate) struct Since<'a> {
     rules: &'a [Rule],
@@ -142,7 +134,6 @@ pub(crate) struct Since<'a> {
     /// The engine's stored facts, delta applied.
     edb: &'a FactStore,
     base: &'a Model,
-    moved: HashSet<Sym>,
     /// Per stratum of `strat`: nothing in it has moved.
     unmoved: Vec<bool>,
     /// `edb`, with the base model's relation shared in for every predicate
@@ -151,7 +142,7 @@ pub(crate) struct Since<'a> {
 }
 
 impl<'a> Since<'a> {
-    /// `scope` limits the predicates read from `base` (a subprogram's);
+    /// `scope` limits the predicates read from `base` (a goal's cone's);
     /// `None` takes them all.
     pub(crate) fn new(
         rules: &'a [Rule],
@@ -161,31 +152,32 @@ impl<'a> Since<'a> {
         base: &'a Model,
         delta: &EngineDelta,
     ) -> Self {
-        let (moved, unmoved) = reached(rules, strat, delta);
+        let (moved, unmoved) = reached(strat, delta);
         let mut store = edb.clone();
-        for p in base.facts.predicates() {
-            if scope.is_some_and(|s| !s.contains(&p)) || moved.contains(&p) {
-                continue;
-            }
-            if let Some(old) = base.facts.relation_arc(p) {
+        let mut share = |p: Sym| {
+            if let Some(old) = base.facts.relation_arc(p).filter(|_| !moved.contains(&p)) {
                 store.set_relation(p, old);
             }
+        };
+        match scope {
+            Some(scope) => scope.iter().copied().for_each(&mut share),
+            None => base.facts.predicates().for_each(&mut share),
         }
         Since {
             rules,
             strat,
             edb,
             base,
-            moved,
             unmoved,
             store,
         }
     }
 
-    /// Whether `pred` has exactly its base extension: the delta does not
-    /// reach it.
-    pub(crate) fn frozen(&self, pred: Sym) -> bool {
-        !self.moved.contains(&pred)
+    /// Whether stratum `i` is the base model's as it stands: nothing the
+    /// delta reaches is in it, so the walk reuses it and the magic
+    /// rewrite treats its predicates as extensional.
+    pub(crate) fn reused(&self, i: usize) -> bool {
+        self.unmoved[i]
     }
 
     /// Walks the program's strata over the working store, reusing each

@@ -14,9 +14,9 @@
 //!   domain-map assertions (§4), bounded by a term-depth limit;
 //! * arithmetic and comparisons;
 //! * goal-directed **demand-driven** evaluation: [`Engine::run_for_query`]
-//!   composes predicate-level relevance pruning with the magic-sets
-//!   rewrite (`magic` module), so selective queries derive only the facts
-//!   their bindings can reach.
+//!   runs only the goal's dependency cone of the memoized strata and
+//!   composes it with the magic-sets rewrite (`magic` module), so
+//!   selective queries derive only the facts their bindings can reach.
 //!
 //! The engine is the substrate on which `kind-flogic`, `kind-gcm`,
 //! `kind-dm` and the mediator itself are built; it plays the role FLORA
@@ -88,16 +88,17 @@ pub struct Engine {
     /// [`Engine::begin_delta`]. Mutations themselves stay eager; the log
     /// only remembers what changed since the last [`Engine::take_delta`].
     changelog: Option<EngineDelta>,
-    /// Bumped on every rule addition/removal; keys the `strat` memo.
-    rules_rev: u64,
-    /// Lazily computed [`Stratification`] of `rules` as of `rules_rev`.
-    /// Publishing a staged delta consults it on every call, so recomputing
-    /// it only when the rule set changed keeps republish latency
-    /// proportional to the delta.
-    strat: Mutex<Option<(u64, Arc<Stratification>)>>,
+    /// The [`Stratification`] of `rules[..n]`, with that `n`. Rules are
+    /// only ever appended, so the memo stays true of the prefix it covers
+    /// after later additions: [`Engine::stratification`] recomputes it
+    /// only when asked about more rules, and [`Engine::run_for_query`]
+    /// places a one-off rule above it without recomputing anything.
+    /// Publishing a staged delta consults it on every call, so its cost
+    /// stays proportional to the delta.
+    strat: Mutex<Option<(usize, Arc<Stratification>)>>,
     /// Join plans of the negation-cyclic strata of the *full* rule set,
-    /// keyed by stratum index and memoized at a `rules_rev` (any rule
-    /// change empties the map) for [`Engine::apply_delta`]. Plans are
+    /// keyed by stratum index and memoized at a rule count (any rule
+    /// addition empties the map) for [`Engine::apply_delta`]. Plans are
     /// heuristics keyed off relation sizes at first use; reusing them
     /// across fact deltas keeps the republish path from re-planning an
     /// unchanged rule set every time. Measured on the served scenario
@@ -105,7 +106,7 @@ pub struct Engine {
     /// is 1.78 ms with the memo and 1.97 ms when every publish re-plans
     /// the 113-rule negation stratum, with equal work counters (DESIGN.md
     /// "Every knob, and where it matters").
-    wfs_plans: Mutex<(u64, HashMap<usize, StratumPlans>)>,
+    wfs_plans: Mutex<(usize, HashMap<usize, StratumPlans>)>,
 }
 
 impl Clone for Engine {
@@ -116,8 +117,7 @@ impl Clone for Engine {
             rules: self.rules.clone(),
             arities: self.arities.clone(),
             changelog: self.changelog.clone(),
-            rules_rev: self.rules_rev,
-            // The memos are valid for the clone too: same rules, same rev.
+            // The memos are valid for the clone too: same rules.
             strat: Mutex::new(lock(&self.strat).clone()),
             wfs_plans: Mutex::new(lock(&self.wfs_plans).clone()),
         }
@@ -269,7 +269,6 @@ impl Engine {
             log.log_rule(rule.head.pred);
         }
         self.rules.push(rule);
-        self.rules_rev += 1;
         Ok(())
     }
 
@@ -357,11 +356,10 @@ impl Engine {
     }
 
     /// Evaluates towards a single **goal atom** — the demand-driven
-    /// query path. The rule set is first pruned to the goal's reachable
-    /// subprogram (*predicate-level* relevance: the rules whose heads the
-    /// goal reads through any chain of bodies; dead subprograms are never
-    /// touched), then, when
-    /// [`EvalOptions::magic_sets`] is on, rewritten by the magic-sets
+    /// query path. Only the goal's *dependency cone* runs: the strata
+    /// whose predicates the goal reads through any chain of bodies (dead
+    /// subprograms are never touched). When [`EvalOptions::magic_sets`]
+    /// is on, the cone's rules are then rewritten by the magic-sets
     /// transformation (see the `magic` module): rules are adorned from
     /// the goal's bound/free argument pattern along a
     /// sideways-information-passing order, guarded by magic (demand)
@@ -369,30 +367,46 @@ impl Engine {
     /// bodies* propagate demand too — and evaluated bottom-up so only
     /// facts some demand reaches are derived.
     ///
-    /// Falls back to the plain pruned evaluation whenever the rewrite
-    /// does not apply: extensional goals, goals entangled with negation
-    /// or aggregation (their derivation cone must be materialized in
-    /// full), a rewritten program with recursion through negation, or a
-    /// non-stratifiable rewritten residue. Answers for the goal pattern
-    /// are identical either way; predicates outside the goal's reachable
-    /// subprogram are absent from the model, and under the rewrite the
-    /// others may be only partially materialized.
+    /// Falls back to the plain evaluation of the cone whenever the
+    /// rewrite does not apply: extensional goals, goals entangled with
+    /// negation or aggregation (their derivation cone must be materialized
+    /// in full), a rewritten program with recursion through negation, or
+    /// a non-stratifiable rewritten residue. Answers for the goal pattern
+    /// are identical either way; predicates outside the cone are absent
+    /// from the model, and under the rewrite the others may be only
+    /// partially materialized.
+    ///
+    /// # Where the strata come from
+    /// The engine memoizes its program's [`Stratification`]. Rules added
+    /// since — a one-off rule on a clone of a published base — are
+    /// *placed* above the memo as one **entry stratum** when that is
+    /// sound: every added rule has the goal's predicate as its head and
+    /// none reads it, and no memoized rule defines or reads it. No cycle
+    /// can then pass through the goal, so the memo's strata stand as they
+    /// are and nothing is stratified. (A head the memoized program only
+    /// *reads* is not enough: the reader and the new rule may close a
+    /// cycle.) Otherwise — a head in its own body, under its own negation
+    /// or aggregate, or one the memoized program defines or reads — the
+    /// whole program is stratified again and memoized. Either way the
+    /// cone is one backward pass over the strata and their
+    /// [`Stratum::reads`].
     ///
     /// # Evaluating on top of a cached base model
     /// `since` is a model of this engine's state at some earlier point and
     /// the [`EngineDelta`] recorded from then to now ([`Engine::begin_delta`]
     /// / [`Engine::take_delta`]) — [`Engine::apply_delta`]'s contract. With
     /// it (and [`EvalOptions::base_cache`] on) the answer is that delta
-    /// walked over the goal's subprogram: what the delta reaches is worked
-    /// out once, the working store **shares** the base model's relation
-    /// for every predicate it does not reach — read in place, with
+    /// walked over the cone: what the delta reaches is worked out once,
+    /// the working store **shares** the base model's relation for every
+    /// predicate of the cone it does not reach — read in place, with
     /// whatever indexes earlier calls left on them — and each stratum is
     /// reused or rebuilt as `apply_delta` would. The same walk evaluates
-    /// the pruned program cold, without `since`, and the magic-rewritten
-    /// one either way. Predicates the delta cannot have changed are handed to
-    /// the magic rewrite as frozen — their rules are dropped and the
-    /// base's extension stands in for them — so the rewrite composes with
-    /// the cache instead of re-deriving what it holds. The base is never
+    /// the cone cold, without `since`, and the magic-rewritten program
+    /// either way. The magic rewrite is handed only the rules of the
+    /// strata the walk would rebuild — the entry stratum and whatever the
+    /// delta reaches; every other predicate is frozen, and the base's
+    /// extension stands in for it — so the rewrite composes with the
+    /// cache instead of re-deriving what it holds. The base is never
     /// written to, and the result equals the `since: None` evaluation. A
     /// three-valued base is ignored: an undefined atom is neither in nor
     /// out of a seeded extension.
@@ -406,19 +420,26 @@ impl Engine {
         since: Option<(&Model, &EngineDelta)>,
         opts: &EvalOptions,
     ) -> Result<Model> {
-        let (scope, relevant) = self.relevant(&[goal.pred]);
-        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
+        let (strat, scope) = self.cone(goal.pred)?;
         let since = since
             .filter(|(base, _)| opts.base_cache && base.undefined.is_empty())
             .map(|(base, delta)| {
-                ivm::Since::new(&relevant, &strat, Some(&scope), &self.edb, base, delta)
+                ivm::Since::new(&self.rules, &strat, Some(&scope), &self.edb, base, delta)
             });
         let store = since.as_ref().map_or(&self.edb, |s| &s.store);
         let seeded = since.as_ref().map_or(0, |s| s.store.len() - self.edb.len());
         let mut declined = None;
         if opts.magic_sets {
-            let frozen = |p| since.as_ref().is_some_and(|s| s.frozen(p));
-            if let Some(rw) = magic::rewrite(&relevant, store, goal, frozen, &mut self.syms) {
+            // The rules of the strata the walk would rebuild, in program
+            // order: every other predicate is frozen, extensional to the
+            // rewrite.
+            let mut ids: Vec<usize> = (strat.strata.iter().enumerate())
+                .filter(|&(i, _)| since.as_ref().is_none_or(|s| !s.reused(i)))
+                .flat_map(|(_, s)| s.rules.iter().copied())
+                .collect();
+            ids.sort_unstable();
+            let rules: Vec<Rule> = ids.iter().map(|&r| self.rules[r].clone()).collect();
+            if let Some(rw) = magic::rewrite(&rules, store, goal, &mut self.syms) {
                 if rw.demand_ratio.is_some_and(|r| r >= magic::DECLINE_RATIO) {
                     declined = rw.demand_ratio;
                 } else if let Some(mut model) =
@@ -432,7 +453,7 @@ impl Engine {
         }
         let mut model = match since {
             Some(since) => since.walk(opts, None)?,
-            None => eval::eval_strata(&relevant, &strat, &self.edb, opts, false, None)?,
+            None => eval::eval_strata(&self.rules, &strat, &self.edb, opts, false, None)?,
         };
         model.profile.seeded = seeded;
         if declined.is_some() {
@@ -440,6 +461,57 @@ impl Engine {
             model.profile.magic_demand_ratio = declined;
         }
         Ok(model)
+    }
+
+    /// The strata a goal over `goal` runs — its dependency cone, in
+    /// dependency order — and the predicates they define or read, the
+    /// goal's own among them. [`Engine::run_for_query`] says where the
+    /// strata come from.
+    fn cone(&self, goal: Sym) -> Result<(Stratification, HashSet<Sym>)> {
+        let (strat, entry) = match self.entry_stratum(goal) {
+            Some((strat, entry)) => (strat, Some(entry)),
+            None => (self.stratification()?, None),
+        };
+        let mut scope = HashSet::from([goal]);
+        scope.extend(entry.iter().flat_map(|e| e.reads.iter().copied()));
+        let mut picked = vec![false; strat.strata.len()];
+        for (i, s) in strat.strata.iter().enumerate().rev() {
+            if s.preds.iter().any(|p| scope.contains(p)) {
+                picked[i] = true;
+                scope.extend(s.reads.iter().copied());
+            }
+        }
+        let strata: Vec<Stratum> = (strat.strata.iter().zip(picked))
+            .filter(|&(_, picked)| picked)
+            .map(|(s, _)| s.clone())
+            .chain(entry)
+            .collect();
+        let needs_wfs = strata.iter().any(|s| s.wfs);
+        Ok((Stratification { strata, needs_wfs }, scope))
+    }
+
+    /// The memoized stratification and, above it, the rules added since
+    /// as one entry stratum defining `goal` — when that placement is
+    /// sound (see [`Engine::run_for_query`]).
+    fn entry_stratum(&self, goal: Sym) -> Option<(Arc<Stratification>, Stratum)> {
+        let (n, strat) = lock(&self.strat).clone()?;
+        let added = &self.rules[n..];
+        if added.is_empty() || added.iter().any(|r| r.head.pred != goal) {
+            return None;
+        }
+        let reads = program::reads(added);
+        let elsewhere = |s: &Stratum| s.preds.contains(&goal) || s.reads.contains(&goal);
+        if reads.contains(&goal) || strat.strata.iter().any(elsewhere) {
+            return None;
+        }
+        let entry = Stratum {
+            rules: (n..self.rules.len()).collect(),
+            preds: vec![goal],
+            recursive: false,
+            wfs: false,
+            reads,
+        };
+        Some((strat, entry))
     }
 
     /// Stratifies and evaluates a magic-rewritten program over `store`
@@ -487,18 +559,18 @@ impl Engine {
     }
 
     /// The memoized [`Stratification`] of the *full* rule set, recomputed
-    /// only when a rule has been added or removed since the last call.
+    /// only when a rule has been added since the last call.
     fn stratification(&self) -> Result<Arc<Stratification>> {
         let mut guard = lock(&self.strat);
-        if let Some((rev, strat)) = guard.as_ref() {
-            if *rev == self.rules_rev {
+        if let Some((n, strat)) = guard.as_ref() {
+            if *n == self.rules.len() {
                 return Ok(Arc::clone(strat));
             }
         }
         let strat = Arc::new(program::stratify(&self.rules, |s| {
             self.syms.resolve(s).to_string()
         })?);
-        *guard = Some((self.rules_rev, Arc::clone(&strat)));
+        *guard = Some((self.rules.len(), Arc::clone(&strat)));
         Ok(strat)
     }
 
@@ -510,37 +582,10 @@ impl Engine {
         plan: impl FnOnce() -> Vec<eval::Prepared>,
     ) -> StratumPlans {
         let mut guard = lock(&self.wfs_plans);
-        if guard.0 != self.rules_rev {
-            *guard = (self.rules_rev, HashMap::new());
+        if guard.0 != self.rules.len() {
+            *guard = (self.rules.len(), HashMap::new());
         }
         Arc::clone(guard.1.entry(stratum).or_insert_with(|| Arc::new(plan())))
-    }
-
-    /// The rules reachable from `goals` through (transitive) body
-    /// dependencies, in rule order, with the predicates those rules define
-    /// or read (and the goals themselves).
-    fn relevant(&self, goals: &[Sym]) -> (HashSet<Sym>, Vec<Rule>) {
-        let mut wanted: HashSet<Sym> = goals.iter().copied().collect();
-        // Fixpoint: a rule is relevant if its head predicate is wanted;
-        // its body predicates then become wanted too.
-        loop {
-            let before = wanted.len();
-            for rule in &self.rules {
-                if wanted.contains(&rule.head.pred) {
-                    collect_body_preds(&rule.body, &mut wanted);
-                }
-            }
-            if wanted.len() == before {
-                break;
-            }
-        }
-        let rules = self
-            .rules
-            .iter()
-            .filter(|r| wanted.contains(&r.head.pred))
-            .cloned()
-            .collect();
-        (wanted, rules)
     }
 
     /// Parses `pattern` (e.g. `"tc(a, X)"`) and matches it against a
@@ -586,8 +631,8 @@ mod tests {
     use super::*;
     use std::borrow::Cow;
 
-    /// The reference side of the goal-directed tests: `pred`'s relevant
-    /// subprogram evaluated plainly — all-free goal, rewrite off, no base.
+    /// The reference side of the goal-directed tests: `pred`'s dependency
+    /// cone evaluated plainly — all-free goal, rewrite off, no base.
     fn pruned(e: &mut Engine, pred: Sym) -> Model {
         let args = (0..e.arity(pred).unwrap()).map(|i| Term::Var(Var(i as u32)));
         let goal = Atom::new(pred, args.collect());
@@ -877,6 +922,115 @@ mod tests {
             assert_eq!(next.stats, plain.stats, "readers move no counter");
             assert_eq!(next.profile.delta_rebuilt_strata, 1);
             (base, quiet) = (next, plain);
+        }
+    }
+
+    /// A base whose rules read `p` without defining it: `r` is `start`
+    /// and whatever `p` holds.
+    const TRAP_BASE: &str = "start(a). e(a,b). e(b,c). seen(c).
+         r(X) :- p(X).
+         r(X) :- start(X).";
+
+    /// `rule` added on top of `TRAP_BASE`'s evaluated model the way a warm
+    /// answer adds it, then its head's rows — sorted, rendered — from
+    /// `run_for_query` with and without the base model, with the base
+    /// cache and the magic rewrite on and off: all eight must agree.
+    fn one_off_rows(rule: &str) -> Result<Vec<String>> {
+        let mut e = Engine::new();
+        e.load(TRAP_BASE).unwrap();
+        let base = e.run(&EvalOptions::default()).unwrap();
+        let delta = load_since(&mut e, rule);
+        let head = e.rules().last().unwrap().head.pred;
+        let args = (0..e.arity(head).unwrap()).map(|i| Term::Var(Var(i as u32)));
+        let goal = Atom::new(head, args.collect());
+        let mut answers = Vec::new();
+        for bits in 0..8 {
+            let opts = EvalOptions {
+                base_cache: bits & 1 != 0,
+                magic_sets: bits & 2 != 0,
+                ..Default::default()
+            };
+            let since = (bits & 4 != 0).then_some((&base, &delta));
+            let rows = e.run_for_query(&goal, since, &opts).map(|m| {
+                let mut rows: Vec<String> = (m.query(&goal).iter())
+                    .map(|r| r.iter().map(|t| e.show(t)).collect::<Vec<_>>().join(","))
+                    .collect();
+                rows.sort();
+                rows
+            });
+            answers.push(rows.map_err(|err| err.to_string()));
+        }
+        assert!(
+            answers.iter().all(|a| *a == answers[0]),
+            "{rule}: {answers:?}"
+        );
+        e.run_for_query(&goal, Some((&base, &delta)), &EvalOptions::default())
+            .map(|_| answers.swap_remove(0).unwrap())
+    }
+
+    /// No base rule defines `p`, but one reads it: the one-off rule and
+    /// that reader close a cycle through `r`, so the rule cannot go in a
+    /// stratum of its own above the base's. Placed there, it would read
+    /// `r` = {a} from the base model and answer {b}.
+    #[test]
+    fn a_head_a_base_rule_reads_is_not_placed_above_the_reader() {
+        assert_eq!(one_off_rows("p(Y) :- e(X,Y), r(X).").unwrap(), ["b", "c"]);
+    }
+
+    /// The other edges of the placement: each one-off head below either
+    /// cannot sit in an entry stratum of its own (it is in its own body,
+    /// or the base defines it) or sits there over rows the base stores.
+    #[test]
+    fn one_off_heads_on_every_edge_of_the_placement() {
+        for (rule, rows) in [
+            // In its own body, positively, over a stored `seen(c)`.
+            ("seen(Y) :- e(Y,X), seen(X).", &["a", "b", "c"][..]),
+            ("far(Y) :- e(X,Y), far(X).", &[]),
+            // Under its own negation: the entry is a well-founded stratum.
+            ("win(X) :- e(X,Y), not win(Y).", &["b"]),
+            // Defined by a base rule.
+            ("r(X) :- e(X,Y).", &["a", "b"]),
+            // A stored fact and no rule: placed, and the stored row stays.
+            ("seen(X) :- start(X).", &["a", "c"]),
+            // Nullary.
+            ("yes :- e(a,b).", &[""]),
+        ] {
+            assert_eq!(one_off_rows(rule).unwrap(), rows, "{rule}");
+        }
+        // Aggregated over itself: refused as it always was.
+        let err = one_off_rows("n(C) :- C = count{ X : n(X) }.").unwrap_err();
+        assert!(
+            matches!(err, DatalogError::AggregateInRecursion { .. }),
+            "{err:?}"
+        );
+    }
+
+    /// A publish leaves the stratification of what it published memoized,
+    /// and a warm answer places its rule above the memo a clone of that
+    /// base carries, computing none: the clone's memo still covers the
+    /// base's rules only. A rule that cannot be placed has the clone's
+    /// whole program stratified.
+    #[test]
+    fn a_placed_answer_stratifies_nothing() {
+        let mut e = Engine::new();
+        let memo = |e: &Engine| lock(&e.strat).as_ref().map(|(n, _)| *n);
+        e.load("e(a,b). r(X) :- start(X).").unwrap();
+        let opts = EvalOptions::default();
+        let first = e.run(&opts).unwrap();
+        assert_eq!(memo(&e), Some(1));
+        let delta = load_since(&mut e, "start(a). e(b,c). seen(c). r(X) :- p(X).");
+        let base = e.apply_delta(&first, &delta, &opts).unwrap();
+        assert_eq!(memo(&e), Some(2));
+        for (rule, covered) in [("q(X) :- r(X), not seen(X).", 2), ("p(X) :- e(X,Y).", 3)] {
+            let mut work = e.clone();
+            let delta = load_since(&mut work, rule);
+            let head = work.rules()[2].head.pred;
+            let goal = Atom::new(head, vec![Term::Var(Var(0))]);
+            let model = work
+                .run_for_query(&goal, Some((&base, &delta)), &opts)
+                .unwrap();
+            assert_eq!(memo(&work), Some(covered), "{rule}");
+            assert_eq!(model.profile.delta_rebuilt_strata, 1, "{rule}");
         }
     }
 

@@ -225,30 +225,23 @@ fn adorn_suffix(adn: &[bool]) -> String {
     adn.iter().map(|&b| if b { 'b' } else { 'f' }).collect()
 }
 
-/// Rewrites the (already relevance-pruned) program `rules` for the ground
-/// or partially-ground `goal`. Predicates `is_frozen` holds for are
-/// treated as purely extensional: their rules are dropped and their facts
-/// in `edb` stand in for their extension (a warm answer freezes what its
-/// delta cannot have changed). Returns `None` when the rewrite does not apply — the goal
-/// predicate is extensional, sits in the needs-full fragment, generated
-/// rules fail to compile, or no demand constraint was produced at all (a
-/// pure rename would only add overhead) — and the caller falls back to
-/// plain bottom-up evaluation.
+/// Rewrites `rules` for the ground or partially-ground `goal`. `rules`
+/// are the goal's cone less its *frozen* strata: a predicate with no rule
+/// here is extensional, and its facts in `edb` stand in for its extension
+/// (a warm answer freezes what its delta cannot have changed). Returns
+/// `None` when the rewrite does not apply — the goal predicate is
+/// extensional, sits in the needs-full fragment, generated rules fail to
+/// compile, or no demand constraint was produced at all (a pure rename
+/// would only add overhead) — and the caller falls back to plain
+/// bottom-up evaluation.
 pub(crate) fn rewrite(
     rules: &[Rule],
     edb: &FactStore,
     goal: &Atom,
-    is_frozen: impl Fn(Sym) -> bool,
     syms: &mut Interner,
 ) -> Option<MagicRewrite> {
-    // The intensional predicates the rewrite may touch: rule heads that
-    // are not frozen.
-    let mut idb: HashSet<Sym> = HashSet::new();
-    for r in rules {
-        if !is_frozen(r.head.pred) {
-            idb.insert(r.head.pred);
-        }
-    }
+    // The intensional predicates the rewrite may touch: rule heads.
+    let idb: HashSet<Sym> = rules.iter().map(|r| r.head.pred).collect();
     // Needs-full fragment: predicates consumed non-monotonically (under
     // negation or inside an aggregate body), closed transitively over the
     // rules that define them — their whole derivation cone must be
@@ -405,10 +398,10 @@ pub(crate) fn rewrite(
     let adorned_rule_count = adorned.len();
 
     let mut out: Vec<Rule> = Vec::new();
-    // Needs-full fragment, verbatim, in original rule order (frozen and
-    // never-demanded subprograms are dropped: extra pruning).
+    // Needs-full fragment, verbatim, in original rule order
+    // (never-demanded subprograms are dropped: extra pruning).
     for r in rules {
-        if needs_full.contains(&r.head.pred) && !is_frozen(r.head.pred) {
+        if needs_full.contains(&r.head.pred) {
             out.push(r.clone());
         }
     }

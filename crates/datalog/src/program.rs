@@ -28,6 +28,11 @@ pub struct Stratum {
     /// the alternating-fixpoint (well-founded) evaluator. The global
     /// [`Stratification::needs_wfs`] is the disjunction of these flags.
     pub wfs: bool,
+    /// The predicates this stratum's rules read — in positive, negated
+    /// and aggregated body atoms — once each, in first-mention order. A
+    /// backward pass over the strata and these sets finds a goal's
+    /// dependency cone without looking at a rule.
+    pub reads: Vec<Sym>,
 }
 
 /// The result of dependency analysis.
@@ -52,6 +57,22 @@ fn rule_dependencies(rule: &Rule, out: &mut Vec<(Sym, DepKind)>) {
     for item in rule.body.iter() {
         collect_item_deps(item, out);
     }
+}
+
+/// The predicates `rules` read, once each, in first-mention order: a
+/// stratum's [`Stratum::reads`].
+pub(crate) fn reads<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Vec<Sym> {
+    let mut deps = Vec::new();
+    for rule in rules {
+        rule_dependencies(rule, &mut deps);
+    }
+    let mut out: Vec<Sym> = Vec::new();
+    for (p, _) in deps {
+        if !out.contains(&p) {
+            out.push(p);
+        }
+    }
+    out
 }
 
 fn collect_item_deps(item: &BodyItem, out: &mut Vec<(Sym, DepKind)>) {
@@ -154,6 +175,7 @@ pub fn stratify(rules: &[Rule], resolve: impl Fn(Sym) -> String) -> Result<Strat
             preds: comp.iter().map(|&n| nodes[n]).collect(),
             recursive: false,
             wfs: scc_wfs[ci],
+            reads: Vec::new(),
         })
         .collect();
     for (ci, comp) in sccs.iter().enumerate() {
@@ -169,6 +191,9 @@ pub fn stratify(rules: &[Rule], resolve: impl Fn(Sym) -> String) -> Result<Strat
     }
     // Drop strata with no rules (pure EDB predicates).
     strata.retain(|s| !s.rules.is_empty());
+    for s in &mut strata {
+        s.reads = reads(s.rules.iter().map(|&r| &rules[r]));
+    }
     Ok(Stratification { strata, needs_wfs })
 }
 

@@ -28,8 +28,8 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A compiled rule. It is immutable once compiled, so its body and names
-/// are shared: a clone — of an engine's rule set, of a goal's relevant
-/// subprogram — copies the head and two handles, never the body.
+/// are shared: a clone — of an engine's rule set, of the rules a magic
+/// rewrite is handed — copies the head and two handles, never the body.
 #[derive(Debug, Clone)]
 pub struct Rule {
     /// The head atom derived when the body succeeds.

@@ -136,7 +136,7 @@ impl fmt::Display for TermDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.term {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Const(s) => write!(f, "{}", self.syms.resolve(*s)),
+            Term::Const(s) => f.write_str(self.syms.resolve(*s)),
             Term::Int(i) => write!(f, "{i}"),
             Term::Func(g, args) => {
                 write!(f, "{}(", self.syms.resolve(*g))?;
@@ -150,6 +150,41 @@ impl fmt::Display for TermDisplay<'_> {
             }
         }
     }
+}
+
+/// Sorts rows of ground terms as their rendered cells sort — the order
+/// `Vec<Vec<String>>::sort` gives the rows [`Term::display`] renders —
+/// rendering only what is not a name: a constant compares by its interned
+/// name, an integer by its decimal text (so `10` sorts before `9`, and
+/// `-3` before `0`), a function term by its display. Each cell's text is
+/// found once — a name in `syms`, anything else written into one buffer —
+/// and the rows are ordered by those texts. A reply sorts its rows with
+/// it once and writes each cell straight from its term.
+pub fn sort_rendered(rows: &mut Vec<Vec<Term>>, syms: &Interner) {
+    let mut written = String::new();
+    let found: Vec<Result<&str, std::ops::Range<usize>>> = (rows.iter().flatten())
+        .map(|t| match t {
+            Term::Const(s) => Ok(syms.resolve(*s)),
+            other => {
+                let start = written.len();
+                fmt::write(&mut written, format_args!("{}", other.display(syms)))
+                    .expect("writing to a String cannot fail");
+                Err(start..written.len())
+            }
+        })
+        .collect();
+    let texts: Vec<&[u8]> = (found.into_iter())
+        .map(|f| f.map_or_else(|at| &written.as_bytes()[at], str::as_bytes))
+        .collect();
+    let mut rest = texts.as_slice();
+    let mut keyed: Vec<(&[&[u8]], Vec<Term>)> = Vec::with_capacity(rows.len());
+    for row in rows.drain(..) {
+        let (key, tail) = rest.split_at(row.len());
+        keyed.push((key, row));
+        rest = tail;
+    }
+    keyed.sort_by_key(|&(key, _)| key);
+    rows.extend(keyed.into_iter().map(|(_, row)| row));
 }
 
 /// A substitution mapping rule-local variables to ground terms.

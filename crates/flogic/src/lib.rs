@@ -245,12 +245,14 @@ impl FLogic {
     }
 
     /// Evaluates a single goal atom demand-driven (see
-    /// `kind_datalog::Engine::run_for_query`): the rule set is pruned to
-    /// the goal's reachable subprogram, the magic-sets rewrite specializes
-    /// it to the goal's constant bindings, and with `since` — a cached
-    /// model and the delta the engine recorded from it to now — only the
-    /// strata that delta reaches are evaluated. Takes `&mut self` because
-    /// the rewrite interns adorned predicate names.
+    /// `kind_datalog::Engine::run_for_query`): only the goal's dependency
+    /// cone runs — rules added since the engine last stratified go in one
+    /// entry stratum above its memoized strata where no cycle can pass
+    /// through the goal — the magic-sets rewrite specializes the rules the
+    /// walk would rebuild to the goal's constant bindings, and with
+    /// `since` — a cached model and the delta the engine recorded from it
+    /// to now — only the strata that delta reaches are evaluated. Takes
+    /// `&mut self` because the rewrite interns adorned predicate names.
     pub fn run_for_query(
         &mut self,
         goal: &Atom,

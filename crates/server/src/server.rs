@@ -68,9 +68,9 @@
 use crate::wire::{self, Json};
 use kind_core::{
     section5_fetch, Mediator, NeuroSchema, PinnedSnapshot, PlanTrace, Section5Fetch, Section5Query,
-    SnapshotAnswer, SnapshotHub,
+    SnapshotHub, TermAnswer,
 };
-use kind_datalog::{CancelToken, EvalOptions};
+use kind_datalog::{CancelToken, EvalOptions, Interner, Term};
 use kind_sources::{build_scenario, ncmir_update_rows, ScenarioParams};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -278,12 +278,15 @@ impl Op<'_> {
     }
 }
 
-/// What a gated op evaluated to, rendered after the reply's head.
+/// What a gated op evaluated to, rendered after the reply's head. Rows
+/// are terms, sorted, each written once, straight into the reply:
+/// `query_fl`'s resolve in the pinned snapshot's symbol table, an
+/// answer's in the one it carries.
 enum Done {
     Ping,
     Slept(u64),
-    Rows(Vec<Vec<String>>),
-    Answer(SnapshotAnswer),
+    Rows(Vec<Vec<Term>>),
+    Answer(TermAnswer),
     Plan(PlanTrace),
 }
 
@@ -622,7 +625,10 @@ fn write_error(out: &mut Vec<u8>, id: &Json, error: &str, detail: &str) {
     end_reply(out);
 }
 
-fn write_rows(out: &mut Vec<u8>, rows: &[Vec<String>]) {
+/// `"row_count"` and `"rows"`: each cell is a term's display, escaped
+/// into `out` as it is formatted — a constant's is its name, escaped as
+/// it stands in the symbol table.
+fn write_rows(out: &mut Vec<u8>, rows: &[Vec<Term>], syms: &Interner) {
     put!(out, ",\"row_count\":{},\"rows\":[", rows.len());
     for (i, row) in rows.iter().enumerate() {
         out.extend_from_slice(if i == 0 { b"[" } else { b",[" });
@@ -630,7 +636,10 @@ fn write_rows(out: &mut Vec<u8>, rows: &[Vec<String>]) {
             if j > 0 {
                 out.push(b',');
             }
-            wire::write_str(out, cell);
+            match cell {
+                Term::Const(name) => wire::write_str(out, syms.resolve(*name)),
+                _ => wire::write_display(out, cell.display(syms)),
+            }
         }
         out.push(b']');
     }
@@ -836,7 +845,7 @@ fn serve_gated(
                 out,
                 ",\"epoch\":{epoch},\"queue_us\":{queue_us},\"eval_us\":{eval_us}"
             );
-            write_done(out, &done);
+            write_done(out, &done, pinned.base().flogic().engine().symbols());
             end_reply(out);
         }
         Err((kind, detail)) => {
@@ -869,7 +878,7 @@ fn evaluate(
             Ok(Done::Slept(ms))
         }
         Op::QueryFl(pattern) => pinned
-            .query_fl_rendered(pattern)
+            .query_fl(pattern)
             .map(Done::Rows)
             .map_err(|e| ("query_error", e.to_string())),
         Op::Answer(rule) => {
@@ -882,7 +891,7 @@ fn evaluate(
                 ..pinned.eval_options().clone()
             };
             pinned
-                .answer_with(rule, &opts)
+                .answer_terms(rule, &opts)
                 .map(Done::Answer)
                 .map_err(|e| {
                     let timed_out = token.is_some_and(|t| t.is_cancelled());
@@ -901,18 +910,19 @@ fn evaluate(
     }
 }
 
-/// The op-specific fields of a successful reply.
-fn write_done(out: &mut Vec<u8>, done: &Done) {
+/// The op-specific fields of a successful reply; `pinned` is the symbol
+/// table of the snapshot the op ran against.
+fn write_done(out: &mut Vec<u8>, done: &Done, pinned: &Interner) {
     match done {
         Done::Ping => str_field(out, "op", "ping"),
         Done::Slept(ms) => put!(out, ",\"op\":\"sleep\",\"ms\":{ms}"),
         Done::Rows(rows) => {
             str_field(out, "op", "query_fl");
-            write_rows(out, rows);
+            write_rows(out, rows, pinned);
         }
         Done::Answer(answer) => {
             str_field(out, "op", "answer");
-            write_rows(out, &answer.rows);
+            write_rows(out, &answer.rows, &answer.syms);
             let s = &answer.stats;
             put!(
                 out,

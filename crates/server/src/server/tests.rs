@@ -178,3 +178,96 @@ fn shutdown_returns_while_a_client_that_never_reads_is_connected() {
     assert!(asked.elapsed() < Duration::from_secs(3));
     drop(hog);
 }
+
+/// Rows as replies rendered them before cells were written from their
+/// terms: each cell shown as a `String`, the rows sorted as strings, then
+/// every cell escaped into the reply.
+fn rows_rendered_as_strings(rows: &[Vec<Term>], syms: &Interner) -> Vec<u8> {
+    let mut shown: Vec<Vec<String>> = (rows.iter())
+        .map(|r| r.iter().map(|t| t.display(syms).to_string()).collect())
+        .collect();
+    shown.sort();
+    let mut out = Vec::new();
+    put!(out, ",\"row_count\":{},\"rows\":[", shown.len());
+    for (i, row) in shown.iter().enumerate() {
+        out.extend_from_slice(if i == 0 { b"[" } else { b",[" });
+        for (j, cell) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            wire::write_str(&mut out, cell);
+        }
+        out.push(b']');
+    }
+    out.push(b']');
+    out
+}
+
+/// 512 seeded reply row sets of constants, integers and function terms:
+/// sorted once with `sort_rendered` and written from the terms, they are
+/// the bytes the string route gave — names with quotes, backslashes,
+/// control characters and non-ASCII text, names of digits only beside
+/// integers (`"10"` the constant and `9` the integer), negative integers,
+/// and a constant and an integer that print alike.
+#[test]
+fn term_rows_sort_and_write_as_rendered_rows_did() {
+    use kind_datalog::term::sort_rendered;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % below
+    };
+    const NAMES: &[&str] = &[
+        "a",
+        "b",
+        "ab",
+        "B",
+        "",
+        "10",
+        "9",
+        "-3",
+        "007",
+        "x y",
+        "say \"hi\"",
+        "back\\slash",
+        "line\nbreak",
+        "tab\there",
+        "bell\u{7}",
+        "\u{1f}",
+        "ünïcode",
+        "日本",
+        "NCMIR.pa17",
+        "Purkinje_Cell",
+        "f",
+    ];
+    const INTS: &[i64] = &[0, 9, 10, -3, -30, 7, 100, i64::MIN, i64::MAX, -1];
+    fn cell(syms: &mut Interner, next: &mut impl FnMut(u64) -> u64, depth: u32) -> Term {
+        match next(if depth < 2 { 5 } else { 4 }) {
+            0 | 1 => Term::Const(syms.intern(NAMES[next(NAMES.len() as u64) as usize])),
+            2 | 3 => Term::Int(INTS[next(INTS.len() as u64) as usize]),
+            _ => {
+                let f = syms.intern(NAMES[next(NAMES.len() as u64) as usize]);
+                let args = (0..1 + next(2)).map(|_| cell(syms, next, depth + 1));
+                Term::func(f, args.collect())
+            }
+        }
+    }
+    for case in 0..512 {
+        let mut syms = Interner::new();
+        let arity = 1 + next(3) as usize;
+        let rows: Vec<Vec<Term>> = (0..next(16))
+            .map(|_| (0..arity).map(|_| cell(&mut syms, &mut next, 0)).collect())
+            .collect();
+        let mut sorted = rows.clone();
+        sort_rendered(&mut sorted, &syms);
+        let mut written = Vec::new();
+        write_rows(&mut written, &sorted, &syms);
+        assert_eq!(
+            String::from_utf8_lossy(&written),
+            String::from_utf8_lossy(&rows_rendered_as_strings(&rows, &syms)),
+            "case {case}"
+        );
+    }
+}

@@ -291,11 +291,18 @@ impl fmt::Display for Json {
     }
 }
 
-/// Writes `s` as a JSON string literal through `put`: the runs between
-/// escapes go out whole. Everything escaped is ASCII, so a run never ends
-/// inside a multi-byte sequence.
+/// Writes `s` as a JSON string literal through `put`.
 fn escaped<E>(s: &str, mut put: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
     put("\"")?;
+    escape_run(s, &mut put)?;
+    put("\"")
+}
+
+/// Writes `s` escaped, without quotes, through `put`: the runs between
+/// escapes go out whole. Everything escaped is ASCII, so a run never ends
+/// inside a multi-byte sequence, and escaping is per byte, so a string
+/// escaped in pieces comes out as it would whole.
+fn escape_run<E>(s: &str, put: &mut impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
     let mut from = 0;
     for (i, b) in s.bytes().enumerate() {
         let control;
@@ -315,8 +322,7 @@ fn escaped<E>(s: &str, mut put: impl FnMut(&str) -> Result<(), E>) -> Result<(),
         put(escape)?;
         from = i + 1;
     }
-    put(&s[from..])?;
-    put("\"")
+    put(&s[from..])
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -332,6 +338,26 @@ pub fn write_str(out: &mut Vec<u8>, s: &str) {
         Ok(())
     });
     let Ok(()) = done;
+}
+
+/// Appends `value`'s display to `out` as a JSON string literal, byte for
+/// byte what [`write_str`] writes for `value.to_string()`, with no
+/// `String` in between: each piece the formatter hands over is escaped
+/// into `out` as it comes. A reply writes a cell straight from its term
+/// with it.
+pub fn write_display(out: &mut Vec<u8>, value: impl fmt::Display) {
+    struct Escaping<'a>(&'a mut Vec<u8>);
+    impl fmt::Write for Escaping<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            escape_run(s, &mut |part: &str| {
+                self.0.extend_from_slice(part.as_bytes());
+                Ok(())
+            })
+        }
+    }
+    out.push(b'"');
+    fmt::write(&mut Escaping(out), format_args!("{value}")).expect("writing to a Vec cannot fail");
+    out.push(b'"');
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ fn main() {
 
     // 1. A one-off conjunctive query. The mediator extracts the source
     //    classes it mentions, contacts only the sources exporting them,
-    //    and evaluates only the relevant rule subprogram.
+    //    and evaluates only the answer's dependency cone.
     println!("== answer(): which calcium binders exceed amount 80 anywhere? ==");
     let ans = med
         .answer(
