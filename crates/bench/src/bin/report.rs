@@ -10,7 +10,8 @@
 
 use kind_bench::{class_tree_flogic, corrupted_order, tc_workload};
 use kind_core::{
-    protein_distribution, run_section5, Fault, NeuroSchema, Section5Query, SourcePolicy,
+    protein_distribution, run_section5, Fault, FetchRequest, NeuroSchema, Section5Query,
+    SourcePolicy,
 };
 use kind_datalog::{Engine, EvalOptions, EvalStats};
 use kind_dm::{figures, rules, ExecMode, Resolved, DM_OPS_RULES};
@@ -1012,7 +1013,10 @@ fn tail_latency(fast: bool) -> String {
 /// One `cold_federation` op of the frozen benchmark (its 16 sources and,
 /// in full mode, its row counts) phase by phase — `invalidate` +
 /// `materialize_all`, the cold `run`, the §5 plan — with the cold run's
-/// counters.
+/// counters. `materialize_all` is split as well, each part timed on its
+/// own: the `rebuild` an invalidated base pays first, the fetch of every
+/// (source, class) scan (`fetch_parallel`), and the load, which is
+/// `materialize_all` on a freshly rebuilt base less the fetch.
 fn cold_path(fast: bool) -> String {
     let sized = ScenarioParams {
         senselab_rows: 400,
@@ -1027,7 +1031,13 @@ fn cold_path(fast: bool) -> String {
     };
     let mut m = build_scenario(&params);
     let (schema, q5) = (NeuroSchema::default(), section5_query());
-    let (mut rows, mut stats, mut min_us) = (0, EvalStats::default(), [u128::MAX; 3]);
+    let requests: Vec<FetchRequest> = m
+        .federation_mut()
+        .sources()
+        .iter()
+        .flat_map(|s| s.classes.iter().map(|c| FetchRequest::scan(&*s.name, &**c)))
+        .collect();
+    let (mut rows, mut stats, mut min_us) = (0, EvalStats::default(), [u128::MAX; 6]);
     for _ in 0..if fast { 3 } else { 20 } {
         let mut lap = Instant::now();
         let mut phase = |i: usize| {
@@ -1045,12 +1055,26 @@ fn cold_path(fast: bool) -> String {
                 .step3_rows,
         );
         phase(2);
+        m.invalidate();
+        m.rebuild().expect("scenario rebuilds");
+        phase(3);
+        black_box(m.federation_mut().fetch_parallel(&requests).expect("fetch"));
+        phase(4);
+        m.invalidate();
+        m.rebuild().expect("scenario rebuilds");
+        phase(3);
+        black_box(m.materialize_all().expect("scenario materializes"));
+        phase(5);
     }
+    let load_us = min_us[5].saturating_sub(min_us[4]);
     let json = obj(&[
         vec![
             ("sources", "16".to_string()),
             ("rows", rows.to_string()),
             ("materialize_us", min_us[0].to_string()),
+            ("rebuild_us", min_us[3].to_string()),
+            ("fetch_us", min_us[4].to_string()),
+            ("load_us", load_us.to_string()),
             ("run_us", min_us[1].to_string()),
             ("section5_us", min_us[2].to_string()),
         ],

@@ -530,6 +530,10 @@ impl Mediator {
             .base
             .flogic_mut()
             .retract_instance(&format!("{source}.{}", row.id), class);
+        // An object never interned was never loaded.
+        let Some(obj) = obj else {
+            return Ok(0);
+        };
         let mut removed = usize::from(was_instance);
         for (attr, value) in &row.attrs {
             removed += usize::from(self.base.retract_value(obj.clone(), attr, value));
@@ -818,59 +822,74 @@ const METHODS_PER_BATCH: usize = 16;
 /// Loads rows of one `class` from one `source` into `base` as their
 /// `obj : class` and `obj[attr -> value]` facts, unchecked (the fetch plane
 /// validated them) — the one load path, for the mediator's own base, the
-/// derived-anchor scratch base and per-query scratch clones alike. The
-/// object id `source.id` is built in one reused buffer, `class(c)` is
-/// asserted once, and each method name is interned once, on first use;
-/// symbols are interned in the order the declaration route interns them —
-/// object, class, then per attribute the value and the method. On the
-/// mediator's base, once a model is cached, the facts are **staged**: they
-/// land in the live engine and its changelog, and the cached model stays
-/// valid as the pre-delta base until [`Mediator::publish`] applies the
-/// accumulated delta incrementally.
+/// derived-anchor scratch base and per-query scratch clones alike. One
+/// pass over the rows writes straight into the `class`, `inst` and `mi`
+/// relations through the engine's row writer, whose arities are checked
+/// once per batch. The object id `source.id` is built in one reused
+/// buffer, `class(c)` is asserted once, and each method name is interned
+/// once, on first use; symbols are interned in the order the declaration
+/// route interns them — object, class, then per attribute the value and
+/// the method. On the mediator's base, once a model is cached, the facts
+/// are **staged**: they land in the live engine and its changelog, and the
+/// cached model stays valid as the pre-delta base until
+/// [`Mediator::publish`] applies the accumulated delta incrementally.
 pub(crate) fn load_batch(
     base: &mut GcmBase,
     source: &str,
     class: &str,
     rows: &[ObjectRow],
 ) -> Result<()> {
+    const CLASS: usize = 0;
+    const INST: usize = 1;
+    const MI: usize = 2;
+    if rows.is_empty() {
+        return Ok(());
+    }
     let fl = base.flogic_mut();
     let preds = *fl.preds();
-    let engine = fl.engine_mut();
-    let mut obj_id = String::new();
-    let mut class_term: Option<Term> = None;
-    let mut methods: Vec<(&str, Term)> = Vec::new();
-    for row in rows {
-        obj_id.clear();
-        obj_id.push_str(source);
-        obj_id.push('.');
-        obj_id.push_str(&row.id);
-        let obj = engine.constant(&obj_id);
-        let class = match &class_term {
-            Some(c) => c.clone(),
-            None => {
-                let c = engine.constant(class);
-                engine.add_fact(preds.class, [c.clone()])?;
-                class_term.insert(c).clone()
-            }
-        };
-        engine.add_fact(preds.inst, [obj.clone(), class])?;
-        for (attr, value) in &row.attrs {
-            let value = value.term(engine);
-            let method = match methods.iter().find(|(m, _)| m == attr) {
-                Some((_, m)) => m.clone(),
-                None => {
-                    let m = engine.constant(attr);
-                    // Bounded: a row of a thousand distinct attributes
-                    // interns the rest, it does not scan a long list.
-                    if methods.len() < METHODS_PER_BATCH {
-                        methods.push((attr, m.clone()));
+    // A class's rows mostly carry the same attributes.
+    let values = rows.len() * rows[0].attrs.len();
+    let into = [
+        (preds.class, 1, 1),
+        (preds.inst, 2, rows.len()),
+        (preds.mi, 3, values),
+    ];
+    fl.engine_mut().write_rows(into, |w| {
+        let mut obj_id = String::new();
+        let mut class_term: Option<Term> = None;
+        let mut methods: Vec<(&str, Term)> = Vec::new();
+        for row in rows {
+            obj_id.clear();
+            obj_id.push_str(source);
+            obj_id.push('.');
+            obj_id.push_str(&row.id);
+            let obj = Term::Const(w.symbols().intern(&obj_id));
+            let class = class_term
+                .get_or_insert_with(|| {
+                    let c = Term::Const(w.symbols().intern(class));
+                    w.insert(CLASS, std::slice::from_ref(&c));
+                    c
+                })
+                .clone();
+            w.insert(INST, &[obj.clone(), class]);
+            for (attr, value) in &row.attrs {
+                let value = value.term(w.symbols());
+                let method = match methods.iter().find(|(m, _)| m == attr) {
+                    Some((_, m)) => m.clone(),
+                    None => {
+                        let m = Term::Const(w.symbols().intern(attr));
+                        // Bounded: a row of a thousand distinct attributes
+                        // interns the rest, it does not scan a long list.
+                        if methods.len() < METHODS_PER_BATCH {
+                            methods.push((attr, m.clone()));
+                        }
+                        m
                     }
-                    m
-                }
-            };
-            engine.add_fact(preds.mi, [obj.clone(), method, value])?;
+                };
+                w.insert(MI, &[obj.clone(), method, value]);
+            }
         }
-    }
+    })?;
     Ok(())
 }
 
@@ -1347,8 +1366,11 @@ mod tests {
         // member are gone.
         assert_eq!(m.query_fl("X : spines").unwrap().len(), 2);
         assert_eq!(m.query_fl("big(X)").unwrap().len(), 1);
-        // Retracting a never-loaded row is a no-op, not an error.
+        // Retracting a never-loaded row is a no-op, not an error, and
+        // interns nothing: its object id is in no fact.
+        let symbols = m.base.flogic().engine().symbols().len();
         assert_eq!(m.retract_row("S1", "spines", &existing_row(9)).unwrap(), 0);
+        assert_eq!(m.base.flogic().engine().symbols().len(), symbols);
     }
 
     /// `retract_row` refuses a class its source does not export, as

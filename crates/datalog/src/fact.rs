@@ -12,7 +12,10 @@
 //! candidate in place, against the chunk. A clone copies the chunk handles
 //! and shares the dedup table; a write after a share copies the table and
 //! only the chunk it writes, the last; a drop frees chunks, not facts.
-//! Whole relations are shared across threads behind an immutable snapshot.
+//! Many rows at once — a fetched batch, an evaluation's delta — go in
+//! through a bulk writer (`Bulk`), which makes those parts unique once per
+//! batch rather than once per row. Whole relations are shared across
+//! threads behind an immutable snapshot.
 //!
 //! The tables are std-only open addressing over `u32` entries (`Table`),
 //! not the interner's hash-plus-collision-map pattern: std's `HashMap` has
@@ -215,19 +218,20 @@ impl ColumnIndex {
             next: Vec::with_capacity(rows.len),
         };
         for pos in 0..rows.len {
-            index.add(rows, pos as u32, rows.row(pos));
+            index.add(|p| rows.row(p), pos as u32, rows.row(pos));
         }
         index
     }
 
-    /// Appends row `pos`, whose terms are `row`, to its key's group. Every
-    /// row before `pos` is in `rows`; `pos` itself need not be yet.
-    fn add(&mut self, rows: &Chunks, pos: u32, row: &[Term]) {
+    /// Appends row `pos`, whose terms are `row`, to its key's group.
+    /// `row_at` reads every row before `pos`; `pos` itself need not be
+    /// stored yet.
+    fn add<'r>(&mut self, row_at: impl Fn(usize) -> &'r [Term], pos: u32, row: &[Term]) {
         let cols = &self.cols;
         let hash = hash_terms(cols.iter().map(|&c| &row[c]));
         let ends = &self.ends;
         let group = self.groups.find(hash, |g| {
-            let head = rows.row(ends[g as usize].0 as usize);
+            let head = row_at(ends[g as usize].0 as usize);
             cols.iter().all(|&c| head[c] == row[c])
         });
         match group {
@@ -366,29 +370,23 @@ impl Relation {
         if set.find(hash, |p| rows.row(p as usize) == row).is_some() {
             return false;
         }
-        // Never `None`: the dedup table stops a relation first. It holds at
-        // most 2³² slots at three quarters full (`Table::reserve`), so its
-        // insert below refuses the row after about 3.2·10⁹ rows, short of
-        // position `NONE`.
-        let pos = u32::try_from(rows.len)
-            .ok()
-            .filter(|&p| p != NONE)
-            .expect("relation too large");
+        let pos = position(rows.len);
         Arc::make_mut(set).insert(hash, pos);
         for index in indexes.get_mut().unwrap_or_else(PoisonError::into_inner) {
-            Arc::make_mut(index).add(rows, pos, row);
+            Arc::make_mut(index).add(|p| rows.row(p), pos, row);
         }
         rows.push(row);
         true
     }
 
-    /// Bulk-merges every row of `other`; returns how many were new.
-    /// Reserves the dedup table up front so repeated absorption of large
-    /// deltas does not grow it per row.
-    pub fn extend_from(&mut self, other: &Relation) -> usize {
-        let n = self.len() + other.len();
-        Arc::make_mut(&mut self.set).reserve(n);
-        other.iter().filter(|row| self.insert(row)).count()
+    /// A writer of up to `more` rows into `rel` in bulk: see [`Bulk`].
+    pub(crate) fn bulk(rel: &mut Arc<Relation>, more: usize) -> Bulk<'_> {
+        Bulk {
+            arity: rel.arity(),
+            more,
+            shut: Some(rel),
+            open: None,
+        }
     }
 
     /// The position of the row `eq` accepts among those hashing to `hash`.
@@ -544,6 +542,171 @@ impl Relation {
     #[cfg(test)]
     pub(crate) fn chunks(&self) -> &[Arc<Vec<Term>>] {
         &self.rows.data
+    }
+}
+
+/// The position of a relation's next row, `len`.
+fn position(len: usize) -> u32 {
+    // Never `None`: the dedup table stops a relation first. It holds at
+    // most 2³² slots at three quarters full (`Table::reserve`), so its
+    // insert refuses the row after about 3.2·10⁹ rows, short of position
+    // `NONE`.
+    u32::try_from(len)
+        .ok()
+        .filter(|&p| p != NONE)
+        .expect("relation too large")
+}
+
+/// Rows going into one relation in bulk ([`Relation::bulk`]): a fetched
+/// batch, or the facts an evaluation absorbs. Each row is hashed,
+/// deduplicated and pushed as [`Relation::insert`] does it, built indexes
+/// maintained and none built, but what a write must own is made so once
+/// per batch, not once per row. At the first row the relation lacks, a
+/// shared relation is copied as [`Arc::make_mut`] copies it (chunk and
+/// index handles, no rows), and the dedup table and each built index are
+/// made unique (each copied if still shared) and borrowed for the rest of
+/// the batch, and the unfilled last chunk is taken out of its `Arc`, each
+/// with room reserved for the batch. The chunk goes back when the writer
+/// drops. A batch of rows the relation already holds writes nothing, so
+/// copies nothing.
+pub(crate) struct Bulk<'a> {
+    arity: usize,
+    /// Rows still to come, this one included: the reserve at opening.
+    more: usize,
+    /// The relation, until the first row it lacks opens it.
+    shut: Option<&'a mut Arc<Relation>>,
+    open: Option<Open<'a>>,
+}
+
+/// A relation open for a bulk write ([`Bulk`]): its parts borrowed, made
+/// unique, and its unfilled last chunk owned.
+struct Open<'a> {
+    rows: &'a mut Chunks,
+    set: &'a mut Table,
+    indexes: Vec<&'a mut ColumnIndex>,
+    /// The rows of chunk `tail_chunk`, the unfilled last one, whose `Arc`
+    /// holds nothing while the relation is open; rows before it stay in
+    /// `rows`.
+    tail: Vec<Term>,
+    tail_chunk: usize,
+}
+
+/// Row `pos` of a relation open for a bulk write: in its chunks `rows`
+/// before chunk `tail_chunk`, from there on in `tail`.
+fn open_row<'r>(rows: &'r Chunks, tail: &'r [Term], tail_chunk: usize, pos: usize) -> &'r [Term] {
+    if pos >> CHUNK_SHIFT < tail_chunk {
+        rows.row(pos)
+    } else {
+        let start = (pos & (CHUNK_ROWS - 1)) * rows.arity;
+        &tail[start..start + rows.arity]
+    }
+}
+
+impl Bulk<'_> {
+    /// Inserts a row; returns `true` if it was new. A row whose length is
+    /// not the relation's arity is refused: not stored, `false`.
+    pub(crate) fn insert(&mut self, row: &[Term]) -> bool {
+        let more = self.more.max(1);
+        self.more = more - 1;
+        if row.len() != self.arity {
+            return false;
+        }
+        debug_assert!(row.iter().all(Term::is_ground));
+        let hash = hash_terms(row);
+        let open = match &mut self.open {
+            Some(open) => {
+                let (rows, tail, k) = (&*open.rows, &open.tail, open.tail_chunk);
+                if open
+                    .set
+                    .find(hash, |p| open_row(rows, tail, k, p as usize) == row)
+                    .is_some()
+                {
+                    return false;
+                }
+                open
+            }
+            None => {
+                // Shut until here, and opened only for a row it lacks.
+                let lacks = |rel: &mut &mut Arc<Relation>| rel.find(hash, |r| r == row).is_none();
+                let Some(rel) = self.shut.take_if(lacks) else {
+                    return false;
+                };
+                self.open.insert(Open::new(Arc::make_mut(rel), more))
+            }
+        };
+        open.push(hash, row, more - 1);
+        true
+    }
+}
+
+impl<'a> Open<'a> {
+    /// Opens `rel` for `more` rows.
+    fn new(rel: &'a mut Relation, more: usize) -> Self {
+        let Relation { rows, set, indexes } = rel;
+        let set = Arc::make_mut(set);
+        set.reserve(rows.len + more);
+        let indexes = indexes.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let indexes: Vec<&mut ColumnIndex> = indexes
+            .iter_mut()
+            .map(|index| {
+                let index = Arc::make_mut(index);
+                index.next.reserve(more);
+                index
+            })
+            .collect();
+        let tail_chunk = rows.len >> CHUNK_SHIFT;
+        let mut tail = (rows.data.get_mut(tail_chunk))
+            .map(|last| std::mem::take(Arc::make_mut(last)))
+            .unwrap_or_default();
+        let in_tail = rows.len & (CHUNK_ROWS - 1);
+        tail.reserve((in_tail + more).min(CHUNK_ROWS) * rows.arity - tail.len());
+        Open {
+            rows,
+            set,
+            indexes,
+            tail,
+            tail_chunk,
+        }
+    }
+
+    /// Appends `row`, new to the relation, whose hash is `hash`, with
+    /// `more` rows still to come.
+    fn push(&mut self, hash: u64, row: &[Term], more: usize) {
+        let pos = position(self.rows.len);
+        self.set.insert(hash, pos);
+        let (rows, tail, k) = (&*self.rows, &self.tail, self.tail_chunk);
+        for index in &mut self.indexes {
+            index.add(|p| open_row(rows, tail, k, p), pos, row);
+        }
+        self.tail.extend_from_slice(row);
+        self.rows.len += 1;
+        if self.rows.len.is_multiple_of(CHUNK_ROWS) {
+            // A full tail joins the chunks, and the next has room for the
+            // rest of the batch.
+            let room = more.min(CHUNK_ROWS) * self.rows.arity;
+            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(room));
+            self.put_tail(full);
+            self.tail_chunk += 1;
+        }
+    }
+
+    /// Stores `terms` as chunk `tail_chunk`: into its emptied `Arc`, or as
+    /// a new last chunk.
+    fn put_tail(&mut self, terms: Vec<Term>) {
+        match self.rows.data.get_mut(self.tail_chunk) {
+            Some(chunk) => *Arc::make_mut(chunk) = terms,
+            None => self.rows.data.push(Arc::new(terms)),
+        }
+    }
+}
+
+impl Drop for Open<'_> {
+    /// Hands the tail back to the relation's chunks.
+    fn drop(&mut self) {
+        if self.rows.len > self.tail_chunk << CHUNK_SHIFT {
+            let tail = std::mem::take(&mut self.tail);
+            self.put_tail(tail);
+        }
     }
 }
 
@@ -726,6 +889,25 @@ impl FactStore {
         Ok(Arc::make_mut(rel).insert(row))
     }
 
+    /// A bulk writer ([`Relation::bulk`]) per `(pred, arity, rows)` of
+    /// `into`, the relation made empty at `arity` if missing, for up to
+    /// `rows` rows. The predicates must be distinct.
+    pub(crate) fn bulk<const N: usize>(&mut self, into: [(Sym, usize, usize); N]) -> [Bulk<'_>; N] {
+        for (pred, arity, _) in into {
+            self.rels
+                .entry(pred)
+                .or_insert_with(|| Arc::new(Relation::new(arity)));
+        }
+        let mut rows = into.map(|(.., rows)| rows).into_iter();
+        self.rels
+            .get_disjoint_mut(into.each_ref().map(|(pred, ..)| pred))
+            .map(|rel| {
+                // Never `None`: each was made above if missing.
+                let rel = rel.expect("a relation per predicate");
+                Relation::bulk(rel, rows.next().unwrap_or(0))
+            })
+    }
+
     /// Removes a fact; returns `true` if it was present.
     pub fn remove(&mut self, pred: Sym, row: &[Term]) -> bool {
         match self.rels.get_mut(&pred) {
@@ -861,8 +1043,9 @@ impl FactStore {
                     if Arc::get_mut(mine).is_none() {
                         *mine = Arc::new(mine.unindexed());
                     }
-                    // Unshared now: `make_mut` copies nothing.
-                    Arc::make_mut(mine).extend_from(rel)
+                    // Unshared now: the bulk writer copies nothing.
+                    let mut bulk = Relation::bulk(mine, rel.len());
+                    rel.iter().filter(|row| bulk.insert(row)).count()
                 }
             };
         }
@@ -970,16 +1153,17 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_counts_new() {
+    fn a_bulk_insert_counts_new() {
         let mut syms = Interner::new();
         let a = Term::Const(syms.intern("a"));
         let b = Term::Const(syms.intern("b"));
-        let mut r1 = Relation::new(1);
-        r1.insert(std::slice::from_ref(&a));
-        let mut r2 = Relation::new(1);
-        r2.insert(std::slice::from_ref(&a));
-        r2.insert(std::slice::from_ref(&b));
-        assert_eq!(r1.extend_from(&r2), 1);
+        let mut r1 = Arc::new(Relation::new(1));
+        let mut bulk = Relation::bulk(&mut r1, 3);
+        assert!(bulk.insert(std::slice::from_ref(&a)));
+        assert!(!bulk.insert(std::slice::from_ref(&a)));
+        assert!(!bulk.insert(&[a.clone(), b.clone()]), "a wrong arity");
+        assert!(bulk.insert(std::slice::from_ref(&b)));
+        drop(bulk);
         assert_eq!(r1.len(), 2);
     }
 

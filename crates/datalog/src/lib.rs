@@ -73,6 +73,36 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// One stratum's planned rules, shared between republishes.
 type StratumPlans = Arc<Vec<eval::Prepared>>;
 
+/// Rows going into `N` stored relations in one pass
+/// ([`Engine::write_rows`]): the symbol table and each relation's bulk
+/// writer, lent together, and the changelog while it records.
+pub struct RowWriter<'a, const N: usize> {
+    syms: &'a mut Interner,
+    preds: [Sym; N],
+    rels: [fact::Bulk<'a>; N],
+    log: Option<&'a mut EngineDelta>,
+}
+
+impl<const N: usize> RowWriter<'_, N> {
+    /// The symbol table, to intern the next row's names.
+    pub fn symbols(&mut self) -> &mut Interner {
+        self.syms
+    }
+
+    /// Inserts `row` into the `rel`-th relation of the writer's `into`;
+    /// returns `true` if it was new. A row of another length than that
+    /// relation's arity is refused: not stored, `false`.
+    pub fn insert(&mut self, rel: usize, row: &[Term]) -> bool {
+        let new = self.rels[rel].insert(row);
+        if new {
+            if let Some(log) = &mut self.log {
+                log.log_add(self.preds[rel], row);
+            }
+        }
+        new
+    }
+}
+
 /// The deductive engine: a symbol table, an extensional database, and a
 /// rule set, with evaluation producing an immutable [`Model`].
 #[derive(Debug, Default)]
@@ -239,6 +269,51 @@ impl Engine {
             }
         }
         Ok(inserted)
+    }
+
+    /// Writes rows into the stored relations `into` names in one pass:
+    /// `write` gets a [`RowWriter`] that lends the symbol table and every
+    /// relation's bulk writer (`Relation::bulk`) together, and inserts
+    /// each row with no predicate lookup and no arity check of its own.
+    /// Each entry of `into` is a predicate, the arity of its rows, and how
+    /// many rows the batch may add to it (the reserve); the predicates are
+    /// distinct. Every arity is checked before anything is written,
+    /// against the relation or else the arity a rule declared, as
+    /// [`Self::add_fact`] checks a predicate's first row. What goes in is
+    /// what `add_fact` row by row would store, in the same order, logged
+    /// the same way while the changelog records.
+    pub fn write_rows<const N: usize, T>(
+        &mut self,
+        into: [(Sym, usize, usize); N],
+        write: impl FnOnce(&mut RowWriter<'_, N>) -> T,
+    ) -> Result<T> {
+        for (pred, arity, _) in into {
+            if let Some(fixed) = self.arity(pred).filter(|&a| a != arity) {
+                return Err(self.arity_mismatch(pred, fixed, arity));
+            }
+        }
+        let preds = into.map(|(pred, ..)| pred);
+        let missing = preds.map(|pred| self.edb.relation(pred).is_none());
+        let Engine {
+            syms,
+            edb,
+            changelog,
+            ..
+        } = self;
+        let out = write(&mut RowWriter {
+            syms,
+            preds,
+            rels: edb.bulk(into),
+            log: changelog.as_mut(),
+        });
+        // A relation made for the batch that nothing went into is
+        // forgotten, as though no row had been offered.
+        for (pred, missing) in preds.into_iter().zip(missing) {
+            if missing {
+                self.edb.drop_if_empty(pred);
+            }
+        }
+        Ok(out)
     }
 
     /// Removes a ground fact from the extensional database; returns
@@ -1431,5 +1506,227 @@ mod tests {
         let m = e.run(&EvalOptions::default()).unwrap();
         let sols = e.query_model(&m, r#"loc(X, "Purkinje Cell")"#).unwrap();
         assert_eq!(sols.len(), 1);
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The rows of `pred` in `store`, in insertion order.
+    fn rows_of(store: &FactStore, pred: Sym) -> Option<Vec<Vec<Term>>> {
+        store
+            .relation(pred)
+            .map(|r| r.iter().map(<[Term]>::to_vec).collect())
+    }
+
+    /// A changelog as data: per predicate of `preds` the rows added and
+    /// removed, in order, and the rule heads changed.
+    type Log = (Vec<[Option<Vec<Vec<Term>>>; 2]>, Vec<Sym>);
+
+    fn log_of(e: &Engine, preds: &[Sym]) -> Option<Log> {
+        e.pending_delta().map(|log| {
+            let mut rules: Vec<Sym> = log.changed_rule_preds.iter().copied().collect();
+            rules.sort();
+            let rows = preds
+                .iter()
+                .map(|&p| [rows_of(&log.added, p), rows_of(&log.removed, p)])
+                .collect();
+            (rows, rules)
+        })
+    }
+
+    /// Value `v` as a term: an integer, or a name interned in `syms`.
+    fn value(syms: &mut Interner, v: u64) -> Term {
+        if v.is_multiple_of(5) {
+            Term::Int(v as i64)
+        } else {
+            Term::Const(syms.intern(&format!("n{v}")))
+        }
+    }
+
+    /// [`value`] if `syms` has it, without interning.
+    fn known(syms: &Interner, v: u64) -> Option<Term> {
+        if v.is_multiple_of(5) {
+            Some(Term::Int(v as i64))
+        } else {
+            syms.get(&format!("n{v}")).map(Term::Const)
+        }
+    }
+
+    /// A batch through [`Engine::write_rows`] and the same rows through
+    /// `add_fact` one by one leave equal engines: symbols, relations in
+    /// insertion order, the changelog while it records (a re-added row
+    /// cancels its pending removal), probes through the indexes built
+    /// before the batch, and no index built by it. A clone taken before
+    /// reads as it did; an all-duplicate batch copies no shared relation;
+    /// a wrong arity is refused before anything is written. Batches carry
+    /// duplicates and stored rows, some are empty, and some cross a chunk.
+    #[test]
+    fn bulk_rows_equal_the_per_fact_path() {
+        let mut crossed = 0;
+        for case in 0..256u64 {
+            let mut state = case;
+            let mut e = Engine::new();
+            // A rule fixes `m`'s arity before it has a row.
+            e.load("seen(X) :- m(X, Y, Z).").unwrap();
+            let preds = [e.sym("c"), e.sym("i"), e.sym("m")];
+            let arity = |k: usize| k + 1;
+            let big = case % 8 == 5;
+            let mut stored: Vec<(usize, Vec<u64>)> = Vec::new();
+            let draw = |state: &mut u64, k: usize| -> Vec<u64> {
+                (0..arity(k)).map(|_| splitmix(state) % 40).collect()
+            };
+            // A big case stores `m` past its first chunk.
+            for _ in 0..if big { 1900 } else { splitmix(&mut state) % 30 } {
+                let k = if big {
+                    2
+                } else {
+                    1 + (splitmix(&mut state) % 2) as usize
+                };
+                let vals = draw(&mut state, k);
+                let row: Vec<Term> = vals.iter().map(|&v| value(e.symbols_mut(), v)).collect();
+                e.add_fact(preds[k], row).unwrap();
+                stored.push((k, vals));
+            }
+            if case % 2 == 0 {
+                e.begin_delta();
+                for (k, vals) in stored.iter().step_by(3) {
+                    let row: Vec<Term> = vals.iter().map(|&v| value(e.symbols_mut(), v)).collect();
+                    e.remove_fact(preds[*k], &row);
+                }
+            }
+            // Indexes built before the batch, which it must maintain.
+            let probed: &[(usize, usize)] = match case % 3 {
+                0 => &[],
+                1 => &[(1, 0)],
+                _ => &[(1, 1), (2, 2)],
+            };
+            let key = Term::Int(0);
+            for &(k, col) in probed {
+                if let Some(r) = e.edb().relation(preds[k]) {
+                    r.iter_bound(&[(col, &key)]).count();
+                }
+            }
+            let batch: Vec<(usize, Vec<u64>)> = match case % 7 {
+                0 => Vec::new(),
+                // Every row already stored (or pending removal).
+                1 => stored.clone(),
+                _ => {
+                    let n = if big { 1100 } else { splitmix(&mut state) % 60 };
+                    (0..n)
+                        .map(|_| match splitmix(&mut state) % 4 {
+                            0 if !stored.is_empty() => {
+                                stored[splitmix(&mut state) as usize % stored.len()].clone()
+                            }
+                            1 => (0, draw(&mut state, 0)),
+                            k => {
+                                let k = (k as usize).min(2);
+                                (k, draw(&mut state, k))
+                            }
+                        })
+                        .collect()
+                }
+            };
+            let before = e.clone();
+            let was: Vec<_> = preds.iter().map(|&p| rows_of(before.edb(), p)).collect();
+            let (mut bulk, mut single) = (e.clone(), e);
+            let n = batch.len();
+            let into = [(preds[0], 1, n), (preds[1], 2, n), (preds[2], 3, n)];
+            bulk.write_rows(into, |w| {
+                for (k, vals) in &batch {
+                    let row: Vec<Term> = vals.iter().map(|&v| value(w.symbols(), v)).collect();
+                    w.insert(*k, &row);
+                }
+            })
+            .unwrap();
+            for (k, vals) in &batch {
+                let row: Vec<Term> = vals
+                    .iter()
+                    .map(|&v| value(single.symbols_mut(), v))
+                    .collect();
+                single.add_fact(preds[*k], row).unwrap();
+            }
+            let names = |e: &Engine| -> Vec<String> {
+                (0..e.symbols().len() as u32)
+                    .map(|s| e.name(Sym(s)).to_string())
+                    .collect()
+            };
+            assert_eq!(names(&bulk), names(&single), "case {case}");
+            for (k, &p) in preds.iter().enumerate() {
+                assert_eq!(
+                    rows_of(bulk.edb(), p),
+                    rows_of(single.edb(), p),
+                    "case {case} rel {k}"
+                );
+                let chunks = |e: &Engine| e.edb().relation(p).map(|r| r.chunks().len());
+                assert_eq!(chunks(&bulk), chunks(&single), "case {case} rel {k}");
+                assert_eq!(
+                    rows_of(before.edb(), p),
+                    was[k],
+                    "case {case}: the clone moved"
+                );
+                let count = |e: &Engine| e.edb().relation(p).map_or(0, |r| r.index_count());
+                assert_eq!(count(&bulk), count(&single), "case {case}: an index built");
+                let len = |e: &Engine| e.edb().relation(p).map_or(0, |r| r.len());
+                let chunk = |e: &Engine| len(e) / fact::CHUNK_ROWS;
+                crossed += usize::from(chunk(&bulk) > chunk(&before) && chunk(&before) > 0);
+            }
+            assert_eq!(
+                log_of(&bulk, &preds),
+                log_of(&single, &preds),
+                "case {case}"
+            );
+            for &(k, col) in probed {
+                let (Some(b), Some(s)) = (
+                    bulk.edb().relation(preds[k]),
+                    single.edb().relation(preds[k]),
+                ) else {
+                    continue;
+                };
+                for (_, vals) in batch.iter().filter(|(j, _)| *j == k).take(8) {
+                    let t = known(single.symbols(), vals[col]).expect("interned by the batch");
+                    assert!(
+                        b.iter_bound(&[(col, &t)]).eq(s.iter_bound(&[(col, &t)])),
+                        "case {case}"
+                    );
+                }
+            }
+            if batch.iter().all(|(k, vals)| {
+                let row: Option<Vec<Term>> =
+                    vals.iter().map(|&v| known(before.symbols(), v)).collect();
+                row.is_some_and(|row| before.edb().contains(preds[*k], &row))
+            }) {
+                for &p in &preds {
+                    assert_eq!(
+                        bulk.edb().shares_relation(p, before.edb()),
+                        before.edb().relation(p).is_some(),
+                        "case {case}: an all-duplicate batch copied"
+                    );
+                }
+            }
+            // A wrong arity: refused as `add_fact` refuses the row, and
+            // nothing written, logged or interned.
+            let symbols = bulk.symbols().len();
+            let log = log_of(&bulk, &preds);
+            let wrong = [(preds[0], 1, 1), (preds[1], 2, 1), (preds[2], 2, 1)];
+            let err = bulk
+                .write_rows(wrong, |w| {
+                    let t = value(w.symbols(), 1);
+                    w.insert(0, &[t]);
+                })
+                .unwrap_err();
+            let t = single.constant("n1");
+            assert_eq!(Err(err), single.add_fact(preds[2], [t.clone(), t]));
+            assert_eq!(bulk.symbols().len(), symbols);
+            assert_eq!(log_of(&bulk, &preds), log);
+            for &p in &preds {
+                assert_eq!(rows_of(bulk.edb(), p), rows_of(single.edb(), p));
+            }
+        }
+        assert!(crossed > 0, "no batch filled a chunk past the first");
     }
 }

@@ -219,19 +219,27 @@ impl FLogic {
 
     /// Retracts `obj : class`, returning the object's term and whether
     /// the fact was present. The class's own declaration stays — other
-    /// instances may use it.
-    pub fn retract_instance(&mut self, obj: &str, class: &str) -> (Term, bool) {
-        let o = self.engine.constant(obj);
-        let c = self.engine.constant(class);
-        let removed = self.engine.remove_fact(self.preds.inst, &[o.clone(), c]);
-        (o, removed)
+    /// instances may use it. Nothing is interned: a name the symbol table
+    /// lacks is in no stored fact, so an object never interned comes back
+    /// as `None`.
+    pub fn retract_instance(&mut self, obj: &str, class: &str) -> (Option<Term>, bool) {
+        let Some(o) = self.engine.lookup(obj).map(Term::Const) else {
+            return (None, false);
+        };
+        let removed = self.engine.lookup(class).is_some_and(|c| {
+            self.engine
+                .remove_fact(self.preds.inst, &[o.clone(), Term::Const(c)])
+        });
+        (Some(o), removed)
     }
 
     /// Retracts a ground method value `obj[m -> v]`, returning whether
-    /// the fact was present.
+    /// the fact was present. Interns nothing, as [`Self::retract_instance`].
     pub fn retract_method(&mut self, obj: Term, method: &str, value: Term) -> bool {
-        let m = self.engine.constant(method);
-        self.engine.remove_fact(self.preds.mi, &[obj, m, value])
+        self.engine.lookup(method).is_some_and(|m| {
+            self.engine
+                .remove_fact(self.preds.mi, &[obj, Term::Const(m), value])
+        })
     }
 
     /// Evaluates the knowledge base with default options.

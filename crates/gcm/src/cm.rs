@@ -170,9 +170,11 @@ impl GcmBase {
 
     /// Retracts `obj[method -> value]` — the delete plane's mirror of a
     /// `MethodInst` declaration; returns whether the fact was present.
+    /// Interns nothing: a value never interned is in no fact.
     pub fn retract_value(&mut self, obj: Term, method: &str, value: &GcmValue) -> bool {
-        let v = value.term(self.fl.engine_mut());
-        self.fl.retract_method(obj, method, v)
+        value
+            .lookup(self.fl.engine().symbols())
+            .is_some_and(|v| self.fl.retract_method(obj, method, v))
     }
 
     /// Applies one declaration.
@@ -203,7 +205,7 @@ impl GcmBase {
             }
             GcmDecl::MethodInst { obj, method, value } => {
                 let o = self.fl.engine_mut().constant(obj);
-                let v = value.term(self.fl.engine_mut());
+                let v = value.term(self.fl.engine_mut().symbols_mut());
                 self.fl.assert_method(o, method, v)?;
             }
             GcmDecl::Relation { name, roles } => {
@@ -244,7 +246,7 @@ impl GcmBase {
                             role: role.clone(),
                         }
                     })?;
-                    let t = v.term(self.fl.engine_mut());
+                    let t = v.term(self.fl.engine_mut().symbols_mut());
                     positional[pos] = Some(t);
                 }
                 let args: Vec<Term> = positional

@@ -30,12 +30,21 @@ impl GcmValue {
         }
     }
 
-    /// The value as a ground term of `engine`: identifiers and strings
+    /// The value as a ground term over `syms`: identifiers and strings
     /// intern into the one constant namespace, integers stay integers.
-    pub fn term(&self, engine: &mut kind_datalog::Engine) -> kind_datalog::Term {
+    pub fn term(&self, syms: &mut kind_datalog::Interner) -> kind_datalog::Term {
         match self {
-            GcmValue::Id(s) | GcmValue::Str(s) => engine.constant(s),
+            GcmValue::Id(s) | GcmValue::Str(s) => kind_datalog::Term::Const(syms.intern(s)),
             GcmValue::Int(i) => kind_datalog::Term::Int(*i),
+        }
+    }
+
+    /// [`Self::term`] without interning: `None` for a name `syms` lacks,
+    /// which no stored fact can hold.
+    pub(crate) fn lookup(&self, syms: &kind_datalog::Interner) -> Option<kind_datalog::Term> {
+        match self {
+            GcmValue::Id(s) | GcmValue::Str(s) => syms.get(s).map(kind_datalog::Term::Const),
+            GcmValue::Int(i) => Some(kind_datalog::Term::Int(*i)),
         }
     }
 }
