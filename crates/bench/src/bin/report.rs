@@ -1014,9 +1014,10 @@ fn tail_latency(fast: bool) -> String {
 /// in full mode, its row counts) phase by phase — `invalidate` +
 /// `materialize_all`, the cold `run`, the §5 plan — with the cold run's
 /// counters. `materialize_all` is split as well, each part timed on its
-/// own: the `rebuild` an invalidated base pays first, the fetch of every
-/// (source, class) scan (`fetch_parallel`), and the load, which is
-/// `materialize_all` on a freshly rebuilt base less the fetch.
+/// own: the `rebuild` an invalidated base pays first (a clone of the
+/// compiled knowledge, which only a knowledge change recompiles), the
+/// fetch of every (source, class) scan (`fetch_parallel`), and the load,
+/// which is `materialize_all` on a freshly rebuilt base less the fetch.
 fn cold_path(fast: bool) -> String {
     let sized = ScenarioParams {
         senselab_rows: 400,

@@ -68,32 +68,59 @@ impl RegisteredSource {
     /// Validates a shipped row against this source's exported CM:
     /// the class must be exported, the object id non-empty, every
     /// `ByAttr` anchor attribute present, and (when the CM declares a
-    /// schema for the class) every attribute declared.
+    /// schema for the class) every attribute declared. A one-row
+    /// `row_check`; the fetch plane checks a batch with one.
     pub fn validate_row(&self, class: &str, row: &ObjectRow) -> std::result::Result<(), String> {
-        if !self.classes.iter().any(|c| c == class) {
-            return Err(format!(
-                "class `{class}` is not exported by `{}`",
-                self.name
-            ));
+        self.row_check(class).check(row)
+    }
+
+    /// The schema of `class`'s rows, resolved once for a batch. An
+    /// unexported class refuses every row, with one reason.
+    pub(crate) fn row_check(&self, class: &str) -> RowCheck<'_> {
+        let refused = (!self.classes.iter().any(|c| c == class))
+            .then(|| format!("class `{class}` is not exported by `{}`", self.name));
+        RowCheck {
+            refused,
+            anchors: self.anchor_attrs.get(class).map_or(&[], Vec::as_slice),
+            declared: self.declared_attrs.get(class).filter(|d| !d.is_empty()),
+        }
+    }
+}
+
+/// One class's row schema, resolved by [`RegisteredSource::row_check`]:
+/// [`RowCheck::check`] runs [`RegisteredSource::validate_row`]'s checks,
+/// in its order and with its reasons, without looking the schema up
+/// again.
+pub(crate) struct RowCheck<'a> {
+    /// Why every row is refused: the class is not exported.
+    refused: Option<String>,
+    /// The `ByAttr` anchor attributes every row must carry.
+    anchors: &'a [String],
+    /// The declared attributes, when the CM declares any for the class.
+    declared: Option<&'a BTreeSet<String>>,
+}
+
+impl RowCheck<'_> {
+    /// Checks one row: an exported class, a non-empty object id, then
+    /// every anchor attribute present, then every attribute declared.
+    pub(crate) fn check(&self, row: &ObjectRow) -> std::result::Result<(), String> {
+        if let Some(reason) = &self.refused {
+            return Err(reason.clone());
         }
         if row.id.trim().is_empty() {
             return Err("empty object id".into());
         }
-        if let Some(anchor_attrs) = self.anchor_attrs.get(class) {
-            for attr in anchor_attrs {
-                if row.get(attr).is_none() {
-                    return Err(format!("missing anchor attribute `{attr}`"));
-                }
+        for attr in self.anchors {
+            if row.get(attr).is_none() {
+                return Err(format!("missing anchor attribute `{attr}`"));
             }
         }
-        if let Some(declared) = self.declared_attrs.get(class) {
-            if !declared.is_empty() {
-                for (attr, _) in &row.attrs {
-                    if !declared.contains(attr) {
-                        return Err(format!(
-                            "attribute `{attr}` is not declared in the exported CM"
-                        ));
-                    }
+        if let Some(declared) = self.declared {
+            for (attr, _) in &row.attrs {
+                if !declared.contains(attr) {
+                    return Err(format!(
+                        "attribute `{attr}` is not declared in the exported CM"
+                    ));
                 }
             }
         }
@@ -593,11 +620,12 @@ impl FetchMachine {
             return self.fail(stats, budget.deadline_exceeded());
         }
         // CM validation quarantines, it does not abort; then the residual
-        // selections.
+        // selections. The class's schema is resolved once for the batch.
         let mut quarantined = Vec::new();
+        let check = src.row_check(&q.class);
         let keep: Vec<bool> = rows
             .iter()
-            .map(|row| match src.validate_row(&q.class, row) {
+            .map(|row| match check.check(row) {
                 Ok(()) => q
                     .selections
                     .iter()
@@ -1197,7 +1225,7 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Fault, FaultInjector};
+    use crate::fault::{mix, Fault, FaultInjector};
     use crate::mediator::Mediator;
     use crate::wrapper::{Anchor, MemoryWrapper, StallAware};
     use kind_dm::{figures, ExecMode};
@@ -1938,5 +1966,146 @@ mod tests {
         assert_eq!(set.total_rows(), 36);
         let early: usize = sources.iter().map(|s| s.early.load(Ordering::SeqCst)).sum();
         assert_eq!(early, 0, "{early} of 36 submissions were collected early");
+    }
+
+    /// The one-row check as it read before a batch shared one schema
+    /// lookup: the reference [`RowCheck`] is held to.
+    fn validate_row_reference(
+        src: &RegisteredSource,
+        class: &str,
+        row: &ObjectRow,
+    ) -> std::result::Result<(), String> {
+        if !src.classes.iter().any(|c| c == class) {
+            return Err(format!("class `{class}` is not exported by `{}`", src.name));
+        }
+        if row.id.trim().is_empty() {
+            return Err("empty object id".into());
+        }
+        if let Some(anchor_attrs) = src.anchor_attrs.get(class) {
+            for attr in anchor_attrs {
+                if row.get(attr).is_none() {
+                    return Err(format!("missing anchor attribute `{attr}`"));
+                }
+            }
+        }
+        if let Some(declared) = src.declared_attrs.get(class) {
+            if !declared.is_empty() {
+                for (attr, _) in &row.attrs {
+                    if !declared.contains(attr) {
+                        return Err(format!(
+                            "attribute `{attr}` is not declared in the exported CM"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One `row_check` over a batch gives each row the answer and the
+    /// reason the row-by-row reference gives it, in order. 256 seeded
+    /// batches, with empty and whitespace-only ids, missing anchors,
+    /// undeclared attributes, names that change mid-batch, rejected rows
+    /// in a row with equal names, and unexported classes.
+    #[test]
+    fn a_batch_check_equals_the_row_by_row_check() {
+        const NAMES: [&str; 5] = ["a0", "a1", "x", "y", "z"];
+        let names = |bits: u64| -> Vec<String> {
+            let picked = NAMES.iter().enumerate().filter(|(i, _)| bits >> i & 1 == 1);
+            picked.map(|(_, n)| n.to_string()).collect()
+        };
+        // Cases seen: empty id, whitespace id, missing anchor, undeclared
+        // attribute, names changed from the row before, a rejected row
+        // after a rejected row with its names, unexported class.
+        let mut seen = [0usize; 7];
+        for seed in 0..256u64 {
+            let mut draws = 0u64;
+            let mut draw = |n: u64| {
+                draws += 1;
+                mix(mix(seed) ^ draws) % n
+            };
+            let class = if draw(8) == 0 { "hidden" } else { "c" };
+            let anchors = names(draw(4));
+            let declared: BTreeSet<String> = match draw(4) {
+                0 => BTreeSet::new(),
+                // `z` is never declared.
+                _ => names(draw(16) | if draw(3) == 0 { 0 } else { 3 })
+                    .into_iter()
+                    .collect(),
+            };
+            let src = RegisteredSource {
+                id: SourceId(0),
+                name: "S".into(),
+                caps: Vec::new(),
+                wrapper: Arc::new(MemoryWrapper::new("S")),
+                classes: vec!["c".into()],
+                declared_attrs: match draw(4) {
+                    0 => HashMap::new(),
+                    _ => HashMap::from([("c".to_string(), declared)]),
+                },
+                anchor_attrs: HashMap::from([("c".to_string(), anchors)]),
+            };
+            let shape = |draw: &mut dyn FnMut(u64) -> u64| {
+                let mut attrs = names(draw(32));
+                if draw(2) == 0 {
+                    attrs.reverse();
+                }
+                attrs
+            };
+            let mut attrs = shape(&mut draw);
+            let rows: Vec<ObjectRow> = (0..draw(12))
+                .map(|i| {
+                    if draw(4) == 0 {
+                        attrs = shape(&mut draw);
+                    }
+                    ObjectRow {
+                        id: match draw(8) {
+                            0 => String::new(),
+                            1 => " \t ".into(),
+                            _ => format!("o{i}"),
+                        },
+                        attrs: attrs
+                            .iter()
+                            .map(|a| (a.clone(), GcmValue::Int(0)))
+                            .collect(),
+                    }
+                })
+                .collect();
+            let want: Vec<_> = rows
+                .iter()
+                .map(|row| validate_row_reference(&src, class, row))
+                .collect();
+            let check = src.row_check(class);
+            let got: Vec<_> = rows.iter().map(|row| check.check(row)).collect();
+            assert_eq!(got, want, "seed {seed}: one check for the batch");
+            let one_by_one: Vec<_> = rows.iter().map(|r| src.validate_row(class, r)).collect();
+            assert_eq!(one_by_one, want, "seed {seed}: `validate_row`");
+            for (i, (row, verdict)) in rows.iter().zip(&want).enumerate() {
+                let reason = verdict.as_ref().err().map_or("", String::as_str);
+                let before = i.checked_sub(1).map(|j| (&rows[j], &want[j]));
+                let same_names = before.is_some_and(|(b, _)| {
+                    b.attrs
+                        .iter()
+                        .map(|a| &a.0)
+                        .eq(row.attrs.iter().map(|a| &a.0))
+                });
+                let cases = [
+                    row.id.is_empty(),
+                    !row.id.is_empty() && row.id.trim().is_empty(),
+                    reason.starts_with("missing anchor"),
+                    reason.ends_with("not declared in the exported CM"),
+                    before.is_some() && !same_names,
+                    same_names
+                        && before.is_some_and(|(_, b)| b.is_err())
+                        && verdict.is_err()
+                        && !row.id.trim().is_empty(),
+                    reason.starts_with("class `hidden`"),
+                ];
+                for (n, case) in seen.iter_mut().zip(cases) {
+                    *n += usize::from(case);
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 8), "cases seen: {seen:?}");
     }
 }
