@@ -39,7 +39,7 @@ use crate::wrapper::Submission;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long an idle worker sleeps when it has neither ready jobs nor
@@ -147,8 +147,8 @@ pub(crate) fn run_jobs(
             }
         });
     }
-    // A worker returns only once `finished` counts every job, and a job
-    // is counted when its result is stored.
+    // Never poisoned (see `Sched`). A worker returns only once `finished`
+    // counts every job, and a job is counted when its result is stored.
     state
         .into_inner()
         .expect("executor state poisoned")
@@ -164,7 +164,7 @@ fn worker_loop(
     state: &Mutex<Sched>,
     wake: &Condvar,
 ) {
-    let mut guard = state.lock().expect("executor state poisoned");
+    let mut guard = lock(state);
     loop {
         while let Some(job) = guard.timers.pop_due(Instant::now()) {
             guard.ready.push_back(job);
@@ -175,7 +175,7 @@ fn worker_loop(
             let mut seat = guard.seats[idx].take().expect("ready job has a seat");
             drop(guard);
             let outcome = drive(&mut seat, sources, clock);
-            guard = state.lock().expect("executor state poisoned");
+            guard = lock(state);
             match outcome {
                 Drive::Parked { wake_at } => {
                     guard.timers.schedule(wake_at, idx);
@@ -202,11 +202,17 @@ fn worker_loop(
         let timeout = guard.timers.next_deadline().map_or(IDLE_WAIT, |deadline| {
             deadline.saturating_duration_since(Instant::now())
         });
+        // Never poisoned: see `Sched`.
         guard = wake
             .wait_timeout(guard, timeout)
             .expect("executor state poisoned")
             .0;
     }
+}
+
+/// The scheduler state, locked. Never poisoned: see [`Sched`].
+fn lock(state: &Mutex<Sched>) -> MutexGuard<'_, Sched> {
+    state.lock().expect("executor state poisoned")
 }
 
 /// Drives one job until it parks or finishes. Runs outside the

@@ -145,6 +145,8 @@ impl VirtualClock {
 
     /// Advances time (backoff "sleeps" by calling this).
     pub fn advance_ms(&self, ms: u64) {
+        // Never `Err`: `fetch_update` fails only when the closure returns
+        // `None`, and this one always returns `Some`.
         self.now
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |t| {
                 Some(t.saturating_add(ms))
@@ -747,10 +749,8 @@ impl SourceOutcome {
         }
     }
 
-    /// Folds two outcomes into the worst of the pair (retries summed).
-    /// The single merge rule used by both [`AnswerReport::record_fetch`]
-    /// and [`AnswerReport::absorb`], so per-fetch and per-report folding
-    /// cannot disagree.
+    /// Folds two outcomes into the worst of the pair (retries summed): the
+    /// merge rule of the one per-source fold, `SourceReport::add`.
     fn merged(old: SourceOutcome, new: SourceOutcome) -> SourceOutcome {
         match (old, new) {
             (SourceOutcome::Retried { retries: a }, SourceOutcome::Retried { retries: b }) => {
@@ -812,6 +812,23 @@ pub struct SourceReport {
     pub cancelled: usize,
     /// The merged outcome (worst over all fetches; retries summed).
     pub outcome: SourceOutcome,
+}
+
+impl SourceReport {
+    /// Adds `other`'s counters to these and merges its outcome in: the one
+    /// per-source fold, of one fetch ([`AnswerReport::record_fetch`]) or
+    /// of a whole report's ([`AnswerReport::absorb`]), so the two cannot
+    /// disagree.
+    fn add(&mut self, other: SourceReport) {
+        self.fetches += other.fetches;
+        self.attempts += other.attempts;
+        self.rows += other.rows;
+        self.quarantined += other.quarantined;
+        self.hedged += other.hedged;
+        self.cancelled += other.cancelled;
+        let outcome = std::mem::take(&mut self.outcome);
+        self.outcome = SourceOutcome::merged(outcome, other.outcome);
+    }
 }
 
 /// The degradation record attached to every answer: which sources were
@@ -880,13 +897,16 @@ impl AnswerReport {
         cancelled: usize,
         outcome: SourceOutcome,
     ) {
-        let entry = self.sources.entry(name.to_string()).or_default();
-        entry.fetches += 1;
-        entry.attempts += attempts;
-        entry.rows += rows;
-        entry.hedged += hedged;
-        entry.cancelled += cancelled;
-        entry.outcome = SourceOutcome::merged(entry.outcome.clone(), outcome);
+        let fetch = SourceReport {
+            fetches: 1,
+            attempts,
+            rows,
+            quarantined: 0,
+            hedged,
+            cancelled,
+            outcome,
+        };
+        self.sources.entry(name.to_string()).or_default().add(fetch);
     }
 
     /// Folds a whole (delta) report into this one: per-source counters
@@ -896,14 +916,7 @@ impl AnswerReport {
     /// absorbs it into the federation's cumulative report.
     pub fn absorb(&mut self, other: &AnswerReport) {
         for (name, s) in &other.sources {
-            let entry = self.sources.entry(name.clone()).or_default();
-            entry.fetches += s.fetches;
-            entry.attempts += s.attempts;
-            entry.rows += s.rows;
-            entry.quarantined += s.quarantined;
-            entry.hedged += s.hedged;
-            entry.cancelled += s.cancelled;
-            entry.outcome = SourceOutcome::merged(entry.outcome.clone(), s.outcome.clone());
+            self.sources.entry(name.clone()).or_default().add(s.clone());
         }
         self.quarantined.extend(other.quarantined.iter().cloned());
         // Sequential rounds accumulate wall time; the budget is a property

@@ -92,6 +92,9 @@ impl SnapshotHub {
         // hub held the last reference, dropping the previous publication
         // tears a whole snapshot down, and readers do not wait for that.
         let snapshot = Arc::new(snapshot);
+        // Never poisoned: a holder of the slot lock, writer or reader,
+        // only swaps or clones an `(u64, Arc)` pair and stores an atomic,
+        // none of which panics; the old snapshot drops after the unlock.
         let mut slot = self.slot.write().expect("hub slot poisoned");
         let epoch = self.epoch.load(Ordering::Relaxed) + 1;
         let previous = slot.replace(PinnedSnapshot { epoch, snapshot });
@@ -110,6 +113,7 @@ impl SnapshotHub {
     /// wait on each other, and wait on the writer only for the duration
     /// of its pointer swap.
     pub fn load(&self) -> Option<PinnedSnapshot> {
+        // Never poisoned: see `install`.
         self.slot.read().expect("hub slot poisoned").clone()
     }
 

@@ -36,7 +36,7 @@ use crate::knowledge::Knowledge;
 use crate::query::{evaluate, AnswerSet, OneOffRule};
 use crate::snapshot::QuerySnapshot;
 use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
-use kind_datalog::{EvalOptions, Interner, Model, Term};
+use kind_datalog::{EvalOptions, Model, Term};
 use kind_dm::{axiom, rules, DomainMap, ExecMode, NodeId, SourceId, DM_OPS_RULES};
 use kind_gcm::{GcmBase, GcmDecl};
 use std::collections::{BTreeSet, HashMap};
@@ -830,25 +830,19 @@ impl Mediator {
             }
             None
         };
-        let done = evaluate(
+        let mut done = evaluate(
             &rule,
             &self.base,
             seed,
             &fetched.batches,
             &self.eval_options,
         )?;
-        // Answer terms may reference symbols interned only in the scratch
-        // clone (object ids fetched this query); re-intern them into the
-        // mediator's own symbol table so `show` resolves them.
-        let from = done.work.flogic().engine().symbols();
-        let to = self.base.flogic_mut().engine_mut();
-        let rows = done
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|t| reintern_term(from, to, t)).collect())
-            .collect();
         Ok(AnswerSet {
-            rows,
+            rows: done.rows,
+            // The rows resolve in the scratch clone's symbols (object ids
+            // fetched this query exist only there): they go with the
+            // answer, and the mediator's own table stays as it was.
+            syms: std::mem::take(done.work.flogic_mut().engine_mut().symbols_mut()),
             classes,
             sources: contacted.into_iter().collect(),
             report: self.report().clone(),
@@ -961,21 +955,6 @@ fn assert_anchors(
 fn program_size(base: &GcmBase) -> (usize, usize) {
     let engine = base.flogic().engine();
     (engine.edb().len(), engine.rules().len())
-}
-
-/// Recursively re-interns a ground term from one symbol table into
-/// another engine's. Variables and integers pass through unchanged.
-fn reintern_term(from: &Interner, to: &mut kind_datalog::Engine, t: &Term) -> Term {
-    match t {
-        Term::Const(s) => to.constant(from.resolve(*s)),
-        Term::Func(f, args) => {
-            let name = from.resolve(*f).to_string();
-            let mapped: Vec<Term> = args.iter().map(|a| reintern_term(from, to, a)).collect();
-            let sym = to.sym(&name);
-            Term::func(sym, mapped)
-        }
-        other => other.clone(),
-    }
 }
 
 #[cfg(test)]

@@ -47,6 +47,10 @@ use std::collections::BTreeSet;
 pub struct AnswerSet {
     /// The answer tuples (bindings of the head variables, in head order).
     pub rows: Vec<Vec<Term>>,
+    /// The symbol table `rows` resolve in: the call's scratch clone's
+    /// (object ids fetched for the answer exist only there), so an answer
+    /// interns nothing into the mediator. Render through [`Self::show`].
+    pub syms: Interner,
     /// Source classes the query mentioned.
     pub classes: Vec<String>,
     /// Sources actually contacted.
@@ -62,6 +66,13 @@ pub struct AnswerSet {
     /// rule subprogram (false when disabled or when the rewrite declined,
     /// e.g. for well-founded residues).
     pub magic_fired: bool,
+}
+
+impl AnswerSet {
+    /// Renders a term of [`Self::rows`].
+    pub fn show(&self, t: &Term) -> String {
+        t.display(&self.syms).to_string()
+    }
 }
 
 /// A validated one-off rule: exactly one clause with a plain-predicate
@@ -207,6 +218,7 @@ fn collect_classes(items: &[BodyItem], inst: Sym, syms: &Interner, out: &mut BTr
 
 #[cfg(test)]
 mod tests {
+    use super::AnswerSet;
     use crate::mediator::Mediator;
     use crate::wrapper::{Anchor, Capability, MemoryWrapper};
     use kind_dm::{figures, ExecMode};
@@ -300,10 +312,11 @@ mod tests {
         assert_eq!(ans.sources, vec!["A".to_string(), "B".to_string()]);
     }
 
-    fn rendered(m: &Mediator, rows: &[Vec<kind_datalog::Term>]) -> Vec<String> {
-        let mut v: Vec<String> = rows
+    fn rendered(ans: &AnswerSet) -> Vec<String> {
+        let mut v: Vec<String> = ans
+            .rows
             .iter()
-            .map(|r| r.iter().map(|t| m.show(t)).collect::<Vec<_>>().join(","))
+            .map(|r| r.iter().map(|t| ans.show(t)).collect::<Vec<_>>().join(","))
             .collect();
         v.sort();
         v
@@ -320,8 +333,8 @@ mod tests {
         let w1 = warm.answer(q).unwrap();
         let w2 = warm.answer(q).unwrap(); // second call reuses the cached base
         let c = cold.answer(q).unwrap();
-        assert_eq!(rendered(&warm, &w1.rows), rendered(&cold, &c.rows));
-        assert_eq!(rendered(&warm, &w1.rows), rendered(&warm, &w2.rows));
+        assert_eq!(rendered(&w1), rendered(&c));
+        assert_eq!(rendered(&w1), rendered(&w2));
         assert_eq!(w1.rows.len(), 2);
         assert_eq!(w1.sources, c.sources);
         assert_eq!(w1.classes, c.classes);
@@ -364,14 +377,14 @@ mod tests {
             let w = warm.answer(q).unwrap();
             assert!(!warm.publish_pending(), "{q} wrote to the base");
             let c = cold.answer(q).unwrap();
-            assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows), "{q}");
+            assert_eq!(rendered(&w), rendered(&c), "{q}");
             assert_eq!(w.rows.len(), rows, "{q}");
             assert_eq!(w.stats, c.stats, "{q} was seeded");
         }
         // The control: a fresh head is seeded, and does less for it.
         let q = "fresh(X) :- X : spines.";
         let (w, c) = (warm.answer(q).unwrap(), cold.answer(q).unwrap());
-        assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows));
+        assert_eq!(rendered(&w), rendered(&c));
         assert!(w.stats.derived < c.stats.derived, "{q} was not seeded");
     }
 
@@ -399,7 +412,7 @@ mod tests {
             let rows = snap.answer_with(rule, snap.eval_options()).unwrap().rows;
             assert_eq!(rows, [["b"], ["c"]], "snapshot, options {bits:02b}");
             let ans = m.answer(rule).unwrap();
-            assert_eq!(rendered(&m, &ans.rows), ["b", "c"], "options {bits:02b}");
+            assert_eq!(rendered(&ans), ["b", "c"], "options {bits:02b}");
         }
     }
 
@@ -428,11 +441,8 @@ mod tests {
         let (mut warm, mut cold) = (build(true), build(false));
         let q = "long_spines(X, L) :- X : spines, X[len -> L], L >= 20.";
         let (w, c) = (warm.answer(q).unwrap(), cold.answer(q).unwrap());
-        assert_eq!(rendered(&warm, &w.rows), rendered(&cold, &c.rows));
-        assert_eq!(
-            rendered(&warm, &w.rows),
-            ["A.s2,20", "A.s3,30", "A.staged,50"]
-        );
+        assert_eq!(rendered(&w), rendered(&c));
+        assert_eq!(rendered(&w), ["A.s2,20", "A.s3,30", "A.staged,50"]);
         assert!(
             w.stats.derived < c.stats.derived,
             "the answer was not seeded"
@@ -443,7 +453,7 @@ mod tests {
 
     /// Reads do not write: whatever the optimization toggles and whatever
     /// the base program says about the head, an answer leaves no staged
-    /// write, no rule, and the published model where it was.
+    /// write, no rule, no symbol, and the published model where it was.
     #[test]
     fn answer_never_writes() {
         let queries = [
@@ -466,11 +476,17 @@ mod tests {
             m.publish().unwrap();
             let model = Arc::clone(m.cached_model().expect("publish caches the model"));
             let rules = m.base().flogic().engine().rules().len();
+            let symbols = m.base().flogic().engine().symbols().len();
             for q in queries {
                 let ans = m.answer(q).unwrap();
                 assert!(!ans.rows.is_empty(), "{q} ({bits:04b})");
                 assert!(!m.publish_pending(), "{q} ({bits:04b}) staged a write");
                 assert_eq!(m.base().flogic().engine().rules().len(), rules, "{q}");
+                assert_eq!(
+                    m.base().flogic().engine().symbols().len(),
+                    symbols,
+                    "{q} ({bits:04b}) interned a name"
+                );
                 assert!(Arc::ptr_eq(m.cached_model().unwrap(), &model), "{q}");
                 m.publish().unwrap();
                 assert!(
@@ -517,7 +533,7 @@ mod tests {
             warm_ptr,
             "knob setters invalidated the published model"
         );
-        assert_eq!(rendered(&m, &first.rows), rendered(&m, &again.rows));
+        assert_eq!(rendered(&first), rendered(&again));
         assert_eq!(again.rows.len(), 2);
         // The model is a function of `max_term_depth`; the program is not.
         m.set_eval_options(EvalOptions {

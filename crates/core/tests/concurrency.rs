@@ -5,7 +5,7 @@
 //! single-threaded run.
 
 use kind_core::{
-    run_section5, section5_fetch, Anchor, Capability, Federation, Knowledge, Mediator,
+    run_section5, section5_fetch, Anchor, AnswerSet, Capability, Federation, Knowledge, Mediator,
     MemoryWrapper, NeuroSchema, QuerySnapshot, Section5Query,
 };
 use kind_dm::{figures, ExecMode};
@@ -173,12 +173,11 @@ fn snapshot_answer_matches_mediator_answer() {
     m.materialize_all().unwrap();
     let snap = m.snapshot().unwrap();
     let q = "big(X, L) :- X : spines, X[len -> L], L >= 30.";
-    let mut from_mediator: Vec<Vec<String>> = m
-        .answer(q)
-        .unwrap()
+    let ans = m.answer(q).unwrap();
+    let mut from_mediator: Vec<Vec<String>> = ans
         .rows
         .iter()
-        .map(|r| r.iter().map(|t| m.show(t)).collect())
+        .map(|r| r.iter().map(|t| ans.show(t)).collect())
         .collect();
     from_mediator.sort();
     let from_snapshot = snap.answer(q).unwrap();
@@ -310,10 +309,11 @@ fn eight_threads_replay_warm_section5_plan_identically() {
 /// on and off, from both the mediator and concurrent snapshot callers.
 #[test]
 fn magic_sets_toggle_preserves_answers_for_concurrent_callers() {
-    let rendered = |m: &Mediator, rows: &[Vec<kind_datalog::Term>]| {
-        let mut v: Vec<String> = rows
+    let rendered = |ans: &AnswerSet| {
+        let mut v: Vec<String> = ans
+            .rows
             .iter()
-            .map(|r| r.iter().map(|t| m.show(t)).collect::<Vec<_>>().join(","))
+            .map(|r| r.iter().map(|t| ans.show(t)).collect::<Vec<_>>().join(","))
             .collect();
         v.sort();
         v
@@ -341,7 +341,7 @@ fn magic_sets_toggle_preserves_answers_for_concurrent_callers() {
     for q in queries {
         let a = on.answer(q).unwrap();
         let b = off.answer(q).unwrap();
-        assert_eq!(rendered(&on, &a.rows), rendered(&off, &b.rows), "{q}");
+        assert_eq!(rendered(&a), rendered(&b), "{q}");
         assert!(!b.magic_fired);
     }
     // Snapshots inherit the toggle; 8 threads on each must agree with

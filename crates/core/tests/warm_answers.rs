@@ -86,7 +86,7 @@ fn mediator_answers_equal_snapshot_answers() {
             let mut rows: Vec<Vec<String>> = ans
                 .rows
                 .iter()
-                .map(|r| r.iter().map(|t| m.show(t)).collect())
+                .map(|r| r.iter().map(|t| ans.show(t)).collect())
                 .collect();
             rows.sort();
             assert_eq!(

@@ -905,10 +905,11 @@ fn apply_rule(
 ) {
     let head = &prep.rule.head;
     // The head's relations, resolved once: the one it must be new to, and
-    // the one it goes into (forgotten again if nothing went in, so a delta
-    // store never holds an empty relation a later probe would count).
+    // the bulk writer of the one it goes into, opened at the first new row
+    // (forgotten again if nothing went in, so a delta store never holds an
+    // empty relation a later probe would count).
     let known = total.relation(head.pred);
-    let into = out.relation_mut(head.pred, head.args.len());
+    let [mut into] = out.bulk([(head.pred, head.args.len(), 0)]);
     let Scratch { subst, head: row } = scratch;
     let mut clipped = 0usize;
     let mut apps = 0usize;
@@ -931,6 +932,7 @@ fn apply_rule(
             }
         },
     );
+    drop(into);
     out.drop_if_empty(head.pred);
     stats.applications += apps;
     stats.depth_clipped += clipped;

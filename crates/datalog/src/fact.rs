@@ -12,10 +12,11 @@
 //! candidate in place, against the chunk. A clone copies the chunk handles
 //! and shares the dedup table; a write after a share copies the table and
 //! only the chunk it writes, the last; a drop frees chunks, not facts.
-//! Many rows at once — a fetched batch, an evaluation's delta — go in
-//! through a bulk writer (`Bulk`), which makes those parts unique once per
-//! batch rather than once per row. Whole relations are shared across
-//! threads behind an immutable snapshot.
+//! Every row goes in through one writer (`Bulk`), a fetched batch, an
+//! evaluation's head rows and a single fact alike: it makes those parts
+//! unique once per batch rather than once per row, and appends in one
+//! place (`Open::push`), so a one-row insert is a batch of one. Whole
+//! relations are shared across threads behind an immutable snapshot.
 //!
 //! The tables are std-only open addressing over `u32` entries (`Table`),
 //! not the interner's hash-plus-collision-map pattern: std's `HashMap` has
@@ -172,26 +173,6 @@ impl Chunks {
     fn row(&self, pos: usize) -> &[Term] {
         let start = (pos & (CHUNK_ROWS - 1)) * self.arity;
         &self.data[pos >> CHUNK_SHIFT][start..start + self.arity]
-    }
-
-    fn push(&mut self, row: &[Term]) {
-        if self.len.is_multiple_of(CHUNK_ROWS) {
-            // Past its first chunk a relation is known to be large: the
-            // next chunk is taken whole.
-            let cap = if self.data.is_empty() {
-                0
-            } else {
-                CHUNK_ROWS * self.arity
-            };
-            self.data.push(Arc::new(Vec::with_capacity(cap)));
-        }
-        // Never `None`: a relation with no chunk has `len` 0, a multiple
-        // of `CHUNK_ROWS`, so the branch above has just pushed one.
-        let last = self.data.last_mut().expect("a chunk with room");
-        // Copy-on-write: a chunk still shared with a clone is copied here,
-        // and only this one.
-        Arc::make_mut(last).extend_from_slice(row);
-        self.len += 1;
     }
 }
 
@@ -358,24 +339,18 @@ impl Relation {
     }
 
     /// Inserts a row; returns `true` if it was new. A row whose length is
-    /// not the relation's arity is refused: not stored, `false`. Every
-    /// existing index is maintained incrementally.
+    /// not the relation's arity is refused: not stored, `false`. A new row
+    /// goes in as a one-row bulk write, every built index maintained.
     pub fn insert(&mut self, row: &[Term]) -> bool {
         if row.len() != self.arity() {
             return false;
         }
         debug_assert!(row.iter().all(Term::is_ground));
         let hash = hash_terms(row);
-        let Relation { rows, set, indexes } = self;
-        if set.find(hash, |p| rows.row(p as usize) == row).is_some() {
+        if self.find(hash, |r| r == row).is_some() {
             return false;
         }
-        let pos = position(rows.len);
-        Arc::make_mut(set).insert(hash, pos);
-        for index in indexes.get_mut().unwrap_or_else(PoisonError::into_inner) {
-            Arc::make_mut(index).add(|p| rows.row(p), pos, row);
-        }
-        rows.push(row);
+        Open::new(self, 1).push(hash, row, 0);
         true
     }
 
@@ -513,17 +488,21 @@ impl Relation {
 
     /// Removes a row; returns `true` if it was present. Positions after it
     /// would shift, so the relation is rebuilt from its other rows, in
-    /// order, and every built index with it, on the same column sets.
+    /// order, in one bulk write, and every built index with it, on the
+    /// same column sets.
     pub fn remove(&mut self, row: &[Term]) -> bool {
         if !self.contains(row) {
             return false;
         }
         let mut kept = Relation::new(self.arity());
-        Arc::make_mut(&mut kept.set).reserve(self.len() - 1);
         kept.index_like(self);
+        let mut more = self.len() - 1;
+        let mut open = Open::new(&mut kept, more);
         for r in self.iter().filter(|&r| r != row) {
-            kept.insert(r);
+            more -= 1;
+            open.push(hash_terms(r), r, more);
         }
+        drop(open);
         *self = kept;
         true
     }
@@ -558,15 +537,16 @@ fn position(len: usize) -> u32 {
 }
 
 /// Rows going into one relation in bulk ([`Relation::bulk`]): a fetched
-/// batch, or the facts an evaluation absorbs. Each row is hashed,
-/// deduplicated and pushed as [`Relation::insert`] does it, built indexes
-/// maintained and none built, but what a write must own is made so once
-/// per batch, not once per row. At the first row the relation lacks, a
-/// shared relation is copied as [`Arc::make_mut`] copies it (chunk and
-/// index handles, no rows), and the dedup table and each built index are
-/// made unique (each copied if still shared) and borrowed for the rest of
-/// the batch, and the unfilled last chunk is taken out of its `Arc`, each
-/// with room reserved for the batch. The chunk goes back when the writer
+/// batch, a rule's head rows, the facts an evaluation absorbs, or one
+/// fact. Each row is hashed and deduplicated and a new one appended by
+/// [`Open::push`], built indexes maintained and none built; what a write
+/// must own is made so once per batch, not once per row. At the first
+/// row the relation lacks, a shared relation is copied as
+/// [`Arc::make_mut`] copies it (chunk and index handles, no rows), and
+/// the dedup table and each built index are made unique (each copied if
+/// still shared) and borrowed for the rest of the batch, and the unfilled
+/// last chunk is taken out of its `Arc`, each with room reserved for the
+/// batch. The chunk goes back when the writer
 /// drops. A batch of rows the relation already holds writes nothing, so
 /// copies nothing.
 pub(crate) struct Bulk<'a> {
@@ -578,8 +558,9 @@ pub(crate) struct Bulk<'a> {
     open: Option<Open<'a>>,
 }
 
-/// A relation open for a bulk write ([`Bulk`]): its parts borrowed, made
-/// unique, and its unfilled last chunk owned.
+/// A relation open for a bulk write ([`Bulk`], [`Relation::insert`],
+/// [`Relation::remove`]): its parts borrowed, made unique, and its
+/// unfilled last chunk owned.
 struct Open<'a> {
     rows: &'a mut Chunks,
     set: &'a mut Table,
@@ -659,7 +640,14 @@ impl<'a> Open<'a> {
             .map(|last| std::mem::take(Arc::make_mut(last)))
             .unwrap_or_default();
         let in_tail = rows.len & (CHUNK_ROWS - 1);
-        tail.reserve((in_tail + more).min(CHUNK_ROWS) * rows.arity - tail.len());
+        // Past its first chunk a relation is known to be large: a chunk it
+        // starts is taken whole.
+        let room = if in_tail == 0 && tail_chunk > 0 {
+            CHUNK_ROWS
+        } else {
+            (in_tail + more).min(CHUNK_ROWS)
+        };
+        tail.reserve(room * rows.arity - tail.len());
         Open {
             rows,
             set,
@@ -670,7 +658,9 @@ impl<'a> Open<'a> {
     }
 
     /// Appends `row`, new to the relation, whose hash is `hash`, with
-    /// `more` rows still to come.
+    /// `more` rows still to come: the one place a row enters a relation —
+    /// its dedup-table entry, its place in each built index, and a chunk
+    /// rolled over when full.
     fn push(&mut self, hash: u64, row: &[Term], more: usize) {
         let pos = position(self.rows.len);
         self.set.insert(hash, pos);
@@ -854,39 +844,10 @@ impl FactStore {
 
     /// Inserts a fact; returns `true` if new. The first fact of a
     /// predicate fixes its relation's arity; a row of another length is
-    /// refused.
+    /// refused. A one-row bulk write.
     pub fn insert(&mut self, pred: Sym, row: &[Term]) -> bool {
-        self.insert_declared(pred, row, || None).unwrap_or(false)
-    }
-
-    /// [`Self::insert`] for a writer that also fixes arities elsewhere (the
-    /// engine's rules): `declared` is asked only when `pred` has no
-    /// relation yet. `Err(arity)`, nothing stored, when the row's length is
-    /// not the relation's — or the declared — arity.
-    pub(crate) fn insert_declared(
-        &mut self,
-        pred: Sym,
-        row: &[Term],
-        declared: impl FnOnce() -> Option<usize>,
-    ) -> Result<bool, usize> {
-        let rel = match self.rels.entry(pred) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => {
-                let arity = declared().unwrap_or(row.len());
-                if arity != row.len() {
-                    return Err(arity);
-                }
-                v.insert(Arc::new(Relation::new(arity)))
-            }
-        };
-        if rel.arity() != row.len() {
-            return Err(rel.arity());
-        }
-        // A shared relation is copied only for a row it lacks.
-        if Arc::get_mut(rel).is_none() && rel.contains(row) {
-            return Ok(false);
-        }
-        Ok(Arc::make_mut(rel).insert(row))
+        let [mut rel] = self.bulk([(pred, row.len(), 1)]);
+        rel.insert(row)
     }
 
     /// A bulk writer ([`Relation::bulk`]) per `(pred, arity, rows)` of
@@ -921,19 +882,8 @@ impl FactStore {
         self.rels.get(&pred).map(Arc::as_ref)
     }
 
-    /// The relation `pred`'s rows go into, made empty at `arity` if
-    /// missing: for a writer that resolves it once and inserts many rows.
-    /// [`Self::drop_if_empty`] undoes the making if nothing went in.
-    pub(crate) fn relation_mut(&mut self, pred: Sym, arity: usize) -> &mut Relation {
-        Arc::make_mut(
-            self.rels
-                .entry(pred)
-                .or_insert_with(|| Arc::new(Relation::new(arity))),
-        )
-    }
-
     /// Forgets `pred`'s relation if it holds no row, so the store reads as
-    /// though [`Self::relation_mut`] had never been asked for it.
+    /// though [`Self::bulk`] had never been asked for it.
     pub(crate) fn drop_if_empty(&mut self, pred: Sym) {
         if self.rels.get(&pred).is_some_and(|r| r.is_empty()) {
             self.rels.remove(&pred);

@@ -251,37 +251,26 @@ impl Engine {
         Ok(())
     }
 
-    /// Adds a ground fact; returns `true` if it was new. The arity is
-    /// checked against the relation the row goes into — a rule's arity
-    /// only for a predicate's first stored fact — so a fact costs one
-    /// predicate lookup.
+    /// Adds a ground fact; returns `true` if it was new: a one-row
+    /// [`Self::write_rows`], so its arity is checked (a mismatch is
+    /// `ArityMismatch`, nothing written) and it is logged as a batch's row.
     pub fn add_fact(&mut self, pred: Sym, args: impl AsRef<[Term]>) -> Result<bool> {
         let row = args.as_ref();
         debug_assert!(row.iter().all(Term::is_ground), "facts must be ground");
-        let arities = &self.arities;
-        let inserted = self
-            .edb
-            .insert_declared(pred, row, || arities.get(&pred).copied())
-            .map_err(|expected| self.arity_mismatch(pred, expected, row.len()))?;
-        if inserted {
-            if let Some(log) = &mut self.changelog {
-                log.log_add(pred, row);
-            }
-        }
-        Ok(inserted)
+        self.write_rows([(pred, row.len(), 1)], |w| w.insert(0, row))
     }
 
-    /// Writes rows into the stored relations `into` names in one pass:
-    /// `write` gets a [`RowWriter`] that lends the symbol table and every
-    /// relation's bulk writer (`Relation::bulk`) together, and inserts
-    /// each row with no predicate lookup and no arity check of its own.
-    /// Each entry of `into` is a predicate, the arity of its rows, and how
-    /// many rows the batch may add to it (the reserve); the predicates are
-    /// distinct. Every arity is checked before anything is written,
-    /// against the relation or else the arity a rule declared, as
-    /// [`Self::add_fact`] checks a predicate's first row. What goes in is
-    /// what `add_fact` row by row would store, in the same order, logged
-    /// the same way while the changelog records.
+    /// Writes rows into the stored relations `into` names in one pass —
+    /// the one way a row enters the extensional database, a single fact
+    /// ([`Self::add_fact`]) included. `write` gets a [`RowWriter`] that
+    /// lends the symbol table and every relation's bulk writer together,
+    /// and inserts each row with no predicate lookup and no arity check of
+    /// its own. Each entry of `into` is a predicate, the arity of its rows,
+    /// and how many rows the batch may add to it (the reserve); the
+    /// predicates are distinct. Every arity is checked before anything is
+    /// written, against the relation or, for a predicate with none, the
+    /// arity a rule declared: a mismatch is `ArityMismatch`, and nothing
+    /// is written. Each new row is logged while the changelog records.
     pub fn write_rows<const N: usize, T>(
         &mut self,
         into: [(Sym, usize, usize); N],
@@ -1557,6 +1546,52 @@ mod tests {
         }
     }
 
+    /// What a batch of rows should leave behind, kept as plain values apart
+    /// from the store: per relation its rows, each once, in insertion order,
+    /// and while the changelog records, the rows added and removed since.
+    #[derive(Default)]
+    struct RowModel {
+        rows: [Vec<Vec<u64>>; 3],
+        held: HashSet<(usize, Vec<u64>)>,
+        /// Per relation `[added, removed]`, in order.
+        log: Option<[[Vec<Vec<u64>>; 2]; 3]>,
+    }
+
+    impl RowModel {
+        fn add(&mut self, k: usize, vals: &[u64]) {
+            if self.held.insert((k, vals.to_vec())) {
+                self.rows[k].push(vals.to_vec());
+                self.note(k, 0, vals);
+            }
+        }
+
+        fn remove(&mut self, k: usize, vals: &[u64]) {
+            if self.held.remove(&(k, vals.to_vec())) {
+                self.rows[k].retain(|r| r != vals);
+                self.note(k, 1, vals);
+            }
+        }
+
+        /// Logs `vals` as added (`to` 0) or removed (1), or cancels its
+        /// pending entry on the other side.
+        fn note(&mut self, k: usize, to: usize, vals: &[u64]) {
+            let Some(log) = &mut self.log else { return };
+            let log = &mut log[k];
+            match log[1 - to].iter().position(|r| r == vals) {
+                Some(i) => {
+                    log[1 - to].remove(i);
+                }
+                None => log[to].push(vals.to_vec()),
+            }
+        }
+    }
+
+    /// `rows` as terms of `syms`, every value interned there.
+    fn model_terms(syms: &Interner, rows: &[Vec<u64>]) -> Vec<Vec<Term>> {
+        let term = |&v: &u64| known(syms, v).expect("an interned value");
+        rows.iter().map(|r| r.iter().map(term).collect()).collect()
+    }
+
     /// A batch through [`Engine::write_rows`] and the same rows through
     /// `add_fact` one by one leave equal engines: symbols, relations in
     /// insertion order, the changelog while it records (a re-added row
@@ -1565,6 +1600,10 @@ mod tests {
     /// reads as it did; an all-duplicate batch copies no shared relation;
     /// a wrong arity is refused before anything is written. Batches carry
     /// duplicates and stored rows, some are empty, and some cross a chunk.
+    /// Since `add_fact` is itself a one-row batch, each engine is also held
+    /// to a [`RowModel`]: its rows, its chunk count, probes through the
+    /// indexes built before the batch against a filtered scan of the
+    /// model's rows, and its changelog.
     #[test]
     fn bulk_rows_equal_the_per_fact_path() {
         let mut crossed = 0;
@@ -1577,6 +1616,7 @@ mod tests {
             let arity = |k: usize| k + 1;
             let big = case % 8 == 5;
             let mut stored: Vec<(usize, Vec<u64>)> = Vec::new();
+            let mut model = RowModel::default();
             let draw = |state: &mut u64, k: usize| -> Vec<u64> {
                 (0..arity(k)).map(|_| splitmix(state) % 40).collect()
             };
@@ -1590,13 +1630,16 @@ mod tests {
                 let vals = draw(&mut state, k);
                 let row: Vec<Term> = vals.iter().map(|&v| value(e.symbols_mut(), v)).collect();
                 e.add_fact(preds[k], row).unwrap();
+                model.add(k, &vals);
                 stored.push((k, vals));
             }
             if case % 2 == 0 {
                 e.begin_delta();
+                model.log = Some(Default::default());
                 for (k, vals) in stored.iter().step_by(3) {
                     let row: Vec<Term> = vals.iter().map(|&v| value(e.symbols_mut(), v)).collect();
                     e.remove_fact(preds[*k], &row);
+                    model.remove(*k, vals);
                 }
             }
             // Indexes built before the batch, which it must maintain.
@@ -1649,6 +1692,46 @@ mod tests {
                     .map(|&v| value(single.symbols_mut(), v))
                     .collect();
                 single.add_fact(preds[*k], row).unwrap();
+                model.add(*k, vals);
+            }
+            for e in [&bulk, &single] {
+                let syms = e.symbols();
+                for (k, &p) in preds.iter().enumerate() {
+                    let want = model_terms(syms, &model.rows[k]);
+                    let rel = e.edb().relation(p);
+                    let rows = rows_of(e.edb(), p).unwrap_or_default();
+                    assert_eq!(rows, want, "case {case} rel {k}: the model's rows");
+                    assert_eq!(
+                        rel.map_or(0, |r| r.chunks().len()),
+                        want.len().div_ceil(fact::CHUNK_ROWS),
+                        "case {case} rel {k}: the model's chunk count"
+                    );
+                    for &(_, col) in probed.iter().filter(|&&(j, _)| j == k) {
+                        for key in model.rows[k].iter().rev().take(8).map(|r| r[col]) {
+                            let t = known(syms, key).expect("an interned value");
+                            let found: Vec<Vec<Term>> = rel.map_or(Vec::new(), |r| {
+                                r.iter_bound(&[(col, &t)]).map(<[Term]>::to_vec).collect()
+                            });
+                            let scan: Vec<Vec<Term>> =
+                                want.iter().filter(|r| r[col] == t).cloned().collect();
+                            assert_eq!(found, scan, "case {case} rel {k}: a probe of the model");
+                        }
+                    }
+                }
+                let log = e.pending_delta().map(|log| {
+                    (0..3)
+                        .map(|k| {
+                            [&log.added, &log.removed]
+                                .map(|s| rows_of(s, preds[k]).unwrap_or_default())
+                        })
+                        .collect::<Vec<_>>()
+                });
+                let want = model.log.as_ref().map(|log| {
+                    log.iter()
+                        .map(|sides| sides.each_ref().map(|rows| model_terms(syms, rows)))
+                        .collect::<Vec<_>>()
+                });
+                assert_eq!(log, want, "case {case}: the model's changelog");
             }
             let names = |e: &Engine| -> Vec<String> {
                 (0..e.symbols().len() as u32)

@@ -33,10 +33,15 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     /// `compute` may consult other tables, or this one) and recorded on
     /// first use.
     fn get_or(&self, key: K, compute: impl FnOnce(&K) -> V) -> V {
+        // Never poisoned: the lock is held only to look a key up and clone
+        // its value, or to insert one — `compute` runs with it released —
+        // and the memos' keys (names, node ids) and values (`Arc`s, plain
+        // data) hash, compare and clone without panicking.
         if let Some(hit) = self.0.read().expect("memo lock").get(&key) {
             return hit.clone();
         }
         let value = compute(&key);
+        // Never poisoned: as above.
         self.0
             .write()
             .expect("memo lock")

@@ -599,6 +599,9 @@ fn refuse_long_line(io: &mut ConnIo<'_>) {
 /// `write!` into an output buffer, which cannot fail.
 macro_rules! put {
     ($out:expr, $($format:tt)*) => {
+        // Never `Err`: the buffer is a `Vec<u8>`, whose `io::Write` only
+        // grows it, and a `Display` impl returns an error only when its
+        // writer does (the `std::fmt` contract).
         write!($out, $($format)*).expect("writing to a Vec cannot fail")
     };
 }

@@ -356,6 +356,8 @@ pub fn write_display(out: &mut Vec<u8>, value: impl fmt::Display) {
         }
     }
     out.push(b'"');
+    // Never `Err`: `Escaping` never fails, and a `Display` impl returns an
+    // error only when its writer does (the `std::fmt` contract).
     fmt::write(&mut Escaping(out), format_args!("{value}")).expect("writing to a Vec cannot fail");
     out.push(b'"');
 }

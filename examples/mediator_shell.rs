@@ -136,8 +136,7 @@ impl Shell {
                         ans.sources
                     );
                     for row in ans.rows.iter().take(10) {
-                        let shown: Vec<String> =
-                            row.iter().map(|t| self.med.show(t)).collect();
+                        let shown: Vec<String> = row.iter().map(|t| ans.show(t)).collect();
                         println!("  {}", shown.join(", "));
                     }
                 }

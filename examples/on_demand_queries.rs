@@ -40,9 +40,9 @@ fn main() {
     for row in ans.rows.iter().take(5) {
         println!(
             "  {} @ {} = {}",
-            med.show(&row[0]),
-            med.show(&row[1]),
-            med.show(&row[2])
+            ans.show(&row[0]),
+            ans.show(&row[1]),
+            ans.show(&row[2])
         );
     }
     assert!(!ans.rows.is_empty());

@@ -319,7 +319,7 @@ proptest! {
                     .rows
                     .iter()
                     .map(|r| {
-                        r.iter().map(|t| m.show(t)).collect::<Vec<_>>().join(",")
+                        r.iter().map(|t| ans.show(t)).collect::<Vec<_>>().join(",")
                     })
                     .collect();
                 results.push(rows);
