@@ -29,7 +29,7 @@
 
 use crate::error::{MediatorError, Result};
 use crate::fault::{AnswerReport, SourceError};
-use crate::federation::{Federation, FetchRequest};
+use crate::federation::{Federation, FetchBatch, FetchRequest};
 pub use crate::federation::{MediatorStats, RegisteredSource};
 use crate::hub::{PinnedSnapshot, SnapshotHub};
 use crate::knowledge::Knowledge;
@@ -314,7 +314,7 @@ impl Mediator {
                     // over this class's rows only.
                     let mut scratch = GcmBase::new();
                     scratch.flogic_mut().load(&rule)?;
-                    load_batch(&mut scratch, &name, &class, &scan(&class)?)?;
+                    load_batches(&mut scratch, &[(&name, &class, &scan(&class)?)])?;
                     let model = scratch.run_with(&self.eval_options)?;
                     let engine = scratch.flogic().engine();
                     for sol in engine.query_model(&model, "anchor_at(X, C)")? {
@@ -487,9 +487,11 @@ impl Mediator {
     /// [`Federation::fetch_parallel`] (one worker job per source; tune
     /// with [`Federation::set_fetch_threads`]), checking each batch
     /// against its class's schema, resolved once per batch; then the
-    /// **evaluate phase** applies the fetched batches in registration
-    /// order — so the loaded base, including its interner, is
-    /// bit-identical to what serial fetching produced.
+    /// **evaluate phase** loads every fetched batch, in registration
+    /// order, through one row write sized once for all of them (the
+    /// crate's one loader, `load_batches`) — so the loaded base, including
+    /// its interner, is bit-identical to what serial fetching produced,
+    /// and to loading the batches one by one.
     ///
     /// Degrades gracefully: a failing (or breaker-skipped) source simply
     /// contributes no rows, and CM-invalid rows are quarantined rather
@@ -513,24 +515,19 @@ impl Mediator {
             })
             .collect();
         let fetched = self.federation.fetch_parallel(&requests)?;
-        // Evaluate phase: apply batches in request (= registration) order.
-        let mut loaded = 0usize;
-        for batch in &fetched.batches {
-            load_batch(
-                &mut self.base,
-                &batch.source,
-                &batch.query.class,
-                &batch.rows,
-            )?;
-            loaded += batch.rows.len();
-        }
-        Ok(loaded)
+        // Evaluate phase: apply batches in request (= registration) order,
+        // through one write.
+        let batches = fetch_batches(&fetched.batches);
+        load_batches(&mut self.base, &batches)?;
+        Ok(batches.iter().map(|(.., rows)| rows.len()).sum())
     }
 
     /// Loads one row into the base as GCM declarations, after validating
     /// it against the source's exported CM (unknown source, unexported
     /// class, and malformed rows are typed errors — not silently
-    /// accepted).
+    /// accepted). The row goes in as a one-row batch of the loader
+    /// [`Self::materialize_all`] uses, so it is stored and its names are
+    /// interned exactly as a fetched row's.
     pub fn load_row(&mut self, source: &str, class: &str, row: &ObjectRow) -> Result<()> {
         let src = self.exporting_source(source, class)?;
         if let Err(reason) = src.validate_row(class, row) {
@@ -542,7 +539,10 @@ impl Mediator {
                 },
             });
         }
-        load_batch(&mut self.base, source, class, std::slice::from_ref(row))
+        load_batches(
+            &mut self.base,
+            &[(source, class, std::slice::from_ref(row))],
+        )
     }
 
     /// Retracts a previously loaded row — the delete plane's mirror of
@@ -852,81 +852,101 @@ impl Mediator {
     }
 }
 
-/// Method names [`load_batch`] keeps at hand; a class has a handful.
+/// Method names [`load_batches`] keeps at hand per batch; a class has a
+/// handful.
 const METHODS_PER_BATCH: usize = 16;
 
-/// Loads rows of one `class` from one `source` into `base` as their
-/// `obj : class` and `obj[attr -> value]` facts, unchecked (the fetch plane
-/// validated them) — the one load path, for the mediator's own base, the
-/// derived-anchor scratch base and per-query scratch clones alike. One
-/// pass over the rows writes straight into the `class`, `inst` and `mi`
-/// relations through the engine's row writer, whose arities are checked
-/// once per batch. The object id `source.id` is built in one reused
-/// buffer, `class(c)` is asserted once, and each method name is interned
-/// once, on first use; symbols are interned in the order the declaration
-/// route interns them — object, class, then per attribute the value and
-/// the method. On the mediator's base, once a model is cached, the facts
-/// are **staged**: they land in the live engine and its changelog, and the
-/// cached model stays valid as the pre-delta base until
-/// [`Mediator::publish`] applies the accumulated delta incrementally.
-pub(crate) fn load_batch(
+/// Loads fetched batches, each the rows of one `class` from one `source`,
+/// into `base` as their `obj : class` and `obj[attr -> value]` facts,
+/// unchecked (the fetch plane validated them) — the one load path, for the
+/// mediator's own base, the derived-anchor scratch base and per-query
+/// scratch clones alike; a caller loads everything it fetched in one call.
+/// One pass over the batches, in the order given, writes straight into the
+/// `class`, `inst` and `mi` relations through one opening of the engine's
+/// row writer, whose arities are checked once and whose reserve is the
+/// exact count of rows and attribute values over all batches, counted
+/// first, so no row's width sizes the table for the others. The object id
+/// `source.id` is built in one reused buffer; per batch, `class(c)` is
+/// asserted once and each method name is interned once, on first use.
+/// Symbols are interned in the order the declaration route interns them —
+/// object, class, then per attribute the value and the method. On the
+/// mediator's base, once a model is cached, the facts are **staged**: they
+/// land in the live engine and its changelog, and the cached model stays
+/// valid as the pre-delta base until [`Mediator::publish`] applies the
+/// accumulated delta incrementally.
+pub(crate) fn load_batches(
     base: &mut GcmBase,
-    source: &str,
-    class: &str,
-    rows: &[ObjectRow],
+    batches: &[(&str, &str, &[ObjectRow])],
 ) -> Result<()> {
     const CLASS: usize = 0;
     const INST: usize = 1;
     const MI: usize = 2;
-    if rows.is_empty() {
+    let classes = batches.iter().filter(|(.., b)| !b.is_empty()).count();
+    let rows: usize = batches.iter().map(|(.., b)| b.len()).sum();
+    let values: usize = batches
+        .iter()
+        .flat_map(|(.., b)| b.iter().map(|row| row.attrs.len()))
+        .sum();
+    if rows == 0 {
         return Ok(());
     }
     let fl = base.flogic_mut();
     let preds = *fl.preds();
-    // A class's rows mostly carry the same attributes.
-    let values = rows.len() * rows[0].attrs.len();
     let into = [
-        (preds.class, 1, 1),
-        (preds.inst, 2, rows.len()),
+        (preds.class, 1, classes),
+        (preds.inst, 2, rows),
         (preds.mi, 3, values),
     ];
     fl.engine_mut().write_rows(into, |w| {
         let mut obj_id = String::new();
-        let mut class_term: Option<Term> = None;
         let mut methods: Vec<(&str, Term)> = Vec::new();
-        for row in rows {
-            obj_id.clear();
-            obj_id.push_str(source);
-            obj_id.push('.');
-            obj_id.push_str(&row.id);
-            let obj = Term::Const(w.symbols().intern(&obj_id));
-            let class = class_term
-                .get_or_insert_with(|| {
-                    let c = Term::Const(w.symbols().intern(class));
-                    w.insert(CLASS, std::slice::from_ref(&c));
-                    c
-                })
-                .clone();
-            w.insert(INST, &[obj.clone(), class]);
-            for (attr, value) in &row.attrs {
-                let value = value.term(w.symbols());
-                let method = match methods.iter().find(|(m, _)| m == attr) {
-                    Some((_, m)) => m.clone(),
-                    None => {
-                        let m = Term::Const(w.symbols().intern(attr));
-                        // Bounded: a row of a thousand distinct attributes
-                        // interns the rest, it does not scan a long list.
-                        if methods.len() < METHODS_PER_BATCH {
-                            methods.push((attr, m.clone()));
+        for &(source, class, rows) in batches {
+            let mut class_term: Option<Term> = None;
+            methods.clear();
+            for row in rows {
+                obj_id.clear();
+                obj_id.push_str(source);
+                obj_id.push('.');
+                obj_id.push_str(&row.id);
+                let obj = Term::Const(w.symbols().intern(&obj_id));
+                let class = class_term
+                    .get_or_insert_with(|| {
+                        let c = Term::Const(w.symbols().intern(class));
+                        w.insert(CLASS, std::slice::from_ref(&c));
+                        c
+                    })
+                    .clone();
+                w.insert(INST, &[obj.clone(), class]);
+                for (attr, value) in &row.attrs {
+                    let value = value.term(w.symbols());
+                    let method = match methods.iter().find(|(m, _)| m == attr) {
+                        Some((_, m)) => m.clone(),
+                        None => {
+                            let m = Term::Const(w.symbols().intern(attr));
+                            // Bounded: a row of a thousand distinct
+                            // attributes interns the rest, it does not
+                            // scan a long list.
+                            if methods.len() < METHODS_PER_BATCH {
+                                methods.push((attr, m.clone()));
+                            }
+                            m
                         }
-                        m
-                    }
-                };
-                w.insert(MI, &[obj.clone(), method, value]);
+                    };
+                    w.insert(MI, &[obj.clone(), method, value]);
+                }
             }
         }
     })?;
     Ok(())
+}
+
+/// The `(source, class, rows)` of each fetched batch, in fetch order: what
+/// [`load_batches`] reads.
+pub(crate) fn fetch_batches(fetched: &[FetchBatch]) -> Vec<(&str, &str, &[ObjectRow])> {
+    fetched
+        .iter()
+        .map(|b| (b.source.as_str(), b.query.class.as_str(), b.rows.as_slice()))
+        .collect()
 }
 
 /// Asserts `anchored(source, concept)` for each of the concepts a source
@@ -1576,5 +1596,159 @@ mod tests {
         let rows = m.query_fl(r#"anchored("S1", C)"#).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(m.show(&rows[0][1]), "Spine");
+    }
+
+    /// Every relation of `base`'s stored facts, rows in insertion order,
+    /// by predicate.
+    fn stored_relations(base: &GcmBase) -> Vec<(kind_datalog::Sym, Vec<Vec<Term>>)> {
+        let edb = base.flogic().engine().edb();
+        let mut preds: Vec<_> = edb.predicates().collect();
+        preds.sort();
+        let rows = |p| {
+            let rel = edb.relation(p).expect("a listed predicate's relation");
+            rel.iter().map(<[Term]>::to_vec).collect()
+        };
+        preds.into_iter().map(|p| (p, rows(p))).collect()
+    }
+
+    /// Loading fetched batches in one write leaves the base as loading
+    /// them one write each, in order: the same symbols interned in the
+    /// same order, the same rows in each relation in the same order, and,
+    /// while the engine records, the same changelog. A relation's chunks
+    /// are packed (`⌈len / CHUNK_ROWS⌉` of them, which `kind-datalog`'s
+    /// `bulk_rows_equal_the_per_fact_path` pins), so equal rows are equal
+    /// chunk counts; some cases cross a chunk boundary inside one batch
+    /// or between two. 256 seeded cases over clones of one base, itself
+    /// loaded or empty: empty batches, rows repeated within and across
+    /// batches, one object id under two classes, rows whose attribute
+    /// count differs from their batch's first row, and single batches.
+    #[test]
+    fn one_write_equals_its_batches_written_one_by_one() {
+        use crate::fault::mix;
+        use kind_datalog::fact::CHUNK_ROWS;
+        const SOURCES: [&str; 2] = ["A", "B"];
+        const CLASSES: [&str; 3] = ["c0", "c1", "c2"];
+        const ATTRS: [&str; 4] = ["x", "y", "z", "w"];
+        // Cases seen: an empty batch, a row repeated, one id under two
+        // classes, a row narrower or wider than its batch's first, a
+        // single batch, a recorded load, a chunk boundary crossed.
+        let mut seen = [0usize; 7];
+        for seed in 0..256u64 {
+            let mut draws = 0u64;
+            let mut draw = |n: u64| {
+                draws += 1;
+                mix(mix(seed) ^ draws) % n
+            };
+            let row = |draw: &mut dyn FnMut(u64) -> u64, id: u64| ObjectRow {
+                id: format!("o{id}"),
+                attrs: (0..draw(4))
+                    .map(|_| {
+                        let attr = ATTRS[draw(4) as usize].to_string();
+                        let value = match draw(3) {
+                            0 => GcmValue::Int(draw(3) as i64),
+                            1 => GcmValue::Id(format!("v{}", draw(3))),
+                            _ => GcmValue::Str(format!("s{}", draw(3))),
+                        };
+                        (attr, value)
+                    })
+                    .collect(),
+            };
+            let mut fetched: Vec<(&str, &str, Vec<ObjectRow>)> = Vec::new();
+            let mut earlier: Vec<ObjectRow> = Vec::new();
+            let (mut empty, mut repeated, mut ragged) = (false, false, false);
+            for _ in 0..draw(5) {
+                let len = match draw(10) {
+                    0 => 0,
+                    1 => 500 + draw(600) as usize,
+                    _ => draw(10) as usize,
+                };
+                let mut rows: Vec<ObjectRow> = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let next = match draw(4) {
+                        0 if !earlier.is_empty() => {
+                            repeated = true;
+                            earlier[draw(earlier.len() as u64) as usize].clone()
+                        }
+                        _ => {
+                            let id = if len > 20 { draw(1000) } else { draw(8) };
+                            row(&mut draw, id)
+                        }
+                    };
+                    ragged |= rows
+                        .first()
+                        .is_some_and(|r| r.attrs.len() != next.attrs.len());
+                    earlier.push(next.clone());
+                    rows.push(next);
+                }
+                empty |= rows.is_empty();
+                let source = SOURCES[draw(2) as usize];
+                fetched.push((source, CLASSES[draw(3) as usize], rows));
+            }
+            let batches: Vec<(&str, &str, &[ObjectRow])> = fetched
+                .iter()
+                .map(|(s, c, rows)| (*s, *c, rows.as_slice()))
+                .collect();
+
+            let mut base = GcmBase::new();
+            if draw(2) == 0 {
+                let pre: Vec<ObjectRow> = (0..draw(6)).map(|i| row(&mut draw, i)).collect();
+                load_batches(&mut base, &[("A", "c0", &pre)]).unwrap();
+            }
+            let record = draw(2) == 0;
+            let (mut one, mut each) = (base.clone(), base.clone());
+            if record {
+                one.flogic_mut().engine_mut().begin_delta();
+                each.flogic_mut().engine_mut().begin_delta();
+            }
+            load_batches(&mut one, &batches).unwrap();
+            for batch in &batches {
+                load_batches(&mut each, std::slice::from_ref(batch)).unwrap();
+            }
+
+            let (a, b) = (one.flogic().engine(), each.flogic().engine());
+            assert_eq!(a.symbols().len(), b.symbols().len(), "seed {seed}");
+            // Equal tables in order: the same names in the same arena.
+            assert!(
+                format!("{:?}", a.symbols()) == format!("{:?}", b.symbols()),
+                "seed {seed}: the symbol tables differ"
+            );
+            assert_eq!(
+                stored_relations(&one),
+                stored_relations(&each),
+                "seed {seed}"
+            );
+            let da = one.flogic_mut().engine_mut().take_delta();
+            let db = each.flogic_mut().engine_mut().take_delta();
+            assert_eq!(da.is_some(), record, "seed {seed}");
+            assert!(
+                format!("{da:?}") == format!("{db:?}"),
+                "seed {seed}: the changelogs differ"
+            );
+
+            // A chunk filled during the load: more full chunks after it.
+            let full_chunks = |b: &GcmBase| {
+                let rows = stored_relations(b).into_iter().map(|(_, r)| r.len());
+                rows.max().unwrap_or(0) / CHUNK_ROWS
+            };
+            let classes_of: BTreeSet<(&str, &str, &str)> = batches
+                .iter()
+                .flat_map(|&(s, c, rows)| rows.iter().map(move |r| (s, r.id.as_str(), c)))
+                .collect();
+            let objects: BTreeSet<(&str, &str)> =
+                classes_of.iter().map(|&(s, id, _)| (s, id)).collect();
+            let hits = [
+                empty,
+                repeated,
+                objects.len() < classes_of.len(),
+                ragged,
+                batches.len() == 1,
+                record,
+                full_chunks(&base) < full_chunks(&one),
+            ];
+            for (seen, hit) in seen.iter_mut().zip(hits) {
+                *seen += usize::from(hit);
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 8), "cases seen: {seen:?}");
     }
 }

@@ -33,7 +33,7 @@
 use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
 use crate::federation::FetchBatch;
-use crate::mediator::load_batch;
+use crate::mediator::{fetch_batches, load_batches};
 use kind_datalog::parser::reintern_clause;
 use kind_datalog::{
     BodyItem, Clause, DatalogError, EvalOptions, EvalStats, Interner, Model, Sym, Term,
@@ -182,9 +182,7 @@ pub(crate) fn evaluate(
             head
         }
     };
-    for batch in fetched {
-        load_batch(&mut work, &batch.source, &batch.query.class, &batch.rows)?;
-    }
+    load_batches(&mut work, &fetch_batches(fetched))?;
     // A head the base program already defines — by a rule or a stored
     // fact, whether or not it derived anything — is not a one-off view
     // over the model: evaluate the clone from its stored facts.

@@ -340,8 +340,10 @@ impl Relation {
 
     /// Inserts a row; returns `true` if it was new. A row whose length is
     /// not the relation's arity is refused: not stored, `false`. A new row
-    /// goes in as a one-row bulk write, every built index maintained.
-    pub fn insert(&mut self, row: &[Term]) -> bool {
+    /// goes in as a one-row bulk write, every built index maintained. For
+    /// tests only: every other row enters through [`Bulk`].
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, row: &[Term]) -> bool {
         if row.len() != self.arity() {
             return false;
         }
@@ -558,7 +560,7 @@ pub(crate) struct Bulk<'a> {
     open: Option<Open<'a>>,
 }
 
-/// A relation open for a bulk write ([`Bulk`], [`Relation::insert`],
+/// A relation open for a bulk write ([`Bulk`], a test's `Relation::insert`,
 /// [`Relation::remove`]): its parts borrowed, made unique, and its
 /// unfilled last chunk owned.
 struct Open<'a> {
