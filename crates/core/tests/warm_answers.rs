@@ -242,8 +242,28 @@ const SERVED_RECORDED: [Served; 7] = [
     ([1, 1800, 0, 1800, 0, 1, 0], &[0, 1], false, [3, 1, 4]),
 ];
 
-/// A cold run of the served program, recorded likewise.
-const COLD_RECORDED: [usize; 7] = [15, 1145, 0, 7239, 18, 821, 24];
+/// A cold run of the served program, recorded likewise. It read
+/// `[15, 1145, 0, 7239, 18, 821, 24]` until the alternating fixpoint
+/// certified its first reduct: the negation-cyclic stratum now computes
+/// one `Γ` pass where it computed two (the second only re-derived the
+/// first), so its rounds, applications and index probes and builds are
+/// one pass's, and `derived` counts its facts once instead of once per
+/// pass.
+const COLD_RECORDED: [usize; 7] = [13, 676, 0, 3770, 14, 535, 20];
+
+/// The cold run's strata in evaluation order, as `(rules, well-founded,
+/// Γ passes)`: one negation-cyclic stratum, certified after one pass.
+const COLD_STRATA: &[(usize, bool, usize)] = &[
+    (2, false, 0),
+    (1, false, 0),
+    (113, true, 1),
+    (1, false, 0),
+    (1, false, 0),
+    (10, false, 0),
+    (2, false, 0),
+    (4, false, 0),
+    (1, false, 0),
+];
 
 /// Every work counter of the served answers and of a cold run, pinned: a
 /// change to the evaluator that moves one — a probe counted twice, an
@@ -283,4 +303,21 @@ fn served_answer_counters_are_the_recorded_ones() {
     }
     let cold = snap.base().flogic().engine().run(snap.eval_options());
     assert_eq!(counters(&cold.unwrap().stats), COLD_RECORDED);
+}
+
+/// The cold run's per-stratum shape, pinned: which strata ran the
+/// alternating fixpoint and how many reducts each computed. A certificate
+/// that stops firing on the served data shows here as a second `Γ` pass.
+#[test]
+fn cold_run_strata_are_the_recorded_ones() {
+    let snap = served_snapshot();
+    let cold = snap.base().flogic().engine().run(snap.eval_options());
+    let shape: Vec<(usize, bool, usize)> = cold
+        .unwrap()
+        .profile
+        .strata
+        .iter()
+        .map(|s| (s.plans.len(), s.well_founded, s.gamma_passes))
+        .collect();
+    assert_eq!(shape, COLD_STRATA);
 }

@@ -311,6 +311,10 @@ pub struct StratumProfile {
     pub well_founded: bool,
     /// Fixpoint rounds spent on this stratum.
     pub iterations: usize,
+    /// Reducts (`Γ` passes) the alternating fixpoint computed: 1 when it
+    /// certified the first one as the model, 2 or more when it had to
+    /// alternate. `0` for a stratum that did not run it.
+    pub gamma_passes: usize,
     /// Facts derived in this stratum.
     pub derived: usize,
     /// Indexes built while evaluating this stratum.
@@ -1107,13 +1111,16 @@ pub(crate) fn eval_stratum(
     let stratum_rules: Vec<&Prepared> = prepared.iter().collect();
     let scope = StratumScope::open(stats, borrowed);
     let mut two_valued = true;
+    let mut gamma_passes = 0;
     if stratum.wfs {
-        let (facts, undefined) =
+        let wf =
             crate::wfs::eval_well_founded(&stratum_rules, total, stats, &scope.counters, opts)?;
-        two_valued = undefined.is_empty();
+        two_valued = wf.undefined.is_empty();
+        gamma_passes = wf.passes;
         if two_valued {
+            stats.derived += wf.facts.len() - total.len();
             for &p in &stratum.preds {
-                if let Some(rel) = facts.relation_arc(p) {
+                if let Some(rel) = wf.facts.relation_arc(p) {
                     total.set_relation(p, rel);
                 }
             }
@@ -1159,6 +1166,7 @@ pub(crate) fn eval_stratum(
             preds: stratum.preds.clone(),
             recursive: stratum.recursive,
             well_founded: stratum.wfs,
+            gamma_passes,
             ..Default::default()
         },
     );
@@ -1272,8 +1280,10 @@ pub(crate) fn eval_strata(
         let prepared = plan_rules(rules, &ids, &preds, &total, opts);
         let tail_rules: Vec<&Prepared> = prepared.iter().collect();
         let scope = StratumScope::open(&stats, borrowed);
-        (total, undefined) =
+        let wf =
             crate::wfs::eval_well_founded(&tail_rules, &total, &mut stats, &scope.counters, opts)?;
+        stats.derived += wf.facts.len() - total.len();
+        (total, undefined) = (wf.facts, wf.undefined);
         profile.strata.push(scope.close(
             &mut stats,
             &prepared,
@@ -1281,6 +1291,7 @@ pub(crate) fn eval_strata(
                 preds,
                 recursive: true,
                 well_founded: true,
+                gamma_passes: wf.passes,
                 ..Default::default()
             },
         ));
@@ -1365,7 +1376,9 @@ pub(crate) fn seminaive_stratum(
 
 /// Computes the least model of the *positive reduct* of `rules` wrt the
 /// frozen interpretation `j`: `not p(t)` holds iff `p(t) ∉ j`. Used by the
-/// alternating fixpoint (well-founded semantics).
+/// alternating fixpoint (well-founded semantics). Its rounds and
+/// applications are counted, its facts are not: a reduct is not the
+/// model, and `derived` counts the model's facts.
 ///
 /// The layers below are read in place: the result starts as a share of
 /// `edb`'s relation handles and copies one only where a head grows, so an
@@ -1380,6 +1393,7 @@ pub(crate) fn gamma(
     opts: &EvalOptions,
 ) -> Result<FactStore> {
     let mut total = edb.clone();
+    let derived = stats.derived;
     // With negation frozen the program is positive, so one fixpoint over
     // all its rules is sound, and so are delta rounds — unless a rule
     // aggregates: an aggregate reads the whole of a relation that is still
@@ -1392,7 +1406,70 @@ pub(crate) fn gamma(
     } else {
         naive_stratum(rules, &mut total, neg, stats, counters, opts)?;
     }
+    stats.derived = derived;
     Ok(total)
+}
+
+/// Whether some instance of `rules` that fires in the reduct wrt `lower`
+/// with its positive body in `upper` — `upper` being that reduct's least
+/// model, `Γ(lower)` — negates an atom of `own` that `upper` holds. Only
+/// those atoms are checked, so only rules negating one are enumerated:
+/// every other predicate reads the same relation in `lower` and `upper`. `false` certifies `Γ(upper) ⊇ upper` (module
+/// doc of `wfs`). The instances are enumerated like a round's, through the
+/// scope's index counters, but apply nothing and count no application.
+pub(crate) fn negates_into_upper(
+    rules: &[&Prepared],
+    own: &HashSet<Sym>,
+    lower: &FactStore,
+    upper: &FactStore,
+    opts: &EvalOptions,
+    counters: &IndexCounters,
+) -> bool {
+    let reads = Reads {
+        total: upper,
+        delta: None,
+        neg: NegView::Frozen(lower),
+        use_index: opts.use_index,
+    };
+    let mut slots = Vec::new();
+    let mut subst = Subst::default();
+    let mut found = false;
+    for prep in rules {
+        let body = &prep.rule.body;
+        let negated: Vec<(&Atom, &Relation)> = body
+            .iter()
+            .filter_map(|item| match item {
+                BodyItem::Neg(atom) if own.contains(&atom.pred) => {
+                    Some((atom, relation_of(upper, atom)?))
+                }
+                _ => None,
+            })
+            .collect();
+        if negated.is_empty() {
+            continue;
+        }
+        resolve(body, &prep.paths, &reads, None, &mut slots);
+        let ctx = MatchCtx {
+            slots: &slots,
+            counters,
+        };
+        solve(
+            &slots[..body.len()],
+            0,
+            &mut subst,
+            &ctx,
+            &mut |s: &Subst| {
+                found = found
+                    || negated
+                        .iter()
+                        .any(|(atom, rel)| rel.contains_by(|c| atom.args[c].resolve(s)));
+            },
+        );
+        if found {
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

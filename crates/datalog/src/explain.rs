@@ -176,9 +176,10 @@ impl crate::Engine {
     /// Renders a model's evaluation profile as a diagnostic dump: one
     /// line per stratum naming the mode it ran in (skipped, single pass,
     /// fixpoint, alternating fixpoint) and its predicates, then its
-    /// iteration and index counters and the compiled join order of every
-    /// rule. The join order lists compiled body positions; a `*` marks
-    /// rules the greedy planner actually reordered.
+    /// iteration and index counters, the `Γ` passes of an alternating
+    /// fixpoint, and the compiled join order of every rule. The join order
+    /// lists compiled body positions; a `*` marks rules the greedy planner
+    /// actually reordered.
     pub fn render_profile(&self, model: &Model) -> String {
         let prof = &model.profile;
         let mut out = String::new();
@@ -215,6 +216,18 @@ impl crate::Engine {
                     "  iterations={} derived={} index: builds={} hits={} misses={}",
                     sp.iterations, sp.derived, sp.index_builds, sp.index_hits, sp.index_misses
                 );
+                if sp.well_founded {
+                    let _ = writeln!(
+                        out,
+                        "  gamma passes={}{}",
+                        sp.gamma_passes,
+                        if sp.gamma_passes == 1 {
+                            " (first reduct certified total)"
+                        } else {
+                            ""
+                        }
+                    );
+                }
                 if sp.adorned_rules > 0 || sp.magic_preds > 0 {
                     let _ = writeln!(
                         out,

@@ -1,4 +1,5 @@
-//! Well-founded semantics via the alternating fixpoint.
+//! Well-founded semantics via the alternating fixpoint, cut short by a
+//! certificate when the first reduct is already the model.
 //!
 //! The GCM requires Datalog with well-founded negation (§3: "a declarative
 //! rule language with an intuitive semantics that expresses precisely
@@ -8,28 +9,83 @@
 //! employed", §4) needs the three-valued reading.
 //!
 //! We compute the standard alternating fixpoint: with `Γ(J)` the least
-//! model of the positive reduct wrt `J`, the sequence
-//! `L₀ = EDB, U₀ = Γ(L₀), Lᵢ₊₁ = Γ(Uᵢ), Uᵢ₊₁ = Γ(Lᵢ₊₁)` converges; the
-//! final `L` holds the well-founded *true* atoms and `U \ L` the
-//! *undefined* ones.
+//! model of the positive reduct wrt `J` (`not a` holds iff `a ∉ J`), the
+//! sequence `L₀ = EDB, Uᵢ = Γ(Lᵢ), Lᵢ₊₁ = Γ(Uᵢ)` converges; the final `L`
+//! holds the well-founded *true* atoms and `U \ L` the *undefined* ones.
+//! `Γ` is antitone, and `Lᵢ ⊆ Lᵢ₊₁ ⊆ Uᵢ₊₁ ⊆ Uᵢ` throughout.
+//!
+//! **The certificate.** After each upper pass `Uᵢ = Γ(Lᵢ)` we enumerate
+//! the instances of the unit's rules that fire in the reduct wrt `Lᵢ` with
+//! their positive body in `Uᵢ`, and look at the atoms they negate over the
+//! unit's own predicates (an atom of a lower stratum reads the same in
+//! `Lᵢ` and `Uᵢ`). If none of those atoms is in `Uᵢ`, every instance that
+//! derives `Uᵢ` also fires in the reduct wrt `Uᵢ`, so `Γ(Uᵢ) ⊇ Uᵢ`; with
+//! `Γ` antitone and `Lᵢ ⊆ Uᵢ`, `Γ(Uᵢ) ⊆ Γ(Lᵢ) = Uᵢ`. Hence `Lᵢ₊₁ = Uᵢ` is
+//! a fixpoint of `Γ`, the model is total, and `Uᵢ` is returned without
+//! the lower pass that would only re-derive it. `Uᵢ = Lᵢ` is the trivial
+//! case (no atom is in `Uᵢ \ Lᵢ`), checked first by size. Otherwise the
+//! alternating fixpoint goes on from `(Lᵢ, Uᵢ)` as usual. A unit with an
+//! aggregate is never certified: an aggregate is not monotone in the
+//! relation it reads, so `Γ` is not the least model of a positive program
+//! there (and [`gamma`] keeps naive rounds for it).
+//!
+//! This is the bottom-up shadow of XSB's delay-and-simplify: Brass, Dix,
+//! Freitag and Zukowski, "Transformation-based bottom-up computation of
+//! the well-founded model" (TPLP 2001), compute the model from a residual
+//! program whose negative literals are resolved once their atoms are
+//! known; a certified first reduct is the case where no negative literal
+//! of a fired instance is left unresolved. Reading negation against the
+//! *running* state instead, stratified-style, would reach *a* fixpoint of
+//! `Γ` — a stable model, not necessarily the well-founded one
+//! (`p :- not q. q :- not p.`); the certificate is taken on a reduct
+//! `Γ(Lᵢ)` of the alternating sequence.
 
+use crate::atom::BodyItem;
 use crate::error::{DatalogError, Result};
-use crate::eval::{check_cancelled, gamma, EvalOptions, EvalStats, IndexCounters, Prepared};
+use crate::eval::{
+    check_cancelled, gamma, negates_into_upper, EvalOptions, EvalStats, IndexCounters, Prepared,
+};
 use crate::fact::FactStore;
+use crate::interner::Sym;
+use std::collections::HashSet;
+
+/// What the alternating fixpoint of one unit returns.
+pub(crate) struct WellFounded {
+    /// The true facts, the unit's inputs included.
+    pub(crate) facts: FactStore,
+    /// The undefined atoms; empty when the model is total.
+    pub(crate) undefined: FactStore,
+    /// The `Γ` passes run: 1 when the first reduct was certified.
+    pub(crate) passes: usize,
+}
 
 /// Evaluates `rules` (already join-planned) over `edb` under the
-/// well-founded semantics, returning `(true facts, undefined atoms)`; the
-/// true facts include `edb`. The stratum walker calls this for one
+/// well-founded semantics. The stratum walker calls this for one
 /// negation-cyclic stratum over the completed strata below it, and for a
 /// three-valued tail; counters land in the caller's stratum scope.
+/// `iterations` and `applications` count the work of every pass; no
+/// reduct counts `derived` (see [`gamma`]): the caller counts the true
+/// facts beyond `edb` once, if it keeps them.
 pub(crate) fn eval_well_founded(
     rules: &[&Prepared],
     edb: &FactStore,
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
-) -> Result<(FactStore, FactStore)> {
+) -> Result<WellFounded> {
+    let own: HashSet<Sym> = rules.iter().map(|p| p.rule.head.pred).collect();
+    let aggregates = rules
+        .iter()
+        .any(|p| p.rule.body.iter().any(|b| matches!(b, BodyItem::Agg(_))));
+    let total = |facts, passes| {
+        Ok(WellFounded {
+            facts,
+            undefined: FactStore::new(),
+            passes,
+        })
+    };
     let mut lower = edb.clone();
+    let mut passes = 0usize;
     let mut sweeps = 0usize;
     loop {
         // Sweep boundary: the same cooperative cancellation check the
@@ -43,21 +99,20 @@ pub(crate) fn eval_well_founded(
             });
         }
         let upper = gamma(rules, edb, &lower, stats, counters, opts)?;
-        // The lower sequence stays below every upper (both monotone toward
-        // the fixpoint), so size equality implies set equality throughout.
-        // `Γ(lower) == lower` means the fixpoint is *total* — the
-        // two-valued well-founded model, nothing undefined — and the
-        // second gamma of this sweep would only reconfirm it.
-        if upper.len() == lower.len() {
-            return Ok((upper, FactStore::new()));
+        passes += 1;
+        // The lower sequence stays below every upper, so size equality is
+        // set equality: `Γ(Lᵢ) = Lᵢ`, the certificate's trivial case.
+        let certified = upper.len() == lower.len()
+            || (!aggregates && !negates_into_upper(rules, &own, &lower, &upper, opts, counters));
+        if certified {
+            return total(upper, passes);
         }
         let new_lower = gamma(rules, edb, &upper, stats, counters, opts)?;
-        // `Lᵢ₊₁ = Γ(Uᵢ) ⊆ Γ(Lᵢ) = Uᵢ` (Γ antitone, `Lᵢ ⊆ Uᵢ`), so size
-        // equality here means `Lᵢ₊₁ = Uᵢ` — making `Lᵢ₊₁` a fixpoint of Γ
-        // (`Γ(Lᵢ₊₁) = Γ(Uᵢ) = Lᵢ₊₁`): the total two-valued model. The next
-        // sweep's first gamma would only reconfirm it.
+        passes += 1;
+        // `Lᵢ₊₁ = Γ(Uᵢ) ⊆ Γ(Lᵢ) = Uᵢ`, so size equality here means
+        // `Lᵢ₊₁ = Uᵢ` — a fixpoint of Γ: the total two-valued model.
         if new_lower.len() == upper.len() {
-            return Ok((new_lower, FactStore::new()));
+            return total(new_lower, passes);
         }
         if new_lower.len() == lower.len() {
             let mut undefined = FactStore::new();
@@ -66,7 +121,11 @@ pub(crate) fn eval_well_founded(
                     undefined.insert(p, t);
                 }
             }
-            return Ok((new_lower, undefined));
+            return Ok(WellFounded {
+                facts: new_lower,
+                undefined,
+                passes,
+            });
         }
         lower = new_lower;
     }
@@ -100,12 +159,11 @@ mod tests {
         let rules: Vec<&Prepared> = prepared.iter().collect();
         let mut stats = EvalStats::default();
         let counters = IndexCounters::default();
-        let (facts, undefined) =
-            eval_well_founded(&rules, edb, &mut stats, &counters, opts).unwrap();
+        let wf = eval_well_founded(&rules, edb, &mut stats, &counters, opts).unwrap();
         counters.fold_into(&mut stats);
         Model {
-            facts,
-            undefined,
+            facts: wf.facts,
+            undefined: wf.undefined,
             stats,
             profile: Default::default(),
         }

@@ -14,7 +14,9 @@
 //! family of programs has rule heads that derive nothing and feed a
 //! negation cycle; one rule is added on top of their evaluated base and
 //! the warm `run_for_query` held to the oracle, and the base model to what
-//! it was before it was borrowed.
+//! it was before it was borrowed. A third family closes a negation cycle
+//! in every program, for the alternating fixpoint's certified first
+//! reduct: model, reduct count and `derived` are held there.
 
 use kind_datalog::{stratify, Atom, Engine, EngineDelta, EvalOptions, FactStore, Model, Term, Var};
 use proptest::prelude::*;
@@ -306,6 +308,18 @@ fn program() -> impl Strategy<Value = Program> {
     })
 }
 
+/// A generated program and one more rule that negates its own head over
+/// the stored edges, `h(X) :- e(X,Y), not h(Y)` for a generated head `h`:
+/// every such program has a negation-cyclic stratum, which comes out
+/// two-valued or three-valued with the stored facts.
+fn negation_cyclic_program() -> impl Strategy<Value = Program> {
+    (program(), 2u8..VIEW as u8).prop_map(|(mut prog, head)| {
+        prog.rules
+            .push(rule(&((head, 0, 0), vec![(0, 0, 0, 1), (0, 1, 1, 1)], 1)));
+        prog
+    })
+}
+
 /// What happens to a program after its base model was computed: facts
 /// asserted and a view rule over a fresh predicate installed (growth),
 /// then stored facts retracted — each step recorded as a delta — and a
@@ -540,6 +554,37 @@ fn check(prog: &Program, change: &Change) {
     assert_goal(&mut e, &lit(VIEW, 0, 0), (&inc, &delta), &shrunk);
 }
 
+/// Runs a negation-cyclic program with delta rounds and with full
+/// re-application: the model is the oracle's, every negation-cyclic unit
+/// says how many reducts it computed, and `derived` counts each true fact
+/// beyond the stored ones once, however many reducts derived it.
+fn check_negation_cycle(prog: &Program) {
+    let mut e = Engine::new();
+    e.load(&prog.text()).unwrap();
+    for semi_naive in [true, false] {
+        let opts = EvalOptions {
+            semi_naive,
+            ..Default::default()
+        };
+        let m = e.run(&opts).unwrap();
+        let what = format!("run, semi_naive={semi_naive}");
+        assert_model(&e, &m, prog, &what);
+        let units: Vec<_> = m.profile.strata.iter().filter(|s| s.well_founded).collect();
+        assert!(
+            !units.is_empty(),
+            "{what}: no negation cycle in\n{}",
+            prog.text()
+        );
+        assert!(units.iter().all(|s| s.gamma_passes >= 1), "{what}");
+        assert_eq!(
+            m.stats.derived,
+            m.facts.len() - prog.facts.len(),
+            "{what}: derived facts of\n{}",
+            prog.text()
+        );
+    }
+}
+
 /// Every tuple of every relation, in stored order.
 fn frozen(m: &Model) -> Vec<(usize, Vec<Vec<Term>>)> {
     let mut preds: Vec<_> = m.facts.predicates().collect();
@@ -591,6 +636,11 @@ proptest! {
     }
 
     #[test]
+    fn negation_cyclic_units_match_the_naive_oracle(prog in negation_cyclic_program()) {
+        check_negation_cycle(&prog);
+    }
+
+    #[test]
     fn seeded_answers_over_empty_heads_match_the_naive_oracle(
         prog in program_over_empty_heads(),
         addition in addition(),
@@ -635,6 +685,39 @@ fn generated_programs_cover_both_kinds_of_negation_cycle() {
     assert!(
         two_valued >= 16 && three_valued >= 16 && recursive >= 16,
         "two-valued cycles {two_valued}, three-valued {three_valued}, positive recursion {recursive}"
+    );
+}
+
+/// The negation-cyclic family must reach every branch of the alternating
+/// fixpoint's certificate (`wfs` module doc): units whose first reduct `U₀`
+/// is certified as the model (one `Γ` pass, something derived), two-valued
+/// units where `U₀` overshoots — an instance fired over `U₀` negates an
+/// atom of `U₀`, so the fixpoint has to alternate — and units that leave
+/// atoms undefined.
+#[test]
+fn negation_cyclic_programs_reach_every_branch_of_the_certificate() {
+    let (mut certified, mut overshoot, mut undefined) = (0, 0, 0);
+    for case in 0..256 {
+        let prog = negation_cyclic_program().generate(&mut TestRng::for_case(case));
+        let mut e = Engine::new();
+        e.load(&prog.text()).unwrap();
+        let m = e.run(&EvalOptions::default()).unwrap();
+        if !m.undefined.is_empty() {
+            undefined += 1;
+            continue;
+        }
+        let units = m.profile.strata.iter().filter(|s| s.well_founded);
+        for sp in units {
+            match sp.gamma_passes {
+                1 if sp.derived > 0 => certified += 1,
+                1 => {}
+                _ => overshoot += 1,
+            }
+        }
+    }
+    assert!(
+        certified >= 16 && overshoot >= 16 && undefined >= 16,
+        "certified {certified}, overshooting {overshoot}, three-valued {undefined}"
     );
 }
 

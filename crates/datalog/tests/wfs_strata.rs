@@ -98,6 +98,31 @@ fn recorded_count_over_an_undefined_win() {
     );
 }
 
+/// `derived` is "facts derived beyond the EDB": `GAME` has eight stored
+/// facts and one true `win` atom, whatever the reducts in between derived.
+/// The alternating fixpoint computes four of them here — `U₀` overshoots
+/// (`win(a)` fires over `win(b) ∈ U₀`), and `a ⇄ b` never settles — and
+/// each used to add its own new facts to the count.
+#[test]
+fn a_three_valued_unit_counts_each_true_fact_once() {
+    let mut e = Engine::new();
+    e.load(GAME).unwrap();
+    for semi_naive in [true, false] {
+        let opts = EvalOptions {
+            semi_naive,
+            ..Default::default()
+        };
+        let m = e.run(&opts).unwrap();
+        assert_eq!((m.facts.len(), m.undefined.len()), (9, 2));
+        assert_eq!(m.stats.derived, 1, "semi_naive={semi_naive}");
+        let [sp] = m.profile.strata.as_slice() else {
+            panic!("one stratum, got {:?}", m.profile.strata)
+        };
+        assert_eq!((sp.derived, sp.gamma_passes), (1, 4));
+        assert!(e.render_profile(&m).contains("  gamma passes=4\n"));
+    }
+}
+
 const TWO_VALUED: &str = "move(a,b). move(b,c). move(c,d). step(d,e). step(e,f).
      win(X) :- move(X,Y), not win(Y).
      from_win(X,Y) :- win(X), move(X,Y).
@@ -143,6 +168,42 @@ fn recorded_two_valued_cycle_below_a_recursive_stratum() {
     assert!(dump.contains("[alternating fixpoint]: win"), "{dump}");
     assert!(dump.contains("[fixpoint]: from_win"), "{dump}");
     assert!(dump.contains("[single pass]: quiet"), "{dump}");
+}
+
+/// `U₀` overshoots (every position with a move wins in it), and `U₁ =
+/// {win(a), win(c)}` is certified: no instance fired over it negates one
+/// of its atoms. Three reducts, where the uncertified loop ran four.
+#[test]
+fn an_overshooting_first_reduct_is_certified_later() {
+    let mut e = Engine::new();
+    e.load(TWO_VALUED).unwrap();
+    let m = e.run(&EvalOptions::default()).unwrap();
+    let win = m.profile.strata.iter().find(|s| s.well_founded).unwrap();
+    assert_eq!((win.gamma_passes, win.derived), (3, 2));
+    let dump = e.render_profile(&m);
+    assert!(dump.contains("gamma passes=3\n"), "{dump}");
+}
+
+/// A negation cycle whose first reduct is the model is certified and pays
+/// one `Γ` pass: `win(a)` needs `not win(b)`, and `b` has no move, so no
+/// instance fired over `U₀ = {win(a)}` negates an atom of `U₀`.
+#[test]
+fn a_certified_first_reduct_is_the_only_pass() {
+    let (e, m) = assert_run(
+        "move(a,b). win(X) :- move(X,Y), not win(Y).",
+        &["win"],
+        &["win(a)"],
+        &[],
+    );
+    let [sp] = m.profile.strata.as_slice() else {
+        panic!("one stratum, got {:?}", m.profile.strata)
+    };
+    assert_eq!((sp.well_founded, sp.gamma_passes, sp.derived), (true, 1, 1));
+    let dump = e.render_profile(&m);
+    assert!(
+        dump.contains("gamma passes=1 (first reduct certified total)"),
+        "{dump}"
+    );
 }
 
 #[test]

@@ -10,9 +10,21 @@
 //!   placeholder object `sk(C,r,D,X)` is created whenever the object base
 //!   does not contain one (the paper's `f_{C,r,D}(x)`).
 //!
-//! Placeholders are derived into `relinst_sk` while guards negate only
-//! the *asserted* `relinst`, keeping the program stratified; the combined
-//! view `role_all` unions both. The map's concept level is exported as
+//! Placeholders are derived into `relinst_sk`, and the filler test their
+//! guards negate (`dm_filler_i`) reads only the *asserted* `relinst`, so a
+//! placeholder link never stands in for an asserted one; the combined
+//! view `role_all` unions both. The guards do **not** keep the program
+//! stratified: the filler test also reads the target's membership
+//! (`dm_t_i(Y) :- Y : D`), and a placeholder is typed by a guarded rule
+//! (`sk(..) : D :- X : C, not dm_filler_i(X)`), so `inst` reaches
+//! `not dm_filler_i` through `dm_t_i`; an AND target's `role_all`
+//! conjunct adds a path through `relinst_sk`. An assertion-mode program
+//! with such an edge has one negation-cyclic stratum around `inst`, which
+//! the engine evaluates under the well-founded semantics (on two-valued
+//! data its alternating fixpoint stops after one certified reduct).
+//! Constraint-mode guards derive only `ic` witnesses, which no rule reads
+//! back, and stay stratified (`tests/dm_negation_cycles.rs` records
+//! both). The map's concept level is exported as
 //! `dm_isa`/`dm_role` facts, over which the closure operations of §4
 //! (`tc`, `dc`, `has_a_star`) are installed as the paper writes them.
 
@@ -296,8 +308,9 @@ fn compile_ex(
             );
         }
         ExecMode::Assertion => {
-            // Guard on *asserted* links only, so the skolem rules stay
-            // stratified (see module docs).
+            // Guard on *asserted* links only, so a placeholder link never
+            // counts as a filler (the typing below still closes a cycle
+            // through `inst`; see module docs).
             if has_target_pred {
                 let _ = writeln!(text, "{filler}(X) :- relinst({r}, X, Y), {tpred}(Y).");
             } else {
