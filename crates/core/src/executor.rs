@@ -16,9 +16,15 @@
 //! default (which blocks in [`Wrapper::query`]) — correct, just without
 //! overlap.
 //!
-//! A pool of one worker runs on the **calling thread**: no spawn, jobs in
-//! job order, stalls still overlapped. That is the serial reference the
-//! determinism suites compare every other worker count against.
+//! The **calling thread is one of the workers**: a pool of `n` spawns
+//! `n − 1` scoped threads and the caller drives jobs beside them instead
+//! of only waiting for them. So a pool of one spawns nothing (jobs in job
+//! order, stalls still overlapped — the serial reference the determinism
+//! suites compare every other worker count against), and a stalled fetch
+//! pays one thread's spawn fewer. A worker with nothing to do sleeps on
+//! one condition variable; a park or the last finish notifies it only
+//! when some worker is asleep ([`Sched`]'s `sleepers`), so a fetch whose
+//! workers all stay busy makes no wake calls.
 //!
 //! **Determinism.** The executor changes scheduling only: each job's
 //! machine runs the identical policy body ([`crate::federation`]'s
@@ -104,11 +110,16 @@ struct Sched {
     timers: Timers,
     finished: usize,
     results: Vec<Option<FetchJobDone>>,
+    /// Workers waiting on the condition variable. A park or the last
+    /// finish notifies only when this is non-zero: a sleeper counts
+    /// itself under the lock before it waits, so no wakeup is lost.
+    sleepers: usize,
 }
 
 /// Runs `jobs` to completion on `workers` workers, overlapping parked
-/// stalls, and returns the per-job results in job order. One worker runs
-/// on the calling thread; more are scoped threads.
+/// stalls, and returns the per-job results in job order. The calling
+/// thread is one of the `workers`: the other `workers − 1` are scoped
+/// threads, so a pool of one spawns nothing.
 pub(crate) fn run_jobs(
     sources: &[RegisteredSource],
     clock: &Arc<VirtualClock>,
@@ -131,6 +142,7 @@ pub(crate) fn run_jobs(
         timers: Timers::default(),
         finished: 0,
         results: (0..total).map(|_| None).collect(),
+        sleepers: 0,
     });
     let wake = Condvar::new();
     let work = || {
@@ -138,15 +150,12 @@ pub(crate) fn run_jobs(
         worker_loop(sources, clock, &state, &wake);
         gauge.exit();
     };
-    if workers <= 1 {
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
         work();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(work);
-            }
-        });
-    }
+    });
     // Never poisoned (see `Sched`). A worker returns only once `finished`
     // counts every job, and a job is counted when its result is stored.
     state
@@ -182,12 +191,14 @@ fn worker_loop(
                     guard.seats[idx] = Some(seat);
                     // A sleeping sibling may be waiting on a later (or
                     // no) deadline: let one re-evaluate its wait.
-                    wake.notify_one();
+                    if guard.sleepers > 0 {
+                        wake.notify_one();
+                    }
                 }
                 Drive::Done(done) => {
                     guard.results[idx] = Some(done);
                     guard.finished += 1;
-                    if guard.finished == guard.results.len() {
+                    if guard.finished == guard.results.len() && guard.sleepers > 0 {
                         wake.notify_all();
                     }
                 }
@@ -202,11 +213,13 @@ fn worker_loop(
         let timeout = guard.timers.next_deadline().map_or(IDLE_WAIT, |deadline| {
             deadline.saturating_duration_since(Instant::now())
         });
+        guard.sleepers += 1;
         // Never poisoned: see `Sched`.
         guard = wake
             .wait_timeout(guard, timeout)
             .expect("executor state poisoned")
             .0;
+        guard.sleepers -= 1;
     }
 }
 

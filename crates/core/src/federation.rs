@@ -41,7 +41,7 @@ use kind_datalog::CancelToken;
 use kind_dm::SourceId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bookkeeping for one registered source.
 pub struct RegisteredSource {
@@ -800,6 +800,13 @@ fn pool_size(knob: usize, units: usize, cores: usize) -> usize {
     cap.min(units).max(1)
 }
 
+/// The host's core count, read once per process: `available_parallelism`
+/// reads cgroup files (22–25 µs a call), too much to pay on every fetch.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Tracks how many fetch-plane worker threads are live, and the
 /// high-water mark (peak ≈ worker-pool size, not ≈ sources in flight).
 #[derive(Debug, Default)]
@@ -909,7 +916,7 @@ impl Federation {
     /// The highest number of fetch-plane worker threads that were ever
     /// live at once since the last [`Self::reset_peak_fetch_threads`]:
     /// the worker-pool size, however many sources were stalled at once
-    /// (a one-worker fetch counts the calling thread).
+    /// (the calling thread counts: it is one of the workers).
     pub fn peak_fetch_threads(&self) -> usize {
         self.thread_gauge.peak()
     }
@@ -1183,14 +1190,7 @@ impl Federation {
     /// ([`pool_size`]). Stalled sources need no extra workers: a declared
     /// stall parks on a timer, not on a thread.
     pub(crate) fn effective_fetch_threads(&self, jobs: usize) -> usize {
-        if jobs <= 1 {
-            // `available_parallelism` reads cgroup files (~14µs a call):
-            // too much for every single-source `fetch`, which needs no
-            // answer from it.
-            return 1;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        pool_size(self.fetch_threads, jobs, cores)
+        pool_size(self.fetch_threads, jobs, cores())
     }
 
     /// Calls a declared query template on a source (§2's "query

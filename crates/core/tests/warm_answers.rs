@@ -11,7 +11,7 @@
 //! counters). One test builds the scenario at full size and pins every
 //! counter the served answers and a cold run report.
 
-use kind_core::{Mediator, QuerySnapshot};
+use kind_core::{run_section5, Mediator, NeuroSchema, QuerySnapshot, Section5Query};
 use kind_datalog::{Atom, EvalOptions, Model, Term, Var};
 use kind_sources::{build_scenario, ScenarioParams};
 
@@ -320,4 +320,64 @@ fn cold_run_strata_are_the_recorded_ones() {
         .map(|s| (s.plans.len(), s.well_founded, s.gamma_passes))
         .collect();
     assert_eq!(shape, COLD_STRATA);
+}
+
+/// The cold op of the repo benchmark's `cold_federation` — invalidate,
+/// materialize every source, run the program cold, then the §5 plan — on
+/// its scenario at seed 1: the served data behind 16 sources. Every work
+/// counter one op reports is pinned; a change to the fetch executor
+/// (which schedules, and must not count) moves none of them. The run's
+/// counters are the served program's cold run's ([`COLD_RECORDED`]) but
+/// for `applications`, which the twelve noise sources' rows raise; its
+/// strata are [`COLD_STRATA`].
+const COLD_OP_RECORDED: [usize; 7] = [13, 676, 0, 6170, 14, 535, 20];
+
+#[test]
+fn cold_op_counters_are_the_recorded_ones() {
+    let mut m = build_scenario(&ScenarioParams {
+        seed: 1,
+        senselab_rows: 400,
+        ncmir_rows: 600,
+        synapse_rows: 400,
+        noise_sources: 12,
+        noise_rows: 300,
+        ..Default::default()
+    });
+    let query = Section5Query {
+        organism: "rat".into(),
+        transmitting_compartment: "Parallel_Fiber".into(),
+        ion: "calcium".into(),
+    };
+    // Twice: the second op, on a mediator that has run one, counts the
+    // same.
+    for op in 0..2 {
+        let before = m.stats();
+        m.invalidate();
+        m.materialize_all().unwrap();
+        let cold = m.run().unwrap();
+        let shape: Vec<(usize, bool, usize)> = cold
+            .profile
+            .strata
+            .iter()
+            .map(|s| (s.plans.len(), s.well_founded, s.gamma_passes))
+            .collect();
+        let stats = counters(&cold.stats);
+        let trace = run_section5(&mut m, &NeuroSchema::default(), &query, true).unwrap();
+        let after = m.stats();
+        assert_eq!(stats, COLD_OP_RECORDED, "op {op}");
+        assert_eq!(shape, COLD_STRATA, "op {op}");
+        assert_eq!(
+            (trace.candidate_sources, trace.selected_sources.len()),
+            (13, 1),
+            "op {op}: candidate and selected sources"
+        );
+        assert_eq!(
+            (
+                after.source_queries - before.source_queries,
+                after.rows_shipped - before.rows_shipped
+            ),
+            (18, 5_365),
+            "op {op}: source queries and rows shipped"
+        );
+    }
 }

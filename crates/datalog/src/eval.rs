@@ -1090,12 +1090,17 @@ impl<'a> StratumScope<'a> {
 /// Returns the stratum's profile, or `None` when the local alternating
 /// fixpoint left atoms undefined: `total` is then untouched, and the
 /// caller has to evaluate this stratum and everything above it
-/// three-valued.
+/// three-valued. With `keep_undefined` (the walk's last stratum, where
+/// that tail is this stratum alone) such a result is the tail's: `total`
+/// becomes its true facts, `keep_undefined` its undefined ones, and the
+/// profile is returned.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_stratum(
     rules: &[Rule],
     stratum: &Stratum,
     memo: Option<&[Prepared]>,
     total: &mut FactStore,
+    keep_undefined: Option<&mut FactStore>,
     borrowed: Option<&FactStore>,
     stats: &mut EvalStats,
     opts: &EvalOptions,
@@ -1115,15 +1120,19 @@ pub(crate) fn eval_stratum(
     if stratum.wfs {
         let wf =
             crate::wfs::eval_well_founded(&stratum_rules, total, stats, &scope.counters, opts)?;
-        two_valued = wf.undefined.is_empty();
         gamma_passes = wf.passes;
-        if two_valued {
+        if wf.undefined.is_empty() {
             stats.derived += wf.facts.len() - total.len();
             for &p in &stratum.preds {
                 if let Some(rel) = wf.facts.relation_arc(p) {
                     total.set_relation(p, rel);
                 }
             }
+        } else if let Some(undefined) = keep_undefined {
+            stats.derived += wf.facts.len() - total.len();
+            (*total, *undefined) = (wf.facts, wf.undefined);
+        } else {
+            two_valued = false;
         }
     } else if !stratum.recursive {
         let units: Vec<(&Prepared, Option<usize>)> = prepared.iter().map(|p| (p, None)).collect();
@@ -1263,16 +1272,22 @@ pub(crate) fn eval_strata(
             _ => None,
         };
         let memo = memo.as_ref().map(|plans| plans.as_slice());
-        if let Some(sp) =
-            eval_stratum(rules, stratum, memo, &mut total, borrowed, &mut stats, opts)?
-        {
+        // On the last stratum a three-valued result is the tail's own: keep
+        // it rather than run the same fixpoint again. A delta walk keeps
+        // none, since it starts over cold.
+        let last = i + 1 == strat.strata.len() && reuse.is_none();
+        let keep = last.then_some(&mut undefined);
+        if let Some(sp) = eval_stratum(
+            rules, stratum, memo, &mut total, keep, borrowed, &mut stats, opts,
+        )? {
             profile.strata.push(sp);
             continue;
         }
         if let Some(reuse) = reuse {
             return reuse.start_over(rules, strat, opts);
         }
-        // The three-valued tail, in rule order.
+        // The three-valued tail, in rule order. It runs the stratum whose
+        // attempt left atoms undefined once more, with everything above it.
         let tail = &strat.strata[i..];
         let preds: Vec<Sym> = tail.iter().flat_map(|s| s.preds.iter().copied()).collect();
         let mut ids: Vec<usize> = tail.iter().flat_map(|s| s.rules.iter().copied()).collect();

@@ -36,7 +36,7 @@
 
 use crate::error::Result;
 use crate::eval::{eval_strata, EvalOptions, Model, Reuse};
-use crate::fact::FactStore;
+use crate::fact::{Bulk, FactStore};
 use crate::interner::Sym;
 use crate::program::Stratification;
 use crate::rule::Rule;
@@ -73,11 +73,19 @@ impl EngineDelta {
         self.changed_rule_preds.len()
     }
 
-    /// Records an asserted fact, cancelling a pending retraction of the
-    /// same fact if one exists.
-    pub(crate) fn log_add(&mut self, pred: Sym, row: &[Term]) {
-        if !self.removed.remove(pred, row) {
-            self.added.insert(pred, row);
+    /// The log of one recording [`Engine::write_rows`] batch into the
+    /// relations `into` names (as that call's `into`): one bulk writer per
+    /// relation into `added`, opened once for the batch.
+    pub(crate) fn row_log<const N: usize>(
+        &mut self,
+        into: [(Sym, usize, usize); N],
+    ) -> RowLog<'_, N> {
+        let removed = &mut self.removed;
+        let pending = into.map(|(pred, ..)| removed.relation(pred).is_some_and(|r| !r.is_empty()));
+        RowLog {
+            added: self.added.bulk(into),
+            pending,
+            removed,
         }
     }
 
@@ -92,6 +100,27 @@ impl EngineDelta {
     /// Records a rule-set change for `pred` (a rule was added).
     pub(crate) fn log_rule(&mut self, pred: Sym) {
         self.changed_rule_preds.insert(pred);
+    }
+}
+
+/// Rows a recording [`Engine::write_rows`] stores, logged in row order
+/// ([`EngineDelta::row_log`]).
+pub(crate) struct RowLog<'a, const N: usize> {
+    added: [Bulk<'a>; N],
+    /// Per relation, whether the log holds a retraction of it that a
+    /// stored row may cancel: without one, a row goes straight to `added`.
+    pending: [bool; N],
+    removed: &'a mut FactStore,
+}
+
+impl<const N: usize> RowLog<'_, N> {
+    /// Records a row stored into the `rel`-th relation, whose predicate is
+    /// `pred`, cancelling a pending retraction of the same fact if one
+    /// exists.
+    pub(crate) fn add(&mut self, rel: usize, pred: Sym, row: &[Term]) {
+        if !(self.pending[rel] && self.removed.remove(pred, row)) {
+            self.added[rel].insert(row);
+        }
     }
 }
 

@@ -75,12 +75,12 @@ type StratumPlans = Arc<Vec<eval::Prepared>>;
 
 /// Rows going into `N` stored relations in one pass
 /// ([`Engine::write_rows`]): the symbol table and each relation's bulk
-/// writer, lent together, and the changelog while it records.
+/// writer, lent together, and the changelog's while it records.
 pub struct RowWriter<'a, const N: usize> {
     syms: &'a mut Interner,
     preds: [Sym; N],
     rels: [fact::Bulk<'a>; N],
-    log: Option<&'a mut EngineDelta>,
+    log: Option<ivm::RowLog<'a, N>>,
 }
 
 impl<const N: usize> RowWriter<'_, N> {
@@ -96,7 +96,7 @@ impl<const N: usize> RowWriter<'_, N> {
         let new = self.rels[rel].insert(row);
         if new {
             if let Some(log) = &mut self.log {
-                log.log_add(self.preds[rel], row);
+                log.add(rel, self.preds[rel], row);
             }
         }
         new
@@ -283,6 +283,10 @@ impl Engine {
         }
         let preds = into.map(|(pred, ..)| pred);
         let missing = preds.map(|pred| self.edb.relation(pred).is_none());
+        let log_missing = preds.map(|pred| {
+            let log = self.changelog.as_ref();
+            log.is_some_and(|log| log.added.relation(pred).is_none())
+        });
         let Engine {
             syms,
             edb,
@@ -293,13 +297,17 @@ impl Engine {
             syms,
             preds,
             rels: edb.bulk(into),
-            log: changelog.as_mut(),
+            log: changelog.as_mut().map(|log| log.row_log(into)),
         });
         // A relation made for the batch that nothing went into is
-        // forgotten, as though no row had been offered.
-        for (pred, missing) in preds.into_iter().zip(missing) {
-            if missing {
+        // forgotten, as though no row had been offered — in the store and
+        // in the log.
+        for (k, pred) in preds.into_iter().enumerate() {
+            if missing[k] {
                 self.edb.drop_if_empty(pred);
+            }
+            if let Some(log) = self.changelog.as_mut().filter(|_| log_missing[k]) {
+                log.added.drop_if_empty(pred);
             }
         }
         Ok(out)

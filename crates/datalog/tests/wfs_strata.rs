@@ -123,6 +123,25 @@ fn a_three_valued_unit_counts_each_true_fact_once() {
     }
 }
 
+/// A three-valued last stratum is the three-valued tail by itself: the
+/// attempt that found its undefined atoms is kept as the tail's result,
+/// not run a second time, so the run's rounds are its one profile entry's.
+#[test]
+fn a_three_valued_last_stratum_is_evaluated_once() {
+    let mut e = Engine::new();
+    e.load(GAME).unwrap();
+    for semi_naive in [true, false] {
+        let opts = EvalOptions {
+            semi_naive,
+            ..Default::default()
+        };
+        let m = e.run(&opts).unwrap();
+        let profiled: usize = m.profile.strata.iter().map(|s| s.iterations).sum();
+        assert_eq!(m.stats.iterations, profiled, "semi_naive={semi_naive}");
+        assert!(m.profile.well_founded);
+    }
+}
+
 const TWO_VALUED: &str = "move(a,b). move(b,c). move(c,d). step(d,e). step(e,f).
      win(X) :- move(X,Y), not win(Y).
      from_win(X,Y) :- win(X), move(X,Y).

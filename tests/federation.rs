@@ -408,3 +408,130 @@ fn on_demand_answer_carries_degradation_report() {
         SourceOutcome::Ok
     ));
 }
+
+// ---------------------------------------------------------------------
+// The fetch executor: who drives the jobs.
+// ---------------------------------------------------------------------
+
+use kind::core::{FetchRequest, Rows, Wrapper};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
+
+/// A two-party meeting point with a timeout, so a fetch that runs the two
+/// sides one after the other fails instead of hanging. Unarmed (while the
+/// sources register, which queries them one by one) nobody waits.
+#[derive(Default)]
+struct Rendezvous {
+    armed: AtomicBool,
+    arrived: Mutex<usize>,
+    met: Condvar,
+}
+
+impl Rendezvous {
+    /// Waits until both parties have arrived; `false` if the other never
+    /// came within ten seconds.
+    fn meet(&self) -> bool {
+        let mut arrived = self.arrived.lock().unwrap();
+        *arrived += 1;
+        self.met.notify_all();
+        let (_arrived, timeout) = self
+            .met
+            .wait_timeout_while(arrived, Duration::from_secs(10), |n| *n < 2)
+            .unwrap();
+        !timeout.timed_out()
+    }
+}
+
+/// A source whose every query meets its sibling at the rendezvous and
+/// records the thread it ran on and whether the sibling came.
+struct Meeting {
+    inner: Arc<MemoryWrapper>,
+    point: Arc<Rendezvous>,
+    seen: Arc<Mutex<Vec<(ThreadId, bool)>>>,
+}
+
+impl Wrapper for Meeting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn formalism(&self) -> &str {
+        self.inner.formalism()
+    }
+    fn export_cm(&self) -> kind::xml::Element {
+        self.inner.export_cm()
+    }
+    fn capabilities(&self) -> Vec<Capability> {
+        self.inner.capabilities()
+    }
+    fn anchors(&self) -> Vec<Anchor> {
+        self.inner.anchors()
+    }
+    fn query(&self, q: &SourceQuery) -> Result<Rows, SourceError> {
+        if !self.point.armed.load(Ordering::SeqCst) {
+            return self.inner.query(q);
+        }
+        let met = self.point.meet();
+        self.seen
+            .lock()
+            .unwrap()
+            .push((std::thread::current().id(), met));
+        self.inner.query(q)
+    }
+}
+
+#[test]
+fn the_calling_thread_is_one_of_the_fetch_workers() {
+    let point = Arc::new(Rendezvous::default());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut m = Mediator::new(scenario_domain_map(), ExecMode::Assertion);
+    for (name, class) in [("LEFT", "lc"), ("RIGHT", "rc")] {
+        let mut w = MemoryWrapper::new(name);
+        w.caps.push(Capability {
+            class: class.into(),
+            pushable: vec![],
+        });
+        w.anchor_decls.push(Anchor::Fixed {
+            class: class.into(),
+            concept: "Neuron".into(),
+        });
+        w.add_row(
+            class,
+            &format!("{name}-o0"),
+            vec![("value", GcmValue::Int(0))],
+        );
+        m.register(Arc::new(Meeting {
+            inner: Arc::new(w),
+            point: Arc::clone(&point),
+            seen: Arc::clone(&seen),
+        }))
+        .unwrap();
+    }
+    m.federation_mut().set_fetch_threads(2);
+    m.federation().reset_peak_fetch_threads();
+    point.armed.store(true, Ordering::SeqCst);
+    let set = m
+        .federation_mut()
+        .fetch_parallel(&[
+            FetchRequest::scan("LEFT", "lc"),
+            FetchRequest::scan("RIGHT", "rc"),
+        ])
+        .unwrap();
+    assert!(set.report.is_complete(), "{}", set.report.summary());
+    let seen = seen.lock().unwrap().clone();
+    // Both queries waited for each other, so they ran on two threads at
+    // once: the caller and one spawned worker.
+    assert_eq!(seen.len(), 2, "{seen:?}");
+    assert!(
+        seen.iter().all(|&(_, met)| met),
+        "a query met nobody: {seen:?}"
+    );
+    let caller = std::thread::current().id();
+    assert_eq!(
+        seen.iter().filter(|&&(id, _)| id == caller).count(),
+        1,
+        "exactly one query runs on the calling thread: {seen:?}"
+    );
+    assert_eq!(m.federation().peak_fetch_threads(), 2);
+}
