@@ -38,13 +38,12 @@
 //! [`Wrapper::query`]: crate::wrapper::Wrapper::query
 
 use crate::fault::{SourceError, VirtualClock};
-use crate::federation::{
-    FetchJobDone, JobMachine, RegisteredSource, SourceReply, Step, ThreadGauge,
-};
+use crate::federation::{FetchJobDone, JobMachine, RegisteredSource, SourceReply, Step};
 use crate::wrapper::Submission;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -119,14 +118,16 @@ struct Sched {
 /// Runs `jobs` to completion on `workers` workers, overlapping parked
 /// stalls, and returns the per-job results in job order. The calling
 /// thread is one of the `workers`: the other `workers − 1` are scoped
-/// threads, so a pool of one spawns nothing.
+/// threads, so a pool of one spawns nothing. `peak` is raised to
+/// `workers` (a statistic, read after the fetch).
 pub(crate) fn run_jobs(
     sources: &[RegisteredSource],
     clock: &Arc<VirtualClock>,
     jobs: Vec<JobMachine>,
     workers: usize,
-    gauge: &ThreadGauge,
+    peak: &AtomicUsize,
 ) -> Vec<FetchJobDone> {
+    peak.fetch_max(workers, Ordering::Relaxed);
     let total = jobs.len();
     let state = Mutex::new(Sched {
         seats: jobs
@@ -145,11 +146,7 @@ pub(crate) fn run_jobs(
         sleepers: 0,
     });
     let wake = Condvar::new();
-    let work = || {
-        gauge.enter();
-        worker_loop(sources, clock, &state, &wake);
-        gauge.exit();
-    };
+    let work = || worker_loop(sources, clock, &state, &wake);
     std::thread::scope(|scope| {
         for _ in 1..workers {
             scope.spawn(work);

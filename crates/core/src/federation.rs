@@ -807,34 +807,6 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Tracks how many fetch-plane worker threads are live, and the
-/// high-water mark (peak ≈ worker-pool size, not ≈ sources in flight).
-#[derive(Debug, Default)]
-pub(crate) struct ThreadGauge {
-    current: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl ThreadGauge {
-    pub(crate) fn enter(&self) {
-        let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(now, Ordering::SeqCst);
-    }
-
-    pub(crate) fn exit(&self) {
-        self.current.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
-    }
-
-    fn reset(&self) {
-        self.current.store(0, Ordering::SeqCst);
-        self.peak.store(0, Ordering::SeqCst);
-    }
-}
-
 /// The source-facing layer of the mediator: registered wrappers plus the
 /// resilience machinery guarding every fetch. See the module docs.
 #[derive(Debug)]
@@ -848,8 +820,9 @@ pub struct Federation {
     /// Worker threads for the parallel fetch plane (0 = auto: one per
     /// involved source, capped by available parallelism).
     fetch_threads: usize,
-    /// Live/peak fetch worker threads (for the bench and the example).
-    thread_gauge: ThreadGauge,
+    /// The largest fetch worker pool run since the last reset (for the
+    /// bench and the example).
+    peak_fetch_threads: AtomicUsize,
     /// End-to-end budget armed for every degradable operation (0 = no
     /// deadline). The operation in flight carries its own copy and its
     /// spend on `report` (`budget_ms`, `elapsed_ms`).
@@ -873,7 +846,7 @@ impl Federation {
             breakers: HashMap::new(),
             report: AnswerReport::default(),
             fetch_threads: 0,
-            thread_gauge: ThreadGauge::default(),
+            peak_fetch_threads: AtomicUsize::new(0),
             query_budget_ms: 0,
             cancel: CancelToken::new(),
             stats: MediatorStats::default(),
@@ -913,17 +886,18 @@ impl Federation {
         self.fetch_threads = threads;
     }
 
-    /// The highest number of fetch-plane worker threads that were ever
-    /// live at once since the last [`Self::reset_peak_fetch_threads`]:
-    /// the worker-pool size, however many sources were stalled at once
-    /// (the calling thread counts: it is one of the workers).
+    /// The largest worker pool a fetch ran on since the last
+    /// [`Self::reset_peak_fetch_threads`] (the calling thread counts: it
+    /// is one of the workers): the pool size, however many sources were
+    /// stalled at once, and whether or not every worker found a job
+    /// before the caller had drained them all.
     pub fn peak_fetch_threads(&self) -> usize {
-        self.thread_gauge.peak()
+        self.peak_fetch_threads.load(Ordering::Relaxed)
     }
 
     /// Resets the [`Self::peak_fetch_threads`] high-water mark.
     pub fn reset_peak_fetch_threads(&self) {
-        self.thread_gauge.reset();
+        self.peak_fetch_threads.store(0, Ordering::Relaxed);
     }
 
     /// Registered sources.
@@ -1146,7 +1120,7 @@ impl Federation {
             &self.clock,
             jobs,
             workers,
-            &self.thread_gauge,
+            &self.peak_fetch_threads,
         );
         // Deterministic merge: jobs in first-appearance order, requests
         // within a job in submission order — regardless of which worker

@@ -38,7 +38,7 @@ use crate::snapshot::QuerySnapshot;
 use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
 use kind_datalog::{EvalOptions, Model, Term};
 use kind_dm::{axiom, rules, DomainMap, ExecMode, NodeId, SourceId, DM_OPS_RULES};
-use kind_gcm::{GcmBase, GcmDecl};
+use kind_gcm::{GcmBase, GcmDecl, GcmValue};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -918,7 +918,13 @@ pub(crate) fn load_batches(
                     .clone();
                 w.insert(INST, &[obj.clone(), class]);
                 for (attr, value) in &row.attrs {
-                    let value = value.term(w.symbols());
+                    // Values repeat across rows (a fetch's thousands
+                    // of values name a few dozen things): the writer's
+                    // cache finds a repeat without the table's SipHash.
+                    let value = match value {
+                        GcmValue::Id(s) | GcmValue::Str(s) => Term::Const(w.intern_cached(s)),
+                        GcmValue::Int(i) => Term::Int(*i),
+                    };
                     let method = match methods.iter().find(|(m, _)| m == attr) {
                         Some((_, m)) => m.clone(),
                         None => {

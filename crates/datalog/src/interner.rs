@@ -4,12 +4,30 @@
 //! a [`Sym`], a dense `u32` handle. Interning makes term comparison,
 //! hashing, and tuple storage cheap: the hot paths of the evaluator
 //! (unification, joins, dedup) only ever touch integers.
+//!
+//! Names are bytes a client chose, so the table finds them through std's
+//! keyed SipHash, not the tuple tables' word hasher (`hash.rs`): a
+//! client who could predict collisions could send names that all land on
+//! one hash. A row load interns the same few values thousands of times,
+//! and a name cache in front of the table spares a repeat the SipHash:
+//! a direct-mapped array of slots, each a `Sym` and a tag, that one
+//! [`crate::RowWriter`] owns for one write; the tuple tables' keyed word
+//! hash of a name picks its slot (low bits) and is its tag (high bits).
+//! The weaker hash is safe there because nothing trusts it: a slot is a
+//! hit only when the symbol it holds resolves to the very bytes asked
+//! for, and a name the table holds is held once, so that symbol is the
+//! one [`Interner::intern`] would return. Everything else — an empty
+//! slot, a tag that differs, a tag that agrees on other bytes — interns
+//! through the table and overwrites the slot. There are no chains: names
+//! a client made to collide in the word hash only send each other to the
+//! SipHash path, one word hash and one slot read later than without the
+//! cache.
 
 use crate::hash::WordState;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 /// An interned symbol. `Sym`s are only meaningful relative to the
@@ -67,6 +85,72 @@ fn hash_name(name: &str) -> u64 {
         return forced;
     }
     name_key().hash_one(name)
+}
+
+/// A direct-mapped cache of the names one writer interned (see the
+/// module docs): a name's keyed word hash picks its slot with its low
+/// bits, and the slot holds the hash's top 32 bits (the tag) and the
+/// name's [`Sym`]. A lookup returns exactly what [`Interner::intern`]
+/// does. The slots are allocated at the first lookup, so a writer that
+/// interns no value pays nothing.
+#[derive(Debug)]
+pub(crate) struct NameCache {
+    slots: Vec<(u32, Sym)>,
+    /// The slot count the first lookup allocates: a power of two.
+    size: usize,
+    hasher: WordState,
+}
+
+/// What an empty slot holds: a symbol no interner of this size has, so
+/// its name never compares equal.
+const EMPTY_SLOT: (u32, Sym) = (0, Sym(u32::MAX));
+
+impl NameCache {
+    const MIN_SLOTS: usize = 16;
+    /// 32 KiB of slots: room for a few thousand distinct repeated values
+    /// before they evict one another.
+    const MAX_SLOTS: usize = 1 << 12;
+
+    /// A cache for a write of about `reserve` rows' worth of values.
+    pub(crate) fn for_reserve(reserve: usize) -> Self {
+        NameCache {
+            slots: Vec::new(),
+            size: reserve
+                .clamp(Self::MIN_SLOTS, Self::MAX_SLOTS)
+                .next_power_of_two(),
+            hasher: WordState::default(),
+        }
+    }
+
+    /// The word hash of `name`, its length first so that names differing
+    /// only in trailing NULs (which pad the last word alike) differ here.
+    fn word_hash(&self, name: &str) -> u64 {
+        #[cfg(test)]
+        if let Some(forced) = tests::FORCED_TAG.with(std::cell::Cell::get) {
+            return forced;
+        }
+        let mut h = self.hasher.build_hasher();
+        h.write_usize(name.len());
+        h.write(name.as_bytes());
+        h.finish()
+    }
+
+    /// Interns `name` into `syms`: the symbol [`Interner::intern`]
+    /// returns, with the same effect on `syms`.
+    pub(crate) fn intern(&mut self, syms: &mut Interner, name: &str) -> Sym {
+        if self.slots.is_empty() {
+            self.slots = vec![EMPTY_SLOT; self.size];
+        }
+        let hash = self.word_hash(name);
+        let tag = (hash >> 32) as u32;
+        let slot = &mut self.slots[hash as usize & (self.size - 1)];
+        if slot.0 == tag && syms.name_of(slot.1) == Some(name) {
+            return slot.1;
+        }
+        let sym = syms.intern(name);
+        *slot = (tag, sym);
+        sym
+    }
 }
 
 impl Interner {
@@ -148,6 +232,10 @@ mod tests {
         /// When set, every name on this thread hashes to this value — the
         /// only way to reach the collision path on purpose.
         pub(super) static FORCED_HASH: Cell<Option<u64>> = const { Cell::new(None) };
+        /// When set, every name's [`NameCache`] word hash on this thread is
+        /// this value: one slot and one tag for all, so only the name
+        /// comparison tells names apart there.
+        pub(super) static FORCED_TAG: Cell<Option<u64>> = const { Cell::new(None) };
     }
 
     #[test]
@@ -289,6 +377,114 @@ mod tests {
         let mut copy = i.clone();
         drive(&mut copy, &mut model, &names, &mut state, 50);
         FORCED_HASH.with(|h| h.set(None));
+    }
+
+    /// A pool of values a row load could carry: a few that agree in their
+    /// first 8 bytes (one word of the tag), a few that differ only in
+    /// trailing NULs (which pad a word alike), the empty name, long names
+    /// and hostile ones.
+    fn value_pool(seed: u64, state: &mut u64) -> Vec<String> {
+        let mut pool: Vec<String> = ["", "\0", "\0\0", "ab", "ab\0", "ab\0\0"]
+            .iter()
+            .map(|p| p.to_string())
+            .collect();
+        for k in 0..4 {
+            pool.push(format!("Purkinje{k}"));
+            pool.push(format!("Purkinje_Cell_{k:04}"));
+        }
+        pool.push("z".repeat(4096));
+        pool.push(format!("{}!", "z".repeat(4095)));
+        pool.extend(
+            hostile_names(seed, 14 + (splitmix(state) % 64) as usize)
+                .into_iter()
+                .skip(12),
+        );
+        pool
+    }
+
+    /// Interns a seeded stream through one write's cache — a third of it
+    /// plainly through the writer's table, as a row's object id is, so one
+    /// text reaches the table by both routes — and the same stream plainly
+    /// into a reference interner: every symbol and the final table agree.
+    fn cached_stream_matches_plain(seed: u64) {
+        let mut state = seed;
+        let pool = value_pool(seed, &mut state);
+        // Mostly repeats of a few hot values, the rest from the whole pool.
+        let hot = 1 + (splitmix(&mut state) % 8) as usize;
+        let len = 1 + (splitmix(&mut state) % 400) as usize;
+        let stream: Vec<(bool, &str)> = (0..len)
+            .map(|_| {
+                let r = splitmix(&mut state);
+                let pick = if r.is_multiple_of(4) { pool.len() } else { hot };
+                let name = &pool[((r >> 8) % pick as u64) as usize];
+                (!r.is_multiple_of(3), name.as_str())
+            })
+            .collect();
+
+        let mut engine = crate::Engine::new();
+        let pred = engine.sym("value");
+        let mut plain = Interner::new();
+        plain.intern("value");
+        let got = engine
+            .write_rows([(pred, 1, len)], |w| {
+                let mut syms = Vec::new();
+                for &(cached, name) in &stream {
+                    let sym = if cached {
+                        w.intern_cached(name)
+                    } else {
+                        w.symbols().intern(name)
+                    };
+                    w.insert(0, &[crate::Term::Const(sym)]);
+                    syms.push(sym);
+                }
+                syms
+            })
+            .expect("one relation of arity 1");
+        let want: Vec<Sym> = stream.iter().map(|&(_, name)| plain.intern(name)).collect();
+        assert_eq!(got, want, "seed {seed}: symbols");
+        let table = engine.symbols();
+        assert_eq!(table.arena, plain.arena, "seed {seed}: arena order");
+        assert_eq!(table.ends, plain.ends, "seed {seed}");
+        assert_eq!(table.by_hash, plain.by_hash, "seed {seed}");
+        assert_eq!(table.collided, plain.collided, "seed {seed}");
+        // `collided` is keyed per map, so two of them list entries alike
+        // only while they hold at most one.
+        if plain.collided.len() < 2 {
+            assert_eq!(format!("{table:?}"), format!("{plain:?}"), "seed {seed}");
+        }
+        let rows = engine.edb().relation(pred).map_or(0, |r| r.len());
+        assert_eq!(rows, plain.len() - 1, "seed {seed}: one row per name");
+    }
+
+    #[test]
+    fn the_name_cache_returns_what_intern_returns() {
+        for seed in 0..256 {
+            cached_stream_matches_plain(seed);
+        }
+        // Every name on one slot with one tag; then also on one table hash.
+        FORCED_TAG.with(|t| t.set(Some(0x5eed)));
+        for seed in 256..320 {
+            cached_stream_matches_plain(seed);
+        }
+        FORCED_HASH.with(|h| h.set(Some(7)));
+        for seed in 320..352 {
+            cached_stream_matches_plain(seed);
+        }
+        FORCED_HASH.with(|h| h.set(None));
+        FORCED_TAG.with(|t| t.set(None));
+    }
+
+    #[test]
+    fn a_name_cache_is_sized_by_its_write_and_allocated_on_first_use() {
+        let mut syms = Interner::new();
+        for (reserve, slots) in [(0, 16), (1, 16), (17, 32), (20_000, 4096)] {
+            let mut cache = NameCache::for_reserve(reserve);
+            assert!(cache.slots.is_empty(), "nothing allocated before a lookup");
+            let sym = cache.intern(&mut syms, "Purkinje_Cell");
+            assert_eq!(cache.slots.len(), slots, "reserve {reserve}");
+            assert_eq!(cache.intern(&mut syms, "Purkinje_Cell"), sym);
+        }
+        assert_eq!(syms.len(), 1);
     }
 
     /// Interners move between threads inside engines and snapshots: a

@@ -75,9 +75,12 @@ type StratumPlans = Arc<Vec<eval::Prepared>>;
 
 /// Rows going into `N` stored relations in one pass
 /// ([`Engine::write_rows`]): the symbol table and each relation's bulk
-/// writer, lent together, and the changelog's while it records.
+/// writer, lent together, and the changelog's while it records. The
+/// writer also owns a cache of the names it interned
+/// ([`Self::intern_cached`]), which lives and dies with it.
 pub struct RowWriter<'a, const N: usize> {
     syms: &'a mut Interner,
+    names: interner::NameCache,
     preds: [Sym; N],
     rels: [fact::Bulk<'a>; N],
     log: Option<ivm::RowLog<'a, N>>,
@@ -87,6 +90,16 @@ impl<const N: usize> RowWriter<'_, N> {
     /// The symbol table, to intern the next row's names.
     pub fn symbols(&mut self) -> &mut Interner {
         self.syms
+    }
+
+    /// Interns `name` for a value that may repeat across the write's rows:
+    /// the symbol [`Interner::intern`] returns, with the same effect on
+    /// the symbol table, but a name this writer interned before is found
+    /// in its cache without the table's SipHash. A name that is new on
+    /// every row, such as an object id, gains nothing here: intern it
+    /// through [`Self::symbols`].
+    pub fn intern_cached(&mut self, name: &str) -> Sym {
+        self.names.intern(self.syms, name)
     }
 
     /// Inserts `row` into the `rel`-th relation of the writer's `into`;
@@ -293,8 +306,10 @@ impl Engine {
             changelog,
             ..
         } = self;
+        let reserve = into.iter().map(|&(.., rows)| rows).sum();
         let out = write(&mut RowWriter {
             syms,
+            names: interner::NameCache::for_reserve(reserve),
             preds,
             rels: edb.bulk(into),
             log: changelog.as_mut().map(|log| log.row_log(into)),

@@ -237,10 +237,11 @@ fn overlapped_slow_tail_demo() {
         let wall = start.elapsed();
         assert!(set.is_complete());
         println!(
-            "  {label} wall {:>5.1}ms, peak fetch threads {:>2}",
-            wall.as_secs_f64() * 1e3,
+            "  {label} peak fetch threads {:>2}",
             m.federation().peak_fetch_threads(),
         );
+        // Wall clock differs run to run: stderr, so stdout repeats exactly.
+        eprintln!("  {label} wall {:>5.1}ms", wall.as_secs_f64() * 1e3);
     }
     println!("  same rows, same reports — only wall clock and threads differ");
 }

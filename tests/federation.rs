@@ -535,3 +535,35 @@ fn the_calling_thread_is_one_of_the_fetch_workers() {
     );
     assert_eq!(m.federation().peak_fetch_threads(), 2);
 }
+
+/// The peak is the pool a fetch ran on, not how many of its workers
+/// happened to overlap: 32 sources that answer at once are often all
+/// drained by the calling thread before the spawned worker starts, and
+/// each fetch must still read 2.
+#[test]
+fn peak_fetch_threads_is_the_pool_size_however_fast_the_jobs_drain() {
+    let mut m = Mediator::new(scenario_domain_map(), ExecMode::Assertion);
+    let mut requests = Vec::new();
+    for s in 0..32 {
+        let (name, class) = (format!("Z{s}"), format!("z{s}"));
+        let mut w = MemoryWrapper::new(&name);
+        w.caps.push(Capability {
+            class: class.clone(),
+            pushable: vec![],
+        });
+        w.anchor_decls.push(Anchor::Fixed {
+            class: class.clone(),
+            concept: "Neuron".into(),
+        });
+        w.add_row(&class, "o0", vec![("value", GcmValue::Int(s))]);
+        m.register(Arc::new(w)).unwrap();
+        requests.push(FetchRequest::scan(&name, &class));
+    }
+    m.federation_mut().set_fetch_threads(2);
+    for fetch in 0..50 {
+        m.federation().reset_peak_fetch_threads();
+        let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+        assert!(set.report.is_complete(), "{}", set.report.summary());
+        assert_eq!(m.federation().peak_fetch_threads(), 2, "fetch {fetch}");
+    }
+}
