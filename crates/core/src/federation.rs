@@ -65,17 +65,11 @@ pub struct RegisteredSource {
 }
 
 impl RegisteredSource {
-    /// Validates a shipped row against this source's exported CM:
-    /// the class must be exported, the object id non-empty, every
-    /// `ByAttr` anchor attribute present, and (when the CM declares a
-    /// schema for the class) every attribute declared. A one-row
-    /// `row_check`; the fetch plane checks a batch with one.
-    pub fn validate_row(&self, class: &str, row: &ObjectRow) -> std::result::Result<(), String> {
-        self.row_check(class).check(row)
-    }
-
-    /// The schema of `class`'s rows, resolved once for a batch. An
-    /// unexported class refuses every row, with one reason.
+    /// The schema of `class`'s rows, resolved once for a batch, against
+    /// which a shipped row is validated: the class must be exported, the
+    /// object id non-empty, every `ByAttr` anchor attribute present, and
+    /// (when the CM declares a schema for the class) every attribute
+    /// declared. An unexported class refuses every row, with one reason.
     pub(crate) fn row_check(&self, class: &str) -> RowCheck<'_> {
         let refused = (!self.classes.iter().any(|c| c == class))
             .then(|| format!("class `{class}` is not exported by `{}`", self.name));
@@ -88,9 +82,8 @@ impl RegisteredSource {
 }
 
 /// One class's row schema, resolved by [`RegisteredSource::row_check`]:
-/// [`RowCheck::check`] runs [`RegisteredSource::validate_row`]'s checks,
-/// in its order and with its reasons, without looking the schema up
-/// again.
+/// [`RowCheck::check`] runs every row check, in one order and with one
+/// reason each, without looking the schema up again.
 pub(crate) struct RowCheck<'a> {
     /// Why every row is refused: the class is not exported.
     refused: Option<String>,
@@ -2052,8 +2045,6 @@ mod tests {
             let check = src.row_check(class);
             let got: Vec<_> = rows.iter().map(|row| check.check(row)).collect();
             assert_eq!(got, want, "seed {seed}: one check for the batch");
-            let one_by_one: Vec<_> = rows.iter().map(|r| src.validate_row(class, r)).collect();
-            assert_eq!(one_by_one, want, "seed {seed}: `validate_row`");
             for (i, (row, verdict)) in rows.iter().zip(&want).enumerate() {
                 let reason = verdict.as_ref().err().map_or("", String::as_str);
                 let before = i.checked_sub(1).map(|j| (&rows[j], &want[j]));

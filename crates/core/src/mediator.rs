@@ -522,27 +522,35 @@ impl Mediator {
         Ok(batches.iter().map(|(.., rows)| rows.len()).sum())
     }
 
-    /// Loads one row into the base as GCM declarations, after validating
-    /// it against the source's exported CM (unknown source, unexported
-    /// class, and malformed rows are typed errors — not silently
-    /// accepted). The row goes in as a one-row batch of the loader
-    /// [`Self::materialize_all`] uses, so it is stored and its names are
-    /// interned exactly as a fetched row's.
+    /// Loads one row into the base as GCM declarations: the one-row case
+    /// of [`Self::load_rows`].
     pub fn load_row(&mut self, source: &str, class: &str, row: &ObjectRow) -> Result<()> {
-        let src = self.exporting_source(source, class)?;
-        if let Err(reason) = src.validate_row(class, row) {
-            return Err(MediatorError::Source {
-                name: source.to_string(),
-                error: SourceError::MalformedRow {
-                    row: row.id.clone(),
-                    reason,
-                },
-            });
+        self.load_rows(source, class, std::slice::from_ref(row))
+    }
+
+    /// Loads rows of one source's class into the base as GCM
+    /// declarations, after validating every row against the source's
+    /// exported CM (unknown source, unexported class, and malformed rows
+    /// are typed errors — not silently accepted). Nothing is written
+    /// unless every row passes: a malformed row is refused with its
+    /// `MalformedRow` and the base is as it was. The rows go in as one
+    /// batch of the loader [`Self::materialize_all`] uses, in one write,
+    /// so they are stored and their names are interned exactly as fetched
+    /// rows'.
+    pub fn load_rows(&mut self, source: &str, class: &str, rows: &[ObjectRow]) -> Result<()> {
+        let check = self.exporting_source(source, class)?.row_check(class);
+        for row in rows {
+            if let Err(reason) = check.check(row) {
+                return Err(MediatorError::Source {
+                    name: source.to_string(),
+                    error: SourceError::MalformedRow {
+                        row: row.id.clone(),
+                        reason,
+                    },
+                });
+            }
         }
-        load_batches(
-            &mut self.base,
-            &[(source, class, std::slice::from_ref(row))],
-        )
+        load_batches(&mut self.base, &[(source, class, rows)])
     }
 
     /// Retracts a previously loaded row — the delete plane's mirror of
@@ -1756,5 +1764,118 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n >= 8), "cases seen: {seen:?}");
+    }
+
+    /// A mediator over one schema-less source `S1` (class `spines`), its
+    /// rows materialized and, when `published`, a model cached — so the
+    /// engine records what is loaded next.
+    fn loaded_mediator(published: bool) -> Mediator {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.register(simple_wrapper("S1", "spines", "Spine", 3))
+            .unwrap();
+        m.materialize_all().unwrap();
+        if published {
+            m.publish().unwrap();
+        }
+        m
+    }
+
+    /// One `load_rows` call stores what one `load_row` call per row
+    /// stores: the same symbols interned in the same order, the same rows
+    /// in each relation, and the same changelog. 64 seeded batches of up
+    /// to a dozen rows: ids repeated within the batch and shared with the
+    /// materialized rows, values old and new, rows of differing widths,
+    /// empty batches, with and without a cached model.
+    #[test]
+    fn load_rows_stores_what_one_load_row_per_row_stores() {
+        use crate::fault::mix;
+        const ATTRS: [&str; 3] = ["location", "value", "note"];
+        for seed in 0..64u64 {
+            let mut draws = 0u64;
+            let mut draw = |n: u64| {
+                draws += 1;
+                mix(mix(seed) ^ draws) % n
+            };
+            let rows: Vec<ObjectRow> = (0..draw(13))
+                .map(|_| ObjectRow {
+                    id: format!("o{}", draw(6)),
+                    attrs: (0..draw(4))
+                        .map(|_| {
+                            let value = match draw(3) {
+                                0 => GcmValue::Int(draw(4) as i64),
+                                1 => GcmValue::Id(
+                                    ["Spine", "Dendrite", "new"][draw(3) as usize].into(),
+                                ),
+                                _ => GcmValue::Str(format!("s{}", draw(3))),
+                            };
+                            (ATTRS[draw(3) as usize].to_string(), value)
+                        })
+                        .collect(),
+                })
+                .collect();
+            let published = seed % 2 == 0;
+            let (mut one, mut each) = (loaded_mediator(published), loaded_mediator(published));
+            one.load_rows("S1", "spines", &rows).unwrap();
+            for row in &rows {
+                each.load_row("S1", "spines", row).unwrap();
+            }
+            let (a, b) = (one.base().flogic().engine(), each.base().flogic().engine());
+            assert!(
+                format!("{:?}", a.symbols()) == format!("{:?}", b.symbols()),
+                "seed {seed}: the symbol tables differ"
+            );
+            assert_eq!(
+                stored_relations(one.base()),
+                stored_relations(each.base()),
+                "seed {seed}"
+            );
+            assert_eq!(a.pending_delta().is_some(), published, "seed {seed}");
+            assert!(
+                format!("{:?}", a.pending_delta()) == format!("{:?}", b.pending_delta()),
+                "seed {seed}: the changelogs differ"
+            );
+            assert_eq!(one.publish_pending(), each.publish_pending(), "seed {seed}");
+        }
+    }
+
+    /// A batch with one malformed row is refused with that row's
+    /// `MalformedRow`, and none of its rows is staged: not the good rows
+    /// before it, not those after.
+    #[test]
+    fn a_batch_with_a_malformed_row_stages_nothing() {
+        let mut m = loaded_mediator(true);
+        assert!(!m.publish_pending());
+        let before = (
+            format!("{:?}", m.base().flogic().engine().symbols()),
+            stored_relations(m.base()),
+        );
+        let mut rows = vec![extra_row(), existing_row(7)];
+        rows.push(ObjectRow {
+            id: " ".into(),
+            attrs: vec![("value".into(), GcmValue::Int(1))],
+        });
+        rows.push(ObjectRow {
+            id: "after".into(),
+            attrs: vec![("value".into(), GcmValue::Str("fresh".into()))],
+        });
+        let refused = m.load_rows("S1", "spines", &rows).unwrap_err();
+        let MediatorError::Source {
+            name,
+            error: SourceError::MalformedRow { row, reason },
+        } = refused
+        else {
+            panic!("refused with {refused:?}");
+        };
+        assert_eq!((name.as_str(), row.as_str()), ("S1", " "));
+        assert_eq!(reason, "empty object id");
+        assert!(!m.publish_pending(), "a refused batch stages nothing");
+        let after = (
+            format!("{:?}", m.base().flogic().engine().symbols()),
+            stored_relations(m.base()),
+        );
+        assert!(before == after, "the base moved");
+        // The good rows alone go in.
+        m.load_rows("S1", "spines", &rows[..2]).unwrap();
+        assert!(m.publish_pending());
     }
 }

@@ -7,10 +7,11 @@
 //! answers queries through `&self`, with **no exclusive lock on the hot
 //! path**:
 //!
-//! * [`QuerySnapshot::query_fl`] parses the pattern into a private
-//!   scratch symbol table and *remaps* it into the frozen interner
-//!   (`FLogic::query`), so it never mutates shared state. A
-//!   constant the snapshot has never seen simply matches nothing.
+//! * [`QuerySnapshot::query_fl`] parses the pattern once against the
+//!   frozen interner, looking each name up and interning nothing
+//!   (`FLogic::query`, on `kind_datalog::parser::Parser::asking`), so it
+//!   never mutates shared state. A constant the snapshot has never seen
+//!   simply matches nothing.
 //! * [`QuerySnapshot::answer`] adds a one-off rule to a per-call
 //!   **clone** of the frozen base (rules and interner: per-thread scratch
 //!   space), as one entry stratum above the base program's memoized
@@ -187,8 +188,8 @@ impl QuerySnapshot {
 
     /// Runs an FL query pattern (e.g. `"X : Neuron"`) against the frozen
     /// model. Allocation-light and free of exclusive locks once warm: the
-    /// pattern is parsed into a scratch symbol table and remapped into the
-    /// frozen interner, so `&self` suffices; a pattern with a constant
+    /// pattern is parsed against the frozen interner in place — no scratch
+    /// table, no remap — so `&self` suffices; a pattern with a constant
     /// finds the relation's index under its `RwLock` read guard, and only
     /// the first such probe of a column set no earlier epoch was probed on
     /// takes the write lock, to build the index. Patterns mentioning

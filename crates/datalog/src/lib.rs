@@ -677,12 +677,11 @@ impl Engine {
 
     /// Parses `pattern` (e.g. `"tc(a, X)"`) and matches it against a
     /// previously computed model. Asking interns nothing: the pattern is
-    /// parsed into a scratch table and remapped ([`parser::remap_atom`]),
-    /// and a symbol this engine has never seen matches nothing.
+    /// parsed against this engine's symbol table in place
+    /// ([`parser::ask_atom`]), and a symbol the engine has never seen
+    /// matches nothing.
     pub fn query_model(&self, model: &Model, pattern: &str) -> Result<Vec<Vec<Term>>> {
-        let mut scratch = Interner::new();
-        let (atom, _) = parser::parse_atom(pattern, &mut scratch)?;
-        Ok(parser::remap_atom(&atom, &scratch, &self.syms)
+        Ok(parser::ask_atom(pattern, &self.syms)?
             .map(|a| model.query(&a))
             .unwrap_or_default())
     }

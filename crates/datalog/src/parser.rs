@@ -24,6 +24,7 @@ use crate::error::{DatalogError, Result};
 use crate::interner::{Interner, Sym};
 use crate::rule::Rule;
 use crate::term::{Term, Var};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,37 +65,30 @@ pub fn parse_program(src: &str, syms: &mut Interner) -> Result<Vec<Clause>> {
 /// variables.
 pub fn parse_atom(src: &str, syms: &mut Interner) -> Result<(Atom, u32)> {
     let mut p = Parser::new(src, syms);
+    let atom = whole_atom(&mut p)?;
+    Ok((atom, p.nvars()))
+}
+
+/// Parses the pattern `src` (an atom, as [`parse_atom`] reads it) against
+/// the frozen table `syms`, interning nothing ([`Parser::asking`]): the
+/// same grammar, the same errors. `None` when the pattern names a symbol
+/// `syms` lacks — such an atom can match nothing. This is how a question
+/// is asked of a knowledge base behind `&self`.
+pub fn ask_atom(src: &str, syms: &Interner) -> Result<Option<Atom>> {
+    let mut p = Parser::asking(src, syms);
+    let atom = whole_atom(&mut p)?;
+    Ok(p.known(atom))
+}
+
+/// An atom that is all of the input, whitespace aside.
+fn whole_atom(p: &mut Parser) -> Result<Atom> {
     p.skip_ws();
     let atom = p.atom()?;
     p.skip_ws();
     if !p.at_end() {
         return Err(p.err("trailing input after atom"));
     }
-    Ok((atom, p.nvars()))
-}
-
-/// Maps a term's symbols from one interner into another without
-/// interning; `None` when a symbol is unknown to `to`. This is how a
-/// question is asked of a knowledge base behind `&self`: the pattern is
-/// parsed into a scratch table and remapped, and a symbol the base has
-/// never seen can match nothing.
-pub fn remap_term(t: &Term, from: &Interner, to: &Interner) -> Option<Term> {
-    match t {
-        Term::Const(s) => to.get(from.resolve(*s)).map(Term::Const),
-        Term::Func(f, args) => {
-            let f = to.get(from.resolve(*f))?;
-            let args: Option<Vec<Term>> = args.iter().map(|a| remap_term(a, from, to)).collect();
-            Some(Term::func(f, args?))
-        }
-        other => Some(other.clone()),
-    }
-}
-
-/// [`remap_term`] lifted over an atom (its predicate included).
-pub fn remap_atom(a: &Atom, from: &Interner, to: &Interner) -> Option<Atom> {
-    let pred = to.get(from.resolve(a.pred))?;
-    let args: Option<Vec<Term>> = a.args.iter().map(|t| remap_term(t, from, to)).collect();
-    Some(Atom::new(pred, args?))
+    Ok(atom)
 }
 
 /// `clause`, parsed into the symbol table `from`, moved into `to`: every
@@ -190,17 +184,39 @@ pub fn quoted(s: &str) -> String {
 /// integer literals, terms, arithmetic expressions, comparisons,
 /// aggregates, and the [`MAX_NESTING`] caps. Errors carry the byte offset
 /// and line of the current position.
+///
+/// A parser either interns the names it reads ([`Parser::new`]) or looks
+/// them up in a frozen table ([`Parser::asking`]); the grammar is the same
+/// either way. Tokens are borrowed from the source: a name is copied only
+/// by the table that interns it, and a variable's only when a clause
+/// keeps it ([`Parser::take_var_names`]).
 pub struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
-    syms: &'a mut Interner,
-    vars: HashMap<String, Var>,
-    var_names: Vec<String>,
+    syms: Symbols<'a>,
+    /// An asking parse met a name its table lacks.
+    missing: bool,
+    vars: HashMap<&'a str, Var>,
+    /// Each variable's name by id; `_` for an anonymous one.
+    var_names: Vec<&'a str>,
     /// Open nesting levels at `pos`, and arithmetic operators seen in the
     /// current clause (both capped by [`MAX_NESTING`]).
     depth: usize,
     ops: usize,
 }
+
+/// Where a parser's names go.
+enum Symbols<'a> {
+    /// Interned: a new name is added.
+    Interning(&'a mut Interner),
+    /// Looked up: a new name stands in as [`UNKNOWN`] and marks the parse
+    /// missing.
+    Asking(&'a Interner),
+}
+
+/// What an unknown name parses to in an asking parse: a symbol no table
+/// hands out. [`Parser::known`] keeps it from leaving the parse.
+const UNKNOWN: Sym = Sym(u32::MAX);
 
 /// Identifiers starting uppercase or with `_` are variables.
 fn is_var_name(name: &str) -> bool {
@@ -218,14 +234,55 @@ struct Mark {
 impl<'a> Parser<'a> {
     /// A parser at the start of `src`, interning into `syms`.
     pub fn new(src: &'a str, syms: &'a mut Interner) -> Self {
+        Self::with(src, Symbols::Interning(syms))
+    }
+
+    /// A parser at the start of `src` that looks every name up in `syms`
+    /// and interns nothing. A name `syms` lacks parses as a placeholder
+    /// symbol and marks the parse missing, and parsing goes on as
+    /// [`Parser::new`]'s would, to the same result or the same error;
+    /// [`Parser::known`] hands the result out only when nothing was
+    /// missing.
+    pub fn asking(src: &'a str, syms: &'a Interner) -> Self {
+        Self::with(src, Symbols::Asking(syms))
+    }
+
+    fn with(src: &'a str, syms: Symbols<'a>) -> Self {
         Parser {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             syms,
+            missing: false,
             vars: HashMap::new(),
             var_names: Vec::new(),
             depth: 0,
             ops: 0,
+        }
+    }
+
+    /// `parsed`, unless the parse met a name its table lacks (only an
+    /// asking parse can): then `parsed` holds a placeholder, and a pattern
+    /// naming something the table has never seen matches nothing.
+    pub fn known<T>(&self, parsed: T) -> Option<T> {
+        (!self.missing).then_some(parsed)
+    }
+
+    /// The symbol table names go to or are looked up in.
+    fn symbols(&self) -> &Interner {
+        match &self.syms {
+            Symbols::Interning(syms) => syms,
+            Symbols::Asking(syms) => syms,
+        }
+    }
+
+    /// The symbol of `name`: interned, or looked up by an asking parse.
+    fn sym(&mut self, name: &str) -> Sym {
+        match &mut self.syms {
+            Symbols::Interning(syms) => syms.intern(name),
+            Symbols::Asking(syms) => syms.get(name).unwrap_or_else(|| {
+                self.missing = true;
+                UNKNOWN
+            }),
         }
     }
 
@@ -237,9 +294,16 @@ impl<'a> Parser<'a> {
         self.ops = 0;
     }
 
-    /// The current clause's variable names by id, leaving none behind.
+    /// The current clause's variable names by id, leaving none behind; an
+    /// anonymous variable is called `_` and its id.
     pub fn take_var_names(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.var_names)
+        let names = self.var_names.drain(..).enumerate();
+        names
+            .map(|(id, name)| match name {
+                "_" => format!("_{id}"),
+                name => name.to_string(),
+            })
+            .collect()
     }
 
     /// Parses one nesting level down, refusing level [`MAX_NESTING`] + 1.
@@ -287,15 +351,25 @@ impl<'a> Parser<'a> {
 
     /// A parse error at the current position.
     pub fn err(&self, msg: &str) -> DatalogError {
-        let line = 1 + self.src[..self.pos.min(self.src.len())]
+        self.err_at(self.pos, msg)
+    }
+
+    /// A parse error at byte `offset` of the source.
+    pub fn err_at(&self, offset: usize, msg: &str) -> DatalogError {
+        let line = 1 + self.src.as_bytes()[..offset.min(self.src.len())]
             .iter()
             .filter(|&&b| b == b'\n')
             .count();
         DatalogError::Parse {
-            offset: self.pos,
+            offset,
             line,
             message: msg.to_string(),
         }
+    }
+
+    /// The current byte offset.
+    pub fn offset(&self) -> usize {
+        self.pos
     }
 
     /// Whether all input is consumed.
@@ -310,7 +384,11 @@ impl<'a> Parser<'a> {
 
     /// The byte `off` past the current position (`0` beyond the end).
     pub fn peek_at(&self, off: usize) -> u8 {
-        self.src.get(self.pos + off).copied().unwrap_or(0)
+        self.src
+            .as_bytes()
+            .get(self.pos + off)
+            .copied()
+            .unwrap_or(0)
     }
 
     fn bump(&mut self) -> u8 {
@@ -338,7 +416,7 @@ impl<'a> Parser<'a> {
     /// Consumes the token `s` if it is next (after whitespace).
     pub fn eat(&mut self, s: &str) -> bool {
         self.skip_ws();
-        if self.src[self.pos..].starts_with(s.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(s.as_bytes()) {
             self.pos += s.len();
             true
         } else {
@@ -356,7 +434,7 @@ impl<'a> Parser<'a> {
     }
 
     /// An identifier (`[A-Za-z_][A-Za-z0-9_]*`), if one is next.
-    fn ident(&mut self) -> Option<String> {
+    fn ident(&mut self) -> Option<&'a str> {
         self.skip_ws();
         let start = self.pos;
         if !(self.peek().is_ascii_alphabetic() || self.peek() == b'_') {
@@ -365,47 +443,63 @@ impl<'a> Parser<'a> {
         while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' {
             self.pos += 1;
         }
-        Some(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        // ASCII bytes only: the slice ends on character boundaries.
+        Some(&self.src[start..self.pos])
     }
 
     /// The variable called `name` in the current clause (`_` is fresh
     /// every time).
-    fn var(&mut self, name: String) -> Var {
-        if name == "_" {
-            let v = Var(self.nvars());
-            self.var_names.push(format!("_{}", v.0));
-            return v;
-        }
-        if let Some(&v) = self.vars.get(&name) {
-            return v;
+    fn var(&mut self, name: &'a str) -> Var {
+        if name != "_" {
+            if let Some(&v) = self.vars.get(name) {
+                return v;
+            }
+            self.vars.insert(name, Var(self.nvars()));
         }
         let v = Var(self.nvars());
-        self.vars.insert(name.clone(), v);
         self.var_names.push(name);
         v
     }
 
-    fn string_lit(&mut self) -> Result<String> {
-        // Caller consumed the opening quote. The source is a `str` and the
-        // bytes between quotes are cut at ASCII only, so they decode.
-        let mut s = Vec::new();
+    /// A string literal's text, borrowed from the source unless an escape
+    /// makes it differ.
+    fn string_lit(&mut self) -> Result<Cow<'a, str>> {
+        // Caller consumed the opening quote. Quotes and backslashes are
+        // ASCII, so the runs between them are cut on character boundaries.
+        let src = self.src;
+        let start = self.pos;
+        let mut unescaped: Option<String> = None;
         loop {
-            if self.at_end() {
+            let run = src.as_bytes()[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\');
+            let Some(run) = run else {
+                self.pos = src.len();
                 return Err(self.err("unterminated string literal"));
+            };
+            if let Some(s) = &mut unescaped {
+                s.push_str(&src[self.pos..self.pos + run]);
             }
-            match self.bump() {
-                b'"' => break,
-                b'\\' => match self.bump() {
-                    b'"' => s.push(b'"'),
-                    b'\\' => s.push(b'\\'),
-                    b'n' => s.push(b'\n'),
-                    b't' => s.push(b'\t'),
-                    c => return Err(self.err(&format!("bad escape \\{}", c as char))),
-                },
-                c => s.push(c),
+            self.pos += run;
+            let escape_at = self.pos;
+            if self.bump() == b'"' {
+                break;
             }
+            let c = match self.bump() {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'n' => '\n',
+                b't' => '\t',
+                c => return Err(self.err(&format!("bad escape \\{}", c as char))),
+            };
+            unescaped
+                .get_or_insert_with(|| src[start..escape_at].to_string())
+                .push(c);
         }
-        String::from_utf8(s).map_err(|_| self.err("string literal is not UTF-8"))
+        Ok(match unescaped {
+            Some(s) => Cow::Owned(s),
+            None => Cow::Borrowed(&src[start..self.pos - 1]),
+        })
     }
 
     fn integer(&mut self) -> Result<i64> {
@@ -416,10 +510,9 @@ impl<'a> Parser<'a> {
         while self.peek().is_ascii_digit() {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("integer out of range"))
+        self.src[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("integer out of range"))
     }
 
     /// term := VAR | INT | STRING | ident [ '(' term, .. ')' ]
@@ -428,7 +521,7 @@ impl<'a> Parser<'a> {
         if self.peek() == b'"' {
             self.pos += 1;
             let s = self.string_lit()?;
-            return Ok(Term::Const(self.syms.intern(&s)));
+            return Ok(Term::Const(self.sym(&s)));
         }
         if self.peek().is_ascii_digit() || (self.peek() == b'-' && self.peek_at(1).is_ascii_digit())
         {
@@ -437,7 +530,7 @@ impl<'a> Parser<'a> {
         let Some(name) = self.ident() else {
             return Err(self.err("expected term"));
         };
-        if is_var_name(&name) {
+        if is_var_name(name) {
             return Ok(Term::Var(self.var(name)));
         }
         if self.eat("(") {
@@ -449,9 +542,9 @@ impl<'a> Parser<'a> {
                 Ok(args)
             })?;
             self.expect(")")?;
-            Ok(Term::func(self.syms.intern(&name), args))
+            Ok(Term::func(self.sym(name), args))
         } else {
-            Ok(Term::Const(self.syms.intern(&name)))
+            Ok(Term::Const(self.sym(name)))
         }
     }
 
@@ -515,7 +608,7 @@ impl<'a> Parser<'a> {
             (">", CmpOp::Gt),
             ("=", CmpOp::Eq),
         ] {
-            if self.src[self.pos..].starts_with(tok.as_bytes()) {
+            if self.src.as_bytes()[self.pos..].starts_with(tok.as_bytes()) {
                 self.pos += tok.len();
                 return Some(op);
             }
@@ -540,10 +633,10 @@ impl<'a> Parser<'a> {
         let Some(name) = self.ident() else {
             return Err(self.err("expected predicate name"));
         };
-        if is_var_name(&name) {
+        if is_var_name(name) {
             return Err(self.err("predicate names must start lowercase"));
         }
-        let pred = self.syms.intern(&name);
+        let pred = self.sym(name);
         let mut args = Vec::new();
         if self.eat("(") {
             args.push(self.term()?);
@@ -598,7 +691,7 @@ impl<'a> Parser<'a> {
     {
         self.skip_ws();
         let start = self.mark();
-        if self.ident().as_deref() == Some("not") {
+        if self.ident() == Some("not") {
             let t = self.term()?;
             let atoms = literal(self, t)?;
             let [atom] = <[Atom; 1]>::try_from(atoms)
@@ -618,7 +711,7 @@ impl<'a> Parser<'a> {
         // `V = agg{...}`?
         if op == CmpOp::Eq {
             let after_eq = self.mark();
-            if let Some(func) = self.ident().as_deref().and_then(Self::agg_func) {
+            if let Some(func) = self.ident().and_then(Self::agg_func) {
                 self.skip_ws();
                 if self.peek() == b'{' {
                     let Expr::Term(Term::Var(result)) = lhs else {
@@ -651,7 +744,7 @@ impl<'a> Parser<'a> {
                 let Some(name) = self.ident() else {
                     return Err(self.err("expected grouping variable"));
                 };
-                if !is_var_name(&name) {
+                if !is_var_name(name) {
                     return Err(self.err("grouping names must be variables"));
                 }
                 group_by.push(self.var(name));
@@ -689,7 +782,8 @@ impl<'a> Parser<'a> {
         self.expect(":-")?;
         let body = self.body(&mut |p, t| Ok(vec![p.plain_atom(t)?]))?;
         self.expect(".")?;
-        let rule = Rule::compile_named(head, body, self.nvars(), self.take_var_names(), self.syms)?;
+        let (nvars, names) = (self.nvars(), self.take_var_names());
+        let rule = Rule::compile_named(head, body, nvars, names, self.symbols())?;
         Ok(Clause::Rule(rule))
     }
 }

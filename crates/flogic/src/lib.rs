@@ -49,8 +49,7 @@ pub use ast::{ArrowKind, MethodSpec, Molecule};
 pub use parser::{parse_fl_molecule, parse_fl_program, FlClause};
 pub use translate::{implied_classes, lower_clause, molecule_atoms, Preds};
 
-use kind_datalog::parser::{remap_atom, remap_term};
-use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Interner, Model, Term};
+use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Model, Term};
 
 /// Core FL axioms of Table 1 (right column), in Datalog syntax over the
 /// reserved predicates.
@@ -341,26 +340,13 @@ impl FLogic {
         out
     }
 
-    /// Parses an FL molecule for asking: into a scratch symbol table,
-    /// then remapped onto this knowledge base's own without interning
-    /// (`kind_datalog::parser::remap_term`). `None` when it mentions a
-    /// constant or predicate this base has never seen — such a molecule
-    /// can match nothing. It must translate to a single atom.
+    /// The one atom an FL molecule asks about, lowered against this
+    /// knowledge base's own symbol table in place — nothing is interned.
+    /// `None` when it mentions a constant or predicate this base has never
+    /// seen: such a molecule can match nothing. A molecule that does not
+    /// translate to a single atom is a parse error, whatever it mentions.
     fn ask(&self, molecule: &str) -> Result<Option<Atom>, DatalogError> {
-        let mut scratch = Interner::new();
-        let (mol, _) = parser::parse_fl_molecule(molecule, &mut scratch)?;
-        let Some(mol) = remap_molecule(&mol, &scratch, self.engine.symbols()) else {
-            return Ok(None);
-        };
-        let mut atoms = translate::molecule_atoms(&mol, &self.preds);
-        if atoms.len() != 1 {
-            return Err(DatalogError::Parse {
-                offset: 0,
-                line: 0,
-                message: "a molecule to ask about must translate to a single atom".to_string(),
-            });
-        }
-        Ok(atoms.pop())
+        parser::ask_molecule(molecule, self.engine.symbols(), &self.preds)
     }
 
     /// Explains why an FL molecule fact holds in a model: returns the
@@ -381,8 +367,9 @@ impl FLogic {
 
     /// Runs an FL molecule query (e.g. `"X : neuron"`) against a model,
     /// returning one substituted argument vector per solution. Asking
-    /// never interns: a constant or predicate this base has never seen
-    /// yields no rows. Because it takes `&self`, many threads can query
+    /// never interns (the pattern is parsed against this base's symbol
+    /// table in place): a constant or predicate this base has never
+    /// seen yields no rows. Because it takes `&self`, many threads can query
     /// one shared `FLogic` + [`Model`] concurrently — the hot path of
     /// `kind-core`'s `QuerySnapshot`.
     pub fn query(&self, model: &Model, pattern: &str) -> Result<Vec<Vec<Term>>, DatalogError> {
@@ -390,35 +377,6 @@ impl FLogic {
             .ask(pattern)?
             .map(|atom| model.query(&atom))
             .unwrap_or_default())
-    }
-}
-
-/// [`remap_term`] lifted over molecules.
-fn remap_molecule(mol: &Molecule, from: &Interner, to: &Interner) -> Option<Molecule> {
-    match mol {
-        Molecule::IsA { obj, class } => Some(Molecule::IsA {
-            obj: remap_term(obj, from, to)?,
-            class: remap_term(class, from, to)?,
-        }),
-        Molecule::SubClass { sub, sup } => Some(Molecule::SubClass {
-            sub: remap_term(sub, from, to)?,
-            sup: remap_term(sup, from, to)?,
-        }),
-        Molecule::Frame { obj, specs } => {
-            let obj = remap_term(obj, from, to)?;
-            let specs = specs
-                .iter()
-                .map(|s| {
-                    Some(MethodSpec {
-                        method: remap_term(&s.method, from, to)?,
-                        arrow: s.arrow,
-                        value: remap_term(&s.value, from, to)?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(Molecule::Frame { obj, specs })
-        }
-        Molecule::Plain(a) => remap_atom(a, from, to).map(Molecule::Plain),
     }
 }
 

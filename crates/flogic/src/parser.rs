@@ -24,7 +24,7 @@
 use crate::ast::{ArrowKind, MethodSpec, Molecule};
 use crate::translate::{molecule_atoms, Preds};
 use kind_datalog::parser::Parser;
-use kind_datalog::{BodyItem, DatalogError, Interner, Term};
+use kind_datalog::{Atom, BodyItem, DatalogError, Interner, Term};
 
 /// A parsed FL clause: a head molecule (frames may carry several specs and
 /// expand to several Datalog rules) and a body, already lowered to
@@ -63,13 +63,43 @@ pub fn parse_fl_molecule(
     syms: &mut Interner,
 ) -> Result<(Molecule, Vec<String>), DatalogError> {
     let mut p = Parser::new(src, syms);
+    let m = whole_molecule(&mut p)?;
+    Ok((m, p.take_var_names()))
+}
+
+/// The one atom the molecule `src` asks about, parsed against the frozen
+/// table `syms` ([`Parser::asking`]): the grammar and errors of
+/// [`parse_fl_molecule`], and nothing interned. A molecule that lowers to
+/// more or fewer than one atom is refused at its first token, whatever
+/// names it mentions; `None` when it names a symbol `syms` lacks — such a
+/// molecule can match nothing.
+pub(crate) fn ask_molecule(
+    src: &str,
+    syms: &Interner,
+    preds: &Preds,
+) -> Result<Option<Atom>, DatalogError> {
+    let mut p = Parser::asking(src, syms);
     p.skip_ws();
-    let m = molecule(&mut p)?;
+    let start = p.offset();
+    let atoms = molecule_atoms(&whole_molecule(&mut p)?, preds);
+    let [atom] = <[Atom; 1]>::try_from(atoms).map_err(|_| {
+        p.err_at(
+            start,
+            "a molecule to ask about must translate to a single atom",
+        )
+    })?;
+    Ok(p.known(atom))
+}
+
+/// A molecule that is all of the input, whitespace aside.
+fn whole_molecule(p: &mut Parser) -> Result<Molecule, DatalogError> {
+    p.skip_ws();
+    let m = molecule(p)?;
     p.skip_ws();
     if !p.at_end() {
         return Err(p.err("trailing input after molecule"));
     }
-    Ok((m, p.take_var_names()))
+    Ok(m)
 }
 
 // What F-logic adds to the Datalog parser (`kind_datalog::parser::Parser`:

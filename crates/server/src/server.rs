@@ -596,25 +596,42 @@ fn refuse_long_line(io: &mut ConnIo<'_>) {
     }
 }
 
-/// `write!` into an output buffer, which cannot fail.
-macro_rules! put {
-    ($out:expr, $($format:tt)*) => {
+/// `{"id":…,"ok":…` — every reply starts so; fields follow, then
+/// [`end_reply`]. The id prints as [`Json`] prints it.
+fn begin_reply(out: &mut Vec<u8>, id: &Json, ok: bool) {
+    out.extend_from_slice(b"{\"id\":");
+    match id {
+        Json::Null => out.extend_from_slice(b"null"),
+        Json::Str(s) => wire::write_str(out, s),
+        Json::Num(n) if wire::prints_as_integer(*n) => wire::write_i64(out, *n as i64),
         // Never `Err`: the buffer is a `Vec<u8>`, whose `io::Write` only
         // grows it, and a `Display` impl returns an error only when its
         // writer does (the `std::fmt` contract).
-        write!($out, $($format)*).expect("writing to a Vec cannot fail")
-    };
+        other => write!(out, "{other}").expect("writing to a Vec cannot fail"),
+    }
+    bool_field(out, "ok", ok);
 }
 
-/// `{"id":…,"ok":…` — every reply starts so; fields follow, then
-/// [`end_reply`].
-fn begin_reply(out: &mut Vec<u8>, id: &Json, ok: bool) {
-    put!(out, "{{\"id\":{id},\"ok\":{ok}");
+/// `,"key":` — the keys are the protocol's own, which need no escaping.
+fn key(out: &mut Vec<u8>, key: &str) {
+    out.extend_from_slice(b",\"");
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(b"\":");
 }
 
-fn str_field(out: &mut Vec<u8>, key: &str, value: &str) {
-    put!(out, ",\"{key}\":");
+fn str_field(out: &mut Vec<u8>, name: &str, value: &str) {
+    key(out, name);
     wire::write_str(out, value);
+}
+
+fn num_field(out: &mut Vec<u8>, name: &str, value: u64) {
+    key(out, name);
+    wire::write_u64(out, value);
+}
+
+fn bool_field(out: &mut Vec<u8>, name: &str, value: bool) {
+    key(out, name);
+    out.extend_from_slice(if value { b"true" } else { b"false" });
 }
 
 fn end_reply(out: &mut Vec<u8>) {
@@ -632,7 +649,8 @@ fn write_error(out: &mut Vec<u8>, id: &Json, error: &str, detail: &str) {
 /// into `out` as it is formatted — a constant's is its name, escaped as
 /// it stands in the symbol table.
 fn write_rows(out: &mut Vec<u8>, rows: &[Vec<Term>], syms: &Interner) {
-    put!(out, ",\"row_count\":{},\"rows\":[", rows.len());
+    num_field(out, "row_count", rows.len() as u64);
+    out.extend_from_slice(b",\"rows\":[");
     for (i, row) in rows.iter().enumerate() {
         out.extend_from_slice(if i == 0 { b"[" } else { b",[" });
         for (j, cell) in row.iter().enumerate() {
@@ -641,6 +659,11 @@ fn write_rows(out: &mut Vec<u8>, rows: &[Vec<Term>], syms: &Interner) {
             }
             match cell {
                 Term::Const(name) => wire::write_str(out, syms.resolve(*name)),
+                Term::Int(i) => {
+                    out.push(b'"');
+                    wire::write_i64(out, *i);
+                    out.push(b'"');
+                }
                 _ => wire::write_display(out, cell.display(syms)),
             }
         }
@@ -710,20 +733,21 @@ fn handle_request(
         // Ungated ops: no snapshot, no turn.
         "stats" => {
             let s = &shared.stats;
-            begin_reply(&mut io.out, id, true);
-            put!(
-                &mut io.out,
-                ",\"op\":\"stats\",\"epoch\":{},\"admitted\":{},\"served\":{},\"shed\":{},\
-                     \"deadline\":{},\"publishes\":{},\"queue_depth\":{}",
-                shared.hub.epoch(),
-                s.admitted.load(Ordering::Relaxed),
-                s.served.load(Ordering::Relaxed),
-                s.shed.load(Ordering::Relaxed),
-                s.deadline.load(Ordering::Relaxed),
-                s.publishes.load(Ordering::Relaxed),
-                shared.gate.queue_depth
-            );
-            end_reply(&mut io.out);
+            let out = &mut io.out;
+            begin_reply(out, id, true);
+            str_field(out, "op", "stats");
+            num_field(out, "epoch", shared.hub.epoch());
+            for (name, counter) in [
+                ("admitted", &s.admitted),
+                ("served", &s.served),
+                ("shed", &s.shed),
+                ("deadline", &s.deadline),
+                ("publishes", &s.publishes),
+            ] {
+                num_field(out, name, counter.load(Ordering::Relaxed));
+            }
+            num_field(out, "queue_depth", shared.gate.queue_depth as u64);
+            end_reply(out);
             return Ok(());
         }
         "shutdown" => {
@@ -746,15 +770,13 @@ fn handle_request(
             let sent = shared.writer_tx.send(cmd).ok();
             match sent.and_then(|()| outcome.recv().ok()) {
                 Some(Ok(p)) => {
-                    begin_reply(&mut io.out, id, true);
-                    put!(
-                        &mut io.out,
-                        ",\"op\":\"publish\",\"loaded\":{},\"epoch\":{},\"publish_us\":{}",
-                        p.loaded,
-                        p.epoch,
-                        p.publish_us
-                    );
-                    end_reply(&mut io.out);
+                    let out = &mut io.out;
+                    begin_reply(out, id, true);
+                    str_field(out, "op", "publish");
+                    num_field(out, "loaded", p.loaded as u64);
+                    num_field(out, "epoch", p.epoch);
+                    num_field(out, "publish_us", p.publish_us);
+                    end_reply(out);
                 }
                 Some(Err(detail)) => write_error(&mut io.out, id, "publish_error", &detail),
                 None => write_error(&mut io.out, id, "publish_error", "the writer has stopped"),
@@ -806,7 +828,7 @@ fn serve_gated(
         stats.shed.fetch_add(1, Ordering::Relaxed);
         begin_reply(&mut io.out, id, false);
         str_field(&mut io.out, "error", "overloaded");
-        put!(&mut io.out, ",\"queue_depth\":{}", shared.gate.queue_depth);
+        num_field(&mut io.out, "queue_depth", shared.gate.queue_depth as u64);
         end_reply(&mut io.out);
         return Ok(());
     };
@@ -827,7 +849,7 @@ fn serve_gated(
         stats.deadline.fetch_add(1, Ordering::Relaxed);
         begin_reply(&mut io.out, id, false);
         str_field(&mut io.out, "error", "deadline_exceeded");
-        put!(&mut io.out, ",\"queue_us\":{queue_us}");
+        num_field(&mut io.out, "queue_us", queue_us);
         end_reply(&mut io.out);
         return Ok(());
     };
@@ -844,10 +866,9 @@ fn serve_gated(
         Ok(done) => {
             stats.served.fetch_add(1, Ordering::Relaxed);
             begin_reply(out, id, true);
-            put!(
-                out,
-                ",\"epoch\":{epoch},\"queue_us\":{queue_us},\"eval_us\":{eval_us}"
-            );
+            num_field(out, "epoch", epoch);
+            num_field(out, "queue_us", queue_us);
+            num_field(out, "eval_us", eval_us);
             write_done(out, &done, pinned.base().flogic().engine().symbols());
             end_reply(out);
         }
@@ -858,7 +879,8 @@ fn serve_gated(
             begin_reply(out, id, false);
             str_field(out, "error", kind);
             str_field(out, "detail", &detail);
-            put!(out, ",\"epoch\":{epoch},\"queue_us\":{queue_us}");
+            num_field(out, "epoch", epoch);
+            num_field(out, "queue_us", queue_us);
             end_reply(out);
         }
     }
@@ -918,7 +940,10 @@ fn evaluate(
 fn write_done(out: &mut Vec<u8>, done: &Done, pinned: &Interner) {
     match done {
         Done::Ping => str_field(out, "op", "ping"),
-        Done::Slept(ms) => put!(out, ",\"op\":\"sleep\",\"ms\":{ms}"),
+        Done::Slept(ms) => {
+            str_field(out, "op", "sleep");
+            num_field(out, "ms", *ms);
+        }
         Done::Rows(rows) => {
             str_field(out, "op", "query_fl");
             write_rows(out, rows, pinned);
@@ -927,17 +952,14 @@ fn write_done(out: &mut Vec<u8>, done: &Done, pinned: &Interner) {
             str_field(out, "op", "answer");
             write_rows(out, &answer.rows, &answer.syms);
             let s = &answer.stats;
-            put!(
-                out,
-                ",\"eval\":{{\"iterations\":{},\"derived\":{},\"applications\":{},\
-                     \"index_hits\":{},\"magic_fired\":{},\"magic_declined\":{}}}",
-                s.iterations,
-                s.derived,
-                s.applications,
-                s.index_hits,
-                answer.magic_fired,
-                answer.magic_declined
-            );
+            out.extend_from_slice(b",\"eval\":{\"iterations\":");
+            wire::write_u64(out, s.iterations as u64);
+            num_field(out, "derived", s.derived as u64);
+            num_field(out, "applications", s.applications as u64);
+            num_field(out, "index_hits", s.index_hits as u64);
+            bool_field(out, "magic_fired", answer.magic_fired);
+            bool_field(out, "magic_declined", answer.magic_declined);
+            out.push(b'}');
         }
         Done::Plan(trace) => {
             str_field(out, "op", "plan");
@@ -945,12 +967,8 @@ fn write_done(out: &mut Vec<u8>, done: &Done, pinned: &Interner) {
                 Some(root) => str_field(out, "root", root),
                 None => out.extend_from_slice(b",\"root\":null"),
             }
-            put!(
-                out,
-                ",\"distribution_rows\":{},\"selected_sources\":{}",
-                trace.distribution.len(),
-                trace.selected_sources.len()
-            );
+            num_field(out, "distribution_rows", trace.distribution.len() as u64);
+            num_field(out, "selected_sources", trace.selected_sources.len() as u64);
             str_field(out, "report", &trace.report.summary_line());
         }
     }
@@ -967,9 +985,8 @@ fn writer_loop(
         let started = Instant::now();
         batch += 1;
         let update = ncmir_update_rows(seed, batch, rows);
-        let outcome = update
-            .iter()
-            .try_for_each(|row| mediator.load_row("NCMIR", "protein_amount", row))
+        let outcome = mediator
+            .load_rows("NCMIR", "protein_amount", &update)
             .and_then(|()| mediator.publish())
             .map(|_| {
                 shared.stats.publishes.fetch_add(1, Ordering::Relaxed);

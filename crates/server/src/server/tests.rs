@@ -188,7 +188,7 @@ fn rows_rendered_as_strings(rows: &[Vec<Term>], syms: &Interner) -> Vec<u8> {
         .collect();
     shown.sort();
     let mut out = Vec::new();
-    put!(out, ",\"row_count\":{},\"rows\":[", shown.len());
+    write!(out, ",\"row_count\":{},\"rows\":[", shown.len()).unwrap();
     for (i, row) in shown.iter().enumerate() {
         out.extend_from_slice(if i == 0 { b"[" } else { b",[" });
         for (j, cell) in row.iter().enumerate() {

@@ -206,6 +206,22 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
     }
 }
 
+/// The bytes from `from` to the closing quote of the string whose body
+/// starts there, escapes skipped — or to the end of `b` when it has none.
+/// No escape decodes to more bytes than it takes (`\uXXXX`, six, to at
+/// most three), so this bounds the decoded string.
+fn quoted_span(b: &[u8], from: usize) -> usize {
+    let mut at = from;
+    while let Some(run) = b[at..].iter().position(|&c| c == b'"' || c == b'\\') {
+        at += run;
+        if b[at] == b'"' {
+            return at - from;
+        }
+        at = (at + 2).min(b.len());
+    }
+    b.len() - from
+}
+
 fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     let b = text.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
@@ -219,6 +235,10 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
             .iter()
             .position(|&c| c == b'"' || c == b'\\')
             .ok_or("unterminated string")?;
+        if b[*pos + run] == b'\\' && out.capacity() == 0 {
+            // An escape: the text is not its span, but no longer than it.
+            out.reserve(run + quoted_span(b, *pos + run));
+        }
         out.push_str(&text[*pos..*pos + run]);
         *pos += run + 1;
         if b[*pos - 1] == b'"' {
@@ -253,13 +273,19 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// Whether [`Json::Num`] prints `n` as the integer `n as i64`; it prints
+/// any other number as `f64` displays.
+pub fn prints_as_integer(n: f64) -> bool {
+    n.fract() == 0.0 && n.abs() < 9.0e15
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                if prints_as_integer(*n) {
                     write!(f, "{}", *n as i64)
                 } else {
                     write!(f, "{n}")
@@ -338,6 +364,29 @@ pub fn write_str(out: &mut Vec<u8>, s: &str) {
         Ok(())
     });
     let Ok(()) = done;
+}
+
+/// Appends `n` in decimal to `out`, as `{n}` formats it.
+pub fn write_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `n` in decimal to `out`, as `{n}` formats it.
+pub fn write_i64(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    write_u64(out, n.unsigned_abs());
 }
 
 /// Appends `value`'s display to `out` as a JSON string literal, byte for
@@ -483,6 +532,29 @@ mod tests {
             let mut out = Vec::new();
             write_str(&mut out, s);
             assert_eq!(String::from_utf8(out).unwrap(), Json::str(s).to_string());
+        }
+    }
+
+    #[test]
+    fn the_decimal_writers_print_what_format_prints() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut cases: Vec<u64> = vec![0, 1, 9, 10, 99, 100, u64::MAX, i64::MAX as u64];
+        for _ in 0..512 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Every width, from one digit to twenty.
+            cases.push(state >> (state % 64));
+        }
+        for n in cases {
+            let mut out = Vec::new();
+            write_u64(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
+            for i in [n as i64, (n as i64).wrapping_neg(), i64::MIN] {
+                out.clear();
+                write_i64(&mut out, i);
+                assert_eq!(out, i.to_string().as_bytes());
+            }
         }
     }
 
