@@ -37,14 +37,13 @@
 //! [`Wrapper::complete`]: crate::wrapper::Wrapper::complete
 //! [`Wrapper::query`]: crate::wrapper::Wrapper::query
 
-use crate::fault::{SourceError, VirtualClock};
-use crate::federation::{FetchJobDone, JobMachine, RegisteredSource, SourceReply, Step};
+use crate::fault::SourceError;
+use crate::federation::{Federation, JobMachine, SourceReply, Step};
 use crate::wrapper::Submission;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long an idle worker sleeps when it has neither ready jobs nor
@@ -91,7 +90,7 @@ enum Drive {
     /// The job parked a submission; resume it at `wake_at`.
     Parked { wake_at: Instant },
     /// The job ran out of requests.
-    Done(FetchJobDone),
+    Done,
 }
 
 /// Shared scheduler state, guarded by one mutex (contended only at
@@ -102,13 +101,12 @@ enum Drive {
 /// not panic. Wrapper code runs in [`drive`] with the lock released, and
 /// [`contact`] turns a wrapper's panic into a failed attempt.
 struct Sched {
-    /// A `Some` seat is waiting in `ready` or in `timers`; `None` means
-    /// the job is being driven by a worker or has finished.
+    /// A `Some` seat is waiting in `ready` or in `timers`, or has
+    /// finished; `None` means the job is being driven by a worker.
     seats: Vec<Option<Seat>>,
     ready: VecDeque<usize>,
     timers: Timers,
     finished: usize,
-    results: Vec<Option<FetchJobDone>>,
     /// Workers waiting on the condition variable. A park or the last
     /// finish notifies only when this is non-zero: a sleeper counts
     /// itself under the lock before it waits, so no wakeup is lost.
@@ -116,18 +114,10 @@ struct Sched {
 }
 
 /// Runs `jobs` to completion on `workers` workers, overlapping parked
-/// stalls, and returns the per-job results in job order. The calling
+/// stalls, and returns the finished jobs in job order. The calling
 /// thread is one of the `workers`: the other `workers − 1` are scoped
-/// threads, so a pool of one spawns nothing. `peak` is raised to
-/// `workers` (a statistic, read after the fetch).
-pub(crate) fn run_jobs(
-    sources: &[RegisteredSource],
-    clock: &Arc<VirtualClock>,
-    jobs: Vec<JobMachine>,
-    workers: usize,
-    peak: &AtomicUsize,
-) -> Vec<FetchJobDone> {
-    peak.fetch_max(workers, Ordering::Relaxed);
+/// threads, so a pool of one spawns nothing.
+pub(crate) fn run_jobs(fed: &Federation, jobs: Vec<JobMachine>, workers: usize) -> Vec<JobMachine> {
     let total = jobs.len();
     let state = Mutex::new(Sched {
         seats: jobs
@@ -142,11 +132,10 @@ pub(crate) fn run_jobs(
         ready: (0..total).collect(),
         timers: Timers::default(),
         finished: 0,
-        results: (0..total).map(|_| None).collect(),
         sleepers: 0,
     });
     let wake = Condvar::new();
-    let work = || worker_loop(sources, clock, &state, &wake);
+    let work = || worker_loop(fed, &state, &wake);
     std::thread::scope(|scope| {
         for _ in 1..workers {
             scope.spawn(work);
@@ -154,22 +143,17 @@ pub(crate) fn run_jobs(
         work();
     });
     // Never poisoned (see `Sched`). A worker returns only once `finished`
-    // counts every job, and a job is counted when its result is stored.
+    // counts every job, and a job is counted when its seat is stored.
     state
         .into_inner()
         .expect("executor state poisoned")
-        .results
+        .seats
         .into_iter()
-        .map(|r| r.expect("every job produced a result"))
+        .map(|seat| seat.expect("every job finished in its seat").machine)
         .collect()
 }
 
-fn worker_loop(
-    sources: &[RegisteredSource],
-    clock: &Arc<VirtualClock>,
-    state: &Mutex<Sched>,
-    wake: &Condvar,
-) {
+fn worker_loop(fed: &Federation, state: &Mutex<Sched>, wake: &Condvar) {
     let mut guard = lock(state);
     loop {
         while let Some(job) = guard.timers.pop_due(Instant::now()) {
@@ -180,29 +164,28 @@ fn worker_loop(
             // while its seat is stored.
             let mut seat = guard.seats[idx].take().expect("ready job has a seat");
             drop(guard);
-            let outcome = drive(&mut seat, sources, clock);
+            let outcome = drive(&mut seat, fed);
             guard = lock(state);
+            guard.seats[idx] = Some(seat);
             match outcome {
                 Drive::Parked { wake_at } => {
                     guard.timers.schedule(wake_at, idx);
-                    guard.seats[idx] = Some(seat);
                     // A sleeping sibling may be waiting on a later (or
                     // no) deadline: let one re-evaluate its wait.
                     if guard.sleepers > 0 {
                         wake.notify_one();
                     }
                 }
-                Drive::Done(done) => {
-                    guard.results[idx] = Some(done);
+                Drive::Done => {
                     guard.finished += 1;
-                    if guard.finished == guard.results.len() && guard.sleepers > 0 {
+                    if guard.finished == guard.seats.len() && guard.sleepers > 0 {
                         wake.notify_all();
                     }
                 }
             }
             continue;
         }
-        if guard.finished == guard.results.len() {
+        if guard.finished == guard.seats.len() {
             return;
         }
         // Nothing ready: sleep until the next timer fires, or until a
@@ -227,15 +210,15 @@ fn lock(state: &Mutex<Sched>) -> MutexGuard<'_, Sched> {
 
 /// Drives one job until it parks or finishes. Runs outside the
 /// scheduler lock: everything here is the job's own state plus the
-/// shared-but-thread-safe wrapper and clock.
-fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<VirtualClock>) -> Drive {
-    let wrapper = &sources[seat.machine.src_pos()].wrapper;
+/// shared-but-thread-safe wrapper, clock and breaker tally.
+fn drive(seat: &mut Seat, fed: &Federation) -> Drive {
+    let wrapper = &fed.sources()[seat.machine.src_pos()].wrapper;
     // Waking from a park: collect the stalled submission first.
     let mut reply: Option<SourceReply> = seat.parked_ticket.take().map(|ticket| {
         contact(|| wrapper.complete(ticket, seat.machine.current_query())).and_then(|r| r)
     });
     loop {
-        match seat.machine.step(sources, clock, reply.take()) {
+        match seat.machine.step(fed, reply.take()) {
             Step::Contact => match contact(|| wrapper.submit(seat.machine.current_query())) {
                 Ok(Submission::Ready(r)) => reply = Some(r),
                 Ok(Submission::Parked { stall, ticket }) => {
@@ -246,7 +229,7 @@ fn drive(seat: &mut Seat, sources: &[RegisteredSource], clock: &Arc<VirtualClock
                 }
                 Err(error) => reply = Some(Err(error)),
             },
-            Step::Done(done) => return Drive::Done(done),
+            Step::Done(()) => return Drive::Done,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The **federation layer**: registered sources and everything about
 //! *talking to them* — wrappers, per-source resilience policies, circuit
-//! breakers, the shared clock, fetch statistics, and the degradation
-//! report of the operation in flight.
+//! breakers, the shared clock and cumulative fetch statistics. A fetch
+//! returns its own report: no operation is kept in flight here.
 //!
 //! This is the bottom layer of the mediator split (see DESIGN.md):
 //! [`Federation`] owns the wrapper boundary, [`crate::Knowledge`] owns the
@@ -29,7 +29,9 @@
 //! breaker/retry/fault schedules are identical at every worker count),
 //! and rows, statistics, and report entries are folded job-by-job in
 //! first-appearance (i.e. registration) order after every worker has
-//! finished.
+//! finished. What fetches share — each source's breaker and the
+//! cumulative statistics — sits behind one lock, taken for one breaker
+//! transition or one merge at a time and never across wrapper code.
 
 use crate::error::{MediatorError, Result};
 use crate::fault::{
@@ -41,7 +43,7 @@ use kind_datalog::CancelToken;
 use kind_dm::SourceId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Bookkeeping for one registered source.
 pub struct RegisteredSource {
@@ -240,11 +242,13 @@ impl FetchSet {
 }
 
 /// The per-job deadline context of one fetch job: the job's slice of the
-/// query budget, the job's own self-charged spend, and the query-wide
-/// cancellation token. Every job owns exactly one — never shared — so
-/// deadline and hedging decisions depend only on the job's own work,
-/// never on how concurrent jobs were scheduled. That is what keeps
-/// reports bit-identical at every `fetch_threads` setting.
+/// query budget and the job's own self-charged spend. Every job owns
+/// exactly one — never shared — so deadline and hedging decisions depend
+/// only on the job's own work, never on how concurrent jobs were
+/// scheduled. That is what keeps reports bit-identical at every
+/// `fetch_threads` setting. (Exhausting a slice never fires the
+/// federation's cancellation token — which siblings saw the flag first
+/// would be a scheduling race — so each job runs to its own.)
 struct JobBudget {
     /// The job's slice of the query budget (`None` = no deadline).
     slice_ms: Option<u64>,
@@ -252,10 +256,6 @@ struct JobBudget {
     /// wrappers' [`Wrapper::virtual_cost_ms`] deltas plus its own retry
     /// backoffs — never raw clock reads, which siblings pollute.
     spent_ms: u64,
-    /// The query-wide cancellation token, checked before every attempt.
-    /// Exhausting a slice never fires it — which siblings saw the flag
-    /// first would be a scheduling race — so each job runs to its own.
-    cancel: CancelToken,
     /// Set once the job has quarantined rows from its source: a source
     /// that ships garbage is never hedged (a backup attempt would ship
     /// more garbage, not better data).
@@ -399,15 +399,15 @@ impl FetchMachine {
     #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
-        src: &RegisteredSource,
+        fed: &Federation,
+        src_pos: usize,
         policy: &SourcePolicy,
-        breaker: &mut CircuitBreaker,
-        clock: &Arc<VirtualClock>,
         stats: &mut MediatorStats,
         q: &SourceQuery,
         budget: &mut JobBudget,
         mut reply: Option<SourceReply>,
     ) -> Step<FetchCompletion> {
+        let (src, clock) = (&fed.sources[src_pos], &fed.clock);
         loop {
             match std::mem::replace(&mut self.state, FetchState::Gate) {
                 FetchState::Gate => {
@@ -415,7 +415,7 @@ impl FetchMachine {
                     // cancellation token or an exhausted slice abandons
                     // the fetch without touching the source or its
                     // breaker.
-                    if budget.cancel.is_cancelled() {
+                    if fed.cancel.is_cancelled() {
                         self.cancelled += 1;
                         return self.fail(stats, SourceOutcome::Cancelled);
                     }
@@ -423,7 +423,9 @@ impl FetchMachine {
                         self.cancelled += 1;
                         return self.fail(stats, budget.deadline_exceeded());
                     }
-                    if !breaker.allows(clock.now_ms()) {
+                    let (allows, state) = fed
+                        .with_breaker(src_pos, policy, |b| (b.allows(clock.now_ms()), b.state()));
+                    if !allows {
                         let outcome = match self.last_error.take() {
                             // The breaker opened between retry attempts:
                             // report the failure that opened it.
@@ -432,15 +434,14 @@ impl FetchMachine {
                         };
                         return self.fail(stats, outcome);
                     }
-                    // Hedging is only for sources in good standing: a
-                    // HalfOpen trial already is the recovery probe,
-                    // doubling it would defeat the breaker's slow-start.
-                    let breaker_closed = matches!(breaker.state(), BreakerState::Closed { .. });
                     self.attempts += 1;
                     stats.source_queries += 1;
                     let cost_before = cost_of(src);
                     self.state = FetchState::Primary {
-                        breaker_closed,
+                        // Hedging is only for sources in good standing: a
+                        // HalfOpen trial already is the recovery probe,
+                        // doubling it would defeat the breaker's slow-start.
+                        breaker_closed: matches!(state, BreakerState::Closed { .. }),
                         cost_before: cost_before.as_ref().ok().copied(),
                     };
                     match cost_before {
@@ -477,7 +478,7 @@ impl FetchMachine {
                     });
                     match result {
                         Ok(rows) => {
-                            breaker.record_success();
+                            fed.with_breaker(src_pos, policy, CircuitBreaker::record_success);
                             stats.rows_shipped += rows.len();
                             stats.retries += (self.attempts - 1) as usize;
                             if policy.hedge_after_ms > 0
@@ -518,7 +519,7 @@ impl FetchMachine {
                         }
                         Err(error) => {
                             budget.charge(attempt_cost);
-                            breaker.record_failure(clock.now_ms());
+                            fed.with_breaker(src_pos, policy, |b| b.record_failure(clock.now_ms()));
                             if self.attempts >= policy.retry.max_attempts {
                                 stats.retries += (self.attempts - 1) as usize;
                                 return self.fail(stats, SourceOutcome::Failed { error });
@@ -656,35 +657,24 @@ impl FetchMachine {
     }
 }
 
-/// What one [`JobMachine`] produced, ready for the deterministic merge.
-pub(crate) struct FetchJobDone {
-    source: String,
-    breaker: CircuitBreaker,
-    stats: MediatorStats,
-    /// Virtual milliseconds the job charged itself (its critical path).
-    spent_ms: u64,
-    /// `(request index, completion)` in submission order.
-    results: Vec<(usize, FetchCompletion)>,
-}
-
-/// One fetch job as a **resumable machine**: everything needed to run
-/// one source's requests without touching the federation. The source's
-/// breaker is *moved* in (taken out of the federation's map) so its
-/// requests run serially under one breaker/retry/fault schedule, and
-/// moved back at merge time. The job sequences its requests through a
-/// [`FetchMachine`] each, suspending at every wrapper contact; the
-/// executor ([`crate::executor`]) drives it — a parked contact releases
-/// its worker instead of blocking it.
+/// One fetch job as a **resumable machine**: one source's requests, run
+/// serially under one breaker/retry/fault schedule — a fetch has one job
+/// per source. The source's breaker stays in the federation's tally, and
+/// the job moves it there at each transition. The job sequences its
+/// requests through a [`FetchMachine`] each, suspending at every wrapper
+/// contact; the executor ([`crate::executor`]) drives it — a parked
+/// contact releases its worker instead of blocking it — and hands it back
+/// done, for the deterministic merge.
 pub(crate) struct JobMachine {
     /// Index into the federation's source roster.
     src_pos: usize,
     policy: SourcePolicy,
-    breaker: CircuitBreaker,
-    /// The job's deadline context (slice of the query budget + token).
+    /// The job's deadline context (slice of the query budget and spend).
     budget: JobBudget,
     /// `(request index, query)` in submission order.
     requests: Vec<(usize, SourceQuery)>,
     stats: MediatorStats,
+    /// `(request index, completion)` in submission order.
     results: Vec<(usize, FetchCompletion)>,
     cursor: usize,
     fetch: FetchMachine,
@@ -704,20 +694,13 @@ impl JobMachine {
 
     /// Advances the job. `reply` carries the contact outcome iff the
     /// previous step returned [`Step::Contact`].
-    pub(crate) fn step(
-        &mut self,
-        sources: &[RegisteredSource],
-        clock: &Arc<VirtualClock>,
-        mut reply: Option<SourceReply>,
-    ) -> Step<FetchJobDone> {
-        let src = &sources[self.src_pos];
+    pub(crate) fn step(&mut self, fed: &Federation, mut reply: Option<SourceReply>) -> Step<()> {
         while self.cursor < self.requests.len() {
             let q = &self.requests[self.cursor].1;
             match self.fetch.step(
-                src,
+                fed,
+                self.src_pos,
                 &self.policy,
-                &mut self.breaker,
-                clock,
                 &mut self.stats,
                 q,
                 &mut self.budget,
@@ -735,13 +718,7 @@ impl JobMachine {
                 }
             }
         }
-        Step::Done(FetchJobDone {
-            source: src.name.clone(),
-            breaker: self.breaker.clone(),
-            stats: self.stats,
-            spent_ms: self.budget.spent_ms,
-            results: std::mem::take(&mut self.results),
-        })
+        Step::Done(())
     }
 }
 
@@ -800,6 +777,16 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// What concurrent fetches move: each source's circuit breaker (by roster
+/// position; `None` until its first contact) and the cumulative
+/// statistics, behind one lock held for one breaker transition or one
+/// merge — never across wrapper code, which cannot poison it.
+#[derive(Debug, Default)]
+struct Tally {
+    breakers: Vec<Option<CircuitBreaker>>,
+    stats: MediatorStats,
+}
+
 /// The source-facing layer of the mediator: registered wrappers plus the
 /// resilience machinery guarding every fetch. See the module docs.
 #[derive(Debug)]
@@ -808,23 +795,20 @@ pub struct Federation {
     clock: Arc<VirtualClock>,
     default_policy: SourcePolicy,
     policies: HashMap<String, SourcePolicy>,
-    breakers: HashMap<String, CircuitBreaker>,
-    report: AnswerReport,
+    tally: Mutex<Tally>,
     /// Worker threads for the parallel fetch plane (0 = auto: one per
     /// involved source, capped by available parallelism).
     fetch_threads: usize,
     /// The largest fetch worker pool run since the last reset (for the
     /// bench and the example).
     peak_fetch_threads: AtomicUsize,
-    /// End-to-end budget armed for every degradable operation (0 = no
-    /// deadline). The operation in flight carries its own copy and its
-    /// spend on `report` (`budget_ms`, `elapsed_ms`).
+    /// End-to-end budget each fetch arms for its operation (0 = no
+    /// deadline); the operation's report carries it and its spend
+    /// (`budget_ms`, `elapsed_ms`).
     query_budget_ms: u64,
     /// The query-wide cooperative cancellation token, shared with every
     /// fetch job (and, via the mediator, with the Datalog fixpoint).
     cancel: CancelToken,
-    /// Query-processing statistics.
-    pub(crate) stats: MediatorStats,
 }
 
 impl Federation {
@@ -836,21 +820,19 @@ impl Federation {
             clock: Arc::new(VirtualClock::new()),
             default_policy: SourcePolicy::default(),
             policies: HashMap::new(),
-            breakers: HashMap::new(),
-            report: AnswerReport::default(),
+            tally: Mutex::default(),
             fetch_threads: 0,
             peak_fetch_threads: AtomicUsize::new(0),
             query_budget_ms: 0,
             cancel: CancelToken::new(),
-            stats: MediatorStats::default(),
         }
     }
 
-    /// Arms an end-to-end virtual-time budget for every subsequent
-    /// degradable operation: each operation starts with this many
-    /// milliseconds ([`AnswerReport::budget_ms`]), every fetch round is
-    /// charged its critical path ([`AnswerReport::elapsed_ms`]), every
-    /// fetch job works against the remaining slice, and sources that run
+    /// Sets the end-to-end virtual-time budget every later fetch arms for
+    /// its own operation (the §5 plan's two rounds share one): it starts
+    /// with this many milliseconds ([`AnswerReport::budget_ms`]), every
+    /// round is charged its critical path ([`AnswerReport::elapsed_ms`]),
+    /// every fetch job works against what is left, and sources that run
     /// past it are cut off with [`SourceOutcome::DeadlineExceeded`] — the
     /// answer completes from whatever landed in time. `0` (the default)
     /// disables the deadline.
@@ -860,8 +842,9 @@ impl Federation {
 
     /// The query-wide cancellation token. Cancel it (from any thread) to
     /// make in-flight and subsequent fetches of the current operation
-    /// abandon cooperatively with [`SourceOutcome::Cancelled`]; each new
-    /// operation starts with the token reset. The mediator hands the same
+    /// abandon cooperatively with [`SourceOutcome::Cancelled`]; each
+    /// [`crate::Mediator`] operation starts with the token reset, never a
+    /// fetch, which could clear another's. The mediator hands the same
     /// token to the Datalog fixpoint ([`kind_datalog::EvalOptions::cancel`]),
     /// so one `cancel()` winds down both planes. Nothing in this repository
     /// cancels a running operation: this is the handle an embedding
@@ -922,6 +905,31 @@ impl Federation {
     /// it after translating the CM and anchoring the data).
     pub(crate) fn add_source(&mut self, src: RegisteredSource) {
         self.sources.push(src);
+        self.tally().breakers.push(None);
+    }
+
+    /// The tally, locked. Never poisoned: nothing under it panics, and no
+    /// wrapper code runs under it.
+    fn tally(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().expect("federation tally poisoned")
+    }
+
+    /// Runs `f` on the breaker of the source at `src_pos` (created under
+    /// `policy` at its first contact), with the tally locked for `f` alone.
+    fn with_breaker<T>(
+        &self,
+        src_pos: usize,
+        policy: &SourcePolicy,
+        f: impl FnOnce(&mut CircuitBreaker) -> T,
+    ) -> T {
+        let mut tally = self.tally();
+        f(tally.breakers[src_pos]
+            .get_or_insert_with(|| CircuitBreaker::new(policy.breaker.clone())))
+    }
+
+    /// Cumulative statistics of every fetch so far.
+    pub(crate) fn stats(&self) -> MediatorStats {
+        self.tally().stats
     }
 
     /// The federation's clock (share it with [`crate::FaultInjector`]s so
@@ -940,7 +948,9 @@ impl Federation {
     /// effect immediately.
     pub fn set_source_policy(&mut self, name: impl Into<String>, policy: SourcePolicy) {
         let name = name.into();
-        self.breakers.remove(&name);
+        if let Some(pos) = self.sources.iter().position(|s| s.name == name) {
+            self.tally().breakers[pos] = None;
+        }
         self.policies.insert(name, policy);
     }
 
@@ -952,24 +962,8 @@ impl Federation {
     /// The breaker state for a source, once it has been fetched from at
     /// least once.
     pub fn breaker_state(&self, name: &str) -> Option<BreakerState> {
-        self.breakers.get(name).map(|b| b.state())
-    }
-
-    /// The degradation report of the most recent degradable operation.
-    pub(crate) fn report(&self) -> &AnswerReport {
-        &self.report
-    }
-
-    /// Starts a fresh report (each degradable operation calls this),
-    /// which arms the configured deadline: fetches before the first call
-    /// run unbudgeted. The cancellation token is reset: every operation
-    /// starts live.
-    pub(crate) fn begin_report(&mut self) {
-        self.report = AnswerReport {
-            budget_ms: self.query_budget_ms,
-            ..AnswerReport::default()
-        };
-        self.cancel.reset();
+        let pos = self.sources.iter().position(|s| s.name == name)?;
+        Some(self.tally().breakers[pos].as_ref()?.state())
     }
 
     /// The names of sources that export `class` (by declared capability).
@@ -1009,26 +1003,15 @@ impl Federation {
         Ok(pos)
     }
 
-    /// A fresh job for the source at `src_pos` with no requests yet: the
-    /// source's breaker is moved out of the map (created under its policy
-    /// on first contact) and comes back in the job's [`FetchJobDone`].
-    fn new_job(&mut self, src_pos: usize) -> JobMachine {
-        let name = &self.sources[src_pos].name;
-        let policy = self.policy_for(name).clone();
-        let breaker = self
-            .breakers
-            .remove(name)
-            .unwrap_or_else(|| CircuitBreaker::new(policy.breaker.clone()));
-        let report = &self.report;
+    /// A fresh job for the source at `src_pos` with no requests yet, which
+    /// works against `slice_ms` of its operation's budget.
+    fn new_job(&self, src_pos: usize, slice_ms: Option<u64>) -> JobMachine {
         JobMachine {
             src_pos,
-            policy,
-            breaker,
+            policy: self.policy_for(&self.sources[src_pos].name).clone(),
             budget: JobBudget {
-                slice_ms: (report.budget_ms > 0)
-                    .then(|| report.budget_ms.saturating_sub(report.elapsed_ms)),
+                slice_ms,
                 spent_ms: 0,
-                cancel: self.cancel.clone(),
                 tainted: false,
             },
             requests: Vec::new(),
@@ -1048,10 +1031,8 @@ impl Federation {
     /// This is [`Self::fetch_parallel`] of one request (one job means one
     /// worker, which is the calling thread), read strictly: a source that
     /// exhausts its retry budget — or whose breaker is open, or that the
-    /// deadline cut off — is a typed [`MediatorError::Source`] error; the
-    /// outcome is also folded into the current report
-    /// ([`crate::Mediator::report`]).
-    pub fn fetch(&mut self, source_name: &str, q: &SourceQuery) -> Result<Rows> {
+    /// deadline cut off — is a typed [`MediatorError::Source`] error.
+    pub fn fetch(&self, source_name: &str, q: &SourceQuery) -> Result<Rows> {
         let mut set = self.fetch_parallel(&[FetchRequest::new(source_name, q.clone())])?;
         // The merge records every request's completion under its source.
         let outcome = &set.report.sources[source_name].outcome;
@@ -1072,6 +1053,10 @@ impl Federation {
     /// reading of the same outcome; unknown sources/classes are typed
     /// errors detected up front, before anything is contacted.
     ///
+    /// Each call is its own operation, armed with the whole query budget,
+    /// and its report is the set's. Concurrent calls share only the
+    /// sources (their wrappers and breakers) and the cumulative statistics.
+    ///
     /// **Determinism.** Results are bit-identical for any worker count:
     ///
     /// * each source's requests run serially inside that source's job, so
@@ -1089,7 +1074,26 @@ impl Federation {
     /// breaker's `opened_at_ms`) can differ from a one-worker run when
     /// several faulty sources share the clock. No deadline, timeout or
     /// hedge decision reads it.
-    pub fn fetch_parallel(&mut self, requests: &[FetchRequest]) -> Result<FetchSet> {
+    pub fn fetch_parallel(&self, requests: &[FetchRequest]) -> Result<FetchSet> {
+        let op = AnswerReport {
+            budget_ms: self.query_budget_ms,
+            ..AnswerReport::default()
+        };
+        self.fetch_round(requests, &op)
+    }
+
+    /// One fetch round of the operation whose report so far is `op`: every
+    /// job works against what `op` left of its budget (`budget_ms −
+    /// elapsed_ms`; no deadline when `budget_ms` is 0), and the round's
+    /// report carries `op`'s budget and the round's own elapsed time.
+    /// [`Self::fetch_parallel`] is the first round of an operation; the §5
+    /// plan's step 3 is the round after its step 1.
+    pub(crate) fn fetch_round(
+        &self,
+        requests: &[FetchRequest],
+        op: &AnswerReport,
+    ) -> Result<FetchSet> {
+        let slice_ms = (op.budget_ms > 0).then(|| op.budget_ms.saturating_sub(op.elapsed_ms));
         let positions = requests
             .iter()
             .map(|r| self.validate_request(&r.source, &r.query))
@@ -1101,20 +1105,16 @@ impl Federation {
             let job_idx = match jobs.iter().position(|j| j.src_pos == pos) {
                 Some(j) => j,
                 None => {
-                    jobs.push(self.new_job(pos));
+                    jobs.push(self.new_job(pos, slice_ms));
                     jobs.len() - 1
                 }
             };
             jobs[job_idx].requests.push((idx, r.query.clone()));
         }
         let workers = self.effective_fetch_threads(jobs.len());
-        let finished = crate::executor::run_jobs(
-            &self.sources,
-            &self.clock,
-            jobs,
-            workers,
-            &self.peak_fetch_threads,
-        );
+        self.peak_fetch_threads
+            .fetch_max(workers, Ordering::Relaxed);
+        let finished = crate::executor::run_jobs(self, jobs, workers);
         // Deterministic merge: jobs in first-appearance order, requests
         // within a job in submission order — regardless of which worker
         // finished when.
@@ -1133,21 +1133,21 @@ impl Federation {
         // overlap, so the slowest job — by its own self-charged spend —
         // bounds the round. A max over jobs is commutative, so the value
         // is identical for every worker count and completion order.
-        let round_elapsed = finished.iter().map(|d| d.spent_ms).max().unwrap_or(0);
-        for done in finished {
-            self.breakers.insert(done.source.clone(), done.breaker);
-            set.stats.merge(&done.stats);
-            for (idx, completion) in done.results {
-                set.batches[idx].rows =
-                    record_completion(&mut set.report, &done.source, completion);
+        let round_elapsed = finished
+            .iter()
+            .map(|j| j.budget.spent_ms)
+            .max()
+            .unwrap_or(0);
+        for job in finished {
+            set.stats.merge(&job.stats);
+            let source = &self.sources[job.src_pos].name;
+            for (idx, completion) in job.results {
+                set.batches[idx].rows = record_completion(&mut set.report, source, completion);
             }
         }
         set.report.elapsed_ms = round_elapsed;
-        set.report.budget_ms = self.report.budget_ms;
-        self.stats.merge(&set.stats);
-        // Absorbing the round's `elapsed_ms` is the charge to the
-        // operation's deadline.
-        self.report.absorb(&set.report);
+        set.report.budget_ms = op.budget_ms;
+        self.tally().stats.merge(&set.stats);
         Ok(set)
     }
 
@@ -1164,7 +1164,7 @@ impl Federation {
     /// templates" capability form): expands the template with the given
     /// arguments and fetches through the capability-aware path.
     pub fn call_template(
-        &mut self,
+        &self,
         source_name: &str,
         template: &str,
         args: &[kind_gcm::GcmValue],
@@ -1349,10 +1349,10 @@ mod tests {
             set.report.source("BAD").unwrap().outcome,
             SourceOutcome::Failed { .. }
         ));
-        // The breaker advanced under the worker and was put back.
+        // The breaker advanced under the worker, in the federation's tally.
         assert!(m.federation().breaker_state("BAD").is_some());
-        // The federation's cumulative report absorbed the delta.
-        assert!(!m.report().is_complete());
+        // The report is the fetch's own: no operation's report moved.
+        assert_eq!(m.report(), &AnswerReport::default());
     }
 
     #[test]
@@ -1535,12 +1535,14 @@ mod tests {
         assert_eq!(run(2), serial);
     }
 
-    /// The knob configures a budget; `begin_report` arms it. A fetch that
-    /// no degradable operation began runs unbudgeted, and says so.
+    /// Each fetch is its own operation and arms the whole budget: a fetch
+    /// after `materialize_all` is not handed what the materialize left of
+    /// it, and the materialize's report, [`Mediator::report`], stays as it
+    /// was.
     #[test]
-    fn a_query_budget_is_armed_by_begin_report_only() {
+    fn a_fetch_after_an_operation_gets_the_whole_budget_and_leaves_its_report() {
         let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-        m.federation_mut().set_query_budget_ms(10);
+        m.federation_mut().set_query_budget_ms(80);
         let slow = Arc::new(
             FaultInjector::new(wrapper("SLOW", "cs", "Spine", 2), m.federation().clock())
                 .with_fault(Fault::Slow { delay_ms: 50 }),
@@ -1548,35 +1550,169 @@ mod tests {
         slow.disarm();
         m.register(Arc::clone(&slow) as Arc<dyn Wrapper>).unwrap();
         slow.arm();
+        assert_eq!(m.materialize_all().unwrap(), 2);
+        let op = m.report().clone();
+        assert!(op.is_complete(), "{}", op.summary());
+        assert_eq!((op.elapsed_ms, op.budget_ms), (50, 80));
         let requests = all_scans(&m);
         for _ in 0..2 {
-            let set = m.federation_mut().fetch_parallel(&requests).unwrap();
+            // 50 of 80 ms: a 30 ms slice would cut the source off.
+            let set = m.federation().fetch_parallel(&requests).unwrap();
             assert!(set.is_complete(), "{}", set.report.summary());
-            assert_eq!((set.report.elapsed_ms, set.report.budget_ms), (50, 0));
+            assert_eq!((set.report.elapsed_ms, set.report.budget_ms), (50, 80));
+            let rows = m.federation().fetch("SLOW", &SourceQuery::scan("cs"));
+            assert_eq!(rows.unwrap().len(), 2);
+            assert_eq!(m.report(), &op);
         }
-        m.federation_mut().begin_report();
-        let set = m.federation_mut().fetch_parallel(&requests).unwrap();
-        assert!(set.report.deadline_exceeded());
-        assert_eq!((set.report.elapsed_ms, set.report.budget_ms), (50, 10));
-        // The operation's budget is spent: the next round has no slice.
-        let set = m.federation_mut().fetch_parallel(&requests).unwrap();
-        assert_eq!(
-            set.report.source("SLOW").unwrap().outcome,
-            SourceOutcome::DeadlineExceeded {
-                spent_ms: 0,
-                budget_ms: 0
+    }
+
+    /// Two threads fetch through one `&Federation` at once, again and
+    /// again: each gets the batches, report and statistics of the same
+    /// fetch run alone, and the cumulative statistics grow by exactly
+    /// the two fetches'.
+    #[test]
+    fn two_threads_fetch_through_one_federation_as_each_would_alone() {
+        let build = || {
+            let mut m = three_source_mediator();
+            m.federation_mut().set_fetch_threads(2);
+            m.federation_mut().set_query_budget_ms(500);
+            m
+        };
+        let alone = build();
+        let requests = all_scans(&alone);
+        let serial = alone.federation().fetch_parallel(&requests).unwrap();
+        let serial = (format!("{:?}", serial.batches), serial.report, serial.stats);
+        assert!(serial.1.is_complete() && serial.1.budget_ms == 500);
+        let m = build();
+        let barrier = std::sync::Barrier::new(2);
+        for round in 0..16 {
+            let before = m.stats();
+            let fed = m.federation();
+            std::thread::scope(|scope| {
+                let fetch = || {
+                    barrier.wait();
+                    let set = fed.fetch_parallel(&requests).unwrap();
+                    assert_eq!(
+                        (format!("{:?}", set.batches), set.report, set.stats),
+                        serial,
+                        "round {round}"
+                    );
+                };
+                scope.spawn(fetch);
+                scope.spawn(fetch);
+            });
+            let mut want = before;
+            want.merge(&serial.2);
+            want.merge(&serial.2);
+            assert_eq!(m.stats(), want, "round {round}");
+        }
+        assert_eq!(m.report(), &AnswerReport::default());
+    }
+
+    /// A source that fires `token` during its first contact once armed.
+    struct Canceller {
+        inner: Arc<MemoryWrapper>,
+        token: CancelToken,
+        armed: AtomicBool,
+    }
+
+    impl Wrapper for Canceller {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn formalism(&self) -> &str {
+            self.inner.formalism()
+        }
+        fn export_cm(&self) -> kind_xml::Element {
+            self.inner.export_cm()
+        }
+        fn capabilities(&self) -> Vec<Capability> {
+            self.inner.capabilities()
+        }
+        fn anchors(&self) -> Vec<Anchor> {
+            self.inner.anchors()
+        }
+        fn query(&self, q: &SourceQuery) -> SourceReply {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.token.cancel();
             }
-        );
-        assert_eq!(m.report().elapsed_ms, 50);
+            self.inner.query(q)
+        }
+    }
+
+    /// One `cancel()` winds down both planes, and the next operation
+    /// starts live. At one worker the jobs run in roster order; a seeded
+    /// source (never the last) fires the mediator's token during its
+    /// contact in an `answer`. Its own attempt lands, as do the sources'
+    /// before it; every later source's job is cancelled before its
+    /// contact, the report says the answer is incomplete, and the
+    /// evaluation stops at the token. The answer after it resets the
+    /// token and completes.
+    #[test]
+    fn a_cancel_in_a_contact_winds_down_both_planes_and_the_next_op_starts_live() {
+        for seed in 0..8u64 {
+            let n = 2 + (mix(seed) % 3) as usize;
+            let fires = (mix(!seed) % (n as u64 - 1)) as usize;
+            let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+            m.federation_mut().set_fetch_threads(1);
+            let mut canceller = None;
+            for i in 0..n {
+                let w = wrapper(&format!("S{i}"), &format!("c{i}"), "Spine", 1 + i);
+                if i == fires {
+                    let c = Arc::new(Canceller {
+                        inner: w,
+                        token: m.federation().cancel_token(),
+                        armed: AtomicBool::new(false),
+                    });
+                    m.register(Arc::clone(&c) as Arc<dyn Wrapper>).unwrap();
+                    canceller = Some(c);
+                } else {
+                    m.register(w).unwrap();
+                }
+            }
+            // The cached model leaves the answer's own evaluation to see
+            // the token.
+            m.run().unwrap();
+            canceller.unwrap().armed.store(true, Ordering::SeqCst);
+            let body: Vec<String> = (0..n).map(|i| format!("X{i} : c{i}")).collect();
+            let rule = format!("q(X0) :- {}.", body.join(", "));
+            let err = m.answer(&rule).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MediatorError::Datalog(kind_datalog::DatalogError::Interrupted { .. })
+                ),
+                "seed {seed}: {err}"
+            );
+            let report = m.report();
+            for i in 0..n {
+                let s = report.source(&format!("S{i}")).unwrap();
+                let want = if i <= fires {
+                    (SourceOutcome::Ok, 1)
+                } else {
+                    (SourceOutcome::Cancelled, 0)
+                };
+                assert_eq!((s.outcome.clone(), s.attempts), want, "seed {seed}, S{i}");
+            }
+            assert!(!report.is_complete(), "seed {seed}");
+            let ans = m.answer(&rule).unwrap();
+            assert!(
+                ans.report.is_complete(),
+                "seed {seed}: {}",
+                ans.report.summary()
+            );
+            assert_eq!(ans.rows.len(), 1, "seed {seed}");
+            assert_eq!(m.report(), &ans.report, "seed {seed}");
+        }
     }
 
     /// `fetch` is `fetch_parallel` of one request, read strictly: over
     /// seeded schedules mixing every fault kind with retries, hedging, a
     /// per-attempt timeout, a query budget and a breaker that opens and
     /// cools down, twin mediators driven one through each entry agree on
-    /// rows, report, statistics, breaker state and clock after every
-    /// step — and `fetch` is a typed source error exactly when the
-    /// report's outcome is degraded.
+    /// rows, statistics, breaker state and clock after every step — and
+    /// `fetch`'s typed source error is exactly the strict reading of the
+    /// batch report's outcome.
     #[test]
     fn fetch_is_fetch_parallel_of_one() {
         use crate::fault::{mix, BreakerConfig, RetryPolicy};
@@ -1625,7 +1761,6 @@ mod tests {
         };
         let observe = |m: &Mediator| {
             (
-                m.report().clone(),
                 m.stats(),
                 m.federation().breaker_state("S"),
                 m.federation().clock().now_ms(),
@@ -1633,22 +1768,16 @@ mod tests {
         };
         let mut seen = BTreeSet::new();
         for seed in 0..96u64 {
-            let (mut strict, mut batch) = (build(seed), build(seed));
+            let (strict, batch) = (build(seed), build(seed));
             for step in 0..8 {
-                // A new operation every other step, so budgets carry over
-                // a fetch and run out between two.
-                if step % 2 == 0 {
-                    strict.federation_mut().begin_report();
-                    batch.federation_mut().begin_report();
-                }
                 let q = if step % 3 == 2 {
                     SourceQuery::scan("cs").with("value", GcmValue::Int(1))
                 } else {
                     SourceQuery::scan("cs")
                 };
-                let got = strict.federation_mut().fetch("S", &q);
+                let got = strict.federation().fetch("S", &q);
                 let set = batch
-                    .federation_mut()
+                    .federation()
                     .fetch_parallel(&[FetchRequest::new("S", q)])
                     .unwrap();
                 assert_eq!(
@@ -1662,8 +1791,12 @@ mod tests {
                         assert!(!s.outcome.is_degraded(), "seed {seed}, step {step}");
                         assert_eq!(rows, set.batches[0].rows);
                     }
-                    Err(MediatorError::Source { name, .. }) => {
-                        assert!(s.outcome.is_degraded(), "seed {seed}, step {step}");
+                    Err(MediatorError::Source { name, error }) => {
+                        assert_eq!(
+                            Some(error),
+                            strict_error(&s.outcome),
+                            "seed {seed}, step {step}"
+                        );
                         assert!(name == "S" && set.batches[0].rows.is_empty());
                     }
                     Err(other) => panic!("seed {seed}, step {step}: {other}"),

@@ -15,9 +15,9 @@
 //!   of it, and the evaluation options.
 //!
 //! The mediator's own methods are the ones that need more than one
-//! layer. It forwards no layer method, except [`Mediator::lub`],
-//! [`Mediator::stats`] and [`Mediator::report`], which `benchmark/` calls
-//! on it.
+//! layer. It forwards no layer method, except [`Mediator::lub`] and
+//! [`Mediator::stats`], which `benchmark/` calls on it; it keeps the last
+//! operation's report ([`Mediator::report`]) itself.
 //!
 //! Sources join at runtime by [`Mediator::register`]-ing (their CM export
 //! translated through the plug-in for their formalism, applied to the GCM
@@ -87,6 +87,9 @@ pub struct Mediator {
     /// [`Self::publish_snapshot`] installs unconditionally.
     hub: Arc<SnapshotHub>,
     eval_options: EvalOptions,
+    /// The fetch report of the last degradable operation: each one sets it
+    /// from its own fetch (the plan operations in `crate::plan` too).
+    pub(crate) report: AnswerReport,
 }
 
 impl Mediator {
@@ -113,6 +116,7 @@ impl Mediator {
             shared_base: None,
             hub: Arc::new(SnapshotHub::new()),
             eval_options,
+            report: AnswerReport::default(),
         };
         // No CM, source or view yet: the program is the constant DM rules
         // and the rules `rules::compile` generates for the map.
@@ -160,15 +164,14 @@ impl Mediator {
         &mut self.knowledge.registry
     }
 
-    /// The two planes of the execution pipeline, split-borrowed: the
-    /// **fetch plane** (mutable federation — it advances breakers, the
-    /// clock, and statistics) alongside the **evaluate plane**'s
-    /// knowledge (read-only). This is how a plan's fetch phase — e.g.
-    /// [`crate::plan::section5_fetch`] — runs source selection against
-    /// the knowledge layer while fetching through the federation,
-    /// without ever being able to mutate semantic state.
-    pub fn fetch_eval_planes(&mut self) -> (&mut Federation, &Knowledge) {
-        (&mut self.federation, &self.knowledge)
+    /// The two planes of the execution pipeline: the **fetch plane**'s
+    /// federation, through which a fetch runs on `&self` and returns its
+    /// own report, alongside the **evaluate plane**'s knowledge — what a
+    /// plan's fetch phase, e.g. [`crate::plan::section5_fetch`], takes.
+    /// [`Self::federation`] and [`Self::knowledge`] together, kept because
+    /// `benchmark/` calls it.
+    pub fn fetch_eval_planes(&self) -> (&Federation, &Knowledge) {
+        (&self.federation, &self.knowledge)
     }
 
     // ------------------------------------------------------------------
@@ -186,15 +189,15 @@ impl Mediator {
     /// layer. A forward, kept because `benchmark/` calls it on the
     /// mediator.
     pub fn stats(&self) -> MediatorStats {
-        self.federation.stats
+        self.federation.stats()
     }
 
-    /// The degradation report of the most recent degradable operation
-    /// ([`Self::materialize_all`], [`Self::answer`], or a plan run), kept
-    /// by the federation layer. A forward, kept because `benchmark/` calls
-    /// it on the mediator.
+    /// The fetch report of the last degradable operation
+    /// ([`Self::materialize_all`], [`Self::answer`], [`crate::run_section5`],
+    /// [`crate::protein_distribution`]), set when its fetch returned. A
+    /// direct fetch returns its own and leaves this one alone.
     pub fn report(&self) -> &AnswerReport {
-        self.federation.report()
+        &self.report
     }
 
     // ------------------------------------------------------------------
@@ -498,7 +501,7 @@ impl Mediator {
     /// than loaded. Inspect [`Self::report`] afterwards for per-source
     /// outcomes and the completeness flag.
     pub fn materialize_all(&mut self) -> Result<usize> {
-        self.federation.begin_report();
+        self.federation.cancel_token().reset();
         if self.needs_rebuild {
             self.rebuild()?;
         }
@@ -515,6 +518,7 @@ impl Mediator {
             })
             .collect();
         let fetched = self.federation.fetch_parallel(&requests)?;
+        self.report = fetched.report;
         // Evaluate phase: apply batches in request (= registration) order,
         // through one write.
         let batches = fetch_batches(&fetched.batches);
@@ -809,7 +813,7 @@ impl Mediator {
     /// with the published model (staged writes are published first, as any
     /// query does); with it off no model is computed or consulted.
     pub fn answer(&mut self, rule_text: &str) -> Result<AnswerSet> {
-        self.federation.begin_report();
+        self.federation.cancel_token().reset();
         let rule = OneOffRule::parse(rule_text)?;
         // Fetch phase: one scan per (exporting source, mentioned class).
         let mut classes = Vec::new();
@@ -827,6 +831,7 @@ impl Mediator {
             }
         }
         let fetched = self.federation.fetch_parallel(&requests)?;
+        self.report = fetched.report.clone();
         // Evaluate phase, against the current program and — with the base
         // cache on — its published model.
         let seed = if self.eval_options.base_cache {
@@ -853,7 +858,7 @@ impl Mediator {
             syms: std::mem::take(done.work.flogic_mut().engine_mut().symbols_mut()),
             classes,
             sources: contacted.into_iter().collect(),
-            report: self.report().clone(),
+            report: fetched.report,
             stats: done.model.stats,
             magic_fired: done.model.profile.magic_fired,
         })

@@ -29,11 +29,11 @@
 //! The §5 plan is split along the fetch-plane / evaluate-plane boundary
 //! (see DESIGN.md):
 //!
-//! * the **fetch phase**, [`section5_fetch`], takes `&mut Federation` (it
+//! * the **fetch phase**, [`section5_fetch`], takes `&Federation` (it
 //!   contacts wrappers, concurrently, via [`Federation::fetch_parallel`])
 //!   plus `&Knowledge` (steps 1–3 need source selection), and returns a
 //!   self-contained artifact carrying every fetched row, the degradation
-//!   report, and traffic statistics;
+//!   report of its two rounds, and traffic statistics;
 //! * the **evaluate phase**, [`section5_eval`], is *pure*: it takes a
 //!   [`DomainView`] and the fetch artifact and never touches a wrapper,
 //!   so it runs identically against the live mediator or a frozen
@@ -177,10 +177,12 @@ pub struct Section5Fetch {
 /// transmitting-compartment selections to the neurotransmission sources
 /// (concurrently), selects protein sources through the semantic index,
 /// then pushes the location/ion selections to the selected sources
-/// (concurrently again). Pure computation — the lub root and the
-/// recursive roll-up — is deferred to [`section5_eval`].
+/// (concurrently again). The two rounds are one operation: step 3 works
+/// against what step 1 left of the query budget, and the artifact's report
+/// is both rounds'. Pure computation — the lub root and the recursive
+/// roll-up — is deferred to [`section5_eval`].
 pub fn section5_fetch(
-    federation: &mut Federation,
+    federation: &Federation,
     knowledge: &Knowledge,
     schema: &NeuroSchema,
     q: &Section5Query,
@@ -252,24 +254,23 @@ pub fn section5_fetch(
             })
         })
         .collect();
-    let step3 = federation.fetch_parallel(&protein_requests)?;
-
-    let mut combined = FetchSet {
+    let step3 = federation.fetch_round(&protein_requests, &step1.report)?;
+    // The operation's report and statistics are both rounds'; its batches
+    // are step 3's.
+    let mut op = FetchSet {
         batches: Vec::new(),
-        report: step1.report,
-        stats: step1.stats,
+        ..step1
     };
-    combined.report.absorb(&step3.report);
-    combined.stats.merge(&step3.stats);
+    op.absorb(step3);
     Ok(Section5Fetch {
         query: q.clone(),
         pairs,
         candidate_sources: candidates.len(),
         selected_sources: selected,
         used_semantic_index: use_semantic_index,
-        protein_batches: step3.batches,
-        stats: combined.stats,
-        report: combined.report,
+        protein_batches: op.batches,
+        stats: op.stats,
+        report: op.report,
     })
 }
 
@@ -364,17 +365,20 @@ fn rollup(
 }
 
 /// Executes the §5 plan: the fetch phase ([`section5_fetch`]) followed by
-/// the pure evaluate phase ([`section5_eval`]) over the live layers.
+/// the pure evaluate phase ([`section5_eval`]) over the live layers. The
+/// fetch's report becomes [`Mediator::report`].
 pub fn run_section5(
     m: &mut Mediator,
     schema: &NeuroSchema,
     q: &Section5Query,
     use_semantic_index: bool,
 ) -> Result<PlanTrace> {
-    m.federation_mut().begin_report();
+    m.federation().cancel_token().reset();
     let (federation, knowledge) = m.fetch_eval_planes();
     let fetched = section5_fetch(federation, knowledge, schema, q, use_semantic_index)?;
-    section5_eval(&knowledge.domain_view(), schema, &fetched)
+    let trace = section5_eval(&knowledge.domain_view(), schema, &fetched);
+    m.report = fetched.report;
+    trace
 }
 
 /// The Example 4 integrated view: the distribution of `protein` under
@@ -382,14 +386,14 @@ pub fn run_section5(
 /// `protein_distribution` of the paper). Scans the sources with protein
 /// data anchored in the region under `root` (concurrently, with the
 /// protein selection pushed down) and rolls their amounts up under
-/// `root`.
+/// `root`. The fetch's report becomes [`Mediator::report`].
 pub fn protein_distribution(
     m: &mut Mediator,
     schema: &NeuroSchema,
     protein: &str,
     root: &str,
 ) -> Result<Vec<(String, i64)>> {
-    m.federation_mut().begin_report();
+    m.federation().cancel_token().reset();
     let (federation, knowledge) = m.fetch_eval_planes();
     let view = knowledge.domain_view();
     // Validate the root before contacting anything (a typed error).
@@ -418,7 +422,7 @@ pub fn protein_distribution(
             *per_loc.entry(l).or_insert(0) += a;
         }
     }
-    Ok(rollup(&view, &schema.partonomy_role, root_node, &per_loc)
-        .into_iter()
-        .collect())
+    let distribution = rollup(&view, &schema.partonomy_role, root_node, &per_loc);
+    m.report = fetched.report;
+    Ok(distribution.into_iter().collect())
 }
