@@ -718,9 +718,11 @@ pub enum SourceOutcome {
     },
     /// At least one fetch was skipped because the breaker was open.
     SkippedByBreaker,
-    /// At least one fetch was abandoned because the query's cancellation
-    /// token ([`crate::Federation::cancel_token`]) fired. The source was
-    /// not necessarily at fault; its rows are simply missing.
+    /// At least one fetch was abandoned because its operation's
+    /// cancellation token ([`crate::Mediator::cancel_token`]) fired. Only
+    /// a mediator operation's fetch carries one; a direct fetch is never
+    /// cancelled. The source was not necessarily at fault; its rows are
+    /// simply missing.
     Cancelled,
     /// At least one fetch was cut off by the query deadline: the job's
     /// budget slice ran out before (or while) this source answered.

@@ -246,12 +246,16 @@ impl FetchSet {
 /// exactly one — never shared — so deadline and hedging decisions depend
 /// only on the job's own work, never on how concurrent jobs were
 /// scheduled. That is what keeps reports bit-identical at every
-/// `fetch_threads` setting. (Exhausting a slice never fires the
-/// federation's cancellation token — which siblings saw the flag first
-/// would be a scheduling race — so each job runs to its own.)
+/// `fetch_threads` setting. The one thing a job shares is its round's
+/// cancellation token, which only the operation that owns the round
+/// fires. (Exhausting a slice never fires it — which siblings saw the
+/// flag first would be a scheduling race — so each job runs to its own.)
 struct JobBudget {
     /// The job's slice of the query budget (`None` = no deadline).
     slice_ms: Option<u64>,
+    /// The token of the operation the round belongs to (`None`: nobody
+    /// can cancel the round, as for a direct fetch).
+    cancel: Option<CancelToken>,
     /// Virtual milliseconds this job has charged itself so far: its own
     /// wrappers' [`Wrapper::virtual_cost_ms`] deltas plus its own retry
     /// backoffs — never raw clock reads, which siblings pollute.
@@ -411,11 +415,11 @@ impl FetchMachine {
         loop {
             match std::mem::replace(&mut self.state, FetchState::Gate) {
                 FetchState::Gate => {
-                    // The deadline plane runs before any contact: a fired
-                    // cancellation token or an exhausted slice abandons
+                    // The deadline plane runs before any contact: the
+                    // round's fired token or an exhausted slice abandons
                     // the fetch without touching the source or its
                     // breaker.
-                    if fed.cancel.is_cancelled() {
+                    if matches!(&budget.cancel, Some(c) if c.is_cancelled()) {
                         self.cancelled += 1;
                         return self.fail(stats, SourceOutcome::Cancelled);
                     }
@@ -806,9 +810,6 @@ pub struct Federation {
     /// deadline); the operation's report carries it and its spend
     /// (`budget_ms`, `elapsed_ms`).
     query_budget_ms: u64,
-    /// The query-wide cooperative cancellation token, shared with every
-    /// fetch job (and, via the mediator, with the Datalog fixpoint).
-    cancel: CancelToken,
 }
 
 impl Federation {
@@ -824,7 +825,6 @@ impl Federation {
             fetch_threads: 0,
             peak_fetch_threads: AtomicUsize::new(0),
             query_budget_ms: 0,
-            cancel: CancelToken::new(),
         }
     }
 
@@ -838,19 +838,6 @@ impl Federation {
     /// disables the deadline.
     pub fn set_query_budget_ms(&mut self, ms: u64) {
         self.query_budget_ms = ms;
-    }
-
-    /// The query-wide cancellation token. Cancel it (from any thread) to
-    /// make in-flight and subsequent fetches of the current operation
-    /// abandon cooperatively with [`SourceOutcome::Cancelled`]; each
-    /// [`crate::Mediator`] operation starts with the token reset, never a
-    /// fetch, which could clear another's. The mediator hands the same
-    /// token to the Datalog fixpoint ([`kind_datalog::EvalOptions::cancel`]),
-    /// so one `cancel()` winds down both planes. Nothing in this repository
-    /// cancels a running operation: this is the handle an embedding
-    /// application does it with.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// Sets the worker-thread count for [`Self::fetch_parallel`]: `0`
@@ -1004,13 +991,20 @@ impl Federation {
     }
 
     /// A fresh job for the source at `src_pos` with no requests yet, which
-    /// works against `slice_ms` of its operation's budget.
-    fn new_job(&self, src_pos: usize, slice_ms: Option<u64>) -> JobMachine {
+    /// works against `slice_ms` of its operation's budget and stops at
+    /// `cancel`.
+    fn new_job(
+        &self,
+        src_pos: usize,
+        slice_ms: Option<u64>,
+        cancel: Option<&CancelToken>,
+    ) -> JobMachine {
         JobMachine {
             src_pos,
             policy: self.policy_for(&self.sources[src_pos].name).clone(),
             budget: JobBudget {
                 slice_ms,
+                cancel: cancel.cloned(),
                 spent_ms: 0,
                 tainted: false,
             },
@@ -1054,8 +1048,9 @@ impl Federation {
     /// errors detected up front, before anything is contacted.
     ///
     /// Each call is its own operation, armed with the whole query budget,
-    /// and its report is the set's. Concurrent calls share only the
-    /// sources (their wrappers and breakers) and the cumulative statistics.
+    /// and its report is the set's. Nobody can cancel it: the budget
+    /// bounds it. Concurrent calls share only the sources (their wrappers
+    /// and breakers) and the cumulative statistics.
     ///
     /// **Determinism.** Results are bit-identical for any worker count:
     ///
@@ -1075,25 +1070,26 @@ impl Federation {
     /// several faulty sources share the clock. No deadline, timeout or
     /// hedge decision reads it.
     pub fn fetch_parallel(&self, requests: &[FetchRequest]) -> Result<FetchSet> {
-        let op = AnswerReport {
-            budget_ms: self.query_budget_ms,
-            ..AnswerReport::default()
-        };
-        self.fetch_round(requests, &op)
+        self.fetch_round(requests, None, None)
     }
 
-    /// One fetch round of the operation whose report so far is `op`: every
-    /// job works against what `op` left of its budget (`budget_ms −
-    /// elapsed_ms`; no deadline when `budget_ms` is 0), and the round's
-    /// report carries `op`'s budget and the round's own elapsed time.
-    /// [`Self::fetch_parallel`] is the first round of an operation; the §5
-    /// plan's step 3 is the round after its step 1.
+    /// One fetch round of an operation: its first (`op` is `None`), armed
+    /// with the whole query budget, or the one after the rounds whose
+    /// report so far is `op`. Every job works against what is left of the
+    /// budget (`budget_ms − elapsed_ms`; no deadline when `budget_ms` is
+    /// 0) and stops at the operation's `cancel`, which no other
+    /// operation's fetch reads; the round's report carries the budget and
+    /// the round's own elapsed time. [`Self::fetch_parallel`] is a first round with no
+    /// token; the §5 plan's step 3 is the round after its step 1.
     pub(crate) fn fetch_round(
         &self,
         requests: &[FetchRequest],
-        op: &AnswerReport,
+        op: Option<&AnswerReport>,
+        cancel: Option<&CancelToken>,
     ) -> Result<FetchSet> {
-        let slice_ms = (op.budget_ms > 0).then(|| op.budget_ms.saturating_sub(op.elapsed_ms));
+        let (budget_ms, spent) =
+            op.map_or((self.query_budget_ms, 0), |o| (o.budget_ms, o.elapsed_ms));
+        let slice_ms = (budget_ms > 0).then(|| budget_ms.saturating_sub(spent));
         let positions = requests
             .iter()
             .map(|r| self.validate_request(&r.source, &r.query))
@@ -1105,7 +1101,7 @@ impl Federation {
             let job_idx = match jobs.iter().position(|j| j.src_pos == pos) {
                 Some(j) => j,
                 None => {
-                    jobs.push(self.new_job(pos, slice_ms));
+                    jobs.push(self.new_job(pos, slice_ms, cancel));
                     jobs.len() - 1
                 }
             };
@@ -1146,7 +1142,7 @@ impl Federation {
             }
         }
         set.report.elapsed_ms = round_elapsed;
-        set.report.budget_ms = op.budget_ms;
+        set.report.budget_ms = budget_ms;
         self.tally().stats.merge(&set.stats);
         Ok(set)
     }
@@ -1661,7 +1657,7 @@ mod tests {
                 if i == fires {
                     let c = Arc::new(Canceller {
                         inner: w,
-                        token: m.federation().cancel_token(),
+                        token: m.cancel_token(),
                         armed: AtomicBool::new(false),
                     });
                     m.register(Arc::clone(&c) as Arc<dyn Wrapper>).unwrap();
@@ -1704,6 +1700,168 @@ mod tests {
             assert_eq!(ans.rows.len(), 1, "seed {seed}");
             assert_eq!(m.report(), &ans.report, "seed {seed}");
         }
+    }
+
+    /// A token fired in one `answer`'s contact reaches nothing after that
+    /// answer: a direct fetch is complete, a 5-row load publishes onto the
+    /// cached model (no evaluation stops at the token, so the model is
+    /// kept), and a snapshot frozen before the answer holds no token.
+    #[test]
+    fn a_token_fired_in_an_answer_reaches_nothing_after_it() {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.federation_mut().set_fetch_threads(1);
+        let canceller = Arc::new(Canceller {
+            inner: wrapper("S0", "c0", "Spine", 2),
+            token: m.cancel_token(),
+            armed: AtomicBool::new(false),
+        });
+        m.register(Arc::clone(&canceller) as Arc<dyn Wrapper>)
+            .unwrap();
+        m.register(wrapper("S1", "c1", "Shaft", 3)).unwrap();
+        let before = m.snapshot().unwrap();
+        canceller.armed.store(true, Ordering::SeqCst);
+        let err = m.answer("q(X) :- X : c0, Y : c1.").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MediatorError::Datalog(kind_datalog::DatalogError::Interrupted { .. })
+            ),
+            "{err}"
+        );
+        let cut = &m.report().source("S1").unwrap().outcome;
+        assert_eq!(cut, &SourceOutcome::Cancelled);
+
+        let direct = m.federation().fetch_parallel(&all_scans(&m)).unwrap();
+        let rows: Vec<ObjectRow> = (0..5)
+            .map(|i| ObjectRow {
+                id: format!("late{i}"),
+                attrs: vec![
+                    ("location".into(), GcmValue::Id("Shaft".into())),
+                    ("value".into(), GcmValue::Int(i)),
+                ],
+            })
+            .collect();
+        let published = m
+            .load_rows("S1", "c1", &rows)
+            .and_then(|()| m.publish().map(|_| ()));
+        assert_eq!(
+            (
+                direct.is_complete(),
+                published.is_ok() && m.cached_model().is_some(),
+                before.eval_options().cancel.is_none(),
+            ),
+            (true, true, true),
+            "{}; publish: {published:?}",
+            direct.report.summary()
+        );
+    }
+
+    /// A source that, once armed, holds its first contact until `token`
+    /// reads cancelled (ten seconds at most, so a broken test fails rather
+    /// than hangs).
+    struct Waiter {
+        inner: Arc<MemoryWrapper>,
+        token: CancelToken,
+        armed: AtomicBool,
+    }
+
+    impl Wrapper for Waiter {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn formalism(&self) -> &str {
+            self.inner.formalism()
+        }
+        fn export_cm(&self) -> kind_xml::Element {
+            self.inner.export_cm()
+        }
+        fn capabilities(&self) -> Vec<Capability> {
+            self.inner.capabilities()
+        }
+        fn anchors(&self) -> Vec<Anchor> {
+            self.inner.anchors()
+        }
+        fn query(&self, q: &SourceQuery) -> SourceReply {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                let start = std::time::Instant::now();
+                while !self.token.is_cancelled()
+                    && start.elapsed() < std::time::Duration::from_secs(10)
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            self.inner.query(q)
+        }
+    }
+
+    /// Two threads behind a barrier fetch through one `&Federation`, and
+    /// one cancels its own round in the middle of a contact. The other
+    /// thread's first source holds its contact until that cancel, so its
+    /// later sources are gated after it: its report is still complete,
+    /// and its batches, report and statistics are a serial fetch's.
+    #[test]
+    fn a_round_cancelled_by_its_own_token_leaves_a_concurrent_fetch_whole() {
+        let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
+        m.federation_mut().set_fetch_threads(1);
+        let token = CancelToken::new();
+        let canceller = Arc::new(Canceller {
+            inner: wrapper("X0", "x0", "Spine", 2),
+            token: token.clone(),
+            armed: AtomicBool::new(false),
+        });
+        let waiter = Arc::new(Waiter {
+            inner: wrapper("W0", "w0", "Spine", 2),
+            token: token.clone(),
+            armed: AtomicBool::new(false),
+        });
+        m.register(Arc::clone(&canceller) as Arc<dyn Wrapper>)
+            .unwrap();
+        m.register(wrapper("X1", "x1", "Shaft", 1)).unwrap();
+        m.register(Arc::clone(&waiter) as Arc<dyn Wrapper>).unwrap();
+        m.register(wrapper("W1", "w1", "Shaft", 3)).unwrap();
+        m.register(wrapper("W2", "w2", "Neuron", 4)).unwrap();
+        let mine = [
+            FetchRequest::scan("X0", "x0"),
+            FetchRequest::scan("X1", "x1"),
+        ];
+        let theirs = [
+            FetchRequest::scan("W0", "w0"),
+            FetchRequest::scan("W1", "w1"),
+            FetchRequest::scan("W2", "w2"),
+        ];
+        let alone = m.federation().fetch_parallel(&theirs).unwrap();
+        assert!(alone.is_complete());
+        let alone = (format!("{:?}", alone.batches), alone.report, alone.stats);
+        canceller.armed.store(true, Ordering::SeqCst);
+        waiter.armed.store(true, Ordering::SeqCst);
+        let fed = m.federation();
+        let barrier = std::sync::Barrier::new(2);
+        let (cancelled, other) = std::thread::scope(|scope| {
+            let cancelled = scope.spawn(|| {
+                barrier.wait();
+                fed.fetch_round(&mine, None, Some(&token)).unwrap()
+            });
+            let other = scope.spawn(|| {
+                barrier.wait();
+                fed.fetch_parallel(&theirs).unwrap()
+            });
+            (cancelled.join().unwrap(), other.join().unwrap())
+        });
+        let outcome = |s: &str| cancelled.report.source(s).unwrap().outcome.clone();
+        assert_eq!(
+            (outcome("X0"), outcome("X1")),
+            (SourceOutcome::Ok, SourceOutcome::Cancelled)
+        );
+        assert_eq!(
+            (
+                format!("{:?}", other.batches),
+                other.report.clone(),
+                other.stats
+            ),
+            alone,
+            "{}",
+            other.report.summary()
+        );
     }
 
     /// `fetch` is `fetch_parallel` of one request, read strictly: over

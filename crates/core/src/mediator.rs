@@ -36,7 +36,7 @@ use crate::knowledge::Knowledge;
 use crate::query::{evaluate, AnswerSet, OneOffRule};
 use crate::snapshot::QuerySnapshot;
 use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
-use kind_datalog::{EvalOptions, Model, Term};
+use kind_datalog::{CancelToken, EvalOptions, Model, Term};
 use kind_dm::{axiom, rules, DomainMap, ExecMode, NodeId, SourceId, DM_OPS_RULES};
 use kind_gcm::{GcmBase, GcmDecl, GcmValue};
 use std::collections::{BTreeSet, HashMap};
@@ -87,6 +87,10 @@ pub struct Mediator {
     /// [`Self::publish_snapshot`] installs unconditionally.
     hub: Arc<SnapshotHub>,
     eval_options: EvalOptions,
+    /// The token of the next [`Self::materialize_all`] or [`Self::answer`]:
+    /// the operation takes it as it starts and leaves a fresh one, so a
+    /// token fired late reaches nothing after its own operation.
+    cancel: CancelToken,
     /// The fetch report of the last degradable operation: each one sets it
     /// from its own fetch (the plan operations in `crate::plan` too).
     pub(crate) report: AnswerReport,
@@ -96,16 +100,8 @@ impl Mediator {
     /// Creates a mediator around a domain map, with edges executed in
     /// `mode` and the built-in CM plug-ins registered.
     pub fn new(dm: DomainMap, mode: ExecMode) -> Self {
-        let federation = Federation::new();
-        // One cancellation token for the whole pipeline: fetch jobs and
-        // the Datalog fixpoint observe the same flag, so a single
-        // `cancel()` winds down both planes cooperatively.
-        let eval_options = EvalOptions {
-            cancel: Some(federation.cancel_token()),
-            ..EvalOptions::default()
-        };
         let mut m = Mediator {
-            federation,
+            federation: Federation::new(),
             knowledge: Knowledge::new(dm, mode),
             base: GcmBase::new(),
             program: None,
@@ -115,7 +111,8 @@ impl Mediator {
             built: (0, 0),
             shared_base: None,
             hub: Arc::new(SnapshotHub::new()),
-            eval_options,
+            eval_options: EvalOptions::default(),
+            cancel: CancelToken::new(),
             report: AnswerReport::default(),
         };
         // No CM, source or view yet: the program is the constant DM rules
@@ -375,9 +372,11 @@ impl Mediator {
     // The eval/cache pipeline.
     // ------------------------------------------------------------------
 
-    /// Overrides the evaluation options (depth limits etc.). The
-    /// mediator's pipeline-wide cancellation token is re-attached unless
-    /// the caller supplied their own (see [`Federation::cancel_token`]). The
+    /// Overrides the evaluation options (depth limits etc.). A `cancel`
+    /// token given here bounds the mediator's own runs ([`Self::run`],
+    /// [`Self::publish`], the queries); an operation that takes its own
+    /// ([`Self::cancel_token`]) evaluates under that one instead, and a
+    /// snapshot freezes none. The
     /// base program does not depend on any option, so nothing is staged;
     /// the cached model is dropped when an option that can change it
     /// moved — `cancel` (identity, not semantics) and `magic_sets`
@@ -395,14 +394,26 @@ impl Mediator {
             self.model = None;
         }
         self.eval_options = opts;
-        if self.eval_options.cancel.is_none() {
-            self.eval_options.cancel = Some(self.federation.cancel_token());
-        }
     }
 
     /// The current evaluation options.
     pub fn eval_options(&self) -> &EvalOptions {
         &self.eval_options
+    }
+
+    /// The cancellation token of the next [`Self::materialize_all`] or
+    /// [`Self::answer`]. Cancel it (from any thread, a wrapper's contact
+    /// included) and that operation's fetch jobs abandon their sources
+    /// with [`crate::SourceOutcome::Cancelled`] and its evaluation stops
+    /// at the next round boundary with
+    /// [`kind_datalog::DatalogError::Interrupted`]: one `cancel()` winds
+    /// down both planes of one operation. The operation takes the token
+    /// as it starts and leaves a fresh one, so nothing after it — a direct
+    /// fetch, a publish, the next operation — reads it. Nothing in this
+    /// repository cancels a running operation: this is the handle an
+    /// embedding application does it with.
+    pub fn cancel_token(&self) -> CancelToken {
+        self.cancel.clone()
     }
 
     /// Read access to the GCM base (the built engine).
@@ -499,9 +510,10 @@ impl Mediator {
     /// Degrades gracefully: a failing (or breaker-skipped) source simply
     /// contributes no rows, and CM-invalid rows are quarantined rather
     /// than loaded. Inspect [`Self::report`] afterwards for per-source
-    /// outcomes and the completeness flag.
+    /// outcomes and the completeness flag. The fetch stops at the token
+    /// [`Self::cancel_token`] handed out before the call.
     pub fn materialize_all(&mut self) -> Result<usize> {
-        self.federation.cancel_token().reset();
+        let cancel = std::mem::take(&mut self.cancel);
         if self.needs_rebuild {
             self.rebuild()?;
         }
@@ -517,7 +529,9 @@ impl Mediator {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let fetched = self.federation.fetch_parallel(&requests)?;
+        let fetched = self
+            .federation
+            .fetch_round(&requests, None, Some(&cancel))?;
         self.report = fetched.report;
         // Evaluate phase: apply batches in request (= registration) order,
         // through one write.
@@ -614,6 +628,12 @@ impl Mediator {
     /// model is cached — first run, rebuild, or a prior publish failure —
     /// does the evaluation start cold.
     pub fn run(&mut self) -> Result<&Model> {
+        self.run_with(&self.eval_options.clone())
+    }
+
+    /// [`Self::run`] under `opts`: the mediator's options, or an
+    /// operation's, which carry its own token.
+    fn run_with(&mut self, opts: &EvalOptions) -> Result<&Model> {
         if self.needs_rebuild {
             self.rebuild()?;
         }
@@ -627,16 +647,12 @@ impl Mediator {
                 // On error the model stays `None` (the delta is already
                 // consumed), so the next run evaluates cold — never a
                 // stale model passed off as current.
-                let next =
-                    self.base
-                        .flogic()
-                        .engine()
-                        .apply_delta(&prev, &d, &self.eval_options)?;
+                let next = self.base.flogic().engine().apply_delta(&prev, &d, opts)?;
                 self.model = Some(Arc::new(next));
             }
         }
         if self.model.is_none() {
-            let m = self.base.run_with(&self.eval_options)?;
+            let m = self.base.run_with(opts)?;
             self.model = Some(Arc::new(m));
             // A changelog exists only against a model: the staged write
             // plane starts here, and whatever was loaded before is in `m`.
@@ -762,7 +778,10 @@ impl Mediator {
             self.knowledge.dm_arc(),
             self.knowledge.resolved_arc(),
             self.knowledge.index_arc(),
-            self.eval_options.clone(),
+            EvalOptions {
+                cancel: None,
+                ..self.eval_options.clone()
+            },
         ))
     }
 
@@ -812,8 +831,13 @@ impl Mediator {
     /// clone. With [`EvalOptions::base_cache`] on the evaluation is seeded
     /// with the published model (staged writes are published first, as any
     /// query does); with it off no model is computed or consulted.
+    /// Both phases, the seeding publish included, stop at the token
+    /// [`Self::cancel_token`] handed out before the call.
     pub fn answer(&mut self, rule_text: &str) -> Result<AnswerSet> {
-        self.federation.cancel_token().reset();
+        let opts = EvalOptions {
+            cancel: Some(std::mem::take(&mut self.cancel)),
+            ..self.eval_options.clone()
+        };
         let rule = OneOffRule::parse(rule_text)?;
         // Fetch phase: one scan per (exporting source, mentioned class).
         let mut classes = Vec::new();
@@ -830,12 +854,14 @@ impl Mediator {
                 contacted.insert(src);
             }
         }
-        let fetched = self.federation.fetch_parallel(&requests)?;
+        let fetched = self
+            .federation
+            .fetch_round(&requests, None, opts.cancel.as_ref())?;
         self.report = fetched.report.clone();
         // Evaluate phase, against the current program and — with the base
         // cache on — its published model.
-        let seed = if self.eval_options.base_cache {
-            self.run()?;
+        let seed = if opts.base_cache {
+            self.run_with(&opts)?;
             self.model.as_deref()
         } else {
             if self.needs_rebuild {
@@ -843,13 +869,7 @@ impl Mediator {
             }
             None
         };
-        let mut done = evaluate(
-            &rule,
-            &self.base,
-            seed,
-            &fetched.batches,
-            &self.eval_options,
-        )?;
+        let mut done = evaluate(&rule, &self.base, seed, &fetched.batches, &opts)?;
         Ok(AnswerSet {
             rows: done.rows,
             // The rows resolve in the scratch clone's symbols (object ids

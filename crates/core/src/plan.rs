@@ -254,7 +254,7 @@ pub fn section5_fetch(
             })
         })
         .collect();
-    let step3 = federation.fetch_round(&protein_requests, &step1.report)?;
+    let step3 = federation.fetch_round(&protein_requests, Some(&step1.report), None)?;
     // The operation's report and statistics are both rounds'; its batches
     // are step 3's.
     let mut op = FetchSet {
@@ -373,7 +373,6 @@ pub fn run_section5(
     q: &Section5Query,
     use_semantic_index: bool,
 ) -> Result<PlanTrace> {
-    m.federation().cancel_token().reset();
     let (federation, knowledge) = m.fetch_eval_planes();
     let fetched = section5_fetch(federation, knowledge, schema, q, use_semantic_index)?;
     let trace = section5_eval(&knowledge.domain_view(), schema, &fetched);
@@ -393,7 +392,6 @@ pub fn protein_distribution(
     protein: &str,
     root: &str,
 ) -> Result<Vec<(String, i64)>> {
-    m.federation().cancel_token().reset();
     let (federation, knowledge) = m.fetch_eval_planes();
     let view = knowledge.domain_view();
     // Validate the root before contacting anything (a typed error).

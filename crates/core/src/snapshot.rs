@@ -181,7 +181,8 @@ impl QuerySnapshot {
     }
 
     /// The evaluation options captured at snapshot time (used by
-    /// [`Self::answer`]'s per-call evaluation).
+    /// [`Self::answer`]'s per-call evaluation). They carry no cancellation
+    /// token: a call that wants one passes it to [`Self::answer_with`].
     pub fn eval_options(&self) -> &EvalOptions {
         &self.eval_options
     }

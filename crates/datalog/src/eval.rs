@@ -56,9 +56,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A shared, clonable cancellation flag for cooperative interruption of
-/// long-running fixpoints (and, in `kind-core`, of in-flight fetch
-/// plans). Every clone observes the same flag; setting it is sticky
-/// until [`CancelToken::reset`]. A token made by [`CancelToken::until`]
+/// long-running fixpoints (and, in `kind-core`, of one operation's fetch
+/// jobs). Every clone observes the same flag, and setting it is for
+/// good: a token belongs to one operation and is never reused, so the
+/// next operation gets a fresh one. A token made by [`CancelToken::until`]
 /// also carries a wall-clock deadline and reads as cancelled from that
 /// instant on, so a per-request budget needs no thread to fire it.
 ///
@@ -79,8 +80,7 @@ impl CancelToken {
 
     /// A fresh token that cancels itself at `deadline`: from then on
     /// [`Self::is_cancelled`] is true on every clone, whether or not
-    /// anybody called [`Self::cancel`]. [`Self::reset`] clears the flag,
-    /// not the deadline.
+    /// anybody called [`Self::cancel`].
     pub fn until(deadline: Instant) -> Self {
         CancelToken {
             flag: Arc::default(),
@@ -98,19 +98,14 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::SeqCst) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-
-    /// Clears the flag so the token can be reused for the next
-    /// operation.
-    pub fn reset(&self) {
-        self.flag.store(false, Ordering::SeqCst);
-    }
 }
 
 impl std::fmt::Debug for CancelToken {
-    /// Renders only the flag's value — never the allocation identity or
-    /// the deadline — so two structurally equal option sets format
-    /// identically (the mediator's base-model fingerprint hashes a
-    /// `Debug` rendering) and formatting never reads the clock.
+    /// Renders only the flag's value: never the `Arc`'s address, which
+    /// differs between two otherwise equal tokens, and never the deadline,
+    /// whose state only a clock read could tell. So formatting an
+    /// [`EvalOptions`] reads no clock, and two equal option sets print
+    /// alike.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -164,9 +159,11 @@ pub struct EvalOptions {
     /// (stratified, semi-naive, and the alternating fixpoint) checks the
     /// token at round boundaries and returns
     /// [`DatalogError::Interrupted`] once it is cancelled. `None` (the
-    /// default) evaluates to completion. The token does not participate
-    /// in model identity: two runs differing only in `cancel` produce
-    /// the same model (when neither is actually cancelled).
+    /// default) evaluates to completion. The token is one operation's (in
+    /// `kind-core`, a mediator operation's or a served request's), never
+    /// a setting that outlives it, and it does not participate in model
+    /// identity: two runs differing only in `cancel` produce the same
+    /// model (when neither is actually cancelled).
     pub cancel: Option<CancelToken>,
 }
 

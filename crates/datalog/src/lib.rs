@@ -1465,8 +1465,6 @@ mod tests {
         assert_eq!(live.stats, e.run(&EvalOptions::default()).unwrap().stats);
         far.cancel();
         assert!(far.clone().is_cancelled(), "the flag still works");
-        far.reset();
-        assert!(!far.is_cancelled());
 
         let past = CancelToken::until(Instant::now());
         assert!(past.is_cancelled() && past.clone().is_cancelled());
@@ -1474,12 +1472,7 @@ mod tests {
             e.run(&with(&past)),
             Err(DatalogError::Interrupted { .. })
         ));
-        past.reset();
-        assert!(
-            past.is_cancelled(),
-            "reset clears the flag, not the deadline"
-        );
-        // The fingerprint's rendering shows the flag only.
+        // The rendering shows the flag only, not the passed deadline.
         assert_eq!(format!("{past:?}"), "CancelToken(live)");
     }
 

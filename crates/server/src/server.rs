@@ -907,8 +907,8 @@ fn evaluate(
             .map(Done::Rows)
             .map_err(|e| ("query_error", e.to_string())),
         Op::Answer(rule) => {
-            // Per-request cancellation: a private token (never the
-            // snapshot's shared one) that cancels itself when the budget
+            // Per-request cancellation: the request's own token (the
+            // snapshot freezes none), which cancels itself when the budget
             // ends; the evaluator looks at it between rounds.
             let token = deadline.map(CancelToken::until);
             let opts = EvalOptions {
