@@ -842,9 +842,9 @@ fn magic_flogic_fixture(subtrees: usize, depth: usize, per_class: usize) -> FLog
 /// the forest root, whose cone is the whole closure — the honest no-win
 /// case. The last row is the warm mediator `answer()` on the full
 /// scenario: its skolem guards negate through `inst`, which every class
-/// literal of the query reads, so the goal sits in the rewrite's
-/// evaluate-in-full fragment, the rewrite does not apply (`magic_fired`
-/// false) and the numbers show the attempt costs nothing.
+/// literal of the query reads, so a stratum the answer rebuilds is
+/// well-founded, the rewrite is not attempted (`magic_fired` false) and
+/// both sides do the same work: the two times differ only by the host.
 fn magic_sets(fast: bool) -> String {
     use kind_datalog::{Atom, Term, Var};
     let params = bench_params(fast);
@@ -892,9 +892,9 @@ fn magic_sets(fast: bool) -> String {
         ));
     }
     // Mediator answer on the scenario with a negation-cyclic stratum: the
-    // rewrite must not apply and cost nothing. Both sides get one untimed
-    // priming call, so the numbers are second-and-later (base-cache warm)
-    // query cost.
+    // answer rebuilds it, so the rewrite is not attempted and no rule is
+    // cloned for it. Both sides get one untimed priming call, so the
+    // numbers are second-and-later (base-cache warm) query cost.
     let aq = r#"calcium_at_spine(P, A) :- X : protein_amount, X[protein_name -> P],
         X[amount -> A], X[ion_bound -> "calcium"], X[location -> "Purkinje_Spine"]."#;
     let run = |magic: bool| {
@@ -911,8 +911,8 @@ fn magic_sets(fast: bool) -> String {
     };
     let (off_ns, off_derived, _) = run(false);
     let (on_ns, on_derived, fired) = run(true);
-    // The rewrite is refused structurally (the goal reads a negated
-    // predicate), not by the cost model.
+    // The rewrite is refused structurally (a rebuilt stratum is
+    // well-founded), not by the cost model.
     out.push((
         "magic_answer_wfs_fallback",
         off_ns,

@@ -438,8 +438,13 @@ impl FetchMachine {
                         };
                         return self.fail(stats, outcome);
                     }
+                    // Every primary attempt after the first is a retry,
+                    // counted as it is sent: whichever step then ends the
+                    // fetch (rows, the last attempt, a gate) counts none.
+                    // A hedge backup is not a retry.
                     self.attempts += 1;
                     stats.source_queries += 1;
+                    stats.retries += usize::from(self.attempts > 1);
                     let cost_before = cost_of(src);
                     self.state = FetchState::Primary {
                         // Hedging is only for sources in good standing: a
@@ -484,7 +489,6 @@ impl FetchMachine {
                         Ok(rows) => {
                             fed.with_breaker(src_pos, policy, CircuitBreaker::record_success);
                             stats.rows_shipped += rows.len();
-                            stats.retries += (self.attempts - 1) as usize;
                             if policy.hedge_after_ms > 0
                                 && attempt_cost > policy.hedge_after_ms
                                 && breaker_closed
@@ -525,7 +529,6 @@ impl FetchMachine {
                             budget.charge(attempt_cost);
                             fed.with_breaker(src_pos, policy, |b| b.record_failure(clock.now_ms()));
                             if self.attempts >= policy.retry.max_attempts {
-                                stats.retries += (self.attempts - 1) as usize;
                                 return self.fail(stats, SourceOutcome::Failed { error });
                             }
                             self.last_error = Some(error);

@@ -124,7 +124,8 @@ impl SnapshotHub {
     }
 
     /// Whether a snapshot has been published yet.
-    pub fn is_published(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_published(&self) -> bool {
         self.epoch() > 0
     }
 }

@@ -82,7 +82,7 @@ pub use plan::{
     NeuroSchema, PlanTrace, Section5Fetch, Section5Query,
 };
 pub use query::AnswerSet;
-pub use snapshot::{QuerySnapshot, SnapshotAnswer, TermAnswer};
+pub use snapshot::{QuerySnapshot, SnapshotAnswer};
 pub use wrapper::{
     Anchor, Capability, MemoryWrapper, ObjectRow, QueryTemplate, Rows, Selection, SourceQuery,
     StallAware, Submission, Wrapper,

@@ -832,7 +832,11 @@ impl Mediator {
     /// with the published model (staged writes are published first, as any
     /// query does); with it off no model is computed or consulted.
     /// Both phases, the seeding publish included, stop at the token
-    /// [`Self::cancel_token`] handed out before the call.
+    /// [`Self::cancel_token`] handed out before the call. The evaluate
+    /// phase finishes the answer as every route does (its rows sorted as
+    /// their rendered cells sort, the same value
+    /// [`QuerySnapshot::answer_terms`] returns); this call adds the
+    /// classes it read and the sources it contacted.
     pub fn answer(&mut self, rule_text: &str) -> Result<AnswerSet> {
         let opts = EvalOptions {
             cancel: Some(std::mem::take(&mut self.cancel)),
@@ -869,18 +873,10 @@ impl Mediator {
             }
             None
         };
-        let mut done = evaluate(&rule, &self.base, seed, &fetched.batches, &opts)?;
         Ok(AnswerSet {
-            rows: done.rows,
-            // The rows resolve in the scratch clone's symbols (object ids
-            // fetched this query exist only there): they go with the
-            // answer, and the mediator's own table stays as it was.
-            syms: std::mem::take(done.work.flogic_mut().engine_mut().symbols_mut()),
             classes,
             sources: contacted.into_iter().collect(),
-            report: fetched.report,
-            stats: done.model.stats,
-            magic_fired: done.model.profile.magic_fired,
+            ..evaluate(&rule, &self.base, seed, fetched, &opts)?
         })
     }
 }

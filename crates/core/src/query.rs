@@ -19,22 +19,26 @@
 //!    unrelated source);
 //!    [`crate::QuerySnapshot::answer_with`] fetches nothing — rows loaded
 //!    before the snapshot was taken are what there is to query;
-//! 2. **evaluate** — one crate-private function, `evaluate`: the rule,
-//!    parsed and lowered once, and the fetched rows go into a scratch clone
-//!    of the frozen base, and **only the answer predicate's dependency
-//!    cone** is evaluated there, on top of the published model where that
-//!    is sound. The rule is one entry stratum above the base program's
-//!    memoized strata, so nothing is stratified per answer, unless its
-//!    head could sit on a cycle with them (the base defines or reads the
-//!    head, or the rule reads it): then the clone's program is stratified
-//!    whole. The clone is thrown away: a read leaves the base, its rules
-//!    and the published model as they were.
+//! 2. **evaluate** — one crate-private function, `evaluate`, finishes
+//!    every answer: the rule, parsed and lowered once, and the fetched
+//!    rows go into a scratch clone of the frozen base, and **only the
+//!    answer predicate's dependency cone** is evaluated there, on top of
+//!    the published model where that is sound. The rule is one entry
+//!    stratum above the base program's memoized strata, so nothing is
+//!    stratified per answer, unless its head could sit on a cycle with
+//!    them (the base defines or reads the head, or the rule reads it):
+//!    then the clone's program is stratified whole. The clone is thrown
+//!    away: a read leaves the base, its rules and the published model as
+//!    they were. What it returns is the one answer value, [`AnswerSet`]:
+//!    rows sorted as their rendered cells sort, the clone's symbol table,
+//!    the run's counters, both magic-sets flags and the fetch's report.
 
 use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
-use crate::federation::FetchBatch;
+use crate::federation::FetchSet;
 use crate::mediator::{fetch_batches, load_batches};
 use kind_datalog::parser::reintern_clause;
+use kind_datalog::term::sort_rendered;
 use kind_datalog::{
     BodyItem, Clause, DatalogError, EvalOptions, EvalStats, Interner, Model, Sym, Term,
 };
@@ -42,10 +46,15 @@ use kind_flogic::{lower_clause, parse_fl_program, Molecule, Preds};
 use kind_gcm::GcmBase;
 use std::collections::BTreeSet;
 
-/// The outcome of an on-demand query.
+/// The outcome of an on-demand query, from whichever route asked it:
+/// [`crate::Mediator::answer`], [`crate::QuerySnapshot::answer_terms`]
+/// (which fetches nothing, so `classes`, `sources` and `report` are
+/// empty) or a server's `answer`.
 #[derive(Debug, Clone)]
 pub struct AnswerSet {
-    /// The answer tuples (bindings of the head variables, in head order).
+    /// The answer tuples (bindings of the head variables, in head order),
+    /// sorted as their rendered cells sort
+    /// ([`kind_datalog::term::sort_rendered`]).
     pub rows: Vec<Vec<Term>>,
     /// The symbol table `rows` resolve in: the call's scratch clone's
     /// (object ids fetched for the answer exist only there), so an answer
@@ -66,6 +75,8 @@ pub struct AnswerSet {
     /// rule subprogram (false when disabled or when the rewrite declined,
     /// e.g. for well-founded residues).
     pub magic_fired: bool,
+    /// Whether the cost model declined an otherwise applicable rewrite.
+    pub magic_declined: bool,
 }
 
 impl AnswerSet {
@@ -134,19 +145,9 @@ impl OneOffRule {
     }
 }
 
-/// What [`evaluate`] produced.
-pub(crate) struct Evaluated {
-    /// The scratch clone: its symbol table is the one `rows` resolve in
-    /// (fetched object ids and the rule's own constants exist only there).
-    pub(crate) work: GcmBase,
-    /// The goal's answer tuples.
-    pub(crate) rows: Vec<Vec<Term>>,
-    /// The per-call model: statistics and profile of the answering run.
-    pub(crate) model: Model,
-}
-
-/// The **evaluate phase** of every one-off query: adds `rule`'s lowered
-/// clause and the `fetched` rows to a scratch clone of `base` and
+/// The **evaluate phase** of every one-off query, and its one finish:
+/// adds `rule`'s lowered clause and the `fetched` rows to a scratch clone
+/// of `base` and
 /// evaluates towards the rule's head there — goal-directed
 /// (`Engine::run_for_query`: the head's dependency cone, the rule placed
 /// as one entry stratum above the base program's memoized strata where
@@ -159,13 +160,18 @@ pub(crate) struct Evaluated {
 /// is in it, so the clone's changelog starts empty — or `None` to
 /// evaluate from the stored facts alone (a mediator with
 /// [`EvalOptions::base_cache`] off keeps none current).
+///
+/// The answer carries the goal's rows, sorted; the clone's symbol table
+/// they resolve in (fetched object ids and the rule's own constants exist
+/// only there); the run's counters and magic-sets flags; and `fetched`'s
+/// report. `classes` and `sources` are the fetching caller's to fill in.
 pub(crate) fn evaluate(
     rule: &OneOffRule,
     base: &GcmBase,
     model: Option<&Model>,
-    fetched: &[FetchBatch],
+    fetched: FetchSet,
     opts: &EvalOptions,
-) -> Result<Evaluated> {
+) -> Result<AnswerSet> {
     let mut work = base.clone();
     let engine = work.flogic_mut().engine_mut();
     engine.begin_delta();
@@ -182,7 +188,7 @@ pub(crate) fn evaluate(
             head
         }
     };
-    load_batches(&mut work, &fetch_batches(fetched))?;
+    load_batches(&mut work, &fetch_batches(&fetched.batches))?;
     // A head the base program already defines — by a rule or a stored
     // fact, whether or not it derived anything — is not a one-off view
     // over the model: evaluate the clone from its stored facts.
@@ -191,10 +197,18 @@ pub(crate) fn evaluate(
         .filter(|_| !base.flogic().engine().defines(rule.head_pred()))
         .zip(delta.as_ref());
     let model = work.flogic_mut().run_for_query(&goal, since, opts)?;
-    Ok(Evaluated {
-        rows: model.query(&goal),
-        work,
-        model,
+    let mut rows = model.query(&goal);
+    let syms = std::mem::take(work.flogic_mut().engine_mut().symbols_mut());
+    sort_rendered(&mut rows, &syms);
+    Ok(AnswerSet {
+        rows,
+        syms,
+        classes: Vec::new(),
+        sources: Vec::new(),
+        report: fetched.report,
+        stats: model.stats,
+        magic_fired: model.profile.magic_fired,
+        magic_declined: model.profile.magic_declined,
     })
 }
 

@@ -22,7 +22,9 @@
 //! * Rows leave sorted as their rendered cells sort, and are rendered
 //!   only by whoever wants strings ([`QuerySnapshot::query_fl_rendered`],
 //!   [`QuerySnapshot::answer_with`]); a server writes them from the terms
-//!   ([`QuerySnapshot::answer_terms`]).
+//!   of [`QuerySnapshot::answer_terms`], which is the crate's one answer
+//!   finish with nothing fetched: the same [`crate::AnswerSet`]
+//!   [`crate::Mediator::answer`] returns.
 //!
 //! What is shared and mutable below a snapshot sits behind `RwLock`s and
 //! only ever gains entries that are functions of the frozen data: the
@@ -43,9 +45,10 @@
 //! `mediator.snapshot()` again.
 
 use crate::error::Result;
+use crate::federation::FetchSet;
 use crate::knowledge::DomainView;
 use crate::plan::{NeuroSchema, PlanTrace, Section5Fetch};
-use crate::query::{evaluate, OneOffRule};
+use crate::query::{evaluate, AnswerSet, OneOffRule};
 use kind_datalog::term::sort_rendered;
 use kind_datalog::{EvalOptions, EvalStats, Interner, Model, Term};
 use kind_dm::{DomainMap, Resolved, SemanticIndex};
@@ -59,26 +62,6 @@ use std::sync::Arc;
 pub struct SnapshotAnswer {
     /// Rendered rows in head-variable order, sorted.
     pub rows: Vec<Vec<String>>,
-    /// Evaluation statistics of the per-call scratch run.
-    pub stats: EvalStats,
-    /// Whether the magic-sets demand rewrite fired for this goal.
-    pub magic_fired: bool,
-    /// Whether the cost model declined an otherwise applicable rewrite.
-    pub magic_declined: bool,
-}
-
-/// The result of [`QuerySnapshot::answer_terms`]: [`SnapshotAnswer`]
-/// before rendering — the rows as terms, in the order their rendered
-/// cells sort ([`kind_datalog::term::sort_rendered`]), with the symbol
-/// table they resolve in (the call's scratch clone's: fetched ids and the
-/// rule's own constants exist only there). A server writes each cell
-/// straight from its term into the reply.
-#[derive(Debug, Clone)]
-pub struct TermAnswer {
-    /// Answer rows in head-variable order, sorted.
-    pub rows: Vec<Vec<Term>>,
-    /// The symbol table `rows` resolve in.
-    pub syms: Interner,
     /// Evaluation statistics of the per-call scratch run.
     pub stats: EvalStats,
     /// Whether the magic-sets demand rewrite fired for this goal.
@@ -252,22 +235,19 @@ impl QuerySnapshot {
     /// [`Self::answer_with`] before rendering: the serving-plane entry
     /// point. The rows stay terms, sorted as their rendered cells sort,
     /// beside the symbol table they resolve in, so a reply writes each
-    /// cell once, straight into its buffer.
-    pub fn answer_terms(&self, rule_text: &str, opts: &EvalOptions) -> Result<TermAnswer> {
+    /// cell once, straight into its buffer. The same evaluate phase as
+    /// [`crate::Mediator::answer`], with nothing fetched: the scratch
+    /// clone of the frozen base takes the rule (and every symbol it
+    /// interns), never the shared snapshot.
+    pub fn answer_terms(&self, rule_text: &str, opts: &EvalOptions) -> Result<AnswerSet> {
         let rule = OneOffRule::parse(rule_text)?;
-        // The same evaluate phase as `Mediator::answer`, with nothing
-        // fetched: the scratch clone of the frozen base takes the rule
-        // (and every symbol it interns), never the shared snapshot.
-        let mut done = evaluate(&rule, &self.base, Some(&self.model), &[], opts)?;
-        let syms = std::mem::take(done.work.flogic_mut().engine_mut().symbols_mut());
-        sort_rendered(&mut done.rows, &syms);
-        Ok(TermAnswer {
-            rows: done.rows,
-            syms,
-            stats: done.model.stats,
-            magic_fired: done.model.profile.magic_fired,
-            magic_declined: done.model.profile.magic_declined,
-        })
+        evaluate(
+            &rule,
+            &self.base,
+            Some(&self.model),
+            FetchSet::default(),
+            opts,
+        )
     }
 }
 

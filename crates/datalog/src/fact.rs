@@ -27,7 +27,7 @@
 //! itself is the key.
 //!
 //! Indexes are built **on first probe** for whatever column set a join
-//! actually binds (see [`Relation::iter_bound`]) and maintained incrementally
+//! actually binds (`Relation::probe`, behind [`crate::Model::query`]) and maintained incrementally
 //! on every subsequent insert. A relation that is only ever scanned never
 //! pays for an index; a relation probed on columns `{0, 2}` gets exactly
 //! that index and no other. The evaluator probes through a `Probe`: one
@@ -427,8 +427,8 @@ impl Relation {
     /// by its column set, the key hashed and compared column by column.
     /// Once the index exists a probe is one acquisition of the read lock
     /// and a handle on the index, never held while the caller walks the
-    /// rows. This is the one-off probe behind [`Self::iter_bound`] and
-    /// `Model::query`; the evaluator, which probes one column set many
+    /// rows. This is the one-off probe behind `Model::query` (and the
+    /// tests' `iter_bound`); the evaluator, which probes one column set many
     /// times, goes through a [`Probe`].
     pub(crate) fn probe<'k>(
         &self,
@@ -461,7 +461,8 @@ impl Relation {
     /// order, via a hash index on exactly that column set (built on the
     /// first such probe). Columns may be given in any order; duplicates
     /// must agree by construction. A column past the arity matches no row.
-    pub fn iter_bound(&self, bound: &[(usize, &Term)]) -> Matches<'_> {
+    #[cfg(test)]
+    pub(crate) fn iter_bound(&self, bound: &[(usize, &Term)]) -> Matches<'_> {
         if bound.iter().any(|&(c, _)| c >= self.arity()) {
             return Matches(None);
         }
@@ -479,7 +480,8 @@ impl Relation {
 
     /// Rows whose first column equals `key` (fast path for joins with a
     /// bound first argument).
-    pub fn iter_first(&self, key: &Term) -> Matches<'_> {
+    #[cfg(test)]
+    pub(crate) fn iter_first(&self, key: &Term) -> Matches<'_> {
         self.iter_bound(&[(0, key)])
     }
 
@@ -762,9 +764,9 @@ impl<'a, I: Deref<Target = ColumnIndex>> Iterator for Chain<'a, I> {
     }
 }
 
-/// The rows of one index group, in insertion order
-/// ([`Relation::iter_bound`]); no rows for a column past the arity.
-pub struct Matches<'a>(Option<Chain<'a, Arc<ColumnIndex>>>);
+/// The rows of one index group, in insertion order (`Relation::probe`);
+/// no rows for a column past the arity.
+pub(crate) struct Matches<'a>(Option<Chain<'a, Arc<ColumnIndex>>>);
 
 impl<'a> Iterator for Matches<'a> {
     type Item = &'a [Term];

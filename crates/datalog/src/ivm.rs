@@ -69,7 +69,8 @@ impl EngineDelta {
     }
 
     /// Number of predicates whose rule set changed.
-    pub fn changed_rules(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn changed_rules(&self) -> usize {
         self.changed_rule_preds.len()
     }
 

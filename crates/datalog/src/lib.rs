@@ -457,8 +457,10 @@ impl Engine {
     /// Falls back to the plain evaluation of the cone whenever the
     /// rewrite does not apply: extensional goals, goals entangled with
     /// negation or aggregation (their derivation cone must be materialized
-    /// in full), a rewritten program with recursion through negation, or
-    /// a non-stratifiable rewritten residue. Answers for the goal pattern
+    /// in full), a cone whose rebuilt strata hold a negation cycle (the
+    /// rewrite would keep it verbatim and need the well-founded evaluator;
+    /// this is decided before any rule is cloned), or a non-stratifiable
+    /// rewritten residue. Answers for the goal pattern
     /// are identical either way; predicates outside the cone are absent
     /// from the model, and under the rewrite the others may be only
     /// partially materialized.
@@ -516,12 +518,18 @@ impl Engine {
         let store = since.as_ref().map_or(&self.edb, |s| &s.store);
         let seeded = since.as_ref().map_or(0, |s| s.store.len() - self.edb.len());
         let mut declined = None;
-        if opts.magic_sets {
+        let rebuilt = |i: usize| since.as_ref().is_none_or(|s| !s.reused(i));
+        // A negation cycle the walk rebuilds stays in the rewritten program
+        // (the rewrite keeps negated predicates verbatim), which would then
+        // need the well-founded evaluator the rewrite is never run under:
+        // no rule is cloned for it.
+        let rebuilds_wfs = (strat.strata.iter().enumerate()).any(|(i, s)| s.wfs && rebuilt(i));
+        if opts.magic_sets && !rebuilds_wfs {
             // The rules of the strata the walk would rebuild, in program
             // order: every other predicate is frozen, extensional to the
             // rewrite.
             let mut ids: Vec<usize> = (strat.strata.iter().enumerate())
-                .filter(|&(i, _)| since.as_ref().is_none_or(|s| !s.reused(i)))
+                .filter(|&(i, _)| rebuilt(i))
                 .flat_map(|(_, s)| s.rules.iter().copied())
                 .collect();
             ids.sort_unstable();
@@ -605,8 +613,8 @@ impl Engine {
     /// plus its demand seeds, annotating the profile with rewrite
     /// counters. `borrow` says `store` is a delta walk's working store,
     /// to be read in place rather than copied. `Ok(None)` when the
-    /// rewritten program cannot take the stratified path — the caller
-    /// falls back to plain evaluation.
+    /// rewritten program does not stratify (an aggregate in recursion) —
+    /// the caller falls back to plain evaluation.
     fn eval_rewritten(
         &self,
         rw: &magic::MagicRewrite,
@@ -617,9 +625,14 @@ impl Engine {
         let Ok(strat) = program::stratify(&rw.rules, |s| self.syms.resolve(s).to_string()) else {
             return Ok(None);
         };
-        if strat.needs_wfs {
-            return Ok(None);
-        }
+        // No stratum of it is well-founded: `run_for_query` hands the
+        // rewrite no negation cycle, and the rewrite makes none (its
+        // negative edges run from the adorned rules into the verbatim
+        // ones, never back).
+        debug_assert!(
+            !strat.needs_wfs,
+            "a rewritten program closed a negation cycle"
+        );
         let mut edb = store.clone();
         for (p, args) in &rw.seeds {
             edb.insert(*p, args);

@@ -49,7 +49,7 @@ pub use ast::{ArrowKind, MethodSpec, Molecule};
 pub use parser::{parse_fl_molecule, parse_fl_program, FlClause};
 pub use translate::{implied_classes, lower_clause, molecule_atoms, Preds};
 
-use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Model, Term};
+use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Model, Term, Var};
 
 /// Core FL axioms of Table 1 (right column), in Datalog syntax over the
 /// reserved predicates.
@@ -274,15 +274,8 @@ impl FLogic {
         let Some(c) = self.engine.lookup(class) else {
             return Vec::new();
         };
-        let Some(inst) = model
-            .facts
-            .relation(self.preds.inst)
-            .filter(|r| r.arity() == 2)
-        else {
-            return Vec::new();
-        };
-        let mut out: Vec<String> = inst
-            .iter_bound(&[(1, &Term::Const(c))])
+        let pattern = Atom::new(self.preds.inst, vec![Term::Var(Var(0)), Term::Const(c)]);
+        let mut out: Vec<String> = (model.query(&pattern).iter())
             .map(|row| self.engine.show(&row[0]))
             .collect();
         out.sort();
@@ -311,15 +304,9 @@ impl FLogic {
         let Some(o) = self.engine.lookup(obj) else {
             return Vec::new();
         };
-        let Some(mi) = model
-            .facts
-            .relation(self.preds.mi)
-            .filter(|r| r.arity() == 3)
-        else {
-            return Vec::new();
-        };
-        let mut out: Vec<(String, String)> = mi
-            .iter_first(&Term::Const(o))
+        let free = |v| Term::Var(Var(v));
+        let pattern = Atom::new(self.preds.mi, vec![Term::Const(o), free(0), free(1)]);
+        let mut out: Vec<(String, String)> = (model.query(&pattern).iter())
             .map(|row| (self.engine.show(&row[1]), self.engine.show(&row[2])))
             .collect();
         out.sort();

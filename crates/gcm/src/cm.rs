@@ -107,7 +107,8 @@ impl ConceptualModel {
 
     /// Number of instance-level declarations (objects, method values,
     /// tuples) — the "data size" of the export.
-    pub fn instance_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn instance_count(&self) -> usize {
         self.decls
             .iter()
             .filter(|d| {

@@ -67,8 +67,8 @@
 
 use crate::wire::{self, Json};
 use kind_core::{
-    section5_fetch, Mediator, NeuroSchema, PinnedSnapshot, PlanTrace, Section5Fetch, Section5Query,
-    SnapshotHub, TermAnswer,
+    section5_fetch, AnswerSet, Mediator, NeuroSchema, PinnedSnapshot, PlanTrace, Section5Fetch,
+    Section5Query, SnapshotHub,
 };
 use kind_datalog::{CancelToken, EvalOptions, Interner, Term};
 use kind_sources::{build_scenario, ncmir_update_rows, ScenarioParams};
@@ -286,7 +286,7 @@ enum Done {
     Ping,
     Slept(u64),
     Rows(Vec<Vec<Term>>),
-    Answer(TermAnswer),
+    Answer(AnswerSet),
     Plan(PlanTrace),
 }
 

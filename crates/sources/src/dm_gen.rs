@@ -31,8 +31,20 @@ pub struct GeneratedMap {
 /// Generates the map for `seed`.
 pub fn generate(seed: u64) -> GeneratedMap {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x646d_5f67_656e);
-    let mut dm = DomainMap::new();
     let n = rng.gen_range(8usize..41);
+    build(&mut rng, n)
+}
+
+/// Generates a map of exactly `concepts` named concepts (at least 2) for
+/// `seed`, in the shapes [`generate`] draws: the size parameter of the
+/// federation generator ([`crate::fed_gen`]).
+pub fn generate_sized(seed: u64, concepts: usize) -> GeneratedMap {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x646d_5f67_656e);
+    build(&mut rng, concepts.max(2))
+}
+
+fn build(rng: &mut StdRng, n: usize) -> GeneratedMap {
+    let mut dm = DomainMap::new();
     let concepts: Vec<NodeId> = (0..n).map(|i| dm.concept(&format!("c{i}"))).collect();
     let mut roles = vec![PARTONOMY_ROLE.to_string(), "r1".to_string()];
     if rng.gen_bool(0.5) {
@@ -62,12 +74,12 @@ pub fn generate(seed: u64) -> GeneratedMap {
     // ex / all edges between named concepts; the partonomy role is the
     // commonest so regions have some depth.
     for _ in 0..rng.gen_range(n / 2..n + 1) {
-        let role = pick_role(&mut rng, &roles);
+        let role = pick_role(rng, &roles);
         let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
         dm.add_edge(concepts[a], concepts[b], EdgeKind::Ex(role));
     }
     for _ in 0..rng.gen_range(0usize..4) {
-        let role = pick_role(&mut rng, &roles);
+        let role = pick_role(rng, &roles);
         let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
         dm.add_edge(concepts[a], concepts[b], EdgeKind::All(role));
     }
@@ -75,7 +87,7 @@ pub fn generate(seed: u64) -> GeneratedMap {
     for _ in 0..rng.gen_range(1usize..6) {
         let from = concepts[rng.gen_range(0..n)];
         let node = if rng.gen_bool(0.6) {
-            and_node(&mut rng, &mut dm, &concepts, &roles)
+            and_node(rng, &mut dm, &concepts, &roles)
         } else {
             let members: Vec<NodeId> = (0..rng.gen_range(2usize..4))
                 .map(|_| concepts[rng.gen_range(0..n)])
@@ -85,8 +97,8 @@ pub fn generate(seed: u64) -> GeneratedMap {
         let kind = match rng.gen_range(0u32..8) {
             0..=1 => EdgeKind::Isa,
             2..=3 => EdgeKind::Eqv,
-            4..=6 => EdgeKind::Ex(pick_role(&mut rng, &roles)),
-            _ => EdgeKind::All(pick_role(&mut rng, &roles)),
+            4..=6 => EdgeKind::Ex(pick_role(rng, &roles)),
+            _ => EdgeKind::All(pick_role(rng, &roles)),
         };
         dm.add_edge(from, node, kind);
     }

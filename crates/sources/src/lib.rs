@@ -15,11 +15,14 @@
 //!   mediator, with configurable noise sources for the source-selection
 //!   ablation;
 //! * [`dm_gen`] — seeded random domain maps for the §4 differential
-//!   oracle.
+//!   oracle;
+//! * [`fed_gen`] — seeded random federations over those maps, and
+//!   one-off rules over them, for the end-to-end answer oracle.
 #![warn(missing_docs)]
 
 pub mod anatomy;
 pub mod dm_gen;
+pub mod fed_gen;
 pub mod ncmir;
 pub mod scenario;
 pub mod senselab;

@@ -229,6 +229,84 @@ fn transient_outage_recovers_via_retries() {
     assert_eq!(trace.stats.retries, 2);
 }
 
+/// Every primary attempt after the first is a retry, whichever step ends
+/// the fetch. Here the breaker opens between two attempts of a source
+/// that fails every call: the second attempt was a retry, and the third
+/// never leaves the gate.
+#[test]
+fn retries_are_counted_when_the_breaker_ends_the_fetch() {
+    let (mut m, _injector) =
+        build_scenario_with_faults(&ScenarioParams::default(), vec![Fault::EveryKth(1)]);
+    m.federation_mut().set_source_policy(
+        "SENSELAB",
+        SourcePolicy {
+            retry: RetryPolicy::attempts(3),
+            timeout_ms: 0,
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                cooldown_ms: 1_000,
+            },
+            ..SourcePolicy::default()
+        },
+    );
+    let before = m.stats();
+    let set = m
+        .federation()
+        .fetch_parallel(&[FetchRequest::scan("SENSELAB", "neurotransmission")])
+        .unwrap();
+    let source = set.report.source("SENSELAB").unwrap();
+    assert_eq!(source.attempts, 2);
+    assert!(
+        matches!(source.outcome, SourceOutcome::Failed { .. }),
+        "{:?}",
+        source.outcome
+    );
+    assert_eq!((set.stats.source_queries, set.stats.retries), (2, 1));
+    assert_eq!(set.stats.failures, 1);
+    let after = m.stats();
+    assert_eq!(after.retries - before.retries, 1);
+}
+
+/// The same count when the query budget ends the fetch: two failed
+/// attempts and their backoffs spend the budget, and the deadline gate
+/// abandons the third before it is sent.
+#[test]
+fn retries_are_counted_when_the_deadline_ends_the_fetch() {
+    let (mut m, _injector) =
+        build_scenario_with_faults(&ScenarioParams::default(), vec![Fault::EveryKth(1)]);
+    m.federation_mut().set_source_policy(
+        "SENSELAB",
+        SourcePolicy {
+            retry: RetryPolicy::attempts(3),
+            timeout_ms: 0,
+            breaker: BreakerConfig {
+                failure_threshold: 10,
+                cooldown_ms: 1_000,
+            },
+            ..SourcePolicy::default()
+        },
+    );
+    // Backoffs of 100 and 200 virtual ms: the budget is spent after the
+    // second attempt.
+    m.federation_mut().set_query_budget_ms(250);
+    let before = m.stats();
+    let set = m
+        .federation()
+        .fetch_parallel(&[FetchRequest::scan("SENSELAB", "neurotransmission")])
+        .unwrap();
+    let source = set.report.source("SENSELAB").unwrap();
+    assert_eq!(source.attempts, 2);
+    assert!(
+        matches!(source.outcome, SourceOutcome::DeadlineExceeded { .. }),
+        "{:?}",
+        source.outcome
+    );
+    assert_eq!((set.stats.source_queries, set.stats.retries), (2, 1));
+    assert_eq!(set.stats.failures, 1);
+    let after = m.stats();
+    assert_eq!(after.retries - before.retries, 1);
+}
+
 #[test]
 fn senselab_outage_degrades_then_recovers() {
     let mut clean = build_scenario(&ScenarioParams::default());
