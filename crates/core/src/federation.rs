@@ -649,7 +649,9 @@ impl FetchMachine {
             Arc::new(survivors.map(|(row, _)| row.clone()).collect())
         };
         stats.rows_kept += kept.len();
-        let outcome = match self.attempts - 1 {
+        // The retries sent: every primary attempt after the first. A
+        // hedge backup bumped `attempts` too, but is not a retry.
+        let outcome = match self.attempts - self.hedged as u32 - 1 {
             0 => SourceOutcome::Ok,
             retries => SourceOutcome::Retried { retries },
         };

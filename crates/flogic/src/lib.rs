@@ -47,7 +47,7 @@ pub mod translate;
 
 pub use ast::{ArrowKind, MethodSpec, Molecule};
 pub use parser::{parse_fl_molecule, parse_fl_program, FlClause};
-pub use translate::{implied_classes, lower_clause, molecule_atoms, Preds};
+pub use translate::{implied_classes, lower_clause, molecule_atoms, Atoms, Preds};
 
 use kind_datalog::{Atom, DatalogError, Engine, EngineDelta, EvalOptions, Model, Term, Var};
 

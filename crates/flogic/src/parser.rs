@@ -81,8 +81,8 @@ pub(crate) fn ask_molecule(
     let mut p = Parser::asking(src, syms);
     p.skip_ws();
     let start = p.offset();
-    let atoms = molecule_atoms(&whole_molecule(&mut p)?, preds);
-    let [atom] = <[Atom; 1]>::try_from(atoms).map_err(|_| {
+    let molecule = whole_molecule(&mut p)?;
+    let [atom] = <[Atom; 1]>::try_from(molecule_atoms(&molecule, preds)).map_err(|_| {
         p.err_at(
             start,
             "a molecule to ask about must translate to a single atom",
@@ -165,7 +165,7 @@ fn clause(p: &mut Parser, preds: &Preds) -> Result<FlClause, DatalogError> {
     let mut body = Vec::new();
     if !p.eat(".") {
         p.expect(":-")?;
-        body = p.body(&mut |p, t| Ok(molecule_atoms(&molecule_rest(p, t)?, preds)))?;
+        body = p.body(&mut |p, t| Ok(molecule_atoms(&molecule_rest(p, t)?, preds).collect()))?;
         p.expect(".")?;
     }
     Ok(FlClause {

@@ -12,7 +12,7 @@
 //! | `C[M => CM]`   | `meth(C, M, CM)`  |
 //! | classes        | `class(C)`        |
 
-use crate::ast::{ArrowKind, Molecule};
+use crate::ast::{ArrowKind, MethodSpec, Molecule};
 use crate::parser::FlClause;
 use kind_datalog::{Atom, DatalogError, Interner, Rule, Sym, Term};
 
@@ -56,30 +56,83 @@ impl Preds {
 }
 
 /// Translates a molecule into its Datalog atoms (a frame with `n` specs
-/// yields `n` atoms).
-pub fn molecule_atoms(mol: &Molecule, preds: &Preds) -> Vec<Atom> {
+/// yields `n` atoms), each made as it is asked for.
+pub fn molecule_atoms<'a>(mol: &'a Molecule, preds: &Preds) -> Atoms<'a> {
+    let one = |pred, args| Atoms::One(Some(Atom::new(pred, args)));
     match mol {
         Molecule::IsA { obj, class } => {
             if *class == Term::Const(preds.ic) {
-                vec![Atom::new(preds.icw, vec![obj.clone()])]
+                one(preds.icw, vec![obj.clone()])
             } else {
-                vec![Atom::new(preds.inst, vec![obj.clone(), class.clone()])]
+                one(preds.inst, vec![obj.clone(), class.clone()])
             }
         }
-        Molecule::SubClass { sub, sup } => {
-            vec![Atom::new(preds.sub, vec![sub.clone(), sup.clone()])]
-        }
-        Molecule::Frame { obj, specs } => specs
-            .iter()
-            .map(|s| {
+        Molecule::SubClass { sub, sup } => one(preds.sub, vec![sub.clone(), sup.clone()]),
+        Molecule::Frame { obj, specs } => Atoms::Frame {
+            obj,
+            specs: specs.iter(),
+            preds: *preds,
+        },
+        Molecule::Plain(a) => Atoms::One(Some(a.clone())),
+    }
+}
+
+/// The atoms of one molecule, in spec order ([`molecule_atoms`]).
+#[derive(Debug)]
+pub enum Atoms<'a> {
+    /// A molecule of one atom, until it is taken.
+    One(Option<Atom>),
+    /// A frame: one `mi` or `meth` atom per spec not yet lowered.
+    Frame {
+        /// The frame's object.
+        obj: &'a Term,
+        /// The specs not yet lowered.
+        specs: std::slice::Iter<'a, MethodSpec>,
+        /// The reserved predicates.
+        preds: Preds,
+    },
+}
+
+impl Iterator for Atoms<'_> {
+    type Item = Atom;
+
+    fn next(&mut self) -> Option<Atom> {
+        match self {
+            Atoms::One(atom) => atom.take(),
+            Atoms::Frame { obj, specs, preds } => specs.next().map(|s| {
                 let pred = match s.arrow {
                     ArrowKind::Value => preds.mi,
                     ArrowKind::Signature => preds.meth,
                 };
-                Atom::new(pred, vec![obj.clone(), s.method.clone(), s.value.clone()])
-            })
-            .collect(),
-        Molecule::Plain(a) => vec![a.clone()],
+                Atom::new(
+                    pred,
+                    vec![(*obj).clone(), s.method.clone(), s.value.clone()],
+                )
+            }),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = match self {
+            Atoms::One(atom) => usize::from(atom.is_some()),
+            Atoms::Frame { specs, .. } => specs.len(),
+        };
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Atoms<'_> {}
+
+/// A molecule that lowers to exactly one atom is that atom; any other
+/// lowering is handed back, unread.
+impl<'a> TryFrom<Atoms<'a>> for [Atom; 1] {
+    type Error = Atoms<'a>;
+
+    fn try_from(mut atoms: Atoms<'a>) -> Result<Self, Atoms<'a>> {
+        match atoms.len() {
+            1 => Ok([atoms.next().expect("one atom left")]),
+            _ => Err(atoms),
+        }
     }
 }
 
@@ -93,7 +146,7 @@ pub fn lower_clause(
     preds: &Preds,
     syms: &Interner,
 ) -> Result<(Vec<Atom>, Vec<Rule>), DatalogError> {
-    let heads = molecule_atoms(&clause.head, preds);
+    let heads: Vec<Atom> = molecule_atoms(&clause.head, preds).collect();
     if clause.body.is_empty() {
         if let Some(h) = heads.iter().find(|h| !h.is_ground()) {
             let name = syms

@@ -53,7 +53,9 @@
 //! * **acceptor** — blocks in `accept`, spawns one thread per connection
 //!   (refusing connections beyond the limit) and joins them at shutdown;
 //! * **connections** (one thread each) — read, split complete lines, and
-//!   for each line parse, pass the gate, pin the current hub snapshot,
+//!   for each line read its fields in place (`wire::Request::read`: no
+//!   [`wire::Json`] tree; `Json` serves clients and the benchmark), pass
+//!   the gate, pin the current hub snapshot,
 //!   evaluate and render the reply into the connection's output buffer,
 //!   which is written once per drained read — and before any op of
 //!   unbounded cost (`answer`, `plan`, `sleep`, `publish`, a wait at the
@@ -65,7 +67,7 @@
 //!   `publish` batches, republishes through the hub, and hands the
 //!   outcome back to the connection thread that asked.
 
-use crate::wire::{self, Json};
+use crate::wire::{self, Id, Request};
 use kind_core::{
     section5_fetch, AnswerSet, Mediator, NeuroSchema, PinnedSnapshot, PlanTrace, Section5Fetch,
     Section5Query, SnapshotHub,
@@ -261,7 +263,7 @@ impl Drop for Turn<'_> {
     }
 }
 
-/// A gated op, borrowing its text from the parsed request.
+/// A gated op, borrowing its text from the request.
 enum Op<'a> {
     Ping,
     QueryFl(&'a str),
@@ -474,7 +476,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         if conns.len() >= shared.limits.max_connections {
             let mut out = Vec::new();
             let detail = format!("more than {} connections", shared.limits.max_connections);
-            write_error(&mut out, &Json::Null, "overloaded", &detail);
+            write_error(&mut out, &Id::Null, "overloaded", &detail);
             let _ = (&stream).write_all(&out);
             continue;
         }
@@ -531,6 +533,8 @@ fn conn_loop(stream: &TcpStream, shared: &Shared) {
     // holds no newline.
     let mut buf = vec![0u8; READ_CHUNK];
     let (mut start, mut end, mut scanned) = (0, 0, 0);
+    // The escaped strings of the line being read, decoded.
+    let mut decoded = String::new();
     let mut reader = stream;
     loop {
         // The stream was registered before this check, so a shutdown that
@@ -542,6 +546,9 @@ fn conn_loop(stream: &TcpStream, shared: &Shared) {
             (start, end, scanned) = (0, 0, 0);
             if buf.len() > READ_CHUNK {
                 buf = vec![0u8; READ_CHUNK];
+            }
+            if decoded.capacity() > READ_CHUNK {
+                decoded = String::new();
             }
         } else if end == buf.len() {
             // Full, and the tail is an unfinished line: make room.
@@ -571,7 +578,7 @@ fn conn_loop(stream: &TcpStream, shared: &Shared) {
             if line.len() > MAX_LINE_BYTES {
                 return refuse_long_line(&mut io);
             }
-            if serve_line(line, arrival, &mut io, shared).is_err() {
+            if serve_line(line, arrival, &mut decoded, &mut io, shared).is_err() {
                 return;
             }
         }
@@ -589,7 +596,7 @@ fn conn_loop(stream: &TcpStream, shared: &Shared) {
 /// rest of what it sends is discarded until it hangs up.
 fn refuse_long_line(io: &mut ConnIo<'_>) {
     let detail = "request line longer than 1 MiB";
-    write_error(&mut io.out, &Json::Null, "bad_request", detail);
+    write_error(&mut io.out, &Id::Null, "bad_request", detail);
     if io.flush().is_ok() && io.stream.shutdown(Shutdown::Write).is_ok() {
         let mut rest = io.stream;
         let _ = io::copy(&mut rest, &mut io::sink());
@@ -597,18 +604,10 @@ fn refuse_long_line(io: &mut ConnIo<'_>) {
 }
 
 /// `{"id":…,"ok":…` — every reply starts so; fields follow, then
-/// [`end_reply`]. The id prints as [`Json`] prints it.
-fn begin_reply(out: &mut Vec<u8>, id: &Json, ok: bool) {
+/// [`end_reply`]. The id prints as [`wire::Json`] prints it.
+fn begin_reply(out: &mut Vec<u8>, id: &Id<'_>, ok: bool) {
     out.extend_from_slice(b"{\"id\":");
-    match id {
-        Json::Null => out.extend_from_slice(b"null"),
-        Json::Str(s) => wire::write_str(out, s),
-        Json::Num(n) if wire::prints_as_integer(*n) => wire::write_i64(out, *n as i64),
-        // Never `Err`: the buffer is a `Vec<u8>`, whose `io::Write` only
-        // grows it, and a `Display` impl returns an error only when its
-        // writer does (the `std::fmt` contract).
-        other => write!(out, "{other}").expect("writing to a Vec cannot fail"),
-    }
+    id.write(out);
     bool_field(out, "ok", ok);
 }
 
@@ -638,7 +637,7 @@ fn end_reply(out: &mut Vec<u8>) {
     out.extend_from_slice(b"}\n");
 }
 
-fn write_error(out: &mut Vec<u8>, id: &Json, error: &str, detail: &str) {
+fn write_error(out: &mut Vec<u8>, id: &Id<'_>, error: &str, detail: &str) {
     begin_reply(out, id, false);
     str_field(out, "error", error);
     str_field(out, "detail", detail);
@@ -672,10 +671,13 @@ fn write_rows(out: &mut Vec<u8>, rows: &[Vec<Term>], syms: &Interner) {
     out.push(b']');
 }
 
-/// One request line to its rendered reply. `Err` ends the connection.
+/// One request line to its rendered reply, the line read in place
+/// ([`Request::read`], escaped strings decoded into `decoded`). `Err`
+/// ends the connection.
 fn serve_line(
     line: &[u8],
     arrival: Instant,
+    decoded: &mut String,
     io: &mut ConnIo<'_>,
     shared: &Shared,
 ) -> io::Result<()> {
@@ -684,19 +686,18 @@ fn serve_line(
         .map(str::trim)
         .and_then(|text| match text {
             "" => Ok(None),
-            text => Json::parse(text).map(Some),
+            text => Request::read(text, decoded).map(Some),
         });
     let req = match parsed {
         Ok(Some(req)) => req,
         Ok(None) => return Ok(()),
         Err(e) => {
             let detail = format!("unparseable request: {e}");
-            write_error(&mut io.out, &Json::Null, "bad_request", &detail);
+            write_error(&mut io.out, &Id::Null, "bad_request", &detail);
             return Ok(());
         }
     };
-    let id = req.get("id").unwrap_or(&Json::Null);
-    at_request_boundary(io, id, |io| handle_request(&req, id, arrival, io, shared))
+    at_request_boundary(io, &req.id, |io| handle_request(&req, arrival, io, shared))
 }
 
 /// The request boundary: a panic below it takes back whatever the request
@@ -704,7 +705,7 @@ fn serve_line(
 /// the request held — a gate turn above all — is released by unwinding.
 fn at_request_boundary(
     io: &mut ConnIo<'_>,
-    id: &Json,
+    id: &Id<'_>,
     serve: impl FnOnce(&mut ConnIo<'_>) -> io::Result<()>,
 ) -> io::Result<()> {
     io.mark = io.out.len();
@@ -716,17 +717,17 @@ fn at_request_boundary(
 }
 
 fn handle_request(
-    req: &Json,
-    id: &Json,
+    req: &Request<'_>,
     arrival: Instant,
     io: &mut ConnIo<'_>,
     shared: &Shared,
 ) -> io::Result<()> {
+    let id = &req.id;
     let bad_request = |io: &mut ConnIo<'_>, detail: &str| {
         write_error(&mut io.out, id, "bad_request", detail);
         Ok(())
     };
-    let Some(op_name) = req.get("op").and_then(Json::as_str) else {
+    let Some(op_name) = req.op else {
         return bad_request(io, "missing \"op\"");
     };
     let op = match op_name {
@@ -760,7 +761,7 @@ fn handle_request(
             return Ok(());
         }
         "publish" => {
-            let rows = req.get("rows").and_then(Json::as_u64).unwrap_or(1);
+            let rows = req.rows.unwrap_or(1);
             io.flush()?;
             let (reply, outcome) = mpsc::channel();
             let cmd = WriteCmd::Publish {
@@ -784,27 +785,19 @@ fn handle_request(
             return Ok(());
         }
         "ping" => Op::Ping,
-        "query_fl" => match req.get("pattern").and_then(Json::as_str) {
+        "query_fl" => match req.pattern {
             Some(pattern) => Op::QueryFl(pattern),
             None => return bad_request(io, "missing \"pattern\""),
         },
-        "answer" => match req.get("rule").and_then(Json::as_str) {
+        "answer" => match req.rule {
             Some(rule) => Op::Answer(rule),
             None => return bad_request(io, "missing \"rule\""),
         },
         "plan" => Op::Plan,
-        "sleep" => Op::Sleep(
-            req.get("ms")
-                .and_then(Json::as_u64)
-                .unwrap_or(10)
-                .min(2_000),
-        ),
+        "sleep" => Op::Sleep(req.ms.unwrap_or(10).min(2_000)),
         other => return bad_request(io, &format!("unknown op {other:?}")),
     };
-    let budget_ms = req
-        .get("budget_ms")
-        .and_then(Json::as_u64)
-        .unwrap_or(shared.default_budget_ms);
+    let budget_ms = req.budget_ms.unwrap_or(shared.default_budget_ms);
     let deadline = (budget_ms > 0).then(|| arrival + Duration::from_millis(budget_ms));
     serve_gated(&op, id, arrival, deadline, io, shared)
 }
@@ -814,7 +807,7 @@ fn handle_request(
 /// held across a socket write.
 fn serve_gated(
     op: &Op<'_>,
-    id: &Json,
+    id: &Id<'_>,
     arrival: Instant,
     deadline: Option<Instant>,
     io: &mut ConnIo<'_>,

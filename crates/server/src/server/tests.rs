@@ -2,6 +2,9 @@
 //! limits, which only this module can shrink.
 
 use super::*;
+use crate::wire::Json;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{BufRead, BufReader};
 
 fn small_config() -> ServerConfig {
@@ -78,7 +81,7 @@ fn a_panicking_request_answers_internal_error_and_returns_its_turn() {
         out: b"an earlier reply\n".to_vec(),
         mark: 0,
     };
-    let kept = at_request_boundary(&mut io, &Json::int(9), |io| {
+    let kept = at_request_boundary(&mut io, &Id::Num(9.0), |io| {
         let Some(Entry::Turn(_turn)) = gate.enter() else {
             panic!("a free gate gives a turn");
         };
@@ -270,4 +273,152 @@ fn term_rows_sort_and_write_as_rendered_rows_did() {
             "case {case}"
         );
     }
+}
+
+/// A line that is a JSON value but not an object has no fields: it gets
+/// `missing "op"` with a null id.
+#[test]
+fn a_line_that_is_not_an_object_is_missing_its_op() {
+    let handle = spawn_with(small_config(), LIMITS).unwrap();
+    let mut conn = connect(&handle);
+    for line in ["[1]", "5", r#""x""#, "null"] {
+        let reply = call(&mut conn, line).unwrap();
+        assert_eq!(reply.get("id"), Some(&Json::Null), "{line}");
+        assert_eq!(error_of(&reply), Some("bad_request"), "{line}");
+        assert_eq!(
+            reply.get("detail").and_then(Json::as_str),
+            Some("missing \"op\""),
+            "{line}"
+        );
+    }
+    handle.shutdown();
+}
+
+/// Counts the allocations of the thread that makes them: the test
+/// binary's global allocator, over `System`. The served binary keeps the
+/// default one.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // Not while the thread's locals are being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call goes straight to `System` with the caller's
+// arguments; the count is a const-initialised thread-local `Cell`, which
+// allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What `f` returns, and how many allocations (a grown or moved block
+/// counts as one) it made on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A request's allocations at steady state, on this thread, against a
+/// spawned server's state: each line is served three times first, so the
+/// connection's buffers have grown and the snapshot's indexes are built.
+/// Reading a line allocates nothing; serving a `ping` allocates nothing;
+/// a point read allocates what its ask and answer (`query_fl`) do, and
+/// nothing else. The counts are pinned. Measured the same way before
+/// requests were read in place (a `Json` tree per line) and before an ask
+/// lowered its molecule without a `Vec`: reading a line allocated 4 times
+/// for a `ping` and 6 for a point read, and serving them 4, 18
+/// (`location`), 19 (`amount`) and 17 (`: C`) times; now 0, 11, 12, 10.
+#[test]
+fn a_request_read_allocates_nothing_and_a_point_read_only_its_ask_and_answer() {
+    let handle = spawn_with(small_config(), LIMITS).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let mut io = ConnIo {
+        stream: &stream,
+        out: Vec::new(),
+        mark: 0,
+    };
+    let mut decoded = String::new();
+    let pinned = handle.shared.hub.load().unwrap();
+    // Each line, the pattern it asks, and what serving it allocates.
+    let cases = [
+        (r#"{"id":1,"op":"ping"}"#, None, 0),
+        (
+            r#"{"id":2,"op":"query_fl","pattern":"\"NCMIR.pa1\"[location -> L]"}"#,
+            Some("\"NCMIR.pa1\"[location -> L]"),
+            11,
+        ),
+        (
+            r#"{"id":3,"op":"query_fl","pattern":"\"NCMIR.pa1\"[amount -> A]"}"#,
+            Some("\"NCMIR.pa1\"[amount -> A]"),
+            12,
+        ),
+        (
+            r#"{"id":4,"op":"query_fl","pattern":"\"NCMIR.pa1\" : C"}"#,
+            Some("\"NCMIR.pa1\" : C"),
+            10,
+        ),
+    ];
+    for (line, pattern, pinned_count) in cases {
+        for _ in 0..3 {
+            io.out.clear();
+            serve_line(
+                line.as_bytes(),
+                Instant::now(),
+                &mut decoded,
+                &mut io,
+                &handle.shared,
+            )
+            .unwrap();
+        }
+        io.out.clear();
+        let (read, reading) = allocations_of(|| Request::read(line, &mut decoded).map(drop));
+        assert_eq!((read, reading), (Ok(()), 0), "reading {line}");
+        let (served, serving) = allocations_of(|| {
+            serve_line(
+                line.as_bytes(),
+                Instant::now(),
+                &mut decoded,
+                &mut io,
+                &handle.shared,
+            )
+        });
+        served.unwrap();
+        let reply = String::from_utf8_lossy(&io.out);
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        let asking = pattern.map_or(0, |p| {
+            let (rows, n) = allocations_of(|| pinned.query_fl(p).map(|rows| rows.len()));
+            assert_eq!(rows.unwrap(), 1, "{p}");
+            n
+        });
+        assert_eq!(serving, asking, "serving {line} allocates past its ask");
+        assert_eq!(serving, pinned_count, "serving {line}");
+    }
+    drop(pinned);
+    handle.shutdown();
 }

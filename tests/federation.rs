@@ -307,6 +307,46 @@ fn retries_are_counted_when_the_deadline_ends_the_fetch() {
     assert_eq!(after.retries - before.retries, 1);
 }
 
+/// A hedge backup is not a retry: a slow first attempt that succeeds and
+/// is hedged reports `Ok`, with two attempts, one hedged and no retry.
+#[test]
+fn a_hedged_first_attempt_reports_ok_not_a_retry() {
+    let (mut m, _injector) = build_scenario_with_faults(
+        &ScenarioParams::default(),
+        vec![Fault::Slow { delay_ms: 200 }],
+    );
+    m.federation_mut()
+        .set_source_policy("SENSELAB", SourcePolicy::with_hedge_after_ms(50));
+    let set = m
+        .federation()
+        .fetch_parallel(&[FetchRequest::scan("SENSELAB", "neurotransmission")])
+        .unwrap();
+    let source = set.report.source("SENSELAB").unwrap();
+    assert_eq!(source.outcome, SourceOutcome::Ok);
+    assert_eq!((source.attempts, source.hedged), (2, 1));
+    assert_eq!(set.stats.retries, 0);
+}
+
+/// A retry followed by a hedge reports the one retry that was sent: the
+/// first attempt fails, the second succeeds slowly and is hedged.
+#[test]
+fn a_retry_then_a_hedge_reports_one_retry() {
+    let (mut m, _injector) = build_scenario_with_faults(
+        &ScenarioParams::default(),
+        vec![Fault::FailFirst(1), Fault::Slow { delay_ms: 200 }],
+    );
+    m.federation_mut()
+        .set_source_policy("SENSELAB", SourcePolicy::with_hedge_after_ms(50));
+    let set = m
+        .federation()
+        .fetch_parallel(&[FetchRequest::scan("SENSELAB", "neurotransmission")])
+        .unwrap();
+    let source = set.report.source("SENSELAB").unwrap();
+    assert_eq!(source.outcome, SourceOutcome::Retried { retries: 1 });
+    assert_eq!((source.attempts, source.hedged), (3, 1));
+    assert_eq!(set.stats.retries, 1);
+}
+
 #[test]
 fn senselab_outage_degrades_then_recovers() {
     let mut clean = build_scenario(&ScenarioParams::default());
