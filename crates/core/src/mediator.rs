@@ -821,63 +821,46 @@ impl Mediator {
     /// the [`crate::query`] module docs). The rule's head predicate names
     /// the answer relation.
     ///
-    /// Two phases, like [`Self::materialize_all`]: the **fetch phase**
-    /// scans every source exporting a class whose instances the body
-    /// reads (`X : class` or `inst(X, class)`, the class a constant),
-    /// concurrently; the **evaluate phase** loads the rule and the fetched
-    /// rows into a scratch clone of the base and evaluates towards the
-    /// head there. Nothing is staged: the base, its rules and the cached
-    /// model are what they were, and the fetched rows are gone with the
-    /// clone. With [`EvalOptions::base_cache`] on the evaluation is seeded
-    /// with the published model (staged writes are published first, as any
-    /// query does); with it off no model is computed or consulted.
-    /// Both phases, the seeding publish included, stop at the token
-    /// [`Self::cancel_token`] handed out before the call. The evaluate
-    /// phase finishes the answer as every route does (its rows sorted as
-    /// their rendered cells sort, the same value
-    /// [`QuerySnapshot::answer_terms`] returns); this call adds the
-    /// classes it read and the sources it contacted.
+    /// In order: with [`EvalOptions::base_cache`] on, staged writes are
+    /// **published** first, as any query does, and the evaluation is
+    /// seeded with the published model (with it off no model is computed
+    /// or consulted); the rule is **read** into a clone of the base, so a
+    /// rule that is not one clause with a plain-predicate head is refused
+    /// before any source is contacted; the **fetch** scans every source
+    /// exporting a class whose instances the body reads (`X : class` or
+    /// `inst(X, class)`, the class a constant), concurrently, and becomes
+    /// [`Self::report`]; the **evaluate** step loads the fetched rows into
+    /// the clone and evaluates towards the head there. Nothing is staged:
+    /// the base, its rules, its symbols and the cached model are what they
+    /// were, and the rule and the fetched rows are gone with the clone.
+    /// The publish, the fetch and the evaluation stop at the token
+    /// [`Self::cancel_token`] handed out before the call. The answer is
+    /// finished as every route's is (its rows sorted as their rendered
+    /// cells sort, the same value [`QuerySnapshot::answer_terms`]
+    /// returns), with the classes this call read and the sources it
+    /// contacted.
     pub fn answer(&mut self, rule_text: &str) -> Result<AnswerSet> {
         let opts = EvalOptions {
             cancel: Some(std::mem::take(&mut self.cancel)),
             ..self.eval_options.clone()
         };
-        let rule = OneOffRule::parse(rule_text)?;
-        // Fetch phase: one scan per (exporting source, mentioned class).
-        let mut classes = Vec::new();
-        let mut contacted: BTreeSet<String> = BTreeSet::new();
-        let mut requests: Vec<FetchRequest> = Vec::new();
-        for class in &rule.classes {
-            let exporting = self.federation.sources_exporting(class);
-            if exporting.is_empty() {
-                continue;
-            }
-            classes.push(class.clone());
-            for src in exporting {
-                requests.push(FetchRequest::scan(src.as_str(), class.as_str()));
-                contacted.insert(src);
-            }
+        if self.needs_rebuild {
+            self.rebuild()?;
         }
-        let fetched = self
-            .federation
-            .fetch_round(&requests, None, opts.cancel.as_ref())?;
-        self.report = fetched.report.clone();
-        // Evaluate phase, against the current program and — with the base
-        // cache on — its published model.
         let seed = if opts.base_cache {
             self.run_with(&opts)?;
             self.model.as_deref()
         } else {
-            if self.needs_rebuild {
-                self.rebuild()?;
-            }
             None
         };
-        Ok(AnswerSet {
-            classes,
-            sources: contacted.into_iter().collect(),
-            ..evaluate(&rule, &self.base, seed, fetched, &opts)?
-        })
+        let rule = OneOffRule::read(rule_text, &self.base)?;
+        let fetched = self.federation.fetch_round(
+            &rule.scans(&self.federation),
+            None,
+            opts.cancel.as_ref(),
+        )?;
+        self.report = fetched.report.clone();
+        evaluate(rule, seed, fetched, &opts)
     }
 }
 

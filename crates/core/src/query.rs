@@ -10,39 +10,42 @@
 //! ```
 //!
 //! whose head predicate names the answer relation. Every route answers it
-//! in the same two phases:
+//! in the same three steps:
 //!
-//! 1. **fetch** — [`crate::Mediator::answer`] scans the sources exporting
+//! 1. **read** — the rule is parsed and lowered once, straight into a
+//!    clone of the frozen base (its symbol table, then its program), so a
+//!    refused rule reaches no base and no source: exactly one clause with
+//!    a plain-predicate head;
+//! 2. **fetch** — [`crate::Mediator::answer`] scans the sources exporting
 //!    the classes whose instances the body reads: a constant class in an
 //!    `inst(X, class)` atom of the lowered body, written `X : class` or
 //!    `inst(X, class)` (and only those: the mediator never contacts an
 //!    unrelated source);
 //!    [`crate::QuerySnapshot::answer_with`] fetches nothing — rows loaded
 //!    before the snapshot was taken are what there is to query;
-//! 2. **evaluate** — one crate-private function, `evaluate`, finishes
-//!    every answer: the rule, parsed and lowered once, and the fetched
-//!    rows go into a scratch clone of the frozen base, and **only the
-//!    answer predicate's dependency cone** is evaluated there, on top of
-//!    the published model where that is sound. The rule is one entry
-//!    stratum above the base program's memoized strata, so nothing is
-//!    stratified per answer, unless its head could sit on a cycle with
-//!    them (the base defines or reads the head, or the rule reads it):
-//!    then the clone's program is stratified whole. The clone is thrown
-//!    away: a read leaves the base, its rules and the published model as
-//!    they were. What it returns is the one answer value, [`AnswerSet`]:
-//!    rows sorted as their rendered cells sort, the clone's symbol table,
-//!    the run's counters, both magic-sets flags and the fetch's report.
+//! 3. **evaluate** — one crate-private function, `evaluate`, finishes
+//!    every answer: the fetched rows go into the clone the rule was read
+//!    into, and **only the answer predicate's dependency cone** is
+//!    evaluated there, on top of the published model where that is sound.
+//!    The rule is one entry stratum above the base program's memoized
+//!    strata, so nothing is stratified per answer, unless its head could
+//!    sit on a cycle with them (the base defines or reads the head, or the
+//!    rule reads it): then the clone's program is stratified whole. The
+//!    clone is thrown away: a read leaves the base, its rules, its symbols
+//!    and the published model as they were. What it returns is the one
+//!    answer value, [`AnswerSet`]: rows sorted as their rendered cells
+//!    sort, the clone's symbol table, the run's counters, both magic-sets
+//!    flags and the fetch's classes, sources and report.
 
 use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
-use crate::federation::FetchSet;
+use crate::federation::{Federation, FetchRequest, FetchSet};
 use crate::mediator::{fetch_batches, load_batches};
-use kind_datalog::parser::reintern_clause;
 use kind_datalog::term::sort_rendered;
 use kind_datalog::{
-    BodyItem, Clause, DatalogError, EvalOptions, EvalStats, Interner, Model, Sym, Term,
+    Atom, BodyItem, DatalogError, EvalOptions, EvalStats, Interner, Model, Sym, Term,
 };
-use kind_flogic::{lower_clause, parse_fl_program, Molecule, Preds};
+use kind_flogic::{lower_clause, parse_fl_program, Molecule};
 use kind_gcm::GcmBase;
 use std::collections::BTreeSet;
 
@@ -56,13 +59,14 @@ pub struct AnswerSet {
     /// sorted as their rendered cells sort
     /// ([`kind_datalog::term::sort_rendered`]).
     pub rows: Vec<Vec<Term>>,
-    /// The symbol table `rows` resolve in: the call's scratch clone's
-    /// (object ids fetched for the answer exist only there), so an answer
-    /// interns nothing into the mediator. Render through [`Self::show`].
+    /// The symbol table `rows` resolve in: that of the clone the rule was
+    /// read into (the rule's own names and the object ids fetched for the
+    /// answer exist only there), so an answer interns nothing into the
+    /// mediator or the snapshot. Render through [`Self::show`].
     pub syms: Interner,
-    /// Source classes the query mentioned.
+    /// The classes the body reads that some source exports, in name order.
     pub classes: Vec<String>,
-    /// Sources actually contacted.
+    /// Sources actually contacted, in name order.
     pub sources: Vec<String>,
     /// Per-source outcomes and quarantine diagnostics: a failed or
     /// breaker-skipped source contributes no rows, and
@@ -86,20 +90,26 @@ impl AnswerSet {
     }
 }
 
-/// A validated one-off rule: exactly one clause with a plain-predicate
-/// head, parsed and lowered once into a scratch symbol table so nothing
-/// is committed to any base before the rule's shape is known.
+/// A one-off rule read into the clone of a base that answers it: exactly
+/// one clause with a plain-predicate head, parsed and lowered into the
+/// clone's symbol table and added to its program, with the clone's
+/// changelog open from before the rule, so the evaluation walks the rule
+/// and the fetched rows as one delta over the base's published model.
 pub(crate) struct OneOffRule {
-    /// The symbol table `clause` lives in.
-    syms: Interner,
-    /// The lowered clause: one rule, or a fact when the body is empty.
-    clause: Clause,
+    /// The base's clone, holding the rule.
+    work: GcmBase,
+    /// The rule's head atom: the goal the answer's rows match.
+    goal: Atom,
+    /// Whether the base already defines the head, by a rule or a stored
+    /// fact.
+    defined: bool,
     /// The constant classes of the lowered body's `inst(X, class)` atoms.
-    pub(crate) classes: BTreeSet<String>,
+    classes: BTreeSet<String>,
 }
 
 impl OneOffRule {
-    pub(crate) fn parse(text: &str) -> Result<Self> {
+    /// Reads `text` into a clone of `base`; `base` is not written to.
+    pub(crate) fn read(text: &str, base: &GcmBase) -> Result<Self> {
         let shape_error = |message: String| {
             MediatorError::Datalog(DatalogError::Parse {
                 offset: 0,
@@ -107,104 +117,115 @@ impl OneOffRule {
                 message,
             })
         };
-        let mut syms = Interner::new();
-        let clauses = parse_fl_program(text, &mut syms).map_err(MediatorError::from)?;
+        let mut work = base.clone();
+        let fl = work.flogic_mut();
+        let preds = *fl.preds();
+        let engine = fl.engine_mut();
+        engine.begin_delta();
+        let clauses = parse_fl_program(text, engine.symbols_mut())?;
         let [clause] = clauses.as_slice() else {
             return Err(shape_error(format!(
                 "answer() takes exactly one rule, got {}",
                 clauses.len()
             )));
         };
-        if !matches!(clause.head, Molecule::Plain(_)) {
+        let Molecule::Plain(head) = &clause.head else {
             return Err(shape_error(
                 "answer() rule head must be a plain predicate".to_string(),
             ));
-        }
-        let preds = Preds::intern(&mut syms);
+        };
+        let defined = engine.defines(engine.symbols().resolve(head.pred));
         let mut classes = BTreeSet::new();
-        collect_classes(&clause.body, preds.inst, &syms, &mut classes);
+        collect_classes(&clause.body, preds.inst, engine.symbols(), &mut classes);
         // A plain head lowers to exactly one atom: one fact or one rule.
-        let clause = match lower_clause(clause, &preds, &syms)? {
-            (mut facts, _) if !facts.is_empty() => Clause::Fact(facts.remove(0)),
-            (_, mut rules) => Clause::Rule(rules.remove(0)),
+        let goal = match lower_clause(clause, &preds, engine.symbols())? {
+            (mut facts, _) if !facts.is_empty() => {
+                let fact = facts.remove(0);
+                engine.add_fact(fact.pred, &fact.args)?;
+                fact
+            }
+            (_, mut rules) => {
+                let rule = rules.remove(0);
+                let head = rule.head.clone();
+                engine.add_rule(rule)?;
+                head
+            }
         };
         Ok(OneOffRule {
-            syms,
-            clause,
+            work,
+            goal,
+            defined,
             classes,
         })
     }
 
-    /// The head predicate's name.
-    fn head_pred(&self) -> &str {
-        let head = match &self.clause {
-            Clause::Fact(atom) => atom,
-            Clause::Rule(rule) => &rule.head,
-        };
-        self.syms.resolve(head.pred)
+    /// The fetch that answers the rule: one scan per source exporting a
+    /// class the body reads, class by class.
+    pub(crate) fn scans(&self, federation: &Federation) -> Vec<FetchRequest> {
+        let mut scans = Vec::new();
+        for class in &self.classes {
+            for src in federation.sources_exporting(class) {
+                scans.push(FetchRequest::scan(src, class.as_str()));
+            }
+        }
+        scans
     }
 }
 
 /// The **evaluate phase** of every one-off query, and its one finish:
-/// adds `rule`'s lowered clause and the `fetched` rows to a scratch clone
-/// of `base` and
+/// adds the `fetched` rows to the clone `rule` was read into and
 /// evaluates towards the rule's head there — goal-directed
 /// (`Engine::run_for_query`: the head's dependency cone, the rule placed
 /// as one entry stratum above the base program's memoized strata where
 /// that is sound, plus, when enabled, the magic-sets rewrite), as the
-/// delta those loads recorded, walked over `model`: strata the rule and
-/// the rows do not touch are read in place instead of recomputed. `base`
-/// and `model` are never written to.
+/// delta the rule and those loads recorded, walked over `model`: strata
+/// the rule and the rows do not touch are read in place instead of
+/// recomputed. `model` is never written to.
 ///
-/// `model` is the published model of `base` — every mutation of `base`
-/// is in it, so the clone's changelog starts empty — or `None` to
-/// evaluate from the stored facts alone (a mediator with
-/// [`EvalOptions::base_cache`] off keeps none current).
+/// `model` is the published model of the base `rule` was read from —
+/// every mutation of that base is in it, so the clone's changelog starts
+/// empty — or `None` to evaluate from the stored facts alone (a mediator
+/// with [`EvalOptions::base_cache`] off keeps none current).
 ///
 /// The answer carries the goal's rows, sorted; the clone's symbol table
 /// they resolve in (fetched object ids and the rule's own constants exist
 /// only there); the run's counters and magic-sets flags; and `fetched`'s
-/// report. `classes` and `sources` are the fetching caller's to fill in.
+/// classes, sources and report.
 pub(crate) fn evaluate(
-    rule: &OneOffRule,
-    base: &GcmBase,
+    rule: OneOffRule,
     model: Option<&Model>,
     fetched: FetchSet,
     opts: &EvalOptions,
 ) -> Result<AnswerSet> {
-    let mut work = base.clone();
-    let engine = work.flogic_mut().engine_mut();
-    engine.begin_delta();
-    // The clause's symbols are interned into the clone in the order a
-    // parse of the rule text there would intern them.
-    let goal = match reintern_clause(&rule.clause, &rule.syms, engine.symbols_mut()) {
-        Clause::Fact(atom) => {
-            engine.add_fact(atom.pred, &atom.args)?;
-            atom
-        }
-        Clause::Rule(lowered) => {
-            let head = lowered.head.clone();
-            engine.add_rule(lowered)?;
-            head
-        }
-    };
+    let OneOffRule {
+        mut work,
+        goal,
+        defined,
+        ..
+    } = rule;
     load_batches(&mut work, &fetch_batches(&fetched.batches))?;
     // A head the base program already defines — by a rule or a stored
     // fact, whether or not it derived anything — is not a one-off view
     // over the model: evaluate the clone from its stored facts.
     let delta = work.flogic_mut().engine_mut().take_delta();
-    let since = model
-        .filter(|_| !base.flogic().engine().defines(rule.head_pred()))
-        .zip(delta.as_ref());
+    let since = model.filter(|_| !defined).zip(delta.as_ref());
     let model = work.flogic_mut().run_for_query(&goal, since, opts)?;
     let mut rows = model.query(&goal);
     let syms = std::mem::take(work.flogic_mut().engine_mut().symbols_mut());
     sort_rendered(&mut rows, &syms);
+    // The scans ran class by class, so a class's batches are adjacent.
+    let mut classes: Vec<String> = fetched
+        .batches
+        .iter()
+        .map(|b| b.query.class.clone())
+        .collect();
+    classes.dedup();
+    let sources: BTreeSet<&str> = fetched.batches.iter().map(|b| b.source.as_str()).collect();
     Ok(AnswerSet {
         rows,
         syms,
-        classes: Vec::new(),
-        sources: Vec::new(),
+        classes,
+        sources: sources.into_iter().map(str::to_string).collect(),
         report: fetched.report,
         stats: model.stats,
         magic_fired: model.profile.magic_fired,
@@ -600,6 +621,44 @@ mod tests {
             warm_ptr
         );
         assert!(!m.publish_pending());
+    }
+
+    /// A rule that is not one clause with a plain head — two clauses, a
+    /// molecule head, text that does not parse — is refused when it is
+    /// read, before the fetch: the mediator contacts no source and keeps
+    /// the last operation's report, and a snapshot's base gains no name
+    /// (the refused text was read into a clone).
+    #[test]
+    fn a_refused_rule_contacts_nothing() {
+        let refused = [
+            "a(X) :- X : spines. b(X) :- X : proteins.",
+            "X : big :- X : spines.",
+            "unheard(X) :- X : spines, also_unheard(X",
+        ];
+        let mut m = mediator_with_two_sources();
+        m.answer("p(X) :- X : spines.").unwrap();
+        let (queries, report) = (m.stats().source_queries, m.report().clone());
+        assert!(queries > 0 && !report.sources.is_empty());
+        for text in refused {
+            assert!(m.answer(text).is_err(), "{text}");
+            assert_eq!(
+                m.stats().source_queries,
+                queries,
+                "{text} contacted a source"
+            );
+            assert_eq!(m.report(), &report, "{text} replaced the report");
+        }
+        let snap = m.snapshot().unwrap();
+        let symbols = snap.base().flogic().engine().symbols().len();
+        for text in refused {
+            let opts = snap.eval_options();
+            assert!(snap.answer_terms(text, opts).is_err(), "{text}");
+            assert_eq!(
+                snap.base().flogic().engine().symbols().len(),
+                symbols,
+                "{text} interned a name into the snapshot"
+            );
+        }
     }
 
     #[test]

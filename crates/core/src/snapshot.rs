@@ -240,14 +240,8 @@ impl QuerySnapshot {
     /// clone of the frozen base takes the rule (and every symbol it
     /// interns), never the shared snapshot.
     pub fn answer_terms(&self, rule_text: &str, opts: &EvalOptions) -> Result<AnswerSet> {
-        let rule = OneOffRule::parse(rule_text)?;
-        evaluate(
-            &rule,
-            &self.base,
-            Some(&self.model),
-            FetchSet::default(),
-            opts,
-        )
+        let rule = OneOffRule::read(rule_text, &self.base)?;
+        evaluate(rule, Some(&self.model), FetchSet::default(), opts)
     }
 }
 

@@ -26,7 +26,6 @@ use crate::rule::Rule;
 use crate::term::{Term, Var};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How deep a clause may nest — function terms, parenthesised
 /// sub-expressions and aggregate bodies together — and how many arithmetic
@@ -89,71 +88,6 @@ fn whole_atom(p: &mut Parser) -> Result<Atom> {
         return Err(p.err("trailing input after atom"));
     }
     Ok(atom)
-}
-
-/// `clause`, parsed into the symbol table `from`, moved into `to`: every
-/// name of `from` is interned into `to` in `from`'s order — the order a
-/// parse of the same text into `to` would have interned them — and the
-/// clause's symbols are renamed. A rule keeps its compiled body order, so
-/// nothing is parsed or scheduled again.
-pub fn reintern_clause(clause: &Clause, from: &Interner, to: &mut Interner) -> Clause {
-    let map: Vec<Sym> = (0..from.len())
-        .map(|i| to.intern(from.resolve(Sym(i as u32))))
-        .collect();
-    match clause {
-        Clause::Fact(a) => Clause::Fact(rename_atom(a, &map)),
-        Clause::Rule(r) => Clause::Rule(Rule {
-            head: rename_atom(&r.head, &map),
-            body: r.body.iter().map(|item| rename_item(item, &map)).collect(),
-            nvars: r.nvars,
-            var_names: Arc::clone(&r.var_names),
-        }),
-    }
-}
-
-fn rename_term(t: &Term, map: &[Sym]) -> Term {
-    match t {
-        Term::Const(s) => Term::Const(map[s.index()]),
-        Term::Func(f, args) => Term::func(
-            map[f.index()],
-            args.iter().map(|a| rename_term(a, map)).collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
-fn rename_atom(a: &Atom, map: &[Sym]) -> Atom {
-    Atom::new(
-        map[a.pred.index()],
-        a.args.iter().map(|t| rename_term(t, map)).collect(),
-    )
-}
-
-fn rename_expr(e: &Expr, map: &[Sym]) -> Expr {
-    let sub = |x: &Expr| Box::new(rename_expr(x, map));
-    match e {
-        Expr::Term(t) => Expr::Term(rename_term(t, map)),
-        Expr::Add(a, b) => Expr::Add(sub(a), sub(b)),
-        Expr::Sub(a, b) => Expr::Sub(sub(a), sub(b)),
-        Expr::Mul(a, b) => Expr::Mul(sub(a), sub(b)),
-        Expr::Div(a, b) => Expr::Div(sub(a), sub(b)),
-    }
-}
-
-fn rename_item(item: &BodyItem, map: &[Sym]) -> BodyItem {
-    match item {
-        BodyItem::Pos(a) => BodyItem::Pos(rename_atom(a, map)),
-        BodyItem::Neg(a) => BodyItem::Neg(rename_atom(a, map)),
-        BodyItem::Cmp(op, l, r) => BodyItem::Cmp(*op, rename_expr(l, map), rename_expr(r, map)),
-        BodyItem::Assign(t, e) => BodyItem::Assign(rename_term(t, map), rename_expr(e, map)),
-        BodyItem::Agg(agg) => BodyItem::Agg(Aggregate {
-            func: agg.func,
-            value: rename_term(&agg.value, map),
-            group_by: agg.group_by.clone(),
-            body: agg.body.iter().map(|i| rename_item(i, map)).collect(),
-            result: agg.result,
-        }),
-    }
 }
 
 /// Prints `s` as a string literal: the inverse of the lexer's

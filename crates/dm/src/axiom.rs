@@ -217,10 +217,9 @@ impl AxParser<'_> {
         while self.keyword("or") {
             parts.push(self.and_expr()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one part")
-        } else {
-            ConceptExpr::Or(parts)
+        Ok(match <[_; 1]>::try_from(parts) {
+            Ok([one]) => one,
+            Err(parts) => ConceptExpr::Or(parts),
         })
     }
 
@@ -229,10 +228,9 @@ impl AxParser<'_> {
         while self.keyword("and") {
             parts.push(self.prim()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one part")
-        } else {
-            ConceptExpr::And(parts)
+        Ok(match <[_; 1]>::try_from(parts) {
+            Ok([one]) => one,
+            Err(parts) => ConceptExpr::And(parts),
         })
     }
 
@@ -322,12 +320,12 @@ fn node_expr(dm: &DomainMap, node: NodeId) -> Option<ConceptExpr> {
             if members.is_empty() {
                 return None;
             }
-            Some(if members.len() == 1 {
-                members.pop().expect("one member")
-            } else if matches!(dm.node_kind(node), NodeKind::And) {
-                ConceptExpr::And(members)
-            } else {
-                ConceptExpr::Or(members)
+            Some(match <[_; 1]>::try_from(members) {
+                Ok([one]) => one,
+                Err(members) if matches!(dm.node_kind(node), NodeKind::And) => {
+                    ConceptExpr::And(members)
+                }
+                Err(members) => ConceptExpr::Or(members),
             })
         }
     }

@@ -56,6 +56,8 @@ pub const FIGURE3_REGISTRATION_AXIOMS: &str = "
 /// Builds the Figure 1 domain map.
 pub fn figure1() -> DomainMap {
     let mut dm = DomainMap::new();
+    // Never fails: a constant text loaded into an empty map, the same
+    // computation every time, and `figure1_has_all_named_concepts` runs it.
     load_axioms(&mut dm, FIGURE1_AXIOMS).expect("figure 1 axioms are well-formed");
     dm
 }
@@ -63,6 +65,9 @@ pub fn figure1() -> DomainMap {
 /// Builds the Figure 3 base map (before registration).
 pub fn figure3_base() -> DomainMap {
     let mut dm = DomainMap::new();
+    // Never fails: a constant text loaded into an empty map, the same
+    // computation every time, and `figure3_or_nodes_for_projection_targets`
+    // runs it.
     load_axioms(&mut dm, FIGURE3_BASE_AXIOMS).expect("figure 3 axioms are well-formed");
     dm
 }
@@ -70,6 +75,8 @@ pub fn figure3_base() -> DomainMap {
 /// Builds the full Figure 3 map (after registering the new knowledge).
 pub fn figure3() -> DomainMap {
     let mut dm = figure3_base();
+    // Never fails: a constant text loaded into the map `figure3_base`
+    // always builds, and `figure3_registration_adds_dark_nodes` runs it.
     load_axioms(&mut dm, FIGURE3_REGISTRATION_AXIOMS)
         .expect("figure 3 registration axioms are well-formed");
     dm

@@ -92,6 +92,9 @@ impl DomainMap {
     }
 
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        // Never fails: every node holds two `Vec`s (48 bytes) besides its
+        // kind, so a map of 2^32 nodes needs over 200 GiB; allocation
+        // gives out long before the count leaves `u32`.
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
         self.nodes.push(kind);
         self.out.push(Vec::new());
@@ -141,6 +144,9 @@ impl DomainMap {
         {
             return;
         }
+        // Never fails: every edge takes an `Edge` (over 24 bytes) and two
+        // `u32` entries, so 2^32 edges need over 128 GiB; allocation gives
+        // out long before the count leaves `u32`.
         let idx = u32::try_from(self.edges.len()).expect("too many edges");
         self.out[from.index()].push(idx);
         self.inc[to.index()].push(idx);
